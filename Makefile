@@ -1,23 +1,29 @@
 # Build and test tiers. `make check` is the tier-1 gate (build + vet +
-# tests); `make robust` adds the race detector, which the parallel tick
-# kernel and the fault-injection chaos sweeps are expected to pass too.
+# tests, here and in the frozen bench/ module); `make robust` adds the
+# race detector, which the sweep-level concurrency (exp.ForEach, the
+# serve control plane) and the fault-injection chaos sweeps are expected
+# to pass too.
 
 GO ?= go
 
-.PHONY: all build check robust bench bench-parallel bench-obs bench-ckpt bench-hotpath bench-policies bench-twin bench-scale bench-scale-quick serve-smoke faults lint-deprecated lint-docs clean
+.PHONY: all build check robust bench bench-obs bench-ckpt bench-hotpath bench-policies bench-twin bench-scale bench-scale-quick serve-smoke faults lint-deprecated lint-docs clean
 
 all: check
 
 build:
 	$(GO) build ./...
 
+# bench/ is its own module (the repository benchmark, see BENCHMARK.json)
+# and only ever changes in a PR of its own; vetting and testing it here
+# makes an API removal that breaks it fail at tier-1.
 check: build lint-deprecated lint-docs
 	$(GO) vet ./...
 	$(GO) test ./...
+	$(GO) -C bench vet ./... && $(GO) -C bench test ./...
 	$(MAKE) bench-scale-quick
 
 # Robustness tier: the full suite under the race detector (slower;
-# includes the fault-injection chaos sweeps, the parallel-kernel
+# includes the fault-injection chaos sweeps, the oracle-vs-event
 # determinism matrix, the golden-trace determinism test, and the sweep
 # service's chaos acceptance), plus the observability overhead,
 # checkpoint warm-start, hot-path, cross-policy Pareto, analytical-twin
@@ -55,13 +61,6 @@ lint-deprecated:
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
-# Wall-clock benchmark of the execution knobs (sharded tick, idle
-# fast-forward, sweep-level concurrency). Writes BENCH_parallel.json,
-# which also records per-run bit-identity against the sequential
-# baseline; see README.md "Performance" for how to read it.
-bench-parallel:
-	$(GO) run ./cmd/pabstbench -out BENCH_parallel.json
-
 # Observability overhead gate. Times the same workload with probes off,
 # with a ring-only observer, and with a streaming JSONL sink, checks the
 # three runs stay bit-identical, and writes BENCH_obs.json. The disabled
@@ -98,7 +97,7 @@ serve-smoke:
 # frontier on (share fidelity, hi-class p99 latency). Writes
 # BENCH_policies.json; see EXPERIMENTS.md "Cross-policy Pareto sweep".
 bench-policies:
-	$(GO) run ./cmd/pabstsweep -policies -scale quick -parallel 6 -workers 2 -out BENCH_policies.json
+	$(GO) run ./cmd/pabstsweep -policies -scale quick -parallel 6 -out BENCH_policies.json
 
 # Analytical-twin divergence gate. Simulates the fig1/fig5 regulation
 # points and the full cross-policy Pareto grid, predicts each with the
@@ -107,10 +106,10 @@ bench-policies:
 # internal/exp/twinbench.go. Writes BENCH_twin.json; see DESIGN.md
 # "Analytical twin".
 bench-twin:
-	$(GO) run ./cmd/pabstsweep -twin -scale quick -parallel 6 -workers 2 -out BENCH_twin.json
+	$(GO) run ./cmd/pabstsweep -twin -scale quick -parallel 6 -out BENCH_twin.json
 
-# Event-kernel scaling study: cycle vs event dispatch across three axes
-# — 64-, 256-, and 1024-tile idle-heavy bursty meshes, the non-PABST
+# Event-kernel scaling study: the reference loop vs event dispatch
+# across three axes — 64-, 256-, and 1024-tile idle-heavy bursty meshes, the non-PABST
 # source-policy zoo (static/bankreg/lmsar) at 256 tiles, and an
 # MSHR-saturated strict-model 256-tile mesh where wake-on-completion is
 # the only thing letting blocked cores sleep. Verifies the two kernels

@@ -55,11 +55,11 @@ func ReadCheckpointInfo(r io.Reader) (CheckpointInfo, error) {
 }
 
 // fpDoc is the canonical structural description hashed into a
-// checkpoint's fingerprint: the configuration with the wall-clock-only
-// execution knobs zeroed (Workers and FastForward never change simulated
-// state, so they must not change the fingerprint), the regulation mode,
-// and the class and attachment layout. Weights are excluded — they are
-// runtime state (SetWeight), carried in the payload instead.
+// checkpoint's fingerprint: the configuration with Kernel zeroed (the
+// kernel never changes simulated state, so it must not change the
+// fingerprint), the regulation mode, and the class and attachment
+// layout. Weights are excluded — they are runtime state (SetWeight),
+// carried in the payload instead.
 type fpDoc struct {
 	Config  config.System `json:"config"`
 	Mode    string        `json:"mode"`
@@ -72,15 +72,20 @@ type fpClass struct {
 	L3Ways int    `json:"l3_ways"`
 }
 
+// fpTile keys one attachment. A generator that can describe its own
+// construction is keyed by that recipe — two generators that share a
+// display name but differ in kind or parameters (a read stream and a
+// write stream both named "stream") are different machines. Closure
+// generators have only their name.
 type fpTile struct {
-	Tile  int    `json:"tile"`
-	Class int    `json:"class"`
-	Gen   string `json:"gen"`
+	Tile  int                 `json:"tile"`
+	Class int                 `json:"class"`
+	Gen   string              `json:"gen,omitempty"`
+	Spec  *workload.BuildSpec `json:"spec,omitempty"`
 }
 
 func normalizeConfig(cfg config.System) config.System {
-	cfg.Workers = 0
-	cfg.FastForward = false
+	cfg.Kernel = ""
 	return cfg
 }
 
@@ -90,7 +95,14 @@ func fingerprintOf(inner *soc.System) ([32]byte, error) {
 		doc.Classes = append(doc.Classes, fpClass{Name: c.Name, L3Ways: c.L3Ways})
 	}
 	for _, a := range inner.Attachments() {
-		doc.Tiles = append(doc.Tiles, fpTile{Tile: a.Tile, Class: int(a.Class), Gen: a.Gen.Name()})
+		ft := fpTile{Tile: a.Tile, Class: int(a.Class)}
+		if d, ok := a.Gen.(workload.Describable); ok {
+			spec := d.BuildSpec()
+			ft.Spec = &spec
+		} else {
+			ft.Gen = a.Gen.Name()
+		}
+		doc.Tiles = append(doc.Tiles, ft)
 	}
 	raw, err := json.Marshal(doc)
 	if err != nil {
@@ -100,8 +112,8 @@ func fingerprintOf(inner *soc.System) ([32]byte, error) {
 }
 
 // Fingerprint returns the sha256 of the system's structural description:
-// configuration (minus the wall-clock-only Workers/FastForward knobs),
-// mode, classes, and attachments. Two systems restore each other's
+// configuration (minus Kernel, which never changes an outcome), mode,
+// classes, and attachments. Two systems restore each other's
 // checkpoints iff their fingerprints match.
 func (s *System) Fingerprint() ([32]byte, error) { return fingerprintOf(s.inner) }
 
@@ -137,8 +149,7 @@ type metaAttach struct {
 // current cycle, rebuild metadata) followed by every component's state
 // in canonical order and a CRC trailer. A restored system is
 // bit-identical to the saved one: running both for the same number of
-// cycles produces byte-equal metrics under any Workers/FastForward
-// combination.
+// cycles produces byte-equal metrics, on either kernel.
 //
 // The system must contain only checkpointable generators; a closure-
 // based generator fails with ErrCkptUnsupported.
@@ -170,10 +181,10 @@ func (s *System) Checkpoint(w io.Writer) error {
 // Restore rebuilds a system entirely from a checkpoint written by
 // System.Checkpoint: the header metadata supplies the configuration,
 // mode, classes, and workload recipes; the payload supplies the state.
-// Options apply after the metadata (use WithWorkers/WithFastForward to
-// restore onto different execution settings — both are wall-clock-only
-// and preserve bit-identical outputs). Installing a different fault
-// plan than the checkpoint's fails with ErrCkptMismatch.
+// Options apply after the metadata (WithKernel("cycle") restores onto
+// the reference loop; outputs are bit-identical either way). Installing
+// a different fault plan than the checkpoint's fails with
+// ErrCkptMismatch.
 //
 // Checkpoints containing generators without build recipes (closures,
 // recorders, trace replayers) fail with ErrCkptUnsupported; restore
@@ -214,8 +225,8 @@ func Restore(r io.Reader, opts ...Option) (*System, error) {
 
 // Restore builds the system this builder describes and overlays the
 // checkpointed state from r onto it. The builder must describe the same
-// machine that wrote the checkpoint — same configuration (Workers and
-// FastForward excepted), mode, classes, and attachments — which is
+// machine that wrote the checkpoint — same configuration (Kernel
+// excepted), mode, classes, and attachments — which is
 // verified against the header fingerprint before any state is touched;
 // a disagreement fails with ErrCkptMismatch.
 //

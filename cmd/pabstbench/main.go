@@ -1,13 +1,14 @@
-// Command pabstbench measures the wall-clock effect of the execution
-// knobs — the sharded tick (-workers), idle fast-forward, and sweep-level
-// concurrency — and writes the results to BENCH_parallel.json.
+// Command pabstbench runs the repository's recorded benchmark suites,
+// one BENCH_<suite>.json receipt each. Every timed configuration must
+// also produce bit-identical simulation output to its baseline; the
+// suites verify this and record the verdict per run, so each JSON
+// doubles as a determinism receipt for the host it ran on.
 //
-// Every benchmarked configuration must also produce bit-identical
-// simulation output to its group's baseline; the bench verifies this and
-// records the verdict per run, so the JSON doubles as a determinism
-// receipt for the host it ran on.
+// The default -suite scale times the event kernel against the
+// cycle-stepped reference loop across mesh sizes, source policies and an
+// MSHR-saturated mesh, and writes BENCH_scale.json.
 //
-// With -suite obs it instead measures the observability layer's
+// With -suite obs it measures the observability layer's
 // overhead contract — probes disabled (the baseline), the event ring
 // alone, and the ring plus a JSONL sink — and writes BENCH_obs.json.
 // The disabled-probe run must stay fingerprint-identical to an
@@ -26,12 +27,11 @@
 //
 // Usage:
 //
-//	pabstbench [-suite parallel|obs|ckpt|hotpath] [-cycles n] [-warmup n]
-//	           [-out file.json] [-cpuprofile f] [-memprofile f]
+//	pabstbench [-suite scale|obs|ckpt|hotpath] [-quick] [-cycles n]
+//	           [-warmup n] [-out file.json] [-cpuprofile f] [-memprofile f]
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -43,43 +43,12 @@ import (
 
 	"pabst"
 	"pabst/internal/cliflags"
-	"pabst/internal/exp"
 )
 
-// Run is one timed configuration.
-type Run struct {
-	Group       string  `json:"group"`
-	Name        string  `json:"name"`
-	Workers     int     `json:"workers,omitempty"`
-	FastForward bool    `json:"fast_forward,omitempty"`
-	Parallel    int     `json:"parallel,omitempty"`
-	Cycles      uint64  `json:"cycles,omitempty"`
-	Skipped     uint64  `json:"skipped_cycles,omitempty"`
-	WallSeconds float64 `json:"wall_seconds"`
-	// Speedup is wall-clock relative to the group's first (baseline) run.
-	Speedup float64 `json:"speedup"`
-	// Identical reports whether the run's simulation output matched the
-	// baseline byte-for-byte.
-	Identical bool `json:"identical"`
-}
-
-// Report is the BENCH_parallel.json document.
-type Report struct {
-	Host struct {
-		GOOS       string `json:"goos"`
-		GOARCH     string `json:"goarch"`
-		NumCPU     int    `json:"num_cpu"`
-		GoMaxProcs int    `json:"gomaxprocs"`
-	} `json:"host"`
-	Cycles uint64 `json:"cycles"`
-	Warmup uint64 `json:"warmup"`
-	Runs   []Run  `json:"runs"`
-}
-
 func main() {
-	suite := flag.String("suite", "parallel", "benchmark suite: parallel, obs, ckpt, hotpath, or scale")
-	cycles := flag.Uint64("cycles", 500_000, "measured cycles per kernel run")
-	warmup := flag.Uint64("warmup", 200_000, "warmup cycles per kernel run")
+	suite := flag.String("suite", "scale", "benchmark suite: scale, obs, ckpt, or hotpath")
+	cycles := flag.Uint64("cycles", 500_000, "measured cycles per run")
+	warmup := flag.Uint64("warmup", 200_000, "warmup cycles per run")
 	out := flag.String("out", "", "output path (default BENCH_<suite>.json)")
 	quick := flag.Bool("quick", false, "scale suite: 64-tile meshes only, skip the full-suite speedup gates")
 	common := cliflags.Register(flag.CommandLine)
@@ -91,154 +60,21 @@ func main() {
 		check(err)
 	}
 
+	if *out == "" {
+		*out = "BENCH_" + *suite + ".json"
+	}
 	switch *suite {
 	case "scale":
-		if *out == "" {
-			*out = "BENCH_scale.json"
-		}
 		scaleSuite(*cycles, true, *quick, *out)
-		return
 	case "obs":
-		if *out == "" {
-			*out = "BENCH_obs.json"
-		}
 		obsSuite(*warmup, *cycles, *out)
-		return
 	case "ckpt":
-		if *out == "" {
-			*out = "BENCH_ckpt.json"
-		}
 		ckptSuite(*warmup, *cycles, *out)
-		return
 	case "hotpath":
-		if *out == "" {
-			*out = "BENCH_hotpath.json"
-		}
 		hotpathSuite(*warmup, *cycles, *out)
-		return
-	case "parallel":
-		if *out == "" {
-			*out = "BENCH_parallel.json"
-		}
 	default:
-		fmt.Fprintf(os.Stderr, "pabstbench: unknown -suite %q (want parallel, obs, ckpt, hotpath, or scale)\n", *suite)
+		fmt.Fprintf(os.Stderr, "pabstbench: unknown -suite %q (want scale, obs, ckpt, or hotpath)\n", *suite)
 		os.Exit(2)
-	}
-
-	var rep Report
-	rep.Host.GOOS = runtime.GOOS
-	rep.Host.GOARCH = runtime.GOARCH
-	rep.Host.NumCPU = runtime.NumCPU()
-	rep.Host.GoMaxProcs = runtime.GOMAXPROCS(0)
-	rep.Cycles = *cycles
-	rep.Warmup = *warmup
-
-	// Group 1: the saturating 7:3 stream allocation (the Figure 5
-	// scenario) under the sharded tick. Every tile is busy every cycle,
-	// so fast-forward never fires; the worker pool is the only lever.
-	kernelGroup(&rep, "kernel-streams-7:3", *warmup, *cycles, streamSystem,
-		[]knobs{
-			{name: "workers=1 (baseline)", workers: 1},
-			{name: "workers=2", workers: 2},
-			{name: "workers=4", workers: 4},
-		})
-
-	// Group 2: bursty traffic with long idle gaps. Here the idle
-	// fast-forward is the lever — it skips the gaps outright, which no
-	// amount of parallelism can.
-	kernelGroup(&rep, "kernel-bursty-idle", *warmup, *cycles, burstySystem,
-		[]knobs{
-			{name: "spin (baseline)"},
-			{name: "fast-forward", ff: true},
-			{name: "fast-forward+workers=4", ff: true, workers: 4},
-		})
-
-	// Group 3: sweep-level concurrency over the six-cell Figure 7 grid at
-	// quick scale — independent simulations on the bounded pool.
-	sweepGroup(&rep)
-
-	b, err := json.MarshalIndent(&rep, "", "  ")
-	check(err)
-	check(os.WriteFile(*out, append(b, '\n'), 0o644))
-	fmt.Printf("wrote %s\n", *out)
-	for _, r := range rep.Runs {
-		same := "identical"
-		if !r.Identical {
-			same = "OUTPUT DIVERGED"
-		}
-		fmt.Printf("%-22s %-26s %8.2fs  %5.2fx  %s\n", r.Group, r.Name, r.WallSeconds, r.Speedup, same)
-	}
-}
-
-type knobs struct {
-	name    string
-	workers int
-	ff      bool
-}
-
-// kernelGroup times one scenario under each knob setting and fingerprints
-// the output against the group baseline.
-func kernelGroup(rep *Report, group string, warmup, cycles uint64,
-	build func(cfg pabst.SystemConfig, opts ...pabst.Option) (*pabst.System, []pabst.ClassID), settings []knobs) {
-	var baseFP string
-	var baseWall float64
-	for i, k := range settings {
-		cfg := pabst.Default32Config()
-		cfg.PABST.EpochCycles = 10_000
-		sys, classes := build(cfg, pabst.WithWorkers(k.workers), pabst.WithFastForward(k.ff))
-		start := time.Now()
-		sys.Warmup(warmup)
-		sys.Run(cycles)
-		wall := time.Since(start).Seconds()
-		fp := fingerprint(sys, classes)
-		skipped := sys.SkippedCycles()
-		sys.Close()
-		if i == 0 {
-			baseFP, baseWall = fp, wall
-		}
-		rep.Runs = append(rep.Runs, Run{
-			Group:       group,
-			Name:        k.name,
-			Workers:     k.workers,
-			FastForward: k.ff,
-			Cycles:      warmup + cycles,
-			Skipped:     skipped,
-			WallSeconds: wall,
-			Speedup:     baseWall / wall,
-			Identical:   fp == baseFP,
-		})
-	}
-}
-
-// sweepGroup times the Figure 7 regulation grid with and without
-// sweep-level concurrency, through the experiment registry. The cache
-// stays nil: each parallel setting must pay for every simulation or the
-// timing comparison is meaningless.
-func sweepGroup(rep *Report) {
-	e, err := exp.ExperimentByName("fig7")
-	check(err)
-	var baseJSON []byte
-	var baseWall float64
-	for i, parallel := range []int{1, 4} {
-		scale := exp.Quick()
-		scale.Parallel = parallel
-		start := time.Now()
-		tbl, _, _, err := exp.RunExperimentScale(context.Background(), e, scale, nil)
-		check(err)
-		wall := time.Since(start).Seconds()
-		j, err := tbl.JSON()
-		check(err)
-		if i == 0 {
-			baseJSON, baseWall = j, wall
-		}
-		rep.Runs = append(rep.Runs, Run{
-			Group:       "sweep-fig7-grid",
-			Name:        fmt.Sprintf("parallel=%d", parallel),
-			Parallel:    parallel,
-			WallSeconds: wall,
-			Speedup:     baseWall / wall,
-			Identical:   string(j) == string(baseJSON),
-		})
 	}
 }
 
@@ -257,20 +93,8 @@ func streamSystem(cfg pabst.SystemConfig, opts ...pabst.Option) (*pabst.System, 
 	return sys, []pabst.ClassID{hi, lo}
 }
 
-// burstySystem puts clustered traffic with long idle gaps on every tile.
-func burstySystem(cfg pabst.SystemConfig, opts ...pabst.Option) (*pabst.System, []pabst.ClassID) {
-	b := pabst.NewBuilder(cfg, pabst.ModePABST, opts...)
-	c := b.AddClass("bursty", 1, cfg.L3Ways)
-	for i := 0; i < cfg.NumTiles(); i++ {
-		b.Attach(i, c, pabst.BurstyTraffic("b", pabst.TileRegion(i), 32, 8000, uint64(i)+1))
-	}
-	sys, err := b.Build()
-	check(err)
-	return sys, []pabst.ClassID{c}
-}
-
 // fingerprint renders the run's observable statistics for byte-for-byte
-// comparison across knob settings.
+// comparison across a suite's configurations.
 func fingerprint(sys *pabst.System, classes []pabst.ClassID) string {
 	snap := sys.Snapshot()
 	s := fmt.Sprintf("metrics=%+v gov=%v", snap.Window, snap.GovernorMs())
@@ -297,8 +121,8 @@ type ObsRun struct {
 }
 
 // ObsReport is the BENCH_obs.json document. It is self-contained (own
-// run type, own fields) so later changes to the parallel-suite report
-// never invalidate recorded observability baselines.
+// run type, own fields) so changes to another suite's report never
+// invalidate recorded observability baselines.
 type ObsReport struct {
 	Host struct {
 		GOOS       string `json:"goos"`

@@ -18,7 +18,6 @@ type ScaleRun struct {
 	// Policy is the source-policy axis ("pabst" on the default rows).
 	Policy      string  `json:"policy,omitempty"`
 	Kernel      string  `json:"kernel"`
-	Workers     int     `json:"workers,omitempty"`
 	Cycles      uint64  `json:"cycles"`
 	Skipped     uint64  `json:"skipped_cycles,omitempty"`
 	WallSeconds float64 `json:"wall_seconds"`
@@ -74,17 +73,15 @@ type ScaleReport struct {
 // shape the event kernel exists for), under hierarchical SAT gossip.
 // Gaps are staggered per tile so bursts desynchronize — aggregate
 // demand stays far below the memory system's capacity, but at 1024
-// tiles some tile is almost always active, which is precisely the
-// regime where whole-machine fast-forward cannot engage and
-// per-component skipping can. policy selects the source half by
+// tiles some tile is almost always active, so the machine as a whole is
+// never idle and only per-component skipping helps. policy selects the source half by
 // registry name ("" keeps the PABST governor).
-func scaleMesh(cols, rows int, kernel, policy string, workers int) (*pabst.System, []pabst.ClassID) {
+func scaleMesh(cols, rows int, kernel, policy string) (*pabst.System, []pabst.ClassID) {
 	cfg := pabst.MeshScaledConfig(cols, rows)
 	cfg.PABST.EpochCycles = 10_000
 	cfg.BWWindow = 10_000
 	b := pabst.NewBuilder(cfg, pabst.ModePABST,
-		pabst.WithKernel(kernel), pabst.WithWorkers(workers),
-		pabst.WithPolicy(policy, ""))
+		pabst.WithKernel(kernel), pabst.WithPolicy(policy, ""))
 	c := b.AddClass("bursty", 1, cfg.L3Ways)
 	for i := 0; i < cfg.NumTiles(); i++ {
 		gap := 15_000 + (i*977)%10_000
@@ -207,7 +204,7 @@ func scaleSuite(cycles uint64, gate, quick bool, out string) {
 		sz := sz
 		tiles := sz.cols * sz.rows
 		speedup := rep.timePair("bursty", "pabst", tiles, cycles, func(kernel string) (*pabst.System, []pabst.ClassID) {
-			return scaleMesh(sz.cols, sz.rows, kernel, "", 0)
+			return scaleMesh(sz.cols, sz.rows, kernel, "")
 		})
 		switch tiles {
 		case 1024:
@@ -224,7 +221,7 @@ func scaleSuite(cycles uint64, gate, quick bool, out string) {
 		policy := policy
 		speedup := rep.timePair("policy", policy, policyMesh.cols*policyMesh.rows, cycles,
 			func(kernel string) (*pabst.System, []pabst.ClassID) {
-				return scaleMesh(policyMesh.cols, policyMesh.rows, kernel, policy, 0)
+				return scaleMesh(policyMesh.cols, policyMesh.rows, kernel, policy)
 			})
 		if speedup > rep.PolicyBestSpeedup {
 			rep.PolicyBest, rep.PolicyBestSpeedup = policy, speedup

@@ -18,7 +18,7 @@
 // Usage:
 //
 //	pabstserve [-addr :8321] [-dir .pabstserve] [-queue n] [-jobs n]
-//	           [-attempts n] [-workers n] [-ff] [-smoke [-out f.json]]
+//	           [-attempts n] [-smoke [-out f.json]]
 //
 // -smoke runs a self-contained end-to-end exercise (submit a batch over
 // HTTP, wait, drain, verify the journal emptied) and writes a
@@ -48,8 +48,6 @@ func main() {
 	queue := flag.Int("queue", 64, "bounded queue depth (submissions beyond it get 429)")
 	jobs := flag.Int("jobs", 2, "concurrent job executors")
 	attempts := flag.Int("attempts", 3, "attempts per job before it fails")
-	workers := flag.Int("workers", 0, "worker goroutines per simulation (0/1 = sequential tick)")
-	ff := flag.Bool("ff", false, "fast-forward provably idle cycles")
 	smoke := flag.Bool("smoke", false, "run the end-to-end smoke exercise and exit")
 	out := flag.String("out", "BENCH_serve.json", "smoke receipt path")
 	flag.Parse()
@@ -59,7 +57,6 @@ func main() {
 		QueueDepth:  *queue,
 		Workers:     *jobs,
 		MaxAttempts: *attempts,
-		Exec:        exp.Exec{Workers: *workers, FastForward: *ff},
 	}
 	if *smoke {
 		if err := runSmoke(cfg, *out); err != nil {

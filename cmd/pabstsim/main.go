@@ -5,7 +5,7 @@
 // Usage:
 //
 //	pabstsim [-scale quick|full] [-series] [-spec name,name,...]
-//	         [-policy src+tgt] [-workers n] [-parallel n] [-ff]
+//	         [-policy src+tgt] [-parallel n]
 //	         [-ckpt dir] [-resume] [-cpuprofile f] [-memprofile f]
 //	         <experiment>...
 //	pabstsim -list
@@ -16,9 +16,9 @@
 // empty to keep that side's mode default). -list-policies prints the
 // registry: each mechanism's name, kind, parameters, and paper citation.
 //
-// The -workers, -parallel, and -ff flags change only wall-clock speed;
-// every experiment's output is bit-identical at any setting (see
-// DESIGN.md, "Parallel deterministic kernel"). -ckpt names a directory
+// -parallel n runs up to n of an experiment's independent simulations
+// concurrently; it changes only wall-clock speed — every experiment's
+// output is bit-identical at any setting. -ckpt names a directory
 // of post-warmup checkpoints: repeat runs of the same machine restore
 // the warmed state instead of re-simulating it, again bit-identically
 // (fig5 measures the warmup trajectory itself and always runs cold).

@@ -14,7 +14,7 @@
 //
 // Usage:
 //
-//	pabstsweep [-scale quick|full] [-param name] [-parallel n] [-workers n]
+//	pabstsweep [-scale quick|full] [-param name] [-parallel n]
 //	pabstsweep -policies [-out BENCH_policies.json] [-csv policies.csv]
 //	pabstsweep -screen [-out BENCH_screen.json]
 //	pabstsweep -twin [-out BENCH_twin.json]
@@ -22,10 +22,9 @@
 //	pabstsweep -list-experiments
 //
 // By default every sweep point runs one after another. -parallel n runs
-// up to n points concurrently (each on its own isolated system) and
-// -workers n shards each simulation's per-cycle work; both change only
-// wall-clock time — every point's numbers are bit-identical at any
-// setting.
+// up to n points concurrently (each on its own isolated system); it
+// changes only wall-clock time — every point's numbers are bit-identical
+// at any setting.
 //
 // -policy src+tgt pins every parameter-sweep point to an explicit QoS
 // policy pair from the plugin registry (either half may be empty to keep

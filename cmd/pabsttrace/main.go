@@ -3,8 +3,8 @@
 // deadline slack, priority inversions), DRAM service deltas, and the
 // per-class epoch summary — through the observability sinks. It is the
 // raw material behind Figure 4/5-style plots, and because events are
-// emitted on the sequential phase the output is bit-identical for any
-// -workers setting.
+// emitted from the epoch hook in a fixed order the output is
+// byte-identical run to run.
 //
 // Usage:
 //

@@ -17,9 +17,7 @@ import (
 
 func run(label string, colocate bool, mode pabst.Mode) {
 	cfg := pabst.Scaled8Config()
-	// The isolated arm leaves seven tiles idle; fast-forward skips those
-	// dead cycles without changing any simulated outcome.
-	b := pabst.NewBuilder(cfg, mode, pabst.WithFastForward(true))
+	b := pabst.NewBuilder(cfg, mode)
 	svc := b.AddClass("memcached", 20, cfg.L3Ways/2)
 	bg := b.AddClass("background", 1, cfg.L3Ways/2)
 

@@ -1,9 +1,9 @@
-// Package cliflags defines the execution-knob flags shared by every
-// pabst binary (-workers, -ff, -kernel, -policy, -ckpt, -resume), so a
-// new knob lands in one place instead of four near-identical flag
-// blocks. The knobs are exactly the settings that change wall-clock
-// behavior but never a simulated outcome — plus the QoS policy pair,
-// which every binary threads to the systems it builds.
+// Package cliflags defines the flags shared by every pabst binary
+// (-policy, -ckpt, -resume), so a shared setting lands in one place
+// instead of four near-identical flag blocks: the warm-start checkpoint
+// store, which changes wall-clock behavior but never a simulated
+// outcome, and the QoS policy pair, which every binary threads to the
+// systems it builds.
 package cliflags
 
 import (
@@ -14,14 +14,11 @@ import (
 	"pabst/internal/exp"
 )
 
-// Common holds the parsed values of the shared execution-knob flags.
+// Common holds the parsed values of the shared flags.
 type Common struct {
-	Workers     int
-	FastForward bool
-	Kernel      string
-	Policy      string
-	Ckpt        string
-	Resume      bool
+	Policy string
+	Ckpt   string
+	Resume bool
 }
 
 // Register installs the shared flag set on fs and returns the struct
@@ -29,12 +26,6 @@ type Common struct {
 // add their own flags around the call.
 func Register(fs *flag.FlagSet) *Common {
 	c := &Common{}
-	fs.IntVar(&c.Workers, "workers", 0,
-		"worker goroutines per simulation (0/1 = sequential tick); results are bit-identical at any setting")
-	fs.BoolVar(&c.FastForward, "ff", false,
-		"fast-forward provably idle cycles (bit-identical; helps bursty workloads)")
-	fs.StringVar(&c.Kernel, "kernel", "",
-		"scheduling kernel: cycle (default) or event (per-component event queues; bit-identical, faster on idle-heavy machines)")
 	fs.StringVar(&c.Policy, "policy", "",
 		"QoS policy pair `src+tgt` from the plugin registry (empty halves keep mode defaults)")
 	fs.StringVar(&c.Ckpt, "ckpt", "",
@@ -52,47 +43,34 @@ func (c *Common) Validate() (source, target string, err error) {
 	return pabst.ParsePolicyPair(c.Policy)
 }
 
-// Apply validates the knobs and stamps them onto a Scale.
+// Apply validates the flags and stamps them onto a Scale.
 func (c *Common) Apply(s *exp.Scale) error {
 	src, tgt, err := c.Validate()
 	if err != nil {
 		return err
 	}
-	s.Workers = c.Workers
-	s.FastForward = c.FastForward
-	s.Kernel = c.Kernel
 	s.Ckpt = c.Ckpt
 	s.Resume = c.Resume
 	s.SourcePolicy, s.TargetPolicy = src, tgt
 	return nil
 }
 
-// Exec validates the knobs and returns them as a spec-runner
+// Exec validates the flags and returns them as a spec-runner
 // environment.
 func (c *Common) Exec() (exp.Exec, error) {
 	if _, _, err := c.Validate(); err != nil {
 		return exp.Exec{}, err
 	}
-	return exp.Exec{
-		Workers:     c.Workers,
-		FastForward: c.FastForward,
-		Kernel:      c.Kernel,
-		Ckpt:        c.Ckpt,
-		Resume:      c.Resume,
-	}, nil
+	return exp.Exec{Ckpt: c.Ckpt, Resume: c.Resume}, nil
 }
 
-// Options validates the knobs and returns them as builder options, for
-// binaries that construct systems directly rather than through a Scale.
+// Options validates the flags and returns the policy pair as builder
+// options, for binaries that construct systems directly rather than
+// through a Scale.
 func (c *Common) Options() ([]pabst.Option, error) {
 	src, tgt, err := c.Validate()
 	if err != nil {
 		return nil, err
 	}
-	return []pabst.Option{
-		pabst.WithWorkers(c.Workers),
-		pabst.WithFastForward(c.FastForward),
-		pabst.WithKernel(c.Kernel),
-		pabst.WithPolicy(src, tgt),
-	}, nil
+	return []pabst.Option{pabst.WithPolicy(src, tgt)}, nil
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"pabst"
 	"pabst/internal/exp"
 )
 
@@ -21,14 +22,12 @@ func parse(t *testing.T, args ...string) *Common {
 }
 
 func TestApplyStampsEveryKnob(t *testing.T) {
-	c := parse(t, "-workers", "4", "-ff", "-kernel", "event",
-		"-policy", "bankreg+dpq", "-ckpt", "/tmp/ck", "-resume")
+	c := parse(t, "-policy", "bankreg+dpq", "-ckpt", "/tmp/ck", "-resume")
 	var s exp.Scale
 	if err := c.Apply(&s); err != nil {
 		t.Fatal(err)
 	}
-	if s.Workers != 4 || !s.FastForward || s.Kernel != "event" ||
-		s.Ckpt != "/tmp/ck" || !s.Resume {
+	if s.Ckpt != "/tmp/ck" || !s.Resume {
 		t.Errorf("Apply lost a knob: %+v", s)
 	}
 	if s.SourcePolicy != "bankreg" || s.TargetPolicy != "dpq" {
@@ -37,7 +36,7 @@ func TestApplyStampsEveryKnob(t *testing.T) {
 }
 
 func TestExecMatchesApply(t *testing.T) {
-	c := parse(t, "-workers", "2", "-kernel", "event", "-ckpt", "/tmp/ck")
+	c := parse(t, "-ckpt", "/tmp/ck", "-resume")
 	ex, err := c.Exec()
 	if err != nil {
 		t.Fatal(err)
@@ -50,8 +49,7 @@ func TestExecMatchesApply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc.Workers != s.Workers || sc.FastForward != s.FastForward ||
-		sc.Kernel != s.Kernel || sc.Ckpt != s.Ckpt || sc.Resume != s.Resume {
+	if sc.Ckpt != s.Ckpt || sc.Resume != s.Resume {
 		t.Errorf("Exec and Apply disagree:\nexec  %+v\napply %+v", sc, s)
 	}
 }
@@ -71,25 +69,31 @@ func TestBadPolicyRejected(t *testing.T) {
 }
 
 func TestOptionsBuildable(t *testing.T) {
-	c := parse(t, "-workers", "2", "-kernel", "event")
+	c := parse(t, "-policy", "bankreg+dpq")
 	opts, err := c.Options()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(opts) != 4 {
-		t.Errorf("Options returned %d options, want 4", len(opts))
+	sys, err := pabst.NewBuilder(pabst.Default32Config(), pabst.ModePABST, opts...).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if src, tgt := sys.PolicyPair(); src != "bankreg" || tgt != "dpq" {
+		t.Errorf("built policy pair = %q+%q", src, tgt)
 	}
 }
 
 // TestEveryBinaryAcceptsCommonFlags is the cross-binary contract: each
-// command registers the shared execution-knob set, so a knob like
-// -kernel works identically everywhere. The -h usage dump lists every
-// defined flag, which is exactly the acceptance we need to check.
+// command registers the shared flag set, so a flag like -policy works
+// identically everywhere — and none re-grows a kernel-selection flag:
+// the event kernel is the only production path. The -h usage dump lists
+// every defined flag, which is exactly the acceptance we need to check.
 func TestEveryBinaryAcceptsCommonFlags(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the command binaries")
 	}
-	want := []string{"-workers", "-ff", "-kernel", "-policy", "-ckpt", "-resume"}
+	want := []string{"-policy", "-ckpt", "-resume"}
+	gone := []string{"-workers", "-ff", "-kernel"}
 	root := filepath.Join("..", "..")
 	for _, bin := range []string{"pabstsim", "pabstsweep", "pabstbench", "pabsttrace"} {
 		bin := bin
@@ -98,10 +102,17 @@ func TestEveryBinaryAcceptsCommonFlags(t *testing.T) {
 			cmd.Dir = root
 			out, _ := cmd.CombinedOutput() // -h exits non-zero by design
 			usage := string(out)
+			has := func(f string) bool {
+				return strings.Contains(usage, "  "+f+" ") || strings.Contains(usage, "  "+f+"\n")
+			}
 			for _, f := range want {
-				if !strings.Contains(usage, f+" ") && !strings.Contains(usage, f+"\n") &&
-					!strings.Contains(usage, f+"=") {
+				if !has(f) {
 					t.Errorf("%s usage is missing %s:\n%s", bin, f, usage)
+				}
+			}
+			for _, f := range gone {
+				if has(f) {
+					t.Errorf("%s still defines %s:\n%s", bin, f, usage)
 				}
 			}
 		})

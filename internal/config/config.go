@@ -35,8 +35,8 @@ type System struct {
 	// the legacy optimistic model — the miss allocates its L1/L2 frames
 	// first and only then learns the MSHRs are full, so the blocked
 	// retry hits the freshly allocated line — which the frozen policy
-	// goldens pin. Both models are bit-identical across kernels,
-	// workers, and fast-forward; they differ from each other.
+	// goldens pin. Both models are bit-identical across kernels; they
+	// differ from each other.
 	StrictMSHRs bool `json:",omitempty"`
 
 	// Private L1 data cache per tile (the L1I is folded into the core's
@@ -93,28 +93,13 @@ type System struct {
 	BWWindow uint64 // bandwidth series sampling window, cycles
 	Seed     uint64
 
-	// Execution knobs. These change only wall-clock speed, never any
-	// simulated outcome: every run is bit-identical for any Workers,
-	// FastForward, and Kernel setting (DESIGN.md, "Parallel
-	// deterministic kernel" and "Event-driven kernel").
-	//
-	// Workers shards per-cycle work (tile, L3-slice, and controller
-	// ticks) across a fixed goroutine pool; 0 or 1 keeps the sequential
-	// kernel. Fault plans and the modeled NoC are sharded
-	// deterministically (per-entity fault streams, router-local
-	// injection), so the parallel tick never falls back to sequential.
-	//
-	// FastForward lets the kernel jump the clock over cycles in which
-	// every tile, queue, and controller reports no pending event,
-	// instead of spinning through them.
-	//
-	// Kernel selects the scheduling mode: KernelCycle (default, the
-	// frozen reference — every component visited every cycle) or
-	// KernelEvent (per-component event queues; only components with due
-	// work are visited, and FastForward is subsumed).
-	Workers     int    `json:",omitempty"`
-	FastForward bool   `json:",omitempty"`
-	Kernel      string `json:",omitempty"`
+	// Kernel is the differential-oracle hook, not a speed option: it
+	// never changes a simulated outcome. Empty (or KernelEvent) runs the
+	// event-driven kernel, the only production path. KernelCycle runs
+	// the reference loop — every component visited every cycle, several
+	// times slower at every machine size — which tests and the benchmark
+	// compare fingerprints against (DESIGN.md, "Event-driven kernel").
+	Kernel string `json:",omitempty"`
 
 	// SourcePolicy/TargetPolicy select QoS mechanisms by registry name
 	// (see internal/qospolicy). Empty fields keep the defaults derived
@@ -124,18 +109,13 @@ type System struct {
 	TargetPolicy string `json:",omitempty"`
 }
 
-// Kernel scheduling modes.
+// Kernel values.
 const (
-	// KernelCycle is the cycle-stepped reference kernel: every component
-	// is visited every cycle (with optional whole-machine fast-forward).
-	KernelCycle = "cycle"
-	// KernelEvent is the event-driven kernel: per-component event queues,
-	// dispatch visits only components with due work.
+	// KernelEvent names the default event-driven kernel explicitly.
 	KernelEvent = "event"
+	// KernelCycle selects the cycle-stepped reference loop.
+	KernelCycle = "cycle"
 )
-
-// EventKernel reports whether the event-driven kernel is selected.
-func (s *System) EventKernel() bool { return s.Kernel == KernelEvent }
 
 // NumTiles returns the tile (= core = L3 slice) count.
 func (s *System) NumTiles() int { return s.MeshCols * s.MeshRows }
@@ -301,9 +281,6 @@ func (s *System) Validate() error {
 	}
 	if s.BWWindow == 0 {
 		return fmt.Errorf("config: BWWindow: zero bandwidth window: %w", ErrInvalid)
-	}
-	if s.Workers < 0 {
-		return fmt.Errorf("config: Workers: negative worker count %d: %w", s.Workers, ErrInvalid)
 	}
 	switch s.Kernel {
 	case "", KernelCycle, KernelEvent:

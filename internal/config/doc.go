@@ -7,7 +7,8 @@
 // Main entry points: Default32 and Scaled8 return the two paper
 // configurations; Load reads a JSON override file; System.Validate
 // rejects inconsistent geometry before soc.Build will accept it. The
-// Workers and FastForward fields select the parallel kernel's execution
-// strategy — they change wall-clock speed only, never simulated results
-// (see DESIGN.md, "Parallel deterministic kernel").
+// Kernel field is the one execution setting: empty runs the event-driven
+// kernel, KernelCycle the reference loop tests compare it against — it
+// never changes a simulated result (see DESIGN.md, "Event-driven
+// kernel").
 package config

@@ -294,10 +294,10 @@ func (c *Core) retire(now uint64) {
 }
 
 // NextEventAt reports the earliest cycle >= from at which Tick would do
-// real work, for the kernel's idle fast-forward. The core is busy right
-// away if it can issue (ready ops), fetch (window space for the
-// generator), or retire; otherwise the next event is the earliest gap
-// expiry or the head op's completion. Ops waiting on in-flight misses
+// real work, so the event kernel can skip the core until then. The core
+// is busy right away if it can issue (ready ops), fetch (window space
+// for the generator), or retire; otherwise the next event is the earliest
+// gap expiry or the head op's completion. Ops waiting on in-flight misses
 // wake through CompleteMiss, which the tile's inbox accounts for.
 //
 // Under SleepWhileBlocked, ready ops behind a blocked head-of-line op do

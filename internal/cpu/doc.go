@@ -12,6 +12,6 @@
 //
 // Main entry points: New builds a core around a generator and a port;
 // Core.Tick advances it one cycle; Core.NextEventAt and Core.FastForward
-// implement the kernel's idle fast-forward protocol for cores that are
-// sleeping between bursts.
+// let the event kernel skip a core that is sleeping between bursts (or
+// blocked on a full MSHR table) and account for the skipped cycles.
 package cpu

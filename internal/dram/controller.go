@@ -366,9 +366,9 @@ func (c *Controller) StallBank(b int, until uint64) {
 func (c *Controller) Frozen(now uint64) bool { return now < c.frozenUntil }
 
 // NextEventAt reports the earliest cycle >= from at which Tick would do
-// real work, for the kernel's idle fast-forward. Any queued or reserved
-// request (front-end, bank queues) or an active fault freeze makes the
-// controller busy immediately. With everything drained the controller
+// real work, so the event kernel can skip the controller until then.
+// Any queued or reserved request (front-end, bank queues) or an active
+// fault freeze makes the controller busy immediately. With everything drained the controller
 // reports no event: pending refreshes are reproduced arithmetically by
 // FastForward, and in-flight data bursts were already scheduled onto the
 // responder when they issued.

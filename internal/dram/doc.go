@@ -14,6 +14,7 @@
 // Main entry points: NewController builds one channel's controller;
 // Controller.Tick advances it; TryReserveRead/ArriveRead (and their write
 // twins) implement the credit-based admission protocol; NextEventAt and
-// FastForward support the kernel's idle fast-forward. The saturation
+// FastForward let the event kernel skip an idle controller and catch it
+// up (refresh, the saturation window) before its next tick. The saturation
 // monitor feeding the SAT wire samples Controller.EpochSaturated.
 package dram

@@ -6,9 +6,9 @@
 //
 // Main entry points: the Fig1..Fig11 and Faults functions, one per
 // reproduced result, all parameterized by a Scale (Quick/Paper presets).
-// Scale also carries the execution knobs — Workers and FastForward select
-// the in-simulation parallel kernel, and Parallel bounds the sweep-level
-// worker pool used through ForEach. All three change wall-clock time
-// only: every experiment's output is byte-identical for any knob setting,
-// which TestDeterminismMatrix asserts.
+// Scale also carries Parallel, which bounds the sweep-level worker pool
+// used through ForEach, and Kernel, the hook that runs an experiment on
+// the cycle-stepped reference loop. Both change wall-clock time only:
+// every experiment's output is byte-identical at any setting, which
+// TestSweepParallelismIsInvisible and TestDeterminismMatrix assert.
 package exp

@@ -20,25 +20,19 @@ type Scale struct {
 	Epoch   uint64 // PABST epoch length
 	Window  uint64 // bandwidth series window
 
-	// Execution knobs — wall-clock only, never a simulated outcome.
-	// Workers shards each simulation's per-cycle work across a goroutine
-	// pool and FastForward skips provably idle cycles (both stamped onto
-	// the system config; see config.System). Parallel bounds how many
-	// independent simulations a multi-run experiment executes
-	// concurrently; each run owns an isolated system, so any interleaving
-	// produces identical results.
-	Workers     int
-	FastForward bool
-	Parallel    int
+	// Parallel bounds how many independent simulations a multi-run
+	// experiment executes concurrently; each run owns an isolated system,
+	// so any interleaving produces identical results.
+	Parallel int
 
-	// Kernel selects the scheduling kernel ("cycle" or "event"; empty
-	// means cycle). Like Workers/FastForward it is an execution knob:
-	// both kernels produce bit-identical simulated outcomes.
+	// Kernel is the differential-oracle hook (see config.System.Kernel):
+	// empty runs the event kernel, "cycle" the reference loop the
+	// determinism tests compare it against. Never a simulated outcome.
 	Kernel string
 
 	// SourcePolicy/TargetPolicy select QoS mechanisms by registry name
 	// for every system the experiment builds; empty strings keep the
-	// mode-derived defaults. Unlike the execution knobs these DO change
+	// mode-derived defaults. Unlike Parallel and Kernel these DO change
 	// simulated outcomes — they are the cross-policy comparison axis.
 	SourcePolicy string
 	TargetPolicy string
@@ -64,20 +58,18 @@ func Full() Scale {
 }
 
 // Apply stamps the scale's timing parameters onto a system config. The
-// execution knobs travel separately as builder options (Options), which
-// is where all config-free construction settings now live.
+// kernel and policy selections travel separately as builder options
+// (Options).
 func (s Scale) Apply(cfg pabst.SystemConfig) pabst.SystemConfig {
 	cfg.PABST.EpochCycles = s.Epoch
 	cfg.BWWindow = s.Window
 	return cfg
 }
 
-// Options returns the scale's execution knobs as builder options;
-// experiments pass them to every pabst.NewBuilder call.
+// Options returns the scale's kernel and policy selections as builder
+// options; experiments pass them to every pabst.NewBuilder call.
 func (s Scale) Options() []pabst.Option {
 	return []pabst.Option{
-		pabst.WithWorkers(s.Workers),
-		pabst.WithFastForward(s.FastForward),
 		pabst.WithKernel(s.Kernel),
 		pabst.WithPolicy(s.SourcePolicy, s.TargetPolicy),
 	}

@@ -165,11 +165,9 @@ func execFor(sc Scale) (Exec, string) {
 		name = "custom"
 	}
 	ex := Exec{
-		Workers:     sc.Workers,
-		FastForward: sc.FastForward,
-		Ckpt:        sc.Ckpt,
-		Resume:      sc.Resume,
-		Scales:      map[string]Scale{name: sc},
+		Ckpt:   sc.Ckpt,
+		Resume: sc.Resume,
+		Scales: map[string]Scale{name: sc},
 	}
 	return ex, name
 }

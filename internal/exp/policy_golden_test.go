@@ -12,12 +12,13 @@ import (
 // fingerprints below were captured on the pre-plugin mode switches
 // (direct governor/arbiter construction in internal/soc) on the tiny
 // 3:1 stream machine and the tiny RunSpec benches; the registry-built
-// systems must reproduce them bit for bit, at every workers ×
-// fast-forward setting. If a fingerprint here changes, the plugin seam
-// leaked into simulated behavior — that is a bug, not a baseline bump.
+// systems must reproduce them bit for bit, on the reference loop and on
+// the default event kernel alike. If a fingerprint here changes, the
+// plugin seam — or the kernel — leaked into simulated behavior; that is
+// a bug, not a baseline bump.
 
-// tinyGoldenScale is the capture machine: small enough for the full
-// matrix to run in tests, long enough for the governor to act.
+// tinyGoldenScale is the capture machine: small enough to run in tests,
+// long enough for the governor to act.
 func tinyGoldenScale() Scale {
 	return Scale{Name: "tiny", Warmup: 40_000, Measure: 60_000, Epoch: 2000, Window: 2000}
 }
@@ -39,17 +40,9 @@ var goldenBenchFPs = map[string]string{
 	BenchChaser:  "a5bc0b7d9a58986ecb6c5b844e60833becdf99cd00882e1d7da3a9cdfba01724",
 }
 
-// execMatrix is the workers × fast-forward grid the golden and matrix
-// tests sweep; all cells must agree.
-var execMatrix = []struct {
-	workers int
-	ff      bool
-}{
-	{1, false},
-	{1, true},
-	{4, false},
-	{4, true},
-}
+// kernels is the axis the golden and matrix tests sweep — the oracle and
+// the default; both must agree.
+var kernels = []string{"cycle", ""}
 
 func tinyModeFP(sc Scale, mode pabst.Mode) (string, error) {
 	cfg := sc.Apply(pabst.Default32Config())
@@ -69,8 +62,8 @@ func tinyModeFP(sc Scale, mode pabst.Mode) (string, error) {
 }
 
 // TestPolicyGoldenModes proves the registry-built regulators are
-// bit-identical to the pre-plugin wiring for every legacy mode, across
-// the execution-knob matrix.
+// bit-identical to the pre-plugin wiring for every legacy mode, on both
+// kernels.
 func TestPolicyGoldenModes(t *testing.T) {
 	for _, mode := range pabst.Modes() {
 		mode := mode
@@ -80,16 +73,15 @@ func TestPolicyGoldenModes(t *testing.T) {
 		}
 		t.Run(mode.String(), func(t *testing.T) {
 			t.Parallel()
-			for _, ex := range execMatrix {
+			for _, kernel := range kernels {
 				sc := tinyGoldenScale()
-				sc.Workers, sc.FastForward = ex.workers, ex.ff
+				sc.Kernel = kernel
 				fp, err := tinyModeFP(sc, mode)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if fp != want {
-					t.Errorf("workers=%d ff=%v: fingerprint %s, want pre-refactor %s",
-						ex.workers, ex.ff, fp, want)
+					t.Errorf("kernel=%q: fingerprint %s, want pre-refactor %s", kernel, fp, want)
 				}
 			}
 		})
@@ -123,9 +115,9 @@ func TestPolicyGoldenSpecs(t *testing.T) {
 }
 
 // TestPolicyMatrix runs every registered source×target pair on a
-// fig1-style machine and demands a stable fingerprint across the
-// execution-knob matrix — the determinism contract of the policy
-// registry, enforced for present and future mechanisms alike.
+// fig1-style machine and demands the same fingerprint from both kernels
+// — the determinism contract of the policy registry, enforced for
+// present and future mechanisms alike.
 func TestPolicyMatrix(t *testing.T) {
 	base := Scale{Name: "tiny", Warmup: 20_000, Measure: 30_000, Epoch: 2000, Window: 2000}
 	for _, src := range pabst.SourcePolicies() {
@@ -134,9 +126,9 @@ func TestPolicyMatrix(t *testing.T) {
 			t.Run(src+"+"+tgt, func(t *testing.T) {
 				t.Parallel()
 				want := ""
-				for _, ex := range execMatrix {
+				for _, kernel := range kernels {
 					sc := base
-					sc.Workers, sc.FastForward = ex.workers, ex.ff
+					sc.Kernel = kernel
 					sc.SourcePolicy, sc.TargetPolicy = src, tgt
 					fp, err := tinyModeFP(sc, pabst.ModePABST)
 					if err != nil {
@@ -147,8 +139,7 @@ func TestPolicyMatrix(t *testing.T) {
 						continue
 					}
 					if fp != want {
-						t.Errorf("workers=%d ff=%v: fingerprint %s diverged from %s",
-							ex.workers, ex.ff, fp, want)
+						t.Errorf("kernel=%q: fingerprint %s diverged from the reference loop's %s", kernel, fp, want)
 					}
 				}
 			})

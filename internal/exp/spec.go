@@ -104,16 +104,10 @@ func ScaleByName(name string) (Scale, error) {
 	}
 }
 
-// Exec carries the wall-clock-only execution environment a run executes
-// under: how many worker goroutines shard each simulation, whether idle
-// cycles fast-forward, and where the warm-start checkpoint store lives.
-// None of it changes simulated outcomes.
+// Exec carries the environment a run executes under: where the
+// warm-start checkpoint store lives and how scale names resolve. None of
+// it changes simulated outcomes.
 type Exec struct {
-	Workers     int
-	FastForward bool
-	// Kernel selects the scheduling kernel ("cycle" or "event"; empty
-	// means cycle). Bit-identical either way (see Scale).
-	Kernel string
 	// Ckpt names the warm-start store directory ("" disables); Resume
 	// turns a store miss into an error (see Scale).
 	Ckpt   string
@@ -124,7 +118,7 @@ type Exec struct {
 }
 
 // Scale resolves a scale name under this environment and stamps the
-// execution knobs onto it.
+// checkpoint store onto it.
 func (ex Exec) Scale(name string) (Scale, error) {
 	sc, ok := ex.Scales[name]
 	if !ok {
@@ -133,9 +127,6 @@ func (ex Exec) Scale(name string) (Scale, error) {
 			return Scale{}, err
 		}
 	}
-	sc.Workers = ex.Workers
-	sc.FastForward = ex.FastForward
-	sc.Kernel = ex.Kernel
 	sc.Ckpt = ex.Ckpt
 	sc.Resume = ex.Resume
 	return sc, nil
@@ -571,8 +562,8 @@ type RunResult struct {
 	// Faults carries injection/degradation counters for faulted runs.
 	Faults *RunFaults `json:"faults,omitempty"`
 	// Fingerprint hashes the run's full observable statistics; equal
-	// specs produce equal fingerprints regardless of workers,
-	// fast-forward, warm starts, or checkpoint-resumed execution.
+	// specs produce equal fingerprints regardless of kernel, warm
+	// starts, or checkpoint-resumed execution.
 	Fingerprint string `json:"fingerprint"`
 	// Cycles is how many measured cycles THIS call executed (after a
 	// partial-checkpoint resume it is only the remainder).

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -268,6 +269,73 @@ func TestForEachWarm(t *testing.T) {
 	for i := range weights {
 		if got[i] != want[i] {
 			t.Fatalf("warm point %d (weight %d) diverged:\n%s\n%s", i, weights[i], got[i], want[i])
+		}
+	}
+}
+
+// TestWarmStoreKeysOnGeneratorRecipe is the regression test for a store
+// collision: the streams and wstreams benches share configuration,
+// classes, tile placement and generator display names ("stream") and
+// differ only in reading versus writing, so a fingerprint keyed on
+// display names handed one the other's warmed state. Keyed on each
+// generator's build recipe, the machines have different fingerprints
+// and a shared store gives each its own cold result.
+func TestWarmStoreKeysOnGeneratorRecipe(t *testing.T) {
+	benches := []string{BenchStreams, BenchWStreams}
+	// Long enough for dirty lines to reach memory, so writing shows in
+	// the result.
+	sc := tinyScale()
+	sc.Warmup = 80_000
+	cold := Exec{Scales: map[string]Scale{"tiny": sc}}
+	shared := cold
+	shared.Ckpt = t.TempDir()
+
+	fps := map[[32]byte]string{}
+	want := map[string]string{}
+	for _, bench := range benches {
+		rs := RunSpec{Bench: bench, Scale: "tiny"}
+		sc, err := cold.Scale(rs.Scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _, err := rs.buildFor(sc.Apply(pabst.Default32Config()), sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fp, err := sys.Fingerprint()
+		sys.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if other, dup := fps[fp]; dup {
+			t.Fatalf("%s and %s share machine fingerprint %x", other, bench, fp[:8])
+		}
+		fps[fp] = bench
+
+		r, err := rs.Run(context.Background(), cold, RunIO{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[bench] = r.Fingerprint
+	}
+	if want[BenchStreams] == want[BenchWStreams] {
+		t.Fatal("read and write streams produced the same result; the test cannot tell a collision")
+	}
+
+	// Pass 0 populates the shared store, pass 1 restores from it.
+	for pass := 0; pass < 2; pass++ {
+		for _, bench := range benches {
+			r, err := RunSpec{Bench: bench, Scale: "tiny"}.Run(context.Background(), shared, RunIO{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Fingerprint != want[bench] {
+				t.Errorf("pass %d: %s through the shared store = %s, cold = %s", pass, bench, r.Fingerprint, want[bench])
+			}
 		}
 	}
 }

@@ -13,7 +13,7 @@
 //
 // Main entry points: Preset and Load obtain a Plan; NewInjector binds
 // it to seeded RNG streams; the soc layer consults the injector at each
-// hook point. Because the injector draws from its streams in tick order,
-// an active Plan forces the simulation onto the sequential kernel path
-// (soc falls back automatically; results are still byte-stable).
+// hook point. NoC draws come from per-sender streams (ShardNoC), so a
+// faulted run is bit-identical on the event kernel and the reference
+// loop.
 package fault

@@ -19,10 +19,9 @@ type Injector struct {
 	nocRNG  *sim.RNG // shared NoC stream (unsharded callers only)
 
 	// Sharded NoC fault state (ShardNoC): one stream + tally pair per
-	// injecting entity, so the parallel tick's tiles and MC responders
-	// draw race-free and stream-aligned regardless of execution
-	// interleaving. Tallies fold into counters lazily (foldNoC) from
-	// sequential contexts.
+	// injecting entity, so tiles and MC responders draw stream-aligned
+	// regardless of which components the kernel visits on a cycle.
+	// Tallies fold into counters lazily (foldNoC).
 	nocTile []nocShard
 	nocMC   []nocShard
 	foldedD uint64 // shard drops already folded into counters
@@ -58,9 +57,9 @@ func NewInjector(plan *Plan, seed uint64) *Injector {
 // ShardNoC splits the NoC fault domain into per-tile and per-MC streams.
 // Each injecting entity owns an independent deterministic stream, so the
 // draw sequence an entity sees depends only on its own injection history
-// — never on how concurrent entities interleave — which is what lets the
-// parallel tick keep fault plans active instead of falling back to
-// sequential. Call once at system build time, before any NoCSendTile /
+// — never on which other entities ran that cycle — which is what keeps a
+// faulted run bit-identical on the event kernel and the reference loop.
+// Call once at system build time, before any NoCSendTile /
 // NoCSendMC draw.
 func (in *Injector) ShardNoC(tiles, mcs int) {
 	in.nocTile = make([]nocShard, tiles)

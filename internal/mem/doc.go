@@ -10,6 +10,5 @@
 // Main entry points: Addr and the line-geometry helpers, ClassID (the
 // paper's QoS class, Section II-A), and Packet, the unit of transfer
 // whose fields every component reads but only its current owner writes —
-// the ownership hand-off discipline the parallel kernel's stage/commit
-// protocol relies on.
+// the ownership hand-off discipline packet pooling relies on.
 package mem

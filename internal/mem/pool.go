@@ -17,9 +17,7 @@ package mem
 // the call that handed it to them: after Put the struct is reused and
 // every field is rewritten.
 //
-// Pool is not safe for concurrent use; the parallel tick gives each
-// shard its own pool or stages releases for the sequential commit phase.
-// Checkpoints serialize nothing about pools — in-flight packets are
+// Pool is not safe for concurrent use. Checkpoints serialize nothing about pools — in-flight packets are
 // walked by value in canonical queue order, and a restored system simply
 // repopulates its pools as restored packets retire.
 type Pool struct {

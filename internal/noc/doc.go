@@ -7,8 +7,7 @@
 // between two nodes is delayed by a fixed base cost plus a per-hop cost
 // over the XY route, and delivery ordering is handled by the receivers'
 // delay queues. An optional contention model (config.System.ModelNoC)
-// adds bounded per-link queues; enabling it forces the sequential kernel
-// path because messages then interact across tiles mid-cycle.
+// adds bounded per-link queues.
 //
 // Main entry points: NewNetwork builds the mesh around a delivery
 // callback; Network.TrySend injects a message with backpressure;

@@ -160,10 +160,7 @@ func (n *Network) flitsOf(pkt *mem.Packet, toMem bool) int {
 // TrySend injects a message at src's local port. It returns false when
 // the local input queue is full (the sender must retry), providing the
 // backpressure that makes link bandwidth a real resource. TrySend only
-// touches src's own router, so senders attached to distinct routers may
-// inject concurrently (the parallel tick relies on this: each tile and
-// its co-located L3 slice inject at their own router, in different
-// phases).
+// touches src's own router.
 func (n *Network) TrySend(pkt *mem.Packet, src, dst int, carriesData bool) bool {
 	r := &n.routers[n.nodeRouter[src]]
 	if r.in[portLocal].Len() >= n.queueCap {

@@ -4,13 +4,12 @@
 //
 // The design contract has three clauses:
 //
-//   - Deterministic: every event is emitted from the simulation's
-//     sequential phase (the epoch hook, which runs before the cycle's
-//     tickers and never inside a parallel compute shard), in a fixed
-//     order (epoch summary, governors in tile order, arbiters and DRAM
-//     controllers in channel order, faults last). Trace bytes are
-//     therefore bit-identical across worker counts and fast-forward
-//     settings.
+//   - Deterministic: every event is emitted from the epoch hook, which
+//     runs before the cycle's components once every one of them has
+//     been caught up, in a fixed order (epoch summary, governors in
+//     tile order, arbiters and DRAM controllers in channel order,
+//     faults last). Trace bytes are therefore identical on the event
+//     kernel and the reference loop.
 //
 //   - Zero overhead when disabled: a nil *Observer is a valid observer;
 //     every probe is a single pointer check and no event is built. The

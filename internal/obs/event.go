@@ -24,11 +24,10 @@ const (
 	// KindFault summarizes fault injection and degraded-signal activity
 	// during the epoch (emitted only in epochs where something happened).
 	KindFault
-	// KindKernel reports scheduling-kernel health: cycles a multi-worker
-	// configuration executed the sequential tick path, and event-mode
-	// wakes that targeted an already-drained dispatch class. Both are
-	// structurally zero; the event fires only when one is not, making a
-	// reintroduced fallback or a broken wake edge loud in traces.
+	// KindKernel reports scheduling-kernel health: event-kernel wakes
+	// that targeted an already-drained dispatch class. The count is
+	// structurally zero; the event fires only when it is not, making a
+	// broken wake edge loud in traces.
 	KindKernel
 
 	numKinds
@@ -101,9 +100,8 @@ type Event struct {
 	// Divergence is the current spread (max M − min M) across governors.
 	Divergence uint64
 
-	// Kernel payload: sequential-fallback cycles this epoch and the
-	// cumulative late-wake count (KindKernel).
-	Fallbacks, LateWakes uint64
+	// Kernel payload: the cumulative late-wake count (KindKernel).
+	LateWakes uint64
 }
 
 // Observer owns the event ring and fans emitted events out to sinks.

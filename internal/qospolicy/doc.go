@@ -30,7 +30,7 @@
 // event stream it observes (CanIssue/OnIssue/OnResponse/OnDemand/Epoch,
 // or OnAccept/OnPick). No wall clocks, no maps iterated in hash order,
 // no floating-point reductions whose order varies: runs must be
-// bit-identical across Workers × FastForward settings, which the
+// bit-identical on the event kernel and the reference loop, which the
 // cross-policy matrix test enforces for every registered pair.
 //
 // Checkpointing. A policy holding mutable state implements ckpt.Saver

@@ -1,31 +1,28 @@
-// Package sim provides the deterministic cycle-stepped simulation kernel
-// used by every structural model in the repository.
+// Package sim provides the deterministic simulation kernel used by every
+// structural model in the repository.
 //
-// The kernel advances a single global clock. Components implement Ticker
-// and are stepped once per cycle in registration order, which makes every
-// run bit-for-bit reproducible. Periodic hooks (the PABST epoch
-// heartbeat, statistics sampling) fire at cycle boundaries before the
-// tickers run.
+// The kernel advances a single global clock. In its production mode
+// (SetEventMode, events.go) each component registers as a Sleeper under
+// a dispatch class and reports the next cycle at which it has work
+// (NextEventAt); a cycle visits only the components that are due, in
+// canonical class-then-registration order, and the clock jumps over
+// cycles in which nothing is due. A skipped component is caught up with
+// FastForward (refresh counters, cycle counts) just before it next runs.
+// The contract that makes skipping invisible: if NextEventAt(from)
+// returns t > from, then ticking the component at every cycle in
+// [from, t) must be a pure no-op. Periodic hooks (the PABST epoch
+// heartbeat, statistics sampling) fire at cycle boundaries before that
+// cycle's components and act as barriers: every component is caught up
+// before a hook reads it.
 //
-// Two execution accelerators preserve that determinism exactly:
+// Without SetEventMode the kernel is the reference loop — hooks, then
+// every registered Ticker in registration order, then the next cycle —
+// which the differential tests hold the event mode bit-identical to.
 //
-//   - Idle fast-forward. A Ticker that also implements Sleeper can report
-//     the next cycle at which it has work (NextEventAt); when every
-//     registered ticker is a Sleeper and all agree the near future is
-//     idle, the kernel jumps the clock to the earliest event, calling
-//     FastForward so components catch up time-based internal state
-//     (refresh counters, occupancy integrals). The contract: if
-//     NextEventAt(from) returns t > from, then ticking the component at
-//     every cycle in [from, t) must be a pure no-op.
-//
-//   - Worker pool. Pool runs sharded per-cycle work on a fixed set of
-//     persistent goroutines; combined with soc's stage/commit protocol it
-//     parallelizes the COMPUTE half of a cycle while commits stay
-//     sequential and canonical. Pool workers=1 is exactly inline
-//     sequential execution.
-//
-// Main entry points: Kernel with Register/Every/Run/SetFastForward;
-// Ticker, TickFunc, and Sleeper; NewPool; and RNG, the splittable
-// deterministic random streams that keep seeded behavior independent of
-// execution order. See DESIGN.md, "Parallel deterministic kernel".
+// Main entry points: Kernel with SetEventMode/RegisterEvent/Wake/
+// DirtyEvent/Every/Run (and Register for the reference loop); Ticker,
+// TickFunc, and Sleeper; the allocation-free containers Ring, DelayQueue
+// and U64Map; and RNG, the splittable deterministic random streams that
+// keep seeded behavior independent of execution order. See DESIGN.md,
+// "Event-driven kernel".
 package sim

@@ -2,20 +2,16 @@ package sim
 
 import (
 	"math/bits"
-	"sort"
+	"slices"
 )
 
-// This file implements the kernel's event-driven scheduling mode: the
-// generalization of the whole-machine Sleeper seam to per-component
-// event queues. In cycle mode (kernel.go) every registered Ticker is
-// visited every cycle and the clock can only jump when the entire
-// machine is idle. In event mode each component is registered
-// individually with its own next-event time and a cycle visits only the
-// components with due work. A component whose NextEventAt lies in the
-// future is provably a no-op if ticked (the Sleeper contract), so
-// skipping it is invisible in every simulated outcome — the same
-// argument that makes whole-machine fast-forward bit-identical, applied
-// per component.
+// This file implements the kernel's event-driven scheduling mode, the
+// production path: each component is registered individually with its
+// own next-event time and a cycle visits only the components with due
+// work. A component whose NextEventAt lies in the future is provably a
+// no-op if ticked (the Sleeper contract), so skipping it is invisible in
+// every simulated outcome — which the differential tests check against
+// the reference loop in kernel.go.
 //
 // Scheduling structure. Each dispatch class keeps a timing wheel of
 // wheelW one-cycle buckets covering [now, now+wheelW): schedule,
@@ -27,7 +23,10 @@ import (
 // into the wheel when the clock window reaches them, so each far-future
 // event is touched O(1) amortized times. A per-wheel occupancy bitmap
 // makes the idle-jump scan O(wheelW/64) words instead of O(wheelW)
-// buckets.
+// buckets. Buckets and the overflow set are intrusive doubly linked
+// lists threaded through the components themselves, so scheduling
+// allocates nothing once registration is done, however many components
+// land in one bucket.
 //
 // Ordering. Bit-identity requires that the components ticked on a given
 // cycle run in exactly the order the cycle-stepped kernel would have run
@@ -52,9 +51,8 @@ import (
 // cycle-stepped kernel would have produced. Hook *writes* that could
 // create earlier work for a sleeping component (heartbeat deliveries,
 // injected controller faults) are announced through DirtyEvent; only the
-// marked components are re-keyed after the hooks run, replacing the old
-// O(n log n) all-component rekey barrier with work proportional to what
-// the hooks actually touched.
+// marked components are re-keyed after the hooks run, so the barrier
+// costs work proportional to what the hooks actually touched.
 
 const (
 	wheelBits = 10
@@ -68,9 +66,12 @@ const (
 // are wheel bucket indices.
 const (
 	whereParked   = -1 // key == NoEvent: not queued anywhere
-	whereOverflow = -2 // in its class's overflow ring
+	whereOverflow = -2 // in its class's overflow list
 	whereDispatch = -3 // popped for this cycle's dispatch
 )
+
+// nilComp terminates the intrusive bucket and overflow lists.
+const nilComp = -1
 
 // eventComp is one registered component's scheduling state.
 type eventComp struct {
@@ -78,20 +79,21 @@ type eventComp struct {
 	class  int
 	key    uint64 // scheduled next-event cycle (NoEvent while parked)
 	where  int32  // bucket index, or a where* sentinel
-	pos    int32  // index within its bucket or overflow ring
+	next   int32  // neighbours in its bucket or overflow list (nilComp at the ends)
+	prev   int32
 	synced uint64 // cycles < synced are accounted (ticked or fast-forwarded)
 	dirty  bool   // queued in dirtyList for the post-hook rekey
 }
 
 // classQ is one dispatch class's schedule: a timing wheel for the near
-// future plus an unsorted overflow ring for events past the horizon.
+// future plus an unsorted overflow list for events past the horizon.
 type classQ struct {
-	buckets  [wheelW][]int32 // bucket b holds ids keyed to the unique in-window cycle ≡ b (mod wheelW)
+	heads    [wheelW]int32 // bucket b lists the ids keyed to the unique in-window cycle ≡ b (mod wheelW)
 	bitmap   [wheelW / 64]uint64
 	bucketed int // live ids across all buckets
 
-	overflow []int32
-	ovMin    uint64 // lower bound on the overflow minimum key (exact after migrate)
+	ovHead int32
+	ovMin  uint64 // lower bound on the overflow minimum key (exact after migrate)
 
 	registered int    // components registered under this class
 	visited    uint64 // cumulative component dispatches
@@ -129,7 +131,7 @@ func (k *Kernel) SetEventMode(classes int, dispatch func(now uint64, class int, 
 		curClass: -1,
 	}
 	for c := range k.ev.classes {
-		k.ev.classes[c].ovMin = NoEvent
+		k.ev.classes[c].reset()
 	}
 }
 
@@ -150,6 +152,10 @@ func (k *Kernel) RegisterEvent(class int, s Sleeper) int {
 	id := len(ev.comps)
 	ev.comps = append(ev.comps, eventComp{s: s, class: class, key: NoEvent, where: whereParked, synced: k.now})
 	ev.classes[class].registered++
+	// Both scratch lists hold each component at most once, so sizing them
+	// here keeps every later cycle allocation-free.
+	ev.due = slices.Grow(ev.due[:0], len(ev.comps))
+	ev.dirtyList = slices.Grow(ev.dirtyList, len(ev.comps)-len(ev.dirtyList))
 	ev.pushClamped(id, s.NextEventAt(k.now), k.now)
 	return id
 }
@@ -215,7 +221,7 @@ func (k *Kernel) LateWakes() uint64 {
 // are registered under it and how many component dispatches it has run
 // in total. visited[c] / (Now() × registered[c]) is the class's dispatch
 // occupancy — the fraction of component-cycles the event kernel actually
-// paid for; the cycle kernel's is 1.0 by construction. Nil outside event
+// paid for; the reference loop's is 1.0 by construction. Nil outside event
 // mode.
 func (k *Kernel) EventClassStats() (registered []int, visited []uint64) {
 	ev := k.ev
@@ -338,18 +344,7 @@ func (k *Kernel) syncAll(to uint64) {
 func (k *Kernel) rekeyAll(from uint64) {
 	ev := k.ev
 	for c := range ev.classes {
-		q := &ev.classes[c]
-		for w, word := range q.bitmap {
-			for word != 0 {
-				b := w<<6 + bits.TrailingZeros64(word)
-				word &= word - 1
-				q.buckets[b] = q.buckets[b][:0]
-			}
-			q.bitmap[w] = 0
-		}
-		q.bucketed = 0
-		q.overflow = q.overflow[:0]
-		q.ovMin = NoEvent
+		ev.classes[c].reset()
 	}
 	ev.curClass = -1
 	ev.dirtyList = ev.dirtyList[:0]
@@ -417,23 +412,60 @@ func (ev *events) insert(id int, at, now uint64) {
 	ec.key = at
 	q := &ev.classes[ec.class]
 	if at-now < wheelW {
-		b := int32(at & wheelMask)
-		ec.where = b
-		ec.pos = int32(len(q.buckets[b]))
-		q.buckets[b] = append(q.buckets[b], int32(id))
-		q.bitmap[b>>6] |= 1 << uint(b&63)
-		q.bucketed++
+		ev.linkBucket(q, int32(id), int32(at&wheelMask))
 		return
 	}
 	ec.where = whereOverflow
-	ec.pos = int32(len(q.overflow))
-	q.overflow = append(q.overflow, int32(id))
+	ev.link(&q.ovHead, int32(id))
 	if at < q.ovMin {
 		q.ovMin = at
 	}
 }
 
-// remove unqueues component id from its bucket or overflow ring (no-op
+// reset empties the class's wheel and overflow list. The components'
+// own links are stale afterwards; the caller parks or re-inserts them.
+func (q *classQ) reset() {
+	for b := range q.heads {
+		q.heads[b] = nilComp
+	}
+	q.bitmap = [wheelW / 64]uint64{}
+	q.bucketed = 0
+	q.ovHead, q.ovMin = nilComp, NoEvent
+}
+
+// link pushes component id onto the front of the list at *head. List
+// order is immaterial: popDue sorts and the overflow list is a set.
+func (ev *events) link(head *int32, id int32) {
+	ec := &ev.comps[id]
+	ec.prev, ec.next = nilComp, *head
+	if *head != nilComp {
+		ev.comps[*head].prev = id
+	}
+	*head = id
+}
+
+// unlink removes component id from the list at *head.
+func (ev *events) unlink(head *int32, id int32) {
+	ec := &ev.comps[id]
+	if ec.prev != nilComp {
+		ev.comps[ec.prev].next = ec.next
+	} else {
+		*head = ec.next
+	}
+	if ec.next != nilComp {
+		ev.comps[ec.next].prev = ec.prev
+	}
+}
+
+// linkBucket queues component id in wheel bucket b.
+func (ev *events) linkBucket(q *classQ, id, b int32) {
+	ev.comps[id].where = b
+	ev.link(&q.heads[b], id)
+	q.bitmap[b>>6] |= 1 << uint(b&63)
+	q.bucketed++
+}
+
+// remove unqueues component id from its bucket or overflow list (no-op
 // while parked), leaving it parked.
 func (ev *events) remove(id int) {
 	ec := &ev.comps[id]
@@ -441,23 +473,14 @@ func (ev *events) remove(id int) {
 	switch {
 	case ec.where >= 0:
 		b := ec.where
-		lst := q.buckets[b]
-		last := len(lst) - 1
-		moved := lst[last]
-		lst[ec.pos] = moved
-		ev.comps[moved].pos = ec.pos
-		q.buckets[b] = lst[:last]
-		if last == 0 {
+		ev.unlink(&q.heads[b], int32(id))
+		if q.heads[b] == nilComp {
 			q.bitmap[b>>6] &^= 1 << uint(b&63)
 		}
 		q.bucketed--
 	case ec.where == whereOverflow:
-		last := len(q.overflow) - 1
-		moved := q.overflow[last]
-		q.overflow[ec.pos] = moved
-		ev.comps[moved].pos = ec.pos
-		q.overflow = q.overflow[:last]
-		if last == 0 {
+		ev.unlink(&q.ovHead, int32(id))
+		if q.ovHead == nilComp {
 			q.ovMin = NoEvent
 		}
 	}
@@ -471,29 +494,21 @@ func (ev *events) remove(id int) {
 func (ev *events) migrate(now uint64) {
 	for c := range ev.classes {
 		q := &ev.classes[c]
-		if len(q.overflow) == 0 || q.ovMin >= now+wheelW {
+		if q.ovHead == nilComp || q.ovMin >= now+wheelW {
 			continue
 		}
 		newMin := uint64(NoEvent)
-		kept := q.overflow[:0]
-		for _, id := range q.overflow {
+		for id := q.ovHead; id != nilComp; {
 			ec := &ev.comps[id]
+			next := ec.next
 			if ec.key-now < wheelW {
-				b := int32(ec.key & wheelMask)
-				ec.where = b
-				ec.pos = int32(len(q.buckets[b]))
-				q.buckets[b] = append(q.buckets[b], id)
-				q.bitmap[b>>6] |= 1 << uint(b&63)
-				q.bucketed++
-				continue
-			}
-			ec.pos = int32(len(kept))
-			kept = append(kept, id)
-			if ec.key < newMin {
+				ev.unlink(&q.ovHead, id)
+				ev.linkBucket(q, id, int32(ec.key&wheelMask))
+			} else if ec.key < newMin {
 				newMin = ec.key
 			}
+			id = next
 		}
-		q.overflow = kept
 		q.ovMin = newMin
 	}
 }
@@ -506,24 +521,22 @@ func (ev *events) migrate(now uint64) {
 func (ev *events) popDue(c int, now uint64) []int {
 	q := &ev.classes[c]
 	b := int32(now & wheelMask)
-	lst := q.buckets[b]
-	if len(lst) == 0 {
+	if q.heads[b] == nilComp {
 		return nil
 	}
 	due := ev.due[:0]
-	for _, id := range lst {
+	for id := q.heads[b]; id != nilComp; id = ev.comps[id].next {
 		ev.comps[id].where = whereDispatch
 		due = append(due, int(id))
 	}
-	q.buckets[b] = lst[:0]
+	q.heads[b] = nilComp
 	q.bitmap[b>>6] &^= 1 << uint(b&63)
 	q.bucketed -= len(due)
 	if len(due) > 1 {
-		sort.Ints(due)
+		slices.Sort(due)
 	}
 	q.visited += uint64(len(due))
-	ev.due = due[:0] // retain capacity; the returned slice stays valid this cycle
-	return due
+	return due // aliases ev.due; valid until the next popDue
 }
 
 // minKeyAll returns the earliest scheduled key across all classes at or
@@ -534,7 +547,7 @@ func (ev *events) minKeyAll(now uint64) uint64 {
 	min := uint64(NoEvent)
 	for c := range ev.classes {
 		q := &ev.classes[c]
-		if len(q.overflow) > 0 && q.ovMin < min {
+		if q.ovHead != nilComp && q.ovMin < min {
 			min = q.ovMin
 		}
 		if q.bucketed > 0 {

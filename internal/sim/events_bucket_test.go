@@ -1,10 +1,13 @@
 package sim
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // These tests pin the bucket-queue internals of the event scheduler:
 // the timing wheel covers [now, now+wheelW) and everything beyond it
-// lives in the overflow ring, so each test steers events across that
+// lives in the overflow list, so each test steers events across that
 // boundary and asserts the dispatch schedule is unaffected.
 
 // TestEventKernelOverflowMigration schedules an event far beyond the
@@ -137,4 +140,79 @@ func TestEventKernelClassStats(t *testing.T) {
 	if len(vis) != 2 || vis[0] != 3 || vis[1] != 2 {
 		t.Fatalf("visited = %v, want [3 2]", vis)
 	}
+}
+
+// stepComp has work every period cycles and, unlike evComp, records
+// nothing, so any allocation while it runs is the scheduler's.
+type stepComp struct{ period, next uint64 }
+
+func (c *stepComp) Tick(now uint64) {
+	if now >= c.next {
+		c.next = now + c.period
+	}
+}
+func (c *stepComp) NextEventAt(from uint64) uint64 { return max(from, c.next) }
+func (c *stepComp) FastForward(from, to uint64)    {}
+
+// mallocsDuring counts heap allocations made by f, with no warm-up call:
+// the contract under test starts at the end of registration.
+func mallocsDuring(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestEventWheelZeroAllocAfterRegistration pins the wheel's storage
+// contract: once registration is done, insert, wake, remove, popDue,
+// migrate and the dirty rekey allocate nothing — including the worst
+// case of a whole class landing in one bucket.
+func TestEventWheelZeroAllocAfterRegistration(t *testing.T) {
+	const comps = 300
+	build := func(period uint64) (*Kernel, []int) {
+		k := &Kernel{}
+		k.SetEventMode(2, nil)
+		ids := make([]int, comps)
+		for i := range ids {
+			ids[i] = k.RegisterEvent(i%2, &stepComp{period: period, next: period})
+		}
+		return k, ids
+	}
+
+	t.Run("dense", func(t *testing.T) {
+		// Every component due every cycle: each class's whole population
+		// is popped from, and re-inserted into, a single bucket.
+		k, _ := build(1)
+		if n := mallocsDuring(func() { k.Run(3 * wheelW) }); n != 0 {
+			t.Fatalf("%d allocations over %d dense cycles, want 0", n, 3*wheelW)
+		}
+	})
+
+	t.Run("overflow-wake-dirty", func(t *testing.T) {
+		// Periods beyond the horizon park everything in overflow; wakes
+		// pull all of it into one near bucket (remove + insert), the hook
+		// rekeys it through the dirty set, and later periods migrate back.
+		k, ids := build(3 * wheelW)
+		k.Every(500, 500, func(uint64) {
+			for _, id := range ids {
+				k.DirtyEvent(id)
+			}
+		})
+		n := mallocsDuring(func() {
+			for round := 0; round < 4; round++ {
+				for _, id := range ids {
+					k.Wake(id, k.Now()+7)
+				}
+				k.Run(4 * wheelW)
+			}
+		})
+		if n != 0 {
+			t.Fatalf("%d allocations across overflow, wake and dirty rekey, want 0", n)
+		}
+		if _, visited := k.EventClassStats(); visited[0] == 0 || visited[1] == 0 {
+			t.Fatalf("nothing dispatched: visited = %v", visited)
+		}
+	})
 }

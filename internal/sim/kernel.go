@@ -17,19 +17,16 @@ type hook struct {
 	fn     func(now uint64)
 }
 
-// Sleeper is an optional Ticker extension that lets the kernel
-// fast-forward over idle stretches. NextEventAt reports the earliest
-// cycle >= from at which the component has work to do (NoEvent when it
-// is fully drained); FastForward tells it the kernel is jumping the
-// clock from `from` to `to` so it can account for the skipped cycles
-// (cycle counters, refresh catch-up) without being ticked through them.
+// Sleeper is a component the event kernel (events.go) schedules
+// individually. NextEventAt reports the earliest cycle >= from at which
+// the component has work to do (NoEvent when it is fully drained);
+// FastForward tells it the cycles [from, to) passed without a Tick so it
+// can account for them (cycle counters, refresh catch-up).
 //
-// The contract that keeps fast-forward bit-identical to spinning: a
-// component whose NextEventAt(from) returns t > from must behave as a
-// pure no-op if ticked at any cycle in [from, t) — when in doubt, return
-// `from` (never sleep). The kernel only jumps when every registered
-// ticker implements Sleeper and agrees the gap is dead, and never jumps
-// over a periodic hook boundary.
+// The contract that keeps skipping bit-identical to ticking: a component
+// whose NextEventAt(from) returns t > from must behave as a pure no-op
+// if ticked at any cycle in [from, t) — when in doubt, return `from`
+// (never sleep).
 type Sleeper interface {
 	Ticker
 	NextEventAt(from uint64) uint64
@@ -41,20 +38,20 @@ const NoEvent = ^uint64(0)
 
 // Kernel owns the global clock and the ordered set of components.
 // The zero value is ready to use.
+//
+// It has two modes. After SetEventMode (events.go) — the production
+// path — components register individually and a cycle visits only those
+// with due work. Without it the kernel is the reference loop the event
+// mode is differentially tested against: hooks, then every registered
+// Ticker, then now++, with no skipping of any kind.
 type Kernel struct {
 	now     uint64
 	tickers []Ticker
 	hooks   []hook
 
-	// Fast-forward state: enabled by SetFastForward, usable only once
-	// every registered ticker implements Sleeper.
-	ff       bool
-	sleepers []Sleeper // non-nil parallel to tickers when all implement Sleeper
-	skipped  uint64
+	skipped uint64 // cycles the event mode jumped over
 
-	// Event-driven mode (events.go): non-nil after SetEventMode. Replaces
-	// the tickers loop with per-component event heaps.
-	ev *events
+	ev *events // non-nil after SetEventMode
 }
 
 // Now returns the current cycle. The first cycle executed by Run is 0.
@@ -81,27 +78,8 @@ func (k *Kernel) Every(period, phase uint64, fn func(now uint64)) {
 	k.hooks = append(k.hooks, hook{period: period, phase: phase, fn: fn})
 }
 
-// SetFastForward arms idle-cycle fast-forward. It takes effect only if
-// every registered ticker implements Sleeper; otherwise Run keeps
-// spinning cycle by cycle. Call after the final Register.
-func (k *Kernel) SetFastForward(on bool) {
-	k.ff = on
-	k.sleepers = nil
-	if !on {
-		return
-	}
-	sl := make([]Sleeper, 0, len(k.tickers))
-	for _, t := range k.tickers {
-		s, ok := t.(Sleeper)
-		if !ok {
-			return
-		}
-		sl = append(sl, s)
-	}
-	k.sleepers = sl
-}
-
-// Skipped returns how many idle cycles fast-forward has jumped over.
+// Skipped returns how many cycles the event mode jumped over (always
+// zero on the reference loop).
 func (k *Kernel) Skipped() uint64 { return k.skipped }
 
 // Run advances the clock by cycles steps.
@@ -123,39 +101,7 @@ func (k *Kernel) Run(cycles uint64) {
 			t.Tick(now)
 		}
 		k.now++
-		if k.sleepers != nil && k.now < end {
-			k.fastForward(end)
-		}
 	}
-}
-
-// fastForward jumps the clock from k.now to the earliest cycle at which
-// any component has work or any hook fires, bounded by end. Skipped
-// cycles are provably no-ops under the Sleeper contract, so the jump is
-// invisible in every simulated outcome.
-func (k *Kernel) fastForward(end uint64) {
-	from := k.now
-	target := end
-	for _, s := range k.sleepers {
-		t := s.NextEventAt(from)
-		if t <= from {
-			return // someone is busy this cycle; no jump
-		}
-		if t < target {
-			target = t
-		}
-	}
-	if h := k.nextHookAt(from); h < target {
-		target = h
-	}
-	if target <= from {
-		return
-	}
-	for _, s := range k.sleepers {
-		s.FastForward(from, target)
-	}
-	k.skipped += target - from
-	k.now = target
 }
 
 // nextHookAt returns the earliest cycle >= from at which a periodic hook

@@ -28,7 +28,6 @@ func BenchmarkTileMissSteadyState(b *testing.B) {
 	if err := sys.Finalize(); err != nil {
 		b.Fatal(err)
 	}
-	defer sys.Close()
 	sys.Run(20_000) // settle pools, rings, and index sizing
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -253,9 +253,9 @@ func (s *System) RestoreState(r *ckpt.Reader) {
 		s.faults.RestoreState(r)
 	}
 
-	// Event mode: re-derive every component's heap key and accounting
-	// horizon from the overlaid state at the restored clock (no-op for
-	// the cycle kernel).
+	// Re-derive every component's schedule and accounting horizon from
+	// the overlaid state at the restored clock (no-op on the reference
+	// loop).
 	s.kernel.ResyncEvents()
 }
 

@@ -7,18 +7,16 @@
 // memory-controller front ends fill up — the structural condition the
 // paper's source-vs-target argument rests on.
 //
-// The package also owns the parallel tick path (parallel.go): with
-// cfg.Workers > 1 each cycle runs a parallel COMPUTE phase in which
-// tiles, slices, and controllers write only shard-local state and stage
-// cross-shard effects into per-shard buffers, followed by a sequential
-// COMMIT phase that replays the staged effects in a fixed canonical
-// order. Because the sequential tick path generates effects in exactly
-// that order, parallel runs are byte-identical to sequential ones.
-// Simulations with an active fault plan or a modeled NoC fall back to the
-// sequential path automatically.
+// The package wires the machine onto the event kernel (events.go): the
+// epoch queue, the modeled network, each controller with its front door,
+// each L3 slice and each tile register as separate components, every
+// cross-component push wakes its target, and a cycle dispatches only the
+// due components in the canonical order of System.tick — the whole-cycle
+// reference loop that config.KernelCycle selects and the differential
+// tests compare against.
 //
 // Main entry points: New constructs a System from a config.System;
-// System.Warmup/Run/Close drive it; System.Metrics, ClassIPC, and the
+// System.Warmup/Run drive it; System.Metrics, ClassIPC, and the
 // latency/occupancy accessors feed the exp package. The public root
 // package pabst re-exports the small surface the CLIs use.
 package soc

@@ -5,15 +5,15 @@ import (
 )
 
 // This file wires the SoC onto the kernel's event-driven mode
-// (internal/sim/events.go): instead of one whole-machine systemTicker,
-// every component registers individually with its own next-event time,
-// and per-cycle dispatch visits only the components with due work.
+// (internal/sim/events.go), the production path: every component
+// registers individually with its own next-event time, and per-cycle
+// dispatch visits only the components with due work.
 //
-// Dispatch classes mirror the sequential tick's canonical order — the
+// Dispatch classes mirror the canonical order of System.tick — the
 // epoch-queue drain, then the modeled network, then front doors +
 // memory controllers, then L3 slices (in the cycle's rotated order),
 // then tiles — so the components that do run on a given cycle run in
-// exactly the order the cycle-stepped kernel would have run them.
+// exactly the order the reference loop would have run them.
 // Cross-component pushes announce new work through the wake helpers
 // below; a component's own state is re-read by the kernel after every
 // dispatch, so self-scheduling needs no announcements.
@@ -80,7 +80,7 @@ func (s *System) registerEventComps() {
 	s.evOn = true
 }
 
-// Wake helpers: no-ops in cycle mode, decrease-key hints in event mode.
+// Wake helpers: decrease-key hints, no-ops on the reference loop.
 // `at` is the cycle the target should run; callers pushing to a
 // component whose class has already drained this cycle clamp to now+1
 // themselves (see nextCycle), matching when the cycle-stepped kernel
@@ -110,8 +110,8 @@ func (s *System) wakeNet(at uint64) {
 	}
 }
 
-// Dirty helpers: no-ops in cycle mode, post-hook rekey marks in event
-// mode. The epoch hook calls these for every component whose schedule
+// Dirty helpers: post-hook rekey marks, no-ops on the reference loop.
+// The epoch hook calls these for every component whose schedule
 // it may move earlier — tiles receiving a synchronous heartbeat (token
 // refills, resync resets), controllers hit by an injected stall or
 // freeze (an idle controller becomes busy for the freeze window), and
@@ -191,7 +191,7 @@ func (c netComp) NextEventAt(from uint64) uint64 {
 func (c netComp) FastForward(from, to uint64) { c.s.net.FastForward(from, to) }
 
 // mcComp pairs one memory controller with its front door (they tick
-// together, door first, exactly as the sequential path interleaves them).
+// together, door first, exactly as System.tick interleaves them).
 type mcComp struct {
 	s  *System
 	mc int
@@ -317,10 +317,7 @@ func (c tileComp) FastForward(from, to uint64) {
 // --- dispatch ----------------------------------------------------------
 
 // dispatchEvents runs one class's due components for one cycle. The due
-// list arrives sorted by registration id (= ascending entity index); the
-// slice class re-sorts into the cycle's rotated order, and the MC/slice/
-// tile classes route through the stage/commit machinery when the worker
-// pool is armed.
+// list arrives sorted by registration id (= ascending entity index).
 func (s *System) dispatchEvents(now uint64, class int, due []int) {
 	switch class {
 	case evClassEpoch:
@@ -328,85 +325,30 @@ func (s *System) dispatchEvents(now uint64, class int, due []int) {
 	case evClassNet:
 		s.netTick(now)
 	case evClassMC:
-		s.evTickMCs(now, due)
+		for _, id := range due {
+			i := s.evEntity[id]
+			s.doors[i].tick(now)
+			s.mcs[i].Tick(now)
+		}
 	case evClassSlice:
 		s.evTickSlices(now, due)
 	case evClassTile:
-		s.evTickTiles(now, due)
-	}
-}
-
-func (s *System) evTickMCs(now uint64, due []int) {
-	if s.par && len(due) > 1 {
-		s.stage = s.parStage
-		s.pool.Run(len(due), func(k int) {
-			i := s.evEntity[due[k]]
-			s.doors[i].tick(now)
-			s.mcs[i].Tick(now)
-		})
-		s.stage = nil
 		for _, id := range due {
-			s.commitMCStage(s.evEntity[id])
+			s.tiles[s.evEntity[id]].tick(now)
 		}
-		return
-	}
-	for _, id := range due {
-		i := s.evEntity[id]
-		s.doors[i].tick(now)
-		s.mcs[i].Tick(now)
 	}
 }
 
+// evTickSlices runs the due slices in the cycle's canonical order:
+// System.tick services slice (now+k)%n at position k, so the ascending
+// due list is walked from its first slice at or past now%n, wrapping.
 func (s *System) evTickSlices(now uint64, due []int) {
-	// Rotate the due set into the cycle's canonical slice order: the
-	// sequential kernel services slice (now+k)%n at position k, so due
-	// slices sort by their rotation offset.
-	n := uint64(len(s.slices))
-	start := now % n
-	rot := s.evRot[:0]
-	for _, id := range due {
-		rot = append(rot, s.evEntity[id])
+	start := int(now % uint64(len(s.slices)))
+	first := 0
+	for first < len(due) && s.evEntity[due[first]] < start {
+		first++
 	}
-	offset := func(i int) uint64 { return (uint64(i) + n - start) % n }
-	for i := 1; i < len(rot); i++ {
-		v := rot[i]
-		j := i - 1
-		for j >= 0 && offset(rot[j]) > offset(v) {
-			rot[j+1] = rot[j]
-			j--
-		}
-		rot[j+1] = v
-	}
-	s.evRot = rot
-	if s.par && len(rot) > 1 {
-		s.stage = s.parStage
-		s.pool.Run(len(rot), func(k int) {
-			s.slices[rot[k]].tick(now)
-		})
-		s.stage = nil
-		for _, i := range rot {
-			s.commitSliceStage(i)
-		}
-		return
-	}
-	for _, i := range rot {
-		s.slices[i].tick(now)
-	}
-}
-
-func (s *System) evTickTiles(now uint64, due []int) {
-	if s.par && len(due) > 1 {
-		s.stage = s.parStage
-		s.pool.Run(len(due), func(k int) {
-			s.tiles[s.evEntity[due[k]]].tick(now)
-		})
-		s.stage = nil
-		for _, id := range due {
-			s.commitTileStage(s.evEntity[id])
-		}
-		return
-	}
-	for _, id := range due {
-		s.tiles[s.evEntity[id]].tick(now)
+	for k := range due {
+		s.slices[s.evEntity[due[(first+k)%len(due)]]].tick(now)
 	}
 }

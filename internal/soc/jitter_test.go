@@ -2,6 +2,7 @@ package soc
 
 import (
 	"math"
+	"pabst/internal/config"
 	"testing"
 
 	"pabst/internal/regulate"
@@ -39,5 +40,23 @@ func TestEpochJitterValidation(t *testing.T) {
 	cfg.PABST.EpochJitter = cfg.PABST.EpochCycles // >= epoch: nonsense
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("jitter >= epoch accepted")
+	}
+}
+
+// TestLaggedHeartbeatOneCopyPerEpoch pins the delayed-delivery cost:
+// under gossip fanout every tile's heartbeat is lagged, and the epoch's
+// messages share one copy of the saturation vector instead of carrying
+// one each.
+func TestLaggedHeartbeatOneCopyPerEpoch(t *testing.T) {
+	cfg := config.MeshScaled(16, 16)
+	cfg.PABST.EpochCycles = 2000
+	cfg.BWWindow = 1 << 40 // no series sample during the measured run
+	sys, _ := burstySystem(t, cfg)
+	sys.Run(200_000) // settle the delivery queue, pools and rings
+	const epochs = 5
+	allocs := testing.AllocsPerRun(3, func() { sys.Run(epochs * cfg.PABST.EpochCycles) })
+	if allocs > epochs {
+		t.Errorf("%v allocations over %d epochs on %d tiles, want at most one per epoch",
+			allocs, epochs, cfg.NumTiles())
 	}
 }

@@ -45,9 +45,9 @@ func (s *System) WriteMetrics(w io.Writer) error { return s.metrics.WriteProm(w)
 
 // emitEpoch publishes this epoch boundary's trace events. Order is
 // fixed — epoch summary, governors in tile order, arbiters then DRAM in
-// controller order, faults last — and the hook runs on the kernel's
-// sequential phase, so the event stream is bit-identical across worker
-// counts and fast-forward settings.
+// controller order, faults last — and the hook runs with every
+// component caught up, so the event stream is bit-identical across
+// kernels.
 func (s *System) emitEpoch(now uint64, sat bool) {
 	if !s.obs.Enabled() {
 		return
@@ -136,13 +136,10 @@ func (s *System) emitEpoch(now uint64, sat bool) {
 		}
 	}
 
-	// Kernel health: both counters are structurally zero, so this channel
-	// is silent unless a fallback or a late wake has regressed.
-	fb := s.seqFallbacks - s.obsFallbacks
-	s.obsFallbacks = s.seqFallbacks
-	if lw := s.kernel.LateWakes(); fb != 0 || lw != 0 {
-		e = obs.Event{Kind: obs.KindKernel, Cycle: now, Epoch: s.epochs, Unit: -1,
-			Fallbacks: fb, LateWakes: lw}
+	// Kernel health: the counter is structurally zero, so this channel is
+	// silent unless a wake edge has regressed.
+	if lw := s.kernel.LateWakes(); lw != 0 {
+		e = obs.Event{Kind: obs.KindKernel, Cycle: now, Epoch: s.epochs, Unit: -1, LateWakes: lw}
 		s.obs.Emit(&e)
 	}
 }
@@ -165,15 +162,12 @@ func (s *System) buildMetricRegistry() *obs.Registry {
 	r.Register("pabst_fastforward_skipped_cycles_total", func() float64 {
 		return float64(s.kernel.Skipped())
 	})
-	r.Register("pabst_seq_fallback_cycles_total", func() float64 {
-		return float64(s.seqFallbacks)
-	})
 	r.Register("pabst_event_late_wakes_total", func() float64 {
 		return float64(s.kernel.LateWakes())
 	})
 
-	// Per-dispatch-class scheduler load under the event kernel (all zero
-	// under the cycle kernel): registered components, cumulative
+	// Per-dispatch-class scheduler load (all zero on the reference loop,
+	// which has no classes): registered components, cumulative
 	// component dispatches, and their ratio against elapsed
 	// component-cycles — the dispatch occupancy the event kernel's
 	// speedup comes from driving below 1.0.

@@ -23,11 +23,10 @@ type Slice struct {
 	out sim.DelayQueue[outMsg]
 
 	// wbPool recycles this slice's writeback packets (L2 and L3 dirty
-	// victims routed through it). Per-slice so the parallel slice phase
-	// allocates without touching shared state; controllers stage their
-	// releases back to it (see System.releaseWB). Pool identity is
-	// invisible to simulated outcomes — packets are zeroed on release
-	// and fully rewritten on reuse.
+	// victims routed through it); controllers release served writebacks
+	// back to it (see System.releaseWB). Pool identity is invisible to
+	// simulated outcomes — packets are zeroed on release and fully
+	// rewritten on reuse.
 	wbPool mem.Pool
 
 	// Stats.
@@ -75,12 +74,6 @@ func (sl *Slice) sendToMC(pkt *mem.Packet, now uint64) {
 		return
 	}
 	lat := uint64(sl.sys.mesh.TileToMC(sl.id, mc))
-	if st := sl.sys.stage; st != nil {
-		// Parallel slice compute phase: stage; commit pushes in this
-		// cycle's rotated slice order.
-		st.slice[sl.id] = append(st.slice[sl.id], stagedOp{kind: opPushDoor, pkt: pkt, dst: mc, at: now + lat})
-		return
-	}
 	sl.sys.doors[mc].inbox.Push(pkt, now+lat)
 	sl.sys.wakeMC(mc, sl.sys.nextCycle(now+lat))
 }
@@ -94,10 +87,6 @@ func (sl *Slice) respond(pkt *mem.Packet, now uint64) {
 		return
 	}
 	lat := uint64(sl.sys.cfg.L3HitLat) + uint64(sl.sys.mesh.TileToTile(sl.id, pkt.SrcTile))
-	if st := sl.sys.stage; st != nil {
-		st.slice[sl.id] = append(st.slice[sl.id], stagedOp{kind: opPushTile, pkt: pkt, dst: pkt.SrcTile, at: now + lat})
-		return
-	}
 	sl.sys.tiles[pkt.SrcTile].inbox.Push(pkt, now+lat)
 	sl.sys.wakeTile(pkt.SrcTile, now+lat)
 }
@@ -155,9 +144,7 @@ func (sl *Slice) tick(now uint64) {
 }
 
 // sendWB forwards a dirty-victim writeback to the owning controller's
-// front door. The packet comes from this slice's own pool, which is
-// safe on every path — including mid-compute in the parallel slice
-// phase, where the send itself is then staged by sendToMC.
+// front door. The packet comes from this slice's own pool.
 func (sl *Slice) sendWB(addr mem.Addr, class mem.ClassID, now uint64) {
 	pkt := sl.wbPool.Get()
 	pkt.Addr = addr.Line()

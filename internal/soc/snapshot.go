@@ -17,18 +17,19 @@ type Snapshot struct {
 	Epochs uint64
 	Sat    bool
 
-	// SkippedCycles counts idle cycles jumped by fast-forward.
+	// SkippedCycles counts cycles the event kernel jumped over because
+	// no component had work.
 	SkippedCycles uint64
 
 	// LateWakes counts event-kernel wakes that targeted an
 	// already-dispatched cycle — violations of the forward-only
 	// same-cycle wake contract. Always zero for this system's component
-	// graph (and trivially zero under the cycle kernel); a nonzero value
+	// graph (and trivially zero on the reference loop); a nonzero value
 	// means a wake edge was added that can reorder work.
 	LateWakes uint64
 
 	// EventClasses reports per-dispatch-class scheduler load under the
-	// event kernel; nil under the cycle kernel. Kernel-diagnostic only:
+	// event kernel; nil on the reference loop. Kernel-diagnostic only:
 	// exclude it (and SkippedCycles/LateWakes) from cross-kernel
 	// identity comparisons, which must cover simulated outcomes, not
 	// scheduler internals.
@@ -48,7 +49,7 @@ type Snapshot struct {
 // load: Visited counts cumulative component dispatches, so
 // Visited/(Cycle×Registered) is the class's dispatch occupancy — the
 // fraction of component-cycles the event kernel actually paid for (the
-// cycle kernel's is 1.0 by construction).
+// reference loop's is 1.0 by construction).
 type EventClassSnapshot struct {
 	Class      string
 	Registered int

@@ -67,17 +67,9 @@ type System struct {
 	obsMC    []obsMCPrev            // per-controller counters at last emit
 	obsFault obsFaultPrev           // fault/degradation counters at last emit
 
-	// Parallel tick state (see parallel.go). par gates the two-phase
-	// stage/commit path; stage is non-nil only inside a parallel compute
-	// phase, redirecting cross-shard effects into parStage.
-	par      bool
-	pool     *sim.Pool
-	parStage *parStage
-	stage    *parStage
-
 	// Event-kernel state (see events.go): per-entity component ids so
-	// push sites can wake their targets. evOn gates the wake helpers, so
-	// cycle-mode paths pay one bool check per push.
+	// push sites can wake their targets. evOn gates the wake helpers; it
+	// is false only on the reference loop (config.KernelCycle).
 	evOn      bool
 	evEpochID int
 	evNetID   int
@@ -85,15 +77,6 @@ type System struct {
 	evSliceID []int
 	evTileID  []int
 	evEntity  []int // component id -> entity index within its class
-	evRot     []int // scratch: due slices in the cycle's rotated order
-
-	// seqFallbacks counts cycles a multi-worker configuration executed
-	// the sequential tick path. Always zero now that fault injection and
-	// the modeled NoC are sharded; the counter (surfaced as a metric and
-	// a KindKernel trace event) is the tripwire that catches any new
-	// feature quietly reintroducing a fallback.
-	seqFallbacks uint64
-	obsFallbacks uint64 // fallback cycles at last trace emission
 
 	// Degradation observability (tracked only when faults are active):
 	// per-epoch governor divergence and re-convergence bookkeeping.
@@ -163,7 +146,7 @@ func New(cfg config.System, reg *qos.Registry, mode regulate.Mode) (*System, err
 		if err != nil {
 			return nil, err
 		}
-		mc.SetReleaser(func(pkt *mem.Packet) { s.releaseWB(pkt, i) })
+		mc.SetReleaser(s.releaseWB)
 		sched, arb, err := qospolicy.NewTarget(tgtPolicy, qospolicy.TargetEnv{Params: cfg.PABST, Reg: reg})
 		if err != nil {
 			return nil, err
@@ -203,7 +186,7 @@ func New(cfg config.System, reg *qos.Registry, mode regulate.Mode) (*System, err
 	if s.faults != nil {
 		// Per-sender NoC fault streams: each tile and each controller
 		// draws from its own RNG, so the draw order is independent of
-		// tick interleaving and the parallel path needs no fallback.
+		// which components the kernel visits on a cycle.
 		s.faults.ShardNoC(cfg.NumTiles(), cfg.NumMCs)
 	}
 	return s, nil
@@ -301,42 +284,17 @@ func (s *System) Finalize() error {
 	s.kernel.Every(ep, ep, s.epochTick)
 	s.kernel.Every(s.cfg.BWWindow, s.cfg.BWWindow, s.sampleTick)
 
-	// Both acceleration knobs now apply to every configuration: NoC fault
-	// draws come from per-sender streams (see New), router inject-failure
-	// tallies are per router, and the modeled fabric exposes its own
-	// next-event time — so neither a fault plan nor ModelNoC forces the
-	// sequential path anymore. Outputs are bit-identical either way;
-	// these knobs only change wall-clock speed (see parallel.go).
-	if s.cfg.Workers > 1 {
-		s.par = true
-		s.pool = sim.NewPool(s.cfg.Workers)
-		s.parStage = newParStage(len(s.tiles), len(s.slices), len(s.mcs))
-	}
-	if s.cfg.EventKernel() {
-		// Event mode replaces the whole-machine ticker with one component
-		// per entity; fast-forward is intrinsic (the kernel jumps to the
-		// earliest scheduled event, per component).
-		s.registerEventComps()
+	if s.cfg.Kernel == config.KernelCycle {
+		// The differential oracle: every component, every cycle.
+		s.kernel.Register(sim.TickFunc(s.tick))
 	} else {
-		s.kernel.Register(systemTicker{s})
-		if s.cfg.FastForward {
-			s.kernel.SetFastForward(true)
-		}
+		s.registerEventComps()
 	}
 	s.finalized = true
 	return nil
 }
 
-// Close releases the worker pool's parked goroutines. A sequential
-// system (Workers <= 1) holds none, so Close is optional there; the
-// concurrent sweep path closes every run it builds.
-func (s *System) Close() {
-	if s.pool != nil {
-		s.pool.Close()
-	}
-}
-
-// SkippedCycles returns how many idle cycles fast-forward jumped over.
+// SkippedCycles returns how many cycles the event kernel jumped over.
 func (s *System) SkippedCycles() uint64 { return s.kernel.Skipped() }
 
 // epochMsg is one delayed heartbeat delivery (epoch jitter or an
@@ -400,6 +358,10 @@ func (s *System) epochTick(now uint64) {
 	if hop == 0 {
 		hop = 1
 	}
+	// Delayed messages outlive this epoch while the scratch vector is
+	// rewritten at the next boundary, so they carry a copy — one per
+	// epoch, shared read-only by every message of that epoch.
+	var lagged []bool
 	for id, t := range s.tiles {
 		if t == nil {
 			continue
@@ -430,9 +392,10 @@ func (s *System) epochTick(now uint64) {
 			s.dirtyTile(id)
 			continue
 		}
-		// The delayed message outlives this epoch while the scratch vector
-		// is rewritten at the next boundary, so it carries its own copy.
-		s.epochQ.Push(epochMsg{tile: id, sat: tileSat, perMC: append([]bool(nil), perMC...), resync: resync, gossip: gossip}, now+lag)
+		if lagged == nil {
+			lagged = append([]bool(nil), perMC...)
+		}
+		s.epochQ.Push(epochMsg{tile: id, sat: tileSat, perMC: lagged, resync: resync, gossip: gossip}, now+lag)
 		s.dirtyEpochQ()
 	}
 
@@ -532,23 +495,14 @@ func (s *System) netTick(now uint64) {
 }
 
 // tick advances every component one cycle, back to front so responses
-// travel with their modeled latencies. (Cycle mode only; event mode
-// dispatches per component — see events.go.)
+// travel with their modeled latencies. It is the reference loop's whole
+// cycle (config.KernelCycle); the event kernel dispatches the same
+// components in the same order, but only those with due work — see
+// events.go.
 func (s *System) tick(now uint64) {
 	s.drainEpochQ(now)
 	if s.net != nil {
 		s.netTick(now)
-	}
-	if s.par {
-		s.tickParallel(now)
-		return
-	}
-	if s.cfg.Workers > 1 {
-		// Tripwire: with fault draws and the modeled NoC sharded there is
-		// no sequential fallback left, so a multi-worker configuration
-		// can only land here if a new feature quietly reintroduced one.
-		// Count it loudly instead of silently running slow.
-		s.seqFallbacks++
 	}
 	for i, mc := range s.mcs {
 		s.doors[i].tick(now)
@@ -570,15 +524,8 @@ func (s *System) tick(now uint64) {
 }
 
 // releaseWB returns a served writeback packet to its origin slice's
-// pool. A controller serves writes mid-Tick; on the parallel path that
-// is inside phase-1 compute where two controllers may retire writebacks
-// from the same slice, so the release is staged per controller and
-// drained at the phase-1 commit in ascending controller order.
-func (s *System) releaseWB(pkt *mem.Packet, mcID int) {
-	if st := s.stage; st != nil {
-		st.wbRel[mcID] = append(st.wbRel[mcID], pkt)
-		return
-	}
+// pool.
+func (s *System) releaseWB(pkt *mem.Packet) {
 	s.slices[pkt.SrcTile].wbPool.Put(pkt)
 }
 
@@ -597,18 +544,12 @@ func (s *System) deliverResponse(pkt *mem.Packet, mcID int, doneAt uint64) {
 		// On the latency-only fabric both NoC fault classes appear as
 		// extra response latency: a spike directly, a drop as the
 		// retransmission round trip. The draw comes from this
-		// controller's own stream, so concurrent MC shards never race.
+		// controller's own stream.
 		if drop, delay := s.faults.NoCSendMC(mcID); drop {
 			lat += 2 * uint64(s.mesh.TileToMC(pkt.SrcTile, mcID))
 		} else {
 			lat += delay
 		}
-	}
-	if st := s.stage; st != nil {
-		// Parallel MC compute phase: stage the response; commit pushes
-		// it in ascending controller order.
-		st.mc[mcID] = append(st.mc[mcID], stagedOp{kind: opPushTile, pkt: pkt, at: doneAt + lat})
-		return
 	}
 	s.tiles[pkt.SrcTile].inbox.Push(pkt, doneAt+lat)
 	s.wakeTile(pkt.SrcTile, doneAt+lat)
@@ -718,10 +659,6 @@ func (s *System) MCUtilizations() []float64 {
 	}
 	return out
 }
-
-// SeqFallbacks returns how many cycles a multi-worker configuration ran
-// the sequential tick path (always zero; see the tripwire in tick).
-func (s *System) SeqFallbacks() uint64 { return s.seqFallbacks }
 
 // LateWakes returns the event kernel's count of same-cycle wakes that
 // targeted an already-drained class (always zero for this component

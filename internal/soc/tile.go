@@ -50,18 +50,14 @@ type Tile struct {
 	rrMC   int
 
 	// pool recycles this tile's demand and prefetch packets. Every read
-	// the tile injects returns to this tile (responses route to SrcTile),
-	// so the pool is shard-local: the parallel tick's tile phase touches
-	// it from exactly one goroutine.
+	// the tile injects returns to this tile (responses route to SrcTile).
 	pool mem.Pool
 
 	prefetches uint64
 
 	// lat is the tile's end-to-end L2-miss latency histogram (network
-	// injection to response arrival). It is shard-local — written only on
-	// this tile's tick, which the parallel path runs on a single goroutine
-	// — so recording needs no staging; readers merge per class at
-	// sequential points (see System.ClassTailLatency).
+	// injection to response arrival), written only on this tile's tick;
+	// readers merge per class (see System.ClassTailLatency).
 	lat stats.Hist
 }
 
@@ -160,7 +156,7 @@ func (t *Tile) Access(addr mem.Addr, write bool, now uint64, token uint64) (cpu.
 	// holds it.
 	if l1res.Evicted && l1res.Victim.Dirty {
 		if !t.l2.Writeback(l1res.Victim.Addr, t.class) {
-			t.shareWriteback(l1res.Victim.Addr, now)
+			t.sys.l2Writeback(l1res.Victim.Addr, t.class, now)
 		}
 	}
 
@@ -179,7 +175,7 @@ func (t *Tile) Access(addr mem.Addr, write bool, now uint64, token uint64) (cpu.
 
 	// A displaced dirty line is written back into the shared cache.
 	if res.Evicted && res.Victim.Dirty {
-		t.shareWriteback(res.Victim.Addr, now)
+		t.sys.l2Writeback(res.Victim.Addr, t.class, now)
 	}
 
 	// Next-N-line prefetch: speculative fills ride the same miss path —
@@ -225,21 +221,8 @@ func (t *Tile) prefetch(line mem.Addr, now uint64) {
 	t.queued++
 	t.src.OnDemand(now)
 	if res.Evicted && res.Victim.Dirty {
-		t.shareWriteback(res.Victim.Addr, now)
+		t.sys.l2Writeback(res.Victim.Addr, t.class, now)
 	}
-}
-
-// shareWriteback folds an evicted dirty L2 line into the shared cache —
-// directly, or staged for the commit phase when the parallel kernel is
-// mid-compute (the probe mutates shared slice state, so it must run in
-// canonical tile order).
-func (t *Tile) shareWriteback(addr mem.Addr, now uint64) {
-	if st := t.sys.stage; st != nil {
-		ts := &st.tile[t.id]
-		ts.ops = append(ts.ops, stagedOp{kind: opL2Writeback, addr: addr, class: t.class, at: now})
-		return
-	}
-	t.sys.l2Writeback(addr, t.class, now)
 }
 
 // tick drains responses, injects paced misses, and steps the core.
@@ -254,15 +237,8 @@ func (t *Tile) tick(now uint64) {
 		}
 		t.src.OnResponse(pkt, now)
 		t.lat.Add(now - pkt.Issue)
-		if st := t.sys.stage; st != nil {
-			// Parallel compute: accumulate locally; the counters are
-			// pure sums, merged at commit.
-			st.tile[t.id].e2eSum[pkt.Class] += now - pkt.Issue
-			st.tile[t.id].e2eCnt[pkt.Class]++
-		} else {
-			t.sys.e2eLatSum[pkt.Class] += now - pkt.Issue
-			t.sys.e2eLatCnt[pkt.Class]++
-		}
+		t.sys.e2eLatSum[pkt.Class] += now - pkt.Issue
+		t.sys.e2eLatCnt[pkt.Class]++
 		lineID := pkt.Addr.LineID()
 		e := t.mshr.lookup(lineID)
 		if e == nil {
@@ -296,8 +272,7 @@ func (t *Tile) tick(now uint64) {
 			if t.sys.faults != nil {
 				// An injected drop refuses this cycle's injection; the
 				// miss retries next cycle like any backpressured send.
-				// The draw comes from this tile's own stream, so the
-				// parallel tile phase never races on the injector.
+				// The draw comes from this tile's own stream.
 				drop, delay := t.sys.faults.NoCSendTile(t.id)
 				if drop {
 					break
@@ -311,10 +286,6 @@ func (t *Tile) tick(now uint64) {
 					break
 				}
 				t.sys.wakeNet(t.sys.nextCycle(now))
-			} else if st := t.sys.stage; st != nil {
-				lat := uint64(t.sys.mesh.TileToTile(t.id, slice)) + faultLat
-				ts := &st.tile[t.id]
-				ts.ops = append(ts.ops, stagedOp{kind: opPushSlice, pkt: pkt, dst: slice, at: now + lat})
 			} else {
 				lat := uint64(t.sys.mesh.TileToTile(t.id, slice)) + faultLat
 				t.sys.slices[slice].inbox.Push(pkt, now+lat)
@@ -340,8 +311,6 @@ func (s *System) l2Writeback(addr mem.Addr, class mem.ClassID, now uint64) {
 	if slice.cache.Writeback(addr, class) {
 		return
 	}
-	// Only ever reached sequentially (directly, or replayed at the tile
-	// phase's commit), so the target slice's pool is safe here.
 	pkt := slice.wbPool.Get()
 	pkt.Addr = addr.Line()
 	pkt.Kind = mem.Writeback

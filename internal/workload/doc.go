@@ -10,7 +10,7 @@
 // instruction count it represents so cores can report IPC.
 //
 // Main entry points: the Generator interface and its constructors —
-// NewStream, NewChaser, NewBursty (whose idle gaps are what the kernel's
-// fast-forward exploits), NewPeriodicStream, NewFilteredStream,
+// NewStream, NewChaser, NewBursty (whose idle gaps are what the event
+// kernel skips), NewPeriodicStream, NewFilteredStream,
 // NewMemcached — plus Region for carving the physical address space.
 package workload

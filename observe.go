@@ -22,9 +22,9 @@ type (
 
 // Observer owns the trace-event ring and fans events out to sinks.
 // Build one with NewObserver and arm it via WithObserver; events are
-// emitted at epoch boundaries on the simulator's sequential phase, so
-// traces are bit-identical across worker counts and fast-forward
-// settings. A nil Observer is valid and free.
+// emitted from the epoch hook in a fixed order, so traces are
+// byte-identical run to run and across kernels. A nil Observer is valid
+// and free.
 type Observer = obs.Observer
 
 // Event is one trace record; EventKind discriminates it.

@@ -276,21 +276,12 @@ type attachment struct {
 // examples; they apply in order, after cfg is copied into the builder.
 type Option func(*Builder)
 
-// WithWorkers sets the parallel-tick worker count (1 = sequential).
-func WithWorkers(n int) Option {
-	return func(b *Builder) { b.cfg.Workers = n }
-}
-
-// WithFastForward enables (or disables) idle-cycle fast-forward.
-func WithFastForward(on bool) Option {
-	return func(b *Builder) { b.cfg.FastForward = on }
-}
-
-// WithKernel selects the scheduling kernel: "cycle" visits every
-// component every cycle (the default, also selected by ""), "event"
-// keeps per-component event queues and visits only components with due
-// work — bit-identical outcomes, much faster on idle-heavy machines.
-// Unknown names surface as errors at Build.
+// WithKernel is the differential-oracle hook. "" and "event" run the
+// event-driven kernel, the only production path; "cycle" runs the
+// reference loop that visits every component every cycle — identical
+// outcomes, several times slower at every machine size — for tests and
+// benchmarks that check the event kernel against it. Unknown names
+// surface as errors at Build.
 func WithKernel(kernel string) Option {
 	return func(b *Builder) { b.cfg.Kernel = kernel }
 }
@@ -384,14 +375,14 @@ type System struct {
 // Run advances the simulation by cycles.
 func (s *System) Run(cycles uint64) { s.inner.Run(cycles) }
 
-// Close releases the tick worker pool, if SystemConfig.Workers enabled
-// one. The system stays readable (Metrics, Series, ...) but must not Run
-// again. Safe on systems without a pool, so callers can defer it
-// unconditionally.
-func (s *System) Close() { s.inner.Close() }
+// Close ends the system's life: it stays readable (Metrics, Series, ...)
+// but must not Run again. The kernel holds no goroutines or files, so
+// there is nothing to release today; the method remains so callers can
+// pair every Build with a deferred Close.
+func (s *System) Close() {}
 
-// SkippedCycles reports how many cycles the kernel fast-forwarded over
-// (always zero unless SystemConfig.FastForward is set).
+// SkippedCycles reports how many cycles the event kernel jumped over
+// because no component had work (always zero on the reference loop).
 func (s *System) SkippedCycles() uint64 { return s.inner.SkippedCycles() }
 
 // Warmup runs cycles and then resets measurement state, so Metrics

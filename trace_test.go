@@ -18,16 +18,16 @@ func traceConfig() pabst.SystemConfig {
 	return cfg
 }
 
-// runTrace builds the bursty two-class scenario (idle gaps make
-// fast-forward actually fire) with a JSONL observer under the given
-// execution knobs, runs it, and returns the trace bytes.
-func runTrace(t *testing.T, workers int, ff bool) []byte {
+// runTrace builds the bursty two-class scenario (idle gaps make the
+// event kernel actually skip) with a JSONL observer on the named kernel,
+// runs it, and returns the trace bytes.
+func runTrace(t *testing.T, kernel string) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	observer := pabst.NewObserver(0, pabst.NewJSONLSink(&buf))
 	cfg := traceConfig()
 	b := pabst.NewBuilder(cfg, pabst.ModePABST,
-		pabst.WithWorkers(workers), pabst.WithFastForward(ff), pabst.WithObserver(observer))
+		pabst.WithKernel(kernel), pabst.WithObserver(observer))
 	hi := b.AddClass("hi", 7, cfg.L3Ways/2)
 	lo := b.AddClass("lo", 3, cfg.L3Ways/2)
 	for i := 0; i < 8; i++ {
@@ -50,22 +50,14 @@ func runTrace(t *testing.T, workers int, ff bool) []byte {
 }
 
 // TestGoldenTraceDeterminism is the observability determinism contract:
-// trace bytes are identical for every combination of worker count and
-// fast-forward, because events are emitted only from the sequential
-// epoch hook in a fixed order.
+// trace bytes are identical on the reference loop and the default event
+// kernel, because events are emitted only from the epoch hook, in a
+// fixed order, after every component has been caught up.
 func TestGoldenTraceDeterminism(t *testing.T) {
-	golden := runTrace(t, 1, false)
-	for _, workers := range []int{1, 4} {
-		for _, ff := range []bool{false, true} {
-			if workers == 1 && !ff {
-				continue
-			}
-			got := runTrace(t, workers, ff)
-			if !bytes.Equal(got, golden) {
-				t.Errorf("trace diverged at workers=%d ff=%v (%d vs %d bytes)",
-					workers, ff, len(got), len(golden))
-			}
-		}
+	golden := runTrace(t, "cycle")
+	if got := runTrace(t, ""); !bytes.Equal(got, golden) {
+		t.Errorf("default-kernel trace diverged from the reference loop's (%d vs %d bytes)",
+			len(got), len(golden))
 	}
 }
 
@@ -228,14 +220,15 @@ func TestOptionsMatchConfigFields(t *testing.T) {
 		}
 		defer sys.Close()
 		sys.Run(30_000)
-		return fmt.Sprintf("%+v", sys.Metrics())
+		src, tgt := sys.PolicyPair()
+		return fmt.Sprintf("%s+%s %+v", src, tgt, sys.Metrics())
 	}
 	cfg := traceConfig()
 	viaOpts := run(pabst.NewBuilder(cfg, pabst.ModePABST,
-		pabst.WithWorkers(2), pabst.WithFastForward(true)), cfg.L3Ways)
+		pabst.WithKernel("cycle"), pabst.WithPolicy("static", "dpq")), cfg.L3Ways)
 	cfg2 := traceConfig()
-	cfg2.Workers = 2
-	cfg2.FastForward = true
+	cfg2.Kernel = "cycle"
+	cfg2.SourcePolicy, cfg2.TargetPolicy = "static", "dpq"
 	viaCfg := run(pabst.NewBuilder(cfg2, pabst.ModePABST), cfg2.L3Ways)
 	if viaOpts != viaCfg {
 		t.Errorf("options and config fields disagree:\n opts %s\n cfg  %s", viaOpts, viaCfg)
