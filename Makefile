@@ -1,8 +1,9 @@
 # Build and test tiers. `make check` is the tier-1 gate (build + vet +
-# tests, here and in the frozen bench/ module); `make robust` adds the
-# race detector, which the sweep-level concurrency (exp.ForEach, the
-# serve control plane) and the fault-injection chaos sweeps are expected
-# to pass too.
+# tests, here and in the frozen bench/ module, plus one race run over
+# the run-level pool every multi-run experiment uses by default);
+# `make robust` adds the race detector over everything, which the serve
+# control plane and the fault-injection chaos sweeps are expected to
+# pass too.
 
 GO ?= go
 
@@ -19,6 +20,7 @@ build:
 check: build lint-deprecated lint-docs
 	$(GO) vet ./...
 	$(GO) test ./...
+	$(GO) test -race -run 'ForEach|SweepParallelism|RunExperimentRunsEachFingerprintOnce|Fig9' ./internal/exp
 	$(GO) -C bench vet ./... && $(GO) -C bench test ./...
 	$(MAKE) bench-scale-quick
 
@@ -97,7 +99,7 @@ serve-smoke:
 # frontier on (share fidelity, hi-class p99 latency). Writes
 # BENCH_policies.json; see EXPERIMENTS.md "Cross-policy Pareto sweep".
 bench-policies:
-	$(GO) run ./cmd/pabstsweep -policies -scale quick -parallel 6 -out BENCH_policies.json
+	$(GO) run ./cmd/pabstsweep -policies -scale quick -out BENCH_policies.json
 
 # Analytical-twin divergence gate. Simulates the fig1/fig5 regulation
 # points and the full cross-policy Pareto grid, predicts each with the
@@ -106,7 +108,7 @@ bench-policies:
 # internal/exp/twinbench.go. Writes BENCH_twin.json; see DESIGN.md
 # "Analytical twin".
 bench-twin:
-	$(GO) run ./cmd/pabstsweep -twin -scale quick -parallel 6 -out BENCH_twin.json
+	$(GO) run ./cmd/pabstsweep -twin -scale quick -out BENCH_twin.json
 
 # Event-kernel scaling study: the reference loop vs event dispatch
 # across three axes — 64-, 256-, and 1024-tile idle-heavy bursty meshes, the non-PABST

@@ -16,9 +16,12 @@
 // empty to keep that side's mode default). -list-policies prints the
 // registry: each mechanism's name, kind, parameters, and paper citation.
 //
-// -parallel n runs up to n of an experiment's independent simulations
-// concurrently; it changes only wall-clock speed — every experiment's
-// output is bit-identical at any setting. -ckpt names a directory
+// An experiment's independent simulations run concurrently, one per
+// core by default: -parallel 0 (the default) = all cores, 1 = one at a
+// time, n = at most n. It changes only wall-clock speed — every
+// experiment's output is bit-identical at any setting. Peak heap is
+// about cores × one machine (≈ 12 MB for the paper's 32 tiles, ≈ 90 MB
+// for a 256-tile mesh); -parallel 1 bounds it. -ckpt names a directory
 // of post-warmup checkpoints: repeat runs of the same machine restore
 // the warmed state instead of re-simulating it, again bit-identically
 // (fig5 measures the warmup trajectory itself and always runs cold).
@@ -79,7 +82,7 @@ func main() {
 	faults := flag.String("faults", "sat-partition",
 		"fault plan for the faults experiment: a preset ("+strings.Join(pabst.FaultPresets(), ", ")+") or a JSON file")
 	common := cliflags.Register(flag.CommandLine)
-	parallel := flag.Int("parallel", 0, "concurrent simulations in multi-run experiments (0/1 = one at a time)")
+	parallel := flag.Int("parallel", 0, "concurrent simulations in multi-run experiments (0 = all cores, 1 = one at a time)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()

@@ -21,10 +21,11 @@
 //	pabstsweep -experiment name
 //	pabstsweep -list-experiments
 //
-// By default every sweep point runs one after another. -parallel n runs
-// up to n points concurrently (each on its own isolated system); it
-// changes only wall-clock time — every point's numbers are bit-identical
-// at any setting.
+// Sweep points run concurrently, each on its own isolated system, one
+// per core by default: -parallel 0 (the default) = all cores, 1 = one at
+// a time, n = at most n. It changes only wall-clock time — every point's
+// numbers are bit-identical at any setting. Peak heap is about cores ×
+// one machine (≈ 12 MB for the paper's 32 tiles); -parallel 1 bounds it.
 //
 // -policy src+tgt pins every parameter-sweep point to an explicit QoS
 // policy pair from the plugin registry (either half may be empty to keep
@@ -94,7 +95,7 @@ func sweeps() []sweep {
 func main() {
 	scaleName := flag.String("scale", "quick", "experiment scale: quick or full")
 	param := flag.String("param", "", "sweep only this parameter")
-	parallel := flag.Int("parallel", 0, "concurrent sweep points (0/1 = sequential)")
+	parallel := flag.Int("parallel", 0, "concurrent sweep points (0 = all cores, 1 = one at a time)")
 	common := cliflags.Register(flag.CommandLine)
 	policies := flag.Bool("policies", false, "run the cross-policy Pareto comparison instead of parameter sweeps")
 	screen := flag.Bool("screen", false, "surrogate-screened Pareto comparison: the analytical twin picks which grid points simulate")

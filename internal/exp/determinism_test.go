@@ -123,24 +123,45 @@ func TestPolicyKernelDeterminism(t *testing.T) {
 
 // TestSweepParallelismIsInvisible asserts that running the fig7 grid's
 // six independent simulations concurrently changes nothing about the
-// rendered table.
+// rendered table — at explicit pool sizes and at the default (Parallel
+// 0 = all cores) on 1, 2 and 4 cores — and the same for Figure 9's
+// three machines.
 func TestSweepParallelismIsInvisible(t *testing.T) {
-	base := tinyScale()
-	tbl, _, err := Fig7(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := tbl.String()
-	for _, parallel := range []int{2, 6} {
+	fig7 := func(parallel int) string {
+		t.Helper()
 		s := tinyScale()
 		s.Parallel = parallel
 		tbl, _, err := Fig7(s)
 		if err != nil {
 			t.Fatalf("parallel=%d: %v", parallel, err)
 		}
-		if got := tbl.String(); got != want {
+		return tbl.String()
+	}
+	want := fig7(1)
+	for _, parallel := range []int{2, 6} {
+		if got := fig7(parallel); got != want {
 			t.Errorf("parallel=%d changed the fig7 table\n--- sequential\n%s\n--- parallel\n%s", parallel, want, got)
 		}
+	}
+	for _, procs := range []int{1, 2, 4} {
+		setGOMAXPROCS(t, procs)
+		if got := fig7(0); got != want {
+			t.Errorf("parallel=0 on %d cores changed the fig7 table\n--- sequential\n%s\n--- parallel\n%s", procs, want, got)
+		}
+	}
+
+	fig9 := func(parallel int) string {
+		t.Helper()
+		s := tinyScale()
+		s.Parallel = parallel
+		r, err := Fig9(s)
+		if err != nil {
+			t.Fatalf("fig9 parallel=%d: %v", parallel, err)
+		}
+		return r.Table().String()
+	}
+	if seq, par := fig9(1), fig9(3); par != seq {
+		t.Errorf("parallel=3 changed the fig9 table\n--- sequential\n%s\n--- parallel\n%s", seq, par)
 	}
 }
 

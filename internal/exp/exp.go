@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -21,8 +22,11 @@ type Scale struct {
 	Window  uint64 // bandwidth series window
 
 	// Parallel bounds how many independent simulations a multi-run
-	// experiment executes concurrently; each run owns an isolated system,
-	// so any interleaving produces identical results.
+	// experiment executes concurrently, by ForEach's one rule: 0 (the
+	// zero value) = every core (runtime.GOMAXPROCS), 1 = one at a time on
+	// the caller's goroutine, n = at most n. Each run owns an isolated
+	// system, so any setting produces identical results; peak heap is
+	// about Parallel × one machine, and 1 is the way to bound it.
 	Parallel int
 
 	// Kernel is the differential-oracle hook (see config.System.Kernel):
@@ -75,13 +79,18 @@ func (s Scale) Options() []pabst.Option {
 	}
 }
 
-// ForEach runs fn(0)..fn(n-1), on at most parallel concurrent goroutines
-// when parallel > 1, inline otherwise. Failures propagate promptly: after
-// the first error no NEW index is started — in-flight indices still run
-// to completion, because each holds a live simulation that must finish or
-// tear down — and the first error is returned. Callers write results into
-// index i of a pre-sized slice, so output order never depends on
-// scheduling.
+// ForEach runs fn(0)..fn(n-1) on at most parallel concurrent goroutines,
+// the caller's among them. This is the one rule for run-level
+// parallelism, which Scale.Parallel, RunExperiment, ForEachWarm and the
+// commands' -parallel flag all inherit: parallel <= 0 means
+// runtime.GOMAXPROCS(0) (every core), and 1 — or a single index — runs
+// inline, in index order, on the caller's goroutine. The helper
+// goroutines live for one call; nothing is retained between calls.
+// Failures propagate promptly: after the first error no NEW index is
+// started — in-flight indices still run to completion, because each
+// holds a live simulation that must finish or tear down — and the first
+// error is returned. Callers write results into index i of a pre-sized
+// slice, so output order never depends on scheduling.
 func ForEach(parallel, n int, fn func(int) error) error {
 	return ForEachCtx(context.Background(), parallel, n, fn)
 }
@@ -92,7 +101,13 @@ func ForEach(parallel, n int, fn func(int) error) error {
 // ctx-aware fn (e.g. one built on RunSpec.Run or System.RunContext) when
 // long indices must stop mid-simulation.
 func ForEachCtx(ctx context.Context, parallel, n int, fn func(int) error) error {
-	if parallel <= 1 || n <= 1 {
+	if parallel <= 0 {
+		parallel = runtime.GOMAXPROCS(0)
+	}
+	if parallel > n {
+		parallel = n
+	}
+	if parallel <= 1 {
 		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -102,9 +117,6 @@ func ForEachCtx(ctx context.Context, parallel, n int, fn func(int) error) error 
 			}
 		}
 		return nil
-	}
-	if parallel > n {
-		parallel = n
 	}
 	var (
 		next     atomic.Int64
@@ -121,26 +133,43 @@ func ForEachCtx(ctx context.Context, parallel, n int, fn func(int) error) error 
 		mu.Unlock()
 		stop.Store(true)
 	}
-	wg.Add(parallel)
-	for w := 0; w < parallel; w++ {
+	work := func() {
+		for !stop.Load() {
+			if err := ctx.Err(); err != nil {
+				fail(err)
+				return
+			}
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			if err := fn(i); err != nil {
+				fail(err)
+				return
+			}
+		}
+	}
+	// The caller is one of the workers, so a call starts parallel-1
+	// goroutines. They exit only after the caller has run out of indices
+	// too: the caller then resumes from wg.Wait on the scheduler thread
+	// that just freed a goroutine descriptor, and the next call's go
+	// statement reuses it. Helpers that exit early strand descriptors on
+	// other threads' free lists while this one allocates new ones, and
+	// the runtime never frees a descriptor. Retained after 15 s of the
+	// figure set on 2 cores: 8-17 KB with a waiting caller and early
+	// exits, 4-8 KB with a working caller, 3-4 KB with this wait added
+	// (a serial run retains 2 KB).
+	callerDone := make(chan struct{})
+	wg.Add(parallel - 1)
+	for w := 1; w < parallel; w++ {
 		go func() {
 			defer wg.Done()
-			for !stop.Load() {
-				if err := ctx.Err(); err != nil {
-					fail(err)
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if err := fn(i); err != nil {
-					fail(err)
-					return
-				}
-			}
+			work()
+			<-callerDone
 		}()
 	}
+	work()
+	close(callerDone)
 	wg.Wait()
 	return firstErr
 }

@@ -121,32 +121,49 @@ func (c *RunCache) Len() int {
 }
 
 // RunExperiment executes an experiment end to end: resolve its specs at
-// the named scale, run them (at most parallel at once, consulting and
-// filling cache when non-nil), and reduce. The specs and their results
-// are returned alongside the table so callers can persist or re-reduce
-// them.
+// the named scale, run them (parallel by ForEach's rule: 0 = every core,
+// 1 = one at a time; consulting and filling cache when non-nil), and
+// reduce. Specs are grouped by fingerprint before dispatch, so each
+// distinct machine simulates exactly once however the pool schedules —
+// equal specs share one RunResult, with or without a cache. The specs
+// and their results are returned alongside the table so callers can
+// persist or re-reduce them.
 func RunExperiment(ctx context.Context, e Experiment, scale string, ex Exec, parallel int, cache *RunCache) (*Table, []RunSpec, []RunResult, error) {
 	specs := e.Spec(scale)
 	if len(specs) == 0 {
 		return nil, nil, nil, Terminal(fmt.Errorf("%w: experiment %q produced no specs", config.ErrInvalid, e.Name()))
 	}
 	results := make([]RunResult, len(specs))
-	err := ForEachCtx(ctx, parallel, len(specs), func(i int) error {
-		fp := specs[i].Fingerprint()
-		if r, ok := cache.Get(fp); ok {
-			results[i] = r
-			return nil
+	fps := make([]string, len(specs))
+	first := make(map[string]int, len(specs)) // fingerprint -> first spec carrying it
+	var todo []int                            // first-of-fingerprint indices the cache does not hold
+	for i := range specs {
+		fps[i] = specs[i].Fingerprint()
+		if _, seen := first[fps[i]]; seen {
+			continue
 		}
+		first[fps[i]] = i
+		if r, ok := cache.Get(fps[i]); ok {
+			results[i] = r
+		} else {
+			todo = append(todo, i)
+		}
+	}
+	err := ForEachCtx(ctx, parallel, len(todo), func(k int) error {
+		i := todo[k]
 		r, err := specs[i].Run(ctx, ex, RunIO{})
 		if err != nil {
 			return fmt.Errorf("%s spec %d (%s): %w", e.Name(), i, specs[i].Bench, err)
 		}
 		results[i] = r
-		cache.Put(fp, r)
+		cache.Put(fps[i], r)
 		return nil
 	})
 	if err != nil {
 		return nil, nil, nil, err
+	}
+	for i, fp := range fps {
+		results[i] = results[first[fp]]
 	}
 	t, err := e.Reduce(specs, results)
 	if err != nil {

@@ -192,3 +192,50 @@ func TestRunExperimentMatchesWrapper(t *testing.T) {
 		t.Fatalf("fig1 wrapper returned %d cells, want 4", len(cells))
 	}
 }
+
+// repeatExperiment asks for the same spec k times.
+type repeatExperiment struct{ k int }
+
+func (repeatExperiment) Name() string { return "repeat" }
+func (repeatExperiment) Desc() string { return "one spec, k times" }
+func (e repeatExperiment) Spec(scale string) []RunSpec {
+	specs := make([]RunSpec, e.k)
+	for i := range specs {
+		specs[i] = RunSpec{Bench: BenchStreams, Scale: scale}
+	}
+	return specs
+}
+func (repeatExperiment) Reduce([]RunSpec, []RunResult) (*Table, error) { return &Table{}, nil }
+
+// TestRunExperimentRunsEachFingerprintOnce: equal specs dispatched
+// together simulate once at any pool size, cache or no cache, and every
+// index receives that one RunResult. The warm-start store is the
+// counting runner: each simulation consults it exactly once.
+func TestRunExperimentRunsEachFingerprintOnce(t *testing.T) {
+	const k = 8
+	for _, parallel := range []int{1, 2, 8} {
+		for _, cache := range []*RunCache{NewRunCache(), nil} {
+			sc := tinyScale()
+			sc.Ckpt = t.TempDir()
+			ex, name := execFor(sc)
+			before := StoreEvents.Hits.Load() + StoreEvents.Misses.Load()
+			_, _, results, err := RunExperiment(context.Background(), repeatExperiment{k}, name, ex, parallel, cache)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ran := StoreEvents.Hits.Load() + StoreEvents.Misses.Load() - before; ran != 1 {
+				t.Errorf("parallel=%d cache=%v: %d simulations for %d equal specs, want 1", parallel, cache != nil, ran, k)
+			}
+			if cache != nil && cache.Len() != 1 {
+				t.Errorf("parallel=%d: cache holds %d results, want 1", parallel, cache.Len())
+			}
+			for i := range results {
+				// Same backing array, not merely equal numbers: the one
+				// result was handed out, not recomputed.
+				if results[i].Fingerprint == "" || &results[i].Shares[0] != &results[0].Shares[0] {
+					t.Errorf("parallel=%d cache=%v: index %d did not receive the shared result", parallel, cache != nil, i)
+				}
+			}
+		}
+	}
+}

@@ -61,19 +61,25 @@ func Fig9(scale Scale) (*Fig9Result, error) {
 		}, nil
 	}
 
-	iso, err := run("isolated", false, pabst.ModeNone)
+	// Three independent machines, Scale.Parallel at a time, results by index.
+	arms := []struct {
+		label    string
+		colocate bool
+		mode     pabst.Mode
+	}{
+		{"isolated", false, pabst.ModeNone},
+		{"colocated-noqos", true, pabst.ModeNone},
+		{"colocated-pabst", true, pabst.ModePABST},
+	}
+	var out [3]ServiceStats
+	err := ForEach(scale.Parallel, len(arms), func(i int) (err error) {
+		out[i], err = run(arms[i].label, arms[i].colocate, arms[i].mode)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	co, err := run("colocated-noqos", true, pabst.ModeNone)
-	if err != nil {
-		return nil, err
-	}
-	pb, err := run("colocated-pabst", true, pabst.ModePABST)
-	if err != nil {
-		return nil, err
-	}
-	return &Fig9Result{Isolated: iso, Colocated: co, PABST: pb}, nil
+	return &Fig9Result{Isolated: out[0], Colocated: out[1], PABST: out[2]}, nil
 }
 
 // Table renders the Figure 9 summary.

@@ -213,8 +213,8 @@ func saveCkpt(sys *pabst.System, path string) error {
 // is warmed once — through the scale's checkpoint store when configured
 // — and checkpointed in memory; every point then restores that
 // checkpoint into its own system (milliseconds, against warmups of
-// millions of cycles) and runs fn, on at most Scale.Parallel concurrent
-// goroutines.
+// millions of cycles) and runs fn, Scale.Parallel at a time by ForEach's
+// rule (0 = every core).
 //
 // Only use this when the points vary runtime knobs (weights via
 // SetWeight, extra Run length); anything baked into the builder —

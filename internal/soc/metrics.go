@@ -229,13 +229,20 @@ func (s *System) GovernorState(tile int) (m, dm, period uint64, ok bool) {
 // currently holds — the LLC occupancy monitor existing QoS architectures
 // expose (Section II-B).
 func (s *System) L3OccupancyOf(class mem.ClassID) uint64 {
+	return s.l3Occupancy()[class]
+}
+
+// l3Occupancy returns every class's shared-cache bytes from one pass
+// over each slice; Snapshot fills all of its classes from a single call.
+func (s *System) l3Occupancy() (bytes [mem.MaxClasses]uint64) {
 	var occ [mem.MaxClasses]int
-	var lines uint64
 	for _, sl := range s.slices {
 		sl.cache.OccupancyInto(&occ)
-		lines += uint64(occ[class])
+		for c, n := range occ {
+			bytes[c] += uint64(n) * mem.LineSize
+		}
 	}
-	return lines * mem.LineSize
+	return bytes
 }
 
 // FaultReport summarizes fault injection and the governors' degraded-

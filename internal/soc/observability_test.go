@@ -123,4 +123,11 @@ func TestL3OccupancyInternal(t *testing.T) {
 	if occ > 256<<10 {
 		t.Fatalf("occupancy %d exceeds the working set", occ)
 	}
+	// Snapshot fills every class from one pass per slice; it must agree
+	// with the per-class accessor.
+	for _, cs := range sys.Snapshot().Classes {
+		if want := sys.L3OccupancyOf(cs.ID); cs.L3OccupancyBytes != want {
+			t.Errorf("class %s: Snapshot occupancy %d, L3OccupancyOf %d", cs.Name, cs.L3OccupancyBytes, want)
+		}
+	}
 }

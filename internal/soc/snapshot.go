@@ -128,6 +128,7 @@ func (s *System) Snapshot() Snapshot {
 			})
 		}
 	}
+	l3 := s.l3Occupancy()
 	for _, c := range s.reg.Classes() {
 		snap.Classes = append(snap.Classes, ClassSnapshot{
 			ID:               c.ID,
@@ -141,7 +142,7 @@ func (s *System) Snapshot() Snapshot {
 			TileIPCs:         s.TileIPCs(c.ID),
 			MissLatency:      s.ClassMissLatency(c.ID),
 			MCReadLatency:    s.ClassMCReadLatency(c.ID),
-			L3OccupancyBytes: s.L3OccupancyOf(c.ID),
+			L3OccupancyBytes: l3[c.ID],
 		})
 	}
 	for id, t := range s.tiles {
