@@ -27,13 +27,12 @@
 // (fig5 measures the warmup trajectory itself and always runs cold).
 // -resume makes a checkpoint miss an error.
 //
-// Experiments: table3, fig1, fig5, fig6, fig7, fig8, fig9, fig10, fig11,
-// fig12, all. The figure grids (fig1/7/10/11/12, the ext-* extensions,
-// faults) run through the unified experiment registry (see pabstsweep
-// -list-experiments); one process-wide result cache dedups shared
-// simulations, so fig10 and fig12 run their common grid once. table3 and
-// the trajectory experiments (fig5/6/8/9), which need per-epoch series
-// the seam does not carry, stay on bespoke paths.
+// Experiments: see -list; "all" runs every one. table3 and the
+// trajectory experiments (fig5/6/8/9), which need per-epoch series the
+// seam does not carry, are the bespoke list below; every other name is
+// looked up in the experiment registry (exp.ExperimentByName), and one
+// process-wide result cache dedups shared simulations, so fig10 and
+// fig12 run their common grid once.
 package main
 
 import (
@@ -43,6 +42,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -51,25 +51,30 @@ import (
 	"pabst/internal/exp"
 )
 
-var experiments = []struct {
-	name string
-	desc string
-}{
+type entry struct{ name, desc string }
+
+// bespoke are the experiments main's switch runs itself; every other
+// name belongs to the registry. "fig5" is also a registry experiment
+// (the warmed steady state); here it is the cold-start convergence
+// series.
+var bespoke = []entry{
 	{"table3", "system configuration"},
-	{"fig1", "source-only vs target-only allocation error"},
 	{"fig5", "proportional allocation, two stream classes at 7:3"},
 	{"fig6", "work conservation with a periodic streamer"},
-	{"fig7", "PABST vs single-sided regulators"},
 	{"fig8", "proportional distribution of excess bandwidth"},
 	{"fig9", "memcached service times under co-location"},
-	{"fig10", "weighted slowdown vs a stream aggressor (SPEC proxies)"},
-	{"fig11", "work-conserving fairness vs static allocation (IaaS)"},
-	{"fig12", "memory efficiency cost of QoS"},
-	{"ext-static", "extension: PABST vs a static (non-work-conserving) source limiter"},
-	{"ext-skew", "extension: per-MC governors under channel-skewed traffic (Sec III-C1)"},
-	{"ext-hetero", "extension: demand-weighted intra-class allocation (Sec V-B)"},
-	{"ext-noc", "extension: contention-modeled mesh vs the paper's latency-only fabric"},
-	{"faults", "robustness: 7:3 allocation under an injected fault plan vs clean"},
+}
+
+// listing is -list's (and "all"'s) order: the bespoke experiments, then
+// the registry's, each with its own description.
+func listing() []entry {
+	out := slices.Clone(bespoke)
+	for _, e := range exp.Experiments() {
+		if !slices.ContainsFunc(bespoke, func(b entry) bool { return b.name == e.Name() }) {
+			out = append(out, entry{e.Name(), e.Desc()})
+		}
+	}
+	return out
 }
 
 func main() {
@@ -89,8 +94,8 @@ func main() {
 	defer profiles(*cpuprofile, *memprofile)()
 
 	if *list {
-		for _, e := range experiments {
-			fmt.Printf("%-8s %s\n", e.name, e.desc)
+		for _, e := range listing() {
+			fmt.Printf("%-10s %s\n", e.name, e.desc)
 		}
 		fmt.Println("\nworkloads (for -spec; see pabst.Workloads):")
 		for _, w := range pabst.Workloads() {
@@ -133,7 +138,7 @@ func main() {
 	}
 	if len(args) == 1 && args[0] == "all" {
 		args = nil
-		for _, e := range experiments {
+		for _, e := range listing() {
 			args = append(args, e.name)
 		}
 	}
@@ -193,13 +198,12 @@ func main() {
 			r, err := exp.Fig9(scale)
 			check(err)
 			emit(r.Table())
-		case "fig1", "fig7", "fig10", "fig11", "fig12",
-			"ext-static", "ext-skew", "ext-hetero", "ext-noc", "faults":
-			e, err := registryExperiment(name, workloads, *faults)
-			check(err)
-			emit(runRegistry(e))
 		default:
-			fatalf("unknown experiment %q; try -list", name)
+			e, err := registryExperiment(name, workloads, *faults)
+			if err != nil {
+				fatalf("unknown experiment %q; try -list", name)
+			}
+			emit(runRegistry(e))
 		}
 		if !*jsonOut {
 			fmt.Printf("[%s: %.1fs]\n\n", name, time.Since(start).Seconds())

@@ -95,7 +95,7 @@ func TestEveryBinaryAcceptsCommonFlags(t *testing.T) {
 	want := []string{"-policy", "-ckpt", "-resume"}
 	gone := []string{"-workers", "-ff", "-kernel"}
 	root := filepath.Join("..", "..")
-	for _, bin := range []string{"pabstsim", "pabstsweep", "pabstbench", "pabsttrace"} {
+	for _, bin := range []string{"pabstsim", "pabstsweep", "pabsttrace"} {
 		bin := bin
 		t.Run(bin, func(t *testing.T) {
 			cmd := exec.Command("go", "run", "pabst/cmd/"+bin, "-h")

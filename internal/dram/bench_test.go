@@ -75,7 +75,7 @@ func benchIndexed(b *testing.B, depth, bankQ int) {
 }
 
 // BenchmarkPickIssueDepth* measure the single-stage EDF datapath
-// (pickRead + issueRead) at the three BENCH_hotpath.json queue depths.
+// (pickRead + issueRead) at front-end queue depths 8, 32 and 128.
 func BenchmarkPickIssueDepth8(b *testing.B)   { benchIndexed(b, 8, 0) }
 func BenchmarkPickIssueDepth32(b *testing.B)  { benchIndexed(b, 32, 0) }
 func BenchmarkPickIssueDepth128(b *testing.B) { benchIndexed(b, 128, 0) }
@@ -85,8 +85,8 @@ func BenchmarkPickIssueDepth128(b *testing.B) { benchIndexed(b, 128, 0) }
 func BenchmarkDispatchIssueBanked(b *testing.B) { benchIndexed(b, 128, 3) }
 
 // BenchmarkScanReferenceDepth128 is the frozen pre-index scan on the
-// same traffic shape — the in-process twin of the BENCH_hotpath.json
-// baseline, so `go test -bench` alone can show the index's effect.
+// same traffic shape, so `go test -bench 'PickIssueDepth128|ScanReference'`
+// shows the index's effect.
 func BenchmarkScanReferenceDepth128(b *testing.B) {
 	cfg := testCfg()
 	cfg.FrontReadQ = 128

@@ -8,7 +8,7 @@ import (
 )
 
 // This file pins the ordering equivalence between the indexed scheduler
-// (sched.go) and the O(n) scans it replaced: RefController (reference.go)
+// (sched.go) and the O(n) scans it replaced: RefController (reference_test.go)
 // carries the old scan code verbatim and runs in lockstep with the real
 // controller over randomized workloads; every service decision — packet
 // identity, service order, timing, and stats — must match for a million

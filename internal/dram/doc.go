@@ -17,4 +17,8 @@
 // FastForward let the event kernel skip an idle controller and catch it
 // up (refresh, the saturation window) before its next tick. The saturation
 // monitor feeding the SAT wire samples Controller.EpochSaturated.
+//
+// The indexed scheduler (sched.go) replaced full-queue scans; the scan
+// code survives only under `go test`, as the differential oracle in
+// reference_test.go.
 package dram

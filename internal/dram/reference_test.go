@@ -5,11 +5,10 @@ import "pabst/internal/mem"
 // RefController is the pre-index controller: flat arrival-order queues
 // scanned in full every cycle, with an O(n) memmove dequeue. The
 // scheduling code below is the old implementation frozen verbatim, not
-// re-derived. It exists for two jobs: the differential test pins the
-// indexed scheduler's every service decision against it, and the
-// bench-hotpath suite uses it as the speedup baseline — so the recorded
-// improvement is measured against the actual historical datapath, not a
-// strawman. It must never be used in a simulated system.
+// re-derived. It is a test-only oracle: the differential test pins the
+// indexed scheduler's every service decision against it, and
+// BenchmarkScanReferenceDepth128 times it as the actual historical
+// datapath the index replaced, not a strawman.
 type RefController struct {
 	cfg Config
 

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"testing"
@@ -24,6 +25,16 @@ func render(v any) string {
 	return string(b)
 }
 
+// runRendered runs an experiment for real (no cache) and flattens its
+// results and table to comparable bytes.
+func runRendered(e Experiment, s Scale) (string, error) {
+	tbl, _, results, err := RunExperimentScale(context.Background(), e, s, nil)
+	if err != nil {
+		return "", err
+	}
+	return render(results) + tbl.String(), nil
+}
+
 // TestDeterminismMatrix asserts the kernel guarantee at the experiment
 // level: for the fig1, fig5, and faults presets, the default event
 // kernel produces byte-identical results to the cycle-stepped reference
@@ -35,27 +46,15 @@ func TestDeterminismMatrix(t *testing.T) {
 		name string
 		run  func(s Scale) (string, error)
 	}{
-		{"fig1", func(s Scale) (string, error) {
-			tbl, results, err := Fig1(s)
-			if err != nil {
-				return "", err
-			}
-			return render(results) + tbl.String(), nil
-		}},
+		{"fig1", func(s Scale) (string, error) { return runRendered(registered(t, "fig1"), s) }},
 		{"fig5", func(s Scale) (string, error) {
-			r, err := Fig5(s)
+			r, err := Fig5Series(s)
 			if err != nil {
 				return "", err
 			}
 			return render(r), nil
 		}},
-		{"faults", func(s Scale) (string, error) {
-			r, err := Faults(s, "sat-drop")
-			if err != nil {
-				return "", err
-			}
-			return render(r) + r.Table().String(), nil
-		}},
+		{"faults", func(s Scale) (string, error) { return runRendered(NewFaultsExperiment("sat-drop"), s) }},
 	}
 
 	for _, p := range presets {
@@ -131,11 +130,11 @@ func TestSweepParallelismIsInvisible(t *testing.T) {
 		t.Helper()
 		s := tinyScale()
 		s.Parallel = parallel
-		tbl, _, err := Fig7(s)
+		out, err := runRendered(registered(t, "fig7"), s)
 		if err != nil {
 			t.Fatalf("parallel=%d: %v", parallel, err)
 		}
-		return tbl.String()
+		return out
 	}
 	want := fig7(1)
 	for _, parallel := range []int{2, 6} {

@@ -1,13 +1,19 @@
 // Package exp reproduces every table and figure of the paper's evaluation
 // (Section IV). Each experiment builds its workload mix through the public
 // pabst API, runs warmup + measurement windows, and returns the rows or
-// series the paper reports. The cmd/pabstsim CLI and the repository's
-// bench harness are thin wrappers over this package.
+// series the paper reports. The cmd/pabstsim CLI and the repository
+// benchmark (bench/) are thin callers of this package.
 //
-// Main entry points: the Fig1..Fig11 and Faults functions, one per
-// reproduced result, all parameterized by a Scale (Quick/Paper presets).
-// Scale also carries Parallel, which bounds how many of an experiment's
-// independent simulations run at once, and Kernel, the hook that runs an
+// One entry point runs a grid: an Experiment from the registry
+// (ExperimentByName, or a New*Experiment constructor for a custom
+// workload list or fault plan) names its RunSpecs and reduces their
+// results to a Table, and RunExperiment / RunExperimentScale executes
+// it — grouping specs by fingerprint, consulting a RunCache, reducing.
+// The trajectory experiments that need per-epoch series the seam does
+// not carry (Fig5Series, Fig6, Fig8, Fig9) are plain functions. All are
+// parameterized by a Scale (Quick/Full presets), which also carries
+// Parallel, bounding how many of an experiment's independent
+// simulations run at once, and Kernel, the hook that runs an
 // experiment on the cycle-stepped reference loop. Both change wall-clock
 // time only: every experiment's output is byte-identical at any setting,
 // which TestSweepParallelismIsInvisible and TestDeterminismMatrix assert.

@@ -242,16 +242,6 @@ func attachStreams(b *pabst.Builder, class pabst.ClassID, from, to int, write bo
 	}
 }
 
-// attachChasers places pointer chasers on tiles [from,to). Eight chains
-// per CPU sizes the benchmark per the paper's requirement that chaser
-// "generate enough bandwidth to saturate the system when run in
-// isolation" on this substrate (16 tiles x 8 chains ~ 86% of peak).
-func attachChasers(b *pabst.Builder, class pabst.ClassID, from, to int) {
-	for i := from; i < to; i++ {
-		b.Attach(i, class, pabst.Chaser("chaser", pabst.TileRegion(i), 8, uint64(i)+1))
-	}
-}
-
 // attachSpec places one SPEC proxy on tiles [from,to).
 func attachSpec(b *pabst.Builder, class pabst.ClassID, name string, from, to int) error {
 	for i := from; i < to; i++ {

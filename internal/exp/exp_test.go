@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -12,51 +13,85 @@ import (
 // quick scale: who wins, in which direction, and by roughly what factor.
 // Absolute magnitudes live in EXPERIMENTS.md.
 
-func TestFig1Shapes(t *testing.T) {
-	_, results, err := Fig1(Quick())
+// claimCache is shared by every claim test that runs a registry
+// experiment at Quick(): fig1's grid is a subset of fig7's, fig12's is
+// fig10's, so each distinct machine simulates once per test process.
+// Tests that compare two real runs (determinism, parallelism) pass nil.
+var claimCache = NewRunCache()
+
+// runQuick runs an experiment at Quick() against claimCache.
+func runQuick(t *testing.T, e Experiment) (*Table, []RunSpec, []RunResult) {
+	t.Helper()
+	tbl, specs, results, err := RunExperimentScale(context.Background(), e, Quick(), claimCache)
 	if err != nil {
 		t.Fatal(err)
 	}
-	byKey := map[string]RegulationResult{}
-	for _, r := range results {
-		byKey[r.Mix.String()+"/"+r.Mode.String()] = r
+	return tbl, specs, results
+}
+
+// registered resolves a registry experiment or fails the test.
+func registered(t *testing.T, name string) Experiment {
+	t.Helper()
+	e, err := ExperimentByName(name)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return e
+}
+
+// cell reads one table value by row label and column.
+func cell(t *testing.T, tbl *Table, label, col string) float64 {
+	t.Helper()
+	for _, r := range tbl.Rows {
+		if r.Label == label {
+			v, ok := r.Values[col]
+			if !ok {
+				t.Fatalf("%s: row %q has no column %q", tbl.Title, label, col)
+			}
+			return v
+		}
+	}
+	t.Fatalf("%s: no row %q", tbl.Title, label)
+	return 0
+}
+
+func TestFig1Shapes(t *testing.T) {
+	tbl, _, _ := runQuick(t, registered(t, "fig1"))
 	// (a) Source regulation handles the stream flood well.
-	if e := byKey["stream+stream/source-only"].Error; e > 15 {
+	if e := cell(t, tbl, "stream+stream / source-only", "err-%"); e > 15 {
 		t.Fatalf("stream/source error %.1f%%, want small", e)
 	}
 	// (b) Target-only fails under the flood.
-	if e := byKey["stream+stream/target-only"].Error; e < 30 {
+	if e := cell(t, tbl, "stream+stream / target-only", "err-%"); e < 30 {
 		t.Fatalf("stream/target error %.1f%%, want large", e)
 	}
 	// (c) Source-only fails for the latency-sensitive chaser...
-	srcCh := byKey["chaser+stream/source-only"]
-	if srcCh.ShareHi > 0.70 {
-		t.Fatalf("chaser/source share %.2f, should fall short of 0.75", srcCh.ShareHi)
+	if hi := cell(t, tbl, "chaser+stream / source-only", "share-hi"); hi > 0.70 {
+		t.Fatalf("chaser/source share %.2f, should fall short of 0.75", hi)
 	}
 	// (d) ...while target-only lifts the chaser well above the
 	// unregulated level by cutting its queueing latency.
-	tgtCh := byKey["chaser+stream/target-only"]
-	if tgtCh.ShareHi < 0.35 {
-		t.Fatalf("chaser/target share %.2f, want the arbiter to help", tgtCh.ShareHi)
+	if hi := cell(t, tbl, "chaser+stream / target-only", "share-hi"); hi < 0.35 {
+		t.Fatalf("chaser/target share %.2f, want the arbiter to help", hi)
 	}
 }
 
 func TestFig7PABSTTracksBest(t *testing.T) {
-	_, results, err := Fig7(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	best := map[MixKind]float64{}
-	var pabstErr = map[MixKind]float64{}
-	for _, r := range results {
-		if r.Mode == pabst.ModePABST {
-			pabstErr[r.Mix] = r.Error
+	tbl, specs, _ := runQuick(t, registered(t, "fig7"))
+	best := map[string]float64{} // bench -> best single-sided error
+	pabstErr := map[string]float64{}
+	for i, rs := range specs {
+		e := tbl.Rows[i].Values["err-%"]
+		if rs.Mode == "pabst" {
+			pabstErr[rs.Bench] = e
 			continue
 		}
-		if cur, ok := best[r.Mix]; !ok || r.Error < cur {
-			best[r.Mix] = r.Error
+		if cur, ok := best[rs.Bench]; !ok || e < cur {
+			best[rs.Bench] = e
 		}
+	}
+	if len(pabstErr) != 2 {
+		t.Fatalf("fig7 has PABST rows for %d mixes, want 2", len(pabstErr))
 	}
 	for mix, pe := range pabstErr {
 		// PABST must track (or beat) the better single-sided regulator,
@@ -68,7 +103,7 @@ func TestFig7PABSTTracksBest(t *testing.T) {
 }
 
 func TestFig5ProportionalAllocation(t *testing.T) {
-	r, err := Fig5(Quick())
+	r, err := Fig5Series(Quick())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,16 +177,14 @@ func TestFig9MemcachedIsolation(t *testing.T) {
 
 func TestFig10IsolationShapes(t *testing.T) {
 	// A bandwidth-limited and a latency-limited workload suffice to pin
-	// the shape; the full grid runs in the bench harness and CLI.
-	r, err := Fig10(Quick(), []string{"libquantum", "sphinx3"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range r.Workloads {
-		none := r.Cells[w][pabst.ModeNone].WeightedSlowdown
-		pb := r.Cells[w][pabst.ModePABST].WeightedSlowdown
-		src := r.Cells[w][pabst.ModeSourceOnly].WeightedSlowdown
-		tgt := r.Cells[w][pabst.ModeTargetOnly].WeightedSlowdown
+	// the shape; the full grid runs in the CLI and the benchmark.
+	workloads := []string{"libquantum", "sphinx3"}
+	tbl, _, _ := runQuick(t, NewIsolationExperiment("fig10", "", workloads, false))
+	for _, w := range workloads {
+		none := cell(t, tbl, w, "none")
+		pb := cell(t, tbl, w, "pabst")
+		src := cell(t, tbl, w, "source-only")
+		tgt := cell(t, tbl, w, "target-only")
 		if none < 1.5 {
 			t.Fatalf("%s: baseline slowdown %.2f, aggressor too weak", w, none)
 		}
@@ -171,12 +204,9 @@ func TestFig10IsolationShapes(t *testing.T) {
 }
 
 func TestFig12EfficiencyShapes(t *testing.T) {
-	r, err := Fig10(Quick(), []string{"libquantum"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	none := r.Cells["libquantum"][pabst.ModeNone].Efficiency
-	pb := r.Cells["libquantum"][pabst.ModePABST].Efficiency
+	tbl, _, _ := runQuick(t, NewIsolationExperiment("fig12", "", []string{"libquantum"}, true))
+	none := cell(t, tbl, "libquantum", "none")
+	pb := cell(t, tbl, "libquantum", "pabst")
 	if none < 0.9 {
 		t.Fatalf("baseline efficiency %.2f, should be high with a streaming aggressor", none)
 	}
@@ -189,15 +219,13 @@ func TestFig12EfficiencyShapes(t *testing.T) {
 }
 
 func TestFig11WorkConservingFairness(t *testing.T) {
-	cells, err := Fig11(Quick(), []string{"sphinx3", "omnetpp"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range cells {
+	workloads := []string{"sphinx3", "omnetpp"}
+	tbl, _, _ := runQuick(t, NewFig11Experiment(workloads))
+	for _, w := range workloads {
 		// Latency-limited workloads gain the most from consolidation on
 		// full-speed DRAM vs the quarter-frequency static machine.
-		if c.Improvement < 10 {
-			t.Fatalf("%s: improvement %.1f%%, want the work-conserving win", c.Workload, c.Improvement)
+		if imp := cell(t, tbl, w, "improve-%"); imp < 10 {
+			t.Fatalf("%s: improvement %.1f%%, want the work-conserving win", w, imp)
 		}
 	}
 }

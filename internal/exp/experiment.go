@@ -173,9 +173,9 @@ func RunExperiment(ctx context.Context, e Experiment, scale string, ex Exec, par
 }
 
 // execFor adapts a fully-resolved Scale into the (Exec, scale-name)
-// pair the seam consumes — the bridge the deprecated wrappers and
-// single-scale CLI paths use. The scale registers under its own name
-// ("custom" when anonymous), so specs resolve back to exactly it.
+// pair the seam consumes — the bridge the single-scale CLI paths use.
+// The scale registers under its own name ("custom" when anonymous), so
+// specs resolve back to exactly it.
 func execFor(sc Scale) (Exec, string) {
 	name := sc.Name
 	if name == "" {
@@ -196,10 +196,4 @@ func execFor(sc Scale) (Exec, string) {
 func RunExperimentScale(ctx context.Context, e Experiment, sc Scale, cache *RunCache) (*Table, []RunSpec, []RunResult, error) {
 	ex, name := execFor(sc)
 	return RunExperiment(ctx, e, name, ex, sc.Parallel, cache)
-}
-
-// runExperimentScale is the deprecated wrappers' path: background
-// context, per-call cache so intra-experiment spec overlap still dedups.
-func runExperimentScale(e Experiment, sc Scale) (*Table, []RunSpec, []RunResult, error) {
-	return RunExperimentScale(context.Background(), e, sc, NewRunCache())
 }

@@ -167,32 +167,6 @@ func TestExperimentSharedCacheDedup(t *testing.T) {
 	}
 }
 
-// TestRunExperimentMatchesWrapper: the registry path and the deprecated
-// wrapper produce identical tables for the regulation grid — the
-// wrapper really is a thin adapter over the same seam.
-func TestRunExperimentMatchesWrapper(t *testing.T) {
-	sc := tinyGoldenScale()
-	sc.Parallel = 4
-	e, err := ExperimentByName("fig1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tReg, _, _, err := runExperimentScale(e, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tWrap, cells, err := Fig1(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tReg.String() != tWrap.String() {
-		t.Fatalf("registry table:\n%s\nwrapper table:\n%s", tReg, tWrap)
-	}
-	if len(cells) != 4 {
-		t.Fatalf("fig1 wrapper returned %d cells, want 4", len(cells))
-	}
-}
-
 // repeatExperiment asks for the same spec k times.
 type repeatExperiment struct{ k int }
 

@@ -26,7 +26,7 @@ func (e *expDef) Reduce(s []RunSpec, r []RunResult) (*Table, error) {
 // modeNames is the paper's comparison order, as ParseMode selectors.
 var modeNames = []string{"none", "source-only", "target-only", "pabst"}
 
-// regulationMixes maps the Figure 1 benches to their legacy mix labels.
+// regulationMixes maps the Figure 1 benches to their row labels.
 var regulationMixes = []struct {
 	bench string
 	label string
@@ -44,6 +44,13 @@ func shareErrorAt(entitled, hi, lo float64) float64 {
 	return (eHi + eLo) / 2 * 100
 }
 
+func abs(v float64) float64 {
+	if v < 0 {
+		return -v
+	}
+	return v
+}
+
 // regulationSpecs builds the Figure 1/7 grid: each mix under each mode.
 func regulationSpecs(scale string, modes []string) []RunSpec {
 	var specs []RunSpec
@@ -55,7 +62,7 @@ func regulationSpecs(scale string, modes []string) []RunSpec {
 	return specs
 }
 
-// regulationReduce renders the grid in the legacy Figure 1 layout.
+// regulationReduce renders the grid in the Figure 1 layout.
 func regulationReduce(title string) func([]RunSpec, []RunResult) (*Table, error) {
 	return func(specs []RunSpec, results []RunResult) (*Table, error) {
 		t := &Table{
@@ -98,8 +105,8 @@ func isolationSpecs(scale string, workloads []string) []RunSpec {
 	return specs
 }
 
-// isolationFromRuns reconstructs the legacy IsolationResult from an
-// executed isolationSpecs grid.
+// isolationFromRuns assembles the IsolationResult from an executed
+// isolationSpecs grid.
 func isolationFromRuns(specs []RunSpec, results []RunResult) (*IsolationResult, error) {
 	per := 1 + len(modeNames)
 	if len(specs)%per != 0 || len(specs) != len(results) {
@@ -217,8 +224,8 @@ func NewFig11Experiment(workloads []string) Experiment {
 	}
 }
 
-// faultsFromRuns reconstructs the legacy FaultsResult from the two-arm
-// spec list ([clean, faulted]). Report.Injected stays nil — the seam
+// faultsFromRuns assembles the FaultsResult from the two-arm spec
+// list ([clean, faulted]). Report.Injected stays nil — the seam
 // carries the scalar counters (RunResult.Faults), which is all the
 // table and the robustness gates consume.
 func faultsFromRuns(specs []RunSpec, results []RunResult) (*FaultsResult, error) {
@@ -297,8 +304,13 @@ func ParetoFromRuns(specs []RunSpec, results []RunResult) ([]ParetoPoint, error)
 	return points, nil
 }
 
-// paretoTable renders points in the legacy RunPolicyPareto layout.
-func paretoTable(points []ParetoPoint) *Table {
+// paretoReduce renders an executed pareto grid one row per (pair,
+// load), frontier marked.
+func paretoReduce(specs []RunSpec, results []RunResult) (*Table, error) {
+	points, err := ParetoFromRuns(specs, results)
+	if err != nil {
+		return nil, err
+	}
 	t := &Table{
 		Title:   "Cross-policy Pareto: share fidelity vs p99 tail latency (7:3 streams)",
 		Columns: []string{"load", "share-hi", "err-%", "p99-hi", "bus-util", "frontier"},
@@ -320,7 +332,7 @@ func paretoTable(points []ParetoPoint) *Table {
 			},
 		})
 	}
-	return t
+	return t, nil
 }
 
 func init() {
@@ -364,6 +376,12 @@ func init() {
 	RegisterExperiment(NewIsolationExperiment("fig12",
 		"memory efficiency under QoS for each SPEC proxy vs the aggressor", nil, true))
 	RegisterExperiment(NewFig11Experiment(nil))
+	// The ext-* experiments go beyond the paper's evaluation, exercising
+	// the discussion-section design points this library also implements:
+	// the non-work-conserving static limiter baseline (Related Work), the
+	// per-controller saturation alternative (Section III-C1), the
+	// heterogeneous intra-class allocation extension (Section V-B), and
+	// the contention-modeled mesh against the paper's latency-only fabric.
 	RegisterExperiment(&expDef{
 		name: "ext-static",
 		desc: "work conservation vs a static source limiter on the periodic mix",
@@ -374,13 +392,20 @@ func init() {
 			}
 		},
 		reduce: func(specs []RunSpec, results []RunResult) (*Table, error) {
+			// BPC[1] is the constant 30% class: pinned under the static
+			// limiter, free to soak up the periodic class's idle phases
+			// under PABST.
 			cfg := pabst.Default32Config()
-			r := &ExtStaticResult{
-				StaticBpc: results[0].BPC[1],
-				PABSTBpc:  results[1].BPC[1],
-				PeakBpc:   cfg.PeakBytesPerCycle(),
+			peak := cfg.PeakBytesPerCycle()
+			t := &Table{
+				Title:   "Extension: work conservation vs a static source limiter (constant 30% class)",
+				Columns: []string{"B/cyc", "frac-of-peak"},
 			}
-			return r.Table(), nil
+			for i, label := range []string{"static limiter", "PABST"} {
+				bpc := results[i].BPC[1]
+				t.Rows = append(t.Rows, Row{Label: label, Values: map[string]float64{"B/cyc": bpc, "frac-of-peak": bpc / peak}})
+			}
+			return t, nil
 		},
 	})
 	RegisterExperiment(&expDef{
@@ -393,8 +418,21 @@ func init() {
 			}
 		},
 		reduce: func(specs []RunSpec, results []RunResult) (*Table, error) {
-			r := &ExtSkewResult{GlobalUtil: results[0].MCUtil, PerMCUtil: results[1].MCUtil}
-			return r.Table(), nil
+			t := &Table{
+				Title:   "Extension: per-MC governors under channel-skewed traffic (bus utilization)",
+				Columns: []string{"global-SAT", "per-MC-SAT"},
+			}
+			for i := range results[0].MCUtil {
+				label := "channel 0 (hot)"
+				if i > 0 {
+					label = "channel " + string(rune('0'+i))
+				}
+				t.Rows = append(t.Rows, Row{Label: label, Values: map[string]float64{
+					"global-SAT": results[0].MCUtil[i],
+					"per-MC-SAT": results[1].MCUtil[i],
+				}})
+			}
+			return t, nil
 		},
 	})
 	RegisterExperiment(&expDef{
@@ -407,8 +445,14 @@ func init() {
 			}
 		},
 		reduce: func(specs []RunSpec, results []RunResult) (*Table, error) {
-			r := &ExtHeteroResult{EvenBpc: results[0].BPC[0], HeteroBpc: results[1].BPC[0]}
-			return r.Table(), nil
+			t := &Table{
+				Title:   "Extension: heterogeneous intra-class allocation (one busy thread of 16)",
+				Columns: []string{"class-B/cyc"},
+			}
+			for i, label := range []string{"even split (paper baseline)", "demand feedback (Section V-B)"} {
+				t.Rows = append(t.Rows, Row{Label: label, Values: map[string]float64{"class-B/cyc": results[i].BPC[0]}})
+			}
+			return t, nil
 		},
 	})
 	RegisterExperiment(&expDef{
@@ -422,30 +466,28 @@ func init() {
 			}
 		},
 		reduce: func(specs []RunSpec, results []RunResult) (*Table, error) {
-			labels := []string{"latency-only (paper)", "modeled, 16 B/cyc links", "modeled, 1 B/cyc links"}
-			var r ExtNoCResult
-			for i, res := range results {
-				r.Rows = append(r.Rows, ExtNoCRow{Label: labels[i], ShareHi: res.ShareHi, TotalBpc: res.TotalBPC})
+			t := &Table{
+				Title:   "Extension: interconnect provisioning (7:3 allocation under three fabrics)",
+				Columns: []string{"share-hi", "total-B/cyc"},
 			}
-			return r.Table(), nil
+			for i, label := range []string{"latency-only (paper)", "modeled, 16 B/cyc links", "modeled, 1 B/cyc links"} {
+				t.Rows = append(t.Rows, Row{Label: label, Values: map[string]float64{
+					"share-hi": results[i].ShareHi, "total-B/cyc": results[i].TotalBPC,
+				}})
+			}
+			return t, nil
 		},
 	})
 	RegisterExperiment(NewFaultsExperiment("sat-partition"))
 	RegisterExperiment(&expDef{
-		name: "pareto",
-		desc: "cross-policy share fidelity vs p99 tail latency, frontier marked",
-		spec: paretoSpecs,
-		reduce: func(specs []RunSpec, results []RunResult) (*Table, error) {
-			points, err := ParetoFromRuns(specs, results)
-			if err != nil {
-				return nil, err
-			}
-			return paretoTable(points), nil
-		},
+		name:   "pareto",
+		desc:   "cross-policy share fidelity vs p99 tail latency, frontier marked",
+		spec:   paretoSpecs,
+		reduce: paretoReduce,
 	})
 }
 
-// fig11FromRuns reconstructs the Figure 11 cells from the
+// fig11FromRuns assembles the Figure 11 cells from the
 // [shared, static] spec pairs.
 func fig11FromRuns(specs []RunSpec, results []RunResult) ([]Fig11Cell, error) {
 	if len(specs)%2 != 0 || len(specs) != len(results) {

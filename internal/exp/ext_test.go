@@ -3,12 +3,9 @@ package exp
 import "testing"
 
 func TestExtStaticShowsWorkConservationGain(t *testing.T) {
-	r, err := ExtStatic(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl, _, _ := runQuick(t, registered(t, "ext-static"))
 	// The static limiter pins the constant class at ~30% of peak.
-	if frac := r.StaticBpc / r.PeakBpc; frac < 0.2 || frac > 0.42 {
+	if frac := cell(t, tbl, "static limiter", "frac-of-peak"); frac < 0.2 || frac > 0.42 {
 		t.Fatalf("static limiter pinned the class at %.2f of peak, want ~0.30", frac)
 	}
 	// PABST's time average must be clearly higher (half the time the
@@ -17,24 +14,21 @@ func TestExtStaticShowsWorkConservationGain(t *testing.T) {
 	// governors' post-toggle re-convergence eats a visible slice of every
 	// idle phase — the converged gain (~1.6x at 60-epoch phases) shows
 	// here as ~1.3x.
-	if r.PABSTBpc < 1.2*r.StaticBpc {
-		t.Fatalf("PABST %.1f vs static %.1f B/cyc: too little work-conservation gain",
-			r.PABSTBpc, r.StaticBpc)
+	static, pb := cell(t, tbl, "static limiter", "B/cyc"), cell(t, tbl, "PABST", "B/cyc")
+	if pb < 1.2*static {
+		t.Fatalf("PABST %.1f vs static %.1f B/cyc: too little work-conservation gain", pb, static)
 	}
 }
 
 func TestExtSkewLiftsColdChannels(t *testing.T) {
-	r, err := ExtSkew(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.GlobalUtil) != 4 || len(r.PerMCUtil) != 4 {
-		t.Fatalf("expected 4 channels, got %d/%d", len(r.GlobalUtil), len(r.PerMCUtil))
+	tbl, _, _ := runQuick(t, registered(t, "ext-skew"))
+	if len(tbl.Rows) != 4 {
+		t.Fatalf("expected 4 channels, got %d", len(tbl.Rows))
 	}
 	var coldG, coldP float64
-	for i := 1; i < 4; i++ {
-		coldG += r.GlobalUtil[i]
-		coldP += r.PerMCUtil[i]
+	for _, r := range tbl.Rows[1:] {
+		coldG += r.Values["global-SAT"]
+		coldP += r.Values["per-MC-SAT"]
 	}
 	if coldP < coldG+0.2 {
 		t.Fatalf("per-MC governors lifted cold channels only %.2f -> %.2f (sum)", coldG, coldP)
@@ -42,11 +36,10 @@ func TestExtSkewLiftsColdChannels(t *testing.T) {
 }
 
 func TestExtHeteroLiftsBusyThread(t *testing.T) {
-	r, err := ExtHetero(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.HeteroBpc < 2*r.EvenBpc {
-		t.Fatalf("demand feedback lifted the class only %.1f -> %.1f B/cyc", r.EvenBpc, r.HeteroBpc)
+	tbl, _, _ := runQuick(t, registered(t, "ext-hetero"))
+	even := cell(t, tbl, "even split (paper baseline)", "class-B/cyc")
+	hetero := cell(t, tbl, "demand feedback (Section V-B)", "class-B/cyc")
+	if hetero < 2*even {
+		t.Fatalf("demand feedback lifted the class only %.1f -> %.1f B/cyc", even, hetero)
 	}
 }

@@ -30,22 +30,6 @@ type FaultsResult struct {
 	FaultsInjected uint64
 }
 
-// Faults runs the Figure 5 scenario clean and under the named fault
-// plan (a preset or a JSON path) and reports shares, allocation error,
-// injected-fault counts, and the governors' degradation activity.
-//
-// Deprecated: run the "faults" registry experiment (or
-// NewFaultsExperiment for a non-default plan); this wrapper only adapts
-// its output to the legacy result type.
-func Faults(scale Scale, planName string) (*FaultsResult, error) {
-	e := NewFaultsExperiment(planName)
-	_, specs, results, err := runExperimentScale(e, scale)
-	if err != nil {
-		return nil, err
-	}
-	return faultsFromRuns(specs, results)
-}
-
 // Table renders the clean-vs-faulted comparison plus the degradation
 // counters.
 func (r *FaultsResult) Table() *Table {

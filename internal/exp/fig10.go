@@ -1,10 +1,6 @@
 package exp
 
-import (
-	"context"
-
-	"pabst"
-)
+import "pabst"
 
 // IsolationCell is one (workload, mode) measurement of the Figure 10/12
 // experiment: 16 cores of a SPEC proxy co-run with a 16-core stream
@@ -28,20 +24,6 @@ type IsolationResult struct {
 	IsolatedEfficiency map[string]float64
 }
 
-// RunIsolationWorkload measures one SPEC workload: the isolated reference
-// run plus every regulation mode against the aggressor.
-//
-// Deprecated: run the "fig10"/"fig12" registry experiments (or
-// NewIsolationExperiment for a custom workload list); this wrapper runs
-// the one-workload grid through the same seam.
-func RunIsolationWorkload(scale Scale, name string) (map[pabst.Mode]IsolationCell, []float64, float64, error) {
-	res, err := runIsolation(scale, []string{name})
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return res.Cells[name], res.IsolatedIPC[name], res.IsolatedEfficiency[name], nil
-}
-
 func weightedSlowdown(iso, co []float64) float64 {
 	var speedup float64
 	n := 0
@@ -56,39 +38,6 @@ func weightedSlowdown(iso, co []float64) float64 {
 		return 0
 	}
 	return float64(n) / speedup
-}
-
-// runIsolation executes the isolation grid for a workload list under
-// one resolved scale and reassembles the legacy result.
-func runIsolation(scale Scale, workloads []string) (*IsolationResult, error) {
-	if len(workloads) == 0 {
-		workloads = pabst.SpecNames()
-	}
-	ex, name := execFor(scale)
-	specs := isolationSpecs(name, workloads)
-	results := make([]RunResult, len(specs))
-	err := ForEach(scale.Parallel, len(specs), func(i int) error {
-		r, err := specs[i].Run(context.Background(), ex, RunIO{})
-		if err != nil {
-			return err
-		}
-		results[i] = r
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return isolationFromRuns(specs, results)
-}
-
-// Fig10 reproduces Figure 10 (weighted slowdown per workload and mode)
-// and collects the Figure 12 efficiency data alongside.
-//
-// Deprecated: run the "fig10" registry experiment (share a RunCache
-// with "fig12" to reuse the grid); this wrapper only adapts its output
-// to the legacy result type.
-func Fig10(scale Scale, workloads []string) (*IsolationResult, error) {
-	return runIsolation(scale, workloads)
 }
 
 // SlowdownTable renders the Figure 10 grid.

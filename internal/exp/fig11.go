@@ -1,11 +1,5 @@
 package exp
 
-import (
-	"context"
-
-	"pabst"
-)
-
 // Fig11Cell is one workload's IaaS comparison: four equal-share classes
 // under work-conserving PABST versus a static quarter-bandwidth machine.
 type Fig11Cell struct {
@@ -14,39 +8,6 @@ type Fig11Cell struct {
 	SharedIPC   float64 // mean class IPC, 4x8 cores under PABST at 25% each
 	StaticIPC   float64 // 8 cores isolated with DDR slowed 4x
 	Improvement float64 // SharedIPC/StaticIPC - 1, in percent
-}
-
-// Fig11 reproduces Figure 11: a consolidated IaaS host with four equal
-// 25% classes (8 CPUs each, all running the same SPEC proxy) compared to
-// a static allocation approximated by an isolated 8-CPU run at DDR/4
-// frequency. Work conservation should deliver a 15-90% improvement.
-//
-// Deprecated: run the "fig11" registry experiment; this wrapper only
-// adapts its output to the legacy result type.
-func Fig11(scale Scale, workloads []string) ([]Fig11Cell, error) {
-	if len(workloads) == 0 {
-		workloads = pabst.SpecNames()
-	}
-	ex, name := execFor(scale)
-	var specs []RunSpec
-	for _, w := range workloads {
-		specs = append(specs,
-			RunSpec{Bench: BenchIaaS, Scale: name, Workload: w},
-			RunSpec{Bench: BenchIaaSStatic, Scale: name, Workload: w, Mode: "none"})
-	}
-	results := make([]RunResult, len(specs))
-	err := ForEach(scale.Parallel, len(specs), func(i int) error {
-		r, err := specs[i].Run(context.Background(), ex, RunIO{})
-		if err != nil {
-			return err
-		}
-		results[i] = r
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return fig11FromRuns(specs, results)
 }
 
 func vmName(i int) string {

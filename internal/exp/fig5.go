@@ -88,12 +88,6 @@ func Fig5Series(scale Scale) (*SeriesResult, error) {
 	return res, nil
 }
 
-// Fig5 is the legacy name of the cold-start convergence series.
-//
-// Deprecated: call Fig5Series (the same measurement), or run the "fig5"
-// registry experiment for the warmed steady-state table.
-func Fig5(scale Scale) (*SeriesResult, error) { return Fig5Series(scale) }
-
 // Table renders the series summary (the full series is available in
 // Points for plotting).
 func (r *SeriesResult) Table(title string) *Table {

@@ -87,29 +87,6 @@ func RunPolicyPoint(scale Scale, pair PolicyPair, load int) (ParetoPoint, error)
 	return p, nil
 }
 
-// RunPolicyPareto sweeps every ParetoPairs mechanism across the
-// ParetoLoads utilization axis and marks each load's Pareto frontier on
-// (share fidelity, hi-class p99 tail latency).
-//
-// Deprecated: run the "pareto" registry experiment (RunExperiment +
-// ParetoFromRuns); this wrapper only adapts its output to the legacy
-// (table, points) pair.
-func RunPolicyPareto(scale Scale) (*Table, []ParetoPoint, error) {
-	e, err := ExperimentByName("pareto")
-	if err != nil {
-		return nil, nil, err
-	}
-	t, specs, results, err := runExperimentScale(e, scale)
-	if err != nil {
-		return nil, nil, err
-	}
-	points, err := ParetoFromRuns(specs, results)
-	if err != nil {
-		return nil, nil, err
-	}
-	return t, points, nil
-}
-
 // markFrontier flags, within each load group, the points no other point
 // dominates on (ShareErr, P99Hi) — lower is better on both axes.
 func markFrontier(points []ParetoPoint) {

@@ -38,18 +38,6 @@ func TestFig11TableRenders(t *testing.T) {
 	}
 }
 
-func TestMixKindString(t *testing.T) {
-	if MixStreamStream.String() != "stream+stream" || MixChaserStream.String() != "chaser+stream" {
-		t.Fatal("mix names wrong")
-	}
-}
-
-func TestRunRegulationRejectsUnknownMix(t *testing.T) {
-	if _, err := RunRegulation(Quick(), MixKind(99), 0); err == nil {
-		t.Fatal("unknown mix accepted")
-	}
-}
-
 func TestSeriesResultTable(t *testing.T) {
 	r := &SeriesResult{
 		Classes:      []string{"a", "b"},
@@ -61,21 +49,34 @@ func TestSeriesResultTable(t *testing.T) {
 	}
 }
 
+// TestExtTablesRender reduces synthetic results through each ext-*
+// experiment, pinning the row labels and titles the claim tests and
+// EXPERIMENTS.md key on.
 func TestExtTablesRender(t *testing.T) {
-	st := (&ExtStaticResult{StaticBpc: 11, PABSTBpc: 17, PeakBpc: 36}).Table().String()
-	if !strings.Contains(st, "static limiter") {
-		t.Fatal("ext-static table broken")
-	}
-	sk := (&ExtSkewResult{GlobalUtil: []float64{0.8, 0.2}, PerMCUtil: []float64{0.8, 0.5}}).Table().String()
-	if !strings.Contains(sk, "channel 0 (hot)") || !strings.Contains(sk, "channel 1") {
-		t.Fatal("ext-skew table broken")
-	}
-	he := (&ExtHeteroResult{EvenBpc: 2, HeteroBpc: 5}).Table().String()
-	if !strings.Contains(he, "demand feedback") {
-		t.Fatal("ext-hetero table broken")
-	}
-	nc := (&ExtNoCResult{Rows: []ExtNoCRow{{Label: "x", ShareHi: 0.7, TotalBpc: 30}}}).Table().String()
-	if !strings.Contains(nc, "interconnect") {
-		t.Fatal("ext-noc table broken")
+	for _, tc := range []struct {
+		name    string
+		results []RunResult
+		want    []string
+	}{
+		{"ext-static", []RunResult{{BPC: []float64{20, 11}}, {BPC: []float64{15, 17}}},
+			[]string{"static limiter", "PABST", "11.000", "17.000"}},
+		{"ext-skew", []RunResult{{MCUtil: []float64{0.8, 0.2}}, {MCUtil: []float64{0.8, 0.5}}},
+			[]string{"channel 0 (hot)", "channel 1", "0.500"}},
+		{"ext-hetero", []RunResult{{BPC: []float64{2}}, {BPC: []float64{5}}},
+			[]string{"even split", "demand feedback", "5.000"}},
+		{"ext-noc", []RunResult{{ShareHi: 0.7, TotalBPC: 30}, {ShareHi: 0.69, TotalBPC: 29}, {ShareHi: 0.5, TotalBPC: 4}},
+			[]string{"interconnect", "latency-only (paper)", "modeled, 1 B/cyc links", "29.000"}},
+	} {
+		e := registered(t, tc.name)
+		tbl, err := e.Reduce(e.Spec("quick"), tc.results)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		s := tbl.String()
+		for _, want := range tc.want {
+			if !strings.Contains(s, want) {
+				t.Errorf("%s table missing %q:\n%s", tc.name, want, s)
+			}
+		}
 	}
 }

@@ -125,7 +125,6 @@ func ScreenedPolicyPareto(scale Scale) (*ScreenReport, *Table, error) {
 		Total:         len(ds),
 		Decisions:     ds,
 	}
-	ex, _ := execFor(scale)
 	var simSpecs []RunSpec
 	for _, d := range ds {
 		if d.Simulate {
@@ -135,24 +134,21 @@ func ScreenedPolicyPareto(scale Scale) (*ScreenReport, *Table, error) {
 	rep.Simulated = len(simSpecs)
 	rep.Skipped = rep.Total - rep.Simulated
 
-	results := make([]RunResult, len(simSpecs))
-	err = ForEach(scale.Parallel, len(simSpecs), func(i int) error {
-		r, err := simSpecs[i].Run(context.Background(), ex, RunIO{})
-		if err != nil {
-			return err
-		}
-		results[i] = r
-		return nil
-	})
+	// The surviving points run as an unregistered experiment: same
+	// dispatch, fingerprint grouping and reduction as the full "pareto".
+	e := &expDef{
+		name:   "screened-pareto",
+		spec:   func(string) []RunSpec { return simSpecs },
+		reduce: paretoReduce,
+	}
+	table, specs, results, err := RunExperimentScale(context.Background(), e, scale, nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	points, err := ParetoFromRuns(simSpecs, results)
-	if err != nil {
+	if rep.Points, err = ParetoFromRuns(specs, results); err != nil {
 		return nil, nil, err
 	}
-	rep.Points = points
-	return rep, paretoTable(points), nil
+	return rep, table, nil
 }
 
 // WriteScreenJSON serializes the screened sweep as indented JSON.

@@ -1,9 +1,6 @@
 package exp
 
-import (
-	"context"
-	"testing"
-)
+import "testing"
 
 // TestTwinAccuracyRegulationPoints: the analytical twin's share
 // predictions track the cycle simulator across the Figure 1 grid and
@@ -14,44 +11,28 @@ func TestTwinAccuracyRegulationPoints(t *testing.T) {
 	if testing.Short() {
 		t.Skip("five quick-scale simulations")
 	}
-	sc := Quick()
-	sc.Parallel = 5
-	ex, name := execFor(sc)
-	specs := regulationSpecs(name, []string{"source-only", "target-only"})
-	specs = append(specs, RunSpec{Bench: BenchStreams, Scale: name})
-
-	type point struct {
-		sim  RunResult
-		pred TwinPrediction
-	}
-	points := make([]point, len(specs))
-	err := ForEach(sc.Parallel, len(specs), func(i int) error {
-		sim, err := specs[i].Run(context.Background(), ex, RunIO{})
-		if err != nil {
-			return err
-		}
-		pred, err := PredictSpec(specs[i], ex)
-		if err != nil {
-			return err
-		}
-		points[i] = point{sim, pred}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The fig1 grid and the fig5 machine, through the claim tests' cache:
+	// TestFig1Shapes and TestFig7PABSTTracksBest simulate the same specs.
+	ex, _ := execFor(Quick())
+	_, specs, sims := runQuick(t, registered(t, "fig1"))
+	_, s5, r5 := runQuick(t, registered(t, "fig5"))
+	specs, sims = append(specs, s5...), append(sims, r5...)
 
 	var mean float64
-	for i, p := range points {
-		e := abs(p.pred.ShareHi - p.sim.ShareHi)
+	for i, rs := range specs {
+		pred, err := PredictSpec(rs, ex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := abs(pred.ShareHi - sims[i].ShareHi)
 		mean += e
 		t.Logf("%s mode=%q: sim share %.3f, twin %.3f (|err| %.3f, conf %.2f)",
-			specs[i].Bench, specs[i].Mode, p.sim.ShareHi, p.pred.ShareHi, e, p.pred.Confidence)
-		if !p.pred.Converged {
-			t.Errorf("%s mode=%q: twin fixed point did not converge", specs[i].Bench, specs[i].Mode)
+			rs.Bench, rs.Mode, sims[i].ShareHi, pred.ShareHi, e, pred.Confidence)
+		if !pred.Converged {
+			t.Errorf("%s mode=%q: twin fixed point did not converge", rs.Bench, rs.Mode)
 		}
 	}
-	mean /= float64(len(points))
+	mean /= float64(len(specs))
 	if mean > TwinShareTol {
 		t.Fatalf("mean twin share error %.4f exceeds tolerance %.2f", mean, TwinShareTol)
 	}

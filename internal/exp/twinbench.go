@@ -79,17 +79,24 @@ func TwinBenchSpecs(scale string) []RunSpec {
 // RunTwinBench simulates every validation point, predicts it with the
 // twin, and aggregates the divergence against the declared tolerances.
 func RunTwinBench(scale Scale) (*TwinBench, error) {
+	// The validation points run as an unregistered experiment, through
+	// RunExperiment like every other grid; folding them into TwinPoints
+	// needs the twin's predictions and happens below.
 	ex, name := execFor(scale)
-	specs := TwinBenchSpecs(name)
+	grid := &expDef{
+		name:   "twin-bench",
+		spec:   TwinBenchSpecs,
+		reduce: func([]RunSpec, []RunResult) (*Table, error) { return nil, nil },
+	}
+	_, specs, sims, err := RunExperiment(context.Background(), grid, name, ex, scale.Parallel, nil)
+	if err != nil {
+		return nil, err
+	}
 	points := make([]TwinPoint, len(specs))
-	err := ForEach(scale.Parallel, len(specs), func(i int) error {
-		sim, err := specs[i].Run(context.Background(), ex, RunIO{})
-		if err != nil {
-			return err
-		}
+	for i, sim := range sims {
 		pred, err := PredictSpec(specs[i], ex)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		p := TwinPoint{Spec: specs[i], Sim: sim, Pred: pred}
 		p.ShareAbsErr = abs(pred.ShareHi - sim.ShareHi)
@@ -100,10 +107,6 @@ func RunTwinBench(scale Scale) (*TwinBench, error) {
 			p.UtilRelErr = abs(pred.Util-sim.BusUtil) / sim.BusUtil
 		}
 		points[i] = p
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 
 	b := &TwinBench{

@@ -29,10 +29,10 @@ func TestValidateRejections(t *testing.T) {
 	bad := []Plan{
 		{SAT: SATPlan{DropProb: 1.5}},
 		{SAT: SATPlan{DropProb: -0.1}},
-		{SAT: SATPlan{DelayCycles: 900, DelayJitter: 200}},         // lag >= epoch
+		{SAT: SATPlan{DelayCycles: 900, DelayJitter: 200}},           // lag >= epoch
 		{SAT: SATPlan{PartTileLo: 4, PartTileHi: 2, PartToEpoch: 9}}, // inverted tiles
 		{SAT: SATPlan{PartTileHi: 2, PartFromEpoch: 9, PartToEpoch: 3}},
-		{DRAM: DRAMPlan{StallProb: 0.5}},  // prob without a duration
+		{DRAM: DRAMPlan{StallProb: 0.5}}, // prob without a duration
 		{DRAM: DRAMPlan{FreezeProb: 2.0, FreezeCycles: 10}},
 		{NoC: NoCPlan{DelayProb: 0.5}},
 		{NoC: NoCPlan{DropProb: 7}},

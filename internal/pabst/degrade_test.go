@@ -140,8 +140,8 @@ func TestResyncConvergesWithinBound(t *testing.T) {
 	reg.AttachCPU(c.ID)
 	p := degradeParams()
 
-	lag := NewGovernor(p, reg, c.ID)   // diverged low (was partitioned)
-	lead := NewGovernor(p, reg, c.ID)  // tracked the max M
+	lag := NewGovernor(p, reg, c.ID)  // diverged low (was partitioned)
+	lead := NewGovernor(p, reg, c.ID) // tracked the max M
 	for i := 0; i < 30; i++ {
 		lead.Epoch(hb(true))
 	}

@@ -126,7 +126,8 @@ func Scaled8Config() SystemConfig { return config.Scaled8() }
 // cols×rows mesh with the same per-tile hierarchy, memory channels
 // scaled with the tile count, and hierarchical SAT gossip so the epoch
 // heartbeat does not assume a single-hop broadcast at mesh scale. It is
-// the scaling-study configuration behind `make bench-scale`.
+// the configuration of the benchmark's idle256 workload and of
+// TestEventKernelMeshScaled.
 func MeshScaledConfig(cols, rows int) SystemConfig { return config.MeshScaled(cols, rows) }
 
 // LoadConfig reads and validates a JSON system configuration.
