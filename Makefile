@@ -32,8 +32,15 @@ check: build lint-docs
 robust: bench-policies bench-twin serve-smoke
 	$(GO) test -race ./...
 
+# Micro-benchmarks. One iteration of everything shows each still runs;
+# the packages on the per-access and per-cycle memory path then get five
+# full samples with allocation counts, so host-cache effects
+# (BenchmarkAccessColdSets) and the 0 allocs/op of those paths are
+# readable rather than one noisy number. End-to-end numbers come from
+# the repository benchmark (`go run -C bench .`), not from here.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
+	$(GO) test -bench=. -benchmem -count=5 -run='^$$' ./internal/cache ./internal/dram ./internal/sim
 
 # Sweep-service gate. Runs the control plane end to end over real HTTP
 # — submit a batch, complete, drain, journal compacts to empty — and

@@ -43,3 +43,30 @@ func BenchmarkWriteback(b *testing.B) {
 		c.Writeback(mem.Addr((i%4096)*mem.LineSize), 0)
 	}
 }
+
+// BenchmarkAccessColdSets walks L1 -> L2 -> L3 slice the way a simulated
+// miss does, over the arrays of a 256-tile machine, with tile and set
+// strides that leave nothing in the host's caches between visits: what
+// it times is host misses on the tag and timestamp arrays, which the
+// benchmarks above (one hot line, sequential sets) cannot see.
+func BenchmarkAccessColdSets(b *testing.B) {
+	type tile struct{ l1, l2, l3 *Cache }
+	var tiles [256]tile
+	for i := range tiles {
+		tiles[i] = tile{
+			l1: New(Config{SizeBytes: 32 * 1024, Ways: 8}),
+			l2: New(Config{SizeBytes: 256 * 1024, Ways: 8}),
+			l3: New(Config{SizeBytes: 512 * 1024, Ways: 16, IndexShift: 8}),
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t := &tiles[i*97%len(tiles)]
+		addr := mem.Addr(i * 7919 * mem.LineSize)
+		if t.l1.Access(addr, false, 0).Hit || t.l2.Access(addr, false, 0).Hit {
+			continue
+		}
+		t.l3.Access(addr, i%4 == 0, 0)
+	}
+}

@@ -20,13 +20,39 @@ type Config struct {
 	IndexShift uint
 }
 
-type line struct {
-	tag   uint64
-	class mem.ClassID
-	valid bool
-	dirty bool
-	used  uint64 // LRU timestamp
+// A line is one packed word: valid | dirty | class | line number, high
+// to low. A byte address is 64 bits and a line 2^LineShift bytes, so the
+// line number needs exactly lineBits and never truncates; the class
+// field holds any ClassID below mem.MaxClasses. The hit scan compares a
+// word under matchMask against validBit|lineID and so reads nothing but
+// the set's tags (one host cache line for an 8-way set). An invalid line
+// is the zero word.
+const (
+	lineBits   = 64 - mem.LineShift
+	classBits  = 4
+	classShift = lineBits
+	lineMask   = uint64(1)<<lineBits - 1
+	classMask  = uint64(1)<<classBits - 1
+	dirtyBit   = uint64(1) << 62
+	validBit   = uint64(1) << 63
+	matchMask  = validBit | lineMask
+)
+
+// The fields must not overlap and every class must fit its field.
+var (
+	_ [62 - lineBits - classBits]struct{}
+	_ [1<<classBits - mem.MaxClasses]struct{}
+)
+
+func pack(lineID uint64, class mem.ClassID, dirty bool) uint64 {
+	w := validBit | uint64(class)<<classShift | lineID
+	if dirty {
+		w |= dirtyBit
+	}
+	return w
 }
+
+func classOf(w uint64) mem.ClassID { return mem.ClassID(w >> classShift & classMask) }
 
 // Victim describes a line displaced by an allocation.
 type Victim struct {
@@ -47,12 +73,13 @@ type Result struct {
 type Cache struct {
 	cfg     Config
 	numSets int
-	lines   []line // numSets * ways, set-major
+	tags    []uint64 // numSets * ways packed lines, set-major
+	used    []uint64 // LRU timestamps, parallel to tags
 	clock   uint64
 
-	partitioned bool
-	partStart   [mem.MaxClasses]int
-	partWays    [mem.MaxClasses]int
+	// partWays[class] == 0 means the class is unrestricted.
+	partStart [mem.MaxClasses]int
+	partWays  [mem.MaxClasses]int
 
 	// Stats
 	Hits, Misses, Evictions, DirtyEvictions uint64
@@ -75,7 +102,8 @@ func New(cfg Config) *Cache {
 	return &Cache{
 		cfg:     cfg,
 		numSets: numSets,
-		lines:   make([]line, numSets*cfg.Ways),
+		tags:    make([]uint64, numSets*cfg.Ways),
+		used:    make([]uint64, numSets*cfg.Ways),
 	}
 }
 
@@ -93,13 +121,26 @@ func (c *Cache) Partition(class mem.ClassID, start, n int) {
 	if n < 0 || start < 0 || start+n > c.cfg.Ways {
 		panic(fmt.Sprintf("cache: partition [%d,%d) outside %d ways", start, start+n, c.cfg.Ways))
 	}
-	c.partitioned = true
 	c.partStart[class] = start
 	c.partWays[class] = n
 }
 
-func (c *Cache) setFor(addr mem.Addr) int {
-	return int((addr.LineID() >> c.cfg.IndexShift) % uint64(c.numSets))
+// setBase returns the index of the first way of lineID's set. numSets is
+// a power of two, so the set index is a mask.
+func (c *Cache) setBase(lineID uint64) int {
+	return int(lineID>>c.cfg.IndexShift&uint64(c.numSets-1)) * c.cfg.Ways
+}
+
+// find returns the index of addr's line in tags, or -1.
+func (c *Cache) find(addr mem.Addr) int {
+	id := addr.LineID()
+	base := c.setBase(id)
+	for i, w := range c.tags[base : base+c.cfg.Ways] {
+		if w&matchMask == validBit|id {
+			return base + i
+		}
+	}
+	return -1
 }
 
 // Access performs a demand load (write=false) or store (write=true) by
@@ -107,55 +148,49 @@ func (c *Cache) setFor(addr mem.Addr) int {
 // displaced victim, if any, is reported.
 func (c *Cache) Access(addr mem.Addr, write bool, class mem.ClassID) Result {
 	c.clock++
-	set := c.setFor(addr)
-	base := set * c.cfg.Ways
-	tag := addr.LineID()
-
-	// Hit path: search every way.
-	for i := 0; i < c.cfg.Ways; i++ {
-		l := &c.lines[base+i]
-		if l.valid && l.tag == tag {
-			l.used = c.clock
-			if write {
-				l.dirty = true
-			}
-			c.Hits++
-			return Result{Hit: true}
+	if i := c.find(addr); i >= 0 {
+		c.used[i] = c.clock
+		if write {
+			c.tags[i] |= dirtyBit
 		}
+		c.Hits++
+		return Result{Hit: true}
 	}
 	c.Misses++
 
-	// Victim selection within the class's allowed ways.
+	// Victim selection within the class's allowed ways: the first
+	// invalid way, else the least recently used.
+	id := addr.LineID()
 	start, n := 0, c.cfg.Ways
-	if c.partitioned && c.partWays[class] > 0 {
-		start, n = c.partStart[class], c.partWays[class]
+	if pw := c.partWays[class]; pw > 0 {
+		start, n = c.partStart[class], pw
 	}
-	victimIdx := base + start
-	for i := start; i < start+n; i++ {
-		l := &c.lines[base+i]
-		if !l.valid {
-			victimIdx = base + i
+	first := c.setBase(id) + start
+	v := first
+	for i := first; i < first+n; i++ {
+		if c.tags[i]&validBit == 0 {
+			v = i
 			break
 		}
-		if l.used < c.lines[victimIdx].used {
-			victimIdx = base + i
+		if c.used[i] < c.used[v] {
+			v = i
 		}
 	}
-	v := &c.lines[victimIdx]
 	res := Result{}
-	if v.valid {
+	if w := c.tags[v]; w&validBit != 0 {
 		c.Evictions++
-		if v.Dirty() {
+		dirty := w&dirtyBit != 0
+		if dirty {
 			c.DirtyEvictions++
 		}
-		res.Evicted = true
-		res.Victim = Victim{
-			Addr:  mem.Addr(c.reassemble(v.tag)),
-			Class: v.class,
-			Dirty: v.dirty,
-		}
+		res = Result{Evicted: true, Victim: Victim{
+			Addr:  mem.Addr(w & lineMask << mem.LineShift),
+			Class: classOf(w),
+			Dirty: dirty,
+		}}
 	}
-	*v = line{tag: tag, class: class, valid: true, dirty: write, used: c.clock}
+	c.tags[v] = pack(id, class, write)
+	c.used[v] = c.clock
 	return res
 }
 
@@ -165,35 +200,19 @@ func (c *Cache) Access(addr mem.Addr, write bool, class mem.ClassID) Result {
 // (write-no-allocate), leaving the caller to forward the data to memory.
 func (c *Cache) Writeback(addr mem.Addr, class mem.ClassID) bool {
 	c.clock++
-	set := c.setFor(addr)
-	base := set * c.cfg.Ways
-	tag := addr.LineID()
-	for i := 0; i < c.cfg.Ways; i++ {
-		l := &c.lines[base+i]
-		if l.valid && l.tag == tag {
-			l.dirty = true
-			l.used = c.clock
-			c.Hits++
-			return true
-		}
+	i := c.find(addr)
+	if i < 0 {
+		c.Misses++
+		return false
 	}
-	c.Misses++
-	return false
+	c.tags[i] |= dirtyBit
+	c.used[i] = c.clock
+	c.Hits++
+	return true
 }
 
 // Contains reports whether addr is resident, without touching LRU state.
-func (c *Cache) Contains(addr mem.Addr) bool {
-	set := c.setFor(addr)
-	base := set * c.cfg.Ways
-	tag := addr.LineID()
-	for i := 0; i < c.cfg.Ways; i++ {
-		l := &c.lines[base+i]
-		if l.valid && l.tag == tag {
-			return true
-		}
-	}
-	return false
-}
+func (c *Cache) Contains(addr mem.Addr) bool { return c.find(addr) >= 0 }
 
 // OccupancyByClass counts valid lines held by each class, the monitoring
 // feature existing QoS architectures expose for the shared cache. It
@@ -216,9 +235,9 @@ func (c *Cache) OccupancyInto(dst *[mem.MaxClasses]int) {
 	for i := range dst {
 		dst[i] = 0
 	}
-	for i := range c.lines {
-		if c.lines[i].valid {
-			dst[c.lines[i].class]++
+	for _, w := range c.tags {
+		if w&validBit != 0 {
+			dst[classOf(w)]++
 		}
 	}
 }
@@ -226,28 +245,8 @@ func (c *Cache) OccupancyInto(dst *[mem.MaxClasses]int) {
 // WaysOf reports the partition assigned to class; ok is false when the
 // class is unrestricted.
 func (c *Cache) WaysOf(class mem.ClassID) (start, n int, ok bool) {
-	if !c.partitioned || c.partWays[class] == 0 {
+	if c.partWays[class] == 0 {
 		return 0, 0, false
 	}
 	return c.partStart[class], c.partWays[class], true
 }
-
-// wayIndexOf locates addr and returns its way, or -1.
-func (c *Cache) wayIndexOf(addr mem.Addr) int {
-	set := c.setFor(addr)
-	base := set * c.cfg.Ways
-	tag := addr.LineID()
-	for i := 0; i < c.cfg.Ways; i++ {
-		l := &c.lines[base+i]
-		if l.valid && l.tag == tag {
-			return i
-		}
-	}
-	return -1
-}
-
-func (l *line) Dirty() bool { return l.dirty }
-
-// reassemble reconstructs a line-aligned byte address from a stored tag.
-// Tags are whole line numbers, so this is just the inverse of LineID.
-func (c *Cache) reassemble(tag uint64) uint64 { return tag << mem.LineShift }

@@ -1,13 +1,24 @@
 package cache
 
 import (
+	"errors"
+	"runtime"
 	"testing"
 	"testing/quick"
 
+	"pabst/internal/ckpt"
 	"pabst/internal/mem"
 )
 
 func lineAddr(i int) mem.Addr { return mem.Addr(i * mem.LineSize) }
+
+// wayIndexOf locates addr and returns its way, or -1.
+func (c *Cache) wayIndexOf(addr mem.Addr) int {
+	if i := c.find(addr); i >= 0 {
+		return i % c.cfg.Ways
+	}
+	return -1
+}
 
 func TestHitAfterFill(t *testing.T) {
 	c := New(Config{SizeBytes: 8 * 1024, Ways: 4})
@@ -206,4 +217,68 @@ func TestBadPartitionPanics(t *testing.T) {
 		}
 	}()
 	c.Partition(0, 2, 3)
+}
+
+// TestCacheBytesPerLine gates the host footprint of the paper machine's
+// largest array, one L3 slice: a packed tag word and an LRU timestamp,
+// 16 B a line. The line state is 87 % of a simulated machine's live heap,
+// so a third word per line is a 50 % regression of live_heap_mb.
+func TestCacheBytesPerLine(t *testing.T) {
+	cfg := Config{SizeBytes: 512 * 1024, Ways: 16, IndexShift: 5}
+	lines := cfg.SizeBytes / mem.LineSize
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c := New(cfg)
+	runtime.ReadMemStats(&after)
+	perLine := float64(after.TotalAlloc-before.TotalAlloc) / float64(lines)
+	if perLine > 16.5 {
+		t.Fatalf("cache.New allocates %.1f B per line, want <= 16 plus the Cache struct", perLine)
+	}
+	runtime.KeepAlive(c)
+}
+
+// TestRestoreRejectsUnpackable feeds RestoreState well-formed streams
+// (valid CRC) whose one line carries a field the packed word cannot
+// hold. A class >= mem.MaxClasses used to restore and then index out of
+// range in OccupancyInto.
+func TestRestoreRejectsUnpackable(t *testing.T) {
+	cfg := Config{SizeBytes: 2 * mem.LineSize, Ways: 2}
+	for _, tc := range []struct {
+		name  string
+		tag   uint64
+		class uint8
+		want  error
+	}{
+		{"largest line number and class", 1<<58 - 1, mem.MaxClasses - 1, nil},
+		{"class == MaxClasses", 7, mem.MaxClasses, ckpt.ErrCorrupt},
+		{"class 255", 7, 255, ckpt.ErrCorrupt},
+		{"line number 2^58", 1 << 58, 0, ckpt.ErrCorrupt},
+		{"line number with the valid bit", 1<<63 | 7, 0, ckpt.ErrCorrupt},
+	} {
+		c, err := restored(cfg, saved(t, saverFunc(func(w *ckpt.Writer) {
+			w.Int(2)
+			w.Bool(true)
+			w.U64(tc.tag)
+			w.U8(tc.class)
+			w.Bool(true) // dirty
+			w.U64(1)     // used
+			w.Bool(false)
+			for i := 0; i < 5; i++ { // clock and the four counters
+				w.U64(1)
+			}
+		})))
+		if !errors.Is(err, tc.want) {
+			t.Errorf("%s: restore error %v, want %v", tc.name, err, tc.want)
+		}
+		if tc.want != nil {
+			continue
+		}
+		var occ [mem.MaxClasses]int
+		c.OccupancyInto(&occ)
+		r := c.Access(lineAddr(1), false, 0) // fills the invalid way
+		r = c.Access(lineAddr(2), false, 0)  // evicts the restored line
+		if occ[tc.class] != 1 || r.Victim != (Victim{Addr: mem.Addr(tc.tag << mem.LineShift), Class: mem.ClassID(tc.class), Dirty: true}) {
+			t.Errorf("%s: occupancy %v, victim %+v", tc.name, occ, r.Victim)
+		}
+	}
 }

@@ -13,6 +13,14 @@
 // in-flight window it elides is small relative to the epoch and windowing
 // timescales PABST operates on.
 //
+// Host layout: a line is one packed uint64 (valid | dirty | class | line
+// number) in Cache.tags, its LRU timestamp a parallel word in Cache.used
+// — 16 B a line, and a lookup reads only the tags of one set. The line
+// arrays are most of a simulated machine's heap and Cache.Access its
+// hottest function; DESIGN.md "Host data layout" has the bit layout and
+// the measurements, reference_test.go the struct-per-line cache this
+// replaced, kept as the differential oracle.
+//
 // Main entry points: New builds a cache from a Config; Cache.Access is
 // the hit/miss/victim state machine; Cache.Partition installs a CAT way
 // range for a class. The soc package owns all instances and drives them

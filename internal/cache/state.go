@@ -11,17 +11,16 @@ import (
 // four stat counters. Partitions are structural (re-applied from the
 // config by the system's Finalize) and are not saved.
 func (c *Cache) SaveState(w *ckpt.Writer) {
-	w.Int(len(c.lines))
-	for i := range c.lines {
-		l := &c.lines[i]
-		w.Bool(l.valid)
-		if !l.valid {
+	w.Int(len(c.tags))
+	for i, t := range c.tags {
+		w.Bool(t&validBit != 0)
+		if t&validBit == 0 {
 			continue
 		}
-		w.U64(l.tag)
-		w.U8(uint8(l.class))
-		w.Bool(l.dirty)
-		w.U64(l.used)
+		w.U64(t & lineMask)
+		w.U8(uint8(classOf(t)))
+		w.Bool(t&dirtyBit != 0)
+		w.U64(c.used[i])
 	}
 	w.U64(c.clock)
 	w.U64(c.Hits)
@@ -31,23 +30,26 @@ func (c *Cache) SaveState(w *ckpt.Writer) {
 }
 
 // RestoreState implements ckpt.Restorer onto a cache with identical
-// geometry.
+// geometry. The stream is input from outside the program: a line number
+// or class that does not fit its field of the packed word is reported as
+// corruption, never masked into it.
 func (c *Cache) RestoreState(r *ckpt.Reader) {
-	if n := r.Int(); n != len(c.lines) {
-		r.Fail(fmt.Errorf("%w: cache has %d lines, checkpoint has %d", ckpt.ErrMismatch, len(c.lines), n))
+	if n := r.Int(); n != len(c.tags) {
+		r.Fail(fmt.Errorf("%w: cache has %d lines, checkpoint has %d", ckpt.ErrMismatch, len(c.tags), n))
 		return
 	}
-	for i := range c.lines {
-		l := &c.lines[i]
-		l.valid = r.Bool()
-		if !l.valid {
-			*l = line{}
+	for i := range c.tags {
+		if !r.Bool() {
+			c.tags[i], c.used[i] = 0, 0
 			continue
 		}
-		l.tag = r.U64()
-		l.class = mem.ClassID(r.U8())
-		l.dirty = r.Bool()
-		l.used = r.U64()
+		id, class, dirty := r.U64(), r.U8(), r.Bool()
+		if id > lineMask || class >= mem.MaxClasses {
+			r.Fail(fmt.Errorf("%w: cache line %d has line number %#x, class %d", ckpt.ErrCorrupt, i, id, class))
+			return
+		}
+		c.tags[i] = pack(id, mem.ClassID(class), dirty)
+		c.used[i] = r.U64()
 	}
 	c.clock = r.U64()
 	c.Hits = r.U64()

@@ -479,20 +479,19 @@ func (c *Controller) Tick(now uint64) {
 // dispatchToBanks is the two-stage front end: move the best-priority read
 // whose bank queue has room from the front-end queue into that bank's
 // queue (one dispatch per cycle). Each bank heap's top is its best
-// candidate, so the pick compares one node per non-full bank.
+// candidate, so the pick compares one node per occupied, non-full bank.
 func (c *Controller) dispatchToBanks(now uint64) {
 	f := c.fe
 	best := int32(-1)
-	for b := range c.banks {
-		if c.banks[b].queue.Len() >= c.cfg.BankQueueDepth {
-			continue
-		}
-		top := f.banks[b].all.top()
-		if top < 0 {
-			continue
-		}
-		if best < 0 || f.less(top, best) {
-			best = top
+	for wi, word := range f.occupied {
+		for ; word != 0; word &= word - 1 {
+			b := wi<<6 | bits.TrailingZeros64(word)
+			if c.banks[b].queue.Len() >= c.cfg.BankQueueDepth {
+				continue
+			}
+			if top := f.banks[b].all.items[0]; best < 0 || f.less(top, best) {
+				best = top
+			}
 		}
 	}
 	if best < 0 {
@@ -548,46 +547,47 @@ func (c *Controller) issueFromBanks(now uint64) {
 }
 
 // issueRead is the single-pool pick: at most one candidate per ready
-// bank (its open-row heap top if non-empty, else its all-heap top),
-// row hits first, then the scheduling order. This is bit-identical to
-// the old whole-queue scan — see the equivalence note in sched.go.
+// bank holding a read (its open-row heap top if non-empty, else its
+// all-heap top), row hits first, then the scheduling order. This is
+// bit-identical to the old whole-queue scan — see the equivalence note
+// in sched.go.
 func (c *Controller) issueRead(now uint64) {
 	f := c.fe
 	best := int32(-1)
 	bestHit := false
 	minDL := ^uint64(0) // earliest deadline among ready candidates
-	for b := range c.banks {
-		if c.banks[b].readyAt > now {
-			continue
-		}
-		bi := &f.banks[b]
-		top := bi.all.top()
-		if top < 0 {
-			continue
-		}
-		// Under EDF the all-heap top carries the bank's earliest
-		// deadline (the heap order is deadline-major).
-		if f.edf {
-			if dl := f.nodes[top].dl; dl < minDL {
-				minDL = dl
+	for wi, word := range f.occupied {
+		for ; word != 0; word &= word - 1 {
+			b := wi<<6 | bits.TrailingZeros64(word)
+			if c.banks[b].readyAt > now {
+				continue
 			}
-		}
-		cand, hit := top, false
-		if f.useHit {
-			if h := bi.hit.top(); h >= 0 {
-				cand, hit = h, true
+			bi := &f.banks[b]
+			top := bi.all.items[0]
+			// Under EDF the all-heap top carries the bank's earliest
+			// deadline (the heap order is deadline-major).
+			if f.edf {
+				if dl := f.nodes[top].dl; dl < minDL {
+					minDL = dl
+				}
 			}
-		}
-		switch {
-		case best < 0:
-			best, bestHit = cand, hit
-		case hit != bestHit:
-			if hit {
+			cand, hit := top, false
+			if f.useHit {
+				if h := bi.hit.top(); h >= 0 {
+					cand, hit = h, true
+				}
+			}
+			switch {
+			case best < 0:
 				best, bestHit = cand, hit
-			}
-		default:
-			if f.less(cand, best) {
-				best = cand
+			case hit != bestHit:
+				if hit {
+					best, bestHit = cand, hit
+				}
+			default:
+				if f.less(cand, best) {
+					best = cand
+				}
 			}
 		}
 	}

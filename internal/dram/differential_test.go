@@ -1,9 +1,11 @@
 package dram
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
+	"pabst/internal/ckpt"
 	"pabst/internal/mem"
 )
 
@@ -12,7 +14,11 @@ import (
 // carries the old scan code verbatim and runs in lockstep with the real
 // controller over randomized workloads; every service decision — packet
 // identity, service order, timing, and stats — must match for a million
-// cycles across scheduler × page-policy × organization variants.
+// cycles across scheduler × page-policy × organization variants. Along
+// the way the real controller is checkpointed and restored in place and
+// both sides have their scheduler switched with reads queued, and after
+// every step the occupied-bank bitmap the picks walk must mark exactly
+// the banks whose heap holds a read.
 
 // served records one completed transaction for comparison. Packet
 // pointers differ between the controllers, so identity is compared by
@@ -33,6 +39,46 @@ func (a *diffArbiter) OnAccept(pkt *mem.Packet, now uint64) {
 }
 func (a *diffArbiter) OnPick(pkt *mem.Packet, now uint64) {}
 
+// checkOccupied requires bit b of the front end's bitmap to be set iff
+// bank b's all-heap is non-empty, and returns the highest occupied bank.
+func checkOccupied(t *testing.T, mc *Controller, when string, now uint64) int {
+	t.Helper()
+	f := mc.fe
+	if len(f.occupied) != (len(f.banks)+63)/64 {
+		t.Fatalf("%d bitmap words for %d banks", len(f.occupied), len(f.banks))
+	}
+	high := -1
+	for b := range f.banks {
+		bit := f.occupied[b>>6]>>(b&63)&1 != 0
+		if has := len(f.banks[b].all.items) > 0; bit != has {
+			t.Fatalf("cycle %d, %s: bank %d occupied bit %v, heap holds %d reads", now, when, b, bit, len(f.banks[b].all.items))
+		} else if has {
+			high = b
+		}
+	}
+	return high
+}
+
+// restoreInPlace checkpoints the controller and restores it from those
+// bytes, which rebuilds the scheduling index from the linearized queues.
+func restoreInPlace(t *testing.T, mc *Controller) {
+	t.Helper()
+	var buf bytes.Buffer
+	w := ckpt.NewWriter(&buf, ckpt.Header{})
+	mc.SaveState(w)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := ckpt.NewReader(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc.RestoreState(r)
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestDifferentialSchedulerEquivalence drives the indexed controller and
 // the reference scan controller with identical randomized arrival,
 // stall, and freeze streams and requires identical service sequences.
@@ -42,22 +88,27 @@ func TestDifferentialSchedulerEquivalence(t *testing.T) {
 		sched  ReadSched
 		policy PagePolicy
 		bankQ  int
+		banks  int
 	}
 	variants := []variant{
-		{"edf-open-single", SchedEDF, OpenPage, 0},
-		{"edf-closed-single", SchedEDF, ClosedPage, 0},
-		{"fcfs-open-single", SchedFCFS, OpenPage, 0},
-		{"edf-open-twostage", SchedEDF, OpenPage, 3},
-		{"fcfs-open-twostage", SchedFCFS, OpenPage, 3},
-		{"fcfs-closed-single", SchedFCFS, ClosedPage, 0},
+		{"edf-open-single", SchedEDF, OpenPage, 0, 16},
+		{"edf-closed-single", SchedEDF, ClosedPage, 0, 16},
+		{"fcfs-open-single", SchedFCFS, OpenPage, 0, 16},
+		{"edf-open-twostage", SchedEDF, OpenPage, 3, 16},
+		{"fcfs-open-twostage", SchedFCFS, OpenPage, 3, 16},
+		{"fcfs-closed-single", SchedFCFS, ClosedPage, 0, 16},
+		// More banks than one bitmap word holds.
+		{"edf-closed-single-128banks", SchedEDF, ClosedPage, 0, 128},
+		{"edf-open-twostage-128banks", SchedEDF, OpenPage, 1, 128},
 	}
-	const cyclesPerVariant = 170_000 // x6 variants > 1M compared cycles
+	const cyclesPerVariant = 170_000 // x8 variants > 1M compared cycles
 	for vi, v := range variants {
 		v := v
 		t.Run(v.name, func(t *testing.T) {
 			cfg := testCfg()
 			cfg.Policy = v.policy
 			cfg.BankQueueDepth = v.bankQ
+			cfg.Banks = v.banks
 
 			var gotNew, gotRef []served
 			mc, err := NewController(0, cfg, func(p *mem.Packet, doneAt uint64) {
@@ -72,9 +123,12 @@ func TestDifferentialSchedulerEquivalence(t *testing.T) {
 			ref.SetOnWrite(func(p *mem.Packet) {
 				gotRef = append(gotRef, served{p.Issue, 0, false})
 			})
-			if v.sched == SchedEDF {
-				mc.SetScheduler(SchedEDF, &diffArbiter{rng: rand.New(rand.NewSource(int64(vi)))})
-				ref.SetScheduler(SchedEDF, &diffArbiter{rng: rand.New(rand.NewSource(int64(vi)))})
+			arbNew := &diffArbiter{rng: rand.New(rand.NewSource(int64(vi)))}
+			arbRef := &diffArbiter{rng: rand.New(rand.NewSource(int64(vi)))}
+			sched := v.sched
+			if sched == SchedEDF {
+				mc.SetScheduler(SchedEDF, arbNew)
+				ref.SetScheduler(SchedEDF, arbRef)
 			}
 			mc.SetReleaser(func(p *mem.Packet) {
 				gotNew = append(gotNew, served{p.Issue, 0, false})
@@ -82,6 +136,7 @@ func TestDifferentialSchedulerEquivalence(t *testing.T) {
 
 			rng := rand.New(rand.NewSource(42 + int64(vi)))
 			var tag uint64
+			highBank, reorders := -1, 0
 			for now := uint64(0); now < cyclesPerVariant; now++ {
 				// Random read arrivals, bursty to sweep queue depths.
 				burst := rng.Intn(4)
@@ -125,11 +180,40 @@ func TestDifferentialSchedulerEquivalence(t *testing.T) {
 				}
 				mc.Tick(now)
 				ref.Tick(now)
+				if h := checkOccupied(t, mc, "after Tick", now); h > highBank {
+					highBank = h
+				}
+				if now%20_011 == 20_010 {
+					restoreInPlace(t, mc)
+					checkOccupied(t, mc, "after RestoreState", now)
+				}
+				// EDF variants drop to arrival order and back, re-heapifying
+				// whatever is queued; both sides keep stamping deadlines.
+				if v.sched == SchedEDF && now%15_013 == 15_012 {
+					if sched == SchedEDF {
+						sched = SchedFCFS
+					} else {
+						sched = SchedEDF
+					}
+					if mc.QueuedReads() > 0 {
+						reorders++
+					}
+					mc.SetScheduler(sched, arbNew)
+					ref.SetScheduler(sched, arbRef)
+					checkOccupied(t, mc, "after SetScheduler", now)
+				}
 
 				if mc.QueuedReads() != ref.QueuedReads() || mc.QueuedWrites() != ref.QueuedWrites() {
 					t.Fatalf("cycle %d: queue depth divergence: reads %d vs %d, writes %d vs %d",
 						now, mc.QueuedReads(), ref.QueuedReads(), mc.QueuedWrites(), ref.QueuedWrites())
 				}
+			}
+
+			if highBank < v.banks/2 {
+				t.Fatalf("highest bank ever occupied is %d of %d", highBank, v.banks)
+			}
+			if v.sched == SchedEDF && reorders == 0 {
+				t.Fatal("the scheduler was never switched with reads queued")
 			}
 
 			// Every service decision must match one-for-one in order,

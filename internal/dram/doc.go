@@ -20,5 +20,8 @@
 //
 // The indexed scheduler (sched.go) replaced full-queue scans; the scan
 // code survives only under `go test`, as the differential oracle in
-// reference_test.go.
+// reference_test.go. The per-cycle read pick walks the set bits of an
+// occupied-bank bitmap kept beside the index, in ascending bank order,
+// so it touches only banks that hold a read and breaks ties as the scan
+// over every bank did (DESIGN.md "Host data layout").
 package dram

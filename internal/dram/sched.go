@@ -17,9 +17,16 @@ import "pabst/internal/mem"
 //     only happen when the bank itself is served;
 //   - the per-cycle pick then compares at most one candidate per bank
 //     (row hits first, then the heap order), an O(banks) loop instead of
-//     an O(queue-depth) scan.
+//     an O(queue-depth) scan;
+//   - an occupied-bank bitmap (bit b set iff bank b's all-heap is
+//     non-empty) lets that loop visit only banks holding a read, so a
+//     tick over a nearly empty front end does not walk every bank's
+//     structs to learn they are empty.
 //
-// The pick order is bit-identical to the old scans. The scans broke
+// The pick order is bit-identical to the old scans. The bitmap is walked
+// in ascending bank order and an empty bank never offered a candidate,
+// so the candidates and the order they are compared in are the scans'.
+// The scans broke
 // ties by queue position; because a packet's front-end Enq stamp is
 // non-decreasing in arrival order, (Deadline, Enq, position) collapses
 // to (Deadline, arrival sequence) and (Enq, position) collapses to
@@ -61,10 +68,11 @@ type frontSched struct {
 	nodes    []schedNode
 	freeHead int32
 	banks    []bankIdx
-	count    int    // total reads in the front end
-	seq      uint64 // next arrival sequence number
-	edf      bool   // heap order includes the virtual deadline
-	useHit   bool   // maintain per-bank open-row heaps
+	occupied []uint64 // bit b: banks[b].all is non-empty
+	count    int      // total reads in the front end
+	seq      uint64   // next arrival sequence number
+	edf      bool     // heap order includes the virtual deadline
+	useHit   bool     // maintain per-bank open-row heaps
 }
 
 func newFrontSched(banks, capReads int, useHit bool) *frontSched {
@@ -72,6 +80,7 @@ func newFrontSched(banks, capReads int, useHit bool) *frontSched {
 		nodes:    make([]schedNode, 0, capReads),
 		freeHead: -1,
 		banks:    make([]bankIdx, banks),
+		occupied: make([]uint64, (banks+63)/64),
 		useHit:   useHit,
 	}
 	for b := range f.banks {
@@ -121,6 +130,7 @@ func (f *frontSched) insert(pkt *mem.Packet, bank int32, row, openRow int64) {
 	f.count++
 	bi := &f.banks[bank]
 	bi.all.push(f, id)
+	f.occupied[bank>>6] |= 1 << (bank & 63)
 	if f.useHit && row == openRow {
 		bi.hit.push(f, id)
 	}
@@ -133,6 +143,9 @@ func (f *frontSched) remove(id int32) *mem.Packet {
 	pkt := n.pkt
 	bi := &f.banks[n.bank]
 	bi.all.remove(f, id)
+	if len(bi.all.items) == 0 {
+		f.occupied[n.bank>>6] &^= 1 << (n.bank & 63)
+	}
 	if n.posHit >= 0 {
 		bi.hit.remove(f, id)
 	}

@@ -261,18 +261,13 @@ func (k *Kernel) runEvents(end uint64) {
 	for k.now < end {
 		now := k.now
 		ev.migrate(now)
-		if k.hookDue(now) {
+		if k.nextHookAt() == now {
 			// Hooks are synchronization barriers: every component is
 			// caught up before a hook reads, and the components a hook
 			// writes (DirtyEvent) are re-keyed from ground truth after,
 			// so hook-driven state changes reschedule sleepers.
 			k.syncAll(now)
-			for i := range k.hooks {
-				h := &k.hooks[i]
-				if now >= h.phase && (now-h.phase)%h.period == 0 {
-					h.fn(now)
-				}
-			}
+			k.fireHooks(now)
 			ev.flushDirty(now)
 		}
 		for c := range ev.classes {
@@ -307,7 +302,7 @@ func (k *Kernel) runEvents(end uint64) {
 		if m := ev.minKeyAll(k.now); m < t {
 			t = m
 		}
-		if h := k.nextHookAt(k.now); h < t {
+		if h := k.nextHookAt(); h < t {
 			t = h
 		}
 		if t > k.now {
@@ -318,17 +313,6 @@ func (k *Kernel) runEvents(end uint64) {
 	// Leave every component accounted through the end of the run, so
 	// cycle-derived statistics (IPC, utilization windows) are exact.
 	k.syncAll(end)
-}
-
-// hookDue reports whether any periodic hook fires at cycle now.
-func (k *Kernel) hookDue(now uint64) bool {
-	for i := range k.hooks {
-		h := &k.hooks[i]
-		if now >= h.phase && (now-h.phase)%h.period == 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // syncAll fast-forwards every component's accounting through cycle `to`.

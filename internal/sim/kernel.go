@@ -14,7 +14,16 @@ func (f TickFunc) Tick(now uint64) { f(now) }
 type hook struct {
 	period uint64
 	phase  uint64
+	next   uint64 // next cycle the hook fires; armed on Run entry
 	fn     func(now uint64)
+}
+
+// arm sets next to the hook's first fire cycle >= from.
+func (h *hook) arm(from uint64) {
+	h.next = h.phase
+	if from > h.phase {
+		h.next += (from - h.phase + h.period - 1) / h.period * h.period
+	}
 }
 
 // Sleeper is a component the event kernel (events.go) schedules
@@ -50,6 +59,7 @@ type Kernel struct {
 	hooks   []hook
 
 	skipped uint64 // cycles the event mode jumped over
+	running bool   // inside Run: cycle k.now's hook phase has begun
 
 	ev *events // non-nil after SetEventMode
 }
@@ -75,7 +85,13 @@ func (k *Kernel) Every(period, phase uint64, fn func(now uint64)) {
 	if period == 0 {
 		panic("sim: Every with zero period")
 	}
-	k.hooks = append(k.hooks, hook{period: period, phase: phase, fn: fn})
+	h := hook{period: period, phase: phase, fn: fn}
+	if k.running {
+		// Run armed the others on entry; the current cycle's hook phase
+		// is already under way and does not see a hook added during it.
+		h.arm(k.now + 1)
+	}
+	k.hooks = append(k.hooks, h)
 }
 
 // Skipped returns how many cycles the event mode jumped over (always
@@ -85,36 +101,45 @@ func (k *Kernel) Skipped() uint64 { return k.skipped }
 // Run advances the clock by cycles steps.
 func (k *Kernel) Run(cycles uint64) {
 	end := k.now + cycles
+	// Each hook's fire cycle is kept, not derived per cycle. The clock
+	// may have been restored and hooks added since the last Run, so every
+	// hook is armed from the clock here; the loops below never move the
+	// clock past a hook's next fire cycle, so == finds it.
+	for i := range k.hooks {
+		k.hooks[i].arm(k.now)
+	}
+	k.running = true
 	if k.ev != nil {
 		k.runEvents(end)
-		return
-	}
-	for k.now < end {
-		now := k.now
-		for i := range k.hooks {
-			h := &k.hooks[i]
-			if now >= h.phase && (now-h.phase)%h.period == 0 {
-				h.fn(now)
+	} else {
+		for k.now < end {
+			now := k.now
+			k.fireHooks(now)
+			for _, t := range k.tickers {
+				t.Tick(now)
 			}
+			k.now++
 		}
-		for _, t := range k.tickers {
-			t.Tick(now)
+	}
+	k.running = false
+}
+
+// fireHooks runs, in registration order, the hooks due at cycle now.
+func (k *Kernel) fireHooks(now uint64) {
+	for i := range k.hooks {
+		if h := &k.hooks[i]; h.next == now {
+			h.next += h.period
+			h.fn(now)
 		}
-		k.now++
 	}
 }
 
-// nextHookAt returns the earliest cycle >= from at which a periodic hook
-// fires, or NoEvent with no hooks.
-func (k *Kernel) nextHookAt(from uint64) uint64 {
+// nextHookAt returns the earliest cycle at which a periodic hook fires,
+// or NoEvent with no hooks.
+func (k *Kernel) nextHookAt() uint64 {
 	next := NoEvent
 	for i := range k.hooks {
-		h := &k.hooks[i]
-		at := h.phase
-		if from > h.phase {
-			at = h.phase + (from-h.phase+h.period-1)/h.period*h.period
-		}
-		if at < next {
+		if at := k.hooks[i].next; at < next {
 			next = at
 		}
 	}

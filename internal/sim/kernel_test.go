@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"math/rand"
+	"reflect"
+	"testing"
+)
 
 func TestKernelRunAdvancesClock(t *testing.T) {
 	var k Kernel
@@ -101,3 +105,89 @@ func TestKernelHookPhaseBeyondRun(t *testing.T) {
 		t.Fatalf("hook fired %d times, want 5", count)
 	}
 }
+
+// TestKernelHooksKeepTheModuloSchedule pins the kept next-fire cycles to
+// the rule they replaced — a hook fires at every executed cycle c with
+// c >= phase and (c-phase)%period == 0 — on both loops, across Runs of
+// uneven length, a clock overlaid between Runs (as RestoreState does),
+// and hooks added between Runs, from inside a hook, and from inside a
+// component's tick (which first fire the cycle after).
+func TestKernelHooksKeepTheModuloSchedule(t *testing.T) {
+	type spec struct{ period, phase, addedAt uint64 }
+	for _, eventMode := range []bool{false, true} {
+		for seed := int64(0); seed < 40; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			var k Kernel
+			var specs []spec
+			var fired [][]uint64
+			add := func(addedAt uint64) {
+				i := len(specs)
+				specs = append(specs, spec{1 + uint64(rng.Intn(50)), uint64(rng.Intn(300)), addedAt})
+				fired = append(fired, nil)
+				k.Every(specs[i].period, specs[i].phase, func(now uint64) { fired[i] = append(fired[i], now) })
+			}
+			// The component has work at two cycles only, where it adds a
+			// hook mid-cycle; the event loop skips the rest of the clock.
+			tick := evTick(func(now uint64) {
+				if now == 37 || now == 250 {
+					add(now + 1)
+				}
+			})
+			if eventMode {
+				k.SetEventMode(1, nil)
+				k.RegisterEvent(0, tick)
+			} else {
+				k.Register(tick)
+			}
+			add(0)
+			add(0)
+			k.Every(60, 20, func(now uint64) {
+				if now == 80 {
+					add(now + 1)
+				}
+			})
+			var ran [][2]uint64 // executed cycle ranges
+			run := func(n uint64) {
+				ran = append(ran, [2]uint64{k.Now(), k.Now() + n})
+				k.Run(n)
+			}
+			run(uint64(rng.Intn(100)))
+			run(0)
+			run(1 + uint64(rng.Intn(200)))
+			add(k.Now())
+			run(uint64(rng.Intn(100)))
+			k.now += 1000 + uint64(rng.Intn(100)) // a restored clock
+			add(k.Now())
+			run(1 + uint64(rng.Intn(300)))
+
+			for i, sp := range specs {
+				var want []uint64
+				for _, r := range ran {
+					for c := r[0]; c < r[1]; c++ {
+						if c >= sp.addedAt && c >= sp.phase && (c-sp.phase)%sp.period == 0 {
+							want = append(want, c)
+						}
+					}
+				}
+				if !reflect.DeepEqual(fired[i], want) {
+					t.Fatalf("event=%v seed %d hook %+v fired at %v, want %v", eventMode, seed, sp, fired[i], want)
+				}
+			}
+		}
+	}
+}
+
+// evTick is a Sleeper with work at cycles 37 and 250.
+type evTick func(now uint64)
+
+func (f evTick) Tick(now uint64) { f(now) }
+func (f evTick) NextEventAt(from uint64) uint64 {
+	switch {
+	case from <= 37:
+		return 37
+	case from <= 250:
+		return 250
+	}
+	return NoEvent
+}
+func (f evTick) FastForward(from, to uint64) {}

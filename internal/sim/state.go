@@ -56,7 +56,8 @@ func LoadDelayQueue[T any](r *ckpt.Reader, q *DelayQueue[T], load func(*ckpt.Rea
 
 // SaveState checkpoints the kernel's clock state. Tickers and hooks are
 // structural (rebuilt by the system's Finalize) and are not saved; hooks
-// fire whenever (now-phase)%period == 0, which holds at any restored now.
+// fire whenever (now-phase)%period == 0, and Run re-arms each hook's
+// next fire cycle from the clock, so that holds at any restored now.
 func (k *Kernel) SaveState(w *ckpt.Writer) {
 	w.U64(k.now)
 	w.U64(k.skipped)

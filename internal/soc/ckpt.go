@@ -508,8 +508,12 @@ func (d *frontDoor) saveState(w *ckpt.Writer) {
 
 func (d *frontDoor) restoreState(r *ckpt.Reader) {
 	sim.LoadDelayQueue(r, &d.inbox, mem.LoadPacket)
+	d.waiting = 0
 	for c := range d.reads {
 		loadPacketRing(r, &d.reads[c])
+		if d.reads[c].Len() > 0 {
+			d.waiting |= 1 << c
+		}
 	}
 	d.readCount = r.Int()
 	d.rrNext = r.Int()

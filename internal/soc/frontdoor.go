@@ -1,6 +1,8 @@
 package soc
 
 import (
+	"math/bits"
+
 	"pabst/internal/mem"
 	"pabst/internal/sim"
 )
@@ -25,11 +27,15 @@ type frontDoor struct {
 	inbox sim.DelayQueue[*mem.Packet]
 
 	reads     [mem.MaxClasses]sim.Ring[*mem.Packet]
+	waiting   uint16 // bit c: reads[c] is non-empty
 	readCount int
 	rrNext    int
 
 	writes sim.Ring[*mem.Packet]
 }
+
+// waiting has one bit per class and rotates modulo the class count.
+var _ [0]struct{} = [mem.MaxClasses - 16]struct{}{}
 
 // park accepts an arrived packet into the appropriate waiting room.
 func (d *frontDoor) park(pkt *mem.Packet) {
@@ -38,6 +44,7 @@ func (d *frontDoor) park(pkt *mem.Packet) {
 		return
 	}
 	d.reads[pkt.Class].PushBack(pkt)
+	d.waiting |= 1 << pkt.Class
 	d.readCount++
 }
 
@@ -54,23 +61,22 @@ func (d *frontDoor) tick(now uint64) {
 		d.park(pkt)
 	}
 	mc := d.sys.mcs[d.mc]
-	// Reads: round-robin across classes with waiting requests.
-	skipped := 0
-	for d.readCount > 0 && skipped < mem.MaxClasses {
-		cls := d.rrNext
-		d.rrNext = (d.rrNext + 1) % mem.MaxClasses
-		q := &d.reads[cls]
-		if q.Len() == 0 {
-			skipped++
-			continue
-		}
+	// Reads: round-robin across classes with waiting requests. The pointer
+	// moves past the class it stops at, served or refused.
+	for d.waiting != 0 {
+		ahead := bits.TrailingZeros16(bits.RotateLeft16(d.waiting, -d.rrNext))
+		cls := (d.rrNext + ahead) % mem.MaxClasses
+		d.rrNext = (cls + 1) % mem.MaxClasses
 		if !mc.TryReserveRead() {
 			break
 		}
+		q := &d.reads[cls]
 		pkt, _ := q.PopFront()
 		mc.ArriveRead(pkt, now)
 		d.readCount--
-		skipped = 0
+		if q.Len() == 0 {
+			d.waiting &^= 1 << cls
+		}
 	}
 	// Writes: FIFO (never prioritized, per the paper).
 	for d.writes.Len() > 0 && mc.TryReserveWrite() {

@@ -1,8 +1,11 @@
 package soc
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
+	"pabst/internal/dram"
 	"pabst/internal/mem"
 	"pabst/internal/qos"
 	"pabst/internal/regulate"
@@ -116,5 +119,79 @@ func TestFrontDoorBacklogAdmittedOverTime(t *testing.T) {
 	if sys.mcs[0].QueuedReads() != 20 || d.Parked() != 0 {
 		t.Fatalf("queued=%d parked=%d, want full admission into a 64-slot queue",
 			sys.mcs[0].QueuedReads(), d.Parked())
+	}
+}
+
+// acceptLog records the class of each read in the order the controller
+// accepted it.
+type acceptLog struct{ classes []mem.ClassID }
+
+func (a *acceptLog) OnAccept(p *mem.Packet, now uint64) { a.classes = append(a.classes, p.Class) }
+func (a *acceptLog) OnPick(p *mem.Packet, now uint64)   {}
+
+// TestFrontDoorMaskKeepsTheScanOrder replays random parks and ticks
+// against the class-by-class scan the waiting mask replaced: the same
+// classes are admitted in the same order and rrNext ends on the same
+// class, also when the controller refuses a reservation mid-round.
+func TestFrontDoorMaskKeepsTheScanOrder(t *testing.T) {
+	const readQ = 5
+	sys, d := newDoorHarness(t, readQ)
+	rng := rand.New(rand.NewSource(1))
+	var parked [mem.MaxClasses]int
+	rrNext, refusals := 0, 0
+	for round := 0; round < 2000; round++ {
+		// A fresh controller stands for readQ - held freed slots.
+		log := &acceptLog{}
+		mc, err := dram.NewController(0, sys.cfg.DRAM, func(*mem.Packet, uint64) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mc.SetScheduler(dram.SchedEDF, log)
+		held := rng.Intn(readQ + 1)
+		for i := 0; i < held; i++ {
+			mc.TryReserveRead()
+		}
+		sys.mcs[0] = mc
+		for i := rng.Intn(8); i > 0; i-- {
+			cls := mem.ClassID(rng.Intn(mem.MaxClasses))
+			if rng.Intn(2) == 0 {
+				cls %= 3 // a few busy classes, the rest sparse
+			}
+			d.park(pkt(cls, round*8+i))
+			parked[cls]++
+		}
+
+		// The old scan, on counts.
+		var want []mem.ClassID
+		free, total := readQ-held, 0
+		for _, n := range parked {
+			total += n
+		}
+		for skipped := 0; total > 0 && skipped < mem.MaxClasses; {
+			cls := rrNext
+			rrNext = (rrNext + 1) % mem.MaxClasses
+			if parked[cls] == 0 {
+				skipped++
+				continue
+			}
+			if free == 0 {
+				refusals++
+				break
+			}
+			free--
+			parked[cls]--
+			total--
+			want = append(want, mem.ClassID(cls))
+			skipped = 0
+		}
+
+		d.tick(uint64(round))
+		if !reflect.DeepEqual(log.classes, want) || d.rrNext != rrNext || d.Parked() != total {
+			t.Fatalf("round %d: admitted %v, rrNext %d, parked %d; the scan admits %v, rrNext %d, parked %d",
+				round, log.classes, d.rrNext, d.Parked(), want, rrNext, total)
+		}
+	}
+	if refusals < 100 {
+		t.Fatalf("only %d rounds ended on a refused reservation", refusals)
 	}
 }

@@ -261,7 +261,9 @@ func (t *Tile) tick(now uint64) {
 	if t.queued > 0 {
 		for tries := 0; tries < len(t.missQ); tries++ {
 			mc := t.rrMC
-			t.rrMC = (t.rrMC + 1) % len(t.missQ)
+			if t.rrMC++; t.rrMC == len(t.missQ) {
+				t.rrMC = 0
+			}
 			q := &t.missQ[mc]
 			if q.Len() == 0 || !t.src.CanIssue(now, mc) {
 				continue
