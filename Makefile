@@ -28,9 +28,13 @@ check: build lint-docs
 # includes the fault-injection chaos sweeps, the oracle-vs-event
 # determinism matrix, the golden-trace determinism test, and the sweep
 # service's chaos acceptance), plus the cross-policy Pareto,
-# analytical-twin divergence, and sweep-service smoke gates.
+# analytical-twin divergence, and sweep-service smoke gates, and a short
+# slice of each native fuzz target (their seed corpora already run as
+# ordinary tests in `make check`).
 robust: bench-policies bench-twin serve-smoke
 	$(GO) test -race ./...
+	$(GO) test -run '^$$' -fuzz FuzzParsePair -fuzztime 10s ./internal/qospolicy
+	$(GO) test -run '^$$' -fuzz FuzzRunSpecJSON -fuzztime 10s ./internal/exp
 
 # Micro-benchmarks. One iteration of everything shows each still runs;
 # the packages on the per-access and per-cycle memory path then get five

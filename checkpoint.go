@@ -9,13 +9,8 @@ import (
 
 	"pabst/internal/ckpt"
 	"pabst/internal/config"
-	"pabst/internal/soc"
 	"pabst/internal/workload"
 )
-
-// CheckpointVersion is the binary checkpoint format version this build
-// writes and reads.
-const CheckpointVersion = ckpt.Version
 
 // Typed checkpoint errors. Callers branch with errors.Is.
 var (
@@ -89,12 +84,16 @@ func normalizeConfig(cfg config.System) config.System {
 	return cfg
 }
 
-func fingerprintOf(inner *soc.System) ([32]byte, error) {
-	doc := fpDoc{Config: normalizeConfig(inner.Config()), Mode: inner.Mode().String()}
-	for _, c := range inner.Registry().Classes() {
+// Fingerprint returns the sha256 of the system's structural description:
+// configuration (minus Kernel, which never changes an outcome), mode,
+// classes, and attachments. Two systems restore each other's
+// checkpoints iff their fingerprints match.
+func (s *System) Fingerprint() ([32]byte, error) {
+	doc := fpDoc{Config: normalizeConfig(s.inner.Config()), Mode: s.mode.String()}
+	for _, c := range s.inner.Registry().Classes() {
 		doc.Classes = append(doc.Classes, fpClass{Name: c.Name, L3Ways: c.L3Ways})
 	}
-	for _, a := range inner.Attachments() {
+	for _, a := range s.inner.Attachments() {
 		ft := fpTile{Tile: a.Tile, Class: int(a.Class)}
 		if d, ok := a.Gen.(workload.Describable); ok {
 			spec := d.BuildSpec()
@@ -110,12 +109,6 @@ func fingerprintOf(inner *soc.System) ([32]byte, error) {
 	}
 	return sha256.Sum256(raw), nil
 }
-
-// Fingerprint returns the sha256 of the system's structural description:
-// configuration (minus Kernel, which never changes an outcome), mode,
-// classes, and attachments. Two systems restore each other's
-// checkpoints iff their fingerprints match.
-func (s *System) Fingerprint() ([32]byte, error) { return fingerprintOf(s.inner) }
 
 // ckptMeta rides in the checkpoint header and carries everything
 // pabst.Restore needs to rebuild the machine without caller help:
@@ -154,11 +147,11 @@ type metaAttach struct {
 // The system must contain only checkpointable generators; a closure-
 // based generator fails with ErrCkptUnsupported.
 func (s *System) Checkpoint(w io.Writer) error {
-	fp, err := fingerprintOf(s.inner)
+	fp, err := s.Fingerprint()
 	if err != nil {
 		return err
 	}
-	meta := ckptMeta{Config: normalizeConfig(s.inner.Config()), Mode: s.inner.Mode().String()}
+	meta := ckptMeta{Config: normalizeConfig(s.inner.Config()), Mode: s.mode.String()}
 	for _, c := range s.reg.Classes() {
 		meta.Classes = append(meta.Classes, metaClass{Name: c.Name, Weight: c.Weight, L3Ways: c.L3Ways})
 	}
@@ -269,7 +262,7 @@ func (s *System) RestoreFrom(r io.Reader) error {
 }
 
 func (s *System) restoreReader(cr *ckpt.Reader) error {
-	fp, err := fingerprintOf(s.inner)
+	fp, err := s.Fingerprint()
 	if err != nil {
 		return err
 	}

@@ -2,6 +2,7 @@ package pabst_test
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -348,5 +349,81 @@ func TestCheckpointClosureGenerators(t *testing.T) {
 	sys.Run(ckptMeasure)
 	if got := renderState(sys); got != want {
 		t.Errorf("closure-generator restore diverged\n--- want\n%s\n--- got\n%s", want, got)
+	}
+}
+
+// TestCheckpointFormatFrozen pins the persisted form of the mechanism
+// selection: the builder's mode and the configuration's override are
+// recorded apart, under the names they have always had, so checkpoint
+// bytes and machine fingerprints (the warm-store keys) of both a
+// default-pair and an overridden-pair machine equal the constants
+// captured before the mode became a policy pair. If either changes,
+// ckpt.Version must be bumped — that is a format change, not a
+// baseline update.
+func TestCheckpointFormatFrozen(t *testing.T) {
+	for _, c := range []struct {
+		name             string
+		opts             []pabst.Option
+		pair             string
+		machine, content string
+	}{
+		{"default", nil, "pabst+fcfs",
+			"8d2319225bbd2776471b2d8263c66a62e8eaa96bd045f3b6f67a5cd2b80ffa7d",
+			"1df92336678be203d0d00186e32d983559548e6b6b283a2661fd3a19c3ed8f83"},
+		{"overridden", []pabst.Option{pabst.WithPolicy("", "dpq")}, "pabst+dpq",
+			"d96507c0827954c8a67c9716da3258d0f9e5cd58210138d9f1af489bab5742ad",
+			"d6bb9dfd65bdfecddce1488fb255254c95f231bd71a625e6d59cab5a0fa3bcab"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := pabst.Default32Config()
+			cfg.PABST.EpochCycles = 2000
+			cfg.BWWindow = 2000
+			b := pabst.NewBuilder(cfg, pabst.ModeSourceOnly, c.opts...)
+			hi := b.AddClass("hi", 3, cfg.L3Ways/2)
+			lo := b.AddClass("lo", 1, cfg.L3Ways/2)
+			for i := 0; i < 16; i++ {
+				b.Attach(i, hi, pabst.Stream("stream", pabst.TileRegion(i), 128, true))
+				b.Attach(16+i, lo, pabst.Stream("stream", pabst.TileRegion(16+i), 128, true))
+			}
+			sys, err := b.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sys.Close()
+			if src, tgt := sys.PolicyPair(); src+"+"+tgt != c.pair {
+				t.Fatalf("wired %s+%s, want %s", src, tgt, c.pair)
+			}
+			sys.Run(20_000)
+			var ck bytes.Buffer
+			if err := sys.Checkpoint(&ck); err != nil {
+				t.Fatal(err)
+			}
+			fp, err := sys.Fingerprint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprintf("%x", fp); got != c.machine {
+				t.Errorf("machine fingerprint %s, frozen %s", got, c.machine)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(ck.Bytes())); got != c.content {
+				t.Errorf("checkpoint bytes hash %s, frozen %s", got, c.content)
+			}
+			info, err := pabst.ReadCheckpointInfo(bytes.NewReader(ck.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info.Version != 3 {
+				t.Errorf("checkpoint format version %d, frozen 3", info.Version)
+			}
+			// The self-describing restore reads the same selection back.
+			back, err := pabst.Restore(bytes.NewReader(ck.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer back.Close()
+			if src, tgt := back.PolicyPair(); src+"+"+tgt != c.pair {
+				t.Errorf("restored machine wired %s+%s, want %s", src, tgt, c.pair)
+			}
+		})
 	}
 }

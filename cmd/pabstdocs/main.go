@@ -222,10 +222,11 @@ func policyReference() string {
 	b.WriteString("<!-- Generated by `go run ./cmd/pabstdocs -write` from the policy\n")
 	b.WriteString("     registry; do not edit by hand — `make lint-docs` diffs it. -->\n\n")
 	b.WriteString("Every QoS mechanism registered in the policy-plugin registry\n")
-	b.WriteString("(`internal/qospolicy`). Select a pair with `-policy src+tgt` on\n")
-	b.WriteString("`pabstsim`, `pabstsweep`, or `pabsttrace`, with the `\"policy\"` field of\n")
-	b.WriteString("a sweep-service RunSpec, or programmatically with `pabst.WithPolicy`.\n")
-	b.WriteString("Either half may be empty to keep that side's mode-derived default.\n")
+	b.WriteString("(`internal/qospolicy`). A run selects one `source+target` pair of\n")
+	b.WriteString("these names; the accepted spellings, the five presets and the\n")
+	b.WriteString("precedence between `-policy`, a RunSpec's fields and\n")
+	b.WriteString("`pabst.WithPolicy` are in [DESIGN.md](../DESIGN.md#selecting-a-mechanism),\n")
+	b.WriteString("\"Selecting a mechanism\".\n")
 	b.WriteString("To add a mechanism, see [POLICY_AUTHORING.md](POLICY_AUTHORING.md).\n")
 	kind := ""
 	for _, p := range pabst.Policies() {

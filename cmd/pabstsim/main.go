@@ -11,10 +11,11 @@
 //	pabstsim -list
 //	pabstsim -list-policies
 //
-// -policy pins every system an experiment builds to an explicit QoS
-// policy pair from the plugin registry ("src+tgt"; either half may be
-// empty to keep that side's mode default). -list-policies prints the
-// registry: each mechanism's name, kind, parameters, and paper citation.
+// -policy runs every system an experiment builds under a QoS policy
+// pair from the plugin registry ("src+tgt"; either half may be empty to
+// keep that side; runs that name their own pair keep it — DESIGN.md,
+// "Selecting a mechanism"). -list-policies prints the registry: each
+// mechanism's name, kind, parameters, and paper citation.
 //
 // An experiment's independent simulations run concurrently, one per
 // core by default: -parallel 0 (the default) = all cores, 1 = one at a
@@ -244,8 +245,7 @@ func printPolicies() {
 		}
 		fmt.Printf("%-9s %-7s %-56s %s\n", p.Name, p.Kind, desc, p.Cite)
 	}
-	fmt.Println("\nselect with -policy src+tgt (pabstsim, pabstsweep) or the RunSpec \"policy\" field (pabstserve);")
-	fmt.Println("either half may be empty to keep that side's mode default.")
+	fmt.Println("\nselect a pair as src+tgt; spellings, presets and precedence: DESIGN.md, \"Selecting a mechanism\".")
 }
 
 func printSeries(r *exp.SeriesResult) {

@@ -27,9 +27,12 @@
 // numbers are bit-identical at any setting. Peak heap is about cores ×
 // one machine (≈ 12 MB for the paper's 32 tiles); -parallel 1 bounds it.
 //
-// -policy src+tgt pins every parameter-sweep point to an explicit QoS
-// policy pair from the plugin registry (either half may be empty to keep
-// its mode default; see pabstsim -list-policies for the names).
+// -policy src+tgt runs every parameter-sweep point (or -experiment run)
+// under that mechanism instead of its default (either half may be empty
+// to keep that side; see pabstsim -list-policies for the names and
+// DESIGN.md "Selecting a mechanism" for the precedence rule). It does
+// not combine with -policies, -screen or -twin, whose grids name the
+// pair of every point.
 // -policies switches to the cross-policy Pareto comparison instead: each
 // registered mechanism pair runs the 7:3 stream mix across the
 // utilization axis, and the tool reports each load's Pareto frontier on
@@ -113,21 +116,22 @@ func main() {
 		return
 	}
 
-	if _, err := exp.ScaleByName(*scaleName); err != nil {
+	sc, err := exp.ScaleByName(*scaleName)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "pabstsweep: unknown scale %q\n", *scaleName)
 		os.Exit(1)
 	}
-	ex, err := common.Exec()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pabstsweep: %v\n", err)
-		os.Exit(1)
-	}
-	sc, _ := exp.ScaleByName(*scaleName)
 	if err := common.Apply(&sc); err != nil {
 		fmt.Fprintf(os.Stderr, "pabstsweep: %v\n", err)
 		os.Exit(1)
 	}
 	sc.Parallel = *parallel
+	if common.Policy != "" && (*policies || *screen || *twin) {
+		// Those grids name the pair of every point, and a point's own
+		// pair wins over -policy: the flag could only be ignored.
+		fmt.Fprintln(os.Stderr, "pabstsweep: -policy does not combine with -policies, -screen or -twin (their grids name every pair they run)")
+		os.Exit(2)
+	}
 
 	switch {
 	case *twin:
@@ -164,6 +168,8 @@ func main() {
 		return
 	}
 
+	// Sweep specs resolve their scale name to sc, -policy and -ckpt included.
+	ex := exp.Exec{Ckpt: sc.Ckpt, Resume: sc.Resume, Scales: map[string]exp.Scale{sc.Name: sc}}
 	for _, s := range sweeps() {
 		if *param != "" && s.param != *param {
 			continue
@@ -183,14 +189,14 @@ func main() {
 		results := make([]res, len(s.values))
 		err := exp.ForEach(*parallel, len(s.values), func(i int) error {
 			params := map[string]uint64{s.param: s.values[i]}
-			spec := exp.RunSpec{Bench: exp.BenchStreams, Scale: *scaleName, Params: params, Policy: common.Policy}
+			spec := exp.RunSpec{Bench: exp.BenchStreams, Scale: sc.Name, Params: params}
 			r, err := spec.Run(context.Background(), ex, exp.RunIO{})
 			if err != nil {
 				return err
 			}
 			results[i] = res{shHi: r.ShareHi, bpc: r.TotalBPC}
 			if s.chaser {
-				cspec := exp.RunSpec{Bench: exp.BenchChaser, Scale: *scaleName, Params: params, Policy: common.Policy}
+				cspec := exp.RunSpec{Bench: exp.BenchChaser, Scale: sc.Name, Params: params}
 				cr, err := cspec.Run(context.Background(), ex, exp.RunIO{})
 				if err != nil {
 					return err

@@ -38,7 +38,7 @@ func main() {
 	common := cliflags.Register(flag.CommandLine)
 	flag.Parse()
 
-	opts, err := common.Options()
+	over, err := common.Validate()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pabsttrace: %v\n", err)
 		os.Exit(2)
@@ -67,7 +67,7 @@ func main() {
 	cfg.BWWindow = *epoch
 
 	b := pabst.NewBuilder(cfg, pabst.ModePABST,
-		append(opts, pabst.WithObserver(observer))...)
+		pabst.WithPolicy(over.Source, over.Target), pabst.WithObserver(observer))
 	hi := b.AddClass("hi", *wHi, cfg.L3Ways/2)
 	lo := b.AddClass("lo", *wLo, cfg.L3Ways/2)
 	for i := 0; i < 16; i++ {

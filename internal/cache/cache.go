@@ -241,12 +241,3 @@ func (c *Cache) OccupancyInto(dst *[mem.MaxClasses]int) {
 		}
 	}
 }
-
-// WaysOf reports the partition assigned to class; ok is false when the
-// class is unrestricted.
-func (c *Cache) WaysOf(class mem.ClassID) (start, n int, ok bool) {
-	if c.partWays[class] == 0 {
-		return 0, 0, false
-	}
-	return c.partStart[class], c.partWays[class], true
-}

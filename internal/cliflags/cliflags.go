@@ -2,8 +2,8 @@
 // (-policy, -ckpt, -resume), so a shared setting lands in one place
 // instead of four near-identical flag blocks: the warm-start checkpoint
 // store, which changes wall-clock behavior but never a simulated
-// outcome, and the QoS policy pair, which every binary threads to the
-// systems it builds.
+// outcome, and the QoS policy override, which reaches the systems a
+// binary builds by one route (Apply stamps it onto the exp.Scale).
 package cliflags
 
 import (
@@ -27,7 +27,7 @@ type Common struct {
 func Register(fs *flag.FlagSet) *Common {
 	c := &Common{}
 	fs.StringVar(&c.Policy, "policy", "",
-		"QoS policy pair `src+tgt` from the plugin registry (empty halves keep mode defaults)")
+		"QoS mechanism `src+tgt` (or a preset name) replacing each run's mode; an empty half keeps that side, and a run that names its own pair keeps it (DESIGN.md, \"Selecting a mechanism\")")
 	fs.StringVar(&c.Ckpt, "ckpt", "",
 		"directory for post-warmup checkpoints; repeat runs restore instead of re-warming (bit-identical; ignored by binaries without a warmup phase)")
 	fs.BoolVar(&c.Resume, "resume", false,
@@ -35,42 +35,24 @@ func Register(fs *flag.FlagSet) *Common {
 	return c
 }
 
-// Validate checks cross-flag constraints and resolves the policy pair.
-func (c *Common) Validate() (source, target string, err error) {
+// Validate checks cross-flag constraints and parses the -policy
+// override (the zero pair when the flag is unset).
+func (c *Common) Validate() (pabst.Mode, error) {
 	if c.Resume && c.Ckpt == "" {
-		return "", "", fmt.Errorf("-resume needs -ckpt <dir>")
+		return pabst.Mode{}, fmt.Errorf("-resume needs -ckpt <dir>")
 	}
-	return pabst.ParsePolicyPair(c.Policy)
+	return pabst.ParseMode(c.Policy)
 }
 
-// Apply validates the flags and stamps them onto a Scale.
+// Apply validates the flags and stamps them onto a Scale, the one route
+// by which they reach the systems a binary builds through internal/exp.
 func (c *Common) Apply(s *exp.Scale) error {
-	src, tgt, err := c.Validate()
+	over, err := c.Validate()
 	if err != nil {
 		return err
 	}
 	s.Ckpt = c.Ckpt
 	s.Resume = c.Resume
-	s.SourcePolicy, s.TargetPolicy = src, tgt
+	s.Policy = over
 	return nil
-}
-
-// Exec validates the flags and returns them as a spec-runner
-// environment.
-func (c *Common) Exec() (exp.Exec, error) {
-	if _, _, err := c.Validate(); err != nil {
-		return exp.Exec{}, err
-	}
-	return exp.Exec{Ckpt: c.Ckpt, Resume: c.Resume}, nil
-}
-
-// Options validates the flags and returns the policy pair as builder
-// options, for binaries that construct systems directly rather than
-// through a Scale.
-func (c *Common) Options() ([]pabst.Option, error) {
-	src, tgt, err := c.Validate()
-	if err != nil {
-		return nil, err
-	}
-	return []pabst.Option{pabst.WithPolicy(src, tgt)}, nil
 }

@@ -30,56 +30,44 @@ func TestApplyStampsEveryKnob(t *testing.T) {
 	if s.Ckpt != "/tmp/ck" || !s.Resume {
 		t.Errorf("Apply lost a knob: %+v", s)
 	}
-	if s.SourcePolicy != "bankreg" || s.TargetPolicy != "dpq" {
-		t.Errorf("policy pair = %q+%q", s.SourcePolicy, s.TargetPolicy)
-	}
-}
-
-func TestExecMatchesApply(t *testing.T) {
-	c := parse(t, "-ckpt", "/tmp/ck", "-resume")
-	ex, err := c.Exec()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var s exp.Scale
-	if err := c.Apply(&s); err != nil {
-		t.Fatal(err)
-	}
-	sc, err := ex.Scale("quick")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sc.Ckpt != s.Ckpt || sc.Resume != s.Resume {
-		t.Errorf("Exec and Apply disagree:\nexec  %+v\napply %+v", sc, s)
+	if want := (pabst.Mode{Source: "bankreg", Target: "dpq"}); s.Policy != want {
+		t.Errorf("policy pair = %v, want %v", s.Policy, want)
 	}
 }
 
 func TestResumeRequiresCkpt(t *testing.T) {
 	c := parse(t, "-resume")
-	if _, _, err := c.Validate(); err == nil {
+	if _, err := c.Validate(); err == nil {
 		t.Error("Validate accepted -resume without -ckpt")
 	}
 }
 
 func TestBadPolicyRejected(t *testing.T) {
 	c := parse(t, "-policy", "nosuch+pair")
-	if _, _, err := c.Validate(); err == nil {
+	if _, err := c.Validate(); err == nil {
 		t.Error("Validate accepted an unknown policy pair")
 	}
 }
 
+// TestOptionsBuildable: the applied flags reach a built system as
+// builder options, half-empty overrides and preset names included.
 func TestOptionsBuildable(t *testing.T) {
-	c := parse(t, "-policy", "bankreg+dpq")
-	opts, err := c.Options()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, err := pabst.NewBuilder(pabst.Default32Config(), pabst.ModePABST, opts...).Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if src, tgt := sys.PolicyPair(); src != "bankreg" || tgt != "dpq" {
-		t.Errorf("built policy pair = %q+%q", src, tgt)
+	for flagVal, want := range map[string]pabst.Mode{
+		"bankreg+dpq": {Source: "bankreg", Target: "dpq"},
+		"+dpq":        {Source: "pabst", Target: "dpq"},
+		"target-only": pabst.ModeTargetOnly,
+	} {
+		var s exp.Scale
+		if err := parse(t, "-policy", flagVal).Apply(&s); err != nil {
+			t.Fatal(err)
+		}
+		sys, err := pabst.NewBuilder(pabst.Default32Config(), pabst.ModePABST, s.Options()...).Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if src, tgt := sys.PolicyPair(); (pabst.Mode{Source: src, Target: tgt}) != want {
+			t.Errorf("-policy %s built %s+%s, want %v", flagVal, src, tgt, want)
+		}
 	}
 }
 

@@ -362,9 +362,6 @@ func (c *Controller) StallBank(b int, until uint64) {
 	}
 }
 
-// Frozen reports whether the front end is currently fault-frozen.
-func (c *Controller) Frozen(now uint64) bool { return now < c.frozenUntil }
-
 // NextEventAt reports the earliest cycle >= from at which Tick would do
 // real work, so the event kernel can skip the controller until then.
 // Any queued or reserved request (front-end, bank queues) or an active

@@ -92,7 +92,7 @@ func TestPolicyKernelDeterminism(t *testing.T) {
 			run := func(kernel string) string {
 				sc := tinyScale()
 				sc.Kernel = kernel
-				sc.SourcePolicy = src
+				sc.Policy.Source = src
 				cfg := sc.Apply(pabst.Scaled8Config())
 				b := pabst.NewBuilder(cfg, pabst.ModePABST, sc.Options()...)
 				hi := b.AddClass("hi", 3, cfg.L3Ways/2)

@@ -20,7 +20,7 @@
 //
 // Run-level parallelism has one rule, stated in ForEach and inherited by
 // everything that takes a parallel count (Scale.Parallel, RunExperiment,
-// ForEachWarm, the commands' -parallel flag): 0 = every core
+// the commands' -parallel flag): 0 = every core
 // (runtime.GOMAXPROCS), 1 = one at a time on the caller's goroutine,
 // n = at most n. The zero value is therefore the fast one. Peak heap is
 // about that many machines (≈ 12 MB each for the paper's 32 tiles,

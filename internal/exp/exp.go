@@ -34,12 +34,13 @@ type Scale struct {
 	// determinism tests compare it against. Never a simulated outcome.
 	Kernel string
 
-	// SourcePolicy/TargetPolicy select QoS mechanisms by registry name
-	// for every system the experiment builds; empty strings keep the
-	// mode-derived defaults. Unlike Parallel and Kernel these DO change
-	// simulated outcomes — they are the cross-policy comparison axis.
-	SourcePolicy string
-	TargetPolicy string
+	// Policy is the process-wide mechanism override (the -policy flag):
+	// its non-empty halves replace that side of every system the
+	// experiment builds, except where a RunSpec names the side itself
+	// (RunSpec.pair has the precedence rule). Unlike Parallel and Kernel
+	// it DOES change simulated outcomes — it is the cross-policy
+	// comparison axis.
+	Policy pabst.Mode
 
 	// Ckpt names a directory for post-warmup checkpoints: experiments
 	// that route through WarmedSystem restore a matching checkpoint
@@ -75,14 +76,14 @@ func (s Scale) Apply(cfg pabst.SystemConfig) pabst.SystemConfig {
 func (s Scale) Options() []pabst.Option {
 	return []pabst.Option{
 		pabst.WithKernel(s.Kernel),
-		pabst.WithPolicy(s.SourcePolicy, s.TargetPolicy),
+		pabst.WithPolicy(s.Policy.Source, s.Policy.Target),
 	}
 }
 
 // ForEach runs fn(0)..fn(n-1) on at most parallel concurrent goroutines,
 // the caller's among them. This is the one rule for run-level
-// parallelism, which Scale.Parallel, RunExperiment, ForEachWarm and the
-// commands' -parallel flag all inherit: parallel <= 0 means
+// parallelism, which Scale.Parallel, RunExperiment and the commands'
+// -parallel flag all inherit: parallel <= 0 means
 // runtime.GOMAXPROCS(0) (every core), and 1 — or a single index — runs
 // inline, in index order, on the caller's goroutine. The helper
 // goroutines live for one call; nothing is retained between calls.
@@ -230,9 +231,16 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// modeList is the paper's comparison order.
-func modeList() []pabst.Mode {
-	return []pabst.Mode{pabst.ModeNone, pabst.ModeSourceOnly, pabst.ModeTargetOnly, pabst.ModePABST}
+// paperModes is the paper's comparison order.
+var paperModes = []pabst.Mode{pabst.ModeNone, pabst.ModeSourceOnly, pabst.ModeTargetOnly, pabst.ModePABST}
+
+// modeColumns names paperModes as table columns.
+func modeColumns() []string {
+	cols := make([]string, len(paperModes))
+	for i, m := range paperModes {
+		cols[i] = m.String()
+	}
+	return cols
 }
 
 // attachStreams places identical read/write streamers on tiles [from,to).

@@ -23,9 +23,6 @@ func (e *expDef) Reduce(s []RunSpec, r []RunResult) (*Table, error) {
 	return e.reduce(s, r)
 }
 
-// modeNames is the paper's comparison order, as ParseMode selectors.
-var modeNames = []string{"none", "source-only", "target-only", "pabst"}
-
 // regulationMixes maps the Figure 1 benches to their row labels.
 var regulationMixes = []struct {
 	bench string
@@ -52,11 +49,11 @@ func abs(v float64) float64 {
 }
 
 // regulationSpecs builds the Figure 1/7 grid: each mix under each mode.
-func regulationSpecs(scale string, modes []string) []RunSpec {
+func regulationSpecs(scale string, modes []pabst.Mode) []RunSpec {
 	var specs []RunSpec
 	for _, mix := range regulationMixes {
 		for _, mode := range modes {
-			specs = append(specs, RunSpec{Bench: mix.bench, Scale: scale, Mode: mode})
+			specs = append(specs, RunSpec{Bench: mix.bench, Scale: scale, Mode: mode.String()})
 		}
 	}
 	return specs
@@ -98,8 +95,8 @@ func isolationSpecs(scale string, workloads []string) []RunSpec {
 	var specs []RunSpec
 	for _, w := range workloads {
 		specs = append(specs, RunSpec{Bench: BenchSpecIso, Scale: scale, Workload: w, Mode: "none"})
-		for _, mode := range modeNames {
-			specs = append(specs, RunSpec{Bench: BenchSpecMix, Scale: scale, Workload: w, Mode: mode})
+		for _, mode := range paperModes {
+			specs = append(specs, RunSpec{Bench: BenchSpecMix, Scale: scale, Workload: w, Mode: mode.String()})
 		}
 	}
 	return specs
@@ -108,7 +105,7 @@ func isolationSpecs(scale string, workloads []string) []RunSpec {
 // isolationFromRuns assembles the IsolationResult from an executed
 // isolationSpecs grid.
 func isolationFromRuns(specs []RunSpec, results []RunResult) (*IsolationResult, error) {
-	per := 1 + len(modeNames)
+	per := 1 + len(paperModes)
 	if len(specs)%per != 0 || len(specs) != len(results) {
 		return nil, Terminal(fmt.Errorf("%w: isolation grid of %d specs is not %d per workload",
 			config.ErrInvalid, len(specs), per))
@@ -125,11 +122,7 @@ func isolationFromRuns(specs []RunSpec, results []RunResult) (*IsolationResult, 
 		res.IsolatedIPC[w] = iso.TileIPCHi
 		res.IsolatedEfficiency[w] = iso.Efficiency
 		cells := make(map[pabst.Mode]IsolationCell)
-		for k, name := range modeNames {
-			mode, err := pabst.ParseMode(name)
-			if err != nil {
-				return nil, Terminal(err)
-			}
+		for k, mode := range paperModes {
 			co := results[g+1+k]
 			cells[mode] = IsolationCell{
 				Workload:         w,
@@ -267,9 +260,11 @@ func paretoSpecs(scale string) []RunSpec {
 	for _, pair := range ParetoPairs() {
 		for _, load := range ParetoLoads() {
 			specs = append(specs, RunSpec{
-				Bench:  BenchWStreams,
-				Scale:  scale,
-				Policy: pair.String(),
+				Bench: BenchWStreams,
+				Scale: scale,
+				// Spelled out even for a preset: the grid's fingerprints
+				// and row labels say "pabst+pabst".
+				Policy: pair.Source + "+" + pair.Target,
 				Load:   load,
 			})
 		}
@@ -283,14 +278,14 @@ func paretoSpecs(scale string) []RunSpec {
 func ParetoFromRuns(specs []RunSpec, results []RunResult) ([]ParetoPoint, error) {
 	points := make([]ParetoPoint, len(specs))
 	for i, rs := range specs {
-		src, tgt, err := pabst.ParsePolicyPair(rs.Policy)
+		pair, err := pabst.ParseMode(rs.Policy)
 		if err != nil {
 			return nil, Terminal(err)
 		}
 		r := results[i]
 		points[i] = ParetoPoint{
-			Source:   src,
-			Target:   tgt,
+			Source:   pair.Source,
+			Target:   pair.Target,
 			Load:     rs.load(),
 			ShareHi:  r.ShareHi,
 			ShareErr: abs(r.ShareHi-paretoEntitledHi) / paretoEntitledHi * 100,
@@ -340,7 +335,7 @@ func init() {
 		name: "fig1",
 		desc: "source- vs target-only regulation on both mixes (3:1 allocation)",
 		spec: func(scale string) []RunSpec {
-			return regulationSpecs(scale, []string{"source-only", "target-only"})
+			return regulationSpecs(scale, paperModes[1:3])
 		},
 		reduce: regulationReduce("Figure 1: source- vs target-only regulation (3:1 allocation)"),
 	})
@@ -348,7 +343,7 @@ func init() {
 		name: "fig7",
 		desc: "PABST vs source-only vs target-only on both mixes (3:1 allocation)",
 		spec: func(scale string) []RunSpec {
-			return regulationSpecs(scale, []string{"source-only", "target-only", "pabst"})
+			return regulationSpecs(scale, paperModes[1:])
 		},
 		reduce: regulationReduce("Figure 7: PABST vs source-only vs target-only (3:1 allocation)"),
 	})

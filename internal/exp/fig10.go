@@ -44,12 +44,12 @@ func weightedSlowdown(iso, co []float64) float64 {
 func (r *IsolationResult) SlowdownTable() *Table {
 	t := &Table{
 		Title:   "Figure 10: weighted slowdown vs 16-core stream aggressor (32:1 shares)",
-		Columns: []string{"none", "source-only", "target-only", "pabst"},
+		Columns: modeColumns(),
 	}
 	sums := map[pabst.Mode]float64{}
 	for _, w := range r.Workloads {
 		row := Row{Label: w, Values: map[string]float64{}}
-		for _, mode := range modeList() {
+		for _, mode := range paperModes {
 			c := r.Cells[w][mode]
 			row.Values[mode.String()] = c.WeightedSlowdown
 			sums[mode] += c.WeightedSlowdown
@@ -57,7 +57,7 @@ func (r *IsolationResult) SlowdownTable() *Table {
 		t.Rows = append(t.Rows, row)
 	}
 	avg := Row{Label: "average", Values: map[string]float64{}}
-	for _, mode := range modeList() {
+	for _, mode := range paperModes {
 		avg.Values[mode.String()] = sums[mode] / float64(len(r.Workloads))
 	}
 	t.Rows = append(t.Rows, avg)
@@ -68,11 +68,11 @@ func (r *IsolationResult) SlowdownTable() *Table {
 func (r *IsolationResult) EfficiencyTable() *Table {
 	t := &Table{
 		Title:   "Figure 12: memory efficiency under QoS (bus busy / bus pending)",
-		Columns: []string{"none", "source-only", "target-only", "pabst"},
+		Columns: modeColumns(),
 	}
 	for _, w := range r.Workloads {
 		row := Row{Label: w, Values: map[string]float64{}}
-		for _, mode := range modeList() {
+		for _, mode := range paperModes {
 			row.Values[mode.String()] = r.Cells[w][mode].Efficiency
 		}
 		t.Rows = append(t.Rows, row)

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 
 	"pabst"
@@ -40,7 +41,7 @@ func Fig9(scale Scale) (*Fig9Result, error) {
 		if colocate {
 			attachStreams(b, agCls, 1, 8, false)
 		}
-		sys, err := WarmedSystem(scale, b)
+		sys, err := WarmedSystem(context.Background(), scale, b, nil)
 		if err != nil {
 			return ServiceStats{}, err
 		}

@@ -1,31 +1,23 @@
 package exp
 
 import (
-	"context"
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"pabst"
 )
-
-// PolicyPair names one source+target mechanism combination from the
-// policy-plugin registry.
-type PolicyPair struct {
-	Source string `json:"source"`
-	Target string `json:"target"`
-}
-
-func (p PolicyPair) String() string { return p.Source + "+" + p.Target }
 
 // ParetoPairs returns the four mechanisms the cross-policy comparison
 // sweeps: the full PABST pair and the three related-work schemes, each
 // living on the half of the source/target split its paper occupies.
-func ParetoPairs() []PolicyPair {
-	return []PolicyPair{
-		{"pabst", "pabst"},  // adaptive source governor + EDF target arbiter
-		{"bankreg", "fcfs"}, // per-channel budgets, unmanaged target
-		{"lmsar", "fcfs"},   // LMS-predictive source pacing, unmanaged target
-		{"none", "dpq"},     // unmanaged source, bounded-latency target arbiter
+func ParetoPairs() []pabst.Mode {
+	return []pabst.Mode{
+		pabst.ModePABST,                     // adaptive source governor + EDF target arbiter
+		{Source: "bankreg", Target: "fcfs"}, // per-channel budgets, unmanaged target
+		{Source: "lmsar", Target: "fcfs"},   // LMS-predictive source pacing, unmanaged target
+		{Source: "none", Target: "dpq"},     // unmanaged source, bounded-latency target arbiter
 	}
 }
 
@@ -63,28 +55,6 @@ type ParetoPoint struct {
 	// load: no other pair is at least as good on both ShareErr and P99Hi
 	// and strictly better on one.
 	Frontier bool `json:"frontier"`
-}
-
-// RunPolicyPoint measures one policy pair at one load: `load` tiles of a
-// weight-7 stream class against `load` tiles of a weight-3 stream class.
-// One point of the "pareto" registry experiment, via the same seam.
-func RunPolicyPoint(scale Scale, pair PolicyPair, load int) (ParetoPoint, error) {
-	if load < 1 || load > 16 {
-		return ParetoPoint{}, fmt.Errorf("exp: pareto load %d outside [1,16]", load)
-	}
-	ex, name := execFor(scale)
-	rs := RunSpec{Bench: BenchWStreams, Scale: name, Policy: pair.String(), Load: load}
-	r, err := rs.Run(context.Background(), ex, RunIO{})
-	if err != nil {
-		return ParetoPoint{}, err
-	}
-	points, err := ParetoFromRuns([]RunSpec{rs}, []RunResult{r})
-	if err != nil {
-		return ParetoPoint{}, err
-	}
-	p := points[0]
-	p.Frontier = false // meaningful only within a full sweep
-	return p, nil
 }
 
 // markFrontier flags, within each load group, the points no other point

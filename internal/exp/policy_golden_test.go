@@ -63,8 +63,12 @@ func tinyModeFP(sc Scale, mode pabst.Mode) (string, error) {
 
 // TestPolicyGoldenModes proves the registry-built regulators are
 // bit-identical to the pre-plugin wiring for every legacy mode, on both
-// kernels.
+// kernels — and that a preset is one simulation however it is named:
+// the preset value handed to NewBuilder, its legacy name in
+// RunSpec.Mode, and its pair spelled out in RunSpec.Policy
+// (BenchWStreams31 is the machine tinyModeFP builds by hand).
 func TestPolicyGoldenModes(t *testing.T) {
+	ex := Exec{Scales: map[string]Scale{"tiny": tinyGoldenScale()}}
 	for _, mode := range pabst.Modes() {
 		mode := mode
 		want, ok := goldenModeFPs[mode.String()]
@@ -82,6 +86,18 @@ func TestPolicyGoldenModes(t *testing.T) {
 				}
 				if fp != want {
 					t.Errorf("kernel=%q: fingerprint %s, want pre-refactor %s", kernel, fp, want)
+				}
+			}
+			for _, rs := range []RunSpec{
+				{Bench: BenchWStreams31, Scale: "tiny", Mode: mode.String()},
+				{Bench: BenchWStreams31, Scale: "tiny", Policy: mode.Source + "+" + mode.Target},
+			} {
+				r, err := rs.Run(context.Background(), ex, RunIO{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if r.Fingerprint != want {
+					t.Errorf("spec mode=%q policy=%q: fingerprint %s, want pre-refactor %s", rs.Mode, rs.Policy, r.Fingerprint, want)
 				}
 			}
 		})
@@ -129,7 +145,7 @@ func TestPolicyMatrix(t *testing.T) {
 				for _, kernel := range kernels {
 					sc := base
 					sc.Kernel = kernel
-					sc.SourcePolicy, sc.TargetPolicy = src, tgt
+					sc.Policy = pabst.Mode{Source: src, Target: tgt}
 					fp, err := tinyModeFP(sc, pabst.ModePABST)
 					if err != nil {
 						t.Fatal(err)
@@ -151,11 +167,17 @@ func TestPolicyMatrix(t *testing.T) {
 // PABST at the contended load must deliver the 7:3 split and a bounded
 // hi-class tail.
 func TestPolicyPoint(t *testing.T) {
-	sc := tinyGoldenScale()
-	p, err := RunPolicyPoint(sc, PolicyPair{Source: "pabst", Target: "pabst"}, 16)
+	ex := Exec{Scales: map[string]Scale{"tiny": tinyGoldenScale()}}
+	rs := RunSpec{Bench: BenchWStreams, Scale: "tiny", Policy: "pabst+pabst", Load: 16}
+	r, err := rs.Run(context.Background(), ex, RunIO{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	points, err := ParetoFromRuns([]RunSpec{rs}, []RunResult{r})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := points[0]
 	if p.ShareErr > 10 {
 		t.Errorf("pabst+pabst load=16: share error %.1f%% (share %.3f), want <10%%", p.ShareErr, p.ShareHi)
 	}

@@ -199,12 +199,22 @@ func (rs RunSpec) load() int {
 	return rs.Load
 }
 
-// mode returns the parsed regulation mode (default ModePABST).
-func (rs RunSpec) mode() (pabst.Mode, error) {
-	if rs.Mode == "" {
-		return pabst.ModePABST, nil
+// pair resolves which mechanism the spec runs under a scale. Most
+// specific wins, side by side: the spec's own Policy, then the scale's
+// process-wide override (-policy), then the spec's Mode, which defaults
+// to full PABST. The machine runs over.Over(mode); the two are returned
+// apart because a machine's fingerprint and checkpoints record them
+// apart (the builder's mode, and the override in its configuration).
+// Run (through buildFor) and PredictSpec both resolve here, so the
+// simulator and the twin cannot disagree.
+func (rs RunSpec) pair(sc Scale) (mode, over pabst.Mode, err error) {
+	if mode, err = pabst.ParseMode(rs.Mode); err != nil {
+		return mode, over, err
 	}
-	return pabst.ParseMode(rs.Mode)
+	if over, err = pabst.ParseMode(rs.Policy); err != nil {
+		return mode, over, err
+	}
+	return mode.Over(pabst.ModePABST), over.Over(sc.Policy), nil
 }
 
 // streamMLP is the effective per-tile miss-level parallelism a paced
@@ -402,12 +412,6 @@ func BenchNames() []string {
 	return names
 }
 
-// BenchDesc describes a benchmark; ok is false for unknown names.
-func BenchDesc(name string) (desc string, ok bool) {
-	d, ok := benchRegistry[name]
-	return d.desc, ok
-}
-
 // BenchEntitledHi returns the bench's entitled high-class share (0 when
 // the bench has no share-fidelity reading).
 func BenchEntitledHi(name string) float64 { return benchRegistry[name].entitledHi }
@@ -426,15 +430,16 @@ type RunSpec struct {
 	Scale string `json:"scale"`
 	// Params are named configuration overrides applied through SetParam.
 	Params map[string]uint64 `json:"params,omitempty"`
-	// Policy optionally selects a "source+target" QoS policy pair by
-	// registry name (either half may be empty to keep that side's
-	// default). Empty means the bench's standard PABST pair, and is
-	// fingerprint-compatible with specs from before the field existed.
+	// Policy and Mode are two layers of one mechanism selection, both
+	// read by pabst.ParseMode and merged by pair: Policy's halves win
+	// over everything, Mode yields to a process-wide -policy override,
+	// and what neither names runs full PABST. They stay two wire fields
+	// because persisted journals and dedup keys (Fingerprint) carry
+	// both; by convention Policy holds "source+target" (either half may
+	// be empty) and Mode a preset name ("none", "source-only",
+	// "target-only", "pabst", "static-source").
 	Policy string `json:"policy,omitempty"`
-	// Mode optionally selects a legacy regulation mode by name ("none",
-	// "source-only", "target-only", "pabst", "static-source"). Empty
-	// means full PABST — the historical behavior.
-	Mode string `json:"mode,omitempty"`
+	Mode   string `json:"mode,omitempty"`
 	// Load sets the active tiles per class on the benches that take a
 	// utilization axis (0 means the default 16).
 	Load int `json:"load,omitempty"`
@@ -461,20 +466,17 @@ func (rs RunSpec) Validate() error {
 				config.ErrInvalid, name, ParamNames()))
 		}
 	}
-	if rs.Policy != "" {
-		if _, _, err := pabst.ParsePolicyPair(rs.Policy); err != nil {
-			return Terminal(fmt.Errorf("%w: %w", config.ErrInvalid, err))
-		}
-	}
-	if _, err := rs.mode(); err != nil {
+	if _, _, err := rs.pair(Scale{}); err != nil {
 		return Terminal(fmt.Errorf("%w: %w", config.ErrInvalid, err))
 	}
 	if rs.Load < 0 || rs.Load > 16 {
 		return Terminal(fmt.Errorf("%w: load %d outside [0,16]", config.ErrInvalid, rs.Load))
 	}
-	if def.workload && rs.Workload == "" {
-		return Terminal(fmt.Errorf("%w: bench %q requires a workload (have %v)",
-			config.ErrInvalid, rs.Bench, pabst.SpecNames()))
+	if def.workload {
+		if _, err := pabst.SpecProxy(rs.Workload, pabst.TileRegion(0), 1); err != nil {
+			return Terminal(fmt.Errorf("%w: bench %q requires a workload (have %v): %w",
+				config.ErrInvalid, rs.Bench, pabst.SpecNames(), err))
+		}
 	}
 	if !def.workload && rs.Workload != "" {
 		return Terminal(fmt.Errorf("%w: bench %q takes no workload", config.ErrInvalid, rs.Bench))
@@ -594,15 +596,15 @@ type RunIO struct {
 	Beat func(done, total uint64)
 }
 
-// buildFor assembles the spec's machine under a resolved scale: mode,
-// fault plan, and the bench's builder. classes[0] is the high-weight
-// class whose share the result reports.
+// buildFor assembles the spec's machine under a resolved scale:
+// mechanism, fault plan, and the bench's builder. classes[0] is the
+// high-weight class whose share the result reports.
 func (rs RunSpec) buildFor(cfg pabst.SystemConfig, sc Scale) (*pabst.Builder, []pabst.ClassID, error) {
-	mode, err := rs.mode()
+	mode, over, err := rs.pair(sc)
 	if err != nil {
 		return nil, nil, Terminal(err) // unreachable past Validate
 	}
-	opts := sc.Options()
+	opts := []pabst.Option{pabst.WithKernel(sc.Kernel), pabst.WithPolicy(over.Source, over.Target)}
 	if rs.Fault != "" {
 		plan, ferr := pabst.LoadFaultPlan(rs.Fault)
 		if ferr != nil {
@@ -670,14 +672,6 @@ func (rs RunSpec) Run(ctx context.Context, ex Exec, rio RunIO) (RunResult, error
 			return RunResult{}, err
 		}
 	}
-	if rs.Policy != "" {
-		src, tgt, perr := pabst.ParsePolicyPair(rs.Policy)
-		if perr != nil {
-			return RunResult{}, Terminal(perr) // unreachable past Validate
-		}
-		cfg.SourcePolicy, cfg.TargetPolicy = src, tgt
-	}
-
 	b, classes, err := rs.buildFor(cfg, sc)
 	if err != nil {
 		return RunResult{}, err
@@ -695,7 +689,7 @@ func (rs RunSpec) Run(ctx context.Context, ex Exec, rio RunIO) (RunResult, error
 		if rio.Beat != nil {
 			warmBeat = func(uint64, uint64) { rio.Beat(0, sc.Measure) }
 		}
-		if sys, err = WarmedSystemBeat(ctx, sc, b, warmBeat); err != nil {
+		if sys, err = WarmedSystem(ctx, sc, b, warmBeat); err != nil {
 			return RunResult{}, err
 		}
 	}

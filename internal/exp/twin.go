@@ -57,35 +57,12 @@ func PredictSpec(rs RunSpec, ex Exec) (TwinPrediction, error) {
 		}
 	}
 
-	// Policy resolution mirrors the simulation path exactly: the mode
-	// picks the default mechanism pair, then the scale's cross-policy
-	// axis overrides, then the spec's own pair (empty halves keep the
-	// previous layer, like pabst.WithPolicy).
-	mode, err := rs.mode()
+	mode, over, err := rs.pair(sc)
 	if err != nil {
-		return TwinPrediction{}, Terminal(err)
+		return TwinPrediction{}, Terminal(err) // unreachable past Validate
 	}
-	source, target := pabst.PolicyPairForMode(mode)
-	if sc.SourcePolicy != "" {
-		source = sc.SourcePolicy
-	}
-	if sc.TargetPolicy != "" {
-		target = sc.TargetPolicy
-	}
-	if rs.Policy != "" {
-		s, t, perr := pabst.ParsePolicyPair(rs.Policy)
-		if perr != nil {
-			return TwinPrediction{}, Terminal(perr)
-		}
-		if s != "" {
-			source = s
-		}
-		if t != "" {
-			target = t
-		}
-	}
-
-	p, err := twin.New(cfg).Solve(source, target, def.loads(rs, cfg))
+	pair := over.Over(mode)
+	p, err := twin.New(cfg).Solve(pair.Source, pair.Target, def.loads(rs, cfg))
 	if err != nil {
 		return TwinPrediction{}, Terminal(err)
 	}

@@ -70,7 +70,7 @@ type TwinBench struct {
 // allocation model has to predict partial regulation), the Figure 5
 // steady state, and the full cross-policy Pareto grid.
 func TwinBenchSpecs(scale string) []RunSpec {
-	specs := regulationSpecs(scale, []string{"source-only", "target-only"})
+	specs := regulationSpecs(scale, paperModes[1:3])
 	specs = append(specs, RunSpec{Bench: BenchStreams, Scale: scale})
 	specs = append(specs, paretoSpecs(scale)...)
 	return specs

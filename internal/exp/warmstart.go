@@ -40,17 +40,6 @@ func CkptPath(dir string, fp [32]byte, warmup uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("%x-w%d.ckpt", fp[:16], warmup))
 }
 
-// WarmedSystem builds the system a builder describes and brings it to
-// the post-warmup state; see WarmedSystemCtx.
-func WarmedSystem(scale Scale, b *pabst.Builder) (*pabst.System, error) {
-	return WarmedSystemCtx(context.Background(), scale, b)
-}
-
-// WarmedSystemCtx is WarmedSystemBeat without a liveness hook.
-func WarmedSystemCtx(ctx context.Context, scale Scale, b *pabst.Builder) (*pabst.System, error) {
-	return WarmedSystemBeat(ctx, scale, b, nil)
-}
-
 // warmup brings a freshly built system through its warmup phase. With a
 // beat hook the cycles run in chunks so a supervisor sees liveness
 // during the multi-million-cycle warmups; chunked RunContext calls
@@ -82,10 +71,10 @@ func warmup(ctx context.Context, sys *pabst.System, cycles uint64, beat func(don
 	return nil
 }
 
-// WarmedSystemBeat builds the system a builder describes and brings it
-// to the post-warmup state under ctx, calling beat (when non-nil) as
-// warmup cycles advance so a supervisor can tell a long warmup from a
-// wedged worker. It goes through the scale's checkpoint store when
+// WarmedSystem builds the system a builder describes and brings it to
+// the post-warmup state under ctx, calling beat (when non-nil) as warmup
+// cycles advance so a supervisor can tell a long warmup from a wedged
+// worker. It goes through the scale's checkpoint store when
 // Scale.Ckpt names a directory: a stored checkpoint matching
 // the machine's fingerprint and the warmup length is restored instead of
 // re-simulating the warmup, and a cold warmup saves its result for the
@@ -104,7 +93,7 @@ func warmup(ctx context.Context, sys *pabst.System, cycles uint64, beat func(don
 // Restoring is bit-identical to warming up: the measured run that
 // follows produces byte-equal results either way. Cancellation during a
 // cold warmup returns ctx.Err() with nothing saved.
-func WarmedSystemBeat(ctx context.Context, scale Scale, b *pabst.Builder, beat func(done, total uint64)) (*pabst.System, error) {
+func WarmedSystem(ctx context.Context, scale Scale, b *pabst.Builder, beat func(done, total uint64)) (*pabst.System, error) {
 	sys, err := b.Build()
 	if err != nil {
 		return nil, err
@@ -205,47 +194,4 @@ func saveCkpt(sys *pabst.System, path string) error {
 		return err
 	}
 	return os.Rename(tmp.Name(), path)
-}
-
-// ForEachWarm amortizes one warmup across n sweep points. The build
-// factory must return a fresh builder (fresh generator instances)
-// describing the same machine on every call. The first builder's system
-// is warmed once — through the scale's checkpoint store when configured
-// — and checkpointed in memory; every point then restores that
-// checkpoint into its own system (milliseconds, against warmups of
-// millions of cycles) and runs fn, Scale.Parallel at a time by ForEach's
-// rule (0 = every core).
-//
-// Only use this when the points vary runtime knobs (weights via
-// SetWeight, extra Run length); anything baked into the builder —
-// config, mode, classes, attachments — changes the fingerprint and must
-// re-warm. Convergence experiments (fig5) measure the warmup trajectory
-// itself and must not share one.
-func ForEachWarm(scale Scale, build func() (*pabst.Builder, error), n int, fn func(i int, sys *pabst.System) error) error {
-	b, err := build()
-	if err != nil {
-		return err
-	}
-	warm, err := WarmedSystem(scale, b)
-	if err != nil {
-		return err
-	}
-	var ck bytes.Buffer
-	err = warm.Checkpoint(&ck)
-	warm.Close()
-	if err != nil {
-		return err
-	}
-	return ForEach(scale.Parallel, n, func(i int) error {
-		bi, err := build()
-		if err != nil {
-			return err
-		}
-		sys, err := bi.Restore(bytes.NewReader(ck.Bytes()))
-		if err != nil {
-			return err
-		}
-		defer sys.Close()
-		return fn(i, sys)
-	})
 }

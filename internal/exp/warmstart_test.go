@@ -57,7 +57,7 @@ func TestWarmedSystemStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := WarmedSystem(plain, b)
+	ref, err := WarmedSystem(context.Background(), plain, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestWarmedSystemStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := WarmedSystem(scale, b)
+	sys, err := WarmedSystem(context.Background(), scale, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestWarmedSystemStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err = WarmedSystem(scale, b)
+	sys, err = WarmedSystem(context.Background(), scale, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestWarmedSystemResumeMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := WarmedSystem(scale, b); err == nil {
+	if _, err := WarmedSystem(context.Background(), scale, b, nil); err == nil {
 		t.Fatal("resume with an empty store succeeded")
 	} else if !strings.Contains(err.Error(), "no checkpoint") {
 		t.Fatalf("resume miss error = %v", err)
@@ -132,7 +132,7 @@ func TestWarmedSystemCorruptStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := WarmedSystem(plain, b)
+	ref, err := WarmedSystem(context.Background(), plain, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestWarmedSystemCorruptStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := WarmedSystem(scale, b)
+	sys, err := WarmedSystem(context.Background(), scale, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestWarmedSystemCorruptStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err = WarmedSystem(scale, b)
+	sys, err = WarmedSystem(context.Background(), scale, b, nil)
 	if err != nil {
 		t.Fatalf("corrupt store was not healed: %v", err)
 	}
@@ -202,7 +202,7 @@ func TestWarmedSystemResumeCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := WarmedSystem(scale, b)
+	sys, err := WarmedSystem(context.Background(), scale, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,57 +219,13 @@ func TestWarmedSystemResumeCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := WarmedSystem(scale, b); err == nil {
+	if _, err := WarmedSystem(context.Background(), scale, b, nil); err == nil {
 		t.Fatal("resume restored a truncated checkpoint")
 	} else if !errors.Is(err, pabst.ErrCkptCorrupt) {
 		t.Fatalf("resume-corrupt error = %v", err)
 	}
 	if q, _ := filepath.Glob(filepath.Join(scale.Ckpt, "*"+QuarantineSuffix)); len(q) != 1 {
 		t.Fatalf("quarantined files %v, want exactly one", q)
-	}
-}
-
-// TestForEachWarm pins the amortized sweep: every reweighted point
-// restored from the shared in-memory checkpoint matches the same point
-// reached by its own cold warmup.
-func TestForEachWarm(t *testing.T) {
-	scale := tinyScale()
-	build := warmBuilder(scale)
-	weights := []uint64{3, 2, 1}
-
-	// Cold references, one full warmup each.
-	want := make([]string, len(weights))
-	for i, w := range weights {
-		b, err := build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		sys, err := WarmedSystem(scale, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sys.SetWeight(0, w); err != nil {
-			t.Fatal(err)
-		}
-		want[i] = measure(scale, sys)
-		sys.Close()
-	}
-
-	got := make([]string, len(weights))
-	err := ForEachWarm(scale, build, len(weights), func(i int, sys *pabst.System) error {
-		if err := sys.SetWeight(0, weights[i]); err != nil {
-			return err
-		}
-		got[i] = measure(scale, sys)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range weights {
-		if got[i] != want[i] {
-			t.Fatalf("warm point %d (weight %d) diverged:\n%s\n%s", i, weights[i], got[i], want[i])
-		}
 	}
 }
 

@@ -145,18 +145,6 @@ func (n *Network) TileNode(tile int) int { return tile }
 // MCNode returns the node id of a memory controller.
 func (n *Network) MCNode(mc int) int { return n.cfg.Cols*n.cfg.Rows + mc }
 
-// flitsOf returns the link occupancy of a packet: responses and
-// writebacks carry a line; requests are command-only.
-func (n *Network) flitsOf(pkt *mem.Packet, toMem bool) int {
-	if pkt.Kind == mem.Writeback {
-		return n.dataFlit
-	}
-	if toMem {
-		return 1 // read request, no payload
-	}
-	return n.dataFlit // read response carries the line
-}
-
 // TrySend injects a message at src's local port. It returns false when
 // the local input queue is full (the sender must retry), providing the
 // backpressure that makes link bandwidth a real resource. TrySend only

@@ -57,18 +57,6 @@ func (r *Registry) Sample(name string) (v float64, ok bool) {
 	return g(), true
 }
 
-// SampleAll evaluates every gauge into a name→value map.
-func (r *Registry) SampleAll() map[string]float64 {
-	if r == nil {
-		return nil
-	}
-	out := make(map[string]float64, len(r.gauges))
-	for n, g := range r.gauges {
-		out[n] = g()
-	}
-	return out
-}
-
 // WriteProm renders every gauge as a Prometheus-style "name value"
 // line, sorted by name for deterministic output.
 func (r *Registry) WriteProm(w io.Writer) error {

@@ -8,6 +8,23 @@ import (
 	"pabst/internal/qos"
 )
 
+// strictArbiter is the reference the priority arbiter is compared
+// against: it stamps every request with a constant deadline equal to its
+// class stride, so an EDF pick degenerates into strict priority by
+// weight (ties broken by arrival order). Strict priority has no
+// virtual-time accounting, so a backlogged high-weight class starves
+// everyone below it — the classic failure the fair-queueing lineage
+// (and PABST's arbiter) exists to avoid.
+type strictArbiter struct {
+	reg *qos.Registry
+}
+
+func (a *strictArbiter) OnAccept(pkt *mem.Packet, now uint64) {
+	pkt.Deadline = a.reg.Stride(pkt.Class)
+}
+
+func (a *strictArbiter) OnPick(pkt *mem.Packet, now uint64) {}
+
 // driveArbiter floods a controller with both classes under the given
 // arbiter and returns per-class service counts.
 func driveArbiter(t *testing.T, arb dram.Arbiter) (hiServed, loServed int) {
@@ -65,7 +82,7 @@ func TestStrictArbiterStarvesLowClass(t *testing.T) {
 	reg.MustAdd("hi", 3, 4) // stride 1 -> earlier constant deadline
 	reg.MustAdd("lo", 1, 4) // stride 3
 
-	hi, lo := driveArbiter(t, NewStrictArbiter(reg))
+	hi, lo := driveArbiter(t, &strictArbiter{reg: reg})
 	if hi+lo == 0 {
 		t.Fatal("nothing served")
 	}

@@ -9,12 +9,12 @@ import (
 // The built-in mechanisms: the PABST halves and the two baselines the
 // paper compares against. Their factories reproduce the construction
 // the pre-plugin mode switches performed, argument for argument, which
-// is what keeps the mode-derived pairs fingerprint-identical.
+// is what keeps the preset pairs fingerprint-identical.
 func init() {
 	registerSource(Info{
 		Name: "none",
 		Desc: "pass-through: no source regulation (baseline)",
-		Cite: "Hower, Cain, Waldspurger, \"PABST\", HPCA 2017 (ModeNone baseline)",
+		Cite: "Hower, Cain, Waldspurger, \"PABST\", HPCA 2017 (no-QoS baseline)",
 	}, func(SourceEnv) regulate.Source { return regulate.Unthrottled{} })
 
 	registerSource(Info{
@@ -41,7 +41,7 @@ func init() {
 	registerTarget(Info{
 		Name: "fcfs",
 		Desc: "first-come first-served front end, no prioritization (baseline)",
-		Cite: "Hower, Cain, Waldspurger, \"PABST\", HPCA 2017 (ModeNone baseline)",
+		Cite: "Hower, Cain, Waldspurger, \"PABST\", HPCA 2017 (no-QoS baseline)",
 	}, func(TargetEnv) (dram.ReadSched, dram.Arbiter) {
 		return dram.SchedFCFS, nil
 	})

@@ -15,11 +15,13 @@
 //     prioritization. One arbiter instance is built per controller.
 //
 // Policies are registered by name at package init and looked up by
-// NewSource/NewTarget when internal/soc wires a machine. The public
-// selection surface (config.System.SourcePolicy/TargetPolicy, the
-// -policy CLI flags, exp.RunSpec.Policy, and policy.Describe) all
-// resolve through this registry, so a pair selected anywhere names the
-// same construction.
+// NewSource/NewTarget when internal/soc wires a machine. Which two run
+// is a Pair; ParsePair is the one parser of a selector string and
+// Pair.Over the one merge of selection layers, so a pair selected
+// anywhere (a -policy flag, a RunSpec, pabst.WithPolicy) names the same
+// construction. The accepted spellings, the five presets and the
+// precedence rule are documented once, in DESIGN.md under "Selecting a
+// mechanism".
 //
 // # Contracts
 //
@@ -53,9 +55,4 @@
 // prediction-based adaptive regulation). Targets: fcfs (arrival
 // order), pabst (the paper's earliest-virtual-deadline arbiter), dpq
 // (dynamic-priority bounded-latency arbiter).
-//
-// The mode-to-policy mapping in FromMode keeps the legacy regulate.Mode
-// surface working unchanged: every mode is now sugar for a (source,
-// target) pair, proven bit-identical to the pre-plugin wiring by the
-// frozen fingerprints in internal/exp's golden tests.
 package qospolicy

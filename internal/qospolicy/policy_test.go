@@ -51,62 +51,6 @@ func roundtrip(t *testing.T, save func(*ckpt.Writer), restore func(*ckpt.Reader)
 	}
 }
 
-func TestParsePair(t *testing.T) {
-	cases := []struct {
-		in       string
-		src, tgt string
-		ok       bool
-	}{
-		{"", "", "", true}, // no override at all
-		{"bankreg+dpq", "bankreg", "dpq", true},
-		{"+dpq", "", "dpq", true},         // target half only
-		{"bankreg+", "bankreg", "", true}, // source half only
-		{"pabst+pabst", "pabst", "pabst", true},
-		{"bankreg", "", "", false},   // missing separator
-		{"nope+fcfs", "", "", false}, // unknown source
-		{"pabst+nope", "", "", false},
-		{"fcfs+pabst", "", "", false}, // fcfs is a target, not a source
-	}
-	for _, c := range cases {
-		src, tgt, err := ParsePair(c.in)
-		if c.ok && err != nil {
-			t.Errorf("ParsePair(%q): unexpected error %v", c.in, err)
-			continue
-		}
-		if !c.ok {
-			if err == nil {
-				t.Errorf("ParsePair(%q): want error, got %q+%q", c.in, src, tgt)
-			}
-			continue
-		}
-		if src != c.src || tgt != c.tgt {
-			t.Errorf("ParsePair(%q) = %q+%q, want %q+%q", c.in, src, tgt, c.src, c.tgt)
-		}
-	}
-}
-
-func TestFromModeAndResolve(t *testing.T) {
-	modePairs := map[regulate.Mode][2]string{
-		regulate.ModeNone:         {"none", "fcfs"},
-		regulate.ModeSourceOnly:   {"pabst", "fcfs"},
-		regulate.ModeTargetOnly:   {"none", "pabst"},
-		regulate.ModePABST:        {"pabst", "pabst"},
-		regulate.ModeStaticSource: {"static", "fcfs"},
-	}
-	for mode, want := range modePairs {
-		if src, tgt := FromMode(mode); src != want[0] || tgt != want[1] {
-			t.Errorf("FromMode(%s) = %q+%q, want %q+%q", mode, src, tgt, want[0], want[1])
-		}
-	}
-	// Explicit names beat the mode defaults, per half.
-	if src, tgt := Resolve("bankreg", "", regulate.ModePABST); src != "bankreg" || tgt != "pabst" {
-		t.Errorf("Resolve(bankreg,,pabst) = %q+%q", src, tgt)
-	}
-	if src, tgt := Resolve("", "dpq", regulate.ModeNone); src != "none" || tgt != "dpq" {
-		t.Errorf("Resolve(,dpq,none) = %q+%q", src, tgt)
-	}
-}
-
 func TestRegistryLookup(t *testing.T) {
 	for _, name := range SourceNames() {
 		if !ValidSource(name) {

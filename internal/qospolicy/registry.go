@@ -147,56 +147,3 @@ func Describe() []Info {
 	}
 	return out
 }
-
-// FromMode maps a legacy regulation mode onto its (source, target)
-// policy pair. Every mode is sugar for a pair; the pair wiring is
-// proven bit-identical to the pre-plugin mode switches by the golden
-// fingerprints in internal/exp.
-func FromMode(m regulate.Mode) (source, target string) {
-	source, target = "none", "fcfs"
-	if m.SourceEnabled() {
-		source = "pabst"
-		if m == regulate.ModeStaticSource {
-			source = "static"
-		}
-	}
-	if m.TargetEnabled() {
-		target = "pabst"
-	}
-	return source, target
-}
-
-// Resolve produces the effective policy pair: explicit configuration
-// names win; empty fields fall back to the mode-derived defaults.
-func Resolve(srcCfg, tgtCfg string, m regulate.Mode) (source, target string) {
-	source, target = FromMode(m)
-	if srcCfg != "" {
-		source = srcCfg
-	}
-	if tgtCfg != "" {
-		target = tgtCfg
-	}
-	return source, target
-}
-
-// ParsePair splits a "source+target" CLI/spec string and validates both
-// names. Either half may be empty ("+dpq", "bankreg+") to override only
-// one side, and the empty string selects no override at all.
-func ParsePair(s string) (source, target string, err error) {
-	if s == "" {
-		return "", "", nil
-	}
-	for i := 0; i < len(s); i++ {
-		if s[i] == '+' {
-			source, target = s[:i], s[i+1:]
-			if source != "" && !ValidSource(source) {
-				return "", "", fmt.Errorf("qospolicy: unknown source policy %q (have %v)", source, SourceNames())
-			}
-			if target != "" && !ValidTarget(target) {
-				return "", "", fmt.Errorf("qospolicy: unknown target policy %q (have %v)", target, TargetNames())
-			}
-			return source, target, nil
-		}
-	}
-	return "", "", fmt.Errorf("qospolicy: policy pair %q must be source+target (e.g. %q)", s, "bankreg+dpq")
-}

@@ -1,14 +1,10 @@
-// Package regulate defines the bandwidth-regulation modes the paper
-// compares and the source-regulator interface the tiles program against.
+// Package regulate defines the source-regulator contracts the tiles
+// program against: Source (the per-tile pacer gating L2 misses into the
+// SoC network), the Heartbeat it receives each epoch, and the optional
+// Probe, Watchdog and IssueSchedule capabilities the SoC discovers by
+// type assertion. Unthrottled is the pass-through implementation.
 //
-// The four modes map to the paper's evaluation matrix (Section IV): no
-// QoS at all, the source governor alone, the target priority arbiter
-// alone, and full PABST (both). The same pabst.Governor implementation
-// backs both source-enabled modes; the same pabst.Arbiter backs both
-// target-enabled modes, so mode differences are purely about which half
-// is wired in.
-//
-// Main entry points: the Mode constants with ParseMode/Modes for CLI
-// flags, and the Regulator interface each tile consults before releasing
-// an L2 miss into the network.
+// Which mechanism runs is not decided here: a machine is wired from a
+// qospolicy.Pair (DESIGN.md, "Selecting a mechanism"), and every source
+// policy in that registry implements Source.
 package regulate

@@ -1,76 +1,6 @@
 package regulate
 
-import (
-	"fmt"
-
-	"pabst/internal/mem"
-)
-
-// Mode selects which halves of PABST are active.
-type Mode uint8
-
-const (
-	// ModeNone disables all bandwidth QoS (the baseline).
-	ModeNone Mode = iota
-	// ModeSourceOnly enables only the per-tile governors.
-	ModeSourceOnly
-	// ModeTargetOnly enables only the memory-controller arbiters.
-	ModeTargetOnly
-	// ModePABST enables both halves.
-	ModePABST
-	// ModeStaticSource is the related-work baseline: a fixed,
-	// non-work-conserving source rate limit (clock-modulation-class
-	// schemes), no target priority.
-	ModeStaticSource
-)
-
-// SourceEnabled reports whether tiles throttle at the source.
-func (m Mode) SourceEnabled() bool {
-	return m == ModeSourceOnly || m == ModePABST || m == ModeStaticSource
-}
-
-// TargetEnabled reports whether memory controllers use EDF priority.
-func (m Mode) TargetEnabled() bool { return m == ModeTargetOnly || m == ModePABST }
-
-func (m Mode) String() string {
-	switch m {
-	case ModeNone:
-		return "none"
-	case ModeSourceOnly:
-		return "source-only"
-	case ModeTargetOnly:
-		return "target-only"
-	case ModePABST:
-		return "pabst"
-	case ModeStaticSource:
-		return "static-source"
-	default:
-		return fmt.Sprintf("mode(%d)", uint8(m))
-	}
-}
-
-// ParseMode converts a mode name to a Mode.
-func ParseMode(s string) (Mode, error) {
-	switch s {
-	case "none":
-		return ModeNone, nil
-	case "source-only", "source":
-		return ModeSourceOnly, nil
-	case "target-only", "target":
-		return ModeTargetOnly, nil
-	case "pabst", "both":
-		return ModePABST, nil
-	case "static-source", "static":
-		return ModeStaticSource, nil
-	default:
-		return ModeNone, fmt.Errorf("regulate: unknown mode %q", s)
-	}
-}
-
-// Modes lists every mode in presentation order.
-func Modes() []Mode {
-	return []Mode{ModeNone, ModeSourceOnly, ModeTargetOnly, ModePABST, ModeStaticSource}
-}
+import "pabst/internal/mem"
 
 // Heartbeat is one epoch delivery to a source regulator: the cycle it
 // actually arrives (which may lag the epoch boundary under jitter or

@@ -6,40 +6,6 @@ import (
 	"pabst/internal/mem"
 )
 
-func TestModeHalves(t *testing.T) {
-	cases := []struct {
-		mode   Mode
-		source bool
-		target bool
-	}{
-		{ModeNone, false, false},
-		{ModeSourceOnly, true, false},
-		{ModeTargetOnly, false, true},
-		{ModePABST, true, true},
-		{ModeStaticSource, true, false},
-	}
-	for _, c := range cases {
-		if c.mode.SourceEnabled() != c.source || c.mode.TargetEnabled() != c.target {
-			t.Fatalf("%v: source=%v target=%v", c.mode, c.mode.SourceEnabled(), c.mode.TargetEnabled())
-		}
-	}
-}
-
-func TestParseModeRoundTrip(t *testing.T) {
-	for _, m := range Modes() {
-		got, err := ParseMode(m.String())
-		if err != nil || got != m {
-			t.Fatalf("ParseMode(%q) = %v, %v", m.String(), got, err)
-		}
-	}
-	if _, err := ParseMode("bogus"); err == nil {
-		t.Fatal("bogus mode accepted")
-	}
-	if m, err := ParseMode("both"); err != nil || m != ModePABST {
-		t.Fatal("alias 'both' broken")
-	}
-}
-
 func TestUnthrottledPassesEverything(t *testing.T) {
 	var u Unthrottled
 	for now := uint64(0); now < 100; now++ {

@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime/debug"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -932,21 +931,6 @@ func (s *Service) Counts() map[JobState]int {
 	out := make(map[JobState]int)
 	for _, j := range s.jobs {
 		out[j.state]++
-	}
-	return out
-}
-
-// sortedStates is a stable rendering for logs and smoke output.
-func (s *Service) sortedStates() string {
-	c := s.Counts()
-	keys := make([]string, 0, len(c))
-	for k := range c {
-		keys = append(keys, string(k))
-	}
-	sort.Strings(keys)
-	out := ""
-	for _, k := range keys {
-		out += fmt.Sprintf("%s=%d ", k, c[JobState(k)])
 	}
 	return out
 }

@@ -135,9 +135,6 @@ func (k *Kernel) SetEventMode(classes int, dispatch func(now uint64, class int, 
 	}
 }
 
-// EventDriven reports whether the kernel is in event mode.
-func (k *Kernel) EventDriven() bool { return k.ev != nil }
-
 // RegisterEvent adds a component under a dispatch class and returns its
 // id (the Wake handle). Registration order within a class defines the
 // canonical intra-class dispatch order.

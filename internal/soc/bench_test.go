@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"pabst/internal/qos"
-	"pabst/internal/regulate"
+	"pabst/internal/qospolicy"
 	"pabst/internal/workload"
 )
 
@@ -18,7 +18,7 @@ func BenchmarkTileMissSteadyState(b *testing.B) {
 	cfg.BWWindow = 1 << 40 // no series sample during the measured window
 	reg := qos.NewRegistry()
 	c := reg.MustAdd("solo", 1, cfg.L3Ways)
-	sys, err := New(cfg, reg, regulate.ModeNone)
+	sys, err := New(cfg, reg, qospolicy.None)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"pabst/internal/qos"
-	"pabst/internal/regulate"
+	"pabst/internal/qospolicy"
 	"pabst/internal/stats"
 	"pabst/internal/workload"
 )
@@ -23,7 +23,7 @@ func TestBurstCreditHelpsBurstyTraffic(t *testing.T) {
 		// keeps the governors throttling.
 		bc := reg.MustAdd("bursty", 1, cfg.L3Ways/2)
 		st := reg.MustAdd("stream", 3, cfg.L3Ways/2)
-		sys, err := New(cfg, reg, regulate.ModePABST)
+		sys, err := New(cfg, reg, qospolicy.PABST)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,7 +8,7 @@ import (
 	"pabst/internal/fault"
 	"pabst/internal/mem"
 	"pabst/internal/qos"
-	"pabst/internal/regulate"
+	"pabst/internal/qospolicy"
 	"pabst/internal/workload"
 )
 
@@ -34,7 +34,7 @@ func TestSystemChaosProperty(t *testing.T) {
 			cfg.PABST.PerMCGovernors = seed[3]%2 == 0
 		}
 		cfg.PABST.EpochJitter = uint64(seed[4]) % 500
-		mode := regulate.Mode(seed[5] % 5)
+		mode := qospolicy.Presets()[seed[5]%5]
 
 		reg := qos.NewRegistry()
 		a := reg.MustAdd("a", uint64(seed[6])%7+1, cfg.L3Ways/2)
@@ -132,7 +132,7 @@ func TestFaultChaosProperty(t *testing.T) {
 				cfg.BWWindow = 4000
 				cfg.Faults = &plan
 				cfg.PABST = cfg.PABST.WithDegradation()
-				sys, hi, _ := twoClassStreams(t, cfg, regulate.ModePABST, 7, 3, 4, 4)
+				sys, hi, _ := twoClassStreams(t, cfg, qospolicy.PABST, 7, 3, 4, 4)
 				// One observed stretch from cold start, so the window and
 				// the lifetime controller counters cover the same cycles.
 				sys.Run(250_000)
@@ -182,7 +182,7 @@ func TestPartitionDivergenceAndResync(t *testing.T) {
 		if degrade {
 			cfg.PABST = cfg.PABST.WithDegradation()
 		}
-		sys, _, _ := twoClassStreams(t, cfg, regulate.ModePABST, 7, 3, 16, 16)
+		sys, _, _ := twoClassStreams(t, cfg, qospolicy.PABST, 7, 3, 16, 16)
 		// Partition spans epochs [10,30) = cycles [20k,60k); run well past
 		// heal + the resync bound.
 		sys.Run(100_000)

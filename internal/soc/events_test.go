@@ -9,7 +9,7 @@ import (
 	"pabst/internal/fault"
 	"pabst/internal/mem"
 	"pabst/internal/qos"
-	"pabst/internal/regulate"
+	"pabst/internal/qospolicy"
 	"pabst/internal/workload"
 )
 
@@ -36,7 +36,7 @@ func burstySystem(t *testing.T, cfg config.System) (*System, mem.ClassID) {
 	t.Helper()
 	reg := qos.NewRegistry()
 	c := reg.MustAdd("bursty", 1, cfg.L3Ways)
-	sys, err := New(cfg, reg, regulate.ModePABST)
+	sys, err := New(cfg, reg, qospolicy.PABST)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestEventKernelBitIdentical(t *testing.T) {
 	run := func(kernel string) string {
 		cfg := testCfg()
 		cfg.Kernel = kernel
-		sys, hi, lo := twoClassStreams(t, cfg, regulate.ModePABST, 7, 3, 8, 8)
+		sys, hi, lo := twoClassStreams(t, cfg, qospolicy.PABST, 7, 3, 8, 8)
 		if sys.evOn != (kernel != config.KernelCycle) {
 			t.Fatalf("Kernel=%q: event mode = %v", kernel, sys.evOn)
 		}
@@ -113,7 +113,7 @@ func TestEventKernelWithFaults(t *testing.T) {
 			DRAM: fault.DRAMPlan{StallProb: 0.05, StallCycles: 1000},
 			NoC:  fault.NoCPlan{DelayProb: 0.01, DelayCycles: 100},
 		}
-		sys, hi, lo := twoClassStreams(t, cfg, regulate.ModePABST, 7, 3, 8, 8)
+		sys, hi, lo := twoClassStreams(t, cfg, qospolicy.PABST, 7, 3, 8, 8)
 		sys.Run(40000)
 		if lw := sys.LateWakes(); lw != 0 {
 			t.Fatalf("%d late wakes with kernel=%s", lw, kernel)

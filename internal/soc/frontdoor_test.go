@@ -8,7 +8,7 @@ import (
 	"pabst/internal/dram"
 	"pabst/internal/mem"
 	"pabst/internal/qos"
-	"pabst/internal/regulate"
+	"pabst/internal/qospolicy"
 )
 
 // newDoorHarness builds a minimal system (no tiles attached) so the front
@@ -23,7 +23,7 @@ func newDoorHarness(t *testing.T, readQ int) (*System, *frontDoor) {
 	reg := qos.NewRegistry()
 	reg.MustAdd("a", 1, 0)
 	reg.MustAdd("b", 1, 0)
-	sys, err := New(cfg, reg, regulate.ModeNone)
+	sys, err := New(cfg, reg, qospolicy.None)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"pabst/internal/qos"
-	"pabst/internal/regulate"
+	"pabst/internal/qospolicy"
 	"pabst/internal/workload"
 )
 
@@ -18,7 +18,7 @@ func buildHeteroScenario(t *testing.T, hetero bool) (*System, *qos.Class, *qos.C
 	reg := qos.NewRegistry()
 	a := reg.MustAdd("mixed", 1, cfg.L3Ways/2)
 	b := reg.MustAdd("busy", 1, cfg.L3Ways/2)
-	sys, err := New(cfg, reg, regulate.ModePABST)
+	sys, err := New(cfg, reg, qospolicy.PABST)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestHeterogeneousThreadsKeepClassProportions(t *testing.T) {
 	// case), inter-class proportionality must be unchanged.
 	cfg := testCfg()
 	cfg.PABST.HeterogeneousThreads = true
-	sys, hi, _ := twoClassStreams(t, cfg, regulate.ModePABST, 7, 3, 16, 16)
+	sys, hi, _ := twoClassStreams(t, cfg, qospolicy.PABST, 7, 3, 16, 16)
 	sys.Warmup(150_000)
 	sys.Run(150_000)
 	if sh := sys.Metrics().ShareOf(hi.ID); sh < 0.62 || sh > 0.78 {

@@ -5,7 +5,7 @@ import (
 	"pabst/internal/config"
 	"testing"
 
-	"pabst/internal/regulate"
+	"pabst/internal/qospolicy"
 )
 
 // TestEpochJitterToleratedWhenSmall validates the Section III-D claim:
@@ -16,7 +16,7 @@ func TestEpochJitterToleratedWhenSmall(t *testing.T) {
 	run := func(jitter uint64) float64 {
 		cfg := testCfg()
 		cfg.PABST.EpochJitter = jitter
-		sys, hi, _ := twoClassStreams(t, cfg, regulate.ModePABST, 7, 3, 16, 16)
+		sys, hi, _ := twoClassStreams(t, cfg, qospolicy.PABST, 7, 3, 16, 16)
 		sys.Warmup(150_000)
 		sys.Run(150_000)
 		return sys.Metrics().ShareOf(hi.ID)

@@ -209,9 +209,9 @@ func (s *System) Tiles() []*Tile { return s.tiles }
 
 // GovernorState reports the internal regulator state of a tile for
 // tracing: the throttle multiplier M, the current step δM, and the
-// installed pacing period. ok is false when the tile is idle or runs no
-// adaptive governor (ModeNone, target-only, static) — exactly the
-// sources that implement regulate.Probe. Per-controller governors
+// installed pacing period. ok is false when the tile is idle or its
+// source has no registers (pass-through, static): it is true for exactly
+// the sources that implement regulate.Probe. Per-controller governors
 // report channel 0 as the representative.
 func (s *System) GovernorState(tile int) (m, dm, period uint64, ok bool) {
 	if tile < 0 || tile >= len(s.tiles) || s.tiles[tile] == nil {

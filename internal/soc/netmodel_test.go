@@ -4,7 +4,7 @@ import (
 	"math"
 	"testing"
 
-	"pabst/internal/regulate"
+	"pabst/internal/qospolicy"
 )
 
 // TestModeledNoCMatchesLatencyOnlyWhenProvisioned validates the paper's
@@ -16,7 +16,7 @@ func TestModeledNoCMatchesLatencyOnlyWhenProvisioned(t *testing.T) {
 	run := func(model bool) (share float64, total float64) {
 		cfg := testCfg()
 		cfg.ModelNoC = model
-		sys, hi, lo := twoClassStreams(t, cfg, regulate.ModePABST, 7, 3, 16, 16)
+		sys, hi, lo := twoClassStreams(t, cfg, qospolicy.PABST, 7, 3, 16, 16)
 		sys.Warmup(150_000)
 		sys.Run(150_000)
 		m := sys.Metrics()
@@ -46,7 +46,7 @@ func TestStarvedNoCBecomesTheBottleneck(t *testing.T) {
 		cfg := testCfg()
 		cfg.ModelNoC = true
 		cfg.NoCNet.DataFlits = dataFlits
-		sys, hi, lo := twoClassStreams(t, cfg, regulate.ModePABST, 1, 1, 16, 16)
+		sys, hi, lo := twoClassStreams(t, cfg, qospolicy.PABST, 1, 1, 16, 16)
 		sys.Warmup(100_000)
 		sys.Run(100_000)
 		m := sys.Metrics()
@@ -65,7 +65,7 @@ func TestModeledNoCDeterministic(t *testing.T) {
 	run := func() Metrics {
 		cfg := testCfg()
 		cfg.ModelNoC = true
-		sys, _, _ := twoClassStreams(t, cfg, regulate.ModePABST, 7, 3, 8, 8)
+		sys, _, _ := twoClassStreams(t, cfg, qospolicy.PABST, 7, 3, 8, 8)
 		sys.Run(60_000)
 		return sys.Metrics()
 	}
@@ -83,7 +83,7 @@ func TestModeledNoCAcrossKernels(t *testing.T) {
 		cfg := testCfg()
 		cfg.ModelNoC = true
 		cfg.Kernel = kernel
-		sys, hi, lo := twoClassStreams(t, cfg, regulate.ModePABST, 7, 3, 8, 8)
+		sys, hi, lo := twoClassStreams(t, cfg, qospolicy.PABST, 7, 3, 8, 8)
 		sys.Run(60_000)
 		if lw := sys.LateWakes(); lw != 0 {
 			t.Fatalf("%d late wakes (kernel=%s)", lw, kernel)

@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"pabst/internal/qos"
-	"pabst/internal/regulate"
+	"pabst/internal/qospolicy"
 	"pabst/internal/workload"
 )
 
@@ -12,7 +12,7 @@ func TestGovernorStateExposure(t *testing.T) {
 	cfg := testCfg8()
 	reg := qos.NewRegistry()
 	c := reg.MustAdd("c", 1, cfg.L3Ways)
-	sys, err := New(cfg, reg, regulate.ModePABST)
+	sys, err := New(cfg, reg, qospolicy.PABST)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestGovernorStateAbsentInTargetOnly(t *testing.T) {
 	cfg := testCfg8()
 	reg := qos.NewRegistry()
 	c := reg.MustAdd("c", 1, cfg.L3Ways)
-	sys, err := New(cfg, reg, regulate.ModeTargetOnly)
+	sys, err := New(cfg, reg, qospolicy.TargetOnly)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestGovernorStatePerMC(t *testing.T) {
 	cfg.PABST.PerMCGovernors = true
 	reg := qos.NewRegistry()
 	c := reg.MustAdd("c", 1, cfg.L3Ways)
-	sys, err := New(cfg, reg, regulate.ModePABST)
+	sys, err := New(cfg, reg, qospolicy.PABST)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestGovernorStatePerMC(t *testing.T) {
 
 func TestMCUtilizationsWindowed(t *testing.T) {
 	cfg := testCfg()
-	sys, _, _ := twoClassStreams(t, cfg, regulate.ModeNone, 1, 1, 16, 16)
+	sys, _, _ := twoClassStreams(t, cfg, qospolicy.None, 1, 1, 16, 16)
 	sys.Warmup(50_000)
 	sys.Run(50_000)
 	utils := sys.MCUtilizations()
@@ -104,7 +104,7 @@ func TestL3OccupancyInternal(t *testing.T) {
 	reg := qos.NewRegistry()
 	a := reg.MustAdd("a", 1, cfg.L3Ways/2)
 	reg.MustAdd("b", 1, cfg.L3Ways/2)
-	sys, err := New(cfg, reg, regulate.ModeNone)
+	sys, err := New(cfg, reg, qospolicy.None)
 	if err != nil {
 		t.Fatal(err)
 	}

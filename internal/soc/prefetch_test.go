@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"pabst/internal/qos"
-	"pabst/internal/regulate"
+	"pabst/internal/qospolicy"
 	"pabst/internal/workload"
 )
 
@@ -14,7 +14,7 @@ func buildPrefetchRun(t *testing.T, depth int, gen workload.Generator) *System {
 	cfg.PrefetchDepth = depth
 	reg := qos.NewRegistry()
 	c := reg.MustAdd("c", 1, cfg.L3Ways)
-	sys, err := New(cfg, reg, regulate.ModeNone)
+	sys, err := New(cfg, reg, qospolicy.None)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestPrefetchRespectsMSHRBound(t *testing.T) {
 func TestPrefetchKeepsProportions(t *testing.T) {
 	cfg := testCfg()
 	cfg.PrefetchDepth = 4
-	sys, hi, _ := twoClassStreams(t, cfg, regulate.ModePABST, 7, 3, 16, 16)
+	sys, hi, _ := twoClassStreams(t, cfg, qospolicy.PABST, 7, 3, 16, 16)
 	sys.Warmup(150_000)
 	sys.Run(150_000)
 	if sh := sys.Metrics().ShareOf(hi.ID); sh < 0.62 || sh > 0.78 {

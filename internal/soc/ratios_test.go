@@ -4,7 +4,7 @@ import (
 	"math"
 	"testing"
 
-	"pabst/internal/regulate"
+	"pabst/internal/qospolicy"
 )
 
 // TestTwoStageMCKeepsProportions pins that the paper's two-place-EDF
@@ -12,7 +12,7 @@ import (
 func TestTwoStageMCKeepsProportions(t *testing.T) {
 	cfg := testCfg()
 	cfg.DRAM.BankQueueDepth = 2
-	sys, hi, _ := twoClassStreams(t, cfg, regulate.ModePABST, 7, 3, 16, 16)
+	sys, hi, _ := twoClassStreams(t, cfg, qospolicy.PABST, 7, 3, 16, 16)
 	sys.Warmup(150_000)
 	sys.Run(150_000)
 	if sh := sys.Metrics().ShareOf(hi.ID); sh < 0.62 || sh > 0.78 {
@@ -34,7 +34,7 @@ func TestProportionalAllocationAcrossRatios(t *testing.T) {
 		{15, 1},
 	}
 	for _, r := range ratios {
-		sys, hi, _ := twoClassStreams(t, testCfg(), regulate.ModePABST, r.wHi, r.wLo, 16, 16)
+		sys, hi, _ := twoClassStreams(t, testCfg(), qospolicy.PABST, r.wHi, r.wLo, 16, 16)
 		sys.Warmup(150_000)
 		sys.Run(150_000)
 		want := float64(r.wHi) / float64(r.wHi+r.wLo)

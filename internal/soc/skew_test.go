@@ -5,7 +5,7 @@ import (
 
 	"pabst/internal/mem"
 	"pabst/internal/qos"
-	"pabst/internal/regulate"
+	"pabst/internal/qospolicy"
 	"pabst/internal/workload"
 )
 
@@ -19,7 +19,7 @@ func buildSkewed(t *testing.T, perMC bool) *System {
 	reg := qos.NewRegistry()
 	hot := reg.MustAdd("hot", 1, cfg.L3Ways/2)
 	uni := reg.MustAdd("uniform", 1, cfg.L3Ways/2)
-	sys, err := New(cfg, reg, regulate.ModePABST)
+	sys, err := New(cfg, reg, qospolicy.PABST)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestPerMCGovernorsStillProportionalWhenUniform(t *testing.T) {
 	reg := qos.NewRegistry()
 	hi := reg.MustAdd("hi", 7, cfg.L3Ways/2)
 	lo := reg.MustAdd("lo", 3, cfg.L3Ways/2)
-	sys, err := New(cfg, reg, regulate.ModePABST)
+	sys, err := New(cfg, reg, qospolicy.PABST)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -90,7 +90,7 @@ type TileSnapshot struct {
 }
 
 // GovernorSnapshot is a tile regulator's registers. OK is false for
-// sources without an adaptive governor (ModeNone, target-only, static);
+// sources without an adaptive governor (pass-through, static);
 // Multi marks per-controller regulators, which report channel 0.
 type GovernorSnapshot struct {
 	OK            bool

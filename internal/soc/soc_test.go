@@ -7,7 +7,7 @@ import (
 	"pabst/internal/config"
 	"pabst/internal/mem"
 	"pabst/internal/qos"
-	"pabst/internal/regulate"
+	"pabst/internal/qospolicy"
 	"pabst/internal/workload"
 )
 
@@ -32,7 +32,7 @@ func tileRegion(tile int) workload.Region {
 }
 
 // twoClassStreams builds nHi+nLo stream tiles in two classes.
-func twoClassStreams(t *testing.T, cfg config.System, mode regulate.Mode, wHi, wLo uint64, nHi, nLo int) (*System, *qos.Class, *qos.Class) {
+func twoClassStreams(t *testing.T, cfg config.System, mode qospolicy.Pair, wHi, wLo uint64, nHi, nLo int) (*System, *qos.Class, *qos.Class) {
 	t.Helper()
 	reg := qos.NewRegistry()
 	hi := reg.MustAdd("hi", wHi, cfg.L3Ways/2)
@@ -62,7 +62,7 @@ func TestSingleStreamMovesData(t *testing.T) {
 	cfg := testCfg()
 	reg := qos.NewRegistry()
 	c := reg.MustAdd("solo", 1, cfg.L3Ways)
-	sys, err := New(cfg, reg, regulate.ModeNone)
+	sys, err := New(cfg, reg, qospolicy.None)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestSingleStreamMovesData(t *testing.T) {
 
 func TestFloodSaturatesSystem(t *testing.T) {
 	cfg := testCfg()
-	sys, hi, lo := twoClassStreams(t, cfg, regulate.ModeNone, 1, 1, 16, 16)
+	sys, hi, lo := twoClassStreams(t, cfg, qospolicy.None, 1, 1, 16, 16)
 	sys.Warmup(50000)
 	sys.Run(100000)
 	m := sys.Metrics()
@@ -104,7 +104,7 @@ func TestFloodSaturatesSystem(t *testing.T) {
 }
 
 func TestNoQoSSplitsEvenly(t *testing.T) {
-	sys, hi, lo := twoClassStreams(t, testCfg(), regulate.ModeNone, 3, 1, 16, 16)
+	sys, hi, lo := twoClassStreams(t, testCfg(), qospolicy.None, 3, 1, 16, 16)
 	sys.Warmup(50000)
 	sys.Run(100000)
 	m := sys.Metrics()
@@ -118,7 +118,7 @@ func TestNoQoSSplitsEvenly(t *testing.T) {
 func TestPABSTProportionalAllocation(t *testing.T) {
 	// The Figure 5 contract: 7:3 shares between two 16-core stream
 	// classes yield a 70/30 bandwidth split.
-	sys, hi, lo := twoClassStreams(t, testCfg(), regulate.ModePABST, 7, 3, 16, 16)
+	sys, hi, lo := twoClassStreams(t, testCfg(), qospolicy.PABST, 7, 3, 16, 16)
 	sys.Warmup(150000) // let the governors converge
 	sys.Run(150000)
 	m := sys.Metrics()
@@ -142,7 +142,7 @@ func TestWorkConservationSoloSmallShare(t *testing.T) {
 	reg := qos.NewRegistry()
 	small := reg.MustAdd("small", 1, cfg.L3Ways/2)
 	reg.MustAdd("absent", 31, cfg.L3Ways/2) // huge share, never attached
-	sys, err := New(cfg, reg, regulate.ModePABST)
+	sys, err := New(cfg, reg, qospolicy.PABST)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestMSHRBound(t *testing.T) {
 	cfg := testCfg()
 	reg := qos.NewRegistry()
 	c := reg.MustAdd("c", 1, cfg.L3Ways)
-	sys, err := New(cfg, reg, regulate.ModeNone)
+	sys, err := New(cfg, reg, qospolicy.None)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestMSHRBound(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	run := func() Metrics {
-		sys, _, _ := twoClassStreams(t, testCfg(), regulate.ModePABST, 7, 3, 8, 8)
+		sys, _, _ := twoClassStreams(t, testCfg(), qospolicy.PABST, 7, 3, 8, 8)
 		sys.Run(60000)
 		return sys.Metrics()
 	}
@@ -204,7 +204,7 @@ func TestChaserIsLatencySensitive(t *testing.T) {
 	reg := qos.NewRegistry()
 	ch := reg.MustAdd("chaser", 3, cfg.L3Ways/2)
 	st := reg.MustAdd("stream", 1, cfg.L3Ways/2)
-	sys, err := New(cfg, reg, regulate.ModeNone)
+	sys, err := New(cfg, reg, qospolicy.None)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestScaled8System(t *testing.T) {
 	cfg := testCfg8()
 	reg := qos.NewRegistry()
 	c := reg.MustAdd("c", 1, cfg.L3Ways)
-	sys, err := New(cfg, reg, regulate.ModePABST)
+	sys, err := New(cfg, reg, qospolicy.PABST)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestAttachValidation(t *testing.T) {
 	cfg := testCfg()
 	reg := qos.NewRegistry()
 	c := reg.MustAdd("c", 1, cfg.L3Ways)
-	sys, err := New(cfg, reg, regulate.ModeNone)
+	sys, err := New(cfg, reg, qospolicy.None)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestPartitionOverflowRejected(t *testing.T) {
 	reg := qos.NewRegistry()
 	reg.MustAdd("a", 1, cfg.L3Ways)
 	reg.MustAdd("b", 1, 1)
-	sys, err := New(cfg, reg, regulate.ModeNone)
+	sys, err := New(cfg, reg, qospolicy.None)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func TestL3ResidentWorkloadStopsUsingDRAM(t *testing.T) {
 	cfg := testCfg8()
 	reg := qos.NewRegistry()
 	c := reg.MustAdd("resident", 1, cfg.L3Ways)
-	sys, err := New(cfg, reg, regulate.ModeNone)
+	sys, err := New(cfg, reg, qospolicy.None)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,13 +4,13 @@ import (
 	"testing"
 
 	"pabst/internal/qos"
-	"pabst/internal/regulate"
+	"pabst/internal/qospolicy"
 	"pabst/internal/workload"
 )
 
 // buildPeriodicMix builds the Figure 6 workload (periodic 70% class +
 // constant 30% class) under the given mode.
-func buildPeriodicMix(t *testing.T, mode regulate.Mode) (*System, *qos.Class, *qos.Class) {
+func buildPeriodicMix(t *testing.T, mode qospolicy.Pair) (*System, *qos.Class, *qos.Class) {
 	t.Helper()
 	cfg := testCfg()
 	reg := qos.NewRegistry()
@@ -43,14 +43,14 @@ func buildPeriodicMix(t *testing.T, mode regulate.Mode) (*System, *qos.Class, *q
 // static limiter keeps the constant class pinned at its 30% rate while
 // PABST lets it absorb the idle bandwidth.
 func TestStaticLimiterIsNotWorkConserving(t *testing.T) {
-	run := func(mode regulate.Mode) float64 {
+	run := func(mode qospolicy.Pair) float64 {
 		sys, _, con := buildPeriodicMix(t, mode)
 		sys.Warmup(120_000)
 		sys.Run(480_000) // two full periods
 		return sys.Metrics().BytesPerCycle(con.ID)
 	}
-	static := run(regulate.ModeStaticSource)
-	pabst := run(regulate.ModePABST)
+	static := run(qospolicy.StaticSource)
+	pabst := run(qospolicy.PABST)
 	cfg := testCfg()
 	peak := cfg.PeakBytesPerCycle()
 
@@ -73,7 +73,7 @@ func TestStaticLimiterEnforcesShares(t *testing.T) {
 	reg := qos.NewRegistry()
 	hi := reg.MustAdd("hi", 7, cfg.L3Ways/2)
 	lo := reg.MustAdd("lo", 3, cfg.L3Ways/2)
-	sys, err := New(cfg, reg, regulate.ModeStaticSource)
+	sys, err := New(cfg, reg, qospolicy.StaticSource)
 	if err != nil {
 		t.Fatal(err)
 	}

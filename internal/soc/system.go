@@ -21,9 +21,8 @@ import (
 
 // System is one simulated machine plus its measurement state.
 type System struct {
-	cfg  config.System
-	mode regulate.Mode
-	reg  *qos.Registry
+	cfg config.System
+	reg *qos.Registry
 
 	kernel *sim.Kernel
 	mesh   *noc.Mesh
@@ -35,10 +34,10 @@ type System struct {
 	arbs   []dram.Arbiter // parallel to mcs; nil entries for arbiter-free targets
 	doors  []*frontDoor
 
-	// srcPolicy/tgtPolicy are the resolved policy-pair names: explicit
-	// config selections, else the mode-derived defaults (see qospolicy).
-	srcPolicy string
-	tgtPolicy string
+	// pair names the mechanism the machine is wired with, both halves
+	// set; the caller resolved it (cfg.SourcePolicy/TargetPolicy are
+	// part of that resolution and are not read here).
+	pair qospolicy.Pair
 
 	// mcOut holds MC read responses awaiting injection into the modeled
 	// network (ready at the data completion cycle).
@@ -113,9 +112,9 @@ type snapshot struct {
 	busPerMC  []uint64
 }
 
-// New builds an empty system in the given regulation mode. Attach
-// workloads with Attach, then call Finalize before Run.
-func New(cfg config.System, reg *qos.Registry, mode regulate.Mode) (*System, error) {
+// New builds an empty system regulated by the given mechanism pair.
+// Attach workloads with Attach, then call Finalize before Run.
+func New(cfg config.System, reg *qos.Registry, pair qospolicy.Pair) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -123,19 +122,16 @@ func New(cfg config.System, reg *qos.Registry, mode regulate.Mode) (*System, err
 	if err != nil {
 		return nil, err
 	}
-	srcPolicy, tgtPolicy := qospolicy.Resolve(cfg.SourcePolicy, cfg.TargetPolicy, mode)
 	s := &System{
-		cfg:       cfg,
-		mode:      mode,
-		reg:       reg,
-		kernel:    &sim.Kernel{},
-		mesh:      mesh,
-		tiles:     make([]*Tile, cfg.NumTiles()),
-		slices:    make([]*Slice, cfg.NumTiles()),
-		series:    stats.NewSeries(cfg.BWWindow),
-		faults:    fault.NewInjector(cfg.Faults, cfg.Seed),
-		srcPolicy: srcPolicy,
-		tgtPolicy: tgtPolicy,
+		cfg:    cfg,
+		reg:    reg,
+		pair:   pair,
+		kernel: &sim.Kernel{},
+		mesh:   mesh,
+		tiles:  make([]*Tile, cfg.NumTiles()),
+		slices: make([]*Slice, cfg.NumTiles()),
+		series: stats.NewSeries(cfg.BWWindow),
+		faults: fault.NewInjector(cfg.Faults, cfg.Seed),
 	}
 
 	for i := 0; i < cfg.NumMCs; i++ {
@@ -147,7 +143,7 @@ func New(cfg config.System, reg *qos.Registry, mode regulate.Mode) (*System, err
 			return nil, err
 		}
 		mc.SetReleaser(s.releaseWB)
-		sched, arb, err := qospolicy.NewTarget(tgtPolicy, qospolicy.TargetEnv{Params: cfg.PABST, Reg: reg})
+		sched, arb, err := qospolicy.NewTarget(pair.Target, qospolicy.TargetEnv{Params: cfg.PABST, Reg: reg})
 		if err != nil {
 			return nil, err
 		}
@@ -214,11 +210,8 @@ func (s *System) netDeliver(pkt *mem.Packet, dst int, now uint64) {
 // Config returns the system configuration.
 func (s *System) Config() config.System { return s.cfg }
 
-// Mode returns the regulation mode.
-func (s *System) Mode() regulate.Mode { return s.mode }
-
-// Policies returns the resolved (source, target) policy-pair names.
-func (s *System) Policies() (source, target string) { return s.srcPolicy, s.tgtPolicy }
+// Pair returns the mechanism pair the system was wired with.
+func (s *System) Pair() qospolicy.Pair { return s.pair }
 
 // Registry returns the QoS registry.
 func (s *System) Registry() *qos.Registry { return s.reg }

@@ -86,7 +86,7 @@ func newTile(s *System, id int, class mem.ClassID, gen workload.Generator) (*Til
 	for i := range t.missQ {
 		t.missQ[i].Grow(s.cfg.MaxMSHRs)
 	}
-	src, err := qospolicy.NewSource(s.srcPolicy, qospolicy.SourceEnv{
+	src, err := qospolicy.NewSource(s.pair.Source, qospolicy.SourceEnv{
 		Params:            s.cfg.PABST,
 		Reg:               s.reg,
 		Class:             class,

@@ -6,7 +6,7 @@ import (
 	"pabst/internal/cpu"
 	"pabst/internal/mem"
 	"pabst/internal/qos"
-	"pabst/internal/regulate"
+	"pabst/internal/qospolicy"
 	"pabst/internal/workload"
 )
 
@@ -29,7 +29,7 @@ func (g *oneOpGen) Next(op *workload.Op) {
 	*op = workload.Op{Addr: g.addrs[i], Write: g.write[i], Gap: 1, Insts: 1}
 }
 
-func buildOneTile(t *testing.T, gen workload.Generator, mode regulate.Mode) *System {
+func buildOneTile(t *testing.T, gen workload.Generator, mode qospolicy.Pair) *System {
 	t.Helper()
 	cfg := testCfg8()
 	reg := qos.NewRegistry()
@@ -55,7 +55,7 @@ func TestTileMSHRCoalescing(t *testing.T) {
 	for i := range addrs {
 		addrs[i] = 0x100040 // same line
 	}
-	sys := buildOneTile(t, &oneOpGen{addrs: addrs, write: writes}, regulate.ModeNone)
+	sys := buildOneTile(t, &oneOpGen{addrs: addrs, write: writes}, qospolicy.None)
 	sys.Run(2000)
 	reads, _, _ := sys.MCStatsSum()
 	if reads != 1 {
@@ -68,7 +68,7 @@ func TestTileMSHRCoalescing(t *testing.T) {
 
 func TestTileL2HitGeneratesNoTraffic(t *testing.T) {
 	// One miss to warm the line, then hits forever.
-	sys := buildOneTile(t, &oneOpGen{addrs: []mem.Addr{0x40}, write: []bool{false}}, regulate.ModeNone)
+	sys := buildOneTile(t, &oneOpGen{addrs: []mem.Addr{0x40}, write: []bool{false}}, qospolicy.None)
 	sys.Run(5000)
 	reads, writes, _ := sys.MCStatsSum()
 	if reads != 1 || writes != 0 {
@@ -101,7 +101,7 @@ func TestL3HitFlagReachesPacer(t *testing.T) {
 	addrs = append(addrs, line) // should be L3 hit now
 	writes = append(writes, false)
 
-	sys := buildOneTile(t, &oneOpGen{addrs: addrs, write: writes}, regulate.ModeNone)
+	sys := buildOneTile(t, &oneOpGen{addrs: addrs, write: writes}, qospolicy.None)
 	sys.Run(5000)
 	var l3hits uint64
 	for _, sl := range sys.slices {
@@ -119,7 +119,7 @@ func TestWritebackChainL2ToL3ToDRAM(t *testing.T) {
 	cfg := testCfg8()
 	reg := qos.NewRegistry()
 	c := reg.MustAdd("w", 1, cfg.L3Ways)
-	sys, err := New(cfg, reg, regulate.ModeNone)
+	sys, err := New(cfg, reg, qospolicy.None)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestIdleTilesStayIdle(t *testing.T) {
 	cfg := testCfg8()
 	reg := qos.NewRegistry()
 	c := reg.MustAdd("c", 1, cfg.L3Ways)
-	sys, err := New(cfg, reg, regulate.ModeNone)
+	sys, err := New(cfg, reg, qospolicy.None)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestTileBlockedWhenMSHRsFull(t *testing.T) {
 				reg := qos.NewRegistry()
 				c := reg.MustAdd("c", 1, cfg.L3Ways)
 				classID = c.ID
-				sys, err := New(cfg, reg, regulate.ModeNone)
+				sys, err := New(cfg, reg, qospolicy.None)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -254,7 +254,7 @@ func TestL1HitFasterThanL2Hit(t *testing.T) {
 	cfg := testCfg8()
 	// Dependent chains expose the hit latency of whichever level the
 	// working set lives in (independent ops would pipeline and hide it).
-	small := buildOneTile(t, &loopGen{addrs: []mem.Addr{0x40, 0x80}}, regulate.ModeNone)
+	small := buildOneTile(t, &loopGen{addrs: []mem.Addr{0x40, 0x80}}, qospolicy.None)
 	small.Run(50_000)
 	ipcL1 := small.ClassIPC(0)
 
@@ -264,7 +264,7 @@ func TestL1HitFasterThanL2Hit(t *testing.T) {
 	for i := 0; i < 2*l1Lines; i++ {
 		addrs = append(addrs, mem.Addr(i*mem.LineSize))
 	}
-	big := buildOneTile(t, &loopGen{addrs: addrs}, regulate.ModeNone)
+	big := buildOneTile(t, &loopGen{addrs: addrs}, qospolicy.None)
 	big.Run(400_000)
 	big.ResetStats()
 	big.Run(100_000)

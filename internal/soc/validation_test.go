@@ -5,7 +5,7 @@ import (
 
 	"pabst/internal/mem"
 	"pabst/internal/qos"
-	"pabst/internal/regulate"
+	"pabst/internal/qospolicy"
 	"pabst/internal/workload"
 )
 
@@ -20,7 +20,7 @@ func TestValidateUncontendedMissLatency(t *testing.T) {
 	cfg := testCfg8()
 	reg := qos.NewRegistry()
 	c := reg.MustAdd("c", 1, cfg.L3Ways)
-	sys, err := New(cfg, reg, regulate.ModeNone)
+	sys, err := New(cfg, reg, qospolicy.None)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestValidateUncontendedMissLatency(t *testing.T) {
 // data-bus limit.
 func TestValidatePeakBandwidth(t *testing.T) {
 	cfg := testCfg()
-	sys, hi, lo := twoClassStreams(t, cfg, regulate.ModeNone, 1, 1, 16, 16)
+	sys, hi, lo := twoClassStreams(t, cfg, qospolicy.None, 1, 1, 16, 16)
 	sys.Warmup(50_000)
 	sys.Run(100_000)
 	m := sys.Metrics()
@@ -66,7 +66,7 @@ func TestValidateMLPBandwidthLaw(t *testing.T) {
 	cfg := testCfg8()
 	reg := qos.NewRegistry()
 	c := reg.MustAdd("c", 1, cfg.L3Ways)
-	sys, err := New(cfg, reg, regulate.ModeNone)
+	sys, err := New(cfg, reg, qospolicy.None)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestValidateMLPBandwidthLaw(t *testing.T) {
 // chain against Insts/L1HitLat.
 func TestValidateDependentChainIPC(t *testing.T) {
 	cfg := testCfg8()
-	sys := buildOneTile(t, &loopGen{addrs: []mem.Addr{0x40, 0x80}}, regulate.ModeNone)
+	sys := buildOneTile(t, &loopGen{addrs: []mem.Addr{0x40, 0x80}}, qospolicy.None)
 	sys.Run(50_000)
 	got := sys.ClassIPC(0)
 	want := 1.0 / float64(cfg.L1HitLat) // 1 inst per op, one op per hit latency

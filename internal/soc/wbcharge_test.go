@@ -5,7 +5,7 @@ import (
 
 	"pabst/internal/mem"
 	"pabst/internal/qos"
-	"pabst/internal/regulate"
+	"pabst/internal/qospolicy"
 	"pabst/internal/workload"
 )
 
@@ -21,7 +21,7 @@ func buildWBScenario(t *testing.T, policy qos.WBCharge, fixed mem.ClassID) (*Sys
 	reg := qos.NewRegistry()
 	res := reg.MustAdd("l3res", 1, 0)  // unrestricted: shares the cache
 	str := reg.MustAdd("stream", 1, 0) // unrestricted
-	sys, err := New(cfg, reg, regulate.ModeNone)
+	sys, err := New(cfg, reg, qospolicy.None)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,8 @@
 //	m := sys.Metrics()
 //	fmt.Printf("shares: %.2f / %.2f\n", m.ShareOf(hi), m.ShareOf(lo))
 //
-// Regulation modes select which halves of PABST are active, enabling the
+// The mode selects the mechanism — which halves of PABST are active, or
+// any other registered (source, target) policy pair — enabling the
 // paper's source-only and target-only baselines for comparison.
 package pabst
 
@@ -37,36 +38,42 @@ import (
 	"pabst/internal/mem"
 	"pabst/internal/qos"
 	"pabst/internal/qospolicy"
-	"pabst/internal/regulate"
 	"pabst/internal/soc"
 	"pabst/internal/stats"
 	"pabst/internal/workload"
 )
 
-// Mode selects which halves of the mechanism are active.
-type Mode = regulate.Mode
+// Mode selects the mechanism a system runs: a (source, target) pair of
+// registered policy names. DESIGN.md, "Selecting a mechanism", has the
+// parser's accepted spellings and the precedence rule.
+type Mode = qospolicy.Pair
 
-// Regulation modes.
-const (
-	// ModeNone disables bandwidth QoS entirely (baseline).
-	ModeNone = regulate.ModeNone
-	// ModeSourceOnly enables only the source governors.
-	ModeSourceOnly = regulate.ModeSourceOnly
-	// ModeTargetOnly enables only the target priority arbiters.
-	ModeTargetOnly = regulate.ModeTargetOnly
-	// ModePABST enables both halves (the paper's mechanism).
-	ModePABST = regulate.ModePABST
+// The five preset mechanisms: which half of PABST is on, plus the
+// static-limiter baseline.
+var (
+	// ModeNone disables bandwidth QoS entirely (baseline): none+fcfs.
+	ModeNone = qospolicy.None
+	// ModeSourceOnly enables only the source governors: pabst+fcfs.
+	ModeSourceOnly = qospolicy.SourceOnly
+	// ModeTargetOnly enables only the target priority arbiters:
+	// none+pabst.
+	ModeTargetOnly = qospolicy.TargetOnly
+	// ModePABST enables both halves (the paper's mechanism):
+	// pabst+pabst.
+	ModePABST = qospolicy.PABST
 	// ModeStaticSource is the related-work baseline: a fixed,
-	// non-work-conserving source rate limit, no target priority.
-	ModeStaticSource = regulate.ModeStaticSource
+	// non-work-conserving source rate limit, no target priority:
+	// static+fcfs.
+	ModeStaticSource = qospolicy.StaticSource
 )
 
-// ParseMode converts a mode name ("none", "source-only", "target-only",
-// "pabst") to a Mode.
-func ParseMode(s string) (Mode, error) { return regulate.ParseMode(s) }
+// ParseMode reads a mechanism selector: "source+target" (either half
+// may be empty to select one side only) or a preset name ("none",
+// "source-only", "target-only", "pabst", "static-source").
+func ParseMode(s string) (Mode, error) { return qospolicy.ParsePair(s) }
 
-// Modes returns every mode in presentation order.
-func Modes() []Mode { return regulate.Modes() }
+// Modes returns the five presets in presentation order.
+func Modes() []Mode { return qospolicy.Presets() }
 
 // PolicyInfo describes one registered QoS policy plugin: its registry
 // name, kind ("source" or "target"), one-line description, consumed
@@ -82,17 +89,6 @@ func SourcePolicies() []string { return qospolicy.SourceNames() }
 
 // TargetPolicies lists registered target-policy names, sorted.
 func TargetPolicies() []string { return qospolicy.TargetNames() }
-
-// ParsePolicyPair splits and validates a "source+target" selector.
-// Either half may be empty ("+dpq", "bankreg+") to override only one
-// side of the mode-derived default pair.
-func ParsePolicyPair(s string) (source, target string, err error) {
-	return qospolicy.ParsePair(s)
-}
-
-// PolicyPairForMode returns the (source, target) policy pair a legacy
-// regulation mode is sugar for.
-func PolicyPairForMode(m Mode) (source, target string) { return qospolicy.FromMode(m) }
 
 // ClassID identifies a QoS class.
 type ClassID = mem.ClassID
@@ -292,18 +288,15 @@ func WithFaultPlan(p *FaultPlan) Option {
 	return func(b *Builder) { b.cfg.Faults = p }
 }
 
-// WithPolicy selects QoS mechanisms by registry name, overriding the
-// mode-derived defaults. An empty string keeps that side's default, so
-// WithPolicy("", "dpq") swaps only the target half. Unknown names
+// WithPolicy overrides halves of the builder's mode by registry name.
+// An empty string keeps that side, so WithPolicy("", "dpq") swaps only
+// the target half. The override lands in SystemConfig.SourcePolicy/
+// TargetPolicy (which is where checkpoints record it). Unknown names
 // surface as errors at Build.
 func WithPolicy(source, target string) Option {
 	return func(b *Builder) {
-		if source != "" {
-			b.cfg.SourcePolicy = source
-		}
-		if target != "" {
-			b.cfg.TargetPolicy = target
-		}
+		p := Mode{Source: source, Target: target}.Over(b.override())
+		b.cfg.SourcePolicy, b.cfg.TargetPolicy = p.Source, p.Target
 	}
 }
 
@@ -313,10 +306,11 @@ func WithObserver(o *Observer) Option {
 	return func(b *Builder) { b.observer = o }
 }
 
-// NewBuilder starts a system description. Options, if any, are applied
-// immediately.
+// NewBuilder starts a system description. A side the mode leaves empty
+// runs unregulated (the zero Mode is ModeNone). Options, if any, are
+// applied immediately.
 func NewBuilder(cfg SystemConfig, mode Mode, opts ...Option) *Builder {
-	b := &Builder{cfg: cfg, mode: mode, reg: qos.NewRegistry()}
+	b := &Builder{cfg: cfg, mode: mode.Over(ModeNone), reg: qos.NewRegistry()}
 	for _, o := range opts {
 		o(b)
 	}
@@ -342,12 +336,18 @@ func (b *Builder) Attach(tile int, class ClassID, gen Generator) *Builder {
 	return b
 }
 
-// Build validates and wires the system.
+// override is the configuration's layer over the mode.
+func (b *Builder) override() Mode {
+	return Mode{Source: b.cfg.SourcePolicy, Target: b.cfg.TargetPolicy}
+}
+
+// Build validates and wires the system. This is where the mechanism is
+// resolved, once: the configuration's override over the mode.
 func (b *Builder) Build() (*System, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	inner, err := soc.New(b.cfg, b.reg, b.mode)
+	inner, err := soc.New(b.cfg, b.reg, b.override().Over(b.mode))
 	if err != nil {
 		return nil, err
 	}
@@ -364,13 +364,16 @@ func (b *Builder) Build() (*System, error) {
 	if err := inner.Finalize(); err != nil {
 		return nil, err
 	}
-	return &System{inner: inner, reg: b.reg}, nil
+	return &System{inner: inner, reg: b.reg, mode: b.mode}, nil
 }
 
 // System is a runnable simulated machine.
 type System struct {
 	inner *soc.System
 	reg   *qos.Registry
+	// mode is what the builder was given, before the configuration's
+	// override: checkpoints record the two separately.
+	mode Mode
 }
 
 // Run advances the simulation by cycles.
@@ -378,8 +381,8 @@ func (s *System) Run(cycles uint64) { s.inner.Run(cycles) }
 
 // Close ends the system's life: it stays readable (Metrics, Series, ...)
 // but must not Run again. The kernel holds no goroutines or files, so
-// there is nothing to release today; the method remains so callers can
-// pair every Build with a deferred Close.
+// there is nothing to release; the method remains because the frozen
+// repository benchmark (bench/) calls it.
 func (s *System) Close() {}
 
 // SkippedCycles reports how many cycles the event kernel jumped over
@@ -442,9 +445,9 @@ func (s *System) ClassLatencyHist(class ClassID) Hist {
 // Config returns the system's configuration.
 func (s *System) Config() SystemConfig { return s.inner.Config() }
 
-// Mode returns the regulation mode.
-func (s *System) Mode() Mode { return s.inner.Mode() }
-
-// PolicyPair returns the resolved (source, target) policy-plugin names
-// the system was wired with.
-func (s *System) PolicyPair() (source, target string) { return s.inner.Policies() }
+// PolicyPair returns the resolved (source, target) policy names the
+// system was wired with.
+func (s *System) PolicyPair() (source, target string) {
+	p := s.inner.Pair()
+	return p.Source, p.Target
+}

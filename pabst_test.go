@@ -38,8 +38,8 @@ func TestBuilderEndToEnd(t *testing.T) {
 	if sys.Now() != 300_000 {
 		t.Fatalf("Now() = %d", sys.Now())
 	}
-	if sys.Mode() != pabst.ModePABST {
-		t.Fatal("mode lost")
+	if src, tgt := sys.PolicyPair(); (pabst.Mode{Source: src, Target: tgt}) != pabst.ModePABST {
+		t.Fatalf("mode lost: wired %s+%s", src, tgt)
 	}
 }
 
