@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: all build check robust bench bench-policies bench-twin serve-smoke faults lint-docs clean
+.PHONY: all build check robust bench faults lint-docs clean
 
 all: check
 
@@ -27,14 +27,14 @@ check: build lint-docs
 # Robustness tier: the full suite under the race detector (slower;
 # includes the fault-injection chaos sweeps, the oracle-vs-event
 # determinism matrix, the golden-trace determinism test, and the sweep
-# service's chaos acceptance), plus the cross-policy Pareto,
-# analytical-twin divergence, and sweep-service smoke gates, and a short
-# slice of each native fuzz target (their seed corpora already run as
-# ordinary tests in `make check`).
-robust: bench-policies bench-twin serve-smoke
+# service's chaos acceptance), plus a short slice of each native fuzz
+# target (their seed corpora already run as ordinary tests in `make
+# check`).
+robust:
 	$(GO) test -race ./...
 	$(GO) test -run '^$$' -fuzz FuzzParsePair -fuzztime 10s ./internal/qospolicy
 	$(GO) test -run '^$$' -fuzz FuzzRunSpecJSON -fuzztime 10s ./internal/exp
+	$(GO) test -run '^$$' -fuzz FuzzSubmitBody -fuzztime 10s ./internal/serve
 
 # Micro-benchmarks. One iteration of everything shows each still runs;
 # the packages on the per-access and per-cycle memory path then get five
@@ -46,34 +46,11 @@ bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 	$(GO) test -bench=. -benchmem -count=5 -run='^$$' ./internal/cache ./internal/dram ./internal/sim
 
-# Sweep-service gate. Runs the control plane end to end over real HTTP
-# — submit a batch, complete, drain, journal compacts to empty — and
-# checks that duplicate specs report identical result fingerprints.
-# Writes BENCH_serve.json with submit-to-complete and drain latency.
-serve-smoke:
-	$(GO) run ./cmd/pabstserve -smoke -out BENCH_serve.json
-
-# Cross-policy Pareto gate. Sweeps every registered QoS mechanism pair
-# (pabst+pabst, bankreg+fcfs, lmsar+fcfs, none+dpq) across the
-# utilization axis on the 7:3 stream mix and records each load's Pareto
-# frontier on (share fidelity, hi-class p99 latency). Writes
-# BENCH_policies.json; see EXPERIMENTS.md "Cross-policy Pareto sweep".
-bench-policies:
-	$(GO) run ./cmd/pabstsweep -policies -scale quick -out BENCH_policies.json
-
-# Analytical-twin divergence gate. Simulates the fig1/fig5 regulation
-# points and the full cross-policy Pareto grid, predicts each with the
-# M/G/1-style twin (internal/twin), and fails if the mean share, p99, or
-# utilization error breaches the tolerances declared in
-# internal/exp/twinbench.go. Writes BENCH_twin.json; see DESIGN.md
-# "Analytical twin".
-bench-twin:
-	$(GO) run ./cmd/pabstsweep -twin -scale quick -out BENCH_twin.json
-
-# Documentation gate. Validates intra-repo markdown links, requires a
-# package comment on every internal package, and fails if a registered
-# QoS policy is missing from the generated reference (docs/POLICIES.md —
-# regenerate with `go run ./cmd/pabstdocs -write`).
+# Documentation gate (also a test: cmd/pabstdocs runs it under `go test
+# ./...`). Validates intra-repo markdown links, requires a package
+# comment on every internal package, and fails if a registered QoS policy
+# is missing from the generated reference (docs/POLICIES.md — regenerate
+# with `go run ./cmd/pabstdocs -write`).
 lint-docs:
 	$(GO) run ./cmd/pabstdocs
 

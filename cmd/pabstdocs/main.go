@@ -1,5 +1,6 @@
-// Command pabstdocs is the documentation gate behind `make lint-docs`.
-// It keeps the prose honest in four ways:
+// Command pabstdocs is the documentation gate behind `make lint-docs`
+// and, through its own test, `go test ./...`. It keeps the prose honest
+// in four ways:
 //
 //   - every intra-repo markdown link must resolve to a file that exists
 //     (external http/mailto links and pure #anchors are not checked);
@@ -9,8 +10,8 @@
 //     live QoS policy registry — a mechanism registered in code but
 //     missing from (or stale in) the docs fails the gate;
 //   - every experiment in the unified registry must appear by name in
-//     EXPERIMENTS.md, so `pabstsweep -list-experiments` never knows
-//     about an experiment the book of results does not.
+//     EXPERIMENTS.md, so `pabstsim -list` never knows about an
+//     experiment the book of results does not.
 //
 // Usage:
 //
@@ -51,18 +52,24 @@ func main() {
 		return
 	}
 
-	var findings []string
-	findings = append(findings, lintLinks()...)
-	findings = append(findings, lintPackageDocs()...)
-	findings = append(findings, lintPolicyReference()...)
-	findings = append(findings, lintExperimentDocs()...)
-	if len(findings) > 0 {
+	if findings := lint(); len(findings) > 0 {
 		for _, f := range findings {
 			fmt.Fprintln(os.Stderr, "pabstdocs: "+f)
 		}
 		os.Exit(1)
 	}
 	fmt.Println("pabstdocs: ok")
+}
+
+// lint runs the four checks from the repository root (the working
+// directory) and returns every finding.
+func lint() []string {
+	var findings []string
+	findings = append(findings, lintLinks()...)
+	findings = append(findings, lintPackageDocs()...)
+	findings = append(findings, lintPolicyReference()...)
+	findings = append(findings, lintExperimentDocs()...)
+	return findings
 }
 
 // mdLink matches inline markdown links; image links share the shape and
@@ -207,7 +214,7 @@ func lintExperimentDocs() []string {
 	for _, e := range exp.Experiments() {
 		if !strings.Contains(string(body), e.Name()) {
 			findings = append(findings, fmt.Sprintf(
-				"%s: registered experiment %q undocumented (pabstsweep -list-experiments shows the registry)",
+				"%s: registered experiment %q undocumented (pabstsim -list shows the registry)",
 				doc, e.Name()))
 		}
 	}

@@ -109,18 +109,9 @@ func main() {
 		return
 	}
 
-	var scale exp.Scale
-	switch *scaleName {
-	case "quick":
-		scale = exp.Quick()
-	case "full":
-		scale = exp.Full()
-	default:
-		fatalf("unknown scale %q (want quick or full)", *scaleName)
-	}
-	if err := common.Apply(&scale); err != nil {
-		fatalf("%v", err)
-	}
+	scale, err := exp.ScaleByName(*scaleName)
+	check(err)
+	check(common.Apply(&scale))
 	scale.Parallel = *parallel
 
 	var workloads []string

@@ -1,9 +1,11 @@
-// Package cliflags defines the flags shared by every pabst binary
-// (-policy, -ckpt, -resume), so a shared setting lands in one place
-// instead of four near-identical flag blocks: the warm-start checkpoint
-// store, which changes wall-clock behavior but never a simulated
-// outcome, and the QoS policy override, which reaches the systems a
-// binary builds by one route (Apply stamps it onto the exp.Scale).
+// Package cliflags defines the flags shared by the simulating binaries
+// pabstsim, pabstsweep and pabsttrace (-policy, -ckpt, -resume), so a
+// shared setting lands in one place instead of three near-identical
+// flag blocks (pabstserve and pabstdocs take none of them): the
+// warm-start checkpoint store, which changes wall-clock behavior but
+// never a simulated outcome, and the QoS policy override, which reaches
+// the systems a binary builds by one route (Apply stamps it onto the
+// exp.Scale).
 package cliflags
 
 import (

@@ -7,7 +7,7 @@
 // One entry point runs a grid: an Experiment from the registry
 // (ExperimentByName, or a New*Experiment constructor for a custom
 // workload list or fault plan) names its RunSpecs and reduces their
-// results to a Table, and RunExperiment / RunExperimentScale executes
+// results to a Table, and RunExperimentScale executes
 // it — grouping specs by fingerprint, consulting a RunCache, reducing.
 // The trajectory experiments that need per-epoch series the seam does
 // not carry (Fig5Series, Fig6, Fig8, Fig9) are plain functions. All are
@@ -19,12 +19,12 @@
 // which TestSweepParallelismIsInvisible and TestDeterminismMatrix assert.
 //
 // Run-level parallelism has one rule, stated in ForEach and inherited by
-// everything that takes a parallel count (Scale.Parallel, RunExperiment,
+// everything that takes a parallel count (Scale.Parallel, RunExperimentScale,
 // the commands' -parallel flag): 0 = every core
 // (runtime.GOMAXPROCS), 1 = one at a time on the caller's goroutine,
 // n = at most n. The zero value is therefore the fast one. Peak heap is
 // about that many machines (≈ 12 MB each for the paper's 32 tiles,
 // ≈ 90 MB for a 256-tile mesh); Parallel 1 is the way to bound it.
-// RunExperiment simulates each distinct spec fingerprint once, so the
+// RunExperimentScale simulates each distinct spec fingerprint once, so the
 // number of simulations never depends on how the pool schedules.
 package exp

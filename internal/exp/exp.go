@@ -82,7 +82,7 @@ func (s Scale) Options() []pabst.Option {
 
 // ForEach runs fn(0)..fn(n-1) on at most parallel concurrent goroutines,
 // the caller's among them. This is the one rule for run-level
-// parallelism, which Scale.Parallel, RunExperiment and the commands'
+// parallelism, which Scale.Parallel, RunExperimentScale and the commands'
 // -parallel flag all inherit: parallel <= 0 means
 // runtime.GOMAXPROCS(0) (every core), and 1 — or a single index — runs
 // inline, in index order, on the caller's goroutine. The helper

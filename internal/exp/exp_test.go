@@ -230,6 +230,37 @@ func TestFig11WorkConservingFairness(t *testing.T) {
 	}
 }
 
+// TestParetoFrontierIsPABST pins EXPERIMENTS.md "Cross-policy Pareto
+// sweep": on (share error, hi-class p99) the full feedback pair is on
+// the frontier at every load and no related-work pair ever is. The
+// table is the experiment's whole output (`pabstsim -json pareto`), so
+// it must also carry every column a reader of that claim needs.
+func TestParetoFrontierIsPABST(t *testing.T) {
+	if testing.Short() {
+		t.Skip("12 quick-scale simulations")
+	}
+	tbl, specs, _ := runQuick(t, registered(t, "pareto"))
+	if len(tbl.Rows) != len(specs) || len(specs) != len(ParetoPairs())*len(ParetoLoads()) {
+		t.Fatalf("%d rows for %d specs, want one per (pair, load)", len(tbl.Rows), len(specs))
+	}
+	doc, err := tbl.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, col := range []string{"load", "share-hi", "err-%", "p99-hi", "bus-util", "frontier"} {
+		if !strings.Contains(string(doc), `"`+col+`"`) {
+			t.Errorf("pareto -json table has no %q column", col)
+		}
+	}
+	for _, r := range tbl.Rows {
+		onFrontier, wantFrontier := r.Values["frontier"] == 1, r.Label == "pabst+pabst"
+		if onFrontier != wantFrontier {
+			t.Errorf("%s at load %.0f: frontier=%v (err %.1f%%, p99 %.0f), want %v",
+				r.Label, r.Values["load"], onFrontier, r.Values["err-%"], r.Values["p99-hi"], wantFrontier)
+		}
+	}
+}
+
 func TestTable3Renders(t *testing.T) {
 	s := Table3(pabst.Default32Config())
 	for _, want := range []string{"32", "mesh", "DRAM timing", "PABST", "8x4"} {

@@ -14,10 +14,9 @@ import (
 // RunSpecs it needs, plus a pure reduction from those specs' results to
 // a paper-style table. Because the specs are the canonical serializable
 // run descriptions, every consumer — the CLI table printers, the sweep
-// service, the surrogate screener, a result cache — schedules, dedups,
-// and distributes experiment work the same way, and two experiments
-// that share a spec (fig10 and fig12, faults and fig5) share its
-// simulation.
+// service, a result cache — schedules, dedups, and distributes
+// experiment work the same way, and two experiments that share a spec
+// (fig10 and fig12, faults and fig5) share its simulation.
 type Experiment interface {
 	// Name is the registry key (also the CLI selector).
 	Name() string
@@ -120,16 +119,25 @@ func (c *RunCache) Len() int {
 	return len(c.m)
 }
 
-// RunExperiment executes an experiment end to end: resolve its specs at
-// the named scale, run them (parallel by ForEach's rule: 0 = every core,
-// 1 = one at a time; consulting and filling cache when non-nil), and
-// reduce. Specs are grouped by fingerprint before dispatch, so each
-// distinct machine simulates exactly once however the pool schedules —
-// equal specs share one RunResult, with or without a cache. The specs
-// and their results are returned alongside the table so callers can
-// persist or re-reduce them.
-func RunExperiment(ctx context.Context, e Experiment, scale string, ex Exec, parallel int, cache *RunCache) (*Table, []RunSpec, []RunResult, error) {
-	specs := e.Spec(scale)
+// RunExperimentScale executes an experiment end to end under one
+// resolved Scale: resolve its specs at the scale's name ("custom" when
+// anonymous, so they resolve back to exactly sc, -policy and -ckpt
+// included), run them (parallel by ForEach's rule on sc.Parallel: 0 =
+// every core, 1 = one at a time; consulting and filling cache when
+// non-nil), and reduce. Specs are grouped by fingerprint before dispatch,
+// so each distinct machine simulates exactly once however the pool
+// schedules — equal specs share one RunResult, with or without a cache.
+// cache may be shared across experiments in one process (fig10 and fig12
+// then run their common grid once) or nil to skip caching entirely. The
+// specs and their results are returned alongside the table so callers
+// can persist or re-reduce them.
+func RunExperimentScale(ctx context.Context, e Experiment, sc Scale, cache *RunCache) (*Table, []RunSpec, []RunResult, error) {
+	name := sc.Name
+	if name == "" {
+		name = "custom"
+	}
+	ex := Exec{Ckpt: sc.Ckpt, Resume: sc.Resume, Scales: map[string]Scale{name: sc}}
+	specs := e.Spec(name)
 	if len(specs) == 0 {
 		return nil, nil, nil, Terminal(fmt.Errorf("%w: experiment %q produced no specs", config.ErrInvalid, e.Name()))
 	}
@@ -149,7 +157,7 @@ func RunExperiment(ctx context.Context, e Experiment, scale string, ex Exec, par
 			todo = append(todo, i)
 		}
 	}
-	err := ForEachCtx(ctx, parallel, len(todo), func(k int) error {
+	err := ForEachCtx(ctx, sc.Parallel, len(todo), func(k int) error {
 		i := todo[k]
 		r, err := specs[i].Run(ctx, ex, RunIO{})
 		if err != nil {
@@ -170,30 +178,4 @@ func RunExperiment(ctx context.Context, e Experiment, scale string, ex Exec, par
 		return nil, nil, nil, err
 	}
 	return t, specs, results, nil
-}
-
-// execFor adapts a fully-resolved Scale into the (Exec, scale-name)
-// pair the seam consumes — the bridge the single-scale CLI paths use.
-// The scale registers under its own name ("custom" when anonymous), so
-// specs resolve back to exactly it.
-func execFor(sc Scale) (Exec, string) {
-	name := sc.Name
-	if name == "" {
-		name = "custom"
-	}
-	ex := Exec{
-		Ckpt:   sc.Ckpt,
-		Resume: sc.Resume,
-		Scales: map[string]Scale{name: sc},
-	}
-	return ex, name
-}
-
-// RunExperimentScale runs an experiment under one resolved Scale —
-// the single-machine CLI path. Parallelism comes from the scale; cache
-// may be shared across experiments in one process (fig10 and fig12
-// then run their common grid once) or nil to skip caching entirely.
-func RunExperimentScale(ctx context.Context, e Experiment, sc Scale, cache *RunCache) (*Table, []RunSpec, []RunResult, error) {
-	ex, name := execFor(sc)
-	return RunExperiment(ctx, e, name, ex, sc.Parallel, cache)
 }

@@ -136,20 +136,20 @@ func TestExperimentSharedCacheDedup(t *testing.T) {
 
 	// Live dedup on the cheapest experiment: one spec, run twice.
 	sc := tinyGoldenScale()
-	ex, name := execFor(sc)
+	sc.Parallel = 1
 	e, err := ExperimentByName("fig5")
 	if err != nil {
 		t.Fatal(err)
 	}
 	cache := NewRunCache()
-	t1, _, r1, err := RunExperiment(context.Background(), e, name, ex, 1, cache)
+	t1, _, r1, err := RunExperimentScale(context.Background(), e, sc, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cache.Len() != 1 {
 		t.Fatalf("cache holds %d results after first run, want 1", cache.Len())
 	}
-	t2, _, r2, err := RunExperiment(context.Background(), e, name, ex, 1, cache)
+	t2, _, r2, err := RunExperimentScale(context.Background(), e, sc, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,9 +191,9 @@ func TestRunExperimentRunsEachFingerprintOnce(t *testing.T) {
 		for _, cache := range []*RunCache{NewRunCache(), nil} {
 			sc := tinyScale()
 			sc.Ckpt = t.TempDir()
-			ex, name := execFor(sc)
+			sc.Parallel = parallel
 			before := StoreEvents.Hits.Load() + StoreEvents.Misses.Load()
-			_, _, results, err := RunExperiment(context.Background(), repeatExperiment{k}, name, ex, parallel, cache)
+			_, _, results, err := RunExperimentScale(context.Background(), repeatExperiment{k}, sc, cache)
 			if err != nil {
 				t.Fatal(err)
 			}

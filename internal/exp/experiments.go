@@ -273,8 +273,7 @@ func paretoSpecs(scale string) []RunSpec {
 }
 
 // ParetoFromRuns converts executed paretoSpecs results into the
-// ParetoPoint form (frontier marked), for the JSON/CSV writers and the
-// surrogate screener's soundness checks.
+// ParetoPoint form, frontier marked.
 func ParetoFromRuns(specs []RunSpec, results []RunResult) ([]ParetoPoint, error) {
 	points := make([]ParetoPoint, len(specs))
 	for i, rs := range specs {

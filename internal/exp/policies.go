@@ -1,13 +1,6 @@
 package exp
 
-import (
-	"encoding/csv"
-	"encoding/json"
-	"fmt"
-	"io"
-
-	"pabst"
-)
+import "pabst"
 
 // ParetoPairs returns the four mechanisms the cross-policy comparison
 // sweeps: the full PABST pair and the three related-work schemes, each
@@ -33,28 +26,28 @@ const paretoEntitledHi = 0.7
 // pair delivered the 7:3 split, at what tail latency, and how much of
 // the machine it kept busy.
 type ParetoPoint struct {
-	Source string `json:"source"`
-	Target string `json:"target"`
+	Source string
+	Target string
 	// Load is the number of active tiles per class.
-	Load int `json:"load"`
+	Load int
 
 	// ShareHi is the high class's observed DRAM-traffic fraction;
 	// ShareErr is its relative error against the 0.7 entitlement, in
 	// percent — the throughput-share-fidelity axis.
-	ShareHi  float64 `json:"share_hi"`
-	ShareErr float64 `json:"share_err_pct"`
+	ShareHi  float64
+	ShareErr float64
 	// P99Hi / P99Lo are the classes' p99 end-to-end miss latencies in
 	// cycles — the tail-latency axis.
-	P99Hi uint64 `json:"p99_hi"`
-	P99Lo uint64 `json:"p99_lo"`
+	P99Hi uint64
+	P99Lo uint64
 	// BusUtil and TotalBPC report delivered throughput.
-	BusUtil  float64 `json:"bus_util"`
-	TotalBPC float64 `json:"total_bpc"`
+	BusUtil  float64
+	TotalBPC float64
 
 	// Frontier marks the point Pareto-optimal among the pairs at its
 	// load: no other pair is at least as good on both ShareErr and P99Hi
 	// and strictly better on one.
-	Frontier bool `json:"frontier"`
+	Frontier bool
 }
 
 // markFrontier flags, within each load group, the points no other point
@@ -75,49 +68,4 @@ func markFrontier(points []ParetoPoint) {
 		}
 		points[i].Frontier = !dominated
 	}
-}
-
-// PolicyBench is the serialized form of one cross-policy sweep —
-// BENCH_policies.json.
-type PolicyBench struct {
-	Scale  string        `json:"scale"`
-	Mix    string        `json:"mix"`
-	Points []ParetoPoint `json:"points"`
-}
-
-// WritePolicyJSON writes the sweep as indented JSON.
-func WritePolicyJSON(w io.Writer, scale string, points []ParetoPoint) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(PolicyBench{Scale: scale, Mix: "streams-7:3", Points: points})
-}
-
-// WritePolicyCSV writes the sweep as CSV, one row per (pair, load).
-func WritePolicyCSV(w io.Writer, points []ParetoPoint) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"source", "target", "load", "share_hi", "share_err_pct", "p99_hi", "p99_lo", "bus_util", "total_bpc", "frontier"}); err != nil {
-		return err
-	}
-	for _, p := range points {
-		front := "0"
-		if p.Frontier {
-			front = "1"
-		}
-		rec := []string{
-			p.Source, p.Target,
-			fmt.Sprintf("%d", p.Load),
-			fmt.Sprintf("%.6f", p.ShareHi),
-			fmt.Sprintf("%.3f", p.ShareErr),
-			fmt.Sprintf("%d", p.P99Hi),
-			fmt.Sprintf("%d", p.P99Lo),
-			fmt.Sprintf("%.6f", p.BusUtil),
-			fmt.Sprintf("%.6f", p.TotalBPC),
-			front,
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }

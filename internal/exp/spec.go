@@ -73,12 +73,6 @@ func ParamNames() []string {
 	return names
 }
 
-// ParamDesc describes a sweep parameter; ok is false for unknown names.
-func ParamDesc(name string) (desc string, ok bool) {
-	d, ok := paramRegistry[name]
-	return d.desc, ok
-}
-
 // SetParam applies one named override to a system configuration. An
 // unknown name is a terminal failure wrapping config.ErrInvalid — no
 // retry can make an unrecognized parameter valid.
@@ -90,6 +84,84 @@ func SetParam(cfg *pabst.SystemConfig, name string, v uint64) error {
 	}
 	d.set(cfg, v)
 	return nil
+}
+
+// paramAxis is one ablation axis of cmd/pabstsweep: the values a design
+// parameter takes on the canonical 7:3 stream mix.
+type paramAxis struct {
+	param  string
+	values []uint64
+	labels []string // row labels; nil renders the values in decimal
+	chaser bool     // also run the chaser mix, where the arbiter matters most
+}
+
+var paramAxes = []paramAxis{
+	{param: "epoch", values: []uint64{500, 1000, 2000, 5000, 10000, 20000}},
+	{param: "scalef", values: []uint64{16, 64, 256, 1024, 4096}},
+	{param: "burst", values: []uint64{1, 4, 16, 64}},
+	{param: "slack", values: []uint64{8, 32, 128, 512, 4096}, chaser: true},
+	{param: "queue", values: []uint64{8, 16, 32, 64}},
+	{param: "page", values: []uint64{0, 1}, labels: []string{"closed", "open"}},
+	{param: "bankq", values: []uint64{0, 1, 2, 4}, chaser: true,
+		labels: []string{"pool", "bankq-1", "bankq-2", "bankq-4"}},
+	{param: "inertia", values: []uint64{0, 1, 3, 6, 10}},
+}
+
+// ParamSweeps returns the ablation axes as experiments named after their
+// parameter, in DESIGN.md's order. They are not registered: an axis is a
+// table of one parameter's values, not a paper figure, and cmd/pabstsweep
+// is its only consumer.
+func ParamSweeps() []Experiment {
+	out := make([]Experiment, len(paramAxes))
+	for i, ax := range paramAxes {
+		desc := paramRegistry[ax.param].desc
+		per := 1 // specs per value: the stream mix, then the chaser mix
+		if ax.chaser {
+			per = 2
+		}
+		out[i] = &expDef{
+			name: ax.param,
+			desc: desc,
+			spec: func(scale string) []RunSpec {
+				var specs []RunSpec
+				for _, v := range ax.values {
+					params := map[string]uint64{ax.param: v}
+					specs = append(specs, RunSpec{Bench: BenchStreams, Scale: scale, Params: params})
+					if ax.chaser {
+						specs = append(specs, RunSpec{Bench: BenchChaser, Scale: scale, Params: params})
+					}
+				}
+				return specs
+			},
+			reduce: func(specs []RunSpec, results []RunResult) (*Table, error) {
+				t := &Table{
+					Title:   fmt.Sprintf("sweep %s: %s", ax.param, desc),
+					Columns: []string{"share-hi", "err-%", "total-B/cyc"},
+				}
+				if ax.chaser {
+					t.Columns = append(t.Columns, "chaser-share")
+				}
+				entitled := BenchEntitledHi(BenchStreams)
+				for i, v := range ax.values {
+					r := results[i*per]
+					row := Row{Label: fmt.Sprint(v), Values: map[string]float64{
+						"share-hi":    r.ShareHi,
+						"err-%":       abs(r.ShareHi-entitled) / entitled * 100,
+						"total-B/cyc": r.TotalBPC,
+					}}
+					if ax.labels != nil {
+						row.Label = ax.labels[i]
+					}
+					if ax.chaser {
+						row.Values["chaser-share"] = results[i*per+1].ShareHi
+					}
+					t.Rows = append(t.Rows, row)
+				}
+				return t, nil
+			},
+		}
+	}
+	return out
 }
 
 // ScaleByName resolves the built-in experiment scales.
@@ -445,8 +517,9 @@ type RunSpec struct {
 	Load int `json:"load,omitempty"`
 	// Workload names the SPEC proxy for the spec/iaas benches.
 	Workload string `json:"workload,omitempty"`
-	// Fault optionally names a fault plan (preset or JSON path); the run
-	// arms the degradation knobs and reports RunResult.Faults.
+	// Fault optionally names a fault plan (preset or JSON path; the sweep
+	// service admits presets only); the run arms the degradation knobs
+	// and reports RunResult.Faults.
 	Fault string `json:"fault,omitempty"`
 }
 

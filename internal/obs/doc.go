@@ -20,8 +20,8 @@
 //     (counter deltas, sampled regulator registers); nothing an observer
 //     or sink does can change a simulated outcome.
 //
-// Sinks render events as JSONL or CSV streams, or fold them into a
-// Prometheus-style text snapshot. The Registry complements the event
-// stream with named gauge samplers over live counters, for pull-style
-// scraping of a running system.
+// Sinks render events as JSONL or CSV streams. The Registry complements
+// the event stream with named gauge samplers over live counters,
+// rendered as Prometheus-style text for pull-style scraping of a
+// running system.
 package obs

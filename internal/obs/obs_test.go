@@ -90,32 +90,6 @@ func TestCSVSinkHeaderAndBytesColumn(t *testing.T) {
 	}
 }
 
-func TestPromSinkGaugesAndCounters(t *testing.T) {
-	p := NewPromSink()
-	for i := 0; i < 2; i++ {
-		p.Emit(&Event{Kind: KindDRAM, Unit: 0, Reads: 10, RowHits: 4})
-	}
-	p.Emit(&Event{Kind: KindGovernor, Unit: 1, M: 8, DM: 2, Period: 100})
-	p.Emit(&Event{Kind: KindGovernor, Unit: 1, M: 9, DM: 1, Period: 90})
-	var sb strings.Builder
-	if _, err := p.WriteTo(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if !strings.Contains(out, `pabst_dram_reads_total{mc="0"} 20`) {
-		t.Fatalf("counter did not accumulate:\n%s", out)
-	}
-	if !strings.Contains(out, `pabst_governor_m{tile="1"} 9`) {
-		t.Fatalf("gauge did not take last value:\n%s", out)
-	}
-	// Deterministic: sorted, so two renders match.
-	var sb2 strings.Builder
-	p.WriteTo(&sb2)
-	if sb2.String() != out {
-		t.Fatal("PromSink render not deterministic")
-	}
-}
-
 func TestFilterSink(t *testing.T) {
 	var sb strings.Builder
 	inner := NewJSONLSink(&sb)

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 )
 
@@ -129,90 +128,6 @@ func (s *CSVSink) Flush() error {
 		return s.err
 	}
 	return s.w.Flush()
-}
-
-// PromSink folds the event stream into a Prometheus-style text
-// snapshot: gauges carry the most recent value, *_total series
-// accumulate deltas. WriteTo renders the current state with sorted
-// series names, so snapshots are deterministic.
-type PromSink struct {
-	vals  map[string]float64
-	names []string
-}
-
-// NewPromSink returns an empty snapshot accumulator.
-func NewPromSink() *PromSink { return &PromSink{vals: make(map[string]float64)} }
-
-func (p *PromSink) set(name string, v float64) {
-	if _, ok := p.vals[name]; !ok {
-		p.names = append(p.names, name)
-	}
-	p.vals[name] = v
-}
-
-func (p *PromSink) add(name string, v float64) {
-	if _, ok := p.vals[name]; !ok {
-		p.names = append(p.names, name)
-	}
-	p.vals[name] += v
-}
-
-// Emit implements Sink.
-func (p *PromSink) Emit(e *Event) {
-	switch e.Kind {
-	case KindEpoch:
-		p.set("pabst_epoch", float64(e.Epoch))
-		sat := 0.0
-		if e.Sat {
-			sat = 1.0
-		}
-		p.set("pabst_sat", sat)
-		for c := 0; c < e.NumClasses; c++ {
-			p.add(fmt.Sprintf("pabst_class_bytes_total{class=\"%d\"}", c), float64(e.Bytes[c]))
-		}
-	case KindGovernor:
-		u := fmt.Sprintf("{tile=\"%d\"}", e.Unit)
-		p.set("pabst_governor_m"+u, float64(e.M))
-		p.set("pabst_governor_dm"+u, float64(e.DM))
-		p.set("pabst_governor_period"+u, float64(e.Period))
-	case KindArbiter:
-		u := fmt.Sprintf("{mc=\"%d\"}", e.Unit)
-		p.set("pabst_arbiter_queue_depth"+u, float64(e.QueueDepth))
-		p.set("pabst_arbiter_last_deadline"+u, float64(e.LastDeadline))
-		p.add("pabst_arbiter_inversions_total"+u, float64(e.Inversions))
-	case KindDRAM:
-		u := fmt.Sprintf("{mc=\"%d\"}", e.Unit)
-		p.add("pabst_dram_reads_total"+u, float64(e.Reads))
-		p.add("pabst_dram_writes_total"+u, float64(e.Writes))
-		p.add("pabst_dram_row_hits_total"+u, float64(e.RowHits))
-		p.add("pabst_dram_refreshes_total"+u, float64(e.Refreshes))
-		p.add("pabst_dram_bus_busy_cycles_total"+u, float64(e.BusBusy))
-	case KindFault:
-		p.add("pabst_faults_injected_total", float64(e.Injected))
-		p.add("pabst_faults_stale_intervals_total", float64(e.Stale))
-		p.add("pabst_faults_decays_total", float64(e.Decays))
-		p.add("pabst_faults_resync_epochs_total", float64(e.Resync))
-		p.set("pabst_governor_divergence", float64(e.Divergence))
-	}
-}
-
-// Flush implements Sink (a snapshot accumulator has nothing to drain).
-func (p *PromSink) Flush() error { return nil }
-
-// WriteTo renders the snapshot, one "name value" line per series,
-// sorted by series name.
-func (p *PromSink) WriteTo(w io.Writer) (int64, error) {
-	names := append([]string(nil), p.names...)
-	sort.Strings(names)
-	var total int64
-	for _, n := range names {
-		k, err := fmt.Fprintf(w, "%s %s\n", n, formatValue(p.vals[n]))
-		total += int64(k)
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
 }
 
 // FilterSink forwards only events keep accepts.

@@ -6,12 +6,12 @@ package qospolicy
 // and what fraction of raw DRAM bandwidth it delivers once the machine
 // saturates. The hooks are deliberately coarse — the twin predicts
 // operating points, not cycles — and the declared UtilCap values are
-// calibrated against the cycle simulator (see BENCH_twin.json for the
-// standing twin-vs-sim divergence).
+// calibrated against the cycle simulator (TestTwinAccuracyRegulationPoints
+// in internal/exp logs the standing twin-vs-sim divergence).
 //
 // A mechanism that registers no hook is still simulatable; the twin
 // then falls back to an unregulated (demand-split) model with zero
-// confidence, which the surrogate screener treats as "always simulate".
+// confidence: a prediction to discard, not to rank by.
 
 // SourceAnalytic describes a source policy to the analytical twin.
 type SourceAnalytic struct {

@@ -6,8 +6,10 @@ import (
 	"net/http"
 
 	"pabst/internal/exp"
-	"pabst/internal/obs"
 )
+
+// maxSubmitBody caps a POST /jobs body; a real one is a few hundred bytes.
+const maxSubmitBody = 1 << 20
 
 // submitRequest is the POST /jobs body: the spec plus per-job options.
 type submitRequest struct {
@@ -24,13 +26,18 @@ type submitRequest struct {
 //	GET  /healthz  liveness           → 200 always
 //	GET  /readyz   readiness          → 200 accepting | 503 draining/closed
 //	GET  /metrics  Prometheus text    → 200
+//
+// A spec is invalid (400) when RunSpec.Validate rejects it, when its
+// scale does not resolve, when its fault plan is anything but a preset
+// name, or when the body is malformed or larger than 1 MiB.
 func (s *Service) Handler() http.Handler {
 	reg := s.Registry()
 	mux := http.NewServeMux()
 
 	mux.HandleFunc("POST /jobs", func(w http.ResponseWriter, r *http.Request) {
 		var req submitRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		body := http.MaxBytesReader(w, r.Body, maxSubmitBody)
+		if err := json.NewDecoder(body).Decode(&req); err != nil {
 			httpError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 			return
 		}
@@ -77,14 +84,10 @@ func (s *Service) Handler() http.Handler {
 
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		writeProm(w, reg)
+		_ = reg.WriteProm(w) // a failed write is the client hanging up
 	})
 
 	return mux
-}
-
-func writeProm(w http.ResponseWriter, reg *obs.Registry) {
-	_ = reg.WriteProm(w)
 }
 
 // submitStatus maps admission errors to HTTP status codes.

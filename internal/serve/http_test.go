@@ -1,0 +1,272 @@
+package serve
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"pabst/internal/exp"
+)
+
+// call drives one request through the handler and returns the status
+// and the response body.
+func call(h http.Handler, method, path string, body []byte) (int, []byte) {
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest(method, path, bytes.NewReader(body)))
+	return w.Code, w.Body.Bytes()
+}
+
+// submitBody renders a spec the way REST clients (and bench/) do.
+func submitBody(t testing.TB, spec exp.RunSpec) []byte {
+	t.Helper()
+	b, err := json.Marshal(map[string]any{"spec": spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// journalRecords counts the records in a service directory's journal.
+func journalRecords(t testing.TB, dir string) int {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join(dir, "journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bytes.Count(raw, []byte("\n"))
+}
+
+// TestHTTPRoundTrip drives the whole REST surface against a stub
+// runner: admission and its status codes, job views, duplicate specs
+// agreeing on their result fingerprint, readiness across a drain,
+// metrics, and the journal compacting to empty after a clean drain.
+func TestHTTPRoundTrip(t *testing.T) {
+	release := make(chan struct{})
+	gated := func(ctx context.Context, spec exp.RunSpec, env RunEnv) (exp.RunResult, error) {
+		select {
+		case <-release:
+			return okRunner(ctx, spec, env)
+		case <-ctx.Done():
+			return exp.RunResult{}, ctx.Err()
+		}
+	}
+	cfg := testConfig(t, gated)
+	cfg.QueueDepth = 4
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.Start()
+	h := s.Handler()
+
+	for _, path := range []string{"/healthz", "/readyz"} {
+		if code, _ := call(h, "GET", path, nil); code != http.StatusOK {
+			t.Fatalf("GET %s = %d before drain", path, code)
+		}
+	}
+	for name, body := range map[string][]byte{
+		"malformed":     []byte(`{"spec":`),
+		"unknown bench": submitBody(t, exp.RunSpec{Bench: "nope", Scale: "tiny"}),
+		"unknown scale": submitBody(t, exp.RunSpec{Bench: exp.BenchStreams, Scale: "galactic"}),
+	} {
+		if code, resp := call(h, "POST", "/jobs", body); code != http.StatusBadRequest {
+			t.Errorf("%s: POST /jobs = %d %s, want 400", name, code, resp)
+		}
+	}
+
+	// Two copies of three specs: the two workers hold one job each behind
+	// the gate, QueueDepth more wait, and the next submission bounces.
+	specs := []exp.RunSpec{
+		tinySpec(),
+		{Bench: exp.BenchStreams, Scale: "tiny", Params: map[string]uint64{"slack": 64}},
+		{Bench: exp.BenchChaser, Scale: "tiny", Policy: "pabst+dpq"},
+	}
+	var ids []string
+	for i := 0; i < 2*len(specs); i++ {
+		spec := specs[i%len(specs)]
+		code, resp := call(h, "POST", "/jobs", submitBody(t, spec))
+		var v JobView
+		if err := json.Unmarshal(resp, &v); err != nil || code != http.StatusAccepted {
+			t.Fatalf("submit %d = %d %s (%v), want 202 + JobView", i, code, resp, err)
+		}
+		if v.ID == "" || v.SpecFingerprint != spec.Fingerprint() {
+			t.Fatalf("submit %d returned view %+v", i, v)
+		}
+		ids = append(ids, v.ID)
+		if i < cfg.Workers {
+			mustState(t, s, v.ID, StateRunning)
+		}
+	}
+	if code, resp := call(h, "POST", "/jobs", submitBody(t, tinySpec())); code != http.StatusTooManyRequests {
+		t.Fatalf("submit past QueueDepth = %d %s, want 429", code, resp)
+	}
+	if code, _ := call(h, "GET", "/jobs/j-999999", nil); code != http.StatusNotFound {
+		t.Fatalf("GET unknown job = %d, want 404", code)
+	}
+
+	close(release)
+	for _, id := range ids {
+		mustState(t, s, id, StateDone)
+	}
+	code, resp := call(h, "GET", "/jobs", nil)
+	var views []JobView
+	if err := json.Unmarshal(resp, &views); err != nil || code != http.StatusOK || len(views) != len(ids) {
+		t.Fatalf("GET /jobs = %d, %d views (%v), want %d", code, len(views), err, len(ids))
+	}
+	bySpec := map[string]string{}
+	for _, v := range views {
+		if v.Result == nil || v.Result.Fingerprint == "" {
+			t.Fatalf("job %s done without a result fingerprint", v.ID)
+		}
+		if prev, ok := bySpec[v.SpecFingerprint]; ok && prev != v.Result.Fingerprint {
+			t.Errorf("duplicate specs disagree: %s vs %s", prev, v.Result.Fingerprint)
+		}
+		bySpec[v.SpecFingerprint] = v.Result.Fingerprint
+	}
+	if len(bySpec) != len(specs) {
+		t.Errorf("%d distinct spec fingerprints, want %d", len(bySpec), len(specs))
+	}
+	code, resp = call(h, "GET", "/jobs/"+ids[0], nil)
+	var one JobView
+	if err := json.Unmarshal(resp, &one); err != nil || code != http.StatusOK || one.ID != ids[0] || one.State != StateDone {
+		t.Fatalf("GET /jobs/%s = %d %s", ids[0], code, resp)
+	}
+	if code, resp := call(h, "GET", "/metrics", nil); code != http.StatusOK ||
+		!strings.Contains(string(resp), "pabst_serve_jobs_completed_total 6") {
+		t.Errorf("GET /metrics = %d:\n%s", code, resp)
+	}
+
+	if code, resp := call(h, "POST", "/drain", nil); code != http.StatusOK {
+		t.Fatalf("POST /drain = %d %s", code, resp)
+	}
+	if code, _ := call(h, "GET", "/readyz", nil); code != http.StatusServiceUnavailable {
+		t.Errorf("GET /readyz = %d after drain, want 503", code)
+	}
+	if code, _ := call(h, "POST", "/jobs", submitBody(t, tinySpec())); code != http.StatusServiceUnavailable {
+		t.Errorf("submit after drain = %d, want 503", code)
+	}
+	if n := journalRecords(t, cfg.Dir); n != 0 {
+		t.Errorf("journal holds %d records after a clean drain", n)
+	}
+}
+
+// TestFaultMustBePreset pins the trust boundary on RunSpec.Fault: a REST
+// client, or a journal record, names a fault plan by preset and never by
+// path. The path here holds a valid plan, so a service that read it would
+// accept the job — which is what the CLI's RunSpec.Validate does.
+func TestFaultMustBePreset(t *testing.T) {
+	plan := filepath.Join(t.TempDir(), "plan.json")
+	if err := os.WriteFile(plan, []byte(`{}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	byPath := exp.RunSpec{Bench: exp.BenchStreams, Scale: "tiny", Fault: plan}
+	if err := byPath.Validate(); err != nil {
+		t.Fatalf("the CLI path must keep accepting a plan file: %v", err)
+	}
+	ran := make(chan exp.RunSpec, 1)
+	cfg := testConfig(t, func(ctx context.Context, spec exp.RunSpec, env RunEnv) (exp.RunResult, error) {
+		ran <- spec
+		return okRunner(ctx, spec, env)
+	})
+
+	// A journal a previous incarnation (or anyone else) left behind.
+	jl, err := openJournal(filepath.Join(cfg.Dir, "journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jl.append(rec{Op: opSubmit, ID: "j-000003", Spec: &byPath}); err != nil {
+		t.Fatal(err)
+	}
+	jl.close()
+
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.Start()
+	h := s.Handler()
+
+	v, err := s.Get("j-000003")
+	if err != nil || v.State != StateFailed || !strings.Contains(v.Error, "unknown preset") {
+		t.Fatalf("recovered path-valued fault = %+v, %v; want a failed job", v, err)
+	}
+	code, resp := call(h, "POST", "/jobs", submitBody(t, byPath))
+	if code != http.StatusBadRequest || !strings.Contains(string(resp), "unknown preset") {
+		t.Fatalf("POST /jobs with a path-valued fault = %d %s, want 400", code, resp)
+	}
+	code, resp = call(h, "POST", "/jobs", submitBody(t, exp.RunSpec{Bench: exp.BenchStreams, Scale: "tiny", Fault: "sat-drop"}))
+	if code != http.StatusAccepted {
+		t.Fatalf("POST /jobs with a preset fault = %d %s, want 202", code, resp)
+	}
+	if spec := <-ran; spec.Fault != "sat-drop" {
+		t.Fatalf("runner saw %+v; the path-valued jobs must never reach it", spec)
+	}
+
+	big := append([]byte(`{"spec":{"bench":"`), bytes.Repeat([]byte("x"), 2<<20)...)
+	if code, _ := call(h, "POST", "/jobs", append(big, `","scale":"tiny"}}`...)); code != http.StatusBadRequest {
+		t.Fatalf("2 MiB body = %d, want 400", code)
+	}
+}
+
+// FuzzSubmitBody: arbitrary bytes into POST /jobs never panic, answer
+// with one of the documented statuses, and are accepted only as a valid
+// spec with exactly one journal record behind it.
+func FuzzSubmitBody(f *testing.F) {
+	// The bodies bench/'s sweep workload posts, one per bench and policy.
+	for _, spec := range []exp.RunSpec{
+		{Bench: exp.BenchStreams, Scale: "tiny", Params: map[string]uint64{"scalef": 128}, Policy: "pabst+pabst"},
+		{Bench: exp.BenchChaser, Scale: "tiny", Params: map[string]uint64{"burst": 8}, Policy: "bankreg+pabst"},
+		{Bench: exp.BenchWStreams, Scale: "tiny", Params: map[string]uint64{"slack": 64}, Policy: "pabst+dpq", Load: 12},
+	} {
+		f.Add(submitBody(f, spec))
+	}
+	f.Add([]byte(`{"spec":{"bench":"streams","scale":"quick","fault":"/etc/hostname"}}`))
+	f.Add([]byte(`{"spec":{"bench":"streams","scale":"tiny","fault":"sat-drop"},"opts":{"max_attempts":2,"deadline_ms":50}}`))
+	f.Add([]byte(`{"spec":`))
+	// One service for the whole run, never started: an accepted job stays
+	// queued, so all it leaves behind is its submit record. (A service per
+	// input costs three fsyncs an input, which starves the mutator.)
+	cfg := testConfig(f, okRunner)
+	cfg.QueueDepth = 1 << 30
+	s, err := New(cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { s.Close() })
+	h := s.Handler()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		before := journalRecords(t, cfg.Dir)
+		code, resp := call(h, "POST", "/jobs", body)
+		records := journalRecords(t, cfg.Dir) - before
+		switch code {
+		case http.StatusAccepted:
+			var v JobView
+			if err := json.Unmarshal(resp, &v); err != nil {
+				t.Fatalf("202 without a JobView: %s", resp)
+			}
+			if err := checkFault(v.Spec); err != nil {
+				t.Fatalf("accepted %+v: %v", v.Spec, err)
+			}
+			if err := v.Spec.Validate(); err != nil {
+				t.Fatalf("accepted %+v: %v", v.Spec, err)
+			}
+			if records != 1 {
+				t.Fatalf("accepted job has %d journal records, want 1", records)
+			}
+		case http.StatusBadRequest, http.StatusTooManyRequests, http.StatusServiceUnavailable:
+			if records != 0 {
+				t.Fatalf("status %d left %d journal records", code, records)
+			}
+		default:
+			t.Fatalf("POST /jobs = %d %s", code, resp)
+		}
+	})
+}

@@ -23,7 +23,7 @@ func tinySpec() exp.RunSpec {
 }
 
 // testConfig builds a fast-timing service config over a fresh dir.
-func testConfig(t *testing.T, runner Runner) Config {
+func testConfig(t testing.TB, runner Runner) Config {
 	t.Helper()
 	return Config{
 		Dir:              t.TempDir(),

@@ -13,7 +13,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"pabst/internal/config"
 	"pabst/internal/exp"
+	"pabst/internal/fault"
 )
 
 // Typed admission errors — callers branch on these, and the REST layer
@@ -280,6 +282,21 @@ func New(cfg Config) (*Service, error) {
 	return s, nil
 }
 
+// checkFault is the service's trust boundary on RunSpec.Fault: over
+// REST, and in a journal another process may have written, a fault plan
+// is named by preset. RunSpec.Validate resolves any other value as a
+// path and reads it (a plan file is a CLI convenience), so this runs
+// before Validate, and before a recovered job can reach a runner.
+func checkFault(spec exp.RunSpec) error {
+	if spec.Fault == "" {
+		return nil
+	}
+	if _, err := fault.Preset(spec.Fault); err != nil {
+		return exp.Terminal(fmt.Errorf("%w: %w", config.ErrInvalid, err))
+	}
+	return nil
+}
+
 // recover replays journal records into the in-memory job table.
 func (s *Service) recover(recs []rec) {
 	for _, r := range recs {
@@ -305,6 +322,9 @@ func (s *Service) recover(recs []rec) {
 			}
 			s.jobs[r.ID] = j
 			s.order = append(s.order, r.ID)
+			if err := checkFault(j.spec); err != nil {
+				s.failLocked(j, err, j.submitted)
+			}
 		case opRequeue:
 			if j := s.jobs[r.ID]; j != nil && !j.state.Terminal() {
 				j.attempt = r.Attempt
@@ -373,6 +393,9 @@ func (s *Service) spawnWorkerLocked() {
 // happens before the job becomes visible: once Submit returns, the job
 // survives a crash.
 func (s *Service) Submit(spec exp.RunSpec, opt SubmitOptions) (JobView, error) {
+	if err := checkFault(spec); err != nil {
+		return JobView{}, err
+	}
 	if err := spec.Validate(); err != nil {
 		return JobView{}, err
 	}

@@ -31,10 +31,9 @@
 //
 // The blend constants and per-policy utilization caps are calibrated
 // against the cycle simulator at the fig1/fig5/Pareto operating points;
-// `make bench-twin` (BENCH_twin.json) records the standing divergence
-// and gates the mean share error. Prediction.Confidence degrades near
-// regime boundaries (saturation knee, queue-pressure kink) and is zero
-// when a policy never declared analytic hooks or the fixed point failed
-// to converge — the surrogate screener in internal/exp simulates those
-// points unconditionally.
+// TestTwinAccuracyRegulationPoints in internal/exp logs the standing
+// divergence over those 17 points and gates its means. Prediction.Confidence
+// degrades near regime boundaries (saturation knee, queue-pressure kink)
+// and is zero when a policy never declared analytic hooks or the fixed
+// point failed to converge: such a point has to be simulated.
 package twin

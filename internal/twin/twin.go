@@ -58,7 +58,7 @@ type Prediction struct {
 
 	// Confidence ∈ [0,1]: 1 deep in a calibrated regime, degraded near
 	// regime boundaries, 0 when unconverged or when a policy declared
-	// no analytic hooks. The screener must simulate at low confidence.
+	// no analytic hooks. A low-confidence point has to be simulated.
 	Confidence float64 `json:"confidence"`
 	Converged  bool    `json:"converged"`
 	Iterations int     `json:"iterations"`
@@ -119,8 +119,9 @@ func New(cfg config.System) *Model {
 	}
 }
 
-// Calibrated allocation-blend constants (see package doc and
-// BENCH_twin.json for the sim-vs-twin residuals they leave).
+// Calibrated allocation-blend constants (see the package doc; the
+// accuracy test in internal/exp logs the sim-vs-twin residuals they
+// leave).
 const (
 	// Budget sources: caps bind progressively as queue pressure grows.
 	budgetHoldSlope = 0.31

@@ -126,7 +126,7 @@ func TestSolveLightLoadIsDemandSplit(t *testing.T) {
 }
 
 // TestSolveErrors: unknown policies are errors; unknown hooks are not
-// (they degrade to zero confidence instead, so the screener simulates).
+// (they degrade to zero confidence instead).
 func TestSolveErrors(t *testing.T) {
 	m := New(config.Default32())
 	if _, err := m.Solve("nope", "fcfs", streams(1, 1, 4)); err == nil {

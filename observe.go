@@ -52,7 +52,7 @@ const (
 // "dram", "fault") back to an EventKind.
 func ParseEventKind(s string) (EventKind, bool) { return obs.ParseKind(s) }
 
-// Sink consumes trace events; see NewJSONLSink, NewCSVSink, NewPromSink.
+// Sink consumes trace events; see NewJSONLSink, NewCSVSink, NewFilterSink.
 type Sink = obs.Sink
 
 // NewObserver builds an observer retaining the last ringCap events
@@ -64,12 +64,6 @@ func NewJSONLSink(w io.Writer) Sink { return obs.NewJSONLSink(w) }
 
 // NewCSVSink streams events as one flat CSV schema.
 func NewCSVSink(w io.Writer) Sink { return obs.NewCSVSink(w) }
-
-// PromSink folds events into a Prometheus-style text snapshot.
-type PromSink = obs.PromSink
-
-// NewPromSink returns an empty Prometheus-style snapshot accumulator.
-func NewPromSink() *PromSink { return obs.NewPromSink() }
 
 // NewFilterSink forwards to inner only the events keep accepts.
 func NewFilterSink(inner Sink, keep func(*Event) bool) Sink { return obs.NewFilterSink(inner, keep) }

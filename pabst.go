@@ -436,12 +436,6 @@ func (s *System) ClassTailLatency(class ClassID, p float64) uint64 {
 	return s.inner.ClassTailLatency(class, p)
 }
 
-// ClassLatencyHist returns a class's end-to-end L2-miss latency
-// distribution over the current measurement window.
-func (s *System) ClassLatencyHist(class ClassID) Hist {
-	return s.inner.ClassLatencyHist(class)
-}
-
 // Config returns the system's configuration.
 func (s *System) Config() SystemConfig { return s.inner.Config() }
 
