@@ -1,6 +1,7 @@
 package pabst
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/json"
@@ -37,16 +38,29 @@ type CheckpointInfo struct {
 	Fingerprint [32]byte
 }
 
-// ReadCheckpointInfo decodes just the header of a checkpoint stream —
-// enough for tooling to display what a file contains and decide whether
-// it matches the run being resumed.
+// ReadCheckpointInfo verifies a checkpoint image (magic, version, CRC)
+// and returns its header — enough for tooling to display what a file
+// contains and decide whether it matches the run being resumed.
 func ReadCheckpointInfo(r io.Reader) (CheckpointInfo, error) {
-	cr, err := ckpt.NewReader(r)
+	c, err := decode(r)
 	if err != nil {
 		return CheckpointInfo{}, err
 	}
-	h := cr.Header()
+	h := c.Header()
 	return CheckpointInfo{Version: ckpt.Version, Cycle: h.Cycle, Fingerprint: h.Fingerprint}, nil
+}
+
+// decode reads a whole checkpoint image and checks its envelope; no
+// system state has been touched when it fails.
+func decode(r io.Reader) (*ckpt.Codec, error) {
+	var img bytes.Buffer
+	if sized, ok := r.(interface{ Len() int }); ok {
+		img.Grow(sized.Len() + bytes.MinRead) // one allocation for an in-memory image
+	}
+	if _, err := img.ReadFrom(r); err != nil {
+		return nil, err
+	}
+	return ckpt.Decode(img.Bytes())
 }
 
 // fpDoc is the canonical structural description hashed into a
@@ -140,7 +154,8 @@ type metaAttach struct {
 // Checkpoint serializes the complete simulated machine to w: a
 // self-describing header (format version, structural fingerprint,
 // current cycle, rebuild metadata) followed by every component's state
-// in canonical order and a CRC trailer. A restored system is
+// in canonical order and a CRC trailer, assembled in memory and written
+// with one Write. A restored system is
 // bit-identical to the saved one: running both for the same number of
 // cycles produces byte-equal metrics, on either kernel.
 //
@@ -166,9 +181,12 @@ func (s *System) Checkpoint(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	cw := ckpt.NewWriter(w, ckpt.Header{Fingerprint: fp, Cycle: s.Now(), Meta: rawMeta})
-	s.inner.SaveState(cw)
-	return cw.Close()
+	img, err := ckpt.Encode(ckpt.Header{Fingerprint: fp, Cycle: s.Now(), Meta: rawMeta}, s.inner)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(img)
+	return err
 }
 
 // Restore rebuilds a system entirely from a checkpoint written by
@@ -184,7 +202,7 @@ func (s *System) Checkpoint(w io.Writer) error {
 // those through Builder.Restore on a builder that reconstructs the same
 // machine.
 func Restore(r io.Reader, opts ...Option) (*System, error) {
-	cr, err := ckpt.NewReader(r)
+	cr, err := decode(r)
 	if err != nil {
 		return nil, err
 	}
@@ -228,19 +246,19 @@ func Restore(r io.Reader, opts ...Option) (*System, error) {
 // replayers): the builder reconstructs them, the checkpoint overlays
 // their cursors.
 func (b *Builder) Restore(r io.Reader) (*System, error) {
-	cr, err := ckpt.NewReader(r)
+	cr, err := decode(r)
 	if err != nil {
 		return nil, err
 	}
 	return b.restoreFrom(cr)
 }
 
-func (b *Builder) restoreFrom(cr *ckpt.Reader) (*System, error) {
+func (b *Builder) restoreFrom(cr *ckpt.Codec) (*System, error) {
 	sys, err := b.Build()
 	if err != nil {
 		return nil, err
 	}
-	if err := sys.restoreReader(cr); err != nil {
+	if err := sys.load(cr); err != nil {
 		sys.Close()
 		return nil, err
 	}
@@ -251,17 +269,19 @@ func (b *Builder) restoreFrom(cr *ckpt.Reader) (*System, error) {
 // checkpoint must have been written by a structurally identical system,
 // which is verified against the header fingerprint before any state is
 // touched. The system may already have run — every stateful component
-// is overlaid wholesale — but a failure mid-restore (a corrupt payload)
-// leaves it partially overlaid and unusable.
+// is overlaid wholesale. An error from the envelope or fingerprint check
+// leaves the system untouched; a failure after the overlay began (an
+// intact image carrying a field this machine cannot hold) leaves it
+// partially overlaid and unusable.
 func (s *System) RestoreFrom(r io.Reader) error {
-	cr, err := ckpt.NewReader(r)
+	cr, err := decode(r)
 	if err != nil {
 		return err
 	}
-	return s.restoreReader(cr)
+	return s.load(cr)
 }
 
-func (s *System) restoreReader(cr *ckpt.Reader) error {
+func (s *System) load(cr *ckpt.Codec) error {
 	fp, err := s.Fingerprint()
 	if err != nil {
 		return err
@@ -270,8 +290,7 @@ func (s *System) restoreReader(cr *ckpt.Reader) error {
 		return fmt.Errorf("%w: checkpoint fingerprint %x…, this system is %x…",
 			ErrCkptMismatch, h.Fingerprint[:8], fp[:8])
 	}
-	s.inner.RestoreState(cr)
-	return cr.Close()
+	return cr.Load(s.inner)
 }
 
 // RunContext advances the simulation by up to cycles, checking ctx for

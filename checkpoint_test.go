@@ -3,9 +3,12 @@ package pabst_test
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc64"
+	"runtime"
 	"testing"
 
 	"pabst"
@@ -426,4 +429,104 @@ func TestCheckpointFormatFrozen(t *testing.T) {
 			}
 		})
 	}
+}
+
+// fuzzMachines are the small machines FuzzRestore restores onto: short
+// windows and few-KB caches keep an image near 20 KB, so the fuzzer
+// spends its time in the walk rather than copying cache lines. One has
+// every fault domain armed, the other the modeled NoC, and between them
+// they attach every describable generator kind.
+func fuzzMachines(t testing.TB) []func(opts ...pabst.Option) *pabst.Builder {
+	plan, err := pabst.LoadFaultPlan("everything")
+	if err != nil {
+		t.Fatal(err)
+	}
+	small := func(seed uint64) pabst.SystemConfig {
+		cfg := pabst.Scaled8Config()
+		cfg.Seed = seed
+		cfg.Core.WindowOps = 8
+		cfg.L1Bytes, cfg.L2Bytes, cfg.L3SliceBytes = 1<<10, 4<<10, 8<<10
+		cfg.PABST.EpochCycles, cfg.BWWindow = 2000, 1000
+		return cfg
+	}
+	attach := func(b *pabst.Builder, cfg pabst.SystemConfig) *pabst.Builder {
+		hi := b.AddClass("hi", 3, cfg.L3Ways/2)
+		lo := b.AddClass("lo", 1, cfg.L3Ways-cfg.L3Ways/2)
+		b.Attach(0, hi, pabst.Stream("rd", pabst.TileRegion(0), 64, false))
+		b.Attach(1, hi, pabst.Stream("wr", pabst.TileRegion(1), 128, true))
+		b.Attach(2, hi, pabst.Chaser("chase", pabst.TileRegion(2), 4, 9))
+		b.Attach(3, hi, pabst.BurstyTraffic("burst", pabst.TileRegion(3), 8, 300, 3))
+		b.Attach(4, lo, pabst.MemcachedServer(pabst.TileRegion(4), 5))
+		b.Attach(5, lo, pabst.Stream("bg", pabst.TileRegion(5), 64, false))
+		return b
+	}
+	return []func(opts ...pabst.Option) *pabst.Builder{
+		func(opts ...pabst.Option) *pabst.Builder {
+			cfg := small(3)
+			cfg.PABST = cfg.PABST.WithDegradation()
+			return attach(pabst.NewBuilder(cfg, pabst.ModePABST, append(opts, pabst.WithFaultPlan(plan))...), cfg)
+		},
+		func(opts ...pabst.Option) *pabst.Builder {
+			cfg := small(5)
+			cfg.ModelNoC = true
+			return attach(pabst.NewBuilder(cfg, pabst.ModePABST, append(opts, pabst.WithPolicy("", "dpq"))...), cfg)
+		},
+	}
+}
+
+// FuzzRestore is the checkpoint trust boundary's fuzz target (every
+// component's Ckpt walk, loading). The seeds are real checkpoints of the
+// two fuzzMachines, each written on both kernels. The target re-seals a
+// mutated image with a fresh CRC — so mutations reach the walk instead of
+// dying at the envelope — and restores it onto the machine its header
+// names. Whatever the bytes say, the restore must return a system or a
+// typed checkpoint error, must not panic, and must not allocate more
+// than a small multiple of the image.
+func FuzzRestore(f *testing.F) {
+	machines := fuzzMachines(f)
+	byFingerprint := map[[32]byte]func(opts ...pabst.Option) *pabst.Builder{}
+	for _, m := range machines {
+		for _, kernel := range []string{"event", "cycle"} {
+			sys, err := m(pabst.WithKernel(kernel)).Build()
+			if err != nil {
+				f.Fatal(err)
+			}
+			sys.Run(6_000)
+			var img bytes.Buffer
+			if err := sys.Checkpoint(&img); err != nil {
+				f.Fatal(err)
+			}
+			fp, _ := sys.Fingerprint()
+			byFingerprint[fp] = m
+			sys.Close()
+			f.Add(img.Bytes())
+		}
+	}
+	ecma := crc64.MakeTable(crc64.ECMA)
+	f.Fuzz(func(t *testing.T, img []byte) {
+		if len(img) < 8 {
+			return
+		}
+		img = binary.LittleEndian.AppendUint64(img[:len(img)-8:len(img)-8], crc64.Checksum(img[:len(img)-8], ecma))
+		m := machines[0]
+		if info, err := pabst.ReadCheckpointInfo(bytes.NewReader(img)); err == nil && byFingerprint[info.Fingerprint] != nil {
+			m = byFingerprint[info.Fingerprint]
+		}
+		sys, err := m().Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sys.Close()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err = sys.RestoreFrom(bytes.NewReader(img))
+		runtime.ReadMemStats(&after)
+		if err != nil && !errors.Is(err, pabst.ErrCkptCorrupt) && !errors.Is(err, pabst.ErrCkptVersion) &&
+			!errors.Is(err, pabst.ErrCkptMismatch) && !errors.Is(err, pabst.ErrCkptUnsupported) {
+			t.Fatalf("restore failed with an untyped error: %v", err)
+		}
+		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(8*len(img)+1<<20); grew > limit {
+			t.Fatalf("restoring a %d-byte image allocated %d bytes (limit %d)", len(img), grew, limit)
+		}
+	})
 }

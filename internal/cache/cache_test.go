@@ -237,9 +237,9 @@ func TestCacheBytesPerLine(t *testing.T) {
 	runtime.KeepAlive(c)
 }
 
-// TestRestoreRejectsUnpackable feeds RestoreState well-formed streams
-// (valid CRC) whose one line carries a field the packed word cannot
-// hold. A class >= mem.MaxClasses used to restore and then index out of
+// TestRestoreRejectsUnpackable loads well-formed images (valid CRC,
+// written by the unpacked reference) whose one line carries a field the
+// packed word cannot hold. A class >= mem.MaxClasses used to restore and then index out of
 // range in OccupancyInto.
 func TestRestoreRejectsUnpackable(t *testing.T) {
 	cfg := Config{SizeBytes: 2 * mem.LineSize, Ways: 2}
@@ -255,18 +255,10 @@ func TestRestoreRejectsUnpackable(t *testing.T) {
 		{"line number 2^58", 1 << 58, 0, ckpt.ErrCorrupt},
 		{"line number with the valid bit", 1<<63 | 7, 0, ckpt.ErrCorrupt},
 	} {
-		c, err := restored(cfg, saved(t, saverFunc(func(w *ckpt.Writer) {
-			w.Int(2)
-			w.Bool(true)
-			w.U64(tc.tag)
-			w.U8(tc.class)
-			w.Bool(true) // dirty
-			w.U64(1)     // used
-			w.Bool(false)
-			for i := 0; i < 5; i++ { // clock and the four counters
-				w.U64(1)
-			}
-		})))
+		c, err := restored(cfg, saved(t, &refCache{
+			lines: []refLine{{tag: tc.tag, class: mem.ClassID(tc.class), valid: true, dirty: true, used: 1}, {}},
+			clock: 1, Hits: 1, Misses: 1, Evictions: 1, DirtyEvictions: 1,
+		}))
 		if !errors.Is(err, tc.want) {
 			t.Errorf("%s: restore error %v, want %v", tc.name, err, tc.want)
 		}

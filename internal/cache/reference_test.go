@@ -132,52 +132,48 @@ func (c *refCache) OccupancyInto(dst *[mem.MaxClasses]int) {
 	}
 }
 
-func (c *refCache) SaveState(w *ckpt.Writer) {
-	w.Int(len(c.lines))
+// Ckpt writes the reference's lines in the stored form the packed
+// cache's walk spells out field by field (save only: the reference is
+// never restored into).
+func (c *refCache) Ckpt(k *ckpt.Codec) {
+	n := len(c.lines)
+	k.Int(&n)
 	for i := range c.lines {
 		l := &c.lines[i]
-		w.Bool(l.valid)
+		k.Bool(&l.valid)
 		if !l.valid {
 			continue
 		}
-		w.U64(l.tag)
-		w.U8(uint8(l.class))
-		w.Bool(l.dirty)
-		w.U64(l.used)
+		k.U64(&l.tag)
+		k.U8((*uint8)(&l.class))
+		k.Bool(&l.dirty)
+		k.U64(&l.used)
 	}
-	w.U64(c.clock)
-	w.U64(c.Hits)
-	w.U64(c.Misses)
-	w.U64(c.Evictions)
-	w.U64(c.DirtyEvictions)
+	k.U64(&c.clock)
+	k.U64(&c.Hits)
+	k.U64(&c.Misses)
+	k.U64(&c.Evictions)
+	k.U64(&c.DirtyEvictions)
 }
 
-// saverFunc lets a test write a stream by hand.
-type saverFunc func(w *ckpt.Writer)
-
-func (f saverFunc) SaveState(w *ckpt.Writer) { f(w) }
-
-// saved returns s's checkpoint as a complete stream (header, CRC trailer).
-func saved(t testing.TB, s ckpt.Saver) []byte {
+// saved returns w's checkpoint as a complete image (header, CRC trailer).
+func saved(t testing.TB, w ckpt.Walker) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	w := ckpt.NewWriter(&buf, ckpt.Header{})
-	s.SaveState(w)
-	if err := w.Close(); err != nil {
+	raw, err := ckpt.Encode(ckpt.Header{}, w)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return raw
 }
 
-// restored builds a cache of geometry cfg from a checkpoint stream.
+// restored builds a cache of geometry cfg from a checkpoint image.
 func restored(cfg Config, raw []byte) (*Cache, error) {
-	r, err := ckpt.NewReader(bytes.NewReader(raw))
+	k, err := ckpt.Decode(raw)
 	if err != nil {
 		return nil, err
 	}
 	c := New(cfg)
-	c.RestoreState(r)
-	return c, r.Close()
+	return c, k.Load(c)
 }
 
 // diffPair drives the packed cache and the reference with one randomized
@@ -237,7 +233,7 @@ func (p *diffPair) compare(i int) {
 		p.t.Fatalf("call %d: occupancy %v, reference %v", i, occG, occW)
 	}
 	if !bytes.Equal(saved(p.t, g), saved(p.t, w)) {
-		p.t.Fatalf("call %d: SaveState bytes differ from the reference", i)
+		p.t.Fatalf("call %d: checkpoint bytes differ from the reference", i)
 	}
 }
 

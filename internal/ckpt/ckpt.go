@@ -1,10 +1,10 @@
 // Package ckpt implements the versioned binary checkpoint format for the
 // simulated machine.
 //
-// A checkpoint is a single self-describing stream:
+// A checkpoint is a single self-describing image:
 //
 //	magic   "PABSTCKP"                 8 bytes
-//	version uint32                     format version (currently 1)
+//	version uint32                     format version (Version)
 //	header  fingerprint [32]byte       sha256 of the structural build config
 //	        cycle       uint64         kernel cycle at save time
 //	        meta        []byte         JSON build description (config + attachments)
@@ -18,6 +18,12 @@
 // data but turn a walk-order bug into an immediate typed error instead of
 // silently misassigned state.
 //
+// One Codec serves both directions over one in-memory image: encoding
+// appends to it, decoding slices it, and every primitive takes a pointer
+// it reads from or writes through. A component therefore states its
+// field order exactly once, in its Ckpt method, and the two directions
+// cannot drift apart.
+//
 // Versioning rule: any change to the walk order, to a component's field
 // set, or to a primitive encoding bumps Version. There is no in-place
 // migration — a version mismatch is a typed ErrVersion and the caller
@@ -25,15 +31,10 @@
 package ckpt
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
 	"hash/crc64"
-	"io"
-	"math"
 )
 
 // Version is the current checkpoint format version. Bump it on any
@@ -47,13 +48,22 @@ const Version uint32 = 3
 
 var magic = [8]byte{'P', 'A', 'B', 'S', 'T', 'C', 'K', 'P'}
 
+// checksum is the CRC-64 (ECMA) of a whole image body, computed in one
+// pass. The table is fetched per call, not held in a package variable:
+// hash/crc64 builds its 32 KB of slicing tables on first use, and a
+// process that never checkpoints should not carry them.
+func checksum(body []byte) uint64 {
+	return crc64.Checksum(body, crc64.MakeTable(crc64.ECMA))
+}
+
 var (
 	// ErrVersion reports a checkpoint written by a different format
 	// version than this build understands.
 	ErrVersion = errors.New("ckpt: unsupported checkpoint version")
 
-	// ErrCorrupt reports a damaged stream: bad magic, truncation, a CRC
-	// mismatch, or a section tag out of order.
+	// ErrCorrupt reports a damaged image: bad magic, truncation, a CRC
+	// mismatch, a section tag out of order, or a field outside the range
+	// the restoring machine can hold.
 	ErrCorrupt = errors.New("ckpt: corrupt checkpoint")
 
 	// ErrMismatch reports a structural disagreement between the
@@ -65,43 +75,29 @@ var (
 	// (e.g. a workload generator built from a closure the format cannot
 	// describe).
 	ErrUnsupported = errors.New("ckpt: component does not support checkpointing")
+
+	// ErrPartial marks a decode that failed after the walk began: the
+	// walker it was loading into is partially overwritten and must be
+	// discarded. It always wraps the cause (ErrCorrupt, ErrMismatch,
+	// ErrUnsupported); an error without it left the walker untouched.
+	ErrPartial = errors.New("ckpt: state partially restored")
 )
 
-// Verify checks a complete checkpoint image for structural integrity
-// without touching any component state: magic, version, header bounds,
-// and the CRC trailer over the full stream. It reports the same typed
-// errors a restore would (ErrCorrupt, ErrVersion), which lets callers
-// quarantine a damaged file before any in-place overlay begins. A nil
-// return guarantees the byte stream is exactly what the Writer produced;
-// it does not prove the checkpoint matches any particular system — that
-// is the restore-time fingerprint check's job.
-func Verify(raw []byte) error {
-	if _, err := NewReader(bytes.NewReader(raw)); err != nil {
-		return err
-	}
-	// NewReader consumed a valid header, so the image is comfortably
-	// longer than the 8-byte trailer.
-	body, trailer := raw[:len(raw)-8], raw[len(raw)-8:]
-	sum := crc64.Checksum(body, crc64.MakeTable(crc64.ECMA))
-	if binary.LittleEndian.Uint64(trailer) != sum {
-		return fmt.Errorf("%w: CRC mismatch", ErrCorrupt)
-	}
-	return nil
+// Walker is implemented by every component with checkpointable state.
+// Ckpt visits the component's mutable fields in their stored order; the
+// codec's direction decides whether each visit writes the field to the
+// image or overwrites it from the image. Structural fields (wiring,
+// geometry, callbacks) are not visited: they are rebuilt from the config
+// before a decode overlays state onto the freshly built component.
+type Walker interface {
+	Ckpt(c *Codec)
 }
 
-// Saver is implemented by components that can serialize their mutable
-// state. Structural fields (wiring, geometry, callbacks) are NOT saved;
-// they are rebuilt from the config before RestoreState overlays state.
-type Saver interface {
-	SaveState(w *Writer)
-}
+// WalkFunc adapts a function to a Walker.
+type WalkFunc func(c *Codec)
 
-// Restorer is the inverse of Saver: overlay previously saved state onto
-// a freshly built component. The component must already have the same
-// structure (geometry, wiring) as the one that saved.
-type Restorer interface {
-	RestoreState(r *Reader)
-}
+// Ckpt calls f(c).
+func (f WalkFunc) Ckpt(c *Codec) { f(c) }
 
 // Header is the self-describing prefix of every checkpoint.
 type Header struct {
@@ -117,319 +113,358 @@ type Header struct {
 	Meta []byte
 }
 
+// Limits are the index bounds of the machine a decode overlays onto,
+// handed to the codec by whoever knows the geometry (the soc walk) so
+// components below it can range-check the indices they load: the machine
+// indexes with them later, and a CRC proves an image intact, not
+// well-meant. A zero bound rejects every index of its kind.
+type Limits struct {
+	Tiles, MCs, Classes int
+}
+
 const (
-	maxMetaLen    = 16 << 20 // sanity bound on the JSON build description
-	maxBytesLen   = 64 << 20 // sanity bound on any single []byte field
-	maxSectionLen = 64       // section tags are short identifiers
+	nilLen        = ^uint64(0) // length marking a nil slice
+	sectionMark   = 0xA5       // section sentinel, unlikely in accidental misalignment
+	maxSectionLen = 64         // section tags are short identifiers
+	trailerLen    = 8
 )
 
-// Writer serializes a checkpoint. Errors are sticky: the first failure
-// latches and every later call is a no-op, so component walks can write
-// unconditionally and check once at Close.
-type Writer struct {
-	w   *bufio.Writer
-	crc hash.Hash64
-	err error
-	buf [8]byte
+// Codec walks one checkpoint image in one direction. Errors are sticky:
+// the first failure latches, and from then on a decoding codec yields
+// zero values and zero lengths, so walks run unconditionally and the
+// error is collected once at the end.
+type Codec struct {
+	// Limits bound the index-valued fields components load; see Limits.
+	Limits Limits
+
+	buf     []byte // encoding: the image so far; decoding: header and payload, trailer cut off
+	off     int    // decoding: read cursor into buf
+	loading bool
+	err     error
+	header  Header
 }
 
-// NewWriter starts a checkpoint stream on w and writes the magic,
-// version, and header.
-func NewWriter(w io.Writer, h Header) *Writer {
-	crc := crc64.New(crc64.MakeTable(crc64.ECMA))
-	cw := &Writer{w: bufio.NewWriter(io.MultiWriter(w, crc)), crc: crc}
-	// The CRC must cover the buffered bytes, so hash inside the tee: the
-	// bufio.Writer wraps a MultiWriter(w, crc) and everything flushed
-	// through it is hashed exactly once.
-	cw.write(magic[:])
-	cw.U32(Version)
-	cw.write(h.Fingerprint[:])
-	cw.U64(h.Cycle)
-	cw.Bytes(h.Meta)
-	return cw
-}
-
-func (w *Writer) write(p []byte) {
-	if w.err != nil {
-		return
+// Encode walks w into a fresh image under header h and seals it with the
+// CRC trailer.
+func Encode(h Header, w Walker) ([]byte, error) {
+	c := &Codec{buf: make([]byte, 0, 4096)}
+	c.buf = append(c.buf, magic[:]...)
+	c.buf = binary.LittleEndian.AppendUint32(c.buf, Version)
+	c.buf = append(c.buf, h.Fingerprint[:]...)
+	c.U64(&h.Cycle)
+	n := len(h.Meta)
+	if h.Meta == nil {
+		n = -1
 	}
-	_, w.err = w.w.Write(p)
-}
-
-// U64 writes a little-endian uint64.
-func (w *Writer) U64(v uint64) {
-	binary.LittleEndian.PutUint64(w.buf[:8], v)
-	w.write(w.buf[:8])
-}
-
-// U32 writes a little-endian uint32.
-func (w *Writer) U32(v uint32) {
-	binary.LittleEndian.PutUint32(w.buf[:4], v)
-	w.write(w.buf[:4])
-}
-
-// U8 writes one byte.
-func (w *Writer) U8(v uint8) { w.write([]byte{v}) }
-
-// I64 writes a little-endian int64 (two's complement).
-func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
-
-// Int writes an int as int64.
-func (w *Writer) Int(v int) { w.I64(int64(v)) }
-
-// Bool writes a bool as one byte.
-func (w *Writer) Bool(v bool) {
-	if v {
-		w.U8(1)
-	} else {
-		w.U8(0)
+	c.NilLen(&n, 1)
+	c.buf = append(c.buf, h.Meta...)
+	w.Ckpt(c)
+	if c.err != nil {
+		return nil, c.err
 	}
+	return binary.LittleEndian.AppendUint64(c.buf, checksum(c.buf)), nil
 }
 
-// F64 writes a float64 by IEEE-754 bits.
-func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
-
-// Bytes writes a length-prefixed byte slice. A nil slice and an empty
-// slice are distinguished (length ^uint64(0) marks nil) because some
-// components carry nil-vs-empty semantics.
-func (w *Writer) Bytes(p []byte) {
-	if p == nil {
-		w.U64(^uint64(0))
-		return
-	}
-	w.U64(uint64(len(p)))
-	w.write(p)
-}
-
-// String writes a length-prefixed string.
-func (w *Writer) String(s string) {
-	w.U64(uint64(len(s)))
-	w.write([]byte(s))
-}
-
-// Section writes a walk-order guard tag. The reader must consume the
-// identical tag at the same position or the restore fails with
-// ErrCorrupt.
-func (w *Writer) Section(name string) {
-	w.U8(0xA5) // section sentinel, unlikely in accidental misalignment
-	w.String(name)
-}
-
-// Fail latches an error (used by components that discover an
-// unserializable member mid-walk).
-func (w *Writer) Fail(err error) {
-	if w.err == nil {
-		w.err = err
-	}
-}
-
-// Err returns the latched error, if any.
-func (w *Writer) Err() error { return w.err }
-
-// Close appends the CRC trailer and flushes. It returns the first error
-// encountered anywhere in the stream.
-func (w *Writer) Close() error {
-	if w.err != nil {
-		return w.err
-	}
-	// The buffered writer only feeds the hash on flush, so flush before
-	// sampling the sum.
-	if w.err = w.w.Flush(); w.err != nil {
-		return w.err
-	}
-	sum := w.crc.Sum64()
-	binary.LittleEndian.PutUint64(w.buf[:8], sum)
-	// The trailer itself is not hashed; write it straight through.
-	if _, err := w.w.Write(w.buf[:8]); err != nil {
-		w.err = err
-		return err
-	}
-	if w.err = w.w.Flush(); w.err != nil {
-		return w.err
-	}
-	return nil
-}
-
-// Reader deserializes a checkpoint. Errors are sticky like the Writer's;
-// decode walks read unconditionally and check once at Close. On error
-// every primitive returns the zero value.
-type Reader struct {
-	r      io.Reader
-	crc    hash.Hash64
-	err    error
-	buf    [8]byte
-	header Header
-}
-
-// NewReader consumes the magic, version, and header from r. It returns
-// ErrCorrupt for bad magic or truncation and ErrVersion for a format
-// version this build does not understand.
-func NewReader(r io.Reader) (*Reader, error) {
-	crc := crc64.New(crc64.MakeTable(crc64.ECMA))
-	cr := &Reader{r: io.TeeReader(bufio.NewReader(r), crc), crc: crc}
-	var m [8]byte
-	cr.read(m[:])
-	if cr.err != nil {
-		return nil, fmt.Errorf("%w: short magic", ErrCorrupt)
-	}
-	if m != magic {
+// Decode checks a complete image's envelope — magic, version, header
+// bounds, and the CRC trailer over every byte before it — and returns a
+// codec positioned at the payload. It touches no component state: an
+// error here (ErrCorrupt, ErrVersion) means nothing was restored. A nil
+// error guarantees the bytes are exactly what Encode produced; it does
+// not prove the checkpoint matches any particular system — that is the
+// restore-time fingerprint check's job.
+func Decode(raw []byte) (*Codec, error) {
+	if len(raw) < len(magic) || [8]byte(raw[:8]) != magic {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
-	v := cr.U32()
-	if cr.err != nil {
+	if len(raw) < 12 {
 		return nil, fmt.Errorf("%w: truncated version", ErrCorrupt)
 	}
-	if v != Version {
+	if v := binary.LittleEndian.Uint32(raw[8:]); v != Version {
 		return nil, fmt.Errorf("%w: file version %d, this build reads %d", ErrVersion, v, Version)
 	}
-	cr.read(cr.header.Fingerprint[:])
-	cr.header.Cycle = cr.U64()
-	cr.header.Meta = cr.bytesBounded(maxMetaLen)
-	if cr.err != nil {
+	if len(raw) < 12+trailerLen {
 		return nil, fmt.Errorf("%w: truncated header", ErrCorrupt)
 	}
-	return cr, nil
+	body, trailer := raw[:len(raw)-trailerLen], raw[len(raw)-trailerLen:]
+	c := &Codec{buf: body, off: 12, loading: true}
+	c.take(c.header.Fingerprint[:])
+	c.U64(&c.header.Cycle)
+	var n int
+	c.NilLen(&n, 1)
+	if n >= 0 {
+		c.header.Meta = make([]byte, n)
+		c.take(c.header.Meta)
+	}
+	if c.err != nil {
+		return nil, fmt.Errorf("%w: truncated header", ErrCorrupt)
+	}
+	if binary.LittleEndian.Uint64(trailer) != checksum(body) {
+		return nil, fmt.Errorf("%w: CRC mismatch", ErrCorrupt)
+	}
+	return c, nil
+}
+
+// Verify is Decode for callers that only want the verdict.
+func Verify(raw []byte) error {
+	_, err := Decode(raw)
+	return err
+}
+
+// Load walks w over the payload, overwriting its state from the image,
+// and requires the walk to consume the payload exactly. Any failure is
+// wrapped in ErrPartial.
+func (c *Codec) Load(w Walker) error {
+	w.Ckpt(c)
+	if c.err == nil && c.off != len(c.buf) {
+		c.err = fmt.Errorf("%w: %d payload bytes left over", ErrCorrupt, len(c.buf)-c.off)
+	}
+	if c.err != nil {
+		return fmt.Errorf("%w: %w", ErrPartial, c.err)
+	}
+	return nil
 }
 
 // Header returns the checkpoint's self-describing prefix.
-func (r *Reader) Header() Header { return r.header }
+func (c *Codec) Header() Header { return c.header }
 
-func (r *Reader) read(p []byte) {
-	if r.err != nil {
-		for i := range p {
-			p[i] = 0
-		}
-		return
-	}
-	if _, err := io.ReadFull(r.r, p); err != nil {
-		r.err = fmt.Errorf("%w: %v", ErrCorrupt, err)
-		for i := range p {
-			p[i] = 0
-		}
-	}
-}
+// Loading reports the direction: true when visits overwrite fields from
+// the image. Components branch on it only where the live representation
+// is not the stored one (convert before the walk when saving, rebuild
+// after it when loading) and for load-side checks.
+func (c *Codec) Loading() bool { return c.loading }
 
-// U64 reads a little-endian uint64.
-func (r *Reader) U64() uint64 {
-	r.read(r.buf[:8])
-	return binary.LittleEndian.Uint64(r.buf[:8])
-}
-
-// U32 reads a little-endian uint32.
-func (r *Reader) U32() uint32 {
-	r.read(r.buf[:4])
-	return binary.LittleEndian.Uint32(r.buf[:4])
-}
-
-// U8 reads one byte.
-func (r *Reader) U8() uint8 {
-	r.read(r.buf[:1])
-	return r.buf[0]
-}
-
-// I64 reads a little-endian int64.
-func (r *Reader) I64() int64 { return int64(r.U64()) }
-
-// Int reads an int64 into an int.
-func (r *Reader) Int() int { return int(r.I64()) }
-
-// Bool reads a one-byte bool. Any nonzero byte besides 1 is corruption.
-func (r *Reader) Bool() bool {
-	switch r.U8() {
-	case 0:
-		return false
-	case 1:
-		return true
-	default:
-		r.Fail(fmt.Errorf("%w: invalid bool encoding", ErrCorrupt))
-		return false
-	}
-}
-
-// F64 reads an IEEE-754 float64.
-func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
-
-// Bytes reads a length-prefixed byte slice (nil preserved).
-func (r *Reader) Bytes() []byte { return r.bytesBounded(maxBytesLen) }
-
-func (r *Reader) bytesBounded(max uint64) []byte {
-	n := r.U64()
-	if n == ^uint64(0) {
-		return nil
-	}
-	if n > max {
-		r.Fail(fmt.Errorf("%w: byte field length %d exceeds bound", ErrCorrupt, n))
-		return nil
-	}
-	p := make([]byte, n)
-	r.read(p)
-	if r.err != nil {
-		return nil
-	}
-	return p
-}
-
-// String reads a length-prefixed string.
-func (r *Reader) String() string {
-	n := r.U64()
-	if n > maxBytesLen {
-		r.Fail(fmt.Errorf("%w: string length %d exceeds bound", ErrCorrupt, n))
-		return ""
-	}
-	p := make([]byte, n)
-	r.read(p)
-	return string(p)
-}
-
-// Section consumes a walk-order guard tag and fails with ErrCorrupt if
-// the stream does not carry the expected tag at this position.
-func (r *Reader) Section(name string) {
-	if r.err != nil {
-		return
-	}
-	if s := r.U8(); s != 0xA5 {
-		r.Fail(fmt.Errorf("%w: expected section %q, found unaligned data", ErrCorrupt, name))
-		return
-	}
-	n := r.U64()
-	if n > maxSectionLen {
-		r.Fail(fmt.Errorf("%w: expected section %q, found unaligned data", ErrCorrupt, name))
-		return
-	}
-	p := make([]byte, n)
-	r.read(p)
-	if r.err == nil && string(p) != name {
-		r.Fail(fmt.Errorf("%w: expected section %q, found %q", ErrCorrupt, name, string(p)))
-	}
-}
-
-// Fail latches an error.
-func (r *Reader) Fail(err error) {
-	if r.err == nil {
-		r.err = err
+// Fail latches an error (a load-side check that failed, or a member
+// discovered mid-walk that the format cannot describe).
+func (c *Codec) Fail(err error) {
+	if c.err == nil {
+		c.err = err
 	}
 }
 
 // Err returns the latched error, if any.
-func (r *Reader) Err() error { return r.err }
+func (c *Codec) Err() error { return c.err }
 
-// Close verifies the CRC trailer. Call after the full payload walk; it
-// returns the first error latched anywhere, or ErrCorrupt if the
-// trailer does not match the bytes read.
-func (r *Reader) Close() error {
-	if r.err != nil {
-		return r.err
+func (c *Codec) left() int { return len(c.buf) - c.off }
+
+// take fills p from the image, or zeroes it once the codec has failed.
+func (c *Codec) take(p []byte) {
+	if c.err != nil || len(p) > c.left() {
+		c.short()
+		clear(p)
+		return
 	}
-	want := r.crc.Sum64() // CRC of everything consumed so far
-	// The trailer was written outside the hash; read it raw (the tee
-	// hashes it too, but we already captured the sum).
-	r.read(r.buf[:8])
-	if r.err != nil {
-		return fmt.Errorf("%w: missing CRC trailer", ErrCorrupt)
+	c.off += copy(p, c.buf[c.off:])
+}
+
+// U64 visits a little-endian uint64.
+func (c *Codec) U64(p *uint64) {
+	if !c.loading {
+		c.buf = binary.LittleEndian.AppendUint64(c.buf, *p)
+		return
 	}
-	got := binary.LittleEndian.Uint64(r.buf[:8])
-	if got != want {
-		return fmt.Errorf("%w: CRC mismatch", ErrCorrupt)
+	if c.err != nil || c.left() < 8 {
+		c.short()
+		*p = 0
+		return
 	}
-	return nil
+	*p = binary.LittleEndian.Uint64(c.buf[c.off:])
+	c.off += 8
+}
+
+// U8 visits one byte.
+func (c *Codec) U8(p *uint8) {
+	if !c.loading {
+		c.buf = append(c.buf, *p)
+		return
+	}
+	if c.err != nil || c.left() < 1 {
+		c.short()
+		*p = 0
+		return
+	}
+	*p = c.buf[c.off]
+	c.off++
+}
+
+// short latches the truncation error unless an earlier one is latched
+// (a failed decode zero-fills through here once per remaining field).
+func (c *Codec) short() {
+	if c.err == nil {
+		c.err = fmt.Errorf("%w: truncated payload", ErrCorrupt)
+	}
+}
+
+// I64 visits a little-endian int64 (two's complement).
+func (c *Codec) I64(p *int64) {
+	v := uint64(*p)
+	c.U64(&v)
+	if c.loading {
+		*p = int64(v)
+	}
+}
+
+// Int visits an int, stored as an int64.
+func (c *Codec) Int(p *int) {
+	v := uint64(*p)
+	c.U64(&v)
+	if c.loading {
+		*p = int(int64(v))
+	}
+}
+
+// Bool visits a bool, stored as one byte. Any byte besides 0 and 1 is
+// corruption.
+func (c *Codec) Bool(p *bool) {
+	var v uint8
+	if *p {
+		v = 1
+	}
+	c.U8(&v)
+	if c.loading {
+		if v > 1 {
+			c.Fail(fmt.Errorf("%w: invalid bool encoding", ErrCorrupt))
+		}
+		*p = v == 1
+	}
+}
+
+// U64s visits every element of a fixed-length array in order (no length
+// is stored: the length is structural).
+func (c *Codec) U64s(a []uint64) {
+	for i := range a {
+		c.U64(&a[i])
+	}
+}
+
+// String visits a length-prefixed string.
+func (c *Codec) String(p *string) {
+	n := len(*p)
+	c.Len(&n, 1)
+	if !c.loading {
+		c.buf = append(c.buf, *p...)
+		return
+	}
+	b := make([]byte, n)
+	c.take(b)
+	*p = string(b)
+}
+
+// Enum visits a one-byte enumeration with n values. Loading a value
+// outside [0, n) is corruption and yields 0.
+func (c *Codec) Enum(p *uint8, n int) {
+	c.U8(p)
+	if c.loading && int(*p) >= n {
+		c.Fail(fmt.Errorf("%w: enum value %d outside [0,%d)", ErrCorrupt, *p, n))
+		*p = 0
+	}
+}
+
+// Index visits an int that indexes a container of n elements. Loading a
+// value outside [0, n) is corruption and yields 0.
+func (c *Codec) Index(p *int, n int) {
+	c.Int(p)
+	if c.loading && (*p < 0 || *p >= n) {
+		c.Fail(fmt.Errorf("%w: index %d outside [0,%d)", ErrCorrupt, *p, n))
+		*p = 0
+	}
+}
+
+// Len visits a container length. The one rule for a decoded length: it
+// may not exceed the bytes left in the image divided by elemMin, the
+// fewest bytes one element encodes to — so a corrupt count fails before
+// anything is allocated for it, and every loop a count drives is bounded
+// by the image. A failed codec yields 0.
+func (c *Codec) Len(n *int, elemMin int) {
+	v := uint64(*n)
+	c.U64(&v)
+	if c.loading {
+		if v > uint64(c.left()/elemMin) {
+			c.Fail(fmt.Errorf("%w: length %d exceeds the %d bytes left", ErrCorrupt, v, c.left()))
+			v = 0
+		}
+		*n = int(v)
+	}
+}
+
+// NilLen is Len for containers that distinguish nil from empty: -1
+// stands for nil and is stored as ^uint64(0).
+func (c *Codec) NilLen(n *int, elemMin int) {
+	if c.loading && c.err == nil && c.left() >= 8 && binary.LittleEndian.Uint64(c.buf[c.off:]) == nilLen {
+		c.off += 8
+		*n = -1
+		return
+	}
+	c.Len(n, elemMin)
+}
+
+// Same visits a structural count: saving writes n; loading requires the
+// stored value to equal n and fails with ErrMismatch (naming what) if it
+// does not. It reports whether the walk may continue.
+func (c *Codec) Same(n int, what string) bool {
+	got := n
+	c.Int(&got)
+	if c.err == nil && got != n {
+		c.Fail(fmt.Errorf("%w: %s: this system has %d, checkpoint has %d", ErrMismatch, what, n, got))
+	}
+	return c.err == nil
+}
+
+// Section visits a walk-order guard tag. Loading, the image must carry
+// the identical tag at this position or the restore fails with
+// ErrCorrupt.
+func (c *Codec) Section(name string) {
+	if !c.loading {
+		c.buf = append(c.buf, sectionMark)
+		c.String(&name)
+		return
+	}
+	if c.err != nil {
+		return
+	}
+	var mark uint8
+	c.U8(&mark)
+	var n uint64
+	c.U64(&n)
+	if c.err != nil || mark != sectionMark || n > maxSectionLen || n > uint64(c.left()) {
+		c.Fail(fmt.Errorf("%w: expected section %q, found unaligned data", ErrCorrupt, name))
+		return
+	}
+	got := string(c.buf[c.off : c.off+int(n)])
+	c.off += int(n)
+	if got != name {
+		c.Fail(fmt.Errorf("%w: expected section %q, found %q", ErrCorrupt, name, got))
+	}
+}
+
+// Slice visits a count-prefixed slice, elem visiting each element in
+// order; elemMin is the fewest bytes one element encodes to (see Len).
+// Loading replaces the contents, reusing the slice's capacity. A nil
+// slice is stored as an empty one; NilSlice keeps the difference.
+func Slice[T any](c *Codec, s *[]T, elemMin int, elem func(*Codec, *T)) {
+	n := len(*s)
+	c.Len(&n, elemMin)
+	if c.loading {
+		*s = append((*s)[:0], make([]T, n)...)
+	}
+	for i := range *s {
+		elem(c, &(*s)[i])
+	}
+}
+
+// NilSlice is Slice for slices whose nil and empty states differ.
+func NilSlice[T any](c *Codec, s *[]T, elemMin int, elem func(*Codec, *T)) {
+	n := len(*s)
+	if *s == nil {
+		n = -1
+	}
+	c.NilLen(&n, elemMin)
+	if c.loading {
+		*s = nil
+		if n >= 0 {
+			*s = make([]T, n)
+		}
+	}
+	for i := range *s {
+		elem(c, &(*s)[i])
+	}
 }

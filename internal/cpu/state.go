@@ -1,92 +1,39 @@
 package cpu
 
 import (
-	"fmt"
-
 	"pabst/internal/ckpt"
-	"pabst/internal/mem"
 	"pabst/internal/sim"
+	"pabst/internal/workload"
 )
 
-// SaveState implements ckpt.Saver. Structural fields (ID, config,
-// generator, port, observer hooks) are rebuilt by the system; everything
-// the pipeline has in flight — the slot ring, the gap queue, the ready
-// FIFO — is saved verbatim so a restored core issues the identical op
-// sequence from the identical cycle.
-func (c *Core) SaveState(w *ckpt.Writer) {
-	w.Int(len(c.slots))
-	for i := range c.slots {
-		s := &c.slots[i]
-		w.U64(uint64(s.op.Addr))
-		w.Bool(s.op.Write)
-		w.Int(s.op.DependsOn)
-		w.Int(s.op.Gap)
-		w.U64(s.op.Insts)
-		w.U64(s.op.Tag)
-		w.U64(s.seq)
-		w.U8(uint8(s.state))
-		w.U64(s.fetchAt)
-		w.U64(s.doneAt)
-		w.U64(s.waiter)
-		w.Bool(s.hasWait)
-	}
-	w.U64(c.head)
-	w.U64(c.tail)
-	w.U64(c.fetchClock)
-	sim.SaveDelayQueue(w, &c.gapQ, func(w *ckpt.Writer, seq uint64) { w.U64(seq) })
-	w.Int(c.readyQ.Len())
-	for i := 0; i < c.readyQ.Len(); i++ {
-		w.U64(c.readyQ.At(i))
-	}
-	w.Int(c.outstanding)
-	w.U64(c.instsRetired)
-	w.U64(c.opsRetired)
-	w.U64(c.cycles)
-	w.U64(c.baseInsts)
-	w.U64(c.baseCycles)
-}
-
-// RestoreState implements ckpt.Restorer.
-func (c *Core) RestoreState(r *ckpt.Reader) {
-	if n := r.Int(); n != len(c.slots) {
-		r.Fail(fmt.Errorf("%w: core %d window %d, checkpoint has %d", ckpt.ErrMismatch, c.ID, len(c.slots), n))
+// Ckpt implements ckpt.Walker. Structural fields (ID, config, generator,
+// port, observer hooks) are rebuilt by the system; everything the
+// pipeline has in flight — the slot ring, the gap queue, the ready FIFO —
+// is stored verbatim so a restored core issues the identical op sequence
+// from the identical cycle.
+func (c *Core) Ckpt(k *ckpt.Codec) {
+	if !k.Same(len(c.slots), "core window") {
 		return
 	}
 	for i := range c.slots {
 		s := &c.slots[i]
-		s.op.Addr = mem.Addr(r.U64())
-		s.op.Write = r.Bool()
-		s.op.DependsOn = r.Int()
-		s.op.Gap = r.Int()
-		s.op.Insts = r.U64()
-		s.op.Tag = r.U64()
-		s.seq = r.U64()
-		s.state = slotState(r.U8())
-		s.fetchAt = r.U64()
-		s.doneAt = r.U64()
-		s.waiter = r.U64()
-		s.hasWait = r.Bool()
+		workload.CkptOp(k, &s.op)
+		k.U64(&s.seq)
+		k.Enum((*uint8)(&s.state), int(slotDone)+1)
+		k.U64(&s.fetchAt)
+		k.U64(&s.doneAt)
+		k.U64(&s.waiter)
+		k.Bool(&s.hasWait)
 	}
-	c.head = r.U64()
-	c.tail = r.U64()
-	c.fetchClock = r.U64()
-	sim.LoadDelayQueue(r, &c.gapQ, func(r *ckpt.Reader) uint64 { return r.U64() })
-	n := r.Int()
-	if r.Err() != nil {
-		return
-	}
-	if n < 0 || n > 1<<24 {
-		r.Fail(fmt.Errorf("%w: core readyQ length %d", ckpt.ErrCorrupt, n))
-		return
-	}
-	c.readyQ.Clear()
-	for i := 0; i < n; i++ {
-		c.readyQ.PushBack(r.U64())
-	}
-	c.outstanding = r.Int()
-	c.instsRetired = r.U64()
-	c.opsRetired = r.U64()
-	c.cycles = r.U64()
-	c.baseInsts = r.U64()
-	c.baseCycles = r.U64()
+	k.U64(&c.head)
+	k.U64(&c.tail)
+	k.U64(&c.fetchClock)
+	sim.CkptDelayQueue(k, &c.gapQ, 8, (*ckpt.Codec).U64)
+	sim.CkptRing(k, &c.readyQ, 8, (*ckpt.Codec).U64)
+	k.Int(&c.outstanding)
+	k.U64(&c.instsRetired)
+	k.U64(&c.opsRetired)
+	k.U64(&c.cycles)
+	k.U64(&c.baseInsts)
+	k.U64(&c.baseCycles)
 }

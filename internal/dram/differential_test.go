@@ -1,7 +1,6 @@
 package dram
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 
@@ -63,18 +62,16 @@ func checkOccupied(t *testing.T, mc *Controller, when string, now uint64) int {
 // bytes, which rebuilds the scheduling index from the linearized queues.
 func restoreInPlace(t *testing.T, mc *Controller) {
 	t.Helper()
-	var buf bytes.Buffer
-	w := ckpt.NewWriter(&buf, ckpt.Header{})
-	mc.SaveState(w)
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := ckpt.NewReader(&buf)
+	raw, err := ckpt.Encode(ckpt.Header{}, mc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc.RestoreState(r)
-	if err := r.Close(); err != nil {
+	k, err := ckpt.Decode(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k.Limits = ckpt.Limits{Tiles: 1, MCs: 1, Classes: 4} // what the test's packets carry
+	if err := k.Load(mc); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -185,7 +182,7 @@ func TestDifferentialSchedulerEquivalence(t *testing.T) {
 				}
 				if now%20_011 == 20_010 {
 					restoreInPlace(t, mc)
-					checkOccupied(t, mc, "after RestoreState", now)
+					checkOccupied(t, mc, "after restore", now)
 				}
 				// EDF variants drop to arrival order and back, re-heapifying
 				// whatever is queued; both sides keep stamping deadlines.

@@ -1,93 +1,102 @@
 package dram
 
 import (
-	"fmt"
 	"sort"
 
 	"pabst/internal/ckpt"
 	"pabst/internal/mem"
+	"pabst/internal/sim"
 )
 
-// SaveState implements ckpt.Saver: front-end queues (in arrival order),
+// Ckpt implements ckpt.Walker: front-end queues (in arrival order),
 // per-bank timing and queues, bus/mode registers, the saturation-monitor
 // integrals, refresh and freeze deadlines, and every stat counter.
 // Geometry, scheduler selection, the arbiter, and the responder closure
 // are structural and rebuilt from the config.
 //
 // The byte layout is the flat-queue format the controller has always
-// used: the scheduling index is an acceleration structure, so the walk
+// used: the scheduling index is an acceleration structure, so a save
 // linearizes it back to arrival order (the order the old readQ/writeQ
-// slices held) and RestoreState rebuilds the index from that list.
-// Nothing about the packet pool or node slab is serialized — see the
-// ownership contract on mem.Pool.
+// slices held) before the walk and a load rebuilds the index from that
+// list after it. Nothing about the packet pool or node slab is stored —
+// see the ownership contract on mem.Pool.
 //
-// The reservation counters are saved too: they are always zero between
+// The reservation counters are stored too: they are always zero between
 // full system ticks (a reservation is granted and consumed within one
-// tick), but saving them keeps the walk honest if that invariant ever
+// tick), but storing them keeps the walk honest if that invariant ever
 // changes — a nonzero restored value is exactly as saved, not guessed.
-func (c *Controller) SaveState(w *ckpt.Writer) {
-	mem.SavePacketList(w, c.frontReads())
-	mem.SavePacketList(w, c.frontWrites())
-	w.Int(c.reservedReads)
-	w.Int(c.reservedWrites)
-	w.Int(len(c.banks))
+func (c *Controller) Ckpt(k *ckpt.Codec) {
+	var reads, writes []*mem.Packet
+	if !k.Loading() {
+		reads, writes = c.frontReads(), c.frontWrites()
+	}
+	mem.CkptPackets(k, &reads)
+	mem.CkptPackets(k, &writes)
+	k.Int(&c.reservedReads)
+	k.Int(&c.reservedWrites)
+	if !k.Same(len(c.banks), "DRAM banks") {
+		return
+	}
 	for i := range c.banks {
 		b := &c.banks[i]
-		w.U64(b.readyAt)
-		w.I64(b.openRow)
-		q := make([]*mem.Packet, b.queue.Len())
-		for j := range q {
-			q[j] = b.queue.At(j)
-		}
-		mem.SavePacketList(w, q)
+		k.U64(&b.readyAt)
+		k.I64(&b.openRow)
+		sim.CkptRing(k, &b.queue, mem.PacketBytes, mem.CkptPacket)
 	}
-	w.U64(c.busFreeAt)
-	w.Bool(c.lastWrite)
-	w.Bool(c.writeMode)
-	w.U64(c.occIntegral)
-	w.U64(c.occCycles)
-	w.U64(c.nextRefresh)
-	w.U64(c.frozenUntil)
+	k.U64(&c.busFreeAt)
+	k.Bool(&c.lastWrite)
+	k.Bool(&c.writeMode)
+	k.U64(&c.occIntegral)
+	k.U64(&c.occCycles)
+	k.U64(&c.nextRefresh)
+	k.U64(&c.frozenUntil)
 
 	s := &c.Stats
-	w.U64(s.ReadsServed)
-	w.U64(s.WritesServed)
-	for i := range s.BytesByClass {
-		w.U64(s.BytesByClass[i])
+	k.U64(&s.ReadsServed)
+	k.U64(&s.WritesServed)
+	k.U64s(s.BytesByClass[:])
+	k.U64(&s.ReadLatencySum)
+	k.U64s(s.ReadsByClass[:])
+	k.U64s(s.ReadLatencyByClass[:])
+	k.U64(&s.BusBusyCycles)
+	k.U64(&s.PendingCycles)
+	k.U64(&s.RowHits)
+	k.U64(&s.Refreshes)
+	k.U64(&s.PriorityInversions)
+
+	if !k.Loading() || k.Err() != nil {
+		return
 	}
-	w.U64(s.ReadLatencySum)
-	for i := range s.ReadsByClass {
-		w.U64(s.ReadsByClass[i])
+	// Rebuild the scheduling index from the linearized queues. Arrival
+	// sequence numbers restart from zero; only their relative order
+	// matters, and insertion in list order reproduces it. This runs
+	// after the per-bank open rows are restored so row-hit membership
+	// is computed against the right rows.
+	c.fe = newFrontSched(c.cfg.Banks, c.cfg.FrontReadQ, c.fe.useHit)
+	c.fe.edf = c.sched == SchedEDF
+	for _, pkt := range reads {
+		c.insertRead(pkt)
 	}
-	for i := range s.ReadLatencyByClass {
-		w.U64(s.ReadLatencyByClass[i])
+	for i := range c.banks {
+		c.banks[i].writes.Clear()
 	}
-	w.U64(s.BusBusyCycles)
-	w.U64(s.PendingCycles)
-	w.U64(s.RowHits)
-	w.U64(s.Refreshes)
-	w.U64(s.PriorityInversions)
+	c.nWrites = 0
+	c.wseq = 0
+	for _, pkt := range writes {
+		c.insertWrite(pkt)
+	}
 }
 
 // frontReads linearizes the front-end read index back to arrival order.
 func (c *Controller) frontReads() []*mem.Packet {
-	type entry struct {
-		seq uint64
-		pkt *mem.Packet
-	}
-	entries := make([]entry, 0, c.fe.count)
+	entries := make([]wentry, 0, c.fe.count)
 	for b := range c.fe.banks {
 		for _, id := range c.fe.banks[b].all.items {
 			n := &c.fe.nodes[id]
-			entries = append(entries, entry{n.seq, n.pkt})
+			entries = append(entries, wentry{n.pkt, n.seq})
 		}
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].seq < entries[j].seq })
-	out := make([]*mem.Packet, len(entries))
-	for i := range entries {
-		out[i] = entries[i].pkt
-	}
-	return out
+	return inArrivalOrder(entries)
 }
 
 // frontWrites linearizes the per-bank write buckets back to arrival order.
@@ -99,78 +108,14 @@ func (c *Controller) frontWrites() []*mem.Packet {
 			entries = append(entries, wq.At(j))
 		}
 	}
+	return inArrivalOrder(entries)
+}
+
+func inArrivalOrder(entries []wentry) []*mem.Packet {
 	sort.Slice(entries, func(i, j int) bool { return entries[i].seq < entries[j].seq })
 	out := make([]*mem.Packet, len(entries))
 	for i := range entries {
 		out[i] = entries[i].pkt
 	}
 	return out
-}
-
-// RestoreState implements ckpt.Restorer onto a controller with identical
-// geometry.
-func (c *Controller) RestoreState(r *ckpt.Reader) {
-	reads := mem.LoadPacketList(r)
-	writes := mem.LoadPacketList(r)
-	c.reservedReads = r.Int()
-	c.reservedWrites = r.Int()
-	if n := r.Int(); n != len(c.banks) {
-		r.Fail(fmt.Errorf("%w: MC %d has %d banks, checkpoint has %d", ckpt.ErrMismatch, c.ID, len(c.banks), n))
-		return
-	}
-	for i := range c.banks {
-		b := &c.banks[i]
-		b.readyAt = r.U64()
-		b.openRow = r.I64()
-		b.queue.Clear()
-		for _, pkt := range mem.LoadPacketList(r) {
-			b.queue.PushBack(pkt)
-		}
-		b.writes.Clear()
-	}
-	c.busFreeAt = r.U64()
-	c.lastWrite = r.Bool()
-	c.writeMode = r.Bool()
-	c.occIntegral = r.U64()
-	c.occCycles = r.U64()
-	c.nextRefresh = r.U64()
-	c.frozenUntil = r.U64()
-
-	s := &c.Stats
-	s.ReadsServed = r.U64()
-	s.WritesServed = r.U64()
-	for i := range s.BytesByClass {
-		s.BytesByClass[i] = r.U64()
-	}
-	s.ReadLatencySum = r.U64()
-	for i := range s.ReadsByClass {
-		s.ReadsByClass[i] = r.U64()
-	}
-	for i := range s.ReadLatencyByClass {
-		s.ReadLatencyByClass[i] = r.U64()
-	}
-	s.BusBusyCycles = r.U64()
-	s.PendingCycles = r.U64()
-	s.RowHits = r.U64()
-	s.Refreshes = r.U64()
-	s.PriorityInversions = r.U64()
-	if r.Err() != nil {
-		return
-	}
-
-	// Rebuild the scheduling index from the linearized queues. Arrival
-	// sequence numbers restart from zero; only their relative order
-	// matters, and insertion in list order reproduces it. This runs
-	// after the per-bank open rows are restored so row-hit membership
-	// is computed against the right rows.
-	c.fe = newFrontSched(c.cfg.Banks, c.cfg.FrontReadQ, c.fe.useHit)
-	c.fe.edf = c.sched == SchedEDF
-	for _, pkt := range reads {
-		c.insertRead(pkt)
-	}
-	c.nWrites = 0
-	c.wseq = 0
-	for _, pkt := range writes {
-		c.insertWrite(pkt)
-	}
 }

@@ -80,15 +80,15 @@ func warmup(ctx context.Context, sys *pabst.System, cycles uint64, beat func(don
 // re-simulating the warmup, and a cold warmup saves its result for the
 // next run (temp-file + rename, so a crash never leaves a torn file).
 //
-// The store is self-healing: every stored file is integrity-checked
-// (magic, version, CRC trailer) BEFORE any state is overlaid, and a
-// corrupt, truncated, or wrong-version file is quarantined — renamed
-// aside with QuarantineSuffix and counted in StoreEvents.Quarantines —
-// after which the run simply warms up cold and re-saves. A structurally
-// valid checkpoint for a different machine (fingerprint mismatch, which
-// the restore detects before touching state) is quarantined the same
-// way. Only Scale.Resume turns these into errors: resume asserts saved
-// work exists, and a quarantined file is a miss.
+// The store is self-healing: a restore checks the stored image once
+// (magic, version, CRC trailer, then the machine fingerprint) BEFORE any
+// state is overlaid, and a corrupt, truncated, wrong-version or
+// wrong-machine file is quarantined — renamed aside with
+// QuarantineSuffix and counted in StoreEvents.Quarantines — after which
+// the run simply warms up cold and re-saves. Only Scale.Resume turns
+// these into errors: resume asserts saved work exists, and a quarantined
+// file is a miss. A restore that fails after the overlay began
+// (ckpt.ErrPartial) is a hard error either way.
 //
 // Restoring is bit-identical to warming up: the measured run that
 // follows produces byte-equal results either way. Cancellation during a
@@ -112,36 +112,25 @@ func WarmedSystem(ctx context.Context, scale Scale, b *pabst.Builder, beat func(
 	}
 	path := CkptPath(scale.Ckpt, fp, scale.Warmup)
 	raw, readErr := os.ReadFile(path)
-	if readErr == nil {
-		if verr := ckpt.Verify(raw); verr != nil {
-			quarantine(path)
-			if scale.Resume {
-				sys.Close()
-				return nil, fmt.Errorf("exp: resume: checkpoint at %s quarantined: %w", path, verr)
-			}
-		} else if rerr := sys.RestoreFrom(bytes.NewReader(raw)); rerr != nil {
-			if errors.Is(rerr, pabst.ErrCkptMismatch) {
-				// The fingerprint check precedes any overlay, so the
-				// machine is untouched; set the impostor aside and warm
-				// up cold.
-				quarantine(path)
-				if scale.Resume {
-					sys.Close()
-					return nil, fmt.Errorf("exp: resume: checkpoint at %s quarantined: %w", path, rerr)
-				}
-			} else {
-				// A CRC-valid stream that still fails mid-walk left the
-				// system partially overlaid; nothing sound to fall back
-				// onto.
-				sys.Close()
-				return nil, fmt.Errorf("exp: restore %s: %w (delete the file to re-warm)", path, rerr)
-			}
-		} else {
-			StoreEvents.Hits.Add(1)
-			return sys, nil
-		}
-	} else {
+	if readErr != nil {
 		StoreEvents.Misses.Add(1)
+	} else if rerr := sys.RestoreFrom(bytes.NewReader(raw)); rerr == nil {
+		StoreEvents.Hits.Add(1)
+		return sys, nil
+	} else if errors.Is(rerr, ckpt.ErrPartial) {
+		// A CRC-valid image that still fails mid-walk left the system
+		// partially overlaid; nothing sound to fall back onto.
+		sys.Close()
+		return nil, fmt.Errorf("exp: restore %s: %w (delete the file to re-warm)", path, rerr)
+	} else {
+		// The envelope check (magic, version, CRC) and the fingerprint
+		// check both precede any overlay, so the machine is untouched:
+		// set the damaged file or impostor aside and warm up cold.
+		quarantine(path)
+		if scale.Resume {
+			sys.Close()
+			return nil, fmt.Errorf("exp: resume: checkpoint at %s quarantined: %w", path, rerr)
+		}
 	}
 	if scale.Resume {
 		sys.Close()

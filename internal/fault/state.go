@@ -1,67 +1,32 @@
 package fault
 
-import (
-	"fmt"
+import "pabst/internal/ckpt"
 
-	"pabst/internal/ckpt"
-)
-
-// SaveState implements ckpt.Saver: the per-domain RNG cursors, the
-// sharded per-entity NoC streams with their unfolded tallies, and the
-// injected-fault counters (folded first so the snapshot is internally
-// consistent). The plan itself is structural (part of the config
-// fingerprint — an injector exists iff the plan is active), as is the
-// shard count.
-func (in *Injector) SaveState(w *ckpt.Writer) {
-	in.foldNoC()
-	in.satRNG.SaveState(w)
-	in.dramRNG.SaveState(w)
-	in.nocRNG.SaveState(w)
-	w.Int(len(in.nocTile))
-	for i := range in.nocTile {
-		in.nocTile[i].save(w)
+// Ckpt implements ckpt.Walker: the per-domain RNG cursors, the sharded
+// per-entity NoC streams with their unfolded tallies, and the
+// injected-fault counters (folded first when saving so the snapshot is
+// internally consistent). The plan itself is structural (part of the
+// config fingerprint — an injector exists iff the plan is active), as is
+// the shard count.
+func (in *Injector) Ckpt(c *ckpt.Codec) {
+	if !c.Loading() {
+		in.foldNoC()
 	}
-	w.Int(len(in.nocMC))
-	for i := range in.nocMC {
-		in.nocMC[i].save(w)
+	in.satRNG.Ckpt(c)
+	in.dramRNG.Ckpt(c)
+	in.nocRNG.Ckpt(c)
+	for _, shards := range [][]nocShard{in.nocTile, in.nocMC} {
+		if !c.Same(len(shards), "injector NoC shards") {
+			return
+		}
+		for i := range shards {
+			sh := &shards[i]
+			sh.rng.Ckpt(c)
+			c.U64(&sh.dropped)
+			c.U64(&sh.delayed)
+		}
 	}
-	w.U64(in.foldedD)
-	w.U64(in.foldedL)
-	in.counters.SaveState(w)
-}
-
-// RestoreState implements ckpt.Restorer.
-func (in *Injector) RestoreState(r *ckpt.Reader) {
-	in.satRNG.RestoreState(r)
-	in.dramRNG.RestoreState(r)
-	in.nocRNG.RestoreState(r)
-	if c := r.Int(); c != len(in.nocTile) {
-		r.Fail(fmt.Errorf("%w: injector has %d tile shards, checkpoint has %d", ckpt.ErrMismatch, len(in.nocTile), c))
-		return
-	}
-	for i := range in.nocTile {
-		in.nocTile[i].restore(r)
-	}
-	if c := r.Int(); c != len(in.nocMC) {
-		r.Fail(fmt.Errorf("%w: injector has %d MC shards, checkpoint has %d", ckpt.ErrMismatch, len(in.nocMC), c))
-		return
-	}
-	for i := range in.nocMC {
-		in.nocMC[i].restore(r)
-	}
-	in.foldedD = r.U64()
-	in.foldedL = r.U64()
-	in.counters.RestoreState(r)
-}
-
-func (sh *nocShard) save(w *ckpt.Writer) {
-	sh.rng.SaveState(w)
-	w.U64(sh.dropped)
-	w.U64(sh.delayed)
-}
-
-func (sh *nocShard) restore(r *ckpt.Reader) {
-	sh.rng.RestoreState(r)
-	sh.dropped = r.U64()
-	sh.delayed = r.U64()
+	c.U64(&in.foldedD)
+	c.U64(&in.foldedL)
+	in.counters.Ckpt(c)
 }

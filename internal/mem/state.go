@@ -2,73 +2,37 @@ package mem
 
 import "pabst/internal/ckpt"
 
-// SavePacket serializes every field of a packet. Packets obey a
-// single-residency invariant — at any instant each live packet sits in
-// exactly one queue — so queues serialize their packets by value and
-// restore allocates fresh ones without aliasing concerns.
-func SavePacket(w *ckpt.Writer, p *Packet) {
-	w.U64(uint64(p.Addr))
-	w.U8(uint8(p.Kind))
-	w.U8(uint8(p.Class))
-	w.Int(p.SrcTile)
-	w.Bool(p.Resp)
-	w.Bool(p.L3Hit)
-	w.Bool(p.WBGen)
-	w.Bool(p.DirtyFill)
-	w.Int(p.MC)
-	w.U64(p.Deadline)
-	w.U64(p.Enq)
-	w.U64(p.Issue)
+// PacketBytes is the encoded size of one packet (every field is
+// fixed-width), the element size containers of packets hand to the
+// codec's length rule.
+const PacketBytes = 54
+
+// CkptPacket walks every field of a packet, allocating it when loading.
+// Packets obey a single-residency invariant — at any instant each live
+// packet sits in exactly one queue — so queues store their packets by
+// value and a load allocates fresh ones without aliasing concerns. The
+// machine indexes with Kind, Class, SrcTile and MC long after the load,
+// so each is range-checked against the codec's Limits here.
+func CkptPacket(c *ckpt.Codec, pp **Packet) {
+	if c.Loading() {
+		*pp = &Packet{}
+	}
+	p := *pp
+	c.U64((*uint64)(&p.Addr))
+	c.Enum((*uint8)(&p.Kind), int(Writeback)+1)
+	c.Enum((*uint8)(&p.Class), c.Limits.Classes)
+	c.Index(&p.SrcTile, c.Limits.Tiles)
+	c.Bool(&p.Resp)
+	c.Bool(&p.L3Hit)
+	c.Bool(&p.WBGen)
+	c.Bool(&p.DirtyFill)
+	c.Index(&p.MC, c.Limits.MCs)
+	c.U64(&p.Deadline)
+	c.U64(&p.Enq)
+	c.U64(&p.Issue)
 }
 
-// LoadPacket allocates and decodes one packet.
-func LoadPacket(r *ckpt.Reader) *Packet {
-	p := &Packet{}
-	p.Addr = Addr(r.U64())
-	p.Kind = Kind(r.U8())
-	p.Class = ClassID(r.U8())
-	p.SrcTile = r.Int()
-	p.Resp = r.Bool()
-	p.L3Hit = r.Bool()
-	p.WBGen = r.Bool()
-	p.DirtyFill = r.Bool()
-	p.MC = r.Int()
-	p.Deadline = r.U64()
-	p.Enq = r.U64()
-	p.Issue = r.U64()
-	return p
-}
-
-// SavePacketList serializes a packet slice in order, preserving nil vs
-// empty.
-func SavePacketList(w *ckpt.Writer, ps []*Packet) {
-	if ps == nil {
-		w.U64(^uint64(0))
-		return
-	}
-	w.U64(uint64(len(ps)))
-	for _, p := range ps {
-		SavePacket(w, p)
-	}
-}
-
-// LoadPacketList decodes a packet slice (nil preserved).
-func LoadPacketList(r *ckpt.Reader) []*Packet {
-	n := r.U64()
-	if n == ^uint64(0) {
-		return nil
-	}
-	const maxList = 1 << 24 // sanity bound against corrupt lengths
-	if n > maxList {
-		r.Fail(ckpt.ErrCorrupt)
-		return nil
-	}
-	ps := make([]*Packet, 0, n)
-	for i := uint64(0); i < n; i++ {
-		if r.Err() != nil {
-			return nil
-		}
-		ps = append(ps, LoadPacket(r))
-	}
-	return ps
+// CkptPackets walks a packet slice in order, preserving nil vs empty.
+func CkptPackets(c *ckpt.Codec, ps *[]*Packet) {
+	ckpt.NilSlice(c, ps, PacketBytes, CkptPacket)
 }

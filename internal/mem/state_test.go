@@ -1,0 +1,44 @@
+package mem
+
+import (
+	"errors"
+	"runtime"
+	"testing"
+
+	"pabst/internal/ckpt"
+)
+
+// TestPacketListLengthBoundedByImage: a ~100-byte CRC-valid image whose
+// packet list claims 2^24 entries fails with ErrCorrupt before anything
+// is allocated for them (the list used to be pre-sized from the claim:
+// 128 MB for this one).
+func TestPacketListLengthBoundedByImage(t *testing.T) {
+	raw, err := ckpt.Encode(ckpt.Header{}, ckpt.WalkFunc(func(c *ckpt.Codec) {
+		claim := uint64(1 << 24)
+		c.U64(&claim)
+		p := &Packet{Addr: 0x40}
+		CkptPacket(c, &p) // one real packet behind the count
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(raw) > 160 {
+		t.Fatalf("image is %d bytes, the test wants a small one", len(raw))
+	}
+	c, err := ckpt.Decode(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Limits = ckpt.Limits{Tiles: 1, MCs: 1, Classes: 1}
+	var ps []*Packet
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err = c.Load(ckpt.WalkFunc(func(c *ckpt.Codec) { CkptPackets(c, &ps) }))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ckpt.ErrCorrupt) || len(ps) != 0 {
+		t.Errorf("want ErrCorrupt and no packets, got %v and %d", err, len(ps))
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Errorf("decoding a %d-byte image allocated %d bytes", len(raw), grew)
+	}
+}

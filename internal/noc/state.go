@@ -1,79 +1,40 @@
 package noc
 
 import (
-	"fmt"
-
 	"pabst/internal/ckpt"
 	"pabst/internal/mem"
+	"pabst/internal/sim"
 )
 
-// SaveState implements ckpt.Saver: every router's input queues (packets
-// in flight through the fabric), output-port busy windows, and
-// round-robin pointer, plus the fabric stats. Geometry and the delivery
-// callback are structural.
-func (n *Network) SaveState(w *ckpt.Writer) {
-	w.Int(len(n.routers))
-	for ri := range n.routers {
-		r := &n.routers[ri]
-		for p := 0; p < numPorts; p++ {
-			q := &r.in[p]
-			w.Int(q.Len())
-			for i := 0; i < q.Len(); i++ {
-				msg := q.At(i)
-				mem.SavePacket(w, msg.pkt)
-				w.Int(msg.dst)
-				w.Int(msg.flits)
-				w.U64(msg.readyAt)
-			}
-		}
-		for p := 0; p < numPorts; p++ {
-			w.U64(r.busy[p])
-		}
-		w.Int(r.rrNext)
-		w.U64(r.injectFails)
-	}
-	w.U64(n.Delivered)
-	w.U64(n.TotalHops)
-}
-
-// RestoreState implements ckpt.Restorer onto a fabric with identical
-// geometry.
-func (n *Network) RestoreState(r *ckpt.Reader) {
-	if c := r.Int(); c != len(n.routers) {
-		r.Fail(fmt.Errorf("%w: fabric has %d routers, checkpoint has %d", ckpt.ErrMismatch, len(n.routers), c))
+// Ckpt implements ckpt.Walker: every router's input queues (packets in
+// flight through the fabric), output-port busy windows, and round-robin
+// pointer, plus the fabric stats. Geometry and the delivery callback are
+// structural.
+func (n *Network) Ckpt(c *ckpt.Codec) {
+	if !c.Same(len(n.routers), "fabric routers") {
 		return
 	}
 	for ri := range n.routers {
-		rt := &n.routers[ri]
-		for p := 0; p < numPorts; p++ {
-			cnt := r.Int()
-			if r.Err() != nil {
-				return
-			}
-			if cnt < 0 || cnt > 1<<24 {
-				r.Fail(fmt.Errorf("%w: router queue length %d", ckpt.ErrCorrupt, cnt))
-				return
-			}
-			rt.in[p].Clear()
-			for i := 0; i < cnt; i++ {
-				var msg netMsg
-				msg.pkt = mem.LoadPacket(r)
-				msg.dst = r.Int()
-				msg.flits = r.Int()
-				msg.readyAt = r.U64()
-				rt.in[p].PushBack(msg)
-			}
+		r := &n.routers[ri]
+		queued := 0
+		for p := range r.in {
+			sim.CkptRing(c, &r.in[p], mem.PacketBytes+24, n.ckptMsg)
+			queued += r.in[p].Len()
 		}
-		for p := 0; p < numPorts; p++ {
-			rt.busy[p] = r.U64()
+		if c.Loading() {
+			r.inFlight = queued
 		}
-		rt.rrNext = r.Int()
-		rt.injectFails = r.U64()
-		rt.inFlight = 0
-		for p := 0; p < numPorts; p++ {
-			rt.inFlight += rt.in[p].Len()
-		}
+		c.U64s(r.busy[:])
+		c.Index(&r.rrNext, numPorts)
+		c.U64(&r.injectFails)
 	}
-	n.Delivered = r.U64()
-	n.TotalHops = r.U64()
+	c.U64(&n.Delivered)
+	c.U64(&n.TotalHops)
+}
+
+func (n *Network) ckptMsg(c *ckpt.Codec, m *netMsg) {
+	mem.CkptPacket(c, &m.pkt)
+	c.Index(&m.dst, len(n.nodeRouter))
+	c.Int(&m.flits)
+	c.U64(&m.readyAt)
 }

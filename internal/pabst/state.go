@@ -2,123 +2,67 @@ package pabst
 
 import "pabst/internal/ckpt"
 
-// SaveState implements ckpt.Saver for the monitor's Figure 4 registers.
+// Ckpt implements ckpt.Walker for the monitor's Figure 4 registers.
 // Params are structural.
-func (s *SystemMonitor) SaveState(w *ckpt.Writer) {
-	w.U64(s.m)
-	w.U64(uint64(s.k))
-	w.U8(uint8(s.dir))
-	w.Int(s.e)
-	w.Bool(s.armed)
+func (s *SystemMonitor) Ckpt(c *ckpt.Codec) {
+	c.U64(&s.m)
+	k := uint64(s.k)
+	c.U64(&k)
+	s.k = uint(k)
+	c.Enum((*uint8)(&s.dir), int(RateDown)+1)
+	c.Int(&s.e)
+	c.Bool(&s.armed)
 }
 
-// RestoreState implements ckpt.Restorer.
-func (s *SystemMonitor) RestoreState(r *ckpt.Reader) {
-	s.m = r.U64()
-	s.k = uint(r.U64())
-	s.dir = Direction(r.U8())
-	s.e = r.Int()
-	s.armed = r.Bool()
-}
-
-// SaveState implements ckpt.Saver. The burst bound comes from the
+// Ckpt implements ckpt.Walker. The burst bound comes from the
 // constructor; period and C_next are the live registers.
-func (p *Pacer) SaveState(w *ckpt.Writer) {
-	w.I64(p.period)
-	w.I64(p.cNext)
+func (p *Pacer) Ckpt(c *ckpt.Codec) {
+	c.I64(&p.period)
+	c.I64(&p.cNext)
 }
 
-// RestoreState implements ckpt.Restorer.
-func (p *Pacer) RestoreState(r *ckpt.Reader) {
-	p.period = r.I64()
-	p.cNext = r.I64()
+func (d *DegradeStats) ckpt(c *ckpt.Codec) {
+	c.U64(&d.StaleIntervals)
+	c.U64(&d.Decays)
+	c.U64(&d.ResyncEpochs)
 }
 
-func (d *DegradeStats) save(w *ckpt.Writer) {
-	w.U64(d.StaleIntervals)
-	w.U64(d.Decays)
-	w.U64(d.ResyncEpochs)
+// Ckpt implements ckpt.Walker for the global governor: monitor, pacer,
+// demand accumulator, and the degraded-signal registers.
+func (g *Governor) Ckpt(c *ckpt.Codec) {
+	g.monitor.Ckpt(c)
+	g.pacer.Ckpt(c)
+	c.U64(&g.demand)
+	c.U64(&g.lastBeat)
+	c.Int(&g.staleIntervals)
+	c.Int(&g.resyncLeft)
+	g.degrade.ckpt(c)
 }
 
-func (d *DegradeStats) restore(r *ckpt.Reader) {
-	d.StaleIntervals = r.U64()
-	d.Decays = r.U64()
-	d.ResyncEpochs = r.U64()
-}
-
-// SaveState implements ckpt.Saver for the global governor: monitor,
-// pacer, demand accumulator, and the degraded-signal registers.
-func (g *Governor) SaveState(w *ckpt.Writer) {
-	g.monitor.SaveState(w)
-	g.pacer.SaveState(w)
-	w.U64(g.demand)
-	w.U64(g.lastBeat)
-	w.Int(g.staleIntervals)
-	w.Int(g.resyncLeft)
-	g.degrade.save(w)
-}
-
-// RestoreState implements ckpt.Restorer.
-func (g *Governor) RestoreState(r *ckpt.Reader) {
-	g.monitor.RestoreState(r)
-	g.pacer.RestoreState(r)
-	g.demand = r.U64()
-	g.lastBeat = r.U64()
-	g.staleIntervals = r.Int()
-	g.resyncLeft = r.Int()
-	g.degrade.restore(r)
-}
-
-// SaveState implements ckpt.Saver for the per-controller governor: every
+// Ckpt implements ckpt.Walker for the per-controller governor: every
 // channel's monitor and pacer plus the shared degraded-signal registers.
 // The channel count and hash are structural.
-func (g *MultiGovernor) SaveState(w *ckpt.Writer) {
-	w.Int(len(g.monitors))
-	for i := range g.monitors {
-		g.monitors[i].SaveState(w)
-		g.pacers[i].SaveState(w)
-	}
-	w.U64(g.lastBeat)
-	w.Int(g.staleIntervals)
-	g.degrade.save(w)
-}
-
-// RestoreState implements ckpt.Restorer.
-func (g *MultiGovernor) RestoreState(r *ckpt.Reader) {
-	if n := r.Int(); n != len(g.monitors) {
-		r.Fail(ckpt.ErrMismatch)
+func (g *MultiGovernor) Ckpt(c *ckpt.Codec) {
+	if !c.Same(len(g.monitors), "governor channels") {
 		return
 	}
 	for i := range g.monitors {
-		g.monitors[i].RestoreState(r)
-		g.pacers[i].RestoreState(r)
+		g.monitors[i].Ckpt(c)
+		g.pacers[i].Ckpt(c)
 	}
-	g.lastBeat = r.U64()
-	g.staleIntervals = r.Int()
-	g.degrade.restore(r)
+	c.U64(&g.lastBeat)
+	c.Int(&g.staleIntervals)
+	g.degrade.ckpt(c)
 }
 
-// SaveState implements ckpt.Saver. Only the pacer is live state; the
-// period is also re-derivable from the share but saving it keeps the
-// restored limiter identical even mid-epoch after a reweight.
-func (s *StaticLimiter) SaveState(w *ckpt.Writer) { s.pacer.SaveState(w) }
+// Ckpt implements ckpt.Walker. Only the pacer is live state; the period
+// is also re-derivable from the share but saving it keeps the restored
+// limiter identical even mid-epoch after a reweight.
+func (s *StaticLimiter) Ckpt(c *ckpt.Codec) { s.pacer.Ckpt(c) }
 
-// RestoreState implements ckpt.Restorer.
-func (s *StaticLimiter) RestoreState(r *ckpt.Reader) { s.pacer.RestoreState(r) }
-
-// SaveState implements ckpt.Saver for the target arbiter's virtual
-// clocks and slack reference.
-func (a *Arbiter) SaveState(w *ckpt.Writer) {
-	for i := range a.vclock {
-		w.U64(a.vclock[i])
-	}
-	w.U64(a.lastPicked)
-}
-
-// RestoreState implements ckpt.Restorer.
-func (a *Arbiter) RestoreState(r *ckpt.Reader) {
-	for i := range a.vclock {
-		a.vclock[i] = r.U64()
-	}
-	a.lastPicked = r.U64()
+// Ckpt implements ckpt.Walker for the target arbiter's virtual clocks
+// and slack reference.
+func (a *Arbiter) Ckpt(c *ckpt.Codec) {
+	c.U64s(a.vclock[:])
+	c.U64(&a.lastPicked)
 }

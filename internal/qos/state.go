@@ -1,42 +1,24 @@
 package qos
 
-import (
-	"fmt"
+import "pabst/internal/ckpt"
 
-	"pabst/internal/ckpt"
-)
-
-// SaveState implements ckpt.Saver: per-class weight, stride, thread
-// count, and the demand-feedback accumulators, in class ID order. Names,
-// IDs, and way allocations are structural (part of the fingerprint).
-func (r *Registry) SaveState(w *ckpt.Writer) {
-	w.Int(len(r.classes))
-	for _, c := range r.classes {
-		w.U64(c.Weight)
-		w.U64(c.Stride)
-		w.Int(c.threads)
-		w.U64(c.demandCur)
-		w.U64(c.demandPrev)
-	}
-}
-
-// RestoreState implements ckpt.Restorer. The thread count is checked
-// rather than overlaid: AttachCPU already rebuilt it during system
-// construction, and a disagreement means the checkpoint describes a
-// different attachment layout.
-func (r *Registry) RestoreState(cr *ckpt.Reader) {
-	if n := cr.Int(); n != len(r.classes) {
-		cr.Fail(fmt.Errorf("%w: registry has %d classes, checkpoint has %d", ckpt.ErrMismatch, len(r.classes), n))
+// Ckpt implements ckpt.Walker: per-class weight, stride, thread count,
+// and the demand-feedback accumulators, in class ID order. Names, IDs,
+// and way allocations are structural (part of the fingerprint). The
+// thread count is checked rather than overlaid: AttachCPU already rebuilt
+// it during system construction, and a disagreement means the checkpoint
+// describes a different attachment layout.
+func (r *Registry) Ckpt(c *ckpt.Codec) {
+	if !c.Same(len(r.classes), "QoS classes") {
 		return
 	}
-	for _, c := range r.classes {
-		c.Weight = cr.U64()
-		c.Stride = cr.U64()
-		if th := cr.Int(); th != c.threads {
-			cr.Fail(fmt.Errorf("%w: class %q has %d threads, checkpoint has %d", ckpt.ErrMismatch, c.Name, c.threads, th))
+	for _, cl := range r.classes {
+		c.U64(&cl.Weight)
+		c.U64(&cl.Stride)
+		if !c.Same(cl.threads, "threads of class "+cl.Name) {
 			return
 		}
-		c.demandCur = cr.U64()
-		c.demandPrev = cr.U64()
+		c.U64(&cl.demandCur)
+		c.U64(&cl.demandPrev)
 	}
 }

@@ -124,26 +124,16 @@ func (b *bankRegulator) ProbeState() (m, dm, period uint64, multi bool) {
 	return uint64(b.budget), uint64(t), 0, true
 }
 
-// SaveState implements ckpt.Saver: budget plus every bucket. The channel
-// count is structural, written only as a consistency check.
-func (b *bankRegulator) SaveState(w *ckpt.Writer) {
-	w.Int(len(b.tokens))
-	for _, t := range b.tokens {
-		w.I64(t)
-	}
-	w.I64(b.budget)
-}
-
-// RestoreState implements ckpt.Restorer.
-func (b *bankRegulator) RestoreState(r *ckpt.Reader) {
-	if n := r.Int(); n != len(b.tokens) {
-		r.Fail(ckpt.ErrMismatch)
+// Ckpt implements ckpt.Walker: budget plus every bucket. The channel
+// count is structural, stored only as a consistency check.
+func (b *bankRegulator) Ckpt(c *ckpt.Codec) {
+	if !c.Same(len(b.tokens), "bankreg channels") {
 		return
 	}
 	for i := range b.tokens {
-		b.tokens[i] = r.I64()
+		c.I64(&b.tokens[i])
 	}
-	b.budget = r.I64()
+	c.I64(&b.budget)
 }
 
 func init() {

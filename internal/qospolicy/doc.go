@@ -35,10 +35,13 @@
 // bit-identical on the event kernel and the reference loop, which the
 // cross-policy matrix test enforces for every registered pair.
 //
-// Checkpointing. A policy holding mutable state implements ckpt.Saver
-// and ckpt.Restorer; the soc walk saves tile sources behind a presence
-// marker and target arbiters alongside their controllers. A stateless
-// policy simply implements neither.
+// Checkpointing. A policy holding mutable state implements ckpt.Walker:
+// one method, Ckpt(c *ckpt.Codec), that visits every field a future
+// decision depends on, in a fixed order, through the codec's pointer
+// primitives. The same walk saves and restores, so the two cannot
+// disagree. The soc walk visits tile sources behind a presence marker
+// and target arbiters alongside their controllers, probing for the method
+// once for both directions. A stateless policy simply leaves it out.
 //
 // Observability. A source policy exposes its regulator registers by
 // implementing regulate.Probe; a target arbiter exposes its deadline

@@ -56,12 +56,9 @@ func (a *dpqArbiter) OnPick(pkt *mem.Packet, now uint64) { a.lastPicked = pkt.De
 // the observability hook the epoch trace reads from every arbiter.
 func (a *dpqArbiter) LastPicked() uint64 { return a.lastPicked }
 
-// SaveState implements ckpt.Saver. The deadline scale is structural;
-// in-flight packet deadlines are saved with their queues.
-func (a *dpqArbiter) SaveState(w *ckpt.Writer) { w.U64(a.lastPicked) }
-
-// RestoreState implements ckpt.Restorer.
-func (a *dpqArbiter) RestoreState(r *ckpt.Reader) { a.lastPicked = r.U64() }
+// Ckpt implements ckpt.Walker. The deadline scale is structural;
+// in-flight packet deadlines are stored with their queues.
+func (a *dpqArbiter) Ckpt(c *ckpt.Codec) { c.U64(&a.lastPicked) }
 
 func init() {
 	registerTarget(Info{

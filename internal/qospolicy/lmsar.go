@@ -171,33 +171,19 @@ func (l *lmsRegulator) ProbeState() (m, dm, period uint64, multi bool) {
 	return uint64(l.pred), l.errAbs, l.pacer.Period(), false
 }
 
-// SaveState implements ckpt.Saver: filter taps, history, the open
-// demand window, and the pacer registers.
-func (l *lmsRegulator) SaveState(w *ckpt.Writer) {
-	for _, h := range l.hist {
-		w.I64(h)
-	}
-	for _, wt := range l.weights {
-		w.I64(wt)
-	}
-	w.U64(l.demand)
-	w.I64(l.pred)
-	w.U64(l.errAbs)
-	l.pacer.SaveState(w)
-}
-
-// RestoreState implements ckpt.Restorer.
-func (l *lmsRegulator) RestoreState(r *ckpt.Reader) {
+// Ckpt implements ckpt.Walker: filter taps, history, the open demand
+// window, and the pacer registers.
+func (l *lmsRegulator) Ckpt(c *ckpt.Codec) {
 	for i := range l.hist {
-		l.hist[i] = r.I64()
+		c.I64(&l.hist[i])
 	}
 	for i := range l.weights {
-		l.weights[i] = r.I64()
+		c.I64(&l.weights[i])
 	}
-	l.demand = r.U64()
-	l.pred = r.I64()
-	l.errAbs = r.U64()
-	l.pacer.RestoreState(r)
+	c.U64(&l.demand)
+	c.I64(&l.pred)
+	c.U64(&l.errAbs)
+	l.pacer.Ckpt(c)
 }
 
 func init() {

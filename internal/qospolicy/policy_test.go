@@ -1,7 +1,6 @@
 package qospolicy
 
 import (
-	"bytes"
 	"testing"
 
 	"pabst/internal/ckpt"
@@ -29,26 +28,6 @@ func testRegistry(hiThreads, loThreads int) (*qos.Registry, mem.ClassID, mem.Cla
 
 func testParams() pabst.Params {
 	return pabst.Params{EpochCycles: 2000, BurstCredit: 4, Slack: 64}
-}
-
-// roundtrip saves src through a checkpoint stream and restores it into
-// dst, failing the test on any stream error.
-func roundtrip(t *testing.T, save func(*ckpt.Writer), restore func(*ckpt.Reader)) {
-	t.Helper()
-	var buf bytes.Buffer
-	w := ckpt.NewWriter(&buf, ckpt.Header{})
-	save(w)
-	if err := w.Close(); err != nil {
-		t.Fatalf("save: %v", err)
-	}
-	r, err := ckpt.NewReader(&buf)
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	restore(r)
-	if err := r.Err(); err != nil {
-		t.Fatalf("restore: %v", err)
-	}
 }
 
 func TestRegistryLookup(t *testing.T) {
@@ -135,17 +114,6 @@ func TestBankRegTokens(t *testing.T) {
 	if b.tokens[0] != b.budget || b.tokens[1] != b.budget {
 		t.Errorf("epoch did not replenish: %v", b.tokens)
 	}
-
-	// Checkpoint round-trip: drain some tokens, save, restore into a
-	// fresh instance, states must match.
-	src.OnIssue(0, 0)
-	src.OnIssue(0, 1)
-	src.OnResponse(&mem.Packet{MC: 1, WBGen: true}, 0)
-	fresh := src2bank(t, env)
-	roundtrip(t, b.SaveState, func(r *ckpt.Reader) { fresh.RestoreState(r) })
-	if fresh.budget != b.budget || fresh.tokens[0] != b.tokens[0] || fresh.tokens[1] != b.tokens[1] {
-		t.Errorf("roundtrip mismatch: %+v vs %+v", fresh, b)
-	}
 }
 
 func src2bank(t *testing.T, env SourceEnv) *bankRegulator {
@@ -228,7 +196,17 @@ func TestLMSARCkptRoundtrip(t *testing.T) {
 	}
 
 	restored := mk()
-	roundtrip(t, orig.SaveState, func(r *ckpt.Reader) { restored.RestoreState(r) })
+	raw, err := ckpt.Encode(ckpt.Header{}, orig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := ckpt.Decode(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Load(restored); err != nil {
+		t.Fatal(err)
+	}
 
 	// The restored regulator must continue with identical decisions:
 	// same registers now, same registers after one more identical epoch.
@@ -300,17 +278,6 @@ func TestDPQDeadlines(t *testing.T) {
 	arb.OnPick(loPkt, now+5)
 	if a.LastPicked() != loPkt.Deadline {
 		t.Errorf("LastPicked = %d, want %d", a.LastPicked(), loPkt.Deadline)
-	}
-
-	// Checkpoint round-trip.
-	_, fresh, err := NewTarget("dpq", env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := fresh.(*dpqArbiter)
-	roundtrip(t, a.SaveState, func(r *ckpt.Reader) { f.RestoreState(r) })
-	if f.LastPicked() != a.LastPicked() {
-		t.Errorf("roundtrip LastPicked = %d, want %d", f.LastPicked(), a.LastPicked())
 	}
 
 	// Slack=0 must fall back to scale 1, not stamp arrival-order-only

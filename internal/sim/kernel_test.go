@@ -109,7 +109,7 @@ func TestKernelHookPhaseBeyondRun(t *testing.T) {
 // TestKernelHooksKeepTheModuloSchedule pins the kept next-fire cycles to
 // the rule they replaced — a hook fires at every executed cycle c with
 // c >= phase and (c-phase)%period == 0 — on both loops, across Runs of
-// uneven length, a clock overlaid between Runs (as RestoreState does),
+// uneven length, a clock overlaid between Runs (as a checkpoint load does),
 // and hooks added between Runs, from inside a hook, and from inside a
 // component's tick (which first fire the cycle after).
 func TestKernelHooksKeepTheModuloSchedule(t *testing.T) {

@@ -1,70 +1,80 @@
 package sim
 
-import "pabst/internal/ckpt"
+import (
+	"sort"
 
-// State returns the raw xorshift state for checkpointing.
-func (r *RNG) State() uint64 { return r.state }
+	"pabst/internal/ckpt"
+)
 
-// SetState overlays a previously captured state. A zero state would wedge
-// the generator, so it is remapped exactly as Seed does.
-func (r *RNG) SetState(s uint64) {
-	if s == 0 {
-		s = 1
+// Ckpt implements ckpt.Walker: the raw xorshift state. A zero state
+// would wedge the generator, so a loaded zero is remapped as Seed does.
+func (r *RNG) Ckpt(c *ckpt.Codec) {
+	c.U64(&r.state)
+	if r.state == 0 {
+		r.state = 1
 	}
-	r.state = s
 }
 
-// SaveState implements ckpt.Saver.
-func (r *RNG) SaveState(w *ckpt.Writer) { w.U64(r.state) }
+// Ckpt implements ckpt.Walker for the kernel's clock state. Tickers and
+// hooks are structural (rebuilt by the system's Finalize) and are not
+// saved; hooks fire whenever (now-phase)%period == 0, and Run re-arms
+// each hook's next fire cycle from the clock, so that holds at any
+// restored now.
+func (k *Kernel) Ckpt(c *ckpt.Codec) {
+	c.U64(&k.now)
+	c.U64(&k.skipped)
+}
 
-// RestoreState implements ckpt.Restorer.
-func (r *RNG) RestoreState(cr *ckpt.Reader) { r.SetState(cr.U64()) }
-
-// SaveDelayQueue serializes a delay queue: the sequence counter plus the
-// raw heap array in storage order. Same-cycle ties break by insertion
+// CkptDelayQueue walks a delay queue: the sequence counter plus the raw
+// heap array in storage order. Same-cycle ties break by insertion
 // sequence, so reproducing the array verbatim reproduces every future pop
-// exactly. The item codec is supplied by the caller.
-func SaveDelayQueue[T any](w *ckpt.Writer, q *DelayQueue[T], save func(*ckpt.Writer, T)) {
-	w.U64(q.seq)
-	w.U64(uint64(len(q.entries)))
-	for i := range q.entries {
-		w.U64(q.entries[i].readyAt)
-		w.U64(q.entries[i].seq)
-		save(w, q.entries[i].item)
+// exactly, and the heap property that held when saved holds when loaded.
+// item walks one queued item, which encodes to at least itemMin bytes.
+func CkptDelayQueue[T any](c *ckpt.Codec, q *DelayQueue[T], itemMin int, item func(*ckpt.Codec, *T)) {
+	c.U64(&q.seq)
+	ckpt.Slice(c, &q.entries, 16+itemMin, func(c *ckpt.Codec, e *delayEntry[T]) {
+		c.U64(&e.readyAt)
+		c.U64(&e.seq)
+		item(c, &e.item)
+	})
+}
+
+// CkptRing walks a ring front to back as a count-prefixed list; loading
+// replaces the contents. The nil-list marker a ring's slice predecessor
+// could write loads as empty.
+func CkptRing[T any](c *ckpt.Codec, r *Ring[T], itemMin int, item func(*ckpt.Codec, *T)) {
+	n := r.n
+	c.NilLen(&n, itemMin)
+	if c.Loading() {
+		r.Clear()
+		r.Grow(n)
+		r.n = max(n, 0)
+	}
+	for i := 0; i < r.n; i++ {
+		item(c, &r.buf[(r.head+i)%len(r.buf)])
 	}
 }
 
-// LoadDelayQueue overlays a previously saved delay queue. The heap
-// property held when saved and the array is restored verbatim, so no
-// re-heapify is needed.
-func LoadDelayQueue[T any](r *ckpt.Reader, q *DelayQueue[T], load func(*ckpt.Reader) T) {
-	q.seq = r.U64()
-	n := r.U64()
-	if r.Err() != nil {
-		return
+// Ckpt implements ckpt.Walker. The stored form is the entries in
+// ascending key order (table iteration follows hash placement;
+// checkpoints must not), rebuilt into a fresh table on load.
+func (m *U64Map) Ckpt(c *ckpt.Codec) {
+	type kv struct{ k, v uint64 }
+	var stored []kv
+	if !c.Loading() {
+		stored = make([]kv, 0, m.n)
+		m.Range(func(k, v uint64) { stored = append(stored, kv{k, v}) })
+		sort.Slice(stored, func(i, j int) bool { return stored[i].k < stored[j].k })
 	}
-	q.entries = q.entries[:0]
-	for i := uint64(0); i < n; i++ {
-		e := delayEntry[T]{readyAt: r.U64(), seq: r.U64()}
-		e.item = load(r)
-		if r.Err() != nil {
-			return
+	ckpt.Slice(c, &stored, 16, func(c *ckpt.Codec, e *kv) {
+		c.U64(&e.k)
+		c.U64(&e.v)
+	})
+	if c.Loading() {
+		*m = U64Map{}
+		m.Grow(len(stored))
+		for _, e := range stored {
+			m.Put(e.k, e.v)
 		}
-		q.entries = append(q.entries, e)
 	}
-}
-
-// SaveState checkpoints the kernel's clock state. Tickers and hooks are
-// structural (rebuilt by the system's Finalize) and are not saved; hooks
-// fire whenever (now-phase)%period == 0, and Run re-arms each hook's
-// next fire cycle from the clock, so that holds at any restored now.
-func (k *Kernel) SaveState(w *ckpt.Writer) {
-	w.U64(k.now)
-	w.U64(k.skipped)
-}
-
-// RestoreState overlays the clock onto a freshly built kernel.
-func (k *Kernel) RestoreState(r *ckpt.Reader) {
-	k.now = r.U64()
-	k.skipped = r.U64()
 }

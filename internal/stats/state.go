@@ -1,128 +1,60 @@
 package stats
 
-import (
-	"fmt"
+import "pabst/internal/ckpt"
 
-	"pabst/internal/ckpt"
-)
-
-// SaveState implements ckpt.Saver: names in first-touch order with their
-// values, so a restored Counters renders identically.
-func (c *Counters) SaveState(w *ckpt.Writer) {
-	w.Int(len(c.names))
-	for _, n := range c.names {
-		w.String(n)
-		w.U64(c.values[n])
+// Ckpt implements ckpt.Walker: names in first-touch order with their
+// values, so a restored Counters renders identically. Loading replaces
+// the current contents.
+func (c *Counters) Ckpt(k *ckpt.Codec) {
+	if k.Loading() {
+		c.values = make(map[string]uint64)
 	}
+	ckpt.Slice(k, &c.names, 16, func(k *ckpt.Codec, name *string) {
+		k.String(name)
+		v := c.values[*name]
+		k.U64(&v)
+		if k.Loading() {
+			c.values[*name] = v
+		}
+	})
 }
 
-// RestoreState implements ckpt.Restorer, replacing the current contents.
-func (c *Counters) RestoreState(r *ckpt.Reader) {
-	n := r.Int()
-	if n < 0 || n > 1<<20 {
-		r.Fail(fmt.Errorf("%w: counter set size %d", ckpt.ErrCorrupt, n))
-		return
-	}
-	c.names = c.names[:0]
-	c.values = make(map[string]uint64, n)
-	for i := 0; i < n; i++ {
-		name := r.String()
-		v := r.U64()
-		if r.Err() != nil {
-			return
-		}
-		c.names = append(c.names, name)
-		c.values[name] = v
-	}
+// Ckpt implements ckpt.Walker: the samples (nil-vs-empty preserved) and
+// the diff baseline. The window is structural.
+func (s *Series) Ckpt(k *ckpt.Codec) {
+	ckpt.NilSlice(k, &s.Samples, 8+8*len(s.last), func(k *ckpt.Codec, smp *Sample) {
+		k.U64(&smp.Cycle)
+		k.U64s(smp.Bytes[:])
+	})
+	k.U64s(s.last[:])
 }
 
-// SaveState implements ckpt.Saver: the samples (nil-vs-empty preserved)
-// and the diff baseline. The window is structural.
-func (s *Series) SaveState(w *ckpt.Writer) {
-	if s.Samples == nil {
-		w.U64(^uint64(0))
-	} else {
-		w.U64(uint64(len(s.Samples)))
-		for i := range s.Samples {
-			w.U64(s.Samples[i].Cycle)
-			for c := range s.Samples[i].Bytes {
-				w.U64(s.Samples[i].Bytes[c])
-			}
-		}
-	}
-	for i := range s.last {
-		w.U64(s.last[i])
-	}
-}
-
-// RestoreState implements ckpt.Restorer.
-func (s *Series) RestoreState(r *ckpt.Reader) {
-	n := r.U64()
-	if n == ^uint64(0) {
-		s.Samples = nil
-	} else {
-		if n > 1<<28 {
-			r.Fail(fmt.Errorf("%w: series length %d", ckpt.ErrCorrupt, n))
-			return
-		}
-		s.Samples = make([]Sample, 0, n)
-		for i := uint64(0); i < n; i++ {
-			var smp Sample
-			smp.Cycle = r.U64()
-			for c := range smp.Bytes {
-				smp.Bytes[c] = r.U64()
-			}
-			if r.Err() != nil {
-				return
-			}
-			s.Samples = append(s.Samples, smp)
-		}
-	}
-	for i := range s.last {
-		s.last[i] = r.U64()
-	}
-}
-
-// SaveState implements ckpt.Saver. The bucket array is overwhelmingly
-// sparse, so only non-zero buckets are encoded.
-func (h *Hist) SaveState(w *ckpt.Writer) {
+// Ckpt implements ckpt.Walker. The bucket array is overwhelmingly
+// sparse, so the stored form is the non-zero buckets as (index, count)
+// pairs in ascending index order. Loading replaces the current contents.
+func (h *Hist) Ckpt(k *ckpt.Codec) {
 	nz := 0
-	for b := range h.buckets {
-		if h.buckets[b] != 0 {
-			nz++
+	if k.Loading() {
+		*h = Hist{}
+	} else {
+		for _, n := range h.buckets {
+			if n != 0 {
+				nz++
+			}
 		}
 	}
-	w.Int(nz)
-	for b := range h.buckets {
-		if h.buckets[b] != 0 {
-			w.Int(b)
-			w.U64(h.buckets[b])
+	k.Len(&nz, 16)
+	b := -1
+	for i := 0; i < nz; i++ {
+		if !k.Loading() {
+			for b++; h.buckets[b] == 0; b++ {
+			}
 		}
+		k.Index(&b, histBuckets)
+		k.U64(&h.buckets[b])
 	}
-	w.U64(h.count)
-	w.U64(h.sum)
-	w.U64(h.min)
-	w.U64(h.max)
-}
-
-// RestoreState implements ckpt.Restorer, replacing the current contents.
-func (h *Hist) RestoreState(r *ckpt.Reader) {
-	*h = Hist{}
-	n := r.Int()
-	if n < 0 || n > histBuckets {
-		r.Fail(fmt.Errorf("%w: hist bucket count %d", ckpt.ErrCorrupt, n))
-		return
-	}
-	for i := 0; i < n; i++ {
-		b := r.Int()
-		if b < 0 || b >= histBuckets {
-			r.Fail(fmt.Errorf("%w: hist bucket index %d", ckpt.ErrCorrupt, b))
-			return
-		}
-		h.buckets[b] = r.U64()
-	}
-	h.count = r.U64()
-	h.sum = r.U64()
-	h.min = r.U64()
-	h.max = r.U64()
+	k.U64(&h.count)
+	k.U64(&h.sum)
+	k.U64(&h.min)
+	k.U64(&h.max)
 }

@@ -2,198 +2,86 @@ package workload
 
 import (
 	"fmt"
-	"sort"
 
 	"pabst/internal/ckpt"
-	"pabst/internal/mem"
-	"pabst/internal/sim"
 )
 
-// saveU64Map serializes a table in sorted-key order (iteration follows
-// hash placement; checkpoints must not) — the same byte format as the
-// map it replaced.
-func saveU64Map(w *ckpt.Writer, m *sim.U64Map) {
-	keys := make([]uint64, 0, m.Len())
-	m.Range(func(k, _ uint64) { keys = append(keys, k) })
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	w.Int(len(keys))
-	for _, k := range keys {
-		v, _ := m.Get(k)
-		w.U64(k)
-		w.U64(v)
-	}
+// opBytes is the encoded size of one Op (every field is fixed-width).
+const opBytes = 41
+
+// CkptOp walks one op by value (core windows and recorded traces hold
+// ops, not generators).
+func CkptOp(c *ckpt.Codec, op *Op) {
+	c.U64((*uint64)(&op.Addr))
+	c.Bool(&op.Write)
+	c.Int(&op.DependsOn)
+	c.Int(&op.Gap)
+	c.U64(&op.Insts)
+	c.U64(&op.Tag)
 }
 
-func loadU64Map(r *ckpt.Reader, m *sim.U64Map) {
-	n := r.Int()
-	if n < 0 || n > 1<<24 {
-		r.Fail(fmt.Errorf("%w: map size %d", ckpt.ErrCorrupt, n))
-		return
-	}
-	*m = sim.U64Map{}
-	m.Grow(n)
-	for i := 0; i < n; i++ {
-		k := r.U64()
-		v := r.U64()
-		if r.Err() != nil {
-			return
-		}
-		m.Put(k, v)
-	}
+// Ckpt implements ckpt.Walker.
+func (s *Stream) Ckpt(c *ckpt.Codec) { c.U64(&s.pos) }
+
+// Ckpt implements ckpt.Walker.
+func (ch *Chaser) Ckpt(c *ckpt.Codec) { ch.rng.Ckpt(c) }
+
+// Ckpt implements ckpt.Walker.
+func (p *PeriodicStream) Ckpt(c *ckpt.Codec) {
+	c.U64(&p.pos)
+	c.U64(&p.lastIssue)
 }
 
-// SaveState implements ckpt.Saver.
-func (s *Stream) SaveState(w *ckpt.Writer) { w.U64(s.pos) }
-
-// RestoreState implements ckpt.Restorer.
-func (s *Stream) RestoreState(r *ckpt.Reader) { s.pos = r.U64() }
-
-// SaveState implements ckpt.Saver.
-func (c *Chaser) SaveState(w *ckpt.Writer) { c.rng.SaveState(w) }
-
-// RestoreState implements ckpt.Restorer.
-func (c *Chaser) RestoreState(r *ckpt.Reader) { c.rng.RestoreState(r) }
-
-// SaveState implements ckpt.Saver.
-func (p *PeriodicStream) SaveState(w *ckpt.Writer) {
-	w.U64(p.pos)
-	w.U64(p.lastIssue)
+// Ckpt implements ckpt.Walker.
+func (b *Bursty) Ckpt(c *ckpt.Codec) {
+	b.rng.Ckpt(c)
+	c.Int(&b.inBurst)
+	c.U64(&b.burst)
+	b.startedAt.Ckpt(c)
+	b.hist.Ckpt(c)
 }
 
-// RestoreState implements ckpt.Restorer.
-func (p *PeriodicStream) RestoreState(r *ckpt.Reader) {
-	p.pos = r.U64()
-	p.lastIssue = r.U64()
+// Ckpt implements ckpt.Walker: the filter predicate is structural, the
+// wrapped stream carries all the state.
+func (f *FilteredStream) Ckpt(c *ckpt.Codec) { f.inner.Ckpt(c) }
+
+// Ckpt implements ckpt.Walker. phaseLen is stored even though it is set
+// at construction: it was drawn from the RNG, so a reconstructed proxy
+// (whose construction consumed a draw from a fresh stream) must have both
+// the phase length and the RNG cursor overlaid together.
+func (s *Spec) Ckpt(c *ckpt.Codec) {
+	s.rng.Ckpt(c)
+	c.U64(&s.seqPos)
+	c.U64(&s.phaseLen)
+	c.U64(&s.lastIssue)
 }
 
-// SaveState implements ckpt.Saver.
-func (b *Bursty) SaveState(w *ckpt.Writer) {
-	b.rng.SaveState(w)
-	w.Int(b.inBurst)
-	w.U64(b.burst)
-	saveU64Map(w, &b.startedAt)
-	b.hist.SaveState(w)
+// Ckpt implements ckpt.Walker.
+func (m *Memcached) Ckpt(c *ckpt.Codec) {
+	m.rng.Ckpt(c)
+	c.Int(&m.opInTxn)
+	c.U64(&m.txn)
+	m.startedAt.Ckpt(c)
+	m.hist.Ckpt(c)
 }
 
-// RestoreState implements ckpt.Restorer.
-func (b *Bursty) RestoreState(r *ckpt.Reader) {
-	b.rng.RestoreState(r)
-	b.inBurst = r.Int()
-	b.burst = r.U64()
-	loadU64Map(r, &b.startedAt)
-	b.hist.RestoreState(r)
-}
-
-// SaveState implements ckpt.Saver: the filter predicate is structural,
-// the wrapped stream carries all the state.
-func (f *FilteredStream) SaveState(w *ckpt.Writer) { f.inner.SaveState(w) }
-
-// RestoreState implements ckpt.Restorer.
-func (f *FilteredStream) RestoreState(r *ckpt.Reader) { f.inner.RestoreState(r) }
-
-// SaveState implements ckpt.Saver. phaseLen is saved even though it is
-// set at construction: it was drawn from the RNG, so a reconstructed
-// proxy (whose construction consumed a draw from a fresh stream) must
-// have both the phase length and the RNG cursor overlaid together.
-func (s *Spec) SaveState(w *ckpt.Writer) {
-	s.rng.SaveState(w)
-	w.U64(s.seqPos)
-	w.U64(s.phaseLen)
-	w.U64(s.lastIssue)
-}
-
-// RestoreState implements ckpt.Restorer.
-func (s *Spec) RestoreState(r *ckpt.Reader) {
-	s.rng.RestoreState(r)
-	s.seqPos = r.U64()
-	s.phaseLen = r.U64()
-	s.lastIssue = r.U64()
-}
-
-// SaveState implements ckpt.Saver.
-func (m *Memcached) SaveState(w *ckpt.Writer) {
-	m.rng.SaveState(w)
-	w.Int(m.opInTxn)
-	w.U64(m.txn)
-	saveU64Map(w, &m.startedAt)
-	m.hist.SaveState(w)
-}
-
-// RestoreState implements ckpt.Restorer.
-func (m *Memcached) RestoreState(r *ckpt.Reader) {
-	m.rng.RestoreState(r)
-	m.opInTxn = r.Int()
-	m.txn = r.U64()
-	loadU64Map(r, &m.startedAt)
-	m.hist.RestoreState(r)
-}
-
-// SaveState implements ckpt.Saver: the wrapped generator's state plus
-// the captured trace. Fails with ErrUnsupported when the wrapped
-// generator cannot be checkpointed.
-func (rec *Recorder) SaveState(w *ckpt.Writer) {
-	s, ok := rec.inner.(ckpt.Saver)
+// Ckpt implements ckpt.Walker: the wrapped generator's state plus the
+// captured trace. Fails with ErrUnsupported when the wrapped generator
+// cannot be checkpointed.
+func (rec *Recorder) Ckpt(c *ckpt.Codec) {
+	inner, ok := rec.inner.(ckpt.Walker)
 	if !ok {
-		w.Fail(fmt.Errorf("%w: recorder wraps %q", ckpt.ErrUnsupported, rec.inner.Name()))
+		c.Fail(fmt.Errorf("%w: recorder wraps %q", ckpt.ErrUnsupported, rec.inner.Name()))
 		return
 	}
-	s.SaveState(w)
-	w.Int(len(rec.ops))
-	for i := range rec.ops {
-		op := &rec.ops[i]
-		w.U64(uint64(op.Addr))
-		w.Bool(op.Write)
-		w.Int(op.DependsOn)
-		w.Int(op.Gap)
-		w.U64(op.Insts)
-		w.U64(op.Tag)
-	}
+	inner.Ckpt(c)
+	ckpt.Slice(c, &rec.ops, opBytes, CkptOp)
 }
 
-// RestoreState implements ckpt.Restorer.
-func (rec *Recorder) RestoreState(r *ckpt.Reader) {
-	res, ok := rec.inner.(ckpt.Restorer)
-	if !ok {
-		r.Fail(fmt.Errorf("%w: recorder wraps %q", ckpt.ErrUnsupported, rec.inner.Name()))
-		return
+// Ckpt implements ckpt.Walker: the replay cursor. The trace itself is
+// structural (supplied at construction).
+func (rp *Replayer) Ckpt(c *ckpt.Codec) {
+	if c.Same(len(rp.ops), "replayer ops") {
+		c.Index(&rp.i, len(rp.ops))
 	}
-	res.RestoreState(r)
-	n := r.Int()
-	if r.Err() != nil {
-		return
-	}
-	if n < 0 || n > 1<<28 {
-		r.Fail(fmt.Errorf("%w: trace length %d", ckpt.ErrCorrupt, n))
-		return
-	}
-	rec.ops = rec.ops[:0]
-	for i := 0; i < n; i++ {
-		var op Op
-		op.Addr = mem.Addr(r.U64())
-		op.Write = r.Bool()
-		op.DependsOn = r.Int()
-		op.Gap = r.Int()
-		op.Insts = r.U64()
-		op.Tag = r.U64()
-		if r.Err() != nil {
-			return
-		}
-		rec.ops = append(rec.ops, op)
-	}
-}
-
-// SaveState implements ckpt.Saver: the replay cursor. The trace itself
-// is structural (supplied at construction).
-func (rp *Replayer) SaveState(w *ckpt.Writer) {
-	w.Int(len(rp.ops))
-	w.Int(rp.i)
-}
-
-// RestoreState implements ckpt.Restorer.
-func (rp *Replayer) RestoreState(r *ckpt.Reader) {
-	if n := r.Int(); n != len(rp.ops) {
-		r.Fail(fmt.Errorf("%w: replayer has %d ops, checkpoint has %d", ckpt.ErrMismatch, len(rp.ops), n))
-		return
-	}
-	rp.i = r.Int()
 }
