@@ -29,14 +29,16 @@ check: build lint-docs
 # determinism matrix, the golden-trace determinism test, and the sweep
 # service's chaos acceptance), plus a short slice of each native fuzz
 # target (their seed corpora already run as ordinary tests in `make
-# check`). FuzzRestore's inputs are ~20 KB checkpoint images; minimizing
-# each one that finds new coverage would eat the whole slice, so it is
-# switched off.
+# check`). FuzzRestore's inputs are ~20 KB checkpoint images and
+# FuzzConfigJSON's ~2 KB configurations; minimizing each one that finds
+# new coverage would eat the whole slice, so it is switched off.
 robust:
 	$(GO) test -race ./...
 	$(GO) test -run '^$$' -fuzz FuzzParsePair -fuzztime 10s ./internal/qospolicy
 	$(GO) test -run '^$$' -fuzz FuzzRunSpecJSON -fuzztime 10s ./internal/exp
 	$(GO) test -run '^$$' -fuzz FuzzSubmitBody -fuzztime 10s ./internal/serve
+	$(GO) test -run '^$$' -fuzz FuzzLoadJournal -fuzztime 10s ./internal/serve
+	$(GO) test -run '^$$' -fuzz FuzzConfigJSON -fuzztime 10s -fuzzminimizetime 1x ./internal/soc
 	$(GO) test -run '^$$' -fuzz FuzzRestore -fuzztime 10s -fuzzminimizetime 1x .
 
 # Micro-benchmarks. One iteration of everything shows each still runs;

@@ -5,7 +5,8 @@
 // A memcached-like server runs on one tile of the scaled 8-core system;
 // stream aggressors run on the other seven. The example compares the
 // server's transaction service-time distribution in isolation, co-located
-// without QoS, and co-located under PABST with a 20:1 share.
+// without QoS, and co-located under PABST with a 20:1 share. (go test
+// runs the same comparison over a shorter window.)
 package main
 
 import (
@@ -15,7 +16,7 @@ import (
 	"pabst"
 )
 
-func run(label string, colocate bool, mode pabst.Mode) {
+func run(label string, colocate bool, mode pabst.Mode, cycles uint64) {
 	cfg := pabst.Scaled8Config()
 	b := pabst.NewBuilder(cfg, mode)
 	svc := b.AddClass("memcached", 20, cfg.L3Ways/2)
@@ -33,9 +34,9 @@ func run(label string, colocate bool, mode pabst.Mode) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sys.Warmup(300_000)
+	sys.Warmup(cycles / 5)
 	server.ResetStats()
-	sys.Run(1_500_000)
+	sys.Run(cycles)
 
 	h := server.ServiceTimes()
 	m := sys.Metrics()
@@ -43,11 +44,14 @@ func run(label string, colocate bool, mode pabst.Mode) {
 		label, h.Count(), h.Mean(), h.Percentile(95), h.Percentile(99), m.BytesPerCycle(bg))
 }
 
-func main() {
+func main() { compare(1_500_000) }
+
+// compare measures the three placements over cycles each.
+func compare(cycles uint64) {
 	fmt.Println("memcached service times (2 GHz cycles):")
-	run("isolated", false, pabst.ModeNone)
-	run("colocated, no QoS", true, pabst.ModeNone)
-	run("colocated, PABST 20:1", true, pabst.ModePABST)
+	run("isolated", false, pabst.ModeNone, cycles)
+	run("colocated, no QoS", true, pabst.ModeNone, cycles)
+	run("colocated, PABST 20:1", true, pabst.ModePABST, cycles)
 	fmt.Println("\nPABST keeps the tail near the isolated level while the")
 	fmt.Println("background job still consumes the bandwidth the server leaves idle.")
 }

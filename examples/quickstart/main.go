@@ -2,6 +2,7 @@
 // with a 7:3 bandwidth split, run streaming workloads in both, and verify
 // that PABST delivers the split — reading everything through one
 // Snapshot and tracing the governors' convergence with an Observer.
+// (go test runs the same program on the scaled 8-core system.)
 package main
 
 import (
@@ -11,9 +12,11 @@ import (
 	"pabst"
 )
 
-func main() {
-	cfg := pabst.Default32Config()
+func main() { run(pabst.Default32Config(), 400_000) }
 
+// run executes the walkthrough on cfg: cycles of warmup, then as many
+// measured.
+func run(cfg pabst.SystemConfig, cycles uint64) {
 	// An observer captures epoch-scoped trace events (governor registers,
 	// arbiter state, DRAM service) into a ring; sinks could additionally
 	// stream them as JSONL/CSV. Passing no observer keeps tracing off at
@@ -27,11 +30,12 @@ func main() {
 	hi := b.AddClass("frontend", 7, cfg.L3Ways/2)
 	lo := b.AddClass("batch", 3, cfg.L3Ways/2)
 
-	// 16 cores per class, all streaming through memory at the paper's
-	// 128-byte stride.
-	for i := 0; i < 16; i++ {
+	// Half the cores per class, all streaming through memory at the
+	// paper's 128-byte stride.
+	half := cfg.NumTiles() / 2
+	for i := 0; i < half; i++ {
 		b.Attach(i, hi, pabst.Stream("frontend", pabst.TileRegion(i), 128, false))
-		b.Attach(16+i, lo, pabst.Stream("batch", pabst.TileRegion(16+i), 128, false))
+		b.Attach(half+i, lo, pabst.Stream("batch", pabst.TileRegion(half+i), 128, false))
 	}
 
 	sys, err := b.Build()
@@ -41,8 +45,8 @@ func main() {
 	defer sys.Close()
 
 	// Let the governors converge, then measure.
-	sys.Warmup(400_000)
-	sys.Run(400_000)
+	sys.Warmup(cycles)
+	sys.Run(cycles)
 
 	// One Snapshot is the coherent view of everything observable: window
 	// metrics plus per-class, per-tile, and per-controller detail.

@@ -244,23 +244,30 @@ func (s *System) Validate() error {
 	if s.MaxMSHRs <= 0 {
 		return fmt.Errorf("config: MaxMSHRs: must be positive, got %d: %w", s.MaxMSHRs, ErrInvalid)
 	}
-	if s.L1Bytes <= 0 || s.L1Ways <= 0 || s.L1HitLat <= 0 {
-		return fmt.Errorf("config: L1Bytes/L1Ways/L1HitLat: bad L1 geometry %d/%d/%d: %w",
-			s.L1Bytes, s.L1Ways, s.L1HitLat, ErrInvalid)
-	}
-	if s.L2Bytes <= 0 || s.L2Ways <= 0 || s.L2HitLat <= 0 {
-		return fmt.Errorf("config: L2Bytes/L2Ways/L2HitLat: bad L2 geometry %d/%d/%d: %w",
-			s.L2Bytes, s.L2Ways, s.L2HitLat, ErrInvalid)
+	for _, c := range []struct {
+		name             string
+		bytes, ways, lat int
+	}{
+		{"L1", s.L1Bytes, s.L1Ways, s.L1HitLat},
+		{"L2", s.L2Bytes, s.L2Ways, s.L2HitLat},
+		{"L3Slice", s.L3SliceBytes, s.L3Ways, s.L3HitLat},
+	} {
+		// The cache model indexes sets with a mask: a power-of-two
+		// number of sets, each a whole number of ways×64 B lines.
+		sets := 0
+		if c.ways > 0 && c.ways <= c.bytes/mem.LineSize {
+			sets = c.bytes / (c.ways * mem.LineSize)
+		}
+		if c.lat <= 0 || sets == 0 || sets&(sets-1) != 0 || sets*c.ways*mem.LineSize != c.bytes {
+			return fmt.Errorf("config: %[1]sBytes/%[1]sWays/%[1]sHitLat: bad %[1]s geometry %d/%d/%d (want a power-of-two number of sets): %w",
+				c.name, c.bytes, c.ways, c.lat, ErrInvalid)
+		}
 	}
 	if s.L1Bytes >= s.L2Bytes {
 		return fmt.Errorf("config: L1Bytes: L1 (%d) must be smaller than L2 (%d): %w", s.L1Bytes, s.L2Bytes, ErrInvalid)
 	}
 	if s.PrefetchDepth < 0 || s.PrefetchDepth > s.MaxMSHRs {
 		return fmt.Errorf("config: PrefetchDepth: %d outside [0, MaxMSHRs=%d]: %w", s.PrefetchDepth, s.MaxMSHRs, ErrInvalid)
-	}
-	if s.L3SliceBytes <= 0 || s.L3Ways <= 0 || s.L3HitLat <= 0 {
-		return fmt.Errorf("config: L3SliceBytes/L3Ways/L3HitLat: bad L3 geometry %d/%d/%d: %w",
-			s.L3SliceBytes, s.L3Ways, s.L3HitLat, ErrInvalid)
 	}
 	if s.NumMCs <= 0 {
 		return fmt.Errorf("config: NumMCs: need at least one MC, got %d: %w", s.NumMCs, ErrInvalid)

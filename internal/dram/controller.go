@@ -44,6 +44,12 @@ type Config struct {
 	BankQueueDepth int
 }
 
+// maxQueueDepth bounds every queue capacity. The queues are allocated
+// up front, so the bound is what keeps a configuration from a JSON file
+// or a REST body from sizing them past memory; hardware queues are tens
+// of entries deep.
+const maxQueueDepth = 1 << 12
+
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	if err := c.Timing.Validate(); err != nil {
@@ -55,8 +61,8 @@ func (c Config) Validate() error {
 	if c.RowLines <= 0 || c.RowLines&(c.RowLines-1) != 0 {
 		return fmt.Errorf("dram: row lines must be a positive power of two, got %d", c.RowLines)
 	}
-	if c.FrontReadQ <= 0 || c.FrontWriteQ <= 0 {
-		return fmt.Errorf("dram: queue capacities must be positive")
+	if c.FrontReadQ <= 0 || c.FrontWriteQ <= 0 || c.FrontReadQ > maxQueueDepth || c.FrontWriteQ > maxQueueDepth {
+		return fmt.Errorf("dram: queue capacities %d/%d outside [1, %d]", c.FrontReadQ, c.FrontWriteQ, maxQueueDepth)
 	}
 	if c.WriteLowWater < 0 || c.WriteHighWater <= c.WriteLowWater || c.WriteHighWater > c.FrontWriteQ {
 		return fmt.Errorf("dram: bad write watermarks low=%d high=%d cap=%d",
@@ -65,8 +71,8 @@ func (c Config) Validate() error {
 	if c.PipelineDepth <= 0 {
 		return fmt.Errorf("dram: pipeline depth must be positive")
 	}
-	if c.BankQueueDepth < 0 {
-		return fmt.Errorf("dram: negative bank queue depth")
+	if c.BankQueueDepth < 0 || c.BankQueueDepth > maxQueueDepth {
+		return fmt.Errorf("dram: bank queue depth %d outside [0, %d]", c.BankQueueDepth, maxQueueDepth)
 	}
 	return nil
 }

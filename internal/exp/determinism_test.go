@@ -109,7 +109,7 @@ func TestPolicyKernelDeterminism(t *testing.T) {
 				if lw := sys.Snapshot().LateWakes; lw != 0 {
 					t.Errorf("source=%s kernel=%s: LateWakes = %d, want 0", src, kernel, lw)
 				}
-				return resultFingerprint(sys, []pabst.ClassID{hi, lo})
+				return resultFingerprint(sys.Snapshot(), []pabst.ClassID{hi, lo})
 			}
 			want := run("cycle")
 			if got := run("event"); got != want {

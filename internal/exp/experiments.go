@@ -102,44 +102,29 @@ func isolationSpecs(scale string, workloads []string) []RunSpec {
 	return specs
 }
 
-// isolationFromRuns assembles the IsolationResult from an executed
-// isolationSpecs grid.
-func isolationFromRuns(specs []RunSpec, results []RunResult) (*IsolationResult, error) {
-	per := 1 + len(paperModes)
-	if len(specs)%per != 0 || len(specs) != len(results) {
-		return nil, Terminal(fmt.Errorf("%w: isolation grid of %d specs is not %d per workload",
-			config.ErrInvalid, len(specs), per))
-	}
-	res := &IsolationResult{
-		Cells:              make(map[string]map[pabst.Mode]IsolationCell),
-		IsolatedIPC:        make(map[string][]float64),
-		IsolatedEfficiency: make(map[string]float64),
-	}
-	for g := 0; g < len(specs); g += per {
-		w := specs[g].Workload
-		iso := results[g]
-		res.Workloads = append(res.Workloads, w)
-		res.IsolatedIPC[w] = iso.TileIPCHi
-		res.IsolatedEfficiency[w] = iso.Efficiency
-		cells := make(map[pabst.Mode]IsolationCell)
-		for k, mode := range paperModes {
-			co := results[g+1+k]
-			cells[mode] = IsolationCell{
-				Workload:         w,
-				Mode:             mode,
-				WeightedSlowdown: weightedSlowdown(iso.TileIPCHi, co.TileIPCHi),
-				Efficiency:       co.Efficiency,
-				SpecShare:        co.ShareHi,
-			}
+// weightedSlowdown is the Figure 10 metric: the harmonic mean of the
+// per-tile slowdowns of a co-run against the isolated reference.
+func weightedSlowdown(iso, co []float64) float64 {
+	var speedup float64
+	n := 0
+	for i := range iso {
+		if iso[i] <= 0 {
+			continue
 		}
-		res.Cells[w] = cells
+		speedup += co[i] / iso[i]
+		n++
 	}
-	return res, nil
+	if speedup == 0 || n == 0 {
+		return 0
+	}
+	return float64(n) / speedup
 }
 
 // NewIsolationExperiment builds a Figure 10 (weighted slowdown) or
 // Figure 12 (memory efficiency) experiment over the given workloads
-// (nil means every SPEC proxy). Both variants emit the same specs, so a
+// (nil means every SPEC proxy): 16 cores of a SPEC proxy co-run with a
+// 16-core stream aggressor at a 32:1 share ratio, one row per workload
+// and one column per mode. Both variants emit the same specs, so a
 // shared RunCache runs the grid once for the pair.
 func NewIsolationExperiment(name, desc string, workloads []string, efficiency bool) Experiment {
 	return &expDef{
@@ -153,20 +138,49 @@ func NewIsolationExperiment(name, desc string, workloads []string, efficiency bo
 			return isolationSpecs(scale, w)
 		},
 		reduce: func(specs []RunSpec, results []RunResult) (*Table, error) {
-			r, err := isolationFromRuns(specs, results)
-			if err != nil {
-				return nil, err
+			per := 1 + len(paperModes)
+			if len(specs)%per != 0 || len(specs) != len(results) {
+				return nil, Terminal(fmt.Errorf("%w: isolation grid of %d specs is not %d per workload",
+					config.ErrInvalid, len(specs), per))
+			}
+			t := &Table{
+				Title:   "Figure 10: weighted slowdown vs 16-core stream aggressor (32:1 shares)",
+				Columns: modeColumns(),
 			}
 			if efficiency {
-				return r.EfficiencyTable(), nil
+				t.Title = "Figure 12: memory efficiency under QoS (bus busy / bus pending)"
 			}
-			return r.SlowdownTable(), nil
+			avg := Row{Label: "average", Values: map[string]float64{}}
+			for g := 0; g < len(specs); g += per {
+				iso := results[g]
+				row := Row{Label: specs[g].Workload, Values: map[string]float64{}}
+				for k, mode := range paperModes {
+					co := results[g+1+k]
+					v := co.Efficiency
+					if !efficiency {
+						v = weightedSlowdown(iso.TileIPCHi, co.TileIPCHi)
+					}
+					row.Values[mode.String()] = v
+					avg.Values[mode.String()] += v
+				}
+				t.Rows = append(t.Rows, row)
+			}
+			if !efficiency {
+				for col := range avg.Values {
+					avg.Values[col] /= float64(len(specs) / per)
+				}
+				t.Rows = append(t.Rows, avg)
+			}
+			return t, nil
 		},
 	}
 }
 
-// NewFaultsExperiment builds the clean-vs-faulted comparison under the
-// named fault plan (a preset or a JSON path).
+// NewFaultsExperiment builds the clean-vs-faulted comparison of the 7:3
+// scenario under the named fault plan (a preset or a JSON path). The
+// faulted arm runs with the degradation knobs armed (watchdog + fallback
+// + resync), so the table shows what the mechanism holds onto when its
+// feedback loop is under attack, plus the degradation counters.
 func NewFaultsExperiment(plan string) Experiment {
 	return &expDef{
 		name: "faults",
@@ -178,11 +192,47 @@ func NewFaultsExperiment(plan string) Experiment {
 			}
 		},
 		reduce: func(specs []RunSpec, results []RunResult) (*Table, error) {
-			r, err := faultsFromRuns(specs, results)
-			if err != nil {
-				return nil, err
+			if len(specs) != 2 || len(results) != 2 || specs[1].Fault == "" {
+				return nil, Terminal(fmt.Errorf("%w: faults experiment wants [clean, faulted] arms", config.ErrInvalid))
 			}
-			return r.Table(), nil
+			t := &Table{
+				Title:   fmt.Sprintf("Faults: 7:3 allocation under plan %q vs clean", specs[1].Fault),
+				Columns: []string{"share-hi", "share-lo", "alloc-err", "B/cyc"},
+			}
+			for i, label := range []string{"clean", "faulted+degradation"} {
+				r := results[i]
+				// How far the achieved hi:lo ratio sits from the entitled
+				// 7:3 split (Eq. 5).
+				var allocErr float64
+				if r.Shares[1] > 0 {
+					allocErr = abs(r.Shares[0]/r.Shares[1]-7.0/3.0) / (7.0 / 3.0)
+				}
+				t.Rows = append(t.Rows, Row{Label: label, Values: map[string]float64{
+					"share-hi":  r.Shares[0],
+					"share-lo":  r.Shares[1],
+					"alloc-err": allocErr,
+					"B/cyc":     r.TotalBPC,
+				}})
+			}
+			f := results[1].Faults
+			if f == nil {
+				f = &RunFaults{}
+			}
+			t.Rows = append(t.Rows,
+				Row{Label: "faults injected", Values: map[string]float64{
+					"share-hi": float64(f.Injected),
+				}},
+				Row{Label: "stale/decay/resync", Values: map[string]float64{
+					"share-hi":  float64(f.StaleIntervals),
+					"share-lo":  float64(f.Decays),
+					"alloc-err": float64(f.ResyncEpochs),
+				}},
+				Row{Label: "divergence max/epochs", Values: map[string]float64{
+					"share-hi": float64(f.DivergenceMax),
+					"share-lo": float64(f.DivergedEpochs),
+					"B/cyc":    float64(f.ReconvergeEpochs),
+				}})
+			return t, nil
 		},
 	}
 }
@@ -208,49 +258,37 @@ func NewFig11Experiment(workloads []string) Experiment {
 			return specs
 		},
 		reduce: func(specs []RunSpec, results []RunResult) (*Table, error) {
-			cells, err := fig11FromRuns(specs, results)
-			if err != nil {
-				return nil, err
+			if len(specs)%2 != 0 || len(specs) != len(results) {
+				return nil, Terminal(fmt.Errorf("%w: fig11 grid wants [shared, static] pairs", config.ErrInvalid))
 			}
-			return Fig11Table(cells), nil
+			t := &Table{
+				Title:   "Figure 11: work-conserving fairness vs static 25% allocation (4 VMs x 8 CPUs)",
+				Columns: []string{"shared-IPC", "static-IPC", "improve-%"},
+			}
+			for g := 0; g < len(specs); g += 2 {
+				// Mean class IPC of the 4x8-core shared machine against 8
+				// cores isolated with DDR slowed 4x.
+				var shared float64
+				for _, ipc := range results[g].IPC {
+					shared += ipc
+				}
+				if n := len(results[g].IPC); n > 0 {
+					shared /= float64(n)
+				}
+				static := results[g+1].IPC[0]
+				var improve float64
+				if static > 0 {
+					improve = (shared/static - 1) * 100
+				}
+				t.Rows = append(t.Rows, Row{Label: specs[g].Workload, Values: map[string]float64{
+					"shared-IPC": shared,
+					"static-IPC": static,
+					"improve-%":  improve,
+				}})
+			}
+			return t, nil
 		},
 	}
-}
-
-// faultsFromRuns assembles the FaultsResult from the two-arm spec
-// list ([clean, faulted]). Report.Injected stays nil — the seam
-// carries the scalar counters (RunResult.Faults), which is all the
-// table and the robustness gates consume.
-func faultsFromRuns(specs []RunSpec, results []RunResult) (*FaultsResult, error) {
-	if len(specs) != 2 || len(results) != 2 || specs[1].Fault == "" {
-		return nil, Terminal(fmt.Errorf("%w: faults experiment wants [clean, faulted] arms", config.ErrInvalid))
-	}
-	arm := func(r RunResult) FaultsRun {
-		fr := FaultsRun{Shares: []float64{r.Shares[0], r.Shares[1]}, BpcSum: r.TotalBPC}
-		if fr.Shares[1] > 0 {
-			fr.AllocErr = abs(fr.Shares[0]/fr.Shares[1]-7.0/3.0) / (7.0 / 3.0)
-		}
-		return fr
-	}
-	res := &FaultsResult{
-		Plan:    specs[1].Fault,
-		Clean:   arm(results[0]),
-		Faulted: arm(results[1]),
-	}
-	if f := results[1].Faults; f != nil {
-		res.FaultsInjected = f.Injected
-		res.Report = pabst.FaultReport{
-			Active:           true,
-			StaleIntervals:   f.StaleIntervals,
-			Decays:           f.Decays,
-			ResyncEpochs:     f.ResyncEpochs,
-			DivergenceMax:    f.DivergenceMax,
-			DivergedEpochs:   f.DivergedEpochs,
-			ReconvergeEpochs: f.ReconvergeEpochs,
-			Diverged:         f.DivergedEpochs > 0,
-		}
-	}
-	return res, nil
 }
 
 // paretoSpecs is the cross-policy grid: every ParetoPairs mechanism at
@@ -479,33 +517,4 @@ func init() {
 		spec:   paretoSpecs,
 		reduce: paretoReduce,
 	})
-}
-
-// fig11FromRuns assembles the Figure 11 cells from the
-// [shared, static] spec pairs.
-func fig11FromRuns(specs []RunSpec, results []RunResult) ([]Fig11Cell, error) {
-	if len(specs)%2 != 0 || len(specs) != len(results) {
-		return nil, Terminal(fmt.Errorf("%w: fig11 grid wants [shared, static] pairs", config.ErrInvalid))
-	}
-	var cells []Fig11Cell
-	for g := 0; g < len(specs); g += 2 {
-		shared := results[g]
-		var mean float64
-		for _, ipc := range shared.IPC {
-			mean += ipc
-		}
-		if len(shared.IPC) > 0 {
-			mean /= float64(len(shared.IPC))
-		}
-		cell := Fig11Cell{
-			Workload:  specs[g].Workload,
-			SharedIPC: mean,
-			StaticIPC: results[g+1].IPC[0],
-		}
-		if cell.StaticIPC > 0 {
-			cell.Improvement = (cell.SharedIPC/cell.StaticIPC - 1) * 100
-		}
-		cells = append(cells, cell)
-	}
-	return cells, nil
 }

@@ -86,7 +86,8 @@ func TestPairPrecedence(t *testing.T) {
 // FuzzRunSpecJSON feeds arbitrary bytes through the wire path of a job
 // (JSON → RunSpec → Validate): nothing panics, and a spec that validates
 // has a fingerprint that survives re-serialization, resolves to a
-// registered mechanism, and builds its machine. The seeds — every spec
+// registered mechanism, and builds its machine — under its own Params,
+// applied exactly as Run applies them. The seeds — every spec
 // of every registered experiment plus the five legacy mode names — run
 // as ordinary tests.
 func FuzzRunSpecJSON(f *testing.F) {
@@ -114,6 +115,12 @@ func FuzzRunSpecJSON(f *testing.F) {
 	f.Add([]byte(`{"bench":"spec-mix","scale":"x","workload":"nope"}`))
 	f.Add([]byte(`{"bench":"streams","scale":"quick","mode":"bankreg+dpq","policy":"static"}`))
 	f.Add([]byte(`{"bench":7}`))
+	// Params that validated, were journaled and killed the worker in the
+	// allocator, or silently aliased another machine (a flag that is not
+	// 0 or 1); see TestHostileParamsRejected.
+	f.Add([]byte(`{"bench":"streams","scale":"quick","params":{"bankq":1099511627776}}`))
+	f.Add([]byte(`{"bench":"streams","scale":"quick","params":{"queue":8589934592}}`))
+	f.Add([]byte(`{"bench":"streams","scale":"quick","params":{"page":7}}`))
 
 	sc := Scale{Name: "fuzz", Warmup: 500, Measure: 500, Epoch: 250, Window: 250}
 	f.Fuzz(func(t *testing.T, raw []byte) {
@@ -141,7 +148,11 @@ func FuzzRunSpecJSON(f *testing.F) {
 		if _, err := pabst.ParseMode(pair.Source + "+" + pair.Target); err != nil || pair.Source == "" || pair.Target == "" {
 			t.Fatalf("%+v resolves to %q+%q: %v", rs, pair.Source, pair.Target, err)
 		}
-		b, _, err := rs.buildFor(sc.Apply(pabst.Default32Config()), sc)
+		cfg := sc.Apply(pabst.Default32Config())
+		if err := rs.applyParams(&cfg); err != nil {
+			t.Fatalf("validated spec's params do not apply: %+v: %v", rs, err)
+		}
+		b, _, err := rs.buildFor(cfg, sc)
 		if err != nil {
 			t.Fatalf("validated spec does not build: %+v: %v", rs, err)
 		}

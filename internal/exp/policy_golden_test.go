@@ -58,7 +58,7 @@ func tinyModeFP(sc Scale, mode pabst.Mode) (string, error) {
 	defer sys.Close()
 	sys.Warmup(sc.Warmup)
 	sys.Run(sc.Measure)
-	return resultFingerprint(sys, []pabst.ClassID{hi, lo}), nil
+	return resultFingerprint(sys.Snapshot(), []pabst.ClassID{hi, lo}), nil
 }
 
 // TestPolicyGoldenModes proves the registry-built regulators are

@@ -28,13 +28,26 @@ func TestTableJSON(t *testing.T) {
 	}
 }
 
+// TestFig11TableRenders reduces one synthetic [shared, static] pair: the
+// shared cell is the mean of the four VM classes' IPC, the improvement
+// its ratio to the static machine's.
 func TestFig11TableRenders(t *testing.T) {
-	tb := Fig11Table([]Fig11Cell{{Workload: "mcf", SharedIPC: 0.2, StaticIPC: 0.18, Improvement: 11.1}})
+	e := NewFig11Experiment([]string{"mcf"})
+	tb, err := e.Reduce(e.Spec("quick"), []RunResult{
+		{IPC: []float64{0.1, 0.2, 0.3, 0.2}},
+		{IPC: []float64{0.18}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	s := tb.String()
-	for _, want := range []string{"mcf", "11.1", "Figure 11"} {
+	for _, want := range []string{"mcf", "0.200", "0.180", "11.1", "Figure 11"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("missing %q in:\n%s", want, s)
 		}
+	}
+	if _, err := e.Reduce(e.Spec("quick")[:1], []RunResult{{}}); err == nil {
+		t.Fatal("an odd fig11 grid reduced")
 	}
 }
 

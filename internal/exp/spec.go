@@ -23,44 +23,47 @@ import (
 type paramDef struct {
 	desc string
 	set  func(*pabst.SystemConfig, uint64)
+	// flag marks an on/off parameter: SetParam accepts only 0 and 1, so
+	// one machine has one spelling and one spec fingerprint.
+	flag bool
 }
 
 var paramRegistry = map[string]paramDef{
-	"epoch": {"governor epoch length (cycles)",
-		func(c *pabst.SystemConfig, v uint64) { c.PABST.EpochCycles = v }},
-	"scalef": {"rate scale factor F (Eq. 3)",
-		func(c *pabst.SystemConfig, v uint64) { c.PABST.ScaleF = v }},
-	"burst": {"pacer burst credit (requests)",
-		func(c *pabst.SystemConfig, v uint64) { c.PABST.BurstCredit = int(v) }},
-	"slack": {"arbiter deadline slack (virtual ticks)",
-		func(c *pabst.SystemConfig, v uint64) { c.PABST.Slack = v }},
-	"queue": {"MC front-end queue depth (write watermarks scale as 3/4 and 1/4)",
-		func(c *pabst.SystemConfig, v uint64) {
+	"epoch": {desc: "governor epoch length (cycles)",
+		set: func(c *pabst.SystemConfig, v uint64) { c.PABST.EpochCycles = v }},
+	"scalef": {desc: "rate scale factor F (Eq. 3)",
+		set: func(c *pabst.SystemConfig, v uint64) { c.PABST.ScaleF = v }},
+	"burst": {desc: "pacer burst credit (requests)",
+		set: func(c *pabst.SystemConfig, v uint64) { c.PABST.BurstCredit = int(v) }},
+	"slack": {desc: "arbiter deadline slack (virtual ticks)",
+		set: func(c *pabst.SystemConfig, v uint64) { c.PABST.Slack = v }},
+	"queue": {desc: "MC front-end queue depth (write watermarks scale as 3/4 and 1/4)",
+		set: func(c *pabst.SystemConfig, v uint64) {
 			c.DRAM.FrontReadQ = int(v)
 			c.DRAM.FrontWriteQ = int(v)
 			c.DRAM.WriteHighWater = int(v * 3 / 4)
 			c.DRAM.WriteLowWater = int(v / 4)
 		}},
-	"page": {"DRAM page policy (0 = closed, 1 = open)",
-		func(c *pabst.SystemConfig, v uint64) {
+	"page": {desc: "DRAM page policy (0 = closed, 1 = open)",
+		set: func(c *pabst.SystemConfig, v uint64) {
 			if v == 1 {
 				c.DRAM.Policy = dram.OpenPage
 			} else {
 				c.DRAM.Policy = dram.ClosedPage
 			}
-		}},
-	"bankq": {"two-stage bank queue depth (0 = single pool)",
-		func(c *pabst.SystemConfig, v uint64) { c.DRAM.BankQueueDepth = int(v) }},
-	"inertia": {"epochs of stability before the gain grows",
-		func(c *pabst.SystemConfig, v uint64) { c.PABST.Inertia = int(v) }},
-	"permc": {"per-MC governors (0 = global wired-OR SAT, 1 = per-controller)",
-		func(c *pabst.SystemConfig, v uint64) { c.PABST.PerMCGovernors = v == 1 }},
-	"hetero": {"heterogeneous intra-class thread allocation (Section V-B demand feedback)",
-		func(c *pabst.SystemConfig, v uint64) { c.PABST.HeterogeneousThreads = v == 1 }},
-	"noc": {"contention-modeled router mesh (0 = latency-only fabric)",
-		func(c *pabst.SystemConfig, v uint64) { c.ModelNoC = v == 1 }},
-	"nocflits": {"flits per data message on the modeled mesh (link provisioning)",
-		func(c *pabst.SystemConfig, v uint64) { c.NoCNet.DataFlits = int(v) }},
+		}, flag: true},
+	"bankq": {desc: "two-stage bank queue depth (0 = single pool)",
+		set: func(c *pabst.SystemConfig, v uint64) { c.DRAM.BankQueueDepth = int(v) }},
+	"inertia": {desc: "epochs of stability before the gain grows",
+		set: func(c *pabst.SystemConfig, v uint64) { c.PABST.Inertia = int(v) }},
+	"permc": {desc: "per-MC governors (0 = global wired-OR SAT, 1 = per-controller)",
+		set: func(c *pabst.SystemConfig, v uint64) { c.PABST.PerMCGovernors = v == 1 }, flag: true},
+	"hetero": {desc: "heterogeneous intra-class thread allocation (Section V-B demand feedback)",
+		set: func(c *pabst.SystemConfig, v uint64) { c.PABST.HeterogeneousThreads = v == 1 }, flag: true},
+	"noc": {desc: "contention-modeled router mesh (0 = latency-only fabric)",
+		set: func(c *pabst.SystemConfig, v uint64) { c.ModelNoC = v == 1 }, flag: true},
+	"nocflits": {desc: "flits per data message on the modeled mesh (link provisioning)",
+		set: func(c *pabst.SystemConfig, v uint64) { c.NoCNet.DataFlits = int(v) }},
 }
 
 // ParamNames lists the sweepable parameter names, sorted.
@@ -74,13 +77,16 @@ func ParamNames() []string {
 }
 
 // SetParam applies one named override to a system configuration. An
-// unknown name is a terminal failure wrapping config.ErrInvalid — no
-// retry can make an unrecognized parameter valid.
+// unknown name, or a flag value other than 0 or 1, is a terminal failure
+// wrapping config.ErrInvalid — no retry can make it valid.
 func SetParam(cfg *pabst.SystemConfig, name string, v uint64) error {
 	d, ok := paramRegistry[name]
 	if !ok {
 		return Terminal(fmt.Errorf("%w: unknown sweep parameter %q (have %v)",
 			config.ErrInvalid, name, ParamNames()))
+	}
+	if d.flag && v > 1 {
+		return Terminal(fmt.Errorf("%w: sweep parameter %q is 0 or 1, got %d", config.ErrInvalid, name, v))
 	}
 	d.set(cfg, v)
 	return nil
@@ -434,7 +440,7 @@ var benchRegistry = map[string]benchDef{
 			b := pabst.NewBuilder(cfg, mode, opts...)
 			var classes []pabst.ClassID
 			for c := 0; c < 4; c++ {
-				classes = append(classes, b.AddClass(vmName(c), 1, cfg.L3Ways/4))
+				classes = append(classes, b.AddClass("vm-"+string(rune('a'+c)), 1, cfg.L3Ways/4))
 			}
 			for c := 0; c < 4; c++ {
 				if err := attachSpec(b, classes[c], rs.Workload, c*8, c*8+8); err != nil {
@@ -533,11 +539,14 @@ func (rs RunSpec) Validate() error {
 	if rs.Scale == "" {
 		return Terminal(fmt.Errorf("%w: empty scale name", config.ErrInvalid))
 	}
-	for name := range rs.Params {
-		if _, ok := paramRegistry[name]; !ok {
-			return Terminal(fmt.Errorf("%w: unknown sweep parameter %q (have %v)",
-				config.ErrInvalid, name, ParamNames()))
-		}
+	// The machine the params describe must be buildable: a queue depth
+	// from a REST body is otherwise first checked by the allocator.
+	cfg := pabst.Default32Config()
+	if err := rs.applyParams(&cfg); err != nil {
+		return err
+	}
+	if err := cfg.Validate(); err != nil {
+		return Terminal(err)
 	}
 	if _, _, err := rs.pair(Scale{}); err != nil {
 		return Terminal(fmt.Errorf("%w: %w", config.ErrInvalid, err))
@@ -557,6 +566,21 @@ func (rs RunSpec) Validate() error {
 	if rs.Fault != "" {
 		if _, err := pabst.LoadFaultPlan(rs.Fault); err != nil {
 			return Terminal(fmt.Errorf("%w: %w", config.ErrInvalid, err))
+		}
+	}
+	return nil
+}
+
+// applyParams stamps the spec's named overrides onto cfg, in name order.
+func (rs RunSpec) applyParams(cfg *pabst.SystemConfig) error {
+	names := make([]string, 0, len(rs.Params))
+	for n := range rs.Params {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	for _, n := range names {
+		if err := SetParam(cfg, n, rs.Params[n]); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -735,15 +759,8 @@ func (rs RunSpec) Run(ctx context.Context, ex Exec, rio RunIO) (RunResult, error
 		return RunResult{}, err
 	}
 	cfg := sc.Apply(pabst.Default32Config())
-	names := make([]string, 0, len(rs.Params))
-	for n := range rs.Params {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		if err := SetParam(&cfg, n, rs.Params[n]); err != nil {
-			return RunResult{}, err
-		}
+	if err := rs.applyParams(&cfg); err != nil {
+		return RunResult{}, err
 	}
 	b, classes, err := rs.buildFor(cfg, sc)
 	if err != nil {
@@ -813,40 +830,39 @@ func (rs RunSpec) Run(ctx context.Context, ex Exec, rio RunIO) (RunResult, error
 	return res, nil
 }
 
-// collectResult reads the measured metrics off a finished system.
+// collectResult reads the measured outcome off a finished system: one
+// Snapshot, plus the two read-outs a snapshot does not carry (tail
+// percentiles and the fault report).
 func collectResult(rs RunSpec, sys *pabst.System, classes []pabst.ClassID) RunResult {
-	m := sys.Metrics()
 	snap := sys.Snapshot()
 	res := RunResult{
-		ShareHi:    m.ShareOf(classes[0]),
-		P99Hi:      sys.ClassTailLatency(classes[0], 99),
-		BusUtil:    m.BusUtilization,
-		Efficiency: m.Efficiency,
-		Shares:     make([]float64, len(classes)),
-		BPC:        make([]float64, len(classes)),
-		IPC:        make([]float64, len(classes)),
+		P99Hi:       sys.ClassTailLatency(classes[0], 99),
+		BusUtil:     snap.Window.BusUtilization,
+		Efficiency:  snap.Window.Efficiency,
+		Shares:      make([]float64, len(classes)),
+		BPC:         make([]float64, len(classes)),
+		IPC:         make([]float64, len(classes)),
+		MCUtil:      make([]float64, len(snap.MCs)),
+		Fingerprint: resultFingerprint(snap, classes),
 	}
 	if len(classes) > 1 {
 		res.P99Lo = sys.ClassTailLatency(classes[1], 99)
 	}
 	for i, c := range classes {
-		res.Shares[i] = m.ShareOf(c)
-		res.BPC[i] = m.BytesPerCycle(c)
-		res.TotalBPC += res.BPC[i]
-		if cs := snap.Class(c); cs != nil {
-			res.IPC[i] = cs.IPC
-		}
+		cs := snap.Class(c)
+		res.Shares[i] = cs.Share
+		res.BPC[i] = cs.BytesPerCycle
+		res.TotalBPC += cs.BytesPerCycle
+		res.IPC[i] = cs.IPC
 	}
-	if cs := snap.Class(classes[0]); cs != nil {
-		res.TileIPCHi = append([]float64(nil), cs.TileIPCs...)
-	}
-	res.MCUtil = make([]float64, len(snap.MCs))
+	res.ShareHi = res.Shares[0]
+	res.TileIPCHi = snap.Class(classes[0]).TileIPCs
 	for i := range snap.MCs {
 		res.MCUtil[i] = snap.MCs[i].Utilization
 	}
 	if rs.Fault != "" {
 		rep := sys.FaultReport()
-		rf := &RunFaults{
+		res.Faults = &RunFaults{
 			StaleIntervals:   rep.StaleIntervals,
 			Decays:           rep.Decays,
 			ResyncEpochs:     rep.ResyncEpochs,
@@ -855,19 +871,16 @@ func collectResult(rs RunSpec, sys *pabst.System, classes []pabst.ClassID) RunRe
 			ReconvergeEpochs: rep.ReconvergeEpochs,
 		}
 		if rep.Injected != nil {
-			rf.Injected = rep.Injected.Total()
+			res.Faults.Injected = rep.Injected.Total()
 		}
-		res.Faults = rf
 	}
-	res.Fingerprint = resultFingerprint(sys, classes)
 	return res
 }
 
 // resultFingerprint hashes a run's observable statistics — window
 // metrics, governor rates, and per-class IPC/latency vectors — for
 // byte-for-byte comparison across execution environments.
-func resultFingerprint(sys *pabst.System, classes []pabst.ClassID) string {
-	snap := sys.Snapshot()
+func resultFingerprint(snap pabst.Snapshot, classes []pabst.ClassID) string {
 	s := fmt.Sprintf("metrics=%+v gov=%v", snap.Window, snap.GovernorMs())
 	for _, c := range classes {
 		cs := snap.Class(c)

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io"
 	"testing"
 
@@ -25,6 +28,17 @@ func TestRunSpecValidate(t *testing.T) {
 		"bad-bench": {Bench: "nope", Scale: "quick"},
 		"no-scale":  {Bench: BenchStreams},
 		"bad-param": {Bench: BenchStreams, Scale: "quick", Params: map[string]uint64{"warp": 9}},
+		// Params that name a machine which cannot build: rejected here,
+		// not by the allocator (the first two used to take the process
+		// down with an out-of-memory fatal no recover() sees).
+		"huge-bankq":   {Bench: BenchStreams, Scale: "quick", Params: map[string]uint64{"bankq": 1 << 40}},
+		"huge-queue":   {Bench: BenchStreams, Scale: "quick", Params: map[string]uint64{"queue": 1 << 33}},
+		"wrapped-int":  {Bench: BenchStreams, Scale: "quick", Params: map[string]uint64{"bankq": 1 << 63}},
+		"huge-flits":   {Bench: BenchStreams, Scale: "quick", Params: map[string]uint64{"noc": 1, "nocflits": 1 << 40}},
+		"zero-queue":   {Bench: BenchStreams, Scale: "quick", Params: map[string]uint64{"queue": 0}},
+		"zero-epoch":   {Bench: BenchStreams, Scale: "quick", Params: map[string]uint64{"epoch": 0}},
+		"flag-not-0/1": {Bench: BenchStreams, Scale: "quick", Params: map[string]uint64{"page": 7}},
+		"permc+hetero": {Bench: BenchStreams, Scale: "quick", Params: map[string]uint64{"permc": 1, "hetero": 1}},
 	} {
 		err := spec.Validate()
 		if err == nil {
@@ -156,5 +170,57 @@ func TestRunSpecInterruptResume(t *testing.T) {
 		RunIO{Resume: bytes.NewReader([]byte("not a checkpoint"))})
 	if Classify(err) != FailRetryable {
 		t.Fatalf("garbage partial classified %v (%v), want retryable", Classify(err), err)
+	}
+}
+
+// TestRunTakesOneSnapshot pins the read-out path of a run: RunSpec.Run
+// hands the finished machine to collectResult once, collectResult takes
+// the run's only Snapshot, and nothing on the path (resultFingerprint
+// included) asks the machine for a second view or for a separate
+// Metrics. Checked on the source, because a second Snapshot of a stopped
+// machine returns the same values and no run-time assertion could tell.
+func TestRunTakesOneSnapshot(t *testing.T) {
+	file, err := parser.ParseFile(token.NewFileSet(), "spec.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := map[string]map[string]int{} // enclosing func -> callee -> count
+	for _, d := range file.Decls {
+		fn, ok := d.(*ast.FuncDecl)
+		if !ok || fn.Body == nil {
+			continue
+		}
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			var callee string
+			switch f := call.Fun.(type) {
+			case *ast.SelectorExpr:
+				callee = f.Sel.Name
+			case *ast.Ident:
+				callee = f.Name
+			}
+			if calls[fn.Name.Name] == nil {
+				calls[fn.Name.Name] = map[string]int{}
+			}
+			calls[fn.Name.Name][callee]++
+			return true
+		})
+	}
+	if n := calls["Run"]["collectResult"]; n != 1 {
+		t.Errorf("Run calls collectResult %d times, want 1", n)
+	}
+	if n := calls["collectResult"]["Snapshot"]; n != 1 {
+		t.Errorf("collectResult takes %d Snapshots, want 1", n)
+	}
+	for fn, callees := range calls {
+		if fn != "collectResult" && callees["Snapshot"] > 0 {
+			t.Errorf("%s takes a Snapshot of its own", fn)
+		}
+		if callees["Metrics"] > 0 {
+			t.Errorf("%s reads Metrics beside the Snapshot (it is Snapshot.Window)", fn)
+		}
 	}
 }

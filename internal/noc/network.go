@@ -83,10 +83,15 @@ type NetParams struct {
 // queues and 16 B/cycle links.
 func DefaultNetParams() NetParams { return NetParams{QueueCap: 4, DataFlits: 4} }
 
+// maxNetParam bounds both parameters: every router port may grow to
+// QueueCap messages, and a link that takes more than 1024 cycles per
+// cache line is a stall, not a provisioning point.
+const maxNetParam = 1 << 10
+
 // Validate reports parameter errors.
 func (p NetParams) Validate() error {
-	if p.QueueCap <= 0 || p.DataFlits <= 0 {
-		return fmt.Errorf("noc: network params must be positive: %+v", p)
+	if p.QueueCap <= 0 || p.DataFlits <= 0 || p.QueueCap > maxNetParam || p.DataFlits > maxNetParam {
+		return fmt.Errorf("noc: network params outside [1, %d]: %+v", maxNetParam, p)
 	}
 	return nil
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -11,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"pabst/internal/config"
 	"pabst/internal/exp"
 )
 
@@ -216,6 +219,74 @@ func TestFaultMustBePreset(t *testing.T) {
 	}
 }
 
+// hostileBodies are REST bodies whose params name a machine that cannot
+// build. The first two used to validate, get journaled, and kill the
+// process in the DRAM controller's allocator (a fatal out-of-memory, not
+// a panic invoke could recover) — again on every restart, since the
+// journal replayed them. The third silently ran closed-page under a
+// second fingerprint.
+var hostileBodies = []string{
+	`{"spec":{"bench":"streams","scale":"tiny","params":{"bankq":1099511627776}}}`,
+	`{"spec":{"bench":"streams","scale":"tiny","params":{"queue":8589934592}}}`,
+	`{"spec":{"bench":"streams","scale":"tiny","params":{"page":7}}}`,
+}
+
+// TestHostileParamsRejected pins the trust boundary on RunSpec.Params:
+// admission answers 400 with a terminal config.ErrInvalid and journals
+// nothing, and a journal that already holds such a submit record
+// recovers to a failed job under the production runner — which rejects
+// the spec before it sizes a single queue.
+func TestHostileParamsRejected(t *testing.T) {
+	cfg := testConfig(t, nil) // nil: ExpRunner, the path a real job takes
+	jl, err := openJournal(filepath.Join(cfg.Dir, "journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var specs []exp.RunSpec
+	for i, body := range hostileBodies {
+		var req submitRequest
+		if err := json.Unmarshal([]byte(body), &req); err != nil {
+			t.Fatal(err)
+		}
+		specs = append(specs, req.Spec)
+		if err := jl.append(rec{Op: opSubmit, ID: fmt.Sprintf("j-%06d", i), Spec: &req.Spec}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	jl.close()
+
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.Start()
+	for i := range hostileBodies {
+		id := fmt.Sprintf("j-%06d", i)
+		mustState(t, s, id, StateFailed)
+		if v, _ := s.Get(id); v.FailureClass != exp.FailTerminal.String() || v.Requeues != 0 ||
+			!strings.Contains(v.Error, config.ErrInvalid.Error()) {
+			t.Errorf("recovered %s = %+v; want one terminal invalid-configuration failure", hostileBodies[i], v)
+		}
+	}
+
+	h := s.Handler()
+	before := journalRecords(t, cfg.Dir)
+	for i, body := range hostileBodies {
+		code, resp := call(h, "POST", "/jobs", []byte(body))
+		if code != http.StatusBadRequest || !strings.Contains(string(resp), config.ErrInvalid.Error()) {
+			t.Errorf("POST /jobs %s = %d %s, want 400 invalid configuration", body, code, resp)
+		}
+		_, err := s.Submit(specs[i], SubmitOptions{})
+		if !errors.Is(err, config.ErrInvalid) || exp.Classify(err) != exp.FailTerminal {
+			t.Errorf("Submit(%+v) = %v, want a terminal config.ErrInvalid", specs[i], err)
+		}
+	}
+	if n := journalRecords(t, cfg.Dir) - before; n != 0 {
+		t.Errorf("rejected bodies left %d journal records", n)
+	}
+}
+
 // FuzzSubmitBody: arbitrary bytes into POST /jobs never panic, answer
 // with one of the documented statuses, and are accepted only as a valid
 // spec with exactly one journal record behind it.
@@ -231,6 +302,9 @@ func FuzzSubmitBody(f *testing.F) {
 	f.Add([]byte(`{"spec":{"bench":"streams","scale":"quick","fault":"/etc/hostname"}}`))
 	f.Add([]byte(`{"spec":{"bench":"streams","scale":"tiny","fault":"sat-drop"},"opts":{"max_attempts":2,"deadline_ms":50}}`))
 	f.Add([]byte(`{"spec":`))
+	for _, body := range hostileBodies {
+		f.Add([]byte(body))
+	}
 	// One service for the whole run, never started: an accepted job stays
 	// queued, so all it leaves behind is its submit record. (A service per
 	// input costs three fsyncs an input, which starves the mutator.)

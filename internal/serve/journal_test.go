@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -160,4 +162,64 @@ func TestRecoverIgnoresUnknownOps(t *testing.T) {
 	if nv.ID != "j-000008" {
 		t.Fatalf("next id %s, want j-000008", nv.ID)
 	}
+}
+
+// FuzzLoadJournal feeds arbitrary bytes, torn tails included, through the
+// restart path (loadJournal, then Service.recover inside New): nothing
+// panics, and whatever a journal claims, a recovered job waits in the
+// queue only with a preset-or-no fault plan, and names no file outside
+// the service's own partial directory. The seeds run as ordinary tests.
+func FuzzLoadJournal(f *testing.F) {
+	spec := tinySpec()
+	var clean []byte
+	for _, r := range []rec{
+		{Op: opSubmit, ID: "j-000000", Spec: &spec, MaxAttempts: 3, DeadlineMS: 50},
+		{Op: opRequeue, ID: "j-000000", Attempt: 1, Partial: "/tmp/p.ckpt"},
+		{Op: opSubmit, ID: "j-000001", Spec: &spec},
+		{Op: opDone, ID: "j-000001", ResultFP: "abc", ShareHi: 0.7},
+	} {
+		line, err := json.Marshal(r)
+		if err != nil {
+			f.Fatal(err)
+		}
+		clean = append(append(clean, line...), '\n')
+	}
+	f.Add(clean)
+	f.Add(append(clean[:len(clean):len(clean)], `{"op":"done","id":"j-00`...)) // torn mid-crash
+	f.Add([]byte(`{"op":"submit","id":"j-000003","spec":{"bench":"streams","scale":"tiny","fault":"/etc/hostname"}}` + "\n"))
+	f.Add([]byte(`{"op":"submit","id":"../../x","spec":{"bench":"streams","scale":"tiny"}}` + "\n" +
+		`{"op":"requeue","id":"../../x","partial":"/etc/hostname"}` + "\n" + `{"op":"fail","id":"../../x"}` + "\n"))
+	f.Add([]byte(`{"op":"submit","id":"j-000004","spec":{"bench":"streams","scale":"tiny","params":{"bankq":1099511627776}}}` + "\n"))
+	f.Add([]byte("\n\n{}\nnot json\n"))
+
+	cfg := testConfig(f, okRunner)
+	path := filepath.Join(cfg.Dir, "journal.jsonl")
+	partials := filepath.Join(cfg.Dir, "partial") + string(filepath.Separator)
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		recs, err := loadJournal(path)
+		if err != nil {
+			return // a line past the scanner's 1 MiB bound: New refuses to start
+		}
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatalf("loadJournal accepted %d records New cannot replay: %v", len(recs), err)
+		}
+		defer s.Close()
+		if len(s.jobs) > len(recs) {
+			t.Fatalf("%d records recovered to %d jobs", len(recs), len(s.jobs))
+		}
+		for _, j := range s.queue {
+			if err := checkFault(j.spec); err != nil {
+				t.Errorf("recovered job %q is queued with fault %q: %v", j.id, j.spec.Fault, err)
+			}
+		}
+		for id, j := range s.jobs {
+			if p := s.partialPath(id); !strings.HasPrefix(p, partials) || (j.partial != "" && j.partial != p) {
+				t.Errorf("recovered job %q names partial %q / %q outside %s", id, j.partial, p, partials)
+			}
+		}
+	})
 }

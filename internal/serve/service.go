@@ -302,7 +302,9 @@ func (s *Service) recover(recs []rec) {
 	for _, r := range recs {
 		switch r.Op {
 		case opSubmit:
-			if r.Spec == nil || r.ID == "" {
+			// An id names the job's partial checkpoint file, so one that
+			// is not a bare file name is not one this service issued.
+			if r.Spec == nil || r.ID == "" || r.ID != filepath.Base(r.ID) {
 				continue
 			}
 			if _, dup := s.jobs[r.ID]; dup {
@@ -328,7 +330,13 @@ func (s *Service) recover(recs []rec) {
 		case opRequeue:
 			if j := s.jobs[r.ID]; j != nil && !j.state.Terminal() {
 				j.attempt = r.Attempt
-				j.partial = r.Partial
+				// The record says a partial exists, never where: the only
+				// place one lives is partialPath, and a failed job's
+				// partial is deleted.
+				j.partial = ""
+				if r.Partial != "" {
+					j.partial = s.partialPath(j.id)
+				}
 				j.state = StateQueued
 			}
 		case opDone:

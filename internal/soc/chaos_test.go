@@ -78,9 +78,9 @@ func TestSystemChaosProperty(t *testing.T) {
 		run := func() ([mem.MaxClasses]uint64, uint64, uint64, float64, float64) {
 			sys := build(seed)
 			sys.Run(40_000)
-			m := sys.Metrics()
-			reads, writes, _ := sys.MCStatsSum()
-			return m.BytesByClass, uint64(reads), uint64(writes), sys.ClassIPC(0), sys.ClassIPC(1)
+			sn := sys.Snapshot()
+			reads, writes, _ := mcTotals(sys)
+			return sn.Window.BytesByClass, reads, writes, sn.Class(0).IPC, sn.Class(1).IPC
 		}
 		bytes1, reads, writes, ipcA, ipcB := run()
 		// Conservation: billed bytes equal lines served.
@@ -136,9 +136,9 @@ func TestFaultChaosProperty(t *testing.T) {
 				// One observed stretch from cold start, so the window and
 				// the lifetime controller counters cover the same cycles.
 				sys.Run(250_000)
-				m := sys.Metrics()
-				reads, writes, _ := sys.MCStatsSum()
-				return m.BytesByClass, uint64(reads), uint64(writes), m.ShareOf(hi.ID), sys.GovernorMs()
+				sn := sys.Snapshot()
+				reads, writes, _ := mcTotals(sys)
+				return sn.Window.BytesByClass, reads, writes, sn.Class(hi.ID).Share, sn.GovernorMs()
 			}
 			bytes1, reads, writes, shareHi, ms1 := run()
 			var total uint64
@@ -186,7 +186,8 @@ func TestPartitionDivergenceAndResync(t *testing.T) {
 		// Partition spans epochs [10,30) = cycles [20k,60k); run well past
 		// heal + the resync bound.
 		sys.Run(100_000)
-		return sys.FaultReport(), sys.GovernorMs()
+		sn := sys.Snapshot()
+		return sys.FaultReport(), sn.GovernorMs()
 	}
 	spread := func(ms []uint64) uint64 {
 		lo, hi := ms[0], ms[0]

@@ -26,7 +26,7 @@ const (
 	evNumClasses
 )
 
-// evClassName labels a dispatch class for snapshots and metrics.
+// evClassName labels a dispatch class for snapshots.
 func evClassName(c int) string {
 	switch c {
 	case evClassEpoch:

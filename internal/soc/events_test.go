@@ -17,16 +17,34 @@ import (
 // two runs can be compared byte-for-byte.
 func fingerprint(sys *System, classes ...mem.ClassID) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "metrics=%+v\n", sys.Metrics())
+	sn := sys.Snapshot()
+	fmt.Fprintf(&b, "metrics=%+v\n", sn.Window)
 	for _, c := range classes {
+		cs := sn.Class(c)
 		fmt.Fprintf(&b, "class=%d ipc=%v tiles=%v missLat=%v mcLat=%v occ=%d\n",
-			c, sys.ClassIPC(c), sys.TileIPCs(c), sys.ClassMissLatency(c),
-			sys.ClassMCReadLatency(c), sys.L3OccupancyOf(c))
+			c, cs.IPC, cs.TileIPCs, cs.MissLatency, cs.MCReadLatency, cs.L3OccupancyBytes)
 	}
-	fmt.Fprintf(&b, "gov=%v\n", sys.GovernorMs())
-	r, w, q := sys.MCStatsSum()
+	fmt.Fprintf(&b, "gov=%v\n", sn.GovernorMs())
+	r, w, q := mcTotals(sys)
 	fmt.Fprintf(&b, "mc=%d/%d/%d\n", r, w, q)
 	return b.String()
+}
+
+// classOf reads one class out of a fresh snapshot.
+func classOf(sys *System, c mem.ClassID) *ClassSnapshot {
+	sn := sys.Snapshot()
+	return sn.Class(c)
+}
+
+// mcTotals sums the controllers' lifetime reads and writes and their
+// current front-end read queue depths.
+func mcTotals(sys *System) (reads, writes uint64, queuedReads int) {
+	for _, mc := range sys.Snapshot().MCs {
+		reads += mc.Reads
+		writes += mc.Writes
+		queuedReads += mc.QueuedReads
+	}
+	return
 }
 
 // burstySystem builds a system whose tiles alternate short demand bursts
@@ -85,7 +103,7 @@ func TestEventKernelBursty(t *testing.T) {
 		cfg.Kernel = kernel
 		sys, c := burstySystem(t, cfg)
 		sys.Run(120000)
-		return fingerprint(sys, c), sys.SkippedCycles()
+		return fingerprint(sys, c), sys.Snapshot().SkippedCycles
 	}
 	spin, skipped0 := run("cycle")
 	ev, skipped := run("event")
@@ -115,7 +133,7 @@ func TestEventKernelWithFaults(t *testing.T) {
 		}
 		sys, hi, lo := twoClassStreams(t, cfg, qospolicy.PABST, 7, 3, 8, 8)
 		sys.Run(40000)
-		if lw := sys.LateWakes(); lw != 0 {
+		if lw := sys.Snapshot().LateWakes; lw != 0 {
 			t.Fatalf("%d late wakes with kernel=%s", lw, kernel)
 		}
 		return fingerprint(sys, hi.ID, lo.ID)

@@ -1,0 +1,82 @@
+package soc
+
+import (
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"pabst/internal/config"
+	"pabst/internal/qos"
+	"pabst/internal/qospolicy"
+	"pabst/internal/workload"
+)
+
+// fuzzSized reports whether a configuration is small enough to build
+// inside a fuzz worker. Validate rejects what cannot be a machine; how
+// big a machine may be is the operator's call, so geometry a file may
+// legitimately scale up is capped here instead.
+func fuzzSized(cfg *config.System) bool {
+	const maxCache = 1 << 20
+	return cfg.NumTiles() <= 16 && cfg.NumMCs <= 8 && cfg.MaxMSHRs <= 64 &&
+		cfg.L1Bytes <= maxCache && cfg.L2Bytes <= maxCache && cfg.L3SliceBytes <= maxCache &&
+		cfg.DRAM.Banks <= 64 && cfg.Core.WindowOps <= 1024
+}
+
+// FuzzConfigJSON feeds arbitrary bytes through the path a -config file
+// takes (config.Load: JSON, then Validate) and builds what it accepts:
+// every accepted configuration makes a machine that attaches a workload,
+// finalizes and runs, or is refused with an error — never a panic, and
+// never a queue sized from the file past memory. The seeds run as
+// ordinary tests.
+func FuzzConfigJSON(f *testing.F) {
+	seed := func(cfg config.System) {
+		raw, err := json.Marshal(cfg)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	seed(config.Scaled8())
+	seed(config.MeshScaled(2, 2))
+	noc := config.Scaled8()
+	noc.ModelNoC = true
+	seed(noc)
+	hostile := config.Scaled8()
+	hostile.DRAM.BankQueueDepth = 1 << 40
+	seed(hostile)
+	hostile = config.Scaled8()
+	hostile.DRAM.FrontReadQ, hostile.DRAM.FrontWriteQ, hostile.DRAM.WriteHighWater = 1<<33, 1<<33, 1<<32
+	seed(hostile)
+	hostile = config.Scaled8()
+	hostile.L3SliceBytes = 1000 // not a whole number of sets
+	seed(hostile)
+	f.Add([]byte(`{"MeshCols":1,"MeshRows":1}`))
+
+	path := filepath.Join(f.TempDir(), "config.json")
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := config.Load(path)
+		if err != nil || !fuzzSized(&cfg) {
+			return
+		}
+		reg := qos.NewRegistry()
+		c, err := reg.Add("c", 1, cfg.L3Ways)
+		if err != nil {
+			return
+		}
+		sys, err := New(cfg, reg, qospolicy.PABST)
+		if err != nil {
+			return
+		}
+		if err := sys.Attach(0, c.ID, workload.NewStream("s", tileRegion(0), 128, false)); err != nil {
+			return
+		}
+		if err := sys.Finalize(); err != nil {
+			return
+		}
+		sys.Run(2000)
+	})
+}

@@ -3,7 +3,6 @@ package soc
 import (
 	"pabst/internal/mem"
 	"pabst/internal/pabst"
-	"pabst/internal/regulate"
 	"pabst/internal/stats"
 )
 
@@ -103,21 +102,12 @@ func (s *System) Metrics() Metrics {
 	return m
 }
 
-// ClassMissLatency returns the mean end-to-end L2-miss latency of a
-// class in cycles (network injection to response arrival, including L3
-// hits), over the current measurement window.
-func (s *System) ClassMissLatency(class mem.ClassID) float64 {
-	cnt := s.e2eLatCnt[class] - s.base.e2eLatCnt[class]
-	if cnt == 0 {
-		return 0
-	}
-	return float64(s.e2eLatSum[class]-s.base.e2eLatSum[class]) / float64(cnt)
-}
-
-// ClassLatencyHist returns the class's end-to-end L2-miss latency
-// distribution over the current measurement window: the merge of the
-// class's tile histograms minus the baseline captured at ResetStats.
-func (s *System) ClassLatencyHist(class mem.ClassID) stats.Hist {
+// ClassTailLatency returns the p-th percentile (0 < p <= 100) of a
+// class's end-to-end L2-miss latency in cycles over the current
+// measurement window, with the histogram's ~6% relative resolution.
+func (s *System) ClassTailLatency(class mem.ClassID, p float64) uint64 {
+	// The window's distribution is the merge of the class's tile
+	// histograms minus the baseline captured at ResetStats.
 	var h stats.Hist
 	for _, t := range s.tiles {
 		if t != nil && t.class == class {
@@ -125,30 +115,7 @@ func (s *System) ClassLatencyHist(class mem.ClassID) stats.Hist {
 		}
 	}
 	h.Sub(&s.baseLat[class])
-	return h
-}
-
-// ClassTailLatency returns the p-th percentile (0 < p <= 100) of a
-// class's end-to-end L2-miss latency in cycles over the current
-// measurement window, with the histogram's ~6% relative resolution.
-func (s *System) ClassTailLatency(class mem.ClassID, p float64) uint64 {
-	h := s.ClassLatencyHist(class)
 	return h.Percentile(p)
-}
-
-// ClassMCReadLatency returns the mean front-end queueing + service
-// latency at the memory controllers for a class, over the system
-// lifetime.
-func (s *System) ClassMCReadLatency(class mem.ClassID) float64 {
-	var sum, cnt uint64
-	for _, mc := range s.mcs {
-		sum += mc.Stats.ReadLatencyByClass[class]
-		cnt += mc.Stats.ReadsByClass[class]
-	}
-	if cnt == 0 {
-		return 0
-	}
-	return float64(sum) / float64(cnt)
 }
 
 // TotalBytes returns all DRAM bytes moved in the window.
@@ -175,74 +142,6 @@ func (m Metrics) BytesPerCycle(class mem.ClassID) float64 {
 		return 0
 	}
 	return float64(m.BytesByClass[class]) / float64(m.Cycles)
-}
-
-// ClassIPC averages core IPC over the tiles running class.
-func (s *System) ClassIPC(class mem.ClassID) float64 {
-	var sum float64
-	n := 0
-	for _, t := range s.tiles {
-		if t != nil && t.class == class {
-			sum += t.core.IPC()
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
-// TileIPCs returns the IPC of every tile running class, in tile order.
-func (s *System) TileIPCs(class mem.ClassID) []float64 {
-	var out []float64
-	for _, t := range s.tiles {
-		if t != nil && t.class == class {
-			out = append(out, t.core.IPC())
-		}
-	}
-	return out
-}
-
-// Tiles returns the attached tiles (nil entries for idle tiles).
-func (s *System) Tiles() []*Tile { return s.tiles }
-
-// GovernorState reports the internal regulator state of a tile for
-// tracing: the throttle multiplier M, the current step δM, and the
-// installed pacing period. ok is false when the tile is idle or its
-// source has no registers (pass-through, static): it is true for exactly
-// the sources that implement regulate.Probe. Per-controller governors
-// report channel 0 as the representative.
-func (s *System) GovernorState(tile int) (m, dm, period uint64, ok bool) {
-	if tile < 0 || tile >= len(s.tiles) || s.tiles[tile] == nil {
-		return 0, 0, 0, false
-	}
-	p, ok := s.tiles[tile].src.(regulate.Probe)
-	if !ok {
-		return 0, 0, 0, false
-	}
-	m, dm, period, _ = p.ProbeState()
-	return m, dm, period, true
-}
-
-// L3OccupancyOf returns the number of shared-cache bytes a class
-// currently holds — the LLC occupancy monitor existing QoS architectures
-// expose (Section II-B).
-func (s *System) L3OccupancyOf(class mem.ClassID) uint64 {
-	return s.l3Occupancy()[class]
-}
-
-// l3Occupancy returns every class's shared-cache bytes from one pass
-// over each slice; Snapshot fills all of its classes from a single call.
-func (s *System) l3Occupancy() (bytes [mem.MaxClasses]uint64) {
-	var occ [mem.MaxClasses]int
-	for _, sl := range s.slices {
-		sl.cache.OccupancyInto(&occ)
-		for c, n := range occ {
-			bytes[c] += uint64(n) * mem.LineSize
-		}
-	}
-	return bytes
 }
 
 // FaultReport summarizes fault injection and the governors' degraded-
@@ -303,30 +202,4 @@ func (s *System) FaultReport() FaultReport {
 		r.ResyncEpochs += d.ResyncEpochs
 	}
 	return r
-}
-
-// GovernorMs returns the current throttle multiplier of every attached
-// adaptive governor, in tile order — the raw material for divergence
-// assertions in tests and tracing.
-func (s *System) GovernorMs() []uint64 {
-	var out []uint64
-	for _, t := range s.tiles {
-		if t == nil {
-			continue
-		}
-		if g, ok := t.src.(*pabst.Governor); ok {
-			out = append(out, g.Monitor().M())
-		}
-	}
-	return out
-}
-
-// MCStatsSum aggregates controller stats for inspection.
-func (s *System) MCStatsSum() (reads, writes, queuedReads int) {
-	for _, mc := range s.mcs {
-		reads += int(mc.Stats.ReadsServed)
-		writes += int(mc.Stats.WritesServed)
-		queuedReads += mc.QueuedReads()
-	}
-	return
 }

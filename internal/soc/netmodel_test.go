@@ -85,7 +85,7 @@ func TestModeledNoCAcrossKernels(t *testing.T) {
 		cfg.Kernel = kernel
 		sys, hi, lo := twoClassStreams(t, cfg, qospolicy.PABST, 7, 3, 8, 8)
 		sys.Run(60_000)
-		if lw := sys.LateWakes(); lw != 0 {
+		if lw := sys.Snapshot().LateWakes; lw != 0 {
 			t.Fatalf("%d late wakes (kernel=%s)", lw, kernel)
 		}
 		return fingerprint(sys, hi.ID, lo.ID)

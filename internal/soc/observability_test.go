@@ -3,6 +3,7 @@ package soc
 import (
 	"testing"
 
+	"pabst/internal/mem"
 	"pabst/internal/qos"
 	"pabst/internal/qospolicy"
 	"pabst/internal/workload"
@@ -23,15 +24,15 @@ func TestGovernorStateExposure(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.Run(10_000)
-	m, dm, period, ok := sys.GovernorState(0)
-	if !ok || m == 0 || dm == 0 {
-		t.Fatalf("GovernorState = %d,%d,%d,%v", m, dm, period, ok)
+	sn := sys.Snapshot()
+	if g := sn.Tile(0).Governor; !g.OK || g.M == 0 || g.DM == 0 {
+		t.Fatalf("governor state = %+v", g)
 	}
-	// Idle tile and out-of-range report not-ok.
-	if _, _, _, ok := sys.GovernorState(1); ok {
+	// Idle and out-of-range tiles have no snapshot at all.
+	if sn.Tile(1) != nil {
 		t.Fatal("idle tile reported governor state")
 	}
-	if _, _, _, ok := sys.GovernorState(-1); ok {
+	if sn.Tile(-1) != nil {
 		t.Fatal("out-of-range tile reported governor state")
 	}
 }
@@ -50,7 +51,7 @@ func TestGovernorStateAbsentInTargetOnly(t *testing.T) {
 	if err := sys.Finalize(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, ok := sys.GovernorState(0); ok {
+	if sn := sys.Snapshot(); sn.Tile(0).Governor.OK {
 		t.Fatal("target-only tile reported a source governor")
 	}
 }
@@ -71,7 +72,7 @@ func TestGovernorStatePerMC(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.Run(10_000)
-	if _, _, _, ok := sys.GovernorState(0); !ok {
+	if sn := sys.Snapshot(); !sn.Tile(0).Governor.OK || !sn.Tile(0).Governor.Multi {
 		t.Fatal("per-MC governor not reported")
 	}
 }
@@ -81,19 +82,19 @@ func TestMCUtilizationsWindowed(t *testing.T) {
 	sys, _, _ := twoClassStreams(t, cfg, qospolicy.None, 1, 1, 16, 16)
 	sys.Warmup(50_000)
 	sys.Run(50_000)
-	utils := sys.MCUtilizations()
-	if len(utils) != cfg.NumMCs {
-		t.Fatalf("%d channels reported", len(utils))
+	mcs := sys.Snapshot().MCs
+	if len(mcs) != cfg.NumMCs {
+		t.Fatalf("%d channels reported", len(mcs))
 	}
-	for i, u := range utils {
-		if u < 0.5 || u > 1.0 {
+	for i, mc := range mcs {
+		if u := mc.Utilization; u < 0.5 || u > 1.0 {
 			t.Fatalf("channel %d utilization %.2f under a flood", i, u)
 		}
 	}
 	// A fresh window right after reset reports zero.
 	sys.ResetStats()
-	for _, u := range sys.MCUtilizations() {
-		if u != 0 {
+	for _, mc := range sys.Snapshot().MCs {
+		if mc.Utilization != 0 {
 			t.Fatal("zero-cycle window reported utilization")
 		}
 	}
@@ -116,7 +117,8 @@ func TestL3OccupancyInternal(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.Run(200_000)
-	occ := sys.L3OccupancyOf(a.ID)
+	sn := sys.Snapshot()
+	occ := sn.Class(a.ID).L3OccupancyBytes
 	if occ == 0 {
 		t.Fatal("no occupancy recorded")
 	}
@@ -124,10 +126,16 @@ func TestL3OccupancyInternal(t *testing.T) {
 		t.Fatalf("occupancy %d exceeds the working set", occ)
 	}
 	// Snapshot fills every class from one pass per slice; it must agree
-	// with the per-class accessor.
-	for _, cs := range sys.Snapshot().Classes {
-		if want := sys.L3OccupancyOf(cs.ID); cs.L3OccupancyBytes != want {
-			t.Errorf("class %s: Snapshot occupancy %d, L3OccupancyOf %d", cs.Name, cs.L3OccupancyBytes, want)
+	// with each slice's own count, class by class.
+	for _, cs := range sn.Classes {
+		var want uint64
+		for _, sl := range sys.slices {
+			var lines [mem.MaxClasses]int
+			sl.cache.OccupancyInto(&lines)
+			want += uint64(lines[cs.ID]) * mem.LineSize
+		}
+		if cs.L3OccupancyBytes != want {
+			t.Errorf("class %s: Snapshot occupancy %d, slices hold %d", cs.Name, cs.L3OccupancyBytes, want)
 		}
 	}
 }

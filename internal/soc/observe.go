@@ -2,7 +2,6 @@ package soc
 
 import (
 	"fmt"
-	"io"
 
 	"pabst/internal/mem"
 	"pabst/internal/obs"
@@ -34,14 +33,6 @@ func (s *System) SetObserver(o *obs.Observer) error {
 
 // Observer returns the armed observer (nil when tracing is off).
 func (s *System) Observer() *obs.Observer { return s.obs }
-
-// MetricRegistry returns the system's gauge registry — the pull-style
-// complement to trace events, built at Finalize over live counters in
-// soc, dram, regulate, and qos. Nil before Finalize.
-func (s *System) MetricRegistry() *obs.Registry { return s.metrics }
-
-// WriteMetrics renders the metric registry as Prometheus-style text.
-func (s *System) WriteMetrics(w io.Writer) error { return s.metrics.WriteProm(w) }
 
 // emitEpoch publishes this epoch boundary's trace events. Order is
 // fixed — epoch summary, governors in tile order, arbiters then DRAM in
@@ -142,107 +133,4 @@ func (s *System) emitEpoch(now uint64, sat bool) {
 		e = obs.Event{Kind: obs.KindKernel, Cycle: now, Epoch: s.epochs, Unit: -1, LateWakes: lw}
 		s.obs.Emit(&e)
 	}
-}
-
-// buildMetricRegistry wires the pull-style gauge set over the live
-// counters previously reachable only through one-off accessors: system
-// progress (soc), per-class traffic shares (qos weights vs delivered
-// bytes), per-controller service counters (dram), and per-tile
-// regulator registers (regulate).
-func (s *System) buildMetricRegistry() *obs.Registry {
-	r := obs.NewRegistry()
-	r.Register("pabst_cycle", func() float64 { return float64(s.kernel.Now()) })
-	r.Register("pabst_epochs_total", func() float64 { return float64(s.epochs) })
-	r.Register("pabst_sat", func() float64 {
-		if s.satLast {
-			return 1
-		}
-		return 0
-	})
-	r.Register("pabst_fastforward_skipped_cycles_total", func() float64 {
-		return float64(s.kernel.Skipped())
-	})
-	r.Register("pabst_event_late_wakes_total", func() float64 {
-		return float64(s.kernel.LateWakes())
-	})
-
-	// Per-dispatch-class scheduler load (all zero on the reference loop,
-	// which has no classes): registered components, cumulative
-	// component dispatches, and their ratio against elapsed
-	// component-cycles — the dispatch occupancy the event kernel's
-	// speedup comes from driving below 1.0.
-	for c := 0; c < evNumClasses; c++ {
-		c := c
-		label := fmt.Sprintf("{class=%q}", evClassName(c))
-		r.Register("pabst_event_class_registered"+label, func() float64 {
-			reg, _ := s.kernel.EventClassStats()
-			if reg == nil {
-				return 0
-			}
-			return float64(reg[c])
-		})
-		r.Register("pabst_event_class_visited_total"+label, func() float64 {
-			_, vis := s.kernel.EventClassStats()
-			if vis == nil {
-				return 0
-			}
-			return float64(vis[c])
-		})
-		r.Register("pabst_event_class_occupancy"+label, func() float64 {
-			reg, vis := s.kernel.EventClassStats()
-			if reg == nil || reg[c] == 0 || s.kernel.Now() == 0 {
-				return 0
-			}
-			return float64(vis[c]) / (float64(s.kernel.Now()) * float64(reg[c]))
-		})
-	}
-
-	for _, c := range s.reg.Classes() {
-		c := c
-		label := fmt.Sprintf("{class=%q}", c.Name)
-		r.Register("pabst_class_weight"+label, func() float64 { return float64(s.reg.Weight(c.ID)) })
-		r.Register("pabst_class_entitled_share"+label, func() float64 { return s.reg.Share(c.ID) })
-		r.Register("pabst_class_bytes_total"+label, func() float64 {
-			var b uint64
-			for _, mc := range s.mcs {
-				b += mc.Stats.BytesByClass[c.ID]
-			}
-			return float64(b)
-		})
-		r.Register("pabst_class_share"+label, func() float64 { return s.Metrics().ShareOf(c.ID) })
-	}
-
-	for i := range s.mcs {
-		mc := s.mcs[i]
-		label := fmt.Sprintf("{mc=\"%d\"}", i)
-		r.Register("pabst_mc_reads_total"+label, func() float64 { return float64(mc.Stats.ReadsServed) })
-		r.Register("pabst_mc_writes_total"+label, func() float64 { return float64(mc.Stats.WritesServed) })
-		r.Register("pabst_mc_row_hits_total"+label, func() float64 { return float64(mc.Stats.RowHits) })
-		r.Register("pabst_mc_refreshes_total"+label, func() float64 { return float64(mc.Stats.Refreshes) })
-		r.Register("pabst_mc_bus_busy_cycles_total"+label, func() float64 { return float64(mc.Stats.BusBusyCycles) })
-		r.Register("pabst_mc_queue_depth"+label, func() float64 { return float64(mc.QueuedReads()) })
-		r.Register("pabst_mc_priority_inversions_total"+label, func() float64 { return float64(mc.Stats.PriorityInversions) })
-	}
-
-	for id := range s.tiles {
-		t := s.tiles[id]
-		if t == nil {
-			continue
-		}
-		p, ok := t.src.(regulate.Probe)
-		if !ok {
-			continue
-		}
-		label := fmt.Sprintf("{tile=\"%d\"}", id)
-		r.Register("pabst_governor_m"+label, func() float64 { m, _, _, _ := p.ProbeState(); return float64(m) })
-		r.Register("pabst_governor_period"+label, func() float64 { _, _, period, _ := p.ProbeState(); return float64(period) })
-	}
-
-	if s.faults != nil {
-		r.Register("pabst_faults_injected_total", func() float64 {
-			return float64(s.faults.Counters().Total())
-		})
-		r.Register("pabst_governor_divergence", func() float64 { return float64(s.divergeCurrent) })
-	}
-	return r
 }

@@ -42,8 +42,8 @@ func TestPrefetcherHelpsSequentialStream(t *testing.T) {
 	on := buildPrefetchRun(t, 4, mkGen())
 	on.Run(100_000)
 
-	offOps := off.Tiles()[0].Core().OpsRetired()
-	onOps := on.Tiles()[0].Core().OpsRetired()
+	offOps := off.tiles[0].Core().OpsRetired()
+	onOps := on.tiles[0].Core().OpsRetired()
 	if onOps < offOps*3/2 {
 		t.Fatalf("prefetch depth 4 lifted a dependent sequential walker only %d -> %d ops", offOps, onOps)
 	}
@@ -57,9 +57,10 @@ func TestPrefetcherHelpsSequentialStream(t *testing.T) {
 func TestPrefetchTrafficIsBilledToTheClass(t *testing.T) {
 	sys := buildPrefetchRun(t, 4, NewSeqChain())
 	sys.Run(100_000)
-	m := sys.Metrics()
-	reads, _, _ := sys.MCStatsSum()
-	if uint64(reads)*64 != m.BytesByClass[0] {
+	sn := sys.Snapshot()
+	m := sn.Window
+	reads, _, _ := mcTotals(sys)
+	if reads*64 != m.BytesByClass[0] {
 		t.Fatalf("read bytes %d not fully billed to the class (%d)", reads*64, m.BytesByClass[0])
 	}
 	// With depth 4 and a sequential walker, almost every line arrives

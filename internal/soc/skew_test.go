@@ -50,14 +50,14 @@ func TestPerMCGovernorsRecoverSkewedUtilization(t *testing.T) {
 		sys := buildSkewed(t, perMC)
 		sys.Warmup(150_000)
 		sys.Run(150_000)
-		utils := sys.MCUtilizations()
-		for i, u := range utils {
-			total += u
+		mcs := sys.Snapshot().MCs
+		for i, mc := range mcs {
+			total += mc.Utilization
 			if i > 0 {
-				cold += u
+				cold += mc.Utilization
 			}
 		}
-		return total / float64(len(utils)), cold / float64(len(utils)-1)
+		return total / float64(len(mcs)), cold / float64(len(mcs)-1)
 	}
 	globalTotal, globalCold := run(false)
 	perMCTotal, perMCCold := run(true)

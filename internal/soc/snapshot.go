@@ -6,10 +6,10 @@ import (
 )
 
 // Snapshot is a coherent point-in-time view of the system's observable
-// state: one call replaces the accumulation of one-off accessors
-// (ClassIPC, MCUtilizations, GovernorState, ...) that each re-derived a
-// slice of the same picture. It is a plain value — safe to retain,
-// compare, and serialize after the system moves on.
+// state, and the only read-out of it besides the window summary
+// (Metrics) and the tail percentiles (ClassTailLatency). It is a plain
+// value — safe to retain, compare, and serialize after the system moves
+// on.
 type Snapshot struct {
 	// Cycle is the capture time; Epochs counts heartbeats fired; Sat is
 	// the most recent wired-OR saturation signal.
@@ -128,23 +128,6 @@ func (s *System) Snapshot() Snapshot {
 			})
 		}
 	}
-	l3 := s.l3Occupancy()
-	for _, c := range s.reg.Classes() {
-		snap.Classes = append(snap.Classes, ClassSnapshot{
-			ID:               c.ID,
-			Name:             c.Name,
-			Weight:           s.reg.Weight(c.ID),
-			EntitledShare:    s.reg.Share(c.ID),
-			Share:            snap.Window.ShareOf(c.ID),
-			Bytes:            snap.Window.BytesByClass[c.ID],
-			BytesPerCycle:    snap.Window.BytesPerCycle(c.ID),
-			IPC:              s.ClassIPC(c.ID),
-			TileIPCs:         s.TileIPCs(c.ID),
-			MissLatency:      s.ClassMissLatency(c.ID),
-			MCReadLatency:    s.ClassMCReadLatency(c.ID),
-			L3OccupancyBytes: l3[c.ID],
-		})
-	}
 	for id, t := range s.tiles {
 		if t == nil {
 			continue
@@ -156,18 +139,67 @@ func (s *System) Snapshot() Snapshot {
 		}
 		snap.Tiles = append(snap.Tiles, ts)
 	}
-	util := s.MCUtilizations()
+	// One pass over each L3 slice fills every class's occupancy.
+	var l3 [mem.MaxClasses]uint64
+	var occ [mem.MaxClasses]int
+	for _, sl := range s.slices {
+		sl.cache.OccupancyInto(&occ)
+		for c, n := range occ {
+			l3[c] += uint64(n) * mem.LineSize
+		}
+	}
+	for _, c := range s.reg.Classes() {
+		cs := ClassSnapshot{
+			ID:               c.ID,
+			Name:             c.Name,
+			Weight:           s.reg.Weight(c.ID),
+			EntitledShare:    s.reg.Share(c.ID),
+			Share:            snap.Window.ShareOf(c.ID),
+			Bytes:            snap.Window.BytesByClass[c.ID],
+			BytesPerCycle:    snap.Window.BytesPerCycle(c.ID),
+			L3OccupancyBytes: l3[c.ID],
+		}
+		var ipcSum float64
+		for i := range snap.Tiles {
+			if snap.Tiles[i].Class == c.ID {
+				cs.TileIPCs = append(cs.TileIPCs, snap.Tiles[i].IPC)
+				ipcSum += snap.Tiles[i].IPC
+			}
+		}
+		if n := len(cs.TileIPCs); n > 0 {
+			cs.IPC = ipcSum / float64(n)
+		}
+		if cnt := s.e2eLatCnt[c.ID] - s.base.e2eLatCnt[c.ID]; cnt > 0 {
+			cs.MissLatency = float64(s.e2eLatSum[c.ID]-s.base.e2eLatSum[c.ID]) / float64(cnt)
+		}
+		var latSum, reads uint64
+		for _, mc := range s.mcs {
+			latSum += mc.Stats.ReadLatencyByClass[c.ID]
+			reads += mc.Stats.ReadsByClass[c.ID]
+		}
+		if reads > 0 {
+			cs.MCReadLatency = float64(latSum) / float64(reads)
+		}
+		snap.Classes = append(snap.Classes, cs)
+	}
 	for i, mc := range s.mcs {
-		snap.MCs = append(snap.MCs, MCSnapshot{
+		ms := MCSnapshot{
 			MC:                 i,
-			Utilization:        util[i],
 			QueuedReads:        mc.QueuedReads(),
 			Reads:              mc.Stats.ReadsServed,
 			Writes:             mc.Stats.WritesServed,
 			RowHits:            mc.Stats.RowHits,
 			Refreshes:          mc.Stats.Refreshes,
 			PriorityInversions: mc.Stats.PriorityInversions,
-		})
+		}
+		if snap.Window.Cycles > 0 {
+			busy := mc.Stats.BusBusyCycles
+			if i < len(s.base.busPerMC) { // nil until the first ResetStats
+				busy -= s.base.busPerMC[i]
+			}
+			ms.Utilization = float64(busy) / float64(snap.Window.Cycles)
+		}
+		snap.MCs = append(snap.MCs, ms)
 	}
 	return snap
 }

@@ -82,7 +82,7 @@ func TestSingleStreamMovesData(t *testing.T) {
 	if bpc := m.BytesPerCycle(c.ID); bpc < 2 {
 		t.Fatalf("single stream bandwidth %.2f B/cyc, unreasonably low", bpc)
 	}
-	if sys.ClassIPC(c.ID) == 0 {
+	if classOf(sys, c.ID).IPC == 0 {
 		t.Fatal("stream core retired nothing")
 	}
 }
@@ -98,7 +98,7 @@ func TestFloodSaturatesSystem(t *testing.T) {
 	if total < 0.75*peak {
 		t.Fatalf("32 streamers reach %.1f B/cyc of %.1f peak", total, peak)
 	}
-	if !sys.SATLast() {
+	if !sys.Snapshot().Sat {
 		t.Fatal("flooded system does not raise SAT")
 	}
 }
@@ -323,7 +323,7 @@ func TestL3ResidentWorkloadStopsUsingDRAM(t *testing.T) {
 	if bpc := m.BytesPerCycle(c.ID); bpc > 0.5 {
 		t.Fatalf("L3-resident stream still moves %.2f B/cyc from DRAM", bpc)
 	}
-	if sys.ClassIPC(c.ID) < 0.5 {
-		t.Fatalf("L3-resident stream IPC %.2f, should run fast from cache", sys.ClassIPC(c.ID))
+	if classOf(sys, c.ID).IPC < 0.5 {
+		t.Fatalf("L3-resident stream IPC %.2f, should run fast from cache", classOf(sys, c.ID).IPC)
 	}
 }

@@ -60,7 +60,6 @@ type System struct {
 	// tracing; satPerMC is the epochTick scratch vector, reused so the
 	// epoch hook allocates nothing on the synchronous-delivery path.
 	obs      *obs.Observer
-	metrics  *obs.Registry
 	satPerMC []bool
 	obsBytes [mem.MaxClasses]uint64 // cumulative class bytes at last emit
 	obsMC    []obsMCPrev            // per-controller counters at last emit
@@ -225,9 +224,6 @@ func (s *System) Now() uint64 { return s.kernel.Now() }
 // Epochs returns how many epoch heartbeats have fired.
 func (s *System) Epochs() uint64 { return s.epochs }
 
-// SATLast returns the most recent wired-OR saturation signal.
-func (s *System) SATLast() bool { return s.satLast }
-
 // Attach places a workload generator on a tile under a QoS class. The
 // tile must be free; the class must exist in the registry.
 func (s *System) Attach(tile int, class mem.ClassID, gen workload.Generator) error {
@@ -273,7 +269,6 @@ func (s *System) Finalize() error {
 
 	ep := s.cfg.PABST.EpochCycles
 	s.satPerMC = make([]bool, len(s.mcs))
-	s.metrics = s.buildMetricRegistry()
 	s.kernel.Every(ep, ep, s.epochTick)
 	s.kernel.Every(s.cfg.BWWindow, s.cfg.BWWindow, s.sampleTick)
 
@@ -286,9 +281,6 @@ func (s *System) Finalize() error {
 	s.finalized = true
 	return nil
 }
-
-// SkippedCycles returns how many cycles the event kernel jumped over.
-func (s *System) SkippedCycles() uint64 { return s.kernel.Skipped() }
 
 // epochMsg is one delayed heartbeat delivery (epoch jitter or an
 // injected SAT delay fault).
@@ -634,29 +626,6 @@ func (s *System) wbChargeClass(demander, owner mem.ClassID) mem.ClassID {
 		return demander
 	}
 }
-
-// MCUtilizations returns each channel's data-bus utilization over the
-// current measurement window.
-func (s *System) MCUtilizations() []float64 {
-	out := make([]float64, len(s.mcs))
-	cycles := s.kernel.Now() - s.base.cycle
-	if cycles == 0 {
-		return out
-	}
-	for i, mc := range s.mcs {
-		base := uint64(0)
-		if i < len(s.base.busPerMC) {
-			base = s.base.busPerMC[i]
-		}
-		out[i] = float64(mc.Stats.BusBusyCycles-base) / float64(cycles)
-	}
-	return out
-}
-
-// LateWakes returns the event kernel's count of same-cycle wakes that
-// targeted an already-drained class (always zero for this component
-// graph; nonzero means a push site lost its nextCycle clamp).
-func (s *System) LateWakes() uint64 { return s.kernel.LateWakes() }
 
 // gossipDepth returns a tile's depth in the fanout-ary heartbeat
 // distribution tree rooted at tile 0.

@@ -57,11 +57,11 @@ func TestTileMSHRCoalescing(t *testing.T) {
 	}
 	sys := buildOneTile(t, &oneOpGen{addrs: addrs, write: writes}, qospolicy.None)
 	sys.Run(2000)
-	reads, _, _ := sys.MCStatsSum()
+	reads, _, _ := mcTotals(sys)
 	if reads != 1 {
 		t.Fatalf("coalescing broken: %d memory reads for one line", reads)
 	}
-	if ipc := sys.ClassIPC(0); ipc == 0 {
+	if ipc := classOf(sys, 0).IPC; ipc == 0 {
 		t.Fatal("coalesced ops never completed")
 	}
 }
@@ -70,11 +70,11 @@ func TestTileL2HitGeneratesNoTraffic(t *testing.T) {
 	// One miss to warm the line, then hits forever.
 	sys := buildOneTile(t, &oneOpGen{addrs: []mem.Addr{0x40}, write: []bool{false}}, qospolicy.None)
 	sys.Run(5000)
-	reads, writes, _ := sys.MCStatsSum()
+	reads, writes, _ := mcTotals(sys)
 	if reads != 1 || writes != 0 {
 		t.Fatalf("L2-hit stream produced %d reads, %d writes", reads, writes)
 	}
-	core := sys.Tiles()[0].Core()
+	core := sys.tiles[0].Core()
 	if core.OpsRetired() < 1000 {
 		t.Fatalf("hit stream retired only %d ops", core.OpsRetired())
 	}
@@ -132,7 +132,7 @@ func TestWritebackChainL2ToL3ToDRAM(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.Run(600_000)
-	reads, writes, _ := sys.MCStatsSum()
+	reads, writes, _ := mcTotals(sys)
 	if writes == 0 {
 		t.Fatal("write stream produced no DRAM writebacks")
 	}
@@ -163,7 +163,7 @@ func TestIdleTilesStayIdle(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.Run(20_000)
-	for i, tl := range sys.Tiles() {
+	for i, tl := range sys.tiles {
 		if i == 3 {
 			if tl == nil || tl.Core().OpsRetired() == 0 {
 				t.Fatal("attached tile made no progress")
@@ -233,7 +233,7 @@ func TestTileBlockedWhenMSHRsFull(t *testing.T) {
 			if got := fingerprint(ev, classID); got != want {
 				t.Errorf("event kernel diverged under MSHR saturation:\n--- cycle\n%s--- event\n%s", want, got)
 			}
-			if lw := ev.LateWakes(); lw != 0 {
+			if lw := ev.Snapshot().LateWakes; lw != 0 {
 				t.Errorf("LateWakes = %d, want 0 (wake-on-completion must stay forward-only)", lw)
 			}
 			if strict {
@@ -256,7 +256,7 @@ func TestL1HitFasterThanL2Hit(t *testing.T) {
 	// working set lives in (independent ops would pipeline and hide it).
 	small := buildOneTile(t, &loopGen{addrs: []mem.Addr{0x40, 0x80}}, qospolicy.None)
 	small.Run(50_000)
-	ipcL1 := small.ClassIPC(0)
+	ipcL1 := classOf(small, 0).IPC
 
 	// Working set beyond L1 but inside L2: bounded by L2 hit latency.
 	l1Lines := cfg.L1Bytes / mem.LineSize
@@ -268,7 +268,7 @@ func TestL1HitFasterThanL2Hit(t *testing.T) {
 	big.Run(400_000)
 	big.ResetStats()
 	big.Run(100_000)
-	ipcL2 := big.ClassIPC(0)
+	ipcL2 := classOf(big, 0).IPC
 
 	if ipcL2 == 0 {
 		t.Fatal("L2-resident loop made no progress")

@@ -34,7 +34,7 @@ func TestValidateUncontendedMissLatency(t *testing.T) {
 	}
 	sys.Run(200_000)
 
-	measured := sys.ClassMissLatency(c.ID)
+	measured := classOf(sys, c.ID).MissLatency
 	// Components: tile->slice hop + slice access + slice->MC hop +
 	// DRAM ACT+CAS+burst + MC->tile hop. Mesh hops average ~8 cycles
 	// each on the 4x2 grid with base 4.
@@ -80,7 +80,7 @@ func TestValidateMLPBandwidthLaw(t *testing.T) {
 	sys.Warmup(50_000)
 	sys.Run(200_000)
 	m := sys.Metrics()
-	lat := sys.ClassMissLatency(c.ID)
+	lat := classOf(sys, c.ID).MissLatency
 	predicted := chains * float64(mem.LineSize) / lat
 	got := m.BytesPerCycle(c.ID)
 	if got < 0.75*predicted || got > 1.25*predicted {
@@ -94,7 +94,7 @@ func TestValidateDependentChainIPC(t *testing.T) {
 	cfg := testCfg8()
 	sys := buildOneTile(t, &loopGen{addrs: []mem.Addr{0x40, 0x80}}, qospolicy.None)
 	sys.Run(50_000)
-	got := sys.ClassIPC(0)
+	got := classOf(sys, 0).IPC
 	want := 1.0 / float64(cfg.L1HitLat) // 1 inst per op, one op per hit latency
 	if got < 0.8*want || got > 1.2*want {
 		t.Fatalf("dependent L1 chain IPC %.3f vs analytic %.3f", got, want)

@@ -68,10 +68,6 @@ func NewCSVSink(w io.Writer) Sink { return obs.NewCSVSink(w) }
 // NewFilterSink forwards to inner only the events keep accepts.
 func NewFilterSink(inner Sink, keep func(*Event) bool) Sink { return obs.NewFilterSink(inner, keep) }
 
-// MetricRegistry is a named set of gauge samplers over live simulator
-// counters — the pull-style complement to trace events.
-type MetricRegistry = obs.Registry
-
 // Convergence summarizes a regulated series' dynamics: settling point,
 // overshoot, and steady-state ripple/mean.
 type Convergence = obs.Convergence
@@ -87,11 +83,3 @@ func AnalyzeConvergence(samples []float64, target, tol float64, hold int) Conver
 // Observer returns the observer armed via WithObserver (nil when
 // tracing is off).
 func (s *System) Observer() *Observer { return s.inner.Observer() }
-
-// MetricRegistry returns the system's gauge registry, built at
-// construction over soc/dram/regulate/qos counters.
-func (s *System) MetricRegistry() *MetricRegistry { return s.inner.MetricRegistry() }
-
-// WriteMetrics renders the metric registry as Prometheus-style text,
-// sorted by metric name.
-func (s *System) WriteMetrics(w io.Writer) error { return s.inner.WriteMetrics(w) }

@@ -385,10 +385,6 @@ func (s *System) Run(cycles uint64) { s.inner.Run(cycles) }
 // repository benchmark (bench/) calls it.
 func (s *System) Close() {}
 
-// SkippedCycles reports how many cycles the event kernel jumped over
-// because no component had work (always zero on the reference loop).
-func (s *System) SkippedCycles() uint64 { return s.inner.SkippedCycles() }
-
 // Warmup runs cycles and then resets measurement state, so Metrics
 // reflects steady-state behavior only.
 func (s *System) Warmup(cycles uint64) { s.inner.Warmup(cycles) }
@@ -407,10 +403,7 @@ func (s *System) Series() *Series { return s.inner.Series() }
 
 // Snapshot captures the system's observable state — window metrics plus
 // per-class, per-tile, and per-controller detail — in one coherent
-// value. It replaces the per-facet accessors (ClassIPC, TileIPCs,
-// Share, ClassMissLatency, ClassMCReadLatency, SaturatedLastEpoch,
-// MCUtilizations, L3OccupancyOf, GovernorState, GovernorMs) that
-// earlier versions exposed individually.
+// value: the only per-class, per-tile and per-controller read-out.
 func (s *System) Snapshot() Snapshot { return s.inner.Snapshot() }
 
 // SetWeight changes a class's proportional share at run time (the

@@ -3,7 +3,6 @@ package pabst_test
 import (
 	"bytes"
 	"fmt"
-	"strings"
 	"testing"
 
 	"pabst"
@@ -232,42 +231,5 @@ func TestOptionsMatchConfigFields(t *testing.T) {
 	viaCfg := run(pabst.NewBuilder(cfg2, pabst.ModePABST), cfg2.L3Ways)
 	if viaOpts != viaCfg {
 		t.Errorf("options and config fields disagree:\n opts %s\n cfg  %s", viaOpts, viaCfg)
-	}
-}
-
-// TestMetricRegistryRender exercises the pull-style registry end to end.
-func TestMetricRegistryRender(t *testing.T) {
-	cfg := traceConfig()
-	b := pabst.NewBuilder(cfg, pabst.ModePABST)
-	hi := b.AddClass("hi", 7, cfg.L3Ways/2)
-	b.AddClass("lo", 3, cfg.L3Ways/2)
-	for i := 0; i < 4; i++ {
-		b.Attach(i, hi, pabst.Stream("hi", pabst.TileRegion(i), 128, false))
-	}
-	sys, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
-	sys.Run(20_000)
-
-	var sb strings.Builder
-	if err := sys.WriteMetrics(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{
-		"pabst_cycle 20000",
-		"pabst_epochs_total 9",
-		`pabst_class_entitled_share{class="hi"} 0.7`,
-		`pabst_mc_reads_total{mc="0"} `,
-		`pabst_governor_m{tile="0"} `,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("metrics output missing %q\n%s", want, out)
-		}
-	}
-	if v, ok := sys.MetricRegistry().Sample("pabst_cycle"); !ok || v != 20000 {
-		t.Errorf("Sample(pabst_cycle) = %v, %v", v, ok)
 	}
 }
