@@ -1,6 +1,6 @@
-// Ablation benches for the design choices DESIGN.md calls out. Each
-// bench runs the canonical 7:3 two-stream-class allocation (or the mix
-// its parameter matters for) with one knob moved, and reports how well
+// Ablation benches for the design choices with no sweep axis
+// (`pabstsweep -param <axis>` runs the rest). Each runs the canonical 7:3
+// two-stream-class allocation with one knob moved and reports how well
 // the split holds and how much throughput the system sustains:
 //
 //	go test -bench=Ablation -benchmem
@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"pabst"
-	"pabst/internal/dram"
 )
 
 // runStreams73 runs the canonical 7:3 allocation and returns (hi share,
@@ -46,42 +45,6 @@ func reportAllocation(b *testing.B, label string, share, bpc float64) {
 	b.ReportMetric(bpc, label+"/B-per-cyc")
 }
 
-func BenchmarkAblationEpochLength(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, epoch := range []uint64{500, 2000, 10000, 20000} {
-			share, bpc := runStreams73(b, func(c *pabst.SystemConfig) { c.PABST.EpochCycles = epoch })
-			reportAllocation(b, fmt.Sprintf("epoch-%d", epoch), share, bpc)
-		}
-	}
-}
-
-func BenchmarkAblationScaleF(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, f := range []uint64{16, 256, 4096} {
-			share, bpc := runStreams73(b, func(c *pabst.SystemConfig) { c.PABST.ScaleF = f })
-			reportAllocation(b, fmt.Sprintf("F-%d", f), share, bpc)
-		}
-	}
-}
-
-func BenchmarkAblationBurstCredit(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, burst := range []int{1, 16, 64} {
-			share, bpc := runStreams73(b, func(c *pabst.SystemConfig) { c.PABST.BurstCredit = burst })
-			reportAllocation(b, fmt.Sprintf("burst-%d", burst), share, bpc)
-		}
-	}
-}
-
-func BenchmarkAblationPagePolicy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, pol := range []dram.PagePolicy{dram.ClosedPage, dram.OpenPage} {
-			share, bpc := runStreams73(b, func(c *pabst.SystemConfig) { c.DRAM.Policy = pol })
-			reportAllocation(b, pol.String(), share, bpc)
-		}
-	}
-}
-
 func BenchmarkAblationRefresh(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		share, bpc := runStreams73(b, func(c *pabst.SystemConfig) {})
@@ -93,65 +56,12 @@ func BenchmarkAblationRefresh(b *testing.B) {
 	}
 }
 
-func BenchmarkAblationFrontQueueDepth(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, q := range []int{8, 32, 128} {
-			share, bpc := runStreams73(b, func(c *pabst.SystemConfig) {
-				c.DRAM.FrontReadQ = q
-				c.DRAM.FrontWriteQ = q
-				c.DRAM.WriteHighWater = q * 3 / 4
-				c.DRAM.WriteLowWater = q / 4
-			})
-			reportAllocation(b, fmt.Sprintf("queue-%d", q), share, bpc)
-		}
-	}
-}
-
-// BenchmarkAblationSlack measures the arbiter slack on the chaser mix,
-// where target-side priority matters most.
-func BenchmarkAblationSlack(b *testing.B) {
-	run := func(slack uint64) float64 {
-		cfg := pabst.Default32Config()
-		cfg.PABST.EpochCycles = 2000
-		cfg.BWWindow = 2000
-		cfg.PABST.Slack = slack
-		bl := pabst.NewBuilder(cfg, pabst.ModePABST)
-		hi := bl.AddClass("chaser", 3, cfg.L3Ways/2)
-		lo := bl.AddClass("stream", 1, cfg.L3Ways/2)
-		for i := 0; i < 16; i++ {
-			bl.Attach(i, hi, pabst.Chaser("chaser", pabst.TileRegion(i), 8, uint64(i)+1))
-			bl.Attach(16+i, lo, pabst.Stream("s", pabst.TileRegion(16+i), 128, true))
-		}
-		sys, err := bl.Build()
-		if err != nil {
-			b.Fatal(err)
-		}
-		sys.Warmup(100_000)
-		sys.Run(150_000)
-		return sys.Metrics().ShareOf(hi)
-	}
-	for i := 0; i < b.N; i++ {
-		for _, slack := range []uint64{8, 128, 4096} {
-			b.ReportMetric(run(slack), fmt.Sprintf("slack-%d/chaser-share", slack))
-		}
-	}
-}
-
 func BenchmarkAblationPerMCGovernors(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		share, bpc := runStreams73(b, func(c *pabst.SystemConfig) { c.PABST.PerMCGovernors = true })
 		reportAllocation(b, "per-mc", share, bpc)
 		share, bpc = runStreams73(b, func(c *pabst.SystemConfig) {})
 		reportAllocation(b, "global", share, bpc)
-	}
-}
-
-func BenchmarkAblationBankQueues(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		share, bpc := runStreams73(b, func(c *pabst.SystemConfig) {})
-		reportAllocation(b, "single-pool", share, bpc)
-		share, bpc = runStreams73(b, func(c *pabst.SystemConfig) { c.DRAM.BankQueueDepth = 2 })
-		reportAllocation(b, "two-stage", share, bpc)
 	}
 }
 

@@ -103,7 +103,7 @@ func normalizeConfig(cfg config.System) config.System {
 // classes, and attachments. Two systems restore each other's
 // checkpoints iff their fingerprints match.
 func (s *System) Fingerprint() ([32]byte, error) {
-	doc := fpDoc{Config: normalizeConfig(s.inner.Config()), Mode: s.mode.String()}
+	doc := fpDoc{Config: normalizeConfig(s.inner.Config()), Mode: s.inner.Pair().String()}
 	for _, c := range s.inner.Registry().Classes() {
 		doc.Classes = append(doc.Classes, fpClass{Name: c.Name, L3Ways: c.L3Ways})
 	}
@@ -166,7 +166,7 @@ func (s *System) Checkpoint(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	meta := ckptMeta{Config: normalizeConfig(s.inner.Config()), Mode: s.mode.String()}
+	meta := ckptMeta{Config: normalizeConfig(s.inner.Config()), Mode: s.inner.Pair().String()}
 	for _, c := range s.reg.Classes() {
 		meta.Classes = append(meta.Classes, metaClass{Name: c.Name, Weight: c.Weight, L3Ways: c.L3Ways})
 	}

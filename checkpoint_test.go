@@ -241,11 +241,16 @@ func TestCheckpointTypedErrors(t *testing.T) {
 	})
 
 	t.Run("version", func(t *testing.T) {
-		bad := append([]byte(nil), raw...)
-		bad[8]++ // format version lives right after the 8-byte magic
-		_, err := pabst.Restore(bytes.NewReader(bad))
-		if !errors.Is(err, pabst.ErrCkptVersion) {
-			t.Errorf("want ErrCkptVersion, got %v", err)
+		// A newer build's file, and the previous format's: an intact
+		// Version-3 image (CRC re-sealed) is refused, not migrated.
+		for _, v := range []uint32{5, 3} {
+			bad := append([]byte(nil), raw[:len(raw)-8]...)
+			binary.LittleEndian.PutUint32(bad[8:], v) // the version word follows the 8-byte magic
+			bad = binary.LittleEndian.AppendUint64(bad, crc64.Checksum(bad, crc64.MakeTable(crc64.ECMA)))
+			_, err := pabst.Restore(bytes.NewReader(bad))
+			if !errors.Is(err, pabst.ErrCkptVersion) {
+				t.Errorf("version %d: want ErrCkptVersion, got %v", v, err)
+			}
 		}
 	})
 
@@ -355,33 +360,38 @@ func TestCheckpointClosureGenerators(t *testing.T) {
 	}
 }
 
-// TestCheckpointFormatFrozen pins the persisted form of the mechanism
-// selection: the builder's mode and the configuration's override are
-// recorded apart, under the names they have always had, so checkpoint
-// bytes and machine fingerprints (the warm-store keys) of both a
-// default-pair and an overridden-pair machine equal the constants
-// captured before the mode became a policy pair. If either changes,
-// ckpt.Version must be bumped — that is a format change, not a
-// baseline update.
+// TestCheckpointFormatFrozen pins the persisted form of a machine:
+// checkpoint bytes and machine fingerprints (the warm-store keys) equal
+// the constants captured when ckpt.Version became 4. The mechanism is
+// recorded once, as the resolved pair, so a pair spelled as an override
+// and the same pair spelled as the builder's mode are one machine. If
+// any constant changes, ckpt.Version must be bumped — that is a format
+// change, not a baseline update.
 func TestCheckpointFormatFrozen(t *testing.T) {
+	const (
+		dpqMachine = "fc7391dd7560a1cdfa224e07242762c08f1f3509f8ad662c4eb44a1b0b28adc0"
+		dpqContent = "837eba0d2f11e293820835511d8eb41b9211f419a3f1a69baf0e3db4bab5b326"
+	)
 	for _, c := range []struct {
 		name             string
+		mode             pabst.Mode
 		opts             []pabst.Option
 		pair             string
 		machine, content string
 	}{
-		{"default", nil, "pabst+fcfs",
-			"8d2319225bbd2776471b2d8263c66a62e8eaa96bd045f3b6f67a5cd2b80ffa7d",
-			"1df92336678be203d0d00186e32d983559548e6b6b283a2661fd3a19c3ed8f83"},
-		{"overridden", []pabst.Option{pabst.WithPolicy("", "dpq")}, "pabst+dpq",
-			"d96507c0827954c8a67c9716da3258d0f9e5cd58210138d9f1af489bab5742ad",
-			"d6bb9dfd65bdfecddce1488fb255254c95f231bd71a625e6d59cab5a0fa3bcab"},
+		{"default", pabst.ModeSourceOnly, nil, "pabst+fcfs",
+			"2a7268343a2e15abed1d7b0cd74d3cefe5d27323d6ff613a9381cdb0cf7eec85",
+			"91e8170bc959845a40d25a7e186bb818d5e5252694a1b189b1376c38f9b67f47"},
+		{"overridden", pabst.ModeSourceOnly, []pabst.Option{pabst.WithPolicy("", "dpq")}, "pabst+dpq",
+			dpqMachine, dpqContent},
+		{"spelled-as-mode", pabst.Mode{Source: "pabst", Target: "dpq"}, nil, "pabst+dpq",
+			dpqMachine, dpqContent},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := pabst.Default32Config()
 			cfg.PABST.EpochCycles = 2000
 			cfg.BWWindow = 2000
-			b := pabst.NewBuilder(cfg, pabst.ModeSourceOnly, c.opts...)
+			b := pabst.NewBuilder(cfg, c.mode, c.opts...)
 			hi := b.AddClass("hi", 3, cfg.L3Ways/2)
 			lo := b.AddClass("lo", 1, cfg.L3Ways/2)
 			for i := 0; i < 16; i++ {
@@ -415,8 +425,8 @@ func TestCheckpointFormatFrozen(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if info.Version != 3 {
-				t.Errorf("checkpoint format version %d, frozen 3", info.Version)
+			if info.Version != 4 {
+				t.Errorf("checkpoint format version %d, frozen 4", info.Version)
 			}
 			// The self-describing restore reads the same selection back.
 			back, err := pabst.Restore(bytes.NewReader(ck.Bytes()))

@@ -98,7 +98,7 @@ func main() {
 		for _, e := range listing() {
 			fmt.Printf("%-10s %s\n", e.name, e.desc)
 		}
-		fmt.Println("\nworkloads (for -spec; see pabst.Workloads):")
+		fmt.Println("\nworkload generators (pabst.Workloads; -spec takes the SPEC CPU 2006 proxies only):")
 		for _, w := range pabst.Workloads() {
 			fmt.Printf("%-12s %-24s %s\n", w.Name, w.Args, w.Desc)
 		}
@@ -114,15 +114,8 @@ func main() {
 	check(common.Apply(&scale))
 	scale.Parallel = *parallel
 
-	var workloads []string
-	if *specs != "" {
-		workloads = strings.Split(*specs, ",")
-		for _, w := range workloads {
-			if _, err := pabst.WorkloadByName(w, pabst.TileRegion(0), 1); err != nil {
-				fatalf("%v", err)
-			}
-		}
-	}
+	workloads, err := specSubset(*specs)
+	check(err)
 
 	args := flag.Args()
 	if len(args) == 0 {
@@ -201,6 +194,22 @@ func main() {
 			fmt.Printf("[%s: %.1fs]\n\n", name, time.Since(start).Seconds())
 		}
 	}
+}
+
+// specSubset parses the -spec list. Only SPEC proxies are accepted: the
+// fig10-12 benches build their machines through pabst.SpecProxy, so any
+// other registered workload name would fail after simulation started.
+func specSubset(list string) ([]string, error) {
+	if list == "" {
+		return nil, nil
+	}
+	names := strings.Split(list, ",")
+	for _, w := range names {
+		if _, err := pabst.SpecProxy(w, pabst.TileRegion(0), 1); err != nil {
+			return nil, fmt.Errorf("-spec: %w (have %s)", err, strings.Join(pabst.SpecNames(), ","))
+		}
+	}
+	return names, nil
 }
 
 // registryExperiment resolves a registry-routed experiment, honoring the

@@ -1,7 +1,7 @@
 // Command pabstsweep runs ablation sweeps over the PABST design
 // parameters called out in DESIGN.md: epoch length, the rate scale factor
 // F, pacer burst credit, arbiter slack, front-end queue depth, page
-// policy, bank-queue organization, and gain inertia.
+// policy, and gain inertia.
 //
 // Each axis is an experiment (exp.ParamSweeps) run through the same seam
 // as pabstsim's figures, and each point an exp.RunSpec — the same
@@ -10,8 +10,8 @@
 // produce bit-identical machines and results. Every point runs the
 // canonical 7:3 two-stream-class allocation and reports how well the
 // split converged and how much throughput the system sustained; the
-// slack and bankq sweeps additionally run the chaser mix, where the
-// arbiter matters most.
+// slack sweep additionally runs the chaser mix, where the arbiter
+// matters most.
 //
 // Usage:
 //
@@ -54,7 +54,9 @@ func main() {
 	sc.Parallel = *parallel
 
 	ran := false
+	var axes []string
 	for _, e := range exp.ParamSweeps() {
+		axes = append(axes, e.Name())
 		if *param != "" && e.Name() != *param {
 			continue
 		}
@@ -65,7 +67,7 @@ func main() {
 		fmt.Println()
 	}
 	if !ran {
-		check(fmt.Errorf("no sweep axis %q", *param))
+		check(fmt.Errorf("no sweep axis %q (have %v)", *param, axes))
 	}
 }
 

@@ -43,8 +43,10 @@ import (
 // History: v1 was the initial format; v2 added the per-tile and
 // per-class-baseline latency histograms to the soc walk; v3 sharded the
 // fault injector's NoC stream into per-tile/per-MC cursors and made the
-// NoC fabric's inject-fail counter per-router.
-const Version uint32 = 3
+// NoC fabric's inject-fail counter per-router; v4 dropped the DRAM
+// controller's per-bank queue slot, and the header records the resolved
+// mechanism pair once (the configuration no longer carries an override).
+const Version uint32 = 4
 
 var magic = [8]byte{'P', 'A', 'B', 'S', 'T', 'C', 'K', 'P'}
 

@@ -13,7 +13,6 @@ import (
 	"pabst/internal/noc"
 	"pabst/internal/pabst"
 	"pabst/internal/qos"
-	"pabst/internal/qospolicy"
 )
 
 // System describes one simulated machine. All latencies are in cycles of
@@ -100,13 +99,6 @@ type System struct {
 	// times slower at every machine size — which tests and the benchmark
 	// compare fingerprints against (DESIGN.md, "Event-driven kernel").
 	Kernel string `json:",omitempty"`
-
-	// SourcePolicy/TargetPolicy select QoS mechanisms by registry name
-	// (see internal/qospolicy). Empty fields keep the defaults derived
-	// from the regulation mode, so existing configurations — and their
-	// checkpoint fingerprints — are unchanged.
-	SourcePolicy string `json:",omitempty"`
-	TargetPolicy string `json:",omitempty"`
 }
 
 // Kernel values.
@@ -294,14 +286,6 @@ func (s *System) Validate() error {
 	default:
 		return fmt.Errorf("config: Kernel: unknown kernel %q (want %q or %q): %w",
 			s.Kernel, KernelCycle, KernelEvent, ErrInvalid)
-	}
-	if s.SourcePolicy != "" && !qospolicy.ValidSource(s.SourcePolicy) {
-		return fmt.Errorf("config: SourcePolicy: unknown policy %q (have %v): %w",
-			s.SourcePolicy, qospolicy.SourceNames(), ErrInvalid)
-	}
-	if s.TargetPolicy != "" && !qospolicy.ValidTarget(s.TargetPolicy) {
-		return fmt.Errorf("config: TargetPolicy: unknown policy %q (have %v): %w",
-			s.TargetPolicy, qospolicy.TargetNames(), ErrInvalid)
 	}
 	return nil
 }

@@ -38,10 +38,9 @@ func BenchmarkControllerIdle(b *testing.B) {
 // benchIndexed drives the indexed controller with pooled packets under
 // EDF at one front-end queue depth. One iteration is one cycle; with the
 // pool in the loop the steady state must report 0 allocs/op.
-func benchIndexed(b *testing.B, depth, bankQ int) {
+func benchIndexed(b *testing.B, depth int) {
 	cfg := testCfg()
 	cfg.FrontReadQ = depth
-	cfg.BankQueueDepth = bankQ
 	var pool mem.Pool
 	mc, _ := NewController(0, cfg, func(p *mem.Packet, _ uint64) { pool.Put(p) })
 	mc.SetScheduler(SchedEDF, &diffArbiter{rng: rand.New(rand.NewSource(7))})
@@ -74,15 +73,11 @@ func benchIndexed(b *testing.B, depth, bankQ int) {
 	}
 }
 
-// BenchmarkPickIssueDepth* measure the single-stage EDF datapath
-// (pickRead + issueRead) at front-end queue depths 8, 32 and 128.
-func BenchmarkPickIssueDepth8(b *testing.B)   { benchIndexed(b, 8, 0) }
-func BenchmarkPickIssueDepth32(b *testing.B)  { benchIndexed(b, 32, 0) }
-func BenchmarkPickIssueDepth128(b *testing.B) { benchIndexed(b, 128, 0) }
-
-// BenchmarkDispatchIssueBanked measures the two-stage organization
-// (dispatchToBanks + issueFromBanks) at the deepest front queue.
-func BenchmarkDispatchIssueBanked(b *testing.B) { benchIndexed(b, 128, 3) }
+// BenchmarkPickIssueDepth* measure the EDF datapath (issueRead) at
+// front-end queue depths 8, 32 and 128.
+func BenchmarkPickIssueDepth8(b *testing.B)   { benchIndexed(b, 8) }
+func BenchmarkPickIssueDepth32(b *testing.B)  { benchIndexed(b, 32) }
+func BenchmarkPickIssueDepth128(b *testing.B) { benchIndexed(b, 128) }
 
 // BenchmarkScanReferenceDepth128 is the frozen pre-index scan on the
 // same traffic shape, so `go test -bench 'PickIssueDepth128|ScanReference'`

@@ -33,15 +33,6 @@ type Config struct {
 	// may run, in bursts. It keeps modeled latencies honest by refusing
 	// to issue commands whose data slot is far in the future.
 	PipelineDepth int
-
-	// BankQueueDepth selects the two-stage organization the paper
-	// describes (EDF "in two places"): the front end dispatches up to
-	// this many reads into each bank's queue in priority order, and the
-	// back end serves bank-queue heads row-hit-first then by priority.
-	// 0 keeps the single-pool scheduler that picks directly from the
-	// front-end queue (the default; slightly more agile because requests
-	// are never pre-committed to a bank).
-	BankQueueDepth int
 }
 
 // maxQueueDepth bounds every queue capacity. The queues are allocated
@@ -70,9 +61,6 @@ func (c Config) Validate() error {
 	}
 	if c.PipelineDepth <= 0 {
 		return fmt.Errorf("dram: pipeline depth must be positive")
-	}
-	if c.BankQueueDepth < 0 || c.BankQueueDepth > maxQueueDepth {
-		return fmt.Errorf("dram: bank queue depth %d outside [0, %d]", c.BankQueueDepth, maxQueueDepth)
 	}
 	return nil
 }
@@ -120,9 +108,8 @@ type wentry struct {
 
 type bank struct {
 	readyAt uint64
-	openRow int64                 // -1 when closed
-	queue   sim.Ring[*mem.Packet] // two-stage back-end queue (FIFO)
-	writes  sim.Ring[wentry]      // per-bank write bucket (FIFO by seq)
+	openRow int64            // -1 when closed
+	writes  sim.Ring[wentry] // per-bank write bucket (FIFO by seq)
 }
 
 // Stats aggregates per-controller counters. Byte counters are cumulative;
@@ -211,17 +198,12 @@ func NewController(id int, cfg Config, respond Responder) (*Controller, error) {
 		rowShift:  cfg.AddrShift + uint(bits.TrailingZeros(uint(cfg.Banks))) + uint(bits.TrailingZeros(uint(cfg.RowLines))),
 		respond:   respond,
 	}
-	// Row-hit candidate heaps are only needed when the single-pool pick
-	// prefers open-row requests; the two-stage back end checks its bank
-	// heads directly.
-	useHit := cfg.Policy == OpenPage && cfg.BankQueueDepth == 0
-	c.fe = newFrontSched(cfg.Banks, cfg.FrontReadQ, useHit)
+	// Row-hit candidate heaps are only needed when the pick prefers
+	// open-row requests.
+	c.fe = newFrontSched(cfg.Banks, cfg.FrontReadQ, cfg.Policy == OpenPage)
 	for i := range c.banks {
 		c.banks[i].openRow = -1
 		c.banks[i].writes.Grow(cfg.FrontWriteQ)
-		if cfg.BankQueueDepth > 0 {
-			c.banks[i].queue.Grow(cfg.BankQueueDepth)
-		}
 	}
 	return c, nil
 }
@@ -320,18 +302,8 @@ func (c *Controller) insertWrite(pkt *mem.Packet) {
 }
 
 // QueuedReads returns the current front-end read queue depth (the
-// saturation monitor's subject; bank queues are counted separately).
+// saturation monitor's subject).
 func (c *Controller) QueuedReads() int { return c.fe.count }
-
-// BankQueued returns reads dispatched into back-end bank queues
-// (two-stage organization only).
-func (c *Controller) BankQueued() int {
-	n := 0
-	for b := range c.banks {
-		n += c.banks[b].queue.Len()
-	}
-	return n
-}
 
 // QueuedWrites returns the current write queue depth.
 func (c *Controller) QueuedWrites() int { return c.nWrites }
@@ -370,8 +342,8 @@ func (c *Controller) StallBank(b int, until uint64) {
 
 // NextEventAt reports the earliest cycle >= from at which Tick would do
 // real work, so the event kernel can skip the controller until then.
-// Any queued or reserved request (front-end, bank queues) or an active
-// fault freeze makes the controller busy immediately. With everything drained the controller
+// Any queued or reserved request or an active fault freeze makes the
+// controller busy immediately. With everything drained the controller
 // reports no event: pending refreshes are reproduced arithmetically by
 // FastForward, and in-flight data bursts were already scheduled onto the
 // responder when they issued.
@@ -379,11 +351,6 @@ func (c *Controller) NextEventAt(from uint64) uint64 {
 	if c.fe.count > 0 || c.nWrites > 0 ||
 		c.reservedReads > 0 || c.reservedWrites > 0 || from < c.frozenUntil {
 		return from
-	}
-	for b := range c.banks {
-		if c.banks[b].queue.Len() > 0 {
-			return from
-		}
 	}
 	return ^uint64(0)
 }
@@ -471,85 +438,12 @@ func (c *Controller) Tick(now uint64) {
 
 	if c.writeMode {
 		c.issueWrite(now)
-	} else if c.cfg.BankQueueDepth > 0 {
-		c.dispatchToBanks(now)
-		c.issueFromBanks(now)
 	} else {
 		c.issueRead(now)
 	}
 }
 
-// dispatchToBanks is the two-stage front end: move the best-priority read
-// whose bank queue has room from the front-end queue into that bank's
-// queue (one dispatch per cycle). Each bank heap's top is its best
-// candidate, so the pick compares one node per occupied, non-full bank.
-func (c *Controller) dispatchToBanks(now uint64) {
-	f := c.fe
-	best := int32(-1)
-	for wi, word := range f.occupied {
-		for ; word != 0; word &= word - 1 {
-			b := wi<<6 | bits.TrailingZeros64(word)
-			if c.banks[b].queue.Len() >= c.cfg.BankQueueDepth {
-				continue
-			}
-			if top := f.banks[b].all.items[0]; best < 0 || f.less(top, best) {
-				best = top
-			}
-		}
-	}
-	if best < 0 {
-		return
-	}
-	b := f.nodes[best].bank
-	pkt := f.remove(best)
-	c.banks[b].queue.PushBack(pkt)
-}
-
-// issueFromBanks is the two-stage back end: among ready banks' queue
-// heads, serve row hits first, then priority order.
-func (c *Controller) issueFromBanks(now uint64) {
-	bestBank := -1
-	bestHit := false
-	var bestPkt *mem.Packet
-	minDL := ^uint64(0) // earliest deadline among ready candidates
-	for b := range c.banks {
-		bk := &c.banks[b]
-		if bk.readyAt > now {
-			continue
-		}
-		pkt, ok := bk.queue.Front()
-		if !ok {
-			continue
-		}
-		if pkt.Deadline < minDL {
-			minDL = pkt.Deadline
-		}
-		hit := c.cfg.Policy == OpenPage && bk.openRow == c.rowOf(pkt.Addr)
-		if bestBank == -1 {
-			bestBank, bestHit, bestPkt = b, hit, pkt
-			continue
-		}
-		if hit != bestHit {
-			if hit {
-				bestBank, bestHit, bestPkt = b, hit, pkt
-			}
-			continue
-		}
-		if c.better(pkt, bestPkt) {
-			bestBank, bestPkt = b, pkt
-		}
-	}
-	if bestBank < 0 {
-		return
-	}
-	pkt, _ := c.banks[bestBank].queue.PopFront()
-	if c.sched == SchedEDF && pkt.Deadline > minDL {
-		c.Stats.PriorityInversions++
-	}
-	c.serveRead(pkt, now)
-}
-
-// issueRead is the single-pool pick: at most one candidate per ready
+// issueRead is the read pick: at most one candidate per ready
 // bank holding a read (its open-row heap top if non-empty, else its
 // all-heap top), row hits first, then the scheduling order. This is
 // bit-identical to the old whole-queue scan — see the equivalence note
@@ -604,9 +498,8 @@ func (c *Controller) issueRead(now uint64) {
 	c.serveRead(pkt, now)
 }
 
-// serveRead performs the bank access, stats, and response for a read
-// selected by either organization. Ownership of the packet passes to
-// the responder.
+// serveRead performs the bank access, stats, and response for the
+// picked read. Ownership of the packet passes to the responder.
 func (c *Controller) serveRead(pkt *mem.Packet, now uint64) {
 	if c.arbiter != nil {
 		c.arbiter.OnPick(pkt, now)
@@ -619,17 +512,6 @@ func (c *Controller) serveRead(pkt *mem.Packet, now uint64) {
 	c.Stats.ReadsByClass[pkt.Class]++
 	c.Stats.ReadLatencyByClass[pkt.Class] += doneAt - pkt.Enq
 	c.respond(pkt, doneAt)
-}
-
-// better reports whether a should be served before b under the active
-// scheduling policy (bank readiness already checked).
-func (c *Controller) better(a, b *mem.Packet) bool {
-	if c.sched == SchedEDF {
-		if a.Deadline != b.Deadline {
-			return a.Deadline < b.Deadline
-		}
-	}
-	return a.Enq < b.Enq
 }
 
 func (c *Controller) issueWrite(now uint64) {
@@ -696,10 +578,8 @@ func (c *Controller) access(now uint64, addr mem.Addr, write bool) uint64 {
 		if bk.openRow != row {
 			bk.openRow = row
 			// The open row changed, so this bank's row-hit candidate
-			// set is stale; rebuild it (single-pool open-page only).
-			if c.fe.useHit {
-				c.fe.rebuildHit(int32(b), row)
-			}
+			// set is stale; rebuild it.
+			c.fe.rebuildHit(int32(b), row)
 		}
 	}
 	if rowHit {

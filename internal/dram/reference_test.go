@@ -38,7 +38,6 @@ type RefController struct {
 type refBank struct {
 	readyAt uint64
 	openRow int64
-	queue   []*mem.Packet
 }
 
 // NewRefController builds the reference controller.
@@ -128,9 +127,6 @@ func (c *RefController) Tick(now uint64) {
 	}
 	if c.writeMode {
 		c.issueWrite(now)
-	} else if c.cfg.BankQueueDepth > 0 {
-		c.dispatchToBanks(now)
-		c.issueFromBanks(now)
 	} else {
 		c.issueRead(now)
 	}
@@ -185,71 +181,6 @@ func (c *RefController) issueRead(now uint64) {
 	}
 	pkt := c.readQ[i]
 	c.readQ = append(c.readQ[:i], c.readQ[i+1:]...)
-	if c.arbiter != nil {
-		c.arbiter.OnPick(pkt, now)
-	}
-	dataStart := c.access(now, pkt.Addr, false)
-	doneAt := dataStart + uint64(c.cfg.Timing.TBurst)
-	c.Stats.ReadsServed++
-	c.respond(pkt, doneAt)
-}
-
-func (c *RefController) dispatchToBanks(now uint64) {
-	best := -1
-	for i, pkt := range c.readQ {
-		if len(c.banks[c.bankOf(pkt.Addr)].queue) >= c.cfg.BankQueueDepth {
-			continue
-		}
-		if best == -1 || c.better(pkt, c.readQ[best]) {
-			best = i
-		}
-	}
-	if best < 0 {
-		return
-	}
-	pkt := c.readQ[best]
-	c.readQ = append(c.readQ[:best], c.readQ[best+1:]...)
-	bk := &c.banks[c.bankOf(pkt.Addr)]
-	bk.queue = append(bk.queue, pkt)
-}
-
-func (c *RefController) issueFromBanks(now uint64) {
-	bestBank := -1
-	bestHit := false
-	minDL := ^uint64(0)
-	for b := range c.banks {
-		bk := &c.banks[b]
-		if len(bk.queue) == 0 || bk.readyAt > now {
-			continue
-		}
-		pkt := bk.queue[0]
-		if pkt.Deadline < minDL {
-			minDL = pkt.Deadline
-		}
-		hit := c.cfg.Policy == OpenPage && bk.openRow == c.rowOf(pkt.Addr)
-		if bestBank == -1 {
-			bestBank, bestHit = b, hit
-			continue
-		}
-		if hit != bestHit {
-			if hit {
-				bestBank, bestHit = b, hit
-			}
-			continue
-		}
-		if c.better(pkt, c.banks[bestBank].queue[0]) {
-			bestBank = b
-		}
-	}
-	if bestBank < 0 {
-		return
-	}
-	bk := &c.banks[bestBank]
-	pkt := bk.queue[0]
-	bk.queue = bk.queue[1:]
-	if c.sched == SchedEDF && pkt.Deadline > minDL {
-		c.Stats.PriorityInversions++
-	}
 	if c.arbiter != nil {
 		c.arbiter.OnPick(pkt, now)
 	}

@@ -3,10 +3,10 @@ package dram
 import "pabst/internal/mem"
 
 // This file holds the controller's incrementally-maintained scheduling
-// index. It replaces the three per-cycle O(n) scans over the front-end
-// read queue (pickRead, dispatchToBanks, and the write pick) with
-// per-bank structures that answer "best candidate in this bank" in O(1)
-// and are updated in O(log n) on arrival and service:
+// index. It replaces the per-cycle O(n) scans over the front-end
+// queues (the read pick and the write pick) with per-bank structures
+// that answer "best candidate in this bank" in O(1) and are updated in
+// O(log n) on arrival and service:
 //
 //   - every front-end read lives in exactly one bank bucket, inside a
 //     4-ary min-heap keyed by the scheduling order (EDF: virtual
@@ -26,13 +26,13 @@ import "pabst/internal/mem"
 // The pick order is bit-identical to the old scans. The bitmap is walked
 // in ascending bank order and an empty bank never offered a candidate,
 // so the candidates and the order they are compared in are the scans'.
-// The scans broke
-// ties by queue position; because a packet's front-end Enq stamp is
-// non-decreasing in arrival order, (Deadline, Enq, position) collapses
-// to (Deadline, arrival sequence) and (Enq, position) collapses to
-// (arrival sequence), which is exactly the heap key. The differential
-// test in differential_test.go replays randomized workloads against a
-// reference implementation of the old scans to pin this equivalence.
+// The scans broke ties by queue position; because a packet's front-end
+// Enq stamp is non-decreasing in arrival order, (Deadline, Enq,
+// position) collapses to (Deadline, arrival sequence) and (Enq,
+// position) collapses to (arrival sequence), which is exactly the heap
+// key. The differential test in differential_test.go replays randomized
+// workloads against a reference implementation of the old scans to pin
+// this equivalence.
 
 // schedNode is one front-end read in the index. dl and seq mirror
 // immutable packet fields: the arbiter stamps Deadline in OnAccept,
@@ -60,7 +60,7 @@ type nheap struct {
 // bankIdx is one bank's bucket of front-end reads.
 type bankIdx struct {
 	all nheap // every read mapped to this bank
-	hit nheap // the subset hitting the open row (open-page, single-pool mode)
+	hit nheap // the subset hitting the open row (open-page only)
 }
 
 // frontSched is the controller's front-end read index.
@@ -136,8 +136,8 @@ func (f *frontSched) insert(pkt *mem.Packet, bank int32, row, openRow int64) {
 	}
 }
 
-// remove takes a node out of the index (it has been dispatched or
-// served) and returns its packet.
+// remove takes a node out of the index (it has been served) and
+// returns its packet.
 func (f *frontSched) remove(id int32) *mem.Packet {
 	n := &f.nodes[id]
 	pkt := n.pkt

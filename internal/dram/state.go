@@ -5,11 +5,10 @@ import (
 
 	"pabst/internal/ckpt"
 	"pabst/internal/mem"
-	"pabst/internal/sim"
 )
 
 // Ckpt implements ckpt.Walker: front-end queues (in arrival order),
-// per-bank timing and queues, bus/mode registers, the saturation-monitor
+// per-bank timing, bus/mode registers, the saturation-monitor
 // integrals, refresh and freeze deadlines, and every stat counter.
 // Geometry, scheduler selection, the arbiter, and the responder closure
 // are structural and rebuilt from the config.
@@ -41,7 +40,6 @@ func (c *Controller) Ckpt(k *ckpt.Codec) {
 		b := &c.banks[i]
 		k.U64(&b.readyAt)
 		k.I64(&b.openRow)
-		sim.CkptRing(k, &b.queue, mem.PacketBytes, mem.CkptPacket)
 	}
 	k.U64(&c.busFreeAt)
 	k.Bool(&c.lastWrite)

@@ -179,7 +179,6 @@ func ForEachCtx(ctx context.Context, parallel, n int, fn func(int) error) error 
 type Row struct {
 	Label  string
 	Values map[string]float64
-	Order  []string // column order
 }
 
 // Table is a titled set of rows with shared columns.

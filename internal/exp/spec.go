@@ -52,8 +52,6 @@ var paramRegistry = map[string]paramDef{
 				c.DRAM.Policy = dram.ClosedPage
 			}
 		}, flag: true},
-	"bankq": {desc: "two-stage bank queue depth (0 = single pool)",
-		set: func(c *pabst.SystemConfig, v uint64) { c.DRAM.BankQueueDepth = int(v) }},
 	"inertia": {desc: "epochs of stability before the gain grows",
 		set: func(c *pabst.SystemConfig, v uint64) { c.PABST.Inertia = int(v) }},
 	"permc": {desc: "per-MC governors (0 = global wired-OR SAT, 1 = per-controller)",
@@ -108,8 +106,6 @@ var paramAxes = []paramAxis{
 	{param: "slack", values: []uint64{8, 32, 128, 512, 4096}, chaser: true},
 	{param: "queue", values: []uint64{8, 16, 32, 64}},
 	{param: "page", values: []uint64{0, 1}, labels: []string{"closed", "open"}},
-	{param: "bankq", values: []uint64{0, 1, 2, 4}, chaser: true,
-		labels: []string{"pool", "bankq-1", "bankq-2", "bankq-4"}},
 	{param: "inertia", values: []uint64{0, 1, 3, 6, 10}},
 }
 
@@ -280,19 +276,18 @@ func (rs RunSpec) load() int {
 // pair resolves which mechanism the spec runs under a scale. Most
 // specific wins, side by side: the spec's own Policy, then the scale's
 // process-wide override (-policy), then the spec's Mode, which defaults
-// to full PABST. The machine runs over.Over(mode); the two are returned
-// apart because a machine's fingerprint and checkpoints record them
-// apart (the builder's mode, and the override in its configuration).
-// Run (through buildFor) and PredictSpec both resolve here, so the
-// simulator and the twin cannot disagree.
-func (rs RunSpec) pair(sc Scale) (mode, over pabst.Mode, err error) {
-	if mode, err = pabst.ParseMode(rs.Mode); err != nil {
-		return mode, over, err
+// to full PABST. Run (through buildFor) and PredictSpec both resolve
+// here, so the simulator and the twin cannot disagree.
+func (rs RunSpec) pair(sc Scale) (pabst.Mode, error) {
+	mode, err := pabst.ParseMode(rs.Mode)
+	if err != nil {
+		return mode, err
 	}
-	if over, err = pabst.ParseMode(rs.Policy); err != nil {
-		return mode, over, err
+	over, err := pabst.ParseMode(rs.Policy)
+	if err != nil {
+		return over, err
 	}
-	return mode.Over(pabst.ModePABST), over.Over(sc.Policy), nil
+	return over.Over(sc.Policy).Over(mode).Over(pabst.ModePABST), nil
 }
 
 // streamMLP is the effective per-tile miss-level parallelism a paced
@@ -548,7 +543,7 @@ func (rs RunSpec) Validate() error {
 	if err := cfg.Validate(); err != nil {
 		return Terminal(err)
 	}
-	if _, _, err := rs.pair(Scale{}); err != nil {
+	if _, err := rs.pair(Scale{}); err != nil {
 		return Terminal(fmt.Errorf("%w: %w", config.ErrInvalid, err))
 	}
 	if rs.Load < 0 || rs.Load > 16 {
@@ -697,11 +692,11 @@ type RunIO struct {
 // mechanism, fault plan, and the bench's builder. classes[0] is the
 // high-weight class whose share the result reports.
 func (rs RunSpec) buildFor(cfg pabst.SystemConfig, sc Scale) (*pabst.Builder, []pabst.ClassID, error) {
-	mode, over, err := rs.pair(sc)
+	mode, err := rs.pair(sc)
 	if err != nil {
 		return nil, nil, Terminal(err) // unreachable past Validate
 	}
-	opts := []pabst.Option{pabst.WithKernel(sc.Kernel), pabst.WithPolicy(over.Source, over.Target)}
+	opts := []pabst.Option{pabst.WithKernel(sc.Kernel)}
 	if rs.Fault != "" {
 		plan, ferr := pabst.LoadFaultPlan(rs.Fault)
 		if ferr != nil {

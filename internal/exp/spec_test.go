@@ -29,11 +29,10 @@ func TestRunSpecValidate(t *testing.T) {
 		"no-scale":  {Bench: BenchStreams},
 		"bad-param": {Bench: BenchStreams, Scale: "quick", Params: map[string]uint64{"warp": 9}},
 		// Params that name a machine which cannot build: rejected here,
-		// not by the allocator (the first two used to take the process
-		// down with an out-of-memory fatal no recover() sees).
-		"huge-bankq":   {Bench: BenchStreams, Scale: "quick", Params: map[string]uint64{"bankq": 1 << 40}},
+		// not by the allocator (the first used to take the process down
+		// with an out-of-memory fatal no recover() sees).
 		"huge-queue":   {Bench: BenchStreams, Scale: "quick", Params: map[string]uint64{"queue": 1 << 33}},
-		"wrapped-int":  {Bench: BenchStreams, Scale: "quick", Params: map[string]uint64{"bankq": 1 << 63}},
+		"wrapped-int":  {Bench: BenchStreams, Scale: "quick", Params: map[string]uint64{"queue": 1 << 63}},
 		"huge-flits":   {Bench: BenchStreams, Scale: "quick", Params: map[string]uint64{"noc": 1, "nocflits": 1 << 40}},
 		"zero-queue":   {Bench: BenchStreams, Scale: "quick", Params: map[string]uint64{"queue": 0}},
 		"zero-epoch":   {Bench: BenchStreams, Scale: "quick", Params: map[string]uint64{"epoch": 0}},

@@ -49,19 +49,13 @@ func PredictSpec(rs RunSpec, ex Exec) (TwinPrediction, error) {
 		return TwinPrediction{}, err
 	}
 	cfg := sc.Apply(pabst.Default32Config())
-	for _, n := range ParamNames() {
-		if v, ok := rs.Params[n]; ok {
-			if err := SetParam(&cfg, n, v); err != nil {
-				return TwinPrediction{}, err
-			}
-		}
+	if err := rs.applyParams(&cfg); err != nil {
+		return TwinPrediction{}, err
 	}
-
-	mode, over, err := rs.pair(sc)
+	pair, err := rs.pair(sc)
 	if err != nil {
 		return TwinPrediction{}, Terminal(err) // unreachable past Validate
 	}
-	pair := over.Over(mode)
 	p, err := twin.New(cfg).Solve(pair.Source, pair.Target, def.loads(rs, cfg))
 	if err != nil {
 		return TwinPrediction{}, Terminal(err)

@@ -2,7 +2,9 @@ package exp
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/crc64"
 	"os"
 	"path/filepath"
 	"strings"
@@ -117,10 +119,24 @@ func TestWarmedSystemResumeMiss(t *testing.T) {
 }
 
 // TestWarmedSystemCorruptStore pins the self-healing store contract: a
-// damaged checkpoint is quarantined (renamed aside, counted), the run
-// falls back to a cold warmup with results identical to a store-free
-// run, and the re-saved checkpoint serves the next hit.
+// damaged checkpoint — or an intact one in the previous format — is
+// quarantined (renamed aside, counted), the run falls back to a cold
+// warmup with results identical to a store-free run, and the re-saved
+// checkpoint serves the next hit.
 func TestWarmedSystemCorruptStore(t *testing.T) {
+	for name, damage := range map[string]func([]byte) []byte{
+		"bit-flip": func(raw []byte) []byte { raw[len(raw)/2]++; return raw },
+		"version-3": func(raw []byte) []byte { // version word back to 3, CRC re-sealed
+			raw = raw[:len(raw)-8]
+			binary.LittleEndian.PutUint32(raw[8:], 3)
+			return binary.LittleEndian.AppendUint64(raw, crc64.Checksum(raw, crc64.MakeTable(crc64.ECMA)))
+		},
+	} {
+		t.Run(name, func(t *testing.T) { corruptStoreHeals(t, damage) })
+	}
+}
+
+func corruptStoreHeals(t *testing.T, damage func([]byte) []byte) {
 	scale := tinyScale()
 	scale.Ckpt = t.TempDir()
 	build := warmBuilder(scale)
@@ -157,8 +173,7 @@ func TestWarmedSystemCorruptStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw[len(raw)/2]++
-	if err := os.WriteFile(files[0], raw, 0o644); err != nil {
+	if err := os.WriteFile(files[0], damage(raw), 0o644); err != nil {
 		t.Fatal(err)
 	}
 

@@ -189,7 +189,8 @@ func FuzzLoadJournal(f *testing.F) {
 	f.Add([]byte(`{"op":"submit","id":"j-000003","spec":{"bench":"streams","scale":"tiny","fault":"/etc/hostname"}}` + "\n"))
 	f.Add([]byte(`{"op":"submit","id":"../../x","spec":{"bench":"streams","scale":"tiny"}}` + "\n" +
 		`{"op":"requeue","id":"../../x","partial":"/etc/hostname"}` + "\n" + `{"op":"fail","id":"../../x"}` + "\n"))
-	f.Add([]byte(`{"op":"submit","id":"j-000004","spec":{"bench":"streams","scale":"tiny","params":{"bankq":1099511627776}}}` + "\n"))
+	f.Add([]byte(`{"op":"submit","id":"j-000004","spec":{"bench":"streams","scale":"tiny","params":{"queue":1099511627776}}}` + "\n"))
+	f.Add([]byte(`{"op":"submit","id":"j-000005","spec":{"bench":"streams","scale":"tiny","params":{"bankq":2}}}` + "\n")) // a parameter this build does not have
 	f.Add([]byte("\n\n{}\nnot json\n"))
 
 	cfg := testConfig(f, okRunner)

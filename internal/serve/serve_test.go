@@ -2,8 +2,10 @@ package serve
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc64"
 	"os"
 	"path/filepath"
 	"sync/atomic"
@@ -384,5 +386,64 @@ func TestWedgeRecovery(t *testing.T) {
 	got, _ := s.Get(v.ID)
 	if got.Result.Fingerprint != "recovered" {
 		t.Fatalf("job result %+v", got.Result)
+	}
+}
+
+// TestStalePartialReruns pins what a checkpoint format bump does to a
+// job in flight: a journal left by the previous build names a partial
+// checkpoint in the previous format (here the machine's own post-warmup
+// image, version word set back to 3 and the CRC re-sealed). The
+// production runner refuses it retryably, the supervisor drops it, and
+// the rerun from scratch finishes with an uninterrupted run's result.
+func TestStalePartialReruns(t *testing.T) {
+	cfg := testConfig(t, nil) // nil: ExpRunner, the path a real job takes
+	spec := tinySpec()
+	ex := cfg.Exec
+	ex.Ckpt = t.TempDir() // the reference run leaves the machine's image here
+	ref, err := spec.Run(context.Background(), ex, exp.RunIO{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	files, _ := filepath.Glob(filepath.Join(ex.Ckpt, "*.ckpt"))
+	if len(files) != 1 {
+		t.Fatalf("warm store holds %v", files)
+	}
+	img, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := img[:len(img)-8]
+	binary.LittleEndian.PutUint32(stale[8:], 3) // the version word follows the 8-byte magic
+	stale = binary.LittleEndian.AppendUint64(stale, crc64.Checksum(stale, crc64.MakeTable(crc64.ECMA)))
+
+	const id = "j-000000"
+	path := filepath.Join(cfg.Dir, "partial", id+".ckpt")
+	jl, err := openJournal(filepath.Join(cfg.Dir, "journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []rec{{Op: opSubmit, ID: id, Spec: &spec}, {Op: opRequeue, ID: id, Partial: path}} {
+		if err := jl.append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	jl.close()
+
+	s, err := New(cfg) // recovers the job and makes the partial directory
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := os.WriteFile(path, stale, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	mustState(t, s, id, StateDone)
+	v, _ := s.Get(id)
+	if v.Result == nil || v.Result.Fingerprint != ref.Fingerprint {
+		t.Errorf("rerun result %+v, want fingerprint %s", v.Result, ref.Fingerprint)
+	}
+	if _, err := os.Stat(path); v.Attempt != 2 || v.HasPartial || !os.IsNotExist(err) {
+		t.Errorf("job %+v, stat %v; want the stale partial dropped after one refused attempt", v, err)
 	}
 }

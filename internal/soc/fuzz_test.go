@@ -43,7 +43,7 @@ func FuzzConfigJSON(f *testing.F) {
 	noc.ModelNoC = true
 	seed(noc)
 	hostile := config.Scaled8()
-	hostile.DRAM.BankQueueDepth = 1 << 40
+	hostile.DRAM.FrontReadQ = 1 << 40
 	seed(hostile)
 	hostile = config.Scaled8()
 	hostile.DRAM.FrontReadQ, hostile.DRAM.FrontWriteQ, hostile.DRAM.WriteHighWater = 1<<33, 1<<33, 1<<32

@@ -7,19 +7,6 @@ import (
 	"pabst/internal/qospolicy"
 )
 
-// TestTwoStageMCKeepsProportions pins that the paper's two-place-EDF
-// controller organization preserves the allocation.
-func TestTwoStageMCKeepsProportions(t *testing.T) {
-	cfg := testCfg()
-	cfg.DRAM.BankQueueDepth = 2
-	sys, hi, _ := twoClassStreams(t, cfg, qospolicy.PABST, 7, 3, 16, 16)
-	sys.Warmup(150_000)
-	sys.Run(150_000)
-	if sh := sys.Metrics().ShareOf(hi.ID); sh < 0.62 || sh > 0.78 {
-		t.Fatalf("two-stage MC broke the 7:3 split: hi share %.2f", sh)
-	}
-}
-
 // TestProportionalAllocationAcrossRatios sweeps the Eq. 5 claim across a
 // range of share ratios: two fully backlogged stream classes must split
 // delivered bandwidth in weight proportion, whatever the weights.

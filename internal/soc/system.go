@@ -35,8 +35,7 @@ type System struct {
 	doors  []*frontDoor
 
 	// pair names the mechanism the machine is wired with, both halves
-	// set; the caller resolved it (cfg.SourcePolicy/TargetPolicy are
-	// part of that resolution and are not read here).
+	// set; the caller resolved it.
 	pair qospolicy.Pair
 
 	// mcOut holds MC read responses awaiting injection into the modeled

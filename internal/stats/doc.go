@@ -1,7 +1,6 @@
 // Package stats provides the measurement machinery shared by the
 // experiments: HDR-style latency histograms, windowed bandwidth time
-// series, monotonic counters, and the weighted-slowdown and
-// allocation-error metrics the paper reports (Section IV).
+// series, and monotonic counters.
 //
 // Concurrency contract: every type here is single-writer and unlocked.
 // A Hist or Series belongs to exactly one running simulation; concurrent
@@ -11,6 +10,5 @@
 // detector (`make robust`).
 //
 // Main entry points: Hist with Add/Merge/Percentile; NewSeries with
-// Observe and the share/bandwidth accessors; NewCounters;
-// WeightedSlowdown and AllocationError.
+// Observe and the share/bandwidth accessors; NewCounters.
 package stats

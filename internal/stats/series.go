@@ -87,50 +87,3 @@ func (s *Series) TotalBytes(class mem.ClassID) uint64 {
 	}
 	return t
 }
-
-// WeightedSlowdown implements the paper's multiprogrammed metric: the
-// inverse of weighted speedup,
-//
-//	WeightedSlowdown = N / Σ_i (IPC_i^MP / IPC_i^SP)
-//
-// where IPC^SP is each program's isolated IPC and IPC^MP its IPC in the
-// multiprogrammed run. 1.0 means no interference; 2.0 means the mix runs
-// half as fast as isolation on harmonic average.
-func WeightedSlowdown(ipcIso, ipcCo []float64) float64 {
-	if len(ipcIso) != len(ipcCo) || len(ipcIso) == 0 {
-		panic("stats: mismatched IPC vectors")
-	}
-	var speedup float64
-	for i := range ipcIso {
-		if ipcIso[i] <= 0 {
-			panic("stats: non-positive isolated IPC")
-		}
-		speedup += ipcCo[i] / ipcIso[i]
-	}
-	if speedup == 0 {
-		return 0
-	}
-	return float64(len(ipcIso)) / speedup
-}
-
-// AllocationError quantifies how far an observed bandwidth split is from
-// the intended proportional shares, as the mean relative error of each
-// class's observed share against its entitled share, in percent. It is
-// the metric behind the Figure 1 "allocation error" bars.
-func AllocationError(observed, entitled []float64) float64 {
-	if len(observed) != len(entitled) || len(observed) == 0 {
-		panic("stats: mismatched share vectors")
-	}
-	var err float64
-	for i := range observed {
-		if entitled[i] <= 0 {
-			panic("stats: non-positive entitled share")
-		}
-		d := observed[i] - entitled[i]
-		if d < 0 {
-			d = -d
-		}
-		err += d / entitled[i]
-	}
-	return err / float64(len(observed)) * 100
-}

@@ -33,20 +33,6 @@ func TestHistPercentileBounds(t *testing.T) {
 	}
 }
 
-func TestAllocationErrorPanics(t *testing.T) {
-	for _, fn := range []func(){
-		func() { AllocationError(nil, nil) },
-		func() { AllocationError([]float64{0.5}, []float64{0.5, 0.5}) },
-		func() { AllocationError([]float64{0.5}, []float64{0}) },
-	} {
-		func() {
-			defer func() { _ = recover() }()
-			fn()
-			t.Fatal("invalid input accepted")
-		}()
-	}
-}
-
 func TestSeriesZeroWindowPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -156,44 +156,6 @@ func TestSeriesIdleWindowShareZero(t *testing.T) {
 	}
 }
 
-func TestWeightedSlowdown(t *testing.T) {
-	// Two programs at half their isolated IPC -> slowdown 2.
-	if got := WeightedSlowdown([]float64{2, 1}, []float64{1, 0.5}); got != 2 {
-		t.Fatalf("WeightedSlowdown = %g, want 2", got)
-	}
-	// No interference -> 1.
-	if got := WeightedSlowdown([]float64{1.5}, []float64{1.5}); got != 1 {
-		t.Fatalf("WeightedSlowdown = %g, want 1", got)
-	}
-}
-
-func TestWeightedSlowdownPanics(t *testing.T) {
-	for _, fn := range []func(){
-		func() { WeightedSlowdown(nil, nil) },
-		func() { WeightedSlowdown([]float64{1}, []float64{1, 2}) },
-		func() { WeightedSlowdown([]float64{0}, []float64{1}) },
-	} {
-		func() {
-			defer func() { _ = recover() }()
-			fn()
-			t.Fatal("invalid input accepted")
-		}()
-	}
-}
-
-func TestAllocationError(t *testing.T) {
-	// Perfect allocation -> 0.
-	if got := AllocationError([]float64{0.75, 0.25}, []float64{0.75, 0.25}); got != 0 {
-		t.Fatalf("error = %g, want 0", got)
-	}
-	// Observed 0.5/0.5 against entitled 0.75/0.25:
-	// |0.5-0.75|/0.75 = 1/3, |0.5-0.25|/0.25 = 1 -> mean 2/3 -> 66.7%.
-	got := AllocationError([]float64{0.5, 0.5}, []float64{0.75, 0.25})
-	if math.Abs(got-66.666) > 0.1 {
-		t.Fatalf("error = %g, want ~66.7", got)
-	}
-}
-
 func TestSeriesBadRangePanics(t *testing.T) {
 	s := NewSeries(10)
 	defer func() {

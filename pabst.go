@@ -290,14 +290,9 @@ func WithFaultPlan(p *FaultPlan) Option {
 
 // WithPolicy overrides halves of the builder's mode by registry name.
 // An empty string keeps that side, so WithPolicy("", "dpq") swaps only
-// the target half. The override lands in SystemConfig.SourcePolicy/
-// TargetPolicy (which is where checkpoints record it). Unknown names
-// surface as errors at Build.
+// the target half. Unknown names surface as errors at Build.
 func WithPolicy(source, target string) Option {
-	return func(b *Builder) {
-		p := Mode{Source: source, Target: target}.Over(b.override())
-		b.cfg.SourcePolicy, b.cfg.TargetPolicy = p.Source, p.Target
-	}
+	return func(b *Builder) { b.mode = Mode{Source: source, Target: target}.Over(b.mode) }
 }
 
 // WithObserver arms epoch-boundary trace emission into o. A nil
@@ -336,18 +331,12 @@ func (b *Builder) Attach(tile int, class ClassID, gen Generator) *Builder {
 	return b
 }
 
-// override is the configuration's layer over the mode.
-func (b *Builder) override() Mode {
-	return Mode{Source: b.cfg.SourcePolicy, Target: b.cfg.TargetPolicy}
-}
-
-// Build validates and wires the system. This is where the mechanism is
-// resolved, once: the configuration's override over the mode.
+// Build validates and wires the system.
 func (b *Builder) Build() (*System, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	inner, err := soc.New(b.cfg, b.reg, b.override().Over(b.mode))
+	inner, err := soc.New(b.cfg, b.reg, b.mode)
 	if err != nil {
 		return nil, err
 	}
@@ -364,16 +353,13 @@ func (b *Builder) Build() (*System, error) {
 	if err := inner.Finalize(); err != nil {
 		return nil, err
 	}
-	return &System{inner: inner, reg: b.reg, mode: b.mode}, nil
+	return &System{inner: inner, reg: b.reg}, nil
 }
 
 // System is a runnable simulated machine.
 type System struct {
 	inner *soc.System
 	reg   *qos.Registry
-	// mode is what the builder was given, before the configuration's
-	// override: checkpoints record the two separately.
-	mode Mode
 }
 
 // Run advances the simulation by cycles.

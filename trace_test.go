@@ -204,32 +204,3 @@ func TestSnapshotConsistency(t *testing.T) {
 		t.Error("unknown class present in snapshot")
 	}
 }
-
-// TestOptionsMatchConfigFields pins that options are exactly equivalent
-// to the config fields they replace.
-func TestOptionsMatchConfigFields(t *testing.T) {
-	run := func(b *pabst.Builder, cfgL3Ways int) string {
-		c := b.AddClass("c", 1, cfgL3Ways)
-		for i := 0; i < 4; i++ {
-			b.Attach(i, c, pabst.Stream("s", pabst.TileRegion(i), 128, false))
-		}
-		sys, err := b.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sys.Close()
-		sys.Run(30_000)
-		src, tgt := sys.PolicyPair()
-		return fmt.Sprintf("%s+%s %+v", src, tgt, sys.Metrics())
-	}
-	cfg := traceConfig()
-	viaOpts := run(pabst.NewBuilder(cfg, pabst.ModePABST,
-		pabst.WithKernel("cycle"), pabst.WithPolicy("static", "dpq")), cfg.L3Ways)
-	cfg2 := traceConfig()
-	cfg2.Kernel = "cycle"
-	cfg2.SourcePolicy, cfg2.TargetPolicy = "static", "dpq"
-	viaCfg := run(pabst.NewBuilder(cfg2, pabst.ModePABST), cfg2.L3Ways)
-	if viaOpts != viaCfg {
-		t.Errorf("options and config fields disagree:\n opts %s\n cfg  %s", viaOpts, viaCfg)
-	}
-}
