@@ -1,6 +1,7 @@
 # Build and test tiers. `make check` is the tier-1 gate (build + vet +
 # tests, here and in the frozen bench/ module, plus one race run over
-# the run-level pool every multi-run experiment uses by default);
+# the run-level pool every multi-run experiment uses by default and one
+# over the service's lock-ordered settle/Drain/Close paths);
 # `make robust` adds the race detector over everything, which the serve
 # control plane and the fault-injection chaos sweeps are expected to
 # pass too.
@@ -22,6 +23,7 @@ check: build lint-docs
 	$(GO) vet ./...
 	$(GO) test ./...
 	$(GO) test -race -run 'ForEach|SweepParallelism|RunExperimentRunsEachFingerprintOnce|Fig9' ./internal/exp
+	$(GO) test -race -run 'Drain|Wedge|Chaos' ./internal/serve
 	$(GO) -C bench vet ./... && $(GO) -C bench test ./...
 
 # Robustness tier: the full suite under the race detector (slower;

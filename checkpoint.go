@@ -30,26 +30,6 @@ var (
 	ErrCkptUnsupported = ckpt.ErrUnsupported
 )
 
-// CheckpointInfo is a checkpoint's self-describing prefix, readable
-// without building a system.
-type CheckpointInfo struct {
-	Version     uint32
-	Cycle       uint64
-	Fingerprint [32]byte
-}
-
-// ReadCheckpointInfo verifies a checkpoint image (magic, version, CRC)
-// and returns its header — enough for tooling to display what a file
-// contains and decide whether it matches the run being resumed.
-func ReadCheckpointInfo(r io.Reader) (CheckpointInfo, error) {
-	c, err := decode(r)
-	if err != nil {
-		return CheckpointInfo{}, err
-	}
-	h := c.Header()
-	return CheckpointInfo{Version: ckpt.Version, Cycle: h.Cycle, Fingerprint: h.Fingerprint}, nil
-}
-
 // decode reads a whole checkpoint image and checks its envelope; no
 // system state has been touched when it fails.
 func decode(r io.Reader) (*ckpt.Codec, error) {
@@ -130,8 +110,8 @@ func (s *System) Fingerprint() ([32]byte, error) {
 // creation parameters, and each attachment's generator build recipe.
 // An attachment whose generator has no recipe (closures, recorders,
 // replayed traces) leaves Spec.Kind empty; such checkpoints restore
-// only through Builder.Restore, where the caller reconstructs the
-// generators itself.
+// only through System.RestoreFrom, onto a system whose builder
+// reconstructed the generators itself.
 type ckptMeta struct {
 	Config  config.System `json:"config"`
 	Mode    string        `json:"mode"`
@@ -199,7 +179,7 @@ func (s *System) Checkpoint(w io.Writer) error {
 //
 // Checkpoints containing generators without build recipes (closures,
 // recorders, trace replayers) fail with ErrCkptUnsupported; restore
-// those through Builder.Restore on a builder that reconstructs the same
+// those with System.RestoreFrom onto a system built to be the same
 // machine.
 func Restore(r io.Reader, opts ...Option) (*System, error) {
 	cr, err := decode(r)
@@ -218,9 +198,12 @@ func Restore(r io.Reader, opts ...Option) (*System, error) {
 	for _, c := range meta.Classes {
 		b.AddClass(c.Name, c.Weight, c.L3Ways)
 	}
+	if b.err != nil {
+		return nil, fmt.Errorf("%w: checkpoint classes: %v", ErrCkptCorrupt, b.err)
+	}
 	for _, a := range meta.Attach {
 		if a.Spec.Kind == "" {
-			return nil, fmt.Errorf("%w: tile %d generator has no build recipe; use Builder.Restore", ErrCkptUnsupported, a.Tile)
+			return nil, fmt.Errorf("%w: tile %d generator has no build recipe; use System.RestoreFrom", ErrCkptUnsupported, a.Tile)
 		}
 		gen, err := workload.FromBuildSpec(a.Spec)
 		if err != nil {
@@ -231,29 +214,6 @@ func Restore(r io.Reader, opts ...Option) (*System, error) {
 	for _, o := range opts {
 		o(b)
 	}
-	return b.restoreFrom(cr)
-}
-
-// Restore builds the system this builder describes and overlays the
-// checkpointed state from r onto it. The builder must describe the same
-// machine that wrote the checkpoint — same configuration (Kernel
-// excepted), mode, classes, and attachments — which is
-// verified against the header fingerprint before any state is touched;
-// a disagreement fails with ErrCkptMismatch.
-//
-// Unlike the package-level Restore, this path handles generators that
-// cannot describe their own construction (closures, recorders, trace
-// replayers): the builder reconstructs them, the checkpoint overlays
-// their cursors.
-func (b *Builder) Restore(r io.Reader) (*System, error) {
-	cr, err := decode(r)
-	if err != nil {
-		return nil, err
-	}
-	return b.restoreFrom(cr)
-}
-
-func (b *Builder) restoreFrom(cr *ckpt.Codec) (*System, error) {
 	sys, err := b.Build()
 	if err != nil {
 		return nil, err
@@ -268,11 +228,14 @@ func (b *Builder) restoreFrom(cr *ckpt.Codec) (*System, error) {
 // RestoreFrom overlays a checkpoint onto this system in place. The
 // checkpoint must have been written by a structurally identical system,
 // which is verified against the header fingerprint before any state is
-// touched. The system may already have run — every stateful component
-// is overlaid wholesale. An error from the envelope or fingerprint check
-// leaves the system untouched; a failure after the overlay began (an
-// intact image carrying a field this machine cannot hold) leaves it
-// partially overlaid and unusable.
+// touched; a disagreement fails with ErrCkptMismatch. The system may
+// already have run — every stateful component is overlaid wholesale.
+// Generators that cannot describe their own construction (closures,
+// recorders, trace replayers) restore only this way: the caller's builder
+// reconstructs them, the checkpoint overlays their cursors. An error
+// from the envelope or fingerprint check leaves the system untouched; a
+// failure after the overlay began (an intact image carrying a field this
+// machine cannot hold) leaves it partially overlaid and unusable.
 func (s *System) RestoreFrom(r io.Reader) error {
 	cr, err := decode(r)
 	if err != nil {

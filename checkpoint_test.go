@@ -8,10 +8,12 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc64"
+	"regexp"
 	"runtime"
 	"testing"
 
 	"pabst"
+	"pabst/internal/ckpt"
 )
 
 // ckptScale keeps the matrix fast; bit-identity is checked just as
@@ -160,7 +162,7 @@ func TestCheckpointRoundTripMatrix(t *testing.T) {
 
 // TestCheckpointBuilderRestore exercises the caller-built restore path
 // across kernels: a system checkpointed on the reference loop restores
-// into a fresh default-kernel builder bit-identically.
+// onto a freshly built default-kernel system bit-identically.
 func TestCheckpointBuilderRestore(t *testing.T) {
 	setup := ckptSetups(t)[0]
 
@@ -184,25 +186,42 @@ func TestCheckpointBuilderRestore(t *testing.T) {
 	}
 	src.Close()
 
-	// Restore through a builder describing the same machine.
-	cfg := pabst.Scaled8Config()
-	cfg.Seed = 7
-	b := pabst.NewBuilder(cfg, pabst.ModePABST)
-	hi := b.AddClass("hi", 7, cfg.L3Ways/2)
-	lo := b.AddClass("lo", 3, cfg.L3Ways-cfg.L3Ways/2)
-	for i := 0; i < 4; i++ {
-		b.Attach(i, hi, pabst.Stream(fmt.Sprintf("hot%d", i), pabst.TileRegion(i), 64, false))
-		b.Attach(4+i, lo, pabst.Chaser(fmt.Sprintf("bg%d", i), pabst.TileRegion(4+i), 4, uint64(100+i)))
-	}
-	sys, err := b.Restore(bytes.NewReader(ck.Bytes()))
+	// Restore onto a second build of the same machine.
+	sys, err := setup.build()
 	if err != nil {
-		t.Fatalf("builder restore: %v", err)
+		t.Fatal(err)
 	}
 	defer sys.Close()
+	if err := sys.RestoreFrom(bytes.NewReader(ck.Bytes())); err != nil {
+		t.Fatalf("builder restore: %v", err)
+	}
 	sys.Run(ckptMeasure)
 	if got := renderState(sys); got != want {
 		t.Errorf("builder-restored run diverged\n--- want\n%s\n--- got\n%s", want, got)
 	}
+}
+
+// reweigh rewrites the two class weights a two-class image carries — in
+// the header metadata pabst.Restore rebuilds the registry from, and in the
+// payload's QoS section (per class: weight, stride, threads, two demand
+// words) every restore overlays — and re-seals the CRC.
+func reweigh(t testing.TB, img []byte, w [2]uint64) []byte {
+	c, err := ckpt.Decode(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, i := c.Header().Meta, 0
+	meta := regexp.MustCompile(`"weight":\d+`).ReplaceAllFunc(old, func([]byte) []byte {
+		i++
+		return fmt.Appendf(nil, `"weight":%d`, w[i-1])
+	})
+	const metaLen = 8 + 4 + 32 + 8 // after magic, version, fingerprint, cycle
+	out := binary.LittleEndian.AppendUint64(bytes.Clone(img[:metaLen]), uint64(len(meta)))
+	out = append(append(out, meta...), img[metaLen+8+len(old):len(img)-8]...)
+	qos := bytes.Index(out, []byte("\xa5\x03\x00\x00\x00\x00\x00\x00\x00qos")) + 12 + 8 // tag, class count
+	binary.LittleEndian.PutUint64(out[qos:], w[0])
+	binary.LittleEndian.PutUint64(out[qos+40:], w[1])
+	return binary.LittleEndian.AppendUint64(out, crc64.Checksum(out, crc64.MakeTable(crc64.ECMA)))
 }
 
 // TestCheckpointTypedErrors pins the failure taxonomy: corrupt streams,
@@ -264,8 +283,12 @@ func TestCheckpointTypedErrors(t *testing.T) {
 			b.Attach(i, hi, pabst.Stream(fmt.Sprintf("hot%d", i), pabst.TileRegion(i), 64, false))
 			b.Attach(4+i, lo, pabst.Chaser(fmt.Sprintf("bg%d", i), pabst.TileRegion(4+i), 4, uint64(100+i)))
 		}
-		_, err := b.Restore(bytes.NewReader(raw))
-		if !errors.Is(err, pabst.ErrCkptMismatch) {
+		other, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer other.Close()
+		if err := other.RestoreFrom(bytes.NewReader(raw)); !errors.Is(err, pabst.ErrCkptMismatch) {
 			t.Errorf("want ErrCkptMismatch, got %v", err)
 		}
 	})
@@ -281,11 +304,29 @@ func TestCheckpointTypedErrors(t *testing.T) {
 		}
 	})
 
+	t.Run("hostile-weights", func(t *testing.T) {
+		// Weights whose stride vector overflows (this pair divided by zero
+		// inside AddClass), a zero weight, a stride that is not its weight's.
+		for _, w := range [][2]uint64{{1<<62 + 1, 1<<62 + 3}, {0, 3}, {3, 7}} {
+			bad := reweigh(t, raw, w)
+			onto, err := setup.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer onto.Close()
+			_, rerr := pabst.Restore(bytes.NewReader(bad))
+			if ferr := onto.RestoreFrom(bytes.NewReader(bad)); !errors.Is(rerr, pabst.ErrCkptCorrupt) || !errors.Is(ferr, pabst.ErrCkptCorrupt) {
+				t.Errorf("weights %d:%d: Restore = %v, RestoreFrom = %v; want ErrCkptCorrupt from both", w[0], w[1], rerr, ferr)
+			}
+		}
+	})
+
 	t.Run("info", func(t *testing.T) {
-		info, err := pabst.ReadCheckpointInfo(bytes.NewReader(raw))
+		c, err := ckpt.Decode(raw)
 		if err != nil {
 			t.Fatal(err)
 		}
+		info := c.Header()
 		if info.Cycle != sys.Now() {
 			t.Errorf("info cycle = %d, want %d", info.Cycle, sys.Now())
 		}
@@ -302,8 +343,8 @@ func TestCheckpointTypedErrors(t *testing.T) {
 // TestCheckpointClosureGenerators pins the two-path contract for
 // generators without a build recipe: Checkpoint serializes their state,
 // package-level Restore refuses (no recipe in the metadata), and
-// Builder.Restore — where the caller reconstructs the closure — works
-// bit-identically.
+// RestoreFrom onto a system whose builder reconstructed the closure
+// works bit-identically.
 func TestCheckpointClosureGenerators(t *testing.T) {
 	build := func() (*pabst.System, error) {
 		cfg := pabst.Scaled8Config()
@@ -341,19 +382,14 @@ func TestCheckpointClosureGenerators(t *testing.T) {
 		t.Errorf("package Restore of closure generator: want ErrCkptUnsupported, got %v", err)
 	}
 
-	cfg := pabst.Scaled8Config()
-	cfg.Seed = 21
-	b := pabst.NewBuilder(cfg, pabst.ModePABST)
-	hi := b.AddClass("hi", 3, cfg.L3Ways/2)
-	lo := b.AddClass("lo", 1, cfg.L3Ways-cfg.L3Ways/2)
-	b.Attach(0, hi, pabst.FilteredStream("skew", pabst.TileRegion(0), 64, false,
-		func(a pabst.Addr) bool { return a%128 == 0 }))
-	b.Attach(1, lo, pabst.Stream("bg", pabst.TileRegion(1), 64, false))
-	sys, err := b.Restore(bytes.NewReader(ck.Bytes()))
+	sys, err := build()
 	if err != nil {
-		t.Fatalf("builder restore: %v", err)
+		t.Fatal(err)
 	}
 	defer sys.Close()
+	if err := sys.RestoreFrom(bytes.NewReader(ck.Bytes())); err != nil {
+		t.Fatalf("builder restore: %v", err)
+	}
 	sys.Run(ckptMeasure)
 	if got := renderState(sys); got != want {
 		t.Errorf("closure-generator restore diverged\n--- want\n%s\n--- got\n%s", want, got)
@@ -421,12 +457,8 @@ func TestCheckpointFormatFrozen(t *testing.T) {
 			if got := fmt.Sprintf("%x", sha256.Sum256(ck.Bytes())); got != c.content {
 				t.Errorf("checkpoint bytes hash %s, frozen %s", got, c.content)
 			}
-			info, err := pabst.ReadCheckpointInfo(bytes.NewReader(ck.Bytes()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if info.Version != 4 {
-				t.Errorf("checkpoint format version %d, frozen 4", info.Version)
+			if v := binary.LittleEndian.Uint32(ck.Bytes()[8:]); v != 4 { // the version word follows the 8-byte magic
+				t.Errorf("checkpoint format version %d, frozen 4", v)
 			}
 			// The self-describing restore reads the same selection back.
 			back, err := pabst.Restore(bytes.NewReader(ck.Bytes()))
@@ -495,6 +527,7 @@ func fuzzMachines(t testing.TB) []func(opts ...pabst.Option) *pabst.Builder {
 func FuzzRestore(f *testing.F) {
 	machines := fuzzMachines(f)
 	byFingerprint := map[[32]byte]func(opts ...pabst.Option) *pabst.Builder{}
+	var last []byte
 	for _, m := range machines {
 		for _, kernel := range []string{"event", "cycle"} {
 			sys, err := m(pabst.WithKernel(kernel)).Build()
@@ -510,8 +543,10 @@ func FuzzRestore(f *testing.F) {
 			byFingerprint[fp] = m
 			sys.Close()
 			f.Add(img.Bytes())
+			last = img.Bytes()
 		}
 	}
+	f.Add(reweigh(f, last, [2]uint64{1<<62 + 1, 1<<62 + 3})) // no stride vector fits 64 bits
 	ecma := crc64.MakeTable(crc64.ECMA)
 	f.Fuzz(func(t *testing.T, img []byte) {
 		if len(img) < 8 {
@@ -519,8 +554,8 @@ func FuzzRestore(f *testing.F) {
 		}
 		img = binary.LittleEndian.AppendUint64(img[:len(img)-8:len(img)-8], crc64.Checksum(img[:len(img)-8], ecma))
 		m := machines[0]
-		if info, err := pabst.ReadCheckpointInfo(bytes.NewReader(img)); err == nil && byFingerprint[info.Fingerprint] != nil {
-			m = byFingerprint[info.Fingerprint]
+		if c, err := ckpt.Decode(img); err == nil && byFingerprint[c.Header().Fingerprint] != nil {
+			m = byFingerprint[c.Header().Fingerprint]
 		}
 		sys, err := m().Build()
 		if err != nil {

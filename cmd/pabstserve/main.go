@@ -11,9 +11,10 @@
 // exponentially, panicking simulations fail only their own job, wedged
 // workers are detected by heartbeat and replaced, and every accepted
 // job is journaled: SIGTERM/SIGINT triggers a graceful drain in which
-// in-flight jobs finish or checkpoint-and-requeue, and a restart over
-// the same -dir recovers exactly the unfinished work. Re-execution is
-// idempotent — a spec's fingerprint pins its bit-identical result.
+// in-flight jobs finish or are requeued, and a restart over the same
+// -dir recovers exactly the unfinished work and reruns it from the warm
+// store. Re-execution is idempotent — a spec's fingerprint pins its
+// bit-identical result.
 //
 // Usage:
 //
@@ -36,7 +37,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8321", "HTTP listen address")
-	dir := flag.String("dir", ".pabstserve", "state directory (journal, partial checkpoints, warm store)")
+	dir := flag.String("dir", ".pabstserve", "state directory (journal, warm store)")
 	queue := flag.Int("queue", 64, "bounded queue depth (submissions beyond it get 429)")
 	jobs := flag.Int("jobs", 2, "concurrent job executors")
 	attempts := flag.Int("attempts", 3, "attempts per job before it fails")
@@ -77,7 +78,7 @@ func run(cfg serve.Config, addr string) error {
 		return err
 	case <-ctx.Done():
 	}
-	fmt.Println("pabstserve: draining (in-flight jobs finish or checkpoint-and-requeue)")
+	fmt.Println("pabstserve: draining (in-flight jobs finish or are requeued)")
 	dctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := svc.Drain(dctx); err != nil {

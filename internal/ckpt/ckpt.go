@@ -206,12 +206,6 @@ func Decode(raw []byte) (*Codec, error) {
 	return c, nil
 }
 
-// Verify is Decode for callers that only want the verdict.
-func Verify(raw []byte) error {
-	_, err := Decode(raw)
-	return err
-}
-
 // Load walks w over the payload, overwriting its state from the image,
 // and requires the walk to consume the payload exactly. Any failure is
 // wrapped in ErrPartial.

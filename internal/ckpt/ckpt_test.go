@@ -111,7 +111,7 @@ func reseal(raw []byte) []byte {
 func TestVersionMismatch(t *testing.T) {
 	raw := writeSample(t)
 	raw[8]++ // version is the uint32 right after the 8-byte magic
-	if err := Verify(raw); !errors.Is(err, ErrVersion) {
+	if _, err := Decode(raw); !errors.Is(err, ErrVersion) {
 		t.Fatalf("want ErrVersion, got %v", err)
 	}
 }
@@ -119,7 +119,7 @@ func TestVersionMismatch(t *testing.T) {
 func TestBadMagic(t *testing.T) {
 	raw := writeSample(t)
 	raw[0] ^= 0xFF
-	if err := Verify(raw); !errors.Is(err, ErrCorrupt) {
+	if _, err := Decode(raw); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("want ErrCorrupt, got %v", err)
 	}
 }
@@ -129,7 +129,7 @@ func TestBadMagic(t *testing.T) {
 func TestTruncated(t *testing.T) {
 	raw := writeSample(t)
 	for cut := 0; cut < len(raw); cut++ {
-		err := Verify(raw[:cut])
+		_, err := Decode(raw[:cut])
 		if !errors.Is(err, ErrCorrupt) || errors.Is(err, ErrPartial) {
 			t.Fatalf("cut %d: want an envelope ErrCorrupt, got %v", cut, err)
 		}
@@ -140,7 +140,7 @@ func TestBitFlipCaughtByCRC(t *testing.T) {
 	raw := writeSample(t)
 	// Flip one payload byte (past magic+version+header, before trailer).
 	raw[len(raw)-12] ^= 0x01
-	if err := Verify(raw); !errors.Is(err, ErrCorrupt) {
+	if _, err := Decode(raw); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("want ErrCorrupt from CRC, got %v", err)
 	}
 }

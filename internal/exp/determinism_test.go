@@ -80,7 +80,7 @@ func TestDeterminismMatrix(t *testing.T) {
 // TestPolicyKernelDeterminism pins the policy × kernel slice of the
 // determinism matrix: every registered source policy must produce
 // bit-identical outcomes under the event kernel. The issue-schedule
-// seam (regulate.IssueSchedule) covers the whole zoo — pacer-based
+// seam (regulate.Source.NextIssueAt) covers the whole zoo — pacer-based
 // static and lmsar, token-based bankreg, the pass-through for none —
 // so no policy may degrade event dispatch into divergence, and no run
 // may record a late wake (a wake targeting an already-drained class

@@ -36,9 +36,6 @@ func TestClassify(t *testing.T) {
 		// Explicit markers outrank the default rules.
 		{"terminal-wrapped-corrupt", Terminal(fmt.Errorf("x: %w", pabst.ErrCkptCorrupt)), FailTerminal},
 		{"retryable-wrapped-invalid", Retryable(fmt.Errorf("x: %w", config.ErrInvalid)), FailRetryable},
-		// ErrInterrupted wraps a context error → canceled; the partial-
-		// checkpoint special case is the supervisor's errors.Is branch.
-		{"interrupted", fmt.Errorf("%w: %w", ErrInterrupted, context.Canceled), FailCanceled},
 	}
 	for _, c := range cases {
 		if got := Classify(c.err); got != c.want {

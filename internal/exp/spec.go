@@ -3,9 +3,7 @@ package exp
 import (
 	"context"
 	"crypto/sha256"
-	"errors"
 	"fmt"
-	"io"
 	"sort"
 
 	"pabst"
@@ -656,32 +654,16 @@ type RunResult struct {
 	// Faults carries injection/degradation counters for faulted runs.
 	Faults *RunFaults `json:"faults,omitempty"`
 	// Fingerprint hashes the run's full observable statistics; equal
-	// specs produce equal fingerprints regardless of kernel, warm
-	// starts, or checkpoint-resumed execution.
+	// specs produce equal fingerprints regardless of kernel or warm
+	// starts.
 	Fingerprint string `json:"fingerprint"`
-	// Cycles is how many measured cycles THIS call executed (after a
-	// partial-checkpoint resume it is only the remainder).
+	// Cycles is how many measured cycles the call executed: the whole
+	// window on success, the prefix it reached when cancelled.
 	Cycles uint64 `json:"cycles"`
 }
 
-// ErrInterrupted marks a run stopped by context cancellation after
-// saving a resumable mid-measure checkpoint through RunIO.Save. It
-// wraps the context error, so Classify still reports FailCanceled; a
-// supervisor distinguishes it with errors.Is to requeue the job with
-// its partial state instead of restarting from scratch.
-var ErrInterrupted = errors.New("exp: run interrupted, partial checkpoint saved")
-
-// RunIO wires a run into a supervisor: where to resume from, where to
-// checkpoint on interruption, and a liveness heartbeat.
+// RunIO wires a run into a supervisor.
 type RunIO struct {
-	// Resume, when non-nil, is a mid-measure checkpoint previously saved
-	// by an interrupted run of the SAME spec; the run restores it and
-	// executes only the remaining cycles.
-	Resume io.Reader
-	// Save, when non-nil, is called on context cancellation to obtain a
-	// sink for a mid-measure checkpoint; success is reported as
-	// ErrInterrupted instead of the bare context error.
-	Save func() (io.WriteCloser, error)
 	// Beat, when non-nil, is called after every measured chunk with
 	// (cycles done, cycles total) — the supervisor's wedge detector. It
 	// also fires during a cold warmup with done == 0, pure liveness.
@@ -737,14 +719,10 @@ func buildPeriodic(rs RunSpec, cfg pabst.SystemConfig, mode pabst.Mode, sc Scale
 
 // Run executes the spec under ctx and the given environment. The warmup
 // goes through the warm-start checkpoint store when the environment
-// names one; cancellation during warmup returns the context error
-// (warmups re-run from the store, so no partial state is worth saving).
-// The measured phase runs in chunks so cancellation, heartbeats, and
-// checkpoint-and-requeue all get a word in edgewise: on cancellation
-// with RunIO.Save wired, the machine state is checkpointed and
-// ErrInterrupted returned; a later call with that checkpoint as
-// RunIO.Resume finishes the measurement bit-identically to an
-// uninterrupted run.
+// names one. The measured phase runs in chunks so cancellation and
+// heartbeats get a word in edgewise; a cancelled run returns the context
+// error and saves nothing — a rerun restores the warmup from the store
+// and repeats at most one measure window.
 func (rs RunSpec) Run(ctx context.Context, ex Exec, rio RunIO) (RunResult, error) {
 	if err := rs.Validate(); err != nil {
 		return RunResult{}, err
@@ -761,39 +739,22 @@ func (rs RunSpec) Run(ctx context.Context, ex Exec, rio RunIO) (RunResult, error
 	if err != nil {
 		return RunResult{}, err
 	}
-	var sys *pabst.System
-	if rio.Resume != nil {
-		// A stale or damaged partial checkpoint is retryable by
-		// definition: the supervisor drops the partial and the next
-		// attempt runs the spec from scratch.
-		if sys, err = b.Restore(rio.Resume); err != nil {
-			return RunResult{}, Retryable(fmt.Errorf("resume from partial checkpoint: %w", err))
-		}
-	} else {
-		var warmBeat func(uint64, uint64)
-		if rio.Beat != nil {
-			warmBeat = func(uint64, uint64) { rio.Beat(0, sc.Measure) }
-		}
-		if sys, err = WarmedSystem(ctx, sc, b, warmBeat); err != nil {
-			return RunResult{}, err
-		}
+	var warmBeat func(uint64, uint64)
+	if rio.Beat != nil {
+		warmBeat = func(uint64, uint64) { rio.Beat(0, sc.Measure) }
+	}
+	sys, err := WarmedSystem(ctx, sc, b, warmBeat)
+	if err != nil {
+		return RunResult{}, err
 	}
 	defer sys.Close()
 
-	// Measured-phase accounting rides on the kernel clock: every path to
-	// this point (cold warmup, warm-start restore, partial resume) leaves
-	// Now() at Warmup + measured-cycles-done.
-	done := sys.Now() - sc.Warmup
 	total := sc.Measure
-	if sys.Now() < sc.Warmup || done > total {
-		return RunResult{}, Retryable(fmt.Errorf("partial checkpoint at cycle %d outside measure window [%d, %d]",
-			sys.Now(), sc.Warmup, sc.Warmup+total))
-	}
-	start := done
 	chunk := total / 32
 	if chunk == 0 {
 		chunk = 1
 	}
+	var done uint64
 	for done < total {
 		step := total - done
 		if step > chunk {
@@ -805,23 +766,12 @@ func (rs RunSpec) Run(ctx context.Context, ex Exec, rio RunIO) (RunResult, error
 			rio.Beat(done, total)
 		}
 		if rerr != nil {
-			if rio.Save != nil && done < total {
-				if w, werr := rio.Save(); werr == nil {
-					serr := sys.Checkpoint(w)
-					if cerr := w.Close(); serr == nil && cerr == nil {
-						return RunResult{Cycles: done - start},
-							fmt.Errorf("%w after %d/%d measured cycles: %w", ErrInterrupted, done, total, rerr)
-					}
-				}
-				// Failing to save the partial degrades the interruption
-				// to a plain cancellation: the job restarts from scratch.
-			}
-			return RunResult{Cycles: done - start}, rerr
+			return RunResult{Cycles: done}, rerr
 		}
 	}
 
 	res := collectResult(rs, sys, classes)
-	res.Cycles = done - start
+	res.Cycles = done
 	return res, nil
 }
 

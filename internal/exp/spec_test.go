@@ -1,13 +1,11 @@
 package exp
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"io"
 	"testing"
 
 	"pabst"
@@ -108,16 +106,11 @@ func TestRunSpecDeterministic(t *testing.T) {
 	}
 }
 
-// closeBuffer adapts bytes.Buffer to io.WriteCloser for RunIO.Save.
-type closeBuffer struct{ bytes.Buffer }
-
-func (c *closeBuffer) Close() error { return nil }
-
-// TestRunSpecInterruptResume is the control plane's keystone: cancel a
-// run mid-measure, checkpoint the partial state, resume it in a second
-// call, and get a result fingerprint byte-identical to an uninterrupted
-// run.
-func TestRunSpecInterruptResume(t *testing.T) {
+// TestRunSpecCancelRerun pins what a cancelled run costs: cancelled from
+// the beat hook a third of the way into the measure window, Run returns
+// the context error with the measured prefix and nothing else, and a
+// plain rerun equals an uninterrupted run.
+func TestRunSpecCancelRerun(t *testing.T) {
 	spec := RunSpec{Bench: BenchStreams, Scale: "tiny", Params: map[string]uint64{"epoch": 1000}}
 
 	ref, err := spec.Run(context.Background(), tinyExec(), RunIO{})
@@ -125,50 +118,26 @@ func TestRunSpecInterruptResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Cancel after roughly a third of the measurement via the beat hook.
 	ctx, cancel := context.WithCancel(context.Background())
-	var partial closeBuffer
-	rio := RunIO{
-		Beat: func(done, total uint64) {
-			if done >= total/3 {
-				cancel()
-			}
-		},
-		Save: func() (io.WriteCloser, error) { return &partial, nil },
+	res, err := spec.Run(ctx, tinyExec(), RunIO{Beat: func(done, total uint64) {
+		if done >= total/3 {
+			cancel()
+		}
+	}})
+	if Classify(err) != FailCanceled || !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run error = %v (%v), want the context error", err, Classify(err))
 	}
-	res, err := spec.Run(ctx, tinyExec(), rio)
-	if !errors.Is(err, ErrInterrupted) {
-		t.Fatalf("interrupted run error = %v, want ErrInterrupted", err)
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatal("ErrInterrupted must wrap the context error")
-	}
-	if res.Cycles == 0 || res.Cycles >= tinyScale().Measure {
-		t.Fatalf("interrupted after %d cycles, want a strict prefix", res.Cycles)
-	}
-	if partial.Len() == 0 {
-		t.Fatal("no partial checkpoint written")
+	if res.Cycles == 0 || res.Cycles >= tinyScale().Measure || res.Fingerprint != "" {
+		t.Fatalf("cancelled run returned %+v, want a strict prefix of the window and no result", res)
 	}
 
-	// Resume and finish.
-	res2, err := spec.Run(context.Background(), tinyExec(),
-		RunIO{Resume: bytes.NewReader(partial.Bytes())})
+	res2, err := spec.Run(context.Background(), tinyExec(), RunIO{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.Cycles != tinyScale().Measure-res.Cycles {
-		t.Fatalf("resume ran %d cycles, want the remaining %d",
-			res2.Cycles, tinyScale().Measure-res.Cycles)
-	}
-	if res2.Fingerprint != ref.Fingerprint {
-		t.Fatalf("resumed fingerprint diverged:\n%s\n%s", res2.Fingerprint, ref.Fingerprint)
-	}
-
-	// A garbage partial is retryable, not fatal.
-	_, err = spec.Run(context.Background(), tinyExec(),
-		RunIO{Resume: bytes.NewReader([]byte("not a checkpoint"))})
-	if Classify(err) != FailRetryable {
-		t.Fatalf("garbage partial classified %v (%v), want retryable", Classify(err), err)
+	if res2.Cycles != tinyScale().Measure || res2.Fingerprint != ref.Fingerprint {
+		t.Fatalf("rerun = %d cycles, fingerprint %s; want the whole window and %s",
+			res2.Cycles, res2.Fingerprint, ref.Fingerprint)
 	}
 }
 

@@ -20,7 +20,8 @@ func ckptVerifyFile(path string) error {
 	if err != nil {
 		return err
 	}
-	return ckpt.Verify(raw)
+	_, err = ckpt.Decode(raw)
+	return err
 }
 
 // warmBuilder describes the small 3:1 two-stream machine used by every

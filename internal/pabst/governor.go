@@ -196,7 +196,7 @@ func (g *Governor) WatchdogTick(now uint64) {
 // expiry, which resets the measurement base).
 func (g *Governor) WatchdogNextAt() uint64 { return g.lastBeat + g.params.WatchdogCycles }
 
-// NextIssueAt implements regulate.IssueSchedule: the single global
+// NextIssueAt implements regulate.Source: the single global
 // pacer's grant time, regardless of channel.
 func (g *Governor) NextIssueAt(from uint64, mc int) uint64 { return g.pacer.NextAllowedAt(from) }
 

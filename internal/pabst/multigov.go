@@ -128,7 +128,7 @@ func (g *MultiGovernor) ProbeState() (m, dm, period uint64, multi bool) {
 // one WatchdogCycles interval past the latest heartbeat.
 func (g *MultiGovernor) WatchdogNextAt() uint64 { return g.lastBeat + g.params.WatchdogCycles }
 
-// NextIssueAt implements regulate.IssueSchedule for the pacer of
+// NextIssueAt implements regulate.Source for the pacer of
 // channel mc.
 func (g *MultiGovernor) NextIssueAt(from uint64, mc int) uint64 {
 	return g.pacers[mc].NextAllowedAt(from)

@@ -59,7 +59,7 @@ func (s *StaticLimiter) Pacer() *Pacer { return s.pacer }
 // CanIssue implements regulate.Source.
 func (s *StaticLimiter) CanIssue(now uint64, mc int) bool { return s.pacer.CanIssue(now) }
 
-// NextIssueAt implements regulate.IssueSchedule: the single pacer's
+// NextIssueAt implements regulate.Source: the single pacer's
 // next credit. Epoch reweights change the period but never move the
 // already-accumulated C_next earlier, so a sleeping tile's grant time
 // stays valid across heartbeats.

@@ -2,6 +2,7 @@ package qos
 
 import (
 	"fmt"
+	"math/bits"
 
 	"pabst/internal/mem"
 )
@@ -76,7 +77,9 @@ func NewRegistry() *Registry {
 
 // Add creates a new class with the given share weight and L3 way
 // allocation. Weights must be positive. Strides for all classes are
-// recomputed so they remain exact integer inverses of the weights.
+// recomputed so they remain exact integer inverses of the weights; if
+// that stride vector overflows 64 bits, Add fails and the registry is
+// unchanged.
 func (r *Registry) Add(name string, weight uint64, l3Ways int) (*Class, error) {
 	if weight == 0 {
 		return nil, fmt.Errorf("qos: class %q: weight must be positive", name)
@@ -89,8 +92,11 @@ func (r *Registry) Add(name string, weight uint64, l3Ways int) (*Class, error) {
 	}
 	c := &Class{ID: mem.ClassID(len(r.classes)), Name: name, Weight: weight, L3Ways: l3Ways}
 	r.classes = append(r.classes, c)
+	if err := r.recomputeStrides(); err != nil {
+		r.classes = r.classes[:c.ID]
+		return nil, fmt.Errorf("qos: class %q: %w", name, err)
+	}
 	r.byName[name] = c.ID
-	r.recomputeStrides()
 	return c, nil
 }
 
@@ -106,13 +112,19 @@ func (r *Registry) MustAdd(name string, weight uint64, l3Ways int) *Class {
 // SetWeight changes a class's proportional share at run time (the
 // software-controlled allocation knob). Strides of every class are
 // recomputed; the governors pick up the new stride at their next epoch.
+// A weight whose stride vector overflows 64 bits is refused and the
+// registry is unchanged.
 func (r *Registry) SetWeight(id mem.ClassID, weight uint64) error {
 	if weight == 0 {
 		return fmt.Errorf("qos: weight must be positive")
 	}
 	c := r.class(id)
+	prev := c.Weight
 	c.Weight = weight
-	r.recomputeStrides()
+	if err := r.recomputeStrides(); err != nil {
+		c.Weight = prev
+		return fmt.Errorf("qos: class %q: %w", c.Name, err)
+	}
 	return nil
 }
 
@@ -198,14 +210,16 @@ func (r *Registry) class(id mem.ClassID) *Class {
 
 // recomputeStrides assigns each class the smallest integer stride vector
 // exactly proportional to the inverse weights: stride_i = L/weight_i
-// where L = lcm(weights), then divides out the gcd of the strides.
-func (r *Registry) recomputeStrides() {
-	if len(r.classes) == 0 {
-		return
-	}
+// where L = lcm(weights), then divides out the gcd of the strides. It
+// fails, assigning nothing, when L does not fit in 64 bits.
+func (r *Registry) recomputeStrides() error {
 	l := uint64(1)
 	for _, c := range r.classes {
-		l = lcm(l, c.Weight)
+		hi, lo := bits.Mul64(l/gcd(l, c.Weight), c.Weight)
+		if hi != 0 {
+			return fmt.Errorf("weight %d: the weights' least common multiple overflows 64 bits", c.Weight)
+		}
+		l = lo
 	}
 	g := uint64(0)
 	for _, c := range r.classes {
@@ -215,6 +229,7 @@ func (r *Registry) recomputeStrides() {
 	for _, c := range r.classes {
 		c.Stride /= g
 	}
+	return nil
 }
 
 func gcd(a, b uint64) uint64 {
@@ -223,5 +238,3 @@ func gcd(a, b uint64) uint64 {
 	}
 	return a
 }
-
-func lcm(a, b uint64) uint64 { return a / gcd(a, b) * b }

@@ -140,3 +140,31 @@ func TestSetWeightZeroRejected(t *testing.T) {
 		t.Fatal("SetWeight(0) accepted")
 	}
 }
+
+// TestStrideOverflowRejected pins the checked lcm: weights whose lcm
+// overflows 64 bits used to divide by zero inside Add or truncate to
+// strides of the wrong ratio; Add and SetWeight refuse them and leave
+// every weight, stride and name as it was.
+func TestStrideOverflowRejected(t *testing.T) {
+	for _, w := range [][2]uint64{
+		{1<<62 + 1, 1<<62 + 3},   // divided by zero
+		{1 << 63, 3},             // truncated to 1 : 3074457345618258602
+		{4294967311, 4294967357}, // two primes past 2^32: truncated to 1 : 1
+	} {
+		r := NewRegistry()
+		a := r.MustAdd("a", w[0], 4)
+		if _, err := r.Add("b", w[1], 4); err == nil {
+			t.Fatalf("Add of weights %d:%d accepted, strides %d:%d", w[0], w[1], a.Stride, r.Stride(1))
+		}
+		if _, ok := r.Lookup("b"); ok || r.NumClasses() != 1 || a.Weight != w[0] || a.Stride != 1 {
+			t.Fatalf("refused Add of %d:%d left %d classes, a = %+v", w[0], w[1], r.NumClasses(), a)
+		}
+		b := r.MustAdd("b", w[0], 4)
+		if err := r.SetWeight(b.ID, w[1]); err == nil {
+			t.Fatalf("SetWeight to weights %d:%d accepted, strides %d:%d", w[0], w[1], a.Stride, b.Stride)
+		}
+		if b.Weight != w[0] || a.Stride != 1 || b.Stride != 1 {
+			t.Fatalf("refused SetWeight to %d:%d left weights %d:%d strides %d:%d", w[0], w[1], a.Weight, b.Weight, a.Stride, b.Stride)
+		}
+	}
+}

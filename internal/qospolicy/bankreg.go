@@ -73,7 +73,7 @@ func (b *bankRegulator) replenish() {
 // while its destination channel's bucket holds tokens.
 func (b *bankRegulator) CanIssue(now uint64, mc int) bool { return b.tokens[mc] > 0 }
 
-// NextIssueAt implements regulate.IssueSchedule. A channel with tokens
+// NextIssueAt implements regulate.Source. A channel with tokens
 // can issue immediately; an exhausted bucket has no self-scheduled
 // refill — the next grant comes only from an epoch replenish, which
 // reaches the tile as a heartbeat delivery and wakes it — so it reports

@@ -8,8 +8,9 @@
 // source/target split the PABST paper itself articulates:
 //
 //   - A source policy implements regulate.Source — the per-tile pacer
-//     gating L2 misses into the SoC network. One instance is built per
-//     attached tile.
+//     gating L2 misses into the SoC network, which also tells the event
+//     kernel when its next grant falls due (NextIssueAt). One instance
+//     is built per attached tile.
 //   - A target policy supplies a dram.ReadSched ordering plus an
 //     optional dram.Arbiter — the memory-controller front-end
 //     prioritization. One arbiter instance is built per controller.

@@ -141,7 +141,7 @@ func (l *lmsRegulator) Epoch(hb regulate.Heartbeat) {
 // CanIssue implements regulate.Source.
 func (l *lmsRegulator) CanIssue(now uint64, mc int) bool { return l.pacer.CanIssue(now) }
 
-// NextIssueAt implements regulate.IssueSchedule: the pacer's next
+// NextIssueAt implements regulate.Source: the pacer's next
 // credit. The NLMS update at each prediction-window boundary (Epoch)
 // swaps the period but never moves the accumulated C_next earlier, and
 // response-carried refunds land during the owning tile's own tick, so

@@ -46,6 +46,18 @@ type Source interface {
 	OnDemand(now uint64)
 	// Epoch delivers the heartbeat.
 	Epoch(hb Heartbeat)
+	// NextIssueAt reports the next cycle, from or later, at which
+	// CanIssue(_, mc) could turn true, so the event kernel can sleep a
+	// tile with queued misses until the next grant. The reported cycle
+	// must only move earlier through actions taken during the owning
+	// tile's own tick (issue charges, response-carried corrections) or
+	// through an Epoch delivery — the one cross-tile source of new
+	// grants (token refills) — which the SoC announces to the kernel
+	// itself (epoch deliveries wake or dirty-mark the receiving tile). A
+	// channel with no computable grant time reports NeverIssue.
+	// Returning from is always sound: it makes the tile poll every
+	// cycle it holds a queued miss.
+	NextIssueAt(from uint64, mc int) uint64
 }
 
 // Probe is implemented by sources that expose their regulator registers
@@ -74,21 +86,6 @@ type Watchdog interface {
 	WatchdogNextAt() uint64
 }
 
-// IssueSchedule is implemented by sources whose throttle state exposes
-// the next cycle CanIssue(_, mc) could turn true. The reported cycle
-// must only move earlier through actions taken during the owning
-// tile's own tick (issue charges, response-carried corrections) or
-// through an Epoch delivery — the one cross-tile source of new grants
-// (token refills) — which the SoC announces to the kernel itself
-// (epoch deliveries wake or dirty-mark the receiving tile), so the
-// event kernel can sleep a tile with queued misses until the next
-// grant. A channel with no computable grant time reports NeverIssue;
-// sources without any schedule simply do not implement the interface
-// and are polled every cycle.
-type IssueSchedule interface {
-	NextIssueAt(from uint64, mc int) uint64
-}
-
 // NeverIssue is the NextIssueAt result for a channel whose next grant
 // cannot come from the source's own clock — only an external event
 // (an epoch refill) can create one, and that event wakes the tile.
@@ -112,7 +109,7 @@ func (Unthrottled) OnDemand(uint64) {}
 // Epoch implements Source.
 func (Unthrottled) Epoch(Heartbeat) {}
 
-// NextIssueAt implements IssueSchedule: an unthrottled source can
+// NextIssueAt implements Source: an unthrottled source can
 // always issue, so a tile with queued work is busy immediately. (This
 // also covers the source half of target-only policies such as dpq.)
 func (Unthrottled) NextIssueAt(from uint64, mc int) uint64 { return from }

@@ -134,7 +134,7 @@ func TestChaosAcceptance(t *testing.T) {
 	}
 
 	// Restart over the same directory; the journal re-queues exactly
-	// the unfinished jobs, partial checkpoints and all.
+	// the unfinished jobs.
 	cfg.Runner = ExpRunner
 	s2, err := New(cfg)
 	if err != nil {
@@ -159,9 +159,9 @@ func TestChaosAcceptance(t *testing.T) {
 	})
 
 	// Every job completed exactly once across both incarnations, and
-	// every result fingerprint — including drained jobs resumed from
-	// partial checkpoints and the wedge victim — matches its serial
-	// reference bit for bit.
+	// every result fingerprint — including drained jobs rerun from the
+	// warm store and the wedge victim — matches its serial reference bit
+	// for bit.
 	finished := make(map[string]bool)
 	check := func(v JobView) {
 		if v.State != StateDone {

@@ -23,10 +23,13 @@
 //
 // Graceful drain (SIGTERM/SIGINT in cmd/pabstserve) stops admission,
 // gives in-flight jobs a grace period to finish, then cancels the rest;
-// a cancelled run checkpoints its mid-measure machine state and is
-// requeued with that partial checkpoint, so the restarted service
-// finishes the measurement bit-identically to an uninterrupted run.
-// Queued jobs survive via journal compaction.
+// a cancelled run is requeued without consuming an attempt, and the
+// restarted service reruns it: the warmup comes back from the warm
+// store, so a restart costs each in-flight job at most one measure
+// window (DESIGN.md "What earned its place" has the measured bound that
+// retired the mid-measure checkpoint). Queued jobs survive via journal
+// compaction. The state directory holds the journal and the warm store,
+// and no journal record refers to a file.
 //
 // Observability rides on the existing internal/obs registry: queue
 // depth, in-flight count, per-outcome counters, supervisor activity,

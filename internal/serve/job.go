@@ -51,9 +51,8 @@ type job struct {
 	deadline    time.Duration
 
 	state    JobState
-	attempt  int    // attempts started (wedge abandons count; drain requeues don't)
-	requeues int    // times put back on the queue by drain/wedge/recovery
-	partial  string // path of a resumable mid-measure checkpoint, "" if none
+	attempt  int // attempts started (wedge abandons count; drain requeues don't)
+	requeues int // times put back on the queue by drain/wedge/recovery
 
 	result    *exp.RunResult
 	errMsg    string
@@ -84,7 +83,6 @@ type JobView struct {
 	Attempt         int            `json:"attempt"`
 	MaxAttempts     int            `json:"max_attempts"`
 	Requeues        int            `json:"requeues"`
-	HasPartial      bool           `json:"has_partial,omitempty"`
 	Result          *exp.RunResult `json:"result,omitempty"`
 	Error           string         `json:"error,omitempty"`
 	FailureClass    string         `json:"failure_class,omitempty"`
@@ -103,7 +101,6 @@ func (j *job) view() JobView {
 		Attempt:         j.attempt,
 		MaxAttempts:     j.maxAttempts,
 		Requeues:        j.requeues,
-		HasPartial:      j.partial != "",
 		Error:           j.errMsg,
 		SubmittedAt:     j.submitted,
 	}

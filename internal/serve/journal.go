@@ -11,8 +11,8 @@ import (
 )
 
 // Journal operations. A job's durable history is its submit record plus
-// zero or more requeue records (carrying attempt count and partial
-// checkpoint path) and at most one terminal record.
+// zero or more requeue records (carrying the attempt count) and at most
+// one terminal record. No record refers to a file.
 const (
 	opSubmit  = "submit"
 	opRequeue = "requeue"
@@ -31,7 +31,6 @@ type rec struct {
 	MaxAttempts int          `json:"max_attempts,omitempty"`
 	DeadlineMS  int64        `json:"deadline_ms,omitempty"`
 	Attempt     int          `json:"attempt,omitempty"`
-	Partial     string       `json:"partial,omitempty"`
 	ResultFP    string       `json:"result_fp,omitempty"`
 	ShareHi     float64      `json:"share_hi,omitempty"`
 	TotalBPC    float64      `json:"total_bpc,omitempty"`

@@ -2,10 +2,8 @@ package serve
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc64"
 	"os"
 	"path/filepath"
 	"sync/atomic"
@@ -278,19 +276,75 @@ func TestDeadline(t *testing.T) {
 	mustState(t, s, v.ID, StateCanceled)
 }
 
-// TestDrainRequeueRecover is the graceful-drain contract in miniature:
-// an in-flight job is cancelled, checkpoints a partial, is requeued and
-// journaled; a second service over the same dir recovers it and
-// finishes from the partial.
+// TestDrainRequeueRecover is the graceful-drain contract: an in-flight
+// job is cancelled and requeued without consuming an attempt, the journal
+// compacts to its one submit record, and a second service over the same
+// dir recovers it and reruns it to done. Once with fake runners, once
+// through the real ExpRunner cancelled mid-measure — there the rerun must
+// produce an uninterrupted run's fingerprint at the price of one warm-
+// store restore and one measure window.
 func TestDrainRequeueRecover(t *testing.T) {
-	interruptible := func(ctx context.Context, spec exp.RunSpec, env RunEnv) (exp.RunResult, error) {
-		<-ctx.Done()
-		if err := os.WriteFile(env.Save, []byte("partial-state"), 0o644); err != nil {
-			return exp.RunResult{}, err
+	t.Run("fake", func(t *testing.T) {
+		inflight := make(chan struct{})
+		first := func(ctx context.Context, spec exp.RunSpec, env RunEnv) (exp.RunResult, error) {
+			close(inflight)
+			<-ctx.Done()
+			return exp.RunResult{}, ctx.Err()
 		}
-		return exp.RunResult{}, fmt.Errorf("%w: %w", exp.ErrInterrupted, ctx.Err())
-	}
-	cfg := testConfig(t, interruptible)
+		drainRequeueRecover(t, testConfig(t, first), inflight, okRunner)
+	})
+	t.Run("real", func(t *testing.T) {
+		// The reference run fills the service's warm store, so every beat
+		// of a service attempt is a measured chunk: parking the tenth until
+		// the drain cancels it is a cancel a third of the way in.
+		cfg := testConfig(t, nil)
+		ex := cfg.Exec
+		ex.Ckpt = filepath.Join(cfg.Dir, "warm")
+		ref, err := tinySpec().Run(context.Background(), ex, exp.RunIO{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A mid-measure checkpoint the previous build left behind: were it
+		// read, ExpRunner would refuse it and the rerun take two attempts.
+		stale := filepath.Join(cfg.Dir, "partial", "j-000000.ckpt")
+		if err := os.MkdirAll(filepath.Dir(stale), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(stale, []byte("not a checkpoint"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		inflight := make(chan struct{})
+		cfg.Runner = func(ctx context.Context, spec exp.RunSpec, env RunEnv) (exp.RunResult, error) {
+			beat, n := env.Beat, 0
+			env.Beat = func() {
+				beat()
+				if n++; n == 10 {
+					close(inflight)
+					<-ctx.Done()
+				}
+			}
+			return ExpRunner(ctx, spec, env)
+		}
+		hits, misses := exp.StoreEvents.Hits.Load(), exp.StoreEvents.Misses.Load()
+		got := drainRequeueRecover(t, cfg, inflight, ExpRunner)
+		if got.Result.Fingerprint != ref.Fingerprint {
+			t.Fatalf("rerun fingerprint %s, want the uninterrupted %s", got.Result.Fingerprint, ref.Fingerprint)
+		}
+		// One hit for the cancelled attempt, one for the rerun, no cold warmup.
+		if h, m := exp.StoreEvents.Hits.Load()-hits, exp.StoreEvents.Misses.Load()-misses; h != 2 || m != 0 {
+			t.Fatalf("warm store saw %d hits, %d misses; want 2, 0", h, m)
+		}
+		if raw, err := os.ReadFile(stale); err != nil || string(raw) != "not a checkpoint" {
+			t.Fatalf("the previous build's partial is now %q, %v; want it left alone", raw, err)
+		}
+	})
+}
+
+// drainRequeueRecover submits one job to a service over cfg, drains it
+// once the job signals it is in flight, restarts over the same dir with
+// rerun as the runner, and returns the finished job.
+func drainRequeueRecover(t *testing.T, cfg Config, inflight <-chan struct{}, rerun Runner) JobView {
+	t.Helper()
 	cfg.Workers = 1
 	s, err := New(cfg)
 	if err != nil {
@@ -301,28 +355,23 @@ func TestDrainRequeueRecover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustState(t, s, v.ID, StateRunning)
+	<-inflight
 	if err := s.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := s.Get(v.ID)
-	if got.State != StateQueued || !got.HasPartial || got.Attempt != 0 {
+	if got.State != StateQueued || got.Attempt != 0 || got.Requeues != 1 {
 		t.Fatalf("after drain: %+v", got)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	// Second incarnation resumes from the partial.
-	var resumed atomic.Bool
-	cfg.Runner = func(ctx context.Context, spec exp.RunSpec, env RunEnv) (exp.RunResult, error) {
-		raw, err := os.ReadFile(env.Resume)
-		if err != nil || string(raw) != "partial-state" {
-			return exp.RunResult{}, fmt.Errorf("partial not offered for resume: %q %v", raw, err)
-		}
-		resumed.Store(true)
-		return exp.RunResult{Fingerprint: "resumed"}, nil
+	jpath := filepath.Join(cfg.Dir, "journal.jsonl")
+	if recs, err := loadJournal(jpath); err != nil || len(recs) != 1 || recs[0].Op != opSubmit || recs[0].ID != v.ID {
+		t.Fatalf("journal after drain = %+v, %v; want the one submit record", recs, err)
 	}
+
+	cfg.Runner = rerun
 	s2, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -333,20 +382,18 @@ func TestDrainRequeueRecover(t *testing.T) {
 	}
 	s2.Start()
 	mustState(t, s2, v.ID, StateDone)
-	if !resumed.Load() {
-		t.Fatal("second incarnation did not resume from the partial")
+	got, _ = s2.Get(v.ID)
+	if got.Attempt != 1 {
+		t.Fatalf("rerun took %d attempts, want 1", got.Attempt)
 	}
 	// Once everything is done, a drain compacts the journal to empty.
 	if err := s2.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	fi, err := os.Stat(filepath.Join(cfg.Dir, "journal.jsonl"))
-	if err != nil {
-		t.Fatal(err)
+	if fi, err := os.Stat(jpath); err != nil || fi.Size() != 0 {
+		t.Fatalf("journal after a clean drain: %v, %v; want 0 bytes", fi, err)
 	}
-	if fi.Size() != 0 {
-		t.Fatalf("journal holds %d bytes after a clean drain, want 0", fi.Size())
-	}
+	return got
 }
 
 // TestWedgeRecovery pins the supervisor: a worker stuck past the
@@ -386,64 +433,5 @@ func TestWedgeRecovery(t *testing.T) {
 	got, _ := s.Get(v.ID)
 	if got.Result.Fingerprint != "recovered" {
 		t.Fatalf("job result %+v", got.Result)
-	}
-}
-
-// TestStalePartialReruns pins what a checkpoint format bump does to a
-// job in flight: a journal left by the previous build names a partial
-// checkpoint in the previous format (here the machine's own post-warmup
-// image, version word set back to 3 and the CRC re-sealed). The
-// production runner refuses it retryably, the supervisor drops it, and
-// the rerun from scratch finishes with an uninterrupted run's result.
-func TestStalePartialReruns(t *testing.T) {
-	cfg := testConfig(t, nil) // nil: ExpRunner, the path a real job takes
-	spec := tinySpec()
-	ex := cfg.Exec
-	ex.Ckpt = t.TempDir() // the reference run leaves the machine's image here
-	ref, err := spec.Run(context.Background(), ex, exp.RunIO{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	files, _ := filepath.Glob(filepath.Join(ex.Ckpt, "*.ckpt"))
-	if len(files) != 1 {
-		t.Fatalf("warm store holds %v", files)
-	}
-	img, err := os.ReadFile(files[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	stale := img[:len(img)-8]
-	binary.LittleEndian.PutUint32(stale[8:], 3) // the version word follows the 8-byte magic
-	stale = binary.LittleEndian.AppendUint64(stale, crc64.Checksum(stale, crc64.MakeTable(crc64.ECMA)))
-
-	const id = "j-000000"
-	path := filepath.Join(cfg.Dir, "partial", id+".ckpt")
-	jl, err := openJournal(filepath.Join(cfg.Dir, "journal.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range []rec{{Op: opSubmit, ID: id, Spec: &spec}, {Op: opRequeue, ID: id, Partial: path}} {
-		if err := jl.append(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	jl.close()
-
-	s, err := New(cfg) // recovers the job and makes the partial directory
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if err := os.WriteFile(path, stale, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s.Start()
-	mustState(t, s, id, StateDone)
-	v, _ := s.Get(id)
-	if v.Result == nil || v.Result.Fingerprint != ref.Fingerprint {
-		t.Errorf("rerun result %+v, want fingerprint %s", v.Result, ref.Fingerprint)
-	}
-	if _, err := os.Stat(path); v.Attempt != 2 || v.HasPartial || !os.IsNotExist(err) {
-		t.Errorf("job %+v, stat %v; want the stale partial dropped after one refused attempt", v, err)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"os"
 	"path/filepath"
 	"runtime/debug"
@@ -32,17 +31,10 @@ var (
 )
 
 // RunEnv is what the service hands a Runner alongside the spec: the
-// execution environment, optional partial-checkpoint paths, and the
-// liveness heartbeat the supervisor watches.
+// execution environment and the liveness heartbeat the supervisor
+// watches.
 type RunEnv struct {
 	Exec exp.Exec
-	// Resume names a partial checkpoint from a previous interrupted
-	// attempt of this job ("" for a fresh run). A missing or damaged
-	// file must not be fatal — run from scratch or fail retryably.
-	Resume string
-	// Save names where to atomically write a partial checkpoint if the
-	// run is cancelled mid-measure.
-	Save string
 	// Beat reports liveness; call it at least once per measured chunk.
 	Beat func()
 }
@@ -51,68 +43,21 @@ type RunEnv struct {
 // substitute fast fakes to exercise supervision without simulating.
 type Runner func(ctx context.Context, spec exp.RunSpec, env RunEnv) (exp.RunResult, error)
 
-// ExpRunner is the production Runner: exp.RunSpec.Run wired to
-// file-backed partial checkpoints.
+// ExpRunner is the production Runner: exp.RunSpec.Run with the
+// heartbeat wired in.
 func ExpRunner(ctx context.Context, spec exp.RunSpec, env RunEnv) (exp.RunResult, error) {
 	rio := exp.RunIO{}
 	if env.Beat != nil {
 		rio.Beat = func(done, total uint64) { env.Beat() }
 	}
-	if env.Resume != "" {
-		f, err := os.Open(env.Resume)
-		if err == nil {
-			defer f.Close()
-			rio.Resume = f
-		}
-		// A vanished partial just means a fresh run; a damaged one is
-		// rejected retryably inside Run.
-	}
-	if env.Save != "" {
-		rio.Save = func() (io.WriteCloser, error) { return newAtomicFile(env.Save) }
-	}
 	return spec.Run(ctx, env.Exec, rio)
-}
-
-// atomicFile writes to a temp sibling and renames into place on Close,
-// so a crash mid-checkpoint never leaves a torn partial behind.
-type atomicFile struct {
-	f    *os.File
-	path string
-}
-
-func newAtomicFile(path string) (*atomicFile, error) {
-	f, err := os.CreateTemp(filepath.Dir(path), ".partial-*")
-	if err != nil {
-		return nil, err
-	}
-	return &atomicFile{f: f, path: path}, nil
-}
-
-func (a *atomicFile) Write(p []byte) (int, error) { return a.f.Write(p) }
-
-func (a *atomicFile) Close() error {
-	tmp := a.f.Name()
-	if err := a.f.Sync(); err != nil {
-		a.f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := a.f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, a.path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
 }
 
 // Config parameterizes a Service. Zero values get sensible defaults
 // from fill; only Dir is required.
 type Config struct {
-	// Dir is the service's state directory: journal, partial
-	// checkpoints, and (by default) the warm-start store live here.
+	// Dir is the service's state directory: the journal and (by
+	// default) the warm-start store live here.
 	Dir string
 	// QueueDepth bounds waiting jobs (queued + backoff); Submit rejects
 	// with ErrQueueFull beyond it. Default 64.
@@ -136,7 +81,7 @@ type Config struct {
 	// boundaries. Default 60s.
 	HeartbeatTimeout time.Duration
 	// DrainGrace is how long Drain lets in-flight jobs finish before
-	// cancelling them into checkpoint-and-requeue. Default 3s.
+	// cancelling them back onto the queue. Default 3s.
 	DrainGrace time.Duration
 	// Exec is the execution environment for job runs. An empty Ckpt
 	// defaults to Dir/warm so warm starts persist with the service.
@@ -239,13 +184,12 @@ type Service struct {
 
 // New builds a service over dir, replaying any journal it finds there:
 // every non-terminal job from the previous incarnation re-enters the
-// queue (with its partial checkpoint, if any) before the first worker
-// starts. Call Start to begin executing.
+// queue before the first worker starts. Call Start to begin executing.
 func New(cfg Config) (*Service, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	for _, d := range []string{cfg.Dir, filepath.Join(cfg.Dir, "partial"), cfg.Exec.Ckpt} {
+	for _, d := range []string{cfg.Dir, cfg.Exec.Ckpt} {
 		if err := os.MkdirAll(d, 0o755); err != nil {
 			return nil, fmt.Errorf("serve: %w", err)
 		}
@@ -302,8 +246,8 @@ func (s *Service) recover(recs []rec) {
 	for _, r := range recs {
 		switch r.Op {
 		case opSubmit:
-			// An id names the job's partial checkpoint file, so one that
-			// is not a bare file name is not one this service issued.
+			// A job is addressed as /jobs/{id}, so an id that is not one
+			// path segment is not one this service issued.
 			if r.Spec == nil || r.ID == "" || r.ID != filepath.Base(r.ID) {
 				continue
 			}
@@ -330,13 +274,6 @@ func (s *Service) recover(recs []rec) {
 		case opRequeue:
 			if j := s.jobs[r.ID]; j != nil && !j.state.Terminal() {
 				j.attempt = r.Attempt
-				// The record says a partial exists, never where: the only
-				// place one lives is partialPath, and a failed job's
-				// partial is deleted.
-				j.partial = ""
-				if r.Partial != "" {
-					j.partial = s.partialPath(j.id)
-				}
 				j.state = StateQueued
 			}
 		case opDone:
@@ -553,20 +490,14 @@ func (s *Service) invoke(ctx context.Context, w *worker, j *job) (res exp.RunRes
 		}
 	}()
 	env := RunEnv{
-		Exec:   s.cfg.Exec,
-		Resume: j.partial,
-		Save:   s.partialPath(j.id),
-		Beat:   func() { w.beat.Store(time.Now().UnixNano()) },
+		Exec: s.cfg.Exec,
+		Beat: func() { w.beat.Store(time.Now().UnixNano()) },
 	}
 	return s.cfg.Runner(ctx, j.spec, env)
 }
 
-func (s *Service) partialPath(id string) string {
-	return filepath.Join(s.cfg.Dir, "partial", id+".ckpt")
-}
-
 // settle records one attempt's outcome and decides the job's next hop:
-// done, failed, canceled, backoff-retry, or requeue-with-partial.
+// done, failed, canceled, backoff-retry, or requeue.
 func (s *Service) settle(w *worker, j *job, res exp.RunResult, err error) {
 	now := time.Now()
 	s.mu.Lock()
@@ -593,25 +524,14 @@ func (s *Service) settle(w *worker, j *job, res exp.RunResult, err error) {
 		j.errMsg = ""
 		j.failClass = exp.FailNone
 		j.finished = now
-		s.dropPartialLocked(j)
 		s.m.completed.Add(1)
 		s.m.latencyNS.Add(now.Sub(j.submitted).Nanoseconds())
 		s.appendBestEffort(rec{Op: opDone, ID: j.id, ResultFP: res.Fingerprint,
 			ShareHi: res.ShareHi, TotalBPC: res.TotalBPC})
 
-	case errors.Is(err, exp.ErrInterrupted) && (cause != "" || s.draining || s.closed):
-		// Cancelled by drain/shutdown (or a wedge the run then noticed)
-		// with a fresh partial checkpoint on disk: requeue to resume.
-		j.partial = s.partialPath(j.id)
-		if cause == causeWedge && j.attempt >= j.maxAttempts {
-			s.failLocked(j, fmt.Errorf("attempt %d/%d wedged: %w", j.attempt, j.maxAttempts, err), now)
-			return
-		}
-		s.requeueLocked(j, cause)
-
 	case exp.Classify(err) == exp.FailCanceled && (cause != "" || s.draining || s.closed):
-		// Cancelled before any state was worth saving (e.g. mid-warmup):
-		// requeue as-is. Any older partial is still a valid prefix.
+		// Cancelled by drain/shutdown (or a wedge the run then noticed):
+		// requeue; the rerun restores the warmup from the warm store.
 		if cause == causeWedge && j.attempt >= j.maxAttempts {
 			s.failLocked(j, fmt.Errorf("attempt %d/%d wedged: %w", j.attempt, j.maxAttempts, err), now)
 			return
@@ -624,7 +544,6 @@ func (s *Service) settle(w *worker, j *job, res exp.RunResult, err error) {
 		j.errMsg = err.Error()
 		j.failClass = exp.FailCanceled
 		j.finished = now
-		s.dropPartialLocked(j)
 		s.m.canceled.Add(1)
 		s.appendBestEffort(rec{Op: opCancel, ID: j.id, Err: err.Error()})
 
@@ -632,9 +551,6 @@ func (s *Service) settle(w *worker, j *job, res exp.RunResult, err error) {
 		s.failLocked(j, err, now)
 
 	default: // retryable
-		// Drop any partial: it may be what poisoned this attempt, and a
-		// from-scratch rerun is always correct.
-		s.dropPartialLocked(j)
 		if j.attempt >= j.maxAttempts {
 			s.failLocked(j, fmt.Errorf("attempt %d/%d: %w", j.attempt, j.maxAttempts, err), now)
 			return
@@ -656,14 +572,12 @@ func (s *Service) failLocked(j *job, err error, now time.Time) {
 	j.errMsg = err.Error()
 	j.failClass = exp.Classify(err)
 	j.finished = now
-	s.dropPartialLocked(j)
 	s.m.failed.Add(1)
 	s.appendBestEffort(rec{Op: opFail, ID: j.id, Err: err.Error(), Class: j.failClass.String()})
 }
 
 // requeueLocked puts a drained or wedged job back on the queue,
-// journaling its attempt count and partial checkpoint so a restart
-// resumes instead of rerunning.
+// journaling its attempt count so a restart keeps the budget.
 func (s *Service) requeueLocked(j *job, cause string) {
 	j.state = StateQueued
 	j.requeues++
@@ -673,7 +587,7 @@ func (s *Service) requeueLocked(j *job, cause string) {
 		j.attempt--
 	}
 	s.m.requeued.Add(1)
-	s.appendBestEffort(rec{Op: opRequeue, ID: j.id, Attempt: j.attempt, Partial: j.partial})
+	s.appendBestEffort(rec{Op: opRequeue, ID: j.id, Attempt: j.attempt})
 	s.queue = append(s.queue, j)
 	s.cond.Signal()
 }
@@ -691,17 +605,6 @@ func (s *Service) wakeFromBackoff(j *job) {
 	s.backoff--
 	s.queue = append(s.queue, j)
 	s.cond.Signal()
-}
-
-// dropPartialLocked removes a job's partial checkpoint, if any.
-func (s *Service) dropPartialLocked(j *job) {
-	if j.partial != "" {
-		os.Remove(j.partial)
-		j.partial = ""
-	}
-	// A fresh save may exist even when j.partial was empty (failed
-	// attempt after an interrupt-save race); sweep it too.
-	os.Remove(s.partialPath(j.id))
 }
 
 // appendBestEffort journals a post-admission record. Losing one is
@@ -801,7 +704,7 @@ func (s *Service) supervise() {
 
 // Drain gracefully shuts the service down: stop admission, let
 // in-flight jobs finish for DrainGrace (or until ctx is done), cancel
-// stragglers into checkpoint-and-requeue, wait for the pool to park,
+// stragglers back onto the queue, wait for the pool to park,
 // then compact the journal down to live jobs so a restart recovers
 // exactly the unfinished work.
 func (s *Service) Drain(ctx context.Context) error {
@@ -832,8 +735,7 @@ func (s *Service) Drain(ctx context.Context) error {
 			case <-time.After(2 * time.Millisecond):
 			}
 		}
-		// Cancel whatever is still running; each run checkpoints and is
-		// requeued by settle.
+		// Cancel whatever is still running; settle requeues each run.
 		s.mu.Lock()
 		for _, w := range s.workers {
 			if w.cur != nil && w.cancel != nil {
@@ -891,9 +793,9 @@ func (s *Service) stopSupervisor() {
 }
 
 // compactLocked rewrites the journal to hold only live (non-terminal)
-// jobs: one submit record each, plus a requeue record carrying attempt
-// count and partial checkpoint when there is anything to carry. After
-// a clean drain with no pending work the journal is empty.
+// jobs: one submit record each, plus a requeue record carrying the
+// attempt count when it is not zero. After a clean drain with no pending
+// work the journal is empty.
 func (s *Service) compactLocked() error {
 	var recs []rec
 	for _, id := range s.order {
@@ -905,17 +807,16 @@ func (s *Service) compactLocked() error {
 			Op: opSubmit, ID: j.id, Spec: &j.spec, SpecFP: j.specFP,
 			MaxAttempts: j.maxAttempts, DeadlineMS: j.deadline.Milliseconds(),
 		})
-		if j.attempt > 0 || j.partial != "" {
-			recs = append(recs, rec{Op: opRequeue, ID: j.id, Attempt: j.attempt, Partial: j.partial})
+		if j.attempt > 0 {
+			recs = append(recs, rec{Op: opRequeue, ID: j.id, Attempt: j.attempt})
 		}
 	}
 	return s.journal.rewrite(recs)
 }
 
 // Close hard-stops the service: cancel everything, wait for workers,
-// journal the survivors, release the journal. In-flight jobs get the
-// same checkpoint-and-requeue treatment as a drain, just without the
-// grace period.
+// journal the survivors, release the journal. In-flight jobs are
+// requeued as in a drain, just without the grace period.
 func (s *Service) Close() error {
 	s.mu.Lock()
 	if s.closed {

@@ -275,18 +275,14 @@ func (c tileComp) NextEventAt(from uint64) uint64 {
 		next = at
 	}
 	if t.queued > 0 {
-		// Queued misses wait on their channel pacers. With a grant
-		// schedule the tile sleeps until the earliest grant among
-		// channels that actually hold work; without one the pacer must
-		// be polled every cycle.
-		if t.sched == nil {
-			return from
-		}
+		// Queued misses wait on their channel pacers: the tile sleeps
+		// until the earliest grant among channels that actually hold
+		// work.
 		for mc := range t.missQ {
 			if t.missQ[mc].Len() == 0 {
 				continue
 			}
-			at := t.sched.NextIssueAt(from, mc)
+			at := t.src.NextIssueAt(from, mc)
 			if at <= from {
 				return from
 			}

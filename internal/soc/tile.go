@@ -31,11 +31,6 @@ type Tile struct {
 	// one nil check per cycle.
 	wd regulate.Watchdog
 
-	// sched is non-nil when the source regulator exposes its next grant
-	// time; the event kernel uses it to sleep a tile with queued misses
-	// until the pacer could actually clear one.
-	sched regulate.IssueSchedule
-
 	inbox sim.DelayQueue[*mem.Packet]
 
 	// mshr maps an outstanding miss line to the core op tokens waiting
@@ -101,7 +96,6 @@ func newTile(s *System, id int, class mem.ClassID, gen workload.Generator) (*Til
 	if wd, ok := t.src.(regulate.Watchdog); ok && s.cfg.PABST.WatchdogCycles > 0 {
 		t.wd = wd
 	}
-	t.sched, _ = t.src.(regulate.IssueSchedule)
 	coreCfg := s.cfg.Core
 	// Strict MSHR blocking makes a blocked retry a pure probe, so the
 	// core may sleep through the blocked window; the legacy optimistic
