@@ -261,8 +261,8 @@ func TestCheckpointTypedErrors(t *testing.T) {
 
 	t.Run("version", func(t *testing.T) {
 		// A newer build's file, and the previous format's: an intact
-		// Version-3 image (CRC re-sealed) is refused, not migrated.
-		for _, v := range []uint32{5, 3} {
+		// Version-4 image (CRC re-sealed) is refused, not migrated.
+		for _, v := range []uint32{6, 4} {
 			bad := append([]byte(nil), raw[:len(raw)-8]...)
 			binary.LittleEndian.PutUint32(bad[8:], v) // the version word follows the 8-byte magic
 			bad = binary.LittleEndian.AppendUint64(bad, crc64.Checksum(bad, crc64.MakeTable(crc64.ECMA)))
@@ -398,7 +398,7 @@ func TestCheckpointClosureGenerators(t *testing.T) {
 
 // TestCheckpointFormatFrozen pins the persisted form of a machine:
 // checkpoint bytes and machine fingerprints (the warm-store keys) equal
-// the constants captured when ckpt.Version became 4. The mechanism is
+// the constants captured when ckpt.Version became 5. The mechanism is
 // recorded once, as the resolved pair, so a pair spelled as an override
 // and the same pair spelled as the builder's mode are one machine. If
 // any constant changes, ckpt.Version must be bumped — that is a format
@@ -406,7 +406,7 @@ func TestCheckpointClosureGenerators(t *testing.T) {
 func TestCheckpointFormatFrozen(t *testing.T) {
 	const (
 		dpqMachine = "fc7391dd7560a1cdfa224e07242762c08f1f3509f8ad662c4eb44a1b0b28adc0"
-		dpqContent = "837eba0d2f11e293820835511d8eb41b9211f419a3f1a69baf0e3db4bab5b326"
+		dpqContent = "1523da5c7a6cdda20234e16b28e04f092221653470d4176ed1501e7c4c3ed990"
 	)
 	for _, c := range []struct {
 		name             string
@@ -417,7 +417,7 @@ func TestCheckpointFormatFrozen(t *testing.T) {
 	}{
 		{"default", pabst.ModeSourceOnly, nil, "pabst+fcfs",
 			"2a7268343a2e15abed1d7b0cd74d3cefe5d27323d6ff613a9381cdb0cf7eec85",
-			"91e8170bc959845a40d25a7e186bb818d5e5252694a1b189b1376c38f9b67f47"},
+			"713f8b7e63a97141ca78e1e78a958b5253d9aa097f495ebf4b41500660d12d95"},
 		{"overridden", pabst.ModeSourceOnly, []pabst.Option{pabst.WithPolicy("", "dpq")}, "pabst+dpq",
 			dpqMachine, dpqContent},
 		{"spelled-as-mode", pabst.Mode{Source: "pabst", Target: "dpq"}, nil, "pabst+dpq",
@@ -457,8 +457,8 @@ func TestCheckpointFormatFrozen(t *testing.T) {
 			if got := fmt.Sprintf("%x", sha256.Sum256(ck.Bytes())); got != c.content {
 				t.Errorf("checkpoint bytes hash %s, frozen %s", got, c.content)
 			}
-			if v := binary.LittleEndian.Uint32(ck.Bytes()[8:]); v != 4 { // the version word follows the 8-byte magic
-				t.Errorf("checkpoint format version %d, frozen 4", v)
+			if v := binary.LittleEndian.Uint32(ck.Bytes()[8:]); v != 5 { // the version word follows the 8-byte magic
+				t.Errorf("checkpoint format version %d, frozen 5", v)
 			}
 			// The self-describing restore reads the same selection back.
 			back, err := pabst.Restore(bytes.NewReader(ck.Bytes()))

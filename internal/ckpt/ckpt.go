@@ -45,8 +45,11 @@ import (
 // fault injector's NoC stream into per-tile/per-MC cursors and made the
 // NoC fabric's inject-fail counter per-router; v4 dropped the DRAM
 // controller's per-bank queue slot, and the header records the resolved
-// mechanism pair once (the configuration no longer carries an override).
-const Version uint32 = 4
+// mechanism pair once (the configuration no longer carries an override);
+// v5 gave the SAT-feedback governor one walk whatever its lane count
+// (lane count, lanes, demand, degraded-signal registers), and the demand
+// register stays zero unless the Section V-B split reads it.
+const Version uint32 = 5
 
 var magic = [8]byte{'P', 'A', 'B', 'S', 'T', 'C', 'K', 'P'}
 

@@ -120,18 +120,22 @@ func TestWarmedSystemResumeMiss(t *testing.T) {
 }
 
 // TestWarmedSystemCorruptStore pins the self-healing store contract: a
-// damaged checkpoint — or an intact one in the previous format — is
+// damaged checkpoint — or an intact one in a previous format — is
 // quarantined (renamed aside, counted), the run falls back to a cold
 // warmup with results identical to a store-free run, and the re-saved
 // checkpoint serves the next hit.
 func TestWarmedSystemCorruptStore(t *testing.T) {
-	for name, damage := range map[string]func([]byte) []byte{
-		"bit-flip": func(raw []byte) []byte { raw[len(raw)/2]++; return raw },
-		"version-3": func(raw []byte) []byte { // version word back to 3, CRC re-sealed
+	older := func(v uint32) func([]byte) []byte { // version word back to v, CRC re-sealed
+		return func(raw []byte) []byte {
 			raw = raw[:len(raw)-8]
-			binary.LittleEndian.PutUint32(raw[8:], 3)
+			binary.LittleEndian.PutUint32(raw[8:], v)
 			return binary.LittleEndian.AppendUint64(raw, crc64.Checksum(raw, crc64.MakeTable(crc64.ECMA)))
-		},
+		}
+	}
+	for name, damage := range map[string]func([]byte) []byte{
+		"bit-flip":  func(raw []byte) []byte { raw[len(raw)/2]++; return raw },
+		"version-3": older(3),
+		"version-4": older(4),
 	} {
 		t.Run(name, func(t *testing.T) { corruptStoreHeals(t, damage) })
 	}

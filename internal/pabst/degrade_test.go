@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"pabst/internal/mem"
 	"pabst/internal/qos"
 	"pabst/internal/regulate"
 )
@@ -75,7 +74,7 @@ func TestWatchdogHoldsThenDecays(t *testing.T) {
 		now += p.EpochCycles
 		g.Epoch(regulate.Heartbeat{Now: now, SatAny: true})
 	}
-	mHigh := g.Monitor().M()
+	mHigh := g.Monitor(0).M()
 	if mHigh <= p.MInit {
 		t.Fatalf("setup: M=%d did not rise above MInit=%d", mHigh, p.MInit)
 	}
@@ -84,21 +83,21 @@ func TestWatchdogHoldsThenDecays(t *testing.T) {
 	for i := 0; i < p.WatchdogHold; i++ {
 		now += p.WatchdogCycles
 		g.WatchdogTick(now)
-		if g.Monitor().M() != mHigh {
-			t.Fatalf("expiry %d moved M during hold: %d", i, g.Monitor().M())
+		if g.Monitor(0).M() != mHigh {
+			t.Fatalf("expiry %d moved M during hold: %d", i, g.Monitor(0).M())
 		}
-		if g.Monitor().Shift() != p.ShiftMax {
+		if g.Monitor(0).Shift() != p.ShiftMax {
 			t.Fatal("hold did not reset gain (anti-windup)")
 		}
 	}
 	// Prolonged silence decays toward the fallback (MInit here) and
 	// lands exactly on it.
-	for i := 0; i < 200 && g.Monitor().M() != p.MInit; i++ {
+	for i := 0; i < 200 && g.Monitor(0).M() != p.MInit; i++ {
 		now += p.WatchdogCycles
 		g.WatchdogTick(now)
 	}
-	if g.Monitor().M() != p.MInit {
-		t.Fatalf("decay did not reach fallback: M=%d want %d", g.Monitor().M(), p.MInit)
+	if g.Monitor(0).M() != p.MInit {
+		t.Fatalf("decay did not reach fallback: M=%d want %d", g.Monitor(0).M(), p.MInit)
 	}
 	d := g.Degrade()
 	if d.StaleIntervals == 0 || d.Decays == 0 {
@@ -109,10 +108,10 @@ func TestWatchdogHoldsThenDecays(t *testing.T) {
 	// worth of silence starts the hold phase over.
 	now += p.EpochCycles
 	g.Epoch(regulate.Heartbeat{Now: now, SatAny: true})
-	mAfter := g.Monitor().M()
+	mAfter := g.Monitor(0).M()
 	now += p.WatchdogCycles
 	g.WatchdogTick(now)
-	if g.Monitor().M() != mAfter {
+	if g.Monitor(0).M() != mAfter {
 		t.Fatal("first expiry after recovery should hold, not decay")
 	}
 }
@@ -124,12 +123,12 @@ func TestWatchdogInertBeforeDeadline(t *testing.T) {
 	p := degradeParams()
 	g := NewGovernor(p, reg, c.ID)
 	g.Epoch(regulate.Heartbeat{Now: p.EpochCycles, SatAny: true})
-	m := g.Monitor().M()
+	m := g.Monitor(0).M()
 	// Every cycle short of the deadline must be a no-op.
 	for now := p.EpochCycles; now < p.EpochCycles+p.WatchdogCycles; now += 100 {
 		g.WatchdogTick(now)
 	}
-	if g.Monitor().M() != m || g.Degrade().StaleIntervals != 0 {
+	if g.Monitor(0).M() != m || g.Degrade().StaleIntervals != 0 {
 		t.Fatal("watchdog fired before its deadline")
 	}
 }
@@ -148,8 +147,8 @@ func TestResyncConvergesWithinBound(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		lag.Epoch(hb(false))
 	}
-	target := lead.Monitor().M()
-	if lag.Monitor().M() >= target {
+	target := lead.Monitor(0).M()
+	if lag.Monitor(0).M() >= target {
 		t.Fatal("setup: governors did not diverge")
 	}
 
@@ -161,11 +160,11 @@ func TestResyncConvergesWithinBound(t *testing.T) {
 		lag.Epoch(gossip)
 		lead.Epoch(gossip)
 	}
-	if lag.Monitor().M() != target || lead.Monitor().M() != target {
+	if lag.Monitor(0).M() != target || lead.Monitor(0).M() != target {
 		t.Fatalf("not resynced after %d epochs: lag=%d lead=%d target=%d",
-			p.ResyncEpochs, lag.Monitor().M(), lead.Monitor().M(), target)
+			p.ResyncEpochs, lag.Monitor(0).M(), lead.Monitor(0).M(), target)
 	}
-	if lag.Monitor().Shift() != lead.Monitor().Shift() || lag.Monitor().E() != lead.Monitor().E() {
+	if lag.Monitor(0).Shift() != lead.Monitor(0).Shift() || lag.Monitor(0).E() != lead.Monitor(0).E() {
 		t.Fatal("monitors left resync in different gain states")
 	}
 	// And they must stay in lockstep on a shared SAT sequence afterward.
@@ -174,7 +173,7 @@ func TestResyncConvergesWithinBound(t *testing.T) {
 		if lag.Epoch(hb(s)); true {
 			lead.Epoch(hb(s))
 		}
-		if lag.Monitor().M() != lead.Monitor().M() {
+		if lag.Monitor(0).M() != lead.Monitor(0).M() {
 			t.Fatalf("diverged again at post-resync epoch %d", i)
 		}
 	}
@@ -206,29 +205,29 @@ func TestMonitorDecayFromBelowAndAbove(t *testing.T) {
 	}
 }
 
-func TestMultiGovernorWatchdog(t *testing.T) {
+func TestLanesWatchdog(t *testing.T) {
 	reg := qos.NewRegistry()
 	c := reg.MustAdd("c", 1, 4)
 	reg.AttachCPU(c.ID)
 	p := degradeParams()
 	p.ResyncEpochs = 0
 	p.PerMCGovernors = true
-	g := NewMultiGovernor(p, reg, c.ID, 2, func(mem.Addr) int { return 0 })
+	g := NewLaneGovernor(p, reg, c.ID, 2)
 
 	now := uint64(0)
 	for i := 0; i < 20; i++ {
 		now += p.EpochCycles
 		g.Epoch(regulate.Heartbeat{Now: now, SatAny: true, SatPerMC: []bool{true, true}})
 	}
-	mHigh := g.MonitorOf(0).M()
+	mHigh := g.Monitor(0).M()
 	for i := 0; i <= p.WatchdogHold; i++ {
 		now += p.WatchdogCycles
 		g.WatchdogTick(now)
 	}
-	if g.MonitorOf(0).M() >= mHigh {
-		t.Fatal("multigov watchdog never decayed after hold")
+	if g.Monitor(0).M() >= mHigh {
+		t.Fatal("per-controller lanes never decayed after hold")
 	}
 	if g.Degrade().StaleIntervals == 0 {
-		t.Fatal("multigov stale intervals not counted")
+		t.Fatal("stale intervals not counted")
 	}
 }

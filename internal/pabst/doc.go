@@ -12,7 +12,8 @@
 // deadline-first, charging each class one stride of virtual time per
 // accepted request.
 //
-// Main entry points: NewGovernor with Governor.Epoch and
+// Main entry points: NewGovernor (NewLaneGovernor for Section III-C1's
+// lane per memory controller) with Governor.Epoch and
 // Governor.CanIssue/OnIssue on the source side; NewArbiter and its
 // ReadSched implementation on the target side; Params collects the
 // paper's tuning constants. The degradation machinery

@@ -51,73 +51,126 @@ type DegradeStats struct {
 	ResyncEpochs   uint64 // heartbeats consumed in resynchronization mode
 }
 
-// Governor is the per-tile source regulator: a system monitor, the rate
-// generator, and a pacer. Tiles running the same class each have their
-// own governor (and pacer), matching the hardware organization.
+// Governor is the per-tile source regulator: the rate generator over one
+// or more lanes, each a system monitor and the pacer it drives. Tiles
+// running the same class each have their own governor, matching the
+// hardware organization.
+//
+// The default is one lane fed by the global wired-OR SAT (Section III-B).
+// The Section III-C1 variation is one lane per memory controller, each
+// fed by that controller's own saturation bit and pacing only the misses
+// bound for it: when traffic is unevenly distributed across channels the
+// global OR forces every channel down to the hottest channel's rate,
+// while per-controller lanes throttle only the traffic headed to the
+// saturated channel. Eq. 5 then holds per controller: each lane sees
+// identical inputs across tiles, so per-channel target rates remain in
+// stride ratio for the traffic of that channel.
 type Governor struct {
-	params  Params
-	reg     *qos.Registry
-	class   mem.ClassID
-	monitor *SystemMonitor
-	pacer   *Pacer
+	params Params
+	reg    *qos.Registry
+	class  mem.ClassID
+	lanes  []lane
 
 	// Demand feedback (the Section V-B heterogeneous-allocation
 	// extension): misses this tile generated during the current epoch.
+	// Counted only when HeterogeneousThreads will read it.
 	demand uint64
 
 	// Degraded-signal state (zero-valued and inert unless the watchdog
-	// or resynchronization is armed in params).
+	// or resynchronization is armed in params). One heartbeat feeds every
+	// lane, so there is one of each per governor.
 	lastBeat       uint64 // delivery cycle of the most recent heartbeat
 	staleIntervals int    // consecutive expired watchdog deadlines
 	resyncLeft     int    // remaining bounded-resync epochs
 	degrade        DegradeStats
 }
 
-// NewGovernor builds a governor for the tile running class on behalf of
-// registry reg.
+// lane is one SAT-feedback loop: the monitor that turns a saturation bit
+// into a multiplier and the pacer that enforces the resulting period.
+type lane struct {
+	monitor *SystemMonitor
+	pacer   *Pacer
+}
+
+// NewGovernor builds the global governor (one lane, wired-OR SAT) for
+// the tile running class on behalf of registry reg.
 func NewGovernor(params Params, reg *qos.Registry, class mem.ClassID) *Governor {
-	return &Governor{
-		params:  params,
-		reg:     reg,
-		class:   class,
-		monitor: NewSystemMonitor(params),
-		pacer:   NewPacer(params.BurstCredit),
+	return NewLaneGovernor(params, reg, class, 1)
+}
+
+// NewLaneGovernor builds a governor with one lane per memory controller;
+// lanes is the channel count. One lane is the global governor.
+func NewLaneGovernor(params Params, reg *qos.Registry, class mem.ClassID, lanes int) *Governor {
+	if lanes <= 0 {
+		panic("pabst: a governor needs at least one lane")
 	}
+	g := &Governor{params: params, reg: reg, class: class, lanes: make([]lane, lanes)}
+	for i := range g.lanes {
+		g.lanes[i] = lane{NewSystemMonitor(params), NewPacer(params.BurstCredit)}
+	}
+	return g
 }
 
 // Class returns the QoS class this governor throttles.
 func (g *Governor) Class() mem.ClassID { return g.class }
 
-// Monitor exposes the monitor for inspection (tests, tracing).
-func (g *Governor) Monitor() *SystemMonitor { return g.monitor }
+// Lanes returns the lane count: 1 for the global governor, the channel
+// count for per-controller regulation.
+func (g *Governor) Lanes() int { return len(g.lanes) }
 
-// Pacer exposes the pacer used by the L2 miss path.
-func (g *Governor) Pacer() *Pacer { return g.pacer }
+// Monitor exposes lane i's monitor for inspection (tests, tracing).
+func (g *Governor) Monitor(i int) *SystemMonitor { return g.lanes[i].monitor }
+
+// Pacer exposes lane i's pacer.
+func (g *Governor) Pacer(i int) *Pacer { return g.lanes[i].pacer }
 
 // Degrade returns the degraded-signal event counts.
 func (g *Governor) Degrade() DegradeStats { return g.degrade }
 
-// ProbeState implements regulate.Probe: the monitor's M and δM plus the
-// installed pacing period, for epoch-boundary trace events.
+// ProbeState implements regulate.Probe: lane 0's M and δM plus its
+// installed pacing period, for epoch-boundary trace events. multi flags
+// the approximation when there are more lanes than the one reported.
 func (g *Governor) ProbeState() (m, dm, period uint64, multi bool) {
-	return g.monitor.M(), g.monitor.DM(), g.pacer.Period(), false
+	l := g.lanes[0]
+	return l.monitor.M(), l.monitor.DM(), l.pacer.Period(), len(g.lanes) > 1
 }
 
-// Epoch consumes the epoch heartbeat with the wired-OR saturation signal
-// and installs the new goal period into the pacer. The per-controller
-// vector is ignored: the baseline governor regulates against global
-// saturation.
+// period is the rate generator: the pacing period one lane installs at
+// multiplier m. With no demand total it is the even split of Eq. 3 and 4;
+// with one (HeterogeneousThreads) the class allocation is split by each
+// thread's reported miss demand instead: a tile that generated fraction
+// d/D of the class's misses last epoch gets fraction d/D of the class
+// rate (period scaled by D/d), preserving the class total while letting
+// busy threads use what idle threads leave. A single channel carries
+// ~1/lanes of the class's traffic, so a lane's inter-request period is
+// lanes times the whole-class source period at the same rate — an evenly
+// spread class is paced identically at any lane count.
+func (g *Governor) period(m, demand, total uint64) uint64 {
+	stride := g.reg.Stride(g.class)
+	var p uint64
+	if total > 0 {
+		// No demand parks the tile far below one request per epoch but
+		// leaves room to ramp when demand returns.
+		p = satMul(satMul(m, stride)/g.params.ScaleF, total)
+		if demand > 0 {
+			p /= demand
+		}
+	} else {
+		p = RatePeriod(m, stride, g.reg.Threads(g.class), g.params.ScaleF)
+	}
+	return satMul(p, uint64(len(g.lanes)))
+}
+
+// Epoch consumes the epoch heartbeat and installs the new goal period
+// into every lane's pacer. The global governor steps on the wired-OR
+// saturation signal and ignores the per-controller vector; each
+// per-controller lane steps on its own controller's bit (a vector too
+// short to name it falls back to the wired-OR).
 //
 // When the heartbeat carries resynchronization gossip (monitors diverged
 // during a degraded period), the governor converges its multiplier
 // toward the gossiped maximum within the configured epoch bound instead
-// of taking a normal SAT step.
-//
-// With HeterogeneousThreads enabled, the class allocation is split by
-// each thread's reported miss demand instead of evenly: a tile that
-// generated fraction d/D of the class's misses last epoch gets fraction
-// d/D of the class rate (period scaled by D/d), preserving the class
-// total while letting busy threads use what idle threads leave.
+// of taking a normal SAT step, and skips the heterogeneous split.
 func (g *Governor) Epoch(hb regulate.Heartbeat) {
 	g.lastBeat = hb.Now
 	g.staleIntervals = 0
@@ -126,48 +179,40 @@ func (g *Governor) Epoch(hb regulate.Heartbeat) {
 		if g.resyncLeft == 0 {
 			g.resyncLeft = g.params.ResyncEpochs
 		}
-		m := g.monitor.ResyncStep(hb.GossipM, g.resyncLeft)
+		for _, l := range g.lanes {
+			l.pacer.SetPeriod(g.period(l.monitor.ResyncStep(hb.GossipM, g.resyncLeft), 0, 0))
+		}
 		g.resyncLeft--
 		g.degrade.ResyncEpochs++
-		g.demand = 0 // skip the heterogeneous split while resyncing
-		g.pacer.SetPeriod(RatePeriod(m, g.reg.Stride(g.class), g.reg.Threads(g.class), g.params.ScaleF))
+		g.demand = 0
 		return
 	}
 	g.resyncLeft = 0
 
-	m := g.monitor.Epoch(hb.SatAny)
-	stride := g.reg.Stride(g.class)
-
+	// The first hetero epoch has no totals yet and splits evenly.
+	var d, total uint64
 	if g.params.HeterogeneousThreads {
-		d := g.demand
-		g.demand = 0
+		d, g.demand = g.demand, 0
 		g.reg.ReportDemand(g.class, d)
-		if total := g.reg.Demand(g.class); total > 0 {
-			classPeriod := satMul(m, stride) / g.params.ScaleF
-			if d == 0 {
-				// No demand: park far below one request per epoch but
-				// leave room to ramp when demand returns.
-				g.pacer.SetPeriod(satMul(classPeriod, total))
-				return
-			}
-			g.pacer.SetPeriod(satMul(classPeriod, total) / d)
-			return
-		}
-		// First epoch (no totals yet): fall through to even split.
+		total = g.reg.Demand(g.class)
 	}
-
-	period := RatePeriod(m, stride, g.reg.Threads(g.class), g.params.ScaleF)
-	g.pacer.SetPeriod(period)
+	for i, l := range g.lanes {
+		sat := hb.SatAny
+		if len(g.lanes) > 1 && i < len(hb.SatPerMC) {
+			sat = hb.SatPerMC[i]
+		}
+		l.pacer.SetPeriod(g.period(l.monitor.Epoch(sat), d, total))
+	}
 }
 
 // WatchdogTick implements regulate.Watchdog: called every cycle by the
 // tile, it notices when the heartbeat has gone silent for longer than
-// the configured deadline. The governor first holds its multiplier with
-// the gain reset (anti-windup) for WatchdogHold intervals, then decays
-// toward the conservative fallback multiplier — a governor with no
-// feedback must not keep the aggressive rate it negotiated under
-// conditions that no longer hold, and must not bank gain that would fire
-// an overshoot when the signal returns.
+// the configured deadline. The governor first holds every lane's
+// multiplier with the gain reset (anti-windup) for WatchdogHold
+// intervals, then decays toward the conservative fallback multiplier — a
+// governor with no feedback must not keep the aggressive rate it
+// negotiated under conditions that no longer hold, and must not bank
+// gain that would fire an overshoot when the signal returns.
 func (g *Governor) WatchdogTick(now uint64) {
 	deadline := g.params.WatchdogCycles
 	if deadline == 0 || now-g.lastBeat < deadline {
@@ -179,16 +224,19 @@ func (g *Governor) WatchdogTick(now uint64) {
 	g.staleIntervals++
 	g.degrade.StaleIntervals++
 	if g.staleIntervals <= g.params.WatchdogHold {
-		g.monitor.Hold()
+		for _, l := range g.lanes {
+			l.monitor.Hold()
+		}
 		return
 	}
 	fallback := g.params.FallbackM
 	if fallback == 0 {
 		fallback = g.params.MInit
 	}
-	m := g.monitor.Decay(fallback)
 	g.degrade.Decays++
-	g.pacer.SetPeriod(RatePeriod(m, g.reg.Stride(g.class), g.reg.Threads(g.class), g.params.ScaleF))
+	for _, l := range g.lanes {
+		l.pacer.SetPeriod(g.period(l.monitor.Decay(fallback), 0, 0))
+	}
 }
 
 // WatchdogNextAt implements regulate.Watchdog: the armed deadline is
@@ -196,28 +244,37 @@ func (g *Governor) WatchdogTick(now uint64) {
 // expiry, which resets the measurement base).
 func (g *Governor) WatchdogNextAt() uint64 { return g.lastBeat + g.params.WatchdogCycles }
 
-// NextIssueAt implements regulate.Source: the single global
-// pacer's grant time, regardless of channel.
-func (g *Governor) NextIssueAt(from uint64, mc int) uint64 { return g.pacer.NextAllowedAt(from) }
+// pacerFor returns the pacer regulating misses bound for controller mc:
+// the global lane whatever the channel, or that controller's own.
+func (g *Governor) pacerFor(mc int) *Pacer {
+	if len(g.lanes) == 1 {
+		return g.lanes[0].pacer
+	}
+	return g.lanes[mc].pacer
+}
 
-// CanIssue reports whether this tile's L2 may inject a miss now. The
-// target controller is irrelevant to the global governor.
-func (g *Governor) CanIssue(now uint64, mc int) bool { return g.pacer.CanIssue(now) }
+// NextIssueAt implements regulate.Source: the grant time of the pacer
+// regulating channel mc.
+func (g *Governor) NextIssueAt(from uint64, mc int) uint64 {
+	return g.pacerFor(mc).NextAllowedAt(from)
+}
+
+// CanIssue reports whether this tile's L2 may inject a miss bound for
+// controller mc now.
+func (g *Governor) CanIssue(now uint64, mc int) bool { return g.pacerFor(mc).CanIssue(now) }
 
 // OnIssue charges the pacer for a miss entering the SoC network.
-func (g *Governor) OnIssue(now uint64, mc int) { g.pacer.OnIssue(now) }
+func (g *Governor) OnIssue(now uint64, mc int) { g.pacerFor(mc).OnIssue(now) }
 
 // OnDemand counts a generated miss toward this epoch's demand report.
-func (g *Governor) OnDemand(now uint64) { g.demand++ }
+func (g *Governor) OnDemand(now uint64) {
+	if g.params.HeterogeneousThreads {
+		g.demand++
+	}
+}
 
-// OnResponse applies the cache-filtering corrections carried on a
-// response: refund if the shared cache serviced the request, an extra
-// charge if the fill generated a writeback.
+// OnResponse applies the response-carried corrections to the pacer of
+// the channel that served (or would have served) the request.
 func (g *Governor) OnResponse(pkt *mem.Packet, now uint64) {
-	if pkt.L3Hit {
-		g.pacer.OnL3Hit()
-	}
-	if pkt.WBGen {
-		g.pacer.OnWriteback(now)
-	}
+	g.pacerFor(pkt.MC).OnResponse(pkt, now)
 }

@@ -58,13 +58,13 @@ func TestGovernorEpochInstallsPeriod(t *testing.T) {
 	reg.AttachCPU(c.ID)
 	params := testParams()
 	g := NewGovernor(params, reg, c.ID)
-	if g.Pacer().Period() != 0 {
+	if g.Pacer(0).Period() != 0 {
 		t.Fatal("period should start at zero")
 	}
 	g.Epoch(hb(true))
-	want := RatePeriod(g.Monitor().M(), c.Stride, 1, params.ScaleF)
-	if g.Pacer().Period() != want {
-		t.Fatalf("period = %d, want %d", g.Pacer().Period(), want)
+	want := RatePeriod(g.Monitor(0).M(), c.Stride, 1, params.ScaleF)
+	if g.Pacer(0).Period() != want {
+		t.Fatalf("period = %d, want %d", g.Pacer(0).Period(), want)
 	}
 }
 
@@ -78,7 +78,7 @@ func TestGovernorTracksWeightChange(t *testing.T) {
 	gb := NewGovernor(testParams(), reg, b.ID)
 	ga.Epoch(hb(true))
 	gb.Epoch(hb(true))
-	if ga.Pacer().Period() != gb.Pacer().Period() {
+	if ga.Pacer(0).Period() != gb.Pacer(0).Period() {
 		t.Fatal("equal weights must give equal periods")
 	}
 	// Software quadruples a's share; next epoch must reflect it.
@@ -87,9 +87,9 @@ func TestGovernorTracksWeightChange(t *testing.T) {
 	}
 	ga.Epoch(hb(true))
 	gb.Epoch(hb(true))
-	if 4*ga.Pacer().Period() != gb.Pacer().Period() {
+	if 4*ga.Pacer(0).Period() != gb.Pacer(0).Period() {
 		t.Fatalf("periods %d vs %d, want 1:4 after reweighting",
-			ga.Pacer().Period(), gb.Pacer().Period())
+			ga.Pacer(0).Period(), gb.Pacer(0).Period())
 	}
 }
 
@@ -114,10 +114,34 @@ func TestGovernorOnResponseFlags(t *testing.T) {
 		t.Fatal("writeback flag did not charge")
 	}
 	// Both on one response cancel.
-	before := g.Pacer().cNext
+	before := g.Pacer(0).cNext
 	g.OnResponse(&mem.Packet{L3Hit: true, WBGen: true}, now)
-	if g.Pacer().cNext != before {
+	if g.Pacer(0).cNext != before {
 		t.Fatal("hit+writeback response did not cancel")
+	}
+}
+
+// The demand accumulator exists for the Section V-B split: with
+// HeterogeneousThreads off nothing reads it, so it must not count (it
+// used to grow for the whole run and ride along in every checkpoint).
+func TestGovernorDemandCountedOnlyForHeteroSplit(t *testing.T) {
+	reg := qos.NewRegistry()
+	c := reg.MustAdd("c", 1, 4)
+	reg.AttachCPU(c.ID)
+	for _, hetero := range []bool{false, true} {
+		p := testParams()
+		p.HeterogeneousThreads = hetero
+		g := NewGovernor(p, reg, c.ID)
+		for i := 0; i < 5; i++ {
+			g.OnDemand(uint64(i))
+		}
+		if want := map[bool]uint64{false: 0, true: 5}[hetero]; g.demand != want {
+			t.Fatalf("hetero=%v: demand %d after 5 misses, want %d", hetero, g.demand, want)
+		}
+		g.Epoch(hb(false))
+		if g.demand != 0 {
+			t.Fatalf("hetero=%v: demand %d survives the epoch", hetero, g.demand)
+		}
 	}
 }
 
@@ -138,11 +162,11 @@ func TestGovernorsLockstepEndToEnd(t *testing.T) {
 		sat := rng[i%len(rng)]
 		ghi.Epoch(hb(sat))
 		glo.Epoch(hb(sat))
-		if ghi.Monitor().M() != glo.Monitor().M() {
+		if ghi.Monitor(0).M() != glo.Monitor(0).M() {
 			t.Fatal("governors diverged on identical inputs")
 		}
 		// Period ratio must equal stride ratio (threads equal).
-		ph, pl := ghi.Pacer().Period(), glo.Pacer().Period()
+		ph, pl := ghi.Pacer(0).Period(), glo.Pacer(0).Period()
 		if ph*uint64(7) > pl*uint64(3)+uint64(7*16) || pl*3 > ph*7+7*16 {
 			// Allow only integer-division slack from the F divide.
 			t.Fatalf("period ratio %d:%d drifted from stride ratio 3:7", ph, pl)

@@ -1,5 +1,7 @@
 package pabst
 
+import "pabst/internal/mem"
+
 // Pacer enforces the governor's goal request period at the source
 // (Section III-B3). It tracks the next cycle a request may issue, builds
 // bounded credit during idleness so bursts proceed unthrottled, and
@@ -66,16 +68,19 @@ func (p *Pacer) OnIssue(now uint64) {
 	p.cNext += p.period
 }
 
-// OnL3Hit undoes one request charge: the miss was serviced by the shared
-// cache and never reached memory.
-func (p *Pacer) OnL3Hit() {
-	p.cNext -= p.period
-}
-
-// OnWriteback charges one extra period: the class's demand fill caused a
-// dirty L3 eviction, consuming write bandwidth at the memory controller.
-func (p *Pacer) OnWriteback(now uint64) {
-	p.cNext += p.period
+// OnResponse applies the cache-filtering corrections a response
+// carries; every pacer-backed source routes its responses through here.
+// An L3 hit undoes one request charge: the miss was serviced by the
+// shared cache and never reached memory. A writeback-generating fill
+// charges one extra period: the class's demand fill caused a dirty L3
+// eviction, consuming write bandwidth at the memory controller.
+func (p *Pacer) OnResponse(pkt *mem.Packet, now uint64) {
+	if pkt.L3Hit {
+		p.cNext -= p.period
+	}
+	if pkt.WBGen {
+		p.cNext += p.period
+	}
 }
 
 // Credit returns how many whole requests of credit are currently stored.

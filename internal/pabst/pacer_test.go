@@ -3,6 +3,8 @@ package pabst
 import (
 	"testing"
 	"testing/quick"
+
+	"pabst/internal/mem"
 )
 
 func TestPacerUnthrottledByDefault(t *testing.T) {
@@ -113,7 +115,7 @@ func TestPacerL3HitRefund(t *testing.T) {
 	if p.CanIssue(now) {
 		t.Fatal("precondition failed")
 	}
-	p.OnL3Hit()
+	p.OnResponse(&mem.Packet{L3Hit: true}, now)
 	if !p.CanIssue(now) {
 		t.Fatal("L3 hit refund did not restore one request of headroom")
 	}
@@ -127,7 +129,7 @@ func TestPacerWritebackCharge(t *testing.T) {
 		p.OnIssue(now)
 	}
 	blockedUntilBase := p.cNext
-	p.OnWriteback(now)
+	p.OnResponse(&mem.Packet{WBGen: true}, now)
 	if p.cNext != blockedUntilBase+100 {
 		t.Fatalf("writeback charge moved cNext by %d, want 100", p.cNext-blockedUntilBase)
 	}
@@ -151,8 +153,8 @@ func TestPacerRefundAndChargeCancel(t *testing.T) {
 				q.OnIssue(now)
 			}
 			if hit {
-				p.OnL3Hit()
-				p.OnWriteback(now)
+				p.OnResponse(&mem.Packet{L3Hit: true}, now)
+				p.OnResponse(&mem.Packet{WBGen: true}, now)
 			}
 			now += 3
 		}

@@ -33,10 +33,10 @@ type Params struct {
 	// step is δM = max(M >> k, 1). Smaller k means bigger steps.
 	ShiftInit, ShiftMin, ShiftMax uint
 
-	// PerMCGovernors selects the Section III-C1 alternative: one
-	// governor pacer per memory controller fed by that controller's own
-	// saturation signal, instead of one pacer fed by the global
-	// wired-OR. Helps when traffic is skewed across channels.
+	// PerMCGovernors selects the Section III-C1 variation: one governor
+	// lane (monitor + pacer) per memory controller fed by that
+	// controller's own saturation signal, instead of one lane fed by the
+	// global wired-OR. Helps when traffic is skewed across channels.
 	PerMCGovernors bool
 
 	// HeterogeneousThreads enables the Section V-B extension: the class

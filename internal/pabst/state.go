@@ -27,31 +27,22 @@ func (d *DegradeStats) ckpt(c *ckpt.Codec) {
 	c.U64(&d.ResyncEpochs)
 }
 
-// Ckpt implements ckpt.Walker for the global governor: monitor, pacer,
-// demand accumulator, and the degraded-signal registers.
+// Ckpt implements ckpt.Walker for the governor, one walk whatever the
+// lane count: the count itself (structural, a consistency check), every
+// lane's monitor and pacer, the demand accumulator, and the
+// degraded-signal registers.
 func (g *Governor) Ckpt(c *ckpt.Codec) {
-	g.monitor.Ckpt(c)
-	g.pacer.Ckpt(c)
+	if !c.Same(len(g.lanes), "governor lanes") {
+		return
+	}
+	for _, l := range g.lanes {
+		l.monitor.Ckpt(c)
+		l.pacer.Ckpt(c)
+	}
 	c.U64(&g.demand)
 	c.U64(&g.lastBeat)
 	c.Int(&g.staleIntervals)
 	c.Int(&g.resyncLeft)
-	g.degrade.ckpt(c)
-}
-
-// Ckpt implements ckpt.Walker for the per-controller governor: every
-// channel's monitor and pacer plus the shared degraded-signal registers.
-// The channel count and hash are structural.
-func (g *MultiGovernor) Ckpt(c *ckpt.Codec) {
-	if !c.Same(len(g.monitors), "governor channels") {
-		return
-	}
-	for i := range g.monitors {
-		g.monitors[i].Ckpt(c)
-		g.pacers[i].Ckpt(c)
-	}
-	c.U64(&g.lastBeat)
-	c.Int(&g.staleIntervals)
 	g.degrade.ckpt(c)
 }
 

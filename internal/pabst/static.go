@@ -70,14 +70,7 @@ func (s *StaticLimiter) OnIssue(now uint64, mc int) { s.pacer.OnIssue(now) }
 
 // OnResponse applies the same cache-filtering corrections as the
 // governor (an L3 hit does not consume the memory-bandwidth budget).
-func (s *StaticLimiter) OnResponse(pkt *mem.Packet, now uint64) {
-	if pkt.L3Hit {
-		s.pacer.OnL3Hit()
-	}
-	if pkt.WBGen {
-		s.pacer.OnWriteback(now)
-	}
-}
+func (s *StaticLimiter) OnResponse(pkt *mem.Packet, now uint64) { s.pacer.OnResponse(pkt, now) }
 
 // OnDemand implements regulate.Source; the static limiter ignores demand
 // by definition.

@@ -85,9 +85,7 @@ func TestGovernorClassAccessors(t *testing.T) {
 	if g := NewGovernor(testParams(), reg, c.ID); g.Class() != c.ID {
 		t.Fatal("Governor.Class mismatch")
 	}
-	mg := NewMultiGovernor(testParams(), reg, c.ID, 2, func(mem.Addr) int { return 0 })
-	if mg.Class() != c.ID {
-		t.Fatal("MultiGovernor.Class mismatch")
+	if g := NewLaneGovernor(testParams(), reg, c.ID, 2); g.Class() != c.ID || g.Lanes() != 2 {
+		t.Fatal("per-controller Governor accessors mismatch")
 	}
-	mg.OnDemand(0) // even-split policy: must be a no-op
 }

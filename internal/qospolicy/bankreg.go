@@ -115,7 +115,7 @@ func (b *bankRegulator) Epoch(regulate.Heartbeat) {
 
 // ProbeState implements regulate.Probe: the per-channel budget as M, the
 // channel-0 residual tokens as δM (representative under the same
-// convention the per-MC governor uses), no pacing period, multi set.
+// convention the per-controller governor uses), no pacing period, multi set.
 func (b *bankRegulator) ProbeState() (m, dm, period uint64, multi bool) {
 	t := b.tokens[0]
 	if t < 0 {

@@ -28,14 +28,15 @@ func init() {
 
 	registerSource(Info{
 		Name:   "pabst",
-		Desc:   "adaptive SAT-feedback governor (per-channel pacers when PerMCGovernors)",
+		Desc:   "adaptive SAT-feedback governor (one lane per channel when PerMCGovernors)",
 		Params: "EpochCycles, ScaleF, Inertia, BurstCredit, M*/Shift* bounds, PerMCGovernors, watchdog/resync knobs",
 		Cite:   "Hower, Cain, Waldspurger, \"PABST\", HPCA 2017 (Section III-B)",
 	}, func(env SourceEnv) regulate.Source {
+		lanes := 1
 		if env.Params.PerMCGovernors {
-			return pabst.NewMultiGovernor(env.Params, env.Reg, env.Class, env.NumMCs, env.MCOf)
+			lanes = env.NumMCs
 		}
-		return pabst.NewGovernor(env.Params, env.Reg, env.Class)
+		return pabst.NewLaneGovernor(env.Params, env.Reg, env.Class, lanes)
 	})
 
 	registerTarget(Info{

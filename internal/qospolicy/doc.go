@@ -53,7 +53,7 @@
 // # Registered mechanisms
 //
 // Sources: none (pass-through), static (fixed non-work-conserving
-// limit), pabst (the paper's adaptive governor; per-controller variant
+// limit), pabst (the paper's adaptive governor; one lane per controller
 // when Params.PerMCGovernors is set), bankreg (per-channel bandwidth
 // budgets in the spirit of per-bank regulation), lmsar (LMS
 // prediction-based adaptive regulation). Targets: fcfs (arrival

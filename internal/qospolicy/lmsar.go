@@ -156,14 +156,7 @@ func (l *lmsRegulator) OnDemand(uint64) { l.demand++ }
 
 // OnResponse applies the same cache-filtering corrections as the
 // governor's pacer.
-func (l *lmsRegulator) OnResponse(pkt *mem.Packet, now uint64) {
-	if pkt.L3Hit {
-		l.pacer.OnL3Hit()
-	}
-	if pkt.WBGen {
-		l.pacer.OnWriteback(now)
-	}
-}
+func (l *lmsRegulator) OnResponse(pkt *mem.Packet, now uint64) { l.pacer.OnResponse(pkt, now) }
 
 // ProbeState implements regulate.Probe: the predicted demand as M, the
 // last absolute prediction error as δM, and the installed period.

@@ -1,6 +1,8 @@
 package qospolicy
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"pabst/internal/ckpt"
@@ -303,5 +305,157 @@ func TestFCFSTargetIsBaseline(t *testing.T) {
 	}
 	if sched != dram.SchedFCFS || arb != nil {
 		t.Errorf("fcfs = (%v, %v), want (SchedFCFS, nil) so soc can skip SetScheduler", sched, arb)
+	}
+}
+
+// randomSourceEnv draws one tile's regulation problem: one to four
+// classes of random weight and thread count, one to eight channels, a
+// random DRAM peak, epoch length and burst credit.
+func randomSourceEnv(rng *rand.Rand) SourceEnv {
+	reg := qos.NewRegistry()
+	classes := 1 + rng.Intn(4)
+	for i := 0; i < classes; i++ {
+		c := reg.MustAdd(fmt.Sprintf("c%d", i), uint64(1+rng.Intn(16)), 4)
+		for th := 1 + rng.Intn(8); th > 0; th-- {
+			reg.AttachCPU(c.ID)
+		}
+	}
+	params := testParams()
+	params.EpochCycles = uint64(500 + rng.Intn(2500))
+	params.BurstCredit = 1 + rng.Intn(8)
+	return SourceEnv{
+		Params: params, Reg: reg, Class: mem.ClassID(rng.Intn(classes)),
+		NumMCs: 1 + rng.Intn(8), PeakBytesPerCycle: float64(4 + rng.Intn(61)),
+	}
+}
+
+// driveTile feeds src the stream a tile would, for the given number of
+// regulation periods. Each period is idle, a flood (a miss every cycle)
+// or a random trickle, so credit saved in one period meets backlog in
+// the next; each cycle the tile may generate a miss for a random channel
+// (at most 16 outstanding), inject one queued miss the source grants
+// (scanning channels from a random start, as the tile's round-robin
+// does), and complete one in-flight request as an L3 hit and/or a
+// writeback-generating fill. Between periods the class may be reweighted
+// and the heartbeat carries a random SAT bit. installed runs right after
+// each Epoch; granted runs after every grant with the period's
+// per-channel grant and L3-hit-refund counts so far.
+func driveTile(rng *rand.Rand, src regulate.Source, env SourceEnv, periods int,
+	installed func(sat bool), granted func(mc int, grants, refunds []int)) {
+	n := env.NumMCs
+	queued, inflight := make([]int, n), make([]int, n)
+	grants, refunds := make([]int, n), make([]int, n)
+	// scan returns the first channel from a random start that holds work
+	// and passes ok, or -1.
+	scan := func(work []int, ok func(mc int) bool) int {
+		for i, start := 0, rng.Intn(n); i < n; i++ {
+			if mc := (start + i) % n; work[mc] > 0 && ok(mc) {
+				return mc
+			}
+		}
+		return -1
+	}
+	respP, hitP, wbP := rng.Float64(), rng.Float64()/2, rng.Float64()/2
+	outstanding, now := 0, uint64(0)
+	for p := 0; p < periods; p++ {
+		if rng.Intn(4) == 0 {
+			if err := env.Reg.SetWeight(env.Class, uint64(1+rng.Intn(16))); err != nil {
+				panic(err)
+			}
+		}
+		sat := rng.Intn(2) == 0
+		src.Epoch(regulate.Heartbeat{Now: now, SatAny: sat})
+		clear(grants)
+		clear(refunds)
+		installed(sat)
+		missP := []float64{0, 1, rng.Float64()}[rng.Intn(3)]
+		for end := now + env.Params.EpochCycles; now < end; now++ {
+			if outstanding < 16 && rng.Float64() < missP {
+				queued[rng.Intn(n)]++
+				outstanding++
+				src.OnDemand(now)
+			}
+			if mc := scan(queued, func(mc int) bool { return src.CanIssue(now, mc) }); mc >= 0 {
+				src.OnIssue(now, mc)
+				queued[mc]--
+				inflight[mc]++
+				grants[mc]++
+				granted(mc, grants, refunds)
+			}
+			if mc := scan(inflight, func(int) bool { return rng.Float64() < respP }); mc >= 0 {
+				inflight[mc]--
+				outstanding--
+				pkt := mem.Packet{MC: mc, L3Hit: rng.Float64() < hitP, WBGen: rng.Float64() < wbP}
+				if pkt.L3Hit {
+					refunds[mc]++
+				}
+				src.OnResponse(&pkt, now)
+			}
+		}
+	}
+}
+
+// TestBankRegGrantBound is the published bound of per-bank regulation
+// (Sullivan et al.) at this simulator's channel granularity: within one
+// regulation period a tile is granted at most its budget of transfers
+// per channel, plus one for every transfer the shared cache absorbed
+// (an L3 hit never reached the channel), whatever the shares, thread
+// counts, channel count and interleaving of issues and responses.
+func TestBankRegGrantBound(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		env := randomSourceEnv(rng)
+		b := src2bank(t, env)
+		chanLines := env.PeakBytesPerCycle / float64(env.NumMCs) * float64(env.Params.EpochCycles) / mem.LineSize
+		budget := 0
+		driveTile(rng, b, env, 12, func(bool) {
+			budget = int(b.budget)
+			entitled := env.Reg.Share(env.Class) * chanLines / float64(env.Reg.Threads(env.Class))
+			if budget < 1 || float64(budget) > max(entitled, 1) {
+				t.Fatalf("seed %d: budget %d outside [1, %.1f lines of entitlement]", seed, budget, entitled)
+			}
+		}, func(mc int, grants, refunds []int) {
+			if grants[mc] > budget+refunds[mc] {
+				t.Fatalf("seed %d: channel %d granted %d this period, budget %d + %d refunds", seed, mc, grants[mc], budget, refunds[mc])
+			}
+		})
+	}
+}
+
+// TestLMSARGrantBound is LMS-AR's regulation guarantee (Srinivasan et
+// al.): within one period the tile's memory-bound grants (grants less
+// those the shared cache absorbed) never exceed the budget the regulator
+// installed — read back from its probe as ceil(EpochCycles / period) —
+// plus BurstCredit, across period swaps, carried credit and debt, and
+// writeback charges; and under saturation the installed rate is clamped
+// to the fair share.
+func TestLMSARGrantBound(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		env := randomSourceEnv(rng)
+		src, err := NewSource("lmsar", env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := src.(*lmsRegulator)
+		epoch := env.Params.EpochCycles
+		budget := 0 // 0: unthrottled this period (the prediction exceeds one line per cycle)
+		driveTile(rng, src, env, 12, func(sat bool) {
+			_, _, period, _ := l.ProbeState()
+			if budget = 0; period > 0 {
+				budget = int((epoch + period - 1) / period)
+			}
+			if fair := uint64(l.fairLines()); sat && period < epoch/fair {
+				t.Fatalf("seed %d: saturated period %d shorter than the fair-share clamp %d", seed, period, epoch/fair)
+			}
+		}, func(_ int, grants, refunds []int) {
+			net := 0
+			for mc := range grants {
+				net += grants[mc] - refunds[mc]
+			}
+			if budget > 0 && net > budget+env.Params.BurstCredit {
+				t.Fatalf("seed %d: %d memory-bound grants this period, installed budget %d + burst %d", seed, net, budget, env.Params.BurstCredit)
+			}
+		})
 	}
 }

@@ -26,7 +26,8 @@ type SourceEnv struct {
 	Class mem.ClassID
 	// NumMCs is the memory-controller (channel) count.
 	NumMCs int
-	// MCOf is the address-to-channel hash, for per-channel regulators.
+	// MCOf is the address-to-channel hash. It duplicates Packet.MC,
+	// which is what the per-channel regulators here read.
 	MCOf func(mem.Addr) int
 	// PeakBytesPerCycle is the aggregate DRAM data-bus limit.
 	PeakBytesPerCycle float64

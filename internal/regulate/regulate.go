@@ -23,11 +23,11 @@ type Heartbeat struct {
 	GossipM uint64
 }
 
-// Source is the tile-side regulator interface. pabst.Governor (one pacer
-// fed by the global wired-OR SAT) and pabst.MultiGovernor (one pacer per
-// memory controller fed by per-controller SAT, the Section III-C1
-// alternative) implement it; Unthrottled is the pass-through used when
-// source regulation is off.
+// Source is the tile-side regulator interface. pabst.Governor implements
+// it — one lane fed by the global wired-OR SAT, or one lane per memory
+// controller fed by per-controller SAT (the Section III-C1 variation) —
+// as do the related-work sources in qospolicy; Unthrottled is the
+// pass-through used when source regulation is off.
 //
 // The mc argument names the memory controller the miss is headed to;
 // global regulators ignore it.
@@ -62,8 +62,8 @@ type Source interface {
 
 // Probe is implemented by sources that expose their regulator registers
 // for observability: the throttle multiplier M, the step magnitude δM,
-// and the installed pacing period. multi marks per-controller
-// regulators, which report their channel-0 registers as representative
+// and the installed pacing period. multi marks regulators with more than
+// one channel, which report their channel-0 registers as representative
 // (all channels share identical inputs per the lockstep property, so
 // channel 0 characterizes the regulator unless channels saturate
 // unevenly). Pass-through and static sources have no registers and do

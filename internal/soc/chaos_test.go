@@ -223,3 +223,29 @@ func TestPartitionDivergenceAndResync(t *testing.T) {
 		t.Fatalf("re-convergence took %d epochs, want (0, %d]", repB.ReconvergeEpochs, bound)
 	}
 }
+
+// TestPartitionDivergenceObservedPerMC pins that the divergence read-out
+// sees per-controller governors: under PerMCGovernors the same SAT
+// partition starves tiles [0,8) of heartbeats, their watchdogs decay
+// every lane toward the fallback while the rest keep tracking SAT, and
+// the fault report must say so. (Resynchronization stays global-only, so
+// nothing here repairs the spread; it only has to be reported.)
+func TestPartitionDivergenceObservedPerMC(t *testing.T) {
+	plan, err := fault.Preset("sat-partition")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testCfg() // 32 cores, four channels
+	cfg.Faults = &plan
+	cfg.PABST.PerMCGovernors = true
+	cfg.PABST = cfg.PABST.WithDegradation()
+	sys, _, _ := twoClassStreams(t, cfg, qospolicy.PABST, 7, 3, 16, 16)
+	sys.Run(100_000) // the partition spans cycles [20k,60k)
+	rep := sys.FaultReport()
+	if rep.Decays == 0 {
+		t.Fatal("precondition: no partitioned watchdog ever decayed")
+	}
+	if rep.DivergedEpochs == 0 || rep.DivergenceMax == 0 {
+		t.Fatalf("per-controller governors decayed %d times yet no divergence was observed: %+v", rep.Decays, rep)
+	}
+}

@@ -188,15 +188,11 @@ func (s *System) FaultReport() FaultReport {
 		if t == nil {
 			continue
 		}
-		var d pabst.DegradeStats
-		switch g := t.src.(type) {
-		case *pabst.Governor:
-			d = g.Degrade()
-		case *pabst.MultiGovernor:
-			d = g.Degrade()
-		default:
+		g, ok := t.src.(*pabst.Governor)
+		if !ok {
 			continue
 		}
+		d := g.Degrade()
 		r.StaleIntervals += d.StaleIntervals
 		r.Decays += d.Decays
 		r.ResyncEpochs += d.ResyncEpochs

@@ -57,7 +57,7 @@ func TestGovernorStateAbsentInTargetOnly(t *testing.T) {
 }
 
 func TestGovernorStatePerMC(t *testing.T) {
-	cfg := testCfg8()
+	cfg := testCfg() // four channels: one lane would be the global governor
 	cfg.PABST.PerMCGovernors = true
 	reg := qos.NewRegistry()
 	c := reg.MustAdd("c", 1, cfg.L3Ways)

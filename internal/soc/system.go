@@ -386,33 +386,29 @@ func (s *System) epochTick(now uint64) {
 	s.emitEpoch(now, sat)
 }
 
-// observeDivergence samples every plain governor's multiplier entering
-// this epoch, maintains the divergence/re-convergence bookkeeping, and
-// returns the max observed M (the resynchronization gossip value).
+// observeDivergence samples every governor's multipliers entering this
+// epoch, lane by lane, maintains the divergence/re-convergence
+// bookkeeping on the worst lane's spread across tiles, and returns the
+// max observed M (the resynchronization gossip value).
 func (s *System) observeDivergence() uint64 {
-	minM, maxM, n := uint64(0), uint64(0), 0
-	for _, t := range s.tiles {
-		if t == nil {
-			continue
-		}
-		g, ok := t.src.(*pabst.Governor)
-		if !ok {
-			continue
-		}
-		m := g.Monitor().M()
-		if n == 0 {
-			minM, maxM = m, m
-		} else {
-			if m < minM {
-				minM = m
+	spread, gossip := uint64(0), uint64(0)
+	for lane := 0; ; lane++ {
+		minM, maxM, sampled := ^uint64(0), uint64(0), false
+		for _, t := range s.tiles {
+			if t == nil {
+				continue
 			}
-			if m > maxM {
-				maxM = m
+			if g, ok := t.src.(*pabst.Governor); ok && lane < g.Lanes() {
+				m := g.Monitor(lane).M()
+				minM, maxM, sampled = min(minM, m), max(maxM, m), true
 			}
 		}
-		n++
+		if !sampled {
+			break
+		}
+		spread, gossip = max(spread, maxM-minM), max(gossip, maxM)
 	}
-	s.divergeCurrent = maxM - minM
+	s.divergeCurrent = spread
 	if s.divergeCurrent > 0 {
 		s.divergeEpochs++
 		if s.divergeCurrent > s.divergeMax {
@@ -425,7 +421,7 @@ func (s *System) observeDivergence() uint64 {
 		s.reconvLast = s.epochs - s.divergeSince
 		s.divergeSince = 0
 	}
-	return maxM
+	return gossip
 }
 
 func (s *System) sampleTick(now uint64) {
