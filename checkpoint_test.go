@@ -14,6 +14,7 @@ import (
 
 	"pabst"
 	"pabst/internal/ckpt"
+	"pabst/internal/workload"
 )
 
 // ckptScale keeps the matrix fast; bit-identity is checked just as
@@ -261,8 +262,8 @@ func TestCheckpointTypedErrors(t *testing.T) {
 
 	t.Run("version", func(t *testing.T) {
 		// A newer build's file, and the previous format's: an intact
-		// Version-4 image (CRC re-sealed) is refused, not migrated.
-		for _, v := range []uint32{6, 4} {
+		// Version-5 image (CRC re-sealed) is refused, not migrated.
+		for _, v := range []uint32{7, 5} {
 			bad := append([]byte(nil), raw[:len(raw)-8]...)
 			binary.LittleEndian.PutUint32(bad[8:], v) // the version word follows the 8-byte magic
 			bad = binary.LittleEndian.AppendUint64(bad, crc64.Checksum(bad, crc64.MakeTable(crc64.ECMA)))
@@ -396,9 +397,77 @@ func TestCheckpointClosureGenerators(t *testing.T) {
 	}
 }
 
+// TestCheckpointBytesAreTheMachine pins that a checkpoint is a function
+// of the machine, not of the scheduler that ran it: at equal cycles the
+// reference loop and the event kernel write byte-identical images. Any
+// scheduler counter in a walk, or any state a FastForward leaves
+// differently from the ticks it replaces, fails it. Beside the
+// round-trip matrix's shapes it runs two write-drain machines. In
+// "drain-then-idle" every burst of 256 dirtying stores is followed by a
+// 20k-cycle gap, so the controller ends each write drain idle for
+// thousands of cycles: the oracle's first idle tick clears its
+// write-mode register, and a sleeping controller must clear it too (a
+// FastForward that leaves it set fails this machine).
+func TestCheckpointBytesAreTheMachine(t *testing.T) {
+	streamAndBursts := func(opts ...pabst.Option) (*pabst.System, error) {
+		cfg := pabst.Scaled8Config()
+		b := pabst.NewBuilder(cfg, pabst.Mode{Source: "static", Target: "fcfs"}, opts...)
+		wr := b.AddClass("wr", 1, cfg.L3Ways/2)
+		bg := b.AddClass("bg", 1, cfg.L3Ways-cfg.L3Ways/2)
+		b.Attach(0, wr, pabst.Stream("wr", pabst.TileRegion(0), 64, true))
+		b.Attach(1, bg, pabst.BurstyTraffic("burst", pabst.TileRegion(1), 16, 5000, 1))
+		return b.Build()
+	}
+	drainThenIdle := func(opts ...pabst.Option) (*pabst.System, error) {
+		cfg := pabst.Scaled8Config()
+		cfg.L1Bytes, cfg.L2Bytes, cfg.L3SliceBytes = 1<<10, 4<<10, 8<<10 // 4096 lines overflow every level
+		ops := make([]workload.Op, 4096)
+		for i := range ops {
+			ops[i] = workload.Op{Addr: pabst.TileRegion(0).Base + pabst.Addr(i*64), Write: true, Insts: 1}
+			if i%256 == 0 {
+				ops[i].Gap = 20_000
+			}
+		}
+		gen, err := pabst.Replay("drain", ops)
+		if err != nil {
+			return nil, err
+		}
+		b := pabst.NewBuilder(cfg, pabst.Mode{Source: "static", Target: "fcfs"}, opts...)
+		b.Attach(0, b.AddClass("wr", 1, cfg.L3Ways), gen)
+		return b.Build()
+	}
+	setups := append(ckptSetups(t), ckptSetup{"stream-and-bursts", streamAndBursts}, ckptSetup{"drain-then-idle", drainThenIdle})
+	for _, setup := range setups {
+		t.Run(setup.name, func(t *testing.T) {
+			var imgs [2][]byte
+			for i, kernel := range []string{"cycle", ""} {
+				sys, err := setup.build(pabst.WithKernel(kernel))
+				if err != nil {
+					t.Fatal(err)
+				}
+				sys.Run(300_000)
+				var ck bytes.Buffer
+				if err := sys.Checkpoint(&ck); err != nil {
+					t.Fatal(err)
+				}
+				sys.Close()
+				imgs[i] = ck.Bytes()
+			}
+			if !bytes.Equal(imgs[0], imgs[1]) {
+				at := 0
+				for at < min(len(imgs[0]), len(imgs[1])) && imgs[0][at] == imgs[1][at] {
+					at++
+				}
+				t.Fatalf("oracle and event kernel wrote different images (%d vs %d bytes, first difference at byte %d)",
+					len(imgs[0]), len(imgs[1]), at)
+			}
+		})
+	}
+}
+
 // TestCheckpointFormatFrozen pins the persisted form of a machine:
 // checkpoint bytes and machine fingerprints (the warm-store keys) equal
-// the constants captured when ckpt.Version became 5. The mechanism is
+// the constants captured when ckpt.Version became 6. The mechanism is
 // recorded once, as the resolved pair, so a pair spelled as an override
 // and the same pair spelled as the builder's mode are one machine. If
 // any constant changes, ckpt.Version must be bumped — that is a format
@@ -406,7 +475,7 @@ func TestCheckpointClosureGenerators(t *testing.T) {
 func TestCheckpointFormatFrozen(t *testing.T) {
 	const (
 		dpqMachine = "fc7391dd7560a1cdfa224e07242762c08f1f3509f8ad662c4eb44a1b0b28adc0"
-		dpqContent = "1523da5c7a6cdda20234e16b28e04f092221653470d4176ed1501e7c4c3ed990"
+		dpqContent = "54e9dd0e8ff18eefe72e6570e3cb7b878680aeaef1f7e65856e1e53a404045bf"
 	)
 	for _, c := range []struct {
 		name             string
@@ -417,7 +486,7 @@ func TestCheckpointFormatFrozen(t *testing.T) {
 	}{
 		{"default", pabst.ModeSourceOnly, nil, "pabst+fcfs",
 			"2a7268343a2e15abed1d7b0cd74d3cefe5d27323d6ff613a9381cdb0cf7eec85",
-			"713f8b7e63a97141ca78e1e78a958b5253d9aa097f495ebf4b41500660d12d95"},
+			"462d69bc854a7a9c077c3d2e329a05f81d9525220f72e789d6e0be5f961a2ac3"},
 		{"overridden", pabst.ModeSourceOnly, []pabst.Option{pabst.WithPolicy("", "dpq")}, "pabst+dpq",
 			dpqMachine, dpqContent},
 		{"spelled-as-mode", pabst.Mode{Source: "pabst", Target: "dpq"}, nil, "pabst+dpq",
@@ -457,8 +526,8 @@ func TestCheckpointFormatFrozen(t *testing.T) {
 			if got := fmt.Sprintf("%x", sha256.Sum256(ck.Bytes())); got != c.content {
 				t.Errorf("checkpoint bytes hash %s, frozen %s", got, c.content)
 			}
-			if v := binary.LittleEndian.Uint32(ck.Bytes()[8:]); v != 5 { // the version word follows the 8-byte magic
-				t.Errorf("checkpoint format version %d, frozen 5", v)
+			if v := binary.LittleEndian.Uint32(ck.Bytes()[8:]); v != 6 { // the version word follows the 8-byte magic
+				t.Errorf("checkpoint format version %d, frozen 6", v)
 			}
 			// The self-describing restore reads the same selection back.
 			back, err := pabst.Restore(bytes.NewReader(ck.Bytes()))

@@ -48,8 +48,10 @@ import (
 // mechanism pair once (the configuration no longer carries an override);
 // v5 gave the SAT-feedback governor one walk whatever its lane count
 // (lane count, lanes, demand, degraded-signal registers), and the demand
-// register stays zero unless the Section V-B split reads it.
-const Version uint32 = 5
+// register stays zero unless the Section V-B split reads it; v6 dropped
+// the kernel's skipped-cycle counter, so no scheduler counter is saved
+// and both kernels write the same bytes for the same machine.
+const Version uint32 = 6
 
 var magic = [8]byte{'P', 'A', 'B', 'S', 'T', 'C', 'K', 'P'}
 

@@ -106,8 +106,10 @@ type wentry struct {
 	seq uint64
 }
 
+// bank is one bank's row state and write bucket. Its timing lives in
+// Controller.readyAt, a dense array, because the per-cycle pick, refresh
+// and NextEventAt scan it across all banks.
 type bank struct {
-	readyAt uint64
 	openRow int64            // -1 when closed
 	writes  sim.Ring[wentry] // per-bank write bucket (FIFO by seq)
 }
@@ -154,8 +156,14 @@ type Controller struct {
 	reservedWrites int
 
 	banks     []bank
+	readyAt   []uint64 // per bank: first cycle it accepts a command
 	bankShift uint
 	rowShift  uint
+
+	// window bounds how far ahead of the bus the scheduler runs: command
+	// latency (ACT+CAS) overlaps the data bus, so an access may issue
+	// while busFreeAt <= now+window.
+	window uint64
 
 	busFreeAt uint64
 	lastWrite bool // direction of last bus use, for turnaround
@@ -194,8 +202,10 @@ func NewController(id int, cfg Config, respond Responder) (*Controller, error) {
 		ID:        id,
 		cfg:       cfg,
 		banks:     make([]bank, cfg.Banks),
+		readyAt:   make([]uint64, cfg.Banks),
 		bankShift: cfg.AddrShift,
 		rowShift:  cfg.AddrShift + uint(bits.TrailingZeros(uint(cfg.Banks))) + uint(bits.TrailingZeros(uint(cfg.RowLines))),
+		window:    uint64(cfg.Timing.TRCD + cfg.Timing.TCL + cfg.PipelineDepth*cfg.Timing.TBurst),
 		respond:   respond,
 	}
 	// Row-hit candidate heaps are only needed when the pick prefers
@@ -247,7 +257,7 @@ func (c *Controller) rowOf(addr mem.Addr) int64 {
 // slot is held until then so that in-flight NoC traffic can never
 // overflow the queue.
 func (c *Controller) TryReserveRead() bool {
-	if c.fe.count+c.reservedReads >= c.cfg.FrontReadQ {
+	if !c.ReadSlotFree() {
 		return false
 	}
 	c.reservedReads++
@@ -256,12 +266,18 @@ func (c *Controller) TryReserveRead() bool {
 
 // TryReserveWrite grants a front-end write slot if one is free.
 func (c *Controller) TryReserveWrite() bool {
-	if c.nWrites+c.reservedWrites >= c.cfg.FrontWriteQ {
+	if !c.WriteSlotFree() {
 		return false
 	}
 	c.reservedWrites++
 	return true
 }
+
+// ReadSlotFree reports whether TryReserveRead would grant a slot.
+func (c *Controller) ReadSlotFree() bool { return c.fe.count+c.reservedReads < c.cfg.FrontReadQ }
+
+// WriteSlotFree reports whether TryReserveWrite would grant a slot.
+func (c *Controller) WriteSlotFree() bool { return c.nWrites+c.reservedWrites < c.cfg.FrontWriteQ }
 
 // ArriveRead places a previously reserved read into the front-end read
 // queue and lets the arbiter stamp its virtual deadline.
@@ -334,108 +350,110 @@ func (c *Controller) Freeze(until uint64) {
 // StallBank makes one bank unavailable until the given cycle (fault
 // injection: an ECC scrub or on-die retry burst pinning the bank).
 func (c *Controller) StallBank(b int, until uint64) {
-	bk := &c.banks[b%len(c.banks)]
-	if until > bk.readyAt {
-		bk.readyAt = until
+	r := &c.readyAt[b%len(c.readyAt)]
+	if until > *r {
+		*r = until
 	}
 }
 
-// NextEventAt reports the earliest cycle >= from at which Tick would do
-// real work, so the event kernel can skip the controller until then.
-// Any queued or reserved request or an active fault freeze makes the
-// controller busy immediately. With everything drained the controller
-// reports no event: pending refreshes are reproduced arithmetically by
-// FastForward, and in-flight data bursts were already scheduled onto the
+// NextEventAt reports the earliest cycle >= from at which Tick could
+// issue an access, so the event kernel can skip the controller until
+// then: ticking it on any earlier cycle is exactly FastForward over that
+// cycle. Queued work issues at the latest of the first unfrozen cycle,
+// the first cycle the pipeline window admits (busFreeAt − window), and
+// the earliest readyAt among the banks holding work in the current
+// read/write mode; refresh inside the span only pushes readyAt later, so
+// the answer may be early, never late. A pending read/write mode flip
+// changes which banks count, so it makes the first unfrozen cycle the
+// event, and an outstanding reservation makes the controller due at once.
+// A drained controller reports no event: FastForward replays refreshes
+// and the mode register, and in-flight bursts were handed to the
 // responder when they issued.
 func (c *Controller) NextEventAt(from uint64) uint64 {
-	if c.fe.count > 0 || c.nWrites > 0 ||
-		c.reservedReads > 0 || c.reservedWrites > 0 || from < c.frozenUntil {
+	if c.reservedReads > 0 || c.reservedWrites > 0 {
 		return from
 	}
-	return ^uint64(0)
-}
-
-// FastForward accounts for to-from skipped idle cycles. The saturation
-// monitor window widens by the skipped span (with zero occupancy
-// contribution, since the read queue was empty), and every refresh that
-// would have fired during the span is replayed arithmetically — bank
-// busy windows and the refresh counter end up exactly as if Tick had
-// spun. The write-mode hysteresis flag is deliberately left alone: with
-// empty queues its only idle-cycle transition (writeMode off) happens
-// identically at the next real Tick, before any issue decision reads it.
-func (c *Controller) FastForward(from, to uint64) {
-	c.occCycles += to - from
-	t := &c.cfg.Timing
-	if t.TREFI == 0 {
-		return
+	if c.fe.count == 0 && c.nWrites == 0 {
+		return sim.NoEvent
 	}
-	for {
-		rf := c.nextRefresh
-		if rf < from {
-			rf = from
-		}
-		if rf >= to {
-			return
-		}
-		c.nextRefresh = rf + uint64(t.TREFI)
-		busyUntil := rf + uint64(t.TRFC)
-		for i := range c.banks {
-			if c.banks[i].readyAt < busyUntil {
-				c.banks[i].readyAt = busyUntil
-			}
-		}
-		c.Stats.Refreshes++
+	at := max(from, c.frozenUntil)
+	if c.nextWriteMode() != c.writeMode {
+		return at
 	}
-}
-
-// Tick advances the controller by one cycle: it accumulates monitor
-// state, performs refresh, manages read/write mode, and issues at most
-// one access.
-func (c *Controller) Tick(now uint64) {
-	c.occIntegral += uint64(c.fe.count)
-	c.occCycles++
-	if c.fe.count > 0 || c.nWrites > 0 {
-		c.Stats.PendingCycles++
+	if c.busFreeAt > c.window {
+		at = max(at, c.busFreeAt-c.window)
 	}
-
-	// Refresh: every tREFI the whole rank goes busy for tRFC.
-	if t := &c.cfg.Timing; t.TREFI > 0 && now >= c.nextRefresh {
-		c.nextRefresh = now + uint64(t.TREFI)
-		busyUntil := now + uint64(t.TRFC)
-		for i := range c.banks {
-			if c.banks[i].readyAt < busyUntil {
-				c.banks[i].readyAt = busyUntil
-			}
-		}
-		c.Stats.Refreshes++
-	}
-
-	// An injected front-end freeze blocks all scheduling; state above
-	// (occupancy integral, pending cycles, refresh) still advances.
-	if now < c.frozenUntil {
-		return
-	}
-
-	// Read/write mode with hysteresis.
+	ready := sim.NoEvent
 	if c.writeMode {
-		if c.nWrites == 0 || (c.nWrites <= c.cfg.WriteLowWater && c.fe.count > 0) {
-			c.writeMode = false
+		for b := range c.banks {
+			if c.banks[b].writes.Len() > 0 {
+				ready = min(ready, c.readyAt[b])
+			}
 		}
 	} else {
-		if c.nWrites >= c.cfg.WriteHighWater || (c.fe.count == 0 && c.nWrites > 0) {
-			c.writeMode = true
+		for wi, word := range c.fe.occupied {
+			for ; word != 0; word &= word - 1 {
+				ready = min(ready, c.readyAt[wi<<6|bits.TrailingZeros64(word)])
+			}
 		}
 	}
+	return max(at, ready)
+}
 
-	// Bound how far ahead of the bus we schedule. Command latency
-	// (ACT+CAS) overlaps the data bus, so the window extends one command
-	// latency plus PipelineDepth bursts past now.
-	t := &c.cfg.Timing
-	window := uint64(t.TRCD + t.TCL + c.cfg.PipelineDepth*t.TBurst)
-	if c.busFreeAt > now+window {
+// FastForward accounts for the cycles [from, to) as Tick would have on
+// a controller that issues nothing during them (NextEventAt(from) >= to,
+// so nothing arrives or leaves either): the saturation monitor
+// integrates the constant read-queue occupancy over the span, pending
+// cycles count it if anything is queued, every refresh due in the span
+// is replayed — bank busy windows and the refresh counter end up as if
+// Tick had spun — and if the span reaches an unfrozen cycle the
+// read/write mode register takes the value Tick's hysteresis step gives
+// it (with constant queues one step is a fixpoint).
+func (c *Controller) FastForward(from, to uint64) {
+	span := to - from
+	c.occIntegral += uint64(c.fe.count) * span
+	c.occCycles += span
+	if c.fe.count > 0 || c.nWrites > 0 {
+		c.Stats.PendingCycles += span
+	}
+	// Refresh: every tREFI the whole rank goes busy for tRFC.
+	if t := &c.cfg.Timing; t.TREFI > 0 {
+		for rf := max(c.nextRefresh, from); rf < to; rf = c.nextRefresh {
+			c.nextRefresh = rf + uint64(t.TREFI)
+			busyUntil := rf + uint64(t.TRFC)
+			for i, r := range c.readyAt {
+				if r < busyUntil {
+					c.readyAt[i] = busyUntil
+				}
+			}
+			c.Stats.Refreshes++
+		}
+	}
+	// An injected front-end freeze blocks mode changes and scheduling;
+	// the accounting above still advances.
+	if to > max(from, c.frozenUntil) {
+		c.writeMode = c.nextWriteMode()
+	}
+}
+
+// nextWriteMode is the read/write mode hysteresis: drain writes once
+// the write queue reaches the high watermark (or reads are idle), return
+// to reads once it falls to the low watermark with reads waiting.
+func (c *Controller) nextWriteMode() bool {
+	if c.writeMode {
+		return c.nWrites > 0 && (c.nWrites > c.cfg.WriteLowWater || c.fe.count == 0)
+	}
+	return c.nWrites >= c.cfg.WriteHighWater || (c.fe.count == 0 && c.nWrites > 0)
+}
+
+// Tick advances the controller by one cycle: FastForward's accounting
+// for the cycle (monitor state, refresh, read/write mode), then at most
+// one access.
+func (c *Controller) Tick(now uint64) {
+	c.FastForward(now, now+1)
+	if now < c.frozenUntil || c.busFreeAt > now+c.window {
 		return
 	}
-
 	if c.writeMode {
 		c.issueWrite(now)
 	} else {
@@ -456,7 +474,7 @@ func (c *Controller) issueRead(now uint64) {
 	for wi, word := range f.occupied {
 		for ; word != 0; word &= word - 1 {
 			b := wi<<6 | bits.TrailingZeros64(word)
-			if c.banks[b].readyAt > now {
+			if c.readyAt[b] > now {
 				continue
 			}
 			bi := &f.banks[b]
@@ -521,11 +539,10 @@ func (c *Controller) issueWrite(now uint64) {
 	bestBank := -1
 	var bestSeq uint64
 	for b := range c.banks {
-		bk := &c.banks[b]
-		if bk.readyAt > now {
+		if c.readyAt[b] > now {
 			continue
 		}
-		e, ok := bk.writes.Front()
+		e, ok := c.banks[b].writes.Front()
 		if !ok {
 			continue
 		}
@@ -616,9 +633,9 @@ func (c *Controller) access(now uint64, addr mem.Addr, write bool) uint64 {
 		if dataDone > busy {
 			busy = dataDone
 		}
-		bk.readyAt = busy
+		c.readyAt[b] = busy
 	case OpenPage:
-		bk.readyAt = dataDone
+		c.readyAt[b] = dataDone
 	}
 	return dataStart
 }

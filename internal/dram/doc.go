@@ -13,15 +13,23 @@
 //
 // Main entry points: NewController builds one channel's controller;
 // Controller.Tick advances it; TryReserveRead/ArriveRead (and their write
-// twins) implement the credit-based admission protocol; NextEventAt and
-// FastForward let the event kernel skip an idle controller and catch it
-// up (refresh, the saturation window) before its next tick. The saturation
-// monitor feeding the SAT wire samples Controller.EpochSaturated.
+// twins) implement the credit-based admission protocol. NextEventAt is
+// the next cycle the controller could issue — the latest of the first
+// unfrozen cycle, the pipeline window and the earliest readyAt among the
+// banks holding work in the current read/write mode — and FastForward
+// replays everything a tick before it does (the saturation integral,
+// pending cycles, refresh, the mode register), so the event kernel
+// sleeps a loaded channel between issue slots, not only an idle one;
+// Tick is FastForward over its cycle plus at most one issue. The
+// saturation monitor feeding the SAT wire samples
+// Controller.EpochSaturated.
 //
 // The indexed scheduler (sched.go) replaced full-queue scans; the scan
 // code survives only under `go test`, as the differential oracle in
 // reference_test.go. The per-cycle read pick walks the set bits of an
 // occupied-bank bitmap kept beside the index, in ascending bank order,
 // so it touches only banks that hold a read and breaks ties as the scan
-// over every bank did (DESIGN.md "Host data layout").
+// over every bank did; bank timing is one dense readyAt array that the
+// pick, refresh, StallBank and NextEventAt share (DESIGN.md "Host data
+// layout").
 package dram

@@ -37,9 +37,8 @@ func (c *Controller) Ckpt(k *ckpt.Codec) {
 		return
 	}
 	for i := range c.banks {
-		b := &c.banks[i]
-		k.U64(&b.readyAt)
-		k.I64(&b.openRow)
+		k.U64(&c.readyAt[i])
+		k.I64(&c.banks[i].openRow)
 	}
 	k.U64(&c.busFreeAt)
 	k.Bool(&c.lastWrite)

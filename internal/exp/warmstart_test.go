@@ -136,6 +136,7 @@ func TestWarmedSystemCorruptStore(t *testing.T) {
 		"bit-flip":  func(raw []byte) []byte { raw[len(raw)/2]++; return raw },
 		"version-3": older(3),
 		"version-4": older(4),
+		"version-5": older(5),
 	} {
 		t.Run(name, func(t *testing.T) { corruptStoreHeals(t, damage) })
 	}

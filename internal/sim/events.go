@@ -8,10 +8,10 @@ import (
 // This file implements the kernel's event-driven scheduling mode, the
 // production path: each component is registered individually with its
 // own next-event time and a cycle visits only the components with due
-// work. A component whose NextEventAt lies in the future is provably a
-// no-op if ticked (the Sleeper contract), so skipping it is invisible in
-// every simulated outcome — which the differential tests check against
-// the reference loop in kernel.go.
+// work. Ticking a component before its NextEventAt is exactly
+// FastForward over that cycle (the Sleeper contract), so skipping it and
+// catching it up later is invisible in every simulated outcome — which
+// the differential tests check against the reference loop in kernel.go.
 //
 // Scheduling structure. Each dispatch class keeps a timing wheel of
 // wheelW one-cycle buckets covering [now, now+wheelW): schedule,

@@ -32,10 +32,13 @@ func (h *hook) arm(from uint64) {
 // FastForward tells it the cycles [from, to) passed without a Tick so it
 // can account for them (cycle counters, refresh catch-up).
 //
-// The contract that keeps skipping bit-identical to ticking: a component
-// whose NextEventAt(from) returns t > from must behave as a pure no-op
-// if ticked at any cycle in [from, t) — when in doubt, return `from`
-// (never sleep).
+// The contract that keeps skipping bit-identical to ticking: when
+// NextEventAt(from) returns t > from, ticking the component on any cycle
+// in [from, t) must be exactly FastForward over that cycle — the same
+// accounting (an idle controller still integrates its saturation monitor
+// and refreshes; a refused front door still rotates its pointer), and
+// nothing else — and FastForward over any sub-span must equal the ticks
+// it replaces. When in doubt, return `from` (never sleep).
 type Sleeper interface {
 	Ticker
 	NextEventAt(from uint64) uint64

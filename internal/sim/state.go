@@ -19,10 +19,12 @@ func (r *RNG) Ckpt(c *ckpt.Codec) {
 // hooks are structural (rebuilt by the system's Finalize) and are not
 // saved; hooks fire whenever (now-phase)%period == 0, and Run re-arms
 // each hook's next fire cycle from the clock, so that holds at any
-// restored now.
+// restored now. The scheduler's own counters (Skipped, LateWakes,
+// EventClassStats) describe how a run was scheduled, not the machine,
+// and are not saved either: the reference loop and the event kernel
+// write the same bytes for the same machine at the same cycle.
 func (k *Kernel) Ckpt(c *ckpt.Codec) {
 	c.U64(&k.now)
-	c.U64(&k.skipped)
 }
 
 // CkptDelayQueue walks a delay queue: the sequence counter plus the raw

@@ -13,7 +13,11 @@
 // cross-component push wakes its target, and a cycle dispatches only the
 // due components in the canonical order of System.tick — the whole-cycle
 // reference loop that config.KernelCycle selects and the differential
-// tests compare against.
+// tests compare against. A controller and its front door are due when
+// either can act (an arrival, a free front-end slot for a parked
+// request, the controller's next issue slot); every state change of the
+// door happens inside its own tick, so the refusals of a sleeping span
+// replay exactly in FastForward.
 //
 // Main entry points: New constructs a System from a config.System;
 // System.Warmup/Run drive it; System.Metrics, ClassIPC, and the

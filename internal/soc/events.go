@@ -64,7 +64,7 @@ func (s *System) registerEventComps() {
 	}
 	s.evMCID = make([]int, len(s.mcs))
 	for i := range s.mcs {
-		s.evMCID[i] = reg(evClassMC, i, mcComp{s, i})
+		s.evMCID[i] = reg(evClassMC, i, mcComp{s.doors[i]})
 	}
 	s.evSliceID = make([]int, len(s.slices))
 	for i := range s.slices {
@@ -112,10 +112,10 @@ func (s *System) wakeNet(at uint64) {
 
 // Dirty helpers: post-hook rekey marks, no-ops on the reference loop.
 // The epoch hook calls these for every component whose schedule
-// it may move earlier — tiles receiving a synchronous heartbeat (token
-// refills, resync resets), controllers hit by an injected stall or
-// freeze (an idle controller becomes busy for the freeze window), and
-// the delayed-delivery queue itself.
+// it may move — tiles receiving a synchronous heartbeat (token refills,
+// resync resets), controllers hit by an injected stall or freeze (their
+// next issue moves later, so the re-key drops a wake that would only
+// have ticked), and the delayed-delivery queue itself.
 
 func (s *System) dirtyTile(i int) {
 	if s.evOn && s.evTileID[i] >= 0 {
@@ -191,36 +191,23 @@ func (c netComp) NextEventAt(from uint64) uint64 {
 func (c netComp) FastForward(from, to uint64) { c.s.net.FastForward(from, to) }
 
 // mcComp pairs one memory controller with its front door (they tick
-// together, door first, exactly as System.tick interleaves them).
-type mcComp struct {
-	s  *System
-	mc int
-}
+// together, door first, exactly as System.tick interleaves them). The
+// pair is due when either half can act — the door admit, the controller
+// issue — and every tick before that is accounting, which both halves
+// replay in FastForward.
+type mcComp struct{ d *frontDoor }
 
 func (c mcComp) Tick(now uint64) {
-	c.s.doors[c.mc].tick(now)
-	c.s.mcs[c.mc].Tick(now)
+	c.d.tick(now)
+	c.d.mc.Tick(now)
 }
 func (c mcComp) NextEventAt(from uint64) uint64 {
-	d := c.s.doors[c.mc]
-	if d.readCount > 0 || d.writes.Len() > 0 {
-		return from
-	}
-	next := c.s.mcs[c.mc].NextEventAt(from)
-	if next <= from {
-		return from
-	}
-	if _, at, ok := d.inbox.Peek(); ok {
-		if at <= from {
-			return from
-		}
-		if at < next {
-			next = at
-		}
-	}
-	return next
+	return min(c.d.nextEventAt(from), c.d.mc.NextEventAt(from))
 }
-func (c mcComp) FastForward(from, to uint64) { c.s.mcs[c.mc].FastForward(from, to) }
+func (c mcComp) FastForward(from, to uint64) {
+	c.d.fastForward(from, to)
+	c.d.mc.FastForward(from, to)
+}
 
 // sliceComp is one L3 slice.
 type sliceComp struct {
@@ -322,9 +309,9 @@ func (s *System) dispatchEvents(now uint64, class int, due []int) {
 		s.netTick(now)
 	case evClassMC:
 		for _, id := range due {
-			i := s.evEntity[id]
-			s.doors[i].tick(now)
-			s.mcs[i].Tick(now)
+			d := s.doors[s.evEntity[id]]
+			d.tick(now)
+			d.mc.Tick(now)
 		}
 	case evClassSlice:
 		s.evTickSlices(now, due)

@@ -1,15 +1,18 @@
 package soc
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
 
+	"pabst/internal/ckpt"
 	"pabst/internal/config"
 	"pabst/internal/fault"
 	"pabst/internal/mem"
 	"pabst/internal/qos"
 	"pabst/internal/qospolicy"
+	"pabst/internal/sim"
 	"pabst/internal/workload"
 )
 
@@ -140,5 +143,122 @@ func TestEventKernelWithFaults(t *testing.T) {
 	}
 	if want, got := run("cycle"), run("event"); got != want {
 		t.Errorf("faulted event run diverged:\n--- cycle\n%s--- event\n%s", want, got)
+	}
+}
+
+// perturbWakes arms a seeded periodic hook — its period and phase drawn
+// from the seed — that on every fire wakes a few random memory
+// controllers, L3 slices and tiles for the current cycle: spurious
+// ticks, and catch-ups split wherever the hook lands, that the wake
+// graph never asked for. Under the Sleeper contract (ticking a component
+// before its next event is FastForward over that cycle) none of it may
+// show in any outcome. The wakes are no-ops on the reference loop.
+func perturbWakes(s *System, seed uint64) {
+	rng := sim.NewRNG(seed)
+	period := 1 + rng.Uint64()%61
+	s.kernel.Every(period, rng.Uint64()%period, func(now uint64) {
+		for n := 1 + rng.Intn(4); n > 0; n-- {
+			switch rng.Intn(3) {
+			case 0:
+				s.wakeMC(rng.Intn(len(s.mcs)), now)
+			case 1:
+				s.wakeSlice(rng.Intn(len(s.slices)), now)
+			default:
+				if id := rng.Intn(len(s.tiles)); s.tiles[id] != nil {
+					s.wakeTile(id, now)
+				}
+			}
+		}
+	})
+}
+
+// TestWakePerturbationIsInvisible is the wake graph's soundness check by
+// perturbation: on a sat32-shaped machine, a mix32-shaped one (write
+// drains), one under controller freezes and bank stalls, and the modeled
+// NoC (the ext-noc shape), runs perturbed with random spurious wakes
+// produce the fingerprint and checkpoint bytes of the unperturbed event
+// run and of the reference loop, with no late wake.
+func TestWakePerturbationIsInvisible(t *testing.T) {
+	// Few-KB caches: write streams evict dirty lines, so the controllers
+	// drain writes, within the short run.
+	small := func(kernel string) config.System {
+		cfg := testCfg()
+		cfg.Kernel = kernel
+		cfg.L1Bytes, cfg.L2Bytes, cfg.L3SliceBytes = 2<<10, 8<<10, 16<<10
+		return cfg
+	}
+	streams := func(cfg config.System) (*System, []mem.ClassID) {
+		sys, hi, lo := twoClassStreams(t, cfg, qospolicy.PABST, 7, 3, 16, 16)
+		return sys, []mem.ClassID{hi.ID, lo.ID}
+	}
+	machines := []struct {
+		name  string
+		build func(kernel string) (*System, []mem.ClassID)
+	}{
+		{"sat32", func(kernel string) (*System, []mem.ClassID) {
+			cfg := small(kernel)
+			return streams(cfg)
+		}},
+		{"mix32", func(kernel string) (*System, []mem.ClassID) {
+			cfg := small(kernel)
+			reg := qos.NewRegistry()
+			chase := reg.MustAdd("chaser", 3, cfg.L3Ways/2)
+			wr := reg.MustAdd("wstream", 1, cfg.L3Ways/2)
+			sys, err := New(cfg, reg, qospolicy.PABST)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 16; i++ {
+				if err := sys.Attach(i, chase.ID, workload.NewChaser("chaser", tileRegion(i), 8, uint64(i)+1)); err != nil {
+					t.Fatal(err)
+				}
+				if err := sys.Attach(16+i, wr.ID, workload.NewStream("wstream", tileRegion(16+i), 128, true)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := sys.Finalize(); err != nil {
+				t.Fatal(err)
+			}
+			return sys, []mem.ClassID{chase.ID, wr.ID}
+		}},
+		{"dram-faults", func(kernel string) (*System, []mem.ClassID) {
+			cfg := small(kernel)
+			cfg.Faults = &fault.Plan{DRAM: fault.DRAMPlan{StallProb: 0.3, StallCycles: 800, FreezeProb: 0.3, FreezeCycles: 500}}
+			return streams(cfg)
+		}},
+		{"ext-noc", func(kernel string) (*System, []mem.ClassID) {
+			cfg := small(kernel)
+			cfg.ModelNoC = true
+			return streams(cfg)
+		}},
+	}
+	for _, m := range machines {
+		t.Run(m.name, func(t *testing.T) {
+			run := func(kernel string, seed uint64) (string, []byte) {
+				sys, classes := m.build(kernel)
+				if seed != 0 {
+					perturbWakes(sys, seed)
+				}
+				sys.Run(150_000)
+				if lw := sys.kernel.LateWakes(); lw != 0 {
+					t.Fatalf("kernel %q, perturbation seed %d: %d late wakes", kernel, seed, lw)
+				}
+				img, err := ckpt.Encode(ckpt.Header{}, sys)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return fingerprint(sys, classes...), img
+			}
+			want, wantImg := run(config.KernelCycle, 0)
+			for _, seed := range []uint64{0, 1, 2} {
+				got, img := run(config.KernelEvent, seed)
+				if got != want {
+					t.Errorf("perturbation seed %d: fingerprint diverged from the reference loop:\n--- cycle\n%s--- event\n%s", seed, want, got)
+				}
+				if !bytes.Equal(img, wantImg) {
+					t.Errorf("perturbation seed %d: checkpoint bytes diverged from the reference loop's", seed)
+				}
+			}
+		})
 	}
 }

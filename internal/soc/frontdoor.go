@@ -3,6 +3,7 @@ package soc
 import (
 	"math/bits"
 
+	"pabst/internal/dram"
 	"pabst/internal/mem"
 	"pabst/internal/sim"
 )
@@ -20,9 +21,13 @@ import (
 // exactly why target-only regulation degrades under floods (Figure 1b)
 // while still helping low-MLP latency-sensitive classes whose requests
 // never backlog (Figure 1d).
+//
+// Every change to door state happens inside tick — arrivals, from the
+// latency-only mesh and the modeled network alike, enter through the
+// inbox — so a span of ticks that admits nothing is a pure function of
+// the state at its start, which fastForward replays.
 type frontDoor struct {
-	sys *System
-	mc  int
+	mc *dram.Controller
 
 	inbox sim.DelayQueue[*mem.Packet]
 
@@ -51,6 +56,15 @@ func (d *frontDoor) park(pkt *mem.Packet) {
 // Parked returns the number of reads waiting for admission.
 func (d *frontDoor) Parked() int { return d.readCount }
 
+// advance returns the next class with waiting reads at or after the
+// round-robin pointer and moves the pointer past it.
+func (d *frontDoor) advance() int {
+	ahead := bits.TrailingZeros16(bits.RotateLeft16(d.waiting, -d.rrNext))
+	cls := (d.rrNext + ahead) % mem.MaxClasses
+	d.rrNext = (cls + 1) % mem.MaxClasses
+	return cls
+}
+
 // tick drains arrivals and admits requests into freed front-end slots.
 func (d *frontDoor) tick(now uint64) {
 	for {
@@ -60,27 +74,53 @@ func (d *frontDoor) tick(now uint64) {
 		}
 		d.park(pkt)
 	}
-	mc := d.sys.mcs[d.mc]
 	// Reads: round-robin across classes with waiting requests. The pointer
 	// moves past the class it stops at, served or refused.
 	for d.waiting != 0 {
-		ahead := bits.TrailingZeros16(bits.RotateLeft16(d.waiting, -d.rrNext))
-		cls := (d.rrNext + ahead) % mem.MaxClasses
-		d.rrNext = (cls + 1) % mem.MaxClasses
-		if !mc.TryReserveRead() {
+		cls := d.advance()
+		if !d.mc.TryReserveRead() {
 			break
 		}
 		q := &d.reads[cls]
 		pkt, _ := q.PopFront()
-		mc.ArriveRead(pkt, now)
+		d.mc.ArriveRead(pkt, now)
 		d.readCount--
 		if q.Len() == 0 {
 			d.waiting &^= 1 << cls
 		}
 	}
 	// Writes: FIFO (never prioritized, per the paper).
-	for d.writes.Len() > 0 && mc.TryReserveWrite() {
+	for d.writes.Len() > 0 && d.mc.TryReserveWrite() {
 		pkt, _ := d.writes.PopFront()
-		mc.ArriveWrite(pkt, now)
+		d.mc.ArriveWrite(pkt, now)
+	}
+}
+
+// nextEventAt reports the earliest cycle >= from at which tick would
+// admit something: an inbox arrival, or a parked read or write the
+// controller has a free slot for. Until then a tick only refuses.
+func (d *frontDoor) nextEventAt(from uint64) uint64 {
+	if (d.readCount > 0 && d.mc.ReadSlotFree()) || (d.writes.Len() > 0 && d.mc.WriteSlotFree()) {
+		return from
+	}
+	if _, at, ok := d.inbox.Peek(); ok {
+		return max(at, from)
+	}
+	return sim.NoEvent
+}
+
+// fastForward replays the ticks of [from, to), every one of which
+// refuses (nextEventAt(from) >= to). A refused tick moves the pointer
+// past the next waiting class, and the waiting mask cannot change in the
+// span: the first refusal leaves the pointer just past a waiting class,
+// and from there it cycles through the waiting classes, so only the
+// rest of the span modulo their number moves it further.
+func (d *frontDoor) fastForward(from, to uint64) {
+	if d.waiting == 0 || to == from {
+		return
+	}
+	d.advance()
+	for n := (to - from - 1) % uint64(bits.OnesCount16(d.waiting)); n > 0; n-- {
+		d.advance()
 	}
 }

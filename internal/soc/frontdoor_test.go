@@ -151,7 +151,7 @@ func TestFrontDoorMaskKeepsTheScanOrder(t *testing.T) {
 		for i := 0; i < held; i++ {
 			mc.TryReserveRead()
 		}
-		sys.mcs[0] = mc
+		sys.mcs[0], d.mc = mc, mc
 		for i := rng.Intn(8); i > 0; i-- {
 			cls := mem.ClassID(rng.Intn(mem.MaxClasses))
 			if rng.Intn(2) == 0 {
@@ -193,5 +193,49 @@ func TestFrontDoorMaskKeepsTheScanOrder(t *testing.T) {
 	}
 	if refusals < 100 {
 		t.Fatalf("only %d rounds ended on a refused reservation", refusals)
+	}
+}
+
+// TestFrontDoorFastForwardIsTheRefusalLoop pins the door's half of the
+// Sleeper contract: over random waiting masks and pointers, with the
+// controller's read queue full, fastForward over a span leaves rrNext
+// where that many refusing ticks leave it, and the door was not due.
+func TestFrontDoorFastForwardIsTheRefusalLoop(t *testing.T) {
+	const readQ = 4
+	sys, d := newDoorHarness(t, readQ)
+	rng := rand.New(rand.NewSource(2))
+	for round := 0; round < 2000; round++ {
+		mc, err := dram.NewController(0, sys.cfg.DRAM, func(*mem.Packet, uint64) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for mc.TryReserveRead() {
+		}
+		sys.mcs[0], d.mc = mc, mc
+		*d = frontDoor{mc: mc}
+		for i := 1 + rng.Intn(12); i > 0; i-- {
+			d.park(pkt(mem.ClassID(rng.Intn(mem.MaxClasses)), round*16+i))
+		}
+		d.rrNext = rng.Intn(mem.MaxClasses)
+		from := uint64(rng.Intn(1000))
+		to := from + uint64(rng.Intn(64))
+		if next := d.nextEventAt(from); next < to {
+			t.Fatalf("round %d: a door refused by a full controller is due at %d", round, next)
+		}
+
+		start, waiting := d.rrNext, d.waiting
+		for now := from; now < to; now++ {
+			d.tick(now)
+		}
+		ticked := d.rrNext
+		if d.waiting != waiting || d.Parked() == 0 || mc.QueuedReads() != 0 {
+			t.Fatalf("round %d: a refusing tick admitted something", round)
+		}
+		d.rrNext = start
+		d.fastForward(from, to)
+		if d.rrNext != ticked {
+			t.Fatalf("round %d: mask %016b from rrNext %d over %d cycles: ticks leave %d, fastForward %d",
+				round, waiting, start, to-from, ticked, d.rrNext)
+		}
 	}
 }

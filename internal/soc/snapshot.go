@@ -18,7 +18,8 @@ type Snapshot struct {
 	Sat    bool
 
 	// SkippedCycles counts cycles the event kernel jumped over because
-	// no component had work.
+	// no component had work, since the system was built or restored (a
+	// scheduler counter, like EventClasses: checkpoints do not carry it).
 	SkippedCycles uint64
 
 	// LateWakes counts event-kernel wakes that targeted an

@@ -153,7 +153,7 @@ func New(cfg config.System, reg *qos.Registry, pair qospolicy.Pair) (*System, er
 		}
 		s.arbs = append(s.arbs, arb)
 		s.mcs = append(s.mcs, mc)
-		d := &frontDoor{sys: s, mc: i}
+		d := &frontDoor{mc: mc}
 		// Pre-size the waiting rooms to their common-case occupancy:
 		// parked reads mirror the controller's front queue, and the
 		// in-flight inbox is bounded by the tiles' aggregate MSHR count
@@ -187,12 +187,13 @@ func New(cfg config.System, reg *qos.Registry, pair qospolicy.Pair) (*System, er
 }
 
 // netDeliver routes a message ejected by the modeled network to its
-// endpoint: memory-controller nodes park at the front door; tile nodes
-// carry either responses (to the tile) or demand requests (to the tile's
-// L3 slice).
+// endpoint: memory-controller nodes enter the front door's inbox, ready
+// this cycle (the door parks it in its own tick, and same-cycle pushes
+// pop in push order); tile nodes carry either responses (to the tile) or
+// demand requests (to the tile's L3 slice).
 func (s *System) netDeliver(pkt *mem.Packet, dst int, now uint64) {
 	if mc := dst - s.cfg.NumTiles(); mc >= 0 {
-		s.doors[mc].park(pkt)
+		s.doors[mc].inbox.Push(pkt, now)
 		s.wakeMC(mc, now) // ejection (net class) precedes the MC class
 		return
 	}
@@ -484,9 +485,9 @@ func (s *System) tick(now uint64) {
 	if s.net != nil {
 		s.netTick(now)
 	}
-	for i, mc := range s.mcs {
-		s.doors[i].tick(now)
-		mc.Tick(now)
+	for _, d := range s.doors {
+		d.tick(now)
+		d.mc.Tick(now)
 	}
 	// Rotate slice service order so freed MC credits are not always
 	// captured by the lowest-numbered slices' backlogs (mesh routers
