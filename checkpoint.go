@@ -31,8 +31,13 @@ var (
 )
 
 // decode reads a whole checkpoint image and checks its envelope; no
-// system state has been touched when it fails.
+// system state has been touched when it fails. An image already in a
+// bytes.Buffer is consumed in place rather than copied: the codec only
+// reads it, and only until the restore returns.
 func decode(r io.Reader) (*ckpt.Codec, error) {
+	if b, ok := r.(*bytes.Buffer); ok {
+		return ckpt.Decode(b.Next(b.Len()))
+	}
 	var img bytes.Buffer
 	if sized, ok := r.(interface{ Len() int }); ok {
 		img.Grow(sized.Len() + bytes.MinRead) // one allocation for an in-memory image
@@ -235,7 +240,8 @@ func Restore(r io.Reader, opts ...Option) (*System, error) {
 // reconstructs them, the checkpoint overlays their cursors. An error
 // from the envelope or fingerprint check leaves the system untouched; a
 // failure after the overlay began (an intact image carrying a field this
-// machine cannot hold) leaves it partially overlaid and unusable.
+// machine cannot hold) leaves it partially overlaid and unusable. An
+// image passed as a *bytes.Buffer is read in place, without a copy.
 func (s *System) RestoreFrom(r io.Reader) error {
 	cr, err := decode(r)
 	if err != nil {

@@ -47,7 +47,7 @@ func BenchmarkWriteback(b *testing.B) {
 // BenchmarkAccessColdSets walks L1 -> L2 -> L3 slice the way a simulated
 // miss does, over the arrays of a 256-tile machine, with tile and set
 // strides that leave nothing in the host's caches between visits: what
-// it times is host misses on the tag and timestamp arrays, which the
+// it times is host misses on the tag and rank arrays, which the
 // benchmarks above (one hot line, sequential sets) cannot see.
 func BenchmarkAccessColdSets(b *testing.B) {
 	type tile struct{ l1, l2, l3 *Cache }

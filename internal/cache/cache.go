@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"pabst/internal/mem"
@@ -54,6 +55,19 @@ func pack(lineID uint64, class mem.ClassID, dirty bool) uint64 {
 
 func classOf(w uint64) mem.ClassID { return mem.ClassID(w >> classShift & classMask) }
 
+// MaxWays bounds the associativity: a way's recency rank within its set
+// is one byte, and a checkpoint stores it as 1+rank.
+const MaxWays = 255
+
+// Ranks age eight ways at a time as bytes of one word (see age); a
+// rank below 128 leaves each byte's top bit free to stop the borrow.
+const (
+	byteLSBs  = 0x0101010101010101
+	byteMSBs  = 0x8080808080808080
+	wordWays  = 8
+	wordRanks = 128
+)
+
 // Victim describes a line displaced by an allocation.
 type Victim struct {
 	Addr  mem.Addr
@@ -74,8 +88,16 @@ type Cache struct {
 	cfg     Config
 	numSets int
 	tags    []uint64 // numSets * ways packed lines, set-major
-	used    []uint64 // LRU timestamps, parallel to tags
-	clock   uint64
+	// rank is each way's recency within its set, parallel to tags: 0 is
+	// the most recently used. A set's ranks are a permutation of
+	// 0..ways-1, and since no line is invalidated outside restore, its n
+	// valid ways hold ranks 0..n-1 and its invalid ways n..ways-1.
+	rank     []uint8
+	wordWise bool // age steps through a set's ranks a word at a time
+
+	// occ counts each class's valid lines: a fill adds one to the filling
+	// class, an eviction takes one from the victim's. Restore recounts it.
+	occ [mem.MaxClasses]int
 
 	// partWays[class] == 0 means the class is unrestricted.
 	partStart [mem.MaxClasses]int
@@ -88,7 +110,7 @@ type Cache struct {
 // New builds a cache. It panics on invalid geometry, which is a
 // configuration error caught during system construction.
 func New(cfg Config) *Cache {
-	if cfg.Ways <= 0 || cfg.SizeBytes <= 0 {
+	if cfg.Ways <= 0 || cfg.Ways > MaxWays || cfg.SizeBytes <= 0 {
 		panic(fmt.Sprintf("cache: invalid config %+v", cfg))
 	}
 	setBytes := cfg.Ways * mem.LineSize
@@ -99,11 +121,21 @@ func New(cfg Config) *Cache {
 	if numSets&(numSets-1) != 0 {
 		panic(fmt.Sprintf("cache: set count %d not a power of two", numSets))
 	}
+	// Every way starts invalid, ranked in way order: one set's identity
+	// pattern, doubled across the array.
+	rank := make([]uint8, numSets*cfg.Ways)
+	for i := range cfg.Ways {
+		rank[i] = uint8(i)
+	}
+	for n := cfg.Ways; n < len(rank); n *= 2 {
+		copy(rank[n:], rank[:n])
+	}
 	return &Cache{
-		cfg:     cfg,
-		numSets: numSets,
-		tags:    make([]uint64, numSets*cfg.Ways),
-		used:    make([]uint64, numSets*cfg.Ways),
+		cfg:      cfg,
+		numSets:  numSets,
+		tags:     make([]uint64, numSets*cfg.Ways),
+		rank:     rank,
+		wordWise: cfg.Ways%wordWays == 0 && cfg.Ways <= wordRanks,
 	}
 }
 
@@ -131,10 +163,9 @@ func (c *Cache) setBase(lineID uint64) int {
 	return int(lineID>>c.cfg.IndexShift&uint64(c.numSets-1)) * c.cfg.Ways
 }
 
-// find returns the index of addr's line in tags, or -1.
-func (c *Cache) find(addr mem.Addr) int {
-	id := addr.LineID()
-	base := c.setBase(id)
+// find returns the index in tags of line id, whose set starts at base, or
+// -1.
+func (c *Cache) find(id uint64, base int) int {
 	for i, w := range c.tags[base : base+c.cfg.Ways] {
 		if w&matchMask == validBit|id {
 			return base + i
@@ -143,13 +174,44 @@ func (c *Cache) find(addr mem.Addr) int {
 	return -1
 }
 
+// touch makes way i the most recently used of the set starting at base:
+// it takes rank 0, and every way ranked below its old rank ages by one.
+func (c *Cache) touch(base, i int) {
+	if r := c.rank[i]; r != 0 {
+		c.age(c.rank[base:base+c.cfg.Ways], r)
+		c.rank[i] = 0
+	}
+}
+
+// age adds one to every rank in set below r.
+func (c *Cache) age(set []uint8, r uint8) {
+	if !c.wordWise {
+		for j, x := range set {
+			if x < r {
+				set[j] = x + 1
+			}
+		}
+		return
+	}
+	// Per byte x (x, r < 128): (x|0x80)-r keeps its top bit iff x >= r
+	// and never borrows from the next byte, so the inverted top bits,
+	// moved to the low bit, add one to every x < r.
+	rs := uint64(r) * byteLSBs
+	for j := 0; j+wordWays <= len(set); j += wordWays {
+		x := binary.LittleEndian.Uint64(set[j:])
+		x += (^((x | byteMSBs) - rs) & byteMSBs) >> 7
+		binary.LittleEndian.PutUint64(set[j:], x)
+	}
+}
+
 // Access performs a demand load (write=false) or store (write=true) by
 // class. On a miss the line is allocated in the class's partition and the
 // displaced victim, if any, is reported.
 func (c *Cache) Access(addr mem.Addr, write bool, class mem.ClassID) Result {
-	c.clock++
-	if i := c.find(addr); i >= 0 {
-		c.used[i] = c.clock
+	id := addr.LineID()
+	base := c.setBase(id)
+	if i := c.find(id, base); i >= 0 {
+		c.touch(base, i)
 		if write {
 			c.tags[i] |= dirtyBit
 		}
@@ -159,20 +221,19 @@ func (c *Cache) Access(addr mem.Addr, write bool, class mem.ClassID) Result {
 	c.Misses++
 
 	// Victim selection within the class's allowed ways: the first
-	// invalid way, else the least recently used.
-	id := addr.LineID()
+	// invalid way, else the least recently used (the highest rank).
 	start, n := 0, c.cfg.Ways
 	if pw := c.partWays[class]; pw > 0 {
 		start, n = c.partStart[class], pw
 	}
-	first := c.setBase(id) + start
+	first := base + start
 	v := first
 	for i := first; i < first+n; i++ {
 		if c.tags[i]&validBit == 0 {
 			v = i
 			break
 		}
-		if c.used[i] < c.used[v] {
+		if c.rank[i] > c.rank[v] {
 			v = i
 		}
 	}
@@ -183,14 +244,13 @@ func (c *Cache) Access(addr mem.Addr, write bool, class mem.ClassID) Result {
 		if dirty {
 			c.DirtyEvictions++
 		}
-		res = Result{Evicted: true, Victim: Victim{
-			Addr:  mem.Addr(w & lineMask << mem.LineShift),
-			Class: classOf(w),
-			Dirty: dirty,
-		}}
+		victim := Victim{Addr: mem.Addr(w & lineMask << mem.LineShift), Class: classOf(w), Dirty: dirty}
+		c.occ[victim.Class]--
+		res = Result{Evicted: true, Victim: victim}
 	}
 	c.tags[v] = pack(id, class, write)
-	c.used[v] = c.clock
+	c.occ[class]++
+	c.touch(base, v)
 	return res
 }
 
@@ -199,24 +259,29 @@ func (c *Cache) Access(addr mem.Addr, write bool, class mem.ClassID) Result {
 // is returned; otherwise false is returned and nothing is allocated
 // (write-no-allocate), leaving the caller to forward the data to memory.
 func (c *Cache) Writeback(addr mem.Addr, class mem.ClassID) bool {
-	c.clock++
-	i := c.find(addr)
+	id := addr.LineID()
+	base := c.setBase(id)
+	i := c.find(id, base)
 	if i < 0 {
 		c.Misses++
 		return false
 	}
 	c.tags[i] |= dirtyBit
-	c.used[i] = c.clock
+	c.touch(base, i)
 	c.Hits++
 	return true
 }
 
 // Contains reports whether addr is resident, without touching LRU state.
-func (c *Cache) Contains(addr mem.Addr) bool { return c.find(addr) >= 0 }
+func (c *Cache) Contains(addr mem.Addr) bool {
+	id := addr.LineID()
+	return c.find(id, c.setBase(id)) >= 0
+}
 
-// OccupancyByClass counts valid lines held by each class, the monitoring
-// feature existing QoS architectures expose for the shared cache. It
-// allocates a map per call; monitoring loops should use OccupancyInto.
+// OccupancyByClass returns the valid lines held by each class, the
+// monitoring counter existing QoS architectures expose for the shared
+// cache (Intel CMT's occupancy). It allocates a map per call; monitoring
+// loops should use OccupancyInto.
 func (c *Cache) OccupancyByClass() map[mem.ClassID]int {
 	var occ [mem.MaxClasses]int
 	c.OccupancyInto(&occ)
@@ -230,14 +295,5 @@ func (c *Cache) OccupancyByClass() map[mem.ClassID]int {
 }
 
 // OccupancyInto is the allocation-free variant of OccupancyByClass: dst
-// is zeroed and filled with each class's valid-line count.
-func (c *Cache) OccupancyInto(dst *[mem.MaxClasses]int) {
-	for i := range dst {
-		dst[i] = 0
-	}
-	for _, w := range c.tags {
-		if w&validBit != 0 {
-			dst[classOf(w)]++
-		}
-	}
-}
+// receives each class's valid-line count, a copy of the kept counters.
+func (c *Cache) OccupancyInto(dst *[mem.MaxClasses]int) { *dst = c.occ }

@@ -14,7 +14,7 @@ func lineAddr(i int) mem.Addr { return mem.Addr(i * mem.LineSize) }
 
 // wayIndexOf locates addr and returns its way, or -1.
 func (c *Cache) wayIndexOf(addr mem.Addr) int {
-	if i := c.find(addr); i >= 0 {
+	if i := c.find(addr.LineID(), c.setBase(addr.LineID())); i >= 0 {
 		return i % c.cfg.Ways
 	}
 	return -1
@@ -199,6 +199,7 @@ func TestBadGeometryPanics(t *testing.T) {
 		{SizeBytes: 3 * mem.LineSize, Ways: 2},     // not multiple
 		{SizeBytes: 3 * 2 * mem.LineSize, Ways: 2}, // 3 sets, not pow2
 		{SizeBytes: 64, Ways: 2},                   // sub-line
+		{SizeBytes: 256 * mem.LineSize, Ways: 256}, // one set, wider than a rank byte holds
 	}
 	for _, cfg := range cases {
 		func() {
@@ -220,9 +221,10 @@ func TestBadPartitionPanics(t *testing.T) {
 }
 
 // TestCacheBytesPerLine gates the host footprint of the paper machine's
-// largest array, one L3 slice: a packed tag word and an LRU timestamp,
-// 16 B a line. The line state is 87 % of a simulated machine's live heap,
-// so a third word per line is a 50 % regression of live_heap_mb.
+// largest array, one L3 slice: a packed tag word and a one-byte recency
+// rank, 9 B a line. The line state is most of a simulated machine's live
+// heap, so a timestamp word back beside the tag is a 75 % regression of
+// live_heap_mb.
 func TestCacheBytesPerLine(t *testing.T) {
 	cfg := Config{SizeBytes: 512 * 1024, Ways: 16, IndexShift: 5}
 	lines := cfg.SizeBytes / mem.LineSize
@@ -231,46 +233,85 @@ func TestCacheBytesPerLine(t *testing.T) {
 	c := New(cfg)
 	runtime.ReadMemStats(&after)
 	perLine := float64(after.TotalAlloc-before.TotalAlloc) / float64(lines)
-	if perLine > 16.5 {
-		t.Fatalf("cache.New allocates %.1f B per line, want <= 16 plus the Cache struct", perLine)
+	if perLine > 9.5 {
+		t.Fatalf("cache.New allocates %.1f B per line, want <= 9 plus the Cache struct", perLine)
 	}
 	runtime.KeepAlive(c)
 }
 
-// TestRestoreRejectsUnpackable loads well-formed images (valid CRC,
-// written by the unpacked reference) whose one line carries a field the
-// packed word cannot hold. A class >= mem.MaxClasses used to restore and then index out of
-// range in OccupancyInto.
+// TestRestoreRejectsUnpackable loads well-formed images (valid CRC) of a
+// 256-set, 4-way cache whose first set's line bytes break what the live
+// layout relies on: valid ranks that are not a permutation of 0..n-1, a
+// stored word without its valid bit, more valid lines claimed than the
+// image stores. Each fails with ckpt.ErrCorrupt, without a panic and
+// without allocating more than the image. The control image restores and
+// then evicts in the order its ranks say.
 func TestRestoreRejectsUnpackable(t *testing.T) {
-	cfg := Config{SizeBytes: 2 * mem.LineSize, Ways: 2}
+	cfg := Config{SizeBytes: 256 * 4 * mem.LineSize, Ways: 4}
+	lines := cfg.SizeBytes / mem.LineSize
+	old, young := pack(1<<58-256, mem.MaxClasses-1, true), pack(256, 0, false) // both in set 0
 	for _, tc := range []struct {
 		name  string
-		tag   uint64
-		class uint8
+		set   [4]byte // set 0's line bytes: 0 invalid, else 1+rank
+		words []uint64
+		claim bool // every line of the cache claims to be valid
 		want  error
 	}{
-		{"largest line number and class", 1<<58 - 1, mem.MaxClasses - 1, nil},
-		{"class == MaxClasses", 7, mem.MaxClasses, ckpt.ErrCorrupt},
-		{"class 255", 7, 255, ckpt.ErrCorrupt},
-		{"line number 2^58", 1 << 58, 0, ckpt.ErrCorrupt},
-		{"line number with the valid bit", 1<<63 | 7, 0, ckpt.ErrCorrupt},
+		{"control", [4]byte{2, 0, 1, 0}, []uint64{old, young}, false, nil},
+		{"rank >= valid lines", [4]byte{3, 0, 1, 0}, []uint64{old, young}, false, ckpt.ErrCorrupt},
+		{"repeated rank", [4]byte{1, 0, 1, 0}, []uint64{old, young}, false, ckpt.ErrCorrupt},
+		{"word without the valid bit", [4]byte{2, 0, 1, 0}, []uint64{old &^ validBit, young}, false, ckpt.ErrCorrupt},
+		{"more valid lines than words", [4]byte{2, 0, 1, 0}, []uint64{old, young}, true, ckpt.ErrCorrupt},
 	} {
-		c, err := restored(cfg, saved(t, &refCache{
-			lines: []refLine{{tag: tc.tag, class: mem.ClassID(tc.class), valid: true, dirty: true, used: 1}, {}},
-			clock: 1, Hits: 1, Misses: 1, Evictions: 1, DirtyEvictions: 1,
+		img, err := ckpt.Encode(ckpt.Header{}, ckpt.WalkFunc(func(k *ckpt.Codec) {
+			k.Int(&lines)
+			ranks := k.AppendRaw(lines)
+			copy(ranks, tc.set[:])
+			if tc.claim {
+				for i := len(tc.set); i < lines; i++ {
+					ranks[i] = byte(1 + i%4)
+				}
+			}
+			for i := range tc.words {
+				k.U64(&tc.words[i])
+			}
+			for n := uint64(1); n <= 4; n++ { // hits, misses, evictions, dirty evictions
+				k.U64(&n)
+			}
 		}))
-		if !errors.Is(err, tc.want) {
-			t.Errorf("%s: restore error %v, want %v", tc.name, err, tc.want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The fewest bytes of three restores: a concurrent allocation
+		// elsewhere in the process can land in any one window.
+		c, grew := New(cfg), ^uint64(0)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			k, err := ckpt.Decode(img)
+			if err == nil {
+				err = k.Load(c)
+			}
+			runtime.ReadMemStats(&after)
+			grew = min(grew, after.TotalAlloc-before.TotalAlloc)
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("%s: restore error %v, want %v", tc.name, err, tc.want)
+			}
+		}
+		if grew > uint64(len(img)) {
+			t.Errorf("%s: restoring a %d-byte image allocated %d bytes", tc.name, len(img), grew)
 		}
 		if tc.want != nil {
 			continue
 		}
 		var occ [mem.MaxClasses]int
 		c.OccupancyInto(&occ)
-		r := c.Access(lineAddr(1), false, 0) // fills the invalid way
-		r = c.Access(lineAddr(2), false, 0)  // evicts the restored line
-		if occ[tc.class] != 1 || r.Victim != (Victim{Addr: mem.Addr(tc.tag << mem.LineShift), Class: mem.ClassID(tc.class), Dirty: true}) {
-			t.Errorf("%s: occupancy %v, victim %+v", tc.name, occ, r.Victim)
+		c.Access(lineAddr(512), false, 0) // fills invalid way 1
+		c.Access(lineAddr(768), false, 0) // fills invalid way 3
+		r := c.Access(lineAddr(1024), false, 0)
+		if occ[0] != 1 || occ[mem.MaxClasses-1] != 1 || c.Hits != 1 || c.DirtyEvictions != 4+1 ||
+			r.Victim != (Victim{Addr: mem.Addr(old & lineMask << mem.LineShift), Class: mem.MaxClasses - 1, Dirty: true}) {
+			t.Errorf("%s: occupancy %v, counters %d/%d, victim %+v", tc.name, occ, c.Hits, c.DirtyEvictions, r.Victim)
 		}
 	}
 }

@@ -14,12 +14,19 @@
 // timescales PABST operates on.
 //
 // Host layout: a line is one packed uint64 (valid | dirty | class | line
-// number) in Cache.tags, its LRU timestamp a parallel word in Cache.used
-// — 16 B a line, and a lookup reads only the tags of one set. The line
-// arrays are most of a simulated machine's heap and Cache.Access its
-// hottest function; DESIGN.md "Host data layout" has the bit layout and
-// the measurements, reference_test.go the struct-per-line cache this
-// replaced, kept as the differential oracle.
+// number) in Cache.tags and a one-byte recency rank in the parallel
+// Cache.rank — 9 B a line, and a lookup reads only the tags of one set.
+// A set's ranks are a permutation of 0..ways-1 (0 most recent); a hit or
+// fill moves its way to rank 0 and ages the younger ways by one, eight at
+// a time as bytes of a word, and the victim is the highest rank. Lines
+// are never invalidated outside restore, so a set's n valid ways always
+// hold ranks 0..n-1, which is what the checkpoint stores (state.go).
+// Per-class valid-line counts are kept as fills and evictions happen, so
+// OccupancyInto is a copy. The line arrays are most of a simulated
+// machine's heap and Cache.Access its hottest function; DESIGN.md "Host
+// data layout" has the bit layout and the measurements, reference_test.go
+// the struct-per-line, timestamp-LRU cache this replaced, kept as the
+// differential oracle.
 //
 // Main entry points: New builds a cache from a Config; Cache.Access is
 // the hit/miss/victim state machine; Cache.Partition installs a CAT way

@@ -10,8 +10,8 @@ import (
 )
 
 // refCache is the array-of-structs cache the packed one replaced: the old
-// line struct and the old scans, frozen verbatim. It is a test-only
-// oracle, like dram.RefController.
+// line struct with its 64-bit LRU timestamp and the old scans, frozen
+// verbatim. It is a test-only oracle, like dram.RefController.
 type refLine struct {
 	tag   uint64
 	class mem.ClassID
@@ -132,24 +132,35 @@ func (c *refCache) OccupancyInto(dst *[mem.MaxClasses]int) {
 	}
 }
 
-// Ckpt writes the reference's lines in the stored form the packed
-// cache's walk spells out field by field (save only: the reference is
-// never restored into).
+// Ckpt writes the reference's lines in the cache's stored form: one byte
+// per line, 0 for invalid and else 1 + the number of valid ways in its
+// set used more recently, then the packed words of the valid lines (save
+// only: the reference is never restored into). Equal bytes therefore
+// mean the packed cache's recency ranks order every set as these
+// timestamps do.
 func (c *refCache) Ckpt(k *ckpt.Codec) {
 	n := len(c.lines)
 	k.Int(&n)
+	ranks := make([]byte, len(c.lines))
+	var words []uint64
 	for i := range c.lines {
 		l := &c.lines[i]
-		k.Bool(&l.valid)
 		if !l.valid {
 			continue
 		}
-		k.U64(&l.tag)
-		k.U8((*uint8)(&l.class))
-		k.Bool(&l.dirty)
-		k.U64(&l.used)
+		base := i - i%c.cfg.Ways
+		ranks[i] = 1
+		for j := base; j < base+c.cfg.Ways; j++ {
+			if o := &c.lines[j]; o.valid && o.used > l.used {
+				ranks[i]++
+			}
+		}
+		words = append(words, pack(l.tag, l.class, l.dirty))
 	}
-	k.U64(&c.clock)
+	copy(k.AppendRaw(len(ranks)), ranks)
+	for i := range words {
+		k.U64(&words[i])
+	}
 	k.U64(&c.Hits)
 	k.U64(&c.Misses)
 	k.U64(&c.Evictions)
@@ -238,25 +249,26 @@ func (p *diffPair) compare(i int) {
 }
 
 // TestDifferentialAgainstReference pins the packed representation to the
-// struct-per-line one it replaced: equal results call by call, equal
-// counters, occupancy and checkpoint bytes, and a cache restored from the
-// reference's bytes continues exactly as the reference does.
+// struct-per-line one it replaced: equal results, counters, occupancy and
+// checkpoint bytes after every call — so recency ranks order each set as
+// the timestamps do — and a cache restored from the reference's bytes
+// continues exactly as the reference does.
 func TestDifferentialAgainstReference(t *testing.T) {
-	const callsPerGeometry = 60_000 // x4 geometries > 200k compared calls
+	// Few sets: sets are independent, and every call re-encodes both
+	// caches whole. 12 ways takes the byte-at-a-time aging path.
+	const callsPerGeometry = 60_000 // x5 geometries > 300k compared calls
 	for gi, cfg := range []Config{
-		{SizeBytes: 64 * 8 * mem.LineSize, Ways: 8},
-		{SizeBytes: 64 * 8 * mem.LineSize, Ways: 8, IndexShift: 5},
-		{SizeBytes: 32 * 16 * mem.LineSize, Ways: 16},
-		{SizeBytes: 32 * 16 * mem.LineSize, Ways: 16, IndexShift: 5},
+		{SizeBytes: 8 * 8 * mem.LineSize, Ways: 8},
+		{SizeBytes: 8 * 8 * mem.LineSize, Ways: 8, IndexShift: 5},
+		{SizeBytes: 4 * 16 * mem.LineSize, Ways: 16},
+		{SizeBytes: 4 * 16 * mem.LineSize, Ways: 16, IndexShift: 5},
+		{SizeBytes: 8 * 12 * mem.LineSize, Ways: 12},
 	} {
 		p := &diffPair{t: t, rng: rand.New(rand.NewSource(int64(gi) + 1)), got: New(cfg), want: newRefCache(cfg)}
 		for i := 0; i < callsPerGeometry; i++ {
 			p.step(i)
-			if i%5000 == 0 {
-				p.compare(i)
-			}
+			p.compare(i)
 		}
-		p.compare(callsPerGeometry)
 		if p.got.Hits == 0 || p.got.DirtyEvictions == 0 || p.got.Evictions == p.got.DirtyEvictions {
 			t.Fatalf("%+v: the stream never hit, or never evicted both clean and dirty lines", cfg)
 		}
@@ -271,7 +283,7 @@ func TestDifferentialAgainstReference(t *testing.T) {
 		p.got = got
 		for i := 0; i < 5000; i++ {
 			p.step(i)
+			p.compare(callsPerGeometry + i)
 		}
-		p.compare(callsPerGeometry + 5000)
 	}
 }

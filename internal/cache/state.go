@@ -1,50 +1,108 @@
 package cache
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"pabst/internal/ckpt"
-	"pabst/internal/mem"
 )
 
-// Ckpt implements ckpt.Walker: every line plus the LRU clock and the
-// four stat counters. Partitions are structural (re-applied from the
-// config by the system's Finalize) and are not saved.
+// Ckpt implements ckpt.Walker: every line and the four stat counters.
+// Partitions are structural (re-applied from the config by the system's
+// Finalize) and are not saved, and the occupancy counters are recounted
+// from the lines.
 //
-// A stored line is (valid, line number, class, dirty, last use), the
-// fields of the packed word spelled out; an invalid line stores only its
-// valid byte. The image is input from outside the program: a line number
-// or class that does not fit its field of the packed word is reported as
-// corruption, never masked into it.
+// The lines are stored in one pass per direction: one byte per line, 0
+// for invalid and 1+rank for valid, then the packed word of each valid
+// line in line order. The image is input from outside the program, so a
+// load checks what the live layout relies on: each set's valid ranks are
+// a permutation of 0..n-1 for its n valid lines, and each stored word
+// carries its valid bit. Invalid ways take ranks n..ways-1 in way order.
+// Every other bit pattern of a word is a line (the fields fill all 64
+// bits), so nothing else can be out of range.
 func (c *Cache) Ckpt(k *ckpt.Codec) {
 	if !k.Same(len(c.tags), "cache lines") {
 		return
 	}
-	for i, t := range c.tags {
-		valid := t&validBit != 0
-		k.Bool(&valid)
-		if !valid {
-			if k.Loading() {
-				c.tags[i], c.used[i] = 0, 0
-			}
-			continue
-		}
-		id, class, dirty := t&lineMask, uint8(classOf(t)), t&dirtyBit != 0
-		k.U64(&id)
-		k.U8(&class)
-		k.Bool(&dirty)
-		k.U64(&c.used[i])
-		if k.Loading() {
-			if id > lineMask || class >= mem.MaxClasses {
-				k.Fail(fmt.Errorf("%w: cache line %d has line number %#x, class %d", ckpt.ErrCorrupt, i, id, class))
-				return
-			}
-			c.tags[i] = pack(id, mem.ClassID(class), dirty)
-		}
+	if k.Loading() {
+		c.load(k)
+	} else {
+		c.save(k)
 	}
-	k.U64(&c.clock)
 	k.U64(&c.Hits)
 	k.U64(&c.Misses)
 	k.U64(&c.Evictions)
 	k.U64(&c.DirtyEvictions)
+}
+
+// valid returns the number of valid lines.
+func (c *Cache) valid() int {
+	n := 0
+	for _, o := range c.occ {
+		n += o
+	}
+	return n
+}
+
+// CkptSize is the exact size of the cache's image, known from its line
+// counts before the walk (ckpt.Sizer).
+func (c *Cache) CkptSize() int { return 8 + len(c.tags) + 8*c.valid() + 4*8 }
+
+func (c *Cache) save(k *ckpt.Codec) {
+	b := k.AppendRaw(len(c.tags) + 8*c.valid())
+	ranks, words := b[:len(c.tags)], b[len(c.tags):]
+	for i, w := range c.tags {
+		if w&validBit != 0 {
+			ranks[i] = 1 + c.rank[i]
+			binary.LittleEndian.PutUint64(words, w)
+			words = words[8:]
+		}
+	}
+}
+
+func (c *Cache) load(k *ckpt.Codec) {
+	ranks := k.TakeRaw(len(c.tags))
+	n := 0
+	for _, r := range ranks {
+		if r != 0 {
+			n++
+		}
+	}
+	words := k.TakeRaw(8 * n) // more valid lines claimed than stored fails here
+	if k.Err() != nil {
+		return
+	}
+	clear(c.occ[:])
+	ways := c.cfg.Ways
+	for base := 0; base < len(c.tags); base += ways {
+		set := ranks[base : base+ways]
+		valid := 0
+		for _, r := range set {
+			if r != 0 {
+				valid++
+			}
+		}
+		var seen [(MaxWays + 63) / 64]uint64
+		next := uint8(valid)
+		for j, r := range set {
+			i := base + j
+			if r == 0 {
+				c.tags[i], c.rank[i] = 0, next
+				next++
+				continue
+			}
+			r--
+			w := binary.LittleEndian.Uint64(words)
+			words = words[8:]
+			bit := uint64(1) << (r % 64)
+			if int(r) >= valid || seen[r/64]&bit != 0 || w&validBit == 0 {
+				k.Fail(fmt.Errorf("%w: cache line %d: rank %d out of range or repeated among its set's %d valid ways, or word %#x without the valid bit",
+					ckpt.ErrCorrupt, i, r, valid, w))
+				return
+			}
+			seen[r/64] |= bit
+			c.tags[i], c.rank[i] = w, r
+			c.occ[classOf(w)]++
+		}
+	}
 }

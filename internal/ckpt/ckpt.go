@@ -35,6 +35,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc64"
+	"slices"
 )
 
 // Version is the current checkpoint format version. Bump it on any
@@ -50,8 +51,11 @@ import (
 // (lane count, lanes, demand, degraded-signal registers), and the demand
 // register stays zero unless the Section V-B split reads it; v6 dropped
 // the kernel's skipped-cycle counter, so no scheduler counter is saved
-// and both kernels write the same bytes for the same machine.
-const Version uint32 = 6
+// and both kernels write the same bytes for the same machine; v7 stores
+// a cache's lines as one byte per line (0 invalid, else 1+recency rank)
+// followed by the packed words of the valid lines, in place of per-line
+// fields and 64-bit LRU timestamps, and drops the cache's access clock.
+const Version uint32 = 7
 
 var magic = [8]byte{'P', 'A', 'B', 'S', 'T', 'C', 'K', 'P'}
 
@@ -98,6 +102,13 @@ var (
 // before a decode overlays state onto the freshly built component.
 type Walker interface {
 	Ckpt(c *Codec)
+}
+
+// Sizer is implemented by a Walker that can bound its image before the
+// walk; Encode then allocates the image once, at that size plus the
+// header, instead of growing it.
+type Sizer interface {
+	CkptSize() int
 }
 
 // WalkFunc adapts a function to a Walker.
@@ -154,7 +165,11 @@ type Codec struct {
 // Encode walks w into a fresh image under header h and seals it with the
 // CRC trailer.
 func Encode(h Header, w Walker) ([]byte, error) {
-	c := &Codec{buf: make([]byte, 0, 4096)}
+	size := 4096
+	if s, ok := w.(Sizer); ok {
+		size = s.CkptSize()
+	}
+	c := &Codec{buf: make([]byte, 0, 12+len(h.Fingerprint)+16+len(h.Meta)+size+trailerLen)}
 	c.buf = append(c.buf, magic[:]...)
 	c.buf = binary.LittleEndian.AppendUint32(c.buf, Version)
 	c.buf = append(c.buf, h.Fingerprint[:]...)
@@ -255,6 +270,29 @@ func (c *Codec) take(p []byte) {
 		return
 	}
 	c.off += copy(p, c.buf[c.off:])
+}
+
+// AppendRaw is the saving half of a bulk walk that lays out its own
+// bytes: it appends n zero bytes to the image and returns them for the
+// caller to fill before its next visit.
+func (c *Codec) AppendRaw(n int) []byte {
+	c.buf = slices.Grow(c.buf, n)[:len(c.buf)+n]
+	b := c.buf[len(c.buf)-n:]
+	clear(b)
+	return b
+}
+
+// TakeRaw is the loading half: it returns the next n bytes of the image,
+// aliased, not copied. Fewer than n left (or an earlier failure) latches
+// the truncation error and returns nil, so a hostile count costs no
+// allocation.
+func (c *Codec) TakeRaw(n int) []byte {
+	if c.err != nil || n < 0 || n > c.left() {
+		c.short()
+		return nil
+	}
+	c.off += n
+	return c.buf[c.off-n : c.off : c.off]
 }
 
 // U64 visits a little-endian uint64.

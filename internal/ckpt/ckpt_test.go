@@ -23,6 +23,7 @@ type prims struct {
 	list []uint64
 	none []uint64
 	some []uint64
+	raw  [4]byte
 }
 
 func (p *prims) Ckpt(c *Codec) {
@@ -40,13 +41,18 @@ func (p *prims) Ckpt(c *Codec) {
 	Slice(c, &p.list, 8, (*Codec).U64)
 	NilSlice(c, &p.none, 8, (*Codec).U64)
 	NilSlice(c, &p.some, 8, (*Codec).U64)
+	if c.Loading() {
+		copy(p.raw[:], c.TakeRaw(len(p.raw)))
+	} else {
+		copy(c.AppendRaw(len(p.raw)), p.raw[:])
+	}
 }
 
 func TestPrimitivesRoundTrip(t *testing.T) {
 	h := Header{Cycle: 42, Meta: []byte(`{"k":1}`)}
 	h.Fingerprint[0] = 0xAB
 	in := prims{u64: 1<<63 + 7, u8: 200, i64: -12345, n: -9, yes: true, arr: [3]uint64{1, 2, 3},
-		s: "hello", enum: 3, idx: 9, list: []uint64{4, 5}, some: []uint64{}}
+		s: "hello", enum: 3, idx: 9, list: []uint64{4, 5}, some: []uint64{}, raw: [4]byte{9, 0, 255, 1}}
 	raw, err := Encode(h, &in)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
@@ -63,7 +69,7 @@ func TestPrimitivesRoundTrip(t *testing.T) {
 		t.Fatalf("load: %v", err)
 	}
 	if out.u64 != in.u64 || out.u8 != in.u8 || out.i64 != in.i64 || out.n != in.n ||
-		!out.yes || out.no || out.arr != in.arr || out.s != in.s || out.enum != in.enum || out.idx != in.idx {
+		!out.yes || out.no || out.arr != in.arr || out.s != in.s || out.enum != in.enum || out.idx != in.idx || out.raw != in.raw {
 		t.Errorf("scalars: got %+v, want %+v", out, in)
 	}
 	if len(out.list) != 2 || out.list[1] != 5 {

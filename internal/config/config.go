@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 
+	"pabst/internal/cache"
 	"pabst/internal/cpu"
 	"pabst/internal/dram"
 	"pabst/internal/fault"
@@ -237,13 +238,18 @@ func (s *System) Validate() error {
 		return fmt.Errorf("config: MaxMSHRs: must be positive, got %d: %w", s.MaxMSHRs, ErrInvalid)
 	}
 	for _, c := range []struct {
-		name             string
+		name, waysField  string
 		bytes, ways, lat int
 	}{
-		{"L1", s.L1Bytes, s.L1Ways, s.L1HitLat},
-		{"L2", s.L2Bytes, s.L2Ways, s.L2HitLat},
-		{"L3Slice", s.L3SliceBytes, s.L3Ways, s.L3HitLat},
+		{"L1", "L1Ways", s.L1Bytes, s.L1Ways, s.L1HitLat},
+		{"L2", "L2Ways", s.L2Bytes, s.L2Ways, s.L2HitLat},
+		{"L3Slice", "L3Ways", s.L3SliceBytes, s.L3Ways, s.L3HitLat},
 	} {
+		// The cache model ranks a set's ways in one byte each.
+		if c.ways > cache.MaxWays {
+			return fmt.Errorf("config: %s: %d ways, the cache model holds at most %d: %w",
+				c.waysField, c.ways, cache.MaxWays, ErrInvalid)
+		}
 		// The cache model indexes sets with a mask: a power-of-two
 		// number of sets, each a whole number of ways×64 B lines.
 		sets := 0

@@ -3,6 +3,7 @@ package config
 import (
 	"errors"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"pabst/internal/fault"
@@ -61,6 +62,7 @@ func TestValidateCatchesMismatches(t *testing.T) {
 		func(s *System) { s.Core.WindowOps = 0 },
 		func(s *System) { s.MaxMSHRs = 0 },
 		func(s *System) { s.L2Bytes = 0 },
+		func(s *System) { s.L1Bytes, s.L1Ways = 32<<10, 512 }, // one set, wider than a rank byte holds
 		func(s *System) { s.DRAM.Banks = 3 },
 		func(s *System) { s.PABST.ScaleF = 0 },
 		func(s *System) { s.BWWindow = 0 },
@@ -82,6 +84,32 @@ func TestValidateCatchesMismatches(t *testing.T) {
 		if !errors.Is(err, ErrInvalid) {
 			t.Fatalf("mutation %d: error does not wrap ErrInvalid: %v", i, err)
 		}
+	}
+}
+
+// TestValidateBoundsWays pins the one limit the cache's one-byte recency
+// ranks add: 512 ways in a 32 KB L1 is a power-of-two set count (one
+// set) that the rank byte cannot hold, and each ways field names itself.
+func TestValidateBoundsWays(t *testing.T) {
+	for _, c := range []struct {
+		field string
+		mut   func(*System)
+	}{
+		{"L1Ways", func(s *System) { s.L1Bytes, s.L1Ways = 32<<10, 512 }},
+		{"L2Ways", func(s *System) { s.L2Ways = 256 }},
+		{"L3Ways", func(s *System) { s.L3Ways = 256 }},
+	} {
+		s := Default32()
+		c.mut(&s)
+		err := s.Validate()
+		if !errors.Is(err, ErrInvalid) || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%s over 255: Validate = %v, want ErrInvalid naming the field", c.field, err)
+		}
+	}
+	s := Default32()
+	s.L3SliceBytes, s.L3Ways = 255*4*64, 255 // 4 sets of the widest set a rank byte holds
+	if err := s.Validate(); err != nil {
+		t.Errorf("255 ways rejected: %v", err)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"hash/crc64"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -137,6 +138,7 @@ func TestWarmedSystemCorruptStore(t *testing.T) {
 		"version-3": older(3),
 		"version-4": older(4),
 		"version-5": older(5),
+		"version-6": older(6),
 	} {
 		t.Run(name, func(t *testing.T) { corruptStoreHeals(t, damage) })
 	}
@@ -315,4 +317,81 @@ func TestWarmStoreKeysOnGeneratorRecipe(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestCheckpointAllocations gates the host memory of a warm-store round
+// trip on a saturated paper machine (32 tiles, 7:3 read streams) whose
+// image is mostly valid cache lines. A save allocates its image once,
+// sized from the machine's line counts: at most 1.5 image sizes in all.
+// A store hit allocates what building the machine does, plus the file
+// it reads and no second copy of it: at most 1.2 image sizes beyond the
+// build.
+func TestCheckpointAllocations(t *testing.T) {
+	scale := Scale{Name: "sat", Warmup: 100_000, Epoch: 2000, Window: 2000, Ckpt: t.TempDir()}
+	build := func() *pabst.Builder {
+		cfg := scale.Apply(pabst.Default32Config())
+		b := pabst.NewBuilder(cfg, pabst.ModePABST, scale.Options()...)
+		hi := b.AddClass("hi", 7, cfg.L3Ways/2)
+		lo := b.AddClass("lo", 3, cfg.L3Ways/2)
+		attachStreams(b, hi, 0, 16, false)
+		attachStreams(b, lo, 16, 32, false)
+		return b
+	}
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+
+	sys, err := WarmedSystem(context.Background(), scale, build(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var image int
+	saved := allocated(func() {
+		w := &countingWriter{}
+		if err := sys.Checkpoint(w); err != nil {
+			t.Fatal(err)
+		}
+		image = w.n
+	})
+	sys.Close()
+	if limit := uint64(1.5 * float64(image)); saved > limit {
+		t.Errorf("saving a %d-byte image allocated %d bytes (limit %d)", image, saved, limit)
+	}
+
+	var built uint64
+	for range 2 { // the first build also warms process-wide tables
+		b := build()
+		built = allocated(func() {
+			if sys, err = b.Build(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		sys.Close()
+	}
+	hits := StoreEvents.Hits.Load()
+	b := build()
+	restored := allocated(func() {
+		if sys, err = WarmedSystem(context.Background(), scale, b, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	sys.Close()
+	if StoreEvents.Hits.Load() != hits+1 {
+		t.Fatal("the second WarmedSystem call did not restore from the store")
+	}
+	if limit := built + uint64(1.2*float64(image)); restored > limit {
+		t.Errorf("restoring a %d-byte image allocated %d bytes; the build alone %d (limit %d)", image, restored, built, limit)
+	}
+}
+
+// countingWriter counts the bytes written to it and keeps none.
+type countingWriter struct{ n int }
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.n += len(p)
+	return len(p), nil
 }

@@ -140,6 +140,23 @@ func (s *System) Ckpt(c *ckpt.Codec) {
 	}
 }
 
+// CkptSize implements ckpt.Sizer, so a save allocates its image once:
+// the cache lines and the bandwidth series exactly (their counts give
+// their size), plus an allowance for the rest — per attached tile its
+// core window and queues, and the header, scalars and controllers.
+func (s *System) CkptSize() int {
+	n := 64<<10 + len(s.series.Samples)*(1+mem.MaxClasses)*8
+	for _, t := range s.tiles {
+		if t != nil {
+			n += t.l1.CkptSize() + t.l2.CkptSize() + 64*s.cfg.Core.WindowOps + 4<<10
+		}
+	}
+	for _, sl := range s.slices {
+		n += sl.cache.CkptSize()
+	}
+	return n
+}
+
 // limits are the bounds a loaded tile, controller or class index must
 // respect on this machine.
 func (s *System) limits() ckpt.Limits {

@@ -51,6 +51,9 @@ func FuzzConfigJSON(f *testing.F) {
 	hostile = config.Scaled8()
 	hostile.L3SliceBytes = 1000 // not a whole number of sets
 	seed(hostile)
+	hostile = config.Scaled8()
+	hostile.L1Bytes, hostile.L1Ways = 32<<10, 512 // one set, wider than a rank byte holds
+	seed(hostile)
 	f.Add([]byte(`{"MeshCols":1,"MeshRows":1}`))
 
 	path := filepath.Join(f.TempDir(), "config.json")
