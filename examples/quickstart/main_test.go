@@ -9,7 +9,7 @@ func Example() {
 	// Output:
 	// entitled shares:  0.70 / 0.30
 	// observed shares:  0.70 / 0.30
-	// bandwidth:        6.1 + 2.6 = 8.7 B/cycle (peak 9.1)
-	// mean miss latency: frontend 269 cycles, batch 188 cycles
-	// trace: 429 events, tile-0 governor ended at M=926 (period 43), 17/39 traced epochs saturated
+	// bandwidth:        6.3 + 2.7 = 9.0 B/cycle (peak 9.1)
+	// mean miss latency: frontend 396 cycles, batch 700 cycles
+	// trace: 429 events, tile-0 governor ended at M=860 (period 40), 14/39 traced epochs saturated
 }

@@ -54,8 +54,12 @@ import (
 // and both kernels write the same bytes for the same machine; v7 stores
 // a cache's lines as one byte per line (0 invalid, else 1+recency rank)
 // followed by the packed words of the valid lines, in place of per-line
-// fields and 64-bit LRU timestamps, and drops the cache's access clock.
-const Version uint32 = 7
+// fields and 64-bit LRU timestamps, and drops the cache's access clock;
+// v8 has v7's walk, but its images come from the one MSHR model (a miss
+// refused for want of an MSHR allocates no frame), so a v7 image warmed
+// under the old optimistic allocation is refused rather than resumed
+// into results no cold run prints.
+const Version uint32 = 8
 
 var magic = [8]byte{'P', 'A', 'B', 'S', 'T', 'C', 'K', 'P'}
 

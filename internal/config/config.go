@@ -27,18 +27,6 @@ type System struct {
 	Core     cpu.Config
 	MaxMSHRs int // outstanding L2 misses per tile
 
-	// StrictMSHRs selects the non-allocating MSHR-blocking model: an
-	// access that would miss both private levels while the MSHR table is
-	// full is refused before it touches any cache state, so a blocked
-	// core is provably idle until a response frees an entry (the event
-	// kernel sleeps it instead of polling). The default (false) keeps
-	// the legacy optimistic model — the miss allocates its L1/L2 frames
-	// first and only then learns the MSHRs are full, so the blocked
-	// retry hits the freshly allocated line — which the frozen policy
-	// goldens pin. Both models are bit-identical across kernels; they
-	// differ from each other.
-	StrictMSHRs bool `json:",omitempty"`
-
 	// Private L1 data cache per tile (the L1I is folded into the core's
 	// fetch abstraction — the model executes ops, not instruction
 	// streams).

@@ -15,13 +15,6 @@ type Config struct {
 	// IssueWidth is the number of ready ops the core may send to its
 	// cache per cycle.
 	IssueWidth int
-	// SleepWhileBlocked lets NextEventAt report the core idle while its
-	// head-of-line op is refused with AccessBlocked, so the event kernel
-	// can sleep the tile until the freeing response arrives. Only safe
-	// when a blocked retry is a pure probe (the tile sets this from
-	// config.System.StrictMSHRs); under the legacy optimistic-allocation
-	// model a blocked retry mutates cache state and the core must poll.
-	SleepWhileBlocked bool `json:",omitempty"`
 }
 
 // Validate reports configuration errors.
@@ -43,7 +36,7 @@ const (
 	// call Core.CompleteMiss with the returned token.
 	AccessPending
 	// AccessBlocked means the cache cannot accept the op now (MSHRs
-	// full); the core retries next cycle.
+	// full) and changed nothing; the core retries it on a later cycle.
 	AccessBlocked
 )
 
@@ -101,8 +94,7 @@ type Core struct {
 	// mshrBlocked records that the last issue attempt saw the head-of-line
 	// op refused with AccessBlocked. Re-derived on every issue(), so it is
 	// never stale across ticks; losing it (checkpoint restore) merely costs
-	// one conservative poll. Consulted by NextEventAt only under
-	// SleepWhileBlocked.
+	// one conservative poll.
 	mshrBlocked bool
 
 	// Cumulative counters.
@@ -300,16 +292,16 @@ func (c *Core) retire(now uint64) {
 // gap expiry or the head op's completion. Ops waiting on in-flight misses
 // wake through CompleteMiss, which the tile's inbox accounts for.
 //
-// Under SleepWhileBlocked, ready ops behind a blocked head-of-line op do
-// not count as work: nothing can issue until a response frees an MSHR
-// (which wakes the tile through its inbox), retiring is covered by the
-// head op's doneAt, and gap expiries merely append to the ready queue in
-// an order a batched catch-up reproduces exactly.
+// Ready ops behind a blocked head-of-line op do not count as work: a
+// refused access changed nothing, nothing can issue until a response
+// frees an MSHR (which wakes the tile through its inbox), retiring is
+// covered by the head op's doneAt, and gap expiries merely append to the
+// ready queue in an order a batched catch-up reproduces exactly.
 func (c *Core) NextEventAt(from uint64) uint64 {
 	if c.tail-c.head < uint64(len(c.slots)) {
 		return from
 	}
-	if c.readyQ.Len() > 0 && !(c.cfg.SleepWhileBlocked && c.mshrBlocked) {
+	if c.readyQ.Len() > 0 && !c.mshrBlocked {
 		return from
 	}
 	next := ^uint64(0)

@@ -13,5 +13,7 @@
 // Main entry points: New builds a core around a generator and a port;
 // Core.Tick advances it one cycle; Core.NextEventAt and Core.FastForward
 // let the event kernel skip a core that is sleeping between bursts (or
-// blocked on a full MSHR table) and account for the skipped cycles.
+// blocked on a full MSHR table: a refused access changed nothing, so the
+// core waits for the response that frees an entry) and account for the
+// skipped cycles.
 package cpu

@@ -15,7 +15,9 @@ import (
 // systems must reproduce them bit for bit, on the reference loop and on
 // the default event kernel alike. If a fingerprint here changes, the
 // plugin seam — or the kernel — leaked into simulated behavior; that is
-// a bug, not a baseline bump.
+// a bug, not a baseline bump. They were re-captured once, on the same
+// registry-built systems, when a miss refused for want of an MSHR
+// stopped allocating its frames (a model change, not a wiring one).
 
 // tinyGoldenScale is the capture machine: small enough to run in tests,
 // long enough for the governor to act.
@@ -26,18 +28,18 @@ func tinyGoldenScale() Scale {
 // goldenModeFPs maps each legacy mode to its pre-refactor result
 // fingerprint on the tiny 3:1 stream machine.
 var goldenModeFPs = map[string]string{
-	"none":          "3bf0cdc1c1e12dc4f89636cced4e3924f6b6aae5a36a862e5eade2273a84b0e7",
-	"source-only":   "28daf5d38f4dd5dff1181c8e174c60dff488793e4095f42be21ed655388e6e35",
-	"target-only":   "658ae35fae3230b22e8e171c10cb2795ea4982b12c50779b138a98e69a22cabe",
-	"pabst":         "32761ed744352c8f71af62129adda1a71c17f8059d04940f7bbb4a02e70288e3",
-	"static-source": "fc63d8929bf916bb0655d890d4794f78c84a365cc3b7b41c4be5e66ac572f1bd",
+	"none":          "189c73e9218a5dbac06b98862d90bbb4b33743a2483d748e66a0a6492fcabb1a",
+	"source-only":   "90121dbf0c0878a1e627a0f74d4c86f1bd11cc2996303e0d234002b5c963f90e",
+	"target-only":   "28f5955b7db11f551d0a6145028899840e83b0f829f7448531e5372a836e0862",
+	"pabst":         "c8434f77f307451bd80c624daa04f1bbb536a6e3cdc4d6fc973064a1764d5bb5",
+	"static-source": "cc6fce8ec2e2dbff247667cb8de274544ba7c5d4957a6a4cebe5bf09b11601ac",
 }
 
 // goldenBenchFPs pins the RunSpec path (config → spec → registry) on the
 // same scale.
 var goldenBenchFPs = map[string]string{
-	BenchStreams: "fd2336ca76e252774e2c9c65ced5dbd21b2a7f403150cb201e388f999d6b1691",
-	BenchChaser:  "a5bc0b7d9a58986ecb6c5b844e60833becdf99cd00882e1d7da3a9cdfba01724",
+	BenchStreams: "236efd0a938e1ea8853ee51ebf628ba6ac26fd00fa078e2306f29f7b8abe3f9f",
+	BenchChaser:  "8b44338ffe7126a3cbaeeb2ef1ab1768a88c4829aa5fddc984048fda390a48df",
 }
 
 // kernels is the axis the golden and matrix tests sweep — the oracle and
@@ -165,11 +167,12 @@ func TestPolicyMatrix(t *testing.T) {
 
 // TestPolicyPoint sanity-checks one Pareto harness cell end to end:
 // PABST at the contended load must deliver the 7:3 split and a bounded
-// hi-class tail.
+// hi-class tail. The tail order is a steady-state property, so the cell
+// runs at Quick(): after tinyGoldenScale's 100k cycles the two p99s are
+// one histogram bucket apart (864 hi, 832 lo); at Quick() 928 and 992.
 func TestPolicyPoint(t *testing.T) {
-	ex := Exec{Scales: map[string]Scale{"tiny": tinyGoldenScale()}}
-	rs := RunSpec{Bench: BenchWStreams, Scale: "tiny", Policy: "pabst+pabst", Load: 16}
-	r, err := rs.Run(context.Background(), ex, RunIO{})
+	rs := RunSpec{Bench: BenchWStreams, Scale: "quick", Policy: "pabst+pabst", Load: 16}
+	r, err := rs.Run(context.Background(), Exec{}, RunIO{})
 	if err != nil {
 		t.Fatal(err)
 	}

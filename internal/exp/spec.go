@@ -697,10 +697,10 @@ func (rs RunSpec) buildFor(cfg pabst.SystemConfig, sc Scale) (*pabst.Builder, []
 
 // buildPeriodic is the Figure 6 machine. The phase is half the measure
 // window: the window then covers exactly one full streaming+cached
-// period, so the time average is unbiased regardless of how warmup
-// aligns with the phase boundaries, while each phase stays long enough
-// (tens of epochs) for the governors to re-converge after a toggle —
-// the work-conservation uplift IS that converged idle-phase grab.
+// period, and each phase stays long enough (tens of epochs) for the
+// governors to re-converge after a toggle — the work-conservation
+// uplift IS that converged idle-phase grab. It needs a warmup of one
+// period too: the first cached phase is a paced refill from memory.
 func buildPeriodic(rs RunSpec, cfg pabst.SystemConfig, mode pabst.Mode, sc Scale, opts []pabst.Option) (*pabst.Builder, []pabst.ClassID, error) {
 	b := pabst.NewBuilder(cfg, mode, opts...)
 	per := b.AddClass("periodic-70", 7, cfg.L3Ways/2)

@@ -139,6 +139,7 @@ func TestWarmedSystemCorruptStore(t *testing.T) {
 		"version-4": older(4),
 		"version-5": older(5),
 		"version-6": older(6),
+		"version-7": older(7),
 	} {
 		t.Run(name, func(t *testing.T) { corruptStoreHeals(t, damage) })
 	}
@@ -262,9 +263,10 @@ func TestWarmedSystemResumeCorrupt(t *testing.T) {
 func TestWarmStoreKeysOnGeneratorRecipe(t *testing.T) {
 	benches := []string{BenchStreams, BenchWStreams}
 	// Long enough for dirty lines to reach memory, so writing shows in
-	// the result.
+	// the result: the first writebacks leave a write stream's L3
+	// partition after about 200k cycles.
 	sc := tinyScale()
-	sc.Warmup = 80_000
+	sc.Warmup = 300_000
 	cold := Exec{Scales: map[string]Scale{"tiny": sc}}
 	shared := cold
 	shared.Ckpt = t.TempDir()

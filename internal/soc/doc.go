@@ -7,6 +7,12 @@
 // memory-controller front ends fill up — the structural condition the
 // paper's source-vs-target argument rests on.
 //
+// A tile allocates a private-cache frame for a miss only when it also
+// takes an MSHR: an access that would miss both private levels while the
+// MSHR table is full is refused before it touches any cache state, so
+// every load pays for its line with a memory read, and a dirty victim the
+// allocation displaces always leaves for the L3.
+//
 // The package wires the machine onto the event kernel (events.go): the
 // epoch queue, the modeled network, each controller with its front door,
 // each L3 slice and each tile register as separate components, every

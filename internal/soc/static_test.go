@@ -45,7 +45,10 @@ func buildPeriodicMix(t *testing.T, mode qospolicy.Pair) (*System, *qos.Class, *
 func TestStaticLimiterIsNotWorkConserving(t *testing.T) {
 	run := func(mode qospolicy.Pair) float64 {
 		sys, _, con := buildPeriodicMix(t, mode)
-		sys.Warmup(120_000)
+		// One full period of warmup, so every measured cached phase
+		// revisits a region the L3 holds; the first one is a paced refill
+		// from memory that takes more than half of it.
+		sys.Warmup(240_000)
 		sys.Run(480_000) // two full periods
 		return sys.Metrics().BytesPerCycle(con.ID)
 	}

@@ -96,12 +96,7 @@ func newTile(s *System, id int, class mem.ClassID, gen workload.Generator) (*Til
 	if wd, ok := t.src.(regulate.Watchdog); ok && s.cfg.PABST.WatchdogCycles > 0 {
 		t.wd = wd
 	}
-	coreCfg := s.cfg.Core
-	// Strict MSHR blocking makes a blocked retry a pure probe, so the
-	// core may sleep through the blocked window; the legacy optimistic
-	// model mutates cache state on retry and must keep polling.
-	coreCfg.SleepWhileBlocked = s.cfg.StrictMSHRs
-	core, err := cpu.New(id, coreCfg, gen, t)
+	core, err := cpu.New(id, s.cfg.Core, gen, t)
 	if err != nil {
 		return nil, err
 	}
@@ -131,13 +126,12 @@ func (t *Tile) Access(addr mem.Addr, write bool, now uint64, token uint64) (cpu.
 		return cpu.AccessPending, 0
 	}
 
-	// Strict MSHR model: refuse a would-be miss before it touches any
-	// cache state, so the blocked window is a provable no-op (the event
-	// kernel sleeps the core until a response frees an entry). The
-	// legacy model below allocates the L1/L2 frames first and only then
-	// checks the table.
-	if t.sys.cfg.StrictMSHRs && t.mshr.len() >= t.sys.cfg.MaxMSHRs &&
-		!t.l1.Contains(line) && !t.l2.Contains(line) {
+	// A would-be miss with the MSHR table full is refused before it
+	// touches any cache state, so every frame a miss allocates is paid
+	// for by a memory read and a blocked core is idle until a response
+	// frees an entry. Past this check the access hits L1, hits L2 (an L1
+	// victim's writeback never allocates there), or has an MSHR.
+	if t.mshr.len() >= t.sys.cfg.MaxMSHRs && !t.l1.Contains(line) && !t.l2.Contains(line) {
 		return cpu.AccessBlocked, 0
 	}
 
@@ -157,9 +151,6 @@ func (t *Tile) Access(addr mem.Addr, write bool, now uint64, token uint64) (cpu.
 	res := t.l2.Access(line, false, t.class)
 	if res.Hit {
 		return cpu.AccessDone, now + uint64(t.sys.cfg.L2HitLat)
-	}
-	if t.mshr.len() >= t.sys.cfg.MaxMSHRs {
-		return cpu.AccessBlocked, 0
 	}
 	t.mshr.insert(lineID, false).addWaiter(token)
 	pkt := t.newMiss(line)

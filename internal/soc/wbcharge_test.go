@@ -25,11 +25,14 @@ func buildWBScenario(t *testing.T, policy qos.WBCharge, fixed mem.ClassID) (*Sys
 	if err != nil {
 		t.Fatal(err)
 	}
-	// L3Res: write-streams a 512 KiB set — larger than its 256 KiB L2,
-	// so dirty lines migrate into the shared L3, but small enough to
-	// build residency against the streamer's churn.
-	resRegion := workload.Region{Base: 1 << 40, Size: 512 << 10}
-	if err := sys.Attach(0, res.ID, workload.NewStream("l3res", resRegion, 128, true)); err != nil {
+	// L3Res: writes every line of a 1 MiB set — four times its 256 KiB
+	// L2, so dirty lines migrate into the shared L3, and a quarter of the
+	// 4 MiB L3, which would hold it alone. The set is large enough that
+	// the streamer's fills evict its dirty lines before L3Res comes back
+	// to them: a smaller set is re-touched too often to age out of the
+	// LRU order while every load pays for its line.
+	resRegion := workload.Region{Base: 1 << 40, Size: 1 << 20}
+	if err := sys.Attach(0, res.ID, workload.NewStream("l3res", resRegion, 64, true)); err != nil {
 		t.Fatal(err)
 	}
 	// ReadStream: pure reads through a huge footprint, evicting L3Res's

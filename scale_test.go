@@ -9,16 +9,16 @@ import (
 // TestEventKernelMeshScaled pins the event kernel on a 64-tile mesh in
 // the five shapes its wake graph exists for: staggered bursty tiles under
 // each source policy that exposes an issue schedule, and cores blocked on
-// a full strict-model MSHR table. In every cell the default kernel must
-// match the cycle-stepped oracle byte for byte with no late wake, jump
-// the clock, and visit tiles on at most 5% of tile-cycles (a polled tile
-// reads about 1.0) — the count a wall-clock speedup floor stands for.
+// a full MSHR table. In every cell the default kernel must match the
+// cycle-stepped oracle byte for byte with no late wake, jump the clock,
+// and visit tiles on at most 5% of tile-cycles (a polled tile reads about
+// 1.0) — the count a wall-clock speedup floor stands for.
 func TestEventKernelMeshScaled(t *testing.T) {
 	const cycles, tiles = 60_000, 64
 	cells := []struct {
 		name   string
 		policy string // source policy; "" keeps the PABST governor
-		mshr   bool   // strict MSHRs, chasers at twice the table depth
+		mshr   bool   // chasers at twice the MSHR table depth
 	}{
 		{"bursty-pabst", "", false},
 		{"bursty-static", "static", false},
@@ -32,7 +32,6 @@ func TestEventKernelMeshScaled(t *testing.T) {
 				cfg := pabst.MeshScaledConfig(8, 8)
 				cfg.PABST.EpochCycles = 10_000
 				cfg.BWWindow = 10_000
-				cfg.StrictMSHRs = cell.mshr
 				b := pabst.NewBuilder(cfg, pabst.ModePABST,
 					pabst.WithKernel(kernel), pabst.WithPolicy(cell.policy, ""))
 				c := b.AddClass("c", 1, cfg.L3Ways)
