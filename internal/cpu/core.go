@@ -92,9 +92,12 @@ type Core struct {
 	outstanding int // issued, not yet done
 
 	// mshrBlocked records that the last issue attempt saw the head-of-line
-	// op refused with AccessBlocked. Re-derived on every issue(), so it is
-	// never stale across ticks; losing it (checkpoint restore) merely costs
-	// one conservative poll.
+	// op refused with AccessBlocked. While it holds, the core's refills and
+	// gap expiries are bookkeeping FastForward replays, not events: the
+	// refused retry is a pure probe, and only the port's freeing response
+	// (or the head op's retirement) can change what a Tick does. Re-derived
+	// on every issue(), so it is never stale across ticks; losing it
+	// (checkpoint restore) merely costs one conservative poll.
 	mshrBlocked bool
 
 	// Cumulative counters.
@@ -233,9 +236,6 @@ func (c *Core) issue(now uint64) {
 	}
 }
 
-// Seq is the token the port must hand back on miss completion: the core
-// passes the op's sequence number as part of Access via the token return
-// path. Ports call CompleteMiss(token, now).
 func (c *Core) complete(s *slot, doneAt uint64) {
 	s.state = slotDone
 	s.doneAt = doneAt
@@ -264,7 +264,9 @@ func depReadyAt(w *slot, depDoneAt uint64) uint64 {
 }
 
 // CompleteMiss finishes a pending miss identified by the sequence token
-// the port captured at Access time.
+// the port captured at Access time: the core passes the op's sequence
+// number as Access's token, and the port hands it back here when the
+// miss returns.
 func (c *Core) CompleteMiss(token uint64, now uint64) {
 	s := c.slotAt(token)
 	if s.seq != token || s.state != slotIssued {
@@ -286,27 +288,30 @@ func (c *Core) retire(now uint64) {
 }
 
 // NextEventAt reports the earliest cycle >= from at which Tick would do
-// real work, so the event kernel can skip the core until then. The core
-// is busy right away if it can issue (ready ops), fetch (window space
-// for the generator), or retire; otherwise the next event is the earliest
-// gap expiry or the head op's completion. Ops waiting on in-flight misses
-// wake through CompleteMiss, which the tile's inbox accounts for.
+// work FastForward cannot replay, so the event kernel can skip the core
+// until then. Ops waiting on in-flight misses wake through CompleteMiss,
+// which the tile's inbox accounts for.
 //
-// Ready ops behind a blocked head-of-line op do not count as work: a
-// refused access changed nothing, nothing can issue until a response
-// frees an MSHR (which wakes the tile through its inbox), retiring is
-// covered by the head op's doneAt, and gap expiries merely append to the
-// ready queue in an order a batched catch-up reproduces exactly.
+// An unblocked core is busy right away if it can issue (ready ops) or
+// fetch (window space for the generator); otherwise its next event is
+// the earliest gap expiry or the head op's retirement.
+//
+// A core whose head-of-line op was refused (mshrBlocked) has one event
+// of its own, the head op's retirement. Its refused retry is a pure
+// probe that keeps failing until a response frees an MSHR, and the
+// response wakes the tile through its inbox. Window space and gap
+// expiries are no events: the refill happens at the first skipped cycle
+// and expiring ops only queue behind the refused head, both of which
+// FastForward replays.
 func (c *Core) NextEventAt(from uint64) uint64 {
-	if c.tail-c.head < uint64(len(c.slots)) {
-		return from
-	}
-	if c.readyQ.Len() > 0 && !c.mshrBlocked {
-		return from
-	}
-	next := ^uint64(0)
-	if _, at, ok := c.gapQ.Peek(); ok && at < next {
-		next = at
+	next := sim.NoEvent
+	if !c.mshrBlocked {
+		if c.tail-c.head < uint64(len(c.slots)) || c.readyQ.Len() > 0 {
+			return from
+		}
+		if _, at, ok := c.gapQ.Peek(); ok {
+			next = at
+		}
 	}
 	if c.head < c.tail {
 		if s := c.slotAt(c.head); s.state == slotDone && s.doneAt < next {
@@ -319,10 +324,25 @@ func (c *Core) NextEventAt(from uint64) uint64 {
 	return next
 }
 
-// FastForward accounts for to-from skipped idle cycles: only the cycle
-// counter advances, exactly as if Tick had spun through them doing
-// nothing.
-func (c *Core) FastForward(from, to uint64) { c.cycles += to - from }
+// FastForward replays the cycles [from, to) the core slept through, in
+// which nothing could issue or retire. It is exactly what Tick does over
+// such a span: an unblocked core has a full window and no gap expiry
+// due, so only the cycle counter moves; a blocked core refills its
+// window at the first skipped cycle and queues every gap expiry behind
+// its refused head, in the order per-cycle pops would have produced.
+func (c *Core) FastForward(from, to uint64) {
+	c.cycles += to - from
+	if c.mshrBlocked && from < to {
+		c.replayBlocked(from, to)
+	}
+}
+
+// replayBlocked is FastForward's blocked half, out of line so the
+// unblocked half inlines into the event kernel's tile adapter.
+func (c *Core) replayBlocked(from, to uint64) {
+	c.fill(from)
+	c.wake(to - 1)
+}
 
 // Outstanding returns issued-but-incomplete ops (observed MLP).
 func (c *Core) Outstanding() int { return c.outstanding }

@@ -12,8 +12,9 @@
 //
 // Main entry points: New builds a core around a generator and a port;
 // Core.Tick advances it one cycle; Core.NextEventAt and Core.FastForward
-// let the event kernel skip a core that is sleeping between bursts (or
-// blocked on a full MSHR table: a refused access changed nothing, so the
-// core waits for the response that frees an entry) and account for the
-// skipped cycles.
+// let the event kernel skip a core between its events and replay the
+// skipped cycles. A core sleeping between bursts only counts them. A
+// core blocked on a full MSHR table waits for the response that frees an
+// entry: its refused retry is a pure probe, so its window refill and gap
+// expiries are no events, and FastForward replays them.
 package cpu

@@ -23,7 +23,9 @@
 // either can act (an arrival, a free front-end slot for a parked
 // request, the controller's next issue slot); every state change of the
 // door happens inside its own tick, so the refusals of a sleeping span
-// replay exactly in FastForward.
+// replay exactly in FastForward. A tile is due on a response, a pacer
+// grant for a queued miss, its watchdog deadline or its core's next
+// event.
 //
 // Main entry points: New constructs a System from a config.System;
 // System.Warmup/Run drive it; System.Metrics, ClassIPC, and the
