@@ -262,8 +262,8 @@ func TestCheckpointTypedErrors(t *testing.T) {
 
 	t.Run("version", func(t *testing.T) {
 		// A newer build's file, and the previous format's: an intact
-		// Version-7 image (CRC re-sealed) is refused, not migrated.
-		for _, v := range []uint32{9, 7} {
+		// Version-8 image (CRC re-sealed) is refused, not migrated.
+		for _, v := range []uint32{10, 8} {
 			bad := append([]byte(nil), raw[:len(raw)-8]...)
 			binary.LittleEndian.PutUint32(bad[8:], v) // the version word follows the 8-byte magic
 			bad = binary.LittleEndian.AppendUint64(bad, crc64.Checksum(bad, crc64.MakeTable(crc64.ECMA)))
@@ -467,7 +467,7 @@ func TestCheckpointBytesAreTheMachine(t *testing.T) {
 
 // TestCheckpointFormatFrozen pins the persisted form of a machine:
 // checkpoint bytes and machine fingerprints (the warm-store keys) equal
-// the constants captured when ckpt.Version became 8 (the machine
+// the constants captured when ckpt.Version became 9 (the machine
 // fingerprints have not moved since 7, only the bytes). The mechanism is
 // recorded once, as the resolved pair, so a pair spelled as an override
 // and the same pair spelled as the builder's mode are one machine. If
@@ -476,7 +476,7 @@ func TestCheckpointBytesAreTheMachine(t *testing.T) {
 func TestCheckpointFormatFrozen(t *testing.T) {
 	const (
 		dpqMachine = "fc7391dd7560a1cdfa224e07242762c08f1f3509f8ad662c4eb44a1b0b28adc0"
-		dpqContent = "10968f8d0f951b2552188a63b03f3778f6039281bd068544d74552164fa54e57"
+		dpqContent = "4e3b1e10d8289ec86c7ecbf9375353dfd71dd580ed24b602392e9e415dba7591"
 	)
 	for _, c := range []struct {
 		name             string
@@ -487,7 +487,7 @@ func TestCheckpointFormatFrozen(t *testing.T) {
 	}{
 		{"default", pabst.ModeSourceOnly, nil, "pabst+fcfs",
 			"2a7268343a2e15abed1d7b0cd74d3cefe5d27323d6ff613a9381cdb0cf7eec85",
-			"71eba9590e7f514664cc4845b9ca74347fafad7c49d52d78a36aaef2003c54e8"},
+			"9ed42d643363213a036428439eae5709dffa001277ddd111413bf274d44e3299"},
 		{"overridden", pabst.ModeSourceOnly, []pabst.Option{pabst.WithPolicy("", "dpq")}, "pabst+dpq",
 			dpqMachine, dpqContent},
 		{"spelled-as-mode", pabst.Mode{Source: "pabst", Target: "dpq"}, nil, "pabst+dpq",
@@ -527,8 +527,8 @@ func TestCheckpointFormatFrozen(t *testing.T) {
 			if got := fmt.Sprintf("%x", sha256.Sum256(ck.Bytes())); got != c.content {
 				t.Errorf("checkpoint bytes hash %s, frozen %s", got, c.content)
 			}
-			if v := binary.LittleEndian.Uint32(ck.Bytes()[8:]); v != 8 { // the version word follows the 8-byte magic
-				t.Errorf("checkpoint format version %d, frozen 8", v)
+			if v := binary.LittleEndian.Uint32(ck.Bytes()[8:]); v != 9 { // the version word follows the 8-byte magic
+				t.Errorf("checkpoint format version %d, frozen 9", v)
 			}
 			// The self-describing restore reads the same selection back.
 			back, err := pabst.Restore(bytes.NewReader(ck.Bytes()))

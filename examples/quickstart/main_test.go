@@ -10,6 +10,6 @@ func Example() {
 	// entitled shares:  0.70 / 0.30
 	// observed shares:  0.70 / 0.30
 	// bandwidth:        6.3 + 2.7 = 9.0 B/cycle (peak 9.1)
-	// mean miss latency: frontend 396 cycles, batch 700 cycles
-	// trace: 429 events, tile-0 governor ended at M=860 (period 40), 14/39 traced epochs saturated
+	// mean miss latency: frontend 335 cycles, batch 269 cycles
+	// trace: 429 events, tile-0 governor ended at M=865 (period 40), 12/39 traced epochs saturated
 }

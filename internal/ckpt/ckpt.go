@@ -58,8 +58,11 @@ import (
 // v8 has v7's walk, but its images come from the one MSHR model (a miss
 // refused for want of an MSHR allocates no frame), so a v7 image warmed
 // under the old optimistic allocation is refused rather than resumed
-// into results no cold run prints.
-const Version uint32 = 8
+// into results no cold run prints; v9 has v8's walk too, but its images
+// come from a front door whose round-robin pointer moves only when it
+// admits a read, so a v8 image warmed under the pointer that also moved on
+// refusals is refused the same way.
+const Version uint32 = 9
 
 var magic = [8]byte{'P', 'A', 'B', 'S', 'T', 'C', 'K', 'P'}
 

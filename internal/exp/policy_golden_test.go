@@ -15,9 +15,11 @@ import (
 // systems must reproduce them bit for bit, on the reference loop and on
 // the default event kernel alike. If a fingerprint here changes, the
 // plugin seam — or the kernel — leaked into simulated behavior; that is
-// a bug, not a baseline bump. They were re-captured once, on the same
-// registry-built systems, when a miss refused for want of an MSHR
-// stopped allocating its frames (a model change, not a wiring one).
+// a bug, not a baseline bump. They were re-captured on the same
+// registry-built systems twice, for model changes rather than wiring
+// ones: when a miss refused for want of an MSHR stopped allocating its
+// frames, and when the front door's round-robin pointer stopped moving
+// on refused reservations.
 
 // tinyGoldenScale is the capture machine: small enough to run in tests,
 // long enough for the governor to act.
@@ -28,18 +30,18 @@ func tinyGoldenScale() Scale {
 // goldenModeFPs maps each legacy mode to its pre-refactor result
 // fingerprint on the tiny 3:1 stream machine.
 var goldenModeFPs = map[string]string{
-	"none":          "189c73e9218a5dbac06b98862d90bbb4b33743a2483d748e66a0a6492fcabb1a",
-	"source-only":   "90121dbf0c0878a1e627a0f74d4c86f1bd11cc2996303e0d234002b5c963f90e",
-	"target-only":   "28f5955b7db11f551d0a6145028899840e83b0f829f7448531e5372a836e0862",
-	"pabst":         "c8434f77f307451bd80c624daa04f1bbb536a6e3cdc4d6fc973064a1764d5bb5",
-	"static-source": "cc6fce8ec2e2dbff247667cb8de274544ba7c5d4957a6a4cebe5bf09b11601ac",
+	"none":          "c372623ded7f3bd37cb9f71fd5dacf214ce4b8d61a83239bca1125e815dff786",
+	"source-only":   "7579bc7c2b4edc0aed39185f7f6f12aad088b269c797c3944d5337ffe5cedd72",
+	"target-only":   "b1cdaa1820d9e62eedd9922952056f401b45fd8333b8dbc5ef0db9df6e050534",
+	"pabst":         "62994cfa3552acf5c7a19cca3d54695754f11449aaa5f8cf9c51cde89e04e1db",
+	"static-source": "9746c91c76f048fec96794f5798add03fbb70d349e479851435bead8cd442772",
 }
 
 // goldenBenchFPs pins the RunSpec path (config → spec → registry) on the
 // same scale.
 var goldenBenchFPs = map[string]string{
-	BenchStreams: "236efd0a938e1ea8853ee51ebf628ba6ac26fd00fa078e2306f29f7b8abe3f9f",
-	BenchChaser:  "8b44338ffe7126a3cbaeeb2ef1ab1768a88c4829aa5fddc984048fda390a48df",
+	BenchStreams: "cd32af4155e32ab698d6e9b16b4e66ae74ee0944c74088080cf4b14e6e89d862",
+	BenchChaser:  "7e9bac45452dedada9766bda679027fe66f6cc051e668cf3c4c527a3bb242788",
 }
 
 // kernels is the axis the golden and matrix tests sweep — the oracle and

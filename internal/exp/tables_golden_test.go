@@ -9,22 +9,23 @@ import (
 // goldenQuickTables pins every registered experiment's `-scale quick`
 // table: the sha256 of its text rendering followed by its -json
 // rendering, re-pinned when a miss refused for want of an MSHR stopped
-// allocating its frames. A change to simulated outcomes re-pins them;
+// allocating its frames and again when the front door's round-robin
+// pointer stopped moving on refused reservations. A change to simulated outcomes re-pins them;
 // the benchmark's bench/golden.json keeps its own copy and reports the
 // tables that moved as exp.tables_changed.
 var goldenQuickTables = map[string]string{
-	"ext-hetero": "ee83d87d70b5fb59ba16a8213b0e741e635af7777558f42277e3b17f8ac3278f",
-	"ext-noc":    "dcdd435685ad3b837f1e93790ba139c3bca26e00a9f0dfb8e8a00f8b1556f145",
-	"ext-skew":   "d802d92af1c2ee8e417158b51708ec3ce4401712730364f80a16195e35134824",
-	"ext-static": "2ac82bedff7beb0a43a12a6e4829e5ae1e6573aa9962eb30ba92910c39092d7e",
-	"faults":     "3ba5380d632c140b1692f64b74c5ffd1cd5614f39c490ef13bcc7ed4fc48d6b8",
-	"fig1":       "f4a470dc9fef6b3fe4cae44e84e00082c6f61028cc8df3dbad0a7c7f528d05f3",
-	"fig10":      "60641c8a26dd06f8e8a2e85d226643bc71bb3ae3b2ad49391c78453fe2f150d8",
-	"fig11":      "f2b533b069e75d6e8e1cd1c169bb7903311dc9277b25b5de03de4347aca7a2a7",
-	"fig12":      "6521a88925f01ec375296c4ff3c67c812545123376a859e5efc080078314c112",
-	"fig5":       "1c070cf0d6c59bb5cba13f0d20eec708c7cdefe64876f6e38d86697e944a1549",
-	"fig7":       "95493f88d6cc7a3803b6f6d7ea094b12585aeaeb4b0f34399d838a425f99d319",
-	"pareto":     "e4a8257bf8bd06b5e7aac835c8dc3988f2f7d2b093f4897e4f7a9a63a8c43cde",
+	"ext-hetero": "e4856bcbd814102479980553d4d2bca16126391f971bb8ca0c90a85451bfc1ac",
+	"ext-noc":    "6d1f51098af165d65cde45fc085079a8cb0b652913a66f1229d47d755c518d77",
+	"ext-skew":   "f960c6e49e6ac6e874b8007c2b7753f61fa1c2f0d4f6bf5d40127e4d9264c738",
+	"ext-static": "69424d7fd477bc0ee4fd21707acf7b59ee90e443361e77d9a0e1accb6433241d",
+	"faults":     "fc63f1e38dd17e9792aac5460123a1c881cd9ee6aa582669ad7ba58f8b20edec",
+	"fig1":       "9e52873ec64c99efbe4e31e890065c0b3cc941240f2c45ad24517e0ddeeb02b8",
+	"fig10":      "501babd46aaf390f2348f2daeb2de639258d40ae397c2336b70ca69337cea14e",
+	"fig11":      "32e3520dd8fe4ccf8f760a63450a73550aaf98ac8202370def4dbeef138e8f4c",
+	"fig12":      "69ee27447345f5fc60110e88832f7dd014d051034cb0cbd07c1121b767c9443e",
+	"fig5":       "1b2f1b2dd906ae2b3830728ea555a4b4c55652e1d91cb33f31b19cff963ecd19",
+	"fig7":       "ae605757684e48b9a6ae584832d56541d6708464468434c5f200f23bc5006c92",
+	"pareto":     "a1a6eb7c9db3ee451c52d1591a3401af2d8c646a879a249fc35e3f86051dca2c",
 }
 
 // TestQuickTablesPinned runs the whole registry at Quick() against the

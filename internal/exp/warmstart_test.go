@@ -140,6 +140,7 @@ func TestWarmedSystemCorruptStore(t *testing.T) {
 		"version-5": older(5),
 		"version-6": older(6),
 		"version-7": older(7),
+		"version-8": older(8),
 	} {
 		t.Run(name, func(t *testing.T) { corruptStoreHeals(t, damage) })
 	}

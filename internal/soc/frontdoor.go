@@ -22,10 +22,13 @@ import (
 // while still helping low-MLP latency-sensitive classes whose requests
 // never backlog (Figure 1d).
 //
-// Every change to door state happens inside tick — arrivals, from the
-// latency-only mesh and the modeled network alike, enter through the
-// inbox — so a span of ticks that admits nothing is a pure function of
-// the state at its start, which fastForward replays.
+// The round-robin pointer moves only when a read is admitted, so a
+// waiting class reaches the controller within one admission per waiting
+// class however the controller's slots free. Every change to door state
+// happens inside tick — arrivals, from the latency-only mesh and the
+// modeled network alike, enter through the inbox — so a tick that admits
+// nothing leaves the door unchanged, and a sleeping door has nothing to
+// replay.
 type frontDoor struct {
 	mc *dram.Controller
 
@@ -74,13 +77,10 @@ func (d *frontDoor) tick(now uint64) {
 		}
 		d.park(pkt)
 	}
-	// Reads: round-robin across classes with waiting requests. The pointer
-	// moves past the class it stops at, served or refused.
-	for d.waiting != 0 {
+	// Reads: round-robin across classes with waiting requests; the pointer
+	// moves only past a class it admits.
+	for d.waiting != 0 && d.mc.TryReserveRead() {
 		cls := d.advance()
-		if !d.mc.TryReserveRead() {
-			break
-		}
 		q := &d.reads[cls]
 		pkt, _ := q.PopFront()
 		d.mc.ArriveRead(pkt, now)
@@ -98,7 +98,7 @@ func (d *frontDoor) tick(now uint64) {
 
 // nextEventAt reports the earliest cycle >= from at which tick would
 // admit something: an inbox arrival, or a parked read or write the
-// controller has a free slot for. Until then a tick only refuses.
+// controller has a free slot for. Until then a tick changes nothing.
 func (d *frontDoor) nextEventAt(from uint64) uint64 {
 	if (d.readCount > 0 && d.mc.ReadSlotFree()) || (d.writes.Len() > 0 && d.mc.WriteSlotFree()) {
 		return from
@@ -107,20 +107,4 @@ func (d *frontDoor) nextEventAt(from uint64) uint64 {
 		return max(at, from)
 	}
 	return sim.NoEvent
-}
-
-// fastForward replays the ticks of [from, to), every one of which
-// refuses (nextEventAt(from) >= to). A refused tick moves the pointer
-// past the next waiting class, and the waiting mask cannot change in the
-// span: the first refusal leaves the pointer just past a waiting class,
-// and from there it cycles through the waiting classes, so only the
-// rest of the span modulo their number moves it further.
-func (d *frontDoor) fastForward(from, to uint64) {
-	if d.waiting == 0 || to == from {
-		return
-	}
-	d.advance()
-	for n := (to - from - 1) % uint64(bits.OnesCount16(d.waiting)); n > 0; n-- {
-		d.advance()
-	}
 }

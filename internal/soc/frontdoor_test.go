@@ -1,6 +1,7 @@
 package soc
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"pabst/internal/mem"
 	"pabst/internal/qos"
 	"pabst/internal/qospolicy"
+	"pabst/internal/workload"
 )
 
 // newDoorHarness builds a minimal system (no tiles attached) so the front
@@ -130,9 +132,10 @@ func (a *acceptLog) OnAccept(p *mem.Packet, now uint64) { a.classes = append(a.c
 func (a *acceptLog) OnPick(p *mem.Packet, now uint64)   {}
 
 // TestFrontDoorMaskKeepsTheScanOrder replays random parks and ticks
-// against the class-by-class scan the waiting mask replaced: the same
-// classes are admitted in the same order and rrNext ends on the same
-// class, also when the controller refuses a reservation mid-round.
+// against a class-by-class scan whose pointer moves only past a class it
+// admits: the same classes are admitted in the same order and rrNext ends
+// on the same class, also when the controller refuses a reservation
+// mid-round. A round that admits nothing leaves the door as it found it.
 func TestFrontDoorMaskKeepsTheScanOrder(t *testing.T) {
 	const readQ = 5
 	sys, d := newDoorHarness(t, readQ)
@@ -161,34 +164,37 @@ func TestFrontDoorMaskKeepsTheScanOrder(t *testing.T) {
 			parked[cls]++
 		}
 
-		// The old scan, on counts.
+		// The scan, on counts: the next class with parked reads at or
+		// after the pointer, while a slot is free.
 		var want []mem.ClassID
 		free, total := readQ-held, 0
 		for _, n := range parked {
 			total += n
 		}
-		for skipped := 0; total > 0 && skipped < mem.MaxClasses; {
-			cls := rrNext
-			rrNext = (rrNext + 1) % mem.MaxClasses
-			if parked[cls] == 0 {
-				skipped++
-				continue
-			}
+		for ; total > 0; free-- {
 			if free == 0 {
 				refusals++
 				break
 			}
-			free--
+			cls := rrNext
+			for parked[cls] == 0 {
+				cls = (cls + 1) % mem.MaxClasses
+			}
+			rrNext = (cls + 1) % mem.MaxClasses
 			parked[cls]--
 			total--
 			want = append(want, mem.ClassID(cls))
-			skipped = 0
 		}
 
+		before := *d
 		d.tick(uint64(round))
 		if !reflect.DeepEqual(log.classes, want) || d.rrNext != rrNext || d.Parked() != total {
 			t.Fatalf("round %d: admitted %v, rrNext %d, parked %d; the scan admits %v, rrNext %d, parked %d",
 				round, log.classes, d.rrNext, d.Parked(), want, rrNext, total)
+		}
+		if len(want) == 0 && (d.rrNext != before.rrNext || d.waiting != before.waiting || d.readCount != before.readCount) {
+			t.Fatalf("round %d: a tick that admitted nothing moved the door: rrNext %d -> %d, waiting %016b -> %016b, parked %d -> %d",
+				round, before.rrNext, d.rrNext, before.waiting, d.waiting, before.readCount, d.readCount)
 		}
 	}
 	if refusals < 100 {
@@ -196,46 +202,81 @@ func TestFrontDoorMaskKeepsTheScanOrder(t *testing.T) {
 	}
 }
 
-// TestFrontDoorFastForwardIsTheRefusalLoop pins the door's half of the
-// Sleeper contract: over random waiting masks and pointers, with the
-// controller's read queue full, fastForward over a span leaves rrNext
-// where that many refusing ticks leave it, and the door was not due.
-func TestFrontDoorFastForwardIsTheRefusalLoop(t *testing.T) {
-	const readQ = 4
-	sys, d := newDoorHarness(t, readQ)
-	rng := rand.New(rand.NewSource(2))
-	for round := 0; round < 2000; round++ {
-		mc, err := dram.NewController(0, sys.cfg.DRAM, func(*mem.Packet, uint64) {})
-		if err != nil {
+// TestFrontDoorFreedSlotsAlternate holds two classes backlogged at the
+// door while the controller frees one read slot every period cycles: the
+// classes split the freed slots evenly whatever the period. A pointer
+// that also moved on refusals returned to the same class at every freed
+// slot when period+1 was even, and the other class was never admitted.
+func TestFrontDoorFreedSlotsAlternate(t *testing.T) {
+	const readQ, slots = 4, 41
+	for period := 1; period <= 4; period++ {
+		t.Run(fmt.Sprintf("period-%d", period), func(t *testing.T) {
+			sys, d := newDoorHarness(t, readQ)
+			for i := 0; i < slots; i++ {
+				d.park(pkt(0, 2*i))
+				d.park(pkt(1, 2*i+1))
+			}
+			log := &acceptLog{}
+			for now := 0; now < slots*period; now++ {
+				// A fresh controller with one slot free on the freeing
+				// cycles and none in between.
+				mc, err := dram.NewController(0, sys.cfg.DRAM, func(*mem.Packet, uint64) {})
+				if err != nil {
+					t.Fatal(err)
+				}
+				mc.SetScheduler(dram.SchedEDF, log)
+				held := readQ
+				if now%period == 0 {
+					held--
+				}
+				for ; held > 0; held-- {
+					mc.TryReserveRead()
+				}
+				sys.mcs[0], d.mc = mc, mc
+				d.tick(uint64(now))
+			}
+			var got [2]int
+			for _, c := range log.classes {
+				got[c]++
+			}
+			if len(log.classes) != slots || got[0] < slots/2 || got[1] < slots/2 {
+				t.Fatalf("%d slots freed every %d cycles: admitted %d of class 0 and %d of class 1, want %d and %d in some order",
+					slots, period, got[0], got[1], slots/2, slots-slots/2)
+			}
+		})
+	}
+}
+
+// TestFrontDoorLetsTheWriterThrough is the machine-level form of the
+// door's rule: one write-stream tile against four read-stream tiles on
+// the 8-core machine, no QoS. The writer's loads miss behind the readers'
+// flood and need the door to admit them between the readers'.
+func TestFrontDoorLetsTheWriterThrough(t *testing.T) {
+	cfg := testCfg8()
+	reg := qos.NewRegistry()
+	wr := reg.MustAdd("writer", 1, cfg.L3Ways/2)
+	rd := reg.MustAdd("readers", 1, cfg.L3Ways/2)
+	sys, err := New(cfg, reg, qospolicy.None)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Attach(0, wr.ID, workload.NewStream("wstream", tileRegion(0), 128, true)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 4; i++ {
+		if err := sys.Attach(i, rd.ID, workload.NewStream("rstream", tileRegion(i), 128, false)); err != nil {
 			t.Fatal(err)
 		}
-		for mc.TryReserveRead() {
-		}
-		sys.mcs[0], d.mc = mc, mc
-		*d = frontDoor{mc: mc}
-		for i := 1 + rng.Intn(12); i > 0; i-- {
-			d.park(pkt(mem.ClassID(rng.Intn(mem.MaxClasses)), round*16+i))
-		}
-		d.rrNext = rng.Intn(mem.MaxClasses)
-		from := uint64(rng.Intn(1000))
-		to := from + uint64(rng.Intn(64))
-		if next := d.nextEventAt(from); next < to {
-			t.Fatalf("round %d: a door refused by a full controller is due at %d", round, next)
-		}
-
-		start, waiting := d.rrNext, d.waiting
-		for now := from; now < to; now++ {
-			d.tick(now)
-		}
-		ticked := d.rrNext
-		if d.waiting != waiting || d.Parked() == 0 || mc.QueuedReads() != 0 {
-			t.Fatalf("round %d: a refusing tick admitted something", round)
-		}
-		d.rrNext = start
-		d.fastForward(from, to)
-		if d.rrNext != ticked {
-			t.Fatalf("round %d: mask %016b from rrNext %d over %d cycles: ticks leave %d, fastForward %d",
-				round, waiting, start, to-from, ticked, d.rrNext)
-		}
+	}
+	if err := sys.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	sys.Run(500_000)
+	parked := 0
+	for _, d := range sys.doors {
+		parked += d.reads[wr.ID].Len()
+	}
+	if ops := sys.tiles[0].Core().OpsRetired(); ops < 10_000 {
+		t.Fatalf("the writer retired %d ops in 500k cycles, want at least 10000 (%d of its reads parked at the doors)", ops, parked)
 	}
 }

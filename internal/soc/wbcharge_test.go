@@ -49,14 +49,24 @@ func buildWBScenario(t *testing.T, policy qos.WBCharge, fixed mem.ClassID) (*Sys
 }
 
 // sliceWB runs the scenario and returns the demand-eviction writeback
-// counts billed to (l3res, stream) under the policy.
+// counts billed to (l3res, stream) under the policy, over 500k cycles
+// after a 750k-cycle warmup. The L3 fills cold for the first 250k cycles,
+// and until about 750k the split of the evictions that follow swings
+// with the scenario's shape (EXPERIMENTS.md, F6).
 func sliceWB(t *testing.T, policy qos.WBCharge, fixed mem.ClassID) (resWB, strWB uint64) {
 	sys, res, str := buildWBScenario(t, policy, fixed)
-	sys.Run(500_000)
-	for _, sl := range sys.slices {
-		resWB += sl.WBByClass[res.ID]
-		strWB += sl.WBByClass[str.ID]
+	billed := func() (r, s uint64) {
+		for _, sl := range sys.slices {
+			r += sl.WBByClass[res.ID]
+			s += sl.WBByClass[str.ID]
+		}
+		return r, s
 	}
+	sys.Run(750_000)
+	res0, str0 := billed()
+	sys.Run(500_000)
+	resWB, strWB = billed()
+	resWB, strWB = resWB-res0, strWB-str0
 	if resWB+strWB == 0 {
 		t.Fatal("scenario produced no demand-eviction writebacks")
 	}
