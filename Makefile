@@ -44,14 +44,15 @@ robust:
 	$(GO) test -run '^$$' -fuzz FuzzRestore -fuzztime 10s -fuzzminimizetime 1x .
 
 # Micro-benchmarks. One iteration of everything shows each still runs;
-# the packages on the per-access and per-cycle memory path then get five
-# full samples with allocation counts, so host-cache effects
-# (BenchmarkAccessColdSets) and the 0 allocs/op of those paths are
-# readable rather than one noisy number. End-to-end numbers come from
+# the packages on the per-access, per-miss and per-cycle memory path
+# then get five full samples with allocation counts, so host-cache
+# effects (BenchmarkAccessColdSets) and the 0 allocs/op of those paths
+# (BenchmarkMSHRTable, BenchmarkTileMissSteadyState, BenchmarkHistAdd)
+# are readable rather than one noisy number. End-to-end numbers come from
 # the repository benchmark (`go run -C bench .`), not from here.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
-	$(GO) test -bench=. -benchmem -count=5 -run='^$$' ./internal/cache ./internal/dram ./internal/sim
+	$(GO) test -bench=. -benchmem -count=5 -run='^$$' ./internal/cache ./internal/dram ./internal/sim ./internal/soc ./internal/stats
 
 # Documentation gate (also a test: cmd/pabstdocs runs it under `go test
 # ./...`). Validates intra-repo markdown links, requires a package

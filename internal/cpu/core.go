@@ -62,10 +62,10 @@ const (
 type slot struct {
 	op      workload.Op
 	seq     uint64
-	state   slotState
 	fetchAt uint64 // program-order fetch-ready cycle
 	doneAt  uint64 // valid once state == slotDone
 	waiter  uint64 // seq of the single op waiting on us
+	state   slotState
 	hasWait bool
 }
 

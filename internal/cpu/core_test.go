@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"testing"
+	"unsafe"
 
 	"pabst/internal/mem"
 	"pabst/internal/workload"
@@ -243,3 +244,12 @@ func (g *observedGen) Next(op *workload.Op) {
 }
 func (g *observedGen) OnIssue(now, tag uint64)    { g.issues++ }
 func (g *observedGen) OnComplete(now, tag uint64) { g.completes++ }
+
+// TestSlotSize pins the window slot at 88 B: the two one-byte fields sit
+// together after the words, so the ring carries no padding word per op.
+// The checkpoint walks the fields by name, so their order is free.
+func TestSlotSize(t *testing.T) {
+	if got := unsafe.Sizeof(slot{}); got != 88 {
+		t.Fatalf("slot is %d B, want 88", got)
+	}
+}

@@ -34,16 +34,17 @@ func BenchmarkTileMissSteadyState(b *testing.B) {
 	sys.Run(uint64(b.N))
 }
 
-// BenchmarkMSHRTable measures the open-addressed miss table alone:
-// insert, waiter append, hit lookup, and backward-shift remove over a
-// rotating working set, the per-miss sequence of the tile datapath.
+// BenchmarkMSHRTable measures the miss table alone at the paper's 16
+// MSHRs: insert, waiter append, hit lookup, and remove (a scan that moves
+// the last entry into the hole) over a rotating working set of 16
+// outstanding lines, the per-miss sequence of the tile datapath.
 func BenchmarkMSHRTable(b *testing.B) {
 	tbl := newMSHRTable(16)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		line := uint64(i)
-		tbl.insert(line, false).addWaiter(line)
+		tbl.insert(line).addWaiter(line)
 		if e := tbl.lookup(line); e != nil {
 			e.addWaiter(line + 1)
 		}

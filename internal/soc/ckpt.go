@@ -224,22 +224,22 @@ func (t *Tile) ckpt(c *ckpt.Codec) {
 }
 
 // ckpt walks the MSHRs. The stored form is one (line, waiter tokens)
-// record per outstanding miss in ascending line order (table iteration
-// follows hash placement; checkpoints must not). A nil waiter list is
-// the prefetch marker — the line is in flight but no core op waits — and
-// is distinct from any demand entry.
+// record per outstanding miss in ascending line order (the table keeps
+// its lines in insertion order, shuffled by removals; checkpoints must
+// not depend on either). A nil waiter list is a prefetch no core op
+// waits on; a prefetch a demand access has since coalesced onto stores
+// its waiters like a demand miss. An image claiming more misses than
+// the tile has MSHRs is corrupt: no machine holds more.
 func (t *mshrTable) ckpt(c *ckpt.Codec) {
 	var lines []uint64
 	if !c.Loading() {
-		lines = t.sortedLines(make([]uint64, 0, t.n))
+		lines = t.sortedLines(make([]uint64, 0, t.len()))
 	}
 	n := len(lines)
 	c.Len(&n, 16)
 	if c.Loading() {
-		// The table never fills (capacity is 4x the MSHR bound), and
-		// insert relies on it to terminate.
-		if n >= len(t.entries) {
-			c.Fail(fmt.Errorf("%w: %d MSHRs in a table of %d", ckpt.ErrCorrupt, n, len(t.entries)))
+		if n > cap(t.lines) {
+			c.Fail(fmt.Errorf("%w: %d outstanding misses on a tile of %d MSHRs", ckpt.ErrCorrupt, n, cap(t.lines)))
 			return
 		}
 		t.reset()
@@ -249,7 +249,7 @@ func (t *mshrTable) ckpt(c *ckpt.Codec) {
 		var waiters []uint64
 		if !c.Loading() {
 			line = lines[i]
-			if e := t.lookup(line); !e.prefetch {
+			if e := t.lookup(line); e.n > 0 {
 				waiters = make([]uint64, e.n)
 				for j := range waiters {
 					waiters[j] = e.waiter(int32(j))
@@ -259,7 +259,7 @@ func (t *mshrTable) ckpt(c *ckpt.Codec) {
 		c.U64(&line)
 		ckpt.NilSlice(c, &waiters, 8, (*ckpt.Codec).U64)
 		if c.Loading() {
-			e := t.insert(line, waiters == nil)
+			e := t.insert(line)
 			for _, tok := range waiters {
 				e.addWaiter(tok)
 			}

@@ -107,7 +107,9 @@ func (s *System) Metrics() Metrics {
 // measurement window, with the histogram's ~6% relative resolution.
 func (s *System) ClassTailLatency(class mem.ClassID, p float64) uint64 {
 	// The window's distribution is the merge of the class's tile
-	// histograms minus the baseline captured at ResetStats.
+	// histograms minus the baseline captured at ResetStats. h must be
+	// built by Merge, never copied from a tile's histogram: a copied Hist
+	// shares its buckets, and Sub would rewrite the tile's samples.
 	var h stats.Hist
 	for _, t := range s.tiles {
 		if t != nil && t.class == class {

@@ -1,78 +1,56 @@
 package soc
 
-import "sort"
+import "slices"
 
 // mshrTable tracks outstanding misses: line → the core op tokens waiting
-// on the fill. It replaces a map[uint64][]uint64 with an open-addressed
-// table (linear probing, backward-shift deletion) whose entries store up
-// to mshrInline waiter tokens inline, so the per-miss hot path — probe,
-// insert, coalesce, drain — touches one cache line and allocates nothing.
-// Waiter lists only spill to a heap slice when more than mshrInline ops
-// coalesce on one line, which demand windows rarely produce.
-//
-// Capacity is fixed at construction to 4× the MSHR bound (power of two),
-// so the load factor stays ≤ 25% and the table never rehashes.
+// on the fill. It is two parallel arrays sized to the MSHR bound, the
+// layout the caches use: lines holds the outstanding line numbers
+// densely in [0, len), and entries[i] holds the waiters of lines[i]. A
+// lookup or remove is a linear scan of at most MaxMSHRs words, and
+// remove fills the hole with the last entry. Each entry stores up to
+// mshrInline waiter tokens inline, so the per-miss path — scan, insert,
+// coalesce, drain — allocates nothing; a waiter list only spills to a
+// heap slice when more than mshrInline ops coalesce on one line, which
+// demand windows rarely produce.
 type mshrTable struct {
+	lines   []uint64
 	entries []mshrEntry
-	mask    uint64
-	n       int
 }
 
 const mshrInline = 6
 
+// mshrEntry holds one line's waiters. An entry with no waiters is a
+// prefetch: the line is in flight and no core op waits on it (yet — a
+// demand access that finds it coalesces like any other).
 type mshrEntry struct {
-	line     uint64
-	live     bool
-	prefetch bool // present with no waiters (the old nil-list marker)
 	n        int32
 	inline   [mshrInline]uint64
 	overflow []uint64
 }
 
 func newMSHRTable(maxEntries int) *mshrTable {
-	size := 16
-	for size < maxEntries*4 {
-		size *= 2
-	}
-	return &mshrTable{entries: make([]mshrEntry, size), mask: uint64(size - 1)}
-}
-
-func mshrHash(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return x
+	return &mshrTable{lines: make([]uint64, 0, maxEntries), entries: make([]mshrEntry, 0, maxEntries)}
 }
 
 // len returns the number of outstanding misses (MSHR occupancy).
-func (t *mshrTable) len() int { return t.n }
+func (t *mshrTable) len() int { return len(t.lines) }
 
 // lookup returns the entry for line, or nil.
 func (t *mshrTable) lookup(line uint64) *mshrEntry {
-	for i := mshrHash(line) & t.mask; t.entries[i].live; i = (i + 1) & t.mask {
-		if t.entries[i].line == line {
+	for i, l := range t.lines {
+		if l == line {
 			return &t.entries[i]
 		}
 	}
 	return nil
 }
 
-// insert adds a new entry for line (which must not be present) and
-// returns it. prefetch entries carry no waiters.
-func (t *mshrTable) insert(line uint64, prefetch bool) *mshrEntry {
-	i := mshrHash(line) & t.mask
-	for t.entries[i].live {
-		i = (i + 1) & t.mask
-	}
-	e := &t.entries[i]
-	e.line = line
-	e.live = true
-	e.prefetch = prefetch
-	e.n = 0
-	t.n++
-	return e
+// insert adds an entry with no waiters for line (which must not be
+// present) and returns it.
+func (t *mshrTable) insert(line uint64) *mshrEntry {
+	t.lines = append(t.lines, line)
+	t.entries = append(t.entries, mshrEntry{})
+	return &t.entries[len(t.entries)-1]
 }
 
 // addWaiter appends a core op token to an entry's waiter list.
@@ -93,50 +71,30 @@ func (e *mshrEntry) waiter(i int32) uint64 {
 	return e.overflow[i-mshrInline]
 }
 
-// remove deletes line's entry, compacting the probe run (backward-shift
-// deletion keeps lookups tombstone-free).
+// remove deletes line's entry, if present, moving the last entry into
+// the hole.
 func (t *mshrTable) remove(line uint64) {
-	i := mshrHash(line) & t.mask
-	for {
-		if !t.entries[i].live {
+	last := len(t.lines) - 1
+	for i, l := range t.lines {
+		if l == line {
+			t.lines[i], t.entries[i] = t.lines[last], t.entries[last]
+			t.entries[last] = mshrEntry{} // release any spilled waiter list
+			t.lines, t.entries = t.lines[:last], t.entries[:last]
 			return
 		}
-		if t.entries[i].line == line {
-			break
-		}
-		i = (i + 1) & t.mask
 	}
-	t.n--
-	t.entries[i].overflow = nil // release any spilled waiter list
-	j := i
-	for k := (j + 1) & t.mask; t.entries[k].live; k = (k + 1) & t.mask {
-		home := mshrHash(t.entries[k].line) & t.mask
-		if (k-home)&t.mask >= (k-j)&t.mask {
-			t.entries[j] = t.entries[k]
-			t.entries[k].live = false
-			t.entries[k].overflow = nil
-			j = k
-		}
-	}
-	t.entries[j].live = false
 }
 
 // reset empties the table (checkpoint restore).
 func (t *mshrTable) reset() {
-	for i := range t.entries {
-		t.entries[i] = mshrEntry{}
-	}
-	t.n = 0
+	clear(t.entries)
+	t.lines, t.entries = t.lines[:0], t.entries[:0]
 }
 
 // sortedLines appends every outstanding line in ascending order
 // (checkpoints serialize in canonical order; cold path, may allocate).
 func (t *mshrTable) sortedLines(dst []uint64) []uint64 {
-	for i := range t.entries {
-		if t.entries[i].live {
-			dst = append(dst, t.entries[i].line)
-		}
-	}
-	sort.Slice(dst, func(i, j int) bool { return dst[i] < dst[j] })
+	dst = append(dst, t.lines...)
+	slices.Sort(dst)
 	return dst
 }

@@ -1,0 +1,197 @@
+package soc
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"runtime"
+	"slices"
+	"testing"
+
+	"pabst/internal/ckpt"
+	"pabst/internal/qos"
+	"pabst/internal/qospolicy"
+	"pabst/internal/workload"
+)
+
+// TestMSHRTableMatchesMap drives the table and a map[uint64][]uint64
+// reference (a nil list is an entry with no waiters, a prefetch) with
+// the same random insert / coalesce / lookup / remove / reset sequence,
+// at one, the paper's 16, and 64 MSHRs, and compares them after every
+// step. Coalescing is frequent enough that lines outgrow the inline
+// waiter slots, and removals pick absent lines too. Inserts respect the
+// MSHR bound as the tile does, and the table never reallocates.
+func TestMSHRTableMatchesMap(t *testing.T) {
+	for _, capacity := range []int{1, 16, 64} {
+		t.Run(fmt.Sprint(capacity), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(capacity)))
+			tbl := newMSHRTable(capacity)
+			ref := map[uint64][]uint64{}
+			// Lines come from a universe twice the capacity, scattered so
+			// neighbours in the universe are not neighbours in value.
+			pick := func() uint64 { return uint64(rng.Intn(2*capacity+1))*0x9E3779B97F4A7C15 + 1 }
+			tok := uint64(0)
+			spilled := 0
+			for step := 0; step < 20_000; step++ {
+				line := pick()
+				switch op := rng.Intn(100); {
+				case op < 30:
+					if keyIn(ref, line) || len(ref) == capacity {
+						break
+					}
+					if op < 10 { // prefetch: no waiter
+						tbl.insert(line)
+						ref[line] = nil
+					} else {
+						tok++
+						tbl.insert(line).addWaiter(tok)
+						ref[line] = []uint64{tok}
+					}
+				case op < 70: // coalesce onto an outstanding line
+					if len(ref) == 0 {
+						break
+					}
+					line = tbl.lines[rng.Intn(tbl.len())]
+					tok++
+					tbl.lookup(line).addWaiter(tok)
+					ref[line] = append(ref[line], tok)
+					if len(ref[line]) > mshrInline {
+						spilled++
+					}
+				case op < 99: // present or absent
+					tbl.remove(line)
+					delete(ref, line)
+				default:
+					tbl.reset()
+					ref = map[uint64][]uint64{}
+				}
+				if e := tbl.lookup(line); (e != nil) != keyIn(ref, line) {
+					t.Fatalf("step %d: lookup(%#x) = %v, reference has it %v", step, line, e != nil, keyIn(ref, line))
+				}
+				compareMSHR(t, step, tbl, ref)
+				if cap(tbl.lines) != capacity || cap(tbl.entries) != capacity {
+					t.Fatalf("step %d: table grew to %d/%d, want %d", step, cap(tbl.lines), cap(tbl.entries), capacity)
+				}
+			}
+			if spilled == 0 {
+				t.Fatal("no line outgrew the inline waiter slots; the sequence misses the overflow path")
+			}
+		})
+	}
+}
+
+func keyIn(m map[uint64][]uint64, k uint64) bool {
+	_, ok := m[k]
+	return ok
+}
+
+// compareMSHR checks the table's occupancy, every line's waiter list and
+// the checkpoint's line order against the reference.
+func compareMSHR(t *testing.T, step int, tbl *mshrTable, ref map[uint64][]uint64) {
+	t.Helper()
+	if tbl.len() != len(ref) {
+		t.Fatalf("step %d: len %d, reference %d", step, tbl.len(), len(ref))
+	}
+	want := make([]uint64, 0, len(ref))
+	for line, waiters := range ref {
+		want = append(want, line)
+		e := tbl.lookup(line)
+		if e == nil {
+			t.Fatalf("step %d: line %#x missing", step, line)
+		}
+		got := make([]uint64, e.n)
+		for i := range got {
+			got[i] = e.waiter(int32(i))
+		}
+		if !slices.Equal(got, waiters) {
+			t.Fatalf("step %d: line %#x waiters %v, reference %v", step, line, got, waiters)
+		}
+	}
+	slices.Sort(want)
+	if got := tbl.sortedLines(nil); !slices.Equal(got, want) {
+		t.Fatalf("step %d: sortedLines %v, reference %v", step, got, want)
+	}
+}
+
+// TestMSHRTableBytes gates a tile's miss table at the paper's 16 MSHRs:
+// one line word and one 80 B entry per MSHR plus the table header. The
+// table is on every tile, so a hash table's 4x slack per MSHR shows in
+// every machine's live heap.
+func TestMSHRTableBytes(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tbl := newMSHRTable(16)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1536 {
+		t.Fatalf("newMSHRTable(16) allocates %d B, want <= 1536", got)
+	}
+	runtime.KeepAlive(tbl)
+}
+
+// streamMachine is the 8-tile machine with one stream tile, MSHR-bound,
+// and maxMSHRs outstanding misses per tile.
+func streamMachine(t *testing.T, maxMSHRs int) *System {
+	t.Helper()
+	cfg := testCfg8()
+	cfg.MaxMSHRs = maxMSHRs
+	reg := qos.NewRegistry()
+	c := reg.MustAdd("c", 1, cfg.L3Ways)
+	sys, err := New(cfg, reg, qospolicy.None)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Attach(0, c.ID, workload.NewStream("s", tileRegion(0), 64, false)); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	return sys
+}
+
+// TestRestoreRejectsMSHROverflow: a CRC-valid image whose tile holds
+// more outstanding misses than the restoring machine has MSHRs fails
+// with ErrCorrupt; one holding exactly MaxMSHRs restores. The image
+// comes from the same machine built with one more MSHR, run until that
+// tile is full.
+func TestRestoreRejectsMSHROverflow(t *testing.T) {
+	const maxMSHRs = 16
+	for _, tc := range []struct {
+		name   string
+		stored int
+		want   error
+	}{
+		{"MaxMSHRs", maxMSHRs, nil},
+		{"MaxMSHRs+1", maxMSHRs + 1, ckpt.ErrCorrupt},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src := streamMachine(t, tc.stored)
+			for i := 0; src.tiles[0].mshr.len() < tc.stored; i++ {
+				if i == 100_000 {
+					t.Fatalf("tile 0 never held %d misses", tc.stored)
+				}
+				src.Run(1)
+			}
+			dst := streamMachine(t, maxMSHRs)
+			if _, err := carry(src, dst, dst.limits()); !errors.Is(err, tc.want) {
+				t.Fatalf("%d misses on a %d-MSHR tile: got %v, want %v", tc.stored, maxMSHRs, err, tc.want)
+			}
+		})
+	}
+}
+
+// TestCkptKeepsWaitersOnPrefetch: a demand access that finds its line
+// already prefetched waits on the prefetch's MSHR, and a checkpoint
+// taken then must carry that waiter like a demand miss's. Dropped, the
+// restored core waits forever for an op that no fill completes.
+func TestCkptKeepsWaitersOnPrefetch(t *testing.T) {
+	src, dst := newMSHRTable(16), newMSHRTable(16)
+	src.insert(7)               // a prefetch
+	src.lookup(7).addWaiter(42) // a demand access coalesces onto it
+	src.insert(9).addWaiter(43) // a demand miss
+	src.insert(11)              // a prefetch nothing waits on
+	if _, err := carry(ckpt.WalkFunc(src.ckpt), ckpt.WalkFunc(dst.ckpt), ckpt.Limits{}); err != nil {
+		t.Fatal(err)
+	}
+	compareMSHR(t, 0, dst, map[uint64][]uint64{7: {42}, 9: {43}, 11: nil})
+}

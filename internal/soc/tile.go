@@ -152,7 +152,7 @@ func (t *Tile) Access(addr mem.Addr, write bool, now uint64, token uint64) (cpu.
 	if res.Hit {
 		return cpu.AccessDone, now + uint64(t.sys.cfg.L2HitLat)
 	}
-	t.mshr.insert(lineID, false).addWaiter(token)
+	t.mshr.insert(lineID).addWaiter(token)
 	pkt := t.newMiss(line)
 	t.missQ[pkt.MC].PushBack(pkt)
 	t.queued++
@@ -199,7 +199,7 @@ func (t *Tile) prefetch(line mem.Addr, now uint64) {
 		return
 	}
 	res := t.l2.Access(line, false, t.class) // allocate the frame
-	t.mshr.insert(lineID, true)              // no waiters
+	t.mshr.insert(lineID)                    // no waiters
 	t.prefetches++
 	pkt := t.newMiss(line)
 	t.missQ[pkt.MC].PushBack(pkt)

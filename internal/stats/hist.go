@@ -13,7 +13,13 @@ const histSubBits = 4
 const histBuckets = 64 * (1 << histSubBits)
 
 // Hist is a log-scaled histogram of non-negative integer samples
-// (cycles, nanoseconds, ...). The zero value is ready to use.
+// (cycles, nanoseconds, ...). The zero value is ready to use. Its
+// buckets grow to the highest one ever recorded, so a histogram of
+// cycle latencies holds a few hundred words, not all histBuckets.
+//
+// A copied Hist shares its buckets with the original: Add, Merge or Sub
+// on either copy may change the other's distribution. Build a private
+// histogram with Merge into a zero Hist instead of copying one.
 //
 // Hist is single-writer: it takes no locks, so concurrent Add or Merge
 // calls on one Hist are a data race. The concurrent-sweep pattern
@@ -22,7 +28,7 @@ const histBuckets = 64 * (1 << histSubBits)
 // `other` without synchronization, so `other`'s writer must have
 // finished (a pool join or channel receive both establish that).
 type Hist struct {
-	buckets [histBuckets]uint64
+	buckets []uint64 // a power of two long, covering the highest bucket recorded
 	count   uint64
 	sum     uint64
 	min     uint64
@@ -48,9 +54,25 @@ func histBucketLow(b int) uint64 {
 	return (1 << uint(exp)) | sub<<(uint(exp)-histSubBits)
 }
 
+// grow extends the buckets to hold at least n, rounded up to a power
+// of two (at least one octave of sub-buckets), so a histogram allocates
+// at most seven times in its life and a latency tail that creeps past
+// its octave does not allocate.
+func (h *Hist) grow(n int) {
+	if n <= len(h.buckets) {
+		return
+	}
+	n = max(1<<histSubBits, 1<<bits.Len(uint(n-1)))
+	b := make([]uint64, n)
+	copy(b, h.buckets)
+	h.buckets = b
+}
+
 // Add records one sample.
 func (h *Hist) Add(v uint64) {
-	h.buckets[histBucket(v)]++
+	b := histBucket(v)
+	h.grow(b + 1)
+	h.buckets[b]++
 	h.count++
 	h.sum += v
 	if h.count == 1 || v < h.min {
@@ -95,8 +117,8 @@ func (h *Hist) Percentile(p float64) uint64 {
 		rank = 1
 	}
 	var seen uint64
-	for b := 0; b < histBuckets; b++ {
-		seen += h.buckets[b]
+	for b, n := range h.buckets {
+		seen += n
 		if seen >= rank {
 			low := histBucketLow(b)
 			if low > h.max {
@@ -113,8 +135,9 @@ func (h *Hist) Merge(other *Hist) {
 	if other.count == 0 {
 		return
 	}
-	for b := range h.buckets {
-		h.buckets[b] += other.buckets[b]
+	h.grow(len(other.buckets))
+	for b, n := range other.buckets {
+		h.buckets[b] += n
 	}
 	if h.count == 0 || other.min < h.min {
 		h.min = other.min
@@ -134,15 +157,16 @@ func (h *Hist) Merge(other *Hist) {
 // re-derived from bucket bounds (lower bounds; Percentile's edge clamps
 // become approximate, the interior rank scan is unaffected).
 func (h *Hist) Sub(base *Hist) {
-	for b := range h.buckets {
-		h.buckets[b] -= base.buckets[b]
+	h.grow(len(base.buckets))
+	for b, n := range base.buckets {
+		h.buckets[b] -= n
 	}
 	h.count -= base.count
 	h.sum -= base.sum
 	h.min, h.max = 0, 0
 	first := true
-	for b := range h.buckets {
-		if h.buckets[b] == 0 {
+	for b, n := range h.buckets {
+		if n == 0 {
 			continue
 		}
 		if first {

@@ -29,15 +29,20 @@ func (s *Series) Ckpt(k *ckpt.Codec) {
 	k.U64s(s.last[:])
 }
 
-// Ckpt implements ckpt.Walker. The bucket array is overwhelmingly
-// sparse, so the stored form is the non-zero buckets as (index, count)
-// pairs in ascending index order. Loading replaces the current contents.
+// Ckpt implements ckpt.Walker. The buckets are overwhelmingly sparse,
+// so the stored form is the non-zero buckets as (index, count) pairs in
+// ascending index order. Loading replaces the current contents; the
+// pairs land in a stack array first, so a loaded Hist allocates its
+// buckets once, sized to the highest stored one.
 func (h *Hist) Ckpt(k *ckpt.Codec) {
+	var loaded [histBuckets]uint64
+	buckets := h.buckets
 	nz := 0
 	if k.Loading() {
 		*h = Hist{}
+		buckets = loaded[:]
 	} else {
-		for _, n := range h.buckets {
+		for _, n := range buckets {
 			if n != 0 {
 				nz++
 			}
@@ -47,11 +52,20 @@ func (h *Hist) Ckpt(k *ckpt.Codec) {
 	b := -1
 	for i := 0; i < nz; i++ {
 		if !k.Loading() {
-			for b++; h.buckets[b] == 0; b++ {
+			for b++; buckets[b] == 0; b++ {
 			}
 		}
 		k.Index(&b, histBuckets)
-		k.U64(&h.buckets[b])
+		k.U64(&buckets[b])
+	}
+	if k.Loading() {
+		for top := len(loaded) - 1; top >= 0; top-- {
+			if loaded[top] != 0 {
+				h.grow(top + 1)
+				copy(h.buckets, loaded[:])
+				break
+			}
+		}
 	}
 	k.U64(&h.count)
 	k.U64(&h.sum)

@@ -242,7 +242,9 @@ func Replay(name string, ops []workload.Op) (Generator, error) {
 	return workload.NewReplayer(name, ops)
 }
 
-// Hist is a log-scaled latency histogram.
+// Hist is a log-scaled latency histogram. A copied Hist shares its
+// buckets with the original; Merge into a zero Hist to take a private
+// copy.
 type Hist = stats.Hist
 
 // Metrics summarizes a measurement window.
