@@ -47,16 +47,27 @@ func BenchmarkWriteback(b *testing.B) {
 // BenchmarkAccessColdSets walks L1 -> L2 -> L3 slice the way a simulated
 // miss does, over the arrays of a 256-tile machine, with tile and set
 // strides that leave nothing in the host's caches between visits: what
-// it times is host misses on the tag and rank arrays, which the
-// benchmarks above (one hot line, sequential sets) cannot see.
-func BenchmarkAccessColdSets(b *testing.B) {
+// it times is host misses on the tag arrays, which the benchmarks above
+// (one hot line, sequential sets) cannot see.
+func BenchmarkAccessColdSets(b *testing.B) { benchColdSets(b, false) }
+
+// BenchmarkAccessColdSetsPartitioned is BenchmarkAccessColdSets with the
+// L3 split between two classes, half the ways each, as every workload
+// machine's L3 is: the victim scan covers one partition of the set.
+func BenchmarkAccessColdSetsPartitioned(b *testing.B) { benchColdSets(b, true) }
+
+func benchColdSets(b *testing.B, partitioned bool) {
 	type tile struct{ l1, l2, l3 *Cache }
 	var tiles [256]tile
 	for i := range tiles {
 		tiles[i] = tile{
 			l1: New(Config{SizeBytes: 32 * 1024, Ways: 8}),
 			l2: New(Config{SizeBytes: 256 * 1024, Ways: 8}),
-			l3: New(Config{SizeBytes: 512 * 1024, Ways: 16, IndexShift: 8}),
+			l3: New(Config{SizeBytes: 512 * 1024, Ways: 16}),
+		}
+		if partitioned {
+			tiles[i].l3.Partition(0, 0, 8)
+			tiles[i].l3.Partition(1, 8, 8)
 		}
 	}
 	b.ReportAllocs()
@@ -64,9 +75,13 @@ func BenchmarkAccessColdSets(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		t := &tiles[i*97%len(tiles)]
 		addr := mem.Addr(i * 7919 * mem.LineSize)
-		if t.l1.Access(addr, false, 0).Hit || t.l2.Access(addr, false, 0).Hit {
+		class := mem.ClassID(0)
+		if partitioned {
+			class = mem.ClassID(i / len(tiles) & 1)
+		}
+		if t.l1.Access(addr, false, class).Hit || t.l2.Access(addr, false, class).Hit {
 			continue
 		}
-		t.l3.Access(addr, i%4 == 0, 0)
+		t.l3.Access(addr, i%4 == 0, class)
 	}
 }

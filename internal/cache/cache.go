@@ -1,7 +1,6 @@
 package cache
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"pabst/internal/mem"
@@ -14,35 +13,41 @@ type Config struct {
 	SizeBytes int
 	// Ways is the associativity.
 	Ways int
-	// IndexShift drops this many low line-number bits before set indexing.
-	// Sliced caches set it to log2(slices) so that the bits consumed by
-	// slice selection do not alias every line of a slice into a fraction
-	// of its sets.
-	IndexShift uint
 }
 
-// A line is one packed word: valid | dirty | class | line number, high
-// to low. A byte address is 64 bits and a line 2^LineShift bytes, so the
-// line number needs exactly lineBits and never truncates; the class
-// field holds any ClassID below mem.MaxClasses. The hit scan compares a
-// word under matchMask against validBit|lineID and so reads nothing but
-// the set's tags (one host cache line for an 8-way set). An invalid line
-// is the zero word.
+// A line is one packed word: valid | dirty | class | rank | line number,
+// high to low. A byte address is mem.AddrBits wide and a line
+// 2^LineShift bytes, so a line number needs lineBits; Access panics on a
+// wider one, which no caller can produce (soc.Tile.Access drops the bits
+// above the machine's width, a restore refuses them). The class field
+// holds any ClassID below mem.MaxClasses, the rank field a way's recency
+// within its set, 0 the most recent. The hit scan compares a word under
+// matchMask against validBit|lineID and so reads nothing but the set's
+// tags (one host cache line for an 8-way set). An invalid line is a word
+// without the valid bit; only its rank field may be nonzero, and nothing
+// reads it.
 const (
-	lineBits   = 64 - mem.LineShift
+	lineBits   = mem.AddrBits - mem.LineShift
+	rankBits   = 8
+	rankShift  = lineBits
 	classBits  = 4
-	classShift = lineBits
+	classShift = rankShift + rankBits
 	lineMask   = uint64(1)<<lineBits - 1
+	rankMask   = uint64(1)<<rankBits - 1
+	rankField  = rankMask << rankShift
 	classMask  = uint64(1)<<classBits - 1
 	dirtyBit   = uint64(1) << 62
 	validBit   = uint64(1) << 63
 	matchMask  = validBit | lineMask
 )
 
-// The fields must not overlap and every class must fit its field.
+// The fields must fill the word without overlap, every class must fit
+// its field and every rank of a MaxWays-way set its own.
 var (
-	_ [62 - lineBits - classBits]struct{}
+	_ [62 - classShift - classBits]struct{}
+	_ [classShift + classBits - 62]struct{}
 	_ [1<<classBits - mem.MaxClasses]struct{}
+	_ [1<<rankBits - 1 - MaxWays]struct{}
 )
 
 func pack(lineID uint64, class mem.ClassID, dirty bool) uint64 {
@@ -55,18 +60,11 @@ func pack(lineID uint64, class mem.ClassID, dirty bool) uint64 {
 
 func classOf(w uint64) mem.ClassID { return mem.ClassID(w >> classShift & classMask) }
 
-// MaxWays bounds the associativity: a way's recency rank within its set
-// is one byte, and a checkpoint stores it as 1+rank.
-const MaxWays = 255
+func rankOf(w uint64) uint64 { return w >> rankShift & rankMask }
 
-// Ranks age eight ways at a time as bytes of one word (see age); a
-// rank below 128 leaves each byte's top bit free to stop the borrow.
-const (
-	byteLSBs  = 0x0101010101010101
-	byteMSBs  = 0x8080808080808080
-	wordWays  = 8
-	wordRanks = 128
-)
+// MaxWays bounds the associativity: a way's recency rank within its set
+// fills rankBits, and a checkpoint stores it as 1+rank in a byte.
+const MaxWays = 255
 
 // Victim describes a line displaced by an allocation.
 type Victim struct {
@@ -87,13 +85,10 @@ type Result struct {
 type Cache struct {
 	cfg     Config
 	numSets int
-	tags    []uint64 // numSets * ways packed lines, set-major
-	// rank is each way's recency within its set, parallel to tags: 0 is
-	// the most recently used. A set's ranks are a permutation of
-	// 0..ways-1, and since no line is invalidated outside restore, its n
-	// valid ways hold ranks 0..n-1 and its invalid ways n..ways-1.
-	rank     []uint8
-	wordWise bool // age steps through a set's ranks a word at a time
+	// tags holds numSets * ways packed lines, set-major. A set's n valid
+	// ways rank 0..n-1: no line is invalidated outside restore, so a fill
+	// into an invalid way takes rank 0 and ages every valid way by one.
+	tags []uint64
 
 	// occ counts each class's valid lines: a fill adds one to the filling
 	// class, an eviction takes one from the victim's. Restore recounts it.
@@ -121,21 +116,10 @@ func New(cfg Config) *Cache {
 	if numSets&(numSets-1) != 0 {
 		panic(fmt.Sprintf("cache: set count %d not a power of two", numSets))
 	}
-	// Every way starts invalid, ranked in way order: one set's identity
-	// pattern, doubled across the array.
-	rank := make([]uint8, numSets*cfg.Ways)
-	for i := range cfg.Ways {
-		rank[i] = uint8(i)
-	}
-	for n := cfg.Ways; n < len(rank); n *= 2 {
-		copy(rank[n:], rank[:n])
-	}
 	return &Cache{
-		cfg:      cfg,
-		numSets:  numSets,
-		tags:     make([]uint64, numSets*cfg.Ways),
-		rank:     rank,
-		wordWise: cfg.Ways%wordWays == 0 && cfg.Ways <= wordRanks,
+		cfg:     cfg,
+		numSets: numSets,
+		tags:    make([]uint64, numSets*cfg.Ways),
 	}
 }
 
@@ -160,7 +144,7 @@ func (c *Cache) Partition(class mem.ClassID, start, n int) {
 // setBase returns the index of the first way of lineID's set. numSets is
 // a power of two, so the set index is a mask.
 func (c *Cache) setBase(lineID uint64) int {
-	return int(lineID>>c.cfg.IndexShift&uint64(c.numSets-1)) * c.cfg.Ways
+	return int(lineID&uint64(c.numSets-1)) * c.cfg.Ways
 }
 
 // find returns the index in tags of line id, whose set starts at base, or
@@ -177,30 +161,18 @@ func (c *Cache) find(id uint64, base int) int {
 // touch makes way i the most recently used of the set starting at base:
 // it takes rank 0, and every way ranked below its old rank ages by one.
 func (c *Cache) touch(base, i int) {
-	if r := c.rank[i]; r != 0 {
-		c.age(c.rank[base:base+c.cfg.Ways], r)
-		c.rank[i] = 0
+	if r := rankOf(c.tags[i]); r != 0 {
+		age(c.tags[base:base+c.cfg.Ways], r)
+		c.tags[i] &^= rankField
 	}
 }
 
-// age adds one to every rank in set below r.
-func (c *Cache) age(set []uint8, r uint8) {
-	if !c.wordWise {
-		for j, x := range set {
-			if x < r {
-				set[j] = x + 1
-			}
-		}
-		return
-	}
-	// Per byte x (x, r < 128): (x|0x80)-r keeps its top bit iff x >= r
-	// and never borrows from the next byte, so the inverted top bits,
-	// moved to the low bit, add one to every x < r.
-	rs := uint64(r) * byteLSBs
-	for j := 0; j+wordWays <= len(set); j += wordWays {
-		x := binary.LittleEndian.Uint64(set[j:])
-		x += (^((x | byteMSBs) - rs) & byteMSBs) >> 7
-		binary.LittleEndian.PutUint64(set[j:], x)
+// age adds one to every rank in set below r. rank-r borrows into the top
+// bit iff rank < r, and r <= MaxWays, so a rank never carries out of its
+// field. An invalid way ages too: its rank is never read.
+func age(set []uint64, r uint64) {
+	for j, w := range set {
+		set[j] = w + (rankOf(w)-r)>>63<<rankShift
 	}
 }
 
@@ -219,6 +191,9 @@ func (c *Cache) Access(addr mem.Addr, write bool, class mem.ClassID) Result {
 		return Result{Hit: true}
 	}
 	c.Misses++
+	if id > lineMask {
+		panic(fmt.Sprintf("cache: address %#x beyond the %d-bit physical address space", uint64(addr), mem.AddrBits))
+	}
 
 	// Victim selection within the class's allowed ways: the first
 	// invalid way, else the least recently used (the highest rank).
@@ -226,19 +201,19 @@ func (c *Cache) Access(addr mem.Addr, write bool, class mem.ClassID) Result {
 	if pw := c.partWays[class]; pw > 0 {
 		start, n = c.partStart[class], pw
 	}
-	first := base + start
-	v := first
-	for i := first; i < first+n; i++ {
-		if c.tags[i]&validBit == 0 {
-			v = i
+	set := c.tags[base : base+c.cfg.Ways]
+	v, r := start, uint64(0)
+	for j, w := range set[start : start+n] {
+		if w&validBit == 0 {
+			v, r = start+j, MaxWays
 			break
 		}
-		if c.rank[i] > c.rank[v] {
-			v = i
+		if wr := rankOf(w); wr > r {
+			v, r = start+j, wr
 		}
 	}
 	res := Result{}
-	if w := c.tags[v]; w&validBit != 0 {
+	if w := set[v]; w&validBit != 0 {
 		c.Evictions++
 		dirty := w&dirtyBit != 0
 		if dirty {
@@ -248,9 +223,11 @@ func (c *Cache) Access(addr mem.Addr, write bool, class mem.ClassID) Result {
 		c.occ[victim.Class]--
 		res = Result{Evicted: true, Victim: victim}
 	}
-	c.tags[v] = pack(id, class, write)
+	// The filled way takes rank 0; an invalid one outranked every valid
+	// way (r = MaxWays), so all of them age.
+	age(set, r)
+	set[v] = pack(id, class, write)
 	c.occ[class]++
-	c.touch(base, v)
 	return res
 }
 

@@ -13,14 +13,15 @@
 // in-flight window it elides is small relative to the epoch and windowing
 // timescales PABST operates on.
 //
-// Host layout: a line is one packed uint64 (valid | dirty | class | line
-// number) in Cache.tags and a one-byte recency rank in the parallel
-// Cache.rank — 9 B a line, and a lookup reads only the tags of one set.
-// A set's ranks are a permutation of 0..ways-1 (0 most recent); a hit or
-// fill moves its way to rank 0 and ages the younger ways by one, eight at
-// a time as bytes of a word, and the victim is the highest rank. Lines
-// are never invalidated outside restore, so a set's n valid ways always
-// hold ranks 0..n-1, which is what the checkpoint stores (state.go).
+// Host layout: a line is one packed uint64 (valid | dirty | class |
+// recency rank | line number) in Cache.tags — 8 B a line, and a lookup
+// reads only the tags of one set. A set's valid ways rank 0..n-1 (0 most
+// recent); a hit or fill moves its way to rank 0 and ages the younger
+// ways by one, and the victim is the partition's first invalid way, else
+// its highest rank. Lines are never invalidated outside restore, so the
+// ranks are what the checkpoint stores (state.go). The line number has
+// mem.AddrBits-LineShift bits: the tile drops address bits above the
+// machine's width before they reach a cache, and a restore refuses them.
 // Per-class valid-line counts are kept as fills and evictions happen, so
 // OccupancyInto is a copy. The line arrays are most of a simulated
 // machine's heap and Cache.Access its hottest function; DESIGN.md "Host

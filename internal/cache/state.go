@@ -14,12 +14,12 @@ import (
 //
 // The lines are stored in one pass per direction: one byte per line, 0
 // for invalid and 1+rank for valid, then the packed word of each valid
-// line in line order. The image is input from outside the program, so a
-// load checks what the live layout relies on: each set's valid ranks are
-// a permutation of 0..n-1 for its n valid lines, and each stored word
-// carries its valid bit. Invalid ways take ranks n..ways-1 in way order.
-// Every other bit pattern of a word is a line (the fields fill all 64
-// bits), so nothing else can be out of range.
+// line in line order with its rank field cleared. The image is input
+// from outside the program, so a load checks what the live layout relies
+// on: each set's valid ranks are a permutation of 0..n-1 for its n valid
+// lines, and each stored word carries its valid bit and no bit in the
+// rank field, which would be a line number beyond the machine's address
+// width. Every other bit pattern of a word is a line.
 func (c *Cache) Ckpt(k *ckpt.Codec) {
 	if !k.Same(len(c.tags), "cache lines") {
 		return
@@ -53,8 +53,8 @@ func (c *Cache) save(k *ckpt.Codec) {
 	ranks, words := b[:len(c.tags)], b[len(c.tags):]
 	for i, w := range c.tags {
 		if w&validBit != 0 {
-			ranks[i] = 1 + c.rank[i]
-			binary.LittleEndian.PutUint64(words, w)
+			ranks[i] = byte(1 + rankOf(w))
+			binary.LittleEndian.PutUint64(words, w&^rankField)
 			words = words[8:]
 		}
 	}
@@ -83,25 +83,28 @@ func (c *Cache) load(k *ckpt.Codec) {
 			}
 		}
 		var seen [(MaxWays + 63) / 64]uint64
-		next := uint8(valid)
 		for j, r := range set {
 			i := base + j
 			if r == 0 {
-				c.tags[i], c.rank[i] = 0, next
-				next++
+				c.tags[i] = 0
 				continue
 			}
 			r--
 			w := binary.LittleEndian.Uint64(words)
 			words = words[8:]
 			bit := uint64(1) << (r % 64)
-			if int(r) >= valid || seen[r/64]&bit != 0 || w&validBit == 0 {
-				k.Fail(fmt.Errorf("%w: cache line %d: rank %d out of range or repeated among its set's %d valid ways, or word %#x without the valid bit",
-					ckpt.ErrCorrupt, i, r, valid, w))
+			if int(r) >= valid || seen[r/64]&bit != 0 {
+				k.Fail(fmt.Errorf("%w: cache line %d: rank %d out of range or repeated among its set's %d valid ways",
+					ckpt.ErrCorrupt, i, r, valid))
+				return
+			}
+			if w&validBit == 0 || w&rankField != 0 {
+				k.Fail(fmt.Errorf("%w: cache line %d: word %#x without the valid bit or beyond the line number field",
+					ckpt.ErrCorrupt, i, w))
 				return
 			}
 			seen[r/64] |= bit
-			c.tags[i], c.rank[i] = w, r
+			c.tags[i] = w | uint64(r)<<rankShift
 			c.occ[classOf(w)]++
 		}
 	}

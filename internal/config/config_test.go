@@ -87,9 +87,9 @@ func TestValidateCatchesMismatches(t *testing.T) {
 	}
 }
 
-// TestValidateBoundsWays pins the one limit the cache's one-byte recency
+// TestValidateBoundsWays pins the one limit the cache's 8-bit recency
 // ranks add: 512 ways in a 32 KB L1 is a power-of-two set count (one
-// set) that the rank byte cannot hold, and each ways field names itself.
+// set) that the rank field cannot hold, and each ways field names itself.
 func TestValidateBoundsWays(t *testing.T) {
 	for _, c := range []struct {
 		field string

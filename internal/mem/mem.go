@@ -9,8 +9,20 @@ const LineSize = 64
 // LineShift is log2(LineSize).
 const LineShift = 6
 
+// AddrBits is the machine's physical address width. x86-64 and Arm
+// decode at most 52 bits and the largest address any generator here
+// emits is below 2^43; the caches spend the bits above the width on a
+// line's recency rank, so an address wider than this never reaches them
+// (Phys drops the excess where an address enters the hierarchy, and a
+// restored packet carrying one is corrupt).
+const AddrBits = 56
+
 // Addr is a physical byte address.
 type Addr uint64
+
+// Phys returns the address the machine decodes: a with every bit at or
+// above AddrBits dropped.
+func (a Addr) Phys() Addr { return a & (1<<AddrBits - 1) }
 
 // Line returns the line-aligned address.
 func (a Addr) Line() Addr { return a &^ (LineSize - 1) }

@@ -1,6 +1,10 @@
 package mem
 
-import "pabst/internal/ckpt"
+import (
+	"fmt"
+
+	"pabst/internal/ckpt"
+)
 
 // PacketBytes is the encoded size of one packet (every field is
 // fixed-width), the element size containers of packets hand to the
@@ -12,13 +16,18 @@ const PacketBytes = 54
 // packet sits in exactly one queue — so queues store their packets by
 // value and a load allocates fresh ones without aliasing concerns. The
 // machine indexes with Kind, Class, SrcTile and MC long after the load,
-// so each is range-checked against the codec's Limits here.
+// so each is range-checked against the codec's Limits here, and Addr
+// reaches the caches, so it must fit the machine's AddrBits.
 func CkptPacket(c *ckpt.Codec, pp **Packet) {
 	if c.Loading() {
 		*pp = &Packet{}
 	}
 	p := *pp
 	c.U64((*uint64)(&p.Addr))
+	if c.Loading() && p.Addr != p.Addr.Phys() {
+		c.Fail(fmt.Errorf("%w: packet address %#x beyond the %d-bit physical address space", ckpt.ErrCorrupt, uint64(p.Addr), AddrBits))
+		p.Addr = 0
+	}
 	c.Enum((*uint8)(&p.Kind), int(Writeback)+1)
 	c.Enum((*uint8)(&p.Class), c.Limits.Classes)
 	c.Index(&p.SrcTile, c.Limits.Tiles)

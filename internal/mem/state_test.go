@@ -42,3 +42,39 @@ func TestPacketListLengthBoundedByImage(t *testing.T) {
 		t.Errorf("decoding a %d-byte image allocated %d bytes", len(raw), grew)
 	}
 }
+
+// TestPacketAddressWithinTheWidth: a restored packet's address reaches
+// the caches, which hold line numbers of AddrBits-LineShift bits, so an
+// address at or above 2^AddrBits is corruption. The highest line below
+// it loads.
+func TestPacketAddressWithinTheWidth(t *testing.T) {
+	for _, tc := range []struct {
+		addr Addr
+		want error
+	}{
+		{1<<AddrBits - LineSize, nil},
+		{1 << AddrBits, ckpt.ErrCorrupt},
+		{1<<63 | 0x40, ckpt.ErrCorrupt},
+	} {
+		raw, err := ckpt.Encode(ckpt.Header{}, ckpt.WalkFunc(func(c *ckpt.Codec) {
+			p := &Packet{Addr: tc.addr}
+			CkptPacket(c, &p)
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := ckpt.Decode(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Limits = ckpt.Limits{Tiles: 1, MCs: 1, Classes: 1}
+		var p *Packet
+		err = c.Load(ckpt.WalkFunc(func(c *ckpt.Codec) { CkptPacket(c, &p) }))
+		if !errors.Is(err, tc.want) {
+			t.Errorf("address %#x: restore error %v, want %v", uint64(tc.addr), err, tc.want)
+		}
+		if err == nil && p.Addr != tc.addr {
+			t.Errorf("address %#x restored as %#x", uint64(tc.addr), uint64(p.Addr))
+		}
+	}
+}

@@ -12,6 +12,7 @@ import (
 	"pabst/internal/mem"
 	"pabst/internal/qos"
 	"pabst/internal/qospolicy"
+	"pabst/internal/regulate"
 	"pabst/internal/sim"
 	"pabst/internal/workload"
 )
@@ -268,5 +269,93 @@ func TestWakePerturbationIsInvisible(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// quietGen misses on n consecutive lines of its region, then computes
+// for 2^40 cycles before each further op: a tile that has gone idle.
+type quietGen struct {
+	base mem.Addr
+	n, i int
+}
+
+func (g *quietGen) Name() string { return "quiet" }
+func (g *quietGen) Next(op *workload.Op) {
+	gap := 1 << 40
+	if g.i < g.n {
+		gap = 1
+	}
+	*op = workload.Op{Addr: g.base + mem.Addr(g.i*mem.LineSize), Gap: gap, Insts: 1}
+	g.i++
+}
+
+// tileVisits returns how many tile dispatches the event kernel has run.
+func tileVisits(t *testing.T, sys *System) uint64 {
+	t.Helper()
+	for _, ec := range sys.Snapshot().EventClasses {
+		if ec.Class == "tile" {
+			return ec.Visited
+		}
+	}
+	t.Fatal("no tile event class")
+	return 0
+}
+
+// TestHeartbeatsLeaveIdleTilesAsleep: on a MeshScaled machine every tile
+// but tile 0 receives its heartbeat through the gossip-lag queue each
+// epoch. A delivery wakes a tile only when the heartbeat leaves it work
+// due, so once every tile has gone idle — no queued miss, no response in
+// flight, its core computing — epochs of deliveries dispatch no tile
+// (one per lagged tile per epoch when every delivery woke its tile).
+func TestHeartbeatsLeaveIdleTilesAsleep(t *testing.T) {
+	cfg := config.MeshScaled(4, 4)
+	ep := cfg.PABST.EpochCycles
+	reg := qos.NewRegistry()
+	c := reg.MustAdd("quiet", 1, cfg.L3Ways)
+	sys, err := New(cfg, reg, qospolicy.PABST)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < cfg.NumTiles(); i++ {
+		if err := sys.Attach(i, c.ID, &quietGen{base: tileRegion(i).Base, n: 8}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sys.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	sys.Run(10 * ep)
+	for i, tl := range sys.tiles {
+		if tl.core.OpsRetired() < 8 || tl.queued > 0 || tl.inbox.Len() > 0 {
+			t.Fatalf("tile %d has not gone idle: %d ops retired, %d misses queued, %d responses in flight",
+				i, tl.core.OpsRetired(), tl.queued, tl.inbox.Len())
+		}
+	}
+
+	// A governor's watchdog deadline is its latest heartbeat plus a
+	// constant, so it moves by one epoch per delivery.
+	beats := func() []uint64 {
+		at := make([]uint64, len(sys.tiles))
+		for i, tl := range sys.tiles {
+			at[i] = tl.src.(regulate.Watchdog).WatchdogNextAt()
+		}
+		return at
+	}
+	const epochs = 8
+	before, beat := tileVisits(t, sys), beats()
+	sys.Run(epochs * ep)
+	for i, at := range beats() {
+		if i > 0 && gossipDepth(i, cfg.PABST.GossipFanout) == 0 {
+			t.Fatalf("tile %d's heartbeat is not lagged", i)
+		}
+		if at-beat[i] != epochs*ep {
+			t.Fatalf("tile %d received heartbeats %d cycles apart over %d epochs, want %d", i, at-beat[i], epochs, epochs*ep)
+		}
+	}
+	if got := tileVisits(t, sys) - before; got != 0 {
+		t.Errorf("%d tile dispatches over %d epochs of heartbeats to idle tiles, want 0", got, epochs)
+	}
+	if late := sys.Snapshot().LateWakes; late != 0 {
+		t.Errorf("LateWakes = %d, want 0", late)
 	}
 }

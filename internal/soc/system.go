@@ -448,11 +448,19 @@ func (s *System) drainEpochQ(now uint64) {
 				Now: now, SatAny: msg.sat, SatPerMC: msg.perMC,
 				Resync: msg.resync, GossipM: msg.gossip,
 			})
-			// A delayed heartbeat can grant a sleeping tile new issue
-			// tokens; the epoch class drains before the tile class, so a
-			// same-cycle forward wake lands exactly when the sequential
-			// tick would service the refill.
-			s.wakeTile(msg.tile, now)
+			// A heartbeat changes only the tile's source regulator: it
+			// can refill issue tokens, reset pacers or move the watchdog
+			// deadline. So the tile is woken at the next event of its new
+			// state, if any: a tile with no queued miss, no core work and
+			// no response in flight sleeps through its heartbeats. The
+			// epoch class drains before the tile class, so a wake at now
+			// lands exactly when the sequential tick would service the
+			// refill.
+			if s.evOn {
+				if at := (tileComp{s, msg.tile}).NextEventAt(now); at != sim.NoEvent {
+					s.wakeTile(msg.tile, at)
+				}
+			}
 		}
 	}
 }

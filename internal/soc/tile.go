@@ -114,8 +114,12 @@ func (t *Tile) Core() *cpu.Core { return t.core }
 func (t *Tile) Source() regulate.Source { return t.src }
 
 // Access implements cpu.MemPort: the L1/L2 lookups plus the miss path.
+// It is where a generator's address enters the cache hierarchy, so it
+// drops the bits above the machine's physical address width
+// (mem.AddrBits) as the address decoder does: the caches have no room
+// for them.
 func (t *Tile) Access(addr mem.Addr, write bool, now uint64, token uint64) (cpu.AccessStatus, uint64) {
-	line := addr.Line()
+	line := addr.Phys().Line()
 	lineID := line.LineID()
 
 	// Coalesce with an outstanding miss to the same line before probing
@@ -166,7 +170,7 @@ func (t *Tile) Access(addr mem.Addr, write bool, now uint64, token uint64) (cpu.
 	// Next-N-line prefetch: speculative fills ride the same miss path —
 	// paced, billed, and MSHR-bounded like demand traffic.
 	for i := 1; i <= t.sys.cfg.PrefetchDepth; i++ {
-		t.prefetch(line+mem.Addr(i*mem.LineSize), now)
+		t.prefetch((line + mem.Addr(i*mem.LineSize)).Phys(), now)
 	}
 	return cpu.AccessPending, 0
 }

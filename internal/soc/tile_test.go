@@ -1,8 +1,10 @@
 package soc
 
 import (
+	"bytes"
 	"testing"
 
+	"pabst/internal/ckpt"
 	"pabst/internal/cpu"
 	"pabst/internal/mem"
 	"pabst/internal/qos"
@@ -284,3 +286,61 @@ func (g *loopGen) Next(op *workload.Op) {
 }
 
 var _ cpu.MemPort = (*Tile)(nil)
+
+// TestAccessDropsBitsAboveTheAddressWidth: a tile decodes mem.AddrBits of
+// an address, as the machine's address decoder does, so an op stream
+// with bit 60 set in every address runs exactly as the same stream
+// without it — the same misses, prefetches, evictions and writebacks, to
+// the same lines. (The core's window keeps the ops as generated, so only
+// the caches' images are compared, not the whole machine's.)
+func TestAccessDropsBitsAboveTheAddressWidth(t *testing.T) {
+	cfg := testCfg8()
+	cfg.PrefetchDepth = 2
+	l2sets := cfg.L2Bytes / (cfg.L2Ways * mem.LineSize)
+	var low, high []mem.Addr
+	var writes []bool
+	for i := range 4 * cfg.L2Ways { // enough lines of one L2 set to evict dirty ones
+		a := tileRegion(0).Base + mem.Addr(i*l2sets*mem.LineSize+i%mem.LineSize)
+		low, high = append(low, a), append(high, a|1<<60)
+		writes = append(writes, i%3 == 0)
+	}
+	var dirtyEvictions uint64
+	run := func(addrs []mem.Addr) (string, []byte) {
+		reg := qos.NewRegistry()
+		c := reg.MustAdd("c", 1, cfg.L3Ways)
+		sys, err := New(cfg, reg, qospolicy.PABST)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.Attach(0, c.ID, &oneOpGen{addrs: addrs, write: writes}); err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.Finalize(); err != nil {
+			t.Fatal(err)
+		}
+		sys.Run(20_000)
+		dirtyEvictions = sys.tiles[0].l2.DirtyEvictions
+		img, err := ckpt.Encode(ckpt.Header{}, ckpt.WalkFunc(func(c *ckpt.Codec) {
+			sys.tiles[0].l1.Ckpt(c)
+			sys.tiles[0].l2.Ckpt(c)
+			for _, sl := range sys.slices {
+				sl.cache.Ckpt(c)
+			}
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fingerprint(sys, c.ID), img
+	}
+	want, wantImg := run(low)
+	got, img := run(high)
+	if got != want {
+		t.Errorf("bit 60 set:\n%s\nwithout:\n%s", got, want)
+	}
+	if !bytes.Equal(img, wantImg) {
+		t.Error("bit 60 set: the caches hold other lines than without it")
+	}
+	if dirtyEvictions == 0 {
+		t.Fatal("the stream evicted no dirty line from the L2")
+	}
+}
