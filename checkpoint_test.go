@@ -593,7 +593,9 @@ func fuzzMachines(t testing.TB) []func(opts ...pabst.Option) *pabst.Builder {
 // dying at the envelope — and restores it onto the machine its header
 // names. Whatever the bytes say, the restore must return a system or a
 // typed checkpoint error, must not panic, and must not allocate more
-// than a small multiple of the image.
+// than a small multiple of the image; a system it returns must then run
+// 2 000 cycles without panicking, so a load check that lets through a
+// machine that cannot run fails here rather than in a user's Run.
 func FuzzRestore(f *testing.F) {
 	machines := fuzzMachines(f)
 	byFingerprint := map[[32]byte]func(opts ...pabst.Option) *pabst.Builder{}
@@ -642,6 +644,9 @@ func FuzzRestore(f *testing.F) {
 		}
 		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(8*len(img)+1<<20); grew > limit {
 			t.Fatalf("restoring a %d-byte image allocated %d bytes (limit %d)", len(img), grew, limit)
+		}
+		if err == nil {
+			sys.Run(2_000)
 		}
 	})
 }

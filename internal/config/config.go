@@ -84,7 +84,8 @@ type System struct {
 	// Kernel is the differential-oracle hook, not a speed option: it
 	// never changes a simulated outcome. Empty (or KernelEvent) runs the
 	// event-driven kernel, the only production path. KernelCycle runs
-	// the reference loop — every component visited every cycle, several
+	// the same kernel as the reference loop (sim.Kernel.Reference) —
+	// every component visited every cycle in the same order, several
 	// times slower at every machine size — which tests and the benchmark
 	// compare fingerprints against (DESIGN.md, "Event-driven kernel").
 	Kernel string `json:",omitempty"`
@@ -94,7 +95,8 @@ type System struct {
 const (
 	// KernelEvent names the default event-driven kernel explicitly.
 	KernelEvent = "event"
-	// KernelCycle selects the cycle-stepped reference loop.
+	// KernelCycle selects the reference loop: the kernel with skipping
+	// switched off.
 	KernelCycle = "cycle"
 )
 

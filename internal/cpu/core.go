@@ -269,10 +269,17 @@ func depReadyAt(w *slot, depDoneAt uint64) uint64 {
 // miss returns.
 func (c *Core) CompleteMiss(token uint64, now uint64) {
 	s := c.slotAt(token)
-	if s.seq != token || s.state != slotIssued {
+	if !c.AwaitsMiss(token) {
 		panic(fmt.Sprintf("cpu: CompleteMiss for seq %d in state %d", token, s.state))
 	}
 	c.complete(s, now)
+}
+
+// AwaitsMiss reports whether token names an op issued to the port and
+// not yet complete: the only op CompleteMiss accepts.
+func (c *Core) AwaitsMiss(token uint64) bool {
+	s := c.slotAt(token)
+	return s.seq == token && s.state == slotIssued
 }
 
 func (c *Core) retire(now uint64) {

@@ -1,9 +1,11 @@
 package cpu
 
 import (
+	"errors"
 	"testing"
 	"unsafe"
 
+	"pabst/internal/ckpt"
 	"pabst/internal/mem"
 	"pabst/internal/workload"
 )
@@ -251,5 +253,42 @@ func (g *observedGen) OnComplete(now, tag uint64) { g.completes++ }
 func TestSlotSize(t *testing.T) {
 	if got := unsafe.Sizeof(slot{}); got != 88 {
 		t.Fatalf("slot is %d B, want 88", got)
+	}
+}
+
+// TestRestoreRejectsForeignWindow: a core image whose window [head,
+// tail) runs backwards, is wider than the slot ring, or holds a slot of
+// another op is ErrCorrupt. At the parent of this test each loaded; the
+// first two restored a core whose next Tick retired for up to 2^64 ops
+// (a FuzzRestore hang).
+func TestRestoreRejectsForeignWindow(t *testing.T) {
+	build := func() *Core {
+		gen := &scriptGen{ops: []workload.Op{{Addr: 64, Gap: 1}}}
+		return newCore(t, gen, &fakePort{hitLat: 3, missEvery: 4}, Config{WindowOps: 8, IssueWidth: 2})
+	}
+	for name, poke := range map[string]func(c *Core){
+		"unchanged":           func(*Core) {},
+		"backwards":           func(c *Core) { c.tail = c.head - 1 },
+		"wider than the ring": func(c *Core) { c.tail = c.head + 9 },
+		"foreign slot":        func(c *Core) { c.slotAt(c.head).seq += 8 },
+	} {
+		src := build()
+		run(src, 0, 100)
+		if src.head == src.tail {
+			t.Fatal("the window drained; the test needs ops in flight")
+		}
+		poke(src)
+		raw, err := ckpt.Encode(ckpt.Header{}, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec, err := ckpt.Decode(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = dec.Load(build())
+		if want := name != "unchanged"; errors.Is(err, ckpt.ErrCorrupt) != want {
+			t.Errorf("%s: got %v, want ErrCorrupt %v", name, err, want)
+		}
 	}
 }

@@ -1,6 +1,8 @@
 package cpu
 
 import (
+	"fmt"
+
 	"pabst/internal/ckpt"
 	"pabst/internal/sim"
 	"pabst/internal/workload"
@@ -10,7 +12,9 @@ import (
 // port, observer hooks) are rebuilt by the system; everything the
 // pipeline has in flight — the slot ring, the gap queue, the ready FIFO —
 // is stored verbatim so a restored core issues the identical op sequence
-// from the identical cycle.
+// from the identical cycle. A window [head, tail) wider than the ring or
+// holding a slot of another op is ErrCorrupt: retire and fill would walk
+// it for up to 2^64 ops.
 func (c *Core) Ckpt(k *ckpt.Codec) {
 	if !k.Same(len(c.slots), "core window") {
 		return
@@ -27,6 +31,15 @@ func (c *Core) Ckpt(k *ckpt.Codec) {
 	}
 	k.U64(&c.head)
 	k.U64(&c.tail)
+	if k.Loading() && k.Err() == nil {
+		ok := c.head <= c.tail && c.tail-c.head <= uint64(len(c.slots))
+		for seq := c.head; ok && seq < c.tail; seq++ {
+			ok = c.slotAt(seq).seq == seq
+		}
+		if !ok {
+			k.Fail(fmt.Errorf("%w: core window [%d, %d) does not hold its own ops", ckpt.ErrCorrupt, c.head, c.tail))
+		}
+	}
 	k.U64(&c.fetchClock)
 	sim.CkptDelayQueue(k, &c.gapQ, 8, (*ckpt.Codec).U64)
 	sim.CkptRing(k, &c.readyQ, 8, (*ckpt.Codec).U64)

@@ -64,6 +64,10 @@ func (q *DelayQueue[T]) Peek() (T, uint64, bool) {
 	return q.entries[0].item, q.entries[0].readyAt, true
 }
 
+// At returns the i-th queued item in storage order, not delivery order
+// (0 <= i < Len).
+func (q *DelayQueue[T]) At(i int) T { return q.entries[i].item }
+
 func (q *DelayQueue[T]) less(i, j int) bool {
 	a, b := &q.entries[i], &q.entries[j]
 	if a.readyAt != b.readyAt {

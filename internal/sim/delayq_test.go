@@ -1,9 +1,13 @@
 package sim
 
 import (
+	"errors"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"pabst/internal/ckpt"
 )
 
 func TestDelayQueueNotReadyBeforeTime(t *testing.T) {
@@ -158,4 +162,59 @@ func TestRNGIntnPanicsOnNonPositive(t *testing.T) {
 		}
 	}()
 	NewRNG(1).Intn(0)
+}
+
+// TestCkptDelayQueueRejectsWhatNoQueueHolds: a loaded heap array must
+// be one a queue can hold. At the parent of this test each image below
+// loaded cleanly; the first then left the item due at 5 stuck behind
+// the root, so Pop(5) returned nothing. A queue's own image restores
+// and pops in order.
+func TestCkptDelayQueueRejectsWhatNoQueueHolds(t *testing.T) {
+	walk := func(q *DelayQueue[uint64]) ckpt.WalkFunc {
+		return func(c *ckpt.Codec) { CkptDelayQueue(c, q, 8, (*ckpt.Codec).U64) }
+	}
+	load := func(src *DelayQueue[uint64]) (*DelayQueue[uint64], error) {
+		raw, err := ckpt.Encode(ckpt.Header{}, walk(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := ckpt.Decode(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst := &DelayQueue[uint64]{}
+		return dst, c.Load(walk(dst))
+	}
+	for name, q := range map[string]*DelayQueue[uint64]{
+		"heap order":       {seq: 2, entries: []delayEntry[uint64]{{readyAt: 10, seq: 0}, {readyAt: 5, seq: 1}}},
+		"same-cycle order": {seq: 2, entries: []delayEntry[uint64]{{readyAt: 5, seq: 1}, {readyAt: 5, seq: 0}}},
+		"repeated seq":     {seq: 2, entries: []delayEntry[uint64]{{readyAt: 5, seq: 1}, {readyAt: 9, seq: 0}, {readyAt: 7, seq: 1}}},
+		"seq at counter":   {seq: 1, entries: []delayEntry[uint64]{{readyAt: 5, seq: 1}}},
+	} {
+		if _, err := load(q); !errors.Is(err, ckpt.ErrCorrupt) {
+			t.Errorf("%s: got %v, want ErrCorrupt", name, err)
+		}
+	}
+
+	var q DelayQueue[uint64]
+	for i, at := range []uint64{30, 10, 20, 10, 40, 5} {
+		q.Push(uint64(i), at)
+	}
+	q.Pop(5)
+	got, err := load(&q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got.Push(6, 10)
+	var order []uint64
+	for {
+		v, ok := got.Pop(100)
+		if !ok {
+			break
+		}
+		order = append(order, v)
+	}
+	if want := []uint64{1, 3, 6, 2, 0, 4}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("restored queue popped %v, want %v", order, want)
+	}
 }

@@ -5,13 +5,14 @@ import (
 	"slices"
 )
 
-// This file implements the kernel's event-driven scheduling mode, the
-// production path: each component is registered individually with its
-// own next-event time and a cycle visits only the components with due
-// work. Ticking a component before its NextEventAt is exactly
-// FastForward over that cycle (the Sleeper contract), so skipping it and
-// catching it up later is invisible in every simulated outcome — which
-// the differential tests check against the reference loop in kernel.go.
+// This file implements the kernel's scheduling: each component is
+// registered individually with its own next-event time and a cycle
+// visits only the components with due work. Ticking a component before
+// its NextEventAt is exactly FastForward over that cycle (the Sleeper
+// contract), so skipping it and catching it up later is invisible in
+// every simulated outcome — which the differential tests check against
+// the reference mode (runReference), the same registration and
+// dispatcher with every component due every cycle.
 //
 // Scheduling structure. Each dispatch class keeps a timing wheel of
 // wheelW one-cycle buckets covering [now, now+wheelW): schedule,
@@ -29,7 +30,7 @@ import (
 // land in one bucket.
 //
 // Ordering. Bit-identity requires that the components ticked on a given
-// cycle run in exactly the order the cycle-stepped kernel would have run
+// cycle run in exactly the order the reference mode would have run
 // them. The kernel models this as dispatch classes drained in ascending
 // class order; within a class the due set is handed to the dispatcher
 // sorted by registration id, and the dispatcher applies any
@@ -48,7 +49,7 @@ import (
 // synchronization barriers for *reads* — every component is caught up
 // before a hook fires, so epoch-boundary observations (saturation
 // windows, governor probes, metrics) see exactly the state the
-// cycle-stepped kernel would have produced. Hook *writes* that could
+// reference mode would have produced. Hook *writes* that could
 // create earlier work for a sleeping component (heartbeat deliveries,
 // injected controller faults) are announced through DirtyEvent; only the
 // marked components are re-keyed after the hooks run, so the barrier
@@ -97,9 +98,11 @@ type classQ struct {
 
 	registered int    // components registered under this class
 	visited    uint64 // cumulative component dispatches
+
+	members []int // ids in registration order; reference mode only
 }
 
-// events is the kernel's event-mode state.
+// events is the kernel's scheduling state.
 type events struct {
 	comps     []eventComp
 	classes   []classQ
@@ -115,16 +118,12 @@ type events struct {
 	lateWakes uint64
 }
 
-// SetEventMode switches the kernel to event-driven scheduling with the
-// given number of dispatch classes. dispatch receives each cycle's due
-// components one class at a time, in ascending class order, sorted by
-// registration id; it must tick every component it is handed (skipping
-// one would silently drop its work). A nil dispatch ticks due components
-// directly. Call before RegisterEvent; incompatible with Register.
+// SetEventMode sets up the given number of dispatch classes. dispatch
+// receives each cycle's due components one class at a time, in ascending
+// class order, sorted by registration id; it must tick every component
+// it is handed (skipping one would silently drop its work). A nil
+// dispatch ticks due components directly. Call before RegisterEvent.
 func (k *Kernel) SetEventMode(classes int, dispatch func(now uint64, class int, due []int)) {
-	if len(k.tickers) > 0 {
-		panic("sim: SetEventMode after Register")
-	}
 	k.ev = &events{
 		classes:  make([]classQ, classes),
 		dispatch: dispatch,
@@ -152,6 +151,10 @@ func (k *Kernel) RegisterEvent(class int, s Sleeper) int {
 	// Both scratch lists hold each component at most once, so sizing them
 	// here keeps every later cycle allocation-free.
 	ev.due = slices.Grow(ev.due[:0], len(ev.comps))
+	if k.Reference {
+		ev.classes[class].members = append(ev.classes[class].members, id)
+		return id
+	}
 	ev.dirtyList = slices.Grow(ev.dirtyList, len(ev.comps)-len(ev.dirtyList))
 	ev.pushClamped(id, s.NextEventAt(k.now), k.now)
 	return id
@@ -163,10 +166,11 @@ func (k *Kernel) RegisterEvent(class int, s Sleeper) int {
 // waking an idle component early is a harmless no-op tick, and a
 // component's own new work is re-read after every dispatch. Wakes are
 // clamped to cycles the component has not yet accounted; a clamped wake
-// at or before the current cycle is counted in LateWakes.
+// at or before the current cycle is counted in LateWakes. The reference
+// loop ignores wakes: every component is due every cycle.
 func (k *Kernel) Wake(id int, at uint64) {
 	ev := k.ev
-	if ev == nil {
+	if ev == nil || k.Reference {
 		return
 	}
 	ec := &ev.comps[id]
@@ -190,10 +194,10 @@ func (k *Kernel) Wake(id int, at uint64) {
 // refill issue tokens, injected controller freezes): it is re-keyed
 // from NextEventAt when the hook barrier finishes, so a sleeping
 // component learns about hook-created earlier work. Cheap and
-// idempotent. Outside hooks, use Wake.
+// idempotent. Outside hooks, use Wake. The reference loop ignores it.
 func (k *Kernel) DirtyEvent(id int) {
 	ev := k.ev
-	if ev == nil {
+	if ev == nil || k.Reference {
 		return
 	}
 	ec := &ev.comps[id]
@@ -218,11 +222,11 @@ func (k *Kernel) LateWakes() uint64 {
 // are registered under it and how many component dispatches it has run
 // in total. visited[c] / (Now() × registered[c]) is the class's dispatch
 // occupancy — the fraction of component-cycles the event kernel actually
-// paid for; the reference loop's is 1.0 by construction. Nil outside event
-// mode.
+// paid for; the reference loop's is 1.0 by construction, and it reports
+// nil.
 func (k *Kernel) EventClassStats() (registered []int, visited []uint64) {
 	ev := k.ev
-	if ev == nil {
+	if ev == nil || k.Reference {
 		return nil, nil
 	}
 	registered = make([]int, len(ev.classes))
@@ -234,26 +238,34 @@ func (k *Kernel) EventClassStats() (registered []int, visited []uint64) {
 	return registered, visited
 }
 
-// ResyncEvents re-derives every component's schedule and accounting
-// horizon from its current state at the kernel clock. Call after a
-// checkpoint restore has overlaid component state.
-func (k *Kernel) ResyncEvents() {
+// runReference is the reference Run loop: hooks, then every registered
+// component class by class in registration order, then the next cycle.
+// It polls no NextEventAt, replays no FastForward and skips nothing, so
+// the only thing it shares with runEvents is the dispatcher — the order
+// the components of one cycle run in.
+func (k *Kernel) runReference(end uint64) {
 	ev := k.ev
-	if ev == nil {
-		return
+	for ; k.now < end; k.now++ {
+		k.fireHooks(k.now)
+		for c := range ev.classes {
+			if ids := ev.classes[c].members; len(ids) > 0 {
+				// A copy: the dispatcher may reorder what it is handed.
+				ev.tick(k.now, c, append(ev.due[:0], ids...))
+			}
+		}
 	}
+}
+
+// runEvents is the production Run loop.
+func (k *Kernel) runEvents(end uint64) {
+	ev := k.ev
+	// Re-derive every key and accounting horizon on entry: callers may
+	// mutate component state between Run calls (restores, warmups, stat
+	// resets, test scaffolding) without issuing wakes, and a restore
+	// moves the clock. O(components) once per Run, not per cycle.
 	for id := range ev.comps {
 		ev.comps[id].synced = k.now
 	}
-	k.rekeyAll(k.now)
-}
-
-// runEvents is the event-mode Run loop.
-func (k *Kernel) runEvents(end uint64) {
-	ev := k.ev
-	// Re-derive every key on entry: callers may mutate component state
-	// between Run calls (warmups, stat resets, test scaffolding) without
-	// issuing wakes. O(components) once per Run, not per cycle.
 	k.rekeyAll(k.now)
 	for k.now < end {
 		now := k.now
@@ -276,13 +288,7 @@ func (k *Kernel) runEvents(end uint64) {
 			for _, id := range due {
 				ev.catchUp(id, now)
 			}
-			if ev.dispatch != nil {
-				ev.dispatch(now, c, due)
-			} else {
-				for _, id := range due {
-					ev.comps[id].s.Tick(now)
-				}
-			}
+			ev.tick(now, c, due)
 			for _, id := range due {
 				ec := &ev.comps[id]
 				ec.synced = now + 1
@@ -312,6 +318,18 @@ func (k *Kernel) runEvents(end uint64) {
 	k.syncAll(end)
 }
 
+// tick runs class c's due components for cycle now: through the
+// dispatcher, or directly in the order given without one.
+func (ev *events) tick(now uint64, c int, due []int) {
+	if ev.dispatch != nil {
+		ev.dispatch(now, c, due)
+		return
+	}
+	for _, id := range due {
+		ev.comps[id].s.Tick(now)
+	}
+}
+
 // syncAll fast-forwards every component's accounting through cycle `to`.
 func (k *Kernel) syncAll(to uint64) {
 	ev := k.ev
@@ -321,7 +339,7 @@ func (k *Kernel) syncAll(to uint64) {
 }
 
 // rekeyAll rebuilds every component's schedule from NextEventAt at cycle
-// `from`. Run-entry and restore only; steady state uses dirty-set rekey.
+// `from`. Run entry only; steady state uses dirty-set rekey.
 func (k *Kernel) rekeyAll(from uint64) {
 	ev := k.ev
 	for c := range ev.classes {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -197,26 +198,27 @@ func TestEventKernelWake(t *testing.T) {
 	}
 }
 
+// TestEventKernelResync: a clock overlay between Runs — a checkpoint
+// restore moving the clock and the component state — is re-keyed by Run
+// alone. The component's new work is dispatched on time, and no span
+// before the restored clock is fast-forwarded.
 func TestEventKernelResync(t *testing.T) {
-	var k Kernel
-	k.SetEventMode(1, nil)
-	c := &evComp{t: t, id: 0, events: []uint64{0, 50}}
-	k.RegisterEvent(0, c)
-	k.Run(10)
-	// Simulate a checkpoint restore overlaying new state at cycle 10:
-	// the component now has work at 20 that the heap does not know about.
-	c.events = []uint64{20}
-	c.i = 0
-	c.horizon = k.Now()
-	k.ResyncEvents()
-	k.Run(30)
-	found := false
-	for _, at := range c.ticked {
-		if at == 20 {
-			found = true
+	for _, restoredAt := range []uint64{4, 1_000} { // back and forward
+		var k Kernel
+		k.SetEventMode(1, nil)
+		c := &evComp{t: t, id: 0, events: []uint64{0, 50}}
+		k.RegisterEvent(0, c)
+		k.Run(10)
+		// The restore overlays new state at the new clock: the component
+		// now has work 10 cycles on that the schedule does not know about.
+		k.now = restoredAt
+		c.events, c.i, c.horizon, c.ffSpan = []uint64{restoredAt + 10}, 0, restoredAt, 0
+		k.Run(30)
+		if want := []uint64{0, restoredAt + 10}; !reflect.DeepEqual(c.ticked, want) {
+			t.Fatalf("clock overlaid to %d: ticks %v, want %v", restoredAt, c.ticked, want)
 		}
-	}
-	if !found {
-		t.Fatalf("post-resync event at 20 never dispatched; ticks %v", c.ticked)
+		if c.ffSpan != 29 {
+			t.Fatalf("clock overlaid to %d: fast-forwarded %d cycles, want 29", restoredAt, c.ffSpan)
+		}
 	}
 }

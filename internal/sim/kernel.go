@@ -1,16 +1,5 @@
 package sim
 
-// Ticker is a component stepped once per simulated cycle.
-type Ticker interface {
-	Tick(now uint64)
-}
-
-// TickFunc adapts a function to the Ticker interface.
-type TickFunc func(now uint64)
-
-// Tick implements Ticker.
-func (f TickFunc) Tick(now uint64) { f(now) }
-
 type hook struct {
 	period uint64
 	phase  uint64
@@ -26,11 +15,12 @@ func (h *hook) arm(from uint64) {
 	}
 }
 
-// Sleeper is a component the event kernel (events.go) schedules
-// individually. NextEventAt reports the earliest cycle >= from at which
-// the component has work to do (NoEvent when it is fully drained);
-// FastForward tells it the cycles [from, to) passed without a Tick so it
-// can account for them (cycle counters, refresh catch-up).
+// Sleeper is a component the kernel (events.go) schedules individually.
+// Tick steps it through one cycle; NextEventAt reports the earliest
+// cycle >= from at which the component has work to do (NoEvent when it
+// is fully drained); FastForward tells it the cycles [from, to) passed
+// without a Tick so it can account for them (cycle counters, refresh
+// catch-up).
 //
 // The contract that keeps skipping bit-identical to ticking: when
 // NextEventAt(from) returns t > from, ticking the component on any cycle
@@ -40,7 +30,7 @@ func (h *hook) arm(from uint64) {
 // nothing else — and FastForward over any sub-span must equal the ticks
 // it replaces. When in doubt, return `from` (never sleep).
 type Sleeper interface {
-	Ticker
+	Tick(now uint64)
 	NextEventAt(from uint64) uint64
 	FastForward(from, to uint64)
 }
@@ -51,17 +41,23 @@ const NoEvent = ^uint64(0)
 // Kernel owns the global clock and the ordered set of components.
 // The zero value is ready to use.
 //
-// It has two modes. After SetEventMode (events.go) — the production
-// path — components register individually and a cycle visits only those
-// with due work. Without it the kernel is the reference loop the event
-// mode is differentially tested against: hooks, then every registered
-// Ticker, then now++, with no skipping of any kind.
+// Components register once (SetEventMode, RegisterEvent; events.go) and
+// every cycle goes through the same dispatcher in the same class order.
+// What Reference selects is which components a cycle hands it. By
+// default, the production path, a cycle visits only the components with
+// due work and the clock jumps over cycles with none. With Reference set
+// the kernel is the oracle that path is differentially tested against:
+// hooks, then every registered component, then now++, with no
+// NextEventAt, no FastForward and no skipping of any kind.
 type Kernel struct {
-	now     uint64
-	tickers []Ticker
-	hooks   []hook
+	// Reference visits every component every cycle. Set it before
+	// registering anything.
+	Reference bool
 
-	skipped uint64 // cycles the event mode jumped over
+	now   uint64
+	hooks []hook
+
+	skipped uint64 // cycles the clock jumped over
 	running bool   // inside Run: cycle k.now's hook phase has begun
 
 	ev *events // non-nil after SetEventMode
@@ -70,19 +66,8 @@ type Kernel struct {
 // Now returns the current cycle. The first cycle executed by Run is 0.
 func (k *Kernel) Now() uint64 { return k.now }
 
-// Register appends a component to the tick order. Components registered
-// earlier observe state produced by later components one cycle delayed,
-// so registration order is part of the model and must be deterministic.
-// In event mode use RegisterEvent instead.
-func (k *Kernel) Register(t Ticker) {
-	if k.ev != nil {
-		panic("sim: Register after SetEventMode")
-	}
-	k.tickers = append(k.tickers, t)
-}
-
 // Every schedules fn to run at every cycle c where c >= phase and
-// (c-phase) is a multiple of period, before the tickers for that cycle.
+// (c-phase) is a multiple of period, before that cycle's components.
 // period must be non-zero.
 func (k *Kernel) Every(period, phase uint64, fn func(now uint64)) {
 	if period == 0 {
@@ -97,32 +82,28 @@ func (k *Kernel) Every(period, phase uint64, fn func(now uint64)) {
 	k.hooks = append(k.hooks, h)
 }
 
-// Skipped returns how many cycles the event mode jumped over (always
-// zero on the reference loop).
+// Skipped returns how many cycles the kernel jumped over (always zero
+// on the reference loop).
 func (k *Kernel) Skipped() uint64 { return k.skipped }
 
 // Run advances the clock by cycles steps.
 func (k *Kernel) Run(cycles uint64) {
+	if k.ev == nil {
+		k.SetEventMode(0, nil) // a clock with hooks only
+	}
 	end := k.now + cycles
 	// Each hook's fire cycle is kept, not derived per cycle. The clock
 	// may have been restored and hooks added since the last Run, so every
-	// hook is armed from the clock here; the loops below never move the
-	// clock past a hook's next fire cycle, so == finds it.
+	// hook is armed from the clock here; the loops never move the clock
+	// past a hook's next fire cycle, so == finds it.
 	for i := range k.hooks {
 		k.hooks[i].arm(k.now)
 	}
 	k.running = true
-	if k.ev != nil {
-		k.runEvents(end)
+	if k.Reference {
+		k.runReference(end)
 	} else {
-		for k.now < end {
-			now := k.now
-			k.fireHooks(now)
-			for _, t := range k.tickers {
-				t.Tick(now)
-			}
-			k.now++
-		}
+		k.runEvents(end)
 	}
 	k.running = false
 }

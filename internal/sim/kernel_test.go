@@ -21,12 +21,28 @@ func TestKernelRunAdvancesClock(t *testing.T) {
 	}
 }
 
+// refKernel returns a reference-mode kernel with the given number of
+// dispatch classes and no dispatcher.
+func refKernel(classes int) *Kernel {
+	k := &Kernel{Reference: true}
+	k.SetEventMode(classes, nil)
+	return k
+}
+
+// tickOnly is a component for the reference loop, which must never ask
+// it when its next event is or replay a span it slept through.
+type tickOnly func(now uint64)
+
+func (f tickOnly) Tick(now uint64)          { f(now) }
+func (tickOnly) NextEventAt(uint64) uint64  { panic("reference loop polled NextEventAt") }
+func (tickOnly) FastForward(uint64, uint64) { panic("reference loop called FastForward") }
+
 func TestKernelTickOrderAndCount(t *testing.T) {
-	var k Kernel
+	k := refKernel(1)
 	var order []int
 	for i := 0; i < 3; i++ {
 		i := i
-		k.Register(TickFunc(func(now uint64) { order = append(order, i) }))
+		k.RegisterEvent(0, tickOnly(func(now uint64) { order = append(order, i) }))
 	}
 	k.Run(2)
 	want := []int{0, 1, 2, 0, 1, 2}
@@ -41,9 +57,9 @@ func TestKernelTickOrderAndCount(t *testing.T) {
 }
 
 func TestKernelTickSeesCurrentCycle(t *testing.T) {
-	var k Kernel
+	k := refKernel(1)
 	var seen []uint64
-	k.Register(TickFunc(func(now uint64) { seen = append(seen, now) }))
+	k.RegisterEvent(0, tickOnly(func(now uint64) { seen = append(seen, now) }))
 	k.Run(3)
 	for i, now := range seen {
 		if now != uint64(i) {
@@ -69,10 +85,10 @@ func TestKernelEveryFiresOnSchedule(t *testing.T) {
 }
 
 func TestKernelEveryRunsBeforeTickers(t *testing.T) {
-	var k Kernel
+	k := refKernel(1)
 	var trace []string
 	k.Every(1, 0, func(now uint64) { trace = append(trace, "hook") })
-	k.Register(TickFunc(func(now uint64) { trace = append(trace, "tick") }))
+	k.RegisterEvent(0, tickOnly(func(now uint64) { trace = append(trace, "tick") }))
 	k.Run(2)
 	want := []string{"hook", "tick", "hook", "tick"}
 	for i := range want {
@@ -108,7 +124,7 @@ func TestKernelHookPhaseBeyondRun(t *testing.T) {
 
 // TestKernelHooksKeepTheModuloSchedule pins the kept next-fire cycles to
 // the rule they replaced — a hook fires at every executed cycle c with
-// c >= phase and (c-phase)%period == 0 — on both loops, across Runs of
+// c >= phase and (c-phase)%period == 0 — in both modes, across Runs of
 // uneven length, a clock overlaid between Runs (as a checkpoint load does),
 // and hooks added between Runs, from inside a hook, and from inside a
 // component's tick (which first fire the cycle after).
@@ -117,7 +133,7 @@ func TestKernelHooksKeepTheModuloSchedule(t *testing.T) {
 	for _, eventMode := range []bool{false, true} {
 		for seed := int64(0); seed < 40; seed++ {
 			rng := rand.New(rand.NewSource(seed))
-			var k Kernel
+			k := &Kernel{Reference: !eventMode}
 			var specs []spec
 			var fired [][]uint64
 			add := func(addedAt uint64) {
@@ -133,12 +149,8 @@ func TestKernelHooksKeepTheModuloSchedule(t *testing.T) {
 					add(now + 1)
 				}
 			})
-			if eventMode {
-				k.SetEventMode(1, nil)
-				k.RegisterEvent(0, tick)
-			} else {
-				k.Register(tick)
-			}
+			k.SetEventMode(1, nil)
+			k.RegisterEvent(0, tick)
 			add(0)
 			add(0)
 			k.Every(60, 20, func(now uint64) {
@@ -191,3 +203,60 @@ func (f evTick) NextEventAt(from uint64) uint64 {
 	return NoEvent
 }
 func (f evTick) FastForward(from, to uint64) {}
+
+// TestReferenceLoopVisitsEverything pins the reference mode: every cycle
+// the hooks fire, then each class that has components is handed all of
+// them in registration order, in ascending class order; an empty class
+// is never dispatched. It never polls NextEventAt or replays FastForward
+// (tickOnly panics), and wakes and dirty marks change nothing.
+func TestReferenceLoopVisitsEverything(t *testing.T) {
+	k := &Kernel{Reference: true}
+	type visit struct {
+		now   uint64
+		class int
+		due   []int
+	}
+	var got []visit
+	k.SetEventMode(3, func(now uint64, class int, due []int) {
+		got = append(got, visit{now, class, append([]int(nil), due...)})
+		for _, id := range due {
+			k.ev.comps[id].s.Tick(now)
+		}
+	})
+	ticks := map[int]int{}
+	var ids []int
+	// Registration interleaves classes 2 and 0; class 1 stays empty.
+	for _, class := range []int{2, 0, 2, 0, 0} {
+		var id int
+		id = k.RegisterEvent(class, tickOnly(func(now uint64) {
+			ticks[id]++
+			k.Wake((id+1)%5, now+1_000) // ignored
+		}))
+		ids = append(ids, id)
+	}
+	k.Every(7, 3, func(now uint64) {
+		for _, id := range ids {
+			k.DirtyEvent(id) // ignored
+		}
+	})
+	const cycles = 50
+	k.Run(20)
+	k.Run(cycles - 20)
+
+	var want []visit
+	for now := uint64(0); now < cycles; now++ {
+		want = append(want, visit{now, 0, []int{1, 3, 4}}, visit{now, 2, []int{0, 2}})
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("dispatches:\n got %v\nwant %v", got, want)
+	}
+	for _, id := range ids {
+		if ticks[id] != cycles {
+			t.Errorf("component %d ticked %d times in %d cycles", id, ticks[id], cycles)
+		}
+	}
+	if reg, vis := k.EventClassStats(); k.Skipped() != 0 || k.LateWakes() != 0 || reg != nil || vis != nil {
+		t.Errorf("Skipped %d, LateWakes %d, EventClassStats %v %v; want 0, 0, nil nil",
+			k.Skipped(), k.LateWakes(), reg, vis)
+	}
+}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"sort"
 
 	"pabst/internal/ckpt"
@@ -15,14 +16,15 @@ func (r *RNG) Ckpt(c *ckpt.Codec) {
 	}
 }
 
-// Ckpt implements ckpt.Walker for the kernel's clock state. Tickers and
-// hooks are structural (rebuilt by the system's Finalize) and are not
+// Ckpt implements ckpt.Walker for the kernel's clock state. Components
+// and hooks are structural (rebuilt by the system's Finalize) and are not
 // saved; hooks fire whenever (now-phase)%period == 0, and Run re-arms
-// each hook's next fire cycle from the clock, so that holds at any
-// restored now. The scheduler's own counters (Skipped, LateWakes,
-// EventClassStats) describe how a run was scheduled, not the machine,
-// and are not saved either: the reference loop and the event kernel
-// write the same bytes for the same machine at the same cycle.
+// each hook's next fire cycle and re-keys every component from the
+// clock, so a restored now needs no further call. The scheduler's own
+// counters (Skipped, LateWakes, EventClassStats) describe how a run was
+// scheduled, not the machine, and are not saved either: the reference
+// loop and the event kernel write the same bytes for the same machine at
+// the same cycle.
 func (k *Kernel) Ckpt(c *ckpt.Codec) {
 	c.U64(&k.now)
 }
@@ -30,8 +32,11 @@ func (k *Kernel) Ckpt(c *ckpt.Codec) {
 // CkptDelayQueue walks a delay queue: the sequence counter plus the raw
 // heap array in storage order. Same-cycle ties break by insertion
 // sequence, so reproducing the array verbatim reproduces every future pop
-// exactly, and the heap property that held when saved holds when loaded.
-// item walks one queued item, which encodes to at least itemMin bytes.
+// exactly. A loaded array must be what a queue can hold — a heap in
+// (readyAt, seq) order, each seq distinct and below the counter — or an
+// item due early could sit behind the root, never to pop; anything else
+// is ErrCorrupt. item walks one queued item, which encodes to at least
+// itemMin bytes.
 func CkptDelayQueue[T any](c *ckpt.Codec, q *DelayQueue[T], itemMin int, item func(*ckpt.Codec, *T)) {
 	c.U64(&q.seq)
 	ckpt.Slice(c, &q.entries, 16+itemMin, func(c *ckpt.Codec, e *delayEntry[T]) {
@@ -39,6 +44,19 @@ func CkptDelayQueue[T any](c *ckpt.Codec, q *DelayQueue[T], itemMin int, item fu
 		c.U64(&e.seq)
 		item(c, &e.item)
 	})
+	if !c.Loading() || c.Err() != nil {
+		return
+	}
+	seen := make(map[uint64]bool, len(q.entries))
+	for i := range q.entries {
+		e := &q.entries[i]
+		if e.seq >= q.seq || seen[e.seq] || i > 0 && q.less(i, (i-1)/2) {
+			c.Fail(fmt.Errorf("%w: delay queue entry %d (ready %d, sequence %d of %d) repeated or out of order",
+				ckpt.ErrCorrupt, i, e.readyAt, e.seq, q.seq))
+			return
+		}
+		seen[e.seq] = true
+	}
 }
 
 // CkptRing walks a ring front to back as a count-prefixed list; loading

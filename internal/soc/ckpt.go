@@ -131,13 +131,6 @@ func (s *System) Ckpt(c *ckpt.Codec) {
 		c.Section("faults")
 		s.faults.Ckpt(c)
 	}
-
-	if c.Loading() && c.Err() == nil {
-		// Re-derive every component's schedule and accounting horizon
-		// from the overlaid state at the restored clock (no-op on the
-		// reference loop).
-		s.kernel.ResyncEvents()
-	}
 }
 
 // CkptSize implements ckpt.Sizer, so a save allocates its image once:
@@ -189,7 +182,7 @@ func ckptEpochMsg(c *ckpt.Codec, m *epochMsg) {
 // inbox, MSHRs, per-channel miss FIFOs, and the workload generator. A
 // generator that cannot describe its own state makes the whole
 // checkpoint fail with ErrUnsupported rather than silently dropping its
-// cursor.
+// cursor. Parts that disagree as no running tile's do are ErrCorrupt.
 func (t *Tile) ckpt(c *ckpt.Codec) {
 	t.core.Ckpt(c)
 	t.l1.Ckpt(c)
@@ -211,6 +204,9 @@ func (t *Tile) ckpt(c *ckpt.Codec) {
 		sim.CkptRing(c, &t.missQ[i], mem.PacketBytes, mem.CkptPacket)
 	}
 	c.Int(&t.queued)
+	if c.Loading() && c.Err() == nil {
+		t.checkLoaded(c)
+	}
 	c.Index(&t.rrMC, len(t.missQ))
 	c.U64(&t.prefetches)
 	t.lat.Ckpt(c)
@@ -223,13 +219,54 @@ func (t *Tile) ckpt(c *ckpt.Codec) {
 	}
 }
 
+// checkLoaded fails a load whose core, inbox, MSHRs and miss FIFOs
+// disagree: every MSHR waiter must be a distinct op awaiting a miss, and
+// every read the tile holds, queued or answered, must be its own with an
+// MSHR for its line, or Tick panics when the response arrives; the
+// queued count must be the FIFOs' total, or the tile stops injecting.
+func (t *Tile) checkLoaded(c *ckpt.Codec) {
+	waiting := map[uint64]bool{}
+	for i := range t.mshr.entries {
+		for j := int32(0); j < t.mshr.entries[i].n; j++ {
+			tok := t.mshr.entries[i].waiter(j)
+			if !t.core.AwaitsMiss(tok) || waiting[tok] {
+				c.Fail(fmt.Errorf("%w: tile %d: MSHR waiter %d is no op awaiting a miss", ckpt.ErrCorrupt, t.id, tok))
+				return
+			}
+			waiting[tok] = true
+		}
+	}
+	var held []*mem.Packet
+	for i := 0; i < t.inbox.Len(); i++ {
+		held = append(held, t.inbox.At(i))
+	}
+	queued := 0
+	for i := range t.missQ {
+		for j := 0; j < t.missQ[i].Len(); j++ {
+			held = append(held, t.missQ[i].At(j))
+		}
+		queued += t.missQ[i].Len()
+	}
+	for _, pkt := range held {
+		if line := pkt.Addr.LineID(); pkt.SrcTile != t.id || t.mshr.lookup(line) == nil {
+			c.Fail(fmt.Errorf("%w: tile %d holds a read of line %#x for tile %d with no MSHR", ckpt.ErrCorrupt, t.id, line, pkt.SrcTile))
+			return
+		}
+	}
+	if t.queued != queued {
+		c.Fail(fmt.Errorf("%w: tile %d: %d misses queued, FIFOs hold %d", ckpt.ErrCorrupt, t.id, t.queued, queued))
+	}
+}
+
 // ckpt walks the MSHRs. The stored form is one (line, waiter tokens)
 // record per outstanding miss in ascending line order (the table keeps
 // its lines in insertion order, shuffled by removals; checkpoints must
 // not depend on either). A nil waiter list is a prefetch no core op
 // waits on; a prefetch a demand access has since coalesced onto stores
 // its waiters like a demand miss. An image claiming more misses than
-// the tile has MSHRs is corrupt: no machine holds more.
+// the tile has MSHRs is corrupt: no machine holds more. So is one whose
+// lines do not strictly ascend: a repeated line would leave a second
+// entry that no response frees, and the ops waiting on it would hang.
 func (t *mshrTable) ckpt(c *ckpt.Codec) {
 	var lines []uint64
 	if !c.Loading() {
@@ -258,6 +295,10 @@ func (t *mshrTable) ckpt(c *ckpt.Codec) {
 		}
 		c.U64(&line)
 		ckpt.NilSlice(c, &waiters, 8, (*ckpt.Codec).U64)
+		if c.Loading() && i > 0 && line <= t.lines[i-1] {
+			c.Fail(fmt.Errorf("%w: MSHR line %#x stored after %#x", ckpt.ErrCorrupt, line, t.lines[i-1]))
+			return
+		}
 		if c.Loading() {
 			e := t.insert(line)
 			for _, tok := range waiters {

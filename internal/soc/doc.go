@@ -13,13 +13,14 @@
 // every load pays for its line with a memory read, and a dirty victim the
 // allocation displaces always leaves for the L3.
 //
-// The package wires the machine onto the event kernel (events.go): the
-// epoch queue, the modeled network, each controller with its front door,
-// each L3 slice and each tile register as separate components, every
+// The package wires the machine onto the kernel (events.go): the epoch
+// queue, the modeled network, each controller with its front door, each
+// L3 slice and each tile register as separate components, every
 // cross-component push wakes its target, and a cycle dispatches only the
-// due components in the canonical order of System.tick — the whole-cycle
-// reference loop that config.KernelCycle selects and the differential
-// tests compare against. A controller and its front door are due when
+// due components in the canonical order dispatchEvents writes down. The
+// reference loop that config.KernelCycle selects, and the differential
+// tests compare against, dispatches every component every cycle in the
+// same order. A controller and its front door are due when
 // either can act (an arrival, a free front-end slot for a parked
 // request, the controller's next issue slot); every state change of the
 // door happens inside its own tick, so the refusals of a sleeping span

@@ -4,16 +4,18 @@ import (
 	"pabst/internal/sim"
 )
 
-// This file wires the SoC onto the kernel's event-driven mode
-// (internal/sim/events.go), the production path: every component
-// registers individually with its own next-event time, and per-cycle
-// dispatch visits only the components with due work.
+// This file wires the SoC onto the kernel (internal/sim/events.go):
+// every component registers individually with its own next-event time,
+// and per-cycle dispatch visits only the components with due work — or,
+// on the reference loop (config.KernelCycle), every component.
 //
-// Dispatch classes mirror the canonical order of System.tick — the
-// epoch-queue drain, then the modeled network, then front doors +
-// memory controllers, then L3 slices (in the cycle's rotated order),
-// then tiles — so the components that do run on a given cycle run in
-// exactly the order the reference loop would have run them.
+// The canonical order of a cycle is written once, here: the dispatch
+// classes below in ascending order — the epoch-queue drain, then the
+// modeled network, then front doors + memory controllers, then L3
+// slices, then tiles — each class in ascending entity index, except the
+// slices, which dispatchEvents rotates. Both kernel modes go through it,
+// so the components that run on a given cycle run in the same order
+// whichever mode chose them.
 // Cross-component pushes announce new work through the wake helpers
 // below; a component's own state is re-read by the kernel after every
 // dispatch, so self-scheduling needs no announcements.
@@ -26,91 +28,65 @@ const (
 	evNumClasses
 )
 
-// evClassName labels a dispatch class for snapshots.
-func evClassName(c int) string {
-	switch c {
-	case evClassEpoch:
-		return "epoch"
-	case evClassNet:
-		return "net"
-	case evClassMC:
-		return "mc"
-	case evClassSlice:
-		return "slice"
-	case evClassTile:
-		return "tile"
-	}
-	return "unknown"
-}
+// evClassNames label the dispatch classes for snapshots.
+var evClassNames = [evNumClasses]string{"epoch", "net", "mc", "slice", "tile"}
 
-// registerEventComps switches the kernel into event mode and registers
-// one component per machine entity. Registration order within a class is
-// ascending entity index — the canonical intra-class order.
+// registerEventComps registers one component per machine entity.
+// Registration order within a class is ascending entity index — the
+// canonical intra-class order — so a slice's entity index is its id
+// minus the first slice's.
 func (s *System) registerEventComps() {
 	s.kernel.SetEventMode(evNumClasses, s.dispatchEvents)
-	s.evEntity = s.evEntity[:0]
-	reg := func(class, entity int, c sim.Sleeper) int {
+	reg := func(class int, c sim.Sleeper) int {
 		id := s.kernel.RegisterEvent(class, c)
-		for len(s.evEntity) <= id {
-			s.evEntity = append(s.evEntity, -1)
-		}
-		s.evEntity[id] = entity
+		s.evComps = append(s.evComps, c)
 		return id
 	}
-	s.evEpochID = reg(evClassEpoch, 0, epochComp{s})
+	s.evEpochID = reg(evClassEpoch, epochComp{s})
 	s.evNetID = -1
 	if s.net != nil {
-		s.evNetID = reg(evClassNet, 0, netComp{s})
+		s.evNetID = reg(evClassNet, netComp{s})
 	}
 	s.evMCID = make([]int, len(s.mcs))
 	for i := range s.mcs {
-		s.evMCID[i] = reg(evClassMC, i, mcComp{s.doors[i]})
+		s.evMCID[i] = reg(evClassMC, mcComp{s.doors[i]})
 	}
 	s.evSliceID = make([]int, len(s.slices))
 	for i := range s.slices {
-		s.evSliceID[i] = reg(evClassSlice, i, sliceComp{s, i})
+		s.evSliceID[i] = reg(evClassSlice, s.slices[i])
 	}
 	s.evTileID = make([]int, len(s.tiles))
 	for i, t := range s.tiles {
 		s.evTileID[i] = -1
 		if t != nil {
-			s.evTileID[i] = reg(evClassTile, i, tileComp{s, i})
+			s.evTileID[i] = reg(evClassTile, t)
 		}
 	}
-	s.evOn = true
 }
 
-// Wake helpers: decrease-key hints, no-ops on the reference loop.
+// Wake helpers: decrease-key hints, ignored by the reference loop.
 // `at` is the cycle the target should run; callers pushing to a
 // component whose class has already drained this cycle clamp to now+1
-// themselves (see nextCycle), matching when the cycle-stepped kernel
+// themselves (see nextCycle), matching when the reference loop
 // would have serviced the push.
 
 func (s *System) wakeTile(i int, at uint64) {
-	if s.evOn {
-		s.kernel.Wake(s.evTileID[i], at)
-	}
+	s.kernel.Wake(s.evTileID[i], at)
 }
 
 func (s *System) wakeSlice(i int, at uint64) {
-	if s.evOn {
-		s.kernel.Wake(s.evSliceID[i], at)
-	}
+	s.kernel.Wake(s.evSliceID[i], at)
 }
 
 func (s *System) wakeMC(i int, at uint64) {
-	if s.evOn {
-		s.kernel.Wake(s.evMCID[i], at)
-	}
+	s.kernel.Wake(s.evMCID[i], at)
 }
 
 func (s *System) wakeNet(at uint64) {
-	if s.evOn {
-		s.kernel.Wake(s.evNetID, at)
-	}
+	s.kernel.Wake(s.evNetID, at)
 }
 
-// Dirty helpers: post-hook rekey marks, no-ops on the reference loop.
+// Dirty helpers: post-hook rekey marks, ignored by the reference loop.
 // The epoch hook calls these for every component whose schedule
 // it may move — tiles receiving a synchronous heartbeat (token refills,
 // resync resets), controllers hit by an injected stall or freeze (their
@@ -118,26 +94,22 @@ func (s *System) wakeNet(at uint64) {
 // have ticked), and the delayed-delivery queue itself.
 
 func (s *System) dirtyTile(i int) {
-	if s.evOn && s.evTileID[i] >= 0 {
+	if s.evTileID[i] >= 0 {
 		s.kernel.DirtyEvent(s.evTileID[i])
 	}
 }
 
 func (s *System) dirtyMC(i int) {
-	if s.evOn {
-		s.kernel.DirtyEvent(s.evMCID[i])
-	}
+	s.kernel.DirtyEvent(s.evMCID[i])
 }
 
 func (s *System) dirtyEpochQ() {
-	if s.evOn {
-		s.kernel.DirtyEvent(s.evEpochID)
-	}
+	s.kernel.DirtyEvent(s.evEpochID)
 }
 
 // nextCycle clamps a ready time to the next cycle for pushes whose
 // target class has already run this cycle (tile→slice, slice→door,
-// anyone→net): the cycle-stepped kernel would service those on the next
+// anyone→net): the reference loop would service those on the next
 // tick too, so the clamp changes nothing except avoiding a same-cycle
 // backward wake.
 func (s *System) nextCycle(at uint64) uint64 {
@@ -147,7 +119,7 @@ func (s *System) nextCycle(at uint64) uint64 {
 	return at
 }
 
-// --- component adapters ------------------------------------------------
+// --- components --------------------------------------------------------
 
 // epochComp drains delayed heartbeat deliveries (epoch jitter, gossip
 // lag, injected SAT delays).
@@ -191,10 +163,10 @@ func (c netComp) NextEventAt(from uint64) uint64 {
 func (c netComp) FastForward(from, to uint64) { c.s.net.FastForward(from, to) }
 
 // mcComp pairs one memory controller with its front door (they tick
-// together, door first, exactly as System.tick interleaves them). The
-// pair is due when either half can act — the door admit, the controller
-// issue. A door tick that admits nothing changes nothing, so the ticks
-// before that are the controller's accounting alone, which it replays.
+// together, door first). The pair is due when either half can act — the
+// door admit, the controller issue. A door tick that admits nothing
+// changes nothing, so the ticks before that are the controller's
+// accounting alone, which it replays.
 type mcComp struct{ d *frontDoor }
 
 func (c mcComp) Tick(now uint64) {
@@ -206,15 +178,8 @@ func (c mcComp) NextEventAt(from uint64) uint64 {
 }
 func (c mcComp) FastForward(from, to uint64) { c.d.mc.FastForward(from, to) }
 
-// sliceComp is one L3 slice.
-type sliceComp struct {
-	s  *System
-	id int
-}
-
-func (c sliceComp) Tick(now uint64) { c.s.slices[c.id].tick(now) }
-func (c sliceComp) NextEventAt(from uint64) uint64 {
-	sl := c.s.slices[c.id]
+// A *Slice is one L3 slice's component (Tick in slice.go).
+func (sl *Slice) NextEventAt(from uint64) uint64 {
 	next := sim.NoEvent
 	if _, at, ok := sl.inbox.Peek(); ok {
 		if at <= from {
@@ -222,7 +187,7 @@ func (c sliceComp) NextEventAt(from uint64) uint64 {
 		}
 		next = at
 	}
-	if c.s.net != nil {
+	if sl.sys.net != nil {
 		if _, at, ok := sl.out.Peek(); ok {
 			if at <= from {
 				return from
@@ -234,17 +199,11 @@ func (c sliceComp) NextEventAt(from uint64) uint64 {
 	}
 	return next
 }
-func (c sliceComp) FastForward(from, to uint64) {}
+func (sl *Slice) FastForward(from, to uint64) {}
 
-// tileComp is one attached tile (core + caches + source regulator).
-type tileComp struct {
-	s  *System
-	id int
-}
-
-func (c tileComp) Tick(now uint64) { c.s.tiles[c.id].tick(now) }
-func (c tileComp) NextEventAt(from uint64) uint64 {
-	t := c.s.tiles[c.id]
+// A *Tile is one attached tile's component: core, caches and source
+// regulator (Tick in tile.go).
+func (t *Tile) NextEventAt(from uint64) uint64 {
 	next := sim.NoEvent
 	if t.wd != nil {
 		// The watchdog is a pure deadline check: before the deadline
@@ -290,45 +249,31 @@ func (c tileComp) NextEventAt(from uint64) uint64 {
 	}
 	return next
 }
-func (c tileComp) FastForward(from, to uint64) {
-	c.s.tiles[c.id].core.FastForward(from, to)
-}
+func (t *Tile) FastForward(from, to uint64) { t.core.FastForward(from, to) }
 
 // --- dispatch ----------------------------------------------------------
 
-// dispatchEvents runs one class's due components for one cycle. The due
-// list arrives sorted by registration id (= ascending entity index).
+// dispatchEvents runs one class's due components for one cycle, in the
+// canonical order. The due list arrives sorted by registration id (=
+// ascending entity index), which is that order for every class but the
+// slices: those are serviced from slice now%n on, wrapping, so freed MC
+// credits are not always captured by the lowest-numbered slices'
+// backlogs (mesh routers arbitrate fairly, not by slice index). The
+// ascending due list is walked from its first slice at or past now%n.
 func (s *System) dispatchEvents(now uint64, class int, due []int) {
-	switch class {
-	case evClassEpoch:
-		s.drainEpochQ(now)
-	case evClassNet:
-		s.netTick(now)
-	case evClassMC:
+	if class != evClassSlice {
 		for _, id := range due {
-			d := s.doors[s.evEntity[id]]
-			d.tick(now)
-			d.mc.Tick(now)
+			s.evComps[id].Tick(now)
 		}
-	case evClassSlice:
-		s.evTickSlices(now, due)
-	case evClassTile:
-		for _, id := range due {
-			s.tiles[s.evEntity[id]].tick(now)
-		}
+		return
 	}
-}
-
-// evTickSlices runs the due slices in the cycle's canonical order:
-// System.tick services slice (now+k)%n at position k, so the ascending
-// due list is walked from its first slice at or past now%n, wrapping.
-func (s *System) evTickSlices(now uint64, due []int) {
-	start := int(now % uint64(len(s.slices)))
+	base := s.evSliceID[0]
+	start := base + int(now%uint64(len(s.slices)))
 	first := 0
-	for first < len(due) && s.evEntity[due[first]] < start {
+	for first < len(due) && due[first] < start {
 		first++
 	}
 	for k := range due {
-		s.slices[s.evEntity[due[(first+k)%len(due)]]].tick(now)
+		s.slices[due[(first+k)%len(due)]-base].Tick(now)
 	}
 }

@@ -83,8 +83,8 @@ func TestEventKernelBitIdentical(t *testing.T) {
 		cfg := testCfg()
 		cfg.Kernel = kernel
 		sys, hi, lo := twoClassStreams(t, cfg, qospolicy.PABST, 7, 3, 8, 8)
-		if sys.evOn != (kernel != config.KernelCycle) {
-			t.Fatalf("Kernel=%q: event mode = %v", kernel, sys.evOn)
+		if sys.kernel.Reference != (kernel == config.KernelCycle) {
+			t.Fatalf("Kernel=%q: reference mode = %v", kernel, sys.kernel.Reference)
 		}
 		sys.Warmup(10000)
 		sys.Run(40000)

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"pabst/internal/ckpt"
+	"pabst/internal/mem"
 	"pabst/internal/qos"
 	"pabst/internal/qospolicy"
 	"pabst/internal/workload"
@@ -194,4 +195,136 @@ func TestCkptKeepsWaitersOnPrefetch(t *testing.T) {
 		t.Fatal(err)
 	}
 	compareMSHR(t, 0, dst, map[uint64][]uint64{7: {42}, 9: {43}, 11: nil})
+}
+
+// TestRestoreRejectsResponseWithoutMSHR: every read a tile image holds,
+// in its response inbox or its miss FIFOs, must be the tile's own with
+// an MSHR for its line, or the load is ErrCorrupt. At the parent of
+// this test each image loaded and the response's arrival panicked with
+// "response for line ... with no MSHR" — the queued case in Run after a
+// FuzzRestore restore, whose image had changed a queued miss's address.
+func TestRestoreRejectsResponseWithoutMSHR(t *testing.T) {
+	// Responses wait in an inbox only on the latency-only mesh; misses
+	// queue behind a pacer.
+	stream := func(t *testing.T) *System { return streamMachine(t, 16) }
+	zoo := func(t *testing.T) *System { return zooSystem(t, qospolicy.Pair{Source: "pabst", Target: "pabst"}) }
+	for name, tc := range map[string]struct {
+		build func(t *testing.T) *System
+		holds func(tl *Tile) bool
+		poke  func(tl *Tile)
+	}{
+		"inbox response": {
+			stream,
+			func(tl *Tile) bool { return tl != nil && tl.inbox.Len() > 0 },
+			func(tl *Tile) { tl.mshr.remove(tl.inbox.At(0).Addr.LineID()) },
+		},
+		"queued miss": {
+			zoo,
+			func(tl *Tile) bool { return tl != nil && tl.queued > 0 },
+			func(tl *Tile) { firstQueued(tl).Addr ^= 1 << 32 },
+		},
+		"queued miss of another tile": {
+			zoo,
+			func(tl *Tile) bool { return tl != nil && tl.queued > 0 },
+			func(tl *Tile) { firstQueued(tl).SrcTile = (tl.id + 1) % 8 },
+		},
+	} {
+		src := tc.build(t)
+		var tl *Tile
+		for i := 0; tl == nil; i++ {
+			if i == 100_000 {
+				t.Fatalf("%s: no tile ever held one", name)
+			}
+			src.Run(1)
+			for _, x := range src.tiles {
+				if tc.holds(x) {
+					tl = x
+					break
+				}
+			}
+		}
+		if _, err := carry(src, tc.build(t), src.limits()); err != nil {
+			t.Fatalf("%s: unmodified image: %v", name, err)
+		}
+		tc.poke(tl)
+		if _, err := carry(src, tc.build(t), src.limits()); !errors.Is(err, ckpt.ErrCorrupt) {
+			t.Errorf("%s without an MSHR: got %v, want ErrCorrupt", name, err)
+		}
+	}
+}
+
+// firstQueued returns the first miss in a tile's FIFOs.
+func firstQueued(tl *Tile) *mem.Packet {
+	for i := range tl.missQ {
+		if tl.missQ[i].Len() > 0 {
+			return tl.missQ[i].At(0)
+		}
+	}
+	return nil
+}
+
+// TestRestoreRejectsRepeatedMSHRLine: MSHR lines are stored strictly
+// ascending, so a repeated line is ErrCorrupt. At the parent of this
+// test it loaded as a second entry no response ever frees.
+func TestRestoreRejectsRepeatedMSHRLine(t *testing.T) {
+	src := newMSHRTable(16)
+	src.insert(7).addWaiter(42)
+	src.insert(7).addWaiter(43)
+	src.insert(9)
+	if _, err := carry(ckpt.WalkFunc(src.ckpt), ckpt.WalkFunc(newMSHRTable(16).ckpt), ckpt.Limits{}); !errors.Is(err, ckpt.ErrCorrupt) {
+		t.Fatalf("line 7 stored twice: got %v, want ErrCorrupt", err)
+	}
+}
+
+// TestRestoreRejectsQueuedMismatch: a tile's queued count must equal
+// what its miss FIFOs hold. At the parent of this test a smaller count
+// loaded and the tile never injected again; a larger one loaded too.
+func TestRestoreRejectsQueuedMismatch(t *testing.T) {
+	pair := qospolicy.Pair{Source: "pabst", Target: "pabst"}
+	src := zooSystem(t, pair)
+	src.Run(12_000)
+	var tl *Tile
+	for _, x := range src.tiles {
+		if x != nil && x.queued > 0 {
+			tl = x
+			break
+		}
+	}
+	if tl == nil {
+		t.Fatal("no miss queued at any tile; the test needs one")
+	}
+	if _, err := carry(src, zooSystem(t, pair), src.limits()); err != nil {
+		t.Fatalf("unmodified image: %v", err)
+	}
+	for _, delta := range []int{-1, 1} {
+		tl.queued += delta
+		if _, err := carry(src, zooSystem(t, pair), src.limits()); !errors.Is(err, ckpt.ErrCorrupt) {
+			t.Errorf("queued off by %+d: got %v, want ErrCorrupt", delta, err)
+		}
+		tl.queued -= delta
+	}
+}
+
+// TestRestoreRejectsStrayMSHRWaiter: every MSHR waiter must be a
+// distinct core op awaiting a miss, or the response completing it
+// panics in the core. At the parent of this test both images loaded;
+// the fuzz target, once it ran what it restored, found the first.
+func TestRestoreRejectsStrayMSHRWaiter(t *testing.T) {
+	for name, poke := range map[string]func(e *mshrEntry){
+		"not issued": func(e *mshrEntry) { e.inline[0] += 1 << 20 },
+		"twice":      func(e *mshrEntry) { e.addWaiter(e.inline[0]) },
+	} {
+		src := streamMachine(t, 16)
+		tl := src.tiles[0]
+		for i := 0; tl.mshr.len() == 0 || tl.mshr.entries[0].n == 0; i++ {
+			if i == 100_000 {
+				t.Fatal("no core op ever waited on tile 0's MSHRs")
+			}
+			src.Run(1)
+		}
+		poke(&tl.mshr.entries[0])
+		if _, err := carry(src, streamMachine(t, 16), src.limits()); !errors.Is(err, ckpt.ErrCorrupt) {
+			t.Errorf("MSHR waiter %s: got %v, want ErrCorrupt", name, err)
+		}
+	}
 }

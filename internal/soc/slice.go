@@ -107,8 +107,8 @@ func (sl *Slice) drainOut(now uint64) {
 	}
 }
 
-// tick services one demand request per cycle.
-func (sl *Slice) tick(now uint64) {
+// Tick services one demand request per cycle.
+func (sl *Slice) Tick(now uint64) {
 	if sl.sys.net != nil {
 		sl.drainOut(now)
 		if sl.out.Len() >= sliceOutCap {

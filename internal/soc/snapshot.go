@@ -123,7 +123,7 @@ func (s *System) Snapshot() Snapshot {
 	if reg, vis := s.kernel.EventClassStats(); reg != nil {
 		for c := range reg {
 			snap.EventClasses = append(snap.EventClasses, EventClassSnapshot{
-				Class:      evClassName(c),
+				Class:      evClassNames[c],
 				Registered: reg[c],
 				Visited:    vis[c],
 			})

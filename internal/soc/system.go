@@ -64,16 +64,14 @@ type System struct {
 	obsMC    []obsMCPrev            // per-controller counters at last emit
 	obsFault obsFaultPrev           // fault/degradation counters at last emit
 
-	// Event-kernel state (see events.go): per-entity component ids so
-	// push sites can wake their targets. evOn gates the wake helpers; it
-	// is false only on the reference loop (config.KernelCycle).
-	evOn      bool
+	// Kernel registration (see events.go): per-entity component ids so
+	// push sites can wake their targets, and the components by id.
 	evEpochID int
 	evNetID   int
 	evMCID    []int
 	evSliceID []int
 	evTileID  []int
-	evEntity  []int // component id -> entity index within its class
+	evComps   []sim.Sleeper
 
 	// Degradation observability (tracked only when faults are active):
 	// per-epoch governor divergence and re-convergence bookkeeping.
@@ -124,7 +122,7 @@ func New(cfg config.System, reg *qos.Registry, pair qospolicy.Pair) (*System, er
 		cfg:    cfg,
 		reg:    reg,
 		pair:   pair,
-		kernel: &sim.Kernel{},
+		kernel: &sim.Kernel{Reference: cfg.Kernel == config.KernelCycle},
 		mesh:   mesh,
 		tiles:  make([]*Tile, cfg.NumTiles()),
 		slices: make([]*Slice, cfg.NumTiles()),
@@ -271,13 +269,7 @@ func (s *System) Finalize() error {
 	s.satPerMC = make([]bool, len(s.mcs))
 	s.kernel.Every(ep, ep, s.epochTick)
 	s.kernel.Every(s.cfg.BWWindow, s.cfg.BWWindow, s.sampleTick)
-
-	if s.cfg.Kernel == config.KernelCycle {
-		// The differential oracle: every component, every cycle.
-		s.kernel.Register(sim.TickFunc(s.tick))
-	} else {
-		s.registerEventComps()
-	}
+	s.registerEventComps()
 	s.finalized = true
 	return nil
 }
@@ -454,12 +446,10 @@ func (s *System) drainEpochQ(now uint64) {
 			// state, if any: a tile with no queued miss, no core work and
 			// no response in flight sleeps through its heartbeats. The
 			// epoch class drains before the tile class, so a wake at now
-			// lands exactly when the sequential tick would service the
+			// lands exactly when the reference loop would service the
 			// refill.
-			if s.evOn {
-				if at := (tileComp{s, msg.tile}).NextEventAt(now); at != sim.NoEvent {
-					s.wakeTile(msg.tile, at)
-				}
+			if at := t.NextEventAt(now); at != sim.NoEvent {
+				s.wakeTile(msg.tile, at)
 			}
 		}
 	}
@@ -479,35 +469,6 @@ func (s *System) netTick(now uint64) {
 				break
 			}
 			s.mcOut[i].Pop(now)
-		}
-	}
-}
-
-// tick advances every component one cycle, back to front so responses
-// travel with their modeled latencies. It is the reference loop's whole
-// cycle (config.KernelCycle); the event kernel dispatches the same
-// components in the same order, but only those with due work — see
-// events.go.
-func (s *System) tick(now uint64) {
-	s.drainEpochQ(now)
-	if s.net != nil {
-		s.netTick(now)
-	}
-	for _, d := range s.doors {
-		d.tick(now)
-		d.mc.Tick(now)
-	}
-	// Rotate slice service order so freed MC credits are not always
-	// captured by the lowest-numbered slices' backlogs (mesh routers
-	// arbitrate fairly, not by slice index).
-	n := len(s.slices)
-	start := int(now % uint64(n))
-	for i := 0; i < n; i++ {
-		s.slices[(start+i)%n].tick(now)
-	}
-	for _, t := range s.tiles {
-		if t != nil {
-			t.tick(now)
 		}
 	}
 }

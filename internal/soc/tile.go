@@ -214,8 +214,8 @@ func (t *Tile) prefetch(line mem.Addr, now uint64) {
 	}
 }
 
-// tick drains responses, injects paced misses, and steps the core.
-func (t *Tile) tick(now uint64) {
+// Tick drains responses, injects paced misses, and steps the core.
+func (t *Tile) Tick(now uint64) {
 	if t.wd != nil {
 		t.wd.WatchdogTick(now)
 	}
