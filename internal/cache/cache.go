@@ -15,56 +15,60 @@ type Config struct {
 	Ways int
 }
 
-// A line is one packed word: valid | dirty | class | rank | line number,
+// A line is two parallel array entries: lo holds line-number bits 31–0,
+// and hi holds valid | dirty | class | rank | line-number bits 36–32,
 // high to low. A byte address is mem.AddrBits wide and a line
-// 2^LineShift bytes, so a line number needs lineBits; Access panics on a
-// wider one, which no caller can produce (soc.Tile.Access drops the bits
-// above the machine's width, a restore refuses them). The class field
-// holds any ClassID below mem.MaxClasses, the rank field a way's recency
-// within its set, 0 the most recent. The hit scan compares a word under
-// matchMask against validBit|lineID and so reads nothing but the set's
-// tags (one host cache line for an 8-way set). An invalid line is a word
-// without the valid bit; only its rank field may be nonzero, and nothing
-// reads it.
+// 2^LineShift bytes, so a line number needs lineBits; a lookup panics on
+// a wider one, which no caller can produce (soc.Tile.Access drops the
+// bits above the machine's width, a restore refuses them). The class
+// field holds any ClassID below mem.MaxClasses, the rank field a way's
+// recency within its set, 0 the most recent. The hit scan compares lo
+// first and reads hi only when it matches, so a miss reads nothing but
+// the set's lo words (32 B for an 8-way set). The victim scan, aging and
+// dirtying read and write hi alone; a fill writes both. An invalid line
+// is an hi entry without the valid bit; only its rank field may be
+// nonzero, and nothing reads it.
 const (
 	lineBits   = mem.AddrBits - mem.LineShift
-	rankBits   = 8
-	rankShift  = lineBits
-	classBits  = 4
+	loBits     = 32
+	rankShift  = lineBits - loBits
+	rankBits   = 5
 	classShift = rankShift + rankBits
+	classBits  = 4
 	lineMask   = uint64(1)<<lineBits - 1
-	rankMask   = uint64(1)<<rankBits - 1
+	hiLineMask = uint16(1)<<rankShift - 1
+	rankMask   = uint16(1)<<rankBits - 1
 	rankField  = rankMask << rankShift
-	classMask  = uint64(1)<<classBits - 1
-	dirtyBit   = uint64(1) << 62
-	validBit   = uint64(1) << 63
-	matchMask  = validBit | lineMask
+	classMask  = uint16(1)<<classBits - 1
+	dirtyBit   = uint16(1) << 14
+	validBit   = uint16(1) << 15
+	matchMask  = validBit | hiLineMask
 )
 
-// The fields must fill the word without overlap, every class must fit
-// its field and every rank of a MaxWays-way set its own.
+// The fields must fill hi without overlap, every class must fit its field
+// and every rank of a MaxWays-way set its own.
 var (
-	_ [62 - classShift - classBits]struct{}
-	_ [classShift + classBits - 62]struct{}
+	_ [14 - classShift - classBits]struct{}
+	_ [classShift + classBits - 14]struct{}
 	_ [1<<classBits - mem.MaxClasses]struct{}
 	_ [1<<rankBits - 1 - MaxWays]struct{}
 )
 
-func pack(lineID uint64, class mem.ClassID, dirty bool) uint64 {
-	w := validBit | uint64(class)<<classShift | lineID
+func packHi(lineID uint64, class mem.ClassID, dirty bool) uint16 {
+	h := validBit | uint16(class)<<classShift | uint16(lineID>>loBits)
 	if dirty {
-		w |= dirtyBit
+		h |= dirtyBit
 	}
-	return w
+	return h
 }
 
-func classOf(w uint64) mem.ClassID { return mem.ClassID(w >> classShift & classMask) }
+func classOf(h uint16) mem.ClassID { return mem.ClassID(h >> classShift & classMask) }
 
-func rankOf(w uint64) uint64 { return w >> rankShift & rankMask }
+func rankOf(h uint16) uint16 { return h >> rankShift & rankMask }
 
 // MaxWays bounds the associativity: a way's recency rank within its set
-// fills rankBits, and a checkpoint stores it as 1+rank in a byte.
-const MaxWays = 255
+// fills rankBits.
+const MaxWays = 31
 
 // Victim describes a line displaced by an allocation.
 type Victim struct {
@@ -85,18 +89,22 @@ type Result struct {
 type Cache struct {
 	cfg     Config
 	numSets int
-	// tags holds numSets * ways packed lines, set-major. A set's n valid
+	// lo and hi hold numSets * ways lines, set-major. A set's n valid
 	// ways rank 0..n-1: no line is invalidated outside restore, so a fill
 	// into an invalid way takes rank 0 and ages every valid way by one.
-	tags []uint64
+	lo []uint32
+	hi []uint16
 
 	// occ counts each class's valid lines: a fill adds one to the filling
 	// class, an eviction takes one from the victim's. Restore recounts it.
-	occ [mem.MaxClasses]int
+	// The counters and the partition bounds are narrow so the struct
+	// stays within 256 B: an L1's arrays are 3 KiB, and the struct is
+	// part of its bytes per line (TestCacheBytesPerLine).
+	occ [mem.MaxClasses]int32
 
 	// partWays[class] == 0 means the class is unrestricted.
-	partStart [mem.MaxClasses]int
-	partWays  [mem.MaxClasses]int
+	partStart [mem.MaxClasses]uint8
+	partWays  [mem.MaxClasses]uint8
 
 	// Stats
 	Hits, Misses, Evictions, DirtyEvictions uint64
@@ -119,7 +127,8 @@ func New(cfg Config) *Cache {
 	return &Cache{
 		cfg:     cfg,
 		numSets: numSets,
-		tags:    make([]uint64, numSets*cfg.Ways),
+		lo:      make([]uint32, numSets*cfg.Ways),
+		hi:      make([]uint16, numSets*cfg.Ways),
 	}
 }
 
@@ -137,8 +146,8 @@ func (c *Cache) Partition(class mem.ClassID, start, n int) {
 	if n < 0 || start < 0 || start+n > c.cfg.Ways {
 		panic(fmt.Sprintf("cache: partition [%d,%d) outside %d ways", start, start+n, c.cfg.Ways))
 	}
-	c.partStart[class] = start
-	c.partWays[class] = n
+	c.partStart[class] = uint8(start)
+	c.partWays[class] = uint8(n)
 }
 
 // setBase returns the index of the first way of lineID's set. numSets is
@@ -147,11 +156,16 @@ func (c *Cache) setBase(lineID uint64) int {
 	return int(lineID&uint64(c.numSets-1)) * c.cfg.Ways
 }
 
-// find returns the index in tags of line id, whose set starts at base, or
-// -1.
+// find returns the index of line id, whose set starts at base, or -1. It
+// panics on a line number wider than lineBits: the compare sees only
+// lineBits of it, so a wider one would alias a resident line.
 func (c *Cache) find(id uint64, base int) int {
-	for i, w := range c.tags[base : base+c.cfg.Ways] {
-		if w&matchMask == validBit|id {
+	if id > lineMask {
+		panic(fmt.Sprintf("cache: address %#x beyond the %d-bit physical address space", id<<mem.LineShift, mem.AddrBits))
+	}
+	lo, hi := uint32(id), validBit|uint16(id>>loBits)
+	for i, l := range c.lo[base : base+c.cfg.Ways] {
+		if l == lo && c.hi[base+i]&matchMask == hi {
 			return base + i
 		}
 	}
@@ -161,18 +175,18 @@ func (c *Cache) find(id uint64, base int) int {
 // touch makes way i the most recently used of the set starting at base:
 // it takes rank 0, and every way ranked below its old rank ages by one.
 func (c *Cache) touch(base, i int) {
-	if r := rankOf(c.tags[i]); r != 0 {
-		age(c.tags[base:base+c.cfg.Ways], r)
-		c.tags[i] &^= rankField
+	if r := rankOf(c.hi[i]); r != 0 {
+		age(c.hi[base:base+c.cfg.Ways], r)
+		c.hi[i] &^= rankField
 	}
 }
 
 // age adds one to every rank in set below r. rank-r borrows into the top
 // bit iff rank < r, and r <= MaxWays, so a rank never carries out of its
 // field. An invalid way ages too: its rank is never read.
-func age(set []uint64, r uint64) {
-	for j, w := range set {
-		set[j] = w + (rankOf(w)-r)>>63<<rankShift
+func age(set []uint16, r uint16) {
+	for j, h := range set {
+		set[j] = h + (rankOf(h)-r)>>15<<rankShift
 	}
 }
 
@@ -185,48 +199,47 @@ func (c *Cache) Access(addr mem.Addr, write bool, class mem.ClassID) Result {
 	if i := c.find(id, base); i >= 0 {
 		c.touch(base, i)
 		if write {
-			c.tags[i] |= dirtyBit
+			c.hi[i] |= dirtyBit
 		}
 		c.Hits++
 		return Result{Hit: true}
 	}
 	c.Misses++
-	if id > lineMask {
-		panic(fmt.Sprintf("cache: address %#x beyond the %d-bit physical address space", uint64(addr), mem.AddrBits))
-	}
 
 	// Victim selection within the class's allowed ways: the first
 	// invalid way, else the least recently used (the highest rank).
 	start, n := 0, c.cfg.Ways
 	if pw := c.partWays[class]; pw > 0 {
-		start, n = c.partStart[class], pw
+		start, n = int(c.partStart[class]), int(pw)
 	}
-	set := c.tags[base : base+c.cfg.Ways]
-	v, r := start, uint64(0)
-	for j, w := range set[start : start+n] {
-		if w&validBit == 0 {
+	set := c.hi[base : base+c.cfg.Ways]
+	v, r := start, uint16(0)
+	for j, h := range set[start : start+n] {
+		if h&validBit == 0 {
 			v, r = start+j, MaxWays
 			break
 		}
-		if wr := rankOf(w); wr > r {
-			v, r = start+j, wr
+		if hr := rankOf(h); hr > r {
+			v, r = start+j, hr
 		}
 	}
 	res := Result{}
-	if w := set[v]; w&validBit != 0 {
+	if h := set[v]; h&validBit != 0 {
 		c.Evictions++
-		dirty := w&dirtyBit != 0
+		dirty := h&dirtyBit != 0
 		if dirty {
 			c.DirtyEvictions++
 		}
-		victim := Victim{Addr: mem.Addr(w & lineMask << mem.LineShift), Class: classOf(w), Dirty: dirty}
+		line := uint64(h&hiLineMask)<<loBits | uint64(c.lo[base+v])
+		victim := Victim{Addr: mem.Addr(line << mem.LineShift), Class: classOf(h), Dirty: dirty}
 		c.occ[victim.Class]--
 		res = Result{Evicted: true, Victim: victim}
 	}
 	// The filled way takes rank 0; an invalid one outranked every valid
 	// way (r = MaxWays), so all of them age.
 	age(set, r)
-	set[v] = pack(id, class, write)
+	c.lo[base+v] = uint32(id)
+	set[v] = packHi(id, class, write)
 	c.occ[class]++
 	return res
 }
@@ -243,7 +256,7 @@ func (c *Cache) Writeback(addr mem.Addr, class mem.ClassID) bool {
 		c.Misses++
 		return false
 	}
-	c.tags[i] |= dirtyBit
+	c.hi[i] |= dirtyBit
 	c.touch(base, i)
 	c.Hits++
 	return true
@@ -273,4 +286,8 @@ func (c *Cache) OccupancyByClass() map[mem.ClassID]int {
 
 // OccupancyInto is the allocation-free variant of OccupancyByClass: dst
 // receives each class's valid-line count, a copy of the kept counters.
-func (c *Cache) OccupancyInto(dst *[mem.MaxClasses]int) { *dst = c.occ }
+func (c *Cache) OccupancyInto(dst *[mem.MaxClasses]int) {
+	for cls, n := range c.occ {
+		dst[cls] = int(n)
+	}
+}

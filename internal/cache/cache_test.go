@@ -184,7 +184,7 @@ func TestBadGeometryPanics(t *testing.T) {
 		{SizeBytes: 3 * mem.LineSize, Ways: 2},     // not multiple
 		{SizeBytes: 3 * 2 * mem.LineSize, Ways: 2}, // 3 sets, not pow2
 		{SizeBytes: 64, Ways: 2},                   // sub-line
-		{SizeBytes: 256 * mem.LineSize, Ways: 256}, // one set, wider than a rank byte holds
+		{SizeBytes: 32 * mem.LineSize, Ways: 32},   // one set, wider than the rank field holds
 	}
 	for _, cfg := range cases {
 		func() {
@@ -205,37 +205,86 @@ func TestBadPartitionPanics(t *testing.T) {
 	c.Partition(0, 2, 3)
 }
 
-// TestCacheBytesPerLine gates the host footprint of the paper machine's
-// largest array, one L3 slice: one packed word a line, its recency rank
-// inside. The line state is most of a simulated machine's live heap, so
-// a rank byte back beside the word is a 12 % regression of live_heap_mb
-// and a timestamp word a 100 % one.
+// TestCacheBytesPerLine gates the host footprint of the three preset
+// geometries (L1, L2, one L3 slice): a 4-byte lo word and a 2-byte hi
+// word a line, each array an exact allocation size class. The line state
+// is most of a simulated machine's live heap, so the 8-byte word it
+// replaced is a 33 % regression of the arrays, and a tail pad that bumps
+// an array into the next size class fails here too.
 func TestCacheBytesPerLine(t *testing.T) {
-	cfg := Config{SizeBytes: 512 * 1024, Ways: 16}
-	lines := cfg.SizeBytes / mem.LineSize
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	c := New(cfg)
-	runtime.ReadMemStats(&after)
-	perLine := float64(after.TotalAlloc-before.TotalAlloc) / float64(lines)
-	if perLine > 8.5 {
-		t.Fatalf("cache.New allocates %.1f B per line, want <= 8 plus the Cache struct", perLine)
+	for _, cfg := range []Config{
+		{SizeBytes: 32 * 1024, Ways: 8},
+		{SizeBytes: 256 * 1024, Ways: 8},
+		{SizeBytes: 512 * 1024, Ways: 16},
+	} {
+		lines := cfg.SizeBytes / mem.LineSize
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		c := New(cfg)
+		runtime.ReadMemStats(&after)
+		perLine := float64(after.TotalAlloc-before.TotalAlloc) / float64(lines)
+		if perLine > 6.5 {
+			t.Errorf("%+v: cache.New allocates %.2f B per line, want <= 6 plus the Cache struct", cfg, perLine)
+		}
+		runtime.KeepAlive(c)
 	}
-	runtime.KeepAlive(c)
+}
+
+// TestWideLineNumberPanics: the lookup compares only lineBits of a line
+// number, so a wider one would alias a resident line. Every entry point
+// panics on it instead, and none counts it.
+func TestWideLineNumberPanics(t *testing.T) {
+	c := New(Config{SizeBytes: 4 * 8 * mem.LineSize, Ways: 8})
+	a := lineAddr(5)
+	c.Access(a, false, 0)
+	calls := []struct {
+		name string
+		call func(mem.Addr)
+	}{
+		{"Access", func(x mem.Addr) { c.Access(x, true, 0) }},
+		{"Contains", func(x mem.Addr) { c.Contains(x) }},
+		{"Writeback", func(x mem.Addr) { c.Writeback(x, 0) }},
+	}
+	for _, bit := range []uint{mem.AddrBits, mem.AddrBits + 11, 63} {
+		for _, f := range calls {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s(%#x) did not panic", f.name, uint64(a|1<<bit))
+					}
+				}()
+				f.call(a | 1<<bit)
+			}()
+		}
+	}
+	if c.Hits != 0 || c.Misses != 1 || !c.Contains(a) {
+		t.Errorf("counters %d/%d after the panics, want 0/1 and line %#x resident", c.Hits, c.Misses, uint64(a))
+	}
+}
+
+// storedWord is a valid line as a checkpoint stores it, built from its
+// fields: valid 63 | dirty 62 | class 61–58 | line number 49–0.
+func storedWord(line uint64, class mem.ClassID, dirty bool) uint64 {
+	w := uint64(1)<<63 | uint64(class)<<58 | line
+	if dirty {
+		w |= 1 << 62
+	}
+	return w
 }
 
 // TestRestoreRejectsUnpackable loads well-formed images (valid CRC) of a
 // 256-set, 4-way cache whose first set's line bytes break what the live
 // layout relies on: valid ranks that are not a permutation of 0..n-1, a
-// stored word without its valid bit, a stored line number beyond the
-// 50-bit field (an address wider than mem.AddrBits), more valid lines
-// claimed than the image stores. Each fails with ckpt.ErrCorrupt,
+// stored word without its valid bit, a stored line number at or above
+// 2^37 or a bit between it and the class (an address wider than
+// mem.AddrBits), more valid lines claimed than the image stores. Each fails with ckpt.ErrCorrupt,
 // without a panic and without allocating more than the image. The
 // control image restores and then evicts in the order its ranks say.
 func TestRestoreRejectsUnpackable(t *testing.T) {
 	cfg := Config{SizeBytes: 256 * 4 * mem.LineSize, Ways: 4}
 	lines := cfg.SizeBytes / mem.LineSize
-	old, young := pack(1<<50-256, mem.MaxClasses-1, true), pack(256, 0, false) // both in set 0
+	const oldLine = 1<<37 - 256 // the top line of set 0
+	old, young := storedWord(oldLine, mem.MaxClasses-1, true), storedWord(256, 0, false)
 	for _, tc := range []struct {
 		name  string
 		set   [4]byte // set 0's line bytes: 0 invalid, else 1+rank
@@ -246,8 +295,10 @@ func TestRestoreRejectsUnpackable(t *testing.T) {
 		{"control", [4]byte{2, 0, 1, 0}, []uint64{old, young}, false, nil},
 		{"rank >= valid lines", [4]byte{3, 0, 1, 0}, []uint64{old, young}, false, ckpt.ErrCorrupt},
 		{"repeated rank", [4]byte{1, 0, 1, 0}, []uint64{old, young}, false, ckpt.ErrCorrupt},
-		{"word without the valid bit", [4]byte{2, 0, 1, 0}, []uint64{old &^ validBit, young}, false, ckpt.ErrCorrupt},
-		{"line number beyond the 50-bit field", [4]byte{2, 0, 1, 0}, []uint64{old, young | 1<<50}, false, ckpt.ErrCorrupt},
+		{"word without the valid bit", [4]byte{2, 0, 1, 0}, []uint64{old &^ (1 << 63), young}, false, ckpt.ErrCorrupt},
+		{"line number at 2^37", [4]byte{2, 0, 1, 0}, []uint64{old, young | 1<<37}, false, ckpt.ErrCorrupt},
+		{"line number at the top of the 50-bit field", [4]byte{2, 0, 1, 0}, []uint64{old, young | 1<<49}, false, ckpt.ErrCorrupt},
+		{"a bit between the line and the class", [4]byte{2, 0, 1, 0}, []uint64{old, young | 1<<57}, false, ckpt.ErrCorrupt},
 		{"more valid lines than words", [4]byte{2, 0, 1, 0}, []uint64{old, young}, true, ckpt.ErrCorrupt},
 	} {
 		img, err := ckpt.Encode(ckpt.Header{}, ckpt.WalkFunc(func(k *ckpt.Codec) {
@@ -297,7 +348,7 @@ func TestRestoreRejectsUnpackable(t *testing.T) {
 		c.Access(lineAddr(768), false, 0) // fills invalid way 3
 		r := c.Access(lineAddr(1024), false, 0)
 		if occ[0] != 1 || occ[mem.MaxClasses-1] != 1 || c.Hits != 1 || c.DirtyEvictions != 4+1 ||
-			r.Victim != (Victim{Addr: mem.Addr(old & lineMask << mem.LineShift), Class: mem.MaxClasses - 1, Dirty: true}) {
+			r.Victim != (Victim{Addr: mem.Addr(oldLine << mem.LineShift), Class: mem.MaxClasses - 1, Dirty: true}) {
 			t.Errorf("%s: occupancy %v, counters %d/%d, victim %+v", tc.name, occ, c.Hits, c.DirtyEvictions, r.Victim)
 		}
 	}

@@ -132,12 +132,13 @@ func (c *refCache) OccupancyInto(dst *[mem.MaxClasses]int) {
 	}
 }
 
-// Ckpt writes the reference's lines in the cache's stored form: one byte
-// per line, 0 for invalid and else 1 + the number of valid ways in its
-// set used more recently, then the packed words of the valid lines (save
-// only: the reference is never restored into). Equal bytes therefore
-// mean the packed cache's recency ranks order every set as these
-// timestamps do.
+// Ckpt writes the reference's lines in the checkpoint format from their
+// own fields: one byte per line, 0 for invalid and else 1 + the number of
+// valid ways in its set used more recently, then the image word of each
+// valid line (save only: the reference is never restored into). Equal
+// bytes therefore mean the packed cache's recency ranks order every set
+// as these timestamps do, and that its words are the format's, whatever
+// its live layout.
 func (c *refCache) Ckpt(k *ckpt.Codec) {
 	n := len(c.lines)
 	k.Int(&n)
@@ -155,7 +156,7 @@ func (c *refCache) Ckpt(k *ckpt.Codec) {
 				ranks[i]++
 			}
 		}
-		words = append(words, pack(l.tag, l.class, l.dirty))
+		words = append(words, storedWord(l.tag, l.class, l.dirty))
 	}
 	copy(k.AppendRaw(len(ranks)), ranks)
 	for i := range words {
@@ -198,16 +199,16 @@ type diffPair struct {
 
 // step makes one random call on both caches. Addresses come from a pool
 // a few times the capacity (hits, evictions and set conflicts all occur),
-// with one draw in eight moved to the top of the 50-bit line-number field
-// so line numbers use every bit below the rank field. The top of the
-// field is as far as they go: a line number is an address of
-// mem.AddrBits bits, Access panics on a wider one, and the reference,
-// which would take it, shares the checkpoint's format with the cache.
+// with one draw in eight moved to the top of the lineBits-wide
+// line-number field, so line numbers use both the lo word and the hi
+// bits. The top of the field is as far as they go: a line number is an
+// address of mem.AddrBits bits, and every entry point panics on a wider
+// one (TestWideLineNumberPanics).
 func (p *diffPair) step(i int) {
 	cfg := p.got.cfg
-	id := uint64(p.rng.Intn(4 * len(p.got.tags)))
+	id := uint64(p.rng.Intn(4 * len(p.got.lo)))
 	if p.rng.Intn(8) == 0 {
-		id |= (1<<50 - 1) &^ (1<<40 - 1)
+		id |= (1<<lineBits - 1) &^ (1<<(lineBits-10) - 1)
 	}
 	addr := mem.Addr(id<<mem.LineShift) + mem.Addr(p.rng.Intn(mem.LineSize))
 	class := mem.ClassID(p.rng.Intn(mem.MaxClasses))

@@ -235,7 +235,7 @@ func (s *System) Validate() error {
 		{"L2", "L2Ways", s.L2Bytes, s.L2Ways, s.L2HitLat},
 		{"L3Slice", "L3Ways", s.L3SliceBytes, s.L3Ways, s.L3HitLat},
 	} {
-		// The cache model ranks a set's ways in an 8-bit field of each line.
+		// The cache model ranks a set's ways in a 5-bit field of each line.
 		if c.ways > cache.MaxWays {
 			return fmt.Errorf("config: %s: %d ways, the cache model holds at most %d: %w",
 				c.waysField, c.ways, cache.MaxWays, ErrInvalid)

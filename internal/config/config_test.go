@@ -62,7 +62,7 @@ func TestValidateCatchesMismatches(t *testing.T) {
 		func(s *System) { s.Core.WindowOps = 0 },
 		func(s *System) { s.MaxMSHRs = 0 },
 		func(s *System) { s.L2Bytes = 0 },
-		func(s *System) { s.L1Bytes, s.L1Ways = 32<<10, 512 }, // one set, wider than a rank byte holds
+		func(s *System) { s.L1Bytes, s.L1Ways = 32<<10, 512 }, // one set, wider than the rank field holds
 		func(s *System) { s.DRAM.Banks = 3 },
 		func(s *System) { s.PABST.ScaleF = 0 },
 		func(s *System) { s.BWWindow = 0 },
@@ -87,29 +87,31 @@ func TestValidateCatchesMismatches(t *testing.T) {
 	}
 }
 
-// TestValidateBoundsWays pins the one limit the cache's 8-bit recency
-// ranks add: 512 ways in a 32 KB L1 is a power-of-two set count (one
-// set) that the rank field cannot hold, and each ways field names itself.
+// TestValidateBoundsWays pins the one limit the cache's 5-bit recency
+// ranks add: 32 ways is rejected in each cache, with a power-of-two set
+// count (one set for the L1) so only the width is wrong, and each ways
+// field names itself. 31 ways, the widest set the rank field holds, is
+// accepted.
 func TestValidateBoundsWays(t *testing.T) {
 	for _, c := range []struct {
 		field string
 		mut   func(*System)
 	}{
-		{"L1Ways", func(s *System) { s.L1Bytes, s.L1Ways = 32<<10, 512 }},
-		{"L2Ways", func(s *System) { s.L2Ways = 256 }},
-		{"L3Ways", func(s *System) { s.L3Ways = 256 }},
+		{"L1Ways", func(s *System) { s.L1Bytes, s.L1Ways = 32*64, 32 }},
+		{"L2Ways", func(s *System) { s.L2Ways = 32 }},
+		{"L3Ways", func(s *System) { s.L3Ways = 32 }},
 	} {
 		s := Default32()
 		c.mut(&s)
 		err := s.Validate()
 		if !errors.Is(err, ErrInvalid) || !strings.Contains(err.Error(), c.field) {
-			t.Errorf("%s over 255: Validate = %v, want ErrInvalid naming the field", c.field, err)
+			t.Errorf("%s = 32: Validate = %v, want ErrInvalid naming the field", c.field, err)
 		}
 	}
 	s := Default32()
-	s.L3SliceBytes, s.L3Ways = 255*4*64, 255 // 4 sets of the widest set a rank byte holds
+	s.L3SliceBytes, s.L3Ways = 31*4*64, 31 // 4 sets of the widest set a rank field holds
 	if err := s.Validate(); err != nil {
-		t.Errorf("255 ways rejected: %v", err)
+		t.Errorf("31 ways rejected: %v", err)
 	}
 }
 

@@ -9,13 +9,12 @@ const LineSize = 64
 // LineShift is log2(LineSize).
 const LineShift = 6
 
-// AddrBits is the machine's physical address width. x86-64 and Arm
-// decode at most 52 bits and the largest address any generator here
-// emits is below 2^43; the caches spend the bits above the width on a
-// line's recency rank, so an address wider than this never reaches them
-// (Phys drops the excess where an address enters the hierarchy, and a
-// restored packet carrying one is corrupt).
-const AddrBits = 56
+// AddrBits is the machine's physical address width. The largest address
+// any generator here emits is below 2^43 (tile 1024's window of a 32×32
+// mesh); the caches store a line number in 37 bits, so an address wider
+// than this never reaches them (Phys drops the excess where an address
+// enters the hierarchy, and a restored packet carrying one is corrupt).
+const AddrBits = 43
 
 // Addr is a physical byte address.
 type Addr uint64

@@ -45,8 +45,8 @@ func TestPacketListLengthBoundedByImage(t *testing.T) {
 
 // TestPacketAddressWithinTheWidth: a restored packet's address reaches
 // the caches, which hold line numbers of AddrBits-LineShift bits, so an
-// address at or above 2^AddrBits is corruption. The highest line below
-// it loads.
+// address at or above 2^AddrBits (2^43) is corruption. The highest line
+// below it loads.
 func TestPacketAddressWithinTheWidth(t *testing.T) {
 	for _, tc := range []struct {
 		addr Addr
@@ -54,6 +54,7 @@ func TestPacketAddressWithinTheWidth(t *testing.T) {
 	}{
 		{1<<AddrBits - LineSize, nil},
 		{1 << AddrBits, ckpt.ErrCorrupt},
+		{1 << 43, ckpt.ErrCorrupt}, // the width itself: a 37-bit cache line number
 		{1<<63 | 0x40, ckpt.ErrCorrupt},
 	} {
 		raw, err := ckpt.Encode(ckpt.Header{}, ckpt.WalkFunc(func(c *ckpt.Codec) {

@@ -52,7 +52,7 @@ func FuzzConfigJSON(f *testing.F) {
 	hostile.L3SliceBytes = 1000 // not a whole number of sets
 	seed(hostile)
 	hostile = config.Scaled8()
-	hostile.L1Bytes, hostile.L1Ways = 32<<10, 512 // one set, wider than a rank byte holds
+	hostile.L1Bytes, hostile.L1Ways = 32<<10, 512 // one set, wider than the rank field holds
 	seed(hostile)
 	f.Add([]byte(`{"MeshCols":1,"MeshRows":1}`))
 

@@ -289,19 +289,19 @@ var _ cpu.MemPort = (*Tile)(nil)
 
 // TestAccessDropsBitsAboveTheAddressWidth: a tile decodes mem.AddrBits of
 // an address, as the machine's address decoder does, so an op stream
-// with bit 60 set in every address runs exactly as the same stream
-// without it — the same misses, prefetches, evictions and writebacks, to
-// the same lines. (The core's window keeps the ops as generated, so only
-// the caches' images are compared, not the whole machine's.)
+// with bit 60, or the first bit above the width, set in every address
+// runs exactly as the same stream without it — the same misses,
+// prefetches, evictions and writebacks, to the same lines. (The core's
+// window keeps the ops as generated, so only the caches' images are
+// compared, not the whole machine's.)
 func TestAccessDropsBitsAboveTheAddressWidth(t *testing.T) {
 	cfg := testCfg8()
 	cfg.PrefetchDepth = 2
 	l2sets := cfg.L2Bytes / (cfg.L2Ways * mem.LineSize)
-	var low, high []mem.Addr
+	var low []mem.Addr
 	var writes []bool
 	for i := range 4 * cfg.L2Ways { // enough lines of one L2 set to evict dirty ones
-		a := tileRegion(0).Base + mem.Addr(i*l2sets*mem.LineSize+i%mem.LineSize)
-		low, high = append(low, a), append(high, a|1<<60)
+		low = append(low, tileRegion(0).Base+mem.Addr(i*l2sets*mem.LineSize+i%mem.LineSize))
 		writes = append(writes, i%3 == 0)
 	}
 	var dirtyEvictions uint64
@@ -333,12 +333,18 @@ func TestAccessDropsBitsAboveTheAddressWidth(t *testing.T) {
 		return fingerprint(sys, c.ID), img
 	}
 	want, wantImg := run(low)
-	got, img := run(high)
-	if got != want {
-		t.Errorf("bit 60 set:\n%s\nwithout:\n%s", got, want)
-	}
-	if !bytes.Equal(img, wantImg) {
-		t.Error("bit 60 set: the caches hold other lines than without it")
+	for _, bit := range []uint{60, mem.AddrBits} {
+		high := make([]mem.Addr, len(low))
+		for i, a := range low {
+			high[i] = a | 1<<bit
+		}
+		got, img := run(high)
+		if got != want {
+			t.Errorf("bit %d set:\n%s\nwithout:\n%s", bit, got, want)
+		}
+		if !bytes.Equal(img, wantImg) {
+			t.Errorf("bit %d set: the caches hold other lines than without it", bit)
+		}
 	}
 	if dirtyEvictions == 0 {
 		t.Fatal("the stream evicted no dirty line from the L2")

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pabst"
+	"pabst/internal/mem"
 )
 
 func TestBuilderEndToEnd(t *testing.T) {
@@ -138,6 +139,18 @@ func TestTileRegionsDisjoint(t *testing.T) {
 		a, b := pabst.TileRegion(i), pabst.TileRegion(i+1)
 		if uint64(a.Base)+a.Size > uint64(b.Base) {
 			t.Fatalf("regions %d and %d overlap", i, i+1)
+		}
+	}
+}
+
+// TestTileRegionsFitTheAddressWidth: every tile window of a 32×32 mesh
+// (1024 tiles, four times the benchmark's largest machine) ends below
+// 2^mem.AddrBits, so the width drops no bit of a tile's address.
+func TestTileRegionsFitTheAddressWidth(t *testing.T) {
+	cfg := pabst.MeshScaledConfig(32, 32)
+	for i := range cfg.NumTiles() {
+		if r := pabst.TileRegion(i); uint64(r.Base)+r.Size > 1<<mem.AddrBits {
+			t.Fatalf("tile %d's region [%#x, %#x) ends beyond 2^%d", i, uint64(r.Base), uint64(r.Base)+r.Size, mem.AddrBits)
 		}
 	}
 }
