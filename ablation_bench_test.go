@@ -65,10 +65,17 @@ func BenchmarkAblationPerMCGovernors(b *testing.B) {
 	}
 }
 
+// BenchmarkAblationEpochJitter lags each heartbeat by up to j cycles
+// through a fault plan's SAT.DelayJitter, the one way to lag it.
 func BenchmarkAblationEpochJitter(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, j := range []uint64{0, 200, 1000} {
-			share, bpc := runStreams73(b, func(c *pabst.SystemConfig) { c.PABST.EpochJitter = j })
+			share, bpc := runStreams73(b, func(c *pabst.SystemConfig) {
+				if j > 0 {
+					c.Faults = &pabst.FaultPlan{}
+					c.Faults.SAT.DelayJitter = j
+				}
+			})
 			reportAllocation(b, fmt.Sprintf("jitter-%d", j), share, bpc)
 		}
 	}

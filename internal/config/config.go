@@ -67,9 +67,11 @@ type System struct {
 
 	// Faults optionally injects deterministic faults into the SAT
 	// broadcast, the DRAM controllers, and the NoC (see internal/fault).
-	// Nil (the default) injects nothing and adds no overhead; the
-	// degradation knobs in PABST (watchdog, fallback, resync) define how
-	// governors survive what the plan breaks.
+	// Nil (the default) injects nothing and adds no overhead. An active
+	// plan also arms the governors' degradation machinery (watchdog,
+	// fallback, resync; see pabst.WatchdogEpochs), which is how they
+	// survive what the plan breaks. The modeled NoC takes no NoC half:
+	// its fabric has no hook that applies one.
 	Faults *fault.Plan `json:",omitempty"`
 
 	// WBCharge selects which class pays for shared-cache writebacks
@@ -273,6 +275,9 @@ func (s *System) Validate() error {
 	}
 	if err := s.Faults.Validate(s.PABST.EpochCycles); err != nil {
 		return fmt.Errorf("config: Faults: %w: %w", err, ErrInvalid)
+	}
+	if s.ModelNoC && s.Faults != nil && (s.Faults.NoC.DelayProb > 0 || s.Faults.NoC.DropProb > 0) {
+		return fmt.Errorf("config: ModelNoC/Faults.NoC: the modeled fabric does not apply NoC faults: %w", ErrInvalid)
 	}
 	if s.BWWindow == 0 {
 		return fmt.Errorf("config: BWWindow: zero bandwidth window: %w", ErrInvalid)

@@ -66,11 +66,13 @@ func TestValidateCatchesMismatches(t *testing.T) {
 		func(s *System) { s.DRAM.Banks = 3 },
 		func(s *System) { s.PABST.ScaleF = 0 },
 		func(s *System) { s.BWWindow = 0 },
-		func(s *System) { s.PABST.WatchdogCycles = s.PABST.EpochCycles }, // not past the epoch
-		func(s *System) { s.PABST.FallbackM = s.PABST.MMax + 1 },
 		func(s *System) { s.Faults = &fault.Plan{SAT: fault.SATPlan{DropProb: 2}} },
 		func(s *System) {
 			s.Faults = &fault.Plan{SAT: fault.SATPlan{DelayCycles: s.PABST.EpochCycles}}
+		},
+		func(s *System) {
+			s.ModelNoC = true
+			s.Faults = &fault.Plan{NoC: fault.NoCPlan{DropProb: 0.01}}
 		},
 	}
 	for i, mut := range muts {
@@ -122,9 +124,31 @@ func TestValidFaultPlanAccepted(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Faults = &p
-	s.PABST = s.PABST.WithDegradation()
 	if err := s.Validate(); err != nil {
-		t.Fatalf("faulted config with degradation armed rejected: %v", err)
+		t.Fatalf("faulted config rejected: %v", err)
+	}
+}
+
+// TestValidateModelNoCRefusesNoCFaults pins that the modeled fabric,
+// which has no hook that applies a NoC fault, refuses a plan with an
+// active NoC half and names both fields, while it takes the plan's
+// other halves.
+func TestValidateModelNoCRefusesNoCFaults(t *testing.T) {
+	s := Default32()
+	s.ModelNoC = true
+	s.Faults = &fault.Plan{NoC: fault.NoCPlan{DelayProb: 1, DelayCycles: 5000}}
+	err := s.Validate()
+	if !errors.Is(err, ErrInvalid) || !strings.Contains(err.Error(), "ModelNoC") || !strings.Contains(err.Error(), "Faults.NoC") {
+		t.Fatalf("modeled NoC with NoC faults: Validate = %v, want ErrInvalid naming ModelNoC and Faults.NoC", err)
+	}
+	p, err := fault.Preset("everything")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.NoC = fault.NoCPlan{}
+	s.Faults = &p
+	if err := s.Validate(); err != nil {
+		t.Fatalf("modeled NoC with SAT and DRAM faults rejected: %v", err)
 	}
 }
 

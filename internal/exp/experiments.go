@@ -178,8 +178,8 @@ func NewIsolationExperiment(name, desc string, workloads []string, efficiency bo
 
 // NewFaultsExperiment builds the clean-vs-faulted comparison of the 7:3
 // scenario under the named fault plan (a preset or a JSON path). The
-// faulted arm runs with the degradation knobs armed (watchdog + fallback
-// + resync), so the table shows what the mechanism holds onto when its
+// plan arms the governors' degradation machinery (watchdog + fallback +
+// resync), so the table shows what the mechanism holds onto when its
 // feedback loop is under attack, plus the degradation counters.
 func NewFaultsExperiment(plan string) Experiment {
 	return &expDef{

@@ -517,8 +517,8 @@ type RunSpec struct {
 	// Workload names the SPEC proxy for the spec/iaas benches.
 	Workload string `json:"workload,omitempty"`
 	// Fault optionally names a fault plan (preset or JSON path; the sweep
-	// service admits presets only); the run arms the degradation knobs
-	// and reports RunResult.Faults.
+	// service admits presets only); the plan arms the governors'
+	// degradation machinery and the run reports RunResult.Faults.
 	Fault string `json:"fault,omitempty"`
 }
 
@@ -532,11 +532,19 @@ func (rs RunSpec) Validate() error {
 	if rs.Scale == "" {
 		return Terminal(fmt.Errorf("%w: empty scale name", config.ErrInvalid))
 	}
-	// The machine the params describe must be buildable: a queue depth
-	// from a REST body is otherwise first checked by the allocator.
+	// The machine the params and the plan describe must be buildable: a
+	// queue depth from a REST body is otherwise first checked by the
+	// allocator, and a NoC fault on the modeled fabric never.
 	cfg := pabst.Default32Config()
 	if err := rs.applyParams(&cfg); err != nil {
 		return err
+	}
+	if rs.Fault != "" {
+		plan, err := pabst.LoadFaultPlan(rs.Fault)
+		if err != nil {
+			return Terminal(fmt.Errorf("%w: %w", config.ErrInvalid, err))
+		}
+		cfg.Faults = plan
 	}
 	if err := cfg.Validate(); err != nil {
 		return Terminal(err)
@@ -555,11 +563,6 @@ func (rs RunSpec) Validate() error {
 	}
 	if !def.workload && rs.Workload != "" {
 		return Terminal(fmt.Errorf("%w: bench %q takes no workload", config.ErrInvalid, rs.Bench))
-	}
-	if rs.Fault != "" {
-		if _, err := pabst.LoadFaultPlan(rs.Fault); err != nil {
-			return Terminal(fmt.Errorf("%w: %w", config.ErrInvalid, err))
-		}
 	}
 	return nil
 }
@@ -684,7 +687,6 @@ func (rs RunSpec) buildFor(cfg pabst.SystemConfig, sc Scale) (*pabst.Builder, []
 		if ferr != nil {
 			return nil, nil, Terminal(ferr)
 		}
-		cfg.PABST = cfg.PABST.WithDegradation()
 		opts = append(opts, pabst.WithFaultPlan(plan))
 	}
 	if rs.Bench == BenchPeriodic {

@@ -18,9 +18,13 @@ func tinyExec() Exec {
 }
 
 func TestRunSpecValidate(t *testing.T) {
-	good := RunSpec{Bench: BenchStreams, Scale: "quick", Params: map[string]uint64{"epoch": 1000}}
-	if err := good.Validate(); err != nil {
-		t.Fatalf("valid spec rejected: %v", err)
+	for _, good := range []RunSpec{
+		{Bench: BenchStreams, Scale: "quick", Params: map[string]uint64{"epoch": 1000}},
+		{Bench: BenchStreams, Scale: "quick", Params: map[string]uint64{"noc": 1}, Fault: "sat-partition"},
+	} {
+		if err := good.Validate(); err != nil {
+			t.Fatalf("valid spec %+v rejected: %v", good, err)
+		}
 	}
 	for name, spec := range map[string]RunSpec{
 		"bad-bench": {Bench: "nope", Scale: "quick"},
@@ -36,6 +40,9 @@ func TestRunSpecValidate(t *testing.T) {
 		"zero-epoch":   {Bench: BenchStreams, Scale: "quick", Params: map[string]uint64{"epoch": 0}},
 		"flag-not-0/1": {Bench: BenchStreams, Scale: "quick", Params: map[string]uint64{"page": 7}},
 		"permc+hetero": {Bench: BenchStreams, Scale: "quick", Params: map[string]uint64{"permc": 1, "hetero": 1}},
+		// The modeled fabric has no hook that applies a NoC fault.
+		"noc+noc-storm":  {Bench: BenchStreams, Scale: "quick", Params: map[string]uint64{"noc": 1}, Fault: "noc-storm"},
+		"noc+everything": {Bench: BenchStreams, Scale: "quick", Params: map[string]uint64{"noc": 1}, Fault: "everything"},
 	} {
 		err := spec.Validate()
 		if err == nil {

@@ -3,11 +3,13 @@ package exp
 import (
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"hash/crc64"
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -329,6 +331,12 @@ func TestWarmStoreKeysOnGeneratorRecipe(t *testing.T) {
 // A store hit allocates what building the machine does, plus the file
 // it reads and no second copy of it: at most 1.2 image sizes beyond the
 // build.
+//
+// Each window is measured with encoding/json's encoder pool stocked and
+// the collector off, so it counts what the save or restore asks for and
+// not pool refills: the race detector drops a quarter of all sync.Pool
+// puts, and without a stock a restore's two fingerprint encodes would
+// regrow their buffers in about half the runs.
 func TestCheckpointAllocations(t *testing.T) {
 	scale := Scale{Name: "sat", Warmup: 100_000, Epoch: 2000, Window: 2000, Ckpt: t.TempDir()}
 	build := func() *pabst.Builder {
@@ -341,6 +349,10 @@ func TestCheckpointAllocations(t *testing.T) {
 		return b
 	}
 	allocated := func(f func()) uint64 {
+		if _, err := json.Marshal(nestedJSON(8)); err != nil {
+			t.Fatal(err)
+		}
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		f()
@@ -389,6 +401,19 @@ func TestCheckpointAllocations(t *testing.T) {
 	if limit := built + uint64(1.2*float64(image)); restored > limit {
 		t.Errorf("restoring a %d-byte image allocated %d bytes; the build alone %d (limit %d)", image, restored, built, limit)
 	}
+}
+
+// nestedJSON marshals through that many nested json.Marshal calls, so
+// as many encoder states are in use at once and return to encoding/json's
+// pool together, each grown to hold 64 KB: more than any machine
+// description a checkpoint fingerprint encodes.
+type nestedJSON int
+
+func (n nestedJSON) MarshalJSON() ([]byte, error) {
+	if n == 0 {
+		return json.Marshal(strings.Repeat("x", 64<<10))
+	}
+	return json.Marshal(n - 1)
 }
 
 // countingWriter counts the bytes written to it and keeps none.

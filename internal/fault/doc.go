@@ -9,7 +9,10 @@
 // signal on the identical heartbeat; this package exists to break that
 // assumption on purpose. All randomness flows from sim.RNG streams seeded
 // by the experiment seed, so a faulted run is exactly as reproducible as
-// a clean one. A nil or zero Plan injects nothing and costs nothing.
+// a clean one. A nil or zero Plan injects nothing and costs nothing; an
+// active one is also what arms the governors' degradation machinery
+// (internal/soc). The NoC half applies on the latency-only mesh only:
+// config.System.Validate refuses it together with the modeled NoC.
 //
 // Main entry points: Preset and Load obtain a Plan; NewInjector binds
 // it to seeded RNG streams; the soc layer consults the injector at each

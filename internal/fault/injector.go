@@ -76,8 +76,7 @@ func (in *Injector) ShardNoC(tiles, mcs int) {
 func (in *Injector) Plan() Plan { return in.plan }
 
 // Counters returns the per-kind injected-fault counts, folding in any
-// shard-local NoC tallies first. Call only from sequential contexts
-// (epoch hooks, end-of-run reporting) — never mid parallel phase.
+// shard-local NoC tallies first.
 func (in *Injector) Counters() *stats.Counters {
 	in.foldNoC()
 	return in.counters
@@ -168,8 +167,7 @@ func (in *Injector) NoCSend() (drop bool, delay uint64) {
 
 // NoCSendTile decides the fate of one injection originating at a tile
 // (request toward the L3/fabric). Draws come from the tile's private
-// stream and tally shard-locally, so calls are safe from the parallel
-// tick's tile phase. Requires ShardNoC.
+// stream and tally shard-locally. Requires ShardNoC.
 func (in *Injector) NoCSendTile(tile int) (drop bool, delay uint64) {
 	return in.nocSend(&in.nocTile[tile])
 }

@@ -16,14 +16,6 @@ func hbMC(sat bool, perMC []bool) regulate.Heartbeat {
 	return regulate.Heartbeat{SatAny: sat, SatPerMC: perMC}
 }
 
-func degradeParams() Params {
-	p := testParams() // epoch 1000
-	p.WatchdogCycles = 2000
-	p.WatchdogHold = 2
-	p.ResyncEpochs = 8
-	return p
-}
-
 func TestRatePeriodOverflowSaturates(t *testing.T) {
 	// m*stride*threads overflowing 64 bits must saturate (maximal
 	// throttle), never wrap to a tiny period that un-throttles the class.
@@ -40,32 +32,12 @@ func TestRatePeriodOverflowSaturates(t *testing.T) {
 	}
 }
 
-func TestDegradeParamsValidation(t *testing.T) {
-	bad := []func(*Params){
-		func(p *Params) { p.WatchdogCycles = p.EpochCycles }, // not past epoch
-		func(p *Params) { p.WatchdogCycles = p.EpochCycles + p.EpochJitter },
-		func(p *Params) { p.WatchdogHold = -1 },
-		func(p *Params) { p.FallbackM = p.MMax + 1 },
-		func(p *Params) { p.ResyncEpochs = -1 },
-		func(p *Params) { p.ResyncEpochs = 4; p.PerMCGovernors = true },
-	}
-	for i, mut := range bad {
-		p := DefaultParams()
-		mut(&p)
-		if err := p.Validate(); err == nil {
-			t.Fatalf("bad degradation params %d accepted", i)
-		}
-	}
-	if err := DefaultParams().WithDegradation().Validate(); err != nil {
-		t.Fatalf("WithDegradation invalid: %v", err)
-	}
-}
-
 func TestWatchdogHoldsThenDecays(t *testing.T) {
 	reg := qos.NewRegistry()
 	c := reg.MustAdd("c", 1, 4)
 	reg.AttachCPU(c.ID)
-	p := degradeParams()
+	p := testParams()
+	deadline := WatchdogEpochs * p.EpochCycles
 	g := NewGovernor(p, reg, c.ID)
 
 	// Drive M well above MInit with saturated epochs.
@@ -79,9 +51,9 @@ func TestWatchdogHoldsThenDecays(t *testing.T) {
 		t.Fatalf("setup: M=%d did not rise above MInit=%d", mHigh, p.MInit)
 	}
 
-	// Silence. The first WatchdogHold expiries hold M (gain reset only).
-	for i := 0; i < p.WatchdogHold; i++ {
-		now += p.WatchdogCycles
+	// Silence. The first HoldDeadlines expiries hold M (gain reset only).
+	for i := 0; i < HoldDeadlines; i++ {
+		now += deadline
 		g.WatchdogTick(now)
 		if g.Monitor(0).M() != mHigh {
 			t.Fatalf("expiry %d moved M during hold: %d", i, g.Monitor(0).M())
@@ -93,7 +65,7 @@ func TestWatchdogHoldsThenDecays(t *testing.T) {
 	// Prolonged silence decays toward the fallback (MInit here) and
 	// lands exactly on it.
 	for i := 0; i < 200 && g.Monitor(0).M() != p.MInit; i++ {
-		now += p.WatchdogCycles
+		now += deadline
 		g.WatchdogTick(now)
 	}
 	if g.Monitor(0).M() != p.MInit {
@@ -109,7 +81,7 @@ func TestWatchdogHoldsThenDecays(t *testing.T) {
 	now += p.EpochCycles
 	g.Epoch(regulate.Heartbeat{Now: now, SatAny: true})
 	mAfter := g.Monitor(0).M()
-	now += p.WatchdogCycles
+	now += deadline
 	g.WatchdogTick(now)
 	if g.Monitor(0).M() != mAfter {
 		t.Fatal("first expiry after recovery should hold, not decay")
@@ -120,12 +92,13 @@ func TestWatchdogInertBeforeDeadline(t *testing.T) {
 	reg := qos.NewRegistry()
 	c := reg.MustAdd("c", 1, 4)
 	reg.AttachCPU(c.ID)
-	p := degradeParams()
+	p := testParams()
+	deadline := WatchdogEpochs * p.EpochCycles
 	g := NewGovernor(p, reg, c.ID)
 	g.Epoch(regulate.Heartbeat{Now: p.EpochCycles, SatAny: true})
 	m := g.Monitor(0).M()
 	// Every cycle short of the deadline must be a no-op.
-	for now := p.EpochCycles; now < p.EpochCycles+p.WatchdogCycles; now += 100 {
+	for now := p.EpochCycles; now < p.EpochCycles+deadline; now += 100 {
 		g.WatchdogTick(now)
 	}
 	if g.Monitor(0).M() != m || g.Degrade().StaleIntervals != 0 {
@@ -137,7 +110,7 @@ func TestResyncConvergesWithinBound(t *testing.T) {
 	reg := qos.NewRegistry()
 	c := reg.MustAdd("c", 1, 4)
 	reg.AttachCPU(c.ID)
-	p := degradeParams()
+	p := testParams()
 
 	lag := NewGovernor(p, reg, c.ID)  // diverged low (was partitioned)
 	lead := NewGovernor(p, reg, c.ID) // tracked the max M
@@ -153,16 +126,16 @@ func TestResyncConvergesWithinBound(t *testing.T) {
 	}
 
 	// The heal: both receive resync gossip carrying the max M. Within
-	// ResyncEpochs heartbeats the lagging monitor must sit exactly on
+	// ResyncWithin heartbeats the lagging monitor must sit exactly on
 	// the target, and both must be in the identical state.
-	for i := 0; i < p.ResyncEpochs; i++ {
+	for i := 0; i < ResyncWithin; i++ {
 		gossip := regulate.Heartbeat{Now: uint64(i+1) * p.EpochCycles, Resync: true, GossipM: target}
 		lag.Epoch(gossip)
 		lead.Epoch(gossip)
 	}
 	if lag.Monitor(0).M() != target || lead.Monitor(0).M() != target {
 		t.Fatalf("not resynced after %d epochs: lag=%d lead=%d target=%d",
-			p.ResyncEpochs, lag.Monitor(0).M(), lead.Monitor(0).M(), target)
+			ResyncWithin, lag.Monitor(0).M(), lead.Monitor(0).M(), target)
 	}
 	if lag.Monitor(0).Shift() != lead.Monitor(0).Shift() || lag.Monitor(0).E() != lead.Monitor(0).E() {
 		t.Fatal("monitors left resync in different gain states")
@@ -182,8 +155,63 @@ func TestResyncConvergesWithinBound(t *testing.T) {
 	}
 }
 
+// TestSilencedGovernorNeedsTheMachinery is the evidence that the
+// degradation machinery is needed. A governor cut off from the heartbeat
+// for 20 epochs while its peer keeps stepping comes back apart from it.
+// Left alone (no WatchdogTick during the silence, no Resync heartbeat
+// after it) the pair stays apart on a shared SAT sequence; with the
+// watchdog ticking and the heartbeat gossiping the max M while the two
+// differ, as internal/soc does on a faulted machine, it re-joins within
+// ResyncWithin epochs and stays joined.
+func TestSilencedGovernorNeedsTheMachinery(t *testing.T) {
+	reg := qos.NewRegistry()
+	c := reg.MustAdd("c", 1, 4)
+	reg.AttachCPU(c.ID)
+	p := testParams()
+	seq := []bool{true, false, true, true, false, false, true}
+	const heal, after = 30, 20
+	run := func(armed bool) (apart []bool) {
+		cut, peer := NewGovernor(p, reg, c.ID), NewGovernor(p, reg, c.ID)
+		for e := 0; e < heal+after; e++ {
+			now := uint64(e+1) * p.EpochCycles
+			if e >= 10 && e < heal { // the cut governor hears nothing
+				peer.Epoch(regulate.Heartbeat{Now: now, SatAny: true})
+				if armed {
+					cut.WatchdogTick(now)
+				}
+				continue
+			}
+			mc, mp := cut.Monitor(0).M(), peer.Monitor(0).M()
+			if e >= heal {
+				apart = append(apart, mc != mp)
+			}
+			beat := regulate.Heartbeat{Now: now, SatAny: e < 10 || seq[e%len(seq)]}
+			if armed && mc != mp {
+				beat.Resync, beat.GossipM = true, max(mc, mp)
+			}
+			cut.Epoch(beat)
+			peer.Epoch(beat)
+		}
+		return apart
+	}
+	for i, a := range run(false) {
+		if !a {
+			t.Fatalf("unarmed pair re-joined %d epochs after the heal without any resync", i)
+		}
+	}
+	armed := run(true)
+	if !armed[0] {
+		t.Fatal("precondition: the armed pair came back from the silence joined")
+	}
+	for i, a := range armed[ResyncWithin:] {
+		if a {
+			t.Fatalf("armed pair apart %d epochs after the heal, want joined within %d", ResyncWithin+i, ResyncWithin)
+		}
+	}
+}
+
 func TestMonitorDecayFromBelowAndAbove(t *testing.T) {
-	p := degradeParams()
+	p := testParams()
 	m := NewSystemMonitor(p)
 	for i := 0; i < 40; i++ {
 		m.Epoch(true) // drive M far above MInit
@@ -209,8 +237,8 @@ func TestLanesWatchdog(t *testing.T) {
 	reg := qos.NewRegistry()
 	c := reg.MustAdd("c", 1, 4)
 	reg.AttachCPU(c.ID)
-	p := degradeParams()
-	p.ResyncEpochs = 0
+	p := testParams()
+	deadline := WatchdogEpochs * p.EpochCycles
 	p.PerMCGovernors = true
 	g := NewLaneGovernor(p, reg, c.ID, 2)
 
@@ -220,8 +248,8 @@ func TestLanesWatchdog(t *testing.T) {
 		g.Epoch(regulate.Heartbeat{Now: now, SatAny: true, SatPerMC: []bool{true, true}})
 	}
 	mHigh := g.Monitor(0).M()
-	for i := 0; i <= p.WatchdogHold; i++ {
-		now += p.WatchdogCycles
+	for i := 0; i <= HoldDeadlines; i++ {
+		now += deadline
 		g.WatchdogTick(now)
 	}
 	if g.Monitor(0).M() >= mHigh {

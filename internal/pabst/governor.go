@@ -41,6 +41,20 @@ func satMul(a, b uint64) uint64 {
 	return lo
 }
 
+// What a governor does when its heartbeat goes silent. These are not
+// knobs: internal/soc arms the watchdog and resync on exactly the
+// machines with a fault plan, and every one of them uses these values.
+const (
+	// WatchdogEpochs is the silence deadline, in epochs: past any lag a
+	// plan may add to a heartbeat (under one epoch).
+	WatchdogEpochs = 2
+	// HoldDeadlines is how many expired deadlines hold M (gain reset)
+	// before it decays toward MInit.
+	HoldDeadlines = 2
+	// ResyncWithin bounds re-convergence after a heal, in epochs.
+	ResyncWithin = 8
+)
+
 // DegradeStats counts a governor's degraded-signal events for
 // observability: how often its watchdog expired, how many decay steps it
 // took toward the fallback rate, and how many epochs it spent
@@ -76,9 +90,9 @@ type Governor struct {
 	// Counted only when HeterogeneousThreads will read it.
 	demand uint64
 
-	// Degraded-signal state (zero-valued and inert unless the watchdog
-	// or resynchronization is armed in params). One heartbeat feeds every
-	// lane, so there is one of each per governor.
+	// Degraded-signal state (zero-valued and inert unless the tile calls
+	// WatchdogTick or a heartbeat carries Resync). One heartbeat feeds
+	// every lane, so there is one of each per governor.
 	lastBeat       uint64 // delivery cycle of the most recent heartbeat
 	staleIntervals int    // consecutive expired watchdog deadlines
 	resyncLeft     int    // remaining bounded-resync epochs
@@ -169,15 +183,15 @@ func (g *Governor) period(m, demand, total uint64) uint64 {
 //
 // When the heartbeat carries resynchronization gossip (monitors diverged
 // during a degraded period), the governor converges its multiplier
-// toward the gossiped maximum within the configured epoch bound instead
-// of taking a normal SAT step, and skips the heterogeneous split.
+// toward the gossiped maximum within ResyncWithin epochs instead of
+// taking a normal SAT step, and skips the heterogeneous split.
 func (g *Governor) Epoch(hb regulate.Heartbeat) {
 	g.lastBeat = hb.Now
 	g.staleIntervals = 0
 
-	if hb.Resync && g.params.ResyncEpochs > 0 {
+	if hb.Resync {
 		if g.resyncLeft == 0 {
-			g.resyncLeft = g.params.ResyncEpochs
+			g.resyncLeft = ResyncWithin
 		}
 		for _, l := range g.lanes {
 			l.pacer.SetPeriod(g.period(l.monitor.ResyncStep(hb.GossipM, g.resyncLeft), 0, 0))
@@ -206,16 +220,14 @@ func (g *Governor) Epoch(hb regulate.Heartbeat) {
 }
 
 // WatchdogTick implements regulate.Watchdog: called every cycle by the
-// tile, it notices when the heartbeat has gone silent for longer than
-// the configured deadline. The governor first holds every lane's
-// multiplier with the gain reset (anti-windup) for WatchdogHold
-// intervals, then decays toward the conservative fallback multiplier — a
-// governor with no feedback must not keep the aggressive rate it
-// negotiated under conditions that no longer hold, and must not bank
+// tile, it notices when the heartbeat has gone silent for WatchdogEpochs
+// epochs. The governor first holds every lane's multiplier with the gain
+// reset (anti-windup) for HoldDeadlines intervals, then decays toward
+// MInit — a governor with no feedback must not keep the aggressive rate
+// it negotiated under conditions that no longer hold, and must not bank
 // gain that would fire an overshoot when the signal returns.
 func (g *Governor) WatchdogTick(now uint64) {
-	deadline := g.params.WatchdogCycles
-	if deadline == 0 || now-g.lastBeat < deadline {
+	if now-g.lastBeat < g.deadline() {
 		return
 	}
 	// One expired deadline interval; measure the next from here (a real
@@ -223,26 +235,25 @@ func (g *Governor) WatchdogTick(now uint64) {
 	g.lastBeat = now
 	g.staleIntervals++
 	g.degrade.StaleIntervals++
-	if g.staleIntervals <= g.params.WatchdogHold {
+	if g.staleIntervals <= HoldDeadlines {
 		for _, l := range g.lanes {
 			l.monitor.Hold()
 		}
 		return
 	}
-	fallback := g.params.FallbackM
-	if fallback == 0 {
-		fallback = g.params.MInit
-	}
 	g.degrade.Decays++
 	for _, l := range g.lanes {
-		l.pacer.SetPeriod(g.period(l.monitor.Decay(fallback), 0, 0))
+		l.pacer.SetPeriod(g.period(l.monitor.Decay(g.params.MInit), 0, 0))
 	}
 }
 
-// WatchdogNextAt implements regulate.Watchdog: the armed deadline is
-// one WatchdogCycles interval past the latest heartbeat (or the latest
-// expiry, which resets the measurement base).
-func (g *Governor) WatchdogNextAt() uint64 { return g.lastBeat + g.params.WatchdogCycles }
+// WatchdogNextAt implements regulate.Watchdog: the deadline is one
+// watchdog interval past the latest heartbeat (or the latest expiry,
+// which resets the measurement base).
+func (g *Governor) WatchdogNextAt() uint64 { return g.lastBeat + g.deadline() }
+
+// deadline is the watchdog interval in cycles.
+func (g *Governor) deadline() uint64 { return WatchdogEpochs * g.params.EpochCycles }
 
 // pacerFor returns the pacer regulating misses bound for controller mc:
 // the global lane whatever the channel, or that controller's own.

@@ -55,45 +55,6 @@ type Params struct {
 	// tens of cycles against a 20k-cycle epoch). Values < 2 keep the
 	// paper's flat broadcast.
 	GossipFanout int `json:",omitempty"`
-
-	// EpochJitter is the maximum per-tile lag, in cycles, between the
-	// epoch heartbeat and its arrival at a tile's governor — modeling
-	// the Section III-D relaxation that "lockstep" need only hold at a
-	// timescale much smaller than an epoch (heartbeats negotiated by
-	// network packets rather than dedicated wires). Zero means perfectly
-	// synchronous delivery.
-	EpochJitter uint64
-
-	// Graceful degradation of the feedback loop. The paper assumes the
-	// heartbeat/SAT broadcast is perfect; these knobs define behavior
-	// when it is not (late, lossy, or partitioned — see internal/fault).
-	// All default to zero, which disables degradation handling entirely
-	// and keeps clean-run behavior bit-identical.
-
-	// WatchdogCycles arms the stale-signal watchdog: a governor that has
-	// received no heartbeat for this many cycles treats the feedback
-	// channel as degraded. Must exceed EpochCycles+EpochJitter so it can
-	// never fire between healthy heartbeats. Zero disables the watchdog.
-	WatchdogCycles uint64
-
-	// WatchdogHold is how many expired watchdog deadlines the governor
-	// holds its current M (gain reset, no movement) before concluding
-	// the silence is prolonged and decaying toward FallbackM.
-	WatchdogHold int
-
-	// FallbackM is the conservative multiplier a silenced governor
-	// decays toward: without feedback it must not free-run at an
-	// aggressive rate negotiated under conditions that no longer hold.
-	// Zero means MInit (the safe cold-start operating point).
-	FallbackM uint64
-
-	// ResyncEpochs bounds re-convergence after a degraded period heals:
-	// when the heartbeat gossips that monitors have diverged, a lagging
-	// governor closes ceil(gap/left) of its distance to the max observed
-	// M per epoch, provably reaching it within ResyncEpochs epochs.
-	// Zero disables resynchronization gossip. Not supported together
-	// with PerMCGovernors (the gossip carries a single scalar M).
-	ResyncEpochs int
 }
 
 // DefaultParams returns the paper's configuration at a 2 GHz CPU clock.
@@ -139,47 +100,11 @@ func (p Params) Validate() error {
 	if p.ShiftMin > p.ShiftMax || p.ShiftInit < p.ShiftMin || p.ShiftInit > p.ShiftMax || p.ShiftMax > 63 {
 		return fmt.Errorf("pabst: shift bounds must satisfy ShiftMin <= ShiftInit <= ShiftMax <= 63")
 	}
-	if p.EpochJitter >= p.EpochCycles {
-		return fmt.Errorf("pabst: epoch jitter %d must be well under the epoch length %d", p.EpochJitter, p.EpochCycles)
-	}
 	if p.GossipFanout < 0 {
 		return fmt.Errorf("pabst: negative gossip fanout")
 	}
 	if p.HeterogeneousThreads && p.PerMCGovernors {
 		return fmt.Errorf("pabst: heterogeneous thread allocation is not implemented for per-MC governors")
 	}
-	if p.WatchdogCycles > 0 && p.WatchdogCycles <= p.EpochCycles+p.EpochJitter {
-		return fmt.Errorf("pabst: watchdog deadline %d must exceed epoch+jitter %d or it fires between healthy heartbeats",
-			p.WatchdogCycles, p.EpochCycles+p.EpochJitter)
-	}
-	if p.WatchdogHold < 0 {
-		return fmt.Errorf("pabst: negative watchdog hold")
-	}
-	if p.FallbackM != 0 && (p.FallbackM < p.MMin || p.FallbackM > p.MMax) {
-		return fmt.Errorf("pabst: fallback M %d outside [MMin=%d, MMax=%d]", p.FallbackM, p.MMin, p.MMax)
-	}
-	if p.ResyncEpochs < 0 {
-		return fmt.Errorf("pabst: negative resync epoch bound")
-	}
-	if p.ResyncEpochs > 0 && p.PerMCGovernors {
-		return fmt.Errorf("pabst: resynchronization gossip is not implemented for per-MC governors")
-	}
 	return nil
-}
-
-// WithDegradation returns a copy with the graceful-degradation defaults
-// armed: a watchdog at twice the epoch length, two held deadlines before
-// decay, fallback to the cold-start multiplier, and re-convergence within
-// eight epochs of a heal.
-func (p Params) WithDegradation() Params {
-	p.WatchdogCycles = 2 * p.EpochCycles
-	if p.EpochJitter >= p.EpochCycles {
-		p.WatchdogCycles = 2 * (p.EpochCycles + p.EpochJitter)
-	}
-	p.WatchdogHold = 2
-	p.FallbackM = 0 // MInit
-	if !p.PerMCGovernors {
-		p.ResyncEpochs = 8
-	}
-	return p
 }

@@ -29,7 +29,7 @@ func init() {
 	registerSource(Info{
 		Name:   "pabst",
 		Desc:   "adaptive SAT-feedback governor (one lane per channel when PerMCGovernors)",
-		Params: "EpochCycles, ScaleF, Inertia, BurstCredit, M*/Shift* bounds, PerMCGovernors, watchdog/resync knobs",
+		Params: "EpochCycles, ScaleF, Inertia, BurstCredit, M*/Shift* bounds, PerMCGovernors, a fault plan arms its watchdog and resync",
 		Cite:   "Hower, Cain, Waldspurger, \"PABST\", HPCA 2017 (Section III-B)",
 	}, func(env SourceEnv) regulate.Source {
 		lanes := 1

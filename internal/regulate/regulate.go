@@ -3,8 +3,8 @@ package regulate
 import "pabst/internal/mem"
 
 // Heartbeat is one epoch delivery to a source regulator: the cycle it
-// actually arrives (which may lag the epoch boundary under jitter or
-// injected faults), the wired-OR saturation signal plus the
+// actually arrives (which may lag the epoch boundary by the gossip tree
+// or an injected fault), the wired-OR saturation signal plus the
 // per-controller vector, and the optional resynchronization gossip the
 // system piggybacks on the broadcast after a partition heals.
 type Heartbeat struct {
@@ -17,7 +17,9 @@ type Heartbeat struct {
 	// Resync, when true, tells the governor that monitors have diverged
 	// (observed after a degraded-signal period) and it should converge
 	// its multiplier toward GossipM — the maximum M observed across all
-	// governors in the previous epoch — within its configured bound.
+	// governors in the previous epoch — within pabst.ResyncWithin
+	// epochs. Only a machine with a fault plan and global-lane governors
+	// sends it.
 	Resync bool
 	// GossipM carries the max observed multiplier when Resync is set.
 	GossipM uint64

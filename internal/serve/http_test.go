@@ -230,6 +230,7 @@ var hostileBodies = []string{
 	`{"spec":{"bench":"streams","scale":"tiny","params":{"queue":8589934592}}}`,
 	`{"spec":{"bench":"streams","scale":"tiny","params":{"page":7}}}`,
 	`{"spec":{"bench":"streams","scale":"tiny","params":{"bankq":2}}}`,
+	`{"spec":{"bench":"streams","scale":"tiny","params":{"noc":1},"fault":"noc-storm"}}`,
 }
 
 // TestHostileParamsRejected pins the trust boundary on RunSpec.Params:

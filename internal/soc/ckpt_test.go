@@ -16,9 +16,9 @@ import (
 	"pabst/internal/workload"
 )
 
-// zooSystem builds the 8-tile machine with the modeled NoC, every fault
-// domain armed, and one generator of every kind, so a single walk
-// reaches every checkpointable component type the product has (the
+// zooSystem builds the 8-tile machine with the modeled NoC, the SAT and
+// DRAM fault domains armed (the modeled fabric takes no NoC faults), and
+// one generator of every kind, so a single walk reaches every checkpointable component type the product has (the
 // per-channel governor with the "per-mc" variant of the pabst source).
 func zooSystem(t testing.TB, pair qospolicy.Pair) *System {
 	t.Helper()
@@ -31,6 +31,7 @@ func zooSystem(t testing.TB, pair qospolicy.Pair) *System {
 	if err != nil {
 		t.Fatal(err)
 	}
+	plan.NoC = fault.NoCPlan{} // the modeled fabric takes no NoC faults
 	cfg.Faults = &plan
 	reg := qos.NewRegistry()
 	hi := reg.MustAdd("hi", 3, cfg.L3Ways/2)

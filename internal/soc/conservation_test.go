@@ -219,7 +219,6 @@ func quickFigMachines() []figMachine {
 		panic(err)
 	}
 	faulted.Faults = &plan
-	faulted.PABST = faulted.PABST.WithDegradation()
 
 	ms := []figMachine{
 		{"fig5 streams 7:3", quick, qospolicy.PABST, twoStreams(7, 3, false)},

@@ -2,9 +2,11 @@ package soc
 
 import (
 	"math"
-	"pabst/internal/config"
 	"testing"
 
+	"pabst/internal/config"
+	"pabst/internal/fault"
+	"pabst/internal/pabst"
 	"pabst/internal/qospolicy"
 )
 
@@ -12,10 +14,14 @@ import (
 // heartbeats need not arrive at every governor on the same cycle — as
 // long as the skew is a small fraction of the epoch, the brief period
 // with "incorrect" target rates averages out and the allocation holds.
+// A fault plan is the one way to lag a heartbeat, so the skew is its
+// SAT.DelayJitter.
 func TestEpochJitterToleratedWhenSmall(t *testing.T) {
 	run := func(jitter uint64) float64 {
 		cfg := testCfg()
-		cfg.PABST.EpochJitter = jitter
+		if jitter > 0 {
+			cfg.Faults = &fault.Plan{SAT: fault.SATPlan{DelayJitter: jitter}}
+		}
 		sys, hi, _ := twoClassStreams(t, cfg, qospolicy.PABST, 7, 3, 16, 16)
 		sys.Warmup(150_000)
 		sys.Run(150_000)
@@ -32,14 +38,6 @@ func TestEpochJitterToleratedWhenSmall(t *testing.T) {
 	}
 	if math.Abs(skewed-sync) > 0.05 {
 		t.Fatalf("skewed allocation %.2f drifted from synchronous %.2f", skewed, sync)
-	}
-}
-
-func TestEpochJitterValidation(t *testing.T) {
-	cfg := testCfg()
-	cfg.PABST.EpochJitter = cfg.PABST.EpochCycles // >= epoch: nonsense
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("jitter >= epoch accepted")
 	}
 }
 
@@ -65,5 +63,50 @@ func TestLaggedHeartbeatOneCopyPerEpoch(t *testing.T) {
 	if allocs > epochs {
 		t.Errorf("%v allocations over %d epochs on %d tiles, want at most one per epoch",
 			allocs, epochs, cfg.NumTiles())
+	}
+}
+
+// TestDegradationArmsWithTheFaultPlan pins the one switch for graceful
+// degradation: a machine with an active fault plan, whatever it breaks,
+// arms every governed tile's watchdog and, with global-lane governors,
+// gossips resync while the governors disagree; a machine without one
+// (or with a plan that injects nothing) arms neither. One governor is
+// knocked out of lockstep by hand, so only the rule decides whether a
+// heartbeat carries Resync.
+func TestDegradationArmsWithTheFaultPlan(t *testing.T) {
+	dramOnly, err := fault.Preset("dram-storm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name             string
+		plan             *fault.Plan
+		perMC            bool
+		watchdog, resync bool
+	}{
+		{"no-plan", nil, false, false, false},
+		{"inactive-plan", &fault.Plan{NoC: fault.NoCPlan{DelayCycles: 100}}, false, false, false},
+		{"dram-only", &dramOnly, false, true, true},
+		{"dram-only-per-mc", &dramOnly, true, true, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := testCfg8()
+			cfg.Faults = c.plan
+			cfg.PABST.PerMCGovernors = c.perMC
+			sys, _, _ := twoClassStreams(t, cfg, qospolicy.PABST, 7, 3, 4, 4)
+			for id, tile := range sys.tiles {
+				if tile != nil && (tile.wd != nil) != c.watchdog {
+					t.Fatalf("tile %d: watchdog armed %v, want %v", id, tile.wd != nil, c.watchdog)
+				}
+			}
+			g := sys.tiles[0].src.(*pabst.Governor)
+			for i := 0; i < 5; i++ {
+				g.Monitor(0).Epoch(true)
+			}
+			sys.Run(20 * cfg.PABST.EpochCycles)
+			if got := sys.FaultReport().ResyncEpochs > 0; got != c.resync {
+				t.Fatalf("heartbeats carried Resync: %v, want %v", got, c.resync)
+			}
+		})
 	}
 }

@@ -44,7 +44,8 @@ type System struct {
 
 	series *stats.Series
 
-	// epochQ carries jittered heartbeat deliveries when EpochJitter > 0.
+	// epochQ carries heartbeat deliveries lagged by the gossip tree or
+	// an injected SAT delay.
 	epochQ sim.DelayQueue[epochMsg]
 
 	finalized bool
@@ -52,7 +53,9 @@ type System struct {
 	epochs    uint64
 
 	// faults is the configured fault injector; nil (the common case)
-	// means every fault hook is a single pointer check.
+	// means every fault hook is a single pointer check. It is also the
+	// one switch for graceful degradation: only a faulted machine arms
+	// its governors' watchdogs and resync gossip.
 	faults *fault.Injector
 
 	// Observability (see observe.go). obs is nil unless SetObserver armed
@@ -274,7 +277,7 @@ func (s *System) Finalize() error {
 	return nil
 }
 
-// epochMsg is one delayed heartbeat delivery (epoch jitter or an
+// epochMsg is one delayed heartbeat delivery (gossip-tree lag or an
 // injected SAT delay fault).
 type epochMsg struct {
 	tile   int
@@ -287,16 +290,16 @@ type epochMsg struct {
 // epochTick distributes the heartbeat: collect every MC's saturation
 // monitor, OR them (the global wired-OR line), and deliver both the OR
 // and the per-controller vector to every governor — synchronously, or
-// with a deterministic per-tile lag when EpochJitter is configured
-// (Section III-D: lockstep only needs to hold at a timescale much
-// smaller than an epoch).
+// lagged by the gossip tree (Section III-D: lockstep only needs to hold
+// at a timescale much smaller than an epoch).
 //
 // When a fault plan is active, each delivery may additionally be
-// dropped, delayed, corrupted, or partitioned away by the injector; the
-// heartbeat then also carries resynchronization gossip (the max M
-// observed across governors) whenever the monitors have diverged, so
-// healed governors can re-converge to lockstep within the configured
-// epoch bound.
+// dropped, delayed, corrupted, or partitioned away by the injector; on
+// a machine with global-lane governors the heartbeat then also carries
+// resynchronization gossip (the max M observed across governors)
+// whenever the monitors have diverged, so healed governors re-converge
+// to lockstep within pabst.ResyncWithin epochs. The gossip carries one
+// scalar M, so per-controller lanes get none.
 func (s *System) epochTick(now uint64) {
 	sat := false
 	perMC := s.satPerMC // scratch: synchronous deliveries read it in place
@@ -313,7 +316,7 @@ func (s *System) epochTick(now uint64) {
 	resync, gossip := false, uint64(0)
 	if s.faults != nil {
 		gossip = s.observeDivergence()
-		resync = s.cfg.PABST.ResyncEpochs > 0 && s.divergeCurrent > 0
+		resync = !s.cfg.PABST.PerMCGovernors && s.divergeCurrent > 0
 		// Injected controller faults land at epoch granularity.
 		for i, mc := range s.mcs {
 			stall, freeze := s.faults.DRAMEpoch(i)
@@ -329,7 +332,6 @@ func (s *System) epochTick(now uint64) {
 		}
 	}
 
-	jitter := s.cfg.PABST.EpochJitter
 	fanout := s.cfg.PABST.GossipFanout
 	hop := uint64(s.cfg.NoC.RouterDelay + s.cfg.NoC.LinkDelay)
 	if hop == 0 {
@@ -357,9 +359,6 @@ func (s *System) epochTick(now uint64) {
 			// by its tree depth times the mesh hop latency (a few tens of
 			// cycles on 1024 tiles, well inside the Section III-D slack).
 			lag += gossipDepth(id, fanout) * hop
-		}
-		if jitter > 0 {
-			lag += mix(uint64(id)+s.cfg.Seed) % (jitter + 1)
 		}
 		if lag == 0 {
 			t.src.Epoch(regulate.Heartbeat{Now: now, SatAny: tileSat, SatPerMC: perMC, Resync: resync, GossipM: gossip})
@@ -427,8 +426,8 @@ func (s *System) sampleTick(now uint64) {
 	s.series.Observe(now, &cum)
 }
 
-// drainEpochQ delivers due delayed heartbeats (epoch jitter, gossip
-// lag, injected SAT delays).
+// drainEpochQ delivers due delayed heartbeats (gossip lag, injected SAT
+// delays).
 func (s *System) drainEpochQ(now uint64) {
 	for {
 		msg, ok := s.epochQ.Pop(now)

@@ -27,8 +27,8 @@ type Tile struct {
 	src  regulate.Source
 
 	// wd is non-nil only when the source regulator degrades gracefully
-	// AND the watchdog is armed in the configuration, so clean runs pay
-	// one nil check per cycle.
+	// AND the machine has a fault plan, so clean runs pay one nil check
+	// per cycle.
 	wd regulate.Watchdog
 
 	inbox sim.DelayQueue[*mem.Packet]
@@ -93,7 +93,7 @@ func newTile(s *System, id int, class mem.ClassID, gen workload.Generator) (*Til
 		return nil, err
 	}
 	t.src = src
-	if wd, ok := t.src.(regulate.Watchdog); ok && s.cfg.PABST.WatchdogCycles > 0 {
+	if wd, ok := t.src.(regulate.Watchdog); ok && s.faults != nil {
 		t.wd = wd
 	}
 	core, err := cpu.New(id, s.cfg.Core, gen, t)
