@@ -45,17 +45,6 @@ func reportAllocation(b *testing.B, label string, share, bpc float64) {
 	b.ReportMetric(bpc, label+"/B-per-cyc")
 }
 
-func BenchmarkAblationRefresh(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		share, bpc := runStreams73(b, func(c *pabst.SystemConfig) {})
-		reportAllocation(b, "no-refresh", share, bpc)
-		share, bpc = runStreams73(b, func(c *pabst.SystemConfig) {
-			c.DRAM.Timing = c.DRAM.Timing.WithRefresh()
-		})
-		reportAllocation(b, "refresh", share, bpc)
-	}
-}
-
 func BenchmarkAblationPerMCGovernors(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		share, bpc := runStreams73(b, func(c *pabst.SystemConfig) { c.PABST.PerMCGovernors = true })

@@ -260,9 +260,10 @@ func TestCheckpointTypedErrors(t *testing.T) {
 	})
 
 	t.Run("version", func(t *testing.T) {
-		// A newer build's file, and the previous format's: an intact
-		// Version-8 image (CRC re-sealed) is refused, not migrated.
-		for _, v := range []uint32{10, 8} {
+		// A newer build's file, and the previous formats': an intact
+		// Version-9 or Version-8 image (CRC re-sealed) is refused, not
+		// migrated.
+		for _, v := range []uint32{11, 9, 8} {
 			bad := append([]byte(nil), raw[:len(raw)-8]...)
 			binary.LittleEndian.PutUint32(bad[8:], v) // the version word follows the 8-byte magic
 			bad = binary.LittleEndian.AppendUint64(bad, crc64.Checksum(bad, crc64.MakeTable(crc64.ECMA)))
@@ -466,17 +467,16 @@ func TestCheckpointBytesAreTheMachine(t *testing.T) {
 
 // TestCheckpointFormatFrozen pins the persisted form of a machine:
 // checkpoint bytes and machine fingerprints (the warm-store keys) equal
-// the constants captured when pabst.Params lost its five degradation
-// knobs. That moved the fingerprints and the header's meta JSON only:
-// the payload after the meta is byte-equal to the one Version 9 first
-// wrote. The mechanism is recorded once, as the resolved pair, so a pair
+// the constants captured when Version 10 dropped DRAM refresh and the
+// L2 prefetcher's state from the walk and twelve single-valued fields
+// from the configuration. The mechanism is recorded once, as the resolved pair, so a pair
 // spelled as an override and the same pair spelled as the builder's
 // mode are one machine. A change to any payload byte must bump
 // ckpt.Version — that is a format change, not a baseline update.
 func TestCheckpointFormatFrozen(t *testing.T) {
 	const (
-		dpqMachine = "06d58b0c7ccbf652c6203937481a06e0fb23b44f39c60312e6f8c828092b26d1"
-		dpqContent = "e4234676175c439104aac81ae7af9160151849a282ff5474ed99f072578e6f59"
+		dpqMachine = "fa715b4f363155683be5a5b799929ed29c24918579159245b1a97f045f78bee2"
+		dpqContent = "97fb5a5384df01ff0fedd1df787055ac599235c404e38bb85d8eb54d1b1d3f70"
 	)
 	for _, c := range []struct {
 		name             string
@@ -486,8 +486,8 @@ func TestCheckpointFormatFrozen(t *testing.T) {
 		machine, content string
 	}{
 		{"default", pabst.ModeSourceOnly, nil, "pabst+fcfs",
-			"2dd38c1d6c417cd2a8516fd85f1b4323b279641d3c9d06bd13634b73bbf95ba8",
-			"e6197851928930986bbaa13e9aba8e8d958aef4259946417627a29a86a2684e2"},
+			"684874b818361f1d00577c2cfea02c653d57a1e6d41342718718333546cf702e",
+			"4c1a0008bb300367603e9366fbdf838305a567a6fba2c7a754570deb38e64e0d"},
 		{"overridden", pabst.ModeSourceOnly, []pabst.Option{pabst.WithPolicy("", "dpq")}, "pabst+dpq",
 			dpqMachine, dpqContent},
 		{"spelled-as-mode", pabst.Mode{Source: "pabst", Target: "dpq"}, nil, "pabst+dpq",
@@ -527,8 +527,8 @@ func TestCheckpointFormatFrozen(t *testing.T) {
 			if got := fmt.Sprintf("%x", sha256.Sum256(ck.Bytes())); got != c.content {
 				t.Errorf("checkpoint bytes hash %s, frozen %s", got, c.content)
 			}
-			if v := binary.LittleEndian.Uint32(ck.Bytes()[8:]); v != 9 { // the version word follows the 8-byte magic
-				t.Errorf("checkpoint format version %d, frozen 9", v)
+			if v := binary.LittleEndian.Uint32(ck.Bytes()[8:]); v != 10 { // the version word follows the 8-byte magic
+				t.Errorf("checkpoint format version %d, frozen 10", v)
 			}
 			// The self-describing restore reads the same selection back.
 			back, err := pabst.Restore(bytes.NewReader(ck.Bytes()))

@@ -61,8 +61,11 @@ import (
 // into results no cold run prints; v9 has v8's walk too, but its images
 // come from a front door whose round-robin pointer moves only when it
 // admits a read, so a v8 image warmed under the pointer that also moved on
-// refusals is refused the same way.
-const Version uint32 = 9
+// refusals is refused the same way; v10 drops the DRAM controller's
+// refresh deadline and refresh counter, the trace's per-controller
+// refresh counter and the tile's prefetch counter, and every stored MSHR
+// has at least one waiter (the L2 prefetcher and DRAM refresh are gone).
+const Version uint32 = 10
 
 var magic = [8]byte{'P', 'A', 'B', 'S', 'T', 'C', 'K', 'P'}
 

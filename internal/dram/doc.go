@@ -18,7 +18,7 @@
 // unfrozen cycle, the pipeline window and the earliest readyAt among the
 // banks holding work in the current read/write mode — and FastForward
 // replays everything a tick before it does (the saturation integral,
-// pending cycles, refresh, the mode register), so the event kernel
+// pending cycles, the mode register), so the event kernel
 // sleeps a loaded channel between issue slots, not only an idle one;
 // Tick is FastForward over its cycle plus at most one issue. The
 // saturation monitor feeding the SAT wire samples
@@ -30,6 +30,6 @@
 // occupied-bank bitmap kept beside the index, in ascending bank order,
 // so it touches only banks that hold a read and breaks ties as the scan
 // over every bank did; bank timing is one dense readyAt array that the
-// pick, refresh, StallBank and NextEventAt share (DESIGN.md "Host data
+// pick, StallBank and NextEventAt share (DESIGN.md "Host data
 // layout").
 package dram

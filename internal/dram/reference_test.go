@@ -29,7 +29,6 @@ type RefController struct {
 	respond Responder
 	onWrite func(pkt *mem.Packet)
 
-	nextRefresh uint64
 	frozenUntil uint64
 
 	Stats Stats
@@ -98,30 +97,20 @@ func (c *RefController) ArriveWrite(pkt *mem.Packet, now uint64) {
 
 // Tick advances the controller one cycle.
 func (c *RefController) Tick(now uint64) {
-	if t := &c.cfg.Timing; t.TREFI > 0 && now >= c.nextRefresh {
-		c.nextRefresh = now + uint64(t.TREFI)
-		busyUntil := now + uint64(t.TRFC)
-		for i := range c.banks {
-			if c.banks[i].readyAt < busyUntil {
-				c.banks[i].readyAt = busyUntil
-			}
-		}
-		c.Stats.Refreshes++
-	}
 	if now < c.frozenUntil {
 		return
 	}
 	if c.writeMode {
-		if len(c.writeQ) == 0 || (len(c.writeQ) <= c.cfg.WriteLowWater && len(c.readQ) > 0) {
+		if len(c.writeQ) == 0 || (len(c.writeQ) <= c.cfg.writeLowWater() && len(c.readQ) > 0) {
 			c.writeMode = false
 		}
 	} else {
-		if len(c.writeQ) >= c.cfg.WriteHighWater || (len(c.readQ) == 0 && len(c.writeQ) > 0) {
+		if len(c.writeQ) >= c.cfg.writeHighWater() || (len(c.readQ) == 0 && len(c.writeQ) > 0) {
 			c.writeMode = true
 		}
 	}
 	t := &c.cfg.Timing
-	window := uint64(t.TRCD + t.TCL + c.cfg.PipelineDepth*t.TBurst)
+	window := uint64(t.TRCD + t.TCL + pipelineDepth*t.TBurst)
 	if c.busFreeAt > now+window {
 		return
 	}

@@ -9,7 +9,7 @@ import (
 
 // Ckpt implements ckpt.Walker: front-end queues (in arrival order),
 // per-bank timing, bus/mode registers, the saturation-monitor
-// integrals, refresh and freeze deadlines, and every stat counter.
+// integrals, the freeze deadline, and every stat counter.
 // Geometry, scheduler selection, the arbiter, and the responder closure
 // are structural and rebuilt from the config.
 //
@@ -45,7 +45,6 @@ func (c *Controller) Ckpt(k *ckpt.Codec) {
 	k.Bool(&c.writeMode)
 	k.U64(&c.occIntegral)
 	k.U64(&c.occCycles)
-	k.U64(&c.nextRefresh)
 	k.U64(&c.frozenUntil)
 
 	s := &c.Stats
@@ -58,7 +57,6 @@ func (c *Controller) Ckpt(k *ckpt.Codec) {
 	k.U64(&s.BusBusyCycles)
 	k.U64(&s.PendingCycles)
 	k.U64(&s.RowHits)
-	k.U64(&s.Refreshes)
 	k.U64(&s.PriorityInversions)
 
 	if !k.Loading() || k.Err() != nil {

@@ -14,12 +14,6 @@ type Timing struct {
 
 	TRTW int // read-to-write bus turnaround
 	TWTR int // write-to-read bus turnaround
-
-	// Refresh: every TREFI cycles the whole rank is unavailable for
-	// TRFC cycles. TREFI = 0 disables refresh (the calibrated default;
-	// enable for the ~4-5% bandwidth tax of real devices).
-	TREFI int
-	TRFC  int
 }
 
 // Validate reports configuration errors.
@@ -29,12 +23,6 @@ func (t Timing) Validate() error {
 	}
 	if t.TRTW < 0 || t.TWTR < 0 {
 		return fmt.Errorf("dram: negative turnaround: %+v", t)
-	}
-	if t.TREFI < 0 || t.TRFC < 0 {
-		return fmt.Errorf("dram: negative refresh timing: %+v", t)
-	}
-	if t.TREFI > 0 && t.TRFC >= t.TREFI {
-		return fmt.Errorf("dram: tRFC %d must be well under tREFI %d", t.TRFC, t.TREFI)
 	}
 	return nil
 }
@@ -51,17 +39,6 @@ func (t Timing) Scale(factor int) Timing {
 	t.TBurst *= factor
 	t.TRTW *= factor
 	t.TWTR *= factor
-	t.TRFC *= factor
-	// tREFI is a wall-clock retention requirement, not a device speed:
-	// the refresh interval does not stretch when the device slows down.
-	return t
-}
-
-// WithRefresh returns the timing with DDR4-class refresh enabled
-// (tREFI 7.8 µs, tRFC 350 ns at the 2 GHz CPU clock).
-func (t Timing) WithRefresh() Timing {
-	t.TREFI = 15600
-	t.TRFC = 700
 	return t
 }
 

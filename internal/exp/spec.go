@@ -39,8 +39,6 @@ var paramRegistry = map[string]paramDef{
 		set: func(c *pabst.SystemConfig, v uint64) {
 			c.DRAM.FrontReadQ = int(v)
 			c.DRAM.FrontWriteQ = int(v)
-			c.DRAM.WriteHighWater = int(v * 3 / 4)
-			c.DRAM.WriteLowWater = int(v / 4)
 		}},
 	"page": {desc: "DRAM page policy (0 = closed, 1 = open)",
 		set: func(c *pabst.SystemConfig, v uint64) {

@@ -77,8 +77,8 @@ func TestSetParamUnknown(t *testing.T) {
 	if err := SetParam(&cfg, "queue", 16); err != nil {
 		t.Fatal(err)
 	}
-	if cfg.DRAM.FrontReadQ != 16 || cfg.DRAM.WriteHighWater != 12 || cfg.DRAM.WriteLowWater != 4 {
-		t.Fatalf("queue param watermarks wrong: %+v", cfg.DRAM)
+	if cfg.DRAM.FrontReadQ != 16 || cfg.DRAM.FrontWriteQ != 16 {
+		t.Fatalf("queue param depths wrong: %+v", cfg.DRAM)
 	}
 }
 

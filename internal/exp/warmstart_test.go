@@ -143,6 +143,7 @@ func TestWarmedSystemCorruptStore(t *testing.T) {
 		"version-6": older(6),
 		"version-7": older(7),
 		"version-8": older(8),
+		"version-9": older(9),
 	} {
 		t.Run(name, func(t *testing.T) { corruptStoreHeals(t, damage) })
 	}

@@ -19,7 +19,7 @@ const (
 	// served during the epoch.
 	KindArbiter
 	// KindDRAM is one controller's service counters over the epoch:
-	// reads, writes, row-buffer hits, refreshes, and busy bus cycles.
+	// reads, writes, row-buffer hits, and busy bus cycles.
 	KindDRAM
 	// KindFault summarizes fault injection and degraded-signal activity
 	// during the epoch (emitted only in epochs where something happened).
@@ -88,7 +88,7 @@ type Event struct {
 	Inversions   uint64 // priority inversions served this epoch
 
 	// DRAM payload (deltas over the epoch).
-	Reads, Writes, RowHits, Refreshes, BusBusy uint64
+	Reads, Writes, RowHits, BusBusy uint64
 
 	// Epoch payload: bytes moved per class during the epoch. Only the
 	// first NumClasses entries are meaningful.

@@ -51,8 +51,8 @@ func (s *JSONLSink) Emit(e *Event) {
 		fmt.Fprintf(b, `,"mc":%d,"queue_depth":%d,"last_deadline":%d,"inversions":%d`,
 			e.Unit, e.QueueDepth, e.LastDeadline, e.Inversions)
 	case KindDRAM:
-		fmt.Fprintf(b, `,"mc":%d,"reads":%d,"writes":%d,"row_hits":%d,"refreshes":%d,"bus_busy":%d`,
-			e.Unit, e.Reads, e.Writes, e.RowHits, e.Refreshes, e.BusBusy)
+		fmt.Fprintf(b, `,"mc":%d,"reads":%d,"writes":%d,"row_hits":%d,"bus_busy":%d`,
+			e.Unit, e.Reads, e.Writes, e.RowHits, e.BusBusy)
 	case KindFault:
 		fmt.Fprintf(b, `,"injected":%d,"stale":%d,"decays":%d,"resync":%d,"divergence":%d`,
 			e.Injected, e.Stale, e.Decays, e.Resync, e.Divergence)
@@ -90,7 +90,7 @@ func NewCSVSink(w io.Writer) *CSVSink { return &CSVSink{w: bufio.NewWriter(w)} }
 // csvHeader is the fixed column set.
 const csvHeader = "kind,cycle,epoch,unit,sat,m,dm,period," +
 	"queue_depth,last_deadline,inversions," +
-	"reads,writes,row_hits,refreshes,bus_busy," +
+	"reads,writes,row_hits,bus_busy," +
 	"injected,stale,decays,resync,divergence,bytes\n"
 
 // Emit implements Sink.
@@ -107,10 +107,10 @@ func (s *CSVSink) Emit(e *Event) {
 	if e.Sat {
 		sat = 1
 	}
-	fmt.Fprintf(b, "%s,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,",
+	fmt.Fprintf(b, "%s,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,",
 		e.Kind.String(), e.Cycle, e.Epoch, e.Unit, sat, e.M, e.DM, e.Period,
 		e.QueueDepth, e.LastDeadline, e.Inversions,
-		e.Reads, e.Writes, e.RowHits, e.Refreshes, e.BusBusy,
+		e.Reads, e.Writes, e.RowHits, e.BusBusy,
 		e.Injected, e.Stale, e.Decays, e.Resync, e.Divergence)
 	for c := 0; c < e.NumClasses; c++ {
 		if c > 0 {

@@ -47,8 +47,8 @@ func TestWatchdogHoldsThenDecays(t *testing.T) {
 		g.Epoch(regulate.Heartbeat{Now: now, SatAny: true})
 	}
 	mHigh := g.Monitor(0).M()
-	if mHigh <= p.MInit {
-		t.Fatalf("setup: M=%d did not rise above MInit=%d", mHigh, p.MInit)
+	if mHigh <= MInit {
+		t.Fatalf("setup: M=%d did not rise above MInit=%d", mHigh, MInit)
 	}
 
 	// Silence. The first HoldDeadlines expiries hold M (gain reset only).
@@ -58,18 +58,18 @@ func TestWatchdogHoldsThenDecays(t *testing.T) {
 		if g.Monitor(0).M() != mHigh {
 			t.Fatalf("expiry %d moved M during hold: %d", i, g.Monitor(0).M())
 		}
-		if g.Monitor(0).Shift() != p.ShiftMax {
+		if g.Monitor(0).Shift() != ShiftMax {
 			t.Fatal("hold did not reset gain (anti-windup)")
 		}
 	}
 	// Prolonged silence decays toward the fallback (MInit here) and
 	// lands exactly on it.
-	for i := 0; i < 200 && g.Monitor(0).M() != p.MInit; i++ {
+	for i := 0; i < 200 && g.Monitor(0).M() != MInit; i++ {
 		now += deadline
 		g.WatchdogTick(now)
 	}
-	if g.Monitor(0).M() != p.MInit {
-		t.Fatalf("decay did not reach fallback: M=%d want %d", g.Monitor(0).M(), p.MInit)
+	if g.Monitor(0).M() != MInit {
+		t.Fatalf("decay did not reach fallback: M=%d want %d", g.Monitor(0).M(), MInit)
 	}
 	d := g.Degrade()
 	if d.StaleIntervals == 0 || d.Decays == 0 {
@@ -216,19 +216,19 @@ func TestMonitorDecayFromBelowAndAbove(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		m.Epoch(true) // drive M far above MInit
 	}
-	for i := 0; i < 200 && m.M() != p.MInit; i++ {
-		m.Decay(p.MInit)
+	for i := 0; i < 200 && m.M() != MInit; i++ {
+		m.Decay(MInit)
 	}
-	if m.M() != p.MInit {
+	if m.M() != MInit {
 		t.Fatalf("decay from above did not land on fallback: %d", m.M())
 	}
 	for i := 0; i < 40; i++ {
 		m.Epoch(false) // drive M far below MInit
 	}
-	for i := 0; i < 200 && m.M() != p.MInit; i++ {
-		m.Decay(p.MInit)
+	for i := 0; i < 200 && m.M() != MInit; i++ {
+		m.Decay(MInit)
 	}
-	if m.M() != p.MInit {
+	if m.M() != MInit {
 		t.Fatalf("decay from below did not land on fallback: %d", m.M())
 	}
 }

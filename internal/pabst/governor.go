@@ -243,7 +243,7 @@ func (g *Governor) WatchdogTick(now uint64) {
 	}
 	g.degrade.Decays++
 	for _, l := range g.lanes {
-		l.pacer.SetPeriod(g.period(l.monitor.Decay(g.params.MInit), 0, 0))
+		l.pacer.SetPeriod(g.period(l.monitor.Decay(MInit), 0, 0))
 	}
 }
 

@@ -27,7 +27,7 @@ func TestLanesIndependentChannels(t *testing.T) {
 		t.Fatalf("saturated channel period %d should exceed idle channel period %d",
 			g.Pacer(0).Period(), g.Pacer(1).Period())
 	}
-	if g.Monitor(1).M() != testParams().MMin {
+	if g.Monitor(1).M() != MMin {
 		t.Fatalf("idle channel M = %d, want MMin", g.Monitor(1).M())
 	}
 }

@@ -56,7 +56,7 @@ type SystemMonitor struct {
 // NewSystemMonitor returns a monitor in its initial state. params must
 // already be validated.
 func NewSystemMonitor(params Params) *SystemMonitor {
-	return &SystemMonitor{p: params, m: params.MInit, k: params.ShiftInit}
+	return &SystemMonitor{p: params, m: MInit, k: ShiftInit}
 }
 
 // M returns the current throttle multiplier.
@@ -98,10 +98,10 @@ func (s *SystemMonitor) Epoch(sat bool) uint64 {
 		// high SAT signal" clause at the low→high flip, applied
 		// symmetrically.
 		s.e = 0
-		s.k = minUint(s.k+2, s.p.ShiftMax)
+		s.k = minUint(s.k+2, ShiftMax)
 	default:
 		s.e++
-		if s.e >= s.p.Inertia && s.k > s.p.ShiftMin {
+		if s.e >= s.p.Inertia && s.k > ShiftMin {
 			// Steady SAT: double the step.
 			s.k--
 		}
@@ -111,19 +111,19 @@ func (s *SystemMonitor) Epoch(sat bool) uint64 {
 	// Apply the step: M moves opposite to the goal rate.
 	dm := s.DM()
 	if dir == RateDown {
-		s.m = clamp(s.m+dm, s.p.MMin, s.p.MMax)
+		s.m = clamp(s.m+dm, MMin, MMax)
 	} else {
 		if s.m > dm {
-			s.m = clamp(s.m-dm, s.p.MMin, s.p.MMax)
+			s.m = clamp(s.m-dm, MMin, MMax)
 		} else {
-			s.m = s.p.MMin
+			s.m = MMin
 		}
 	}
 	// Anti-windup: while M is pinned at a bound, further same-direction
 	// pressure has no effect; banking gain would only fire a violent
 	// overshoot when the direction finally flips.
-	if s.m == s.p.MMin || s.m == s.p.MMax {
-		s.k = s.p.ShiftMax
+	if s.m == MMin || s.m == MMax {
+		s.k = ShiftMax
 	}
 	return s.m
 }
@@ -135,7 +135,7 @@ func (s *SystemMonitor) Epoch(sat bool) uint64 {
 // healthy epoch takes a fresh step instead of paying a spurious
 // direction-flip collapse against a stale direction.
 func (s *SystemMonitor) Hold() {
-	s.k = s.p.ShiftMax
+	s.k = ShiftMax
 	s.e = 0
 	s.armed = false
 }
@@ -147,7 +147,7 @@ func (s *SystemMonitor) Hold() {
 // the safe operating point in logarithmic time instead of free-running
 // at a rate negotiated under conditions that no longer hold.
 func (s *SystemMonitor) Decay(fallback uint64) uint64 {
-	fallback = clamp(fallback, s.p.MMin, s.p.MMax)
+	fallback = clamp(fallback, MMin, MMax)
 	s.Hold()
 	switch {
 	case s.m < fallback:
@@ -177,7 +177,7 @@ func (s *SystemMonitor) ResyncStep(target uint64, left int) uint64 {
 	if left < 1 {
 		left = 1
 	}
-	target = clamp(target, s.p.MMin, s.p.MMax)
+	target = clamp(target, MMin, MMax)
 	s.Hold()
 	switch {
 	case s.m < target:

@@ -20,11 +20,6 @@ func TestParamsValidate(t *testing.T) {
 		func(p *Params) { p.ScaleF = 0 },
 		func(p *Params) { p.Inertia = -1 },
 		func(p *Params) { p.BurstCredit = 0 },
-		func(p *Params) { p.MMin = 0 },
-		func(p *Params) { p.MInit = p.MMax + 1 },
-		func(p *Params) { p.ShiftMin = p.ShiftMax + 1 },
-		func(p *Params) { p.ShiftInit = p.ShiftMax + 1 },
-		func(p *Params) { p.ShiftMax = 64; p.ShiftInit = 64; p.ShiftMin = 64 },
 	}
 	for i, mut := range bad {
 		p := DefaultParams()
@@ -32,6 +27,18 @@ func TestParamsValidate(t *testing.T) {
 		if err := p.Validate(); err == nil {
 			t.Fatalf("bad params %d accepted", i)
 		}
+	}
+}
+
+// TestBoundsAreOrdered holds the M and k bounds to the rules Validate
+// applied while they were fields: M starts inside a nonempty range
+// above zero, and k starts inside a range a uint64 shift can take.
+func TestBoundsAreOrdered(t *testing.T) {
+	if MMin == 0 || MMin > MInit || MInit > MMax {
+		t.Fatalf("M bounds %d <= %d <= %d, want 0 < MMin <= MInit <= MMax", MMin, MInit, MMax)
+	}
+	if ShiftMin > ShiftInit || ShiftInit > ShiftMax || ShiftMax > 63 {
+		t.Fatalf("shift bounds %d <= %d <= %d, want ShiftMin <= ShiftInit <= ShiftMax <= 63", ShiftMin, ShiftInit, ShiftMax)
 	}
 }
 
@@ -55,10 +62,10 @@ func TestMonitorBoundsHold(t *testing.T) {
 		m := NewSystemMonitor(p)
 		for _, s := range sats {
 			m.Epoch(s)
-			if m.M() < p.MMin || m.M() > p.MMax {
+			if m.M() < MMin || m.M() > MMax {
 				return false
 			}
-			if m.Shift() < p.ShiftMin || m.Shift() > p.ShiftMax {
+			if m.Shift() < ShiftMin || m.Shift() > ShiftMax {
 				return false
 			}
 			if m.DM() == 0 {
@@ -82,8 +89,8 @@ func TestMonitorSteadySATRampsM(t *testing.T) {
 		m.Epoch(true)
 		ms = append(ms, m.M())
 	}
-	if m.Shift() != p.ShiftMin {
-		t.Fatalf("gain shift = %d after 20 steady epochs, want floor %d", m.Shift(), p.ShiftMin)
+	if m.Shift() != ShiftMin {
+		t.Fatalf("gain shift = %d after 20 steady epochs, want floor %d", m.Shift(), ShiftMin)
 	}
 	// Relative growth per epoch approaches 1/2^ShiftMin = 25%.
 	last, prev := ms[len(ms)-1], ms[len(ms)-2]
@@ -99,7 +106,7 @@ func TestMonitorFlipCollapsesGain(t *testing.T) {
 		m.Epoch(true)
 	}
 	kBefore := m.Shift()
-	if kBefore != p.ShiftMin {
+	if kBefore != ShiftMin {
 		t.Fatalf("precondition: gain should be at floor, got %d", kBefore)
 	}
 	m.Epoch(false) // flip
@@ -117,11 +124,11 @@ func TestMonitorNoisySATKeepsStepsSmall(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		m.Epoch(i%2 == 0) // alternating SAT
 	}
-	if m.Shift() != p.ShiftMax {
-		t.Fatalf("alternating SAT left gain shift at %d, want max %d", m.Shift(), p.ShiftMax)
+	if m.Shift() != ShiftMax {
+		t.Fatalf("alternating SAT left gain shift at %d, want max %d", m.Shift(), ShiftMax)
 	}
 	// Relative step is bounded by 1/2^ShiftMax.
-	if m.DM() > m.M()>>p.ShiftMax+1 {
+	if m.DM() > m.M()>>ShiftMax+1 {
 		t.Fatalf("noisy-SAT step %d too large for M=%d", m.DM(), m.M())
 	}
 }
@@ -149,19 +156,19 @@ func TestMonitorMSaturatesAtBounds(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		m.Epoch(true)
 	}
-	if m.M() != p.MMax {
-		t.Fatalf("M = %d after sustained SAT, want MMax %d", m.M(), p.MMax)
+	if m.M() != MMax {
+		t.Fatalf("M = %d after sustained SAT, want MMax %d", m.M(), MMax)
 	}
-	if m.Shift() != p.ShiftMax {
+	if m.Shift() != ShiftMax {
 		t.Fatal("anti-windup did not reset gain at MMax")
 	}
 	for i := 0; i < 10000; i++ {
 		m.Epoch(false)
 	}
-	if m.M() != p.MMin {
-		t.Fatalf("M = %d after sustained low SAT, want MMin %d", m.M(), p.MMin)
+	if m.M() != MMin {
+		t.Fatalf("M = %d after sustained low SAT, want MMin %d", m.M(), MMin)
 	}
-	if m.Shift() != p.ShiftMax {
+	if m.Shift() != ShiftMax {
 		t.Fatal("anti-windup did not reset gain at MMin")
 	}
 }
@@ -194,7 +201,7 @@ func TestMonitorResponseTimeAfterDemandShift(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		m.Epoch(false)
 	}
-	if m.M() != p.MMin {
+	if m.M() != MMin {
 		t.Fatalf("M = %d, want MMin", m.M())
 	}
 	for i := 0; i < 60; i++ {

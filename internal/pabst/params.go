@@ -26,13 +26,6 @@ type Params struct {
 	// deadline a newly assigned deadline may fall, in virtual ticks.
 	Slack uint64
 
-	// MInit, MMin, MMax bound the throttle multiplier M.
-	MInit, MMin, MMax uint64
-
-	// ShiftInit, ShiftMin, ShiftMax bound the gain shift k: the epoch
-	// step is δM = max(M >> k, 1). Smaller k means bigger steps.
-	ShiftInit, ShiftMin, ShiftMax uint
-
 	// PerMCGovernors selects the Section III-C1 variation: one governor
 	// lane (monitor + pacer) per memory controller fed by that
 	// controller's own saturation signal, instead of one lane fed by the
@@ -57,6 +50,15 @@ type Params struct {
 	GossipFanout int `json:",omitempty"`
 }
 
+// The bounds of the throttle multiplier M and of the gain shift k (the
+// epoch step is δM = max(M >> k, 1); smaller k means bigger steps).
+// They are constants, not knobs: no experiment moves them (DESIGN.md
+// "Reconstructed details" says why each has its value).
+const (
+	MInit, MMin, MMax             uint64 = 4096, 1, 1 << 26
+	ShiftInit, ShiftMin, ShiftMax uint   = 4, 2, 10
+)
+
 // DefaultParams returns the paper's configuration at a 2 GHz CPU clock.
 //
 // ScaleF differs from the paper's 16: our multiplier M is a plain integer
@@ -71,12 +73,6 @@ func DefaultParams() Params {
 		Inertia:     3,
 		BurstCredit: 16,
 		Slack:       128,
-		MInit:       4096,
-		MMin:        1,
-		MMax:        1 << 26,
-		ShiftInit:   4,
-		ShiftMin:    2,
-		ShiftMax:    10,
 	}
 }
 
@@ -93,12 +89,6 @@ func (p Params) Validate() error {
 	}
 	if p.BurstCredit <= 0 {
 		return fmt.Errorf("pabst: burst credit must be positive")
-	}
-	if p.MMin == 0 || p.MMin > p.MMax || p.MInit < p.MMin || p.MInit > p.MMax {
-		return fmt.Errorf("pabst: M bounds must satisfy 0 < MMin <= MInit <= MMax")
-	}
-	if p.ShiftMin > p.ShiftMax || p.ShiftInit < p.ShiftMin || p.ShiftInit > p.ShiftMax || p.ShiftMax > 63 {
-		return fmt.Errorf("pabst: shift bounds must satisfy ShiftMin <= ShiftInit <= ShiftMax <= 63")
 	}
 	if p.GossipFanout < 0 {
 		return fmt.Errorf("pabst: negative gossip fanout")

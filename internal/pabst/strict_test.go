@@ -30,15 +30,12 @@ func (a *strictArbiter) OnPick(pkt *mem.Packet, now uint64) {}
 func driveArbiter(t *testing.T, arb dram.Arbiter) (hiServed, loServed int) {
 	t.Helper()
 	cfg := dram.Config{
-		Timing:         dram.DDR4(),
-		Policy:         dram.ClosedPage,
-		Banks:          16,
-		RowLines:       128,
-		FrontReadQ:     32,
-		FrontWriteQ:    32,
-		WriteHighWater: 24,
-		WriteLowWater:  8,
-		PipelineDepth:  2,
+		Timing:      dram.DDR4(),
+		Policy:      dram.ClosedPage,
+		Banks:       16,
+		RowLines:    128,
+		FrontReadQ:  32,
+		FrontWriteQ: 32,
 	}
 	// Closed-loop sources: each class sustains at most 24 outstanding
 	// requests (MSHR-style), replenishing on completion. Starvation then

@@ -7,7 +7,8 @@
 // (NextEventAt); a cycle visits only the components that are due, in
 // canonical class-then-registration order, and the clock jumps over
 // cycles in which nothing is due. A skipped component is caught up with
-// FastForward (refresh counters, cycle counts) just before it next runs.
+// FastForward (saturation integrals, cycle counts) just before it next
+// runs.
 // The contract that makes skipping invisible: if NextEventAt(from)
 // returns t > from, then ticking the component at every cycle in
 // [from, t) must be a pure no-op. Periodic hooks (the PABST epoch

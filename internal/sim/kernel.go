@@ -19,14 +19,14 @@ func (h *hook) arm(from uint64) {
 // Tick steps it through one cycle; NextEventAt reports the earliest
 // cycle >= from at which the component has work to do (NoEvent when it
 // is fully drained); FastForward tells it the cycles [from, to) passed
-// without a Tick so it can account for them (cycle counters, refresh
-// catch-up).
+// without a Tick so it can account for them (cycle counters, saturation
+// integrals).
 //
 // The contract that keeps skipping bit-identical to ticking: when
 // NextEventAt(from) returns t > from, ticking the component on any cycle
 // in [from, t) must be exactly FastForward over that cycle — the same
 // accounting (an idle controller still integrates its saturation monitor
-// and refreshes; a refused front door still rotates its pointer), and
+// and counts its pending cycles), and
 // nothing else — and FastForward over any sub-span must equal the ticks
 // it replaces. When in doubt, return `from` (never sleep).
 type Sleeper interface {

@@ -44,7 +44,7 @@ func BenchmarkMSHRTable(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		line := uint64(i)
-		tbl.insert(line).addWaiter(line)
+		tbl.insert(line, line)
 		if e := tbl.lookup(line); e != nil {
 			e.addWaiter(line + 1)
 		}

@@ -28,7 +28,6 @@ func TestSystemChaosProperty(t *testing.T) {
 	}
 	build := func(seed [8]byte) *System {
 		cfg := testCfg8()
-		cfg.PrefetchDepth = int(seed[0]) % 3
 		cfg.ModelNoC = seed[1]%3 == 0
 		cfg.PABST.HeterogeneousThreads = seed[2]%2 == 0
 		if seed[2]%2 != 0 {

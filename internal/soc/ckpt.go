@@ -75,11 +75,10 @@ func (s *System) Ckpt(c *ckpt.Codec) {
 		s.baseLat[cl].Ckpt(c)
 	}
 	c.U64s(s.obsBytes[:])
-	ckpt.NilSlice(c, &s.obsMC, 48, func(c *ckpt.Codec, p *obsMCPrev) {
+	ckpt.NilSlice(c, &s.obsMC, 40, func(c *ckpt.Codec, p *obsMCPrev) {
 		c.U64(&p.reads)
 		c.U64(&p.writes)
 		c.U64(&p.rowHits)
-		c.U64(&p.refreshes)
 		c.U64(&p.busBusy)
 		c.U64(&p.inversions)
 	})
@@ -208,7 +207,6 @@ func (t *Tile) ckpt(c *ckpt.Codec) {
 		t.checkLoaded(c)
 	}
 	c.Index(&t.rrMC, len(t.missQ))
-	c.U64(&t.prefetches)
 	t.lat.Ckpt(c)
 
 	gen := t.core.Generator()
@@ -261,12 +259,11 @@ func (t *Tile) checkLoaded(c *ckpt.Codec) {
 // ckpt walks the MSHRs. The stored form is one (line, waiter tokens)
 // record per outstanding miss in ascending line order (the table keeps
 // its lines in insertion order, shuffled by removals; checkpoints must
-// not depend on either). A nil waiter list is a prefetch no core op
-// waits on; a prefetch a demand access has since coalesced onto stores
-// its waiters like a demand miss. An image claiming more misses than
-// the tile has MSHRs is corrupt: no machine holds more. So is one whose
-// lines do not strictly ascend: a repeated line would leave a second
-// entry that no response frees, and the ops waiting on it would hang.
+// not depend on either). An image claiming more misses than the tile
+// has MSHRs is corrupt: no machine holds more. So is one whose lines do
+// not strictly ascend: a repeated line would leave a second entry that
+// no response frees, and the ops waiting on it would hang. So is a
+// record with no waiter: every miss is taken by an op that waits on it.
 func (t *mshrTable) ckpt(c *ckpt.Codec) {
 	var lines []uint64
 	if !c.Loading() {
@@ -286,11 +283,10 @@ func (t *mshrTable) ckpt(c *ckpt.Codec) {
 		var waiters []uint64
 		if !c.Loading() {
 			line = lines[i]
-			if e := t.lookup(line); e.n > 0 {
-				waiters = make([]uint64, e.n)
-				for j := range waiters {
-					waiters[j] = e.waiter(int32(j))
-				}
+			e := t.lookup(line)
+			waiters = make([]uint64, e.n)
+			for j := range waiters {
+				waiters[j] = e.waiter(int32(j))
 			}
 		}
 		c.U64(&line)
@@ -300,8 +296,13 @@ func (t *mshrTable) ckpt(c *ckpt.Codec) {
 			return
 		}
 		if c.Loading() {
-			e := t.insert(line)
-			for _, tok := range waiters {
+			if len(waiters) == 0 {
+				c.Fail(fmt.Errorf("%w: MSHR line %#x has no waiter", ckpt.ErrCorrupt, line))
+				return
+			}
+			t.insert(line, waiters[0])
+			e := &t.entries[i]
+			for _, tok := range waiters[1:] {
 				e.addWaiter(tok)
 			}
 		}

@@ -175,9 +175,8 @@ func perturbWakes(s *System, seed uint64) {
 
 // TestWakePerturbationIsInvisible is the wake graph's soundness check by
 // perturbation: on a sat32-shaped machine, a mix32-shaped one (write
-// drains), one under controller freezes and bank stalls, the modeled NoC
-// (the ext-noc shape), and one with next-line prefetch (an MSHR freed
-// with no op waiting on it), runs perturbed with random spurious wakes
+// drains), one under controller freezes and bank stalls, and the modeled
+// NoC (the ext-noc shape), runs perturbed with random spurious wakes
 // produce the fingerprint and checkpoint bytes of the unperturbed event
 // run and of the reference loop, with no late wake.
 func TestWakePerturbationIsInvisible(t *testing.T) {
@@ -231,13 +230,6 @@ func TestWakePerturbationIsInvisible(t *testing.T) {
 		{"ext-noc", func(kernel string) (*System, []mem.ClassID) {
 			cfg := small(kernel)
 			cfg.ModelNoC = true
-			return streams(cfg)
-		}},
-		{"prefetch", func(kernel string) (*System, []mem.ClassID) {
-			// Prefetch-only MSHR entries free with no op waiting: the
-			// response alone must wake a blocked core's retry.
-			cfg := small(kernel)
-			cfg.PrefetchDepth = 4
 			return streams(cfg)
 		}},
 	}

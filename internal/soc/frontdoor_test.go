@@ -19,9 +19,6 @@ func newDoorHarness(t *testing.T, readQ int) (*System, *frontDoor) {
 	t.Helper()
 	cfg := testCfg8()
 	cfg.DRAM.FrontReadQ = readQ
-	if cfg.DRAM.WriteHighWater > cfg.DRAM.FrontWriteQ {
-		cfg.DRAM.WriteHighWater = cfg.DRAM.FrontWriteQ - 1
-	}
 	reg := qos.NewRegistry()
 	reg.MustAdd("a", 1, 0)
 	reg.MustAdd("b", 1, 0)

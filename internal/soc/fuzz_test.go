@@ -46,7 +46,7 @@ func FuzzConfigJSON(f *testing.F) {
 	hostile.DRAM.FrontReadQ = 1 << 40
 	seed(hostile)
 	hostile = config.Scaled8()
-	hostile.DRAM.FrontReadQ, hostile.DRAM.FrontWriteQ, hostile.DRAM.WriteHighWater = 1<<33, 1<<33, 1<<32
+	hostile.DRAM.FrontReadQ, hostile.DRAM.FrontWriteQ = 1<<33, 1<<33
 	seed(hostile)
 	hostile = config.Scaled8()
 	hostile.L3SliceBytes = 1000 // not a whole number of sets

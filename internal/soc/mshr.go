@@ -19,9 +19,9 @@ type mshrTable struct {
 
 const mshrInline = 6
 
-// mshrEntry holds one line's waiters. An entry with no waiters is a
-// prefetch: the line is in flight and no core op waits on it (yet — a
-// demand access that finds it coalesces like any other).
+// mshrEntry holds one line's waiters. Every entry has at least one: a
+// miss is entered by the op that takes it, and later ops to the line
+// coalesce onto it.
 type mshrEntry struct {
 	n        int32
 	inline   [mshrInline]uint64
@@ -45,12 +45,11 @@ func (t *mshrTable) lookup(line uint64) *mshrEntry {
 	return nil
 }
 
-// insert adds an entry with no waiters for line (which must not be
-// present) and returns it.
-func (t *mshrTable) insert(line uint64) *mshrEntry {
+// insert adds an entry for line (which must not be present) whose
+// first waiter is tok.
+func (t *mshrTable) insert(line, tok uint64) {
 	t.lines = append(t.lines, line)
-	t.entries = append(t.entries, mshrEntry{})
-	return &t.entries[len(t.entries)-1]
+	t.entries = append(t.entries, mshrEntry{n: 1, inline: [mshrInline]uint64{tok}})
 }
 
 // addWaiter appends a core op token to an entry's waiter list.

@@ -16,8 +16,8 @@ import (
 )
 
 // TestMSHRTableMatchesMap drives the table and a map[uint64][]uint64
-// reference (a nil list is an entry with no waiters, a prefetch) with
-// the same random insert / coalesce / lookup / remove / reset sequence,
+// reference with the same random insert / coalesce / lookup / remove /
+// reset sequence,
 // at one, the paper's 16, and 64 MSHRs, and compares them after every
 // step. Coalescing is frequent enough that lines outgrow the inline
 // waiter slots, and removals pick absent lines too. Inserts respect the
@@ -40,14 +40,9 @@ func TestMSHRTableMatchesMap(t *testing.T) {
 					if keyIn(ref, line) || len(ref) == capacity {
 						break
 					}
-					if op < 10 { // prefetch: no waiter
-						tbl.insert(line)
-						ref[line] = nil
-					} else {
-						tok++
-						tbl.insert(line).addWaiter(tok)
-						ref[line] = []uint64{tok}
-					}
+					tok++
+					tbl.insert(line, tok)
+					ref[line] = []uint64{tok}
 				case op < 70: // coalesce onto an outstanding line
 					if len(ref) == 0 {
 						break
@@ -181,20 +176,39 @@ func TestRestoreRejectsMSHROverflow(t *testing.T) {
 	}
 }
 
-// TestCkptKeepsWaitersOnPrefetch: a demand access that finds its line
-// already prefetched waits on the prefetch's MSHR, and a checkpoint
-// taken then must carry that waiter like a demand miss's. Dropped, the
-// restored core waits forever for an op that no fill completes.
-func TestCkptKeepsWaitersOnPrefetch(t *testing.T) {
+// TestRestoreRejectsMSHRWithoutWaiter: every miss is taken by an op
+// that waits on it, so an MSHR record with no waiter — a nil list, as a
+// machine with an L2 prefetcher stored a prefetch, or an empty one — is
+// ErrCorrupt. At the parent of this test both loaded as a prefetch in
+// flight.
+func TestRestoreRejectsMSHRWithoutWaiter(t *testing.T) {
+	for name, waiters := range map[string][]uint64{"nil": nil, "empty": {}} {
+		// The MSHR walk's layout: a record count, then per record the
+		// line and its waiter list.
+		image := func(c *ckpt.Codec) {
+			n := 2
+			c.Len(&n, 16)
+			for _, r := range []struct {
+				line    uint64
+				waiters []uint64
+			}{{7, []uint64{42}}, {9, waiters}} {
+				c.U64(&r.line)
+				ckpt.NilSlice(c, &r.waiters, 8, (*ckpt.Codec).U64)
+			}
+		}
+		dst := newMSHRTable(16)
+		if _, err := carry(ckpt.WalkFunc(image), ckpt.WalkFunc(dst.ckpt), ckpt.Limits{}); !errors.Is(err, ckpt.ErrCorrupt) {
+			t.Errorf("%s waiter list: got %v, want ErrCorrupt", name, err)
+		}
+	}
 	src, dst := newMSHRTable(16), newMSHRTable(16)
-	src.insert(7)               // a prefetch
-	src.lookup(7).addWaiter(42) // a demand access coalesces onto it
-	src.insert(9).addWaiter(43) // a demand miss
-	src.insert(11)              // a prefetch nothing waits on
+	src.insert(7, 42)
+	src.lookup(7).addWaiter(43)
+	src.insert(9, 44)
 	if _, err := carry(ckpt.WalkFunc(src.ckpt), ckpt.WalkFunc(dst.ckpt), ckpt.Limits{}); err != nil {
 		t.Fatal(err)
 	}
-	compareMSHR(t, 0, dst, map[uint64][]uint64{7: {42}, 9: {43}, 11: nil})
+	compareMSHR(t, 0, dst, map[uint64][]uint64{7: {42, 43}, 9: {44}})
 }
 
 // TestRestoreRejectsResponseWithoutMSHR: every read a tile image holds,
@@ -268,9 +282,9 @@ func firstQueued(tl *Tile) *mem.Packet {
 // test it loaded as a second entry no response ever frees.
 func TestRestoreRejectsRepeatedMSHRLine(t *testing.T) {
 	src := newMSHRTable(16)
-	src.insert(7).addWaiter(42)
-	src.insert(7).addWaiter(43)
-	src.insert(9)
+	src.insert(7, 42)
+	src.insert(7, 43)
+	src.insert(9, 44)
 	if _, err := carry(ckpt.WalkFunc(src.ckpt), ckpt.WalkFunc(newMSHRTable(16).ckpt), ckpt.Limits{}); !errors.Is(err, ckpt.ErrCorrupt) {
 		t.Fatalf("line 7 stored twice: got %v, want ErrCorrupt", err)
 	}

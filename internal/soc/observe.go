@@ -11,7 +11,7 @@ import (
 // obsMCPrev holds one controller's counters at the last trace emission,
 // so KindDRAM/KindArbiter events carry per-epoch deltas.
 type obsMCPrev struct {
-	reads, writes, rowHits, refreshes, busBusy, inversions uint64
+	reads, writes, rowHits, busBusy, inversions uint64
 }
 
 // obsFaultPrev holds the fault/degradation counters at the last trace
@@ -96,14 +96,12 @@ func (s *System) emitEpoch(now uint64, sat bool) {
 		prev := &s.obsMC[i]
 		st := &mc.Stats
 		e = obs.Event{Kind: obs.KindDRAM, Cycle: now, Epoch: s.epochs, Unit: i,
-			Reads:     st.ReadsServed - prev.reads,
-			Writes:    st.WritesServed - prev.writes,
-			RowHits:   st.RowHits - prev.rowHits,
-			Refreshes: st.Refreshes - prev.refreshes,
-			BusBusy:   st.BusBusyCycles - prev.busBusy}
+			Reads:   st.ReadsServed - prev.reads,
+			Writes:  st.WritesServed - prev.writes,
+			RowHits: st.RowHits - prev.rowHits,
+			BusBusy: st.BusBusyCycles - prev.busBusy}
 		prev.reads, prev.writes = st.ReadsServed, st.WritesServed
-		prev.rowHits, prev.refreshes = st.RowHits, st.Refreshes
-		prev.busBusy = st.BusBusyCycles
+		prev.rowHits, prev.busBusy = st.RowHits, st.BusBusyCycles
 		s.obs.Emit(&e)
 	}
 

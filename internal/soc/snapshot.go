@@ -106,8 +106,8 @@ type MCSnapshot struct {
 	QueuedReads int     // current front-end queue depth
 
 	// Lifetime service counters.
-	Reads, Writes, RowHits, Refreshes uint64
-	PriorityInversions                uint64
+	Reads, Writes, RowHits uint64
+	PriorityInversions     uint64
 }
 
 // Snapshot captures the system's observable state in one coherent view.
@@ -190,7 +190,6 @@ func (s *System) Snapshot() Snapshot {
 			Reads:              mc.Stats.ReadsServed,
 			Writes:             mc.Stats.WritesServed,
 			RowHits:            mc.Stats.RowHits,
-			Refreshes:          mc.Stats.Refreshes,
 			PriorityInversions: mc.Stats.PriorityInversions,
 		}
 		if snap.Window.Cycles > 0 {

@@ -44,11 +44,9 @@ type Tile struct {
 	queued int
 	rrMC   int
 
-	// pool recycles this tile's demand and prefetch packets. Every read
-	// the tile injects returns to this tile (responses route to SrcTile).
+	// pool recycles this tile's miss packets. Every read the tile
+	// injects returns to this tile (responses route to SrcTile).
 	pool mem.Pool
-
-	prefetches uint64
 
 	// lat is the tile's end-to-end L2-miss latency histogram (network
 	// injection to response arrival), written only on this tile's tick;
@@ -156,7 +154,7 @@ func (t *Tile) Access(addr mem.Addr, write bool, now uint64, token uint64) (cpu.
 	if res.Hit {
 		return cpu.AccessDone, now + uint64(t.sys.cfg.L2HitLat)
 	}
-	t.mshr.insert(lineID).addWaiter(token)
+	t.mshr.insert(lineID, token)
 	pkt := t.newMiss(line)
 	t.missQ[pkt.MC].PushBack(pkt)
 	t.queued++
@@ -165,12 +163,6 @@ func (t *Tile) Access(addr mem.Addr, write bool, now uint64, token uint64) (cpu.
 	// A displaced dirty line is written back into the shared cache.
 	if res.Evicted && res.Victim.Dirty {
 		t.sys.l2Writeback(res.Victim.Addr, t.class, now)
-	}
-
-	// Next-N-line prefetch: speculative fills ride the same miss path —
-	// paced, billed, and MSHR-bounded like demand traffic.
-	for i := 1; i <= t.sys.cfg.PrefetchDepth; i++ {
-		t.prefetch((line + mem.Addr(i*mem.LineSize)).Phys(), now)
 	}
 	return cpu.AccessPending, 0
 }
@@ -186,32 +178,6 @@ func (t *Tile) newMiss(line mem.Addr) *mem.Packet {
 	pkt.SrcTile = t.id
 	pkt.MC = t.sys.mcOf(line)
 	return pkt
-}
-
-// prefetch issues a speculative fill for line if it is absent, not
-// already in flight, and an MSHR is free. No core op waits on it; the
-// fill is installed when the response arrives like any other miss.
-func (t *Tile) prefetch(line mem.Addr, now uint64) {
-	lineID := line.LineID()
-	if t.mshr.lookup(lineID) != nil {
-		return
-	}
-	if t.mshr.len() >= t.sys.cfg.MaxMSHRs {
-		return
-	}
-	if t.l2.Contains(line) {
-		return
-	}
-	res := t.l2.Access(line, false, t.class) // allocate the frame
-	t.mshr.insert(lineID)                    // no waiters
-	t.prefetches++
-	pkt := t.newMiss(line)
-	t.missQ[pkt.MC].PushBack(pkt)
-	t.queued++
-	t.src.OnDemand(now)
-	if res.Evicted && res.Victim.Dirty {
-		t.sys.l2Writeback(res.Victim.Addr, t.class, now)
-	}
 }
 
 // Tick drains responses, injects paced misses, and steps the core.

@@ -291,12 +291,11 @@ var _ cpu.MemPort = (*Tile)(nil)
 // an address, as the machine's address decoder does, so an op stream
 // with bit 60, or the first bit above the width, set in every address
 // runs exactly as the same stream without it — the same misses,
-// prefetches, evictions and writebacks, to the same lines. (The core's
+// evictions and writebacks, to the same lines. (The core's
 // window keeps the ops as generated, so only the caches' images are
 // compared, not the whole machine's.)
 func TestAccessDropsBitsAboveTheAddressWidth(t *testing.T) {
 	cfg := testCfg8()
-	cfg.PrefetchDepth = 2
 	l2sets := cfg.L2Bytes / (cfg.L2Ways * mem.LineSize)
 	var low []mem.Addr
 	var writes []bool
