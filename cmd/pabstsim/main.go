@@ -11,6 +11,15 @@
 //	pabstsim -list
 //	pabstsim -list-policies
 //
+// The ablation axes over the design parameters the paper leaves open
+// (epoch length, the rate scale factor F, pacer burst credit, arbiter
+// slack, front-end queue depth, page policy, gain inertia, per-MC
+// governors) are experiments named sweep-<param> (exp.ParamSweeps):
+// each row one value on the canonical 7:3 stream mix, reporting how
+// well the split converged and how much throughput the system
+// sustained. -list prints them in a section of their own, and "all"
+// leaves them out: `pabstsim -scale quick sweep-page` runs one.
+//
 // -policy runs every system an experiment builds under a QoS policy
 // pair from the plugin registry ("src+tgt"; either half may be empty to
 // keep that side; runs that name their own pair keep it — DESIGN.md,
@@ -28,12 +37,13 @@
 // (fig5 measures the warmup trajectory itself and always runs cold).
 // -resume makes a checkpoint miss an error.
 //
-// Experiments: see -list; "all" runs every one. table3 and the
-// trajectory experiments (fig5/6/8/9), which need per-epoch series the
-// seam does not carry, are the bespoke list below; every other name is
-// looked up in the experiment registry (exp.ExperimentByName), and one
-// process-wide result cache dedups shared simulations, so fig10 and
-// fig12 run their common grid once.
+// Experiments: see -list; "all" runs every one but the sweeps. table3
+// and the trajectory experiments (fig5/6/8/9), which need per-epoch
+// series the seam does not carry, are the bespoke list below; every
+// other name is looked up among the ablation axes and in the experiment
+// registry (exp.ExperimentByName), and one process-wide result cache
+// dedups shared simulations, so fig10 and fig12 run their common grid
+// once.
 package main
 
 import (
@@ -48,7 +58,6 @@ import (
 	"time"
 
 	"pabst"
-	"pabst/internal/cliflags"
 	"pabst/internal/exp"
 )
 
@@ -78,25 +87,69 @@ func listing() []entry {
 	return out
 }
 
-func main() {
-	scaleName := flag.String("scale", "full", "experiment scale: quick or full")
-	list := flag.Bool("list", false, "list experiments and exit")
-	listPolicies := flag.Bool("list-policies", false, "list registered QoS policy mechanisms and exit")
-	series := flag.Bool("series", false, "print full time series for fig5/fig6")
-	jsonOut := flag.Bool("json", false, "emit result tables as JSON instead of text")
-	specs := flag.String("spec", "", "comma-separated SPEC proxy subset for fig10-12 (default: all)")
-	faults := flag.String("faults", "sat-partition",
-		"fault plan for the faults experiment: a preset ("+strings.Join(pabst.FaultPresets(), ", ")+") or a JSON file")
-	common := cliflags.Register(flag.CommandLine)
-	parallel := flag.Int("parallel", 0, "concurrent simulations in multi-run experiments (0 = all cores, 1 = one at a time)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	flag.Parse()
-	defer profiles(*cpuprofile, *memprofile)()
+// options are pabstsim's flags.
+type options struct {
+	scale, specs, faults   string
+	list, listPolicies     bool
+	series, json, resume   bool
+	policy, ckpt           string
+	parallel               int
+	cpuprofile, memprofile string
+}
 
-	if *list {
+// register defines every flag on fs, landing in o.
+func (o *options) register(fs *flag.FlagSet) {
+	fs.StringVar(&o.scale, "scale", "full", "experiment scale: quick or full")
+	fs.BoolVar(&o.list, "list", false, "list experiments and exit")
+	fs.BoolVar(&o.listPolicies, "list-policies", false, "list registered QoS policy mechanisms and exit")
+	fs.BoolVar(&o.series, "series", false, "print full time series for fig5/fig6")
+	fs.BoolVar(&o.json, "json", false, "emit result tables as JSON instead of text")
+	fs.StringVar(&o.specs, "spec", "", "comma-separated SPEC proxy subset for fig10-12 (default: all)")
+	fs.StringVar(&o.faults, "faults", "sat-partition",
+		"fault plan for the faults experiment: a preset ("+strings.Join(pabst.FaultPresets(), ", ")+") or a JSON file")
+	fs.StringVar(&o.policy, "policy", "",
+		"QoS mechanism `src+tgt` (or a preset name) replacing each run's mode; an empty half keeps that side, and a run that names its own pair keeps it (DESIGN.md, \"Selecting a mechanism\")")
+	fs.StringVar(&o.ckpt, "ckpt", "",
+		"directory for post-warmup checkpoints; repeat runs restore instead of re-warming (bit-identical)")
+	fs.BoolVar(&o.resume, "resume", false, "require a stored checkpoint (a miss is an error); needs -ckpt")
+	fs.IntVar(&o.parallel, "parallel", 0, "concurrent simulations in multi-run experiments (0 = all cores, 1 = one at a time)")
+	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&o.memprofile, "memprofile", "", "write a heap profile to this file on exit")
+}
+
+// runScale resolves -scale and stamps the flags that reach the systems
+// an experiment builds onto it: the policy override, the checkpoint
+// store and the parallelism.
+func (o *options) runScale() (exp.Scale, error) {
+	sc, err := exp.ScaleByName(o.scale)
+	if err != nil {
+		return exp.Scale{}, err
+	}
+	if o.resume && o.ckpt == "" {
+		return exp.Scale{}, fmt.Errorf("-resume needs -ckpt <dir>")
+	}
+	if sc.Policy, err = pabst.ParseMode(o.policy); err != nil {
+		return exp.Scale{}, err
+	}
+	sc.Ckpt = o.ckpt
+	sc.Resume = o.resume
+	sc.Parallel = o.parallel
+	return sc, nil
+}
+
+func main() {
+	var o options
+	o.register(flag.CommandLine)
+	flag.Parse()
+	defer profiles(o.cpuprofile, o.memprofile)()
+
+	if o.list {
 		for _, e := range listing() {
 			fmt.Printf("%-10s %s\n", e.name, e.desc)
+		}
+		fmt.Println("\nablation axes (exp.ParamSweeps; not part of all):")
+		for _, e := range exp.ParamSweeps() {
+			fmt.Printf("%-14s %s\n", e.Name(), e.Desc())
 		}
 		fmt.Println("\nworkload generators (pabst.Workloads; -spec takes the SPEC CPU 2006 proxies only):")
 		for _, w := range pabst.Workloads() {
@@ -104,17 +157,15 @@ func main() {
 		}
 		return
 	}
-	if *listPolicies {
+	if o.listPolicies {
 		printPolicies()
 		return
 	}
 
-	scale, err := exp.ScaleByName(*scaleName)
+	scale, err := o.runScale()
 	check(err)
-	check(common.Apply(&scale))
-	scale.Parallel = *parallel
 
-	workloads, err := specSubset(*specs)
+	workloads, err := specSubset(o.specs)
 	check(err)
 
 	args := flag.Args()
@@ -139,7 +190,7 @@ func main() {
 
 	emit := func(tables ...*exp.Table) {
 		for _, tbl := range tables {
-			if *jsonOut {
+			if o.json {
 				b, err := tbl.JSON()
 				check(err)
 				fmt.Println(string(b))
@@ -165,14 +216,14 @@ func main() {
 				Values: map[string]float64{"steady-share": float64(r.ConvergedAt)},
 			})
 			emit(tbl)
-			if *series {
+			if o.series {
 				printSeries(r)
 			}
 		case "fig6":
 			r, err := exp.Fig6(scale)
 			check(err)
 			emit(r.Table())
-			if *series {
+			if o.series {
 				printSeries(r.Series)
 			}
 		case "fig8":
@@ -184,13 +235,13 @@ func main() {
 			check(err)
 			emit(r.Table())
 		default:
-			e, err := registryExperiment(name, workloads, *faults)
+			e, err := registryExperiment(name, workloads, o.faults)
 			if err != nil {
 				fatalf("unknown experiment %q; try -list", name)
 			}
 			emit(runRegistry(e))
 		}
-		if !*jsonOut {
+		if !o.json {
 			fmt.Printf("[%s: %.1fs]\n\n", name, time.Since(start).Seconds())
 		}
 	}
@@ -214,8 +265,14 @@ func specSubset(list string) ([]string, error) {
 
 // registryExperiment resolves a registry-routed experiment, honoring the
 // -spec workload subset (fig10/11/12 are workload-parameterized) and the
-// -faults plan; everything else comes from the registry as registered.
+// -faults plan; a sweep-<param> name is its ablation axis, and
+// everything else comes from the registry as registered.
 func registryExperiment(name string, workloads []string, faultPlan string) (exp.Experiment, error) {
+	for _, e := range exp.ParamSweeps() {
+		if e.Name() == name {
+			return e, nil
+		}
+	}
 	if len(workloads) > 0 {
 		switch name {
 		case "fig10":

@@ -1,8 +1,12 @@
 package main
 
 import (
+	"flag"
 	"strings"
 	"testing"
+
+	"pabst"
+	"pabst/internal/exp"
 )
 
 // TestSpecSubset pins that -spec takes exactly the names the fig10-12
@@ -17,5 +21,106 @@ func TestSpecSubset(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "sphinx3") || strings.Contains(err.Error(), "chaser") {
 			t.Errorf("specSubset(%q) = %v; want an error listing the SPEC proxies only", bad, err)
 		}
+	}
+}
+
+func parse(t *testing.T, args ...string) *options {
+	t.Helper()
+	fs := flag.NewFlagSet("pabstsim", flag.ContinueOnError)
+	var o options
+	o.register(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	return &o
+}
+
+func TestApplyStampsEveryKnob(t *testing.T) {
+	s, err := parse(t, "-scale", "quick", "-policy", "bankreg+dpq", "-ckpt", "/tmp/ck", "-resume", "-parallel", "1").runScale()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Name != "quick" || s.Ckpt != "/tmp/ck" || !s.Resume || s.Parallel != 1 {
+		t.Errorf("runScale lost a knob: %+v", s)
+	}
+	if want := (pabst.Mode{Source: "bankreg", Target: "dpq"}); s.Policy != want {
+		t.Errorf("policy pair = %v, want %v", s.Policy, want)
+	}
+}
+
+func TestResumeRequiresCkpt(t *testing.T) {
+	if _, err := parse(t, "-resume").runScale(); err == nil || !strings.Contains(err.Error(), "-ckpt") {
+		t.Errorf("runScale with -resume and no -ckpt = %v, want an error naming -ckpt", err)
+	}
+}
+
+func TestBadPolicyRejected(t *testing.T) {
+	if _, err := parse(t, "-policy", "nosuch+pair").runScale(); err == nil {
+		t.Error("runScale accepted an unknown policy pair")
+	}
+}
+
+// TestOptionsBuildable: the stamped scale reaches a built system as
+// builder options, half-empty overrides and preset names included.
+func TestOptionsBuildable(t *testing.T) {
+	for flagVal, want := range map[string]pabst.Mode{
+		"bankreg+dpq": {Source: "bankreg", Target: "dpq"},
+		"+dpq":        {Source: "pabst", Target: "dpq"},
+		"target-only": pabst.ModeTargetOnly,
+	} {
+		s, err := parse(t, "-policy", flagVal).runScale()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys, err := pabst.NewBuilder(pabst.Default32Config(), pabst.ModePABST, s.Options()...).Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if src, tgt := sys.PolicyPair(); (pabst.Mode{Source: src, Target: tgt}) != want {
+			t.Errorf("-policy %s built %s+%s, want %v", flagVal, src, tgt, want)
+		}
+		sys.Close()
+	}
+}
+
+// TestUsageContract: pabstsim takes the policy override and the
+// checkpoint store, and no flag re-grows that was removed: the event
+// kernel is the only kernel (-kernel, -ff, -workers) and an ablation
+// axis is an experiment name, not a -param.
+func TestUsageContract(t *testing.T) {
+	fs := flag.NewFlagSet("pabstsim", flag.ContinueOnError)
+	new(options).register(fs)
+	for _, f := range []string{"policy", "ckpt", "resume"} {
+		if fs.Lookup(f) == nil {
+			t.Errorf("pabstsim does not define -%s", f)
+		}
+	}
+	for _, f := range []string{"workers", "ff", "kernel", "param"} {
+		if fs.Lookup(f) != nil {
+			t.Errorf("pabstsim defines -%s", f)
+		}
+	}
+}
+
+// TestEverySweepAxisResolves: each ablation axis is reachable by its
+// name, and "all" does not run it.
+func TestEverySweepAxisResolves(t *testing.T) {
+	sweeps := exp.ParamSweeps()
+	if len(sweeps) == 0 {
+		t.Fatal("no ablation axes")
+	}
+	for _, want := range sweeps {
+		got, err := registryExperiment(want.Name(), nil, "")
+		if err != nil || got.Name() != want.Name() {
+			t.Errorf("registryExperiment(%q) = %v, %v", want.Name(), got, err)
+		}
+		for _, e := range listing() {
+			if e.name == want.Name() {
+				t.Errorf("%s is part of all", want.Name())
+			}
+		}
+	}
+	if _, err := registryExperiment("sweep-bankq", nil, ""); err == nil {
+		t.Error("registryExperiment resolved an axis that does not exist")
 	}
 }

@@ -24,37 +24,52 @@ import (
 	"strings"
 
 	"pabst"
-	"pabst/internal/cliflags"
 )
 
+// options are pabsttrace's flags. It has no warmup, so it takes no
+// checkpoint store.
+type options struct {
+	epochs, epoch, wHi, wLo uint64
+	format, events, policy  string
+	tile                    int
+}
+
+// register defines every flag on fs, landing in o. -epochs is unsigned
+// so a negative count is a parse error, not a run of about 2^64 cycles.
+func (o *options) register(fs *flag.FlagSet) {
+	fs.Uint64Var(&o.epochs, "epochs", 200, "epochs to trace")
+	fs.Uint64Var(&o.epoch, "epoch", 20000, "epoch length in cycles")
+	fs.Uint64Var(&o.wHi, "whi", 7, "high class weight")
+	fs.Uint64Var(&o.wLo, "wlo", 3, "low class weight")
+	fs.StringVar(&o.format, "format", "csv", "output format: jsonl or csv")
+	fs.StringVar(&o.events, "events", "", "comma-separated event kinds to keep (default all): epoch,governor,arbiter,dram,fault,kernel")
+	fs.IntVar(&o.tile, "tile", -1, "restrict governor events to one tile (-1 = all)")
+	fs.StringVar(&o.policy, "policy", "",
+		"QoS mechanism `src+tgt` (or a preset name) replacing full PABST; an empty half keeps that side (DESIGN.md, \"Selecting a mechanism\")")
+}
+
 func main() {
-	epochs := flag.Int("epochs", 200, "epochs to trace")
-	epoch := flag.Uint64("epoch", 20000, "epoch length in cycles")
-	wHi := flag.Uint64("whi", 7, "high class weight")
-	wLo := flag.Uint64("wlo", 3, "low class weight")
-	format := flag.String("format", "csv", "output format: jsonl or csv")
-	events := flag.String("events", "", "comma-separated event kinds to keep (default all): epoch,governor,arbiter,dram,fault,kernel")
-	tile := flag.Int("tile", -1, "restrict governor events to one tile (-1 = all)")
-	common := cliflags.Register(flag.CommandLine)
+	var o options
+	o.register(flag.CommandLine)
 	flag.Parse()
 
-	over, err := common.Validate()
+	over, err := pabst.ParseMode(o.policy)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pabsttrace: %v\n", err)
 		os.Exit(2)
 	}
 
 	var sink pabst.Sink
-	switch *format {
+	switch o.format {
 	case "jsonl":
 		sink = pabst.NewJSONLSink(os.Stdout)
 	case "csv":
 		sink = pabst.NewCSVSink(os.Stdout)
 	default:
-		fmt.Fprintf(os.Stderr, "pabsttrace: unknown -format %q (want jsonl or csv)\n", *format)
+		fmt.Fprintf(os.Stderr, "pabsttrace: unknown -format %q (want jsonl or csv)\n", o.format)
 		os.Exit(2)
 	}
-	if keep, err := buildFilter(*events, *tile); err != nil {
+	if keep, err := buildFilter(o.events, o.tile); err != nil {
 		fmt.Fprintf(os.Stderr, "pabsttrace: %v\n", err)
 		os.Exit(2)
 	} else if keep != nil {
@@ -63,13 +78,13 @@ func main() {
 	observer := pabst.NewObserver(0, sink)
 
 	cfg := pabst.Default32Config()
-	cfg.PABST.EpochCycles = *epoch
-	cfg.BWWindow = *epoch
+	cfg.PABST.EpochCycles = o.epoch
+	cfg.BWWindow = o.epoch
 
 	b := pabst.NewBuilder(cfg, pabst.ModePABST,
 		pabst.WithPolicy(over.Source, over.Target), pabst.WithObserver(observer))
-	hi := b.AddClass("hi", *wHi, cfg.L3Ways/2)
-	lo := b.AddClass("lo", *wLo, cfg.L3Ways/2)
+	hi := b.AddClass("hi", o.wHi, cfg.L3Ways/2)
+	lo := b.AddClass("lo", o.wLo, cfg.L3Ways/2)
 	for i := 0; i < 16; i++ {
 		b.Attach(i, hi, pabst.Stream("hi", pabst.TileRegion(i), 128, false))
 		b.Attach(16+i, lo, pabst.Stream("lo", pabst.TileRegion(16+i), 128, false))
@@ -81,7 +96,7 @@ func main() {
 	}
 	defer sys.Close()
 
-	sys.Run(uint64(*epochs) * *epoch)
+	sys.Run(o.epochs * o.epoch)
 	if err := observer.Flush(); err != nil {
 		fmt.Fprintf(os.Stderr, "pabsttrace: %v\n", err)
 		os.Exit(1)

@@ -39,10 +39,10 @@ func (g *seededGen) Next(op *workload.Op) {
 
 // capPort is a seeded, capacity-bounded port in the tile's image. A miss
 // holds one of cap entries until its drawn return cycle, and a miss to a
-// line already in flight joins that entry. Some misses take a second
-// entry that no op waits on (a prefetch), which frees with no
-// CompleteMiss. A would-be miss with every entry taken is refused before
-// anything moves, with no draw, so a retry is a pure probe. Whether an
+// line already in flight joins that entry, so every entry is born with
+// the op that allocated it waiting. A would-be miss with every entry
+// taken is refused before anything moves, with no draw, so a retry is a
+// pure probe. Whether an
 // access hits depends on its address alone, so two ports fed the same
 // accepted accesses stay identical however often either is probed.
 type capPort struct {
@@ -67,11 +67,6 @@ func (p *capPort) find(line mem.Addr) int {
 	return -1
 }
 
-func (p *capPort) alloc(line mem.Addr, now uint64) *capEntry {
-	p.entries = append(p.entries, capEntry{line: line, freeAt: now + 1 + uint64(p.rng.Intn(300))})
-	return &p.entries[len(p.entries)-1]
-}
-
 func (p *capPort) Access(addr mem.Addr, write bool, now uint64, token uint64) (AccessStatus, uint64) {
 	line := addr.Line()
 	if i := p.find(line); i >= 0 {
@@ -84,33 +79,28 @@ func (p *capPort) Access(addr mem.Addr, write bool, now uint64, token uint64) (A
 	if len(p.entries) >= p.cap {
 		return AccessBlocked, 0
 	}
-	e := p.alloc(line, now)
-	e.waiters = append(e.waiters, token)
-	if next := line + mem.LineSize; p.rng.Intn(3) == 0 && len(p.entries) < p.cap && p.find(next) < 0 {
-		p.alloc(next, now)
-	}
+	p.entries = append(p.entries, capEntry{
+		line: line, freeAt: now + 1 + uint64(p.rng.Intn(300)), waiters: []uint64{token},
+	})
 	return AccessPending, 0
 }
 
 // respond frees the entries due at now, completing the ops waiting on
-// them — the tile's inbox drain. It reports how many of the freed entries
-// had no op waiting.
-func (p *capPort) respond(now uint64) (bare int) {
+// them — the tile's inbox drain. It reports how many entries it freed.
+func (p *capPort) respond(now uint64) (freed int) {
 	keep := p.entries[:0]
 	for _, e := range p.entries {
 		if e.freeAt > now {
 			keep = append(keep, e)
 			continue
 		}
-		if len(e.waiters) == 0 {
-			bare++
-		}
+		freed++
 		for _, tok := range e.waiters {
 			p.core.CompleteMiss(tok, now)
 		}
 	}
 	p.entries = keep
-	return bare
+	return freed
 }
 
 // nextFree is the cycle the earliest entry frees, the inbox's event.
@@ -172,14 +162,14 @@ func TestCoreTickEqualsFastForward(t *testing.T) {
 			// visit runs the slept core at cycle now as Tile.tick does:
 			// the inbox drains, then the core ticks.
 			visit := func(now uint64) int {
-				bare := sleptPort.respond(now)
+				freed := sleptPort.respond(now)
 				slept.Tick(now)
-				return bare
+				return freed
 			}
 
 			const end = 100_000
 			rng := rand.New(rand.NewSource(int64(7 + vi)))
-			var spans, replayed, bareWakes int
+			var spans, replayed, blockedFrees int
 			for now := uint64(0); now < end; {
 				from := now
 				to := min(slept.NextEventAt(from), sleptPort.nextFree(), end)
@@ -206,18 +196,18 @@ func TestCoreTickEqualsFastForward(t *testing.T) {
 					break
 				}
 				wasBlocked := slept.mshrBlocked
-				if bare := visit(to); bare > 0 && wasBlocked {
-					bareWakes++
+				if freed := visit(to); freed > 0 && wasBlocked {
+					blockedFrees++
 				}
 				sync(to+1, fmt.Sprintf("event at %d", to))
 				now = to + 1
 			}
-			if replayed < 100 || bareWakes < 10 || ticked.OpsRetired() < 1000 {
-				t.Fatalf("weak drive: %d of %d spans replayed blocked bookkeeping, %d prefetch-only frees reached a blocked core, %d ops retired",
-					replayed, spans, bareWakes, ticked.OpsRetired())
+			if replayed < 100 || blockedFrees < 100 || ticked.OpsRetired() < 1000 {
+				t.Fatalf("weak drive: %d of %d spans replayed blocked bookkeeping, %d frees reached an MSHR-blocked core, %d ops retired",
+					replayed, spans, blockedFrees, ticked.OpsRetired())
 			}
-			t.Logf("%d of %d spans replayed blocked bookkeeping, %d prefetch-only frees reached a blocked core, %d ops retired",
-				replayed, spans, bareWakes, ticked.OpsRetired())
+			t.Logf("%d of %d spans replayed blocked bookkeeping, %d frees reached an MSHR-blocked core, %d ops retired",
+				replayed, spans, blockedFrees, ticked.OpsRetired())
 		})
 	}
 }

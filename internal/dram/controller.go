@@ -212,19 +212,19 @@ func NewController(id int, cfg Config, respond Responder) (*Controller, error) {
 }
 
 // SetScheduler selects the read pick order and, for EDF, the arbiter that
-// assigns and consumes virtual deadlines.
+// assigns and consumes virtual deadlines. It is part of construction: a
+// front end that holds reads keeps the order they were indexed in, so
+// calling it then panics.
 func (c *Controller) SetScheduler(s ReadSched, a Arbiter) {
 	if s == SchedEDF && a == nil {
 		panic("dram: EDF scheduling requires an arbiter")
 	}
+	if c.fe.count > 0 {
+		panic("dram: SetScheduler on a front end holding reads")
+	}
 	c.sched = s
 	c.arbiter = a
-	if edf := s == SchedEDF; edf != c.fe.edf {
-		c.fe.edf = edf
-		if c.fe.count > 0 {
-			c.fe.reorder()
-		}
-	}
+	c.fe.edf = s == SchedEDF
 }
 
 // SetReleaser installs the hook that receives served writeback packets.

@@ -222,6 +222,22 @@ func TestEDFRequiresArbiter(t *testing.T) {
 	mc.SetScheduler(SchedEDF, nil)
 }
 
+// TestSetSchedulerRefusesQueuedReads: the pick order is chosen at
+// construction; a front end holding reads indexed them under the old
+// order, so switching then panics instead of re-sorting them.
+func TestSetSchedulerRefusesQueuedReads(t *testing.T) {
+	cfg := testCfg()
+	mc, _ := newTestMC(t, cfg)
+	mc.SetScheduler(SchedFCFS, nil) // empty: allowed, and a no-op
+	enqRead(t, mc, lineOnBank(cfg, 1, 0), 0, 0)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SetScheduler switched the order with a read queued")
+		}
+	}()
+	mc.SetScheduler(SchedEDF, &fixedArbiter{deadlines: map[*mem.Packet]uint64{}})
+}
+
 func TestSameBankSerializes(t *testing.T) {
 	cfg := testCfg()
 	mc, cap := newTestMC(t, cfg)

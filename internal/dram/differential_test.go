@@ -14,10 +14,9 @@ import (
 // controller over randomized workloads; every service decision — packet
 // identity, service order, timing, and stats — must match for a million
 // cycles across scheduler × page-policy × bank-count variants. Along
-// the way the real controller is checkpointed and restored in place and
-// both sides have their scheduler switched with reads queued, and after
-// every step the occupied-bank bitmap the picks walk must mark exactly
-// the banks whose heap holds a read.
+// the way the real controller is checkpointed and restored in place, and
+// after every step the occupied-bank bitmap the picks walk must mark
+// exactly the banks whose heap holds a read.
 
 // served records one completed transaction for comparison. Packet
 // pointers differ between the controllers, so identity is compared by
@@ -119,8 +118,7 @@ func TestDifferentialSchedulerEquivalence(t *testing.T) {
 			})
 			arbNew := &diffArbiter{rng: rand.New(rand.NewSource(int64(vi)))}
 			arbRef := &diffArbiter{rng: rand.New(rand.NewSource(int64(vi)))}
-			sched := v.sched
-			if sched == SchedEDF {
+			if v.sched == SchedEDF {
 				mc.SetScheduler(SchedEDF, arbNew)
 				ref.SetScheduler(SchedEDF, arbRef)
 			}
@@ -130,7 +128,7 @@ func TestDifferentialSchedulerEquivalence(t *testing.T) {
 
 			rng := rand.New(rand.NewSource(42 + int64(vi)))
 			var tag uint64
-			highBank, reorders := -1, 0
+			highBank := -1
 			for now := uint64(0); now < cyclesPerVariant; now++ {
 				// Random read arrivals, bursty to sweep queue depths.
 				burst := rng.Intn(4)
@@ -181,21 +179,6 @@ func TestDifferentialSchedulerEquivalence(t *testing.T) {
 					restoreInPlace(t, mc)
 					checkOccupied(t, mc, "after restore", now)
 				}
-				// EDF variants drop to arrival order and back, re-heapifying
-				// whatever is queued; both sides keep stamping deadlines.
-				if v.sched == SchedEDF && now%15_013 == 15_012 {
-					if sched == SchedEDF {
-						sched = SchedFCFS
-					} else {
-						sched = SchedEDF
-					}
-					if mc.QueuedReads() > 0 {
-						reorders++
-					}
-					mc.SetScheduler(sched, arbNew)
-					ref.SetScheduler(sched, arbRef)
-					checkOccupied(t, mc, "after SetScheduler", now)
-				}
 
 				if mc.QueuedReads() != ref.QueuedReads() || mc.QueuedWrites() != ref.QueuedWrites() {
 					t.Fatalf("cycle %d: queue depth divergence: reads %d vs %d, writes %d vs %d",
@@ -205,9 +188,6 @@ func TestDifferentialSchedulerEquivalence(t *testing.T) {
 
 			if highBank < v.banks/2 {
 				t.Fatalf("highest bank ever occupied is %d of %d", highBank, v.banks)
-			}
-			if v.sched == SchedEDF && reorders == 0 {
-				t.Fatal("the scheduler was never switched with reads queued")
 			}
 
 			// Every service decision must match one-for-one in order,

@@ -170,33 +170,6 @@ func (f *frontSched) rebuildHit(bank int32, openRow int64) {
 	}
 }
 
-// reorder re-heapifies every bucket under the current edf flag. It runs
-// only if the scheduler policy is switched while requests are queued
-// (SetScheduler is normally called on an empty controller).
-func (f *frontSched) reorder() {
-	for b := range f.banks {
-		bi := &f.banks[b]
-		ids := append([]int32(nil), bi.all.items...)
-		for _, id := range ids {
-			f.nodes[id].posAll = -1
-		}
-		bi.all.items = bi.all.items[:0]
-		for _, id := range ids {
-			bi.all.push(f, id)
-		}
-		if f.useHit {
-			ids = append(ids[:0], bi.hit.items...)
-			for _, id := range ids {
-				f.nodes[id].posHit = -1
-			}
-			bi.hit.items = bi.hit.items[:0]
-			for _, id := range ids {
-				bi.hit.push(f, id)
-			}
-		}
-	}
-}
-
 // ---- 4-ary heap mechanics -------------------------------------------
 
 func (h *nheap) top() int32 {

@@ -15,9 +15,10 @@ import (
 
 // paramDef is one named, serializable configuration override. The
 // registry is the full set of sweepable design parameters from
-// DESIGN.md; pabstsweep's tables and the sweep service's job specs both
-// resolve through it, so a job submitted over REST and a CLI sweep point
-// with the same name/value produce bit-identical machines.
+// DESIGN.md; the ablation axes pabstsim prints (ParamSweeps) and the
+// sweep service's job specs both resolve through it, so a job submitted
+// over REST and a CLI sweep point with the same name/value produce
+// bit-identical machines.
 type paramDef struct {
 	desc string
 	set  func(*pabst.SystemConfig, uint64)
@@ -86,8 +87,8 @@ func SetParam(cfg *pabst.SystemConfig, name string, v uint64) error {
 	return nil
 }
 
-// paramAxis is one ablation axis of cmd/pabstsweep: the values a design
-// parameter takes on the canonical 7:3 stream mix.
+// paramAxis is one ablation axis: the values a design parameter takes
+// on the canonical 7:3 stream mix.
 type paramAxis struct {
 	param  string
 	values []uint64
@@ -103,12 +104,13 @@ var paramAxes = []paramAxis{
 	{param: "queue", values: []uint64{8, 16, 32, 64}},
 	{param: "page", values: []uint64{0, 1}, labels: []string{"closed", "open"}},
 	{param: "inertia", values: []uint64{0, 1, 3, 6, 10}},
+	{param: "permc", values: []uint64{0, 1}, labels: []string{"global", "per-mc"}},
 }
 
-// ParamSweeps returns the ablation axes as experiments named after their
-// parameter, in DESIGN.md's order. They are not registered: an axis is a
-// table of one parameter's values, not a paper figure, and cmd/pabstsweep
-// is its only consumer.
+// ParamSweeps returns the ablation axes as experiments named
+// sweep-<param>, in DESIGN.md's order. They are not registered: an axis
+// is a table of one parameter's values, not a paper figure, so pabstsim
+// runs one only by name and "all" leaves them out.
 func ParamSweeps() []Experiment {
 	out := make([]Experiment, len(paramAxes))
 	for i, ax := range paramAxes {
@@ -118,7 +120,7 @@ func ParamSweeps() []Experiment {
 			per = 2
 		}
 		out[i] = &expDef{
-			name: ax.param,
+			name: "sweep-" + ax.param,
 			desc: desc,
 			spec: func(scale string) []RunSpec {
 				var specs []RunSpec

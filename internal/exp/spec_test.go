@@ -82,6 +82,62 @@ func TestSetParamUnknown(t *testing.T) {
 	}
 }
 
+// TestParamSweepsAreBuildable: every ablation axis names a sweepable
+// parameter, is named after it, and every point it emits is a valid
+// spec, so an axis cannot fail after its first points have run.
+func TestParamSweepsAreBuildable(t *testing.T) {
+	for i, e := range ParamSweeps() {
+		ax := paramAxes[i]
+		if _, ok := paramRegistry[ax.param]; !ok {
+			t.Errorf("axis %q names no sweepable parameter", ax.param)
+		}
+		if want := "sweep-" + ax.param; e.Name() != want {
+			t.Errorf("axis %q is named %q, want %q", ax.param, e.Name(), want)
+		}
+		if ax.labels != nil && len(ax.labels) != len(ax.values) {
+			t.Errorf("axis %q: %d labels for %d values", ax.param, len(ax.labels), len(ax.values))
+		}
+		for _, rs := range e.Spec("quick") {
+			if err := rs.Validate(); err != nil {
+				t.Errorf("axis %q: %+v: %v", ax.param, rs, err)
+			}
+		}
+	}
+}
+
+// TestParamSweepRendersOneRowPerValue runs the one axis with a second
+// mix (slack, which also runs the chaser bench) on the tiny scale.
+func TestParamSweepRendersOneRowPerValue(t *testing.T) {
+	var slack Experiment
+	for _, e := range ParamSweeps() {
+		if e.Name() == "sweep-slack" {
+			slack = e
+		}
+	}
+	if slack == nil {
+		t.Fatal("no sweep-slack axis")
+	}
+	tbl, specs, _, err := RunExperimentScale(context.Background(), slack, tinyScale(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	values := []string{"8", "32", "128", "512", "4096"}
+	if len(specs) != 2*len(values) || len(tbl.Rows) != len(values) {
+		t.Fatalf("%d specs, %d rows; want %d and %d", len(specs), len(tbl.Rows), 2*len(values), len(values))
+	}
+	for i, row := range tbl.Rows {
+		if row.Label != values[i] {
+			t.Errorf("row %d is labeled %q, want %q", i, row.Label, values[i])
+		}
+		if share := row.Values["chaser-share"]; share <= 0 || share >= 1 {
+			t.Errorf("row %s: chaser-share %v outside (0, 1)", row.Label, share)
+		}
+		if row.Values["total-B/cyc"] <= 0 {
+			t.Errorf("row %s moved no bytes", row.Label)
+		}
+	}
+}
+
 // TestRunSpecDeterministic pins that the same spec produces the same
 // result fingerprint across calls and across both bench kinds.
 func TestRunSpecDeterministic(t *testing.T) {

@@ -304,7 +304,7 @@ func TestFCFSTargetIsBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 	if sched != dram.SchedFCFS || arb != nil {
-		t.Errorf("fcfs = (%v, %v), want (SchedFCFS, nil) so soc can skip SetScheduler", sched, arb)
+		t.Errorf("fcfs = (%v, %v), want (SchedFCFS, nil), the controller's construction default", sched, arb)
 	}
 }
 

@@ -146,12 +146,7 @@ func New(cfg config.System, reg *qos.Registry, pair qospolicy.Pair) (*System, er
 		if err != nil {
 			return nil, err
 		}
-		// Plain FCFS with no arbiter is the controller's construction
-		// default; skipping the redundant SetScheduler keeps the baseline
-		// path byte-identical to the pre-plugin wiring.
-		if sched != dram.SchedFCFS || arb != nil {
-			mc.SetScheduler(sched, arb)
-		}
+		mc.SetScheduler(sched, arb)
 		s.arbs = append(s.arbs, arb)
 		s.mcs = append(s.mcs, mc)
 		d := &frontDoor{mc: mc}
