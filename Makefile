@@ -1,7 +1,8 @@
 # Build and test tiers. `make check` is the tier-1 gate (build + vet +
 # tests, here and in the frozen bench/ module, plus one race run over
 # the run-level pool every multi-run experiment uses by default and one
-# over the service's lock-ordered settle/Drain/Close paths);
+# over the service's lock-ordered settle/Drain/Close paths, each with
+# two workers sharing one result cache);
 # `make robust` adds the race detector over everything, which the serve
 # control plane and the fault-injection chaos sweeps are expected to
 # pass too.
@@ -22,8 +23,8 @@ check: build lint-docs
 	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 	$(GO) test ./...
-	$(GO) test -race -run 'ForEach|SweepParallelism|RunExperimentRunsEachFingerprintOnce|Fig9' ./internal/exp
-	$(GO) test -race -run 'Drain|Wedge|Chaos' ./internal/serve
+	$(GO) test -race -run 'ForEach|SweepParallelism|RunExperimentRunsEachFingerprintOnce|RunSpecRunResultCache|Fig9' ./internal/exp
+	$(GO) test -race -run 'Drain|Wedge|Chaos|ResultCacheAnswersResubmission' ./internal/serve
 	$(GO) -C bench vet ./... && $(GO) -C bench test ./...
 
 # Robustness tier: the full suite under the race detector (slower;

@@ -1,6 +1,6 @@
 // Command pabstserve runs the PABST sweep service: a long-running,
-// fault-tolerant job system over the same exp.RunSpec unit of work the
-// sweep CLI executes. Jobs are submitted and observed over REST:
+// fault-tolerant job system over the same exp.RunSpec unit of work
+// pabstsim executes. Jobs are submitted and observed over REST:
 //
 //	POST /jobs      {"spec":{"bench":"streams","scale":"quick","params":{"slack":64}}}
 //	GET  /jobs      all jobs            GET /jobs/{id}   one job
@@ -14,7 +14,8 @@
 // in-flight jobs finish or are requeued, and a restart over the same
 // -dir recovers exactly the unfinished work and reruns it from the warm
 // store. Re-execution is idempotent — a spec's fingerprint pins its
-// bit-identical result.
+// bit-identical result — so a spec the running process has already
+// completed is answered from its in-memory result cache.
 //
 // Usage:
 //
@@ -34,6 +35,10 @@ import (
 
 	"pabst/internal/serve"
 )
+
+// readHeaderTimeout bounds how long a client may take to send its
+// request headers, so a stalled connection cannot be held forever.
+const readHeaderTimeout = 10 * time.Second
 
 func main() {
 	addr := flag.String("addr", ":8321", "HTTP listen address")
@@ -62,7 +67,7 @@ func run(cfg serve.Config, addr string) error {
 		return err
 	}
 	svc.Start()
-	srv := &http.Server{Addr: addr, Handler: svc.Handler()}
+	srv := &http.Server{Addr: addr, Handler: svc.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	errc := make(chan error, 1)
 	go func() {
 		if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {

@@ -31,9 +31,11 @@ const pipelineDepth = 2
 
 // writeHighWater and writeLowWater are the write drain watermarks: the
 // controller switches to writes when the write queue reaches ¾ of its
-// capacity (or reads are idle) and back to reads at ¼.
-func (c Config) writeHighWater() int { return c.FrontWriteQ * 3 / 4 }
-func (c Config) writeLowWater() int  { return c.FrontWriteQ / 4 }
+// capacity (or reads are idle) and back to reads at ¼. Pointer
+// receivers: nextWriteMode runs every busy cycle and must not copy the
+// whole Config to read one field.
+func (c *Config) writeHighWater() int { return c.FrontWriteQ * 3 / 4 }
+func (c *Config) writeLowWater() int  { return c.FrontWriteQ / 4 }
 
 // maxQueueDepth bounds every queue capacity. The queues are allocated
 // up front, so the bound is what keeps a configuration from a JSON file

@@ -8,7 +8,10 @@
 // (ExperimentByName, or a New*Experiment constructor for a custom
 // workload list or fault plan) names its RunSpecs and reduces their
 // results to a Table, and RunExperimentScale executes
-// it — grouping specs by fingerprint, consulting a RunCache, reducing.
+// it — grouping specs by fingerprint, running each group once, reducing.
+// A RunCache in Exec.Results lets RunSpec.Run answer a fingerprint that
+// already completed into it instead of simulating it again; the figure
+// set and the sweep service share that one mechanism.
 // The trajectory experiments that need per-epoch series the seam does
 // not carry (Fig5Series, Fig6, Fig8, Fig9) are plain functions. All are
 // parameterized by a Scale (Quick/Full presets), which also carries

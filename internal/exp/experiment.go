@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"pabst/internal/config"
 )
@@ -77,30 +78,36 @@ func ExperimentByName(name string) (Experiment, error) {
 
 // RunCache memoizes RunResults by spec fingerprint. Specs are
 // deterministic — equal fingerprints mean bit-identical outcomes — so a
-// cache shared across experiments in one process never changes an
-// answer, only skips re-simulating it (fig10 and fig12 share a whole
-// grid; faults' clean arm is fig5's machine).
+// cache shared by runs that resolve each scale name alike never changes
+// an answer, only skips re-simulating it (fig10 and fig12 share a whole grid; faults'
+// clean arm is fig5's machine; the sweep service answers a resubmitted
+// spec). RunSpec.Run consults and fills it (see Exec.Results). Cached
+// results are shared, not copied: callers treat them as read-only.
 type RunCache struct {
-	mu sync.Mutex
-	m  map[string]RunResult
+	mu   sync.Mutex
+	m    map[string]RunResult
+	hits atomic.Uint64
 }
 
 // NewRunCache returns an empty cache.
 func NewRunCache() *RunCache { return &RunCache{m: map[string]RunResult{}} }
 
-// Get returns the cached result for a fingerprint.
-func (c *RunCache) Get(fp string) (RunResult, bool) {
+// get returns the cached result for a fingerprint, counting a hit.
+func (c *RunCache) get(fp string) (RunResult, bool) {
 	if c == nil {
 		return RunResult{}, false
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	r, ok := c.m[fp]
+	c.mu.Unlock()
+	if ok {
+		c.hits.Add(1)
+	}
 	return r, ok
 }
 
-// Put stores a result under a fingerprint.
-func (c *RunCache) Put(fp string, r RunResult) {
+// put stores a result under a fingerprint.
+func (c *RunCache) put(fp string, r RunResult) {
 	if c == nil {
 		return
 	}
@@ -119,24 +126,32 @@ func (c *RunCache) Len() int {
 	return len(c.m)
 }
 
+// Hits reports how many runs the cache answered without simulating.
+func (c *RunCache) Hits() uint64 {
+	if c == nil {
+		return 0
+	}
+	return c.hits.Load()
+}
+
 // RunExperimentScale executes an experiment end to end under one
 // resolved Scale: resolve its specs at the scale's name ("custom" when
 // anonymous, so they resolve back to exactly sc, -policy and -ckpt
 // included), run them (parallel by ForEach's rule on sc.Parallel: 0 =
-// every core, 1 = one at a time; consulting and filling cache when
-// non-nil), and reduce. Specs are grouped by fingerprint before dispatch,
-// so each distinct machine simulates exactly once however the pool
-// schedules — equal specs share one RunResult, with or without a cache.
-// cache may be shared across experiments in one process (fig10 and fig12
-// then run their common grid once) or nil to skip caching entirely. The
-// specs and their results are returned alongside the table so callers
-// can persist or re-reduce them.
+// every core, 1 = one at a time) under an Exec whose Results is cache,
+// and reduce. Specs are grouped by fingerprint before dispatch, so each
+// distinct machine simulates at most once however the pool schedules —
+// equal specs share one RunResult, with or without a cache. cache may be
+// shared across experiments run at one Scale in one process (fig10 and
+// fig12 then run their common grid once) or nil to skip caching
+// entirely. The specs and their results are returned alongside the
+// table so callers can persist or re-reduce them.
 func RunExperimentScale(ctx context.Context, e Experiment, sc Scale, cache *RunCache) (*Table, []RunSpec, []RunResult, error) {
 	name := sc.Name
 	if name == "" {
 		name = "custom"
 	}
-	ex := Exec{Ckpt: sc.Ckpt, Resume: sc.Resume, Scales: map[string]Scale{name: sc}}
+	ex := Exec{Ckpt: sc.Ckpt, Resume: sc.Resume, Scales: map[string]Scale{name: sc}, Results: cache}
 	specs := e.Spec(name)
 	if len(specs) == 0 {
 		return nil, nil, nil, Terminal(fmt.Errorf("%w: experiment %q produced no specs", config.ErrInvalid, e.Name()))
@@ -144,16 +159,11 @@ func RunExperimentScale(ctx context.Context, e Experiment, sc Scale, cache *RunC
 	results := make([]RunResult, len(specs))
 	fps := make([]string, len(specs))
 	first := make(map[string]int, len(specs)) // fingerprint -> first spec carrying it
-	var todo []int                            // first-of-fingerprint indices the cache does not hold
+	var todo []int                            // first-of-fingerprint indices
 	for i := range specs {
 		fps[i] = specs[i].Fingerprint()
-		if _, seen := first[fps[i]]; seen {
-			continue
-		}
-		first[fps[i]] = i
-		if r, ok := cache.Get(fps[i]); ok {
-			results[i] = r
-		} else {
+		if _, seen := first[fps[i]]; !seen {
+			first[fps[i]] = i
 			todo = append(todo, i)
 		}
 	}
@@ -164,7 +174,6 @@ func RunExperimentScale(ctx context.Context, e Experiment, sc Scale, cache *RunC
 			return fmt.Errorf("%s spec %d (%s): %w", e.Name(), i, specs[i].Bench, err)
 		}
 		results[i] = r
-		cache.Put(fps[i], r)
 		return nil
 	})
 	if err != nil {

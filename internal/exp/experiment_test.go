@@ -2,7 +2,10 @@ package exp
 
 import (
 	"context"
+	"errors"
+	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -211,5 +214,93 @@ func TestRunExperimentRunsEachFingerprintOnce(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRunSpecRunResultCache: under an Exec with a result cache, two
+// workers that ask again for fingerprints already completed get the
+// identical RunResult without a machine — no beat, no warm-store lookup.
+// A failed, cancelled or partial run stores nothing, and an Exec with
+// nil Results always simulates.
+func TestRunSpecRunResultCache(t *testing.T) {
+	ctx := context.Background()
+	specs := []RunSpec{{Bench: BenchStreams, Scale: "tiny"}, {Bench: BenchChaser, Scale: "tiny"}}
+	ex := tinyExec()
+	ex.Ckpt = t.TempDir()
+	ex.Results = NewRunCache()
+	lookups := func() uint64 { return StoreEvents.Hits.Load() + StoreEvents.Misses.Load() }
+
+	first := make([]RunResult, len(specs))
+	before := lookups()
+	if err := ForEachCtx(ctx, 2, len(specs), func(i int) (err error) {
+		first[i], err = specs[i].Run(ctx, ex, RunIO{})
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if n := lookups() - before; n != 2 || ex.Results.Len() != 2 || ex.Results.Hits() != 0 {
+		t.Fatalf("first round: %d store lookups, cache holds %d with %d hits; want 2, 2, 0",
+			n, ex.Results.Len(), ex.Results.Hits())
+	}
+
+	var beats atomic.Int64
+	beat := RunIO{Beat: func(done, total uint64) { beats.Add(1) }}
+	again := make([]RunResult, 4)
+	before = lookups()
+	if err := ForEachCtx(ctx, 2, len(again), func(k int) (err error) {
+		again[k], err = specs[k%len(specs)].Run(ctx, ex, beat)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if n := lookups() - before; n != 0 || beats.Load() != 0 {
+		t.Fatalf("cached round built machines: %d store lookups, %d beats", n, beats.Load())
+	}
+	if ex.Results.Hits() != 4 {
+		t.Fatalf("cache counted %d hits, want 4", ex.Results.Hits())
+	}
+	for k, r := range again {
+		if !reflect.DeepEqual(r, first[k%len(specs)]) {
+			t.Fatalf("cached answer %d differs from the run that stored it:\n%+v\nwant %+v", k, r, first[k%len(specs)])
+		}
+	}
+
+	// Runs that do not complete their measure window store nothing.
+	fresh := RunSpec{Bench: BenchStreams, Scale: "tiny", Params: map[string]uint64{"slack": 64}}
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err := fresh.Run(cancelled, ex, RunIO{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run: %v", err)
+	}
+	partial, stop := context.WithCancel(ctx)
+	r, err := fresh.Run(partial, ex, RunIO{Beat: func(done, total uint64) {
+		if done > 0 {
+			stop()
+		}
+	}})
+	stop()
+	if !errors.Is(err, context.Canceled) || r.Cycles == 0 || r.Cycles >= tinyScale().Measure {
+		t.Fatalf("partial run: %v after %d cycles", err, r.Cycles)
+	}
+	failing := ex
+	failing.Ckpt, failing.Resume = t.TempDir(), true // resume over an empty store
+	if _, err := fresh.Run(ctx, failing, RunIO{}); err == nil {
+		t.Fatal("resume over an empty store succeeded")
+	}
+	if ex.Results.Len() != 2 {
+		t.Fatalf("cache holds %d results after failed runs, want 2", ex.Results.Len())
+	}
+
+	// nil Results simulates every time.
+	ex.Results = nil
+	before = lookups()
+	for i := 0; i < 2; i++ {
+		r, err := specs[0].Run(ctx, ex, RunIO{})
+		if err != nil || r.Fingerprint != first[0].Fingerprint {
+			t.Fatalf("uncached run %d: %v, fingerprint %s want %s", i, err, r.Fingerprint, first[0].Fingerprint)
+		}
+	}
+	if n := lookups() - before; n != 2 {
+		t.Fatalf("two uncached runs made %d store lookups, want 2", n)
 	}
 }

@@ -108,8 +108,8 @@ func TestPolicyGoldenModes(t *testing.T) {
 	}
 }
 
-// TestPolicyGoldenSpecs pins the RunSpec execution path (the unit the
-// sweep CLI and the serve control plane share) to its pre-refactor
+// TestPolicyGoldenSpecs pins the RunSpec execution path (the unit
+// pabstsim and the serve control plane share) to its pre-refactor
 // fingerprints, and checks an explicit Policy naming the mode's own
 // pair changes nothing but the spec identity.
 func TestPolicyGoldenSpecs(t *testing.T) {

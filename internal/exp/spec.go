@@ -177,8 +177,8 @@ func ScaleByName(name string) (Scale, error) {
 }
 
 // Exec carries the environment a run executes under: where the
-// warm-start checkpoint store lives and how scale names resolve. None of
-// it changes simulated outcomes.
+// warm-start checkpoint store lives, how scale names resolve, and which
+// results are already known. None of it changes simulated outcomes.
 type Exec struct {
 	// Ckpt names the warm-start store directory ("" disables); Resume
 	// turns a store miss into an error (see Scale).
@@ -187,6 +187,13 @@ type Exec struct {
 	// Scales optionally overrides scale-name resolution (tests register
 	// tiny scales); nil falls back to ScaleByName.
 	Scales map[string]Scale
+	// Results, when non-nil, is the result cache: Run answers a spec
+	// whose fingerprint the cache holds with the stored result, before
+	// building or warming a machine, and stores every run that
+	// completes its whole measure window. A fingerprint names a scale,
+	// not what the name resolves to, so share one cache only among
+	// Execs whose Scales resolve each name alike. nil always simulates.
+	Results *RunCache
 }
 
 // Scale resolves a scale name under this environment and stamps the
@@ -660,8 +667,9 @@ type RunResult struct {
 	// specs produce equal fingerprints regardless of kernel or warm
 	// starts.
 	Fingerprint string `json:"fingerprint"`
-	// Cycles is how many measured cycles the call executed: the whole
-	// window on success, the prefix it reached when cancelled.
+	// Cycles is the measured cycles behind the result: the whole window
+	// on success (a cached answer reports the window of the run that
+	// produced it), the prefix reached when cancelled.
 	Cycles uint64 `json:"cycles"`
 }
 
@@ -719,12 +727,14 @@ func buildPeriodic(rs RunSpec, cfg pabst.SystemConfig, mode pabst.Mode, sc Scale
 	return b, []pabst.ClassID{per, con}, nil
 }
 
-// Run executes the spec under ctx and the given environment. The warmup
+// Run executes the spec under ctx and the given environment. A spec
+// whose fingerprint ex.Results holds is answered from it without a
+// machine and without a beat. Otherwise the warmup
 // goes through the warm-start checkpoint store when the environment
 // names one. The measured phase runs in chunks so cancellation and
 // heartbeats get a word in edgewise; a cancelled run returns the context
-// error and saves nothing — a rerun restores the warmup from the store
-// and repeats at most one measure window.
+// error and saves nothing, in the store or the cache — a rerun restores
+// the warmup from the store and repeats at most one measure window.
 func (rs RunSpec) Run(ctx context.Context, ex Exec, rio RunIO) (RunResult, error) {
 	if err := rs.Validate(); err != nil {
 		return RunResult{}, err
@@ -732,6 +742,10 @@ func (rs RunSpec) Run(ctx context.Context, ex Exec, rio RunIO) (RunResult, error
 	sc, err := ex.Scale(rs.Scale)
 	if err != nil {
 		return RunResult{}, err
+	}
+	fp := rs.Fingerprint()
+	if res, ok := ex.Results.get(fp); ok {
+		return res, nil
 	}
 	cfg := sc.Apply(pabst.Default32Config())
 	if err := rs.applyParams(&cfg); err != nil {
@@ -774,6 +788,7 @@ func (rs RunSpec) Run(ctx context.Context, ex Exec, rio RunIO) (RunResult, error
 
 	res := collectResult(rs, sys, classes)
 	res.Cycles = done
+	ex.Results.put(fp, res)
 	return res, nil
 }
 

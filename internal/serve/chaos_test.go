@@ -33,8 +33,8 @@ func TestChaosAcceptance(t *testing.T) {
 	}
 	const perSpec = 8 // 4 specs × 8 = 32 jobs
 
-	// Serial references: one plain RunSpec.Run per spec, exactly what
-	// the sweep CLI executes.
+	// Serial references: one plain, uncached RunSpec.Run per spec,
+	// exactly what pabstsim executes.
 	refEx := exp.Exec{
 		Scales: map[string]exp.Scale{"chaos": chaosScale()},
 		Ckpt:   t.TempDir(),

@@ -1,6 +1,6 @@
 // Package serve is the sweep control plane: a supervised job system
-// that turns the one-shot sweep CLI into long-running, fault-tolerant
-// infrastructure.
+// that runs the same RunSpecs pabstsim executes, as long-running,
+// fault-tolerant infrastructure.
 //
 // A job is an exp.RunSpec — a serializable description of one canonical
 // benchmark run. The service admits jobs into a bounded queue (rejecting
@@ -19,7 +19,13 @@
 // Re-execution is safe because a spec's config fingerprint pins its
 // simulated outcome: running the same spec twice produces bit-identical
 // results, so at-least-once execution plus idempotent results equals
-// effective exactly-once semantics.
+// effective exactly-once semantics. The same pin lets a Service answer
+// a spec it has already completed from its result cache (exp.RunCache
+// in Config.Exec.Results, keyed by spec fingerprint): the job still
+// passes queued → running → done through a worker, with one attempt and
+// its journal records, but its run takes microseconds. The cache lives
+// as long as the Service; a restarted service re-simulates, restoring
+// warmups from the warm store.
 //
 // Graceful drain (SIGTERM/SIGINT in cmd/pabstserve) stops admission,
 // gives in-flight jobs a grace period to finish, then cancels the rest;
@@ -33,6 +39,7 @@
 //
 // Observability rides on the existing internal/obs registry: queue
 // depth, in-flight count, per-outcome counters, supervisor activity,
-// and the warm-start checkpoint store's hit/miss/quarantine counters,
-// all rendered as Prometheus text by the REST layer's /metrics.
+// the warm-start checkpoint store's hit/miss/quarantine counters and
+// the result cache's hits, all rendered as Prometheus text by the REST
+// layer's /metrics.
 package serve

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 
+	"pabst/internal/config"
 	"pabst/internal/exp"
 )
 
@@ -19,7 +20,7 @@ type submitRequest struct {
 
 // Handler returns the service's REST surface on a fresh mux:
 //
-//	POST /jobs     submit a job       → 202 JobView | 429 full | 503 draining | 400 invalid
+//	POST /jobs     submit a job       → 202 JobView | 400 invalid | 429 full | 503 draining | 500 journal
 //	GET  /jobs     list all jobs      → 200 [JobView]
 //	GET  /jobs/{id} one job           → 200 JobView | 404
 //	POST /drain    begin graceful drain (returns when drained)
@@ -29,7 +30,9 @@ type submitRequest struct {
 //
 // A spec is invalid (400) when RunSpec.Validate rejects it, when its
 // scale does not resolve, when its fault plan is anything but a preset
-// name, or when the body is malformed or larger than 1 MiB.
+// name, or when the body is malformed or larger than 1 MiB. A job the
+// service cannot journal is the server's fault (500), and is not
+// admitted.
 func (s *Service) Handler() http.Handler {
 	reg := s.Registry()
 	mux := http.NewServeMux()
@@ -90,15 +93,19 @@ func (s *Service) Handler() http.Handler {
 	return mux
 }
 
-// submitStatus maps admission errors to HTTP status codes.
+// submitStatus maps admission errors to HTTP status codes: a rejected
+// spec is the client's fault, anything unrecognised (a failed journal
+// append) the server's.
 func submitStatus(err error) int {
 	switch {
+	case errors.Is(err, config.ErrInvalid):
+		return http.StatusBadRequest
 	case errors.Is(err, ErrQueueFull):
 		return http.StatusTooManyRequests
 	case errors.Is(err, ErrDraining), errors.Is(err, ErrClosed):
 		return http.StatusServiceUnavailable
 	default:
-		return http.StatusBadRequest
+		return http.StatusInternalServerError
 	}
 }
 

@@ -346,3 +346,89 @@ func FuzzSubmitBody(f *testing.F) {
 		}
 	})
 }
+
+// TestSubmitJournalFailureIs500: a journal the service cannot append to
+// is the server's fault, not the client's: POST /jobs answers 500 and
+// admits nothing.
+func TestSubmitJournalFailureIs500(t *testing.T) {
+	s, err := New(testConfig(t, okRunner))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	h := s.Handler()
+	if err := s.journal.f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	code, resp := call(h, "POST", "/jobs", submitBody(t, tinySpec()))
+	if code != http.StatusInternalServerError {
+		t.Fatalf("POST /jobs with a closed journal = %d %s, want 500", code, resp)
+	}
+	if n, m := len(s.List()), s.m.submitted.Load(); n != 0 || m != 0 {
+		t.Fatalf("failed journal append admitted %d jobs (%d counted)", n, m)
+	}
+}
+
+// TestResultCacheAnswersResubmission: through the real simulator, two
+// workers and the service's one result cache, a resubmitted spec ends
+// done with one attempt and the first run's result fingerprint, keeps
+// its submit and done journal records, builds no machine (no warm-store
+// lookup), and shows on /metrics as a cache hit.
+func TestResultCacheAnswersResubmission(t *testing.T) {
+	cfg := testConfig(t, ExpRunner)
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.Start()
+	h := s.Handler()
+	specs := []exp.RunSpec{tinySpec(), {Bench: exp.BenchChaser, Scale: "tiny", Policy: "pabst+dpq"}}
+	submit := func(copies int) []JobView {
+		var ids []string
+		for i := 0; i < copies; i++ {
+			for _, spec := range specs {
+				v, err := s.Submit(spec, SubmitOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ids = append(ids, v.ID)
+			}
+		}
+		views := make([]JobView, len(ids))
+		for i, id := range ids {
+			mustState(t, s, id, StateDone)
+			views[i], _ = s.Get(id)
+		}
+		return views
+	}
+
+	firstRun := map[string]string{} // spec fingerprint -> result fingerprint
+	for _, v := range submit(1) {
+		firstRun[v.SpecFingerprint] = v.Result.Fingerprint
+	}
+	lookups := exp.StoreEvents.Hits.Load() + exp.StoreEvents.Misses.Load()
+	again := submit(2)
+	if n := exp.StoreEvents.Hits.Load() + exp.StoreEvents.Misses.Load() - lookups; n != 0 {
+		t.Fatalf("resubmissions made %d warm-store lookups, want 0", n)
+	}
+	for _, v := range again {
+		if v.Attempt != 1 || v.Requeues != 0 || v.StartedAt == nil || v.FinishedAt == nil {
+			t.Fatalf("cached job %s: attempt %d, requeues %d, started %v, finished %v",
+				v.ID, v.Attempt, v.Requeues, v.StartedAt, v.FinishedAt)
+		}
+		if want := firstRun[v.SpecFingerprint]; v.Result == nil || v.Result.Fingerprint != want {
+			t.Fatalf("cached job %s answered %+v, want result fingerprint %s", v.ID, v.Result, want)
+		}
+	}
+	if hits := s.cfg.Exec.Results.Hits(); hits != uint64(len(again)) {
+		t.Fatalf("result cache counted %d hits, want %d", hits, len(again))
+	}
+	if n := journalRecords(t, cfg.Dir); n != 2*(len(specs)+len(again)) {
+		t.Fatalf("journal holds %d records, want a submit and a done per job (%d)", n, 2*(len(specs)+len(again)))
+	}
+	if code, resp := call(h, "GET", "/metrics", nil); code != http.StatusOK ||
+		!strings.Contains(string(resp), fmt.Sprintf("pabst_result_cache_hits_total %d", len(again))) {
+		t.Errorf("GET /metrics = %d:\n%s", code, resp)
+	}
+}

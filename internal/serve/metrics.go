@@ -28,8 +28,9 @@ type metrics struct {
 
 // Registry builds an obs registry over the service's live state: job
 // counters, queue/worker gauges, cumulative submit-to-complete latency,
-// and the warm-start checkpoint store's health counters. The REST
-// layer renders it at /metrics.
+// the warm-start checkpoint store's health counters, and the result
+// cache's hits (jobs answered without a machine). The REST layer
+// renders it at /metrics.
 func (s *Service) Registry() *obs.Registry {
 	r := obs.NewRegistry()
 	counter := func(name string, c *atomic.Int64) {
@@ -79,5 +80,8 @@ func (s *Service) Registry() *obs.Registry {
 	counterU("pabst_ckpt_store_misses_total", &exp.StoreEvents.Misses)
 	counterU("pabst_ckpt_store_saves_total", &exp.StoreEvents.Saves)
 	counterU("pabst_ckpt_store_quarantines_total", &exp.StoreEvents.Quarantines)
+	r.Register("pabst_result_cache_hits_total", func() float64 {
+		return float64(s.cfg.Exec.Results.Hits())
+	})
 	return r
 }

@@ -84,7 +84,10 @@ type Config struct {
 	// cancelling them back onto the queue. Default 3s.
 	DrainGrace time.Duration
 	// Exec is the execution environment for job runs. An empty Ckpt
-	// defaults to Dir/warm so warm starts persist with the service.
+	// defaults to Dir/warm so warm starts persist with the service; a
+	// nil Results gets a fresh result cache, so a spec the service has
+	// already completed is answered, not re-simulated, for as long as
+	// the Service lives.
 	Exec exp.Exec
 	// Runner overrides job execution (tests); nil means ExpRunner.
 	Runner Runner
@@ -117,6 +120,9 @@ func (c *Config) fill() error {
 	}
 	if c.Exec.Ckpt == "" {
 		c.Exec.Ckpt = filepath.Join(c.Dir, "warm")
+	}
+	if c.Exec.Results == nil {
+		c.Exec.Results = exp.NewRunCache()
 	}
 	if c.Runner == nil {
 		c.Runner = ExpRunner

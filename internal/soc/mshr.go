@@ -49,7 +49,12 @@ func (t *mshrTable) lookup(line uint64) *mshrEntry {
 // first waiter is tok.
 func (t *mshrTable) insert(line, tok uint64) {
 	t.lines = append(t.lines, line)
-	t.entries = append(t.entries, mshrEntry{n: 1, inline: [mshrInline]uint64{tok}})
+	// The slot past len is zero (remove and reset clear what they
+	// drop), so the entry is written in place rather than built and
+	// copied in. The caller never exceeds the table's MSHR bound.
+	t.entries = t.entries[:len(t.entries)+1]
+	e := &t.entries[len(t.entries)-1]
+	e.n, e.inline[0] = 1, tok
 }
 
 // addWaiter appends a core op token to an entry's waiter list.
