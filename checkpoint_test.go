@@ -466,7 +466,7 @@ func TestCheckpointBytesAreTheMachine(t *testing.T) {
 }
 
 // TestCheckpointFormatFrozen pins the persisted form of a machine:
-// checkpoint bytes and machine fingerprints (the warm-store keys) equal
+// checkpoint bytes and machine fingerprints (what RestoreFrom checks) equal
 // the constants captured when Version 10 dropped DRAM refresh and the
 // L2 prefetcher's state from the walk and twelve single-valued fields
 // from the configuration. The mechanism is recorded once, as the resolved pair, so a pair

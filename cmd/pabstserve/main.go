@@ -12,8 +12,8 @@
 // workers are detected by heartbeat and replaced, and every accepted
 // job is journaled: SIGTERM/SIGINT triggers a graceful drain in which
 // in-flight jobs finish or are requeued, and a restart over the same
-// -dir recovers exactly the unfinished work and reruns it from the warm
-// store. Re-execution is idempotent — a spec's fingerprint pins its
+// -dir recovers exactly the unfinished work and reruns it, warmup
+// included. Re-execution is idempotent — a spec's fingerprint pins its
 // bit-identical result — so a spec the running process has already
 // completed is answered from its in-memory result cache.
 //
@@ -42,7 +42,7 @@ const readHeaderTimeout = 10 * time.Second
 
 func main() {
 	addr := flag.String("addr", ":8321", "HTTP listen address")
-	dir := flag.String("dir", ".pabstserve", "state directory (journal, warm store)")
+	dir := flag.String("dir", ".pabstserve", "state directory (the job journal)")
 	queue := flag.Int("queue", 64, "bounded queue depth (submissions beyond it get 429)")
 	jobs := flag.Int("jobs", 2, "concurrent job executors")
 	attempts := flag.Int("attempts", 3, "attempts per job before it fails")

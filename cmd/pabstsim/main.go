@@ -6,8 +6,7 @@
 //
 //	pabstsim [-scale quick|full] [-series] [-spec name,name,...]
 //	         [-policy src+tgt] [-parallel n]
-//	         [-ckpt dir] [-resume] [-cpuprofile f] [-memprofile f]
-//	         <experiment>...
+//	         [-cpuprofile f] [-memprofile f] <experiment>...
 //	pabstsim -list
 //	pabstsim -list-policies
 //
@@ -31,11 +30,7 @@
 // time, n = at most n. It changes only wall-clock speed — every
 // experiment's output is bit-identical at any setting. Peak heap is
 // about cores × one machine (≈ 12 MB for the paper's 32 tiles, ≈ 90 MB
-// for a 256-tile mesh); -parallel 1 bounds it. -ckpt names a directory
-// of post-warmup checkpoints: repeat runs of the same machine restore
-// the warmed state instead of re-simulating it, again bit-identically
-// (fig5 measures the warmup trajectory itself and always runs cold).
-// -resume makes a checkpoint miss an error.
+// for a 256-tile mesh); -parallel 1 bounds it.
 //
 // Experiments: see -list; "all" runs every one but the sweeps. table3
 // and the trajectory experiments (fig5/6/8/9), which need per-epoch
@@ -89,12 +84,10 @@ func listing() []entry {
 
 // options are pabstsim's flags.
 type options struct {
-	scale, specs, faults   string
-	list, listPolicies     bool
-	series, json, resume   bool
-	policy, ckpt           string
-	parallel               int
-	cpuprofile, memprofile string
+	scale, specs, faults, policy     string
+	list, listPolicies, series, json bool
+	parallel                         int
+	cpuprofile, memprofile           string
 }
 
 // register defines every flag on fs, landing in o.
@@ -109,30 +102,22 @@ func (o *options) register(fs *flag.FlagSet) {
 		"fault plan for the faults experiment: a preset ("+strings.Join(pabst.FaultPresets(), ", ")+") or a JSON file")
 	fs.StringVar(&o.policy, "policy", "",
 		"QoS mechanism `src+tgt` (or a preset name) replacing each run's mode; an empty half keeps that side, and a run that names its own pair keeps it (DESIGN.md, \"Selecting a mechanism\")")
-	fs.StringVar(&o.ckpt, "ckpt", "",
-		"directory for post-warmup checkpoints; repeat runs restore instead of re-warming (bit-identical)")
-	fs.BoolVar(&o.resume, "resume", false, "require a stored checkpoint (a miss is an error); needs -ckpt")
 	fs.IntVar(&o.parallel, "parallel", 0, "concurrent simulations in multi-run experiments (0 = all cores, 1 = one at a time)")
 	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&o.memprofile, "memprofile", "", "write a heap profile to this file on exit")
 }
 
 // runScale resolves -scale and stamps the flags that reach the systems
-// an experiment builds onto it: the policy override, the checkpoint
-// store and the parallelism.
+// an experiment builds onto it: the policy override and the
+// parallelism.
 func (o *options) runScale() (exp.Scale, error) {
 	sc, err := exp.ScaleByName(o.scale)
 	if err != nil {
 		return exp.Scale{}, err
 	}
-	if o.resume && o.ckpt == "" {
-		return exp.Scale{}, fmt.Errorf("-resume needs -ckpt <dir>")
-	}
 	if sc.Policy, err = pabst.ParseMode(o.policy); err != nil {
 		return exp.Scale{}, err
 	}
-	sc.Ckpt = o.ckpt
-	sc.Resume = o.resume
 	sc.Parallel = o.parallel
 	return sc, nil
 }

@@ -36,21 +36,15 @@ func parse(t *testing.T, args ...string) *options {
 }
 
 func TestApplyStampsEveryKnob(t *testing.T) {
-	s, err := parse(t, "-scale", "quick", "-policy", "bankreg+dpq", "-ckpt", "/tmp/ck", "-resume", "-parallel", "1").runScale()
+	s, err := parse(t, "-scale", "quick", "-policy", "bankreg+dpq", "-parallel", "1").runScale()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Name != "quick" || s.Ckpt != "/tmp/ck" || !s.Resume || s.Parallel != 1 {
+	if s.Name != "quick" || s.Parallel != 1 {
 		t.Errorf("runScale lost a knob: %+v", s)
 	}
 	if want := (pabst.Mode{Source: "bankreg", Target: "dpq"}); s.Policy != want {
 		t.Errorf("policy pair = %v, want %v", s.Policy, want)
-	}
-}
-
-func TestResumeRequiresCkpt(t *testing.T) {
-	if _, err := parse(t, "-resume").runScale(); err == nil || !strings.Contains(err.Error(), "-ckpt") {
-		t.Errorf("runScale with -resume and no -ckpt = %v, want an error naming -ckpt", err)
 	}
 }
 
@@ -83,19 +77,18 @@ func TestOptionsBuildable(t *testing.T) {
 	}
 }
 
-// TestUsageContract: pabstsim takes the policy override and the
-// checkpoint store, and no flag re-grows that was removed: the event
-// kernel is the only kernel (-kernel, -ff, -workers) and an ablation
-// axis is an experiment name, not a -param.
+// TestUsageContract: pabstsim takes the policy override, and no flag
+// re-grows that was removed: the event kernel is the only kernel
+// (-kernel, -ff, -workers), an ablation axis is an experiment name, not
+// a -param, and the result cache, not a checkpoint directory, answers a
+// repeated run.
 func TestUsageContract(t *testing.T) {
 	fs := flag.NewFlagSet("pabstsim", flag.ContinueOnError)
 	new(options).register(fs)
-	for _, f := range []string{"policy", "ckpt", "resume"} {
-		if fs.Lookup(f) == nil {
-			t.Errorf("pabstsim does not define -%s", f)
-		}
+	if fs.Lookup("policy") == nil {
+		t.Error("pabstsim does not define -policy")
 	}
-	for _, f := range []string{"workers", "ff", "kernel", "param"} {
+	for _, f := range []string{"workers", "ff", "kernel", "param", "ckpt", "resume"} {
 		if fs.Lookup(f) != nil {
 			t.Errorf("pabstsim defines -%s", f)
 		}

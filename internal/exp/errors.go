@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 
-	"pabst"
 	"pabst/internal/config"
 )
 
@@ -18,12 +17,11 @@ type FailureClass int
 const (
 	// FailNone reports a nil error: the run succeeded.
 	FailNone FailureClass = iota
-	// FailRetryable marks transient failures — I/O hiccups, a corrupt
-	// (and now quarantined) warm-start checkpoint, a panicking
+	// FailRetryable marks transient failures — I/O hiccups, a panicking
 	// simulation attempt. A fresh attempt of the same spec can succeed.
 	FailRetryable
 	// FailTerminal marks deterministic failures — an invalid
-	// configuration or spec, a version/shape-mismatched checkpoint.
+	// configuration or spec.
 	// Retrying reproduces the same error; the job should fail fast.
 	FailTerminal
 	// FailCanceled marks runs stopped by the caller's context, whether
@@ -73,12 +71,11 @@ func Terminal(err error) error {
 }
 
 // Classify maps an error from a sweep run onto the failure taxonomy.
-// Explicit markers win, then context cancellation, then the known typed
-// errors from config validation and the checkpoint store. Unknown errors
-// default to retryable — for a supervisor the safe assumption about an
-// unclassified failure (disk, network, scheduling) is that it is
-// transient; genuinely deterministic failures repeat and exhaust the
-// attempt budget anyway.
+// Explicit markers win, then context cancellation, then config
+// validation's typed error. Unknown errors default to retryable — for a
+// supervisor the safe assumption about an unclassified failure (disk,
+// network, scheduling) is that it is transient; genuinely deterministic
+// failures repeat and exhaust the attempt budget anyway.
 func Classify(err error) FailureClass {
 	switch {
 	case err == nil:
@@ -91,14 +88,6 @@ func Classify(err error) FailureClass {
 		return FailCanceled
 	case errors.Is(err, config.ErrInvalid):
 		return FailTerminal
-	case errors.Is(err, pabst.ErrCkptVersion),
-		errors.Is(err, pabst.ErrCkptMismatch),
-		errors.Is(err, pabst.ErrCkptUnsupported):
-		return FailTerminal
-	case errors.Is(err, pabst.ErrCkptCorrupt):
-		// The warm-start store quarantines a corrupt file on sight, so
-		// the next attempt runs cold and succeeds.
-		return FailRetryable
 	default:
 		return FailRetryable
 	}

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"pabst"
 	"pabst/internal/config"
 )
 
@@ -26,15 +25,11 @@ func TestClassify(t *testing.T) {
 		{"deadline", context.DeadlineExceeded, FailCanceled},
 		{"wrapped-canceled", fmt.Errorf("run: %w", context.Canceled), FailCanceled},
 		{"invalid-config", fmt.Errorf("x: %w", config.ErrInvalid), FailTerminal},
-		{"ckpt-version", fmt.Errorf("x: %w", pabst.ErrCkptVersion), FailTerminal},
-		{"ckpt-mismatch", fmt.Errorf("x: %w", pabst.ErrCkptMismatch), FailTerminal},
-		{"ckpt-unsupported", fmt.Errorf("x: %w", pabst.ErrCkptUnsupported), FailTerminal},
-		{"ckpt-corrupt", fmt.Errorf("x: %w", pabst.ErrCkptCorrupt), FailRetryable},
 		{"unknown", errors.New("disk on fire"), FailRetryable},
 		{"explicit-retryable", Retryable(errors.New("x")), FailRetryable},
 		{"explicit-terminal", Terminal(errors.New("x")), FailTerminal},
 		// Explicit markers outrank the default rules.
-		{"terminal-wrapped-corrupt", Terminal(fmt.Errorf("x: %w", pabst.ErrCkptCorrupt)), FailTerminal},
+		{"terminal-wrapped-unknown", Terminal(errors.New("disk on fire")), FailTerminal},
 		{"retryable-wrapped-invalid", Retryable(fmt.Errorf("x: %w", config.ErrInvalid)), FailRetryable},
 	}
 	for _, c := range cases {

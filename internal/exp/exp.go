@@ -41,15 +41,6 @@ type Scale struct {
 	// it DOES change simulated outcomes — it is the cross-policy
 	// comparison axis.
 	Policy pabst.Mode
-
-	// Ckpt names a directory for post-warmup checkpoints: experiments
-	// that route through WarmedSystem restore a matching checkpoint
-	// instead of re-simulating the warmup, and save one after any cold
-	// warmup. Restoring is bit-identical to warming up. Empty disables
-	// the store. Resume turns a store miss into an error, asserting
-	// that a crashed run is actually picking up saved work.
-	Ckpt   string
-	Resume bool
 }
 
 // Quick returns the test/bench scale (short epochs converge fast).

@@ -136,10 +136,9 @@ func (c *RunCache) Hits() uint64 {
 
 // RunExperimentScale executes an experiment end to end under one
 // resolved Scale: resolve its specs at the scale's name ("custom" when
-// anonymous, so they resolve back to exactly sc, -policy and -ckpt
-// included), run them (parallel by ForEach's rule on sc.Parallel: 0 =
-// every core, 1 = one at a time) under an Exec whose Results is cache,
-// and reduce. Specs are grouped by fingerprint before dispatch, so each
+// anonymous, so they resolve back to exactly sc, -policy included), run
+// them (parallel by ForEach's rule on sc.Parallel: 0 = every core, 1 =
+// one at a time) under an Exec whose Results is cache, and reduce. Specs are grouped by fingerprint before dispatch, so each
 // distinct machine simulates at most once however the pool schedules —
 // equal specs share one RunResult, with or without a cache. cache may be
 // shared across experiments run at one Scale in one process (fig10 and
@@ -151,7 +150,7 @@ func RunExperimentScale(ctx context.Context, e Experiment, sc Scale, cache *RunC
 	if name == "" {
 		name = "custom"
 	}
-	ex := Exec{Ckpt: sc.Ckpt, Resume: sc.Resume, Scales: map[string]Scale{name: sc}, Results: cache}
+	ex := Exec{Scales: map[string]Scale{name: sc}, Results: cache}
 	specs := e.Spec(name)
 	if len(specs) == 0 {
 		return nil, nil, nil, Terminal(fmt.Errorf("%w: experiment %q produced no specs", config.ErrInvalid, e.Name()))

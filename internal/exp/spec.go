@@ -176,14 +176,10 @@ func ScaleByName(name string) (Scale, error) {
 	}
 }
 
-// Exec carries the environment a run executes under: where the
-// warm-start checkpoint store lives, how scale names resolve, and which
-// results are already known. None of it changes simulated outcomes.
+// Exec carries the environment a run executes under: how scale names
+// resolve and which results are already known. None of it changes
+// simulated outcomes.
 type Exec struct {
-	// Ckpt names the warm-start store directory ("" disables); Resume
-	// turns a store miss into an error (see Scale).
-	Ckpt   string
-	Resume bool
 	// Scales optionally overrides scale-name resolution (tests register
 	// tiny scales); nil falls back to ScaleByName.
 	Scales map[string]Scale
@@ -196,19 +192,12 @@ type Exec struct {
 	Results *RunCache
 }
 
-// Scale resolves a scale name under this environment and stamps the
-// checkpoint store onto it.
+// Scale resolves a scale name under this environment.
 func (ex Exec) Scale(name string) (Scale, error) {
-	sc, ok := ex.Scales[name]
-	if !ok {
-		var err error
-		if sc, err = ScaleByName(name); err != nil {
-			return Scale{}, err
-		}
+	if sc, ok := ex.Scales[name]; ok {
+		return sc, nil
 	}
-	sc.Ckpt = ex.Ckpt
-	sc.Resume = ex.Resume
-	return sc, nil
+	return ScaleByName(name)
 }
 
 // Benchmark names understood by RunSpec (see benchRegistry for the full
@@ -677,7 +666,7 @@ type RunResult struct {
 type RunIO struct {
 	// Beat, when non-nil, is called after every measured chunk with
 	// (cycles done, cycles total) — the supervisor's wedge detector. It
-	// also fires during a cold warmup with done == 0, pure liveness.
+	// also fires after every warmup chunk with done == 0, pure liveness.
 	Beat func(done, total uint64)
 }
 
@@ -729,12 +718,11 @@ func buildPeriodic(rs RunSpec, cfg pabst.SystemConfig, mode pabst.Mode, sc Scale
 
 // Run executes the spec under ctx and the given environment. A spec
 // whose fingerprint ex.Results holds is answered from it without a
-// machine and without a beat. Otherwise the warmup
-// goes through the warm-start checkpoint store when the environment
-// names one. The measured phase runs in chunks so cancellation and
-// heartbeats get a word in edgewise; a cancelled run returns the context
-// error and saves nothing, in the store or the cache — a rerun restores
-// the warmup from the store and repeats at most one measure window.
+// machine and without a beat; any other spec builds and warms its
+// machine (warmed) and runs the measure window in chunks (runChunks), so
+// cancellation and heartbeats get a word in edgewise. A cancelled run
+// returns the context error and caches nothing, and a rerun starts again
+// from a fresh machine.
 func (rs RunSpec) Run(ctx context.Context, ex Exec, rio RunIO) (RunResult, error) {
 	if err := rs.Validate(); err != nil {
 		return RunResult{}, err
@@ -755,35 +743,19 @@ func (rs RunSpec) Run(ctx context.Context, ex Exec, rio RunIO) (RunResult, error
 	if err != nil {
 		return RunResult{}, err
 	}
-	var warmBeat func(uint64, uint64)
+	var warmBeat, measureBeat func(uint64)
 	if rio.Beat != nil {
-		warmBeat = func(uint64, uint64) { rio.Beat(0, sc.Measure) }
+		warmBeat = func(uint64) { rio.Beat(0, sc.Measure) }
+		measureBeat = func(done uint64) { rio.Beat(done, sc.Measure) }
 	}
-	sys, err := WarmedSystem(ctx, sc, b, warmBeat)
+	sys, err := warmed(ctx, b, sc.Warmup, warmBeat)
 	if err != nil {
 		return RunResult{}, err
 	}
 	defer sys.Close()
-
-	total := sc.Measure
-	chunk := total / 32
-	if chunk == 0 {
-		chunk = 1
-	}
-	var done uint64
-	for done < total {
-		step := total - done
-		if step > chunk {
-			step = chunk
-		}
-		ran, rerr := sys.RunContext(ctx, step)
-		done += ran
-		if rio.Beat != nil {
-			rio.Beat(done, total)
-		}
-		if rerr != nil {
-			return RunResult{Cycles: done}, rerr
-		}
+	done, err := runChunks(ctx, sys, sc.Measure, measureBeat)
+	if err != nil {
+		return RunResult{Cycles: done}, err
 	}
 
 	res := collectResult(rs, sys, classes)

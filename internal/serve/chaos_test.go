@@ -35,10 +35,7 @@ func TestChaosAcceptance(t *testing.T) {
 
 	// Serial references: one plain, uncached RunSpec.Run per spec,
 	// exactly what pabstsim executes.
-	refEx := exp.Exec{
-		Scales: map[string]exp.Scale{"chaos": chaosScale()},
-		Ckpt:   t.TempDir(),
-	}
+	refEx := exp.Exec{Scales: map[string]exp.Scale{"chaos": chaosScale()}}
 	refs := make(map[string]exp.RunResult, len(specs))
 	for _, spec := range specs {
 		res, err := spec.Run(context.Background(), refEx, exp.RunIO{})
@@ -159,9 +156,9 @@ func TestChaosAcceptance(t *testing.T) {
 	})
 
 	// Every job completed exactly once across both incarnations, and
-	// every result fingerprint — including drained jobs rerun from the
-	// warm store and the wedge victim — matches its serial reference bit
-	// for bit.
+	// every result fingerprint — including drained jobs rerun from a
+	// fresh machine and the wedge victim — matches its serial reference
+	// bit for bit.
 	finished := make(map[string]bool)
 	check := func(v JobView) {
 		if v.State != StateDone {

@@ -24,22 +24,20 @@
 // in Config.Exec.Results, keyed by spec fingerprint): the job still
 // passes queued → running → done through a worker, with one attempt and
 // its journal records, but its run takes microseconds. The cache lives
-// as long as the Service; a restarted service re-simulates, restoring
-// warmups from the warm store.
+// as long as the Service; a restarted service re-simulates.
 //
 // Graceful drain (SIGTERM/SIGINT in cmd/pabstserve) stops admission,
 // gives in-flight jobs a grace period to finish, then cancels the rest;
 // a cancelled run is requeued without consuming an attempt, and the
-// restarted service reruns it: the warmup comes back from the warm
-// store, so a restart costs each in-flight job at most one measure
-// window (DESIGN.md "What earned its place" has the measured bound that
-// retired the mid-measure checkpoint). Queued jobs survive via journal
-// compaction. The state directory holds the journal and the warm store,
-// and no journal record refers to a file.
+// restarted service reruns it from a fresh machine, so a restart costs
+// each in-flight job at most one warmup and one measure window
+// (DESIGN.md "What earned its place" has the measured bound that
+// retired the on-disk checkpoints). Queued jobs survive via journal
+// compaction. The state directory holds only the journal, and no
+// journal record refers to a file.
 //
 // Observability rides on the existing internal/obs registry: queue
-// depth, in-flight count, per-outcome counters, supervisor activity,
-// the warm-start checkpoint store's hit/miss/quarantine counters and
+// depth, in-flight count, per-outcome counters, supervisor activity and
 // the result cache's hits, all rendered as Prometheus text by the REST
 // layer's /metrics.
 package serve

@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 
 	"pabst/internal/config"
@@ -30,7 +31,10 @@ type submitRequest struct {
 //
 // A spec is invalid (400) when RunSpec.Validate rejects it, when its
 // scale does not resolve, when its fault plan is anything but a preset
-// name, or when the body is malformed or larger than 1 MiB. A job the
+// name, or when the body is malformed, names a field the request does
+// not have, carries data after the request object or is larger than
+// 1 MiB. (A journal replays leniently instead: a field an older build
+// wrote is ignored on load.) A job the
 // service cannot journal is the server's fault (500), and is not
 // admitted.
 func (s *Service) Handler() http.Handler {
@@ -39,9 +43,14 @@ func (s *Service) Handler() http.Handler {
 
 	mux.HandleFunc("POST /jobs", func(w http.ResponseWriter, r *http.Request) {
 		var req submitRequest
-		body := http.MaxBytesReader(w, r.Body, maxSubmitBody)
-		if err := json.NewDecoder(body).Decode(&req); err != nil {
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBody))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&req); err != nil {
 			httpError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+			return
+		}
+		if _, err := dec.Token(); err != io.EOF {
+			httpError(w, http.StatusBadRequest, "bad request body: data after the request object")
 			return
 		}
 		v, err := s.Submit(req.Spec, req.Opts)

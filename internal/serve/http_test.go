@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"pabst/internal/config"
@@ -289,6 +290,42 @@ func TestHostileParamsRejected(t *testing.T) {
 	}
 }
 
+// strictBodies are REST bodies a lenient decoder would admit as some
+// other request: a misspelled field (here "parms") silently ran the
+// default slack under the default fingerprint.
+var strictBodies = []string{
+	`{"spec":{"bench":"streams","scale":"tiny","parms":{"slack":64}}}`,
+	`{"spec":{"bench":"streams","scale":"tiny"},"options":{"max_attempts":1}}`,
+	`{"spec":{"bench":"streams","scale":"tiny","params":{"slack":64}}}{"spec":{"bench":"chaser","scale":"tiny"}}`,
+	`{"spec":{"bench":"streams","scale":"tiny"}} trailing`,
+}
+
+// TestSubmitRefusesUnknownFields pins the trust boundary on the body's
+// shape: an unknown field or data after the request object answers 400
+// and journals nothing, while trailing whitespace is still a request.
+func TestSubmitRefusesUnknownFields(t *testing.T) {
+	cfg := testConfig(t, okRunner)
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	h := s.Handler()
+	for _, body := range strictBodies {
+		before := journalRecords(t, cfg.Dir)
+		code, resp := call(h, "POST", "/jobs", []byte(body))
+		if code != http.StatusBadRequest || !strings.Contains(string(resp), "bad request body") {
+			t.Errorf("POST /jobs %s = %d %s, want 400 bad request body", body, code, resp)
+		}
+		if n := journalRecords(t, cfg.Dir) - before; n != 0 {
+			t.Errorf("POST /jobs %s left %d journal records", body, n)
+		}
+	}
+	if code, resp := call(h, "POST", "/jobs", []byte(`{"spec":{"bench":"streams","scale":"tiny"}}`+"\n")); code != http.StatusAccepted {
+		t.Errorf("POST /jobs with a trailing newline = %d %s, want 202", code, resp)
+	}
+}
+
 // FuzzSubmitBody: arbitrary bytes into POST /jobs never panic, answer
 // with one of the documented statuses, and are accepted only as a valid
 // spec with exactly one journal record behind it.
@@ -307,6 +344,7 @@ func FuzzSubmitBody(f *testing.F) {
 	for _, body := range hostileBodies {
 		f.Add([]byte(body))
 	}
+	f.Add([]byte(strictBodies[0]))
 	// One service for the whole run, never started: an accepted job stays
 	// queued, so all it leaves behind is its submit record. (A service per
 	// input costs three fsyncs an input, which starves the mutator.)
@@ -372,10 +410,15 @@ func TestSubmitJournalFailureIs500(t *testing.T) {
 // TestResultCacheAnswersResubmission: through the real simulator, two
 // workers and the service's one result cache, a resubmitted spec ends
 // done with one attempt and the first run's result fingerprint, keeps
-// its submit and done journal records, builds no machine (no warm-store
-// lookup), and shows on /metrics as a cache hit.
+// its submit and done journal records, builds no machine (no beat), and
+// shows on /metrics as a cache hit.
 func TestResultCacheAnswersResubmission(t *testing.T) {
-	cfg := testConfig(t, ExpRunner)
+	var beats atomic.Int64
+	cfg := testConfig(t, func(ctx context.Context, spec exp.RunSpec, env RunEnv) (exp.RunResult, error) {
+		beat := env.Beat
+		env.Beat = func() { beats.Add(1); beat() }
+		return ExpRunner(ctx, spec, env)
+	})
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -407,10 +450,10 @@ func TestResultCacheAnswersResubmission(t *testing.T) {
 	for _, v := range submit(1) {
 		firstRun[v.SpecFingerprint] = v.Result.Fingerprint
 	}
-	lookups := exp.StoreEvents.Hits.Load() + exp.StoreEvents.Misses.Load()
+	before := beats.Load()
 	again := submit(2)
-	if n := exp.StoreEvents.Hits.Load() + exp.StoreEvents.Misses.Load() - lookups; n != 0 {
-		t.Fatalf("resubmissions made %d warm-store lookups, want 0", n)
+	if n := beats.Load() - before; n != 0 {
+		t.Fatalf("resubmissions beat %d times, want 0", n)
 	}
 	for _, v := range again {
 		if v.Attempt != 1 || v.Requeues != 0 || v.StartedAt == nil || v.FinishedAt == nil {

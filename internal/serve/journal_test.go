@@ -169,8 +169,7 @@ func TestRecoverIgnoresUnknownOps(t *testing.T) {
 // restart path (loadJournal, then Service.recover inside New): nothing
 // panics, and whatever a journal claims, a recovered job waits in the
 // queue only with a preset-or-no fault plan, and a whole service
-// lifetime leaves exactly the journal and the warm store in the state
-// directory. The seeds run as ordinary tests.
+// lifetime leaves exactly the journal in the state directory. The seeds run as ordinary tests.
 func FuzzLoadJournal(f *testing.F) {
 	spec := tinySpec()
 	var clean []byte
@@ -221,8 +220,8 @@ func FuzzLoadJournal(f *testing.F) {
 			t.Fatal(err)
 		}
 		entries, err := os.ReadDir(cfg.Dir)
-		if err != nil || len(entries) != 2 || entries[0].Name() != "journal.jsonl" || entries[1].Name() != "warm" {
-			t.Fatalf("state directory holds %v (%v), want journal.jsonl and warm", entries, err)
+		if err != nil || len(entries) != 1 || entries[0].Name() != "journal.jsonl" {
+			t.Fatalf("state directory holds %v (%v), want journal.jsonl", entries, err)
 		}
 	})
 }

@@ -3,7 +3,6 @@ package serve
 import (
 	"sync/atomic"
 
-	"pabst/internal/exp"
 	"pabst/internal/obs"
 )
 
@@ -28,8 +27,7 @@ type metrics struct {
 
 // Registry builds an obs registry over the service's live state: job
 // counters, queue/worker gauges, cumulative submit-to-complete latency,
-// the warm-start checkpoint store's health counters, and the result
-// cache's hits (jobs answered without a machine). The REST layer
+// and the result cache's hits (jobs answered without a machine). The REST layer
 // renders it at /metrics.
 func (s *Service) Registry() *obs.Registry {
 	r := obs.NewRegistry()
@@ -73,13 +71,6 @@ func (s *Service) Registry() *obs.Registry {
 		}
 		return 0
 	})
-	counterU := func(name string, c *atomic.Uint64) {
-		r.Register(name, func() float64 { return float64(c.Load()) })
-	}
-	counterU("pabst_ckpt_store_hits_total", &exp.StoreEvents.Hits)
-	counterU("pabst_ckpt_store_misses_total", &exp.StoreEvents.Misses)
-	counterU("pabst_ckpt_store_saves_total", &exp.StoreEvents.Saves)
-	counterU("pabst_ckpt_store_quarantines_total", &exp.StoreEvents.Quarantines)
 	r.Register("pabst_result_cache_hits_total", func() float64 {
 		return float64(s.cfg.Exec.Results.Hits())
 	})

@@ -281,8 +281,8 @@ func TestDeadline(t *testing.T) {
 // compacts to its one submit record, and a second service over the same
 // dir recovers it and reruns it to done. Once with fake runners, once
 // through the real ExpRunner cancelled mid-measure — there the rerun must
-// produce an uninterrupted run's fingerprint at the price of one warm-
-// store restore and one measure window.
+// produce an uninterrupted run's fingerprint at the price of one warmup
+// and one measure window.
 func TestDrainRequeueRecover(t *testing.T) {
 	t.Run("fake", func(t *testing.T) {
 		inflight := make(chan struct{})
@@ -294,17 +294,12 @@ func TestDrainRequeueRecover(t *testing.T) {
 		drainRequeueRecover(t, testConfig(t, first), inflight, okRunner)
 	})
 	t.Run("real", func(t *testing.T) {
-		// The reference run fills the service's warm store, so every beat
-		// of a service attempt is a measured chunk: parking the tenth until
-		// the drain cancels it is a cancel a third of the way in.
 		cfg := testConfig(t, nil)
-		ex := cfg.Exec
-		ex.Ckpt = filepath.Join(cfg.Dir, "warm")
-		ref, err := tinySpec().Run(context.Background(), ex, exp.RunIO{})
+		ref, err := tinySpec().Run(context.Background(), cfg.Exec, exp.RunIO{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		// A mid-measure checkpoint the previous build left behind: were it
+		// A mid-measure checkpoint an older build left behind: were it
 		// read, ExpRunner would refuse it and the rerun take two attempts.
 		stale := filepath.Join(cfg.Dir, "partial", "j-000000.ckpt")
 		if err := os.MkdirAll(filepath.Dir(stale), 0o755); err != nil {
@@ -313,29 +308,33 @@ func TestDrainRequeueRecover(t *testing.T) {
 		if err := os.WriteFile(stale, []byte("not a checkpoint"), 0o644); err != nil {
 			t.Fatal(err)
 		}
+		// The warmup beats once a chunk, 33 times at the tiny scale, so
+		// parking the 42nd beat until the drain cancels it is a cancel a
+		// quarter of the way into the measure window.
 		inflight := make(chan struct{})
+		var cut atomic.Uint64
 		cfg.Runner = func(ctx context.Context, spec exp.RunSpec, env RunEnv) (exp.RunResult, error) {
 			beat, n := env.Beat, 0
 			env.Beat = func() {
 				beat()
-				if n++; n == 10 {
+				if n++; n == 42 {
 					close(inflight)
 					<-ctx.Done()
 				}
 			}
-			return ExpRunner(ctx, spec, env)
+			r, err := ExpRunner(ctx, spec, env)
+			cut.Store(r.Cycles)
+			return r, err
 		}
-		hits, misses := exp.StoreEvents.Hits.Load(), exp.StoreEvents.Misses.Load()
 		got := drainRequeueRecover(t, cfg, inflight, ExpRunner)
 		if got.Result.Fingerprint != ref.Fingerprint {
 			t.Fatalf("rerun fingerprint %s, want the uninterrupted %s", got.Result.Fingerprint, ref.Fingerprint)
 		}
-		// One hit for the cancelled attempt, one for the rerun, no cold warmup.
-		if h, m := exp.StoreEvents.Hits.Load()-hits, exp.StoreEvents.Misses.Load()-misses; h != 2 || m != 0 {
-			t.Fatalf("warm store saw %d hits, %d misses; want 2, 0", h, m)
+		if c := cut.Load(); c == 0 || c >= tinyScale().Measure {
+			t.Fatalf("the drain cancelled the run after %d measured cycles; want mid-measure", c)
 		}
 		if raw, err := os.ReadFile(stale); err != nil || string(raw) != "not a checkpoint" {
-			t.Fatalf("the previous build's partial is now %q, %v; want it left alone", raw, err)
+			t.Fatalf("the older build's partial is now %q, %v; want it left alone", raw, err)
 		}
 	})
 }

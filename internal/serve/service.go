@@ -56,8 +56,7 @@ func ExpRunner(ctx context.Context, spec exp.RunSpec, env RunEnv) (exp.RunResult
 // Config parameterizes a Service. Zero values get sensible defaults
 // from fill; only Dir is required.
 type Config struct {
-	// Dir is the service's state directory: the journal and (by
-	// default) the warm-start store live here.
+	// Dir is the service's state directory: the journal lives here.
 	Dir string
 	// QueueDepth bounds waiting jobs (queued + backoff); Submit rejects
 	// with ErrQueueFull beyond it. Default 64.
@@ -77,17 +76,16 @@ type Config struct {
 	// HeartbeatTimeout is how long a running worker may go silent
 	// before the supervisor cancels it, and again how long a cancelled
 	// worker may linger before it is abandoned and replaced. Must
-	// comfortably exceed one warmup phase, which beats only at its
-	// boundaries. Default 60s.
+	// comfortably exceed one chunk of a run, a thirty-second of its
+	// warmup or measure window. Default 60s.
 	HeartbeatTimeout time.Duration
 	// DrainGrace is how long Drain lets in-flight jobs finish before
 	// cancelling them back onto the queue. Default 3s.
 	DrainGrace time.Duration
-	// Exec is the execution environment for job runs. An empty Ckpt
-	// defaults to Dir/warm so warm starts persist with the service; a
-	// nil Results gets a fresh result cache, so a spec the service has
-	// already completed is answered, not re-simulated, for as long as
-	// the Service lives.
+	// Exec is the execution environment for job runs. A nil Results
+	// gets a fresh result cache, so a spec the service has already
+	// completed is answered, not re-simulated, for as long as the
+	// Service lives.
 	Exec exp.Exec
 	// Runner overrides job execution (tests); nil means ExpRunner.
 	Runner Runner
@@ -117,9 +115,6 @@ func (c *Config) fill() error {
 	}
 	if c.DrainGrace <= 0 {
 		c.DrainGrace = 3 * time.Second
-	}
-	if c.Exec.Ckpt == "" {
-		c.Exec.Ckpt = filepath.Join(c.Dir, "warm")
 	}
 	if c.Exec.Results == nil {
 		c.Exec.Results = exp.NewRunCache()
@@ -195,10 +190,8 @@ func New(cfg Config) (*Service, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	for _, d := range []string{cfg.Dir, cfg.Exec.Ckpt} {
-		if err := os.MkdirAll(d, 0o755); err != nil {
-			return nil, fmt.Errorf("serve: %w", err)
-		}
+	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
 	}
 	jpath := filepath.Join(cfg.Dir, "journal.jsonl")
 	recs, err := loadJournal(jpath)
@@ -537,7 +530,7 @@ func (s *Service) settle(w *worker, j *job, res exp.RunResult, err error) {
 
 	case exp.Classify(err) == exp.FailCanceled && (cause != "" || s.draining || s.closed):
 		// Cancelled by drain/shutdown (or a wedge the run then noticed):
-		// requeue; the rerun restores the warmup from the warm store.
+		// requeue; the rerun builds and warms a fresh machine.
 		if cause == causeWedge && j.attempt >= j.maxAttempts {
 			s.failLocked(j, fmt.Errorf("attempt %d/%d wedged: %w", j.attempt, j.maxAttempts, err), now)
 			return
