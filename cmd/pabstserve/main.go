@@ -7,10 +7,11 @@
 //	POST /drain     graceful drain      GET  /metrics    Prometheus text
 //	GET  /healthz   liveness            GET  /readyz     readiness
 //
-// The queue is bounded (429 when full), retryable failures back off
-// exponentially, panicking simulations fail only their own job, wedged
-// workers are detected by heartbeat and replaced, and every accepted
-// job is journaled: SIGTERM/SIGINT triggers a graceful drain in which
+// The queue is bounded (429 when full), a job runs once and its first
+// outcome is final (a run does no I/O, so a failure would repeat),
+// panicking simulations fail only their own job, wedged workers are
+// detected by heartbeat and replaced, and every accepted job is
+// journaled: SIGTERM/SIGINT triggers a graceful drain in which
 // in-flight jobs finish or are requeued, and a restart over the same
 // -dir recovers exactly the unfinished work and reruns it, warmup
 // included. Re-execution is idempotent — a spec's fingerprint pins its
@@ -20,7 +21,6 @@
 // Usage:
 //
 //	pabstserve [-addr :8321] [-dir .pabstserve] [-queue n] [-jobs n]
-//	           [-attempts n]
 package main
 
 import (
@@ -40,21 +40,27 @@ import (
 // request headers, so a stalled connection cannot be held forever.
 const readHeaderTimeout = 10 * time.Second
 
+// options are pabstserve's flags.
+type options struct {
+	addr, dir   string
+	queue, jobs int
+}
+
+// register defines every flag on fs, landing in o.
+func (o *options) register(fs *flag.FlagSet) {
+	fs.StringVar(&o.addr, "addr", ":8321", "HTTP listen address")
+	fs.StringVar(&o.dir, "dir", ".pabstserve", "state directory (the job journal)")
+	fs.IntVar(&o.queue, "queue", 64, "bounded queue depth (submissions beyond it get 429)")
+	fs.IntVar(&o.jobs, "jobs", 2, "concurrent job executors")
+}
+
 func main() {
-	addr := flag.String("addr", ":8321", "HTTP listen address")
-	dir := flag.String("dir", ".pabstserve", "state directory (the job journal)")
-	queue := flag.Int("queue", 64, "bounded queue depth (submissions beyond it get 429)")
-	jobs := flag.Int("jobs", 2, "concurrent job executors")
-	attempts := flag.Int("attempts", 3, "attempts per job before it fails")
+	var o options
+	o.register(flag.CommandLine)
 	flag.Parse()
 
-	cfg := serve.Config{
-		Dir:         *dir,
-		QueueDepth:  *queue,
-		Workers:     *jobs,
-		MaxAttempts: *attempts,
-	}
-	if err := run(cfg, *addr); err != nil {
+	cfg := serve.Config{Dir: o.dir, QueueDepth: o.queue, Workers: o.jobs}
+	if err := run(cfg, o.addr); err != nil {
 		fmt.Fprintf(os.Stderr, "pabstserve: %v\n", err)
 		os.Exit(1)
 	}

@@ -59,8 +59,8 @@ func Experiments() []Experiment {
 	return out
 }
 
-// ExperimentByName looks an experiment up; the error is terminal and
-// lists the registry.
+// ExperimentByName looks an experiment up; the error wraps
+// config.ErrInvalid and lists the registry.
 func ExperimentByName(name string) (Experiment, error) {
 	expMu.RLock()
 	defer expMu.RUnlock()
@@ -72,8 +72,8 @@ func ExperimentByName(name string) (Experiment, error) {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	return nil, Terminal(fmt.Errorf("%w: unknown experiment %q (have %v)",
-		config.ErrInvalid, name, names))
+	return nil, fmt.Errorf("%w: unknown experiment %q (have %v)",
+		config.ErrInvalid, name, names)
 }
 
 // RunCache memoizes RunResults by spec fingerprint. Specs are
@@ -153,7 +153,7 @@ func RunExperimentScale(ctx context.Context, e Experiment, sc Scale, cache *RunC
 	ex := Exec{Scales: map[string]Scale{name: sc}, Results: cache}
 	specs := e.Spec(name)
 	if len(specs) == 0 {
-		return nil, nil, nil, Terminal(fmt.Errorf("%w: experiment %q produced no specs", config.ErrInvalid, e.Name()))
+		return nil, nil, nil, fmt.Errorf("%w: experiment %q produced no specs", config.ErrInvalid, e.Name())
 	}
 	results := make([]RunResult, len(specs))
 	fps := make([]string, len(specs))

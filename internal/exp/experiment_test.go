@@ -7,11 +7,13 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"pabst/internal/config"
 )
 
 // TestExperimentRegistry: every ported experiment resolves by name, the
-// listing is sorted, and unknown names produce a terminal error naming
-// the registry.
+// listing is sorted, and unknown names produce a config.ErrInvalid
+// naming the registry.
 func TestExperimentRegistry(t *testing.T) {
 	want := []string{
 		"ext-hetero", "ext-noc", "ext-skew", "ext-static",
@@ -43,8 +45,8 @@ func TestExperimentRegistry(t *testing.T) {
 	}
 	if _, err := ExperimentByName("fig99"); err == nil {
 		t.Error("unknown experiment accepted")
-	} else if c := Classify(err); c != FailTerminal {
-		t.Errorf("unknown experiment classified %v, want terminal", c)
+	} else if !errors.Is(err, config.ErrInvalid) {
+		t.Errorf("unknown experiment error %v, want config.ErrInvalid", err)
 	}
 }
 
@@ -70,7 +72,7 @@ func TestExperimentSpecsValid(t *testing.T) {
 }
 
 // TestSpecValidateNewFields: the redesigned RunSpec rejects malformed
-// values of the new fields with terminal errors.
+// values of the new fields.
 func TestSpecValidateNewFields(t *testing.T) {
 	base := RunSpec{Bench: BenchStreams, Scale: "quick"}
 	for name, mut := range map[string]func(*RunSpec){

@@ -140,8 +140,8 @@ func NewIsolationExperiment(name, desc string, workloads []string, efficiency bo
 		reduce: func(specs []RunSpec, results []RunResult) (*Table, error) {
 			per := 1 + len(paperModes)
 			if len(specs)%per != 0 || len(specs) != len(results) {
-				return nil, Terminal(fmt.Errorf("%w: isolation grid of %d specs is not %d per workload",
-					config.ErrInvalid, len(specs), per))
+				return nil, fmt.Errorf("%w: isolation grid of %d specs is not %d per workload",
+					config.ErrInvalid, len(specs), per)
 			}
 			t := &Table{
 				Title:   "Figure 10: weighted slowdown vs 16-core stream aggressor (32:1 shares)",
@@ -193,7 +193,7 @@ func NewFaultsExperiment(plan string) Experiment {
 		},
 		reduce: func(specs []RunSpec, results []RunResult) (*Table, error) {
 			if len(specs) != 2 || len(results) != 2 || specs[1].Fault == "" {
-				return nil, Terminal(fmt.Errorf("%w: faults experiment wants [clean, faulted] arms", config.ErrInvalid))
+				return nil, fmt.Errorf("%w: faults experiment wants [clean, faulted] arms", config.ErrInvalid)
 			}
 			t := &Table{
 				Title:   fmt.Sprintf("Faults: 7:3 allocation under plan %q vs clean", specs[1].Fault),
@@ -259,7 +259,7 @@ func NewFig11Experiment(workloads []string) Experiment {
 		},
 		reduce: func(specs []RunSpec, results []RunResult) (*Table, error) {
 			if len(specs)%2 != 0 || len(specs) != len(results) {
-				return nil, Terminal(fmt.Errorf("%w: fig11 grid wants [shared, static] pairs", config.ErrInvalid))
+				return nil, fmt.Errorf("%w: fig11 grid wants [shared, static] pairs", config.ErrInvalid)
 			}
 			t := &Table{
 				Title:   "Figure 11: work-conserving fairness vs static 25% allocation (4 VMs x 8 CPUs)",
@@ -317,7 +317,7 @@ func ParetoFromRuns(specs []RunSpec, results []RunResult) ([]ParetoPoint, error)
 	for i, rs := range specs {
 		pair, err := pabst.ParseMode(rs.Policy)
 		if err != nil {
-			return nil, Terminal(err)
+			return nil, err
 		}
 		r := results[i]
 		points[i] = ParetoPoint{

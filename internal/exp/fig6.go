@@ -75,7 +75,7 @@ func Fig6(scale Scale) (*Fig6Result, error) {
 		if cycle <= scale.Warmup {
 			continue
 		}
-		// Classify the window by the periodic class's memory activity,
+		// Label the window by the periodic class's memory activity,
 		// and only score windows deep inside a phase (run length >= 3)
 		// so the governor's adaptation ramps are not averaged into the
 		// plateau levels.

@@ -72,16 +72,16 @@ func ParamNames() []string {
 }
 
 // SetParam applies one named override to a system configuration. An
-// unknown name, or a flag value other than 0 or 1, is a terminal failure
-// wrapping config.ErrInvalid — no retry can make it valid.
+// unknown name, or a flag value other than 0 or 1, is an error wrapping
+// config.ErrInvalid.
 func SetParam(cfg *pabst.SystemConfig, name string, v uint64) error {
 	d, ok := paramRegistry[name]
 	if !ok {
-		return Terminal(fmt.Errorf("%w: unknown sweep parameter %q (have %v)",
-			config.ErrInvalid, name, ParamNames()))
+		return fmt.Errorf("%w: unknown sweep parameter %q (have %v)",
+			config.ErrInvalid, name, ParamNames())
 	}
 	if d.flag && v > 1 {
-		return Terminal(fmt.Errorf("%w: sweep parameter %q is 0 or 1, got %d", config.ErrInvalid, name, v))
+		return fmt.Errorf("%w: sweep parameter %q is 0 or 1, got %d", config.ErrInvalid, name, v)
 	}
 	d.set(cfg, v)
 	return nil
@@ -172,7 +172,7 @@ func ScaleByName(name string) (Scale, error) {
 	case "full":
 		return Full(), nil
 	default:
-		return Scale{}, Terminal(fmt.Errorf("%w: unknown scale %q (quick or full)", config.ErrInvalid, name))
+		return Scale{}, fmt.Errorf("%w: unknown scale %q (quick or full)", config.ErrInvalid, name)
 	}
 }
 
@@ -371,7 +371,7 @@ var benchRegistry = map[string]benchDef{
 		// signature cannot express; buildFor routes to buildPeriodic.
 		desc: "periodic 70% class vs constant 30% streamer (Figure 6 work conservation)",
 		build: func(rs RunSpec, cfg pabst.SystemConfig, mode pabst.Mode, opts []pabst.Option) (*pabst.Builder, []pabst.ClassID, error) {
-			return nil, nil, Terminal(fmt.Errorf("%w: periodic bench built only through RunSpec", config.ErrInvalid))
+			return nil, nil, fmt.Errorf("%w: periodic bench built only through RunSpec", config.ErrInvalid)
 		},
 	},
 	BenchSkew: {
@@ -518,15 +518,15 @@ type RunSpec struct {
 	Fault string `json:"fault,omitempty"`
 }
 
-// Validate rejects malformed specs with terminal errors.
+// Validate rejects malformed specs; every refusal wraps config.ErrInvalid.
 func (rs RunSpec) Validate() error {
 	def, ok := benchRegistry[rs.Bench]
 	if !ok {
-		return Terminal(fmt.Errorf("%w: unknown bench %q (have %v)",
-			config.ErrInvalid, rs.Bench, BenchNames()))
+		return fmt.Errorf("%w: unknown bench %q (have %v)",
+			config.ErrInvalid, rs.Bench, BenchNames())
 	}
 	if rs.Scale == "" {
-		return Terminal(fmt.Errorf("%w: empty scale name", config.ErrInvalid))
+		return fmt.Errorf("%w: empty scale name", config.ErrInvalid)
 	}
 	// The machine the params and the plan describe must be buildable: a
 	// queue depth from a REST body is otherwise first checked by the
@@ -538,27 +538,27 @@ func (rs RunSpec) Validate() error {
 	if rs.Fault != "" {
 		plan, err := pabst.LoadFaultPlan(rs.Fault)
 		if err != nil {
-			return Terminal(fmt.Errorf("%w: %w", config.ErrInvalid, err))
+			return fmt.Errorf("%w: %w", config.ErrInvalid, err)
 		}
 		cfg.Faults = plan
 	}
 	if err := cfg.Validate(); err != nil {
-		return Terminal(err)
+		return err
 	}
 	if _, err := rs.pair(Scale{}); err != nil {
-		return Terminal(fmt.Errorf("%w: %w", config.ErrInvalid, err))
+		return fmt.Errorf("%w: %w", config.ErrInvalid, err)
 	}
 	if rs.Load < 0 || rs.Load > 16 {
-		return Terminal(fmt.Errorf("%w: load %d outside [0,16]", config.ErrInvalid, rs.Load))
+		return fmt.Errorf("%w: load %d outside [0,16]", config.ErrInvalid, rs.Load)
 	}
 	if def.workload {
 		if _, err := pabst.SpecProxy(rs.Workload, pabst.TileRegion(0), 1); err != nil {
-			return Terminal(fmt.Errorf("%w: bench %q requires a workload (have %v): %w",
-				config.ErrInvalid, rs.Bench, pabst.SpecNames(), err))
+			return fmt.Errorf("%w: bench %q requires a workload (have %v): %w",
+				config.ErrInvalid, rs.Bench, pabst.SpecNames(), err)
 		}
 	}
 	if !def.workload && rs.Workload != "" {
-		return Terminal(fmt.Errorf("%w: bench %q takes no workload", config.ErrInvalid, rs.Bench))
+		return fmt.Errorf("%w: bench %q takes no workload", config.ErrInvalid, rs.Bench)
 	}
 	return nil
 }
@@ -676,13 +676,13 @@ type RunIO struct {
 func (rs RunSpec) buildFor(cfg pabst.SystemConfig, sc Scale) (*pabst.Builder, []pabst.ClassID, error) {
 	mode, err := rs.pair(sc)
 	if err != nil {
-		return nil, nil, Terminal(err) // unreachable past Validate
+		return nil, nil, err // unreachable past Validate
 	}
 	opts := []pabst.Option{pabst.WithKernel(sc.Kernel)}
 	if rs.Fault != "" {
 		plan, ferr := pabst.LoadFaultPlan(rs.Fault)
 		if ferr != nil {
-			return nil, nil, Terminal(ferr)
+			return nil, nil, ferr
 		}
 		opts = append(opts, pabst.WithFaultPlan(plan))
 	}

@@ -48,12 +48,12 @@ func TestRunSpecValidate(t *testing.T) {
 		if err == nil {
 			t.Fatalf("%s accepted", name)
 		}
-		if Classify(err) != FailTerminal || !errors.Is(err, config.ErrInvalid) {
-			t.Fatalf("%s: error %v not terminal/invalid", name, err)
+		if !errors.Is(err, config.ErrInvalid) {
+			t.Fatalf("%s: error %v not config.ErrInvalid", name, err)
 		}
 	}
-	if _, err := ScaleByName("nope"); Classify(err) != FailTerminal {
-		t.Fatalf("unknown scale not terminal: %v", err)
+	if _, err := ScaleByName("nope"); !errors.Is(err, config.ErrInvalid) {
+		t.Fatalf("unknown scale not config.ErrInvalid: %v", err)
 	}
 }
 
@@ -71,8 +71,8 @@ func TestRunSpecFingerprint(t *testing.T) {
 
 func TestSetParamUnknown(t *testing.T) {
 	cfg := Quick().Apply(pabst.Default32Config())
-	if err := SetParam(&cfg, "warp", 9); Classify(err) != FailTerminal {
-		t.Fatalf("unknown param not terminal: %v", err)
+	if err := SetParam(&cfg, "warp", 9); !errors.Is(err, config.ErrInvalid) {
+		t.Fatalf("unknown param not config.ErrInvalid: %v", err)
 	}
 	if err := SetParam(&cfg, "queue", 16); err != nil {
 		t.Fatal(err)
@@ -187,8 +187,8 @@ func TestRunSpecCancelRerun(t *testing.T) {
 			cancel()
 		}
 	}})
-	if Classify(err) != FailCanceled || !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled run error = %v (%v), want the context error", err, Classify(err))
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run error = %v, want the context error", err)
 	}
 	if res.Cycles == 0 || res.Cycles >= tinyScale().Measure || res.Fingerprint != "" {
 		t.Fatalf("cancelled run returned %+v, want a strict prefix of the window and no result", res)

@@ -33,7 +33,7 @@ type TwinPrediction struct {
 // PredictSpec runs the analytical twin on a RunSpec: microseconds of
 // fixed-point arithmetic instead of a cycle simulation. Benches without
 // a closed-form demand description (SPEC proxies, phase-driven and
-// filtered generators) return a terminal error — the twin predicts only
+// filtered generators) return an error — the twin predicts only
 // what it can parameterize, everything else must simulate.
 func PredictSpec(rs RunSpec, ex Exec) (TwinPrediction, error) {
 	if err := rs.Validate(); err != nil {
@@ -41,8 +41,8 @@ func PredictSpec(rs RunSpec, ex Exec) (TwinPrediction, error) {
 	}
 	def := benchRegistry[rs.Bench]
 	if def.loads == nil {
-		return TwinPrediction{}, Terminal(fmt.Errorf("%w: bench %q has no analytical load model",
-			config.ErrInvalid, rs.Bench))
+		return TwinPrediction{}, fmt.Errorf("%w: bench %q has no analytical load model",
+			config.ErrInvalid, rs.Bench)
 	}
 	sc, err := ex.Scale(rs.Scale)
 	if err != nil {
@@ -54,11 +54,11 @@ func PredictSpec(rs RunSpec, ex Exec) (TwinPrediction, error) {
 	}
 	pair, err := rs.pair(sc)
 	if err != nil {
-		return TwinPrediction{}, Terminal(err) // unreachable past Validate
+		return TwinPrediction{}, err // unreachable past Validate
 	}
 	p, err := twin.New(cfg).Solve(pair.Source, pair.Target, def.loads(rs, cfg))
 	if err != nil {
-		return TwinPrediction{}, Terminal(err)
+		return TwinPrediction{}, err
 	}
 	out := TwinPrediction{
 		ShareHi:    p.Shares[0],

@@ -115,7 +115,7 @@ func TestPredictSpecPolicyResolution(t *testing.T) {
 	if p.Confidence <= 0 {
 		t.Errorf("hooked policy pair predicted with confidence %.2f", p.Confidence)
 	}
-	// A bench without a load model is a terminal refusal.
+	// A bench without a load model is refused.
 	if _, err := PredictSpec(RunSpec{Bench: BenchSkew, Scale: "quick"}, ex); err == nil {
 		t.Error("skew bench accepted by the twin despite having no load model")
 	}

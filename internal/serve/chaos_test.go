@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -15,9 +16,10 @@ func chaosScale() exp.Scale {
 	return exp.Scale{Name: "chaos", Warmup: 10_000, Measure: 15_000, Epoch: 2000, Window: 2000}
 }
 
-// TestChaosAcceptance is the issue's acceptance run: 32 concurrent
+// TestChaosAcceptance is the service's acceptance run: 32 concurrent
 // jobs through the REAL simulator while a worker wedges and the
-// service is drained mid-sweep and restarted. Every job must complete
+// service is drained mid-sweep and restarted. The wedged job fails with
+// the silence in its error; every other job must complete exactly once
 // with a result fingerprint identical to a serial CLI-style run of the
 // same spec, with no job lost or duplicated across the restart and an
 // empty journal after the final drain.
@@ -47,8 +49,8 @@ func TestChaosAcceptance(t *testing.T) {
 
 	dir := t.TempDir()
 	// The first incarnation's runner wedges exactly once: the victim
-	// attempt blocks without heartbeats until cancelled, forcing the
-	// supervisor's wedge path before the real simulation retries. Every
+	// run blocks without heartbeats until cancelled, forcing the
+	// supervisor's wedge path, which fails the job. Every
 	// other job is throttled so the sweep is still in flight when the
 	// wedge detector (and then the drain) fires — without the sleep a
 	// fast machine finishes all 32 jobs before any chaos lands.
@@ -66,12 +68,9 @@ func TestChaosAcceptance(t *testing.T) {
 		return ExpRunner(ctx, spec, env)
 	}
 	cfg := Config{
-		Dir:         dir,
-		QueueDepth:  64,
-		Workers:     4,
-		MaxAttempts: 3,
-		BackoffBase: 2 * time.Millisecond,
-		BackoffMax:  20 * time.Millisecond,
+		Dir:        dir,
+		QueueDepth: 64,
+		Workers:    4,
 		// Generous: under the race detector on a single-core machine a
 		// healthy simulation goroutine can go unscheduled for ~1s.
 		HeartbeatTimeout: 2 * time.Second,
@@ -108,23 +107,29 @@ func TestChaosAcceptance(t *testing.T) {
 		t.Fatalf("drain: %v", err)
 	}
 
-	// Nothing lost at the boundary: every job is either done or queued
-	// for the next incarnation (terminal non-done states would mean the
-	// chaos broke a job).
+	// Nothing lost at the boundary: the victim failed with the silence
+	// in its error, and every other job is either done or queued for the
+	// next incarnation (any other state would mean the chaos broke a
+	// job).
 	doneFirst := make(map[string]bool)
-	queuedFirst := 0
+	queuedFirst, victims := 0, 0
 	for _, v := range s.List() {
-		switch v.State {
-		case StateDone:
+		switch {
+		case v.State == StateDone:
 			doneFirst[v.ID] = true
-		case StateQueued:
+		case v.State == StateQueued:
 			queuedFirst++
+		case v.State == StateFailed && strings.Contains(v.Error, "silent"):
+			victims++
 		default:
-			t.Fatalf("job %s in state %s after drain", v.ID, v.State)
+			t.Fatalf("job %s in state %s after drain: %s", v.ID, v.State, v.Error)
 		}
 	}
-	if len(doneFirst)+queuedFirst != len(ids) {
-		t.Fatalf("drain lost jobs: %d done + %d queued != %d", len(doneFirst), queuedFirst, len(ids))
+	if victims != 1 {
+		t.Fatalf("%d jobs failed for silence, want the one victim", victims)
+	}
+	if len(doneFirst)+queuedFirst+victims != len(ids) {
+		t.Fatalf("drain lost jobs: %d done + %d queued + %d failed != %d", len(doneFirst), queuedFirst, victims, len(ids))
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -155,10 +160,10 @@ func TestChaosAcceptance(t *testing.T) {
 		return c[StateDone] == queuedFirst
 	})
 
-	// Every job completed exactly once across both incarnations, and
-	// every result fingerprint — including drained jobs rerun from a
-	// fresh machine and the wedge victim — matches its serial reference
-	// bit for bit.
+	// Every job but the victim completed exactly once across both
+	// incarnations, and every result fingerprint — drained jobs rerun
+	// from a fresh machine included — matches its serial reference bit
+	// for bit.
 	finished := make(map[string]bool)
 	check := func(v JobView) {
 		if v.State != StateDone {
@@ -181,8 +186,8 @@ func TestChaosAcceptance(t *testing.T) {
 	for _, v := range s2.List() {
 		check(v)
 	}
-	if len(finished) != len(ids) {
-		t.Fatalf("%d of %d jobs finished", len(finished), len(ids))
+	if len(finished) != len(ids)-victims {
+		t.Fatalf("%d of %d jobs finished", len(finished), len(ids)-victims)
 	}
 
 	// The supervisor actually earned its keep.

@@ -6,11 +6,17 @@
 // benchmark run. The service admits jobs into a bounded queue (rejecting
 // with a typed error when full, never growing without bound), executes
 // them on a fixed worker pool with per-job deadlines and cancellation
-// threaded through the simulator's RunContext, retries retryable
-// failures with exponential backoff and deterministic jitter, isolates
-// panicking simulations to the job that caused them, and watches worker
+// threaded through the simulator's RunContext, isolates panicking
+// simulations to the job that caused them, and watches worker
 // heartbeats so a wedged worker is cancelled, abandoned, and replaced
 // rather than silently stalling the queue.
+//
+// A job runs once, and its first outcome is final: done, failed
+// (an error, a panic with its stack, or a run gone silent), or
+// canceled by its own deadline. Nothing retries, because a run does no
+// I/O — the service admits only preset fault plans — so the same spec
+// fails the same way every time. Only a drain or a shutdown puts a job
+// back on the queue.
 //
 // Durability follows an at-least-once contract. Every accepted job is
 // appended to a JSONL journal before Submit returns; completion and
@@ -22,15 +28,15 @@
 // effective exactly-once semantics. The same pin lets a Service answer
 // a spec it has already completed from its result cache (exp.RunCache
 // in Config.Exec.Results, keyed by spec fingerprint): the job still
-// passes queued → running → done through a worker, with one attempt and
-// its journal records, but its run takes microseconds. The cache lives
+// passes queued → running → done through a worker, with one run and
+// its journal records, but that run takes microseconds. The cache lives
 // as long as the Service; a restarted service re-simulates.
 //
 // Graceful drain (SIGTERM/SIGINT in cmd/pabstserve) stops admission,
 // gives in-flight jobs a grace period to finish, then cancels the rest;
-// a cancelled run is requeued without consuming an attempt, and the
-// restarted service reruns it from a fresh machine, so a restart costs
-// each in-flight job at most one warmup and one measure window
+// a cancelled run is requeued, and the restarted service reruns it
+// from a fresh machine, so a restart costs each in-flight job at most
+// one warmup and one measure window
 // (DESIGN.md "What earned its place" has the measured bound that
 // retired the on-disk checkpoints). Queued jobs survive via journal
 // compaction. The state directory holds only the journal, and no

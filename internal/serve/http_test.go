@@ -235,7 +235,7 @@ var hostileBodies = []string{
 }
 
 // TestHostileParamsRejected pins the trust boundary on RunSpec.Params:
-// admission answers 400 with a terminal config.ErrInvalid and journals
+// admission answers 400 with config.ErrInvalid and journals
 // nothing, and a journal that already holds such a submit record
 // recovers to a failed job under the production runner — which rejects
 // the spec before it sizes a single queue.
@@ -267,9 +267,8 @@ func TestHostileParamsRejected(t *testing.T) {
 	for i := range hostileBodies {
 		id := fmt.Sprintf("j-%06d", i)
 		mustState(t, s, id, StateFailed)
-		if v, _ := s.Get(id); v.FailureClass != exp.FailTerminal.String() || v.Requeues != 0 ||
-			!strings.Contains(v.Error, config.ErrInvalid.Error()) {
-			t.Errorf("recovered %s = %+v; want one terminal invalid-configuration failure", hostileBodies[i], v)
+		if v, _ := s.Get(id); v.Requeues != 0 || !strings.Contains(v.Error, config.ErrInvalid.Error()) {
+			t.Errorf("recovered %s = %+v; want one invalid-configuration failure", hostileBodies[i], v)
 		}
 	}
 
@@ -281,8 +280,8 @@ func TestHostileParamsRejected(t *testing.T) {
 			t.Errorf("POST /jobs %s = %d %s, want 400 invalid configuration", body, code, resp)
 		}
 		_, err := s.Submit(specs[i], SubmitOptions{})
-		if !errors.Is(err, config.ErrInvalid) || exp.Classify(err) != exp.FailTerminal {
-			t.Errorf("Submit(%+v) = %v, want a terminal config.ErrInvalid", specs[i], err)
+		if !errors.Is(err, config.ErrInvalid) {
+			t.Errorf("Submit(%+v) = %v, want config.ErrInvalid", specs[i], err)
 		}
 	}
 	if n := journalRecords(t, cfg.Dir) - before; n != 0 {
@@ -292,12 +291,14 @@ func TestHostileParamsRejected(t *testing.T) {
 
 // strictBodies are REST bodies a lenient decoder would admit as some
 // other request: a misspelled field (here "parms") silently ran the
-// default slack under the default fingerprint.
+// default slack under the default fingerprint. The last names the
+// attempt budget a job no longer has.
 var strictBodies = []string{
 	`{"spec":{"bench":"streams","scale":"tiny","parms":{"slack":64}}}`,
 	`{"spec":{"bench":"streams","scale":"tiny"},"options":{"max_attempts":1}}`,
 	`{"spec":{"bench":"streams","scale":"tiny","params":{"slack":64}}}{"spec":{"bench":"chaser","scale":"tiny"}}`,
 	`{"spec":{"bench":"streams","scale":"tiny"}} trailing`,
+	`{"spec":{"bench":"streams","scale":"tiny"},"opts":{"max_attempts":2}}`,
 }
 
 // TestSubmitRefusesUnknownFields pins the trust boundary on the body's
@@ -339,7 +340,7 @@ func FuzzSubmitBody(f *testing.F) {
 		f.Add(submitBody(f, spec))
 	}
 	f.Add([]byte(`{"spec":{"bench":"streams","scale":"quick","fault":"/etc/hostname"}}`))
-	f.Add([]byte(`{"spec":{"bench":"streams","scale":"tiny","fault":"sat-drop"},"opts":{"max_attempts":2,"deadline_ms":50}}`))
+	f.Add([]byte(`{"spec":{"bench":"streams","scale":"tiny","fault":"sat-drop"},"opts":{"deadline_ms":50}}`))
 	f.Add([]byte(`{"spec":`))
 	for _, body := range hostileBodies {
 		f.Add([]byte(body))
@@ -409,12 +410,13 @@ func TestSubmitJournalFailureIs500(t *testing.T) {
 
 // TestResultCacheAnswersResubmission: through the real simulator, two
 // workers and the service's one result cache, a resubmitted spec ends
-// done with one attempt and the first run's result fingerprint, keeps
+// done after one run with the first run's result fingerprint, keeps
 // its submit and done journal records, builds no machine (no beat), and
 // shows on /metrics as a cache hit.
 func TestResultCacheAnswersResubmission(t *testing.T) {
-	var beats atomic.Int64
+	var beats, runs atomic.Int64
 	cfg := testConfig(t, func(ctx context.Context, spec exp.RunSpec, env RunEnv) (exp.RunResult, error) {
+		runs.Add(1)
 		beat := env.Beat
 		env.Beat = func() { beats.Add(1); beat() }
 		return ExpRunner(ctx, spec, env)
@@ -456,13 +458,16 @@ func TestResultCacheAnswersResubmission(t *testing.T) {
 		t.Fatalf("resubmissions beat %d times, want 0", n)
 	}
 	for _, v := range again {
-		if v.Attempt != 1 || v.Requeues != 0 || v.StartedAt == nil || v.FinishedAt == nil {
-			t.Fatalf("cached job %s: attempt %d, requeues %d, started %v, finished %v",
-				v.ID, v.Attempt, v.Requeues, v.StartedAt, v.FinishedAt)
+		if v.Requeues != 0 || v.StartedAt == nil || v.FinishedAt == nil {
+			t.Fatalf("cached job %s: requeues %d, started %v, finished %v",
+				v.ID, v.Requeues, v.StartedAt, v.FinishedAt)
 		}
 		if want := firstRun[v.SpecFingerprint]; v.Result == nil || v.Result.Fingerprint != want {
 			t.Fatalf("cached job %s answered %+v, want result fingerprint %s", v.ID, v.Result, want)
 		}
+	}
+	if n := runs.Load(); n != int64(len(specs)+len(again)) {
+		t.Fatalf("runner called %d times, want once per job (%d)", n, len(specs)+len(again))
 	}
 	if hits := s.cfg.Exec.Results.Hits(); hits != uint64(len(again)) {
 		t.Fatalf("result cache counted %d hits, want %d", hits, len(again))

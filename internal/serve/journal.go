@@ -10,32 +10,28 @@ import (
 	"pabst/internal/exp"
 )
 
-// Journal operations. A job's durable history is its submit record plus
-// zero or more requeue records (carrying the attempt count) and at most
-// one terminal record. No record refers to a file.
+// Journal operations. A job's durable history is its submit record and
+// at most one terminal record. No record refers to a file.
 const (
-	opSubmit  = "submit"
-	opRequeue = "requeue"
-	opDone    = "done"
-	opFail    = "fail"
-	opCancel  = "cancel"
+	opSubmit = "submit"
+	opDone   = "done"
+	opFail   = "fail"
+	opCancel = "cancel"
 )
 
 // rec is one JSONL journal line. Fields are op-dependent; unknown ops
-// and fields are ignored on load so the format can grow.
+// and fields are ignored on load, so a journal an older build wrote
+// (with its requeue records and attempt counts) replays too.
 type rec struct {
-	Op          string       `json:"op"`
-	ID          string       `json:"id"`
-	Spec        *exp.RunSpec `json:"spec,omitempty"`
-	SpecFP      string       `json:"spec_fp,omitempty"`
-	MaxAttempts int          `json:"max_attempts,omitempty"`
-	DeadlineMS  int64        `json:"deadline_ms,omitempty"`
-	Attempt     int          `json:"attempt,omitempty"`
-	ResultFP    string       `json:"result_fp,omitempty"`
-	ShareHi     float64      `json:"share_hi,omitempty"`
-	TotalBPC    float64      `json:"total_bpc,omitempty"`
-	Err         string       `json:"err,omitempty"`
-	Class       string       `json:"class,omitempty"`
+	Op         string       `json:"op"`
+	ID         string       `json:"id"`
+	Spec       *exp.RunSpec `json:"spec,omitempty"`
+	SpecFP     string       `json:"spec_fp,omitempty"`
+	DeadlineMS int64        `json:"deadline_ms,omitempty"`
+	ResultFP   string       `json:"result_fp,omitempty"`
+	ShareHi    float64      `json:"share_hi,omitempty"`
+	TotalBPC   float64      `json:"total_bpc,omitempty"`
+	Err        string       `json:"err,omitempty"`
 }
 
 // journal is an append-only JSONL log with atomic compaction. It has

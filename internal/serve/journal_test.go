@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -15,8 +16,8 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 	spec := tinySpec()
 	want := []rec{
-		{Op: opSubmit, ID: "j-000000", Spec: &spec, MaxAttempts: 3},
-		{Op: opRequeue, ID: "j-000000", Attempt: 1},
+		{Op: opSubmit, ID: "j-000000", Spec: &spec, DeadlineMS: 50},
+		{Op: opSubmit, ID: "j-000001", Spec: &spec},
 		{Op: opDone, ID: "j-000000", ResultFP: "abc", ShareHi: 0.7},
 	}
 	for _, r := range want {
@@ -36,7 +37,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 	for i := range want {
 		if got[i].Op != want[i].Op || got[i].ID != want[i].ID ||
-			got[i].Attempt != want[i].Attempt || got[i].ResultFP != want[i].ResultFP {
+			got[i].DeadlineMS != want[i].DeadlineMS || got[i].ResultFP != want[i].ResultFP {
 			t.Fatalf("record %d = %+v, want %+v", i, got[i], want[i])
 		}
 	}
@@ -102,7 +103,7 @@ func TestJournalRewrite(t *testing.T) {
 	if err := jl.rewrite([]rec{{Op: opSubmit, ID: "j-live", Spec: &spec}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := jl.append(rec{Op: opRequeue, ID: "j-live", Attempt: 1}); err != nil {
+	if err := jl.append(rec{Op: opDone, ID: "j-live", ResultFP: "abc"}); err != nil {
 		t.Fatal(err)
 	}
 	jl.close()
@@ -110,7 +111,7 @@ func TestJournalRewrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 || got[0].ID != "j-live" || got[1].Op != opRequeue {
+	if len(got) != 2 || got[0].ID != "j-live" || got[1].Op != opDone {
 		t.Fatalf("post-rewrite journal = %+v", got)
 	}
 
@@ -130,9 +131,8 @@ func TestJournalRewrite(t *testing.T) {
 }
 
 // TestRecoverIgnoresUnknownOps pins compatibility in both directions:
-// records with unknown ops are skipped, not fatal, and so is the field
-// of a requeue record written by the build that still kept mid-measure
-// checkpoints.
+// records with unknown ops are skipped, not fatal, and so is a requeue
+// record written by the build that still kept mid-measure checkpoints.
 func TestRecoverIgnoresUnknownOps(t *testing.T) {
 	cfg := testConfig(t, okRunner)
 	path := filepath.Join(cfg.Dir, "journal.jsonl")
@@ -141,7 +141,7 @@ func TestRecoverIgnoresUnknownOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jl.append(rec{Op: opSubmit, ID: "j-000007", Spec: &spec, MaxAttempts: 2})
+	jl.append(rec{Op: opSubmit, ID: "j-000007", Spec: &spec})
 	jl.append(rec{Op: "vibe-check", ID: "j-000007"})
 	jl.f.WriteString(`{"op":"requeue","id":"j-000007","attempt":1,"partial":"/etc/hostname"}` + "\n")
 	jl.close()
@@ -152,7 +152,7 @@ func TestRecoverIgnoresUnknownOps(t *testing.T) {
 	}
 	defer s.Close()
 	v, err := s.Get("j-000007")
-	if err != nil || v.State != StateQueued || v.MaxAttempts != 2 || v.Attempt != 1 {
+	if err != nil || v.State != StateQueued {
 		t.Fatalf("recovered job = %+v, %v", v, err)
 	}
 	// New ids continue past recovered ones.
@@ -165,6 +165,58 @@ func TestRecoverIgnoresUnknownOps(t *testing.T) {
 	}
 }
 
+// olderJournal is a journal in the format of the build that still
+// retried jobs: a submit carries its attempt budget, a requeue record
+// its attempt count, and a fail record its failure class. j-000000 is
+// live with a deadline, j-000001 failed, j-000002 is done.
+const olderJournal = `{"op":"submit","id":"j-000000","spec":{"bench":"streams","scale":"tiny"},"max_attempts":3,"deadline_ms":50}
+{"op":"requeue","id":"j-000000","attempt":1}
+{"op":"submit","id":"j-000001","spec":{"bench":"chaser","scale":"tiny"},"max_attempts":2}
+{"op":"requeue","id":"j-000001","attempt":1}
+{"op":"fail","id":"j-000001","err":"attempt 2/2: never works","class":"retryable"}
+{"op":"submit","id":"j-000002","spec":{"bench":"streams","scale":"tiny"}}
+{"op":"done","id":"j-000002","result_fp":"abc","share_hi":0.7}
+`
+
+// TestRecoverOlderJournal: a journal an older build wrote recovers the
+// live jobs that build would have recovered, with their deadlines, and
+// compacts to this build's format.
+func TestRecoverOlderJournal(t *testing.T) {
+	cfg := testConfig(t, okRunner)
+	path := filepath.Join(cfg.Dir, "journal.jsonl")
+	if err := os.WriteFile(path, []byte(olderJournal), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	want := map[string]JobState{"j-000000": StateQueued, "j-000001": StateFailed, "j-000002": StateDone}
+	for id, st := range want {
+		if v, err := s.Get(id); err != nil || v.State != st {
+			t.Errorf("recovered %s = %+v, %v; want %s", id, v, err, st)
+		}
+	}
+	if v, _ := s.Get("j-000001"); v.Error != "attempt 2/2: never works" {
+		t.Errorf("failed job's error %q", v.Error)
+	}
+	if n := s.m.recovered.Load(); n != 1 {
+		t.Errorf("recovered %d live jobs, want 1", n)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var r rec
+	if err := json.Unmarshal(bytes.TrimSpace(raw), &r); err != nil || r.Op != opSubmit || r.ID != "j-000000" || r.DeadlineMS != 50 {
+		t.Fatalf("compacted journal = %s (%v), want j-000000's submit record with its deadline", raw, err)
+	}
+	if bytes.Contains(raw, []byte("max_attempts")) {
+		t.Fatalf("compacted journal still carries the attempt budget: %s", raw)
+	}
+}
+
 // FuzzLoadJournal feeds arbitrary bytes, torn tails included, through the
 // restart path (loadJournal, then Service.recover inside New): nothing
 // panics, and whatever a journal claims, a recovered job waits in the
@@ -174,8 +226,7 @@ func FuzzLoadJournal(f *testing.F) {
 	spec := tinySpec()
 	var clean []byte
 	for _, r := range []rec{
-		{Op: opSubmit, ID: "j-000000", Spec: &spec, MaxAttempts: 3, DeadlineMS: 50},
-		{Op: opRequeue, ID: "j-000000", Attempt: 1},
+		{Op: opSubmit, ID: "j-000000", Spec: &spec, DeadlineMS: 50},
 		{Op: opSubmit, ID: "j-000001", Spec: &spec},
 		{Op: opDone, ID: "j-000001", ResultFP: "abc", ShareHi: 0.7},
 	} {
@@ -193,6 +244,7 @@ func FuzzLoadJournal(f *testing.F) {
 	f.Add([]byte(`{"op":"submit","id":"j-000004","spec":{"bench":"streams","scale":"tiny","params":{"queue":1099511627776}}}` + "\n"))
 	f.Add([]byte(`{"op":"submit","id":"j-000005","spec":{"bench":"streams","scale":"tiny","params":{"bankq":2}}}` + "\n")) // a parameter this build does not have
 	f.Add([]byte("\n\n{}\nnot json\n"))
+	f.Add([]byte(olderJournal))
 
 	cfg := testConfig(f, okRunner)
 	path := filepath.Join(cfg.Dir, "journal.jsonl")

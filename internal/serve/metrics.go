@@ -15,7 +15,6 @@ type metrics struct {
 	completed      atomic.Int64
 	failed         atomic.Int64
 	canceled       atomic.Int64
-	retried        atomic.Int64
 	requeued       atomic.Int64
 	recovered      atomic.Int64
 	panics         atomic.Int64
@@ -40,7 +39,6 @@ func (s *Service) Registry() *obs.Registry {
 	counter("pabst_serve_jobs_completed_total", &s.m.completed)
 	counter("pabst_serve_jobs_failed_total", &s.m.failed)
 	counter("pabst_serve_jobs_canceled_total", &s.m.canceled)
-	counter("pabst_serve_jobs_retried_total", &s.m.retried)
 	counter("pabst_serve_jobs_requeued_total", &s.m.requeued)
 	counter("pabst_serve_jobs_recovered_total", &s.m.recovered)
 	counter("pabst_serve_job_panics_total", &s.m.panics)
@@ -53,7 +51,7 @@ func (s *Service) Registry() *obs.Registry {
 	r.Register("pabst_serve_queue_depth", func() float64 {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		return float64(len(s.queue) + s.backoff)
+		return float64(len(s.queue))
 	})
 	r.Register("pabst_serve_inflight", func() float64 {
 		return float64(s.inflight())

@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"pabst/internal/config"
 	"pabst/internal/exp"
 )
 
@@ -29,9 +31,6 @@ func testConfig(t testing.TB, runner Runner) Config {
 		Dir:              t.TempDir(),
 		QueueDepth:       64,
 		Workers:          2,
-		MaxAttempts:      3,
-		BackoffBase:      2 * time.Millisecond,
-		BackoffMax:       20 * time.Millisecond,
 		HeartbeatTimeout: time.Second,
 		DrainGrace:       50 * time.Millisecond,
 		Exec:             exp.Exec{Scales: map[string]exp.Scale{"tiny": tinyScale()}},
@@ -76,10 +75,10 @@ func TestSubmitValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if _, err := s.Submit(exp.RunSpec{Bench: "nope", Scale: "tiny"}, SubmitOptions{}); exp.Classify(err) != exp.FailTerminal {
+	if _, err := s.Submit(exp.RunSpec{Bench: "nope", Scale: "tiny"}, SubmitOptions{}); !errors.Is(err, config.ErrInvalid) {
 		t.Fatalf("bad bench accepted: %v", err)
 	}
-	if _, err := s.Submit(exp.RunSpec{Bench: exp.BenchStreams, Scale: "galactic"}, SubmitOptions{}); exp.Classify(err) != exp.FailTerminal {
+	if _, err := s.Submit(exp.RunSpec{Bench: exp.BenchStreams, Scale: "galactic"}, SubmitOptions{}); !errors.Is(err, config.ErrInvalid) {
 		t.Fatalf("unknown scale accepted: %v", err)
 	}
 }
@@ -143,85 +142,112 @@ func TestAdmissionControl(t *testing.T) {
 	}
 }
 
-// TestRetryBackoff pins the retry loop: two retryable failures, then
-// success on the third attempt.
-func TestRetryBackoff(t *testing.T) {
-	var calls atomic.Int64
-	flaky := func(ctx context.Context, spec exp.RunSpec, env RunEnv) (exp.RunResult, error) {
-		if calls.Add(1) < 3 {
-			return exp.RunResult{}, errors.New("transient disk weather")
-		}
-		return exp.RunResult{Fingerprint: "ok"}, nil
-	}
-	s, err := New(testConfig(t, flaky))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	s.Start()
-	v, err := s.Submit(tinySpec(), SubmitOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustState(t, s, v.ID, StateDone)
-	got, _ := s.Get(v.ID)
-	if got.Attempt != 3 || got.Result == nil || got.Result.Fingerprint != "ok" {
-		t.Fatalf("job after retries: %+v", got)
-	}
-	if n := s.m.retried.Load(); n != 2 {
-		t.Fatalf("retried counter %d, want 2", n)
-	}
-}
-
-// TestRetryExhaustion pins the attempt budget: a persistently failing
-// job ends Failed after MaxAttempts, and its failure is journaled.
-func TestRetryExhaustion(t *testing.T) {
-	always := func(ctx context.Context, spec exp.RunSpec, env RunEnv) (exp.RunResult, error) {
-		return exp.RunResult{}, errors.New("never works")
-	}
-	cfg := testConfig(t, always)
+// runFinal submits spec to a fresh service whose runner is runner,
+// waits for the job to end in want, and returns its view and the
+// number of fail records the journal holds for it. A run does no I/O,
+// so a rerun would fail the same way: these tests pin that a job's
+// first outcome is final.
+func runFinal(t *testing.T, runner Runner, spec exp.RunSpec, want JobState) (JobView, int) {
+	t.Helper()
+	cfg := testConfig(t, runner)
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 	s.Start()
-	v, err := s.Submit(tinySpec(), SubmitOptions{MaxAttempts: 2})
+	v, err := s.Submit(spec, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustState(t, s, v.ID, StateFailed)
+	mustState(t, s, v.ID, want)
+	// Read the journal before the drain compacts it.
+	recs, err := loadJournal(filepath.Join(cfg.Dir, "journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The drain parks the workers, so no run is still to come.
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	got, _ := s.Get(v.ID)
-	if got.Attempt != 2 {
-		t.Fatalf("failed after attempt %d, want 2", got.Attempt)
+	fails := 0
+	for _, r := range recs {
+		switch {
+		case r.Op == opSubmit:
+		case r.Op == opFail && r.ID == v.ID:
+			fails++
+		default:
+			t.Errorf("journal record %+v, want only submit and fail", r)
+		}
+	}
+	return got, fails
+}
+
+// TestRetryBackoff pins that a failure is never retried after a
+// backoff: a runner that fails its first call and would succeed on the
+// next is called once, and the job ends failed with the first error.
+func TestRetryBackoff(t *testing.T) {
+	var calls atomic.Int64
+	flaky := func(ctx context.Context, spec exp.RunSpec, env RunEnv) (exp.RunResult, error) {
+		if calls.Add(1) == 1 {
+			return exp.RunResult{}, errors.New("fails the first time")
+		}
+		return exp.RunResult{Fingerprint: "ok"}, nil
+	}
+	got, fails := runFinal(t, flaky, tinySpec(), StateFailed)
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("the flaky runner ran %d times, want once", n)
+	}
+	if got.Result != nil || !strings.Contains(got.Error, "fails the first time") || fails != 1 {
+		t.Fatalf("job after one failed run: %+v with %d fail records, want failed with the first error and 1 record", got, fails)
 	}
 }
 
-// TestTerminalNoRetry pins that a terminal failure is never retried.
-func TestTerminalNoRetry(t *testing.T) {
+// TestRetryExhaustion pins that there is no attempt budget to exhaust:
+// a runner that always fails is called once, and the job ends failed
+// with one fail record in the journal.
+func TestRetryExhaustion(t *testing.T) {
 	var calls atomic.Int64
-	terminal := func(ctx context.Context, spec exp.RunSpec, env RunEnv) (exp.RunResult, error) {
+	always := func(ctx context.Context, spec exp.RunSpec, env RunEnv) (exp.RunResult, error) {
 		calls.Add(1)
-		return exp.RunResult{}, exp.Terminal(errors.New("config rot"))
+		return exp.RunResult{}, errors.New("the same spec fails every time")
 	}
-	s, err := New(testConfig(t, terminal))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	s.Start()
-	v, err := s.Submit(tinySpec(), SubmitOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustState(t, s, v.ID, StateFailed)
+	got, fails := runFinal(t, always, tinySpec(), StateFailed)
 	if n := calls.Load(); n != 1 {
-		t.Fatalf("terminal failure ran %d times", n)
+		t.Fatalf("the failing runner ran %d times, want once", n)
+	}
+	if fails != 1 || !strings.Contains(got.Error, "fails every time") {
+		t.Fatalf("failed job %+v with %d fail records, want its error and 1 record", got, fails)
+	}
+}
+
+// TestTerminalNoRetry pins that every failure is terminal: a runner
+// that panics and one that returns an invalid-configuration error are
+// each called once and end failed with one fail record.
+func TestTerminalNoRetry(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		run  func() error
+	}{
+		{"panic", func() error { panic("the same spec panics every time") }},
+		{"invalid", func() error { return fmt.Errorf("%w: config rot", config.ErrInvalid) }},
+	} {
+		var calls atomic.Int64
+		runner := func(ctx context.Context, spec exp.RunSpec, env RunEnv) (exp.RunResult, error) {
+			calls.Add(1)
+			return exp.RunResult{}, c.run()
+		}
+		got, fails := runFinal(t, runner, tinySpec(), StateFailed)
+		if n := calls.Load(); n != 1 || fails != 1 {
+			t.Errorf("%s: runner ran %d times with %d fail records (%+v), want once and 1", c.name, n, fails, got)
+		}
 	}
 }
 
 // TestPanicIsolation pins that a panicking simulation fails only its
-// own job; the worker survives to run the next one.
+// own job, with the stack in its error; the worker survives to run the
+// next one.
 func TestPanicIsolation(t *testing.T) {
 	bomber := func(ctx context.Context, spec exp.RunSpec, env RunEnv) (exp.RunResult, error) {
 		if spec.Bench == exp.BenchChaser {
@@ -237,7 +263,7 @@ func TestPanicIsolation(t *testing.T) {
 	}
 	defer s.Close()
 	s.Start()
-	bad, err := s.Submit(exp.RunSpec{Bench: exp.BenchChaser, Scale: "tiny"}, SubmitOptions{MaxAttempts: 1})
+	bad, err := s.Submit(exp.RunSpec{Bench: exp.BenchChaser, Scale: "tiny"}, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,12 +277,12 @@ func TestPanicIsolation(t *testing.T) {
 		t.Fatalf("panic counter %d, want 1", n)
 	}
 	gotBad, _ := s.Get(bad.ID)
-	if gotBad.FailureClass != exp.FailRetryable.String() {
-		t.Fatalf("panic classified %q, want retryable", gotBad.FailureClass)
+	if !strings.Contains(gotBad.Error, "someone's DRAM model") || !strings.Contains(gotBad.Error, "debug.Stack") {
+		t.Fatalf("panicked job's error %q, want the panic value and its stack", gotBad.Error)
 	}
 }
 
-// TestDeadline pins per-job deadlines: an attempt overrunning its
+// TestDeadline pins per-job deadlines: a run overrunning its
 // budget is cancelled and the job lands in StateCanceled.
 func TestDeadline(t *testing.T) {
 	sleeper := func(ctx context.Context, spec exp.RunSpec, env RunEnv) (exp.RunResult, error) {
@@ -269,7 +295,7 @@ func TestDeadline(t *testing.T) {
 	}
 	defer s.Close()
 	s.Start()
-	v, err := s.Submit(tinySpec(), SubmitOptions{Deadline: 20 * time.Millisecond})
+	v, err := s.Submit(tinySpec(), SubmitOptions{DeadlineMS: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +303,7 @@ func TestDeadline(t *testing.T) {
 }
 
 // TestDrainRequeueRecover is the graceful-drain contract: an in-flight
-// job is cancelled and requeued without consuming an attempt, the journal
+// job is cancelled and requeued, the journal
 // compacts to its one submit record, and a second service over the same
 // dir recovers it and reruns it to done. Once with fake runners, once
 // through the real ExpRunner cancelled mid-measure — there the rerun must
@@ -300,7 +326,7 @@ func TestDrainRequeueRecover(t *testing.T) {
 			t.Fatal(err)
 		}
 		// A mid-measure checkpoint an older build left behind: were it
-		// read, ExpRunner would refuse it and the rerun take two attempts.
+		// read, ExpRunner would refuse it and the rerun fail.
 		stale := filepath.Join(cfg.Dir, "partial", "j-000000.ckpt")
 		if err := os.MkdirAll(filepath.Dir(stale), 0o755); err != nil {
 			t.Fatal(err)
@@ -359,7 +385,7 @@ func drainRequeueRecover(t *testing.T, cfg Config, inflight <-chan struct{}, rer
 		t.Fatal(err)
 	}
 	got, _ := s.Get(v.ID)
-	if got.State != StateQueued || got.Attempt != 0 || got.Requeues != 1 {
+	if got.State != StateQueued || got.Requeues != 1 {
 		t.Fatalf("after drain: %+v", got)
 	}
 	if err := s.Close(); err != nil {
@@ -382,8 +408,8 @@ func drainRequeueRecover(t *testing.T, cfg Config, inflight <-chan struct{}, rer
 	s2.Start()
 	mustState(t, s2, v.ID, StateDone)
 	got, _ = s2.Get(v.ID)
-	if got.Attempt != 1 {
-		t.Fatalf("rerun took %d attempts, want 1", got.Attempt)
+	if got.Requeues != 0 {
+		t.Fatalf("rerun was requeued %d times, want a single run", got.Requeues)
 	}
 	// Once everything is done, a drain compacts the journal to empty.
 	if err := s2.Drain(context.Background()); err != nil {
@@ -397,7 +423,8 @@ func drainRequeueRecover(t *testing.T, cfg Config, inflight <-chan struct{}, rer
 
 // TestWedgeRecovery pins the supervisor: a worker stuck past the
 // heartbeat timeout that ignores cancellation is abandoned and
-// replaced, and its job runs to completion on the fresh worker.
+// replaced, its job fails with the silence in its error, and the next
+// queued job completes on the fresh worker.
 func TestWedgeRecovery(t *testing.T) {
 	stuck := make(chan struct{})
 	defer close(stuck)
@@ -418,19 +445,74 @@ func TestWedgeRecovery(t *testing.T) {
 	}
 	defer s.Close()
 	s.Start()
-	v, err := s.Submit(tinySpec(), SubmitOptions{})
-	if err != nil {
-		t.Fatal(err)
+	var ids []string
+	for i := 0; i < 2; i++ {
+		v, err := s.Submit(tinySpec(), SubmitOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, v.ID)
 	}
-	mustState(t, s, v.ID, StateDone)
+	mustState(t, s, ids[0], StateFailed)
+	mustState(t, s, ids[1], StateDone)
 	if n := s.m.workerRestarts.Load(); n != 1 {
 		t.Fatalf("worker restarts %d, want 1", n)
 	}
 	if n := s.m.wedgeCancels.Load(); n != 1 {
 		t.Fatalf("wedge cancels %d, want 1", n)
 	}
-	got, _ := s.Get(v.ID)
-	if got.Result.Fingerprint != "recovered" {
+	if n := calls.Load(); n != 2 {
+		t.Fatalf("runner called %d times, want once per job", n)
+	}
+	wedged, _ := s.Get(ids[0])
+	if !strings.Contains(wedged.Error, "silent") {
+		t.Fatalf("wedged job's error %q, want the silence", wedged.Error)
+	}
+	if got, _ := s.Get(ids[1]); got.Result.Fingerprint != "recovered" {
 		t.Fatalf("job result %+v", got.Result)
+	}
+}
+
+// TestDrainHonorsContext: a worker that ignores cancellation does not
+// hold Drain past its context. Drain returns within a small multiple of
+// its deadline with context.DeadlineExceeded, and the unparked job stays
+// live in the journal.
+func TestDrainHonorsContext(t *testing.T) {
+	stuck := make(chan struct{})
+	inflight := make(chan struct{})
+	deaf := func(ctx context.Context, spec exp.RunSpec, env RunEnv) (exp.RunResult, error) {
+		close(inflight)
+		<-stuck // ignores ctx
+		return exp.RunResult{}, ctx.Err()
+	}
+	cfg := testConfig(t, deaf)
+	cfg.Workers = 1
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	defer close(stuck) // runs before Close, so Close can park the worker
+	s.Start()
+	v, err := s.Submit(tinySpec(), SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-inflight
+
+	const budget = 50 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), budget)
+	defer cancel()
+	start := time.Now()
+	err = s.Drain(ctx)
+	if took := time.Since(start); took > 10*budget {
+		t.Fatalf("Drain took %v past a %v context", took, budget)
+	}
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Drain = %v, want context.DeadlineExceeded", err)
+	}
+	recs, err := loadJournal(filepath.Join(cfg.Dir, "journal.jsonl"))
+	if err != nil || len(recs) != 1 || recs[0].Op != opSubmit || recs[0].ID != v.ID {
+		t.Fatalf("journal after an unfinished drain = %+v, %v; want the job's submit record", recs, err)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"os"
 	"path/filepath"
 	"runtime/debug"
@@ -39,7 +38,7 @@ type RunEnv struct {
 	Beat func()
 }
 
-// Runner executes one job attempt. The default is ExpRunner; tests
+// Runner executes one job run. The default is ExpRunner; tests
 // substitute fast fakes to exercise supervision without simulating.
 type Runner func(ctx context.Context, spec exp.RunSpec, env RunEnv) (exp.RunResult, error)
 
@@ -58,21 +57,11 @@ func ExpRunner(ctx context.Context, spec exp.RunSpec, env RunEnv) (exp.RunResult
 type Config struct {
 	// Dir is the service's state directory: the journal lives here.
 	Dir string
-	// QueueDepth bounds waiting jobs (queued + backoff); Submit rejects
-	// with ErrQueueFull beyond it. Default 64.
+	// QueueDepth bounds waiting jobs; Submit rejects with ErrQueueFull
+	// beyond it. Default 64.
 	QueueDepth int
 	// Workers is the worker-pool size. Default 2.
 	Workers int
-	// MaxAttempts bounds executions per job, counting retryable
-	// failures and wedge abandons (not drain requeues). Default 3.
-	MaxAttempts int
-	// JobDeadline bounds one attempt's wall-clock time; 0 means none.
-	JobDeadline time.Duration
-	// BackoffBase and BackoffMax shape the exponential retry delay:
-	// base<<(attempt-1), capped at max, plus deterministic jitter.
-	// Defaults 200ms and 10s.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
 	// HeartbeatTimeout is how long a running worker may go silent
 	// before the supervisor cancels it, and again how long a cancelled
 	// worker may linger before it is abandoned and replaced. Must
@@ -100,15 +89,6 @@ func (c *Config) fill() error {
 	}
 	if c.Workers <= 0 {
 		c.Workers = 2
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 3
-	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = 200 * time.Millisecond
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = 10 * time.Second
 	}
 	if c.HeartbeatTimeout <= 0 {
 		c.HeartbeatTimeout = 60 * time.Second
@@ -142,13 +122,10 @@ type worker struct {
 	wedgeCancelAt time.Time
 }
 
-// SubmitOptions are per-job overrides of the service defaults.
+// SubmitOptions are per-job options.
 type SubmitOptions struct {
-	// MaxAttempts overrides Config.MaxAttempts when > 0.
-	MaxAttempts int `json:"max_attempts,omitempty"`
-	// Deadline overrides Config.JobDeadline when > 0.
-	Deadline time.Duration `json:"-"`
-	// DeadlineMS is the REST-facing form of Deadline.
+	// DeadlineMS bounds the job's run in wall-clock milliseconds; a job
+	// that overruns it ends canceled. 0 means none.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 }
 
@@ -160,13 +137,12 @@ type Service struct {
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 
-	mu      sync.Mutex
-	cond    *sync.Cond // queue pushes, drain/close transitions, worker exits
-	queue   []*job     // FIFO of StateQueued jobs
-	jobs    map[string]*job
-	order   []string // submission order, for List and compaction
-	seq     uint64
-	backoff int // jobs in StateBackoff (part of the admission bound)
+	mu    sync.Mutex
+	cond  *sync.Cond // queue pushes, drain/close transitions, worker exits
+	queue []*job     // FIFO of StateQueued jobs
+	jobs  map[string]*job
+	order []string // submission order, for List and compaction
+	seq   uint64
 
 	started  bool
 	draining bool
@@ -235,7 +211,7 @@ func checkFault(spec exp.RunSpec) error {
 		return nil
 	}
 	if _, err := fault.Preset(spec.Fault); err != nil {
-		return exp.Terminal(fmt.Errorf("%w: %w", config.ErrInvalid, err))
+		return fmt.Errorf("%w: %w", config.ErrInvalid, err)
 	}
 	return nil
 }
@@ -254,26 +230,17 @@ func (s *Service) recover(recs []rec) {
 				continue
 			}
 			j := &job{
-				id:          r.ID,
-				spec:        *r.Spec,
-				specFP:      r.Spec.Fingerprint(),
-				maxAttempts: r.MaxAttempts,
-				deadline:    time.Duration(r.DeadlineMS) * time.Millisecond,
-				state:       StateQueued,
-				submitted:   time.Now(),
-			}
-			if j.maxAttempts <= 0 {
-				j.maxAttempts = s.cfg.MaxAttempts
+				id:        r.ID,
+				spec:      *r.Spec,
+				specFP:    r.Spec.Fingerprint(),
+				deadline:  time.Duration(r.DeadlineMS) * time.Millisecond,
+				state:     StateQueued,
+				submitted: time.Now(),
 			}
 			s.jobs[r.ID] = j
 			s.order = append(s.order, r.ID)
 			if err := checkFault(j.spec); err != nil {
 				s.failLocked(j, err, j.submitted)
-			}
-		case opRequeue:
-			if j := s.jobs[r.ID]; j != nil && !j.state.Terminal() {
-				j.attempt = r.Attempt
-				j.state = StateQueued
 			}
 		case opDone:
 			if j := s.jobs[r.ID]; j != nil {
@@ -286,13 +253,11 @@ func (s *Service) recover(recs []rec) {
 			if j := s.jobs[r.ID]; j != nil {
 				j.state = StateFailed
 				j.errMsg = r.Err
-				j.failClass = exp.FailTerminal
 			}
 		case opCancel:
 			if j := s.jobs[r.ID]; j != nil {
 				j.state = StateCanceled
 				j.errMsg = r.Err
-				j.failClass = exp.FailCanceled
 			}
 		}
 		// Track the id counter past every recovered id so new ids never
@@ -355,31 +320,23 @@ func (s *Service) Submit(spec exp.RunSpec, opt SubmitOptions) (JobView, error) {
 		s.m.rejected.Add(1)
 		return JobView{}, ErrDraining
 	}
-	if len(s.queue)+s.backoff >= s.cfg.QueueDepth {
+	if len(s.queue) >= s.cfg.QueueDepth {
 		s.m.rejected.Add(1)
 		return JobView{}, fmt.Errorf("%w (depth %d)", ErrQueueFull, s.cfg.QueueDepth)
 	}
 	j := &job{
-		id:          fmt.Sprintf("j-%06d", s.seq),
-		spec:        spec,
-		specFP:      spec.Fingerprint(),
-		maxAttempts: s.cfg.MaxAttempts,
-		deadline:    s.cfg.JobDeadline,
-		state:       StateQueued,
-		submitted:   time.Now(),
+		id:        fmt.Sprintf("j-%06d", s.seq),
+		spec:      spec,
+		specFP:    spec.Fingerprint(),
+		state:     StateQueued,
+		submitted: time.Now(),
 	}
 	s.seq++
-	if opt.MaxAttempts > 0 {
-		j.maxAttempts = opt.MaxAttempts
-	}
-	if opt.Deadline > 0 {
-		j.deadline = opt.Deadline
-	} else if opt.DeadlineMS > 0 {
+	if opt.DeadlineMS > 0 {
 		j.deadline = time.Duration(opt.DeadlineMS) * time.Millisecond
 	}
 	if err := s.journal.append(rec{
-		Op: opSubmit, ID: j.id, Spec: &j.spec, SpecFP: j.specFP,
-		MaxAttempts: j.maxAttempts, DeadlineMS: j.deadline.Milliseconds(),
+		Op: opSubmit, ID: j.id, Spec: &j.spec, SpecFP: j.specFP, DeadlineMS: j.deadline.Milliseconds(),
 	}); err != nil {
 		return JobView{}, err
 	}
@@ -456,7 +413,6 @@ func (s *Service) take(w *worker) (*job, context.Context, context.CancelFunc) {
 	j := s.queue[0]
 	s.queue = s.queue[1:]
 	j.state = StateRunning
-	j.attempt++
 	if j.started.IsZero() {
 		j.started = time.Now()
 	}
@@ -478,14 +434,13 @@ func (s *Service) take(w *worker) (*job, context.Context, context.CancelFunc) {
 	return j, ctx, cancel
 }
 
-// invoke runs one attempt with panic isolation: a panicking simulation
-// fails that job retryably instead of killing the worker.
+// invoke runs the job with panic isolation: a panicking simulation
+// fails that job instead of killing the worker.
 func (s *Service) invoke(ctx context.Context, w *worker, j *job) (res exp.RunResult, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			s.m.panics.Add(1)
-			err = exp.Retryable(fmt.Errorf("job %s attempt %d panicked: %v\n%s",
-				j.id, j.attempt, p, debug.Stack()))
+			err = fmt.Errorf("job %s panicked: %v\n%s", j.id, p, debug.Stack())
 		}
 	}()
 	env := RunEnv{
@@ -495,8 +450,9 @@ func (s *Service) invoke(ctx context.Context, w *worker, j *job) (res exp.RunRes
 	return s.cfg.Runner(ctx, j.spec, env)
 }
 
-// settle records one attempt's outcome and decides the job's next hop:
-// done, failed, canceled, backoff-retry, or requeue.
+// settle records a run's outcome, which is final unless a drain or a
+// shutdown interrupted the run: that job goes back on the queue. A run
+// does no I/O, so the same spec would fail the same way again.
 func (s *Service) settle(w *worker, j *job, res exp.RunResult, err error) {
 	now := time.Now()
 	s.mu.Lock()
@@ -520,48 +476,38 @@ func (s *Service) settle(w *worker, j *job, res exp.RunResult, err error) {
 	case err == nil:
 		j.state = StateDone
 		j.result = &res
-		j.errMsg = ""
-		j.failClass = exp.FailNone
 		j.finished = now
 		s.m.completed.Add(1)
 		s.m.latencyNS.Add(now.Sub(j.submitted).Nanoseconds())
 		s.appendBestEffort(rec{Op: opDone, ID: j.id, ResultFP: res.Fingerprint,
 			ShareHi: res.ShareHi, TotalBPC: res.TotalBPC})
 
-	case exp.Classify(err) == exp.FailCanceled && (cause != "" || s.draining || s.closed):
-		// Cancelled by drain/shutdown (or a wedge the run then noticed):
-		// requeue; the rerun builds and warms a fresh machine.
-		if cause == causeWedge && j.attempt >= j.maxAttempts {
-			s.failLocked(j, fmt.Errorf("attempt %d/%d wedged: %w", j.attempt, j.maxAttempts, err), now)
-			return
-		}
-		s.requeueLocked(j, cause)
+	case cause == causeWedge:
+		// The run fell silent and was cancelled; a rerun of the same spec
+		// would wedge too.
+		s.failLocked(j, fmt.Errorf("job %s went silent past the %v heartbeat timeout: %w",
+			j.id, s.cfg.HeartbeatTimeout, err), now)
 
-	case exp.Classify(err) == exp.FailCanceled:
+	case errors.Is(err, context.Canceled) && (cause == causeDrain || s.closed):
+		// Cancelled by drain or shutdown: requeue; the rerun builds and
+		// warms a fresh machine. The submit record already keeps the job
+		// live in the journal.
+		j.state = StateQueued
+		j.requeues++
+		s.m.requeued.Add(1)
+		s.queue = append(s.queue, j)
+		s.cond.Signal()
+
+	case errors.Is(err, context.DeadlineExceeded):
 		// The job's own deadline fired.
 		j.state = StateCanceled
 		j.errMsg = err.Error()
-		j.failClass = exp.FailCanceled
 		j.finished = now
 		s.m.canceled.Add(1)
 		s.appendBestEffort(rec{Op: opCancel, ID: j.id, Err: err.Error()})
 
-	case exp.Classify(err) == exp.FailTerminal:
+	default:
 		s.failLocked(j, err, now)
-
-	default: // retryable
-		if j.attempt >= j.maxAttempts {
-			s.failLocked(j, fmt.Errorf("attempt %d/%d: %w", j.attempt, j.maxAttempts, err), now)
-			return
-		}
-		j.state = StateBackoff
-		j.errMsg = err.Error()
-		j.failClass = exp.FailRetryable
-		s.backoff++
-		s.m.retried.Add(1)
-		delay := s.backoffDelay(j.id, j.attempt)
-		s.appendBestEffort(rec{Op: opRequeue, ID: j.id, Attempt: j.attempt})
-		j.backoff = time.AfterFunc(delay, func() { s.wakeFromBackoff(j) })
 	}
 }
 
@@ -569,41 +515,9 @@ func (s *Service) settle(w *worker, j *job, res exp.RunResult, err error) {
 func (s *Service) failLocked(j *job, err error, now time.Time) {
 	j.state = StateFailed
 	j.errMsg = err.Error()
-	j.failClass = exp.Classify(err)
 	j.finished = now
 	s.m.failed.Add(1)
-	s.appendBestEffort(rec{Op: opFail, ID: j.id, Err: err.Error(), Class: j.failClass.String()})
-}
-
-// requeueLocked puts a drained or wedged job back on the queue,
-// journaling its attempt count so a restart keeps the budget.
-func (s *Service) requeueLocked(j *job, cause string) {
-	j.state = StateQueued
-	j.requeues++
-	if cause == causeDrain || cause == "" {
-		// Shutdown requeues don't consume the attempt budget: the job did
-		// nothing wrong.
-		j.attempt--
-	}
-	s.m.requeued.Add(1)
-	s.appendBestEffort(rec{Op: opRequeue, ID: j.id, Attempt: j.attempt})
-	s.queue = append(s.queue, j)
-	s.cond.Signal()
-}
-
-// wakeFromBackoff moves a job from backoff to the queue when its timer
-// fires.
-func (s *Service) wakeFromBackoff(j *job) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if j.state != StateBackoff {
-		return
-	}
-	j.state = StateQueued
-	j.backoff = nil
-	s.backoff--
-	s.queue = append(s.queue, j)
-	s.cond.Signal()
+	s.appendBestEffort(rec{Op: opFail, ID: j.id, Err: err.Error()})
 }
 
 // appendBestEffort journals a post-admission record. Losing one is
@@ -616,28 +530,11 @@ func (s *Service) appendBestEffort(r rec) {
 	}
 }
 
-// backoffDelay is base<<(attempt-1) capped at max, plus a deterministic
-// jitter in [0, base) derived from the job id and attempt — spreads
-// thundering herds without nondeterministic randomness.
-func (s *Service) backoffDelay(id string, attempt int) time.Duration {
-	d := s.cfg.BackoffBase
-	for i := 1; i < attempt && d < s.cfg.BackoffMax; i++ {
-		d *= 2
-	}
-	if d > s.cfg.BackoffMax {
-		d = s.cfg.BackoffMax
-	}
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s/%d", id, attempt)
-	jitter := time.Duration(h.Sum64() % uint64(s.cfg.BackoffBase))
-	return d + jitter
-}
-
 // supervise watches worker heartbeats. A worker silent past
-// HeartbeatTimeout gets its job's context cancelled (cause=wedge); if
-// it stays silent for another full timeout after that, it is abandoned
-// — its job is reassigned (or failed, if out of attempts) and a
-// replacement worker spawned. The abandoned goroutine's eventual
+// HeartbeatTimeout gets its job's context cancelled (cause=wedge), and
+// the job fails when the run returns; if the worker stays silent for
+// another full timeout after that, it is abandoned — its job fails and
+// a replacement worker is spawned. The abandoned goroutine's eventual
 // outcome is discarded via the run token.
 func (s *Service) supervise() {
 	defer close(s.supDone)
@@ -686,12 +583,8 @@ func (s *Service) supervise() {
 			j.cancel = nil
 			j.cancelCause = ""
 			s.m.workerRestarts.Add(1)
-			if j.attempt >= j.maxAttempts {
-				s.failLocked(j, exp.Retryable(fmt.Errorf("job %s wedged worker %d (silent %v)",
-					j.id, w.id, silent.Round(time.Millisecond))), now)
-			} else {
-				s.requeueLocked(j, causeWedge)
-			}
+			s.failLocked(j, fmt.Errorf("job %s wedged worker %d: silent %v, deaf to cancellation",
+				j.id, w.id, silent.Round(time.Millisecond)), now)
 			if !s.draining && !s.closed {
 				s.spawnWorkerLocked()
 			}
@@ -705,7 +598,9 @@ func (s *Service) supervise() {
 // in-flight jobs finish for DrainGrace (or until ctx is done), cancel
 // stragglers back onto the queue, wait for the pool to park,
 // then compact the journal down to live jobs so a restart recovers
-// exactly the unfinished work.
+// exactly the unfinished work. A worker that has not parked when ctx is
+// done is left running: Drain returns an error wrapping ctx.Err(), and
+// that worker's job stays live in the journal.
 func (s *Service) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	if s.closed {
@@ -734,33 +629,36 @@ func (s *Service) Drain(ctx context.Context) error {
 			case <-time.After(2 * time.Millisecond):
 			}
 		}
-		// Cancel whatever is still running; settle requeues each run.
+		// Cancel whatever is still running; settle requeues each run. A
+		// run the supervisor already cancelled for silence keeps that
+		// cause and fails.
 		s.mu.Lock()
 		for _, w := range s.workers {
 			if w.cur != nil && w.cancel != nil {
-				w.cur.cancelCause = causeDrain
+				if w.cur.cancelCause == "" {
+					w.cur.cancelCause = causeDrain
+				}
 				w.cancel()
 			}
 		}
 		s.mu.Unlock()
 	}
 
-	// Wait for every worker to settle and exit.
+	// Wait for every worker to settle and exit, or for ctx.
+	stop := context.AfterFunc(ctx, func() {
+		s.mu.Lock()
+		s.cond.Broadcast()
+		s.mu.Unlock()
+	})
+	defer stop()
 	s.mu.Lock()
-	for s.liveWorkers > 0 {
+	for s.liveWorkers > 0 && ctx.Err() == nil {
 		s.cond.Wait()
 	}
-	// Flush backoff timers: those jobs persist as queued.
-	for _, id := range s.order {
-		j := s.jobs[id]
-		if j.state == StateBackoff {
-			if j.backoff != nil {
-				j.backoff.Stop()
-				j.backoff = nil
-			}
-			j.state = StateQueued
-			s.backoff--
-		}
+	if s.liveWorkers > 0 {
+		n := s.liveWorkers
+		s.mu.Unlock()
+		return fmt.Errorf("serve: drain: %d workers still running: %w", n, ctx.Err())
 	}
 	err := s.compactLocked()
 	s.mu.Unlock()
@@ -792,8 +690,7 @@ func (s *Service) stopSupervisor() {
 }
 
 // compactLocked rewrites the journal to hold only live (non-terminal)
-// jobs: one submit record each, plus a requeue record carrying the
-// attempt count when it is not zero. After a clean drain with no pending
+// jobs, one submit record each. After a clean drain with no pending
 // work the journal is empty.
 func (s *Service) compactLocked() error {
 	var recs []rec
@@ -804,11 +701,8 @@ func (s *Service) compactLocked() error {
 		}
 		recs = append(recs, rec{
 			Op: opSubmit, ID: j.id, Spec: &j.spec, SpecFP: j.specFP,
-			MaxAttempts: j.maxAttempts, DeadlineMS: j.deadline.Milliseconds(),
+			DeadlineMS: j.deadline.Milliseconds(),
 		})
-		if j.attempt > 0 {
-			recs = append(recs, rec{Op: opRequeue, ID: j.id, Attempt: j.attempt})
-		}
 	}
 	return s.journal.rewrite(recs)
 }
@@ -832,17 +726,6 @@ func (s *Service) Close() error {
 	s.mu.Lock()
 	for s.liveWorkers > 0 {
 		s.cond.Wait()
-	}
-	for _, id := range s.order {
-		j := s.jobs[id]
-		if j.backoff != nil {
-			j.backoff.Stop()
-			j.backoff = nil
-		}
-		if j.state == StateBackoff {
-			j.state = StateQueued
-			s.backoff--
-		}
 	}
 	err := s.compactLocked()
 	cerr := s.journal.close()
