@@ -72,16 +72,33 @@ func ckptSetups(t *testing.T) []ckptSetup {
 		}
 		return b.Build()
 	}
+	nocPlan, err := pabst.LoadFaultPlan("noc-storm")
+	if err != nil {
+		t.Fatalf("load fault plan: %v", err)
+	}
+	nocFaults := func(opts ...pabst.Option) (*pabst.System, error) {
+		cfg := pabst.Scaled8Config()
+		cfg.Seed = 17
+		b := pabst.NewBuilder(cfg, pabst.ModePABST, append([]pabst.Option{pabst.WithFaultPlan(nocPlan)}, opts...)...)
+		hi := b.AddClass("hi", 3, cfg.L3Ways/2)
+		lo := b.AddClass("lo", 1, cfg.L3Ways-cfg.L3Ways/2)
+		for i := 0; i < 4; i++ {
+			b.Attach(i, hi, pabst.Chaser(fmt.Sprintf("c%d", i), pabst.TileRegion(i), 4, uint64(20+i)))
+			b.Attach(4+i, lo, pabst.Stream(fmt.Sprintf("s%d", i), pabst.TileRegion(4+i), 64, true))
+		}
+		return b.Build()
+	}
 	return []ckptSetup{
 		{"streams-pabst", streamMix},
 		{"target-only", targetOnly},
 		{"faults", faults},
+		{"noc-faults", nocFaults},
 	}
 }
 
 // renderState flattens every simulated outcome of a system into
-// comparable bytes: the snapshot, the governor registers, and the
-// sampled bandwidth series. The scheduler's own diagnostics (cycles
+// comparable bytes: the snapshot, the governor registers, the sampled
+// bandwidth series, and the fault report. The scheduler's own diagnostics (cycles
 // skipped, per-class dispatch counts) differ between kernels and restart
 // at a restore, so they are left out; LateWakes stays in because it must
 // be zero everywhere.
@@ -99,11 +116,15 @@ func renderState(s *pabst.System) string {
 	if err := enc.Encode(s.Series().Samples); err != nil {
 		panic(err)
 	}
+	if err := enc.Encode(s.FaultReport()); err != nil {
+		panic(err)
+	}
 	return buf.String()
 }
 
 // TestCheckpointRoundTripMatrix is the checkpoint headline guarantee:
-// for three machine shapes (plain PABST, target-only, fault-injected) a
+// for four machine shapes (plain PABST, target-only, SAT-faulted,
+// NoC-faulted) a
 // system checkpointed after warmup and restored continues bit-identical
 // to an uninterrupted run — whichever kernel wrote the checkpoint and
 // whichever restores it, so a checkpoint taken on the reference loop
@@ -261,9 +282,9 @@ func TestCheckpointTypedErrors(t *testing.T) {
 
 	t.Run("version", func(t *testing.T) {
 		// A newer build's file, and the previous formats': an intact
-		// Version-9 or Version-8 image (CRC re-sealed) is refused, not
+		// Version-10 or Version-9 image (CRC re-sealed) is refused, not
 		// migrated.
-		for _, v := range []uint32{11, 9, 8} {
+		for _, v := range []uint32{12, 10, 9} {
 			bad := append([]byte(nil), raw[:len(raw)-8]...)
 			binary.LittleEndian.PutUint32(bad[8:], v) // the version word follows the 8-byte magic
 			bad = binary.LittleEndian.AppendUint64(bad, crc64.Checksum(bad, crc64.MakeTable(crc64.ECMA)))
@@ -467,16 +488,17 @@ func TestCheckpointBytesAreTheMachine(t *testing.T) {
 
 // TestCheckpointFormatFrozen pins the persisted form of a machine:
 // checkpoint bytes and machine fingerprints (what RestoreFrom checks) equal
-// the constants captured when Version 10 dropped DRAM refresh and the
-// L2 prefetcher's state from the walk and twelve single-valued fields
-// from the configuration. The mechanism is recorded once, as the resolved pair, so a pair
+// the constants captured when Version 11 dropped the fault injector's
+// shared NoC stream and per-sender tallies from the walk (these machines
+// have no fault plan, so only the version word and the trailer moved;
+// the fingerprints are Version 10's). The mechanism is recorded once, as the resolved pair, so a pair
 // spelled as an override and the same pair spelled as the builder's
 // mode are one machine. A change to any payload byte must bump
 // ckpt.Version — that is a format change, not a baseline update.
 func TestCheckpointFormatFrozen(t *testing.T) {
 	const (
 		dpqMachine = "fa715b4f363155683be5a5b799929ed29c24918579159245b1a97f045f78bee2"
-		dpqContent = "97fb5a5384df01ff0fedd1df787055ac599235c404e38bb85d8eb54d1b1d3f70"
+		dpqContent = "0e157a5489ca9b49340e92e293ec7a7348c3b223cc42f0a24d1073cdde50081b"
 	)
 	for _, c := range []struct {
 		name             string
@@ -487,7 +509,7 @@ func TestCheckpointFormatFrozen(t *testing.T) {
 	}{
 		{"default", pabst.ModeSourceOnly, nil, "pabst+fcfs",
 			"684874b818361f1d00577c2cfea02c653d57a1e6d41342718718333546cf702e",
-			"4c1a0008bb300367603e9366fbdf838305a567a6fba2c7a754570deb38e64e0d"},
+			"a660a2e8732ac5b4cd16e4c52e5c2096d6f8a130d98293d1a1913ec27ec0dfe7"},
 		{"overridden", pabst.ModeSourceOnly, []pabst.Option{pabst.WithPolicy("", "dpq")}, "pabst+dpq",
 			dpqMachine, dpqContent},
 		{"spelled-as-mode", pabst.Mode{Source: "pabst", Target: "dpq"}, nil, "pabst+dpq",
@@ -527,8 +549,8 @@ func TestCheckpointFormatFrozen(t *testing.T) {
 			if got := fmt.Sprintf("%x", sha256.Sum256(ck.Bytes())); got != c.content {
 				t.Errorf("checkpoint bytes hash %s, frozen %s", got, c.content)
 			}
-			if v := binary.LittleEndian.Uint32(ck.Bytes()[8:]); v != 10 { // the version word follows the 8-byte magic
-				t.Errorf("checkpoint format version %d, frozen 10", v)
+			if v := binary.LittleEndian.Uint32(ck.Bytes()[8:]); v != 11 { // the version word follows the 8-byte magic
+				t.Errorf("checkpoint format version %d, frozen 11", v)
 			}
 			// The self-describing restore reads the same selection back.
 			back, err := pabst.Restore(bytes.NewReader(ck.Bytes()))

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	pabstsim [-scale quick|full] [-series] [-spec name,name,...]
-//	         [-policy src+tgt] [-parallel n]
+//	         [-policy src+tgt] [-faults preset] [-parallel n]
 //	         [-cpuprofile f] [-memprofile f] <experiment>...
 //	pabstsim -list
 //	pabstsim -list-policies
@@ -24,6 +24,11 @@
 // keep that side; runs that name their own pair keep it — DESIGN.md,
 // "Selecting a mechanism"). -list-policies prints the registry: each
 // mechanism's name, kind, parameters, and paper citation.
+//
+// -faults names the fault preset the faults experiment runs against its
+// clean arm (pabst.FaultPresets; default sat-partition). Any other value
+// is refused before anything is simulated; a plan is never read from a
+// file.
 //
 // An experiment's independent simulations run concurrently, one per
 // core by default: -parallel 0 (the default) = all cores, 1 = one at a
@@ -59,9 +64,7 @@ import (
 type entry struct{ name, desc string }
 
 // bespoke are the experiments main's switch runs itself; every other
-// name belongs to the registry. "fig5" is also a registry experiment
-// (the warmed steady state); here it is the cold-start convergence
-// series.
+// name belongs to the registry.
 var bespoke = []entry{
 	{"table3", "system configuration"},
 	{"fig5", "proportional allocation, two stream classes at 7:3"},
@@ -75,9 +78,7 @@ var bespoke = []entry{
 func listing() []entry {
 	out := slices.Clone(bespoke)
 	for _, e := range exp.Experiments() {
-		if !slices.ContainsFunc(bespoke, func(b entry) bool { return b.name == e.Name() }) {
-			out = append(out, entry{e.Name(), e.Desc()})
-		}
+		out = append(out, entry{e.Name(), e.Desc()})
 	}
 	return out
 }
@@ -99,7 +100,7 @@ func (o *options) register(fs *flag.FlagSet) {
 	fs.BoolVar(&o.json, "json", false, "emit result tables as JSON instead of text")
 	fs.StringVar(&o.specs, "spec", "", "comma-separated SPEC proxy subset for fig10-12 (default: all)")
 	fs.StringVar(&o.faults, "faults", "sat-partition",
-		"fault plan for the faults experiment: a preset ("+strings.Join(pabst.FaultPresets(), ", ")+") or a JSON file")
+		"fault preset for the faults experiment: one of "+strings.Join(pabst.FaultPresets(), ", "))
 	fs.StringVar(&o.policy, "policy", "",
 		"QoS mechanism `src+tgt` (or a preset name) replacing each run's mode; an empty half keeps that side, and a run that names its own pair keeps it (DESIGN.md, \"Selecting a mechanism\")")
 	fs.IntVar(&o.parallel, "parallel", 0, "concurrent simulations in multi-run experiments (0 = all cores, 1 = one at a time)")
@@ -152,6 +153,9 @@ func main() {
 
 	workloads, err := specSubset(o.specs)
 	check(err)
+	if _, err := pabst.LoadFaultPlan(o.faults); err != nil {
+		fatalf("-faults: %v", err)
+	}
 
 	args := flag.Args()
 	if len(args) == 0 {

@@ -81,12 +81,22 @@ func TestOptionsBuildable(t *testing.T) {
 // re-grows that was removed: the event kernel is the only kernel
 // (-kernel, -ff, -workers), an ablation axis is an experiment name, not
 // a -param, and the result cache, not a checkpoint directory, answers a
-// repeated run.
+// repeated run. -faults takes a preset, so its help lists them all and
+// offers no plan file.
 func TestUsageContract(t *testing.T) {
 	fs := flag.NewFlagSet("pabstsim", flag.ContinueOnError)
 	new(options).register(fs)
 	if fs.Lookup("policy") == nil {
 		t.Error("pabstsim does not define -policy")
+	}
+	usage := fs.Lookup("faults").Usage
+	for _, p := range pabst.FaultPresets() {
+		if !strings.Contains(usage, p) {
+			t.Errorf("-faults help %q does not list preset %s", usage, p)
+		}
+	}
+	if strings.Contains(usage, "JSON") || strings.Contains(usage, "file") {
+		t.Errorf("-faults help %q still offers a plan file", usage)
 	}
 	for _, f := range []string{"workers", "ff", "kernel", "param", "ckpt", "resume"} {
 		if fs.Lookup(f) != nil {

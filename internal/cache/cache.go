@@ -268,24 +268,9 @@ func (c *Cache) Contains(addr mem.Addr) bool {
 	return c.find(id, c.setBase(id)) >= 0
 }
 
-// OccupancyByClass returns the valid lines held by each class, the
-// monitoring counter existing QoS architectures expose for the shared
-// cache (Intel CMT's occupancy). It allocates a map per call; monitoring
-// loops should use OccupancyInto.
-func (c *Cache) OccupancyByClass() map[mem.ClassID]int {
-	var occ [mem.MaxClasses]int
-	c.OccupancyInto(&occ)
-	m := make(map[mem.ClassID]int)
-	for cls, n := range occ {
-		if n > 0 {
-			m[mem.ClassID(cls)] = n
-		}
-	}
-	return m
-}
-
-// OccupancyInto is the allocation-free variant of OccupancyByClass: dst
-// receives each class's valid-line count, a copy of the kept counters.
+// OccupancyInto writes the valid lines held by each class into dst, a
+// copy of the kept counters: the monitoring counter existing QoS
+// architectures expose for the shared cache (Intel CMT's occupancy).
 func (c *Cache) OccupancyInto(dst *[mem.MaxClasses]int) {
 	for cls, n := range c.occ {
 		dst[cls] = int(n)

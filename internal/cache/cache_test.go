@@ -85,7 +85,8 @@ func TestPartitionConfinesAllocations(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		c.Access(lineAddr(i), false, 1)
 	}
-	occ := c.OccupancyByClass()
+	var occ [mem.MaxClasses]int
+	c.OccupancyInto(&occ)
 	if occ[1] > 2*c.NumSets() {
 		t.Fatalf("class 1 holds %d lines, partition allows %d", occ[1], 2*c.NumSets())
 	}
@@ -144,7 +145,8 @@ func TestPartitionPropertyNeverOutsideWays(t *testing.T) {
 		}
 		// Stronger check via occupancy: class 1 can hold at most
 		// n1*sets lines, class 2 at most (8-n1)*sets.
-		occ := c.OccupancyByClass()
+		var occ [mem.MaxClasses]int
+		c.OccupancyInto(&occ)
 		return occ[1] <= n1*c.NumSets() && occ[2] <= (8-n1)*c.NumSets()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {

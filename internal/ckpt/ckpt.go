@@ -64,8 +64,12 @@ import (
 // refusals is refused the same way; v10 drops the DRAM controller's
 // refresh deadline and refresh counter, the trace's per-controller
 // refresh counter and the tile's prefetch counter, and every stored MSHR
-// has at least one waiter (the L2 prefetcher and DRAM refresh are gone).
-const Version uint32 = 10
+// has at least one waiter (the L2 prefetcher and DRAM refresh are gone);
+// v11 drops the fault injector's shared NoC stream cursor and the
+// per-sender NoC drop/delay tallies with their folded totals: the
+// per-tile and per-MC streams count into the injector's counters
+// directly.
+const Version uint32 = 11
 
 var magic = [8]byte{'P', 'A', 'B', 'S', 'T', 'C', 'K', 'P'}
 

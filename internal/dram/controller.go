@@ -203,9 +203,7 @@ func NewController(id int, cfg Config, respond Responder) (*Controller, error) {
 		window:    uint64(cfg.Timing.TRCD + cfg.Timing.TCL + pipelineDepth*cfg.Timing.TBurst),
 		respond:   respond,
 	}
-	// Row-hit candidate heaps are only needed when the pick prefers
-	// open-row requests.
-	c.fe = newFrontSched(cfg.Banks, cfg.FrontReadQ, cfg.Policy == OpenPage)
+	c.fe = newFrontSched(cfg.Banks, cfg.FrontReadQ)
 	for i := range c.banks {
 		c.banks[i].openRow = -1
 		c.banks[i].writes.Grow(cfg.FrontWriteQ)
@@ -291,7 +289,7 @@ func (c *Controller) ArriveRead(pkt *mem.Packet, now uint64) {
 // insertRead indexes a read whose Deadline/Enq stamps are already set.
 func (c *Controller) insertRead(pkt *mem.Packet) {
 	b := c.bankOf(pkt.Addr)
-	c.fe.insert(pkt, int32(b), c.rowOf(pkt.Addr), c.banks[b].openRow)
+	c.fe.insert(pkt, int32(b), c.rowOf(pkt.Addr))
 }
 
 // ArriveWrite places a previously reserved writeback into the write queue.
@@ -442,12 +440,14 @@ func (c *Controller) Tick(now uint64) {
 }
 
 // issueRead is the read pick: at most one candidate per ready
-// bank holding a read (its open-row heap top if non-empty, else its
-// all-heap top), row hits first, then the scheduling order. This is
+// bank holding a read (on an open-page bank its first read on the open
+// row if it holds one, else its heap top), row hits first, then the
+// scheduling order. This is
 // bit-identical to the old whole-queue scan — see the equivalence note
 // in sched.go.
 func (c *Controller) issueRead(now uint64) {
 	f := c.fe
+	open := c.cfg.Policy == OpenPage
 	best := int32(-1)
 	bestHit := false
 	minDL := ^uint64(0) // earliest deadline among ready candidates
@@ -457,9 +457,8 @@ func (c *Controller) issueRead(now uint64) {
 			if c.readyAt[b] > now {
 				continue
 			}
-			bi := &f.banks[b]
-			top := bi.all.items[0]
-			// Under EDF the all-heap top carries the bank's earliest
+			top := f.banks[b].items[0]
+			// Under EDF the heap top carries the bank's earliest
 			// deadline (the heap order is deadline-major).
 			if f.edf {
 				if dl := f.nodes[top].dl; dl < minDL {
@@ -467,8 +466,8 @@ func (c *Controller) issueRead(now uint64) {
 				}
 			}
 			cand, hit := top, false
-			if f.useHit {
-				if h := bi.hit.top(); h >= 0 {
+			if open {
+				if h := f.openRowMin(b, c.banks[b].openRow); h >= 0 {
 					cand, hit = h, true
 				}
 			}
@@ -572,12 +571,7 @@ func (c *Controller) access(now uint64, addr mem.Addr, write bool) uint64 {
 		default:
 			cmdDone = now + uint64(t.TRCD+casDelay)
 		}
-		if bk.openRow != row {
-			bk.openRow = row
-			// The open row changed, so this bank's row-hit candidate
-			// set is stale; rebuild it.
-			c.fe.rebuildHit(int32(b), row)
-		}
+		bk.openRow = row
 	}
 	if rowHit {
 		c.Stats.RowHits++

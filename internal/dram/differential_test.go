@@ -38,7 +38,7 @@ func (a *diffArbiter) OnAccept(pkt *mem.Packet, now uint64) {
 func (a *diffArbiter) OnPick(pkt *mem.Packet, now uint64) {}
 
 // checkOccupied requires bit b of the front end's bitmap to be set iff
-// bank b's all-heap is non-empty, and returns the highest occupied bank.
+// bank b's heap is non-empty, and returns the highest occupied bank.
 func checkOccupied(t *testing.T, mc *Controller, when string, now uint64) int {
 	t.Helper()
 	f := mc.fe
@@ -48,8 +48,8 @@ func checkOccupied(t *testing.T, mc *Controller, when string, now uint64) int {
 	high := -1
 	for b := range f.banks {
 		bit := f.occupied[b>>6]>>(b&63)&1 != 0
-		if has := len(f.banks[b].all.items) > 0; bit != has {
-			t.Fatalf("cycle %d, %s: bank %d occupied bit %v, heap holds %d reads", now, when, b, bit, len(f.banks[b].all.items))
+		if has := len(f.banks[b].items) > 0; bit != has {
+			t.Fatalf("cycle %d, %s: bank %d occupied bit %v, heap holds %d reads", now, when, b, bit, len(f.banks[b].items))
 		} else if has {
 			high = b
 		}
@@ -91,7 +91,7 @@ func TestDifferentialSchedulerEquivalence(t *testing.T) {
 		{"fcfs-open-single", SchedFCFS, OpenPage, 16},
 		{"fcfs-closed-single", SchedFCFS, ClosedPage, 16},
 		// More banks than one bitmap word holds; the open-page one keeps
-		// the row-hit heaps covered there too.
+		// the open-row pick covered there too.
 		{"edf-closed-single-128banks", SchedEDF, ClosedPage, 128},
 		{"edf-open-single-128banks", SchedEDF, OpenPage, 128},
 	}

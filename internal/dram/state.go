@@ -64,10 +64,8 @@ func (c *Controller) Ckpt(k *ckpt.Codec) {
 	}
 	// Rebuild the scheduling index from the linearized queues. Arrival
 	// sequence numbers restart from zero; only their relative order
-	// matters, and insertion in list order reproduces it. This runs
-	// after the per-bank open rows are restored so row-hit membership
-	// is computed against the right rows.
-	c.fe = newFrontSched(c.cfg.Banks, c.cfg.FrontReadQ, c.fe.useHit)
+	// matters, and insertion in list order reproduces it.
+	c.fe = newFrontSched(c.cfg.Banks, c.cfg.FrontReadQ)
 	c.fe.edf = c.sched == SchedEDF
 	for _, pkt := range reads {
 		c.insertRead(pkt)
@@ -86,7 +84,7 @@ func (c *Controller) Ckpt(k *ckpt.Codec) {
 func (c *Controller) frontReads() []*mem.Packet {
 	entries := make([]wentry, 0, c.fe.count)
 	for b := range c.fe.banks {
-		for _, id := range c.fe.banks[b].all.items {
+		for _, id := range c.fe.banks[b].items {
 			n := &c.fe.nodes[id]
 			entries = append(entries, wentry{n.pkt, n.seq})
 		}

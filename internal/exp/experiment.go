@@ -17,7 +17,7 @@ import (
 // run descriptions, every consumer — the CLI table printers, the sweep
 // service, a result cache — schedules, dedups, and distributes
 // experiment work the same way, and two experiments that share a spec
-// (fig10 and fig12, faults and fig5) share its simulation.
+// (fig10 and fig12, fig1 and fig7) share its simulation.
 type Experiment interface {
 	// Name is the registry key (also the CLI selector).
 	Name() string
@@ -79,9 +79,8 @@ func ExperimentByName(name string) (Experiment, error) {
 // RunCache memoizes RunResults by spec fingerprint. Specs are
 // deterministic — equal fingerprints mean bit-identical outcomes — so a
 // cache shared by runs that resolve each scale name alike never changes
-// an answer, only skips re-simulating it (fig10 and fig12 share a whole grid; faults'
-// clean arm is fig5's machine; the sweep service answers a resubmitted
-// spec). RunSpec.Run consults and fills it (see Exec.Results). Cached
+// an answer, only skips re-simulating it (fig10 and fig12 share a whole
+// grid; the sweep service answers a resubmitted spec). RunSpec.Run consults and fills it (see Exec.Results). Cached
 // results are shared, not copied: callers treat them as read-only.
 type RunCache struct {
 	mu   sync.Mutex

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"reflect"
-	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -17,7 +16,7 @@ import (
 func TestExperimentRegistry(t *testing.T) {
 	want := []string{
 		"ext-hetero", "ext-noc", "ext-skew", "ext-static",
-		"faults", "fig1", "fig10", "fig11", "fig12", "fig5", "fig7", "pareto",
+		"faults", "fig1", "fig10", "fig11", "fig12", "fig7", "pareto",
 	}
 	for _, name := range want {
 		e, err := ExperimentByName(name)
@@ -139,22 +138,20 @@ func TestExperimentSharedCacheDedup(t *testing.T) {
 		}
 	}
 
-	// Live dedup on the cheapest experiment: one spec, run twice.
+	// Live dedup on the cheapest experiment: one spec, the warmed 7:3
+	// stream machine, run twice.
 	sc := tinyGoldenScale()
 	sc.Parallel = 1
-	e, err := ExperimentByName("fig5")
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := repeatExperiment{k: 1}
 	cache := NewRunCache()
-	t1, _, r1, err := RunExperimentScale(context.Background(), e, sc, cache)
+	_, _, r1, err := RunExperimentScale(context.Background(), e, sc, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cache.Len() != 1 {
 		t.Fatalf("cache holds %d results after first run, want 1", cache.Len())
 	}
-	t2, _, r2, err := RunExperimentScale(context.Background(), e, sc, cache)
+	_, _, r2, err := RunExperimentScale(context.Background(), e, sc, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,12 +160,6 @@ func TestExperimentSharedCacheDedup(t *testing.T) {
 	}
 	if r1[0].Fingerprint != r2[0].Fingerprint {
 		t.Fatal("cached re-run returned a different result")
-	}
-	if t1.String() != t2.String() {
-		t.Fatal("cached re-run produced a different table")
-	}
-	if !strings.Contains(t1.Title, "Figure 5") {
-		t.Fatalf("unexpected table title %q", t1.Title)
 	}
 }
 

@@ -384,25 +384,6 @@ func init() {
 		},
 		reduce: regulationReduce("Figure 7: PABST vs source-only vs target-only (3:1 allocation)"),
 	})
-	RegisterExperiment(&expDef{
-		name: "fig5",
-		desc: "steady 7:3 split between two 16-core stream classes under PABST",
-		spec: func(scale string) []RunSpec {
-			return []RunSpec{{Bench: BenchStreams, Scale: scale}}
-		},
-		reduce: func(specs []RunSpec, results []RunResult) (*Table, error) {
-			r := results[0]
-			t := &Table{
-				Title:   "Figure 5: steady-state 7:3 proportional allocation",
-				Columns: []string{"steady-share", "entitled"},
-			}
-			t.Rows = append(t.Rows,
-				Row{Label: "70%-class", Values: map[string]float64{"steady-share": r.Shares[0], "entitled": 0.7}},
-				Row{Label: "30%-class", Values: map[string]float64{"steady-share": r.Shares[1], "entitled": 0.3}},
-			)
-			return t, nil
-		},
-	})
 	RegisterExperiment(NewIsolationExperiment("fig10",
 		"weighted slowdown of each SPEC proxy vs a 16-core stream aggressor", nil, false))
 	RegisterExperiment(NewIsolationExperiment("fig12",

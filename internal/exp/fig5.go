@@ -33,9 +33,9 @@ type SeriesResult struct {
 // hold steady.
 //
 // This is deliberately NOT a registry experiment: RunSpec runs measure
-// a warmed steady state (the "fig5" experiment covers that), while this
-// path watches the governors converge from cycle zero — a different
-// observable that has no warmed equivalent.
+// a warmed steady state, while this path watches the governors converge
+// from cycle zero — a different observable that has no warmed
+// equivalent. The warmed 7:3 machine is RunSpec{Bench: BenchStreams}.
 func Fig5Series(scale Scale) (*SeriesResult, error) {
 	cfg := scale.Apply(pabst.Default32Config())
 	b := pabst.NewBuilder(cfg, pabst.ModePABST, scale.Options()...)

@@ -84,12 +84,12 @@ func TestPairPrecedence(t *testing.T) {
 }
 
 // FuzzRunSpecJSON feeds arbitrary bytes through the wire path of a job
-// (JSON → RunSpec → Validate): nothing panics, and a spec that validates
-// has a fingerprint that survives re-serialization, resolves to a
-// registered mechanism, and builds its machine — under its own Params,
-// applied exactly as Run applies them. The seeds — every spec
-// of every registered experiment plus the five legacy mode names — run
-// as ordinary tests.
+// (JSON → RunSpec → Exec.Resolve): nothing panics, and a spec that
+// resolves at the fuzz scale has a fingerprint that survives
+// re-serialization, resolves to a registered mechanism, and builds its
+// machine from the resolved configuration, exactly as Run builds it. The
+// seeds — every spec of every registered experiment plus the five legacy
+// mode names — run as ordinary tests.
 func FuzzRunSpecJSON(f *testing.F) {
 	seen := map[string]bool{}
 	add := func(rs RunSpec) {
@@ -126,7 +126,11 @@ func FuzzRunSpecJSON(f *testing.F) {
 	sc := Scale{Name: "fuzz", Warmup: 500, Measure: 500, Epoch: 250, Window: 250}
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		var rs RunSpec
-		if json.Unmarshal(raw, &rs) != nil || rs.Validate() != nil {
+		if json.Unmarshal(raw, &rs) != nil {
+			return
+		}
+		cfg, _, err := Exec{Scales: map[string]Scale{rs.Scale: sc}}.Resolve(rs)
+		if err != nil {
 			return
 		}
 		fp := rs.Fingerprint()
@@ -143,22 +147,18 @@ func FuzzRunSpecJSON(f *testing.F) {
 		}
 		pair, err := rs.pair(sc)
 		if err != nil {
-			t.Fatalf("validated spec does not resolve: %v", err)
+			t.Fatalf("resolved spec has no mechanism: %v", err)
 		}
 		if _, err := pabst.ParseMode(pair.Source + "+" + pair.Target); err != nil || pair.Source == "" || pair.Target == "" {
 			t.Fatalf("%+v resolves to %q+%q: %v", rs, pair.Source, pair.Target, err)
 		}
-		cfg := sc.Apply(pabst.Default32Config())
-		if err := rs.applyParams(&cfg); err != nil {
-			t.Fatalf("validated spec's params do not apply: %+v: %v", rs, err)
-		}
 		b, _, err := rs.buildFor(cfg, sc)
 		if err != nil {
-			t.Fatalf("validated spec does not build: %+v: %v", rs, err)
+			t.Fatalf("resolved spec does not build: %+v: %v", rs, err)
 		}
 		sys, err := b.Build()
 		if err != nil {
-			t.Fatalf("validated spec does not wire: %+v: %v", rs, err)
+			t.Fatalf("resolved spec does not wire: %+v: %v", rs, err)
 		}
 		if src, tgt := sys.PolicyPair(); src != pair.Source || tgt != pair.Target {
 			t.Fatalf("%+v wired %s+%s, resolved %v", rs, src, tgt, pair)

@@ -512,38 +512,62 @@ type RunSpec struct {
 	Load int `json:"load,omitempty"`
 	// Workload names the SPEC proxy for the spec/iaas benches.
 	Workload string `json:"workload,omitempty"`
-	// Fault optionally names a fault plan (preset or JSON path; the sweep
-	// service admits presets only); the plan arms the governors'
-	// degradation machinery and the run reports RunResult.Faults.
+	// Fault optionally names a fault preset (pabst.FaultPresets; any
+	// other value is refused, never read as a path); the plan arms the
+	// governors' degradation machinery and the run reports
+	// RunResult.Faults.
 	Fault string `json:"fault,omitempty"`
 }
 
-// Validate rejects malformed specs; every refusal wraps config.ErrInvalid.
+// Validate rejects a spec that does not resolve under the built-in
+// scales (Exec{}.Resolve); every refusal wraps config.ErrInvalid.
 func (rs RunSpec) Validate() error {
-	def, ok := benchRegistry[rs.Bench]
-	if !ok {
-		return fmt.Errorf("%w: unknown bench %q (have %v)",
-			config.ErrInvalid, rs.Bench, BenchNames())
+	_, _, err := Exec{}.Resolve(rs)
+	return err
+}
+
+// Resolve is a spec's one admission under this environment: it checks
+// the spec's fields, resolves its scale, and builds the configuration
+// the run simulates — the scale's epoch and window, then the params,
+// then the fault preset — and validates that machine. Run, PredictSpec
+// and the sweep service's admission all resolve here, so a spec that is
+// admitted is one that builds, at the epoch it runs at. Every refusal
+// wraps config.ErrInvalid.
+func (ex Exec) Resolve(rs RunSpec) (pabst.SystemConfig, Scale, error) {
+	if err := rs.checkFields(); err != nil {
+		return pabst.SystemConfig{}, Scale{}, err
 	}
-	if rs.Scale == "" {
-		return fmt.Errorf("%w: empty scale name", config.ErrInvalid)
+	sc, err := ex.Scale(rs.Scale)
+	if err != nil {
+		return pabst.SystemConfig{}, Scale{}, err
 	}
 	// The machine the params and the plan describe must be buildable: a
 	// queue depth from a REST body is otherwise first checked by the
-	// allocator, and a NoC fault on the modeled fabric never.
-	cfg := pabst.Default32Config()
+	// allocator, a NoC fault on the modeled fabric never, and a heartbeat
+	// lag only against the epoch the scale sets.
+	cfg := sc.Apply(pabst.Default32Config())
 	if err := rs.applyParams(&cfg); err != nil {
-		return err
+		return pabst.SystemConfig{}, Scale{}, err
 	}
 	if rs.Fault != "" {
-		plan, err := pabst.LoadFaultPlan(rs.Fault)
-		if err != nil {
-			return fmt.Errorf("%w: %w", config.ErrInvalid, err)
+		if cfg.Faults, err = pabst.LoadFaultPlan(rs.Fault); err != nil {
+			return pabst.SystemConfig{}, Scale{}, err
 		}
-		cfg.Faults = plan
 	}
 	if err := cfg.Validate(); err != nil {
-		return err
+		return pabst.SystemConfig{}, Scale{}, err
+	}
+	return cfg, sc, nil
+}
+
+// checkFields refuses the spec fields no machine configuration depends on.
+func (rs RunSpec) checkFields() error {
+	def, ok := benchRegistry[rs.Bench]
+	if !ok {
+		return fmt.Errorf("%w: unknown bench %q (have %v)", config.ErrInvalid, rs.Bench, BenchNames())
+	}
+	if rs.Scale == "" {
+		return fmt.Errorf("%w: empty scale name", config.ErrInvalid)
 	}
 	if _, err := rs.pair(Scale{}); err != nil {
 		return fmt.Errorf("%w: %w", config.ErrInvalid, err)
@@ -670,22 +694,15 @@ type RunIO struct {
 	Beat func(done, total uint64)
 }
 
-// buildFor assembles the spec's machine under a resolved scale:
-// mechanism, fault plan, and the bench's builder. classes[0] is the
-// high-weight class whose share the result reports.
+// buildFor assembles the spec's machine from its resolved configuration
+// (Exec.Resolve) and scale: mechanism and the bench's builder. classes[0]
+// is the high-weight class whose share the result reports.
 func (rs RunSpec) buildFor(cfg pabst.SystemConfig, sc Scale) (*pabst.Builder, []pabst.ClassID, error) {
 	mode, err := rs.pair(sc)
 	if err != nil {
-		return nil, nil, err // unreachable past Validate
+		return nil, nil, err // unreachable past Resolve
 	}
 	opts := []pabst.Option{pabst.WithKernel(sc.Kernel)}
-	if rs.Fault != "" {
-		plan, ferr := pabst.LoadFaultPlan(rs.Fault)
-		if ferr != nil {
-			return nil, nil, ferr
-		}
-		opts = append(opts, pabst.WithFaultPlan(plan))
-	}
 	if rs.Bench == BenchPeriodic {
 		// The periodic generator's phase is scale-derived, which the
 		// registry's config-only build signature cannot express.
@@ -724,20 +741,13 @@ func buildPeriodic(rs RunSpec, cfg pabst.SystemConfig, mode pabst.Mode, sc Scale
 // returns the context error and caches nothing, and a rerun starts again
 // from a fresh machine.
 func (rs RunSpec) Run(ctx context.Context, ex Exec, rio RunIO) (RunResult, error) {
-	if err := rs.Validate(); err != nil {
-		return RunResult{}, err
-	}
-	sc, err := ex.Scale(rs.Scale)
+	cfg, sc, err := ex.Resolve(rs)
 	if err != nil {
 		return RunResult{}, err
 	}
 	fp := rs.Fingerprint()
 	if res, ok := ex.Results.get(fp); ok {
 		return res, nil
-	}
-	cfg := sc.Apply(pabst.Default32Config())
-	if err := rs.applyParams(&cfg); err != nil {
-		return RunResult{}, err
 	}
 	b, classes, err := rs.buildFor(cfg, sc)
 	if err != nil {

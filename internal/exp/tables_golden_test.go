@@ -23,7 +23,6 @@ var goldenQuickTables = map[string]string{
 	"fig10":      "501babd46aaf390f2348f2daeb2de639258d40ae397c2336b70ca69337cea14e",
 	"fig11":      "32e3520dd8fe4ccf8f760a63450a73550aaf98ac8202370def4dbeef138e8f4c",
 	"fig12":      "69ee27447345f5fc60110e88832f7dd014d051034cb0cbd07c1121b767c9443e",
-	"fig5":       "1b2f1b2dd906ae2b3830728ea555a4b4c55652e1d91cb33f31b19cff963ecd19",
 	"fig7":       "ae605757684e48b9a6ae584832d56541d6708464468434c5f200f23bc5006c92",
 	"pareto":     "a1a6eb7c9db3ee451c52d1591a3401af2d8c646a879a249fc35e3f86051dca2c",
 }

@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 
-	"pabst"
 	"pabst/internal/config"
 	"pabst/internal/twin"
 )
@@ -36,7 +35,8 @@ type TwinPrediction struct {
 // filtered generators) return an error — the twin predicts only
 // what it can parameterize, everything else must simulate.
 func PredictSpec(rs RunSpec, ex Exec) (TwinPrediction, error) {
-	if err := rs.Validate(); err != nil {
+	cfg, sc, err := ex.Resolve(rs)
+	if err != nil {
 		return TwinPrediction{}, err
 	}
 	def := benchRegistry[rs.Bench]
@@ -44,17 +44,9 @@ func PredictSpec(rs RunSpec, ex Exec) (TwinPrediction, error) {
 		return TwinPrediction{}, fmt.Errorf("%w: bench %q has no analytical load model",
 			config.ErrInvalid, rs.Bench)
 	}
-	sc, err := ex.Scale(rs.Scale)
-	if err != nil {
-		return TwinPrediction{}, err
-	}
-	cfg := sc.Apply(pabst.Default32Config())
-	if err := rs.applyParams(&cfg); err != nil {
-		return TwinPrediction{}, err
-	}
 	pair, err := rs.pair(sc)
 	if err != nil {
-		return TwinPrediction{}, err // unreachable past Validate
+		return TwinPrediction{}, err // unreachable past Resolve
 	}
 	p, err := twin.New(cfg).Solve(pair.Source, pair.Target, def.loads(rs, cfg))
 	if err != nil {

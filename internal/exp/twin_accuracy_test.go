@@ -1,9 +1,8 @@
 package exp
 
 import (
+	"context"
 	"testing"
-
-	"pabst/internal/qospolicy"
 )
 
 // Twin prediction-error tolerances, each a bound on the MEAN error over
@@ -36,9 +35,13 @@ func TestTwinAccuracyRegulationPoints(t *testing.T) {
 	}
 	// Through the claim tests' cache: TestFig1Shapes, TestFig7PABSTTracksBest
 	// and TestParetoFrontierIsPABST simulate the same specs.
-	var specs []RunSpec
-	var sims []RunResult
-	for _, name := range []string{"fig1", "fig5", "pareto"} {
+	steady := RunSpec{Bench: BenchStreams, Scale: "quick"}
+	sim, err := steady.Run(context.Background(), Exec{Results: claimCache}, RunIO{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs, sims := []RunSpec{steady}, []RunResult{sim}
+	for _, name := range []string{"fig1", "pareto"} {
 		_, s, r := runQuick(t, registered(t, name))
 		specs, sims = append(specs, s...), append(sims, r...)
 	}
@@ -66,7 +69,8 @@ func TestTwinAccuracyRegulationPoints(t *testing.T) {
 		}
 		sim := sims[i]
 		e := abs(pred.ShareHi - sim.ShareHi)
-		if src, _ := qospolicy.SourceAnalyticFor(pair.Source); src.Feedback {
+		// pabst is the one saturation-feedback source.
+		if pair.Source == "pabst" {
 			add(&share, e)
 		} else {
 			add(&shareOpen, e)

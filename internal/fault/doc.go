@@ -14,9 +14,10 @@
 // (internal/soc). The NoC half applies on the latency-only mesh only:
 // config.System.Validate refuses it together with the modeled NoC.
 //
-// Main entry points: Preset and Load obtain a Plan; NewInjector binds
-// it to seeded RNG streams; the soc layer consults the injector at each
-// hook point. NoC draws come from per-sender streams (ShardNoC), so a
-// faulted run is bit-identical on the event kernel and the reference
-// loop.
+// Main entry points: Preset names a Plan (a plan is never read from a
+// file; a custom one is a Plan value in config.System.Faults);
+// NewInjector binds it to seeded RNG streams; the soc layer consults the
+// injector at each hook point. NoC draws come from one stream per tile
+// and per memory controller, so a faulted run is bit-identical on the
+// event kernel and the reference loop.
 package fault

@@ -1,9 +1,7 @@
 package fault
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -48,32 +46,30 @@ func TestValidateRejections(t *testing.T) {
 	}
 }
 
+// TestLoadPresetOrFile pins that a plan is named, never read: a preset
+// name resolves, and anything else — a path to a plan file included — is
+// refused with an error naming the presets.
 func TestLoadPresetOrFile(t *testing.T) {
-	p, err := Load("sat-drop")
+	p, err := Preset("sat-drop")
 	if err != nil || p.SAT.DropProb == 0 {
 		t.Fatalf("preset load: %v %+v", err, p)
 	}
-
-	path := filepath.Join(t.TempDir(), "plan.json")
-	b, _ := json.Marshal(Plan{NoC: NoCPlan{DropProb: 0.25}})
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		t.Fatal(err)
+	_, err = Preset("plan.json")
+	if err == nil {
+		t.Fatal("a file name resolved as a plan")
 	}
-	p, err = Load(path)
-	if err != nil || p.NoC.DropProb != 0.25 {
-		t.Fatalf("file load: %v %+v", err, p)
-	}
-
-	if _, err := Load(filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Fatal("missing plan file accepted")
+	for _, name := range PresetNames() {
+		if !strings.Contains(err.Error(), name) {
+			t.Fatalf("error %q does not name preset %s", err, name)
+		}
 	}
 }
 
 func TestInjectorNilWhenInactive(t *testing.T) {
-	if in := NewInjector(nil, 1); in != nil {
+	if in := NewInjector(nil, 1, 1, 1); in != nil {
 		t.Fatal("nil plan produced an injector")
 	}
-	if in := NewInjector(&Plan{}, 1); in != nil {
+	if in := NewInjector(&Plan{}, 1, 1, 1); in != nil {
 		t.Fatal("empty plan produced an injector")
 	}
 }
@@ -88,7 +84,7 @@ func TestInjectorDeterministic(t *testing.T) {
 		delay   uint64
 	}
 	trace := func(seed uint64) []event {
-		in := NewInjector(&plan, seed)
+		in := NewInjector(&plan, seed, 8, 1)
 		var out []event
 		for e := uint64(1); e <= 50; e++ {
 			for tile := 0; tile < 8; tile++ {
@@ -96,7 +92,7 @@ func TestInjectorDeterministic(t *testing.T) {
 				out = append(out, event{deliver: d, lag: lag, sat: sat})
 			}
 			s, f := in.DRAMEpoch(0)
-			drop, delay := in.NoCSend()
+			drop, delay := in.NoCSendMC(0)
 			out = append(out, event{lag: s + f, drop: drop, delay: delay})
 		}
 		return out
@@ -129,12 +125,12 @@ func TestStreamIsolation(t *testing.T) {
 	combined.DRAM = DRAMPlan{StallProb: 0.5, StallCycles: 100}
 	combined.NoC = NoCPlan{DropProb: 0.5}
 
-	a := NewInjector(&satOnly, 7)
-	b := NewInjector(&combined, 7)
+	a := NewInjector(&satOnly, 7, 1, 1)
+	b := NewInjector(&combined, 7, 1, 1)
 	for e := uint64(1); e <= 200; e++ {
 		// The combined run interleaves draws from the other domains.
 		b.DRAMEpoch(0)
-		b.NoCSend()
+		b.NoCSendTile(0)
 		for tile := 0; tile < 4; tile++ {
 			d1, l1, s1 := a.SATDeliver(tile, e, true)
 			d2, l2, s2 := b.SATDeliver(tile, e, true)
@@ -147,7 +143,7 @@ func TestStreamIsolation(t *testing.T) {
 
 func TestPartitionWindow(t *testing.T) {
 	plan := Plan{SAT: SATPlan{PartTileLo: 2, PartTileHi: 6, PartFromEpoch: 10, PartToEpoch: 20}}
-	in := NewInjector(&plan, 1)
+	in := NewInjector(&plan, 1, 8, 1)
 	cases := []struct {
 		tile  int
 		epoch uint64

@@ -12,96 +12,50 @@ import (
 // sequence of an otherwise identical run.
 type Injector struct {
 	plan Plan
-	seed uint64
 
 	satRNG  *sim.RNG
 	dramRNG *sim.RNG
-	nocRNG  *sim.RNG // shared NoC stream (unsharded callers only)
 
-	// Sharded NoC fault state (ShardNoC): one stream + tally pair per
-	// injecting entity, so tiles and MC responders draw stream-aligned
-	// regardless of which components the kernel visits on a cycle.
-	// Tallies fold into counters lazily (foldNoC).
-	nocTile []nocShard
-	nocMC   []nocShard
-	foldedD uint64 // shard drops already folded into counters
-	foldedL uint64 // shard delays already folded into counters
+	// One NoC stream per sender (see NewInjector).
+	nocTile []sim.RNG
+	nocMC   []sim.RNG
 
 	counters *stats.Counters
 }
 
-// nocShard is one entity's private NoC fault stream and tallies.
-type nocShard struct {
-	rng     sim.RNG
-	dropped uint64
-	delayed uint64
-}
-
-// NewInjector builds the runtime for plan under the experiment seed. It
-// returns nil when the plan injects nothing, so callers can use a nil
+// NewInjector builds the runtime for plan under the experiment seed, with
+// one NoC fault stream per tile and per memory controller: the draw
+// sequence a sender sees depends only on its own injection history,
+// never on which other senders ran that cycle, which is what keeps a
+// faulted run bit-identical on the event kernel and the reference loop.
+// It returns nil when the plan injects nothing, so callers can use a nil
 // check as the zero-overhead fast path.
-func NewInjector(plan *Plan, seed uint64) *Injector {
+func NewInjector(plan *Plan, seed uint64, tiles, mcs int) *Injector {
 	if !plan.Active() {
 		return nil
 	}
-	return &Injector{
+	in := &Injector{
 		plan:     *plan,
-		seed:     seed,
 		satRNG:   sim.NewRNG(seed ^ 0x5A7FA017),
 		dramRNG:  sim.NewRNG(seed ^ 0xD3A4FA17),
-		nocRNG:   sim.NewRNG(seed ^ 0x40CFA017),
+		nocTile:  make([]sim.RNG, tiles),
+		nocMC:    make([]sim.RNG, mcs),
 		counters: stats.NewCounters(),
 	}
-}
-
-// ShardNoC splits the NoC fault domain into per-tile and per-MC streams.
-// Each injecting entity owns an independent deterministic stream, so the
-// draw sequence an entity sees depends only on its own injection history
-// — never on which other entities ran that cycle — which is what keeps a
-// faulted run bit-identical on the event kernel and the reference loop.
-// Call once at system build time, before any NoCSendTile /
-// NoCSendMC draw.
-func (in *Injector) ShardNoC(tiles, mcs int) {
-	in.nocTile = make([]nocShard, tiles)
 	for i := range in.nocTile {
-		in.nocTile[i].rng.Seed(in.seed ^ 0x40CFA017 ^ (uint64(i)+1)*0x9E3779B97F4A7C15)
+		in.nocTile[i].Seed(seed ^ 0x40CFA017 ^ (uint64(i)+1)*0x9E3779B97F4A7C15)
 	}
-	in.nocMC = make([]nocShard, mcs)
 	for i := range in.nocMC {
-		in.nocMC[i].rng.Seed(in.seed ^ 0xC0DE40C5 ^ (uint64(i)+1)*0x9E3779B97F4A7C15)
+		in.nocMC[i].Seed(seed ^ 0xC0DE40C5 ^ (uint64(i)+1)*0x9E3779B97F4A7C15)
 	}
+	return in
 }
 
 // Plan returns the injector's plan.
 func (in *Injector) Plan() Plan { return in.plan }
 
-// Counters returns the per-kind injected-fault counts, folding in any
-// shard-local NoC tallies first.
-func (in *Injector) Counters() *stats.Counters {
-	in.foldNoC()
-	return in.counters
-}
-
-// foldNoC drains shard-local tallies into the shared counter set.
-func (in *Injector) foldNoC() {
-	var d, l uint64
-	for i := range in.nocTile {
-		d += in.nocTile[i].dropped
-		l += in.nocTile[i].delayed
-	}
-	for i := range in.nocMC {
-		d += in.nocMC[i].dropped
-		l += in.nocMC[i].delayed
-	}
-	if d > in.foldedD {
-		in.counters.Add("noc.dropped", d-in.foldedD)
-		in.foldedD = d
-	}
-	if l > in.foldedL {
-		in.counters.Add("noc.delayed", l-in.foldedL)
-		in.foldedL = l
-	}
-}
+// Counters returns the per-kind injected-fault counts.
+func (in *Injector) Counters() *stats.Counters { return in.counters }
 
 // SATDeliver decides the fate of one heartbeat delivery to one tile:
 // whether it arrives at all, how late, and with what SAT value. Callers
@@ -149,42 +103,27 @@ func (in *Injector) DRAMEpoch(mc int) (stallCycles, freezeCycles uint64) {
 // StallBank picks the bank a stall lands on.
 func (in *Injector) StallBank(banks int) int { return in.dramRNG.Intn(banks) }
 
-// NoCSend decides the fate of one message injection: dropped (the sender
-// must retry — modeling a CRC-failed flit) or delayed by a latency spike.
-// Unsharded shared-stream variant; concurrent callers must use the
-// per-entity NoCSendTile / NoCSendMC streams instead.
-func (in *Injector) NoCSend() (drop bool, delay uint64) {
-	if p := in.plan.NoC.DropProb; p > 0 && in.nocRNG.Float64() < p {
-		in.counters.Inc("noc.dropped")
-		return true, 0
-	}
-	if p := in.plan.NoC.DelayProb; p > 0 && in.nocRNG.Float64() < p {
-		in.counters.Inc("noc.delayed")
-		return false, in.plan.NoC.DelayCycles
-	}
-	return false, 0
-}
-
 // NoCSendTile decides the fate of one injection originating at a tile
-// (request toward the L3/fabric). Draws come from the tile's private
-// stream and tally shard-locally. Requires ShardNoC.
+// (request toward the L3/fabric): dropped (the sender must retry —
+// modeling a CRC-failed flit) or delayed by a latency spike. Draws come
+// from the tile's private stream.
 func (in *Injector) NoCSendTile(tile int) (drop bool, delay uint64) {
 	return in.nocSend(&in.nocTile[tile])
 }
 
 // NoCSendMC decides the fate of one response injection at a memory
-// controller. Requires ShardNoC.
+// controller, drawing from the controller's private stream.
 func (in *Injector) NoCSendMC(mc int) (drop bool, delay uint64) {
 	return in.nocSend(&in.nocMC[mc])
 }
 
-func (in *Injector) nocSend(sh *nocShard) (drop bool, delay uint64) {
-	if p := in.plan.NoC.DropProb; p > 0 && sh.rng.Float64() < p {
-		sh.dropped++
+func (in *Injector) nocSend(rng *sim.RNG) (drop bool, delay uint64) {
+	if p := in.plan.NoC.DropProb; p > 0 && rng.Float64() < p {
+		in.counters.Inc("noc.dropped")
 		return true, 0
 	}
-	if p := in.plan.NoC.DelayProb; p > 0 && sh.rng.Float64() < p {
-		sh.delayed++
+	if p := in.plan.NoC.DelayProb; p > 0 && rng.Float64() < p {
+		in.counters.Inc("noc.delayed")
 		return false, in.plan.NoC.DelayCycles
 	}
 	return false, 0

@@ -1,10 +1,6 @@
 package fault
 
-import (
-	"encoding/json"
-	"fmt"
-	"os"
-)
+import "fmt"
 
 // SATPlan perturbs the epoch heartbeat / wired-OR SAT broadcast.
 type SATPlan struct {
@@ -138,8 +134,9 @@ func (p *Plan) partitioned(tile int, epoch uint64) bool {
 		epoch >= p.SAT.PartFromEpoch && epoch < p.SAT.PartToEpoch
 }
 
-// Presets name the canonical fault scenarios used by the pabstsim -faults
-// flag, the chaos tests, and the degradation benchmarks.
+// Presets name the canonical fault scenarios: the only plans the pabstsim
+// -faults flag and a RunSpec's fault take, the chaos tests' sweep, and the
+// degradation benchmarks.
 var presets = map[string]Plan{
 	"sat-drop": {
 		SAT: SATPlan{DropProb: 0.2},
@@ -178,21 +175,4 @@ func Preset(name string) (Plan, error) {
 // PresetNames lists the canonical plans in stable order.
 func PresetNames() []string {
 	return []string{"sat-drop", "sat-delay", "sat-flip", "sat-partition", "dram-storm", "noc-storm", "everything"}
-}
-
-// Load reads a plan: a preset name, or a path to a JSON plan file.
-func Load(nameOrPath string) (Plan, error) {
-	if p, ok := presets[nameOrPath]; ok {
-		return p, nil
-	}
-	b, err := os.ReadFile(nameOrPath)
-	if err != nil {
-		return Plan{}, fmt.Errorf("fault: %q is neither a preset (%v) nor a readable plan file: %w",
-			nameOrPath, PresetNames(), err)
-	}
-	var p Plan
-	if err := json.Unmarshal(b, &p); err != nil {
-		return Plan{}, fmt.Errorf("fault: parse %s: %w", nameOrPath, err)
-	}
-	return p, nil
 }

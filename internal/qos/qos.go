@@ -171,15 +171,6 @@ func (r *Registry) Share(id mem.ClassID) float64 {
 // paper's broadcast update of active CPU counts on QoSID register writes.
 func (r *Registry) AttachCPU(id mem.ClassID) { r.class(id).threads++ }
 
-// DetachCPU records that a CPU stopped executing class id.
-func (r *Registry) DetachCPU(id mem.ClassID) {
-	c := r.class(id)
-	if c.threads == 0 {
-		panic("qos: DetachCPU on class with no attached CPUs")
-	}
-	c.threads--
-}
-
 // ReportDemand accumulates a CPU's miss demand for the current epoch,
 // mirroring the broadcast register the paper already assumes for thread
 // counts.

@@ -78,30 +78,15 @@ func TestShare(t *testing.T) {
 	}
 }
 
-func TestAttachDetach(t *testing.T) {
+func TestAttachCPUCountsThreads(t *testing.T) {
 	r := NewRegistry()
 	c := r.MustAdd("c", 1, 4)
 	for i := 0; i < 16; i++ {
 		r.AttachCPU(c.ID)
 	}
-	if c.Threads() != 16 {
-		t.Fatalf("Threads = %d, want 16", c.Threads())
+	if c.Threads() != 16 || r.Threads(c.ID) != 16 {
+		t.Fatalf("Threads = %d/%d, want 16", c.Threads(), r.Threads(c.ID))
 	}
-	r.DetachCPU(c.ID)
-	if c.Threads() != 15 {
-		t.Fatalf("Threads = %d, want 15", c.Threads())
-	}
-}
-
-func TestDetachUnderflowPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("DetachCPU on empty class did not panic")
-		}
-	}()
-	r := NewRegistry()
-	c := r.MustAdd("c", 1, 4)
-	r.DetachCPU(c.ID)
 }
 
 func TestAddErrors(t *testing.T) {

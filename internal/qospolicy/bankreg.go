@@ -143,8 +143,4 @@ func init() {
 		Params: "EpochCycles",
 		Cite:   "Sullivan, Mamandipoor, Strickler, Yun, \"Per-Bank Memory Bandwidth Regulation for Predictable and Performant Real-Time Systems\"",
 	}, newBankRegulator)
-	// Entitlement-derived token budgets with no saturation feedback:
-	// the twin models these as capped-without-redistribution and lets
-	// queues run to the unregulated utilization point.
-	setSourceAnalytic("bankreg", SourceAnalytic{Caps: true, UtilCap: 0.92})
 }

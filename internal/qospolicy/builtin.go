@@ -55,14 +55,4 @@ func init() {
 	}, func(env TargetEnv) (dram.ReadSched, dram.Arbiter) {
 		return dram.SchedEDF, pabst.NewArbiter(env.Reg, env.Params.Slack)
 	})
-
-	// Twin hooks (calibrated against the cycle simulator; see
-	// internal/twin). The governor's SAT search holds utilization at
-	// the pre-knee point (~0.84 of peak); unregulated admission runs
-	// the bus to ~0.92–0.95 before bank/burst waits dominate.
-	setSourceAnalytic("none", SourceAnalytic{UtilCap: 1.0})
-	setSourceAnalytic("static", SourceAnalytic{Caps: true, UtilCap: 0.95})
-	setSourceAnalytic("pabst", SourceAnalytic{Feedback: true, Caps: true, UtilCap: 0.84})
-	setTargetAnalytic("fcfs", TargetAnalytic{UtilCap: 0.92})
-	setTargetAnalytic("pabst", TargetAnalytic{WeightFair: true, UtilCap: 0.95})
 }

@@ -67,7 +67,4 @@ func init() {
 		Params: "Slack (deadline scale)",
 		Cite:   "Shah, Raabe, Knoll, \"Dynamic Priority Queue: An SDRAM Arbiter With Bounded Access Latencies for Tight WCET Calculation\"",
 	}, newDPQArbiter)
-	// Deadline scheduling enforces weighted shares at the pick, but
-	// only over what the unthrottled sources let into the queues.
-	setTargetAnalytic("dpq", TargetAnalytic{WeightFair: true, UtilCap: 0.92})
 }

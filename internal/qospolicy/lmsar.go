@@ -186,7 +186,4 @@ func init() {
 		Params: "EpochCycles, BurstCredit",
 		Cite:   "Srinivasan, \"LMS-AR: LMS Prediction-based Adaptive Regulator for Memory Bandwidth in Multicore Systems\"",
 	}, newLMSRegulator)
-	// Predicted-demand pacing clamped to fair share: budget discipline
-	// without rate discovery, same analytic regime as bankreg.
-	setSourceAnalytic("lmsar", SourceAnalytic{Caps: true, UtilCap: 0.92})
 }

@@ -161,19 +161,21 @@ func TestHTTPRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFaultMustBePreset pins the trust boundary on RunSpec.Fault: a REST
-// client, or a journal record, names a fault plan by preset and never by
-// path. The path here holds a valid plan, so a service that read it would
-// accept the job — which is what the CLI's RunSpec.Validate does.
+// TestFaultMustBePreset pins the trust boundary on RunSpec.Fault: a fault
+// plan is named by preset and never by path, for a REST client, a journal
+// record and RunSpec.Validate alike. The path here holds a valid plan, so
+// a resolution that read it would accept the job; Validate refuses it
+// before any file is opened.
 func TestFaultMustBePreset(t *testing.T) {
 	plan := filepath.Join(t.TempDir(), "plan.json")
 	if err := os.WriteFile(plan, []byte(`{}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	byPath := exp.RunSpec{Bench: exp.BenchStreams, Scale: "tiny", Fault: plan}
-	if err := byPath.Validate(); err != nil {
-		t.Fatalf("the CLI path must keep accepting a plan file: %v", err)
+	byPath := exp.RunSpec{Bench: exp.BenchStreams, Scale: "quick", Fault: plan}
+	if err := byPath.Validate(); !errors.Is(err, config.ErrInvalid) || !strings.Contains(err.Error(), "sat-partition") {
+		t.Fatalf("Validate of a path-valued fault = %v, want config.ErrInvalid naming the presets", err)
 	}
+	byPath.Scale = "tiny"
 	ran := make(chan exp.RunSpec, 1)
 	cfg := testConfig(t, func(ctx context.Context, spec exp.RunSpec, env RunEnv) (exp.RunResult, error) {
 		ran <- spec
@@ -237,8 +239,8 @@ var hostileBodies = []string{
 // TestHostileParamsRejected pins the trust boundary on RunSpec.Params:
 // admission answers 400 with config.ErrInvalid and journals
 // nothing, and a journal that already holds such a submit record
-// recovers to a failed job under the production runner — which rejects
-// the spec before it sizes a single queue.
+// recovers to a failed job — recovery resolves the spec as admission
+// does, before any runner sizes a single queue.
 func TestHostileParamsRejected(t *testing.T) {
 	cfg := testConfig(t, nil) // nil: ExpRunner, the path a real job takes
 	jl, err := openJournal(filepath.Join(cfg.Dir, "journal.jsonl"))
@@ -328,8 +330,8 @@ func TestSubmitRefusesUnknownFields(t *testing.T) {
 }
 
 // FuzzSubmitBody: arbitrary bytes into POST /jobs never panic, answer
-// with one of the documented statuses, and are accepted only as a valid
-// spec with exactly one journal record behind it.
+// with one of the documented statuses, and are accepted only as a spec
+// that resolves at its scale, with exactly one journal record behind it.
 func FuzzSubmitBody(f *testing.F) {
 	// The bodies bench/'s sweep workload posts, one per bench and policy.
 	for _, spec := range []exp.RunSpec{
@@ -346,6 +348,10 @@ func FuzzSubmitBody(f *testing.F) {
 		f.Add([]byte(body))
 	}
 	f.Add([]byte(strictBodies[0]))
+	// A preset whose heartbeat lag is valid at the paper's epoch and not
+	// under quick's, and a fault named by a path that exists.
+	f.Add([]byte(`{"spec":{"bench":"streams","scale":"quick","fault":"sat-delay"}}`))
+	f.Add([]byte(`{"spec":{"bench":"streams","scale":"quick","fault":"go.mod"}}`))
 	// One service for the whole run, never started: an accepted job stays
 	// queued, so all it leaves behind is its submit record. (A service per
 	// input costs three fsyncs an input, which starves the mutator.)
@@ -367,11 +373,8 @@ func FuzzSubmitBody(f *testing.F) {
 			if err := json.Unmarshal(resp, &v); err != nil {
 				t.Fatalf("202 without a JobView: %s", resp)
 			}
-			if err := checkFault(v.Spec); err != nil {
-				t.Fatalf("accepted %+v: %v", v.Spec, err)
-			}
-			if err := v.Spec.Validate(); err != nil {
-				t.Fatalf("accepted %+v: %v", v.Spec, err)
+			if _, _, err := cfg.Exec.Resolve(v.Spec); err != nil {
+				t.Fatalf("accepted %+v, which does not resolve at its scale: %v", v.Spec, err)
 			}
 			if records != 1 {
 				t.Fatalf("accepted job has %d journal records, want 1", records)

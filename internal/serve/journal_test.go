@@ -220,8 +220,9 @@ func TestRecoverOlderJournal(t *testing.T) {
 // FuzzLoadJournal feeds arbitrary bytes, torn tails included, through the
 // restart path (loadJournal, then Service.recover inside New): nothing
 // panics, and whatever a journal claims, a recovered job waits in the
-// queue only with a preset-or-no fault plan, and a whole service
-// lifetime leaves exactly the journal in the state directory. The seeds run as ordinary tests.
+// queue only with a spec that resolves at its scale, and a whole service
+// lifetime leaves exactly the journal in the state directory. The seeds
+// run as ordinary tests.
 func FuzzLoadJournal(f *testing.F) {
 	spec := tinySpec()
 	var clean []byte
@@ -245,6 +246,7 @@ func FuzzLoadJournal(f *testing.F) {
 	f.Add([]byte(`{"op":"submit","id":"j-000005","spec":{"bench":"streams","scale":"tiny","params":{"bankq":2}}}` + "\n")) // a parameter this build does not have
 	f.Add([]byte("\n\n{}\nnot json\n"))
 	f.Add([]byte(olderJournal))
+	f.Add([]byte(`{"op":"submit","id":"j-000006","spec":{"bench":"streams","scale":"quick","fault":"sat-delay"}}` + "\n"))
 
 	cfg := testConfig(f, okRunner)
 	path := filepath.Join(cfg.Dir, "journal.jsonl")
@@ -264,8 +266,8 @@ func FuzzLoadJournal(f *testing.F) {
 			t.Errorf("%d records recovered to %d jobs", len(recs), len(s.jobs))
 		}
 		for _, j := range s.queue {
-			if err := checkFault(j.spec); err != nil {
-				t.Errorf("recovered job %q is queued with fault %q: %v", j.id, j.spec.Fault, err)
+			if _, _, err := cfg.Exec.Resolve(j.spec); err != nil {
+				t.Errorf("recovered job %q is queued with a spec that does not resolve: %v", j.id, err)
 			}
 		}
 		if err := s.Close(); err != nil {

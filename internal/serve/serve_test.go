@@ -81,6 +81,16 @@ func TestSubmitValidation(t *testing.T) {
 	if _, err := s.Submit(exp.RunSpec{Bench: exp.BenchStreams, Scale: "galactic"}, SubmitOptions{}); !errors.Is(err, config.ErrInvalid) {
 		t.Fatalf("unknown scale accepted: %v", err)
 	}
+	// sat-delay lags a heartbeat up to 3000 cycles: valid at the paper's
+	// 20 000-cycle epoch, not under the 2000 cycles quick runs at. The
+	// spec is checked at the epoch it would run at, so it is refused
+	// here rather than failing in a worker after it was journaled.
+	if _, err := s.Submit(exp.RunSpec{Bench: exp.BenchStreams, Scale: "quick", Fault: "sat-delay"}, SubmitOptions{}); !errors.Is(err, config.ErrInvalid) {
+		t.Fatalf("a fault plan invalid at the spec's epoch accepted: %v", err)
+	}
+	if n := journalRecords(t, s.cfg.Dir); n != 0 {
+		t.Fatalf("refused submissions left %d journal records", n)
+	}
 }
 
 // TestAdmissionControl pins the bounded queue: beyond QueueDepth

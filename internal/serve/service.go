@@ -11,9 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"pabst/internal/config"
 	"pabst/internal/exp"
-	"pabst/internal/fault"
 )
 
 // Typed admission errors — callers branch on these, and the REST layer
@@ -201,21 +199,6 @@ func New(cfg Config) (*Service, error) {
 	return s, nil
 }
 
-// checkFault is the service's trust boundary on RunSpec.Fault: over
-// REST, and in a journal another process may have written, a fault plan
-// is named by preset. RunSpec.Validate resolves any other value as a
-// path and reads it (a plan file is a CLI convenience), so this runs
-// before Validate, and before a recovered job can reach a runner.
-func checkFault(spec exp.RunSpec) error {
-	if spec.Fault == "" {
-		return nil
-	}
-	if _, err := fault.Preset(spec.Fault); err != nil {
-		return fmt.Errorf("%w: %w", config.ErrInvalid, err)
-	}
-	return nil
-}
-
 // recover replays journal records into the in-memory job table.
 func (s *Service) recover(recs []rec) {
 	for _, r := range recs {
@@ -239,7 +222,9 @@ func (s *Service) recover(recs []rec) {
 			}
 			s.jobs[r.ID] = j
 			s.order = append(s.order, r.ID)
-			if err := checkFault(j.spec); err != nil {
+			// Another process may have written the journal: a spec that
+			// does not resolve here never reaches a runner.
+			if _, _, err := s.cfg.Exec.Resolve(j.spec); err != nil {
 				s.failLocked(j, err, j.submitted)
 			}
 		case opDone:
@@ -302,13 +287,7 @@ func (s *Service) spawnWorkerLocked() {
 // happens before the job becomes visible: once Submit returns, the job
 // survives a crash.
 func (s *Service) Submit(spec exp.RunSpec, opt SubmitOptions) (JobView, error) {
-	if err := checkFault(spec); err != nil {
-		return JobView{}, err
-	}
-	if err := spec.Validate(); err != nil {
-		return JobView{}, err
-	}
-	if _, err := s.cfg.Exec.Scale(spec.Scale); err != nil {
+	if _, _, err := s.cfg.Exec.Resolve(spec); err != nil {
 		return JobView{}, err
 	}
 	s.mu.Lock()

@@ -130,7 +130,7 @@ func New(cfg config.System, reg *qos.Registry, pair qospolicy.Pair) (*System, er
 		tiles:  make([]*Tile, cfg.NumTiles()),
 		slices: make([]*Slice, cfg.NumTiles()),
 		series: stats.NewSeries(cfg.BWWindow),
-		faults: fault.NewInjector(cfg.Faults, cfg.Seed),
+		faults: fault.NewInjector(cfg.Faults, cfg.Seed, cfg.NumTiles(), cfg.NumMCs),
 	}
 
 	for i := 0; i < cfg.NumMCs; i++ {
@@ -172,12 +172,6 @@ func New(cfg config.System, reg *qos.Registry, pair qospolicy.Pair) (*System, er
 		}
 		s.net = net
 		s.mcOut = make([]sim.DelayQueue[*mem.Packet], cfg.NumMCs)
-	}
-	if s.faults != nil {
-		// Per-sender NoC fault streams: each tile and each controller
-		// draws from its own RNG, so the draw order is independent of
-		// which components the kernel visits on a cycle.
-		s.faults.ShardNoC(cfg.NumTiles(), cfg.NumMCs)
 	}
 	return s, nil
 }

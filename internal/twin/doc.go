@@ -13,8 +13,8 @@
 //     M/G/1 occupancy ρ/(1−ρ) clamped at the configured queue depth.
 //
 //   - An allocation model per source×target policy pair, driven by the
-//     analytic hooks each mechanism declares in internal/qospolicy
-//     (qospolicy.SourceAnalyticFor / TargetAnalyticFor): saturation-feedback
+//     twin's calibration of each registered mechanism (calib.go, keyed
+//     by qospolicy registry name): saturation-feedback
 //     sources enforce the Eq.5 proportional split exactly (weighted
 //     water-filling with demand caps, work-conserving redistribution);
 //     budget sources (token buckets, clamped predictors) hold shares only
@@ -34,6 +34,6 @@
 // TestTwinAccuracyRegulationPoints in internal/exp logs the standing
 // divergence over those 17 points and gates its means. Prediction.Confidence
 // degrades near regime boundaries (saturation knee, queue-pressure kink)
-// and is zero when a policy never declared analytic hooks or the fixed
-// point failed to converge: such a point has to be simulated.
+// and is zero when a policy has no calibration entry or the fixed point
+// failed to converge: such a point has to be simulated.
 package twin

@@ -57,8 +57,8 @@ type Prediction struct {
 	Overload float64 `json:"overload"`
 
 	// Confidence ∈ [0,1]: 1 deep in a calibrated regime, degraded near
-	// regime boundaries, 0 when unconverged or when a policy declared
-	// no analytic hooks. A low-confidence point has to be simulated.
+	// regime boundaries, 0 when unconverged or when a policy has
+	// no calibration entry. A low-confidence point has to be simulated.
 	Confidence float64 `json:"confidence"`
 	Converged  bool    `json:"converged"`
 	Iterations int     `json:"iterations"`
@@ -155,15 +155,15 @@ func (m *Model) Solve(source, target string, classes []ClassLoad) (Prediction, e
 	if !qospolicy.ValidTarget(target) {
 		return Prediction{}, fmt.Errorf("twin: unknown target policy %q", target)
 	}
-	srcA, srcOK := qospolicy.SourceAnalyticFor(source)
-	tgtA, tgtOK := qospolicy.TargetAnalyticFor(target)
+	srcA, srcOK := sourceCalibration[source]
+	tgtA, tgtOK := targetCalibration[target]
 	if !srcOK {
-		srcA = qospolicy.SourceAnalytic{UtilCap: 1} // model as unregulated
+		srcA = sourceCalib{utilCap: 1} // model as unregulated
 	}
 	if !tgtOK {
-		tgtA = qospolicy.TargetAnalytic{UtilCap: 1}
+		tgtA = targetCalib{utilCap: 1}
 	}
-	srcCap, tgtCap := srcA.UtilCap, tgtA.UtilCap
+	srcCap, tgtCap := srcA.utilCap, tgtA.utilCap
 	if srcCap <= 0 {
 		srcCap = 1
 	}
@@ -242,7 +242,7 @@ func (m *Model) Solve(source, target string, classes []ClassLoad) (Prediction, e
 	}
 	p.TotalBPC = total * m.lineBytes
 	tail := tailBase
-	if !srcA.Feedback {
+	if !srcA.feedback {
 		tail = tailBase * (1 + tailPressureBoost*(math.Max(pressure, 1)-1))
 	}
 	for i, c := range classes {
@@ -272,7 +272,7 @@ func (m *Model) Solve(source, target string, classes []ClassLoad) (Prediction, e
 
 // allocate fills rates[i] with each class's delivered line bandwidth
 // under the policy pair's discipline.
-func (m *Model) allocate(srcA qospolicy.SourceAnalytic, tgtA qospolicy.TargetAnalytic,
+func (m *Model) allocate(srcA sourceCalib, tgtA targetCalib,
 	entitled, d0 []float64, sumD, cEff, pressure float64, rates []float64) {
 	n := len(d0)
 	if sumD <= cEff || sumD == 0 {
@@ -286,17 +286,17 @@ func (m *Model) allocate(srcA qospolicy.SourceAnalytic, tgtA qospolicy.TargetAna
 	tshare := make([]float64, n)
 	lp := math.Log2(math.Max(pressure, 1))
 	switch {
-	case srcA.Feedback:
+	case srcA.feedback:
 		// Eq.5 discipline: entitled shares, water-filled below.
 		copy(tshare, entitled)
-	case srcA.Caps:
+	case srcA.caps:
 		// Budgets bind progressively as pressure grows; the unregulated
 		// writeback half and budget forgiveness keep the blend partial.
 		hold := math.Min(budgetHoldSlope*lp, budgetHoldMax)
 		for i := range tshare {
 			tshare[i] = dshare[i] + hold*(entitled[i]-dshare[i])
 		}
-	case tgtA.WeightFair:
+	case tgtA.weightFair:
 		// Pick-time enforcement decays as unthrottled sources overrun
 		// the queues the arbiter reorders.
 		hold := math.Min(math.Max(targetHoldBase-targetHoldSlope*lp, targetHoldFloor), 1)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pabst/internal/config"
+	"pabst/internal/qospolicy"
 )
 
 func streams(weightHi, weightLo, tiles int) []ClassLoad {
@@ -125,8 +126,8 @@ func TestSolveLightLoadIsDemandSplit(t *testing.T) {
 	}
 }
 
-// TestSolveErrors: unknown policies are errors; unknown hooks are not
-// (they degrade to zero confidence instead).
+// TestSolveErrors: unknown policies are errors; a registered policy with
+// no calibration entry is not (it degrades to zero confidence instead).
 func TestSolveErrors(t *testing.T) {
 	m := New(config.Default32())
 	if _, err := m.Solve("nope", "fcfs", streams(1, 1, 4)); err == nil {
@@ -137,5 +138,21 @@ func TestSolveErrors(t *testing.T) {
 	}
 	if _, err := m.Solve("pabst", "pabst", nil); err == nil {
 		t.Error("empty class list accepted")
+	}
+}
+
+// TestCalibrationNamesRegisteredPolicies: every calibration entry is
+// keyed by a registered mechanism, so a renamed policy cannot leave its
+// entry behind and fall back to zero confidence unnoticed.
+func TestCalibrationNamesRegisteredPolicies(t *testing.T) {
+	for name := range sourceCalibration {
+		if !qospolicy.ValidSource(name) {
+			t.Errorf("source calibration %q names no registered source policy", name)
+		}
+	}
+	for name := range targetCalibration {
+		if !qospolicy.ValidTarget(name) {
+			t.Errorf("target calibration %q names no registered target policy", name)
+		}
 	}
 }

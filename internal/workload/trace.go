@@ -1,18 +1,10 @@
 package workload
 
-import (
-	"bufio"
-	"fmt"
-	"io"
-	"strings"
-
-	"pabst/internal/mem"
-)
+import "fmt"
 
 // Recorder wraps a generator and captures every op it emits, so a
-// synthetic workload can be frozen into a replayable trace (for
-// regression pinning, cross-simulator comparison, or sharing a workload
-// without its generator parameters).
+// synthetic workload can be frozen into an in-memory trace a Replayer
+// plays back (regression pinning without the generator's parameters).
 type Recorder struct {
 	inner Generator
 	ops   []Op
@@ -42,26 +34,6 @@ func (r *Recorder) Next(op *Op) {
 // Trace returns the recorded ops.
 func (r *Recorder) Trace() []Op { return r.ops }
 
-// WriteTo serializes the recorded trace in a line-oriented text format:
-// addr write dependsOn gap insts, one op per line. Tags are not
-// persisted (they are generator-session-local).
-func (r *Recorder) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	var n int64
-	for _, op := range r.ops {
-		wr := 0
-		if op.Write {
-			wr = 1
-		}
-		c, err := fmt.Fprintf(bw, "%x %d %d %d %d\n", uint64(op.Addr), wr, op.DependsOn, op.Gap, op.Insts)
-		n += int64(c)
-		if err != nil {
-			return n, err
-		}
-	}
-	return n, bw.Flush()
-}
-
 // Replayer replays a fixed op sequence, looping forever.
 type Replayer struct {
 	name string
@@ -75,43 +47,6 @@ func NewReplayer(name string, ops []Op) (*Replayer, error) {
 		return nil, fmt.Errorf("workload: empty trace")
 	}
 	return &Replayer{name: name, ops: ops}, nil
-}
-
-// ReadTrace parses the format written by Recorder.WriteTo.
-func ReadTrace(r io.Reader) ([]Op, error) {
-	var ops []Op
-	sc := bufio.NewScanner(r)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		var addr uint64
-		var wr, dep, gap int
-		var insts uint64
-		if _, err := fmt.Sscanf(text, "%x %d %d %d %d", &addr, &wr, &dep, &gap, &insts); err != nil {
-			return nil, fmt.Errorf("workload: trace line %d: %w", line, err)
-		}
-		if wr != 0 && wr != 1 {
-			return nil, fmt.Errorf("workload: trace line %d: write flag %d", line, wr)
-		}
-		if dep < 0 || gap < 0 || insts == 0 {
-			return nil, fmt.Errorf("workload: trace line %d: invalid fields", line)
-		}
-		ops = append(ops, Op{
-			Addr:      mem.Addr(addr),
-			Write:     wr == 1,
-			DependsOn: dep,
-			Gap:       gap,
-			Insts:     insts,
-		})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return ops, nil
 }
 
 // Name implements Generator.

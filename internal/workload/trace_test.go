@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 )
@@ -30,6 +29,8 @@ func TestRecorderCapturesOps(t *testing.T) {
 	}
 }
 
+// TestTraceRoundTrip: a recorded trace replays op for op, tags included,
+// and then loops.
 func TestTraceRoundTrip(t *testing.T) {
 	ch := NewChaser("c", region(0, 1<<20), 4, 9)
 	r := NewRecorder(ch, 50)
@@ -37,22 +38,14 @@ func TestTraceRoundTrip(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		r.Next(&op)
 	}
-	var buf bytes.Buffer
-	if _, err := r.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	ops, err := ReadTrace(&buf)
+	rep, err := NewReplayer("replay", r.Trace())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ops) != 50 {
-		t.Fatalf("parsed %d ops, want 50", len(ops))
-	}
-	for i := range ops {
-		want := r.Trace()[i]
-		want.Tag = 0 // tags are not persisted
-		if ops[i] != want {
-			t.Fatalf("op %d: %+v != %+v", i, ops[i], want)
+	for i := 0; i < 100; i++ {
+		rep.Next(&op)
+		if want := r.Trace()[i%50]; op != want {
+			t.Fatalf("op %d: %+v != %+v", i, op, want)
 		}
 	}
 }
@@ -78,24 +71,5 @@ func TestReplayerLoops(t *testing.T) {
 func TestReplayerRejectsEmpty(t *testing.T) {
 	if _, err := NewReplayer("x", nil); err == nil {
 		t.Fatal("empty trace accepted")
-	}
-}
-
-func TestReadTraceErrors(t *testing.T) {
-	cases := []string{
-		"zz 0 0 1 1\n",  // bad addr
-		"40 2 0 1 1\n",  // bad write flag
-		"40 0 -1 1 1\n", // negative dep
-		"40 0 0 1 0\n",  // zero insts
-	}
-	for _, c := range cases {
-		if _, err := ReadTrace(strings.NewReader(c)); err == nil {
-			t.Fatalf("trace %q accepted", c)
-		}
-	}
-	// Comments and blanks are fine.
-	ops, err := ReadTrace(strings.NewReader("# header\n\n40 1 0 2 3\n"))
-	if err != nil || len(ops) != 1 || !ops[0].Write {
-		t.Fatalf("comment handling broken: %v %v", ops, err)
 	}
 }

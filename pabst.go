@@ -134,12 +134,13 @@ func LoadConfig(path string) (SystemConfig, error) { return config.Load(path) }
 // SystemConfig.Faults; a nil plan injects nothing and costs nothing.
 type FaultPlan = fault.Plan
 
-// LoadFaultPlan resolves a preset name (see FaultPresets) or a JSON
-// fault-plan file.
-func LoadFaultPlan(nameOrPath string) (*FaultPlan, error) {
-	p, err := fault.Load(nameOrPath)
+// LoadFaultPlan resolves a preset name (see FaultPresets). Any other
+// name is config.ErrInvalid, naming the presets; a custom plan enters
+// through WithFaultPlan or the Faults field of a LoadConfig file.
+func LoadFaultPlan(name string) (*FaultPlan, error) {
+	p, err := fault.Preset(name)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", config.ErrInvalid, err)
 	}
 	return &p, nil
 }
