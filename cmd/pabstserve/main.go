@@ -9,14 +9,14 @@
 //
 // The queue is bounded (429 when full), a job runs once and its first
 // outcome is final (a run does no I/O, so a failure would repeat),
-// panicking simulations fail only their own job, wedged workers are
-// detected by heartbeat and replaced, and every accepted job is
-// journaled: SIGTERM/SIGINT triggers a graceful drain in which
-// in-flight jobs finish or are requeued, and a restart over the same
-// -dir recovers exactly the unfinished work and reruns it, warmup
-// included. Re-execution is idempotent — a spec's fingerprint pins its
-// bit-identical result — so a spec the running process has already
-// completed is answered from its in-memory result cache.
+// panicking simulations fail only their own job, a run stops only
+// through its context (its deadline, a drain or a shutdown), and every
+// accepted job is journaled: SIGTERM/SIGINT triggers a graceful drain
+// in which in-flight jobs finish or are requeued, and a restart over
+// the same -dir recovers exactly the unfinished work and reruns it,
+// warmup included. Re-execution is idempotent — a spec's fingerprint
+// pins its bit-identical result — so a spec the running process has
+// already completed is answered from its in-memory result cache.
 //
 // Usage:
 //

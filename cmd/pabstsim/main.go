@@ -28,7 +28,9 @@
 // -faults names the fault preset the faults experiment runs against its
 // clean arm (pabst.FaultPresets; default sat-partition). Any other value
 // is refused before anything is simulated; a plan is never read from a
-// file.
+// file. A preset must also fit the scale's epoch: its help and -list
+// name the presets each scale holds (sat-delay's 3 000-cycle lag does
+// not fit quick's 2 000-cycle epoch).
 //
 // An experiment's independent simulations run concurrently, one per
 // core by default: -parallel 0 (the default) = all cores, 1 = one at a
@@ -100,7 +102,8 @@ func (o *options) register(fs *flag.FlagSet) {
 	fs.BoolVar(&o.json, "json", false, "emit result tables as JSON instead of text")
 	fs.StringVar(&o.specs, "spec", "", "comma-separated SPEC proxy subset for fig10-12 (default: all)")
 	fs.StringVar(&o.faults, "faults", "sat-partition",
-		"fault preset for the faults experiment: one of "+strings.Join(pabst.FaultPresets(), ", "))
+		"fault preset for the faults experiment: one of "+strings.Join(pabst.FaultPresets(), ", ")+
+			"; the ones each scale's epoch holds: "+strings.Join(presetFit(), "; "))
 	fs.StringVar(&o.policy, "policy", "",
 		"QoS mechanism `src+tgt` (or a preset name) replacing each run's mode; an empty half keeps that side, and a run that names its own pair keeps it (DESIGN.md, \"Selecting a mechanism\")")
 	fs.IntVar(&o.parallel, "parallel", 0, "concurrent simulations in multi-run experiments (0 = all cores, 1 = one at a time)")
@@ -136,6 +139,10 @@ func main() {
 		fmt.Println("\nablation axes (exp.ParamSweeps; not part of all):")
 		for _, e := range exp.ParamSweeps() {
 			fmt.Printf("%-14s %s\n", e.Name(), e.Desc())
+		}
+		fmt.Println("\nfault presets each scale's epoch holds (-faults):")
+		for _, line := range presetFit() {
+			fmt.Println(line)
 		}
 		fmt.Println("\nworkload generators (pabst.Workloads; -spec takes the SPEC CPU 2006 proxies only):")
 		for _, w := range pabst.Workloads() {
@@ -234,6 +241,16 @@ func main() {
 			fmt.Printf("[%s: %.1fs]\n\n", name, time.Since(start).Seconds())
 		}
 	}
+}
+
+// presetFit renders, one line a named scale, the fault presets whose
+// plan fits that scale's epoch (exp.FaultPresetsAt).
+func presetFit() []string {
+	var out []string
+	for _, sc := range []exp.Scale{exp.Quick(), exp.Full()} {
+		out = append(out, fmt.Sprintf("%s (epoch %d): %s", sc.Name, sc.Epoch, strings.Join(exp.FaultPresetsAt(sc), ", ")))
+	}
+	return out
 }
 
 // specSubset parses the -spec list. Only SPEC proxies are accepted: the

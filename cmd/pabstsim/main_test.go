@@ -81,8 +81,8 @@ func TestOptionsBuildable(t *testing.T) {
 // re-grows that was removed: the event kernel is the only kernel
 // (-kernel, -ff, -workers), an ablation axis is an experiment name, not
 // a -param, and the result cache, not a checkpoint directory, answers a
-// repeated run. -faults takes a preset, so its help lists them all and
-// offers no plan file.
+// repeated run. -faults takes a preset, so its help lists them all,
+// says which each scale's epoch holds, and offers no plan file.
 func TestUsageContract(t *testing.T) {
 	fs := flag.NewFlagSet("pabstsim", flag.ContinueOnError)
 	new(options).register(fs)
@@ -93,6 +93,11 @@ func TestUsageContract(t *testing.T) {
 	for _, p := range pabst.FaultPresets() {
 		if !strings.Contains(usage, p) {
 			t.Errorf("-faults help %q does not list preset %s", usage, p)
+		}
+	}
+	for _, sc := range []exp.Scale{exp.Quick(), exp.Full()} {
+		if fit := sc.Name + " (epoch "; !strings.Contains(usage, fit) || !strings.Contains(usage, strings.Join(exp.FaultPresetsAt(sc), ", ")) {
+			t.Errorf("-faults help %q does not say which presets %s holds", usage, sc.Name)
 		}
 	}
 	if strings.Contains(usage, "JSON") || strings.Contains(usage, "file") {

@@ -13,7 +13,7 @@ import (
 	"pabst"
 )
 
-// TestWarmStoreKeysOnGeneratorRecipe is the regression test for a
+// TestFingerprintKeysOnGeneratorRecipe is the regression test for a
 // checkpoint collision: the streams and wstreams benches share
 // configuration, classes, tile placement and generator display names
 // ("stream") and differ only in reading versus writing, so a
@@ -21,7 +21,7 @@ import (
 // warmed state. Keyed on each generator's build recipe, the machines
 // have different fingerprints and RestoreFrom refuses either's image
 // on the other.
-func TestWarmStoreKeysOnGeneratorRecipe(t *testing.T) {
+func TestFingerprintKeysOnGeneratorRecipe(t *testing.T) {
 	benches := []string{BenchStreams, BenchWStreams}
 	ex := tinyExec()
 	systems := make([]*pabst.System, len(benches))
@@ -35,7 +35,7 @@ func TestWarmStoreKeysOnGeneratorRecipe(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if systems[i], err = warmed(context.Background(), b, sc.Warmup, nil); err != nil {
+		if systems[i], err = warmed(context.Background(), b, sc.Warmup); err != nil {
 			t.Fatal(err)
 		}
 		defer systems[i].Close()
@@ -94,7 +94,7 @@ func TestCheckpointAllocations(t *testing.T) {
 		return after.TotalAlloc - before.TotalAlloc
 	}
 
-	sys, err := warmed(context.Background(), build(), scale.Warmup, nil)
+	sys, err := warmed(context.Background(), build(), scale.Warmup)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"reflect"
-	"sync/atomic"
 	"testing"
 
 	"pabst/internal/config"
@@ -212,9 +211,10 @@ func TestRunExperimentRunsEachFingerprintOnce(t *testing.T) {
 
 // TestRunSpecRunResultCache: under an Exec with a result cache, two
 // workers that ask again for fingerprints already completed get the
-// identical RunResult without a machine — no beat, which every warmup
-// gives. A failed, cancelled or partial run stores nothing, and an Exec
-// with nil Results always simulates.
+// identical RunResult without a machine: every answer a hit, nothing new
+// stored. A failed, cancelled or partial run stores nothing, and an Exec
+// with nil Results always simulates (its runs check their context, which
+// only a machine's RunContext does).
 func TestRunSpecRunResultCache(t *testing.T) {
 	ctx := context.Background()
 	specs := []RunSpec{{Bench: BenchStreams, Scale: "tiny"}, {Bench: BenchChaser, Scale: "tiny"}}
@@ -232,17 +232,15 @@ func TestRunSpecRunResultCache(t *testing.T) {
 		t.Fatalf("first round: cache holds %d with %d hits; want 2, 0", ex.Results.Len(), ex.Results.Hits())
 	}
 
-	var beats atomic.Int64
-	beat := RunIO{Beat: func(done, total uint64) { beats.Add(1) }}
 	again := make([]RunResult, 4)
 	if err := ForEachCtx(ctx, 2, len(again), func(k int) (err error) {
-		again[k], err = specs[k%len(specs)].Run(ctx, ex, beat)
+		again[k], err = specs[k%len(specs)].Run(ctx, ex, RunIO{})
 		return err
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if beats.Load() != 0 {
-		t.Fatalf("cached round built machines: %d beats", beats.Load())
+	if ex.Results.Len() != 2 {
+		t.Fatalf("cached round built machines: cache holds %d results, want 2", ex.Results.Len())
 	}
 	if ex.Results.Hits() != 4 {
 		t.Fatalf("cache counted %d hits, want 4", ex.Results.Hits())
@@ -260,13 +258,7 @@ func TestRunSpecRunResultCache(t *testing.T) {
 	if _, err := fresh.Run(cancelled, ex, RunIO{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run: %v", err)
 	}
-	partial, stop := context.WithCancel(ctx)
-	r, err := fresh.Run(partial, ex, RunIO{Beat: func(done, total uint64) {
-		if done > 0 {
-			stop()
-		}
-	}})
-	stop()
+	r, err := fresh.Run(cutAt(partialRunCut), ex, RunIO{})
 	if !errors.Is(err, context.Canceled) || r.Cycles == 0 || r.Cycles >= tinyScale().Measure {
 		t.Fatalf("partial run: %v after %d cycles", err, r.Cycles)
 	}
@@ -284,10 +276,10 @@ func TestRunSpecRunResultCache(t *testing.T) {
 	// nil Results simulates every time.
 	ex.Results = nil
 	for i := 0; i < 2; i++ {
-		beats.Store(0)
-		r, err := specs[0].Run(ctx, ex, beat)
-		if err != nil || r.Fingerprint != first[0].Fingerprint || beats.Load() == 0 {
-			t.Fatalf("uncached run %d: %v, fingerprint %s want %s, %d beats", i, err, r.Fingerprint, first[0].Fingerprint, beats.Load())
+		counted := cutAt(0)
+		r, err := specs[0].Run(counted, ex, RunIO{})
+		if err != nil || r.Fingerprint != first[0].Fingerprint || counted.calls.Load() == 0 {
+			t.Fatalf("uncached run %d: %v, fingerprint %s want %s, %d context checks", i, err, r.Fingerprint, first[0].Fingerprint, counted.calls.Load())
 		}
 	}
 }

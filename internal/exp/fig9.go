@@ -41,7 +41,7 @@ func Fig9(scale Scale) (*Fig9Result, error) {
 		if colocate {
 			attachStreams(b, agCls, 1, 8, false)
 		}
-		sys, err := warmed(context.Background(), b, scale.Warmup, nil)
+		sys, err := warmed(context.Background(), b, scale.Warmup)
 		if err != nil {
 			return ServiceStats{}, err
 		}

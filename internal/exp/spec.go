@@ -176,6 +176,20 @@ func ScaleByName(name string) (Scale, error) {
 	}
 }
 
+// FaultPresetsAt lists, in pabst.FaultPresets order, the fault presets
+// whose plan validates at the scale's epoch: the ones a faulted run at
+// that scale can name. A preset that lags a heartbeat past the epoch
+// (sat-delay at quick) is left out.
+func FaultPresetsAt(sc Scale) []string {
+	var out []string
+	for _, name := range pabst.FaultPresets() {
+		if plan, err := pabst.LoadFaultPlan(name); err == nil && plan.Validate(sc.Epoch) == nil {
+			out = append(out, name)
+		}
+	}
+	return out
+}
+
 // Exec carries the environment a run executes under: how scale names
 // resolve and which results are already known. None of it changes
 // simulated outcomes.
@@ -686,13 +700,10 @@ type RunResult struct {
 	Cycles uint64 `json:"cycles"`
 }
 
-// RunIO wires a run into a supervisor.
-type RunIO struct {
-	// Beat, when non-nil, is called after every measured chunk with
-	// (cycles done, cycles total) — the supervisor's wedge detector. It
-	// also fires after every warmup chunk with done == 0, pure liveness.
-	Beat func(done, total uint64)
-}
+// RunIO carries nothing: a run stops when its context is done, and no
+// caller hooks into it. It stays only because the frozen benchmark
+// module passes exp.RunIO{} to RunSpec.Run.
+type RunIO struct{}
 
 // buildFor assembles the spec's machine from its resolved configuration
 // (Exec.Resolve) and scale: mechanism and the bench's builder. classes[0]
@@ -735,12 +746,12 @@ func buildPeriodic(rs RunSpec, cfg pabst.SystemConfig, mode pabst.Mode, sc Scale
 
 // Run executes the spec under ctx and the given environment. A spec
 // whose fingerprint ex.Results holds is answered from it without a
-// machine and without a beat; any other spec builds and warms its
-// machine (warmed) and runs the measure window in chunks (runChunks), so
-// cancellation and heartbeats get a word in edgewise. A cancelled run
+// machine; any other spec builds and warms its machine (warmed) and runs
+// the measure window in chunks (runChunks), so a cancellation stops it
+// within an epoch or a chunk, whichever is shorter. A cancelled run
 // returns the context error and caches nothing, and a rerun starts again
 // from a fresh machine.
-func (rs RunSpec) Run(ctx context.Context, ex Exec, rio RunIO) (RunResult, error) {
+func (rs RunSpec) Run(ctx context.Context, ex Exec, _ RunIO) (RunResult, error) {
 	cfg, sc, err := ex.Resolve(rs)
 	if err != nil {
 		return RunResult{}, err
@@ -753,17 +764,12 @@ func (rs RunSpec) Run(ctx context.Context, ex Exec, rio RunIO) (RunResult, error
 	if err != nil {
 		return RunResult{}, err
 	}
-	var warmBeat, measureBeat func(uint64)
-	if rio.Beat != nil {
-		warmBeat = func(uint64) { rio.Beat(0, sc.Measure) }
-		measureBeat = func(done uint64) { rio.Beat(done, sc.Measure) }
-	}
-	sys, err := warmed(ctx, b, sc.Warmup, warmBeat)
+	sys, err := warmed(ctx, b, sc.Warmup)
 	if err != nil {
 		return RunResult{}, err
 	}
 	defer sys.Close()
-	done, err := runChunks(ctx, sys, sc.Measure, measureBeat)
+	done, err := runChunks(ctx, sys, sc.Measure)
 	if err != nil {
 		return RunResult{Cycles: done}, err
 	}

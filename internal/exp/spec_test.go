@@ -6,6 +6,8 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"slices"
+	"sync/atomic"
 	"testing"
 
 	"pabst"
@@ -16,6 +18,35 @@ import (
 func tinyExec() Exec {
 	return Exec{Scales: map[string]Scale{"tiny": tinyScale()}}
 }
+
+// countCtx counts the Err calls a run makes and reports
+// context.Canceled from the cut-th on (cut 0: never). Only a machine's
+// RunContext asks, at every epoch boundary and every chunk, so the n-th
+// call falls at a fixed cycle of a given spec's run, and a run answered
+// from the cache makes none.
+type countCtx struct {
+	context.Context
+	calls atomic.Int64
+	cut   int64
+}
+
+func (c *countCtx) Err() error {
+	if n := c.calls.Add(1); c.cut > 0 && n >= c.cut {
+		return context.Canceled
+	}
+	return c.Context.Err()
+}
+
+func cutAt(n int64) *countCtx { return &countCtx{Context: context.Background(), cut: n} }
+
+// The tiny warmup's 32 chunks ask 48 times at a 1000-cycle epoch and
+// 40 times at its own 2000, so cancelRerunCut falls a third of the way
+// into a 1000-cycle-epoch measure window and partialRunCut after the
+// first measured chunk of a 2000-cycle one.
+const (
+	cancelRerunCut = 70
+	partialRunCut  = 42
+)
 
 func TestRunSpecValidate(t *testing.T) {
 	for _, good := range []RunSpec{
@@ -169,10 +200,29 @@ func TestRunSpecDeterministic(t *testing.T) {
 	}
 }
 
-// TestRunSpecCancelRerun pins what a cancelled run costs: cancelled from
-// the beat hook a third of the way into the measure window, Run returns
-// the context error with the measured prefix and nothing else, and a
-// plain rerun equals an uninterrupted run.
+// TestFaultPresetsAtResolve: the presets FaultPresetsAt shows for a
+// named scale are exactly those a faulted spec at that scale resolves
+// with, and quick's 2 000-cycle epoch cannot hold sat-delay's
+// 3 000-cycle lag.
+func TestFaultPresetsAtResolve(t *testing.T) {
+	for _, sc := range []Scale{Quick(), Full()} {
+		shown := FaultPresetsAt(sc)
+		for _, p := range pabst.FaultPresets() {
+			_, _, err := Exec{}.Resolve(RunSpec{Bench: BenchStreams, Scale: sc.Name, Fault: p})
+			if in := slices.Contains(shown, p); in != (err == nil) {
+				t.Errorf("%s: preset %s shown %v, Resolve = %v", sc.Name, p, in, err)
+			}
+		}
+	}
+	if quick := FaultPresetsAt(Quick()); slices.Contains(quick, "sat-delay") || len(quick) != len(pabst.FaultPresets())-1 {
+		t.Errorf("quick holds %v, want every preset but sat-delay", quick)
+	}
+}
+
+// TestRunSpecCancelRerun pins what a cancelled run costs: cancelled a
+// third of the way into the measure window, Run returns the context
+// error with the measured prefix and nothing else, and a plain rerun
+// equals an uninterrupted run.
 func TestRunSpecCancelRerun(t *testing.T) {
 	spec := RunSpec{Bench: BenchStreams, Scale: "tiny", Params: map[string]uint64{"epoch": 1000}}
 
@@ -181,12 +231,7 @@ func TestRunSpecCancelRerun(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	res, err := spec.Run(ctx, tinyExec(), RunIO{Beat: func(done, total uint64) {
-		if done >= total/3 {
-			cancel()
-		}
-	}})
+	res, err := spec.Run(cutAt(cancelRerunCut), tinyExec(), RunIO{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run error = %v, want the context error", err)
 	}

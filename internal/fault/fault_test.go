@@ -46,10 +46,10 @@ func TestValidateRejections(t *testing.T) {
 	}
 }
 
-// TestLoadPresetOrFile pins that a plan is named, never read: a preset
+// TestPlanIsAPresetName pins that a plan is named, never read: a preset
 // name resolves, and anything else — a path to a plan file included — is
 // refused with an error naming the presets.
-func TestLoadPresetOrFile(t *testing.T) {
+func TestPlanIsAPresetName(t *testing.T) {
 	p, err := Preset("sat-drop")
 	if err != nil || p.SAT.DropProb == 0 {
 		t.Fatalf("preset load: %v %+v", err, p)

@@ -1,21 +1,20 @@
-// Package serve is the sweep control plane: a supervised job system
-// that runs the same RunSpecs pabstsim executes, as long-running,
-// fault-tolerant infrastructure.
+// Package serve is the sweep control plane: a job system that runs the
+// same RunSpecs pabstsim executes, as long-running, fault-tolerant
+// infrastructure.
 //
 // A job is an exp.RunSpec — a serializable description of one canonical
 // benchmark run. The service admits jobs into a bounded queue (rejecting
 // with a typed error when full, never growing without bound), executes
-// them on a fixed worker pool with per-job deadlines and cancellation
-// threaded through the simulator's RunContext, isolates panicking
-// simulations to the job that caused them, and watches worker
-// heartbeats so a wedged worker is cancelled, abandoned, and replaced
-// rather than silently stalling the queue.
+// them on a fixed pool of Workers goroutines with per-job deadlines, and
+// isolates panicking simulations to the job that caused them. A run
+// stops only through its context — its deadline, a drain or a shutdown
+// cancels it — which the simulator's RunContext checks at every epoch
+// boundary; nothing watches a run that ignores it.
 //
-// A job runs once, and its first outcome is final: done, failed
-// (an error, a panic with its stack, or a run gone silent), or
-// canceled by its own deadline. Nothing retries, because a run does no
-// I/O — the service admits only preset fault plans — so the same spec
-// fails the same way every time. Only a drain or a shutdown puts a job
+// A job runs once, and its first outcome is final: done, failed (an
+// error, or a panic with its stack), or canceled by its own deadline.
+// Nothing retries, because a run does no I/O — the service admits only
+// preset fault plans — so the same spec fails the same way every time. Only a drain or a shutdown puts a job
 // back on the queue.
 //
 // Durability follows an at-least-once contract. Every accepted job is
@@ -43,7 +42,7 @@
 // journal record refers to a file.
 //
 // Observability rides on the existing internal/obs registry: queue
-// depth, in-flight count, per-outcome counters, supervisor activity and
-// the result cache's hits, all rendered as Prometheus text by the REST
+// depth, in-flight count, live workers, per-outcome counters and the
+// result cache's hits, all rendered as Prometheus text by the REST
 // layer's /metrics.
 package serve

@@ -52,10 +52,10 @@ func journalRecords(t testing.TB, dir string) int {
 // metrics, and the journal compacting to empty after a clean drain.
 func TestHTTPRoundTrip(t *testing.T) {
 	release := make(chan struct{})
-	gated := func(ctx context.Context, spec exp.RunSpec, env RunEnv) (exp.RunResult, error) {
+	gated := func(ctx context.Context, spec exp.RunSpec, ex exp.Exec) (exp.RunResult, error) {
 		select {
 		case <-release:
-			return okRunner(ctx, spec, env)
+			return okRunner(ctx, spec, ex)
 		case <-ctx.Done():
 			return exp.RunResult{}, ctx.Err()
 		}
@@ -177,9 +177,9 @@ func TestFaultMustBePreset(t *testing.T) {
 	}
 	byPath.Scale = "tiny"
 	ran := make(chan exp.RunSpec, 1)
-	cfg := testConfig(t, func(ctx context.Context, spec exp.RunSpec, env RunEnv) (exp.RunResult, error) {
+	cfg := testConfig(t, func(ctx context.Context, spec exp.RunSpec, ex exp.Exec) (exp.RunResult, error) {
 		ran <- spec
-		return okRunner(ctx, spec, env)
+		return okRunner(ctx, spec, ex)
 	})
 
 	// A journal a previous incarnation (or anyone else) left behind.
@@ -414,15 +414,13 @@ func TestSubmitJournalFailureIs500(t *testing.T) {
 // TestResultCacheAnswersResubmission: through the real simulator, two
 // workers and the service's one result cache, a resubmitted spec ends
 // done after one run with the first run's result fingerprint, keeps
-// its submit and done journal records, builds no machine (no beat), and
-// shows on /metrics as a cache hit.
+// its submit and done journal records, builds no machine (every run a
+// cache hit, nothing new stored), and shows on /metrics as a cache hit.
 func TestResultCacheAnswersResubmission(t *testing.T) {
-	var beats, runs atomic.Int64
-	cfg := testConfig(t, func(ctx context.Context, spec exp.RunSpec, env RunEnv) (exp.RunResult, error) {
+	var runs atomic.Int64
+	cfg := testConfig(t, func(ctx context.Context, spec exp.RunSpec, ex exp.Exec) (exp.RunResult, error) {
 		runs.Add(1)
-		beat := env.Beat
-		env.Beat = func() { beats.Add(1); beat() }
-		return ExpRunner(ctx, spec, env)
+		return ExpRunner(ctx, spec, ex)
 	})
 	s, err := New(cfg)
 	if err != nil {
@@ -455,10 +453,9 @@ func TestResultCacheAnswersResubmission(t *testing.T) {
 	for _, v := range submit(1) {
 		firstRun[v.SpecFingerprint] = v.Result.Fingerprint
 	}
-	before := beats.Load()
 	again := submit(2)
-	if n := beats.Load() - before; n != 0 {
-		t.Fatalf("resubmissions beat %d times, want 0", n)
+	if n := s.cfg.Exec.Results.Len(); n != len(specs) {
+		t.Fatalf("resubmissions left %d results in the cache, want the first round's %d", n, len(specs))
 	}
 	for _, v := range again {
 		if v.Requeues != 0 || v.StartedAt == nil || v.FinishedAt == nil {

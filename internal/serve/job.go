@@ -18,8 +18,7 @@ const (
 	StateRunning JobState = "running"
 	// StateDone: completed with a result. Terminal.
 	StateDone JobState = "done"
-	// StateFailed: the run returned an error, panicked or went silent.
-	// Terminal.
+	// StateFailed: the run returned an error or panicked. Terminal.
 	StateFailed JobState = "failed"
 	// StateCanceled: stopped by its per-job deadline. Terminal.
 	StateCanceled JobState = "canceled"
@@ -30,16 +29,7 @@ func (s JobState) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCanceled
 }
 
-// Cancellation causes a supervisor stamps on a job before cancelling
-// its context, so settlement can tell a drain from a wedge from a
-// deadline.
-const (
-	causeDrain = "drain"
-	causeWedge = "wedge"
-)
-
-// job is the service's internal record. All fields except runToken's
-// reads inside the owning worker are guarded by Service.mu.
+// job is the service's internal record, guarded by Service.mu.
 type job struct {
 	id       string
 	spec     exp.RunSpec
@@ -56,13 +46,8 @@ type job struct {
 	started   time.Time
 	finished  time.Time
 
-	// runToken is the ownership epoch: bumped whenever the job leaves a
-	// worker's hands so a stale (abandoned) worker's outcome is discarded.
-	runToken uint64
-	// cancel stops the current run; cancelCause records who pulled
-	// the trigger (causeDrain/causeWedge, "" for deadline or shutdown).
-	cancel      context.CancelFunc
-	cancelCause string
+	// cancel stops the current run; nil while no worker holds the job.
+	cancel context.CancelFunc
 }
 
 // JobView is the externally visible snapshot of a job, JSON-ready for

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -81,9 +82,8 @@ func (jl *journal) close() error {
 	return err
 }
 
-// loadJournal replays the journal at path. A torn final line — the
-// signature of a crash mid-append — is tolerated: every complete line
-// before it is kept. A missing file is an empty journal.
+// loadJournal reads the journal at path (decodeJournal). A missing file
+// is an empty journal.
 func loadJournal(path string) ([]rec, error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
@@ -93,8 +93,15 @@ func loadJournal(path string) ([]rec, error) {
 		return nil, fmt.Errorf("serve: load journal: %w", err)
 	}
 	defer f.Close()
+	return decodeJournal(f)
+}
+
+// decodeJournal decodes JSONL journal records. A torn final line — the
+// signature of a crash mid-append — is tolerated: every complete line
+// before it is kept.
+func decodeJournal(r io.Reader) ([]rec, error) {
 	var recs []rec
-	sc := bufio.NewScanner(f)
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
 	for sc.Scan() {
 		line := sc.Bytes()

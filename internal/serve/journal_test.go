@@ -217,13 +217,11 @@ func TestRecoverOlderJournal(t *testing.T) {
 	}
 }
 
-// FuzzLoadJournal feeds arbitrary bytes, torn tails included, through the
-// restart path (loadJournal, then Service.recover inside New): nothing
-// panics, and whatever a journal claims, a recovered job waits in the
-// queue only with a spec that resolves at its scale, and a whole service
-// lifetime leaves exactly the journal in the state directory. The seeds
-// run as ordinary tests.
-func FuzzLoadJournal(f *testing.F) {
+// journalSeeds are journals a restart may meet: clean, torn mid-crash,
+// hostile (a path for a fault plan or a job id, an oversized queue, a
+// parameter this build does not have, a plan that does not fit its
+// scale's epoch), garbage, and an older build's format.
+func journalSeeds(t testing.TB) [][]byte {
 	spec := tinySpec()
 	var clean []byte
 	for _, r := range []rec{
@@ -233,35 +231,45 @@ func FuzzLoadJournal(f *testing.F) {
 	} {
 		line, err := json.Marshal(r)
 		if err != nil {
-			f.Fatal(err)
+			t.Fatal(err)
 		}
 		clean = append(append(clean, line...), '\n')
 	}
-	f.Add(clean)
-	f.Add(append(clean[:len(clean):len(clean)], `{"op":"done","id":"j-00`...)) // torn mid-crash
-	f.Add([]byte(`{"op":"submit","id":"j-000003","spec":{"bench":"streams","scale":"tiny","fault":"/etc/hostname"}}` + "\n"))
-	f.Add([]byte(`{"op":"submit","id":"../../x","spec":{"bench":"streams","scale":"tiny"}}` + "\n" +
-		`{"op":"requeue","id":"../../x","partial":"/etc/hostname"}` + "\n" + `{"op":"fail","id":"../../x"}` + "\n"))
-	f.Add([]byte(`{"op":"submit","id":"j-000004","spec":{"bench":"streams","scale":"tiny","params":{"queue":1099511627776}}}` + "\n"))
-	f.Add([]byte(`{"op":"submit","id":"j-000005","spec":{"bench":"streams","scale":"tiny","params":{"bankq":2}}}` + "\n")) // a parameter this build does not have
-	f.Add([]byte("\n\n{}\nnot json\n"))
-	f.Add([]byte(olderJournal))
-	f.Add([]byte(`{"op":"submit","id":"j-000006","spec":{"bench":"streams","scale":"quick","fault":"sat-delay"}}` + "\n"))
+	return [][]byte{
+		clean,
+		append(clean[:len(clean):len(clean)], `{"op":"done","id":"j-00`...), // torn mid-crash
+		[]byte(`{"op":"submit","id":"j-000003","spec":{"bench":"streams","scale":"tiny","fault":"/etc/hostname"}}` + "\n"),
+		[]byte(`{"op":"submit","id":"../../x","spec":{"bench":"streams","scale":"tiny"}}` + "\n" +
+			`{"op":"requeue","id":"../../x","partial":"/etc/hostname"}` + "\n" + `{"op":"fail","id":"../../x"}` + "\n"),
+		[]byte(`{"op":"submit","id":"j-000004","spec":{"bench":"streams","scale":"tiny","params":{"queue":1099511627776}}}` + "\n"),
+		[]byte(`{"op":"submit","id":"j-000005","spec":{"bench":"streams","scale":"tiny","params":{"bankq":2}}}` + "\n"), // a parameter this build does not have
+		[]byte("\n\n{}\nnot json\n"),
+		[]byte(olderJournal),
+		[]byte(`{"op":"submit","id":"j-000006","spec":{"bench":"streams","scale":"quick","fault":"sat-delay"}}` + "\n"),
+	}
+}
 
+// FuzzLoadJournal feeds arbitrary bytes, torn tails included, through
+// the restart path as functions of bytes: decodeJournal, then
+// Service.recover into a service with no journal file. Nothing panics,
+// no more jobs come back than there are records, and whatever a journal
+// claims, a recovered job waits in the queue only with a spec that
+// resolves at its scale. The seeds run as ordinary tests;
+// TestRecoverLeavesOnlyTheJournal runs them through New and Close.
+func FuzzLoadJournal(f *testing.F) {
+	for _, seed := range journalSeeds(f) {
+		f.Add(seed)
+	}
 	cfg := testConfig(f, okRunner)
-	path := filepath.Join(cfg.Dir, "journal.jsonl")
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		if err := os.WriteFile(path, raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		recs, err := loadJournal(path)
+		recs, err := decodeJournal(bytes.NewReader(raw))
 		if err != nil {
 			return // a line past the scanner's 1 MiB bound: New refuses to start
 		}
-		s, err := New(cfg)
-		if err != nil {
-			t.Fatalf("loadJournal accepted %d records New cannot replay: %v", len(recs), err)
-		}
+		// A closed journal: the replay's fail records are counted, not
+		// written (New compacts them away in any case).
+		s := &Service{cfg: cfg, jobs: make(map[string]*job), journal: &journal{}}
+		s.recover(recs)
 		if len(s.jobs) > len(recs) {
 			t.Errorf("%d records recovered to %d jobs", len(recs), len(s.jobs))
 		}
@@ -270,12 +278,28 @@ func FuzzLoadJournal(f *testing.F) {
 				t.Errorf("recovered job %q is queued with a spec that does not resolve: %v", j.id, err)
 			}
 		}
+	})
+}
+
+// TestRecoverLeavesOnlyTheJournal: over every journalSeeds journal, a
+// whole service lifetime (New replays and compacts, Close compacts)
+// starts, and leaves exactly the journal in the state directory.
+func TestRecoverLeavesOnlyTheJournal(t *testing.T) {
+	for i, raw := range journalSeeds(t) {
+		cfg := testConfig(t, okRunner)
+		if err := os.WriteFile(filepath.Join(cfg.Dir, "journal.jsonl"), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatalf("seed %d: New: %v", i, err)
+		}
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
 		entries, err := os.ReadDir(cfg.Dir)
 		if err != nil || len(entries) != 1 || entries[0].Name() != "journal.jsonl" {
-			t.Fatalf("state directory holds %v (%v), want journal.jsonl", entries, err)
+			t.Fatalf("seed %d: state directory holds %v (%v), want journal.jsonl", i, entries, err)
 		}
-	})
+	}
 }

@@ -9,19 +9,17 @@ import (
 // metrics are the service's lifetime counters. Everything is atomic so
 // gauges sample without the service lock.
 type metrics struct {
-	submitted      atomic.Int64
-	rejected       atomic.Int64
-	started        atomic.Int64
-	completed      atomic.Int64
-	failed         atomic.Int64
-	canceled       atomic.Int64
-	requeued       atomic.Int64
-	recovered      atomic.Int64
-	panics         atomic.Int64
-	wedgeCancels   atomic.Int64
-	workerRestarts atomic.Int64
-	journalErrs    atomic.Int64
-	latencyNS      atomic.Int64 // summed submit→complete latency
+	submitted   atomic.Int64
+	rejected    atomic.Int64
+	started     atomic.Int64
+	completed   atomic.Int64
+	failed      atomic.Int64
+	canceled    atomic.Int64
+	requeued    atomic.Int64
+	recovered   atomic.Int64
+	panics      atomic.Int64
+	journalErrs atomic.Int64
+	latencyNS   atomic.Int64 // summed submit→complete latency
 }
 
 // Registry builds an obs registry over the service's live state: job
@@ -42,8 +40,6 @@ func (s *Service) Registry() *obs.Registry {
 	counter("pabst_serve_jobs_requeued_total", &s.m.requeued)
 	counter("pabst_serve_jobs_recovered_total", &s.m.recovered)
 	counter("pabst_serve_job_panics_total", &s.m.panics)
-	counter("pabst_serve_wedge_cancels_total", &s.m.wedgeCancels)
-	counter("pabst_serve_worker_restarts_total", &s.m.workerRestarts)
 	counter("pabst_serve_journal_errors_total", &s.m.journalErrs)
 	r.Register("pabst_serve_submit_to_complete_seconds_sum", func() float64 {
 		return float64(s.m.latencyNS.Load()) / 1e9

@@ -28,19 +28,18 @@ func tinySpec() exp.RunSpec {
 func testConfig(t testing.TB, runner Runner) Config {
 	t.Helper()
 	return Config{
-		Dir:              t.TempDir(),
-		QueueDepth:       64,
-		Workers:          2,
-		HeartbeatTimeout: time.Second,
-		DrainGrace:       50 * time.Millisecond,
-		Exec:             exp.Exec{Scales: map[string]exp.Scale{"tiny": tinyScale()}},
-		Runner:           runner,
+		Dir:        t.TempDir(),
+		QueueDepth: 64,
+		Workers:    2,
+		DrainGrace: 50 * time.Millisecond,
+		Exec:       exp.Exec{Scales: map[string]exp.Scale{"tiny": tinyScale()}},
+		Runner:     runner,
 	}
 }
 
 // okRunner completes instantly with a fingerprint derived from the spec,
 // mimicking the determinism contract without simulating.
-func okRunner(ctx context.Context, spec exp.RunSpec, env RunEnv) (exp.RunResult, error) {
+func okRunner(ctx context.Context, spec exp.RunSpec, ex exp.Exec) (exp.RunResult, error) {
 	return exp.RunResult{Fingerprint: "fp-" + spec.Fingerprint(), Cycles: 1}, nil
 }
 
@@ -98,7 +97,7 @@ func TestSubmitValidation(t *testing.T) {
 // rejects with ErrDraining.
 func TestAdmissionControl(t *testing.T) {
 	release := make(chan struct{})
-	blocking := func(ctx context.Context, spec exp.RunSpec, env RunEnv) (exp.RunResult, error) {
+	blocking := func(ctx context.Context, spec exp.RunSpec, ex exp.Exec) (exp.RunResult, error) {
 		select {
 		case <-release:
 			return exp.RunResult{Fingerprint: "x"}, nil
@@ -194,12 +193,12 @@ func runFinal(t *testing.T, runner Runner, spec exp.RunSpec, want JobState) (Job
 	return got, fails
 }
 
-// TestRetryBackoff pins that a failure is never retried after a
-// backoff: a runner that fails its first call and would succeed on the
-// next is called once, and the job ends failed with the first error.
-func TestRetryBackoff(t *testing.T) {
+// TestFailureIsNotRetried pins that a failure is never retried: a
+// runner that fails its first call and would succeed on the next is
+// called once, and the job ends failed with the first error.
+func TestFailureIsNotRetried(t *testing.T) {
 	var calls atomic.Int64
-	flaky := func(ctx context.Context, spec exp.RunSpec, env RunEnv) (exp.RunResult, error) {
+	flaky := func(ctx context.Context, spec exp.RunSpec, ex exp.Exec) (exp.RunResult, error) {
 		if calls.Add(1) == 1 {
 			return exp.RunResult{}, errors.New("fails the first time")
 		}
@@ -214,12 +213,12 @@ func TestRetryBackoff(t *testing.T) {
 	}
 }
 
-// TestRetryExhaustion pins that there is no attempt budget to exhaust:
-// a runner that always fails is called once, and the job ends failed
-// with one fail record in the journal.
-func TestRetryExhaustion(t *testing.T) {
+// TestFailingRunnerRunsOnce pins that there is no attempt budget: a
+// runner that always fails is called once, and the job ends failed with
+// one fail record in the journal.
+func TestFailingRunnerRunsOnce(t *testing.T) {
 	var calls atomic.Int64
-	always := func(ctx context.Context, spec exp.RunSpec, env RunEnv) (exp.RunResult, error) {
+	always := func(ctx context.Context, spec exp.RunSpec, ex exp.Exec) (exp.RunResult, error) {
 		calls.Add(1)
 		return exp.RunResult{}, errors.New("the same spec fails every time")
 	}
@@ -232,10 +231,10 @@ func TestRetryExhaustion(t *testing.T) {
 	}
 }
 
-// TestTerminalNoRetry pins that every failure is terminal: a runner
+// TestEveryFailureIsFinal pins that every failure is terminal: a runner
 // that panics and one that returns an invalid-configuration error are
 // each called once and end failed with one fail record.
-func TestTerminalNoRetry(t *testing.T) {
+func TestEveryFailureIsFinal(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		run  func() error
@@ -244,7 +243,7 @@ func TestTerminalNoRetry(t *testing.T) {
 		{"invalid", func() error { return fmt.Errorf("%w: config rot", config.ErrInvalid) }},
 	} {
 		var calls atomic.Int64
-		runner := func(ctx context.Context, spec exp.RunSpec, env RunEnv) (exp.RunResult, error) {
+		runner := func(ctx context.Context, spec exp.RunSpec, ex exp.Exec) (exp.RunResult, error) {
 			calls.Add(1)
 			return exp.RunResult{}, c.run()
 		}
@@ -259,7 +258,7 @@ func TestTerminalNoRetry(t *testing.T) {
 // own job, with the stack in its error; the worker survives to run the
 // next one.
 func TestPanicIsolation(t *testing.T) {
-	bomber := func(ctx context.Context, spec exp.RunSpec, env RunEnv) (exp.RunResult, error) {
+	bomber := func(ctx context.Context, spec exp.RunSpec, ex exp.Exec) (exp.RunResult, error) {
 		if spec.Bench == exp.BenchChaser {
 			panic("index out of range in someone's DRAM model")
 		}
@@ -295,7 +294,7 @@ func TestPanicIsolation(t *testing.T) {
 // TestDeadline pins per-job deadlines: a run overrunning its
 // budget is cancelled and the job lands in StateCanceled.
 func TestDeadline(t *testing.T) {
-	sleeper := func(ctx context.Context, spec exp.RunSpec, env RunEnv) (exp.RunResult, error) {
+	sleeper := func(ctx context.Context, spec exp.RunSpec, ex exp.Exec) (exp.RunResult, error) {
 		<-ctx.Done()
 		return exp.RunResult{}, ctx.Err()
 	}
@@ -322,7 +321,7 @@ func TestDeadline(t *testing.T) {
 func TestDrainRequeueRecover(t *testing.T) {
 	t.Run("fake", func(t *testing.T) {
 		inflight := make(chan struct{})
-		first := func(ctx context.Context, spec exp.RunSpec, env RunEnv) (exp.RunResult, error) {
+		first := func(ctx context.Context, spec exp.RunSpec, ex exp.Exec) (exp.RunResult, error) {
 			close(inflight)
 			<-ctx.Done()
 			return exp.RunResult{}, ctx.Err()
@@ -344,21 +343,14 @@ func TestDrainRequeueRecover(t *testing.T) {
 		if err := os.WriteFile(stale, []byte("not a checkpoint"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		// The warmup beats once a chunk, 33 times at the tiny scale, so
-		// parking the 42nd beat until the drain cancels it is a cancel a
-		// quarter of the way into the measure window.
+		// The run asks its context at every epoch boundary and chunk,
+		// 37 times through the tiny warmup, so parking the 47th ask until
+		// the drain cancels the run is a cancel a quarter of the way into
+		// the measure window.
 		inflight := make(chan struct{})
 		var cut atomic.Uint64
-		cfg.Runner = func(ctx context.Context, spec exp.RunSpec, env RunEnv) (exp.RunResult, error) {
-			beat, n := env.Beat, 0
-			env.Beat = func() {
-				beat()
-				if n++; n == 42 {
-					close(inflight)
-					<-ctx.Done()
-				}
-			}
-			r, err := ExpRunner(ctx, spec, env)
+		cfg.Runner = func(ctx context.Context, spec exp.RunSpec, ex exp.Exec) (exp.RunResult, error) {
+			r, err := ExpRunner(&parkCtx{Context: ctx, at: 47, reached: inflight}, spec, ex)
 			cut.Store(r.Cycles)
 			return r, err
 		}
@@ -373,6 +365,25 @@ func TestDrainRequeueRecover(t *testing.T) {
 			t.Fatalf("the older build's partial is now %q, %v; want it left alone", raw, err)
 		}
 	})
+}
+
+// parkCtx is a run's context whose at-th Err call closes reached and
+// waits for the context to be done. A run asks at every epoch boundary
+// and every chunk, so that call falls at a fixed cycle of a given spec's
+// run, and whoever cancels the context (a drain) cuts the run there.
+type parkCtx struct {
+	context.Context
+	calls   atomic.Int64
+	at      int64
+	reached chan struct{}
+}
+
+func (c *parkCtx) Err() error {
+	if c.calls.Add(1) == c.at {
+		close(c.reached)
+		<-c.Done()
+	}
+	return c.Context.Err()
 }
 
 // drainRequeueRecover submits one job to a service over cfg, drains it
@@ -431,58 +442,6 @@ func drainRequeueRecover(t *testing.T, cfg Config, inflight <-chan struct{}, rer
 	return got
 }
 
-// TestWedgeRecovery pins the supervisor: a worker stuck past the
-// heartbeat timeout that ignores cancellation is abandoned and
-// replaced, its job fails with the silence in its error, and the next
-// queued job completes on the fresh worker.
-func TestWedgeRecovery(t *testing.T) {
-	stuck := make(chan struct{})
-	defer close(stuck)
-	var calls atomic.Int64
-	wedgy := func(ctx context.Context, spec exp.RunSpec, env RunEnv) (exp.RunResult, error) {
-		if calls.Add(1) == 1 {
-			<-stuck // no beats, no ctx: a true wedge
-			return exp.RunResult{}, errors.New("husk awoke")
-		}
-		return exp.RunResult{Fingerprint: "recovered"}, nil
-	}
-	cfg := testConfig(t, wedgy)
-	cfg.Workers = 1
-	cfg.HeartbeatTimeout = 40 * time.Millisecond
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	s.Start()
-	var ids []string
-	for i := 0; i < 2; i++ {
-		v, err := s.Submit(tinySpec(), SubmitOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, v.ID)
-	}
-	mustState(t, s, ids[0], StateFailed)
-	mustState(t, s, ids[1], StateDone)
-	if n := s.m.workerRestarts.Load(); n != 1 {
-		t.Fatalf("worker restarts %d, want 1", n)
-	}
-	if n := s.m.wedgeCancels.Load(); n != 1 {
-		t.Fatalf("wedge cancels %d, want 1", n)
-	}
-	if n := calls.Load(); n != 2 {
-		t.Fatalf("runner called %d times, want once per job", n)
-	}
-	wedged, _ := s.Get(ids[0])
-	if !strings.Contains(wedged.Error, "silent") {
-		t.Fatalf("wedged job's error %q, want the silence", wedged.Error)
-	}
-	if got, _ := s.Get(ids[1]); got.Result.Fingerprint != "recovered" {
-		t.Fatalf("job result %+v", got.Result)
-	}
-}
-
 // TestDrainHonorsContext: a worker that ignores cancellation does not
 // hold Drain past its context. Drain returns within a small multiple of
 // its deadline with context.DeadlineExceeded, and the unparked job stays
@@ -490,7 +449,7 @@ func TestWedgeRecovery(t *testing.T) {
 func TestDrainHonorsContext(t *testing.T) {
 	stuck := make(chan struct{})
 	inflight := make(chan struct{})
-	deaf := func(ctx context.Context, spec exp.RunSpec, env RunEnv) (exp.RunResult, error) {
+	deaf := func(ctx context.Context, spec exp.RunSpec, ex exp.Exec) (exp.RunResult, error) {
 		close(inflight)
 		<-stuck // ignores ctx
 		return exp.RunResult{}, ctx.Err()

@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"runtime/debug"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"pabst/internal/exp"
@@ -27,27 +26,14 @@ var (
 	ErrNotFound = errors.New("serve: no such job")
 )
 
-// RunEnv is what the service hands a Runner alongside the spec: the
-// execution environment and the liveness heartbeat the supervisor
-// watches.
-type RunEnv struct {
-	Exec exp.Exec
-	// Beat reports liveness; call it at least once per measured chunk.
-	Beat func()
-}
-
 // Runner executes one job run. The default is ExpRunner; tests
-// substitute fast fakes to exercise supervision without simulating.
-type Runner func(ctx context.Context, spec exp.RunSpec, env RunEnv) (exp.RunResult, error)
+// substitute fast fakes to exercise the service without simulating.
+type Runner func(ctx context.Context, spec exp.RunSpec, ex exp.Exec) (exp.RunResult, error)
 
-// ExpRunner is the production Runner: exp.RunSpec.Run with the
-// heartbeat wired in.
-func ExpRunner(ctx context.Context, spec exp.RunSpec, env RunEnv) (exp.RunResult, error) {
-	rio := exp.RunIO{}
-	if env.Beat != nil {
-		rio.Beat = func(done, total uint64) { env.Beat() }
-	}
-	return spec.Run(ctx, env.Exec, rio)
+// ExpRunner is the production Runner: exp.RunSpec.Run, which stops at
+// the first epoch boundary or chunk end after ctx is done.
+func ExpRunner(ctx context.Context, spec exp.RunSpec, ex exp.Exec) (exp.RunResult, error) {
+	return spec.Run(ctx, ex, exp.RunIO{})
 }
 
 // Config parameterizes a Service. Zero values get sensible defaults
@@ -60,12 +46,6 @@ type Config struct {
 	QueueDepth int
 	// Workers is the worker-pool size. Default 2.
 	Workers int
-	// HeartbeatTimeout is how long a running worker may go silent
-	// before the supervisor cancels it, and again how long a cancelled
-	// worker may linger before it is abandoned and replaced. Must
-	// comfortably exceed one chunk of a run, a thirty-second of its
-	// warmup or measure window. Default 60s.
-	HeartbeatTimeout time.Duration
 	// DrainGrace is how long Drain lets in-flight jobs finish before
 	// cancelling them back onto the queue. Default 3s.
 	DrainGrace time.Duration
@@ -88,9 +68,6 @@ func (c *Config) fill() error {
 	if c.Workers <= 0 {
 		c.Workers = 2
 	}
-	if c.HeartbeatTimeout <= 0 {
-		c.HeartbeatTimeout = 60 * time.Second
-	}
 	if c.DrainGrace <= 0 {
 		c.DrainGrace = 3 * time.Second
 	}
@@ -103,23 +80,6 @@ func (c *Config) fill() error {
 	return nil
 }
 
-// worker is one pool member. beat is atomic (supervisor reads it
-// without the service lock); everything else is guarded by Service.mu.
-type worker struct {
-	id   int
-	beat atomic.Int64 // unix nanos of last sign of life
-
-	cur      *job
-	curToken uint64
-	cancel   context.CancelFunc
-	// abandoned marks a wedged worker whose job was reassigned; its
-	// eventual outcome is discarded.
-	abandoned bool
-	// wedgeCancelAt records when the supervisor first cancelled this
-	// worker for silence; zero while healthy.
-	wedgeCancelAt time.Time
-}
-
 // SubmitOptions are per-job options.
 type SubmitOptions struct {
 	// DeadlineMS bounds the job's run in wall-clock milliseconds; a job
@@ -127,8 +87,8 @@ type SubmitOptions struct {
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 }
 
-// Service is the supervised sweep job system. See the package comment
-// for the full contract.
+// Service is the sweep job system. See the package comment for the full
+// contract.
 type Service struct {
 	cfg Config
 
@@ -146,12 +106,8 @@ type Service struct {
 	draining bool
 	closed   bool
 
-	workers      map[int]*worker
-	nextWorkerID int
-	liveWorkers  int
-	supStop      chan struct{}
-	supDone      chan struct{}
-	supOnce      sync.Once
+	liveWorkers int // worker goroutines not yet exited
+	running     int // jobs a worker holds
 
 	journal *journal
 	m       metrics
@@ -179,9 +135,6 @@ func New(cfg Config) (*Service, error) {
 	s := &Service{
 		cfg:     cfg,
 		jobs:    make(map[string]*job),
-		workers: make(map[int]*worker),
-		supStop: make(chan struct{}),
-		supDone: make(chan struct{}),
 		journal: jl,
 	}
 	s.cond = sync.NewCond(&s.mu)
@@ -260,7 +213,8 @@ func (s *Service) recover(recs []rec) {
 	}
 }
 
-// Start launches the worker pool and the supervisor.
+// Start launches the worker pool: Workers goroutines that run jobs
+// until a drain or a close.
 func (s *Service) Start() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -268,19 +222,10 @@ func (s *Service) Start() {
 		return
 	}
 	s.started = true
+	s.liveWorkers = s.cfg.Workers
 	for i := 0; i < s.cfg.Workers; i++ {
-		s.spawnWorkerLocked()
+		go s.workerLoop()
 	}
-	go s.supervise()
-}
-
-func (s *Service) spawnWorkerLocked() {
-	w := &worker{id: s.nextWorkerID}
-	s.nextWorkerID++
-	w.beat.Store(time.Now().UnixNano())
-	s.workers[w.id] = w
-	s.liveWorkers++
-	go s.workerLoop(w)
 }
 
 // Submit validates, journals, and enqueues a job. The journal append
@@ -357,37 +302,33 @@ func (s *Service) Ready() bool {
 }
 
 // workerLoop claims and runs jobs until drain or close.
-func (s *Service) workerLoop(w *worker) {
+func (s *Service) workerLoop() {
 	defer func() {
 		s.mu.Lock()
-		if !w.abandoned {
-			delete(s.workers, w.id)
-			s.liveWorkers--
-		}
+		s.liveWorkers--
 		s.cond.Broadcast()
 		s.mu.Unlock()
 	}()
 	for {
-		j, ctx, cancel := s.take(w)
+		j, ctx := s.take()
 		if j == nil {
 			return
 		}
-		res, err := s.invoke(ctx, w, j)
-		cancel()
-		s.settle(w, j, res, err)
+		res, err := s.invoke(ctx, j)
+		s.settle(j, res, err)
 	}
 }
 
 // take blocks until a job is available (or the service stops admitting
-// work) and claims it for w.
-func (s *Service) take(w *worker) (*job, context.Context, context.CancelFunc) {
+// work) and claims it, with the context its run stops on.
+func (s *Service) take() (*job, context.Context) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for !s.draining && !s.closed && len(s.queue) == 0 {
 		s.cond.Wait()
 	}
-	if s.draining || s.closed || w.abandoned {
-		return nil, nil, nil
+	if s.draining || s.closed {
+		return nil, nil
 	}
 	j := s.queue[0]
 	s.queue = s.queue[1:]
@@ -396,60 +337,38 @@ func (s *Service) take(w *worker) (*job, context.Context, context.CancelFunc) {
 		j.started = time.Now()
 	}
 	var ctx context.Context
-	var cancel context.CancelFunc
 	if j.deadline > 0 {
-		ctx, cancel = context.WithTimeout(s.baseCtx, j.deadline)
+		ctx, j.cancel = context.WithTimeout(s.baseCtx, j.deadline)
 	} else {
-		ctx, cancel = context.WithCancel(s.baseCtx)
+		ctx, j.cancel = context.WithCancel(s.baseCtx)
 	}
-	j.cancel = cancel
-	j.cancelCause = ""
-	w.cur = j
-	w.curToken = j.runToken
-	w.cancel = cancel
-	w.wedgeCancelAt = time.Time{}
-	w.beat.Store(time.Now().UnixNano())
+	s.running++
 	s.m.started.Add(1)
-	return j, ctx, cancel
+	return j, ctx
 }
 
 // invoke runs the job with panic isolation: a panicking simulation
 // fails that job instead of killing the worker.
-func (s *Service) invoke(ctx context.Context, w *worker, j *job) (res exp.RunResult, err error) {
+func (s *Service) invoke(ctx context.Context, j *job) (res exp.RunResult, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			s.m.panics.Add(1)
 			err = fmt.Errorf("job %s panicked: %v\n%s", j.id, p, debug.Stack())
 		}
 	}()
-	env := RunEnv{
-		Exec: s.cfg.Exec,
-		Beat: func() { w.beat.Store(time.Now().UnixNano()) },
-	}
-	return s.cfg.Runner(ctx, j.spec, env)
+	return s.cfg.Runner(ctx, j.spec, s.cfg.Exec)
 }
 
 // settle records a run's outcome, which is final unless a drain or a
 // shutdown interrupted the run: that job goes back on the queue. A run
 // does no I/O, so the same spec would fail the same way again.
-func (s *Service) settle(w *worker, j *job, res exp.RunResult, err error) {
+func (s *Service) settle(j *job, res exp.RunResult, err error) {
 	now := time.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-
-	if w.abandoned || j.runToken != w.curToken {
-		// The supervisor reassigned this job while we were wedged; our
-		// outcome lost the race and is discarded.
-		w.cur = nil
-		w.cancel = nil
-		return
-	}
-	w.cur = nil
-	w.cancel = nil
+	j.cancel()
 	j.cancel = nil
-	j.runToken++
-	cause := j.cancelCause
-	j.cancelCause = ""
+	s.running--
 
 	switch {
 	case err == nil:
@@ -461,16 +380,10 @@ func (s *Service) settle(w *worker, j *job, res exp.RunResult, err error) {
 		s.appendBestEffort(rec{Op: opDone, ID: j.id, ResultFP: res.Fingerprint,
 			ShareHi: res.ShareHi, TotalBPC: res.TotalBPC})
 
-	case cause == causeWedge:
-		// The run fell silent and was cancelled; a rerun of the same spec
-		// would wedge too.
-		s.failLocked(j, fmt.Errorf("job %s went silent past the %v heartbeat timeout: %w",
-			j.id, s.cfg.HeartbeatTimeout, err), now)
-
-	case errors.Is(err, context.Canceled) && (cause == causeDrain || s.closed):
-		// Cancelled by drain or shutdown: requeue; the rerun builds and
-		// warms a fresh machine. The submit record already keeps the job
-		// live in the journal.
+	case errors.Is(err, context.Canceled) && s.draining:
+		// Cancelled by drain or shutdown (only those cancel a run): requeue;
+		// the rerun builds and warms a fresh machine. The submit record
+		// already keeps the job live in the journal.
 		j.state = StateQueued
 		j.requeues++
 		s.m.requeued.Add(1)
@@ -509,70 +422,6 @@ func (s *Service) appendBestEffort(r rec) {
 	}
 }
 
-// supervise watches worker heartbeats. A worker silent past
-// HeartbeatTimeout gets its job's context cancelled (cause=wedge), and
-// the job fails when the run returns; if the worker stays silent for
-// another full timeout after that, it is abandoned — its job fails and
-// a replacement worker is spawned. The abandoned goroutine's eventual
-// outcome is discarded via the run token.
-func (s *Service) supervise() {
-	defer close(s.supDone)
-	interval := s.cfg.HeartbeatTimeout / 4
-	if interval < 5*time.Millisecond {
-		interval = 5 * time.Millisecond
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.supStop:
-			return
-		case <-t.C:
-		}
-		now := time.Now()
-		s.mu.Lock()
-		for _, w := range s.workers {
-			if w.cur == nil || w.abandoned {
-				continue
-			}
-			silent := now.Sub(time.Unix(0, w.beat.Load()))
-			if silent <= s.cfg.HeartbeatTimeout {
-				w.wedgeCancelAt = time.Time{}
-				continue
-			}
-			if w.wedgeCancelAt.IsZero() {
-				w.cur.cancelCause = causeWedge
-				w.wedgeCancelAt = now
-				s.m.wedgeCancels.Add(1)
-				if w.cancel != nil {
-					w.cancel()
-				}
-				continue
-			}
-			if now.Sub(w.wedgeCancelAt) <= s.cfg.HeartbeatTimeout {
-				continue
-			}
-			// Cancellation was ignored: the goroutine is truly stuck.
-			// Strip its job, replace the worker, leave the husk to rot.
-			j := w.cur
-			w.abandoned = true
-			delete(s.workers, w.id)
-			s.liveWorkers--
-			j.runToken++
-			j.cancel = nil
-			j.cancelCause = ""
-			s.m.workerRestarts.Add(1)
-			s.failLocked(j, fmt.Errorf("job %s wedged worker %d: silent %v, deaf to cancellation",
-				j.id, w.id, silent.Round(time.Millisecond)), now)
-			if !s.draining && !s.closed {
-				s.spawnWorkerLocked()
-			}
-			s.cond.Broadcast()
-		}
-		s.mu.Unlock()
-	}
-}
-
 // Drain gracefully shuts the service down: stop admission, let
 // in-flight jobs finish for DrainGrace (or until ctx is done), cancel
 // stragglers back onto the queue, wait for the pool to park,
@@ -608,16 +457,11 @@ func (s *Service) Drain(ctx context.Context) error {
 			case <-time.After(2 * time.Millisecond):
 			}
 		}
-		// Cancel whatever is still running; settle requeues each run. A
-		// run the supervisor already cancelled for silence keeps that
-		// cause and fails.
+		// Cancel whatever is still running; settle requeues each run.
 		s.mu.Lock()
-		for _, w := range s.workers {
-			if w.cur != nil && w.cancel != nil {
-				if w.cur.cancelCause == "" {
-					w.cur.cancelCause = causeDrain
-				}
-				w.cancel()
+		for _, j := range s.jobs {
+			if j.cancel != nil {
+				j.cancel()
 			}
 		}
 		s.mu.Unlock()
@@ -639,33 +483,15 @@ func (s *Service) Drain(ctx context.Context) error {
 		s.mu.Unlock()
 		return fmt.Errorf("serve: drain: %d workers still running: %w", n, ctx.Err())
 	}
-	err := s.compactLocked()
-	s.mu.Unlock()
-
-	s.stopSupervisor()
-	return err
+	defer s.mu.Unlock()
+	return s.compactLocked()
 }
 
+// inflight counts the jobs workers hold.
 func (s *Service) inflight() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := 0
-	for _, w := range s.workers {
-		if w.cur != nil && !w.abandoned {
-			n++
-		}
-	}
-	return n
-}
-
-func (s *Service) stopSupervisor() {
-	s.supOnce.Do(func() { close(s.supStop) })
-	s.mu.Lock()
-	started := s.started
-	s.mu.Unlock()
-	if started {
-		<-s.supDone
-	}
+	return s.running
 }
 
 // compactLocked rewrites the journal to hold only live (non-terminal)
@@ -710,7 +536,6 @@ func (s *Service) Close() error {
 	cerr := s.journal.close()
 	s.mu.Unlock()
 
-	s.stopSupervisor()
 	if err != nil {
 		return err
 	}
