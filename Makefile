@@ -24,7 +24,7 @@ check: build lint-docs
 	$(GO) vet ./...
 	$(GO) test ./...
 	$(GO) test -race -run 'ForEach|SweepParallelism|RunExperimentRunsEachFingerprintOnce|RunSpecRunResultCache|Fig9' ./internal/exp
-	$(GO) test -race -run 'Drain|Chaos|Deadline|PanicIsolation|NotRetried|RunsOnce|FailureIsFinal|ResultCacheAnswersResubmission' ./internal/serve
+	$(GO) test -race -run 'Drain|Chaos|Deadline|PanicIsolation|NotRetried|RunsOnce|FailureIsFinal|ResultCacheAnswersResubmission|CloseHonorsGrace' ./internal/serve
 	$(GO) -C bench vet ./... && $(GO) -C bench test ./...
 
 # Robustness tier: the full suite under the race detector (slower;

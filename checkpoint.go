@@ -113,8 +113,8 @@ func (s *System) Fingerprint() ([32]byte, error) {
 // pabst.Restore needs to rebuild the machine without caller help:
 // the (normalized) configuration, the mode, the classes with their
 // creation parameters, and each attachment's generator build recipe.
-// An attachment whose generator has no recipe (closures, recorders,
-// replayed traces) leaves Spec.Kind empty; such checkpoints restore
+// An attachment whose generator has no recipe (closures, replayed
+// traces) leaves Spec.Kind empty; such checkpoints restore
 // only through System.RestoreFrom, onto a system whose builder
 // reconstructed the generators itself.
 type ckptMeta struct {
@@ -178,12 +178,12 @@ func (s *System) Checkpoint(w io.Writer) error {
 // System.Checkpoint: the header metadata supplies the configuration,
 // mode, classes, and workload recipes; the payload supplies the state.
 // Options apply after the metadata (WithKernel("cycle") restores onto
-// the reference loop; outputs are bit-identical either way). Installing
-// a different fault plan than the checkpoint's fails with
-// ErrCkptMismatch.
+// the reference loop; outputs are bit-identical either way). An option
+// that makes another machine, such as WithPolicy naming a different
+// pair, fails with ErrCkptMismatch.
 //
 // Checkpoints containing generators without build recipes (closures,
-// recorders, trace replayers) fail with ErrCkptUnsupported; restore
+// trace replayers) fail with ErrCkptUnsupported; restore
 // those with System.RestoreFrom onto a system built to be the same
 // machine.
 func Restore(r io.Reader, opts ...Option) (*System, error) {
@@ -236,7 +236,7 @@ func Restore(r io.Reader, opts ...Option) (*System, error) {
 // touched; a disagreement fails with ErrCkptMismatch. The system may
 // already have run — every stateful component is overlaid wholesale.
 // Generators that cannot describe their own construction (closures,
-// recorders, trace replayers) restore only this way: the caller's builder
+// trace replayers) restore only this way: the caller's builder
 // reconstructs them, the checkpoint overlays their cursors. An error
 // from the envelope or fingerprint check leaves the system untouched; a
 // failure after the overlay began (an intact image carrying a field this

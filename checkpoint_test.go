@@ -63,7 +63,8 @@ func ckptSetups(t *testing.T) []ckptSetup {
 	faults := func(opts ...pabst.Option) (*pabst.System, error) {
 		cfg := pabst.Scaled8Config()
 		cfg.Seed = 13
-		b := pabst.NewBuilder(cfg, pabst.ModePABST, append([]pabst.Option{pabst.WithFaultPlan(plan)}, opts...)...)
+		cfg.Faults = plan
+		b := pabst.NewBuilder(cfg, pabst.ModePABST, opts...)
 		hi := b.AddClass("70%-class", 7, cfg.L3Ways/2)
 		lo := b.AddClass("30%-class", 3, cfg.L3Ways-cfg.L3Ways/2)
 		for i := 0; i < 4; i++ {
@@ -79,7 +80,8 @@ func ckptSetups(t *testing.T) []ckptSetup {
 	nocFaults := func(opts ...pabst.Option) (*pabst.System, error) {
 		cfg := pabst.Scaled8Config()
 		cfg.Seed = 17
-		b := pabst.NewBuilder(cfg, pabst.ModePABST, append([]pabst.Option{pabst.WithFaultPlan(nocPlan)}, opts...)...)
+		cfg.Faults = nocPlan
+		b := pabst.NewBuilder(cfg, pabst.ModePABST, opts...)
 		hi := b.AddClass("hi", 3, cfg.L3Ways/2)
 		lo := b.AddClass("lo", 1, cfg.L3Ways-cfg.L3Ways/2)
 		for i := 0; i < 4; i++ {
@@ -295,22 +297,29 @@ func TestCheckpointTypedErrors(t *testing.T) {
 		}
 	})
 
-	t.Run("mismatched-builder", func(t *testing.T) {
-		cfg := pabst.Scaled8Config()
-		cfg.Seed = 7
+	// other builds the saved machine's shape from cfg, its high class
+	// named hiName; each mismatch below changes one thing.
+	other := func(t *testing.T, cfg pabst.SystemConfig, hiName string) *pabst.System {
+		t.Helper()
 		b := pabst.NewBuilder(cfg, pabst.ModePABST)
-		hi := b.AddClass("different-name", 7, cfg.L3Ways/2)
+		hi := b.AddClass(hiName, 7, cfg.L3Ways/2)
 		lo := b.AddClass("lo", 3, cfg.L3Ways-cfg.L3Ways/2)
 		for i := 0; i < 4; i++ {
 			b.Attach(i, hi, pabst.Stream(fmt.Sprintf("hot%d", i), pabst.TileRegion(i), 64, false))
 			b.Attach(4+i, lo, pabst.Chaser(fmt.Sprintf("bg%d", i), pabst.TileRegion(4+i), 4, uint64(100+i)))
 		}
-		other, err := b.Build()
+		sys, err := b.Build()
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer other.Close()
-		if err := other.RestoreFrom(bytes.NewReader(raw)); !errors.Is(err, pabst.ErrCkptMismatch) {
+		t.Cleanup(sys.Close)
+		return sys
+	}
+
+	t.Run("mismatched-builder", func(t *testing.T) {
+		cfg := pabst.Scaled8Config()
+		cfg.Seed = 7
+		if err := other(t, cfg, "different-name").RestoreFrom(bytes.NewReader(raw)); !errors.Is(err, pabst.ErrCkptMismatch) {
 			t.Errorf("want ErrCkptMismatch, got %v", err)
 		}
 	})
@@ -320,8 +329,15 @@ func TestCheckpointTypedErrors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = pabst.Restore(bytes.NewReader(raw), pabst.WithFaultPlan(plan))
-		if !errors.Is(err, pabst.ErrCkptMismatch) {
+		cfg := pabst.Scaled8Config()
+		cfg.Seed, cfg.Faults = 7, plan
+		if err := other(t, cfg, "hi").RestoreFrom(bytes.NewReader(raw)); !errors.Is(err, pabst.ErrCkptMismatch) {
+			t.Errorf("want ErrCkptMismatch, got %v", err)
+		}
+	})
+
+	t.Run("mismatched-policy", func(t *testing.T) {
+		if _, err := pabst.Restore(bytes.NewReader(raw), pabst.WithPolicy("", "dpq")); !errors.Is(err, pabst.ErrCkptMismatch) {
 			t.Errorf("want ErrCkptMismatch, got %v", err)
 		}
 	})
@@ -597,7 +613,8 @@ func fuzzMachines(t testing.TB) []func(opts ...pabst.Option) *pabst.Builder {
 	return []func(opts ...pabst.Option) *pabst.Builder{
 		func(opts ...pabst.Option) *pabst.Builder {
 			cfg := small(3)
-			return attach(pabst.NewBuilder(cfg, pabst.ModePABST, append(opts, pabst.WithFaultPlan(plan))...), cfg)
+			cfg.Faults = plan
+			return attach(pabst.NewBuilder(cfg, pabst.ModePABST, opts...), cfg)
 		},
 		func(opts ...pabst.Option) *pabst.Builder {
 			cfg := small(5)

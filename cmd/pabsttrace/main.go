@@ -69,17 +69,16 @@ func main() {
 		fmt.Fprintf(os.Stderr, "pabsttrace: unknown -format %q (want jsonl or csv)\n", o.format)
 		os.Exit(2)
 	}
-	if keep, err := buildFilter(o.events, o.tile); err != nil {
+	cfg := pabst.Default32Config()
+	cfg.PABST.EpochCycles = o.epoch
+	cfg.BWWindow = o.epoch
+	if keep, err := buildFilter(o.events, o.tile, cfg.NumTiles()); err != nil {
 		fmt.Fprintf(os.Stderr, "pabsttrace: %v\n", err)
 		os.Exit(2)
 	} else if keep != nil {
 		sink = pabst.NewFilterSink(sink, keep)
 	}
 	observer := pabst.NewObserver(0, sink)
-
-	cfg := pabst.Default32Config()
-	cfg.PABST.EpochCycles = o.epoch
-	cfg.BWWindow = o.epoch
 
 	b := pabst.NewBuilder(cfg, pabst.ModePABST,
 		pabst.WithPolicy(over.Source, over.Target), pabst.WithObserver(observer))
@@ -104,8 +103,12 @@ func main() {
 }
 
 // buildFilter composes the -events and -tile restrictions into one sink
-// predicate; nil means keep everything.
-func buildFilter(events string, tile int) (func(*pabst.Event) bool, error) {
+// predicate; nil means keep everything. A tile the traced machine of
+// tiles tiles does not have is an error, as is any negative tile but -1.
+func buildFilter(events string, tile, tiles int) (func(*pabst.Event) bool, error) {
+	if tile < -1 || tile >= tiles {
+		return nil, fmt.Errorf("-tile %d: the traced machine has tiles 0..%d (-1 = all)", tile, tiles-1)
+	}
 	var kinds map[pabst.EventKind]bool
 	if events != "" {
 		kinds = make(map[pabst.EventKind]bool)

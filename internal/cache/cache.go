@@ -135,9 +135,6 @@ func New(cfg Config) *Cache {
 // NumSets returns the number of sets.
 func (c *Cache) NumSets() int { return c.numSets }
 
-// Ways returns the associativity.
-func (c *Cache) Ways() int { return c.cfg.Ways }
-
 // Partition restricts allocations by class to ways [start, start+n).
 // Lookups still search every way, so repartitioning never loses data; it
 // only changes where future victims are chosen. Passing n == 0 removes the

@@ -1,12 +1,8 @@
 package config
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"os"
 
 	"pabst/internal/cache"
 	"pabst/internal/cpu"
@@ -286,37 +282,4 @@ func (s *System) L3TotalBytes() int { return s.L3SliceBytes * s.NumTiles() }
 // PeakBytesPerCycle returns the aggregate DRAM data-bus limit.
 func (s *System) PeakBytesPerCycle() float64 {
 	return float64(s.NumMCs) * 64.0 / float64(s.DRAM.Timing.TBurst)
-}
-
-// WriteFile serializes the configuration as JSON.
-func (s *System) WriteFile(path string) error {
-	b, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return fmt.Errorf("config: marshal: %w", err)
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
-}
-
-// Load reads a JSON configuration and validates it. A field this build
-// does not have is a parse error naming it: a file written for a knob
-// that has since gone would otherwise build a different machine than
-// it names.
-func Load(path string) (System, error) {
-	var s System
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return s, fmt.Errorf("config: %w", err)
-	}
-	dec := json.NewDecoder(bytes.NewReader(b))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&s); err != nil {
-		return s, fmt.Errorf("config: parse %s: %w", path, err)
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return s, fmt.Errorf("config: parse %s: data after the configuration object", path)
-	}
-	if err := s.Validate(); err != nil {
-		return s, err
-	}
-	return s, nil
 }

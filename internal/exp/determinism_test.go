@@ -169,7 +169,7 @@ func TestSweepParallelismIsInvisible(t *testing.T) {
 func TestForEachOrderIndependence(t *testing.T) {
 	for _, parallel := range []int{0, 1, 3, 16} {
 		out := make([]int, 40)
-		err := ForEach(parallel, len(out), func(i int) error {
+		err := ForEach(context.Background(), parallel, len(out), func(i int) error {
 			out[i] = i * i
 			return nil
 		})
@@ -183,7 +183,7 @@ func TestForEachOrderIndependence(t *testing.T) {
 		}
 	}
 	wantErr := fmt.Errorf("boom")
-	err := ForEach(4, 10, func(i int) error {
+	err := ForEach(context.Background(), 4, 10, func(i int) error {
 		if i == 7 {
 			return wantErr
 		}

@@ -81,18 +81,13 @@ func (s Scale) Options() []pabst.Option {
 // Failures propagate promptly: after the first error no NEW index is
 // started — in-flight indices still run to completion, because each
 // holds a live simulation that must finish or tear down — and the first
-// error is returned. Callers write results into index i of a pre-sized
-// slice, so output order never depends on scheduling.
-func ForEach(parallel, n int, fn func(int) error) error {
-	return ForEachCtx(context.Background(), parallel, n, fn)
-}
-
-// ForEachCtx is ForEach under a context: once ctx is done no new index
-// is started and ctx.Err() is returned (unless a worker error landed
-// first). Cancellation of an index already running is fn's job — pass a
-// ctx-aware fn (e.g. one built on RunSpec.Run or System.RunContext) when
-// long indices must stop mid-simulation.
-func ForEachCtx(ctx context.Context, parallel, n int, fn func(int) error) error {
+// error is returned. Once ctx is done no new index is started either,
+// and ctx.Err() is returned (unless a worker error landed first);
+// cancelling an index already running is fn's job — pass a ctx-aware
+// fn (e.g. one built on RunSpec.Run or System.RunContext) when long
+// indices must stop mid-simulation. Callers write results into index i
+// of a pre-sized slice, so output order never depends on scheduling.
+func ForEach(ctx context.Context, parallel, n int, fn func(int) error) error {
 	if parallel <= 0 {
 		parallel = runtime.GOMAXPROCS(0)
 	}

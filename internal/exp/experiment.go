@@ -165,7 +165,7 @@ func RunExperimentScale(ctx context.Context, e Experiment, sc Scale, cache *RunC
 			todo = append(todo, i)
 		}
 	}
-	err := ForEachCtx(ctx, sc.Parallel, len(todo), func(k int) error {
+	err := ForEach(ctx, sc.Parallel, len(todo), func(k int) error {
 		i := todo[k]
 		r, err := specs[i].Run(ctx, ex, RunIO{})
 		if err != nil {

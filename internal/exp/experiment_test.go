@@ -49,7 +49,7 @@ func TestExperimentRegistry(t *testing.T) {
 }
 
 // TestExperimentSpecsValid: every registered experiment emits a
-// non-empty, Validate-clean spec list at both built-in scales.
+// non-empty spec list at both built-in scales, each spec resolving.
 func TestExperimentSpecsValid(t *testing.T) {
 	for _, e := range Experiments() {
 		for _, scale := range []string{"quick", "full"} {
@@ -58,7 +58,7 @@ func TestExperimentSpecsValid(t *testing.T) {
 				t.Errorf("%s: no specs at %s", e.Name(), scale)
 			}
 			for i, rs := range specs {
-				if err := rs.Validate(); err != nil {
+				if _, _, err := (Exec{}).Resolve(rs); err != nil {
 					t.Errorf("%s spec %d: %v", e.Name(), i, err)
 				}
 				if rs.Scale != scale {
@@ -83,14 +83,14 @@ func TestSpecValidateNewFields(t *testing.T) {
 	} {
 		rs := base
 		mut(&rs)
-		if err := rs.Validate(); err == nil {
+		if _, _, err := (Exec{}).Resolve(rs); err == nil {
 			t.Errorf("%s: accepted %+v", name, rs)
 		}
 	}
-	if err := (RunSpec{Bench: BenchSpecIso, Scale: "quick"}).Validate(); err == nil {
+	if _, _, err := (Exec{}).Resolve(RunSpec{Bench: BenchSpecIso, Scale: "quick"}); err == nil {
 		t.Error("workload bench accepted without a workload")
 	}
-	if err := base.Validate(); err != nil {
+	if _, _, err := (Exec{}).Resolve(base); err != nil {
 		t.Errorf("base spec rejected: %v", err)
 	}
 }
@@ -222,7 +222,7 @@ func TestRunSpecRunResultCache(t *testing.T) {
 	ex.Results = NewRunCache()
 
 	first := make([]RunResult, len(specs))
-	if err := ForEachCtx(ctx, 2, len(specs), func(i int) (err error) {
+	if err := ForEach(ctx, 2, len(specs), func(i int) (err error) {
 		first[i], err = specs[i].Run(ctx, ex, RunIO{})
 		return err
 	}); err != nil {
@@ -233,7 +233,7 @@ func TestRunSpecRunResultCache(t *testing.T) {
 	}
 
 	again := make([]RunResult, 4)
-	if err := ForEachCtx(ctx, 2, len(again), func(k int) (err error) {
+	if err := ForEach(ctx, 2, len(again), func(k int) (err error) {
 		again[k], err = specs[k%len(specs)].Run(ctx, ex, RunIO{})
 		return err
 	}); err != nil {
@@ -262,7 +262,7 @@ func TestRunSpecRunResultCache(t *testing.T) {
 	if !errors.Is(err, context.Canceled) || r.Cycles == 0 || r.Cycles >= tinyScale().Measure {
 		t.Fatalf("partial run: %v after %d cycles", err, r.Cycles)
 	}
-	// A plan lagging a heartbeat by 3 000 cycles passes Validate's
+	// A plan lagging a heartbeat by 3 000 cycles resolves at the
 	// paper epoch and is refused by the build at the tiny 2 000.
 	failing := fresh
 	failing.Fault = "sat-delay"

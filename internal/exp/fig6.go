@@ -1,10 +1,6 @@
 package exp
 
-import (
-	"fmt"
-
-	"pabst"
-)
+import "pabst"
 
 // Fig6Result summarizes the work-conservation experiment: the constant
 // streamer's share of delivered bandwidth while the periodic class is in
@@ -122,10 +118,4 @@ func (r *Fig6Result) Table() *Table {
 		Row{Label: "active windows", Values: map[string]float64{"value": float64(r.ActiveWindows)}},
 	)
 	return t
-}
-
-// String summarizes the result in one line.
-func (r *Fig6Result) String() string {
-	return fmt.Sprintf("constant class: %.2f share while periodic active, %.1f B/cyc while idle (peak %.1f)",
-		r.ConstShareActive, r.ConstBpcIdle, r.PeakBpc)
 }

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"context"
-	"fmt"
 
 	"pabst"
 )
@@ -73,7 +72,7 @@ func Fig9(scale Scale) (*Fig9Result, error) {
 		{"colocated-pabst", true, pabst.ModePABST},
 	}
 	var out [3]ServiceStats
-	err := ForEach(scale.Parallel, len(arms), func(i int) (err error) {
+	err := ForEach(context.Background(), scale.Parallel, len(arms), func(i int) (err error) {
 		out[i], err = run(arms[i].label, arms[i].colocate, arms[i].mode)
 		return err
 	})
@@ -103,10 +102,4 @@ func (r *Fig9Result) Table() *Table {
 		})
 	}
 	return t
-}
-
-// String gives the headline comparison.
-func (r *Fig9Result) String() string {
-	return fmt.Sprintf("memcached mean service: isolated %.0f, colocated %.0f, pabst %.0f cycles (p99: %d / %d / %d)",
-		r.Isolated.Mean, r.Colocated.Mean, r.PABST.Mean, r.Isolated.P99, r.Colocated.P99, r.PABST.P99)
 }

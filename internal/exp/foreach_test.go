@@ -39,7 +39,7 @@ func TestForEachOneRule(t *testing.T) {
 		var active, peak atomic.Int64
 		full := make(chan struct{})
 		var once sync.Once
-		err := ForEach(0, c.n, func(int) error {
+		err := ForEach(context.Background(), 0, c.n, func(int) error {
 			a := active.Add(1)
 			defer active.Add(-1)
 			for p := peak.Load(); a > p && !peak.CompareAndSwap(p, a); p = peak.Load() {
@@ -65,7 +65,7 @@ func TestForEachOneRule(t *testing.T) {
 	inline := func(parallel int) {
 		t.Helper()
 		caller, next := goid(), 0
-		err := ForEach(parallel, 8, func(i int) error {
+		err := ForEach(context.Background(), parallel, 8, func(i int) error {
 			if g := goid(); g != caller {
 				t.Errorf("parallel=%d: index %d ran on goroutine %s, caller is %s", parallel, i, g, caller)
 			}
@@ -93,7 +93,7 @@ func TestForEachStopsAfterError(t *testing.T) {
 		const n = 64
 		var started atomic.Int64
 		boom := errors.New("boom")
-		err := ForEach(parallel, n, func(i int) error {
+		err := ForEach(context.Background(), parallel, n, func(i int) error {
 			started.Add(1)
 			if i == 0 {
 				return boom
@@ -122,7 +122,7 @@ func TestForEachCtxCancel(t *testing.T) {
 		var started atomic.Int64
 		errc := make(chan error, 1)
 		go func() {
-			errc <- ForEachCtx(ctx, parallel, 1000, func(i int) error {
+			errc <- ForEach(ctx, parallel, 1000, func(i int) error {
 				started.Add(1)
 				time.Sleep(2 * time.Millisecond)
 				return nil
@@ -138,14 +138,14 @@ func TestForEachCtxCancel(t *testing.T) {
 				t.Fatalf("parallel=%d: err = %v, want context.Canceled", parallel, err)
 			}
 		case <-time.After(5 * time.Second):
-			t.Fatalf("parallel=%d: ForEachCtx did not return after cancel", parallel)
+			t.Fatalf("parallel=%d: ForEach did not return after cancel", parallel)
 		}
 		if s := started.Load(); s >= 1000 {
 			t.Fatalf("parallel=%d: cancellation did not stop new indices (%d started)", parallel, s)
 		}
 		// Sequential path honors ctx too.
-		if err := ForEachCtx(ctx, 1, 5, func(int) error { return nil }); !errors.Is(err, context.Canceled) {
-			t.Fatalf("sequential ForEachCtx under canceled ctx = %v", err)
+		if err := ForEach(ctx, 1, 5, func(int) error { return nil }); !errors.Is(err, context.Canceled) {
+			t.Fatalf("sequential ForEach under canceled ctx = %v", err)
 		}
 	}
 }

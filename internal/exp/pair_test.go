@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pabst"
+	"pabst/internal/qospolicy"
 )
 
 // TestPairPrecedence pins the one rule for layered mechanism selection
@@ -107,7 +108,7 @@ func FuzzRunSpecJSON(f *testing.F) {
 			add(rs)
 		}
 	}
-	for _, m := range pabst.Modes() {
+	for _, m := range qospolicy.Presets() {
 		add(RunSpec{Bench: BenchChaser, Scale: "quick", Mode: m.String()})
 		add(RunSpec{Bench: BenchStreams, Scale: "quick", Policy: m.Source + "+", Mode: "none"})
 	}

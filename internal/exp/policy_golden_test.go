@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pabst"
+	"pabst/internal/qospolicy"
 )
 
 // The policy-plugin refactor's core acceptance criterion: routing every
@@ -73,7 +74,7 @@ func tinyModeFP(sc Scale, mode pabst.Mode) (string, error) {
 // (BenchWStreams31 is the machine tinyModeFP builds by hand).
 func TestPolicyGoldenModes(t *testing.T) {
 	ex := Exec{Scales: map[string]Scale{"tiny": tinyGoldenScale()}}
-	for _, mode := range pabst.Modes() {
+	for _, mode := range qospolicy.Presets() {
 		mode := mode
 		want, ok := goldenModeFPs[mode.String()]
 		if !ok {
@@ -229,8 +230,8 @@ func TestPolicySpecFingerprintCompat(t *testing.T) {
 	}
 	for _, bad := range []string{"bankreg", "nope+fcfs", "pabst+nope"} {
 		spec := RunSpec{Bench: BenchStreams, Scale: "quick", Policy: bad}
-		if err := spec.Validate(); err == nil {
-			t.Errorf("Validate accepted bad policy %q", bad)
+		if _, _, err := (Exec{}).Resolve(spec); err == nil {
+			t.Errorf("Resolve accepted bad policy %q", bad)
 		}
 	}
 }

@@ -264,10 +264,10 @@ type benchDef struct {
 	entitledHi float64
 	// workload: the bench requires RunSpec.Workload (a SPEC proxy name).
 	workload bool
-	// build assembles the machine; classes[0] is the high-weight class
-	// whose share the result reports. opts carries scale options plus
-	// any fault plan.
-	build func(rs RunSpec, cfg pabst.SystemConfig, mode pabst.Mode, opts []pabst.Option) (*pabst.Builder, []pabst.ClassID, error)
+	// build assembles the machine from the resolved configuration under
+	// the scale's kernel; classes[0] is the high-weight class whose share
+	// the result reports.
+	build func(rs RunSpec, cfg pabst.SystemConfig, mode pabst.Mode, sc Scale) (*pabst.Builder, []pabst.ClassID, error)
 	// loads describes the mix to the analytical twin; nil marks the
 	// bench as having no closed-form model (PredictSpec errors).
 	loads func(rs RunSpec, cfg pabst.SystemConfig) []twin.ClassLoad
@@ -318,8 +318,8 @@ var benchRegistry = map[string]benchDef{
 	BenchStreams: {
 		desc:       "7:3 read-stream classes, Load tiles each (Figure 5 machine)",
 		entitledHi: 0.7,
-		build: func(rs RunSpec, cfg pabst.SystemConfig, mode pabst.Mode, opts []pabst.Option) (*pabst.Builder, []pabst.ClassID, error) {
-			b := pabst.NewBuilder(cfg, mode, opts...)
+		build: func(rs RunSpec, cfg pabst.SystemConfig, mode pabst.Mode, sc Scale) (*pabst.Builder, []pabst.ClassID, error) {
+			b := pabst.NewBuilder(cfg, mode, pabst.WithKernel(sc.Kernel))
 			hi := b.AddClass("hi", 7, cfg.L3Ways/2)
 			lo := b.AddClass("lo", 3, cfg.L3Ways/2)
 			attachStreams(b, hi, 0, rs.load(), false)
@@ -333,8 +333,8 @@ var benchRegistry = map[string]benchDef{
 	BenchChaser: {
 		desc:       "3:1 pointer chasers vs a background write-stream class",
 		entitledHi: 0.75,
-		build: func(rs RunSpec, cfg pabst.SystemConfig, mode pabst.Mode, opts []pabst.Option) (*pabst.Builder, []pabst.ClassID, error) {
-			b := pabst.NewBuilder(cfg, mode, opts...)
+		build: func(rs RunSpec, cfg pabst.SystemConfig, mode pabst.Mode, sc Scale) (*pabst.Builder, []pabst.ClassID, error) {
+			b := pabst.NewBuilder(cfg, mode, pabst.WithKernel(sc.Kernel))
 			hi := b.AddClass("chaser", 3, cfg.L3Ways/2)
 			lo := b.AddClass("stream", 1, cfg.L3Ways/2)
 			for i := 0; i < rs.load(); i++ {
@@ -353,8 +353,8 @@ var benchRegistry = map[string]benchDef{
 	BenchWStreams: {
 		desc:       "7:3 write-stream classes, Load tiles each (Pareto harness mix)",
 		entitledHi: 0.7,
-		build: func(rs RunSpec, cfg pabst.SystemConfig, mode pabst.Mode, opts []pabst.Option) (*pabst.Builder, []pabst.ClassID, error) {
-			b := pabst.NewBuilder(cfg, mode, opts...)
+		build: func(rs RunSpec, cfg pabst.SystemConfig, mode pabst.Mode, sc Scale) (*pabst.Builder, []pabst.ClassID, error) {
+			b := pabst.NewBuilder(cfg, mode, pabst.WithKernel(sc.Kernel))
 			hi := b.AddClass("hi", 7, cfg.L3Ways/2)
 			lo := b.AddClass("lo", 3, cfg.L3Ways/2)
 			attachStreams(b, hi, 0, rs.load(), true)
@@ -368,8 +368,8 @@ var benchRegistry = map[string]benchDef{
 	BenchWStreams31: {
 		desc:       "3:1 write-stream classes (Figure 1 stream+stream cell)",
 		entitledHi: 0.75,
-		build: func(rs RunSpec, cfg pabst.SystemConfig, mode pabst.Mode, opts []pabst.Option) (*pabst.Builder, []pabst.ClassID, error) {
-			b := pabst.NewBuilder(cfg, mode, opts...)
+		build: func(rs RunSpec, cfg pabst.SystemConfig, mode pabst.Mode, sc Scale) (*pabst.Builder, []pabst.ClassID, error) {
+			b := pabst.NewBuilder(cfg, mode, pabst.WithKernel(sc.Kernel))
 			hi := b.AddClass("hi", 3, cfg.L3Ways/2)
 			lo := b.AddClass("lo", 1, cfg.L3Ways/2)
 			attachStreams(b, hi, 0, rs.load(), true)
@@ -381,17 +381,33 @@ var benchRegistry = map[string]benchDef{
 		},
 	},
 	BenchPeriodic: {
-		// The generator's phase is scale-derived, which this config-only
-		// signature cannot express; buildFor routes to buildPeriodic.
+		// The phase is half the measure window: the window then covers
+		// exactly one full streaming+cached period, and each phase stays
+		// long enough (tens of epochs) for the governors to re-converge
+		// after a toggle — the work-conservation uplift IS that
+		// converged idle-phase grab. It needs a warmup of one period
+		// too: the first cached phase is a paced refill from memory.
 		desc: "periodic 70% class vs constant 30% streamer (Figure 6 work conservation)",
-		build: func(rs RunSpec, cfg pabst.SystemConfig, mode pabst.Mode, opts []pabst.Option) (*pabst.Builder, []pabst.ClassID, error) {
-			return nil, nil, fmt.Errorf("%w: periodic bench built only through RunSpec", config.ErrInvalid)
+		build: func(rs RunSpec, cfg pabst.SystemConfig, mode pabst.Mode, sc Scale) (*pabst.Builder, []pabst.ClassID, error) {
+			b := pabst.NewBuilder(cfg, mode, pabst.WithKernel(sc.Kernel))
+			per := b.AddClass("periodic-70", 7, cfg.L3Ways/2)
+			con := b.AddClass("constant-30", 3, cfg.L3Ways/2)
+			phase := sc.Measure / 2
+			if phase == 0 {
+				phase = 1
+			}
+			for i := 0; i < 16; i++ {
+				cached := pabst.Region{Base: pabst.TileRegion(i).Base + (128 << 20), Size: 128 << 10}
+				b.Attach(i, per, pabst.Periodic("periodic", pabst.TileRegion(i), cached, phase, phase))
+			}
+			attachStreams(b, con, 16, 32, false)
+			return b, []pabst.ClassID{per, con}, nil
 		},
 	},
 	BenchSkew: {
 		desc: "half the tiles stream to channel 0 only, half uniformly (per-MC SAT scenario)",
-		build: func(rs RunSpec, cfg pabst.SystemConfig, mode pabst.Mode, opts []pabst.Option) (*pabst.Builder, []pabst.ClassID, error) {
-			b := pabst.NewBuilder(cfg, mode, opts...)
+		build: func(rs RunSpec, cfg pabst.SystemConfig, mode pabst.Mode, sc Scale) (*pabst.Builder, []pabst.ClassID, error) {
+			b := pabst.NewBuilder(cfg, mode, pabst.WithKernel(sc.Kernel))
 			hot := b.AddClass("hot", 1, cfg.L3Ways/2)
 			uni := b.AddClass("uniform", 1, cfg.L3Ways/2)
 			numMCs := cfg.NumMCs
@@ -409,8 +425,8 @@ var benchRegistry = map[string]benchDef{
 	},
 	BenchHetero: {
 		desc: "one busy thread of 16 in a class vs a fully-busy class (Section V-B)",
-		build: func(rs RunSpec, cfg pabst.SystemConfig, mode pabst.Mode, opts []pabst.Option) (*pabst.Builder, []pabst.ClassID, error) {
-			b := pabst.NewBuilder(cfg, mode, opts...)
+		build: func(rs RunSpec, cfg pabst.SystemConfig, mode pabst.Mode, sc Scale) (*pabst.Builder, []pabst.ClassID, error) {
+			b := pabst.NewBuilder(cfg, mode, pabst.WithKernel(sc.Kernel))
 			mixed := b.AddClass("mixed", 1, cfg.L3Ways/2)
 			busy := b.AddClass("busy", 1, cfg.L3Ways/2)
 			b.Attach(0, mixed, pabst.Stream("hot", pabst.TileRegion(0), 128, false))
@@ -425,22 +441,22 @@ var benchRegistry = map[string]benchDef{
 	BenchSpecIso: {
 		desc:     "16 tiles of one SPEC proxy alone (Figure 10/12 isolated reference)",
 		workload: true,
-		build: func(rs RunSpec, cfg pabst.SystemConfig, mode pabst.Mode, opts []pabst.Option) (*pabst.Builder, []pabst.ClassID, error) {
-			return buildSpecBench(rs, cfg, mode, opts, false)
+		build: func(rs RunSpec, cfg pabst.SystemConfig, mode pabst.Mode, sc Scale) (*pabst.Builder, []pabst.ClassID, error) {
+			return buildSpecBench(rs, cfg, mode, sc, false)
 		},
 	},
 	BenchSpecMix: {
 		desc:     "SPEC proxy vs 16-tile stream aggressor at 32:1 shares (Figure 10/12)",
 		workload: true,
-		build: func(rs RunSpec, cfg pabst.SystemConfig, mode pabst.Mode, opts []pabst.Option) (*pabst.Builder, []pabst.ClassID, error) {
-			return buildSpecBench(rs, cfg, mode, opts, true)
+		build: func(rs RunSpec, cfg pabst.SystemConfig, mode pabst.Mode, sc Scale) (*pabst.Builder, []pabst.ClassID, error) {
+			return buildSpecBench(rs, cfg, mode, sc, true)
 		},
 	},
 	BenchIaaS: {
 		desc:     "four equal-share 8-CPU classes of one SPEC proxy (Figure 11 shared)",
 		workload: true,
-		build: func(rs RunSpec, cfg pabst.SystemConfig, mode pabst.Mode, opts []pabst.Option) (*pabst.Builder, []pabst.ClassID, error) {
-			b := pabst.NewBuilder(cfg, mode, opts...)
+		build: func(rs RunSpec, cfg pabst.SystemConfig, mode pabst.Mode, sc Scale) (*pabst.Builder, []pabst.ClassID, error) {
+			b := pabst.NewBuilder(cfg, mode, pabst.WithKernel(sc.Kernel))
 			var classes []pabst.ClassID
 			for c := 0; c < 4; c++ {
 				classes = append(classes, b.AddClass("vm-"+string(rune('a'+c)), 1, cfg.L3Ways/4))
@@ -456,9 +472,9 @@ var benchRegistry = map[string]benchDef{
 	BenchIaaSStatic: {
 		desc:     "8 CPUs of one SPEC proxy isolated at DDR/4 (Figure 11 static baseline)",
 		workload: true,
-		build: func(rs RunSpec, cfg pabst.SystemConfig, mode pabst.Mode, opts []pabst.Option) (*pabst.Builder, []pabst.ClassID, error) {
+		build: func(rs RunSpec, cfg pabst.SystemConfig, mode pabst.Mode, sc Scale) (*pabst.Builder, []pabst.ClassID, error) {
 			cfg = cfg.ScaleDRAM(4)
-			b := pabst.NewBuilder(cfg, mode, opts...)
+			b := pabst.NewBuilder(cfg, mode, pabst.WithKernel(sc.Kernel))
 			cls := b.AddClass("vm-static", 1, cfg.L3Ways/4)
 			if err := attachSpec(b, cls, rs.Workload, 0, 8); err != nil {
 				return nil, nil, err
@@ -470,8 +486,8 @@ var benchRegistry = map[string]benchDef{
 
 // buildSpecBench reproduces the Figure 10/12 machine: 16 SPEC tiles
 // (class 0) and optionally 16 stream-aggressor tiles (class 1) at 32:1.
-func buildSpecBench(rs RunSpec, cfg pabst.SystemConfig, mode pabst.Mode, opts []pabst.Option, aggressor bool) (*pabst.Builder, []pabst.ClassID, error) {
-	b := pabst.NewBuilder(cfg, mode, opts...)
+func buildSpecBench(rs RunSpec, cfg pabst.SystemConfig, mode pabst.Mode, sc Scale, aggressor bool) (*pabst.Builder, []pabst.ClassID, error) {
+	b := pabst.NewBuilder(cfg, mode, pabst.WithKernel(sc.Kernel))
 	spec := b.AddClass("spec", 32, cfg.L3Ways/2)
 	agg := b.AddClass("aggressor", 1, cfg.L3Ways/2)
 	if err := attachSpec(b, spec, rs.Workload, 0, 16); err != nil {
@@ -531,13 +547,6 @@ type RunSpec struct {
 	// governors' degradation machinery and the run reports
 	// RunResult.Faults.
 	Fault string `json:"fault,omitempty"`
-}
-
-// Validate rejects a spec that does not resolve under the built-in
-// scales (Exec{}.Resolve); every refusal wraps config.ErrInvalid.
-func (rs RunSpec) Validate() error {
-	_, _, err := Exec{}.Resolve(rs)
-	return err
 }
 
 // Resolve is a spec's one admission under this environment: it checks
@@ -713,35 +722,7 @@ func (rs RunSpec) buildFor(cfg pabst.SystemConfig, sc Scale) (*pabst.Builder, []
 	if err != nil {
 		return nil, nil, err // unreachable past Resolve
 	}
-	opts := []pabst.Option{pabst.WithKernel(sc.Kernel)}
-	if rs.Bench == BenchPeriodic {
-		// The periodic generator's phase is scale-derived, which the
-		// registry's config-only build signature cannot express.
-		return buildPeriodic(rs, cfg, mode, sc, opts)
-	}
-	return benchRegistry[rs.Bench].build(rs, cfg, mode, opts)
-}
-
-// buildPeriodic is the Figure 6 machine. The phase is half the measure
-// window: the window then covers exactly one full streaming+cached
-// period, and each phase stays long enough (tens of epochs) for the
-// governors to re-converge after a toggle — the work-conservation
-// uplift IS that converged idle-phase grab. It needs a warmup of one
-// period too: the first cached phase is a paced refill from memory.
-func buildPeriodic(rs RunSpec, cfg pabst.SystemConfig, mode pabst.Mode, sc Scale, opts []pabst.Option) (*pabst.Builder, []pabst.ClassID, error) {
-	b := pabst.NewBuilder(cfg, mode, opts...)
-	per := b.AddClass("periodic-70", 7, cfg.L3Ways/2)
-	con := b.AddClass("constant-30", 3, cfg.L3Ways/2)
-	phase := sc.Measure / 2
-	if phase == 0 {
-		phase = 1
-	}
-	for i := 0; i < 16; i++ {
-		cached := pabst.Region{Base: pabst.TileRegion(i).Base + (128 << 20), Size: 128 << 10}
-		b.Attach(i, per, pabst.Periodic("periodic", pabst.TileRegion(i), cached, phase, phase))
-	}
-	attachStreams(b, con, 16, 32, false)
-	return b, []pabst.ClassID{per, con}, nil
+	return benchRegistry[rs.Bench].build(rs, cfg, mode, sc)
 }
 
 // Run executes the spec under ctx and the given environment. A spec

@@ -53,7 +53,7 @@ func TestRunSpecValidate(t *testing.T) {
 		{Bench: BenchStreams, Scale: "quick", Params: map[string]uint64{"epoch": 1000}},
 		{Bench: BenchStreams, Scale: "quick", Params: map[string]uint64{"noc": 1}, Fault: "sat-partition"},
 	} {
-		if err := good.Validate(); err != nil {
+		if _, _, err := (Exec{}).Resolve(good); err != nil {
 			t.Fatalf("valid spec %+v rejected: %v", good, err)
 		}
 	}
@@ -75,7 +75,7 @@ func TestRunSpecValidate(t *testing.T) {
 		"noc+noc-storm":  {Bench: BenchStreams, Scale: "quick", Params: map[string]uint64{"noc": 1}, Fault: "noc-storm"},
 		"noc+everything": {Bench: BenchStreams, Scale: "quick", Params: map[string]uint64{"noc": 1}, Fault: "everything"},
 	} {
-		err := spec.Validate()
+		_, _, err := Exec{}.Resolve(spec)
 		if err == nil {
 			t.Fatalf("%s accepted", name)
 		}
@@ -129,7 +129,7 @@ func TestParamSweepsAreBuildable(t *testing.T) {
 			t.Errorf("axis %q: %d labels for %d values", ax.param, len(ax.labels), len(ax.values))
 		}
 		for _, rs := range e.Spec("quick") {
-			if err := rs.Validate(); err != nil {
+			if _, _, err := (Exec{}).Resolve(rs); err != nil {
 				t.Errorf("axis %q: %+v: %v", ax.param, rs, err)
 			}
 		}

@@ -51,9 +51,6 @@ func NewInjector(plan *Plan, seed uint64, tiles, mcs int) *Injector {
 	return in
 }
 
-// Plan returns the injector's plan.
-func (in *Injector) Plan() Plan { return in.plan }
-
 // Counters returns the per-kind injected-fault counts.
 func (in *Injector) Counters() *stats.Counters { return in.counters }
 

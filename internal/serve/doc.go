@@ -9,7 +9,9 @@
 // isolates panicking simulations to the job that caused them. A run
 // stops only through its context — its deadline, a drain or a shutdown
 // cancels it — which the simulator's RunContext checks at every epoch
-// boundary; nothing watches a run that ignores it.
+// boundary; nothing watches a run that ignores it, and Drain and Close
+// stop waiting for one when their context or DrainGrace ends, naming
+// its job in their error.
 //
 // A job runs once, and its first outcome is final: done, failed (an
 // error, or a panic with its stack), or canceled by its own deadline.

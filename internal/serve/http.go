@@ -29,10 +29,11 @@ type submitRequest struct {
 //	GET  /readyz   readiness          → 200 accepting | 503 draining/closed
 //	GET  /metrics  Prometheus text    → 200
 //
-// A spec is invalid (400) when RunSpec.Validate rejects it, when its
-// scale does not resolve, when its fault plan is anything but a preset
-// name, or when the body is malformed, names a field the request does
-// not have, carries data after the request object or is larger than
+// A spec is invalid (400) when the service's Exec.Resolve refuses it
+// (a bad field, a scale that does not resolve, a fault plan that is
+// not a preset name, a machine that does not build at its own scale),
+// or when the body is malformed, names a field the request does not
+// have, carries data after the request object or is larger than
 // 1 MiB. (A journal replays leniently instead: a field an older build
 // wrote is ignored on load.) A job the
 // service cannot journal is the server's fault (500), and is not

@@ -163,8 +163,8 @@ func TestHTTPRoundTrip(t *testing.T) {
 
 // TestFaultMustBePreset pins the trust boundary on RunSpec.Fault: a fault
 // plan is named by preset and never by path, for a REST client, a journal
-// record and RunSpec.Validate alike. The path here holds a valid plan, so
-// a resolution that read it would accept the job; Validate refuses it
+// record and Exec.Resolve alike. The path here holds a valid plan, so
+// a resolution that read it would accept the job; Resolve refuses it
 // before any file is opened.
 func TestFaultMustBePreset(t *testing.T) {
 	plan := filepath.Join(t.TempDir(), "plan.json")
@@ -172,8 +172,8 @@ func TestFaultMustBePreset(t *testing.T) {
 		t.Fatal(err)
 	}
 	byPath := exp.RunSpec{Bench: exp.BenchStreams, Scale: "quick", Fault: plan}
-	if err := byPath.Validate(); !errors.Is(err, config.ErrInvalid) || !strings.Contains(err.Error(), "sat-partition") {
-		t.Fatalf("Validate of a path-valued fault = %v, want config.ErrInvalid naming the presets", err)
+	if _, _, err := (exp.Exec{}).Resolve(byPath); !errors.Is(err, config.ErrInvalid) || !strings.Contains(err.Error(), "sat-partition") {
+		t.Fatalf("Resolve of a path-valued fault = %v, want config.ErrInvalid naming the presets", err)
 	}
 	byPath.Scale = "tiny"
 	ran := make(chan exp.RunSpec, 1)

@@ -50,7 +50,9 @@ func (s *Service) Registry() *obs.Registry {
 		return float64(len(s.queue))
 	})
 	r.Register("pabst_serve_inflight", func() float64 {
-		return float64(s.inflight())
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return float64(s.running)
 	})
 	r.Register("pabst_serve_workers_live", func() float64 {
 		s.mu.Lock()

@@ -485,3 +485,44 @@ func TestDrainHonorsContext(t *testing.T) {
 		t.Fatalf("journal after an unfinished drain = %+v, %v; want the job's submit record", recs, err)
 	}
 }
+
+// TestCloseHonorsGrace: a worker that ignores cancellation does not hold
+// Close past DrainGrace. Close returns an error naming the job that
+// worker holds, and the job's submit record stays in the journal.
+func TestCloseHonorsGrace(t *testing.T) {
+	stuck := make(chan struct{})
+	inflight := make(chan struct{})
+	deaf := func(ctx context.Context, spec exp.RunSpec, ex exp.Exec) (exp.RunResult, error) {
+		close(inflight)
+		<-stuck // ignores ctx
+		return exp.RunResult{}, ctx.Err()
+	}
+	cfg := testConfig(t, deaf)
+	cfg.Workers = 1
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer close(stuck)
+	s.Start()
+	v, err := s.Submit(tinySpec(), SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-inflight
+
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	select {
+	case err = <-closed:
+	case <-time.After(time.Second):
+		t.Fatalf("Close still blocked after 1 s by a worker deaf to cancellation (grace %v)", cfg.DrainGrace)
+	}
+	if !errors.Is(err, context.DeadlineExceeded) || !strings.Contains(err.Error(), v.ID) {
+		t.Fatalf("Close = %v, want context.DeadlineExceeded naming the running job %s", err, v.ID)
+	}
+	recs, err := loadJournal(filepath.Join(cfg.Dir, "journal.jsonl"))
+	if err != nil || len(recs) != 1 || recs[0].Op != opSubmit || recs[0].ID != v.ID {
+		t.Fatalf("journal after a cut-short close = %+v, %v; want the job's submit record", recs, err)
+	}
+}

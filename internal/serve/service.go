@@ -369,6 +369,7 @@ func (s *Service) settle(j *job, res exp.RunResult, err error) {
 	j.cancel()
 	j.cancel = nil
 	s.running--
+	s.cond.Broadcast() // a drain's grace waits for running to reach 0
 
 	switch {
 	case err == nil:
@@ -388,7 +389,6 @@ func (s *Service) settle(j *job, res exp.RunResult, err error) {
 		j.requeues++
 		s.m.requeued.Add(1)
 		s.queue = append(s.queue, j)
-		s.cond.Signal()
 
 	case errors.Is(err, context.DeadlineExceeded):
 		// The job's own deadline fired.
@@ -427,71 +427,62 @@ func (s *Service) appendBestEffort(r rec) {
 // stragglers back onto the queue, wait for the pool to park,
 // then compact the journal down to live jobs so a restart recovers
 // exactly the unfinished work. A worker that has not parked when ctx is
-// done is left running: Drain returns an error wrapping ctx.Err(), and
-// that worker's job stays live in the journal.
+// done is left running: Drain returns an error naming its job and
+// wrapping ctx.Err(), and that job stays live in the journal.
 func (s *Service) Drain(ctx context.Context) error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
 		return ErrClosed
 	}
 	first := !s.draining
 	s.draining = true
 	s.cond.Broadcast()
-	s.mu.Unlock()
 
 	if first {
-		// Grace period: poll for the pool going idle naturally.
-		deadline := time.NewTimer(s.cfg.DrainGrace)
-		defer deadline.Stop()
-	grace:
-		for {
-			if s.inflight() == 0 {
-				break
-			}
-			select {
-			case <-deadline.C:
-				break grace
-			case <-ctx.Done():
-				break grace
-			case <-time.After(2 * time.Millisecond):
-			}
-		}
+		// Grace period: wait for the pool to go idle on its own.
+		grace, cancel := context.WithTimeout(ctx, s.cfg.DrainGrace)
+		s.awaitLocked(grace, func() bool { return s.running == 0 })
+		cancel()
 		// Cancel whatever is still running; settle requeues each run.
-		s.mu.Lock()
 		for _, j := range s.jobs {
 			if j.cancel != nil {
 				j.cancel()
 			}
 		}
-		s.mu.Unlock()
 	}
+	if !s.awaitLocked(ctx, func() bool { return s.liveWorkers == 0 }) {
+		return s.stuckLocked("drain", ctx.Err())
+	}
+	return s.compactLocked()
+}
 
-	// Wait for every worker to settle and exit, or for ctx.
+// awaitLocked waits on s.cond, with s.mu held, until done holds or ctx
+// is done, and reports whether done holds.
+func (s *Service) awaitLocked(ctx context.Context, done func() bool) bool {
 	stop := context.AfterFunc(ctx, func() {
 		s.mu.Lock()
 		s.cond.Broadcast()
 		s.mu.Unlock()
 	})
 	defer stop()
-	s.mu.Lock()
-	for s.liveWorkers > 0 && ctx.Err() == nil {
+	for !done() && ctx.Err() == nil {
 		s.cond.Wait()
 	}
-	if s.liveWorkers > 0 {
-		n := s.liveWorkers
-		s.mu.Unlock()
-		return fmt.Errorf("serve: drain: %d workers still running: %w", n, ctx.Err())
-	}
-	defer s.mu.Unlock()
-	return s.compactLocked()
+	return done()
 }
 
-// inflight counts the jobs workers hold.
-func (s *Service) inflight() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.running
+// stuckLocked is the error for workers that did not park before a stop
+// gave up on them: how many, and the jobs they hold, which stay live in
+// the journal.
+func (s *Service) stuckLocked(op string, err error) error {
+	var ids []string
+	for _, id := range s.order {
+		if s.jobs[id].state == StateRunning {
+			ids = append(ids, id)
+		}
+	}
+	return fmt.Errorf("serve: %s: %d workers still running %v: %w", op, s.liveWorkers, ids, err)
 }
 
 // compactLocked rewrites the journal to hold only live (non-terminal)
@@ -512,34 +503,30 @@ func (s *Service) compactLocked() error {
 	return s.journal.rewrite(recs)
 }
 
-// Close hard-stops the service: cancel everything, wait for workers,
-// journal the survivors, release the journal. In-flight jobs are
-// requeued as in a drain, just without the grace period.
+// Close hard-stops the service: Drain's stop path with no grace. It
+// cancels every run, waits at most DrainGrace for the workers to park,
+// journals the survivors and releases the journal. In-flight jobs are
+// requeued as in a drain. A worker still running when the wait ends is
+// left running: Close returns an error naming its job, which stays
+// live in the journal.
 func (s *Service) Close() error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
 		return nil
 	}
 	s.closed = true
 	s.draining = true
 	s.cond.Broadcast()
-	s.mu.Unlock()
-
 	s.baseCancel()
 
-	s.mu.Lock()
-	for s.liveWorkers > 0 {
-		s.cond.Wait()
+	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.DrainGrace)
+	defer cancel()
+	var stuck error
+	if !s.awaitLocked(ctx, func() bool { return s.liveWorkers == 0 }) {
+		stuck = s.stuckLocked("close", ctx.Err())
 	}
-	err := s.compactLocked()
-	cerr := s.journal.close()
-	s.mu.Unlock()
-
-	if err != nil {
-		return err
-	}
-	return cerr
+	return errors.Join(stuck, s.compactLocked(), s.journal.close())
 }
 
 // Counts summarizes job states for health endpoints and tests.

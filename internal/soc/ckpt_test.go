@@ -68,7 +68,7 @@ func zooSystem(t testing.TB, pair qospolicy.Pair) *System {
 		workload.NewFilteredStream("filtered", tileRegion(4), 64, true, func(a mem.Addr) bool { return a%128 == 0 }),
 		spec,
 		kv,
-		workload.NewRecorder(replay, 200),
+		replay,
 	} {
 		class := hi.ID
 		if tile >= 4 {

@@ -1,9 +1,9 @@
 package soc
 
 import (
+	"bytes"
 	"encoding/json"
-	"os"
-	"path/filepath"
+	"io"
 	"testing"
 
 	"pabst/internal/config"
@@ -14,8 +14,8 @@ import (
 
 // fuzzSized reports whether a configuration is small enough to build
 // inside a fuzz worker. Validate rejects what cannot be a machine; how
-// big a machine may be is the operator's call, so geometry a file may
-// legitimately scale up is capped here instead.
+// big a machine may be is the operator's call, so geometry a
+// configuration may legitimately scale up is capped here instead.
 func fuzzSized(cfg *config.System) bool {
 	const maxCache = 1 << 20
 	return cfg.NumTiles() <= 16 && cfg.NumMCs <= 8 && cfg.MaxMSHRs <= 64 &&
@@ -23,12 +23,12 @@ func fuzzSized(cfg *config.System) bool {
 		cfg.DRAM.Banks <= 64 && cfg.Core.WindowOps <= 1024
 }
 
-// FuzzConfigJSON feeds arbitrary bytes through the path a -config file
-// takes (config.Load: JSON, then Validate) and builds what it accepts:
-// every accepted configuration makes a machine that attaches a workload,
-// finalizes and runs, or is refused with an error — never a panic, and
-// never a queue sized from the file past memory. The seeds run as
-// ordinary tests.
+// FuzzConfigJSON decodes arbitrary bytes strictly into a configuration
+// (unknown fields and trailing data refused), runs Validate, and builds
+// what it accepts: every accepted configuration makes a machine that
+// attaches a workload, finalizes and runs, or is refused with an error —
+// never a panic, and never a queue sized from the input past memory. The
+// seeds run as ordinary tests.
 func FuzzConfigJSON(f *testing.F) {
 	seed := func(cfg config.System) {
 		raw, err := json.Marshal(cfg)
@@ -56,13 +56,17 @@ func FuzzConfigJSON(f *testing.F) {
 	seed(hostile)
 	f.Add([]byte(`{"MeshCols":1,"MeshRows":1}`))
 
-	path := filepath.Join(f.TempDir(), "config.json")
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		if err := os.WriteFile(path, raw, 0o644); err != nil {
-			t.Fatal(err)
+		var cfg config.System
+		dec := json.NewDecoder(bytes.NewReader(raw))
+		dec.DisallowUnknownFields()
+		if dec.Decode(&cfg) != nil {
+			return
 		}
-		cfg, err := config.Load(path)
-		if err != nil || !fuzzSized(&cfg) {
+		if _, err := dec.Token(); err != io.EOF {
+			return
+		}
+		if cfg.Validate() != nil || !fuzzSized(&cfg) {
 			return
 		}
 		reg := qos.NewRegistry()

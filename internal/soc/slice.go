@@ -59,9 +59,6 @@ func newSlice(s *System, id int) *Slice {
 	}
 }
 
-// Cache exposes the slice's array (for tests and occupancy monitoring).
-func (sl *Slice) Cache() *cache.Cache { return sl.cache }
-
 // sendToMC forwards a packet to its controller's front door: directly
 // over the latency-only mesh, or via the slice outbox when the network
 // is modeled. Writebacks carry data; read requests do not.

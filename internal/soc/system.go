@@ -211,9 +211,6 @@ func (s *System) Series() *stats.Series { return s.series }
 // Now returns the current cycle.
 func (s *System) Now() uint64 { return s.kernel.Now() }
 
-// Epochs returns how many epoch heartbeats have fired.
-func (s *System) Epochs() uint64 { return s.epochs }
-
 // Attach places a workload generator on a tile under a QoS class. The
 // tile must be free; the class must exist in the registry.
 func (s *System) Attach(tile int, class mem.ClassID, gen workload.Generator) error {

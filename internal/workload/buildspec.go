@@ -14,7 +14,7 @@ import (
 // order. It round-trips through JSON inside the checkpoint header.
 //
 // Generators built from closures or externally supplied traces
-// (FilteredStream, Recorder, Replayer) have no BuildSpec; checkpoints of
+// (FilteredStream, Replayer) have no BuildSpec; checkpoints of
 // systems containing them can only be restored through a caller-supplied
 // builder that reconstructs those generators itself.
 type BuildSpec struct {

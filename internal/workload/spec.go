@@ -120,9 +120,6 @@ func (s *Spec) gap() int {
 	return int(float64(s.p.Gap) * (1 + s.p.PhaseAmp))
 }
 
-// Params returns the proxy's parameters.
-func (s *Spec) Params() SpecParams { return s.p }
-
 // Name implements Generator.
 func (s *Spec) Name() string { return s.p.Name }
 

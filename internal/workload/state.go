@@ -1,16 +1,9 @@
 package workload
 
-import (
-	"fmt"
+import "pabst/internal/ckpt"
 
-	"pabst/internal/ckpt"
-)
-
-// opBytes is the encoded size of one Op (every field is fixed-width).
-const opBytes = 41
-
-// CkptOp walks one op by value (core windows and recorded traces hold
-// ops, not generators).
+// CkptOp walks one op by value (a core's window holds ops, not
+// generators).
 func CkptOp(c *ckpt.Codec, op *Op) {
 	c.U64((*uint64)(&op.Addr))
 	c.Bool(&op.Write)
@@ -63,19 +56,6 @@ func (m *Memcached) Ckpt(c *ckpt.Codec) {
 	c.U64(&m.txn)
 	m.startedAt.Ckpt(c)
 	m.hist.Ckpt(c)
-}
-
-// Ckpt implements ckpt.Walker: the wrapped generator's state plus the
-// captured trace. Fails with ErrUnsupported when the wrapped generator
-// cannot be checkpointed.
-func (rec *Recorder) Ckpt(c *ckpt.Codec) {
-	inner, ok := rec.inner.(ckpt.Walker)
-	if !ok {
-		c.Fail(fmt.Errorf("%w: recorder wraps %q", ckpt.ErrUnsupported, rec.inner.Name()))
-		return
-	}
-	inner.Ckpt(c)
-	ckpt.Slice(c, &rec.ops, opBytes, CkptOp)
 }
 
 // Ckpt implements ckpt.Walker: the replay cursor. The trace itself is

@@ -1,50 +1,23 @@
 package workload
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
-func TestRecorderCapturesOps(t *testing.T) {
-	s := NewStream("s", region(0, 4096), 128, true)
-	r := NewRecorder(s, 10)
-	var op Op
-	for i := 0; i < 25; i++ {
-		r.Next(&op)
-	}
-	if len(r.Trace()) != 10 {
-		t.Fatalf("recorded %d ops, limit 10", len(r.Trace()))
-	}
-	if !strings.Contains(r.Name(), "s") {
-		t.Fatal("recorder lost the inner name")
-	}
-	// The recorded ops match a fresh generator's output.
-	fresh := NewStream("s", region(0, 4096), 128, true)
-	for i, got := range r.Trace() {
-		var want Op
-		fresh.Next(&want)
-		if got != want {
-			t.Fatalf("op %d: recorded %+v, want %+v", i, got, want)
-		}
-	}
-}
-
-// TestTraceRoundTrip: a recorded trace replays op for op, tags included,
-// and then loops.
+// TestTraceRoundTrip: a chaser's ops replay op for op, tags included,
+// and then loop.
 func TestTraceRoundTrip(t *testing.T) {
 	ch := NewChaser("c", region(0, 1<<20), 4, 9)
-	r := NewRecorder(ch, 50)
-	var op Op
-	for i := 0; i < 50; i++ {
-		r.Next(&op)
+	trace := make([]Op, 50)
+	for i := range trace {
+		ch.Next(&trace[i])
 	}
-	rep, err := NewReplayer("replay", r.Trace())
+	rep, err := NewReplayer("replay", trace)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var op Op
 	for i := 0; i < 100; i++ {
 		rep.Next(&op)
-		if want := r.Trace()[i%50]; op != want {
+		if want := trace[i%50]; op != want {
 			t.Fatalf("op %d: %+v != %+v", i, op, want)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pabst"
+	"pabst/internal/workload"
 )
 
 // TestL3OccupancyMonitor exercises the Section II-B LLC occupancy query
@@ -46,8 +47,8 @@ func TestL3OccupancyMonitor(t *testing.T) {
 	}
 }
 
-// TestRecordReplayThroughSystem pins that a recorded trace reproduces
-// the generator's system-level behavior when replayed.
+// TestRecordReplayThroughSystem pins that a generator's ops, drawn
+// ahead of time and replayed, reproduce its system-level behavior.
 func TestRecordReplayThroughSystem(t *testing.T) {
 	run := func(gen pabst.Generator) pabst.Metrics {
 		cfg := pabst.Scaled8Config()
@@ -64,11 +65,15 @@ func TestRecordReplayThroughSystem(t *testing.T) {
 		return sys.Metrics()
 	}
 
-	// Record enough ops that the run never wraps the trace prematurely.
-	rec := pabst.NewRecorder(pabst.Chaser("c", pabst.TileRegion(0), 4, 7), 0)
-	direct := run(rec)
+	direct := run(pabst.Chaser("c", pabst.TileRegion(0), 4, 7))
 
-	replay, err := pabst.Replay("replayed", rec.Trace())
+	// Draw more ops than the run consumes, so the replay never wraps.
+	gen := pabst.Chaser("c", pabst.TileRegion(0), 4, 7)
+	ops := make([]workload.Op, 1<<16)
+	for i := range ops {
+		gen.Next(&ops[i])
+	}
+	replay, err := pabst.Replay("replayed", ops)
 	if err != nil {
 		t.Fatal(err)
 	}

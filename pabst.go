@@ -72,9 +72,6 @@ var (
 // "source-only", "target-only", "pabst", "static-source").
 func ParseMode(s string) (Mode, error) { return qospolicy.ParsePair(s) }
 
-// Modes returns the five presets in presentation order.
-func Modes() []Mode { return qospolicy.Presets() }
-
 // PolicyInfo describes one registered QoS policy plugin: its registry
 // name, kind ("source" or "target"), one-line description, consumed
 // parameters, and paper citation.
@@ -126,17 +123,14 @@ func Scaled8Config() SystemConfig { return config.Scaled8() }
 // TestEventKernelMeshScaled.
 func MeshScaledConfig(cols, rows int) SystemConfig { return config.MeshScaled(cols, rows) }
 
-// LoadConfig reads and validates a JSON system configuration.
-func LoadConfig(path string) (SystemConfig, error) { return config.Load(path) }
-
 // FaultPlan describes deterministic fault injection into the SAT
 // broadcast, the DRAM controllers, and the NoC. Assign one to
 // SystemConfig.Faults; a nil plan injects nothing and costs nothing.
 type FaultPlan = fault.Plan
 
 // LoadFaultPlan resolves a preset name (see FaultPresets). Any other
-// name is config.ErrInvalid, naming the presets; a custom plan enters
-// through WithFaultPlan or the Faults field of a LoadConfig file.
+// name is config.ErrInvalid, naming the presets; a custom plan is a
+// FaultPlan value assigned to SystemConfig.Faults.
 func LoadFaultPlan(name string) (*FaultPlan, error) {
 	p, err := fault.Preset(name)
 	if err != nil {
@@ -231,14 +225,7 @@ func MemcachedServer(r Region, seed uint64) *workload.Memcached {
 	return m
 }
 
-// Recorder captures a generator's op stream into a replayable trace.
-type Recorder = workload.Recorder
-
-// NewRecorder wraps gen, keeping at most limit recorded ops (0 =
-// unlimited).
-func NewRecorder(gen Generator, limit int) *Recorder { return workload.NewRecorder(gen, limit) }
-
-// Replay returns a generator that replays a recorded trace in a loop.
+// Replay returns a generator that replays an op list in a loop.
 func Replay(name string, ops []workload.Op) (Generator, error) {
 	return workload.NewReplayer(name, ops)
 }
@@ -284,11 +271,6 @@ type Option func(*Builder)
 // surface as errors at Build.
 func WithKernel(kernel string) Option {
 	return func(b *Builder) { b.cfg.Kernel = kernel }
-}
-
-// WithFaultPlan installs a fault-injection plan (nil injects nothing).
-func WithFaultPlan(p *FaultPlan) Option {
-	return func(b *Builder) { b.cfg.Faults = p }
 }
 
 // WithPolicy overrides halves of the builder's mode by registry name.

@@ -1,11 +1,14 @@
 package pabst_test
 
 import (
+	"bytes"
 	"math"
+	"reflect"
 	"testing"
 
 	"pabst"
 	"pabst/internal/mem"
+	"pabst/internal/qospolicy"
 )
 
 func TestBuilderEndToEnd(t *testing.T) {
@@ -84,7 +87,7 @@ func TestSpecProxyNames(t *testing.T) {
 }
 
 func TestParseModeFacade(t *testing.T) {
-	for _, m := range pabst.Modes() {
+	for _, m := range qospolicy.Presets() {
 		got, err := pabst.ParseMode(m.String())
 		if err != nil || got != m {
 			t.Fatalf("ParseMode(%v) = %v, %v", m, got, err)
@@ -155,17 +158,29 @@ func TestTileRegionsFitTheAddressWidth(t *testing.T) {
 	}
 }
 
+// TestConfigRoundTripFacade: the configuration a system was built from
+// leaves in its checkpoint and comes back through pabst.Restore as the
+// same value.
 func TestConfigRoundTripFacade(t *testing.T) {
-	dir := t.TempDir()
 	cfg := pabst.Default32Config()
-	if err := cfg.WriteFile(dir + "/c.json"); err != nil {
-		t.Fatal(err)
-	}
-	got, err := pabst.LoadConfig(dir + "/c.json")
+	b := pabst.NewBuilder(cfg, pabst.ModePABST)
+	c := b.AddClass("c", 1, cfg.L3Ways)
+	b.Attach(0, c, pabst.Stream("s", pabst.TileRegion(0), 128, false))
+	sys, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Name != cfg.Name {
-		t.Fatal("round trip mismatch")
+	defer sys.Close()
+	var ck bytes.Buffer
+	if err := sys.Checkpoint(&ck); err != nil {
+		t.Fatal(err)
+	}
+	got, err := pabst.Restore(&ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer got.Close()
+	if !reflect.DeepEqual(got.Config(), sys.Config()) {
+		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got.Config(), sys.Config())
 	}
 }
