@@ -3,13 +3,12 @@ package pabst
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
 
 	"pabst/internal/ckpt"
-	"pabst/internal/config"
+	"pabst/internal/mem"
 	"pabst/internal/workload"
 )
 
@@ -21,8 +20,8 @@ var (
 	// ErrCkptCorrupt marks a truncated, bit-flipped, or otherwise
 	// unparseable checkpoint.
 	ErrCkptCorrupt = ckpt.ErrCorrupt
-	// ErrCkptMismatch marks a structurally valid checkpoint that
-	// describes a different machine than the one restoring it.
+	// ErrCkptMismatch marks a checkpoint whose payload describes a
+	// different machine than its metadata builds.
 	ErrCkptMismatch = ckpt.ErrMismatch
 	// ErrCkptUnsupported marks a system that cannot be checkpointed (or
 	// a checkpoint that cannot be restored) because a component — e.g. a
@@ -48,80 +47,17 @@ func decode(r io.Reader) (*ckpt.Codec, error) {
 	return ckpt.Decode(img.Bytes())
 }
 
-// fpDoc is the canonical structural description hashed into a
-// checkpoint's fingerprint: the configuration with Kernel zeroed (the
-// kernel never changes simulated state, so it must not change the
-// fingerprint), the regulation mode, and the class and attachment
-// layout. Weights are excluded — they are runtime state (SetWeight),
-// carried in the payload instead.
-type fpDoc struct {
-	Config  config.System `json:"config"`
-	Mode    string        `json:"mode"`
-	Classes []fpClass     `json:"classes"`
-	Tiles   []fpTile      `json:"tiles"`
-}
-
-type fpClass struct {
-	Name   string `json:"name"`
-	L3Ways int    `json:"l3_ways"`
-}
-
-// fpTile keys one attachment. A generator that can describe its own
-// construction is keyed by that recipe — two generators that share a
-// display name but differ in kind or parameters (a read stream and a
-// write stream both named "stream") are different machines. Closure
-// generators have only their name.
-type fpTile struct {
-	Tile  int                 `json:"tile"`
-	Class int                 `json:"class"`
-	Gen   string              `json:"gen,omitempty"`
-	Spec  *workload.BuildSpec `json:"spec,omitempty"`
-}
-
-func normalizeConfig(cfg config.System) config.System {
-	cfg.Kernel = ""
-	return cfg
-}
-
-// Fingerprint returns the sha256 of the system's structural description:
-// configuration (minus Kernel, which never changes an outcome), mode,
-// classes, and attachments. Two systems restore each other's
-// checkpoints iff their fingerprints match.
-func (s *System) Fingerprint() ([32]byte, error) {
-	doc := fpDoc{Config: normalizeConfig(s.inner.Config()), Mode: s.inner.Pair().String()}
-	for _, c := range s.inner.Registry().Classes() {
-		doc.Classes = append(doc.Classes, fpClass{Name: c.Name, L3Ways: c.L3Ways})
-	}
-	for _, a := range s.inner.Attachments() {
-		ft := fpTile{Tile: a.Tile, Class: int(a.Class)}
-		if d, ok := a.Gen.(workload.Describable); ok {
-			spec := d.BuildSpec()
-			ft.Spec = &spec
-		} else {
-			ft.Gen = a.Gen.Name()
-		}
-		doc.Tiles = append(doc.Tiles, ft)
-	}
-	raw, err := json.Marshal(doc)
-	if err != nil {
-		return [32]byte{}, err
-	}
-	return sha256.Sum256(raw), nil
-}
-
-// ckptMeta rides in the checkpoint header and carries everything
-// pabst.Restore needs to rebuild the machine without caller help:
-// the (normalized) configuration, the mode, the classes with their
-// creation parameters, and each attachment's generator build recipe.
-// An attachment whose generator has no recipe (closures, replayed
-// traces) leaves Spec.Kind empty; such checkpoints restore
-// only through System.RestoreFrom, onto a system whose builder
-// reconstructed the generators itself.
+// ckptMeta rides in the checkpoint header and is the one description of
+// the machine Restore builds: the configuration (Kernel cleared: the
+// kernel never changes simulated state), the mode, the classes with their
+// creation parameters, and each attachment's generator build recipe. An
+// attachment whose generator has no recipe (closures, replayed traces)
+// leaves Spec.Kind empty, and Restore refuses the image.
 type ckptMeta struct {
-	Config  config.System `json:"config"`
-	Mode    string        `json:"mode"`
-	Classes []metaClass   `json:"classes"`
-	Attach  []metaAttach  `json:"attach"`
+	Config  SystemConfig `json:"config"`
+	Mode    string       `json:"mode"`
+	Classes []metaClass  `json:"classes"`
+	Attach  []metaAttach `json:"attach"`
 }
 
 type metaClass struct {
@@ -137,21 +73,18 @@ type metaAttach struct {
 }
 
 // Checkpoint serializes the complete simulated machine to w: a
-// self-describing header (format version, structural fingerprint,
-// current cycle, rebuild metadata) followed by every component's state
-// in canonical order and a CRC trailer, assembled in memory and written
-// with one Write. A restored system is
-// bit-identical to the saved one: running both for the same number of
-// cycles produces byte-equal metrics, on either kernel.
+// self-describing header (format version, current cycle, rebuild
+// metadata) followed by every component's state in canonical order and a
+// CRC trailer, assembled in memory and written with one Write. A restored
+// system is bit-identical to the saved one: running both for the same
+// number of cycles produces byte-equal metrics, whichever kernel wrote it.
 //
-// The system must contain only checkpointable generators; a closure-
-// based generator fails with ErrCkptUnsupported.
+// A generator that can neither state its recipe nor walk its state
+// fails with ErrCkptUnsupported; one with a walk but no recipe (a
+// closure-filtered stream) is saved, and Restore refuses the image.
 func (s *System) Checkpoint(w io.Writer) error {
-	fp, err := s.Fingerprint()
-	if err != nil {
-		return err
-	}
-	meta := ckptMeta{Config: normalizeConfig(s.inner.Config()), Mode: s.inner.Pair().String()}
+	meta := ckptMeta{Config: s.inner.Config(), Mode: s.inner.Pair().String()}
+	meta.Config.Kernel = ""
 	for _, c := range s.reg.Classes() {
 		meta.Classes = append(meta.Classes, metaClass{Name: c.Name, Weight: c.Weight, L3Ways: c.L3Ways})
 	}
@@ -166,7 +99,7 @@ func (s *System) Checkpoint(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	img, err := ckpt.Encode(ckpt.Header{Fingerprint: fp, Cycle: s.Now(), Meta: rawMeta}, s.inner)
+	img, err := ckpt.Encode(ckpt.Header{Cycle: s.Now(), Meta: rawMeta}, s.inner)
 	if err != nil {
 		return err
 	}
@@ -177,16 +110,12 @@ func (s *System) Checkpoint(w io.Writer) error {
 // Restore rebuilds a system entirely from a checkpoint written by
 // System.Checkpoint: the header metadata supplies the configuration,
 // mode, classes, and workload recipes; the payload supplies the state.
-// Options apply after the metadata (WithKernel("cycle") restores onto
-// the reference loop; outputs are bit-identical either way). An option
-// that makes another machine, such as WithPolicy naming a different
-// pair, fails with ErrCkptMismatch.
-//
-// Checkpoints containing generators without build recipes (closures,
-// trace replayers) fail with ErrCkptUnsupported; restore
-// those with System.RestoreFrom onto a system built to be the same
-// machine.
-func Restore(r io.Reader, opts ...Option) (*System, error) {
+// It is the one way from an image to a machine, and it returns a machine
+// or a typed error (errors.Is with an ErrCkpt*), whatever the bytes say:
+// a failed load drops the machine it built. An image of a generator
+// without a build recipe (a closure, a replayed trace) is
+// ErrCkptUnsupported.
+func Restore(r io.Reader) (*System, error) {
 	cr, err := decode(r)
 	if err != nil {
 		return nil, err
@@ -199,67 +128,75 @@ func Restore(r io.Reader, opts ...Option) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: checkpoint mode: %v", ErrCkptCorrupt, err)
 	}
+	if err := meta.Config.Validate(); err != nil {
+		return nil, fmt.Errorf("%w: checkpoint configuration: %v", ErrCkptCorrupt, err)
+	}
+	if err := fitsImage(&meta.Config, len(meta.Attach), cr.Left()); err != nil {
+		return nil, err
+	}
 	b := NewBuilder(meta.Config, mode)
 	for _, c := range meta.Classes {
 		b.AddClass(c.Name, c.Weight, c.L3Ways)
 	}
-	if b.err != nil {
-		return nil, fmt.Errorf("%w: checkpoint classes: %v", ErrCkptCorrupt, b.err)
-	}
 	for _, a := range meta.Attach {
 		if a.Spec.Kind == "" {
-			return nil, fmt.Errorf("%w: tile %d generator has no build recipe; use System.RestoreFrom", ErrCkptUnsupported, a.Tile)
+			return nil, fmt.Errorf("%w: tile %d generator has no build recipe", ErrCkptUnsupported, a.Tile)
 		}
 		gen, err := workload.FromBuildSpec(a.Spec)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%w: tile %d: %v", ErrCkptCorrupt, a.Tile, err)
 		}
 		b.Attach(a.Tile, ClassID(a.Class), gen)
 	}
-	for _, o := range opts {
-		o(b)
-	}
 	sys, err := b.Build()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: checkpoint machine: %v", ErrCkptCorrupt, err)
 	}
-	if err := sys.load(cr); err != nil {
+	if err := cr.Load(sys.inner); err != nil {
 		sys.Close()
 		return nil, err
 	}
 	return sys, nil
 }
 
-// RestoreFrom overlays a checkpoint onto this system in place. The
-// checkpoint must have been written by a structurally identical system,
-// which is verified against the header fingerprint before any state is
-// touched; a disagreement fails with ErrCkptMismatch. The system may
-// already have run — every stateful component is overlaid wholesale.
-// Generators that cannot describe their own construction (closures,
-// trace replayers) restore only this way: the caller's builder
-// reconstructs them, the checkpoint overlays their cursors. An error
-// from the envelope or fingerprint check leaves the system untouched; a
-// failure after the overlay began (an intact image carrying a field this
-// machine cannot hold) leaves it partially overlaid and unusable. An
-// image passed as a *bytes.Buffer is read in place, without a copy.
-func (s *System) RestoreFrom(r io.Reader) error {
-	cr, err := decode(r)
-	if err != nil {
-		return err
-	}
-	return s.load(cr)
-}
+// maxMSHRs is the largest MSHR file Restore builds. The payload holds
+// only the outstanding misses, so the file needs an architectural bound:
+// an L2 tracks tens of misses (16 on the paper's tile), and every miss
+// scans the file linearly (soc/mshr.go).
+const maxMSHRs = 1 << 8
 
-func (s *System) load(cr *ckpt.Codec) error {
-	fp, err := s.Fingerprint()
-	if err != nil {
-		return err
+// fitsImage refuses, before anything is built for it, metadata asking for
+// more machine than its payload can describe. The walk stores at least one
+// byte for every L3 line of every slice, every L1 and L2 line, window slot
+// and per-channel miss FIFO of every attached tile, and every bank of
+// every controller (Codec.Len's rule). The MSHR file is not walked, so
+// maxMSHRs bounds it and, with the tile count, the queues Build pre-sizes
+// for misses; dram.Config.Validate bounds the DRAM queues.
+func fitsImage(cfg *SystemConfig, attached, payload int) error {
+	left := payload
+	charge := func(counts ...int) bool { // the product of counts fits in left
+		n := 1
+		for _, k := range counts {
+			if n > 0 && k > left/n {
+				return false
+			}
+			n *= k
+		}
+		left -= n
+		return true
 	}
-	if h := cr.Header(); fp != h.Fingerprint {
-		return fmt.Errorf("%w: checkpoint fingerprint %x…, this system is %x…",
-			ErrCkptMismatch, h.Fingerprint[:8], fp[:8])
+	lines := func(bytes int) int { return bytes / mem.LineSize }
+	if cfg.MaxMSHRs > maxMSHRs {
+		return fmt.Errorf("%w: %d MSHRs a tile, more than %d", ErrCkptCorrupt, cfg.MaxMSHRs, maxMSHRs)
 	}
-	return cr.Load(s.inner)
+	if !(charge(cfg.MeshCols, cfg.MeshRows, lines(cfg.L3SliceBytes)) &&
+		charge(attached, lines(cfg.L1Bytes)) && charge(attached, lines(cfg.L2Bytes)) &&
+		charge(attached, cfg.Core.WindowOps) && charge(attached, cfg.NumMCs) &&
+		charge(cfg.NumMCs, cfg.DRAM.Banks)) {
+		return fmt.Errorf("%w: a %d-byte payload cannot describe the %dx%d machine its metadata asks for",
+			ErrCkptCorrupt, payload, cfg.MeshCols, cfg.MeshRows)
+	}
+	return nil
 }
 
 // RunContext advances the simulation by up to cycles, checking ctx for
@@ -268,11 +205,4 @@ func (s *System) load(cr *ckpt.Codec) error {
 // as Run would; cancellation only decides where it stops.
 func (s *System) RunContext(ctx context.Context, cycles uint64) (uint64, error) {
 	return s.inner.RunContext(ctx, cycles)
-}
-
-// WarmupContext runs up to cycles under ctx and resets measurement
-// state only if the warmup completed; a canceled warmup leaves the
-// counters inspectable.
-func (s *System) WarmupContext(ctx context.Context, cycles uint64) (uint64, error) {
-	return s.inner.WarmupContext(ctx, cycles)
 }

@@ -8,8 +8,11 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc64"
+	"reflect"
 	"regexp"
 	"runtime"
+	"runtime/debug"
+	"slices"
 	"testing"
 
 	"pabst"
@@ -30,7 +33,7 @@ type ckptSetup struct {
 	build func(opts ...pabst.Option) (*pabst.System, error)
 }
 
-func ckptSetups(t *testing.T) []ckptSetup {
+func ckptSetups(t testing.TB) []ckptSetup {
 	t.Helper()
 	streamMix := func(opts ...pabst.Option) (*pabst.System, error) {
 		cfg := pabst.Scaled8Config()
@@ -126,14 +129,12 @@ func renderState(s *pabst.System) string {
 
 // TestCheckpointRoundTripMatrix is the checkpoint headline guarantee:
 // for four machine shapes (plain PABST, target-only, SAT-faulted,
-// NoC-faulted) a
-// system checkpointed after warmup and restored continues bit-identical
-// to an uninterrupted run — whichever kernel wrote the checkpoint and
-// whichever restores it, so a checkpoint taken on the reference loop
-// warm-starts the default kernel. The writer must also be unperturbed by
-// having been checkpointed.
+// NoC-faulted) a system checkpointed after warmup and restored continues
+// bit-identical to an uninterrupted run, whichever kernel wrote the
+// checkpoint, so an image taken on the reference loop warm-starts the
+// default kernel. The writer must also be unperturbed by having been
+// checkpointed.
 func TestCheckpointRoundTripMatrix(t *testing.T) {
-	kernels := []string{"cycle", ""} // the oracle and the default
 	for _, setup := range ckptSetups(t) {
 		setup := setup
 		t.Run(setup.name, func(t *testing.T) {
@@ -147,7 +148,7 @@ func TestCheckpointRoundTripMatrix(t *testing.T) {
 			ref.Run(ckptMeasure)
 			want := renderState(ref)
 
-			for _, writer := range kernels {
+			for _, writer := range []string{"cycle", ""} { // the oracle and the default
 				// Checkpoint after warmup, then continue the original: the
 				// save walk must be a pure read.
 				orig, err := setup.build(pabst.WithKernel(writer))
@@ -166,85 +167,54 @@ func TestCheckpointRoundTripMatrix(t *testing.T) {
 					t.Fatalf("kernel %q: checkpointing perturbed the running system\n--- want\n%s\n--- got\n%s", writer, want, got)
 				}
 
-				for _, reader := range kernels {
-					name := fmt.Sprintf("written on %q, restored on %q", writer, reader)
-					sys, err := pabst.Restore(bytes.NewReader(ck.Bytes()), pabst.WithKernel(reader))
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					sys.Run(ckptMeasure)
-					if got := renderState(sys); got != want {
-						t.Errorf("%s: diverged from uninterrupted run\n--- want\n%s\n--- got\n%s", name, want, got)
-					}
-					sys.Close()
+				sys, err := pabst.Restore(bytes.NewReader(ck.Bytes()))
+				if err != nil {
+					t.Fatalf("written on %q: %v", writer, err)
 				}
+				sys.Run(ckptMeasure)
+				if got := renderState(sys); got != want {
+					t.Errorf("written on %q: diverged from uninterrupted run\n--- want\n%s\n--- got\n%s", writer, want, got)
+				}
+				sys.Close()
 			}
 		})
 	}
 }
 
-// TestCheckpointBuilderRestore exercises the caller-built restore path
-// across kernels: a system checkpointed on the reference loop restores
-// onto a freshly built default-kernel system bit-identically.
-func TestCheckpointBuilderRestore(t *testing.T) {
-	setup := ckptSetups(t)[0]
-
-	ref, err := setup.build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ref.Close()
-	ref.Warmup(ckptWarmup)
-	ref.Run(ckptMeasure)
-	want := renderState(ref)
-
-	src, err := setup.build(pabst.WithKernel("cycle"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	src.Warmup(ckptWarmup)
-	var ck bytes.Buffer
-	if err := src.Checkpoint(&ck); err != nil {
-		t.Fatalf("checkpoint: %v", err)
-	}
-	src.Close()
-
-	// Restore onto a second build of the same machine.
-	sys, err := setup.build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
-	if err := sys.RestoreFrom(bytes.NewReader(ck.Bytes())); err != nil {
-		t.Fatalf("builder restore: %v", err)
-	}
-	sys.Run(ckptMeasure)
-	if got := renderState(sys); got != want {
-		t.Errorf("builder-restored run diverged\n--- want\n%s\n--- got\n%s", want, got)
-	}
+// seal appends the CRC trailer that lets an image body through Decode.
+func seal(body []byte) []byte {
+	return binary.LittleEndian.AppendUint64(body, crc64.Checksum(body, crc64.MakeTable(crc64.ECMA)))
 }
 
-// reweigh rewrites the two class weights a two-class image carries — in
-// the header metadata pabst.Restore rebuilds the registry from, and in the
-// payload's QoS section (per class: weight, stride, threads, two demand
-// words) every restore overlays — and re-seals the CRC.
-func reweigh(t testing.TB, img []byte, w [2]uint64) []byte {
+// remeta replaces each match of pattern in an image's header metadata
+// with repl (regexp.ReplaceAll's syntax) and re-seals the CRC, so the
+// image reaches Restore with metadata that says what the test wants.
+func remeta(t testing.TB, img []byte, pattern, repl string) []byte {
 	c, err := ckpt.Decode(img)
 	if err != nil {
 		t.Fatal(err)
 	}
-	old, i := c.Header().Meta, 0
-	meta := regexp.MustCompile(`"weight":\d+`).ReplaceAllFunc(old, func([]byte) []byte {
-		i++
-		return fmt.Appendf(nil, `"weight":%d`, w[i-1])
-	})
-	const metaLen = 8 + 4 + 32 + 8 // after magic, version, fingerprint, cycle
-	out := binary.LittleEndian.AppendUint64(bytes.Clone(img[:metaLen]), uint64(len(meta)))
-	out = append(append(out, meta...), img[metaLen+8+len(old):len(img)-8]...)
+	old := c.Header().Meta
+	meta := regexp.MustCompile(pattern).ReplaceAll(old, []byte(repl))
+	if bytes.Equal(meta, old) {
+		t.Fatalf("%q matches nothing in the metadata %s", pattern, old)
+	}
+	const metaAt = 8 + 4 + 8 // after magic, version, cycle
+	out := binary.LittleEndian.AppendUint64(bytes.Clone(img[:metaAt]), uint64(len(meta)))
+	return seal(append(append(out, meta...), img[metaAt+8+len(old):len(img)-8]...))
+}
+
+// reweigh rewrites the two class weights a two-class image carries — in
+// the header metadata Restore rebuilds the registry from, and in the
+// payload's QoS section (per class: weight, stride, threads, two demand
+// words) the load overlays — and re-seals the CRC.
+func reweigh(t testing.TB, img []byte, w [2]uint64) []byte {
+	out := remeta(t, img, `"weight":\d+(.*)"weight":\d+`, fmt.Sprintf(`"weight":%d$1"weight":%d`, w[0], w[1]))
+	out = out[:len(out)-8]
 	qos := bytes.Index(out, []byte("\xa5\x03\x00\x00\x00\x00\x00\x00\x00qos")) + 12 + 8 // tag, class count
 	binary.LittleEndian.PutUint64(out[qos:], w[0])
 	binary.LittleEndian.PutUint64(out[qos+40:], w[1])
-	return binary.LittleEndian.AppendUint64(out, crc64.Checksum(out, crc64.MakeTable(crc64.ECMA)))
+	return seal(out)
 }
 
 // TestCheckpointTypedErrors pins the failure taxonomy: corrupt streams,
@@ -284,77 +254,49 @@ func TestCheckpointTypedErrors(t *testing.T) {
 
 	t.Run("version", func(t *testing.T) {
 		// A newer build's file, and the previous formats': an intact
-		// Version-10 or Version-9 image (CRC re-sealed) is refused, not
+		// Version-11 or Version-10 image (CRC re-sealed) is refused, not
 		// migrated.
-		for _, v := range []uint32{12, 10, 9} {
+		for _, v := range []uint32{13, 11, 10} {
 			bad := append([]byte(nil), raw[:len(raw)-8]...)
 			binary.LittleEndian.PutUint32(bad[8:], v) // the version word follows the 8-byte magic
-			bad = binary.LittleEndian.AppendUint64(bad, crc64.Checksum(bad, crc64.MakeTable(crc64.ECMA)))
-			_, err := pabst.Restore(bytes.NewReader(bad))
+			_, err := pabst.Restore(bytes.NewReader(seal(bad)))
 			if !errors.Is(err, pabst.ErrCkptVersion) {
 				t.Errorf("version %d: want ErrCkptVersion, got %v", v, err)
 			}
 		}
 	})
 
-	// other builds the saved machine's shape from cfg, its high class
-	// named hiName; each mismatch below changes one thing.
-	other := func(t *testing.T, cfg pabst.SystemConfig, hiName string) *pabst.System {
-		t.Helper()
-		b := pabst.NewBuilder(cfg, pabst.ModePABST)
-		hi := b.AddClass(hiName, 7, cfg.L3Ways/2)
-		lo := b.AddClass("lo", 3, cfg.L3Ways-cfg.L3Ways/2)
-		for i := 0; i < 4; i++ {
-			b.Attach(i, hi, pabst.Stream(fmt.Sprintf("hot%d", i), pabst.TileRegion(i), 64, false))
-			b.Attach(4+i, lo, pabst.Chaser(fmt.Sprintf("bg%d", i), pabst.TileRegion(4+i), 4, uint64(100+i)))
-		}
-		sys, err := b.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(sys.Close)
-		return sys
+	// The metadata builds one machine and the payload describes another:
+	// each mismatch below changes the metadata alone.
+	plan, err := pabst.LoadFaultPlan("sat-drop")
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	t.Run("mismatched-builder", func(t *testing.T) {
-		cfg := pabst.Scaled8Config()
-		cfg.Seed = 7
-		if err := other(t, cfg, "different-name").RestoreFrom(bytes.NewReader(raw)); !errors.Is(err, pabst.ErrCkptMismatch) {
-			t.Errorf("want ErrCkptMismatch, got %v", err)
-		}
-	})
-
-	t.Run("mismatched-fault-plan", func(t *testing.T) {
-		plan, err := pabst.LoadFaultPlan("sat-drop")
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := pabst.Scaled8Config()
-		cfg.Seed, cfg.Faults = 7, plan
-		if err := other(t, cfg, "hi").RestoreFrom(bytes.NewReader(raw)); !errors.Is(err, pabst.ErrCkptMismatch) {
-			t.Errorf("want ErrCkptMismatch, got %v", err)
-		}
-	})
-
-	t.Run("mismatched-policy", func(t *testing.T) {
-		if _, err := pabst.Restore(bytes.NewReader(raw), pabst.WithPolicy("", "dpq")); !errors.Is(err, pabst.ErrCkptMismatch) {
-			t.Errorf("want ErrCkptMismatch, got %v", err)
-		}
-	})
+	planJSON, err := json.Marshal(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name, pattern, repl string
+		want                error
+	}{
+		{"mismatched-builder", `"WindowOps":48`, `"WindowOps":16`, pabst.ErrCkptMismatch},
+		{"mismatched-fault-plan", `"WBCharge"`, `"Faults":` + string(planJSON) + `,"WBCharge"`, pabst.ErrCkptCorrupt},
+		{"mismatched-policy", `"mode":"pabst"`, `"mode":"pabst+dpq"`, pabst.ErrCkptCorrupt},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if _, err := pabst.Restore(bytes.NewReader(remeta(t, raw, c.pattern, c.repl))); !errors.Is(err, c.want) {
+				t.Errorf("want %v, got %v", c.want, err)
+			}
+		})
+	}
 
 	t.Run("hostile-weights", func(t *testing.T) {
 		// Weights whose stride vector overflows (this pair divided by zero
 		// inside AddClass), a zero weight, a stride that is not its weight's.
 		for _, w := range [][2]uint64{{1<<62 + 1, 1<<62 + 3}, {0, 3}, {3, 7}} {
-			bad := reweigh(t, raw, w)
-			onto, err := setup.build()
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer onto.Close()
-			_, rerr := pabst.Restore(bytes.NewReader(bad))
-			if ferr := onto.RestoreFrom(bytes.NewReader(bad)); !errors.Is(rerr, pabst.ErrCkptCorrupt) || !errors.Is(ferr, pabst.ErrCkptCorrupt) {
-				t.Errorf("weights %d:%d: Restore = %v, RestoreFrom = %v; want ErrCkptCorrupt from both", w[0], w[1], rerr, ferr)
+			if _, err := pabst.Restore(bytes.NewReader(reweigh(t, raw, w))); !errors.Is(err, pabst.ErrCkptCorrupt) {
+				t.Errorf("weights %d:%d: want ErrCkptCorrupt, got %v", w[0], w[1], err)
 			}
 		}
 	})
@@ -364,48 +306,68 @@ func TestCheckpointTypedErrors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		info := c.Header()
-		if info.Cycle != sys.Now() {
+		if info := c.Header(); info.Cycle != sys.Now() {
 			t.Errorf("info cycle = %d, want %d", info.Cycle, sys.Now())
-		}
-		fp, err := sys.Fingerprint()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if info.Fingerprint != fp {
-			t.Errorf("info fingerprint does not match the live system's")
 		}
 	})
 }
 
-// TestCheckpointClosureGenerators pins the two-path contract for
-// generators without a build recipe: Checkpoint serializes their state,
-// package-level Restore refuses (no recipe in the metadata), and
-// RestoreFrom onto a system whose builder reconstructed the closure
-// works bit-identically.
-func TestCheckpointClosureGenerators(t *testing.T) {
-	build := func() (*pabst.System, error) {
-		cfg := pabst.Scaled8Config()
-		cfg.Seed = 21
-		b := pabst.NewBuilder(cfg, pabst.ModePABST)
-		hi := b.AddClass("hi", 3, cfg.L3Ways/2)
-		lo := b.AddClass("lo", 1, cfg.L3Ways-cfg.L3Ways/2)
-		b.Attach(0, hi, pabst.FilteredStream("skew", pabst.TileRegion(0), 64, false,
-			func(a pabst.Addr) bool { return a%128 == 0 }))
-		b.Attach(1, lo, pabst.Stream("bg", pabst.TileRegion(1), 64, false))
-		return b.Build()
-	}
+// craftedImage is a CRC-valid image whose metadata asks for a machine
+// Restore cannot build.
+type craftedImage struct {
+	name string
+	img  []byte
+}
 
-	ref, err := build()
+// craftedImages rewrite one value each in an image of an 8-tile machine:
+// a generator's constructor would panic on the first two, and the
+// machines the last two describe do not fit in memory (the
+// 3037000499×3037000499 mesh is the largest whose tile count fits an
+// int).
+func craftedImages(t testing.TB, img []byte) []craftedImage {
+	return []craftedImage{
+		{"chaser with no chains", remeta(t, img, `("kind":"chaser","name":"[^"]*","u":\[\d+,\d+,)\d+`, `${1}0`)},
+		{"stream over no bytes", remeta(t, img, `("kind":"stream","name":"[^"]*","u":\[\d+,)\d+`, `${1}0`)},
+		{"huge mesh", remeta(t, img, `"MeshCols":4,"MeshRows":2(.*)"Cols":4,"Rows":2`,
+			`"MeshCols":3037000499,"MeshRows":3037000499$1"Cols":3037000499,"Rows":3037000499`)},
+		{"2^62 MSHRs", remeta(t, img, `"MaxMSHRs":16`, `"MaxMSHRs":4611686018427387904`)},
+	}
+}
+
+// TestRestoreRefusesWhatItCannotBuild: metadata is part of the image, so
+// a recipe a constructor would panic on and a machine too large to build
+// are ErrCkptCorrupt before anything is built. Each of these images
+// panicked Restore before it bounded the metadata.
+func TestRestoreRefusesWhatItCannotBuild(t *testing.T) {
+	sys, err := ckptSetups(t)[0].build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ref.Close()
-	ref.Warmup(ckptWarmup)
-	ref.Run(ckptMeasure)
-	want := renderState(ref)
+	sys.Run(2_000)
+	var img bytes.Buffer
+	if err := sys.Checkpoint(&img); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range craftedImages(t, img.Bytes()) {
+		if _, err := pabst.Restore(bytes.NewReader(c.img)); !errors.Is(err, pabst.ErrCkptCorrupt) {
+			t.Errorf("%s: want ErrCkptCorrupt, got %v", c.name, err)
+		}
+	}
+}
 
-	src, err := build()
+// TestCheckpointClosureGenerators pins the contract for generators
+// without a build recipe: Checkpoint serializes their state, and Restore
+// refuses the image (no recipe in the metadata).
+func TestCheckpointClosureGenerators(t *testing.T) {
+	cfg := pabst.Scaled8Config()
+	cfg.Seed = 21
+	b := pabst.NewBuilder(cfg, pabst.ModePABST)
+	hi := b.AddClass("hi", 3, cfg.L3Ways/2)
+	lo := b.AddClass("lo", 1, cfg.L3Ways-cfg.L3Ways/2)
+	b.Attach(0, hi, pabst.FilteredStream("skew", pabst.TileRegion(0), 64, false,
+		func(a pabst.Addr) bool { return a%128 == 0 }))
+	b.Attach(1, lo, pabst.Stream("bg", pabst.TileRegion(1), 64, false))
+	src, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,22 +377,8 @@ func TestCheckpointClosureGenerators(t *testing.T) {
 	if err := src.Checkpoint(&ck); err != nil {
 		t.Fatalf("checkpoint with closure generator: %v", err)
 	}
-
 	if _, err := pabst.Restore(bytes.NewReader(ck.Bytes())); !errors.Is(err, pabst.ErrCkptUnsupported) {
-		t.Errorf("package Restore of closure generator: want ErrCkptUnsupported, got %v", err)
-	}
-
-	sys, err := build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
-	if err := sys.RestoreFrom(bytes.NewReader(ck.Bytes())); err != nil {
-		t.Fatalf("builder restore: %v", err)
-	}
-	sys.Run(ckptMeasure)
-	if got := renderState(sys); got != want {
-		t.Errorf("closure-generator restore diverged\n--- want\n%s\n--- got\n%s", want, got)
+		t.Errorf("Restore of closure generator: want ErrCkptUnsupported, got %v", err)
 	}
 }
 
@@ -465,7 +413,7 @@ func TestCheckpointBytesAreTheMachine(t *testing.T) {
 				ops[i].Gap = 20_000
 			}
 		}
-		gen, err := pabst.Replay("drain", ops)
+		gen, err := workload.NewReplayer("drain", ops)
 		if err != nil {
 			return nil, err
 		}
@@ -502,34 +450,26 @@ func TestCheckpointBytesAreTheMachine(t *testing.T) {
 	}
 }
 
-// TestCheckpointFormatFrozen pins the persisted form of a machine:
-// checkpoint bytes and machine fingerprints (what RestoreFrom checks) equal
-// the constants captured when Version 11 dropped the fault injector's
-// shared NoC stream and per-sender tallies from the walk (these machines
-// have no fault plan, so only the version word and the trailer moved;
-// the fingerprints are Version 10's). The mechanism is recorded once, as the resolved pair, so a pair
-// spelled as an override and the same pair spelled as the builder's
-// mode are one machine. A change to any payload byte must bump
-// ckpt.Version — that is a format change, not a baseline update.
+// TestCheckpointFormatFrozen pins the persisted form of a machine: the
+// checkpoint bytes hash to the constants captured when Version 12 dropped
+// the header's machine fingerprint, the payload unchanged since Version
+// 11. The mechanism is recorded once, as the resolved pair, so a pair
+// spelled as an override and the same pair spelled as the builder's mode
+// write one image. A change to any payload byte must bump ckpt.Version —
+// that is a format change, not a baseline update.
 func TestCheckpointFormatFrozen(t *testing.T) {
-	const (
-		dpqMachine = "fa715b4f363155683be5a5b799929ed29c24918579159245b1a97f045f78bee2"
-		dpqContent = "0e157a5489ca9b49340e92e293ec7a7348c3b223cc42f0a24d1073cdde50081b"
-	)
+	const dpqContent = "f0c69265a0c36a9979b3434b6d382c7c3a6b349a5b3248289684fbcb1d2787b9"
 	for _, c := range []struct {
-		name             string
-		mode             pabst.Mode
-		opts             []pabst.Option
-		pair             string
-		machine, content string
+		name    string
+		mode    pabst.Mode
+		opts    []pabst.Option
+		pair    string
+		content string
 	}{
 		{"default", pabst.ModeSourceOnly, nil, "pabst+fcfs",
-			"684874b818361f1d00577c2cfea02c653d57a1e6d41342718718333546cf702e",
-			"a660a2e8732ac5b4cd16e4c52e5c2096d6f8a130d98293d1a1913ec27ec0dfe7"},
-		{"overridden", pabst.ModeSourceOnly, []pabst.Option{pabst.WithPolicy("", "dpq")}, "pabst+dpq",
-			dpqMachine, dpqContent},
-		{"spelled-as-mode", pabst.Mode{Source: "pabst", Target: "dpq"}, nil, "pabst+dpq",
-			dpqMachine, dpqContent},
+			"0de980ebf50d21ada4fde976bddc4665eb5c01479c9e8e3de8bc0389112af2f6"},
+		{"overridden", pabst.ModeSourceOnly, []pabst.Option{pabst.WithPolicy("", "dpq")}, "pabst+dpq", dpqContent},
+		{"spelled-as-mode", pabst.Mode{Source: "pabst", Target: "dpq"}, nil, "pabst+dpq", dpqContent},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := pabst.Default32Config()
@@ -555,18 +495,11 @@ func TestCheckpointFormatFrozen(t *testing.T) {
 			if err := sys.Checkpoint(&ck); err != nil {
 				t.Fatal(err)
 			}
-			fp, err := sys.Fingerprint()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := fmt.Sprintf("%x", fp); got != c.machine {
-				t.Errorf("machine fingerprint %s, frozen %s", got, c.machine)
-			}
 			if got := fmt.Sprintf("%x", sha256.Sum256(ck.Bytes())); got != c.content {
 				t.Errorf("checkpoint bytes hash %s, frozen %s", got, c.content)
 			}
-			if v := binary.LittleEndian.Uint32(ck.Bytes()[8:]); v != 11 { // the version word follows the 8-byte magic
-				t.Errorf("checkpoint format version %d, frozen 11", v)
+			if v := binary.LittleEndian.Uint32(ck.Bytes()[8:]); v != 12 { // the version word follows the 8-byte magic
+				t.Errorf("checkpoint format version %d, frozen 12", v)
 			}
 			// The self-describing restore reads the same selection back.
 			back, err := pabst.Restore(bytes.NewReader(ck.Bytes()))
@@ -581,11 +514,11 @@ func TestCheckpointFormatFrozen(t *testing.T) {
 	}
 }
 
-// fuzzMachines are the small machines FuzzRestore restores onto: short
-// windows and few-KB caches keep an image near 20 KB, so the fuzzer
-// spends its time in the walk rather than copying cache lines. One has
-// every fault domain armed, the other the modeled NoC, and between them
-// they attach every describable generator kind.
+// fuzzMachines are the small machines FuzzRestore's seeds come from:
+// short windows and few-KB caches keep an image near 20 KB, so the
+// fuzzer spends its time in the walk rather than copying cache lines.
+// One has every fault domain armed, the other the modeled NoC, and
+// between them they attach every describable generator kind.
 func fuzzMachines(t testing.TB) []func(opts ...pabst.Option) *pabst.Builder {
 	plan, err := pabst.LoadFaultPlan("everything")
 	if err != nil {
@@ -624,21 +557,21 @@ func fuzzMachines(t testing.TB) []func(opts ...pabst.Option) *pabst.Builder {
 	}
 }
 
-// FuzzRestore is the checkpoint trust boundary's fuzz target (every
-// component's Ckpt walk, loading). The seeds are real checkpoints of the
-// two fuzzMachines, each written on both kernels. The target re-seals a
-// mutated image with a fresh CRC — so mutations reach the walk instead of
-// dying at the envelope — and restores it onto the machine its header
-// names. Whatever the bytes say, the restore must return a system or a
-// typed checkpoint error, must not panic, and must not allocate more
-// than a small multiple of the image; a system it returns must then run
-// 2 000 cycles without panicking, so a load check that lets through a
-// machine that cannot run fails here rather than in a user's Run.
+// FuzzRestore is the checkpoint trust boundary's fuzz target: Restore,
+// metadata and every component's Ckpt walk, loading. The seeds are real
+// checkpoints of the two fuzzMachines, each written on both kernels, and
+// images whose metadata or weights Restore must refuse. The target
+// re-seals a mutated image with a fresh CRC — so mutations reach the
+// metadata and the walk instead of dying at the envelope — and restores
+// it. Whatever the bytes say, Restore must return a system or a typed
+// checkpoint error, must not panic, and must not allocate more than a
+// small multiple of the image beyond a fresh build of the machine the
+// image describes; a system it returns must then run 2 000 cycles without
+// panicking, so a load check that lets through a machine that cannot run
+// fails here rather than in a user's Run.
 func FuzzRestore(f *testing.F) {
-	machines := fuzzMachines(f)
-	byFingerprint := map[[32]byte]func(opts ...pabst.Option) *pabst.Builder{}
 	var last []byte
-	for _, m := range machines {
+	for _, m := range fuzzMachines(f) {
 		for _, kernel := range []string{"event", "cycle"} {
 			sys, err := m(pabst.WithKernel(kernel)).Build()
 			if err != nil {
@@ -649,42 +582,120 @@ func FuzzRestore(f *testing.F) {
 			if err := sys.Checkpoint(&img); err != nil {
 				f.Fatal(err)
 			}
-			fp, _ := sys.Fingerprint()
-			byFingerprint[fp] = m
 			sys.Close()
 			f.Add(img.Bytes())
 			last = img.Bytes()
 		}
 	}
 	f.Add(reweigh(f, last, [2]uint64{1<<62 + 1, 1<<62 + 3})) // no stride vector fits 64 bits
-	ecma := crc64.MakeTable(crc64.ECMA)
+	for _, c := range craftedImages(f, last) {
+		f.Add(c.img)
+	}
 	f.Fuzz(func(t *testing.T, img []byte) {
 		if len(img) < 8 {
 			return
 		}
-		img = binary.LittleEndian.AppendUint64(img[:len(img)-8:len(img)-8], crc64.Checksum(img[:len(img)-8], ecma))
-		m := machines[0]
-		if c, err := ckpt.Decode(img); err == nil && byFingerprint[c.Header().Fingerprint] != nil {
-			m = byFingerprint[c.Header().Fingerprint]
-		}
-		sys, err := m().Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sys.Close()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		err = sys.RestoreFrom(bytes.NewReader(img))
-		runtime.ReadMemStats(&after)
+		img = seal(img[: len(img)-8 : len(img)-8])
+		var sys *pabst.System
+		var err error
+		restored := ownAlloc(func() { sys, err = pabst.Restore(bytes.NewReader(img)) })
 		if err != nil && !errors.Is(err, pabst.ErrCkptCorrupt) && !errors.Is(err, pabst.ErrCkptVersion) &&
 			!errors.Is(err, pabst.ErrCkptMismatch) && !errors.Is(err, pabst.ErrCkptUnsupported) {
 			t.Fatalf("restore failed with an untyped error: %v", err)
 		}
-		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(8*len(img)+1<<20); grew > limit {
-			t.Fatalf("restoring a %d-byte image allocated %d bytes (limit %d)", len(img), grew, limit)
+		if limit := uint64(8*len(img) + 1<<20); restored > limit {
+			built := ownAlloc(func() { buildMeta(t, img) })
+			if restored > built+limit {
+				t.Fatalf("restoring a %d-byte image allocated %d bytes, building its machine %d (limit %d beyond it)", len(img), restored, built, limit)
+			}
 		}
 		if err == nil {
 			sys.Run(2_000)
 		}
 	})
+}
+
+// buildMeta builds the machine an image's metadata describes, as Restore
+// does before it loads the payload, for the allocation gate's baseline.
+func buildMeta(t *testing.T, img []byte) {
+	c, err := ckpt.Decode(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var meta struct {
+		Config  pabst.SystemConfig
+		Mode    string
+		Classes []struct {
+			Name   string
+			Weight uint64
+			L3Ways int `json:"l3_ways"`
+		}
+		Attach []struct {
+			Tile, Class int
+			Spec        workload.BuildSpec
+		}
+	}
+	if err := json.Unmarshal(c.Header().Meta, &meta); err != nil {
+		t.Fatal(err)
+	}
+	mode, err := pabst.ParseMode(meta.Mode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := pabst.NewBuilder(meta.Config, mode)
+	for _, c := range meta.Classes {
+		b.AddClass(c.Name, c.Weight, c.L3Ways)
+	}
+	for _, a := range meta.Attach {
+		gen, err := workload.FromBuildSpec(a.Spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Attach(a.Tile, pabst.ClassID(a.Class), gen)
+	}
+	if _, err := b.Build(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// ownAlloc returns the bytes a second run of f allocates on its own
+// goroutine; the first run, unmeasured, stocks the process's pools as a
+// steady state has them. Every allocation of the second run is profiled,
+// and those whose recorded stack passes through profiled count, so
+// another goroutine's allocations in the same window do not. The profile
+// keeps a stack's innermost 32 frames: an allocation deeper than that
+// below profiled cannot be told apart, and counts as well.
+func ownAlloc(f func()) uint64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection empties the pools
+	f()
+	before := profiledBytes()
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	profiled(f)
+	runtime.MemProfileRate = 0
+	runtime.GC() // publishes the window's allocations to the profile
+	return uint64(profiledBytes() - before)
+}
+
+//go:noinline
+func profiled(f func()) { f() }
+
+// profiledBytes sums the published profile's allocations under profiled.
+func profiledBytes() (n int64) {
+	recs := make([]runtime.MemProfileRecord, 512)
+	k, ok := runtime.MemProfile(recs, true)
+	for ; !ok; k, ok = runtime.MemProfile(recs, true) {
+		recs = make([]runtime.MemProfileRecord, k+512)
+	}
+	entry := reflect.ValueOf(profiled).Pointer()
+	for _, r := range recs[:k] {
+		stk := r.Stack()
+		if len(stk) == len(r.Stack0) || slices.ContainsFunc(stk, func(pc uintptr) bool {
+			fn := runtime.FuncForPC(pc - 1)
+			return fn != nil && fn.Entry() == entry
+		}) {
+			n += r.AllocBytes
+		}
+	}
+	return n
 }

@@ -2,7 +2,10 @@ package cache
 
 import (
 	"errors"
+	"reflect"
 	"runtime"
+	"runtime/debug"
+	"slices"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -280,8 +283,9 @@ func storedWord(line uint64, class mem.ClassID, dirty bool) uint64 {
 // stored word without its valid bit, a stored line number at or above
 // 2^37 or a bit between it and the class (an address wider than
 // mem.AddrBits), more valid lines claimed than the image stores. Each fails with ckpt.ErrCorrupt,
-// without a panic and without allocating more than the image. The
-// control image restores and then evicts in the order its ranks say.
+// without a panic and without allocating more than the image (on its own
+// goroutine: ownAlloc). The control image restores and then evicts in the
+// order its ranks say.
 func TestRestoreRejectsUnpackable(t *testing.T) {
 	cfg := Config{SizeBytes: 256 * 4 * mem.LineSize, Ways: 4}
 	lines := cfg.SizeBytes / mem.LineSize
@@ -322,21 +326,15 @@ func TestRestoreRejectsUnpackable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The fewest bytes of three restores: a concurrent allocation
-		// elsewhere in the process can land in any one window.
-		c, grew := New(cfg), ^uint64(0)
-		for range 3 {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			k, err := ckpt.Decode(img)
-			if err == nil {
+		c := New(cfg)
+		grew := ownAlloc(func() {
+			var k *ckpt.Codec
+			if k, err = ckpt.Decode(img); err == nil {
 				err = k.Load(c)
 			}
-			runtime.ReadMemStats(&after)
-			grew = min(grew, after.TotalAlloc-before.TotalAlloc)
-			if !errors.Is(err, tc.want) {
-				t.Fatalf("%s: restore error %v, want %v", tc.name, err, tc.want)
-			}
+		})
+		if !errors.Is(err, tc.want) {
+			t.Fatalf("%s: restore error %v, want %v", tc.name, err, tc.want)
 		}
 		if grew > uint64(len(img)) {
 			t.Errorf("%s: restoring a %d-byte image allocated %d bytes", tc.name, len(img), grew)
@@ -354,4 +352,46 @@ func TestRestoreRejectsUnpackable(t *testing.T) {
 			t.Errorf("%s: occupancy %v, counters %d/%d, victim %+v", tc.name, occ, c.Hits, c.DirtyEvictions, r.Victim)
 		}
 	}
+}
+
+// ownAlloc returns the bytes a second run of f allocates on its own
+// goroutine; the first run, unmeasured, stocks the process's pools as a
+// steady state has them. Every allocation of the second run is profiled,
+// and those whose recorded stack passes through profiled count, so
+// another goroutine's allocations in the same window do not. The profile
+// keeps a stack's innermost 32 frames: an allocation deeper than that
+// below profiled cannot be told apart, and counts as well.
+func ownAlloc(f func()) uint64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection empties the pools
+	f()
+	before := profiledBytes()
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	profiled(f)
+	runtime.MemProfileRate = 0
+	runtime.GC() // publishes the window's allocations to the profile
+	return uint64(profiledBytes() - before)
+}
+
+//go:noinline
+func profiled(f func()) { f() }
+
+// profiledBytes sums the published profile's allocations under profiled.
+func profiledBytes() (n int64) {
+	recs := make([]runtime.MemProfileRecord, 512)
+	k, ok := runtime.MemProfile(recs, true)
+	for ; !ok; k, ok = runtime.MemProfile(recs, true) {
+		recs = make([]runtime.MemProfileRecord, k+512)
+	}
+	entry := reflect.ValueOf(profiled).Pointer()
+	for _, r := range recs[:k] {
+		stk := r.Stack()
+		if len(stk) == len(r.Stack0) || slices.ContainsFunc(stk, func(pc uintptr) bool {
+			fn := runtime.FuncForPC(pc - 1)
+			return fn != nil && fn.Entry() == entry
+		}) {
+			n += r.AllocBytes
+		}
+	}
+	return n
 }

@@ -5,8 +5,7 @@
 //
 //	magic   "PABSTCKP"                 8 bytes
 //	version uint32                     format version (Version)
-//	header  fingerprint [32]byte       sha256 of the structural build config
-//	        cycle       uint64         kernel cycle at save time
+//	header  cycle       uint64         kernel cycle at save time
 //	        meta        []byte         JSON build description (config + attachments)
 //	payload section-tagged component state, canonical walk order
 //	trailer crc64 (ECMA) over every preceding byte
@@ -68,8 +67,9 @@ import (
 // v11 drops the fault injector's shared NoC stream cursor and the
 // per-sender NoC drop/delay tallies with their folded totals: the
 // per-tile and per-MC streams count into the injector's counters
-// directly.
-const Version uint32 = 11
+// directly; v12 drops the header's machine fingerprint: the metadata is
+// the one description of the machine, and a restore builds from it.
+const Version uint32 = 12
 
 var magic = [8]byte{'P', 'A', 'B', 'S', 'T', 'C', 'K', 'P'}
 
@@ -91,21 +91,14 @@ var (
 	// the restoring machine can hold.
 	ErrCorrupt = errors.New("ckpt: corrupt checkpoint")
 
-	// ErrMismatch reports a structural disagreement between the
-	// checkpoint and the system restoring it (different config
-	// fingerprint, different component shape).
+	// ErrMismatch reports a structural disagreement between the payload
+	// and the system it loads into (a component of another shape).
 	ErrMismatch = errors.New("ckpt: checkpoint does not match this system")
 
 	// ErrUnsupported reports a component that cannot be checkpointed
 	// (e.g. a workload generator built from a closure the format cannot
 	// describe).
 	ErrUnsupported = errors.New("ckpt: component does not support checkpointing")
-
-	// ErrPartial marks a decode that failed after the walk began: the
-	// walker it was loading into is partially overwritten and must be
-	// discarded. It always wraps the cause (ErrCorrupt, ErrMismatch,
-	// ErrUnsupported); an error without it left the walker untouched.
-	ErrPartial = errors.New("ckpt: state partially restored")
 )
 
 // Walker is implemented by every component with checkpointable state.
@@ -133,15 +126,10 @@ func (f WalkFunc) Ckpt(c *Codec) { f(c) }
 
 // Header is the self-describing prefix of every checkpoint.
 type Header struct {
-	// Fingerprint identifies the structural build configuration; restore
-	// refuses a system whose fingerprint differs.
-	Fingerprint [32]byte
 	// Cycle is the kernel cycle at save time.
 	Cycle uint64
 	// Meta is a JSON build description sufficient to reconstruct the
-	// system (config plus class/tile/workload attachments) when the
-	// caller does not supply a builder. Empty when the saving system
-	// contained components the format cannot describe.
+	// system (config plus class/tile/workload attachments).
 	Meta []byte
 }
 
@@ -168,6 +156,10 @@ const (
 type Codec struct {
 	// Limits bound the index-valued fields components load; see Limits.
 	Limits Limits
+	// OnLoad, if set, sees each value a loading walk passes to Loaded:
+	// the hook of a walker that checks how the state it loaded relates to
+	// what the rest of the walk loads.
+	OnLoad func(v any)
 
 	buf     []byte // encoding: the image so far; decoding: header and payload, trailer cut off
 	off     int    // decoding: read cursor into buf
@@ -183,10 +175,9 @@ func Encode(h Header, w Walker) ([]byte, error) {
 	if s, ok := w.(Sizer); ok {
 		size = s.CkptSize()
 	}
-	c := &Codec{buf: make([]byte, 0, 12+len(h.Fingerprint)+16+len(h.Meta)+size+trailerLen)}
+	c := &Codec{buf: make([]byte, 0, 12+16+len(h.Meta)+size+trailerLen)}
 	c.buf = append(c.buf, magic[:]...)
 	c.buf = binary.LittleEndian.AppendUint32(c.buf, Version)
-	c.buf = append(c.buf, h.Fingerprint[:]...)
 	c.U64(&h.Cycle)
 	n := len(h.Meta)
 	if h.Meta == nil {
@@ -205,9 +196,9 @@ func Encode(h Header, w Walker) ([]byte, error) {
 // bounds, and the CRC trailer over every byte before it — and returns a
 // codec positioned at the payload. It touches no component state: an
 // error here (ErrCorrupt, ErrVersion) means nothing was restored. A nil
-// error guarantees the bytes are exactly what Encode produced; it does
-// not prove the checkpoint matches any particular system — that is the
-// restore-time fingerprint check's job.
+// error guarantees the bytes are exactly what Encode produced, not that
+// they describe a machine: the metadata and the walk's load checks are
+// the restore's to judge.
 func Decode(raw []byte) (*Codec, error) {
 	if len(raw) < len(magic) || [8]byte(raw[:8]) != magic {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
@@ -223,7 +214,6 @@ func Decode(raw []byte) (*Codec, error) {
 	}
 	body, trailer := raw[:len(raw)-trailerLen], raw[len(raw)-trailerLen:]
 	c := &Codec{buf: body, off: 12, loading: true}
-	c.take(c.header.Fingerprint[:])
 	c.U64(&c.header.Cycle)
 	var n int
 	c.NilLen(&n, 1)
@@ -241,17 +231,14 @@ func Decode(raw []byte) (*Codec, error) {
 }
 
 // Load walks w over the payload, overwriting its state from the image,
-// and requires the walk to consume the payload exactly. Any failure is
-// wrapped in ErrPartial.
+// and requires the walk to consume the payload exactly. After a failure
+// w is partly overwritten and must be discarded.
 func (c *Codec) Load(w Walker) error {
 	w.Ckpt(c)
 	if c.err == nil && c.off != len(c.buf) {
 		c.err = fmt.Errorf("%w: %d payload bytes left over", ErrCorrupt, len(c.buf)-c.off)
 	}
-	if c.err != nil {
-		return fmt.Errorf("%w: %w", ErrPartial, c.err)
-	}
-	return nil
+	return c.err
 }
 
 // Header returns the checkpoint's self-describing prefix.
@@ -274,11 +261,20 @@ func (c *Codec) Fail(err error) {
 // Err returns the latched error, if any.
 func (c *Codec) Err() error { return c.err }
 
-func (c *Codec) left() int { return len(c.buf) - c.off }
+// Left returns the image bytes not yet walked: before a Load, the whole
+// payload, which bounds every count the walk may load (see Len).
+func (c *Codec) Left() int { return len(c.buf) - c.off }
+
+// Loaded hands a value the walk has just loaded to OnLoad, if set.
+func (c *Codec) Loaded(v any) {
+	if c.loading && c.OnLoad != nil {
+		c.OnLoad(v)
+	}
+}
 
 // take fills p from the image, or zeroes it once the codec has failed.
 func (c *Codec) take(p []byte) {
-	if c.err != nil || len(p) > c.left() {
+	if c.err != nil || len(p) > c.Left() {
 		c.short()
 		clear(p)
 		return
@@ -301,7 +297,7 @@ func (c *Codec) AppendRaw(n int) []byte {
 // the truncation error and returns nil, so a hostile count costs no
 // allocation.
 func (c *Codec) TakeRaw(n int) []byte {
-	if c.err != nil || n < 0 || n > c.left() {
+	if c.err != nil || n < 0 || n > c.Left() {
 		c.short()
 		return nil
 	}
@@ -315,7 +311,7 @@ func (c *Codec) U64(p *uint64) {
 		c.buf = binary.LittleEndian.AppendUint64(c.buf, *p)
 		return
 	}
-	if c.err != nil || c.left() < 8 {
+	if c.err != nil || c.Left() < 8 {
 		c.short()
 		*p = 0
 		return
@@ -330,7 +326,7 @@ func (c *Codec) U8(p *uint8) {
 		c.buf = append(c.buf, *p)
 		return
 	}
-	if c.err != nil || c.left() < 1 {
+	if c.err != nil || c.Left() < 1 {
 		c.short()
 		*p = 0
 		return
@@ -431,8 +427,8 @@ func (c *Codec) Len(n *int, elemMin int) {
 	v := uint64(*n)
 	c.U64(&v)
 	if c.loading {
-		if v > uint64(c.left()/elemMin) {
-			c.Fail(fmt.Errorf("%w: length %d exceeds the %d bytes left", ErrCorrupt, v, c.left()))
+		if v > uint64(c.Left()/elemMin) {
+			c.Fail(fmt.Errorf("%w: length %d exceeds the %d bytes left", ErrCorrupt, v, c.Left()))
 			v = 0
 		}
 		*n = int(v)
@@ -442,7 +438,7 @@ func (c *Codec) Len(n *int, elemMin int) {
 // NilLen is Len for containers that distinguish nil from empty: -1
 // stands for nil and is stored as ^uint64(0).
 func (c *Codec) NilLen(n *int, elemMin int) {
-	if c.loading && c.err == nil && c.left() >= 8 && binary.LittleEndian.Uint64(c.buf[c.off:]) == nilLen {
+	if c.loading && c.err == nil && c.Left() >= 8 && binary.LittleEndian.Uint64(c.buf[c.off:]) == nilLen {
 		c.off += 8
 		*n = -1
 		return
@@ -478,7 +474,7 @@ func (c *Codec) Section(name string) {
 	c.U8(&mark)
 	var n uint64
 	c.U64(&n)
-	if c.err != nil || mark != sectionMark || n > maxSectionLen || n > uint64(c.left()) {
+	if c.err != nil || mark != sectionMark || n > maxSectionLen || n > uint64(c.Left()) {
 		c.Fail(fmt.Errorf("%w: expected section %q, found unaligned data", ErrCorrupt, name))
 		return
 	}

@@ -177,7 +177,7 @@ func NewIsolationExperiment(name, desc string, workloads []string, efficiency bo
 }
 
 // NewFaultsExperiment builds the clean-vs-faulted comparison of the 7:3
-// scenario under the named fault plan (a preset or a JSON path). The
+// scenario under the named fault plan (a preset name). The
 // plan arms the governors' degradation machinery (watchdog + fallback +
 // resync), so the table shows what the mechanism holds onto when its
 // feedback loop is under attack, plus the degradation counters.

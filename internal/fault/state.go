@@ -7,7 +7,7 @@ import (
 
 // Ckpt implements ckpt.Walker: the per-domain RNG cursors, the
 // per-sender NoC streams, and the injected-fault counters. The plan
-// itself is structural (part of the config fingerprint — an injector
+// itself is structural (part of the configuration — an injector
 // exists iff the plan is active), as are the stream counts.
 func (in *Injector) Ckpt(c *ckpt.Codec) {
 	in.satRNG.Ckpt(c)

@@ -17,7 +17,9 @@ const PacketBytes = 54
 // value and a load allocates fresh ones without aliasing concerns. The
 // machine indexes with Kind, Class, SrcTile and MC long after the load,
 // so each is range-checked against the codec's Limits here, and Addr
-// reaches the caches, so it must fit the machine's AddrBits.
+// reaches the caches, so it must fit the machine's AddrBits. A loaded
+// packet is handed to the codec's OnLoad hook (the machine's check of
+// reads in flight).
 func CkptPacket(c *ckpt.Codec, pp **Packet) {
 	if c.Loading() {
 		*pp = &Packet{}
@@ -39,6 +41,7 @@ func CkptPacket(c *ckpt.Codec, pp **Packet) {
 	c.U64(&p.Deadline)
 	c.U64(&p.Enq)
 	c.U64(&p.Issue)
+	c.Loaded(p)
 }
 
 // CkptPackets walks a packet slice in order, preserving nil vs empty.

@@ -9,7 +9,7 @@ import (
 
 // Ckpt implements ckpt.Walker: per-class weight, stride, thread count,
 // and the demand-feedback accumulators, in class ID order. Names, IDs,
-// and way allocations are structural (part of the fingerprint). The
+// and way allocations are structural (rebuilt from the metadata). The
 // thread count is checked rather than overlaid: AttachCPU already rebuilt
 // it during system construction, and a disagreement means the checkpoint
 // describes a different attachment layout. The stride is checked too:

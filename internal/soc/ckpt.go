@@ -2,6 +2,7 @@ package soc
 
 import (
 	"fmt"
+	"slices"
 
 	"pabst/internal/ckpt"
 	"pabst/internal/mem"
@@ -10,7 +11,7 @@ import (
 )
 
 // AttachmentInfo describes one tile's workload attachment — the raw
-// material for configuration fingerprints and checkpoint metadata.
+// material for checkpoint metadata.
 type AttachmentInfo struct {
 	Tile  int
 	Class mem.ClassID
@@ -36,14 +37,13 @@ func (s *System) Attachments() []AttachmentInfo {
 // with section tags between groups so a desynchronized image fails
 // loudly instead of silently misparsing. Everything not visited here is
 // structural: it is rebuilt identically by New/Attach/Finalize from the
-// configuration captured in the checkpoint header's fingerprint.
+// configuration in the checkpoint header's metadata.
 //
-// Loading overlays a freshly built, finalized system with the same
-// configuration, mode, classes, and attachments as the saved one
-// (callers verify this via the header fingerprint before getting here —
-// the walk itself only catches structural disagreements it trips over,
-// as ErrMismatch). The system knows the geometry, so it hands the codec
-// the bounds every loaded tile, controller and class index must respect.
+// Loading overlays a freshly built, finalized system, built from that
+// metadata; the walk catches the structural disagreements it trips over
+// as ErrMismatch. The system knows the geometry, so it hands the codec
+// the bounds every loaded tile, controller and class index must respect,
+// and from its tiles on it checks every read in flight (readCheck).
 func (s *System) Ckpt(c *ckpt.Codec) {
 	if !s.finalized {
 		c.Fail(fmt.Errorf("%w: checkpoint or restore before Finalize", ckpt.ErrUnsupported))
@@ -99,6 +99,9 @@ func (s *System) Ckpt(c *ckpt.Codec) {
 			t.ckpt(c)
 		}
 	}
+	if c.Loading() && c.Err() == nil {
+		c.OnLoad = s.readCheck(c)
+	}
 
 	c.Section("slices")
 	for _, sl := range s.slices {
@@ -147,6 +150,54 @@ func (s *System) CkptSize() int {
 		n += sl.cache.CkptSize()
 	}
 	return n
+}
+
+// readCheck returns the load hook that fails a load in which a read in
+// flight — answered or queued at a tile, or waiting at a slice, a door, a
+// controller or in the fabric — names a tile without an MSHR for its
+// line, or shares that MSHR with another read: its response would find
+// no entry, and Tick panics. It is armed once every tile, and so every
+// MSHR, is loaded, and first claims the reads the tiles hold, each of
+// which must be its holder's own.
+func (s *System) readCheck(c *ckpt.Codec) func(any) {
+	claimed := make([][]bool, len(s.tiles)) // per tile, per MSHR
+	for i, t := range s.tiles {
+		if t != nil {
+			claimed[i] = make([]bool, t.mshr.len())
+		}
+	}
+	claim := func(v any) {
+		pkt, ok := v.(*mem.Packet)
+		if !ok || pkt.Kind != mem.Read || c.Err() != nil {
+			return
+		}
+		line, i := pkt.Addr.LineID(), -1
+		if t := s.tiles[pkt.SrcTile]; t != nil {
+			i = slices.Index(t.mshr.lines, line)
+		}
+		if i < 0 || claimed[pkt.SrcTile][i] {
+			c.Fail(fmt.Errorf("%w: a read of line %#x for tile %d has no MSHR of its own", ckpt.ErrCorrupt, line, pkt.SrcTile))
+			return
+		}
+		claimed[pkt.SrcTile][i] = true
+	}
+	held := func(t *Tile, pkt *mem.Packet) {
+		if pkt.SrcTile != t.id {
+			c.Fail(fmt.Errorf("%w: tile %d holds a read for tile %d", ckpt.ErrCorrupt, t.id, pkt.SrcTile))
+		}
+		claim(pkt)
+	}
+	for _, t := range s.tiles {
+		for i := 0; t != nil && i < t.inbox.Len(); i++ {
+			held(t, t.inbox.At(i))
+		}
+		for q := 0; t != nil && q < len(t.missQ); q++ {
+			for j := 0; j < t.missQ[q].Len(); j++ {
+				held(t, t.missQ[q].At(j))
+			}
+		}
+	}
+	return claim
 }
 
 // limits are the bounds a loaded tile, controller or class index must
@@ -217,11 +268,10 @@ func (t *Tile) ckpt(c *ckpt.Codec) {
 	}
 }
 
-// checkLoaded fails a load whose core, inbox, MSHRs and miss FIFOs
-// disagree: every MSHR waiter must be a distinct op awaiting a miss, and
-// every read the tile holds, queued or answered, must be its own with an
-// MSHR for its line, or Tick panics when the response arrives; the
-// queued count must be the FIFOs' total, or the tile stops injecting.
+// checkLoaded fails a load whose core, MSHRs and miss FIFOs disagree:
+// every MSHR waiter must be a distinct op awaiting a miss, and the queued
+// count must be the FIFOs' total, or the tile stops injecting. The reads
+// the tile holds are readCheck's.
 func (t *Tile) checkLoaded(c *ckpt.Codec) {
 	waiting := map[uint64]bool{}
 	for i := range t.mshr.entries {
@@ -234,22 +284,9 @@ func (t *Tile) checkLoaded(c *ckpt.Codec) {
 			waiting[tok] = true
 		}
 	}
-	var held []*mem.Packet
-	for i := 0; i < t.inbox.Len(); i++ {
-		held = append(held, t.inbox.At(i))
-	}
 	queued := 0
 	for i := range t.missQ {
-		for j := 0; j < t.missQ[i].Len(); j++ {
-			held = append(held, t.missQ[i].At(j))
-		}
 		queued += t.missQ[i].Len()
-	}
-	for _, pkt := range held {
-		if line := pkt.Addr.LineID(); pkt.SrcTile != t.id || t.mshr.lookup(line) == nil {
-			c.Fail(fmt.Errorf("%w: tile %d holds a read of line %#x for tile %d with no MSHR", ckpt.ErrCorrupt, t.id, line, pkt.SrcTile))
-			return
-		}
 	}
 	if t.queued != queued {
 		c.Fail(fmt.Errorf("%w: tile %d: %d misses queued, FIFOs hold %d", ckpt.ErrCorrupt, t.id, t.queued, queued))

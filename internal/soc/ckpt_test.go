@@ -283,3 +283,50 @@ func TestRestoreRejectsWildPacket(t *testing.T) {
 		}
 	}
 }
+
+// TestRestoreRejectsDoorReadWithoutMSHR: a read parked at a front door
+// reaches its tile again as a response, so a CRC-valid image in which
+// its address names a line the tile holds no MSHR for, or which repeats
+// another read in flight, must fail the load with ErrCorrupt. Before the
+// load checked reads outside the tiles, both images restored and the
+// machine panicked in Run when the response arrived.
+func TestRestoreRejectsDoorReadWithoutMSHR(t *testing.T) {
+	pair := qospolicy.Pair{Source: "pabst", Target: "pabst"}
+	for name, poke := range map[string]func(door, other *mem.Packet){
+		"address": func(door, _ *mem.Packet) { door.Addr ^= 1 << 32 },
+		"repeat":  func(door, other *mem.Packet) { door.Addr, door.SrcTile = other.Addr, other.SrcTile },
+	} {
+		s := zooSystem(t, pair)
+		var door *mem.Packet
+		for i := 0; door == nil; i++ {
+			if i == 100_000 {
+				t.Fatal("no read ever parked at a front door")
+			}
+			s.Run(1)
+			for cl := range s.doors[0].reads {
+				if s.doors[0].reads[cl].Len() > 0 {
+					door = s.doors[0].reads[cl].At(0)
+					break
+				}
+			}
+		}
+		if _, err := carry(s, zooSystem(t, pair), s.limits()); err != nil {
+			t.Fatalf("%s: unmodified image: %v", name, err)
+		}
+		var other *mem.Packet
+		for _, tl := range s.tiles {
+			for i := 0; tl != nil && other == nil && i < len(tl.missQ); i++ {
+				if tl.missQ[i].Len() > 0 {
+					other = tl.missQ[i].At(0)
+				}
+			}
+		}
+		if other == nil {
+			t.Fatalf("%s: no miss queued at any tile", name)
+		}
+		poke(door, other)
+		if _, err := carry(s, zooSystem(t, pair), s.limits()); !errors.Is(err, ckpt.ErrCorrupt) {
+			t.Errorf("%s: want ErrCorrupt, got %v", name, err)
+		}
+	}
+}

@@ -202,9 +202,6 @@ func (s *System) Config() config.System { return s.cfg }
 // Pair returns the mechanism pair the system was wired with.
 func (s *System) Pair() qospolicy.Pair { return s.pair }
 
-// Registry returns the QoS registry.
-func (s *System) Registry() *qos.Registry { return s.reg }
-
 // Series returns the per-class bandwidth time series.
 func (s *System) Series() *stats.Series { return s.series }
 

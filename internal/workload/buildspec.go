@@ -1,7 +1,9 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 
 	"pabst/internal/mem"
 )
@@ -14,9 +16,8 @@ import (
 // order. It round-trips through JSON inside the checkpoint header.
 //
 // Generators built from closures or externally supplied traces
-// (FilteredStream, Replayer) have no BuildSpec; checkpoints of
-// systems containing them can only be restored through a caller-supplied
-// builder that reconstructs those generators itself.
+// (FilteredStream, Replayer) have no BuildSpec: a checkpoint of a system
+// containing them is written but cannot be restored.
 type BuildSpec struct {
 	Kind string   `json:"kind"`
 	Name string   `json:"name"`
@@ -74,60 +75,66 @@ func (m *Memcached) BuildSpec() BuildSpec {
 			uint64(m.p.CopyGap), uint64(m.p.ThinkGap), m.p.Insts}}
 }
 
-func wantArgs(bs BuildSpec, n int) error {
-	if len(bs.U) != n {
-		return fmt.Errorf("workload: %s spec %q wants %d args, has %d", bs.Kind, bs.Name, n, len(bs.U))
-	}
-	return nil
-}
+// argCounts is the number of arguments each kind's recipe carries.
+var argCounts = map[string]int{"stream": 4, "chaser": 3, "periodic": 6, "bursty": 4, "spec": 2, "memcached": 8}
 
 // FromBuildSpec reconstructs a generator from its recipe. Seed-dependent
 // construction draws use a fixed seed — the caller overlays the real RNG
-// state afterward.
+// state afterward. A recipe comes from a checkpoint image, so every
+// argument a constructor would panic on or a generator would divide by is
+// an error here: an empty region, a region smaller than its stride, no
+// chains, a zero phase, a bad burst shape, and a count or gap beyond an
+// int.
 func FromBuildSpec(bs BuildSpec) (Generator, error) {
+	n, ok := argCounts[bs.Kind]
+	if !ok {
+		return nil, fmt.Errorf("workload: unknown generator kind %q", bs.Kind)
+	}
+	if len(bs.U) != n {
+		return nil, fmt.Errorf("workload: %s spec %q wants %d args, has %d", bs.Kind, bs.Name, n, len(bs.U))
+	}
+	u := bs.U
+	region := func(i int) Region { return Region{Base: mem.Addr(u[i]), Size: u[i+1]} }
+	ints := func(from, to int) bool { // the int arguments convert without wrapping
+		for _, v := range u[from:to] {
+			if v > math.MaxInt {
+				return false
+			}
+		}
+		return true
+	}
+	lines := region(0).Lines() > 0 // the generators that draw lines need one
 	switch bs.Kind {
 	case "stream":
-		if err := wantArgs(bs, 4); err != nil {
-			return nil, err
+		if u[1] >= cmp.Or(u[2], 128) {
+			return NewStream(bs.Name, region(0), u[2], u[3] != 0), nil
 		}
-		return NewStream(bs.Name, Region{Base: mem.Addr(bs.U[0]), Size: bs.U[1]}, bs.U[2], bs.U[3] != 0), nil
 	case "chaser":
-		if err := wantArgs(bs, 3); err != nil {
-			return nil, err
+		if lines && u[2] > 0 && ints(2, 3) {
+			return NewChaser(bs.Name, region(0), int(u[2]), 1), nil
 		}
-		return NewChaser(bs.Name, Region{Base: mem.Addr(bs.U[0]), Size: bs.U[1]}, int(bs.U[2]), 1), nil
 	case "periodic":
-		if err := wantArgs(bs, 6); err != nil {
-			return nil, err
+		if u[1] > 0 && u[3] > 0 && u[4] > 0 && u[5] > 0 {
+			return NewPeriodicStream(bs.Name, region(0), region(2), u[4], u[5]), nil
 		}
-		return NewPeriodicStream(bs.Name,
-			Region{Base: mem.Addr(bs.U[0]), Size: bs.U[1]},
-			Region{Base: mem.Addr(bs.U[2]), Size: bs.U[3]},
-			bs.U[4], bs.U[5]), nil
 	case "bursty":
-		if err := wantArgs(bs, 4); err != nil {
-			return nil, err
+		if lines && u[2] > 0 && ints(2, 4) {
+			return NewBursty(bs.Name, region(0), int(u[2]), int(u[3]), 1), nil
 		}
-		return NewBursty(bs.Name, Region{Base: mem.Addr(bs.U[0]), Size: bs.U[1]}, int(bs.U[2]), int(bs.U[3]), 1), nil
 	case "spec":
-		if err := wantArgs(bs, 2); err != nil {
-			return nil, err
-		}
 		p, ok := SpecByName(bs.Name)
 		if !ok {
 			return nil, fmt.Errorf("workload: unknown spec proxy %q", bs.Name)
 		}
-		return NewSpec(p, Region{Base: mem.Addr(bs.U[0]), Size: bs.U[1]}, 1)
+		return NewSpec(p, region(0), 1)
 	case "memcached":
-		if err := wantArgs(bs, 8); err != nil {
-			return nil, err
+		if ints(2, 7) { // NewMemcached checks the rest
+			p := MemcachedParams{
+				ChaseOps: int(u[2]), CopyOps: int(u[3]), ChaseGap: int(u[4]),
+				CopyGap: int(u[5]), ThinkGap: int(u[6]), Insts: u[7],
+			}
+			return NewMemcached(p, region(0), 1)
 		}
-		p := MemcachedParams{
-			ChaseOps: int(bs.U[2]), CopyOps: int(bs.U[3]), ChaseGap: int(bs.U[4]),
-			CopyGap: int(bs.U[5]), ThinkGap: int(bs.U[6]), Insts: bs.U[7],
-		}
-		return NewMemcached(p, Region{Base: mem.Addr(bs.U[0]), Size: bs.U[1]}, 1)
-	default:
-		return nil, fmt.Errorf("workload: unknown generator kind %q", bs.Kind)
 	}
+	return nil, fmt.Errorf("workload: %s spec %q: arguments %v describe no generator", bs.Kind, bs.Name, u)
 }

@@ -277,3 +277,39 @@ func TestStreamPanicsOnTinyRegion(t *testing.T) {
 	}()
 	NewStream("s", region(0, 64), 128, false)
 }
+
+// TestFromBuildSpecRefusesWhatPanics: a recipe comes from a checkpoint
+// image, so every argument a constructor panics on, or a generator
+// divides by, is an error and no generator. Before FromBuildSpec checked
+// them, every recipe below but the two memcached ones panicked in its
+// constructor or in Next; NewMemcached already refused the first of
+// those, and the last recipe builds.
+func TestFromBuildSpecRefusesWhatPanics(t *testing.T) {
+	const big = 1 << 63 // wraps to a negative int
+	for _, tc := range []struct {
+		bs BuildSpec
+		ok bool
+	}{
+		{BuildSpec{Kind: "stream", U: []uint64{0, 0, 128, 0}}, false},
+		{BuildSpec{Kind: "stream", U: []uint64{0, 64, 0, 0}}, false}, // stride 0 means 128
+		{BuildSpec{Kind: "chaser", U: []uint64{0, 1 << 20, 0}}, false},
+		{BuildSpec{Kind: "chaser", U: []uint64{0, 1 << 20, big}}, false},
+		{BuildSpec{Kind: "chaser", U: []uint64{0, 32, 4}}, false}, // no whole line
+		{BuildSpec{Kind: "periodic", U: []uint64{0, 1 << 20, 0, 0, 100, 100}}, false},
+		{BuildSpec{Kind: "periodic", U: []uint64{0, 1 << 20, 0, 1 << 10, 0, 100}}, false},
+		{BuildSpec{Kind: "bursty", U: []uint64{0, 1 << 20, 0, 10}}, false},
+		{BuildSpec{Kind: "bursty", U: []uint64{0, 1 << 20, 4, big}}, false},
+		{BuildSpec{Kind: "memcached", U: []uint64{0, 1 << 20, 6, 4, big, 1, 40, 20}}, false},
+		{BuildSpec{Kind: "memcached", U: []uint64{0, 1 << 20, 6, 4, 4, 1, 40, 20}}, true},
+	} {
+		gen, err := FromBuildSpec(tc.bs)
+		if (err == nil) != tc.ok || (gen != nil) != tc.ok {
+			t.Errorf("%s %v: generator %v, error %v", tc.bs.Kind, tc.bs.U, gen, err)
+			continue
+		}
+		if tc.ok {
+			var op Op
+			gen.Next(&op)
+		}
+	}
+}

@@ -73,7 +73,7 @@ func TestRecordReplayThroughSystem(t *testing.T) {
 	for i := range ops {
 		gen.Next(&ops[i])
 	}
-	replay, err := pabst.Replay("replayed", ops)
+	replay, err := workload.NewReplayer("replayed", ops)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -225,11 +225,6 @@ func MemcachedServer(r Region, seed uint64) *workload.Memcached {
 	return m
 }
 
-// Replay returns a generator that replays an op list in a loop.
-func Replay(name string, ops []workload.Op) (Generator, error) {
-	return workload.NewReplayer(name, ops)
-}
-
 // Hist is a log-scaled latency histogram. A copied Hist shares its
 // buckets with the original; Merge into a zero Hist to take a private
 // copy.
