@@ -121,8 +121,19 @@ func renderState(s *pabst.System) string {
 	if err := enc.Encode(s.Series().Samples); err != nil {
 		panic(err)
 	}
-	if err := enc.Encode(s.FaultReport()); err != nil {
+	rep := s.FaultReport()
+	if err := enc.Encode(rep); err != nil {
 		panic(err)
+	}
+	// The injected counts by kind, in the order each kind first fired:
+	// the report's JSON carries the counter set's exported fields only,
+	// and it has none.
+	if rep.Injected != nil {
+		img, err := ckpt.Encode(ckpt.Header{}, rep.Injected)
+		if err != nil {
+			panic(err)
+		}
+		fmt.Fprintf(&buf, "%x\n", img)
 	}
 	return buf.String()
 }

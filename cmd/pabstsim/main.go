@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	pabstsim [-scale quick|full] [-series] [-spec name,name,...]
+//	pabstsim [-scale quick|full] [-series | -json] [-spec name,name,...]
 //	         [-policy src+tgt] [-faults preset] [-parallel n]
 //	         [-cpuprofile f] [-memprofile f] <experiment>...
 //	pabstsim -list
@@ -18,6 +18,10 @@
 // well the split converged and how much throughput the system
 // sustained. -list prints them in a section of their own, and "all"
 // leaves them out: `pabstsim -scale quick sweep-page` runs one.
+//
+// -json writes each table, Table III's configuration lines included, as
+// one JSON document and nothing else; -series, a text series, is
+// refused with it.
 //
 // -policy runs every system an experiment builds under a QoS policy
 // pair from the plugin registry ("src+tgt"; either half may be empty to
@@ -50,8 +54,10 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -98,7 +104,7 @@ func (o *options) register(fs *flag.FlagSet) {
 	fs.StringVar(&o.scale, "scale", "full", "experiment scale: quick or full")
 	fs.BoolVar(&o.list, "list", false, "list experiments and exit")
 	fs.BoolVar(&o.listPolicies, "list-policies", false, "list registered QoS policy mechanisms and exit")
-	fs.BoolVar(&o.series, "series", false, "print full time series for fig5/fig6")
+	fs.BoolVar(&o.series, "series", false, "print full text time series for fig5/fig6 (not with -json)")
 	fs.BoolVar(&o.json, "json", false, "emit result tables as JSON instead of text")
 	fs.StringVar(&o.specs, "spec", "", "comma-separated SPEC proxy subset for fig10-12 (default: all)")
 	fs.StringVar(&o.faults, "faults", "sat-partition",
@@ -113,8 +119,11 @@ func (o *options) register(fs *flag.FlagSet) {
 
 // runScale resolves -scale and stamps the flags that reach the systems
 // an experiment builds onto it: the policy override and the
-// parallelism.
+// parallelism. It refuses -series with -json: a series is text.
 func (o *options) runScale() (exp.Scale, error) {
+	if o.series && o.json {
+		return exp.Scale{}, fmt.Errorf("-series prints text series; it does not combine with -json")
+	}
 	sc, err := exp.ScaleByName(o.scale)
 	if err != nil {
 		return exp.Scale{}, err
@@ -174,7 +183,12 @@ func main() {
 			args = append(args, e.name)
 		}
 	}
+	o.run(os.Stdout, scale, workloads, args)
+}
 
+// run runs the named experiments in order and writes their tables to w:
+// under -json every line belongs to one JSON document, a table each.
+func (o *options) run(w io.Writer, scale exp.Scale, workloads, args []string) {
 	// One cache across every registry experiment in this invocation:
 	// fig10 and fig12 emit the same specs, so their shared grid runs once.
 	cache := exp.NewRunCache()
@@ -184,25 +198,31 @@ func main() {
 		return tbl
 	}
 
-	emit := func(tables ...*exp.Table) {
-		for _, tbl := range tables {
-			if o.json {
-				b, err := tbl.JSON()
-				check(err)
-				fmt.Println(string(b))
-				continue
-			}
-			fmt.Print(tbl.String())
+	emit := func(tbl *exp.Table) {
+		if o.json {
+			b, err := tbl.JSON()
+			check(err)
+			fmt.Fprintln(w, string(b))
+			return
 		}
+		fmt.Fprint(w, tbl.String())
 	}
 
 	for _, name := range args {
 		start := time.Now()
 		switch name {
 		case "table3":
-			fmt.Print(exp.Table3(pabst.Default32Config()))
-			fmt.Println()
-			fmt.Print(exp.Table3(pabst.Scaled8Config()))
+			text := exp.Table3(pabst.Default32Config()) + "\n" + exp.Table3(pabst.Scaled8Config())
+			if !o.json {
+				fmt.Fprint(w, text)
+				break
+			}
+			b, err := json.MarshalIndent(struct {
+				Title string   `json:"title"`
+				Lines []string `json:"lines"`
+			}{"Table III: system configuration", strings.Split(strings.TrimSuffix(text, "\n"), "\n")}, "", "  ")
+			check(err)
+			fmt.Fprintln(w, string(b))
 		case "fig5":
 			r, err := exp.Fig5Series(scale)
 			check(err)
@@ -213,14 +233,14 @@ func main() {
 			})
 			emit(tbl)
 			if o.series {
-				printSeries(r)
+				printSeries(w, r)
 			}
 		case "fig6":
 			r, err := exp.Fig6(scale)
 			check(err)
 			emit(r.Table())
 			if o.series {
-				printSeries(r.Series)
+				printSeries(w, r.Series)
 			}
 		case "fig8":
 			r, err := exp.Fig8(scale)
@@ -238,7 +258,7 @@ func main() {
 			emit(runRegistry(e))
 		}
 		if !o.json {
-			fmt.Printf("[%s: %.1fs]\n\n", name, time.Since(start).Seconds())
+			fmt.Fprintf(w, "[%s: %.1fs]\n\n", name, time.Since(start).Seconds())
 		}
 	}
 }
@@ -311,18 +331,18 @@ func printPolicies() {
 	fmt.Println("\nselect a pair as src+tgt; spellings, presets and precedence: DESIGN.md, \"Selecting a mechanism\".")
 }
 
-func printSeries(r *exp.SeriesResult) {
-	fmt.Printf("%12s", "cycle")
+func printSeries(w io.Writer, r *exp.SeriesResult) {
+	fmt.Fprintf(w, "%12s", "cycle")
 	for _, c := range r.Classes {
-		fmt.Printf("%16s", c)
+		fmt.Fprintf(w, "%16s", c)
 	}
-	fmt.Printf("%12s\n", "B/cyc")
+	fmt.Fprintf(w, "%12s\n", "B/cyc")
 	for _, p := range r.Points {
-		fmt.Printf("%12d", p.Cycle)
+		fmt.Fprintf(w, "%12d", p.Cycle)
 		for _, s := range p.Shares {
-			fmt.Printf("%16.3f", s)
+			fmt.Fprintf(w, "%16.3f", s)
 		}
-		fmt.Printf("%12.2f\n", p.BpcSum)
+		fmt.Fprintf(w, "%12.2f\n", p.BpcSum)
 	}
 }
 

@@ -1,7 +1,11 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"flag"
+	"io"
 	"strings"
 	"testing"
 
@@ -51,6 +55,48 @@ func TestApplyStampsEveryKnob(t *testing.T) {
 func TestBadPolicyRejected(t *testing.T) {
 	if _, err := parse(t, "-policy", "nosuch+pair").runScale(); err == nil {
 		t.Error("runScale accepted an unknown policy pair")
+	}
+}
+
+// TestJSONTable3 decodes all of -json table3's output: under -json
+// every byte written belongs to a JSON document, and Table III's is one
+// document holding both machines' configuration lines.
+func TestJSONTable3(t *testing.T) {
+	o := parse(t, "-json", "table3")
+	sc, err := o.runScale()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	o.run(&out, sc, nil, []string{"table3"})
+	type doc struct {
+		Title string
+		Lines []string
+	}
+	var docs []doc
+	for dec := json.NewDecoder(&out); ; {
+		var d doc
+		if err := dec.Decode(&d); errors.Is(err, io.EOF) {
+			break
+		} else if err != nil {
+			t.Fatalf("document %d does not decode: %v", len(docs)+1, err)
+		}
+		docs = append(docs, d)
+	}
+	if len(docs) != 1 {
+		t.Fatalf("-json table3 wrote %d documents, want 1", len(docs))
+	}
+	text := strings.Join(docs[0].Lines, "\n")
+	for _, cfg := range []pabst.SystemConfig{pabst.Default32Config(), pabst.Scaled8Config()} {
+		if !strings.Contains(text, strings.TrimSuffix(exp.Table3(cfg), "\n")) {
+			t.Errorf("table3 document %q lacks the %s configuration:\n%s", docs[0].Title, cfg.Name, text)
+		}
+	}
+}
+
+func TestSeriesRefusedWithJSON(t *testing.T) {
+	if _, err := parse(t, "-json", "-series").runScale(); err == nil {
+		t.Error("runScale accepted -series with -json")
 	}
 }
 

@@ -1,7 +1,9 @@
 package dram
 
 import (
+	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"pabst/internal/mem"
@@ -54,18 +56,52 @@ func TestControllerMemoryFlatSteadyState(t *testing.T) {
 	// steady-state capacity.
 	now := drive(0, 200_000)
 
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	drive(now, 10_000_000)
-	runtime.ReadMemStats(&after)
-
 	// A handful of allocations can come from the runtime itself; the old
 	// implementation allocated one packet per miss (millions here).
-	if d := after.Mallocs - before.Mallocs; d > 100 {
+	if d := ownMallocs(func() { drive(now, 10_000_000) }); d > 100 {
 		t.Fatalf("steady-state controller allocated %d objects over 10M cycles", d)
 	}
 	if mc.Stats.ReadsServed == 0 || mc.Stats.WritesServed == 0 {
 		t.Fatal("soak served no traffic; test is vacuous")
 	}
+}
+
+// ownMallocs counts the heap objects f allocates on its own goroutine.
+// Every allocation in the window is profiled, and those whose recorded
+// stack passes through profiled count, so another goroutine's
+// allocations in the same window do not. The profile keeps a stack's
+// innermost 32 frames: an allocation deeper than that below profiled
+// cannot be told apart, and counts as well.
+func ownMallocs(f func()) int64 {
+	before := profiledObjects()
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	profiled(f)
+	runtime.MemProfileRate = 0
+	runtime.GC() // publishes the window's allocations to the profile
+	return profiledObjects() - before
+}
+
+//go:noinline
+func profiled(f func()) { f() }
+
+// profiledObjects sums the published profile's allocations under
+// profiled.
+func profiledObjects() (n int64) {
+	recs := make([]runtime.MemProfileRecord, 512)
+	k, ok := runtime.MemProfile(recs, true)
+	for ; !ok; k, ok = runtime.MemProfile(recs, true) {
+		recs = make([]runtime.MemProfileRecord, k+512)
+	}
+	entry := reflect.ValueOf(profiled).Pointer()
+	for _, r := range recs[:k] {
+		stk := r.Stack()
+		if len(stk) == len(r.Stack0) || slices.ContainsFunc(stk, func(pc uintptr) bool {
+			fn := runtime.FuncForPC(pc - 1)
+			return fn != nil && fn.Entry() == entry
+		}) {
+			n += r.AllocObjects
+		}
+	}
+	return n
 }

@@ -2,9 +2,14 @@ package exp
 
 import (
 	"context"
+	"math"
 	"testing"
 )
 
+// TestExtStaticShowsWorkConservationGain contrasts the related-work
+// static throttle with PABST on the periodic mix: when the periodic
+// class goes cache-resident, the static limiter keeps the constant class
+// at its 30% rate while PABST lets it absorb the idle bandwidth.
 func TestExtStaticShowsWorkConservationGain(t *testing.T) {
 	// The gain is the converged idle-phase grab, so the run warms up one
 	// full period and measures the next: each phase (200k cycles, 100
@@ -18,18 +23,23 @@ func TestExtStaticShowsWorkConservationGain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The static limiter pins the constant class at ~30% of peak.
-	if frac := cell(t, tbl, "static limiter", "frac-of-peak"); frac < 0.2 || frac > 0.42 {
+	// The static limiter pins the constant class at ~30% of peak, idle
+	// phases or not.
+	if frac := cell(t, tbl, "static limiter", "frac-of-peak"); frac < 0.2 || frac > 0.40 {
 		t.Fatalf("static limiter pinned the class at %.2f of peak, want ~0.30", frac)
 	}
-	// PABST's time average must be clearly higher (half the time the
-	// other class is idle).
+	// PABST's time average must be much higher: half the time the other
+	// class is idle and its share is redistributed.
 	static, pb := cell(t, tbl, "static limiter", "B/cyc"), cell(t, tbl, "PABST", "B/cyc")
-	if pb < 1.2*static {
+	if pb < 1.5*static {
 		t.Fatalf("PABST %.1f vs static %.1f B/cyc: too little work-conservation gain", pb, static)
 	}
 }
 
+// TestExtSkewLiftsColdChannels is Section III-C1's argument for per-MC
+// SAT: under skewed traffic the global wired-OR throttles every source
+// to the hot channel's rate, while per-controller governors keep the
+// cold channels, and so the machine as a whole, busier.
 func TestExtSkewLiftsColdChannels(t *testing.T) {
 	tbl, _, _ := runQuick(t, registered(t, "ext-skew"))
 	if len(tbl.Rows) != 4 {
@@ -43,13 +53,46 @@ func TestExtSkewLiftsColdChannels(t *testing.T) {
 	if coldP < coldG+0.2 {
 		t.Fatalf("per-MC governors lifted cold channels only %.2f -> %.2f (sum)", coldG, coldP)
 	}
+	allG := coldG + tbl.Rows[0].Values["global-SAT"]
+	allP := coldP + tbl.Rows[0].Values["per-MC-SAT"]
+	if allP <= allG {
+		t.Fatalf("per-MC governors did not raise mean utilization: %.2f -> %.2f",
+			allG/float64(len(tbl.Rows)), allP/float64(len(tbl.Rows)))
+	}
 }
 
+// TestExtHeteroLiftsBusyThread is Section V-B's extension: with even
+// intra-class splits the mixed class's one busy thread gets 1/16 of the
+// class rate; with demand feedback it gets nearly all of it.
 func TestExtHeteroLiftsBusyThread(t *testing.T) {
 	tbl, _, _ := runQuick(t, registered(t, "ext-hetero"))
 	even := cell(t, tbl, "even split (paper baseline)", "class-B/cyc")
 	hetero := cell(t, tbl, "demand feedback (Section V-B)", "class-B/cyc")
 	if hetero < 2*even {
 		t.Fatalf("demand feedback lifted the class only %.1f -> %.1f B/cyc", even, hetero)
+	}
+}
+
+// TestExtNoCProvisioning pins the methodology assumption behind the
+// paper's latency-only fabric: with provisioned 16 B/cyc links the
+// contention-modeled mesh keeps the 7:3 split and nearly all the
+// bandwidth, and with 1 B/cyc links the fabric, not the DRAM, becomes
+// the bottleneck.
+func TestExtNoCProvisioning(t *testing.T) {
+	tbl, _, _ := runQuick(t, registered(t, "ext-noc"))
+	const latency, provisioned, starved = "latency-only (paper)", "modeled, 16 B/cyc links", "modeled, 1 B/cyc links"
+	shareL, shareN := cell(t, tbl, latency, "share-hi"), cell(t, tbl, provisioned, "share-hi")
+	if math.Abs(shareN-0.7) > 0.07 {
+		t.Errorf("modeled NoC broke the 7:3 allocation: share %.3f", shareN)
+	}
+	if math.Abs(shareN-shareL) > 0.05 {
+		t.Errorf("allocation differs between fabric models: %.3f vs %.3f", shareL, shareN)
+	}
+	totalL, totalN := cell(t, tbl, latency, "total-B/cyc"), cell(t, tbl, provisioned, "total-B/cyc")
+	if totalN < 0.85*totalL {
+		t.Errorf("provisioned fabric lost too much throughput: %.1f vs %.1f B/cyc", totalN, totalL)
+	}
+	if totalS := cell(t, tbl, starved, "total-B/cyc"); totalS > 0.5*totalN {
+		t.Errorf("16x slower links should cut throughput sharply: %.1f vs %.1f B/cyc", totalS, totalN)
 	}
 }

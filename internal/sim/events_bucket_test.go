@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -154,15 +156,45 @@ func (c *stepComp) Tick(now uint64) {
 func (c *stepComp) NextEventAt(from uint64) uint64 { return max(from, c.next) }
 func (c *stepComp) FastForward(from, to uint64)    {}
 
-// mallocsDuring counts heap allocations made by f, with no warm-up call:
-// the contract under test starts at the end of registration.
-func mallocsDuring(f func()) uint64 {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	f()
-	runtime.ReadMemStats(&after)
-	return after.Mallocs - before.Mallocs
+// ownMallocs counts the heap objects f allocates on its own goroutine,
+// with no warm-up call: the contract under test starts at the end of
+// registration. Every allocation in the window is profiled, and those
+// whose recorded stack passes through profiled count, so another
+// goroutine's allocations in the same window do not. The profile keeps
+// a stack's innermost 32 frames: an allocation deeper than that below
+// profiled cannot be told apart, and counts as well.
+func ownMallocs(f func()) int64 {
+	before := profiledObjects()
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	profiled(f)
+	runtime.MemProfileRate = 0
+	runtime.GC() // publishes the window's allocations to the profile
+	return profiledObjects() - before
+}
+
+//go:noinline
+func profiled(f func()) { f() }
+
+// profiledObjects sums the published profile's allocations under
+// profiled.
+func profiledObjects() (n int64) {
+	recs := make([]runtime.MemProfileRecord, 512)
+	k, ok := runtime.MemProfile(recs, true)
+	for ; !ok; k, ok = runtime.MemProfile(recs, true) {
+		recs = make([]runtime.MemProfileRecord, k+512)
+	}
+	entry := reflect.ValueOf(profiled).Pointer()
+	for _, r := range recs[:k] {
+		stk := r.Stack()
+		if len(stk) == len(r.Stack0) || slices.ContainsFunc(stk, func(pc uintptr) bool {
+			fn := runtime.FuncForPC(pc - 1)
+			return fn != nil && fn.Entry() == entry
+		}) {
+			n += r.AllocObjects
+		}
+	}
+	return n
 }
 
 // TestEventWheelZeroAllocAfterRegistration pins the wheel's storage
@@ -185,7 +217,7 @@ func TestEventWheelZeroAllocAfterRegistration(t *testing.T) {
 		// Every component due every cycle: each class's whole population
 		// is popped from, and re-inserted into, a single bucket.
 		k, _ := build(1)
-		if n := mallocsDuring(func() { k.Run(3 * wheelW) }); n != 0 {
+		if n := ownMallocs(func() { k.Run(3 * wheelW) }); n != 0 {
 			t.Fatalf("%d allocations over %d dense cycles, want 0", n, 3*wheelW)
 		}
 	})
@@ -200,7 +232,7 @@ func TestEventWheelZeroAllocAfterRegistration(t *testing.T) {
 				k.DirtyEvent(id)
 			}
 		})
-		n := mallocsDuring(func() {
+		n := ownMallocs(func() {
 			for round := 0; round < 4; round++ {
 				for _, id := range ids {
 					k.Wake(id, k.Now()+7)

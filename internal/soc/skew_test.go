@@ -23,10 +23,9 @@ func buildSkewed(t *testing.T, perMC bool) *System {
 	if err != nil {
 		t.Fatal(err)
 	}
+	keep := func(a mem.Addr) bool { return MCIndex(a, cfg.NumMCs) == 0 }
 	for i := 0; i < 16; i++ {
-		r := tileRegion(i)
-		keep := func(a mem.Addr) bool { return sys.MCForAddr(a) == 0 }
-		if err := sys.Attach(i, hot.ID, workload.NewFilteredStream("hot", r, 128, false, keep)); err != nil {
+		if err := sys.Attach(i, hot.ID, workload.NewFilteredStream("hot", tileRegion(i), 128, false, keep)); err != nil {
 			t.Fatal(err)
 		}
 	}

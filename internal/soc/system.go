@@ -558,10 +558,6 @@ func MCIndex(addr mem.Addr, numMCs int) int {
 	return int(mix(addr.LineID()^0xABCD1234DEADBEEF) % uint64(numMCs))
 }
 
-// MCForAddr exposes the channel hash so that experiments can construct
-// deliberately skewed traffic.
-func (s *System) MCForAddr(addr mem.Addr) int { return s.mcOf(addr) }
-
 // wbChargeClass applies the Section V-C writeback accounting policy.
 func (s *System) wbChargeClass(demander, owner mem.ClassID) mem.ClassID {
 	switch s.cfg.WBCharge {

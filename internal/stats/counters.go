@@ -1,16 +1,8 @@
 package stats
 
-import (
-	"encoding/json"
-	"fmt"
-	"sort"
-	"strings"
-)
-
-// Counters is an ordered set of named event counters. Components that
-// count heterogeneous events (the fault injector, degradation watchdogs)
-// report through one of these so the CLI and JSON paths render them
-// uniformly.
+// Counters is an ordered set of named event counters: the fault
+// injector counts each kind of fault it injects in one. The names keep
+// first-touch order so that a checkpoint of the set is deterministic.
 type Counters struct {
 	names  []string
 	values map[string]uint64
@@ -35,9 +27,6 @@ func (c *Counters) Inc(name string) { c.Add(name, 1) }
 // Get returns a counter's value (0 if never touched).
 func (c *Counters) Get(name string) uint64 { return c.values[name] }
 
-// Names returns the counter names in first-touch order.
-func (c *Counters) Names() []string { return append([]string(nil), c.names...) }
-
 // Total sums every counter.
 func (c *Counters) Total() uint64 {
 	var t uint64
@@ -45,41 +34,4 @@ func (c *Counters) Total() uint64 {
 		t += v
 	}
 	return t
-}
-
-// String renders "name=value" pairs in first-touch order.
-func (c *Counters) String() string {
-	if len(c.names) == 0 {
-		return "(no events)"
-	}
-	var b strings.Builder
-	for i, n := range c.names {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		fmt.Fprintf(&b, "%s=%d", n, c.values[n])
-	}
-	return b.String()
-}
-
-// MarshalJSON renders the counters as a flat name→value object with
-// sorted keys, so serialized output is stable across runs.
-func (c *Counters) MarshalJSON() ([]byte, error) {
-	names := append([]string(nil), c.names...)
-	sort.Strings(names)
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, n := range names {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		k, err := json.Marshal(n)
-		if err != nil {
-			return nil, err
-		}
-		b.Write(k)
-		fmt.Fprintf(&b, ":%d", c.values[n])
-	}
-	b.WriteByte('}')
-	return []byte(b.String()), nil
 }

@@ -3,7 +3,7 @@ package stats
 import "pabst/internal/ckpt"
 
 // Ckpt implements ckpt.Walker: names in first-touch order with their
-// values, so a restored Counters renders identically. Loading replaces
+// values, so a restored Counters reads identically. Loading replaces
 // the current contents.
 func (c *Counters) Ckpt(k *ckpt.Codec) {
 	if k.Loading() {

@@ -379,10 +379,6 @@ func (s *System) SetWeight(class ClassID, weight uint64) error {
 	return s.reg.SetWeight(class, weight)
 }
 
-// MCForAddr returns the memory controller serving addr under the
-// system's channel hash.
-func (s *System) MCForAddr(addr Addr) int { return s.inner.MCForAddr(addr) }
-
 // FaultReport returns the fault-injection and degradation summary for
 // the system lifetime (zero-valued with Active=false when no plan is
 // configured).
